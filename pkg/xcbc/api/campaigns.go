@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -27,13 +26,12 @@ const (
 	maxCampaignWorkers = 32
 )
 
-// campaignRecord is one managed campaign sweep.
+// campaignRecord is one managed campaign sweep: the identity and spec it
+// started (and was journaled) with, plus its live progress.
 type campaignRecord struct {
-	ID      string
-	Created time.Time
-	Spec    xcbc.CampaignSpec
-	tn      *tenant
-	done    chan struct{}
+	campaignStartedRec
+	tn   *tenant
+	done chan struct{}
 
 	mu        sync.Mutex
 	state     string // "running", "passed", "failed", "error", "interrupted"
@@ -118,36 +116,8 @@ type createCampaignRequest struct {
 	ShrinkBudget int   `json:"shrink_budget"`
 }
 
-func lookupCampaign(tn *tenant, id string) (*campaignRecord, bool) {
-	tn.mu.RLock()
-	cr, ok := tn.campaigns[id]
-	tn.mu.RUnlock()
-	return cr, ok
-}
-
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tn := s.tenant(r)
-	tn.mu.RLock()
-	ids := make([]string, 0, len(tn.campaigns))
-	for id := range tn.campaigns { //detlint:ordered pageIDs sorts before any ID is used
-		ids = append(ids, id)
-	}
-	ids, next := pageIDs(ids, pg)
-	crs := make([]*campaignRecord, 0, len(ids))
-	for _, id := range ids {
-		crs = append(crs, tn.campaigns[id])
-	}
-	tn.mu.RUnlock()
-	out := make([]campaignInfo, 0, len(crs))
-	for _, cr := range crs {
-		out = append(out, campaignInfoOf(cr))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": out, "count": len(out), "next_cursor": next})
+	servePage(w, r, "campaigns", s.tenant(r).campaigns, campaignInfoOf)
 }
 
 // handleCreateCampaign validates the spec synchronously, then starts the
@@ -155,8 +125,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 // state "running". Clients poll GET /api/v1/campaigns/{id}.
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	var req createCampaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Seeds > maxCampaignSeeds {
@@ -178,33 +147,22 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tn := s.tenant(r)
-	tn.mu.Lock()
-	// Quota check and insert share one critical section, so concurrent
-	// creates cannot both squeeze under the cap.
-	if max := tn.quotas.MaxCampaigns; max > 0 && len(tn.campaigns) >= max {
-		inUse := len(tn.campaigns)
-		tn.mu.Unlock()
-		writeQuotaError(w, "campaigns", max, inUse)
+	cr, quota := tn.campaigns.insert(func(id string) *campaignRecord {
+		return &campaignRecord{
+			campaignStartedRec: campaignStartedRec{ID: id, Spec: spec, Created: s.clock()},
+			tn:                 tn, state: "running", done: make(chan struct{}),
+		}
+	})
+	if quota != nil {
+		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.nextCampaignID++
-	cr := &campaignRecord{
-		ID:      fmt.Sprintf("c%d", tn.nextCampaignID),
-		Created: s.clock(),
-		Spec:    spec,
-		tn:      tn,
-		state:   "running",
-		done:    make(chan struct{}),
-	}
-	tn.campaigns[cr.ID] = cr
-	tn.mu.Unlock()
 	if tn.store != nil {
-		tn.store.emit(recCampaignStarted, campaignStartedRec{
-			ID: cr.ID, Spec: spec, Created: cr.Created,
-		})
+		tn.store.emit(recCampaignStarted, cr.campaignStartedRec)
 	}
+	accepted := campaignInfoOf(cr) // before the sweep starts: always "running"
 	go s.executeCampaign(cr)
-	writeJSON(w, http.StatusAccepted, campaignInfoOf(cr))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // executeCampaign drives one campaign to settlement on its own goroutine.
@@ -242,7 +200,7 @@ func (s *Server) executeCampaign(cr *campaignRecord) {
 // handleCampaign reports one campaign's progress — and, once seeds fail,
 // the shrunk repros.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	cr, ok := lookupCampaign(s.tenant(r), r.PathValue("id"))
+	cr, ok := s.tenant(r).campaigns.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
@@ -257,13 +215,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // (generated seeds are cheap to re-sweep explicitly; silently burning CPU
 // on restart is not this store's call to make).
 func (st *store) recoverCampaign(m campaignMirror, report *RecoveryReport) *campaignRecord {
-	cr := &campaignRecord{
-		ID:      m.Started.ID,
-		Created: m.Started.Created,
-		Spec:    m.Started.Spec,
-		tn:      st.tn,
-		done:    make(chan struct{}),
-	}
+	cr := &campaignRecord{campaignStartedRec: m.Started, tn: st.tn, done: make(chan struct{})}
 	for _, out := range m.Outcomes {
 		cr.absorb(out)
 	}

@@ -14,7 +14,7 @@ import (
 // waitCampaign blocks until the campaign settles and returns its info.
 func waitCampaign(t *testing.T, s *Server, id string) campaignInfo {
 	t.Helper()
-	cr, ok := lookupCampaign(s.openTenant, id)
+	cr, ok := s.openTenant.campaigns.get(id)
 	if !ok {
 		t.Fatalf("campaign %s not found", id)
 	}

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -70,7 +69,7 @@ func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
 // inspection and deletion.
 func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *deployment, *tenant, bool) {
 	tn := s.tenant(r)
-	dep, ok := lookupDeployment(tn, r.PathValue("id"))
+	dep, ok := tn.deployments.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
@@ -101,28 +100,7 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tn := s.tenant(r)
-	tn.mu.RLock()
-	ids := make([]string, 0, len(tn.deployments))
-	for id := range tn.deployments { //detlint:ordered pageIDs sorts before any ID is used
-		ids = append(ids, id)
-	}
-	ids, next := pageIDs(ids, pg)
-	deps := make([]*deployment, 0, len(ids))
-	for _, id := range ids {
-		deps = append(deps, tn.deployments[id])
-	}
-	tn.mu.RUnlock()
-	out := make([]clusterInfo, 0, len(deps))
-	for _, dep := range deps {
-		out = append(out, s.clusterInfoOf(dep))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"clusters": out, "count": len(out), "next_cursor": next})
+	servePage(w, r, "clusters", s.tenant(r).deployments, s.clusterInfoOf)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -213,8 +191,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := jobSpecOf(req)
@@ -396,11 +373,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req validateRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	opts := []xcbc.ValidateOption{}
 	if req.MemFraction != 0 {
@@ -495,8 +469,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req advanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	d, err := time.ParseDuration(req.Duration)

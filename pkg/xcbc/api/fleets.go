@@ -27,20 +27,25 @@ const (
 	maxFleetTotalNodes = 16384
 )
 
-// fleetRecord is one managed fleet plus its scenario run history. tn is
-// the owning tenant, so the run executor (shared by the live path and
+// fleetRecord is one managed fleet — the identity it was created (and
+// journaled) with, plus the live fleet — and its scenario run history. tn
+// is the owning tenant, so the run executor (shared by the live path and
 // recovery) journals through the right shard's store.
 type fleetRecord struct {
-	ID      string
-	Name    string
-	Created time.Time
-	Fleet   *xcbc.Fleet
-	tn      *tenant
+	fleetCreatedRec
+	Fleet *xcbc.Fleet
+	tn    *tenant
+	runs  *registry[*scenarioRun]
 
 	mu      sync.Mutex
-	runs    []*scenarioRun
-	nextRun int
 	runLive bool // a scenario is currently executing
+}
+
+func newFleetRecord(rec fleetCreatedRec, fl *xcbc.Fleet, tn *tenant) *fleetRecord {
+	return &fleetRecord{
+		fleetCreatedRec: rec, Fleet: fl, tn: tn,
+		runs: newRegistry[*scenarioRun]("s", "scenario runs", 0),
+	}
 }
 
 // scenarioRun is one asynchronous scenario execution.
@@ -99,12 +104,9 @@ type fleetInfo struct {
 
 func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
 	st := fr.Fleet.Status()
-	fr.mu.Lock()
-	runs := len(fr.runs)
-	fr.mu.Unlock()
 	info := fleetInfo{
 		ID: fr.ID, Name: fr.Name, Created: fr.Created,
-		Status: st, Settled: st.Settled(), Scenarios: runs,
+		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
 	}
 	if withMembers {
 		for _, m := range fr.Fleet.Members() {
@@ -118,36 +120,10 @@ func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
 	return info
 }
 
-func lookupFleet(tn *tenant, id string) (*fleetRecord, bool) {
-	tn.mu.RLock()
-	fr, ok := tn.fleets[id]
-	tn.mu.RUnlock()
-	return fr, ok
-}
-
 func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tn := s.tenant(r)
-	tn.mu.RLock()
-	ids := make([]string, 0, len(tn.fleets))
-	for id := range tn.fleets { //detlint:ordered pageIDs sorts before any ID is used
-		ids = append(ids, id)
-	}
-	ids, next := pageIDs(ids, pg)
-	frs := make([]*fleetRecord, 0, len(ids))
-	for _, id := range ids {
-		frs = append(frs, tn.fleets[id])
-	}
-	tn.mu.RUnlock()
-	out := make([]fleetInfo, 0, len(frs))
-	for _, fr := range frs {
-		out = append(out, s.fleetInfoOf(fr, false))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"fleets": out, "count": len(out), "next_cursor": next})
+	servePage(w, r, "fleets", s.tenant(r).fleets, func(fr *fleetRecord) fleetInfo {
+		return s.fleetInfoOf(fr, false)
+	})
 }
 
 // handleCreateFleet validates the request synchronously, then starts
@@ -155,8 +131,7 @@ func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
 // in its initial state.
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 	var req createFleetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Members > maxFleetMembers {
@@ -190,30 +165,18 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tn.mu.Lock()
-	// Quota check and insert share one critical section, so concurrent
-	// creates cannot both squeeze under the cap.
-	if max := tn.quotas.MaxFleets; max > 0 && len(tn.fleets) >= max {
-		inUse := len(tn.fleets)
-		tn.mu.Unlock()
+	fr, quota := tn.fleets.insert(func(id string) *fleetRecord {
+		return newFleetRecord(fleetCreatedRec{
+			ID: id, Name: req.Name, Req: req, Created: s.clock(), Provisioned: provisioned,
+		}, fl, tn)
+	})
+	if quota != nil {
 		fl.Cancel()
-		writeQuotaError(w, "fleets", max, inUse)
+		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.nextFleetID++
-	fr := &fleetRecord{
-		ID:      fmt.Sprintf("f%d", tn.nextFleetID),
-		Name:    req.Name,
-		Created: s.clock(),
-		Fleet:   fl,
-		tn:      tn,
-	}
-	tn.fleets[fr.ID] = fr
-	tn.mu.Unlock()
 	if tn.store != nil {
-		tn.store.emit(recFleetCreated, fleetCreatedRec{
-			ID: fr.ID, Name: req.Name, Req: req, Created: fr.Created, Provisioned: provisioned,
-		})
+		tn.store.emit(recFleetCreated, fr.fleetCreatedRec)
 		tn.store.attachFleet(fr)
 	}
 	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
@@ -231,7 +194,7 @@ func fleetSpecOf(req createFleetRequest) xcbc.FleetSpec {
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	fr, ok := lookupFleet(s.tenant(r), r.PathValue("id"))
+	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
@@ -247,36 +210,29 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tn := s.tenant(r)
-	tn.mu.Lock()
-	fr, ok := tn.fleets[id]
-	if ok {
+	var live bool
+	fr, found, removed := tn.fleets.removeIf(id, func(fr *fleetRecord) bool {
 		fr.mu.Lock()
-		live := fr.runLive
+		live = fr.runLive
 		fr.mu.Unlock()
-		if live {
-			tn.mu.Unlock()
-			writeError(w, http.StatusConflict,
-				"a scenario is still running on this fleet; wait for it to settle before deleting")
-			return
-		}
-		if fr.Fleet.Status().Settled() {
-			delete(tn.fleets, id)
-			tn.mu.Unlock()
-			if tn.store != nil {
-				fr.Fleet.SetJournalSink(nil)
-				tn.store.emit(recFleetDeleted, idRec{ID: id})
-			}
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-	}
-	tn.mu.Unlock()
-	if !ok {
+		return !live && fr.Fleet.Status().Settled()
+	})
+	switch {
+	case !found:
 		writeError(w, http.StatusNotFound, "unknown fleet")
-		return
+	case live:
+		writeError(w, http.StatusConflict,
+			"a scenario is still running on this fleet; wait for it to settle before deleting")
+	case removed:
+		if tn.store != nil {
+			fr.Fleet.SetJournalSink(nil)
+			tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
+		}
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		fr.Fleet.Cancel()
+		writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, false))
 	}
-	fr.Fleet.Cancel()
-	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, false))
 }
 
 // runScenarioRequest starts a scenario against a fleet: either a built-in
@@ -317,16 +273,8 @@ func runInfoOf(run *scenarioRun, withEvents bool, pg page) scenarioRunInfo {
 		trace := result.Trace()
 		info.NextCursor = len(trace)
 		if withEvents {
-			cursor := pg.cursor
-			if cursor > len(trace) {
-				cursor = len(trace)
-			}
-			end := len(trace)
-			if pg.limit > 0 && cursor+pg.limit < end {
-				end = cursor + pg.limit
-			}
-			info.Events = trace[cursor:end]
-			info.NextCursor = end
+			start, end := pg.window(len(trace))
+			info.Events, info.NextCursor = trace[start:end], end
 		}
 	}
 	return info
@@ -338,14 +286,13 @@ func runInfoOf(run *scenarioRun, withEvents bool, pg page) scenarioRunInfo {
 // so a second request while one is live answers 409 Conflict.
 func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenant(r)
-	fr, ok := lookupFleet(tn, r.PathValue("id"))
+	fr, ok := tn.fleets.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
 	var req runScenarioRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var sc *xcbc.Scenario
@@ -388,16 +335,13 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fr.runLive = true
-	fr.nextRun++
-	run := &scenarioRun{
-		ID:       fmt.Sprintf("s%d", fr.nextRun),
-		Scenario: sc.Name(),
-		Created:  s.clock(),
-		state:    "running",
-		done:     make(chan struct{}),
-	}
-	fr.runs = append(fr.runs, run)
 	fr.mu.Unlock()
+	run, _ := fr.runs.insert(func(id string) *scenarioRun {
+		return &scenarioRun{
+			ID: id, Scenario: sc.Name(), Created: s.clock(),
+			state: "running", done: make(chan struct{}),
+		}
+	})
 
 	if tn.store != nil {
 		doc, err := sc.JSON()
@@ -409,8 +353,11 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 			Scenario: doc, Created: run.Created,
 		})
 	}
+	// Render the 202 before the run starts, so it always says "running"
+	// however quickly a small scenario settles.
+	accepted := runInfoOf(run, false, page{})
 	go s.executeRun(fr, run, sc, nil)
-	writeJSON(w, http.StatusAccepted, runInfoOf(run, false, page{}))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // executeRun drives one scenario run to settlement. The live handler
@@ -470,82 +417,46 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 		// A provision phase may have built the fleet's members mid-run;
 		// record that so recovery re-provisions before restoring results.
 		if fr.Fleet.Provisioned() {
-			st.emit(recFleetProvisioned, idRec{ID: fr.ID})
+			st.emit(recFleetProvisioned, fleetProvisionedRec{ID: fr.ID})
 		}
 	}
 	close(run.done)
 }
 
-func (s *Server) lookupRun(fr *fleetRecord, sid string) (*scenarioRun, bool) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	for _, run := range fr.runs {
-		if run.ID == sid {
-			return run, true
-		}
-	}
-	return nil, false
-}
-
 func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
-	fr, ok := lookupFleet(s.tenant(r), r.PathValue("id"))
+	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	fr.mu.Lock()
-	runs := append([]*scenarioRun(nil), fr.runs...)
-	fr.mu.Unlock()
-	// Runs are appended in creation order with ascending numeric IDs, so
-	// the slice is already cursor-ordered.
-	out := make([]scenarioRunInfo, 0, min(len(runs), pg.limit))
-	next := pg.cursor
-	for _, run := range runs {
-		n := numSuffix(run.ID)
-		if n <= pg.cursor {
-			continue
-		}
-		if len(out) >= pg.limit {
-			break
-		}
-		out = append(out, runInfoOf(run, false, page{}))
-		next = n
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"runs": out, "count": len(out), "next_cursor": next})
+	servePage(w, r, "runs", fr.runs, func(run *scenarioRun) scenarioRunInfo {
+		return runInfoOf(run, false, page{})
+	})
 }
 
 // handleScenarioRun reports one run; ?cursor=N selects which trace events
 // ride along once the run settles (pass back next_cursor to page).
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	fr, ok := lookupFleet(s.tenant(r), r.PathValue("id"))
+	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	run, ok := s.lookupRun(fr, r.PathValue("sid"))
+	run, ok := fr.runs.get(r.PathValue("sid"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown scenario run")
 		return
 	}
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if pg, ok := parsePage(w, r); ok {
+		writeJSON(w, http.StatusOK, runInfoOf(run, true, pg))
 	}
-	writeJSON(w, http.StatusOK, runInfoOf(run, true, pg))
 }
 
 // handleScenarios lists the built-in scenarios a client can POST by name.
 // The list is immutable, so the cursor is a plain offset into it.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	pg, ok := parsePage(w, r)
+	if !ok {
 		return
 	}
 	type builtinInfo struct {
@@ -555,8 +466,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		Seed        int64  `json:"seed"`
 	}
 	names := xcbc.BuiltinScenarios()
-	start := min(pg.cursor, len(names))
-	end := min(start+pg.limit, len(names))
+	start, end := pg.window(len(names))
 	out := make([]builtinInfo, 0, end-start)
 	for _, name := range names[start:end] {
 		sc, err := xcbc.BuiltinScenario(name)
@@ -568,5 +478,5 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			Members: sc.Members(), Seed: sc.Seed(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": out, "count": len(out), "next_cursor": end})
+	writeList(w, "scenarios", out, end)
 }

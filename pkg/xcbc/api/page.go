@@ -12,6 +12,7 @@ package api
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 )
 
@@ -30,47 +31,75 @@ type page struct {
 	limit  int
 }
 
+// parseCursor reads the optional cursor parameter (default 0). The SSE
+// route uses it alone — a stream has no page size — and parsePage builds
+// on it, so the polling and streaming routes reject the same values.
+func parseCursor(q url.Values) (int, error) {
+	c := q.Get("cursor")
+	if c == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(c)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("cursor must be a non-negative integer")
+	}
+	return n, nil
+}
+
 // parsePage validates the request's pagination parameters. A missing
 // cursor starts from the beginning and a missing limit selects the
-// default; malformed or out-of-range values are a 400-level error.
-func parsePage(r *http.Request) (page, error) {
+// default; on a malformed or out-of-range value it answers 400 and
+// reports false.
+func parsePage(w http.ResponseWriter, r *http.Request) (page, bool) {
 	pg := page{limit: defaultPageLimit}
 	q := r.URL.Query()
-	if c := q.Get("cursor"); c != "" {
-		n, err := strconv.Atoi(c)
-		if err != nil || n < 0 {
-			return pg, fmt.Errorf("cursor must be a non-negative integer")
-		}
-		pg.cursor = n
+	var err error
+	if pg.cursor, err = parseCursor(q); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return pg, false
 	}
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 1 || n > maxPageLimit {
-			return pg, fmt.Errorf("limit must be an integer in [1, %d]", maxPageLimit)
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("limit must be an integer in [1, %d]", maxPageLimit))
+			return pg, false
 		}
 		pg.limit = n
 	}
-	return pg, nil
+	return pg, true
 }
 
-// pageIDs selects one page of resource IDs: sort by numeric suffix, skip
-// IDs at or below the cursor, take up to limit. It returns the page and
-// the next cursor (the last returned ID's number; the cursor itself when
-// the page is empty, so clients can poll a stable tail).
-func pageIDs(ids []string, pg page) ([]string, int) {
-	sortByNum(ids)
-	next := pg.cursor
-	out := ids[:0]
-	for _, id := range ids {
-		n := numSuffix(id)
-		if n <= pg.cursor {
-			continue
-		}
-		if len(out) >= pg.limit {
-			break
-		}
-		out = append(out, id)
-		next = n
+// window clamps the page onto a sequence of n items addressed by offset
+// (a journal, a trace, an immutable list): items [start, end) ride along
+// and end is the next cursor. A cursor past the end is a clean empty
+// window, and limit 0 means "through the end".
+func (pg page) window(n int) (start, end int) {
+	start = min(pg.cursor, n)
+	end = n
+	if pg.limit > 0 {
+		end = min(start+pg.limit, n)
 	}
-	return out, next
+	return start, end
+}
+
+// writeList answers 200 with the paginated list envelope. It stays a map
+// because that pins the wire's key order: encoding/json sorts map keys, so
+// "campaigns" and "clusters" precede "count" and every other key follows.
+func writeList[I any](w http.ResponseWriter, key string, items []I, next int) {
+	writeJSON(w, http.StatusOK, map[string]any{key: items, "count": len(items), "next_cursor": next})
+}
+
+// servePage answers one page of a registry listing, rendering each item
+// through info after the registry's lock is released.
+func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, g *registry[T], info func(T) I) {
+	pg, ok := parsePage(w, r)
+	if !ok {
+		return
+	}
+	items, next := g.page(pg)
+	out := make([]I, len(items))
+	for i, item := range items {
+		out[i] = info(item)
+	}
+	writeList(w, key, out, next)
 }

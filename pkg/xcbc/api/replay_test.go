@@ -82,16 +82,15 @@ func synthesizeCrash(t *testing.T, dir string, sc *xcbc.Scenario, cursor int, ha
 // recoveredRun digs the single scenario run out of a recovered server.
 func recoveredRun(t *testing.T, s *Server) *scenarioRun {
 	t.Helper()
-	fr, ok := lookupFleet(s.openTenant, "f1")
+	fr, ok := s.openTenant.fleets.get("f1")
 	if !ok {
 		t.Fatal("fleet f1 not recovered")
 	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if len(fr.runs) != 1 {
-		t.Fatalf("recovered %d runs, want 1", len(fr.runs))
+	run, ok := fr.runs.get("s1")
+	if !ok || fr.runs.len() != 1 {
+		t.Fatalf("recovered %d runs (s1 present: %v), want exactly s1", fr.runs.len(), ok)
 	}
-	return fr.runs[0]
+	return run
 }
 
 // TestReplayOracleGoldenTraces is the durability subsystem's end-to-end

@@ -65,7 +65,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -162,32 +161,19 @@ type Server struct {
 	campaignHook xcbc.CampaignCheckHook
 }
 
-// deployment is one SDK deployment managed by the server. A live
+// deployment is one SDK deployment managed by the server: the identity it
+// was created (and journaled) with, plus its live build. A live
 // deployment's handle owns all mutable build state (lifecycle state,
 // capped event journal, result), so the server never touches a build
 // goroutine's data directly. A deployment recovered in a terminal
-// non-ready state has no live handle; its recorded state, error, and
-// journal live in arch instead.
+// non-ready state has no live handle; arch is then its recovered mirror
+// entry, whose State, Error and Events are enough to serve status, journal
+// and deletion, with day-2 routes answering 422 as they do for any
+// terminal non-ready build.
 type deployment struct {
-	ID      string
-	Path    string // "xcbc" or "xnit"
-	Created time.Time
-	Req     createDeploymentRequest // the request that started the build
-	Cluster string
-	Site    string
-	Nodes   int
-	Handle  *xcbc.Handle        // nil when archived
-	arch    *archivedDeployment // nil when live
-}
-
-// archivedDeployment is the recorded remainder of a deployment that
-// settled failed or cancelled (or was interrupted mid-build) before a
-// restart: enough to serve status, journal, and deletion, with day-2
-// routes answering 422 as they do for any terminal non-ready build.
-type archivedDeployment struct {
-	State  string
-	Error  string
-	Events []eventInfo
+	depCreatedRec
+	Handle *xcbc.Handle // nil when archived
+	arch   *depMirror   // nil when live
 }
 
 // state returns the deployment's lifecycle state.
@@ -226,28 +212,21 @@ func (d *deployment) cluster() (*xcbc.Cluster, error) {
 	return d.Handle.Cluster()
 }
 
-// events returns journal events with Seq >= cursor plus the next cursor.
-// A positive limit caps how many events one response carries; the next
-// cursor then points at the first event not returned, so clients page
+// events returns journal events with Seq >= pg.cursor plus the next
+// cursor. A positive limit caps how many events one response carries; the
+// next cursor then points at the first event not returned, so clients page
 // through with repeated requests. Archived journals are complete
 // (recovered from the log, not the capped ring), so their seqs index the
 // slice directly.
-func (d *deployment) events(cursor, limit int) ([]eventInfo, int) {
+func (d *deployment) events(pg page) ([]eventInfo, int) {
 	if d.arch != nil {
-		evs := d.arch.Events
-		if cursor > len(evs) {
-			cursor = len(evs)
-		}
-		end := len(evs)
-		if limit > 0 && cursor+limit < end {
-			end = cursor + limit
-		}
-		return evs[cursor:end], end
+		start, end := pg.window(len(d.arch.Events))
+		return d.arch.Events[start:end], end
 	}
-	evs, next := d.Handle.Events(cursor)
-	if limit > 0 && len(evs) > limit {
-		evs = evs[:limit]
-		next = evs[limit-1].Seq + 1
+	evs, next := d.Handle.Events(pg.cursor)
+	if pg.limit > 0 && len(evs) > pg.limit {
+		evs = evs[:pg.limit]
+		next = evs[pg.limit-1].Seq + 1
 	}
 	out := make([]eventInfo, 0, len(evs))
 	for _, ev := range evs {
@@ -496,6 +475,38 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, apiError{Error: msg})
 }
 
+// maxBodyBytes caps every POST body; no route's legitimate input (the
+// largest is an inline scenario script) comes near it.
+const maxBodyBytes = 1 << 20
+
+// bodyTooLargeError is the 413 body; Err keeps the standard error envelope.
+type bodyTooLargeError struct {
+	Err   string `json:"error"`
+	Code  string `json:"code"`
+	Limit int64  `json:"limit_bytes"`
+}
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes. On failure it answers 413 (oversized) or 400 (malformed)
+// and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, bodyTooLargeError{
+			Err:   fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+			Code:  "body_too_large",
+			Limit: tooBig.Limit,
+		})
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	return false
+}
+
 func methodNotAllowed(allow string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", allow)
@@ -673,8 +684,7 @@ type depsolveResponse struct {
 
 func (s *Server) handleDepsolve(w http.ResponseWriter, r *http.Request) {
 	var req depsolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Install) == 0 {
@@ -772,48 +782,22 @@ func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) dep
 		}
 	}
 	if withEvents {
-		info.Events, info.NextCursor = dep.events(pg.cursor, pg.limit)
+		info.Events, info.NextCursor = dep.events(pg)
 		if info.Events == nil {
 			info.Events = []eventInfo{}
 		}
 	} else {
 		// Event-less bodies (list, DELETE-cancel) still report the journal
 		// tip so "pass next_cursor back" holds on every response.
-		_, info.NextCursor = dep.events(math.MaxInt, 0)
+		_, info.NextCursor = dep.events(page{cursor: math.MaxInt})
 	}
 	return info
 }
 
-// parseCursor reads the optional ?cursor query parameter (default 0); a
-// malformed or negative value is an error, reported the same way on the
-// polling and SSE routes.
-func parseCursor(r *http.Request) (int, error) {
-	c := r.URL.Query().Get("cursor")
-	if c == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(c)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("cursor must be a non-negative integer")
-	}
-	return n, nil
-}
-
 func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tn := s.tenant(r)
-	tn.mu.RLock()
-	ids, next := pageIDs(slices.Collect(maps.Keys(tn.deployments)), pg)
-	out := make([]deploymentInfo, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.deploymentInfoOf(tn.deployments[id], false, page{}))
-	}
-	tn.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"deployments": out, "count": len(out), "next_cursor": next})
+	servePage(w, r, "deployments", s.tenant(r).deployments, func(dep *deployment) deploymentInfo {
+		return s.deploymentInfoOf(dep, false, page{})
+	})
 }
 
 // createDeploymentRequest provisions a new cluster through the SDK.
@@ -903,8 +887,7 @@ func (s *Server) startBuild(req createDeploymentRequest) (*xcbc.Handle, string, 
 // polling or the /events stream.
 func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) {
 	var req createDeploymentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	tn := s.tenant(r)
@@ -913,36 +896,20 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-
 	hw := h.Hardware()
-	tn.mu.Lock()
-	// The quota check shares the insert's critical section so concurrent
-	// creates cannot both squeeze under the cap.
-	if max := tn.quotas.MaxDeployments; max > 0 && len(tn.deployments) >= max {
-		inUse := len(tn.deployments)
-		tn.mu.Unlock()
+	dep, quota := tn.deployments.insert(func(id string) *deployment {
+		return &deployment{Handle: h, depCreatedRec: depCreatedRec{
+			ID: id, Path: path, Req: req, Created: s.clock(),
+			Cluster: hw.Name, Site: hw.Site, Nodes: hw.NodeCount(),
+		}}
+	})
+	if quota != nil {
 		h.Cancel()
-		writeQuotaError(w, "deployments", max, inUse)
+		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.nextID++
-	dep := &deployment{
-		ID:      fmt.Sprintf("d%d", tn.nextID),
-		Path:    path,
-		Created: s.clock(),
-		Req:     req,
-		Cluster: hw.Name,
-		Site:    hw.Site,
-		Nodes:   hw.NodeCount(),
-		Handle:  h,
-	}
-	tn.deployments[dep.ID] = dep
-	tn.mu.Unlock()
 	if tn.store != nil {
-		tn.store.emit(recDeploymentCreated, depCreatedRec{
-			ID: dep.ID, Path: path, Req: req, Created: dep.Created,
-			Cluster: dep.Cluster, Site: dep.Site, Nodes: dep.Nodes,
-		})
+		tn.store.emit(recDeploymentCreated, dep.depCreatedRec)
 		tn.store.watchDeployment(dep)
 	}
 	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
@@ -980,28 +947,18 @@ func deployErrorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-func lookupDeployment(tn *tenant, id string) (*deployment, bool) {
-	tn.mu.RLock()
-	dep, ok := tn.deployments[id]
-	tn.mu.RUnlock()
-	return dep, ok
-}
-
 // handleDeployment reports status. ?cursor=N (default 0) selects which
 // journal events ride along, ?limit= caps the page; clients poll by
 // passing back next_cursor.
 func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
-	dep, ok := lookupDeployment(s.tenant(r), r.PathValue("id"))
+	dep, ok := s.tenant(r).deployments.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
 	}
-	pg, err := parsePage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if pg, ok := parsePage(w, r); ok {
+		writeJSON(w, http.StatusOK, s.deploymentInfoOf(dep, true, pg))
 	}
-	writeJSON(w, http.StatusOK, s.deploymentInfoOf(dep, true, pg))
 }
 
 // handleDeploymentEvents streams the journal as Server-Sent Events: one
@@ -1009,7 +966,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 // `event: state` frame once the deployment settles, after which the stream
 // closes. ?cursor=N resumes mid-journal.
 func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) {
-	dep, ok := lookupDeployment(s.tenant(r), r.PathValue("id"))
+	dep, ok := s.tenant(r).deployments.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
@@ -1019,7 +976,7 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	cursor, err := parseCursor(r)
+	cursor, err := parseCursor(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -1030,7 +987,7 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusOK)
-		evs, _ := dep.events(cursor, 0)
+		evs, _ := dep.events(page{cursor: cursor})
 		for _, ev := range evs {
 			payload, _ := json.Marshal(ev)
 			fmt.Fprintf(w, "data: %s\n\n", payload)
@@ -1096,22 +1053,17 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tn := s.tenant(r)
-	tn.mu.Lock()
-	dep, ok := tn.deployments[id]
-	if ok && dep.terminal() {
-		delete(tn.deployments, id)
-		tn.mu.Unlock()
+	dep, found, removed := tn.deployments.removeIf(id, (*deployment).terminal)
+	switch {
+	case !found:
+		writeError(w, http.StatusNotFound, "unknown deployment")
+	case removed:
 		if tn.store != nil {
-			tn.store.emit(recDeploymentDeleted, idRec{ID: id})
+			tn.store.emit(recDeploymentDeleted, depDeletedRec{ID: id})
 		}
 		w.WriteHeader(http.StatusNoContent)
-		return
+	default:
+		dep.Handle.Cancel()
+		writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, false, page{}))
 	}
-	tn.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown deployment")
-		return
-	}
-	dep.Handle.Cancel()
-	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, false, page{}))
 }

@@ -661,3 +661,38 @@ func TestGracefulShutdownWithSSEWatcher(t *testing.T) {
 		t.Fatal("server did not shut down while an SSE watcher was attached")
 	}
 }
+
+// TestOversizedBodyRejected sends a body past the 1 MiB cap to every POST
+// route: each answers the typed 413 rather than buffering it, the server
+// keeps serving afterwards, and a POST /validate without a body is still
+// accepted.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := newTestServer(t)
+	id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+	if rec := do(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"provision":false}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
+	}
+	huge := `{"pad":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	var posts []string
+	for _, rt := range s.routes {
+		if rt.Method == "POST" {
+			posts = append(posts, strings.NewReplacer("{id}/scenarios", "f1/scenarios", "{id}", id).Replace(rt.Path))
+		}
+	}
+	if len(posts) != 8 {
+		t.Fatalf("found %d POST routes, want 8: %v", len(posts), posts)
+	}
+	for _, path := range posts {
+		var body bodyTooLargeError
+		rec := do(t, s, "POST", path, huge, &body)
+		if rec.Code != http.StatusRequestEntityTooLarge || body.Code != "body_too_large" || body.Limit != maxBodyBytes || body.Err == "" {
+			t.Errorf("POST %s with %d bytes = %d %+v, want typed 413", path, len(huge), rec.Code, body)
+		}
+		if rec := do(t, s, "GET", "/api/v1/healthz", "", nil); rec.Code != http.StatusOK {
+			t.Fatalf("server stopped serving after oversized POST %s: %d", path, rec.Code)
+		}
+	}
+	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", "", nil); rec.Code != http.StatusOK {
+		t.Errorf("validate with no body = %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}

@@ -6,7 +6,10 @@ package api
 // runs. The store keeps an in-memory mirror — the persistent model — that
 // every WAL record is applied to as it is appended; a snapshot is just the
 // marshalled mirror, and recovery is "load snapshot, re-apply the WAL
-// tail, materialize live resources from the mirror":
+// tail, materialize live resources from the mirror". A record is a typed
+// value with one apply method: the live path applies the value it emitted,
+// recovery applies decodeRecord of the logged bytes, and a record recovery
+// cannot decode fails Open rather than being skipped. Materializing means:
 //
 //   - deployments that settled ready are rebuilt deterministically from
 //     their recorded request, then their recorded day-2 operations (job
@@ -37,7 +40,9 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,7 +57,15 @@ import (
 // say otherwise.
 const DefaultSnapshotEvery = 256
 
-// WAL record types. Payloads are the *Rec structs below, as JSON.
+// record is one journaled mutation: a *Rec struct below, logged as JSON
+// under its WAL record type and folded into the mirror by apply. Once
+// emitted a record is immutable — the mirror keeps references into it
+// (request slices, raw scenario documents), not copies.
+type record interface {
+	apply(m *mirror)
+}
+
+// WAL record types.
 const (
 	recDeploymentCreated = "deployment.created"
 	recDeploymentEvent   = "deployment.event"
@@ -92,9 +105,16 @@ type depSettledRec struct {
 	Error string `json:"error,omitempty"`
 }
 
+// idRec is the payload of the records that only name their resource.
 type idRec struct {
 	ID string `json:"id"`
 }
+
+type (
+	depDeletedRec       idRec
+	fleetProvisionedRec idRec
+	fleetDeletedRec     idRec
+)
 
 // clusterOpRec records one replayable day-2 mutation against a ready
 // cluster. Op selects which optional fields are meaningful.
@@ -334,7 +354,13 @@ func openStore(s *Server, tn *tenant, dir string, cfg Config) (*RecoveryReport, 
 		}
 	}
 	for _, r := range rec.Records {
-		st.apply(r.Type, r.Data)
+		typed, err := decodeRecord(r.Type, r.Data)
+		if err != nil {
+			// Fail before anything is appended or snapshotted: the directory
+			// stays exactly as found, for an operator (or a newer binary).
+			return nil, errors.Join(&recordError{Seq: r.Seq, Type: r.Type, Err: err}, l.Close())
+		}
+		typed.apply(st.m)
 	}
 	// Attach before materializing: recovery replays in-flight scenario runs
 	// through the same executeRun the live path uses, and that path finds
@@ -404,18 +430,21 @@ func (st *store) flushLocked() error {
 
 // emit applies one record to the mirror and persists it, in one critical
 // section so mirror order always matches log order, then takes a snapshot
-// if the cadence says one is due. Hot record types ride the group-commit
-// queue; everything else flushes the queue and appends directly, keeping
-// the on-disk order identical to the apply order. Append failures after
-// close are expected during shutdown and ignored; anything else is logged.
-func (st *store) emit(typ string, payload any) {
-	data, err := json.Marshal(payload)
+// if the cadence says one is due. The record is marshalled first — one
+// that cannot be logged is never applied — and the mirror then takes the
+// typed value itself; decoding is recovery's job alone. Hot record types
+// ride the group-commit queue; everything else flushes the queue and
+// appends directly, keeping the on-disk order identical to the apply
+// order. Append failures after close are expected during shutdown and
+// ignored; anything else is logged.
+func (st *store) emit(typ string, rec record) {
+	data, err := json.Marshal(rec)
 	if err != nil {
 		st.logf("store: marshal %s: %v", typ, err)
 		return
 	}
 	st.mu.Lock()
-	st.apply(typ, data)
+	rec.apply(st.m)
 	if coalesced(typ) {
 		// The queued entry must own its bytes: data escapes this call.
 		st.queue = append(st.queue, wal.BatchEntry{Type: typ, Data: data})
@@ -428,19 +457,9 @@ func (st *store) emit(typ string, payload any) {
 			st.dirty++
 		}
 	}
-	due := st.dirty >= st.snapEvery
-	if due && err == nil {
-		// A snapshot must capture only logged records: flush first, or
-		// recovery would re-apply the queued tail on top of a mirror image
-		// that already contains it.
-		if ferr := st.flushLocked(); ferr == nil {
-			if state, merr := json.Marshal(st.m); merr == nil {
-				if serr := st.log.Snapshot(state); serr == nil {
-					st.dirty = 0
-				} else if !errors.Is(serr, wal.ErrClosed) {
-					st.logf("store: snapshot: %v", serr)
-				}
-			}
+	if err == nil && st.dirty >= st.snapEvery {
+		if serr := st.snapshotLocked(); serr != nil && !errors.Is(serr, wal.ErrClosed) {
+			st.logf("store: snapshot: %v", serr)
 		}
 	}
 	st.mu.Unlock()
@@ -449,151 +468,127 @@ func (st *store) emit(typ string, payload any) {
 	}
 }
 
+// snapshotLocked writes the mirror as a snapshot, letting the WAL truncate
+// the history it covers. A snapshot must capture only logged records, so
+// the queue is flushed first — otherwise recovery would re-apply the
+// queued tail on top of a mirror image that already contains it. Callers
+// hold st.mu.
+func (st *store) snapshotLocked() error {
+	if err := st.flushLocked(); err != nil {
+		return err
+	}
+	state, err := json.Marshal(st.m)
+	if err != nil {
+		return fmt.Errorf("marshal mirror: %w", err)
+	}
+	if err := st.log.Snapshot(state); err != nil {
+		return err
+	}
+	st.dirty = 0
+	return nil
+}
+
 func (st *store) logf(format string, args ...any) {
 	if st.srv.logger != nil {
 		st.srv.logger.Printf(format, args...)
 	}
 }
 
-// apply folds one record into the mirror. It is the single transition
-// function shared by the live path (emit) and recovery, so replaying the
-// log always lands on the same mirror the crashed server had. Records for
-// unknown resources (a watcher outliving a DELETE) are dropped. Callers
-// hold st.mu; recovery calls it before any watcher exists.
-func (st *store) apply(typ string, data []byte) {
-	switch typ {
-	case recDeploymentCreated:
-		var r depCreatedRec
-		if json.Unmarshal(data, &r) != nil {
-			return
+// The apply methods are the mirror's single transition function, shared by
+// the live path and recovery, so replaying the log always lands on the
+// mirror the crashed server had. Records for unknown resources (a watcher
+// outliving a DELETE) are dropped. The live path calls them under st.mu;
+// recovery before any watcher exists.
+
+func (r depCreatedRec) apply(m *mirror) {
+	m.Deployments[r.ID] = &depMirror{Created: r}
+	m.NextID = max(m.NextID, numSuffix(r.ID))
+}
+
+func (r depEventRec) apply(m *mirror) {
+	if d := m.Deployments[r.ID]; d != nil {
+		// Seq 0 marks the start of a (possibly new, after a resume) build
+		// attempt: the old journal is superseded.
+		if r.Event.Seq == 0 {
+			d.Events = d.Events[:0]
 		}
-		st.m.Deployments[r.ID] = &depMirror{Created: r}
-		if n := numSuffix(r.ID); n > st.m.NextID {
-			st.m.NextID = n
-		}
-	case recDeploymentEvent:
-		var r depEventRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if d := st.m.Deployments[r.ID]; d != nil {
-			// Seq 0 marks the start of a (possibly new, after a resume)
-			// build attempt: the old journal is superseded.
-			if r.Event.Seq == 0 {
-				d.Events = d.Events[:0]
-			}
-			d.Events = append(d.Events, r.Event)
-		}
-	case recDeploymentSettled:
-		var r depSettledRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if d := st.m.Deployments[r.ID]; d != nil {
-			d.State, d.Error = r.State, r.Error
-		}
-	case recDeploymentDeleted:
-		var r idRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		delete(st.m.Deployments, r.ID)
-	case recClusterOp:
-		var r clusterOpRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if d := st.m.Deployments[r.ID]; d != nil {
-			d.Ops = append(d.Ops, r)
-		}
-	case recFleetCreated:
-		var r fleetCreatedRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		st.m.Fleets[r.ID] = &fleetMirror{Created: r, Provisioned: r.Provisioned}
-		if n := numSuffix(r.ID); n > st.m.NextFleetID {
-			st.m.NextFleetID = n
-		}
-	case recFleetMember:
-		var r fleetMemberRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if f := st.m.Fleets[r.ID]; f != nil {
-			if r.Event.Seq == 0 {
-				f.Events = f.Events[:0]
-			}
-			f.Events = append(f.Events, r.Event)
-		}
-	case recFleetProvisioned:
-		var r idRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if f := st.m.Fleets[r.ID]; f != nil {
-			f.Provisioned = true
-		}
-	case recFleetDeleted:
-		var r idRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		delete(st.m.Fleets, r.ID)
-	case recScenarioStarted:
-		var r scenarioStartedRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if f := st.m.Fleets[r.FleetID]; f != nil {
-			f.Runs = append(f.Runs, &runMirror{Started: r})
-		}
-	case recScenarioProgress:
-		var r scenarioProgressRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if run := st.findRun(r.FleetID, r.RunID); run != nil {
-			run.Cursor, run.Hash = r.Cursor, r.Hash
-		}
-	case recScenarioSettled:
-		var r scenarioSettledRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if run := st.findRun(r.FleetID, r.RunID); run != nil {
-			run.State, run.Error, run.Result = r.State, r.Error, r.Result
-		}
-	case recCampaignStarted:
-		var r campaignStartedRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		st.m.Campaigns[r.ID] = &campaignMirror{Started: r}
-		if n := numSuffix(r.ID); n > st.m.NextCampaignID {
-			st.m.NextCampaignID = n
-		}
-	case recCampaignSeed:
-		var r campaignSeedRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if c := st.m.Campaigns[r.ID]; c != nil {
-			c.Outcomes = append(c.Outcomes, r.Outcome)
-		}
-	case recCampaignSettled:
-		var r campaignSettledRec
-		if json.Unmarshal(data, &r) != nil {
-			return
-		}
-		if c := st.m.Campaigns[r.ID]; c != nil {
-			c.State, c.Error = r.State, r.Error
-		}
+		d.Events = append(d.Events, r.Event)
 	}
 }
 
-func (st *store) findRun(fleetID, runID string) *runMirror {
-	f := st.m.Fleets[fleetID]
+func (r depSettledRec) apply(m *mirror) {
+	if d := m.Deployments[r.ID]; d != nil {
+		d.State, d.Error = r.State, r.Error
+	}
+}
+
+func (r depDeletedRec) apply(m *mirror) { delete(m.Deployments, r.ID) }
+
+func (r clusterOpRec) apply(m *mirror) {
+	if d := m.Deployments[r.ID]; d != nil {
+		d.Ops = append(d.Ops, r)
+	}
+}
+
+func (r fleetCreatedRec) apply(m *mirror) {
+	m.Fleets[r.ID] = &fleetMirror{Created: r, Provisioned: r.Provisioned}
+	m.NextFleetID = max(m.NextFleetID, numSuffix(r.ID))
+}
+
+func (r fleetMemberRec) apply(m *mirror) {
+	if f := m.Fleets[r.ID]; f != nil {
+		if r.Event.Seq == 0 {
+			f.Events = f.Events[:0]
+		}
+		f.Events = append(f.Events, r.Event)
+	}
+}
+
+func (r fleetProvisionedRec) apply(m *mirror) {
+	if f := m.Fleets[r.ID]; f != nil {
+		f.Provisioned = true
+	}
+}
+
+func (r fleetDeletedRec) apply(m *mirror) { delete(m.Fleets, r.ID) }
+
+func (r scenarioStartedRec) apply(m *mirror) {
+	if f := m.Fleets[r.FleetID]; f != nil {
+		f.Runs = append(f.Runs, &runMirror{Started: r})
+	}
+}
+
+func (r scenarioProgressRec) apply(m *mirror) {
+	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+		run.Cursor, run.Hash = r.Cursor, r.Hash
+	}
+}
+
+func (r scenarioSettledRec) apply(m *mirror) {
+	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+		run.State, run.Error, run.Result = r.State, r.Error, r.Result
+	}
+}
+
+func (r campaignStartedRec) apply(m *mirror) {
+	m.Campaigns[r.ID] = &campaignMirror{Started: r}
+	m.NextCampaignID = max(m.NextCampaignID, numSuffix(r.ID))
+}
+
+func (r campaignSeedRec) apply(m *mirror) {
+	if c := m.Campaigns[r.ID]; c != nil {
+		c.Outcomes = append(c.Outcomes, r.Outcome)
+	}
+}
+
+func (r campaignSettledRec) apply(m *mirror) {
+	if c := m.Campaigns[r.ID]; c != nil {
+		c.State, c.Error = r.State, r.Error
+	}
+}
+
+func (m *mirror) findRun(fleetID, runID string) *runMirror {
+	f := m.Fleets[fleetID]
 	if f == nil {
 		return nil
 	}
@@ -604,6 +599,65 @@ func (st *store) findRun(fleetID, runID string) *runMirror {
 	}
 	return nil
 }
+
+// decodeRecord rebuilds the typed record a logged payload was marshalled
+// from. It is recovery's only decoder: an unknown type or an undecodable
+// payload is an error, never a skipped record — skipping would let the
+// next snapshot truncate the log and make the loss permanent.
+func decodeRecord(typ string, data []byte) (record, error) {
+	var rec record
+	switch typ {
+	case recDeploymentCreated:
+		rec = new(depCreatedRec)
+	case recDeploymentEvent:
+		rec = new(depEventRec)
+	case recDeploymentSettled:
+		rec = new(depSettledRec)
+	case recDeploymentDeleted:
+		rec = new(depDeletedRec)
+	case recClusterOp:
+		rec = new(clusterOpRec)
+	case recFleetCreated:
+		rec = new(fleetCreatedRec)
+	case recFleetMember:
+		rec = new(fleetMemberRec)
+	case recFleetProvisioned:
+		rec = new(fleetProvisionedRec)
+	case recFleetDeleted:
+		rec = new(fleetDeletedRec)
+	case recScenarioStarted:
+		rec = new(scenarioStartedRec)
+	case recScenarioProgress:
+		rec = new(scenarioProgressRec)
+	case recScenarioSettled:
+		rec = new(scenarioSettledRec)
+	case recCampaignStarted:
+		rec = new(campaignStartedRec)
+	case recCampaignSeed:
+		rec = new(campaignSeedRec)
+	case recCampaignSettled:
+		rec = new(campaignSettledRec)
+	default:
+		return nil, errors.New("unknown record type")
+	}
+	if err := json.Unmarshal(data, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// recordError is Open's failure for a log record recovery cannot read.
+type recordError struct {
+	Seq  uint64
+	Type string
+	Err  error
+}
+
+func (e *recordError) Error() string {
+	return fmt.Sprintf("api: recovering record seq %d (%s): %v", e.Seq, e.Type, e.Err)
+}
+
+func (e *recordError) Unwrap() error { return e.Err }
 
 // numSuffix parses the numeric part of a "d7" / "f3" / "s2" identifier.
 func numSuffix(id string) int {
@@ -679,119 +733,87 @@ type replayTarget struct {
 	hash   uint64
 }
 
+// byNum returns a mirror map's entries ordered by numeric ID suffix, so
+// recovery materializes resources in creation order ("d2" before "d10").
+func byNum[M any](m map[string]*M) []*M {
+	ids := slices.Collect(maps.Keys(m))
+	sortByNum(ids)
+	out := make([]*M, len(ids))
+	for i, id := range ids {
+		out[i] = m[id]
+	}
+	return out
+}
+
 // materialize turns the recovered mirror into the tenant's live
-// resources. It runs with the server constructed but not yet serving, so
-// it takes the tenant's lock only for map writes.
+// resources. It runs with the server constructed but not yet serving.
 func (st *store) materialize(report *RecoveryReport) error {
 	tn := st.tn
 
-	// Deployments first (fleets do not depend on them). Copy what is
-	// needed out of the mirror before spawning watchers that mutate it.
+	// Copy what is needed out of the mirror before spawning watchers that
+	// mutate it.
 	st.mu.Lock()
-	depIDs := make([]string, 0, len(st.m.Deployments))
-	for id := range st.m.Deployments {
-		depIDs = append(depIDs, id)
-	}
-	sortByNum(depIDs)
-	deps := make([]depMirror, 0, len(depIDs))
-	for _, id := range depIDs {
-		d := st.m.Deployments[id]
+	var deps []depMirror
+	for _, d := range byNum(st.m.Deployments) {
 		cp := *d
-		cp.Events = append([]eventInfo(nil), d.Events...)
-		cp.Ops = append([]clusterOpRec(nil), d.Ops...)
+		cp.Events = slices.Clone(d.Events)
+		cp.Ops = slices.Clone(d.Ops)
 		deps = append(deps, cp)
 	}
-	nextID, nextFleetID := st.m.NextID, st.m.NextFleetID
-	fleetIDs := make([]string, 0, len(st.m.Fleets))
-	for id := range st.m.Fleets {
-		fleetIDs = append(fleetIDs, id)
-	}
-	sortByNum(fleetIDs)
-	fleets := make([]fleetMirror, 0, len(fleetIDs))
-	for _, id := range fleetIDs {
-		f := st.m.Fleets[id]
+	var fleets []fleetMirror
+	for _, f := range byNum(st.m.Fleets) {
 		cp := *f
-		cp.Events = append([]eventInfo(nil), f.Events...)
-		runs := make([]*runMirror, len(f.Runs))
+		cp.Events = slices.Clone(f.Events)
+		cp.Runs = make([]*runMirror, len(f.Runs))
 		for i, r := range f.Runs {
 			rc := *r
-			runs[i] = &rc
+			cp.Runs[i] = &rc
 		}
-		cp.Runs = runs
 		fleets = append(fleets, cp)
 	}
-	nextCampaignID := st.m.NextCampaignID
-	campIDs := make([]string, 0, len(st.m.Campaigns))
-	for id := range st.m.Campaigns {
-		campIDs = append(campIDs, id)
-	}
-	sortByNum(campIDs)
-	camps := make([]campaignMirror, 0, len(campIDs))
-	for _, id := range campIDs {
-		c := st.m.Campaigns[id]
+	var camps []campaignMirror
+	for _, c := range byNum(st.m.Campaigns) {
 		cp := *c
-		cp.Outcomes = append([]xcbc.CampaignSeedOutcome(nil), c.Outcomes...)
+		cp.Outcomes = slices.Clone(c.Outcomes)
 		camps = append(camps, cp)
 	}
+	// The mirror remembers the highest ID ever issued, deleted or not.
+	tn.deployments.advance(st.m.NextID)
+	tn.fleets.advance(st.m.NextFleetID)
+	tn.campaigns.advance(st.m.NextCampaignID)
 	st.mu.Unlock()
 
+	// Deployments first (fleets do not depend on them).
 	report.Deployments = len(deps)
 	for _, m := range deps {
 		dep, err := st.recoverDeployment(m, report)
 		if err != nil {
 			return err
 		}
-		tn.mu.Lock()
-		tn.deployments[dep.ID] = dep
-		tn.mu.Unlock()
+		tn.deployments.restore(dep.ID, dep)
 	}
-
 	report.Fleets = len(fleets)
 	for _, m := range fleets {
 		fr, err := st.recoverFleet(m, report)
 		if err != nil {
 			return err
 		}
-		tn.mu.Lock()
-		tn.fleets[fr.ID] = fr
-		tn.mu.Unlock()
+		tn.fleets.restore(fr.ID, fr)
 	}
-
 	for _, m := range camps {
 		cr := st.recoverCampaign(m, report)
-		tn.mu.Lock()
-		tn.campaigns[cr.ID] = cr
-		tn.mu.Unlock()
+		tn.campaigns.restore(cr.ID, cr)
 	}
-
-	tn.mu.Lock()
-	if nextID > tn.nextID {
-		tn.nextID = nextID
-	}
-	if nextFleetID > tn.nextFleetID {
-		tn.nextFleetID = nextFleetID
-	}
-	if nextCampaignID > tn.nextCampaignID {
-		tn.nextCampaignID = nextCampaignID
-	}
-	tn.mu.Unlock()
 	return nil
 }
 
 // recoverDeployment materializes one deployment from its mirror entry.
 func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deployment, error) {
 	s := st.srv
-	dep := &deployment{
-		ID:      m.Created.ID,
-		Path:    m.Created.Path,
-		Created: m.Created.Created,
-		Req:     m.Created.Req,
-		Cluster: m.Created.Cluster,
-		Site:    m.Created.Site,
-		Nodes:   m.Created.Nodes,
-	}
+	dep := &deployment{depCreatedRec: m.Created}
 	archive := func(state, errMsg string) {
-		dep.arch = &archivedDeployment{State: state, Error: errMsg, Events: m.Events}
+		m.State, m.Error = state, errMsg
+		dep.arch = &m
 		report.Archived++
 	}
 	switch m.State {
@@ -843,7 +865,8 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 		st.emit(recDeploymentSettled, depSettledRec{
 			ID: dep.ID, State: string(xcbc.StateFailed), Error: msg,
 		})
-		dep.arch = &archivedDeployment{State: string(xcbc.StateFailed), Error: msg, Events: m.Events}
+		m.State, m.Error = string(xcbc.StateFailed), msg
+		dep.arch = &m
 		report.Interrupted++
 	}
 	return dep, nil
@@ -855,13 +878,7 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 	if err != nil {
 		return nil, fmt.Errorf("api: recovering fleet %s: %w", m.Created.ID, err)
 	}
-	fr := &fleetRecord{
-		ID:      m.Created.ID,
-		Name:    m.Created.Name,
-		Created: m.Created.Created,
-		Fleet:   fl,
-		tn:      st.tn,
-	}
+	fr := newFleetRecord(m.Created, fl, st.tn)
 
 	// An in-flight run that arms kickstart faults must replay against a
 	// fleet whose builds have not started; its provision phase will build
@@ -870,9 +887,6 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 	for _, run := range m.Runs {
 		if run.State == "" {
 			inflight = run
-		}
-		if n := numSuffix(run.Started.RunID); n > fr.nextRun {
-			fr.nextRun = n
 		}
 	}
 	var inflightSc *xcbc.Scenario
@@ -913,13 +927,13 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 			}
 			close(run.done)
 			report.Runs++
-			fr.runs = append(fr.runs, run)
+			fr.runs.restore(run.ID, run)
 			continue
 		}
 		// In flight at the crash: replay from the seed and verify the
 		// trace prefix against the recorded cursor and hash.
 		run.state = "running"
-		fr.runs = append(fr.runs, run)
+		fr.runs.restore(run.ID, run)
 		fr.runLive = true
 		target := &replayTarget{cursor: rm.Cursor, hash: rm.Hash}
 		st.srv.executeRun(fr, run, inflightSc, target)
@@ -981,8 +995,7 @@ func (tn *tenant) recordOp(op clusterOpRec) {
 	}
 }
 
-// sortByNum orders resource IDs by their numeric suffix, so recovery
-// materializes resources in creation order ("d2" before "d10").
+// sortByNum orders resource IDs by their numeric suffix.
 func sortByNum(ids []string) {
 	sort.Slice(ids, func(i, j int) bool { return numSuffix(ids[i]) < numSuffix(ids[j]) })
 }

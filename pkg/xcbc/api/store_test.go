@@ -4,12 +4,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
 )
 
@@ -433,5 +439,137 @@ func TestScenarioTraceCursorPastEnd(t *testing.T) {
 	}
 	if page.NextCursor != settled.NextCursor {
 		t.Errorf("next_cursor = %d, want %d", page.NextCursor, settled.NextCursor)
+	}
+}
+
+// dirBytes snapshots every file under dir, for tests asserting that a
+// refused Open left the directory untouched.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestOpenFailsStopOnUnreadableRecord appends a record recovery cannot
+// read — an unknown type, then a known type with a corrupt payload — and
+// requires Open to refuse with the typed error naming the record, leaving
+// every byte of the DataDir as it found it (skipping the record would let
+// the next snapshot truncate the log and make the loss permanent).
+func TestOpenFailsStopOnUnreadableRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name, typ, payload string
+	}{
+		{"unknown type", "tenant.renamed", `{"id":"d1"}`},
+		{"bad JSON", recDeploymentSettled, `{"id":"d1","state":`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.AppendJSON(recFleetDeleted, fleetDeletedRec{ID: "f9"}); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := l.Append(tc.typ, []byte(tc.payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+
+			s, _, err := Open(Config{DataDir: dir, SnapshotEvery: 1})
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a log it cannot fully read")
+			}
+			var re *recordError
+			if !errors.As(err, &re) || re.Seq != seq || re.Type != tc.typ {
+				t.Fatalf("Open error = %v, want a recordError for seq %d type %s", err, seq, tc.typ)
+			}
+			if after := dirBytes(t, dir); !maps.Equal(before, after) {
+				t.Errorf("refused Open changed the DataDir:\nbefore %d files %v\nafter  %d files %v",
+					len(before), slices.Sorted(maps.Keys(before)), len(after), slices.Sorted(maps.Keys(after)))
+			}
+		})
+	}
+}
+
+// TestLiveAndRecoveryApplyAgree walks one script covering all 15 record
+// types through two mirrors — one applying each typed value as emit does,
+// one applying decodeRecord of its marshalled bytes as recovery does — and
+// requires byte-identical mirror JSON after every step, each step having
+// changed the mirror.
+func TestLiveAndRecoveryApplyAgree(t *testing.T) {
+	yes := true
+	now := time.Now() // carries a monotonic reading the log never sees
+	script := []struct {
+		typ string
+		rec record
+	}{
+		{recDeploymentCreated, depCreatedRec{ID: "d7", Path: "xcbc", Created: now, Cluster: "LittleFe", Site: "IU", Nodes: 6,
+			Req: createDeploymentRequest{Cluster: "littlefe", Rolls: []string{}, Profiles: nil, Parallelism: 2}}},
+		{recDeploymentEvent, depEventRec{ID: "d7", Event: eventInfo{Seq: 0, Stage: "frontend", Packages: 3, Elapsed: "1s"}}},
+		{recDeploymentSettled, depSettledRec{ID: "d7", State: "ready"}},
+		{recClusterOp, clusterOpRec{ID: "d7", Op: "job.submit", JobID: 1, Job: &submitJobRequest{Name: "hpl", Cores: 2, Walltime: "1h"}}},
+		{recClusterOp, clusterOpRec{ID: "d7", Op: "updates", Policy: "notify", At: now}},
+		{recFleetCreated, fleetCreatedRec{ID: "f2", Name: "tiny", Created: now,
+			Req: createFleetRequest{Name: "tiny", Members: 2, Provision: &yes}}},
+		{recFleetMember, fleetMemberRec{ID: "f2", Event: eventInfo{Seq: 0, Stage: "member", Node: "m0"}}},
+		{recFleetProvisioned, fleetProvisionedRec{ID: "f2"}},
+		{recScenarioStarted, scenarioStartedRec{FleetID: "f2", RunID: "s1", Name: "tiny", Created: now,
+			Scenario: json.RawMessage("{ \"name\": \"<tiny>\",\n\t\"seed\": 7 }")}},
+		{recScenarioProgress, scenarioProgressRec{FleetID: "f2", RunID: "s1", Cursor: 4, Hash: 1<<63 + 5}},
+		{recScenarioSettled, scenarioSettledRec{FleetID: "f2", RunID: "s1", State: "passed", Result: json.RawMessage(`{"passed": true}`)}},
+		{recCampaignStarted, campaignStartedRec{ID: "c3", Created: now, Spec: xcbc.CampaignSpec{Seeds: 2, StartSeed: 9}}},
+		{recCampaignSeed, campaignSeedRec{ID: "c3", Outcome: xcbc.CampaignSeedOutcome{Seed: 9, State: xcbc.CampaignSeedFailed,
+			Failure: &xcbc.CampaignFailure{Seed: 9, Violations: []string{"jobs-conserved"}}}}},
+		{recCampaignSettled, campaignSettledRec{ID: "c3", State: "failed"}},
+		{recFleetDeleted, fleetDeletedRec{ID: "f2"}},
+		{recDeploymentDeleted, depDeletedRec{ID: "d7"}},
+	}
+	live, recovered := newMirror(), newMirror()
+	covered := map[string]bool{}
+	prev := ""
+	for i, step := range script {
+		data, err := json.Marshal(step.rec)
+		if err != nil {
+			t.Fatalf("step %d %s: %v", i, step.typ, err)
+		}
+		decoded, err := decodeRecord(step.typ, data)
+		if err != nil {
+			t.Fatalf("step %d: decodeRecord(%s, %s): %v", i, step.typ, data, err)
+		}
+		step.rec.apply(live)
+		decoded.apply(recovered)
+		a, errA := json.Marshal(live)
+		b, errB := json.Marshal(recovered)
+		if errA != nil || errB != nil {
+			t.Fatalf("step %d %s: marshal mirrors: %v / %v", i, step.typ, errA, errB)
+		}
+		if string(a) != string(b) {
+			t.Fatalf("step %d %s: mirrors diverge\n live:      %s\n recovered: %s", i, step.typ, a, b)
+		}
+		if string(a) == prev {
+			t.Errorf("step %d %s left the mirror unchanged; the script no longer exercises it", i, step.typ)
+		}
+		prev = string(a)
+		covered[step.typ] = true
+	}
+	if len(covered) != 15 {
+		t.Errorf("script covers %d record types, want all 15", len(covered))
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -61,30 +62,26 @@ type TenantConfig struct {
 	Burst int `json:"burst"`
 }
 
-// tenant is one shard of the control plane: its own resource registries,
-// ID sequences, admission state, and (on a durable server) its own store.
+// tenant is one shard of the control plane: its own resource registries
+// (each with its ID sequence, quota and lock), admission state, and (on a
+// durable server) its own store.
 type tenant struct {
 	name    string
 	keyHash [sha256.Size]byte
-	quotas  Quotas
 	limiter *tokenBucket // nil = unlimited
 	store   *store       // nil on a memory-only server
 
-	mu             sync.RWMutex
-	deployments    map[string]*deployment
-	nextID         int
-	fleets         map[string]*fleetRecord
-	nextFleetID    int
-	campaigns      map[string]*campaignRecord
-	nextCampaignID int
+	deployments *registry[*deployment]
+	fleets      *registry[*fleetRecord]
+	campaigns   *registry[*campaignRecord]
 }
 
-func newTenant(name string) *tenant {
+func newTenant(name string, q Quotas) *tenant {
 	return &tenant{
 		name:        name,
-		deployments: make(map[string]*deployment),
-		fleets:      make(map[string]*fleetRecord),
-		campaigns:   make(map[string]*campaignRecord),
+		deployments: newRegistry[*deployment]("d", "deployments", q.MaxDeployments),
+		fleets:      newRegistry[*fleetRecord]("f", "fleets", q.MaxFleets),
+		campaigns:   newRegistry[*campaignRecord]("c", "campaigns", q.MaxCampaigns),
 	}
 }
 
@@ -108,7 +105,7 @@ func validTenantName(name string) bool {
 // sorted by name. An empty config yields the single open tenant.
 func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 	if len(cfgs) == 0 {
-		open := newTenant("")
+		open := newTenant("", Quotas{})
 		return []*tenant{open}, open, nil
 	}
 	names := make(map[string]bool, len(cfgs))
@@ -133,9 +130,8 @@ func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 		if c.RateLimit < 0 || c.Burst < 0 {
 			return nil, nil, fmt.Errorf("api: tenant %q has a negative rate limit or burst", c.Name)
 		}
-		tn := newTenant(c.Name)
+		tn := newTenant(c.Name, c.Quotas)
 		tn.keyHash = sum
-		tn.quotas = c.Quotas
 		if c.RateLimit > 0 {
 			burst := c.Burst
 			if burst <= 0 {
@@ -209,8 +205,7 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		}
 		tn, ok := s.resolveTenant(r)
 		if !ok {
-			if r.Method == http.MethodGet &&
-				(r.URL.Path == "/api/"+Version || r.URL.Path == "/api/"+Version+"/healthz") {
+			if slices.Contains(admitExempt, r.Method+" "+r.URL.Path) {
 				next.ServeHTTP(w, r)
 				return
 			}
@@ -247,25 +242,15 @@ type rateLimitError struct {
 	RetryAfter string `json:"retry_after"`
 }
 
-// quotaError is the 403 body for an exhausted resource quota; Err keeps
-// the standard error envelope, the typed fields let clients react
-// programmatically.
+// quotaError is the 403 body for an exhausted resource quota (built by
+// registry.insert); Err keeps the standard error envelope, the typed
+// fields let clients react programmatically.
 type quotaError struct {
 	Err      string `json:"error"`
 	Code     string `json:"code"`
 	Resource string `json:"resource"`
 	Limit    int    `json:"limit"`
 	InUse    int    `json:"in_use"`
-}
-
-func writeQuotaError(w http.ResponseWriter, resource string, limit, inUse int) {
-	writeJSON(w, http.StatusForbidden, quotaError{
-		Err:      fmt.Sprintf("%s quota exceeded: %d of %d in use", resource, inUse, limit),
-		Code:     "quota_exceeded",
-		Resource: resource,
-		Limit:    limit,
-		InUse:    inUse,
-	})
 }
 
 // tokenBucket is a clock-driven token bucket. It is fed the server clock
