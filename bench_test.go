@@ -31,7 +31,6 @@ import (
 	"xcbc/internal/depsolve"
 	"xcbc/internal/gridftp"
 	"xcbc/internal/hpl"
-	"xcbc/internal/monitor"
 	"xcbc/internal/mpi"
 	"xcbc/internal/power"
 	"xcbc/internal/provision"
@@ -639,18 +638,6 @@ func BenchmarkClusterVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorPoll measures one gmetad poll round over the largest
-// Table 3 cluster (KU, 220 nodes).
-func BenchmarkMonitorPoll(b *testing.B) {
-	c := cluster.NewKansas()
-	c.PowerOnAll()
-	agg := monitor.NewAggregator(c, 64, func(string) float64 { return 0.5 })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg.Poll(sim.Time(i))
-	}
-}
-
 // BenchmarkNodeFailureRecovery measures failure handling: a node dies under
 // a full-machine job; the job requeues and completes after repair.
 func BenchmarkNodeFailureRecovery(b *testing.B) {
@@ -784,43 +771,32 @@ func BenchmarkBuildXCBCWave8(b *testing.B) { benchmarkBuildXCBC(b, 8) }
 // to fully ready. This is the wall-clock cost of the scenario engine's
 // heaviest built-in phase, and the scale baseline future fleet PRs must
 // not regress.
-func BenchmarkFleetProvision100(b *testing.B) {
-	var ready int
-	for i := 0; i < b.N; i++ {
-		f, err := sdk.NewFleet(sdk.FleetSpec{
-			Name: "bench", Members: 100, Cluster: "littlefe", Nodes: 4,
-			Parallelism: 4, Workers: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Deploy(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		ready = f.Status().Ready
-	}
-	if ready != 100 {
-		b.Fatalf("ready = %d, want 100", ready)
-	}
-	b.ReportMetric(float64(ready), "clusters_ready")
-}
+func BenchmarkFleetProvision100(b *testing.B) { benchmarkFleetProvision(b, 100) }
 
 // benchmarkFleetProvision provisions a fleet of the given size to fully
-// ready and reports bytes_per_cluster: the heap growth the fleet's live
-// state costs per member, measured across the deploy. The figure is what
-// bounds how many simulated clusters one control-plane process can hold.
+// ready and reports the heap growth the fleet's live state costs per
+// member, twice: bytes_per_cluster as deployed, and
+// bytes_per_cluster_polled after every member has answered one metrics
+// poll, which is when a cluster's monitoring series come into being. The
+// second figure is what bounds how many simulated clusters one
+// control-plane process can hold once anything looks at them.
 func benchmarkFleetProvision(b *testing.B, members int) {
 	var ready int
-	var perCluster float64
+	var perCluster, perClusterPolled float64
+	heapAlloc := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
 	for i := 0; i < b.N; i++ {
 		// The forced-GC + ReadMemStats brackets measure retained memory;
-		// they scan a live heap proportional to fleet size, so they run
-		// outside the timer — only the provisioning work itself is timed
-		// (including any GC its own allocation triggers).
+		// they scan a live heap proportional to fleet size, so they (and
+		// the metrics round) run outside the timer — only the provisioning
+		// work itself is timed (including any GC its own allocation
+		// triggers).
 		b.StopTimer()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		before := heapAlloc()
 		b.StartTimer()
 		f, err := sdk.NewFleet(sdk.FleetSpec{
 			Name: "bench", Members: members, Cluster: "littlefe", Nodes: 4,
@@ -834,9 +810,15 @@ func benchmarkFleetProvision(b *testing.B, members int) {
 		}
 		ready = f.Status().Ready
 		b.StopTimer()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		perCluster = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(members)
+		perCluster = float64(heapAlloc()-before) / float64(members)
+		for _, m := range f.Members() {
+			cl, err := m.Cluster()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cl.Metrics()
+		}
+		perClusterPolled = float64(heapAlloc()-before) / float64(members)
 		runtime.KeepAlive(f)
 		b.StartTimer()
 	}
@@ -845,6 +827,7 @@ func benchmarkFleetProvision(b *testing.B, members int) {
 	}
 	b.ReportMetric(float64(ready), "clusters_ready")
 	b.ReportMetric(perCluster, "bytes_per_cluster")
+	b.ReportMetric(perClusterPolled, "bytes_per_cluster_polled")
 }
 
 // BenchmarkFleetProvision1000 is the campus-100 shape scaled 10x: the
@@ -956,4 +939,74 @@ func BenchmarkRecoverFleet100(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(walBytes), "wal_disk_bytes")
+}
+
+// BenchmarkAPIFleetScenarioOp replays one operation of bench/'s
+// fleet_scenario workload through the durable control plane's handler, in
+// process: create a 100-member fleet, poll it ready, run campus-100, page
+// the whole trace 100 events at a time, list the runs, delete the fleet.
+// B/op is the server-side alloc_space one such operation costs — no
+// sockets, no driver — which is where the per-cluster monitoring rings
+// showed as ~101 MB before series grew on demand.
+func BenchmarkAPIFleetScenarioOp(b *testing.B) {
+	srv, _, err := api.Open(api.Config{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	call := func(method, path, body string, want int) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader([]byte(body))))
+		if rec.Code != want {
+			b.Fatalf("%s %s = %d, want %d: %s", method, path, rec.Code, want, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	await := func(path, settled string) []byte {
+		for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+			if body := call("GET", path, "", http.StatusOK); bytes.Contains(body, []byte(settled)) {
+				return body
+			}
+			if time.Now().After(deadline) {
+				b.Fatalf("%s never reported %s", path, settled)
+			}
+		}
+	}
+	var events int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var created struct{ ID string }
+		if err := json.Unmarshal(call("POST", "/api/v1/fleets",
+			`{"name":"op","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8}`,
+			http.StatusAccepted), &created); err != nil {
+			b.Fatal(err)
+		}
+		fleet := "/api/v1/fleets/" + created.ID
+		await(fleet, `"settled":true`)
+		if err := json.Unmarshal(call("POST", fleet+"/scenarios", `{"name":"campus-100"}`, http.StatusAccepted), &created); err != nil {
+			b.Fatal(err)
+		}
+		run := fleet + "/scenarios/" + created.ID
+		await(run+"?limit=1", `"state":"passed"`)
+		events = 0
+		for cursor := 0; ; {
+			var page struct {
+				Events     []json.RawMessage
+				NextCursor int `json:"next_cursor"`
+			}
+			if err := json.Unmarshal(call("GET", fmt.Sprintf("%s?cursor=%d&limit=100", run, cursor), "", http.StatusOK), &page); err != nil {
+				b.Fatal(err)
+			}
+			if page.NextCursor <= cursor {
+				break
+			}
+			events += len(page.Events)
+			cursor = page.NextCursor
+		}
+		call("GET", fleet+"/scenarios", "", http.StatusOK)
+		call("DELETE", fleet, "", http.StatusNoContent)
+	}
+	b.ReportMetric(float64(events), "trace_events")
 }

@@ -26,6 +26,15 @@
 // (403). With -data-dir too, each tenant journals to its own WAL under
 // <data-dir>/tenants/<name>, so restarts recover every shard.
 //
+// With -debug-addr the server also serves net/http/pprof
+// (/debug/pprof/...) on that address, from its own mux on a separate
+// listener: profiles are never reachable through the API port, and the
+// flag is off by default. Bind it to loopback —
+//
+//	repo-server -addr :8080 -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/heap
+//
 // Usage:
 //
 //	repo-server -addr :8080
@@ -47,8 +56,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -64,7 +77,26 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 0, "WAL records between snapshots (0 = default)")
 	resume := flag.Bool("resume", false, "resume deployments interrupted mid-build instead of failing them")
 	tenantsPath := flag.String("tenants", "", "JSON tenant config file (empty = open mode, no auth)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, separate from -addr (empty = off)")
 	flag.Parse()
+	if *debugAddr == "" {
+		// Linking net/http/pprof switches the runtime's heap-profile
+		// sampling on for the whole process (~0.9 MB resident for its
+		// bucket tables); with no debug listener nobody can read it.
+		runtime.MemProfileRate = 0
+	} else {
+		// Up before api.Open: a bad address fails before the WAL is
+		// touched, and recovery itself can be profiled.
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "repo-server: debug listener:", err)
+			os.Exit(1)
+		}
+		dbg := &http.Server{Handler: debugMux(), ReadHeaderTimeout: 10 * time.Second}
+		go dbg.Serve(ln) // returns when dbg.Close below shuts the listener
+		defer dbg.Close()
+		fmt.Printf("serving pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 
 	xnit, err := xcbc.NewXNITRepository()
 	if err != nil {
@@ -117,4 +149,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("repo-server: shut down cleanly")
+}
+
+// debugMux serves the pprof handlers and nothing else. Importing
+// net/http/pprof also registers them on http.DefaultServeMux, which this
+// program never serves: the API has its own mux too.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

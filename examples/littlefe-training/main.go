@@ -120,7 +120,7 @@ func main() {
 
 	eng.Run()
 	fmt.Println("\nCourse complete. Install log highlights:")
-	for i, line := range ins.Log {
+	for i, line := range ins.Log() {
 		if i%4 == 0 { // sample the log to keep the handout short
 			fmt.Println("  " + line)
 		}

@@ -70,17 +70,20 @@ type AlertManager struct {
 	// default 3.
 	DownAfter int
 
-	active   map[string]bool // host+"/"+rule -> firing
+	active   map[alertKey]bool // firing alerts
 	lastSeen map[string]sim.Time
 	log      []Alert
 }
+
+// alertKey names one firing alert; Active renders it as "host/rule".
+type alertKey struct{ host, rule string }
 
 // NewAlertManager creates an alert manager over an aggregator.
 func NewAlertManager(agg *Aggregator) *AlertManager {
 	return &AlertManager{
 		agg:       agg,
 		DownAfter: 3,
-		active:    make(map[string]bool),
+		active:    make(map[alertKey]bool),
 		lastSeen:  make(map[string]sim.Time),
 	}
 }
@@ -116,7 +119,7 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 			if !ok || m.At != now {
 				continue // stale sample; host-down handles silence
 			}
-			key := host + "/" + r.Name
+			key := alertKey{host, r.Name}
 			firing := r.violated(m.Value)
 			if firing && !am.active[key] {
 				am.active[key] = true
@@ -130,7 +133,7 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 			}
 		}
 		// Host-down rule.
-		key := host + "/host-down"
+		key := alertKey{host, "host-down"}
 		silent := now-am.lastSeen[host] >= sim.Time(am.DownAfter)*interval
 		if silent && !am.active[key] {
 			am.active[key] = true
@@ -151,7 +154,7 @@ func (am *AlertManager) Active() []string {
 	defer am.mu.Unlock()
 	out := make([]string, 0, len(am.active))
 	for k := range am.active {
-		out = append(out, k)
+		out = append(out, k.host+"/"+k.rule)
 	}
 	sort.Strings(out)
 	return out

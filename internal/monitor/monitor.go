@@ -8,7 +8,9 @@ import (
 	"encoding/xml"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,61 +27,87 @@ type Metric struct {
 	At    sim.Time
 }
 
-// Series is a fixed-capacity ring buffer of samples — the RRD stand-in.
+// point is what a Series stores per sample. It holds no pointers, so the
+// garbage collector never scans a series' backing array.
+type point struct {
+	At    sim.Time
+	Value float64
+}
+
+// Series is a bounded time series — the RRD stand-in. Its backing array
+// grows with the samples actually taken, never past the capacity, and
+// only once it is full does a new sample overwrite the oldest. Host, name
+// and units are held once per series, not per sample.
+//
 // It is safe for concurrent use: the aggregator hands out live Series
 // pointers, so readers (HTTP handlers, alert evaluation) overlap with the
 // poller's writes. All returns a defensive copy.
 type Series struct {
-	mu      sync.Mutex
-	samples []Metric
-	next    int
-	full    bool
+	mu                sync.Mutex
+	host, name, units string
+	capacity          int
+	points            []point // oldest-first until full, then a ring
+	oldest            int     // index of the oldest point once full
 }
 
-// NewSeries creates a ring of the given capacity (minimum 1).
+// NewSeries creates a series retaining the last capacity samples
+// (minimum 1).
 func NewSeries(capacity int) *Series {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Series{samples: make([]Metric, capacity)}
+	return &Series{capacity: max(capacity, 1)}
 }
 
-// Add appends a sample, overwriting the oldest when full.
+// Add appends a sample, overwriting the oldest when full. A series'
+// host, name and units are fixed by its first Add; later samples
+// contribute only their time and value (the aggregator never mixes
+// identities in one series).
 func (s *Series) Add(m Metric) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.samples[s.next] = m
-	s.next++
-	if s.next == len(s.samples) {
-		s.next = 0
-		s.full = true
+	p := point{At: m.At, Value: m.Value}
+	n := len(s.points)
+	if n == s.capacity {
+		s.points[s.oldest] = p
+		s.oldest = (s.oldest + 1) % n
+		return
 	}
+	if n == 0 {
+		s.host, s.name, s.units = m.Host, m.Name, m.Units
+	}
+	if n == cap(s.points) {
+		// Double, clipped: append's own growth would round the
+		// allocation up past the retention cap.
+		grown := make([]point, n, min(max(2*n, 1), s.capacity))
+		copy(grown, s.points)
+		s.points = grown
+	}
+	s.points = append(s.points, p)
 }
 
 // Len returns the number of stored samples.
 func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lenLocked()
+	return len(s.points)
 }
 
-func (s *Series) lenLocked() int {
-	if s.full {
-		return len(s.samples)
-	}
-	return s.next
+// at returns the i-th oldest stored point. s.mu held.
+func (s *Series) at(i int) point {
+	return s.points[(s.oldest+i)%len(s.points)]
+}
+
+// metric re-attaches the series' identity to a stored point. s.mu held.
+func (s *Series) metric(p point) Metric {
+	return Metric{Host: s.host, Name: s.name, Value: p.Value, Units: s.units, At: p.At}
 }
 
 // All returns a defensive copy of the samples, oldest-first.
 func (s *Series) All() []Metric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.full {
-		return append([]Metric(nil), s.samples[:s.next]...)
+	out := make([]Metric, len(s.points))
+	for i := range out {
+		out[i] = s.metric(s.at(i))
 	}
-	out := make([]Metric, 0, len(s.samples))
-	out = append(out, s.samples[s.next:]...)
-	out = append(out, s.samples[:s.next]...)
 	return out
 }
 
@@ -87,32 +115,52 @@ func (s *Series) All() []Metric {
 func (s *Series) Latest() (Metric, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lenLocked() == 0 {
+	n := len(s.points)
+	if n == 0 {
 		return Metric{}, false
 	}
-	idx := s.next - 1
-	if idx < 0 {
-		idx = len(s.samples) - 1
-	}
-	return s.samples[idx], true
+	return s.metric(s.at(n - 1)), true
 }
 
 // Mean returns the average value over stored samples.
 func (s *Series) Mean() float64 {
-	all := s.All()
-	if len(all) == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.points) == 0 {
 		return 0
 	}
+	// Oldest-first, the order All returns: float addition is not
+	// associative, so the order is part of the result.
 	sum := 0.0
-	for _, m := range all {
-		sum += m.Value
+	for i := range s.points {
+		sum += s.at(i).Value
 	}
-	return sum / float64(len(all))
+	return sum / float64(len(s.points))
 }
 
 // LoadFunc reports a node's current load fraction [0,1]; the scheduler
 // integration supplies cores-busy/cores-total.
 type LoadFunc func(node string) float64
+
+// The standard metrics every gmond reports, in export order.
+const (
+	loadOne = iota
+	powerWatts
+	cpuNum
+	numMetrics
+)
+
+var (
+	metricNames = [numMetrics]string{"load_one", "power_watts", "cpu_num"}
+	metricUnits = [numMetrics]string{"", "W", "CPUs"}
+)
+
+// hostSeries is one reporting host's slot: its name and its standard
+// series, inline.
+type hostSeries struct {
+	name   string
+	series [numMetrics]Series
+}
 
 // Aggregator is the gmetad analogue: it polls agents on a period and stores
 // time series per host/metric. It is safe for concurrent use; the Series
@@ -121,7 +169,7 @@ type LoadFunc func(node string) float64
 type Aggregator struct {
 	mu       sync.Mutex
 	cluster  *cluster.Cluster
-	series   map[string]*Series // host + "/" + metric -> series
+	hosts    []*hostSeries // sorted by name; a host joins at its first sample
 	capacity int
 	load     LoadFunc
 	polls    int
@@ -129,12 +177,7 @@ type Aggregator struct {
 
 // NewAggregator creates an aggregator with per-series ring capacity.
 func NewAggregator(c *cluster.Cluster, capacity int, load LoadFunc) *Aggregator {
-	return &Aggregator{
-		cluster:  c,
-		series:   make(map[string]*Series),
-		capacity: capacity,
-		load:     load,
-	}
+	return &Aggregator{cluster: c, capacity: max(capacity, 1), load: load}
 }
 
 // Poll samples every powered-on node once at the engine's current time:
@@ -148,13 +191,16 @@ func (a *Aggregator) Poll(now sim.Time) {
 		if n.Power() != cluster.PowerOn {
 			continue
 		}
-		load := 0.0
+		var values [numMetrics]float64
 		if a.load != nil {
-			load = a.load(n.Name)
+			values[loadOne] = a.load(n.Name)
 		}
-		a.record(Metric{Host: n.Name, Name: "load_one", Value: load, Units: "", At: now})
-		a.record(Metric{Host: n.Name, Name: "power_watts", Value: n.DrawWatts(), Units: "W", At: now})
-		a.record(Metric{Host: n.Name, Name: "cpu_num", Value: float64(n.Cores()), Units: "CPUs", At: now})
+		values[powerWatts] = n.DrawWatts()
+		values[cpuNum] = float64(n.Cores())
+		h := a.slot(n.Name)
+		for i := range h.series {
+			h.series[i].Add(Metric{Host: n.Name, Name: metricNames[i], Value: values[i], Units: metricUnits[i], At: now})
+		}
 	}
 }
 
@@ -176,14 +222,24 @@ func (a *Aggregator) Start(eng *sim.Engine, interval time.Duration, count int) {
 	eng.After(interval, "gmetad-poll", tick)
 }
 
-func (a *Aggregator) record(m Metric) {
-	key := m.Host + "/" + m.Name
-	s, ok := a.series[key]
+// find returns host's position in the sorted slot list and whether it is
+// present. a.mu held.
+func (a *Aggregator) find(host string) (int, bool) {
+	return sort.Find(len(a.hosts), func(i int) int { return strings.Compare(host, a.hosts[i].name) })
+}
+
+// slot returns host's slot, inserting it in name order on first use.
+// a.mu held.
+func (a *Aggregator) slot(host string) *hostSeries {
+	i, ok := a.find(host)
 	if !ok {
-		s = NewSeries(a.capacity)
-		a.series[key] = s
+		h := &hostSeries{name: host}
+		for m := range h.series {
+			h.series[m].capacity = a.capacity
+		}
+		a.hosts = slices.Insert(a.hosts, i, h)
 	}
-	s.Add(m)
+	return a.hosts[i]
 }
 
 // Polls returns how many poll rounds have run.
@@ -193,54 +249,54 @@ func (a *Aggregator) Polls() int {
 	return a.polls
 }
 
-// Series returns the stored series for a host metric, or nil.
+// Series returns the stored series for one of a reporting host's standard
+// metrics, or nil if the host has not reported or the metric is unknown.
 func (a *Aggregator) Series(host, metric string) *Series {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.series[host+"/"+metric]
+	i, ok := a.find(host)
+	if !ok {
+		return nil
+	}
+	for m, name := range metricNames {
+		if name == metric {
+			return &a.hosts[i].series[m]
+		}
+	}
+	return nil
 }
 
-// Hosts returns hosts that have reported at least one metric, sorted.
+// Hosts returns hosts that have reported at least one sample, sorted. The
+// list is maintained as hosts first report, not derived per call.
 func (a *Aggregator) Hosts() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	seen := make(map[string]bool)
-	for key := range a.series {
-		for i := 0; i < len(key); i++ {
-			if key[i] == '/' {
-				seen[key[:i]] = true
-				break
-			}
-		}
+	out := make([]string, len(a.hosts))
+	for i, h := range a.hosts {
+		out[i] = h.name
 	}
-	out := make([]string, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // ClusterLoad returns the mean of the latest load_one across reporting
 // hosts — the headline number on a Ganglia front page.
 func (a *Aggregator) ClusterLoad() float64 {
-	hosts := a.Hosts()
-	if len(hosts) == 0 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.clusterLoad()
+}
+
+// clusterLoad is ClusterLoad with a.mu held.
+func (a *Aggregator) clusterLoad() float64 {
+	if len(a.hosts) == 0 {
 		return 0
 	}
-	sum, n := 0.0, 0
-	for _, h := range hosts {
-		if s := a.Series(h, "load_one"); s != nil {
-			if m, ok := s.Latest(); ok {
-				sum += m.Value
-				n++
-			}
-		}
+	sum := 0.0
+	for _, h := range a.hosts {
+		m, _ := h.series[loadOne].Latest()
+		sum += m.Value
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(len(a.hosts))
 }
 
 // XML export, shaped like gmond's <GANGLIA_XML> document.
@@ -268,17 +324,17 @@ type xmlGanglia struct {
 // XML.
 func (a *Aggregator) ExportXML() ([]byte, error) {
 	doc := xmlGanglia{Source: a.cluster.Name}
-	for _, h := range a.Hosts() {
-		xh := xmlHost{Name: h}
-		for _, metric := range []string{"load_one", "power_watts", "cpu_num"} {
-			if s := a.Series(h, metric); s != nil {
-				if m, ok := s.Latest(); ok {
-					xh.Metrics = append(xh.Metrics, xmlMetric{Name: m.Name, Val: m.Value, Units: m.Units})
-				}
+	a.mu.Lock()
+	for _, h := range a.hosts {
+		xh := xmlHost{Name: h.name}
+		for i := range h.series {
+			if m, ok := h.series[i].Latest(); ok {
+				xh.Metrics = append(xh.Metrics, xmlMetric{Name: m.Name, Val: m.Value, Units: m.Units})
 			}
 		}
 		doc.Hosts = append(doc.Hosts, xh)
 	}
+	a.mu.Unlock()
 	return xml.MarshalIndent(doc, "", "  ")
 }
 
@@ -295,21 +351,14 @@ func (a *Aggregator) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 
 // Report renders a plain-text cluster status summary.
 func (a *Aggregator) Report() string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	out := fmt.Sprintf("cluster %s: %d hosts reporting, mean load %.2f\n",
-		a.cluster.Name, len(a.Hosts()), a.ClusterLoad())
-	for _, h := range a.Hosts() {
-		var load, watts float64
-		if s := a.Series(h, "load_one"); s != nil {
-			if m, ok := s.Latest(); ok {
-				load = m.Value
-			}
-		}
-		if s := a.Series(h, "power_watts"); s != nil {
-			if m, ok := s.Latest(); ok {
-				watts = m.Value
-			}
-		}
-		out += fmt.Sprintf("  %-16s load %.2f  %6.1f W\n", h, load, watts)
+		a.cluster.Name, len(a.hosts), a.clusterLoad())
+	for _, h := range a.hosts {
+		load, _ := h.series[loadOne].Latest()
+		watts, _ := h.series[powerWatts].Latest()
+		out += fmt.Sprintf("  %-16s load %.2f  %6.1f W\n", h.name, load.Value, watts.Value)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,5 +142,97 @@ func TestClusterLoadEmpty(t *testing.T) {
 	agg.Poll(0)
 	if agg.ClusterLoad() != 0 {
 		t.Fatal("no hosts -> zero load")
+	}
+}
+
+// TestSeriesMatchesKeepLastModel checks the grow-then-wrap storage against
+// the plainest possible reference: a slice that keeps the last N samples.
+// After every Add, up to three times around the ring, every accessor must
+// agree with the model, and the backing array must never be allocated
+// past the retention capacity.
+func TestSeriesMatchesKeepLastModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 1024} {
+		s := NewSeries(capacity)
+		var model []Metric
+		check := func(adds int) {
+			t.Helper()
+			if s.Len() != len(model) {
+				t.Fatalf("cap %d after %d adds: Len = %d, model %d", capacity, adds, s.Len(), len(model))
+			}
+			if all := s.All(); !slices.Equal(all, model) {
+				t.Fatalf("cap %d after %d adds: All = %v, model %v", capacity, adds, all, model)
+			}
+			latest, ok := s.Latest()
+			if ok != (len(model) > 0) || (ok && latest != model[len(model)-1]) {
+				t.Fatalf("cap %d after %d adds: Latest = %v, %v", capacity, adds, latest, ok)
+			}
+			mean := 0.0
+			for _, m := range model {
+				mean += m.Value
+			}
+			if len(model) > 0 {
+				mean /= float64(len(model))
+			}
+			if got := s.Mean(); got != mean {
+				t.Fatalf("cap %d after %d adds: Mean = %v, model %v", capacity, adds, got, mean)
+			}
+			if cap(s.points) > capacity {
+				t.Fatalf("cap %d after %d adds: backing array holds %d", capacity, adds, cap(s.points))
+			}
+		}
+		check(0)
+		for i := 1; i <= 3*capacity; i++ {
+			// Values whose sum depends on the order of addition.
+			m := Metric{Host: "n1", Name: "load_one", Units: "u", Value: 1 / float64(i), At: sim.Time(i)}
+			s.Add(m)
+			model = append(model, m)
+			if len(model) > capacity {
+				model = model[1:]
+			}
+			check(i)
+		}
+	}
+}
+
+// TestSeriesIdentityFixedByFirstAdd states the contract the per-series
+// identity relies on: host, name and units come from the first sample.
+func TestSeriesIdentityFixedByFirstAdd(t *testing.T) {
+	s := NewSeries(2)
+	s.Add(Metric{Host: "n1", Name: "load_one", Units: "u", Value: 1, At: 1})
+	s.Add(Metric{Host: "other", Name: "other", Units: "other", Value: 2, At: 2})
+	s.Add(Metric{Value: 3, At: 3})
+	want := []Metric{
+		{Host: "n1", Name: "load_one", Units: "u", Value: 2, At: 2},
+		{Host: "n1", Name: "load_one", Units: "u", Value: 3, At: 3},
+	}
+	if got := s.All(); !slices.Equal(got, want) {
+		t.Fatalf("All = %v, want %v", got, want)
+	}
+}
+
+// TestAggregatorHostsSortedAsTheyJoin covers the maintained host list:
+// hosts join in poll order, which is not name order, and a host powered on
+// later is inserted in place.
+func TestAggregatorHostsSortedAsTheyJoin(t *testing.T) {
+	c := cluster.NewLittleFe()
+	c.PowerOnAll()
+	late := c.Computes[1]
+	late.SetPower(cluster.PowerOff)
+	agg := NewAggregator(c, 4, nil)
+	agg.Poll(0)
+	if agg.Series(late.Name, "load_one") != nil || slices.Contains(agg.Hosts(), late.Name) {
+		t.Fatalf("%s reported while powered off: %v", late.Name, agg.Hosts())
+	}
+	late.SetPower(cluster.PowerOn)
+	agg.Poll(1)
+	hosts := agg.Hosts()
+	if len(hosts) != len(c.Nodes()) || !slices.IsSorted(hosts) {
+		t.Fatalf("Hosts = %v", hosts)
+	}
+	if s := agg.Series(late.Name, "cpu_num"); s == nil || s.Len() != 1 {
+		t.Fatalf("%s should hold one sample", late.Name)
+	}
+	if agg.Series(late.Name, "no_such_metric") != nil {
+		t.Fatal("unknown metric should have no series")
 	}
 }

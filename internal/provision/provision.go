@@ -46,9 +46,8 @@ type Installer struct {
 	Graph   *rocks.Graph
 	OSName  string
 
-	// Log accumulates a human-readable record of what happened; the training
-	// examples surface it as curriculum output.
-	Log []string
+	// log accumulates what happened as unrendered entries; Log formats them.
+	log []logEntry
 
 	// Hook, when non-nil, runs at the start of every node install attempt
 	// (attempt numbering starts at 1). Returning an error fails the attempt
@@ -66,14 +65,33 @@ type Installer struct {
 func NewInstaller(c *cluster.Cluster, db *rocks.FrontendDB, g *rocks.Graph, osName string) *Installer {
 	return &Installer{
 		Cluster: c, DB: db, Graph: g, OSName: osName,
-		// A full build logs ~2 lines per compute plus a few frontend lines;
-		// sizing the log up front avoids per-line slice doubling.
-		Log: make([]string, 0, 2*len(c.Computes)+8),
+		// A clean build logs one frontend line and two per compute; sizing
+		// the log to exactly that avoids per-line slice doubling and keeps
+		// no slack on the thousands of installers a fleet retains.
+		log: make([]logEntry, 0, 2*len(c.Computes)+1),
 	}
 }
 
+// logEntry is one progress line, kept as its format and arguments: a
+// fleet build logs thousands of lines that are rarely read, so
+// rendering waits for a reader. Arguments must be immutable values.
+type logEntry struct {
+	format string
+	args   []any
+}
+
 func (ins *Installer) logf(format string, args ...any) {
-	ins.Log = append(ins.Log, fmt.Sprintf(format, args...))
+	ins.log = append(ins.log, logEntry{format, args})
+}
+
+// Log renders the human-readable record of what happened; the training
+// examples surface it as curriculum output.
+func (ins *Installer) Log() []string {
+	out := make([]string, len(ins.log))
+	for i, e := range ins.log {
+		out[i] = fmt.Sprintf(e.format, e.args...)
+	}
+	return out
 }
 
 // Result summarizes one node's install.

@@ -95,7 +95,7 @@ func TestInstallAllOnLittleFe(t *testing.T) {
 			t.Errorf("%s not marked installed", rec.Name)
 		}
 	}
-	if len(ins.Log) == 0 {
+	if len(ins.Log()) == 0 {
 		t.Error("installer log empty")
 	}
 }

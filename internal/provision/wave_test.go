@@ -3,6 +3,7 @@ package provision
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,6 +131,12 @@ func TestWaveQuarantineDoesNotAbort(t *testing.T) {
 	}
 	if len(ins.Quarantined) != 1 || ins.Quarantined[0] != bad {
 		t.Fatalf("installer quarantine list = %v", ins.Quarantined)
+	}
+	// The log is rendered on read, from the values captured when the
+	// line was logged.
+	want := "compute " + bad + " quarantined after 2 attempt(s): provision: " + bad + " install attempt 2 failed: dead NIC"
+	if log := ins.Log(); !slices.Contains(log, want) || !slices.Equal(log, ins.Log()) {
+		t.Errorf("log = %q, want a line %q on every read", log, want)
 	}
 	// The quarantined node was never touched: no OS, nothing installed.
 	n, _ := ins.Cluster.Lookup(bad)

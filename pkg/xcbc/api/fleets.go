@@ -270,11 +270,10 @@ func runInfoOf(run *scenarioRun, withEvents bool, pg page) scenarioRunInfo {
 		info.Violations = result.Violations()
 		st := result.Stats()
 		info.Stats = &st
-		trace := result.Trace()
-		info.NextCursor = len(trace)
+		info.NextCursor = result.TraceLen()
 		if withEvents {
-			start, end := pg.window(len(trace))
-			info.Events, info.NextCursor = trace[start:end], end
+			start, end := pg.window(result.TraceLen())
+			info.Events, info.NextCursor = result.TraceWindow(start, end), end
 		}
 	}
 	return info

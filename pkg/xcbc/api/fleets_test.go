@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -317,5 +318,70 @@ func TestConcurrentScenarioRunsRejected(t *testing.T) {
 	}
 	if rec := postJSON(t, h, base, inline); rec.Code != http.StatusAccepted {
 		t.Fatalf("run after settle = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestTracePagesMatchWholeTraceCopy pins the windowed trace read: every
+// page of a settled campus-100 run, at several page sizes and past the
+// end, carries exactly the bytes the previous implementation produced by
+// copying the whole trace and slicing it — which is kept here as the
+// reference.
+func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if rec := do(t, s, "POST", "/api/v1/fleets",
+		`{"name":"campus","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
+	}
+	if info := waitFleetSettled(t, s.Handler(), "f1"); info.Status.Ready != 100 {
+		t.Fatalf("ready = %d, want 100", info.Status.Ready)
+	}
+	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"name":"campus-100"}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
+	}
+	if info := waitRunSettled(t, s, "f1", "s1"); info.State != "passed" {
+		t.Fatalf("campus-100 settled %q: %v", info.State, info.Violations)
+	}
+	fr, _ := s.openTenant.fleets.get("f1")
+	run, _ := fr.runs.get("s1")
+	_, result, _ := run.snapshot()
+	whole := result.Trace()
+	if len(whole) < 400 || result.TraceLen() != len(whole) {
+		t.Fatalf("trace has %d events, TraceLen %d", len(whole), result.TraceLen())
+	}
+
+	reference := func(pg page) []byte {
+		info := runInfoOf(run, false, page{})
+		start, end := pg.window(len(whole))
+		info.Events, info.NextCursor = whole[start:end], end
+		body, err := json.Marshal(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(body, '\n')
+	}
+	for _, limit := range []int{1, 37, 100, 1000} {
+		pages := 0
+		for cursor := 0; ; pages++ {
+			rec := do(t, s, "GET", fmt.Sprintf("/api/v1/fleets/f1/scenarios/s1?cursor=%d&limit=%d", cursor, limit), "", nil)
+			if want := reference(page{cursor: cursor, limit: limit}); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("limit %d cursor %d:\n got %s\nwant %s", limit, cursor, rec.Body.Bytes(), want)
+			}
+			if cursor >= len(whole) {
+				break // the page past the end was compared too
+			}
+			cursor = min(cursor+limit, len(whole))
+		}
+		if want := (len(whole) + limit - 1) / limit; pages != want {
+			t.Fatalf("limit %d: %d pages, want %d", limit, pages, want)
+		}
+	}
+	// The run list reports the trace length without carrying events.
+	var list struct {
+		Runs []scenarioRunInfo `json:"runs"`
+	}
+	do(t, s, "GET", "/api/v1/fleets/f1/scenarios", "", &list)
+	if len(list.Runs) != 1 || list.Runs[0].NextCursor != len(whole) || list.Runs[0].Events != nil {
+		t.Fatalf("run list = %+v", list.Runs)
 	}
 }

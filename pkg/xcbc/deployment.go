@@ -64,7 +64,7 @@ func (d *Deployment) InstallLog() []string {
 	if d.core.Installer == nil {
 		return nil
 	}
-	return append([]string(nil), d.core.Installer.Log...)
+	return d.core.Installer.Log()
 }
 
 // Hardware returns the deployed cluster's hardware description.

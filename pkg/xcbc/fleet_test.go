@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -135,8 +136,19 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	if st.Ready != 2 || st.JobsSubmitted != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(first.Trace()) == 0 {
-		t.Fatal("empty trace")
+	trace := first.Trace()
+	if len(trace) < 3 || first.TraceLen() != len(trace) {
+		t.Fatalf("trace has %d events, TraceLen %d", len(trace), first.TraceLen())
+	}
+	// Windows are copies of the same events, clamped to the trace.
+	if w := first.TraceWindow(1, 3); !slices.Equal(w, trace[1:3]) {
+		t.Fatalf("TraceWindow(1, 3) = %v", w)
+	}
+	if w := first.TraceWindow(-4, len(trace)+9); !slices.Equal(w, trace) {
+		t.Fatalf("an over-wide window should clamp to the whole trace, got %d events", len(w))
+	}
+	if w := first.TraceWindow(3, 1); len(w) != 0 {
+		t.Fatalf("an inverted window should be empty, got %v", w)
 	}
 	second, err := RunScenario(context.Background(), sc)
 	if err != nil {

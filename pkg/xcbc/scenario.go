@@ -149,9 +149,18 @@ func (r *ScenarioResult) Stats() ScenarioStats {
 }
 
 // Trace returns the run's event trace in order.
-func (r *ScenarioResult) Trace() []TraceEvent {
-	out := make([]TraceEvent, len(r.r.Events))
-	for i, ev := range r.r.Events {
+func (r *ScenarioResult) Trace() []TraceEvent { return r.TraceWindow(0, r.TraceLen()) }
+
+// TraceLen returns the number of events in the trace.
+func (r *ScenarioResult) TraceLen() int { return len(r.r.Events) }
+
+// TraceWindow returns a copy of trace events [start, end), clamped to the
+// trace — what a paged reader needs without copying the whole trace.
+func (r *ScenarioResult) TraceWindow(start, end int) []TraceEvent {
+	end = min(max(end, 0), len(r.r.Events))
+	start = min(max(start, 0), end)
+	out := make([]TraceEvent, end-start)
+	for i, ev := range r.r.Events[start:end] {
 		out[i] = TraceEvent(ev)
 	}
 	return out

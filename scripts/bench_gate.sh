@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Benchmark regression gate: runs the pinned benchmark set at fixed
-# iteration counts and fails if any benchmark's ns/op or allocs/op
+# iteration counts and fails if any benchmark's ns/op, allocs/op or B/op
 # regresses past the tolerance against BENCH_baseline.json's "post"
 # numbers.
 #
@@ -10,9 +10,13 @@
 # page-cache writeback.
 #
 # Environment:
-#   BENCH_GATE_TOLERANCE      allocs/op regression tolerance, fraction
-#                             (default 0.20). allocs/op is deterministic
-#                             and machine-independent: gate it hard.
+#   BENCH_GATE_TOLERANCE      allocs/op and B/op regression tolerance,
+#                             fraction (default 0.20). Both are
+#                             deterministic and machine-independent: gate
+#                             them hard. B/op is what separates a series
+#                             that grows on demand from one allocated to
+#                             its full retention up front — the same
+#                             number of allocations, 500x the bytes.
 #   BENCH_GATE_NS_TOLERANCE   ns/op regression tolerance (default 1.0,
 #                             i.e. flag only >2x slowdowns). Wall clock
 #                             on virtualized runners swings by integer
@@ -42,22 +46,24 @@ run .                    'BenchmarkBuildXCBC'               200x
 run .                    'BenchmarkFleetProvision100$'      50x
 run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
+run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
 run ./internal/wal/      'BenchmarkWALAppend'               2000000x
 run ./internal/campaign/ 'BenchmarkCampaignSweep32$'        3x
 
 fail=0
 checked=0
-while read -r name ns allocs; do
+while read -r name ns allocs bytes; do
 	base_ns=$(jq -r --arg n "$name" '.benchmarks[$n].post.ns_op // empty' "$BASELINE")
 	base_allocs=$(jq -r --arg n "$name" '.benchmarks[$n].post.allocs_op // empty' "$BASELINE")
+	base_bytes=$(jq -r --arg n "$name" '.benchmarks[$n].post.b_op // 0' "$BASELINE")
 	if [ -z "$base_ns" ] || [ -z "$base_allocs" ]; then
 		echo "gate: $name has no baseline entry; add one to $BASELINE" >&2
 		fail=1
 		continue
 	fi
 	checked=$((checked + 1))
-	awk -v name="$name" -v ns="$ns" -v allocs="$allocs" \
-		-v bns="$base_ns" -v ballocs="$base_allocs" \
+	awk -v name="$name" -v ns="$ns" -v allocs="$allocs" -v bytes="$bytes" \
+		-v bns="$base_ns" -v ballocs="$base_allocs" -v bbytes="$base_bytes" \
 		-v nstol="$NS_TOL" -v tol="$TOL" '
 		BEGIN {
 			bad = 0
@@ -72,23 +78,29 @@ while read -r name ns allocs; do
 				printf "gate: %s allocs/op %.0f exceeds baseline %.0f by more than %.0f%%\n", name, allocs, ballocs, tol * 100
 				bad = 1
 			}
+			if (bbytes > 0 && bytes > bbytes * (1 + tol)) {
+				printf "gate: %s B/op %.0f exceeds baseline %.0f by more than %.0f%%\n", name, bytes, bbytes, tol * 100
+				bad = 1
+			}
 			exit bad
 		}' || fail=1
 done < <(awk '/^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
-	ns = ""; allocs = ""
+	ns = ""; allocs = ""; bytes = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op") ns = $(i - 1)
 		if ($i == "allocs/op") allocs = $(i - 1)
+		if ($i == "B/op") bytes = $(i - 1)
 	}
-	if (ns == "" || allocs == "") next
+	if (ns == "" || allocs == "" || bytes == "") next
 	# Best of -count runs: min filters scheduler noise and the cold
 	# first run that pays for process-global caches.
 	if (!(name in best_ns) || ns + 0 < best_ns[name]) best_ns[name] = ns + 0
 	if (!(name in best_al) || allocs + 0 < best_al[name]) best_al[name] = allocs + 0
+	if (!(name in best_by) || bytes + 0 < best_by[name]) best_by[name] = bytes + 0
 }
 END {
-	for (name in best_ns) print name, best_ns[name], best_al[name]
+	for (name in best_ns) print name, best_ns[name], best_al[name], best_by[name]
 }' "$OUT")
 
 if [ "$checked" -eq 0 ]; then
