@@ -947,12 +947,26 @@ func BenchmarkRecoverFleet100(b *testing.B) {
 // the whole trace 100 events at a time, list the runs, delete the fleet.
 // B/op is the server-side alloc_space one such operation costs — no
 // sockets, no driver — which is where the per-cluster monitoring rings
-// showed as ~101 MB before series grew on demand.
+// showed as ~101 MB before series grew on demand. wal_records/op is what
+// the operation journals (GET /api/v1/store's next_seq, before and after);
+// create_ms, run_ms and page_ms split the operation's wall time into fleet
+// creation to settled, scenario start to passed (at the 1 ms poll grain),
+// and paging plus delete.
 func BenchmarkAPIFleetScenarioOp(b *testing.B) {
 	srv, _, err := api.Open(api.Config{DataDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchmarkAPIFleetScenarioOp(b, srv)
+}
+
+// BenchmarkAPIFleetScenarioOpVolatile is the same operation on a server
+// without a DataDir: what its phases cost when nothing is journaled.
+func BenchmarkAPIFleetScenarioOpVolatile(b *testing.B) {
+	benchmarkAPIFleetScenarioOp(b, api.New(api.Config{}))
+}
+
+func benchmarkAPIFleetScenarioOp(b *testing.B, srv *api.Server) {
 	defer srv.Close()
 	h := srv.Handler()
 	call := func(method, path, body string, want int) []byte {
@@ -973,10 +987,27 @@ func BenchmarkAPIFleetScenarioOp(b *testing.B) {
 			}
 		}
 	}
+	nextSeq := func() float64 {
+		var store struct {
+			NextSeq float64 `json:"next_seq"`
+		}
+		if err := json.Unmarshal(call("GET", "/api/v1/store", "", http.StatusOK), &store); err != nil {
+			b.Fatal(err)
+		}
+		return store.NextSeq
+	}
 	var events int
+	var phase [3]time.Duration // create, run, page
+	before := nextSeq()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		lap := func(p int) {
+			now := time.Now()
+			phase[p] += now.Sub(start)
+			start = now
+		}
 		var created struct{ ID string }
 		if err := json.Unmarshal(call("POST", "/api/v1/fleets",
 			`{"name":"op","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8}`,
@@ -985,11 +1016,13 @@ func BenchmarkAPIFleetScenarioOp(b *testing.B) {
 		}
 		fleet := "/api/v1/fleets/" + created.ID
 		await(fleet, `"settled":true`)
+		lap(0)
 		if err := json.Unmarshal(call("POST", fleet+"/scenarios", `{"name":"campus-100"}`, http.StatusAccepted), &created); err != nil {
 			b.Fatal(err)
 		}
 		run := fleet + "/scenarios/" + created.ID
 		await(run+"?limit=1", `"state":"passed"`)
+		lap(1)
 		events = 0
 		for cursor := 0; ; {
 			var page struct {
@@ -1007,6 +1040,12 @@ func BenchmarkAPIFleetScenarioOp(b *testing.B) {
 		}
 		call("GET", fleet+"/scenarios", "", http.StatusOK)
 		call("DELETE", fleet, "", http.StatusNoContent)
+		lap(2)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(events), "trace_events")
+	b.ReportMetric((nextSeq()-before)/float64(b.N), "wal_records/op")
+	for p, name := range []string{"create_ms/op", "run_ms/op", "page_ms/op"} {
+		b.ReportMetric(float64(phase[p].Microseconds())/1e3/float64(b.N), name)
+	}
 }

@@ -177,7 +177,6 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	if tn.store != nil {
 		tn.store.emit(recFleetCreated, fr.fleetCreatedRec)
-		tn.store.attachFleet(fr)
 	}
 	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
 }
@@ -225,7 +224,6 @@ func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 			"a scenario is still running on this fleet; wait for it to settle before deleting")
 	case removed:
 		if tn.store != nil {
-			fr.Fleet.SetJournalSink(nil)
 			tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -377,9 +375,13 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 			if target != nil && cursor == target.cursor {
 				got, reached = sum, true
 			}
-			st.emit(recScenarioProgress, scenarioProgressRec{
-				FleetID: fr.ID, RunID: run.ID, Cursor: cursor, Hash: sum,
-			})
+			// A checkpoint: recovery keeps only the last (cursor, hash), so
+			// every event is hashed and one in groupCommitAt journaled.
+			if cursor%groupCommitAt == 0 {
+				st.emit(recScenarioProgress, scenarioProgressRec{
+					FleetID: fr.ID, RunID: run.ID, Cursor: cursor, Hash: sum,
+				})
+			}
 		}
 	}
 	result, err := fr.Fleet.RunScenarioObserved(context.Background(), sc, obs)

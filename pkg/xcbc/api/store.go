@@ -136,10 +136,9 @@ type fleetCreatedRec struct {
 	Provisioned bool               `json:"provisioned"`
 }
 
-type fleetMemberRec struct {
-	ID    string    `json:"id"`
-	Event eventInfo `json:"event"`
-}
+// fleetMemberRec is no longer written — a re-provisioned fleet regenerates
+// its journal — so the ones an older DataDir holds are decoded and dropped.
+type fleetMemberRec struct{}
 
 type scenarioStartedRec struct {
 	FleetID  string          `json:"fleet_id"`
@@ -162,6 +161,21 @@ type scenarioSettledRec struct {
 	State   string          `json:"state"` // passed | failed | error
 	Error   string          `json:"error,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
+}
+
+// encode is json.Marshal(r), byte for byte, for a Result that is already
+// compact JSON (ResultJSON's is) without scanning it again: the other
+// fields are marshalled and the result, the last field, copied in behind.
+func (r scenarioSettledRec) encode() ([]byte, error) {
+	result := r.Result
+	r.Result = nil
+	data, err := json.Marshal(r)
+	if err != nil || len(result) == 0 {
+		return data, err
+	}
+	const key = `,"result":`
+	data = append(slices.Grow(data[:len(data)-1], len(key)+len(result)+1), key...)
+	return append(append(data, result...), '}'), nil
 }
 
 type campaignStartedRec struct {
@@ -204,7 +218,6 @@ type runMirror struct {
 type fleetMirror struct {
 	Created     fleetCreatedRec `json:"created"`
 	Provisioned bool            `json:"provisioned"`
-	Events      []eventInfo     `json:"events,omitempty"`
 	Runs        []*runMirror    `json:"runs,omitempty"`
 }
 
@@ -254,31 +267,27 @@ type store struct {
 	m     *mirror
 	dirty int // records appended since the last snapshot
 
-	// queue holds coalesced hot records (scenario progress, fleet member
-	// events, campaign seed outcomes) already applied to the mirror but not
-	// yet written to the WAL. It is flushed as one group commit — a single
-	// AppendBatch write — when it reaches groupCommitAt entries, before any
-	// non-coalesced record is appended, before every snapshot, and on
-	// close, so log order always equals mirror order. A hard crash can lose
-	// the queued tail, which is the same durability window fsync batching
-	// already allows: recovery then sees a shorter verified prefix, never a
-	// reordered or corrupted one.
+	// queue holds coalesced hot records (campaign seed outcomes) already
+	// applied to the mirror but not yet written to the WAL. One AppendBatch
+	// write flushes it when it reaches groupCommitAt entries, before any
+	// non-coalesced record is appended, before every snapshot, and on close,
+	// so log order always equals mirror order. A hard crash can lose the
+	// queued tail, the durability window fsync batching already allows:
+	// recovery then sees fewer outcomes, never reordered or corrupted ones.
 	queue []wal.BatchEntry
 }
 
-// groupCommitAt is how many coalesced hot records may queue before the
-// store flushes them as one WAL batch write.
+// groupCommitAt is the store's batching grain: how many coalesced hot
+// records may queue before one WAL batch write flushes them, and how many
+// trace events a scenario run hashes between two scenario.progress
+// checkpoints. Either way a hard crash loses at most groupCommitAt-1.
 const groupCommitAt = 64
 
 // coalesced reports whether a record type is high-frequency enough to ride
-// the group-commit queue rather than paying a WAL write per record.
-func coalesced(typ string) bool {
-	switch typ {
-	case recScenarioProgress, recFleetMember, recCampaignSeed:
-		return true
-	}
-	return false
-}
+// the group-commit queue rather than paying a WAL write per record. A
+// progress checkpoint is not: queued, it would reach the file only when its
+// run settles, and the replay oracle would have nothing to verify.
+func coalesced(typ string) bool { return typ == recCampaignSeed }
 
 // RecoveryReport summarizes what Open recovered from a data directory.
 type RecoveryReport struct {
@@ -407,9 +416,7 @@ func (st *store) close() error {
 	st.cancel()
 	st.wg.Wait()
 	st.mu.Lock()
-	if err := st.flushLocked(); err != nil && !errors.Is(err, wal.ErrClosed) {
-		st.logf("store: flush on close: %v", err)
-	}
+	st.wrote("flush on close", "", st.flushLocked())
 	st.mu.Unlock()
 	return st.log.Close()
 }
@@ -428,44 +435,55 @@ func (st *store) flushLocked() error {
 	return err
 }
 
-// emit applies one record to the mirror and persists it, in one critical
+// emit persists one record and applies it to the mirror, in one critical
 // section so mirror order always matches log order, then takes a snapshot
-// if the cadence says one is due. The record is marshalled first — one
-// that cannot be logged is never applied — and the mirror then takes the
-// typed value itself; decoding is recovery's job alone. Hot record types
-// ride the group-commit queue; everything else flushes the queue and
-// appends directly, keeping the on-disk order identical to the apply
-// order. Append failures after close are expected during shutdown and
-// ignored; anything else is logged.
+// if the cadence says one is due. A record is marshalled, appended, and
+// only then applied: the mirror takes the typed value itself (decoding is
+// recovery's job alone) and holds nothing the log refused — except the hot
+// types that ride the group-commit queue, applied when queued, which are
+// the tail a failed flush loses. A direct append flushes the queue first,
+// so on-disk order equals apply order, and is attempted even if that fails.
 func (st *store) emit(typ string, rec record) {
-	data, err := json.Marshal(rec)
+	var data []byte
+	var err error
+	if settled, ok := rec.(scenarioSettledRec); ok {
+		data, err = settled.encode() // json.Marshal would scan the result twice
+	} else {
+		data, err = json.Marshal(rec)
+	}
 	if err != nil {
 		st.logf("store: marshal %s: %v", typ, err)
 		return
 	}
 	st.mu.Lock()
-	rec.apply(st.m)
+	defer st.mu.Unlock()
 	if coalesced(typ) {
+		rec.apply(st.m)
 		// The queued entry must own its bytes: data escapes this call.
 		st.queue = append(st.queue, wal.BatchEntry{Type: typ, Data: data})
-		if len(st.queue) >= groupCommitAt {
-			err = st.flushLocked()
+		if len(st.queue) < groupCommitAt || !st.wrote("flush", "", st.flushLocked()) {
+			return
 		}
 	} else {
-		if err = st.flushLocked(); err == nil || errors.Is(err, wal.ErrClosed) {
-			_, err = st.log.Append(typ, data)
-			st.dirty++
+		st.wrote("flush before ", typ, st.flushLocked())
+		if _, err := st.log.Append(typ, data); !st.wrote("append ", typ, err) {
+			return
 		}
+		rec.apply(st.m)
+		st.dirty++
 	}
-	if err == nil && st.dirty >= st.snapEvery {
-		if serr := st.snapshotLocked(); serr != nil && !errors.Is(serr, wal.ErrClosed) {
-			st.logf("store: snapshot: %v", serr)
-		}
+	if st.dirty >= st.snapEvery {
+		st.wrote("snapshot", "", st.snapshotLocked())
 	}
-	st.mu.Unlock()
+}
+
+// wrote reports whether a WAL write succeeded, logging the failed operation
+// unless it is ErrClosed: appends arriving during shutdown are expected.
+func (st *store) wrote(op, typ string, err error) bool {
 	if err != nil && !errors.Is(err, wal.ErrClosed) {
-		st.logf("store: append %s: %v", typ, err)
+		st.logf("store: %s%s: %v", op, typ, err)
 	}
+	return err == nil
 }
 
 // snapshotLocked writes the mirror as a snapshot, letting the WAL truncate
@@ -535,14 +553,7 @@ func (r fleetCreatedRec) apply(m *mirror) {
 	m.NextFleetID = max(m.NextFleetID, numSuffix(r.ID))
 }
 
-func (r fleetMemberRec) apply(m *mirror) {
-	if f := m.Fleets[r.ID]; f != nil {
-		if r.Event.Seq == 0 {
-			f.Events = f.Events[:0]
-		}
-		f.Events = append(f.Events, r.Event)
-	}
-}
+func (fleetMemberRec) apply(*mirror) {}
 
 func (r fleetProvisionedRec) apply(m *mirror) {
 	if f := m.Fleets[r.ID]; f != nil {
@@ -692,15 +703,6 @@ func (st *store) watchDeployment(dep *deployment) {
 	}()
 }
 
-// attachFleet taps the fleet's aggregate journal so member lifecycle
-// entries persist past the ring's eviction.
-func (st *store) attachFleet(fr *fleetRecord) {
-	id := fr.ID
-	fr.Fleet.SetJournalSink(func(ev xcbc.Event) {
-		st.emit(recFleetMember, fleetMemberRec{ID: id, Event: eventInfoOf(ev)})
-	})
-}
-
 // traceHash is the rolling FNV-1a digest over a trace's JSONL prefix —
 // the replay oracle's fingerprint. Feeding it the same events in the same
 // order always lands on the same (cursor, sum) pairs, because the trace
@@ -763,7 +765,6 @@ func (st *store) materialize(report *RecoveryReport) error {
 	var fleets []fleetMirror
 	for _, f := range byNum(st.m.Fleets) {
 		cp := *f
-		cp.Events = slices.Clone(f.Events)
 		cp.Runs = make([]*runMirror, len(f.Runs))
 		for i, r := range f.Runs {
 			rc := *r
@@ -899,12 +900,9 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 		if err := fl.Provision(st.ctx); err != nil {
 			return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
 		}
-		st.attachFleet(fr)
 		if err := fl.Wait(st.ctx); err != nil {
 			return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
 		}
-	} else {
-		st.attachFleet(fr)
 	}
 
 	for _, rm := range m.Runs {

@@ -511,8 +511,8 @@ func TestOpenFailsStopOnUnreadableRecord(t *testing.T) {
 // TestLiveAndRecoveryApplyAgree walks one script covering all 15 record
 // types through two mirrors — one applying each typed value as emit does,
 // one applying decodeRecord of its marshalled bytes as recovery does — and
-// requires byte-identical mirror JSON after every step, each step having
-// changed the mirror.
+// requires byte-identical mirror JSON after every step, each step but the
+// retired fleet.member having changed the mirror.
 func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 	yes := true
 	now := time.Now() // carries a monotonic reading the log never sees
@@ -528,7 +528,7 @@ func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 		{recClusterOp, clusterOpRec{ID: "d7", Op: "updates", Policy: "notify", At: now}},
 		{recFleetCreated, fleetCreatedRec{ID: "f2", Name: "tiny", Created: now,
 			Req: createFleetRequest{Name: "tiny", Members: 2, Provision: &yes}}},
-		{recFleetMember, fleetMemberRec{ID: "f2", Event: eventInfo{Seq: 0, Stage: "member", Node: "m0"}}},
+		{recFleetMember, fleetMemberRec{}}, // still decoded (old DataDirs hold them), never applied
 		{recFleetProvisioned, fleetProvisionedRec{ID: "f2"}},
 		{recScenarioStarted, scenarioStartedRec{FleetID: "f2", RunID: "s1", Name: "tiny", Created: now,
 			Scenario: json.RawMessage("{ \"name\": \"<tiny>\",\n\t\"seed\": 7 }")}},
@@ -563,7 +563,7 @@ func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 		if string(a) != string(b) {
 			t.Fatalf("step %d %s: mirrors diverge\n live:      %s\n recovered: %s", i, step.typ, a, b)
 		}
-		if string(a) == prev {
+		if string(a) == prev && step.typ != recFleetMember {
 			t.Errorf("step %d %s left the mirror unchanged; the script no longer exercises it", i, step.typ)
 		}
 		prev = string(a)

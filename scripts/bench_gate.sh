@@ -46,6 +46,7 @@ run .                    'BenchmarkBuildXCBC'               200x
 run .                    'BenchmarkFleetProvision100$'      50x
 run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
+run .                    'BenchmarkAPIFleetScenarioOp$'     20x
 run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
 run ./internal/wal/      'BenchmarkWALAppend'               2000000x
 run ./internal/campaign/ 'BenchmarkCampaignSweep32$'        3x
