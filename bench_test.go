@@ -830,6 +830,23 @@ func benchmarkFleetProvision(b *testing.B, members int) {
 	b.ReportMetric(perClusterPolled, "bytes_per_cluster_polled")
 }
 
+// BenchmarkFleetNew100 constructs the campus-100 fleet and builds nothing:
+// the part of POST /api/v1/fleets that runs synchronously in the request,
+// which is the catalog machine built and resized once and cloned per
+// member.
+func BenchmarkFleetNew100(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := sdk.NewFleet(sdk.FleetSpec{
+			Name: "bench", Members: 100, Cluster: "littlefe", Nodes: 4,
+			Parallelism: 4, Workers: 8,
+		})
+		if err != nil || f.Len() != 100 {
+			b.Fatalf("NewFleet = %v, %v", f, err)
+		}
+	}
+}
+
 // BenchmarkFleetProvision1000 is the campus-100 shape scaled 10x: the
 // scaling criterion is wall-clock within ~10x of the 100-cluster run, i.e.
 // per-cluster cost stays flat as the fleet grows.

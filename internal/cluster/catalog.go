@@ -21,7 +21,7 @@ func NewLittleFe() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
 	c := New("LittleFe", "Indiana University", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, CeleronG1840, 1, 8).
+		n := NewNode(computeName(i), RoleCompute, CeleronG1840, 1, 8).
 			AddDisk(mSATA128).
 			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
 		c.AddCompute(n)
@@ -42,7 +42,7 @@ func NewLittleFeOriginal() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
 	c := New("LittleFe-v4-original", "Earlham College", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, AtomD510, 1, 2).
+		n := NewNode(computeName(i), RoleCompute, AtomD510, 1, 2).
 			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
 		c.AddCompute(n)
 	}
@@ -90,7 +90,7 @@ func NewKansas() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 10, Network: "private"})
 	c := New("KU Community Cluster", "University of Kansas", head, TenGigEthernet)
 	for i := 1; i <= 219; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, OpteronKU, 1, 32).
+		n := NewNode(computeName(i), RoleCompute, OpteronKU, 1, 32).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", GBits: 10, Network: "private"})
 		c.AddCompute(n)
@@ -108,7 +108,7 @@ func NewMontanaState() *Cluster {
 		AddNIC(NIC{Name: "ib0", GBits: 32, Network: "ib"})
 	c := New("Hyalite", "Montana State University", head, InfinibandQDR)
 	for i := 1; i <= 35; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, XeonE5_2670, 2, 64).
+		n := NewNode(computeName(i), RoleCompute, XeonE5_2670, 2, 64).
 			AddDisk(Disk{Model: "SATA 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "ib0", GBits: 32, Network: "ib"})
 		c.AddCompute(n)
@@ -129,7 +129,7 @@ func NewMarshall() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
 	c := New("Marshall BigGreen", "Marshall University", head, GigabitEthernet)
 	for i := 1; i <= 21; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, XeonX5650, 2, 48).
+		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 48).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
 		if i <= 8 {
@@ -156,7 +156,7 @@ func NewPBARC() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
 	c := New("PBARC", "Pacific Basin Agricultural Research Center (Univ. of Hawaii - Hilo)", head, GigabitEthernet)
 	for i := 1; i <= 15; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, XeonPBARC, 1, 32).
+		n := NewNode(computeName(i), RoleCompute, XeonPBARC, 1, 32).
 			AddDisk(Disk{Model: "SATA 2TB", SizeGB: 2000, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
 		if i <= 4 {
@@ -180,7 +180,7 @@ func NewHoward() *Cluster {
 		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
 	c := New("Howard Chemistry", "Howard University", head, GigabitEthernet)
 	for i := 1; i <= 7; i++ {
-		n := NewNode(fmt.Sprintf("compute-0-%d", i), RoleCompute, XeonX5650, 2, 24).
+		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 24).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
 		c.AddCompute(n)

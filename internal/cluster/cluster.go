@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -47,7 +48,27 @@ func (c *Cluster) AddCompute(nodes ...*Node) *Cluster {
 	return c
 }
 
-// Nodes returns all nodes, frontend first.
+// Clone returns an independent copy of c's hardware description — the
+// way a fleet stamps its members from one template. Every node of the copy
+// lives in one slab, powered off and bare metal, so a clone costs three
+// allocations however many nodes it has.
+func (c *Cluster) Clone() *Cluster {
+	out := *c
+	slab := make([]Node, c.NodeCount())
+	out.Frontend, out.Computes = nil, make([]*Node, len(c.Computes))
+	if c.Frontend != nil {
+		c.Frontend.cloneHardware(&slab[0])
+		out.Frontend, slab = &slab[0], slab[1:]
+	}
+	for i, n := range c.Computes {
+		n.cloneHardware(&slab[i])
+		out.Computes[i] = &slab[i]
+	}
+	return &out
+}
+
+// Nodes returns all nodes, frontend first, in a fresh slice the caller may
+// keep or reorder; code inside a poll or a kickstart ranges over All.
 func (c *Cluster) Nodes() []*Node {
 	out := make([]*Node, 0, len(c.Computes)+1)
 	if c.Frontend != nil {
@@ -57,12 +78,32 @@ func (c *Cluster) Nodes() []*Node {
 	return out
 }
 
+// All iterates every node, frontend first, without the copy Nodes makes:
+// what the per-poll and per-kickstart paths range over.
+func (c *Cluster) All() iter.Seq[*Node] {
+	return func(yield func(*Node) bool) {
+		if c.Frontend != nil && !yield(c.Frontend) {
+			return
+		}
+		for _, n := range c.Computes {
+			if !yield(n) {
+				return
+			}
+		}
+	}
+}
+
 // NodeCount returns the total number of nodes.
-func (c *Cluster) NodeCount() int { return len(c.Nodes()) }
+func (c *Cluster) NodeCount() int {
+	if c.Frontend == nil {
+		return len(c.Computes)
+	}
+	return len(c.Computes) + 1
+}
 
 // Lookup finds a node by name.
 func (c *Cluster) Lookup(name string) (*Node, bool) {
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		if n.Name == name {
 			return n, true
 		}
@@ -73,7 +114,7 @@ func (c *Cluster) Lookup(name string) (*Node, bool) {
 // Cores returns the total core count across all nodes.
 func (c *Cluster) Cores() int {
 	total := 0
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		total += n.Cores()
 	}
 	return total
@@ -92,7 +133,7 @@ func (c *Cluster) ComputeCores() int {
 // nodes, the quantity Tables 3-5 call Rpeak.
 func (c *Cluster) RpeakGFLOPS() float64 {
 	total := 0.0
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		total += n.GFLOPS()
 	}
 	return total
@@ -101,7 +142,7 @@ func (c *Cluster) RpeakGFLOPS() float64 {
 // DrawWatts returns the cluster's current total power draw.
 func (c *Cluster) DrawWatts() float64 {
 	total := 0.0
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		total += n.DrawWatts()
 	}
 	return total
@@ -110,7 +151,7 @@ func (c *Cluster) DrawWatts() float64 {
 // EnergyWh returns total accumulated energy across nodes.
 func (c *Cluster) EnergyWh() float64 {
 	total := 0.0
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		total += n.EnergyWh()
 	}
 	return total
@@ -118,7 +159,7 @@ func (c *Cluster) EnergyWh() float64 {
 
 // PowerOnAll powers every node on.
 func (c *Cluster) PowerOnAll() {
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		n.SetPower(PowerOn)
 	}
 }
@@ -138,8 +179,8 @@ func (c *Cluster) Validate() error {
 	if c.Frontend == nil {
 		return fmt.Errorf("cluster %s: no frontend", c.Name)
 	}
-	seen := make(map[string]bool)
-	for _, n := range c.Nodes() {
+	seen := make(map[string]bool, c.NodeCount())
+	for n := range c.All() {
 		if seen[n.Name] {
 			return fmt.Errorf("cluster %s: duplicate node name %s", c.Name, n.Name)
 		}
@@ -164,7 +205,7 @@ func (c *Cluster) Summary() string {
 // reports).
 func (c *Cluster) SortedNodeNames() []string {
 	names := make([]string, 0, c.NodeCount())
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		names = append(names, n.Name)
 	}
 	sort.Strings(names)

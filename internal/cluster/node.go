@@ -65,7 +65,7 @@ type Node struct {
 
 	mu        sync.Mutex
 	power     PowerState
-	packages  *rpm.DB
+	packages  *rpm.DB // nil while bare metal and unread; see Packages
 	services  map[string]bool
 	attrs     map[string]string
 	os        string // installed operating system, "" if bare metal
@@ -86,14 +86,18 @@ func NewNode(name string, role Role, cpu CPUModel, sockets, ramGB int) *Node {
 	if sockets < 1 {
 		sockets = 1
 	}
-	return &Node{
-		Name:     name,
-		Role:     role,
-		CPU:      cpu,
-		Sockets:  sockets,
-		RAMGB:    ramGB,
-		packages: rpm.NewDB(),
-	}
+	return &Node{Name: name, Role: role, CPU: cpu, Sockets: sockets, RAMGB: ramGB}
+}
+
+// cloneHardware copies n's hardware description into dst, which comes out
+// powered off and bare metal whatever state n is in. The component lists
+// are immutable once attached, so dst shares them at full capacity: an
+// Add* on either side reallocates instead of writing through.
+func (n *Node) cloneHardware(dst *Node) {
+	dst.Name, dst.Role, dst.CPU, dst.Sockets, dst.RAMGB = n.Name, n.Role, n.CPU, n.Sockets, n.RAMGB
+	dst.Disks = n.Disks[:len(n.Disks):len(n.Disks)]
+	dst.NICs = n.NICs[:len(n.NICs):len(n.NICs)]
+	dst.Accels = n.Accels[:len(n.Accels):len(n.Accels)]
 }
 
 // mutableServices returns the services map ready for writing: detached from
@@ -251,10 +255,15 @@ func (n *Node) EnergyWh() float64 {
 	return n.energyWh
 }
 
-// Packages returns the node's installed-package database.
+// Packages returns the node's installed-package database. A bare-metal
+// node gets its (empty) database the first time someone asks, so creating
+// a node and wiping it for a kickstart cost one database, not two.
 func (n *Node) Packages() *rpm.DB {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.packages == nil {
+		n.packages = rpm.NewDB()
+	}
 	return n.packages
 }
 
@@ -262,7 +271,7 @@ func (n *Node) Packages() *rpm.DB {
 func (n *Node) WipePackages() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.packages = rpm.NewDB()
+	n.packages = nil
 	n.os = ""
 	n.services = nil
 	n.servicesShared = false

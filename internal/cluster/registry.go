@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // The catalog registry maps the short names used by the SDK, the fleet
@@ -49,6 +50,9 @@ func FromCatalog(name string) (*Cluster, error) {
 	return build(), nil
 }
 
+// computeName is the Rocks name of rack 0's i-th compute node.
+func computeName(i int) string { return "compute-0-" + strconv.Itoa(i) }
+
 // ResizeComputes grows or shrinks a cluster's compute set to n nodes,
 // cloning the hardware description of the last compute node for growth.
 // The frontend is not counted.
@@ -65,23 +69,16 @@ func ResizeComputes(hw *Cluster, n int) error {
 	}
 	tmpl := hw.Computes[len(hw.Computes)-1]
 	for i := len(hw.Computes); i < n; i++ {
-		name := fmt.Sprintf("compute-0-%d", i+1)
+		name := computeName(i + 1)
 		for j := 0; ; j++ {
 			if _, taken := hw.Lookup(name); !taken {
 				break
 			}
-			name = fmt.Sprintf("compute-0-%d", i+2+j)
+			name = computeName(i + 2 + j)
 		}
-		clone := NewNode(name, RoleCompute, tmpl.CPU, tmpl.Sockets, tmpl.RAMGB)
-		for _, d := range tmpl.Disks {
-			clone.AddDisk(d)
-		}
-		for _, nic := range tmpl.NICs {
-			clone.AddNIC(nic)
-		}
-		for _, a := range tmpl.Accels {
-			clone.AddAccelerator(a)
-		}
+		clone := &Node{}
+		tmpl.cloneHardware(clone)
+		clone.Name, clone.Role = name, RoleCompute
 		hw.AddCompute(clone)
 	}
 	return nil

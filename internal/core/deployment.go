@@ -111,7 +111,7 @@ func PreflightXCBC(c *cluster.Cluster) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		if !n.HasDisk() {
 			return fmt.Errorf("core: XCBC preflight: %w: node %s", provision.ErrDiskless, n.Name)
 		}

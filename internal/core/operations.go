@@ -41,11 +41,7 @@ var DefaultAlertRules = []monitor.Rule{
 // an independent adapter; callers that need mutual exclusion across several
 // consumers must share one (the SDK caches one per Deployment).
 func NewOperations(d *Deployment) *Operations {
-	am := monitor.NewAlertManager(d.Monitor)
-	for _, r := range DefaultAlertRules {
-		am.AddRule(r)
-	}
-	return &Operations{d: d, alerts: am}
+	return &Operations{d: d, alerts: monitor.NewAlertManager(d.Monitor, DefaultAlertRules...)}
 }
 
 // Deployment returns the adapted deployment. Mutating it while other
@@ -153,6 +149,16 @@ func (o *Operations) Jobs() []JobView {
 	return out
 }
 
+// JobCount returns len(Jobs()) without snapshotting any job.
+func (o *Operations) JobCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.d.Batch == nil {
+		return 0
+	}
+	return o.d.Batch.JobCount()
+}
+
 // FailNode marks a compute node failed — powered off, its running jobs
 // requeued, the node out of the schedulable pool — behind the adapter's
 // serialization. It is the day-2 fault-injection seam scenario scripts use.
@@ -241,7 +247,11 @@ func (o *Operations) snapshot(now sim.Time) MetricsSnapshot {
 		ClusterLoad:  agg.ClusterLoad(),
 		ActiveAlerts: o.alerts.Active(),
 	}
-	for _, h := range agg.Hosts() {
+	hosts := agg.Hosts()
+	if len(hosts) > 0 {
+		snap.Nodes = make([]NodeMetrics, 0, len(hosts))
+	}
+	for _, h := range hosts {
 		nm := NodeMetrics{Host: h}
 		if s := agg.Series(h, "load_one"); s != nil {
 			if m, ok := s.Latest(); ok {

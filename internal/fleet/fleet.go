@@ -1,7 +1,7 @@
 // Package fleet manages many simulated clusters as one unit: N members,
 // each with its own hardware description and discrete-event engine, built
-// concurrently through the orchestrator's bounded worker pool and operated
-// through the day-2 Operations adapter once ready.
+// concurrently by a bounded set of worker goroutines and operated through
+// the day-2 Operations adapter once ready.
 //
 // A fleet is what the paper's XSEDE team actually ran: the same recipe
 // stamped out across many campuses, each with its own failure conditions.
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -118,17 +119,17 @@ func (s Spec) Validate() error {
 // XNIT repository. All methods are safe for concurrent use.
 type Fleet struct {
 	spec    Spec
-	orch    *orchestrator.Orchestrator
 	journal *orchestrator.Journal
 	members []*Member
+	next    atomic.Int64 // index of the next member a build worker takes
 
-	// Lock-free settle rollup: each member's watcher bumps exactly one of
-	// ready/failed/cancelled (plus quarantined for ready members) as the
-	// build settles. Once the three sum to len(members), Status can answer
-	// from these counters alone instead of scanning every member's job
-	// mutex — the scan is what 8+ builder workers and pollers contended on
-	// at 10k members. Until then Status falls back to the scan, so the
-	// counters only ever serve a fully settled fleet.
+	// Lock-free settle rollup: the worker that ran a member's build bumps
+	// exactly one of ready/failed/cancelled (plus quarantined for ready
+	// members) as the build settles. Once the three sum to len(members),
+	// Status can answer from these counters alone instead of scanning every
+	// member's job mutex — the scan is what 8+ builder workers and pollers
+	// contended on at 10k members. Until then Status falls back to the
+	// scan, so the counters only ever serve a fully settled fleet.
 	readyCount       atomic.Int64
 	failedCount      atomic.Int64
 	cancelledCount   atomic.Int64
@@ -142,42 +143,49 @@ type Fleet struct {
 	xnitErr  error
 }
 
-// New assembles a fleet from a spec: member hardware is stamped out
-// immediately (so Hardware is inspectable before any build), builds start
-// only at Provision.
+// New assembles a fleet from a spec: the catalog machine is built and
+// resized once and every member's hardware is cloned from that template
+// immediately (so Hardware is inspectable before any build); builds start
+// only at Provision. A member owns its nodes and everything a build writes
+// to them; it shares with the template only the immutable component lists
+// (see cluster.Clone).
 func New(spec Spec) (*Fleet, error) {
 	s := spec.withDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	template, err := cluster.FromCatalog(s.Cluster)
+	if err == nil && s.Nodes > 0 {
+		err = cluster.ResizeComputes(template, s.Nodes)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
 	f := &Fleet{
 		spec: s,
-		orch: orchestrator.New(s.Workers),
 		// One lifecycle entry per member plus slack for fleet-level notes,
-		// bounded so a 10k-member fleet retains a fixed-size ring (a durable
-		// store taps SetSink to keep the full history; the ring is a recent
-		// window with cursor-safe eviction via Since).
+		// bounded so a 10k-member fleet retains a fixed-size ring: a recent
+		// window with cursor-safe eviction via Since. Nothing keeps the
+		// evicted history; per-member state is the durable record.
 		journal: orchestrator.NewJournal(aggregateJournalCap(s.Members)),
 	}
+	slab := make([]Member, s.Members)
 	f.members = make([]*Member, s.Members)
-	for i := range f.members {
-		hw, err := cluster.FromCatalog(s.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		if s.Nodes > 0 {
-			if err := cluster.ResizeComputes(hw, s.Nodes); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-			}
-		}
-		f.members[i] = &Member{
-			Index: i,
-			ID:    fmt.Sprintf("%s-%03d", s.Name, i),
-			fleet: f,
-			hw:    hw,
-		}
+	for i := range slab {
+		slab[i] = Member{Index: i, ID: memberID(s.Name, i), fleet: f, hw: template.Clone()}
+		f.members[i] = &slab[i]
 	}
 	return f, nil
+}
+
+// memberID is fmt.Sprintf("%s-%03d", name, i) in one allocation.
+func memberID(name string, i int) string {
+	var buf [48]byte
+	id := append(append(buf[:0], name...), '-')
+	for pad := 100; pad > 1 && i < pad; pad /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(i), 10))
 }
 
 // maxAggregateJournalCap bounds the aggregate journal ring regardless of
@@ -223,38 +231,49 @@ func (f *Fleet) Provisioned() bool {
 // and is NOT deterministic — use per-member state for reproducible output.
 func (f *Fleet) Journal() *orchestrator.Journal { return f.journal }
 
-// Provision submits every member's build onto the fleet's worker pool and
-// returns immediately; at most Spec.Workers builds run concurrently while
-// the rest queue pending. Use Wait to block for the whole fleet. A second
-// call fails with ErrAlreadyProvisioned.
+// Provision creates every member's build job and returns immediately while
+// min(Spec.Workers, members) goroutines run them: each takes the next
+// member index, runs that build on its own stack, settles it, and exits
+// when the indexes run out. The rest stay pending until a worker reaches
+// them — a cancelled one then settles without building. Use Wait to block
+// for the whole fleet. A second call fails with ErrAlreadyProvisioned.
 func (f *Fleet) Provision(ctx context.Context) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.provisioned {
-		f.mu.Unlock()
 		return ErrAlreadyProvisioned
 	}
 	f.provisioned = true
-	f.mu.Unlock()
 	for _, m := range f.members {
-		m.submit(ctx, f.orch, f.spec)
-		go f.watch(m)
+		m.newJob(ctx)
+	}
+	for range min(f.spec.Workers, len(f.members)) {
+		go func() {
+			for {
+				i := int(f.next.Add(1)) - 1
+				if i >= len(f.members) {
+					return
+				}
+				f.members[i].job.Run()
+				f.settle(f.members[i])
+			}
+		}()
 	}
 	return nil
 }
 
-// watch appends one aggregate journal entry when a member's build settles
-// and folds the member into the lock-free settle rollup.
-func (f *Fleet) watch(m *Member) {
-	<-m.job.Done()
-	st := m.job.State()
+// settle folds a member whose build just ended into the lock-free rollup
+// and appends its aggregate journal entry.
+func (f *Fleet) settle(m *Member) {
+	st, result, err := m.job.Outcome()
 	msg := st.String()
-	if d, ok := m.coreDeployment(); ok {
+	if d, ok := result.(*core.Deployment); ok {
 		msg = fmt.Sprintf("%s: %d packages in %v (simulated)", st, d.PackagesInstalled, d.InstallDuration)
 		if len(d.Quarantined) > 0 {
 			msg += fmt.Sprintf(", %d quarantined", len(d.Quarantined))
 		}
 		f.quarantinedCount.Add(int64(len(d.Quarantined)))
-	} else if err := m.job.Err(); err != nil {
+	} else if err != nil {
 		msg = fmt.Sprintf("%s: %v", st, err)
 	}
 	switch st {
@@ -273,10 +292,7 @@ func (f *Fleet) watch(m *Member) {
 // member build error (members that merely got cancelled surface their
 // context error).
 func (f *Fleet) Wait(ctx context.Context) error {
-	f.mu.Lock()
-	started := f.provisioned
-	f.mu.Unlock()
-	if !started {
+	if !f.Provisioned() {
 		return ErrNotProvisioned
 	}
 	var firstErr error
@@ -297,12 +313,7 @@ func (f *Fleet) Wait(ctx context.Context) error {
 // unaffected. Safe before Provision (a no-op).
 func (f *Fleet) Cancel() {
 	for _, m := range f.members {
-		m.mu.Lock()
-		job := m.job
-		m.mu.Unlock()
-		if job != nil {
-			job.Cancel()
-		}
+		m.Cancel()
 	}
 }
 
@@ -324,7 +335,7 @@ func (s Status) Settled() bool {
 
 // Status counts members by state. Members not yet provisioned count as
 // pending. Once every member has settled, the answer comes from the
-// watchers' atomic rollup without touching any per-member lock.
+// workers' atomic rollup without touching any per-member lock.
 func (f *Fleet) Status() Status {
 	ready := f.readyCount.Load()
 	failed := f.failedCount.Load()
@@ -340,14 +351,18 @@ func (f *Fleet) Status() Status {
 	}
 	st := Status{Members: len(f.members)}
 	for _, m := range f.members {
-		switch m.State() {
+		state, result := orchestrator.StatePending, any(nil)
+		if job := m.currentJob(); job != nil {
+			state, result, _ = job.Outcome()
+		}
+		switch state {
 		case orchestrator.StatePending:
 			st.Pending++
 		case orchestrator.StateBuilding:
 			st.Building++
 		case orchestrator.StateReady:
 			st.Ready++
-			if d, ok := m.coreDeployment(); ok {
+			if d, ok := result.(*core.Deployment); ok {
 				st.Quarantined += len(d.Quarantined)
 			}
 		case orchestrator.StateFailed:
@@ -408,118 +423,96 @@ func (m *Member) runHook(node string, attempt int) error {
 	return fn(node, attempt)
 }
 
-// submit queues the member's build on the pool.
-func (m *Member) submit(ctx context.Context, orch *orchestrator.Orchestrator, spec Spec) {
-	eng := sim.NewEngine()
-	hw := m.hw
-	opts := core.Options{
-		Scheduler:   spec.Scheduler,
-		Parallelism: spec.Parallelism,
-		Retries:     spec.Retries,
-		InstallHook: m.runHook,
-	}
-	job := orch.Submit(ctx, m.ID, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
-		o := opts
-		o.Progress = func(ev core.BuildEvent) {
-			emit(orchestrator.Event{Stage: ev.Stage, Node: ev.Node, Message: ev.Message,
-				Packages: ev.Packages, Elapsed: ev.Elapsed})
-		}
-		return core.BuildXCBCContext(jctx, eng, hw, o)
+// newJob creates the member's build job, pending until a fleet worker runs
+// it; the engine and everything else the build needs are allocated when it
+// starts, on the worker.
+func (m *Member) newJob(ctx context.Context) {
+	spec := &m.fleet.spec
+	job := orchestrator.NewJob(ctx, m.ID, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
+		return core.BuildXCBCContext(jctx, sim.NewEngine(), m.hw, core.Options{
+			Scheduler:   spec.Scheduler,
+			Parallelism: spec.Parallelism,
+			Retries:     spec.Retries,
+			InstallHook: m.runHook,
+			Progress: func(ev core.BuildEvent) {
+				emit(orchestrator.Event{Stage: ev.Stage, Node: ev.Node, Message: ev.Message,
+					Packages: ev.Packages, Elapsed: ev.Elapsed})
+			},
+		})
 	})
+	// A clean build journals the distribution, the frontend, each compute,
+	// each wave when kickstarts overlap, and the subsystems.
+	events := 3 + len(m.hw.Computes)
+	if spec.Parallelism > 1 {
+		events += (len(m.hw.Computes) + spec.Parallelism - 1) / spec.Parallelism
+	}
+	job.Journal().Reserve(events)
 	m.mu.Lock()
 	m.job = job
 	m.mu.Unlock()
 }
 
+// currentJob returns the member's build job, nil before Provision.
+func (m *Member) currentJob() *orchestrator.Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.job
+}
+
 // State returns the member's build lifecycle state (StatePending before
 // Provision).
 func (m *Member) State() orchestrator.State {
-	m.mu.Lock()
-	job := m.job
-	m.mu.Unlock()
-	if job == nil {
-		return orchestrator.StatePending
+	if job := m.currentJob(); job != nil {
+		return job.State()
 	}
-	return job.State()
+	return orchestrator.StatePending
 }
 
 // Err returns the member's terminal build error, nil while in flight and
 // on success.
 func (m *Member) Err() error {
-	m.mu.Lock()
-	job := m.job
-	m.mu.Unlock()
-	if job == nil {
-		return nil
+	if job := m.currentJob(); job != nil {
+		return job.Err()
 	}
-	return job.Err()
+	return nil
 }
 
 // Events returns the member's build journal from cursor, plus the next
 // cursor; empty before Provision.
 func (m *Member) Events(cursor int) ([]orchestrator.Event, int) {
-	m.mu.Lock()
-	job := m.job
-	m.mu.Unlock()
-	if job == nil {
-		return nil, cursor
+	if job := m.currentJob(); job != nil {
+		return job.Events(cursor)
 	}
-	return job.Events(cursor)
+	return nil, cursor
 }
 
 // Cancel asks the member's build to stop; a no-op before Provision and
 // after a terminal state.
 func (m *Member) Cancel() {
-	m.mu.Lock()
-	job := m.job
-	m.mu.Unlock()
-	if job != nil {
+	if job := m.currentJob(); job != nil {
 		job.Cancel()
 	}
 }
 
-// coreDeployment returns the built deployment once ready.
-func (m *Member) coreDeployment() (*core.Deployment, bool) {
-	m.mu.Lock()
-	job := m.job
-	m.mu.Unlock()
-	if job == nil {
-		return nil, false
-	}
-	result, ok := job.Result()
-	if !ok {
-		return nil, false
-	}
-	d, ok := result.(*core.Deployment)
-	return d, ok
-}
-
 // Deployment returns the member's built deployment and true once the build
 // is ready; nil and false before that. It never blocks.
-func (m *Member) Deployment() (*core.Deployment, bool) { return m.coreDeployment() }
+func (m *Member) Deployment() (*core.Deployment, bool) {
+	if job := m.currentJob(); job != nil {
+		if result, ok := job.Result(); ok {
+			d, ok := result.(*core.Deployment)
+			return d, ok
+		}
+	}
+	return nil, false
+}
 
 // Operations returns the member's day-2 adapter, created once per member
 // so every consumer shares one serialization point over the member's
 // engine. It fails with ErrMemberNotReady until the build settles ready.
 func (m *Member) Operations() (*core.Operations, error) {
-	m.mu.Lock()
-	if m.ops != nil {
-		ops := m.ops
-		m.mu.Unlock()
-		return ops, nil
-	}
-	job := m.job
-	m.mu.Unlock()
-	if job == nil {
-		return nil, fmt.Errorf("%w: %s not provisioned", ErrMemberNotReady, m.ID)
-	}
-	result, ok := job.Result()
+	d, ok := m.Deployment()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s is %s", ErrMemberNotReady, m.ID, job.State())
-	}
-	d, ok := result.(*core.Deployment)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s build produced no deployment", ErrMemberNotReady, m.ID)
+		return nil, fmt.Errorf("%w: %s is %s", ErrMemberNotReady, m.ID, m.State())
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -534,7 +527,7 @@ func (m *Member) Operations() (*core.Operations, error) {
 // possible. The repository object is shared across the fleet; repo.Set is
 // concurrency-safe, and each member gets its own Set entry.
 func (m *Member) AdoptXNIT() error {
-	d, ok := m.coreDeployment()
+	d, ok := m.Deployment()
 	if !ok {
 		return fmt.Errorf("%w: %s is %s", ErrMemberNotReady, m.ID, m.State())
 	}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -70,6 +71,8 @@ type AlertManager struct {
 	// default 3.
 	DownAfter int
 
+	// Both maps are nil until first written: a healthy cluster never raises
+	// an alert, and one nobody polls never records a sighting.
 	active   map[alertKey]bool // firing alerts
 	lastSeen map[string]sim.Time
 	log      []Alert
@@ -78,14 +81,10 @@ type AlertManager struct {
 // alertKey names one firing alert; Active renders it as "host/rule".
 type alertKey struct{ host, rule string }
 
-// NewAlertManager creates an alert manager over an aggregator.
-func NewAlertManager(agg *Aggregator) *AlertManager {
-	return &AlertManager{
-		agg:       agg,
-		DownAfter: 3,
-		active:    make(map[alertKey]bool),
-		lastSeen:  make(map[string]sim.Time),
-	}
+// NewAlertManager creates an alert manager over an aggregator, evaluating
+// the given threshold rules (AddRule adds more).
+func NewAlertManager(agg *Aggregator, rules ...Rule) *AlertManager {
+	return &AlertManager{agg: agg, DownAfter: 3, rules: slices.Clone(rules)}
 }
 
 // AddRule registers a threshold rule.
@@ -101,7 +100,11 @@ func (am *AlertManager) AddRule(r Rule) {
 func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	for _, host := range am.agg.Hosts() {
+	hosts := am.agg.Hosts()
+	if am.lastSeen == nil {
+		am.lastSeen = make(map[string]sim.Time, len(hosts))
+	}
+	for _, host := range hosts {
 		// Track freshness using any metric's latest timestamp.
 		if s := am.agg.Series(host, "cpu_num"); s != nil {
 			if m, ok := s.Latest(); ok {
@@ -122,7 +125,7 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 			key := alertKey{host, r.Name}
 			firing := r.violated(m.Value)
 			if firing && !am.active[key] {
-				am.active[key] = true
+				am.raise(key)
 				am.log = append(am.log, Alert{At: now, Host: host, Rule: r.Name, Firing: true,
 					Detail: fmt.Sprintf("%s = %.2f %s %.2f", r.Metric, m.Value, r.Cond, r.Threshold)})
 			}
@@ -136,7 +139,7 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 		key := alertKey{host, "host-down"}
 		silent := now-am.lastSeen[host] >= sim.Time(am.DownAfter)*interval
 		if silent && !am.active[key] {
-			am.active[key] = true
+			am.raise(key)
 			am.log = append(am.log, Alert{At: now, Host: host, Rule: "host-down", Firing: true,
 				Detail: fmt.Sprintf("no samples for %v", (now - am.lastSeen[host]).Duration())})
 		}
@@ -146,6 +149,14 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 				Detail: "reporting again"})
 		}
 	}
+}
+
+// raise marks an alert firing. am.mu held.
+func (am *AlertManager) raise(key alertKey) {
+	if am.active == nil {
+		am.active = make(map[alertKey]bool)
+	}
+	am.active[key] = true
 }
 
 // Active returns currently firing alert keys, sorted.

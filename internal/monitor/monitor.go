@@ -170,6 +170,8 @@ type Aggregator struct {
 	mu       sync.Mutex
 	cluster  *cluster.Cluster
 	hosts    []*hostSeries // sorted by name; a host joins at its first sample
+	spare    []hostSeries  // slots not yet handed out, see slot
+	first    []point       // first points not yet handed out
 	capacity int
 	load     LoadFunc
 	polls    int
@@ -187,7 +189,7 @@ func (a *Aggregator) Poll(now sim.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.polls++
-	for _, n := range a.cluster.Nodes() {
+	for n := range a.cluster.All() {
 		if n.Power() != cluster.PowerOn {
 			continue
 		}
@@ -228,18 +230,38 @@ func (a *Aggregator) find(host string) (int, bool) {
 	return sort.Find(len(a.hosts), func(i int) int { return strings.Compare(host, a.hosts[i].name) })
 }
 
-// slot returns host's slot, inserting it in name order on first use.
-// a.mu held.
+// slot returns host's slot, inserting it in name order on first use. The
+// first host to report sizes everything from the cluster's node count: one
+// slab of slots, and one of first points that each series starts in (and
+// leaves when it grows), so a cluster's first poll is a handful of
+// allocations however many nodes it has. A slot never moves once handed
+// out; hosts beyond the slab (nodes added since) get their own. a.mu held.
 func (a *Aggregator) slot(host string) *hostSeries {
 	i, ok := a.find(host)
-	if !ok {
-		h := &hostSeries{name: host}
-		for m := range h.series {
-			h.series[m].capacity = a.capacity
-		}
-		a.hosts = slices.Insert(a.hosts, i, h)
+	if ok {
+		return a.hosts[i]
 	}
-	return a.hosts[i]
+	if a.hosts == nil {
+		n := a.cluster.NodeCount()
+		a.hosts = make([]*hostSeries, 0, n)
+		a.spare = make([]hostSeries, n)
+		a.first = make([]point, n*numMetrics)
+	}
+	var h *hostSeries
+	if len(a.spare) > 0 {
+		h, a.spare = &a.spare[0], a.spare[1:]
+		for m := range h.series {
+			h.series[m].points, a.first = a.first[:0:1], a.first[1:]
+		}
+	} else {
+		h = new(hostSeries)
+	}
+	h.name = host
+	for m := range h.series {
+		h.series[m].capacity = a.capacity
+	}
+	a.hosts = slices.Insert(a.hosts, i, h)
+	return h
 }
 
 // Polls returns how many poll rounds have run.

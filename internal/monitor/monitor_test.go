@@ -236,3 +236,66 @@ func TestAggregatorHostsSortedAsTheyJoin(t *testing.T) {
 		t.Fatal("unknown metric should have no series")
 	}
 }
+
+// TestPollAllocations pins what PR 17 and the fleet diet won: a cluster's
+// first poll sizes every host's slot and first point from the node count
+// (a handful of slabs, not one object per host and per series), and a warm
+// poll allocates nothing at all.
+func TestPollAllocations(t *testing.T) {
+	c := cluster.NewLittleFe()
+	if err := cluster.ResizeComputes(c, 4); err != nil { // the campus-100 member: 5 nodes
+		t.Fatal(err)
+	}
+	c.PowerOnAll()
+	if n := testing.AllocsPerRun(50, func() { NewAggregator(c, 1024, nil).Poll(0) }); n > 8 {
+		t.Errorf("first poll of a %d-node cluster allocates %v times, want at most 8", c.NodeCount(), n)
+	}
+	agg := NewAggregator(c, 4, func(string) float64 { return 0.5 })
+	for i := 0; i < 4; i++ {
+		agg.Poll(sim.Time(i)) // fill the rings
+	}
+	now := sim.Time(4)
+	if n := testing.AllocsPerRun(50, func() { agg.Poll(now); now++ }); n != 0 {
+		t.Errorf("a warm poll allocates %v times, want 0", n)
+	}
+}
+
+// TestSeriesPointersSurviveLateHosts: slots come out of one slab, so a
+// *Series handed out before a powered-off host first reports must still be
+// the live series afterwards, and a node added after the first poll — past
+// the slab — must get a slot of its own.
+func TestSeriesPointersSurviveLateHosts(t *testing.T) {
+	c := cluster.NewLittleFe()
+	c.PowerOnAll()
+	late := c.Computes[0] // sorts before every other compute: forces an insert
+	late.SetPower(cluster.PowerOff)
+	agg := NewAggregator(c, 8, nil)
+	agg.Poll(1)
+	held := agg.Series("compute-0-5", "cpu_num")
+	head := agg.Series("littlefe-head", "power_watts")
+	if held == nil || head == nil || agg.Series(late.Name, "cpu_num") != nil {
+		t.Fatal("unexpected series before the late host reports")
+	}
+	late.SetPower(cluster.PowerOn)
+	extra := cluster.NewNode("compute-0-0", cluster.RoleCompute, cluster.CeleronG1840, 1, 8).
+		AddNIC(cluster.NIC{Name: "eth0", Network: "private"})
+	extra.SetPower(cluster.PowerOn)
+	c.AddCompute(extra)
+	for now := sim.Time(2); now < 6; now++ {
+		agg.Poll(now)
+	}
+	if got := agg.Series("compute-0-5", "cpu_num"); got != held || held.Len() != 5 {
+		t.Errorf("series moved or stopped: %p len %d, held %p len %d", got, got.Len(), held, held.Len())
+	}
+	if head.Len() != 5 {
+		t.Errorf("head series holds %d samples, want 5", head.Len())
+	}
+	for _, host := range []string{late.Name, extra.Name} {
+		if s := agg.Series(host, "load_one"); s == nil || s.Len() != 4 {
+			t.Errorf("%s: late host has no series or the wrong length", host)
+		}
+	}
+	if got, want := agg.Hosts(), c.SortedNodeNames(); !slices.Equal(got, want) {
+		t.Errorf("hosts = %v, want %v", got, want)
+	}
+}

@@ -38,10 +38,14 @@ type Journal struct {
 // NewJournal returns a journal holding at most capacity events; capacity
 // <= 0 selects DefaultJournalCap.
 func NewJournal(capacity int) *Journal {
+	return &Journal{cap: journalCapOf(capacity)}
+}
+
+func journalCapOf(capacity int) int {
 	if capacity <= 0 {
-		capacity = DefaultJournalCap
+		return DefaultJournalCap
 	}
-	return &Journal{cap: capacity}
+	return capacity
 }
 
 // SetSink registers a function invoked with every subsequently appended
@@ -53,6 +57,17 @@ func (j *Journal) SetSink(fn func(Event)) {
 	j.mu.Lock()
 	j.sink = fn
 	j.mu.Unlock()
+}
+
+// Reserve sizes the ring's storage for n further events (clipped to the
+// capacity), so a writer that knows its event count allocates once instead
+// of doubling up to it.
+func (j *Journal) Reserve(n int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n = min(len(j.buf)+n, j.cap); n > cap(j.buf) {
+		j.buf = append(make([]Event, 0, n), j.buf...)
+	}
 }
 
 // Append records an event, evicting the oldest entry if the ring is full,

@@ -79,35 +79,43 @@ func (o *Orchestrator) Workers() int { return cap(o.sem) }
 // ctx — or calling Job.Cancel — moves the job toward StateCancelled.
 // journalCap bounds the job's event journal (<= 0 selects the default).
 func (o *Orchestrator) Submit(ctx context.Context, name string, journalCap int, fn BuildFunc) *Job {
-	jctx, cancel := context.WithCancel(ctx)
-	j := &Job{
-		name:    name,
-		journal: NewJournal(journalCap),
-		state:   StatePending,
-		done:    make(chan struct{}),
-		cancel:  cancel,
-		subs:    make(map[int]chan struct{}),
-	}
+	j := NewJob(ctx, name, journalCap, fn)
 	go func() {
-		defer cancel()
 		// Wait for a worker slot; a cancellation that lands first ends the
 		// job without it ever running.
 		select {
 		case o.sem <- struct{}{}:
 			defer func() { <-o.sem }()
-		case <-jctx.Done():
-			j.finish(nil, jctx.Err())
-			return
+		case <-j.ctx.Done():
 		}
-		if err := jctx.Err(); err != nil {
-			j.finish(nil, err)
-			return
-		}
-		j.setState(StateBuilding)
-		result, err := runBuild(jctx, fn, j.emit)
-		j.finish(result, err)
+		j.Run()
 	}()
 	return j
+}
+
+// NewJob returns a job in StatePending that runs when its owner calls Run —
+// on a goroutine the owner already has, which is how a fleet builds
+// thousands of members on a handful of workers. Submit is NewJob plus a
+// goroutine that takes a pool slot and calls Run.
+func NewJob(ctx context.Context, name string, journalCap int, fn BuildFunc) *Job {
+	j := &Job{name: name, fn: fn, journal: Journal{cap: journalCapOf(journalCap)}, done: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancel(ctx)
+	return j
+}
+
+// Run executes the job on the calling goroutine and returns once it is
+// terminal: pending → building → ready | failed | cancelled. A job whose
+// context was cancelled before Run never builds. Call it once.
+func (j *Job) Run() {
+	defer j.cancel()
+	if err := j.ctx.Err(); err != nil {
+		j.finish(nil, err)
+		return
+	}
+	j.setState(StateBuilding)
+	fn := j.fn
+	j.fn = nil // a settled job does not keep what its build closed over
+	j.finish(runBuild(j.ctx, fn, j.emit))
 }
 
 // runBuild invokes fn, converting a panic into a failure so one broken
@@ -124,7 +132,9 @@ func runBuild(ctx context.Context, fn BuildFunc, emit func(Event) int) (result a
 // Job is one submitted build. All methods are safe for concurrent use.
 type Job struct {
 	name    string
-	journal *Journal
+	fn      BuildFunc
+	journal Journal
+	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
 
@@ -132,7 +142,7 @@ type Job struct {
 	state   State
 	result  any
 	err     error
-	subs    map[int]chan struct{}
+	subs    map[int]chan struct{} // nil until the first Subscribe
 	nextSub int
 }
 
@@ -165,6 +175,14 @@ func (j *Job) Result() (any, bool) {
 	return j.result, true
 }
 
+// Outcome returns the job's state together with the result (ready) or
+// error (failed, cancelled) that state carries, read under one lock.
+func (j *Job) Outcome() (State, any, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.result, j.err
+}
+
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -192,7 +210,7 @@ func (j *Job) Cancel() { j.cancel() }
 func (j *Job) Events(cursor int) ([]Event, int) { return j.journal.Since(cursor) }
 
 // Journal exposes the job's event journal.
-func (j *Job) Journal() *Journal { return j.journal }
+func (j *Job) Journal() *Journal { return &j.journal }
 
 // Subscribe registers for wake-ups: the returned channel receives (with a
 // buffer of one, coalescing bursts) after every journal append and state
@@ -202,6 +220,9 @@ func (j *Job) Subscribe() (<-chan struct{}, func()) {
 	j.mu.Lock()
 	id := j.nextSub
 	j.nextSub++
+	if j.subs == nil {
+		j.subs = make(map[int]chan struct{})
+	}
 	j.subs[id] = ch
 	j.mu.Unlock()
 	return ch, func() {

@@ -13,6 +13,7 @@ package provision
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -72,16 +73,44 @@ func NewInstaller(c *cluster.Cluster, db *rocks.FrontendDB, g *rocks.Graph, osNa
 	}
 }
 
-// logEntry is one progress line, kept as its format and arguments: a
-// fleet build logs thousands of lines that are rarely read, so
-// rendering waits for a reader. Arguments must be immutable values.
+// logEntry is one progress line, kept as the values it names rather than
+// as text or boxed arguments: a fleet build logs thousands of lines that
+// are rarely read, so appending one allocates nothing and rendering waits
+// for a reader. Which of n, m, cost and err a line uses depends on its kind.
 type logEntry struct {
-	format string
-	args   []any
+	kind logKind
+	node string
+	n, m int
+	cost time.Duration
+	err  error
 }
 
-func (ins *Installer) logf(format string, args ...any) {
-	ins.log = append(ins.log, logEntry{format, args})
+type logKind uint8
+
+const (
+	logFrontend    logKind = iota // n packages, m actions, cost
+	logDiscovered                 // n rank, which fixes the MAC
+	logKickstarted                // n packages, cost
+	logReinstall
+	logGaveUp  // n attempts, err from the last one
+	logRefused // err from the kickstart
+)
+
+func (e logEntry) String() string {
+	switch e.kind {
+	case logFrontend:
+		return fmt.Sprintf("frontend %s installed: %d packages, %d actions, %v", e.node, e.n, e.m, e.cost)
+	case logDiscovered:
+		return fmt.Sprintf("insert-ethers: discovered %s (%s)", e.node, computeMAC(e.n))
+	case logKickstarted:
+		return fmt.Sprintf("compute %s kickstarted: %d packages in %v", e.node, e.n, e.cost)
+	case logReinstall:
+		return "reinstall requested for " + e.node
+	case logGaveUp:
+		return fmt.Sprintf("compute %s quarantined after %d attempt(s): %v", e.node, e.n, e.err)
+	default:
+		return fmt.Sprintf("compute %s quarantined: %v", e.node, e.err)
+	}
 }
 
 // Log renders the human-readable record of what happened; the training
@@ -89,7 +118,7 @@ func (ins *Installer) logf(format string, args ...any) {
 func (ins *Installer) Log() []string {
 	out := make([]string, len(ins.log))
 	for i, e := range ins.log {
-		out[i] = fmt.Sprintf(e.format, e.args...)
+		out[i] = e.String()
 	}
 	return out
 }
@@ -133,7 +162,7 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 	eng.RunUntil(eng.Now() + sim.Time(cost))
 	applyActions(fe, actions)
 	fe.SetOS(ins.OSName)
-	ins.logf("frontend %s installed: %d packages, %d actions, %v", fe.Name, len(pkgs), len(actions), cost)
+	ins.log = append(ins.log, logEntry{kind: logFrontend, node: fe.Name, n: len(pkgs), m: len(actions), cost: cost})
 	return &Result{Node: fe.Name, Packages: len(pkgs), Duration: (eng.Now() - start).Duration(), Actions: len(actions)}, nil
 }
 
@@ -141,13 +170,27 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 // the insert-ethers phase of a Rocks build.
 func (ins *Installer) DiscoverComputes() error {
 	for i, n := range ins.Cluster.Computes {
-		mac := fmt.Sprintf("52:54:00:%02x:%02x:%02x", 0, i/256, i%256)
-		if _, err := ins.DB.AddHost(n.Name, rocks.ApplianceCompute, 0, i, mac); err != nil {
+		if _, err := ins.DB.AddHost(n.Name, rocks.ApplianceCompute, 0, i, computeMAC(i)); err != nil {
 			return err
 		}
-		ins.logf("insert-ethers: discovered %s (%s)", n.Name, mac)
+		ins.log = append(ins.log, logEntry{kind: logDiscovered, node: n.Name, n: i})
 	}
 	return nil
+}
+
+// computeMAC is the address insert-ethers sees from the compute of the given
+// rank: fmt.Sprintf("52:54:00:%02x:%02x:%02x", 0, rank/256, rank%256).
+func computeMAC(rank int) string {
+	var buf [24]byte
+	mac := append(buf[:0], "52:54:00:00"...)
+	for _, octet := range [2]int{rank / 256, rank % 256} {
+		mac = append(mac, ':')
+		if octet < 16 {
+			mac = append(mac, '0')
+		}
+		mac = strconv.AppendInt(mac, int64(octet), 16)
+	}
+	return string(mac)
 }
 
 // pendingInstall is a compute kickstart that has run its package
@@ -161,56 +204,63 @@ type pendingInstall struct {
 	pkgs    int
 	actions []string
 	cost    time.Duration
+	// What the wave that started it knows: the attempts the node consumed
+	// and the simulated time its install took, failed attempts included.
+	attempts int
+	took     time.Duration
 }
 
 // kickstart validates and starts one compute install, leaving it pending.
 // The frontend must already be installed; the node must have a disk; the
 // node must be registered.
-func (ins *Installer) kickstart(name string) (*pendingInstall, error) {
+func (ins *Installer) kickstart(name string) (pendingInstall, error) {
+	var none pendingInstall
 	if ins.Cluster.Frontend.OS() == "" {
-		return nil, fmt.Errorf("provision: frontend not installed; cannot kickstart %s", name)
+		return none, fmt.Errorf("provision: frontend not installed; cannot kickstart %s", name)
 	}
 	node, ok := ins.Cluster.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("provision: no such node %s", name)
+		return none, fmt.Errorf("provision: no such node %s", name)
 	}
 	if _, registered := ins.DB.Host(name); !registered {
-		return nil, fmt.Errorf("provision: node %s not in frontend database (run insert-ethers)", name)
+		return none, fmt.Errorf("provision: node %s not in frontend database (run insert-ethers)", name)
 	}
 	if !node.HasDisk() {
-		return nil, fmt.Errorf("%w: node %s", ErrDiskless, name)
+		return none, fmt.Errorf("%w: node %s", ErrDiskless, name)
 	}
 	node.SetPower(cluster.PowerOn)
 	set, err := ins.DB.Distribution().InstallSet(rocks.ApplianceCompute)
 	if err != nil {
-		return nil, fmt.Errorf("provision: %s package install: %w", name, err)
+		return none, fmt.Errorf("provision: %s package install: %w", name, err)
 	}
 	pkgs := set.Packages()
 	node.WipePackages()
 	if err := node.Packages().AdoptSet(set); err != nil {
-		return nil, fmt.Errorf("provision: %s package install: %w", name, err)
+		return none, fmt.Errorf("provision: %s package install: %w", name, err)
 	}
 	actions, err := ins.Graph.ActionsFor(string(rocks.ApplianceCompute))
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	cost := StagePXEBoot + StagePartition + StageBaseImage + StagePostInstall +
 		time.Duration(len(pkgs))*PerPackage + time.Duration(len(actions))*PerAction
-	return &pendingInstall{node: node, name: name, pkgs: len(pkgs), actions: actions, cost: cost}, nil
+	return pendingInstall{node: node, name: name, pkgs: len(pkgs), actions: actions,
+		cost: cost, attempts: 1, took: cost}, nil
 }
 
-// commit finalizes a pending install. duration is the simulated time the
-// node's install consumed (for a wave member this includes failed-attempt
-// and backoff time, and the wave as a whole advanced the clock by its
-// slowest member).
-func (ins *Installer) commit(p *pendingInstall, duration time.Duration) (*Result, error) {
+// commit finalizes a pending install and fills in its Result, whose
+// Duration is p.took: the simulated time the node's install consumed (for
+// a wave member this includes failed-attempt and backoff time, and the
+// wave as a whole advanced the clock by its slowest member).
+func (ins *Installer) commit(p *pendingInstall, r *Result) error {
 	applyActions(p.node, p.actions)
 	p.node.SetOS(ins.OSName)
 	if err := ins.DB.MarkInstalled(p.name, true); err != nil {
-		return nil, err
+		return err
 	}
-	ins.logf("compute %s kickstarted: %d packages in %v", p.name, p.pkgs, p.cost)
-	return &Result{Node: p.name, Packages: p.pkgs, Duration: duration, Actions: len(p.actions)}, nil
+	ins.log = append(ins.log, logEntry{kind: logKickstarted, node: p.name, n: p.pkgs, cost: p.cost})
+	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took, Actions: len(p.actions)}
+	return nil
 }
 
 // InstallCompute kickstarts one compute node sequentially: the simulation
@@ -227,7 +277,11 @@ func (ins *Installer) InstallCompute(eng *sim.Engine, name string) (*Result, err
 		return nil, err
 	}
 	eng.RunUntil(eng.Now() + sim.Time(p.cost))
-	return ins.commit(p, p.cost)
+	r := new(Result)
+	if err := ins.commit(&p, r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // InstallAll provisions the frontend and then every compute node, returning
@@ -264,7 +318,7 @@ func (ins *Installer) Reinstall(eng *sim.Engine, name string) (*Result, error) {
 	if err := ins.DB.MarkInstalled(name, false); err != nil {
 		return nil, err
 	}
-	ins.logf("reinstall requested for %s", name)
+	ins.log = append(ins.log, logEntry{kind: logReinstall, node: name})
 	return ins.InstallCompute(eng, name)
 }
 
@@ -357,7 +411,7 @@ func buildSystemState(actions []string) (map[string]bool, map[string]string) {
 // package set without Rocks. It is intentionally not the XCBC stack — the
 // XNIT workflow upgrades it in place afterwards.
 func VendorProvision(eng *sim.Engine, c *cluster.Cluster, osName string, basePkgs []*rpm.Package) error {
-	for _, n := range c.Nodes() {
+	for n := range c.All() {
 		n.SetPower(cluster.PowerOn)
 		n.WipePackages()
 		var tx rpm.Transaction
@@ -370,6 +424,6 @@ func VendorProvision(eng *sim.Engine, c *cluster.Cluster, osName string, basePkg
 		n.SetOS(osName)
 		n.StartService("sshd")
 	}
-	eng.RunUntil(eng.Now() + sim.Time(StageBaseImage+time.Duration(len(basePkgs)*len(c.Nodes()))*PerPackage/4))
+	eng.RunUntil(eng.Now() + sim.Time(StageBaseImage+time.Duration(len(basePkgs)*c.NodeCount())*PerPackage/4))
 	return nil
 }

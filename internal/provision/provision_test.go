@@ -2,8 +2,11 @@ package provision
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xcbc/internal/cluster"
 	"xcbc/internal/rocks"
@@ -240,5 +243,44 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 	}
 	if rBig[1].Packages <= rSmall[1].Packages {
 		t.Errorf("bigger distro should install more packages per compute")
+	}
+}
+
+// TestLogLinesDoNotAllocate: a build's progress lines are stored as the
+// values they name, so writing one costs nothing beyond the log slice
+// itself — no format arguments boxed, no text rendered until Log is read —
+// and Log still renders exactly the lines the build always printed.
+func TestLogLinesDoNotAllocate(t *testing.T) {
+	ins := testInstaller(t, cluster.NewLittleFe())
+	cost, refused := 6*time.Minute+34*time.Second, errors.New("no disk")
+	node := ins.Cluster.Computes[3].Name
+	lines := func() {
+		ins.log = append(ins.log[:0],
+			logEntry{kind: logFrontend, node: ins.Cluster.Frontend.Name, n: 151, m: 7, cost: cost},
+			logEntry{kind: logDiscovered, node: node, n: 259},
+			logEntry{kind: logKickstarted, node: node, n: 140, cost: cost},
+			logEntry{kind: logReinstall, node: node},
+			logEntry{kind: logGaveUp, node: node, n: 3, err: refused},
+			logEntry{kind: logRefused, node: node, err: refused})
+	}
+	lines() // the slice is sized for a clean build: 11 lines
+	if n := testing.AllocsPerRun(100, lines); n != 0 {
+		t.Errorf("six log lines allocate %v times, want 0", n)
+	}
+	want := []string{
+		"frontend littlefe-head installed: 151 packages, 7 actions, 6m34s",
+		"insert-ethers: discovered compute-0-4 (52:54:00:00:01:03)",
+		"compute compute-0-4 kickstarted: 140 packages in 6m34s",
+		"reinstall requested for compute-0-4",
+		"compute compute-0-4 quarantined after 3 attempt(s): no disk",
+		"compute compute-0-4 quarantined: no disk",
+	}
+	if got := ins.Log(); !slices.Equal(got, want) {
+		t.Errorf("Log() =\n%q\nwant\n%q", got, want)
+	}
+	for _, rank := range []int{0, 15, 16, 255, 256, 4095, 65535, 70000} {
+		if got, want := computeMAC(rank), fmt.Sprintf("52:54:00:%02x:%02x:%02x", 0, rank/256, rank%256); got != want {
+			t.Errorf("computeMAC(%d) = %s, want %s", rank, got, want)
+		}
 	}
 }

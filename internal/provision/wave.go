@@ -84,8 +84,7 @@ const failedAttemptCost = StagePXEBoot
 func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOptions) *WaveResult {
 	o := opts.withDefaults()
 	wr := &WaveResult{}
-	var committed []*pendingInstall
-	var durations []time.Duration
+	started := make([]pendingInstall, 0, len(names))
 	for _, name := range names {
 		var spent time.Duration // failed attempts + backoff, simulated
 		var lastErr error
@@ -102,7 +101,7 @@ func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOpti
 			spent += failedAttemptCost
 		}
 		if lastErr != nil {
-			ins.logf("compute %s quarantined after %d attempt(s): %v", name, attempts, lastErr)
+			ins.log = append(ins.log, logEntry{kind: logGaveUp, node: name, n: attempts, err: lastErr})
 			wr.Failed = append(wr.Failed, NodeFailure{Node: name, Attempts: attempts, Err: lastErr})
 			if spent > wr.Duration {
 				wr.Duration = spent
@@ -114,27 +113,32 @@ func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOpti
 			// Structural refusal (diskless, unregistered): quarantine, the
 			// wave and build continue without the node. Time already burned
 			// on failed attempts still counts toward the wave.
-			ins.logf("compute %s quarantined: %v", name, err)
+			ins.log = append(ins.log, logEntry{kind: logRefused, node: name, err: err})
 			wr.Failed = append(wr.Failed, NodeFailure{Node: name, Attempts: attempts, Err: err})
 			if spent > wr.Duration {
 				wr.Duration = spent
 			}
 			continue
 		}
-		committed = append(committed, p)
-		durations = append(durations, spent+p.cost)
-		if spent+p.cost > wr.Duration {
-			wr.Duration = spent + p.cost
+		p.attempts, p.took = attempts, spent+p.cost
+		started = append(started, p)
+		if p.took > wr.Duration {
+			wr.Duration = p.took
 		}
 	}
 	eng.RunUntil(eng.Now() + sim.Time(wr.Duration))
-	for i, p := range committed {
-		r, err := ins.commit(p, durations[i])
-		if err != nil {
-			wr.Failed = append(wr.Failed, NodeFailure{Node: p.name, Attempts: 1, Err: err})
+	// One slab holds the wave's Results; wr.Results points into it.
+	var results []Result
+	if len(started) > 0 {
+		results = make([]Result, len(started))
+		wr.Results = make([]*Result, 0, len(started))
+	}
+	for i := range started {
+		if err := ins.commit(&started[i], &results[i]); err != nil {
+			wr.Failed = append(wr.Failed, NodeFailure{Node: started[i].name, Attempts: started[i].attempts, Err: err})
 			continue
 		}
-		wr.Results = append(wr.Results, r)
+		wr.Results = append(wr.Results, &results[i])
 	}
 	for _, f := range wr.Failed {
 		ins.Quarantined = append(ins.Quarantined, f.Node)
@@ -172,7 +176,10 @@ func Waves(names []string, width int) [][]string {
 	if width < 1 {
 		width = 1
 	}
-	var out [][]string
+	if len(names) == 0 {
+		return nil
+	}
+	out := make([][]string, 0, (len(names)+width-1)/width)
 	for start := 0; start < len(names); start += width {
 		end := start + width
 		if end > len(names) {
@@ -192,9 +199,10 @@ func Waves(names []string, width int) [][]string {
 // covers the waves that committed; nodes of later waves are untouched.
 func (ins *Installer) InstallComputeWaves(ctx context.Context, eng *sim.Engine, names []string,
 	opts WaveOptions, onWave func(index int, wr *WaveResult)) ([]*WaveResult, error) {
-	var waves []*WaveResult
+	parts := Waves(names, opts.Width)
+	waves := make([]*WaveResult, 0, len(parts))
 	quarantined := 0
-	for i, wave := range Waves(names, opts.Width) {
+	for i, wave := range parts {
 		if err := ctx.Err(); err != nil {
 			return waves, fmt.Errorf("provision: build cancelled before wave starting at %s: %w", wave[0], err)
 		}

@@ -223,3 +223,35 @@ func TestAllNodesQuarantinedFailsBuild(t *testing.T) {
 		t.Fatal("build with every compute quarantined must fail")
 	}
 }
+
+// TestCommitFailureCarriesRealAttempts: a node that needed a retry and
+// then fails at commit (its host record vanished while the wave was still
+// starting other nodes) is reported with the attempts it consumed, not 1.
+func TestCommitFailureCarriesRealAttempts(t *testing.T) {
+	ins, eng := waveInstaller(t)
+	names := computeNames(ins.Cluster)[:2]
+	victim, bystander := names[0], names[1]
+	ins.Hook = func(node string, attempt int) error {
+		switch {
+		case node == victim && attempt == 1:
+			return errors.New("flaky PXE")
+		case node == bystander:
+			// The victim has kickstarted by now; pull its record so its
+			// commit fails.
+			if err := ins.DB.RemoveHost(victim); err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	}
+	wr := ins.InstallWave(eng, names, WaveOptions{Width: 2, Retries: 2})
+	if len(wr.Results) != 1 || wr.Results[0].Node != bystander {
+		t.Fatalf("results = %+v, want only %s", wr.Results, bystander)
+	}
+	if len(wr.Failed) != 1 || wr.Failed[0].Node != victim || wr.Failed[0].Attempts != 2 {
+		t.Fatalf("failed = %+v, want %s after 2 attempts", wr.Failed, victim)
+	}
+	if !slices.Contains(ins.Quarantined, victim) {
+		t.Errorf("quarantined = %v, want %s in it", ins.Quarantined, victim)
+	}
+}

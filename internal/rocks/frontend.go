@@ -3,6 +3,7 @@ package rocks
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -70,7 +71,7 @@ func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac st
 		Rack:      rack,
 		Rank:      rank,
 		MAC:       mac,
-		IP:        fmt.Sprintf("10.1.1.%d", db.nextIP),
+		IP:        "10.1.1." + strconv.Itoa(db.nextIP),
 		// Attrs stays nil until the first SetHostAttr; most hosts never
 		// get a per-host attribute and nil-map reads are free.
 	}

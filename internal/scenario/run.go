@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"time"
 
 	"xcbc/internal/core"
@@ -96,7 +97,9 @@ func RunOnObserved(ctx context.Context, fl *fleet.Fleet, sc *Scenario, obs Obser
 		obs:       obs,
 		submitted: make([]int, fl.Len()),
 		baseline:  make([]int, fl.Len()),
-		res:       &Result{Scenario: sc.Name, Seed: sc.Seed, Events: newEventBuf()},
+		// Most phases trace one event per member; a few trace a handful.
+		res: &Result{Scenario: sc.Name, Seed: sc.Seed,
+			Events: newEventBuf(len(sc.Phases)*(fl.Len()+2) + 2)},
 	}
 	for i := range r.baseline {
 		r.baseline[i] = -1
@@ -117,6 +120,58 @@ type runner struct {
 	failed    int   // compute nodes this run failed via the quarantine fault
 	cancelled int
 	applied   int
+	d         detail // scratch the per-member trace details are built in
+}
+
+// detail builds one trace detail ("key=value key=value") by appending into
+// a buffer the runner reuses, so an event costs the one string it keeps and
+// nothing for boxing or formatting. String ends a detail and resets the
+// buffer for the next.
+type detail struct {
+	b []byte
+	// The last duration rendered: members of a uniform fleet report the
+	// same install time, runtime and clock one after another.
+	lastDur  time.Duration
+	lastText string
+}
+
+func (d *detail) int(key string, v int) *detail {
+	d.b = strconv.AppendInt(append(d.b, key...), int64(v), 10)
+	return d
+}
+
+func (d *detail) dur(key string, v time.Duration) *detail {
+	if v != d.lastDur || d.lastText == "" {
+		d.lastDur, d.lastText = v, v.String()
+	}
+	d.b = append(append(d.b, key...), d.lastText...)
+	return d
+}
+
+// float3 appends v as %.3f.
+func (d *detail) float3(key string, v float64) *detail {
+	d.b = strconv.AppendFloat(append(d.b, key...), v, 'f', 3, 64)
+	return d
+}
+
+func (d *detail) String() string {
+	s := string(d.b)
+	d.b = d.b[:0]
+	return s
+}
+
+// jobNames formats a phase's job and user names once: "<job>-<phase>-<i>"
+// for each of count jobs and "<user>-<k>" for each of users users. Every
+// member's jobs then share the same strings.
+func jobNames(job, user string, phase, count, users int) (names, owners []string) {
+	names, owners = make([]string, count), make([]string, users)
+	for i := range names {
+		names[i] = job + "-" + strconv.Itoa(phase) + "-" + strconv.Itoa(i)
+	}
+	for k := range owners {
+		owners[k] = user + "-" + strconv.Itoa(k)
+	}
+	return names, owners
 }
 
 func (r *runner) emit(phase int, kind, member, node, detail string) {
@@ -177,7 +232,7 @@ func (r *runner) readyOps(m *fleet.Member) *core.Operations {
 		return nil
 	}
 	if r.baseline[m.Index] < 0 {
-		r.baseline[m.Index] = len(ops.Jobs())
+		r.baseline[m.Index] = ops.JobCount()
 	}
 	return ops
 }
@@ -196,9 +251,8 @@ func (r *runner) provision(ctx context.Context, phase int) error {
 			d, _ := m.Deployment()
 			quarantined := append([]string(nil), d.Quarantined...)
 			sort.Strings(quarantined)
-			r.emit(phase, "provision.ready", m.ID, "",
-				fmt.Sprintf("packages=%d duration=%s quarantined=%d",
-					d.PackagesInstalled, d.InstallDuration, len(quarantined)))
+			r.emit(phase, "provision.ready", m.ID, "", r.d.int("packages=", d.PackagesInstalled).
+				dur(" duration=", d.InstallDuration).int(" quarantined=", len(quarantined)).String())
 			for _, node := range quarantined {
 				r.emit(phase, "provision.quarantine", m.ID, node, "")
 			}
@@ -278,6 +332,7 @@ func (r *runner) fault(phase int, p *Phase) error {
 		if maxCores < 1 {
 			maxCores = 1
 		}
+		names, users := jobNames("flood", "chaos", phase, p.Count, 4)
 		for _, m := range r.members {
 			ops := r.readyOps(m)
 			if ops == nil {
@@ -288,8 +343,8 @@ func (r *runner) fault(phase int, p *Phase) error {
 			for i := 0; i < p.Count; i++ {
 				runtime := time.Duration(5+rng.IntN(56)) * time.Minute
 				job := &sched.Job{
-					Name:     fmt.Sprintf("flood-%d-%d", phase, i),
-					User:     fmt.Sprintf("chaos-%d", i%4),
+					Name:     names[i],
+					User:     users[i%4],
 					Cores:    1 + rng.IntN(maxCores),
 					Runtime:  runtime,
 					Walltime: 2 * runtime,
@@ -302,7 +357,7 @@ func (r *runner) fault(phase int, p *Phase) error {
 			}
 			r.submitted[m.Index] += accepted
 			r.emit(phase, "fault.job-flood", m.ID, "",
-				fmt.Sprintf("submitted=%d rejected=%d", accepted, rejected))
+				r.d.int("submitted=", accepted).int(" rejected=", rejected).String())
 		}
 	}
 	return nil
@@ -321,6 +376,7 @@ func (r *runner) jobs(phase int, p *Phase) error {
 	if walltime == 0 {
 		walltime = 2 * runtime
 	}
+	names, users := jobNames("batch", "user", phase, p.Count, 3)
 	for _, m := range r.members {
 		ops := r.readyOps(m)
 		if ops == nil {
@@ -329,8 +385,8 @@ func (r *runner) jobs(phase int, p *Phase) error {
 		accepted := 0
 		for i := 0; i < p.Count; i++ {
 			job := &sched.Job{
-				Name:     fmt.Sprintf("batch-%d-%d", phase, i),
-				User:     fmt.Sprintf("user-%d", i%3),
+				Name:     names[i],
+				User:     users[i%3],
 				Cores:    cores,
 				Runtime:  runtime,
 				Walltime: walltime,
@@ -343,7 +399,7 @@ func (r *runner) jobs(phase int, p *Phase) error {
 		}
 		r.submitted[m.Index] += accepted
 		r.emit(phase, "jobs.submitted", m.ID, "",
-			fmt.Sprintf("count=%d cores=%d runtime=%s", accepted, cores, runtime))
+			r.d.int("count=", accepted).int(" cores=", cores).dur(" runtime=", runtime).String())
 	}
 	return nil
 }
@@ -373,7 +429,7 @@ func (r *runner) cancelJobs(phase int, p *Phase) error {
 			cancelled++
 		}
 		r.cancelled += cancelled
-		r.emit(phase, "cancel", m.ID, "", fmt.Sprintf("cancelled=%d", cancelled))
+		r.emit(phase, "cancel", m.ID, "", r.d.int("cancelled=", cancelled).String())
 	}
 	return nil
 }
@@ -386,7 +442,7 @@ func (r *runner) advance(phase int, p *Phase) {
 			continue
 		}
 		now := ops.Advance(d)
-		r.emit(phase, "advance", m.ID, "", fmt.Sprintf("now=%s", now))
+		r.emit(phase, "advance", m.ID, "", r.d.dur("now=", now.Duration()).String())
 	}
 }
 
@@ -397,9 +453,8 @@ func (r *runner) metrics(phase int) {
 			continue
 		}
 		snap := ops.SampleMetrics()
-		r.emit(phase, "metrics", m.ID, "",
-			fmt.Sprintf("load=%.3f polls=%d hosts=%d alerts=%d",
-				snap.ClusterLoad, snap.Polls, len(snap.Nodes), len(snap.ActiveAlerts)))
+		r.emit(phase, "metrics", m.ID, "", r.d.float3("load=", snap.ClusterLoad).int(" polls=", snap.Polls).
+			int(" hosts=", len(snap.Nodes)).int(" alerts=", len(snap.ActiveAlerts)).String())
 	}
 }
 
@@ -485,7 +540,7 @@ func (r *runner) assert(phase int, p *Phase) {
 				if ops == nil {
 					continue
 				}
-				if got, want := len(ops.Jobs()), r.baseline[m.Index]+r.submitted[m.Index]; got != want {
+				if got, want := ops.JobCount(), r.baseline[m.Index]+r.submitted[m.Index]; got != want {
 					lost++
 					r.emit(phase, "assert.mismatch", m.ID, "",
 						fmt.Sprintf("%s: jobs=%d submitted=%d", inv.Name, got, want))

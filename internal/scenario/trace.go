@@ -1,8 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -42,39 +43,92 @@ type Result struct {
 	Events     []Event  `json:"events"`
 }
 
-// TraceJSONL renders the event trace as JSON lines, one event per line —
-// the machine-readable artifact golden tests compare byte-for-byte. One
-// encoder streams every event into one buffer: json.Encoder writes the
-// exact Marshal encoding followed by '\n', so the output stays
-// byte-identical to the historical per-event Marshal loop while reusing
-// the encoder's internal state across events instead of allocating a line
-// per event.
-func (r *Result) TraceJSONL() []byte {
-	var buf bytes.Buffer
-	buf.Grow(64 * len(r.Events))
-	enc := json.NewEncoder(&buf)
-	for i := range r.Events {
-		// Event contains only plain strings and ints; Encode cannot fail.
-		// Keep the trace well-formed regardless.
-		_ = enc.Encode(&r.Events[i])
+// AppendJSON appends the event's JSON encoding to dst: byte for byte what
+// json.Marshal(ev) returns, without reflecting over the five fields for
+// every event of a trace. The bytes are hashed into journaled progress
+// records, so they may never drift from encoding/json's.
+func (ev Event) AppendJSON(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(ev.Seq), 10)
+	dst = strconv.AppendInt(append(dst, `,"phase":`...), int64(ev.Phase), 10)
+	dst = appendJSONString(append(dst, `,"kind":`...), ev.Kind)
+	if ev.Member != "" {
+		dst = appendJSONString(append(dst, `,"member":`...), ev.Member)
 	}
-	return buf.Bytes()
+	if ev.Node != "" {
+		dst = appendJSONString(append(dst, `,"node":`...), ev.Node)
+	}
+	if ev.Detail != "" {
+		dst = appendJSONString(append(dst, `,"detail":`...), ev.Detail)
+	}
+	return append(dst, '}')
 }
 
-// eventBufPool recycles trace event buffers across runs. A campaign sweeps
-// thousands of short scenarios; without pooling, every run grows a fresh
-// Events slice just to discard it after the metamorphic checks.
-var eventBufPool = sync.Pool{
-	New: func() any {
-		s := make([]Event, 0, 256)
-		return &s
-	},
+// appendJSONString appends s as a JSON string. Printable ASCII that
+// encoding/json leaves alone — nearly every trace string — is its own
+// encoding between quotes; a string holding anything else (quotes,
+// backslashes, <>&, control bytes, non-ASCII, invalid UTF-8) is handed to
+// encoding/json itself, so the two cannot disagree.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // cannot fail for a string
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
-// newEventBuf returns an empty event buffer, reusing pooled backing
-// storage when available.
-func newEventBuf() []Event {
-	return (*eventBufPool.Get().(*[]Event))[:0]
+// JSON is json.Marshal(r), byte for byte, with the events — nearly all of
+// a result's bytes — appended by Event.AppendJSON instead of reflected
+// over. Settled runs are journaled in this form.
+func (r *Result) JSON() ([]byte, error) {
+	head := *r
+	head.Events = nil
+	data, err := json.Marshal(&head) // ends `,"events":null}`
+	if err != nil || r.Events == nil {
+		return data, err
+	}
+	data = append(slices.Grow(data[:len(data)-len("null}")], eventJSONSize*len(r.Events)+2), '[')
+	for i := range r.Events {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = r.Events[i].AppendJSON(data)
+	}
+	return append(data, ']', '}'), nil
+}
+
+// eventJSONSize is a little over the 110 bytes a campus-100 trace line
+// averages: what buffers that will hold a whole trace are sized by.
+const eventJSONSize = 112
+
+// TraceJSONL renders the event trace as JSON lines, one event per line —
+// the machine-readable artifact golden tests compare byte-for-byte.
+func (r *Result) TraceJSONL() []byte {
+	buf := make([]byte, 0, eventJSONSize*len(r.Events))
+	for i := range r.Events {
+		buf = append(r.Events[i].AppendJSON(buf), '\n')
+	}
+	return buf
+}
+
+// eventBufPool recycles trace event buffers (as *[]Event) across runs. A
+// campaign sweeps thousands of short scenarios; without pooling, every run
+// grows a fresh Events slice just to discard it after the metamorphic
+// checks.
+var eventBufPool sync.Pool
+
+// newEventBuf returns an empty event buffer with room for hint events,
+// reusing pooled backing storage when it is large enough, so a long trace
+// is allocated once at its expected size instead of by doubling.
+func newEventBuf(hint int) []Event {
+	if p, _ := eventBufPool.Get().(*[]Event); p != nil {
+		if cap(*p) >= hint {
+			return (*p)[:0]
+		}
+		eventBufPool.Put(p)
+	}
+	return make([]Event, 0, max(hint, 256))
 }
 
 // Release returns the result's event buffer to the run pool and clears

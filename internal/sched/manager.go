@@ -1,9 +1,13 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,6 +52,7 @@ type Manager struct {
 	free    map[string]int     // node name -> free cores
 	usage   map[string]float64 // user -> core-seconds consumed (fair share)
 	drained map[string]bool    // nodes in maintenance: no new placements
+	slots   []slot             // tryPlace's scratch, reused across passes
 
 	// WakeRequest, if set, is called when queued jobs cannot be placed
 	// because too few powered-on cores exist; the power manager uses it to
@@ -69,6 +74,7 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, p Policy) *Manager {
 		running: make(map[int]*Job),
 		free:    make(map[string]int),
 		usage:   make(map[string]float64),
+		slots:   make([]slot, 0, len(c.Computes)),
 	}
 	for _, n := range c.Computes {
 		m.free[n.Name] = n.Cores()
@@ -208,6 +214,14 @@ func (m *Manager) History() []*Job {
 	return append([]*Job(nil), m.done...)
 }
 
+// JobCount returns how many jobs the manager knows: queued, running and
+// finished — len(Queued)+len(Running)+len(History) without the copies.
+func (m *Manager) JobCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.queue) + len(m.running) + len(m.done)
+}
+
 // Usage returns consumed core-seconds by user (fair-share accounting).
 func (m *Manager) Usage() map[string]float64 {
 	m.mu.Lock()
@@ -263,7 +277,15 @@ func (m *Manager) nodeBusy(node string) bool {
 // sortQueue orders jobs by the active policy. m.mu held.
 func (m *Manager) sortQueue(q []*Job) {
 	now := m.Engine.Now()
-	sort.SliceStable(q, func(i, j int) bool { return m.policy.Less(q[i], q[j], now, m.usage) })
+	slices.SortStableFunc(q, func(a, b *Job) int {
+		switch {
+		case m.policy.Less(a, b, now, m.usage):
+			return -1
+		case m.policy.Less(b, a, now, m.usage):
+			return 1
+		}
+		return 0
+	})
 }
 
 // schedule runs one scheduling pass: start jobs in policy order; if backfill
@@ -318,41 +340,40 @@ func (m *Manager) totalFree() int {
 	return total
 }
 
+// slot is one node a job could be placed on.
+type slot struct {
+	name string
+	free int
+}
+
 // tryPlace finds an allocation for the requested cores over powered-on
 // nodes (packing onto the fullest nodes first to reduce fragmentation), or
-// nil if it does not fit. m.mu held.
+// nil if it does not fit — decided before anything is sorted or allocated,
+// because a busy cluster asks on every pass. m.mu held.
 func (m *Manager) tryPlace(cores int) map[string]int {
-	type slot struct {
-		name string
-		free int
-	}
-	var slots []slot
+	slots, placeable := m.slots[:0], 0
 	for _, n := range m.Cluster.Computes {
-		if n.Power() == cluster.PowerOn && m.free[n.Name] > 0 && !m.drained[n.Name] {
-			slots = append(slots, slot{n.Name, m.free[n.Name]})
+		if free := m.free[n.Name]; free > 0 && n.Power() == cluster.PowerOn && !m.drained[n.Name] {
+			slots = append(slots, slot{n.Name, free})
+			placeable += free
 		}
 	}
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].free != slots[j].free {
-			return slots[i].free < slots[j].free // fullest (least free) first
-		}
-		return slots[i].name < slots[j].name
+	m.slots = slots
+	if placeable < cores {
+		return nil
+	}
+	slices.SortFunc(slots, func(a, b slot) int {
+		// Fullest (least free) first, then by name.
+		return cmp.Or(cmp.Compare(a.free, b.free), strings.Compare(a.name, b.name))
 	})
 	alloc := make(map[string]int)
-	remaining := cores
 	for _, s := range slots {
-		if remaining == 0 {
+		if cores == 0 {
 			break
 		}
-		take := s.free
-		if take > remaining {
-			take = remaining
-		}
+		take := min(s.free, cores)
 		alloc[s.name] = take
-		remaining -= take
-	}
-	if remaining > 0 {
-		return nil
+		cores -= take
 	}
 	return alloc
 }
@@ -393,7 +414,7 @@ func (m *Manager) start(j *Job, alloc map[string]int) {
 		dur = j.Walltime // killed at the limit
 		final = StateTimeout
 	}
-	j.finish = m.Engine.After(dur, fmt.Sprintf("job-%d-finish", j.ID), func(*sim.Engine) {
+	j.finish = m.Engine.After(dur, "job-finish", func(*sim.Engine) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		m.finish(j, final)
@@ -413,14 +434,11 @@ func (m *Manager) finish(j *Job, state JobState) {
 	j.EndTime = m.Engine.Now()
 	elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
 	m.usage[j.User] += elapsed * float64(j.Cores)
-	freed := make([]string, 0, len(j.Alloc))
 	for node, c := range j.Alloc {
 		m.free[node] += c
-		freed = append(freed, node)
 	}
 	if m.DrainNotify != nil {
-		sort.Strings(freed)
-		for _, node := range freed {
+		for _, node := range slices.Sorted(maps.Keys(j.Alloc)) {
 			if !m.nodeBusy(node) {
 				m.DrainNotify(node)
 			}

@@ -345,3 +345,25 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	eng.Run()
 }
+
+// TestFailedPlacementDoesNotAllocate: a busy cluster asks "does it fit?" on
+// every scheduling pass, and the answer "no" must cost nothing — no sorted
+// slot list, no allocation map built and thrown away.
+func TestFailedPlacementDoesNotAllocate(t *testing.T) {
+	_, m := littlefe(t, TorqueMaui{})
+	if _, err := m.Submit(job("fill", "a", 9, time.Hour, time.Hour)); err != nil { // 9 of 10 cores
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if alloc := m.tryPlace(1); len(alloc) != 1 {
+		t.Fatalf("tryPlace(1) = %v, want the one free core", alloc)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if alloc := m.tryPlace(2); alloc != nil {
+			t.Fatalf("tryPlace(2) = %v with one core free", alloc)
+		}
+	}); n != 0 {
+		t.Errorf("a placement that cannot fit allocates %v times, want 0", n)
+	}
+}

@@ -109,6 +109,7 @@ func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
 		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
 	}
 	if withMembers {
+		info.Members = make([]fleetMemberInfo, 0, fr.Fleet.Len())
 		for _, m := range fr.Fleet.Members() {
 			mi := fleetMemberInfo{ID: m.ID(), Index: m.Index(), State: string(m.Status())}
 			if err := m.Err(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"log"
 	"maps"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"xcbc/internal/wal"
+	"xcbc/pkg/xcbc"
 )
 
 // These tests pin what the store journals: a scenario run's progress as a
@@ -330,6 +332,32 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 		var back scenarioSettledRec
 		if err := json.Unmarshal(got, &back); err != nil || fmt.Sprint(back) != fmt.Sprint(rec) {
 			t.Errorf("case %d: round trip = %+v (%v)", i, back, err)
+		}
+	}
+}
+
+// TestTraceHashIsOverMarshalledLines: the rolling hash journaled in
+// scenario.progress records is FNV-1a over the trace's JSONL prefix as
+// encoding/json writes it. It is computed from an appended encoding now;
+// a DataDir written before that must still replay, so the two may never
+// differ — not even for strings json escapes.
+func TestTraceHashIsOverMarshalledLines(t *testing.T) {
+	events := []xcbc.TraceEvent{
+		{Seq: 0, Phase: -1, Kind: "scenario.start", Detail: "name=campus-100 seed=42 members=100 cluster=littlefe"},
+		{Seq: 1, Phase: 0, Kind: "provision.failed", Member: "f-001", Detail: `core: "quoted" <html> & \ back`},
+		{Seq: 2, Phase: 3, Kind: "fault.quarantine", Member: "f-002", Node: "compute-0-3", Detail: "tab\there \xff"},
+		{Seq: 3, Phase: 4, Kind: "assert.ok"},
+	}
+	th, ref := newTraceHash(), fnv.New64a()
+	for i, ev := range events {
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Write(append(line, '\n'))
+		cursor, sum := th.add(ev)
+		if cursor != i+1 || sum != ref.Sum64() {
+			t.Fatalf("after event %d: cursor %d hash %#x, want %d %#x", i, cursor, sum, i+1, ref.Sum64())
 		}
 	}
 }

@@ -709,6 +709,7 @@ func (st *store) watchDeployment(dep *deployment) {
 // bytes are themselves part of the scenario determinism contract.
 type traceHash struct {
 	h      hash.Hash64
+	line   []byte // the event being hashed; reused
 	cursor int
 }
 
@@ -718,12 +719,8 @@ func newTraceHash() *traceHash {
 
 // add folds one trace event in and returns the cursor and digest after it.
 func (th *traceHash) add(ev xcbc.TraceEvent) (int, uint64) {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return th.cursor, th.h.Sum64()
-	}
-	th.h.Write(line)
-	th.h.Write([]byte{'\n'})
+	th.line = append(ev.AppendJSON(th.line[:0]), '\n')
+	th.h.Write(th.line)
 	th.cursor = ev.Seq + 1
 	return th.cursor, th.h.Sum64()
 }

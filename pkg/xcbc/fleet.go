@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"xcbc/internal/fleet"
 	"xcbc/internal/orchestrator"
@@ -71,7 +72,8 @@ func (s FleetStatus) Settled() bool {
 // Fleet manages N member clusters as one unit. All methods are safe for
 // concurrent use.
 type Fleet struct {
-	fl *fleet.Fleet
+	fl      *fleet.Fleet
+	members []*FleetMember // fixed at NewFleet, index order
 }
 
 // NewFleet assembles a fleet; member hardware is stamped out immediately,
@@ -81,7 +83,13 @@ func NewFleet(spec FleetSpec) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFleetSpec, err)
 	}
-	return &Fleet{fl: fl}, nil
+	f := &Fleet{fl: fl, members: make([]*FleetMember, fl.Len())}
+	wrappers := make([]FleetMember, fl.Len())
+	for i, m := range fl.Members() {
+		wrappers[i].m = m
+		f.members[i] = &wrappers[i]
+	}
+	return f, nil
 }
 
 // Provision starts every member's build on the fleet's worker pool and
@@ -126,22 +134,14 @@ func (f *Fleet) Status() FleetStatus {
 }
 
 // Members returns the fleet's members in index order.
-func (f *Fleet) Members() []*FleetMember {
-	ms := f.fl.Members()
-	out := make([]*FleetMember, len(ms))
-	for i, m := range ms {
-		out[i] = &FleetMember{m: m}
-	}
-	return out
-}
+func (f *Fleet) Members() []*FleetMember { return slices.Clone(f.members) }
 
 // Member returns one member by index.
 func (f *Fleet) Member(i int) (*FleetMember, bool) {
-	m, ok := f.fl.Member(i)
-	if !ok {
+	if i < 0 || i >= len(f.members) {
 		return nil, false
 	}
-	return &FleetMember{m: m}, true
+	return f.members[i], true
 }
 
 // SetJournalSink registers fn to receive every entry of the fleet's

@@ -175,3 +175,39 @@ func TestFleetRunScenarioSizeMismatch(t *testing.T) {
 		t.Fatalf("RunScenario on mismatched fleet = %v, want ErrBadScenario", err)
 	}
 }
+
+// TestFleetMembersAreBuiltOnce: members are fixed at NewFleet, so the
+// wrappers are too — Members hands out the same values every time for the
+// price of the slice it returns, Member(i) for nothing, and a caller that
+// scribbles on the slice cannot disturb the fleet.
+func TestFleetMembersAreBuiltOnce(t *testing.T) {
+	f, err := NewFleet(FleetSpec{Name: "campus", Members: 100, Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = f.Members() }); n > 1 {
+		t.Errorf("Members() allocates %v times, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = f.Member(99) }); n != 0 {
+		t.Errorf("Member(i) allocates %v times, want 0", n)
+	}
+	first := f.Members()
+	for i, m := range first {
+		if again, ok := f.Member(i); !ok || again != m || m.Index() != i {
+			t.Fatalf("member %d: Member(i) = %p, Members()[i] = %p (index %d)", i, again, m, m.Index())
+		}
+	}
+	if first[7].ID() != "campus-007" {
+		t.Errorf("member 7 is %q", first[7].ID())
+	}
+	first[0] = nil
+	if m, _ := f.Member(0); m == nil || f.Members()[0] != m {
+		t.Error("writing to the returned slice reached the fleet")
+	}
+	if _, ok := f.Member(100); ok {
+		t.Error("Member(100) of a 100-member fleet")
+	}
+	if _, ok := f.Member(-1); ok {
+		t.Error("Member(-1)")
+	}
+}

@@ -105,6 +105,10 @@ type TraceEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
+// AppendJSON appends the event's JSON encoding — exactly json.Marshal's
+// bytes — to dst.
+func (ev TraceEvent) AppendJSON(dst []byte) []byte { return scenario.Event(ev).AppendJSON(dst) }
+
 // ScenarioStats aggregates a finished run.
 type ScenarioStats struct {
 	Members          int           `json:"members"`
@@ -203,9 +207,7 @@ func runScenarioObserved(ctx context.Context, fl *fleet.Fleet, s *Scenario, obs 
 // ResultJSON renders the full result — stats, violations, and the
 // complete trace — as JSON that RestoreScenarioResult round-trips. This
 // is the persistence form durable stores write at run settlement.
-func (r *ScenarioResult) ResultJSON() ([]byte, error) {
-	return json.Marshal(r.r)
-}
+func (r *ScenarioResult) ResultJSON() ([]byte, error) { return r.r.JSON() }
 
 // RestoreScenarioResult reconstructs a settled scenario result from the
 // JSON that ResultJSON produced — the path a restarted store takes to

@@ -44,6 +44,7 @@ run .                    'BenchmarkWhoProvidesIndexed$'     200000x
 run .                    'BenchmarkAPIDepsolve$'            3000x
 run .                    'BenchmarkBuildXCBC'               200x
 run .                    'BenchmarkFleetProvision100$'      50x
+run .                    'BenchmarkFleetNew100$'            500x
 run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
 run .                    'BenchmarkAPIFleetScenarioOp$'     20x
