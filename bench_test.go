@@ -958,6 +958,103 @@ func BenchmarkRecoverFleet100(b *testing.B) {
 	b.ReportMetric(float64(walBytes), "wal_disk_bytes")
 }
 
+// handlerCall returns a function that serves one request through h in
+// process and fails the benchmark unless it answers want; it returns the
+// body.
+func handlerCall(b *testing.B, h http.Handler) func(method, path, body string, want int) []byte {
+	return func(method, path, body string, want int) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader([]byte(body))))
+		if rec.Code != want {
+			b.Fatalf("%s %s = %d, want %d: %s", method, path, rec.Code, want, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+}
+
+// awaitBody polls GET path every millisecond until the body contains
+// settled, and returns that body.
+func awaitBody(b *testing.B, call func(method, path, body string, want int) []byte, path, settled string) []byte {
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		if body := call("GET", path, "", http.StatusOK); bytes.Contains(body, []byte(settled)) {
+			return body
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("%s never reported %s", path, settled)
+		}
+	}
+}
+
+// BenchmarkRecoverStanding64 measures recovery of bench/'s crash_recover
+// population, in process: 64 ready deployments with a job each and a
+// settled 20-member fleet with one rolling-update run, built once and
+// snapshotted whole, then api.Open + Close per iteration — snapshot decode,
+// 64 rebuilds with their ops replayed, the fleet re-provisioned and its run
+// restored. snapshot-bytes is what one such recovery reads from disk.
+func BenchmarkRecoverStanding64(b *testing.B) {
+	dir := b.TempDir()
+	open := func(cfg api.Config) (*api.Server, func(method, path, body string, want int) []byte) {
+		cfg.DataDir = dir
+		srv, _, err := api.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return srv, handlerCall(b, srv.Handler())
+	}
+	srv, call := open(api.Config{})
+	await := func(path, settled string) { awaitBody(b, call, path, settled) }
+	const standing = 64
+	const job = `{"cores":1,"walltime":"1h"}`
+	for i := 1; i <= standing; i++ {
+		id := fmt.Sprintf("d%d", i)
+		call("POST", "/api/v1/deployments", `{"cluster":"littlefe","scheduler":"torque"}`, http.StatusAccepted)
+		await("/api/v1/deployments/"+id+"?limit=1", `"state":"ready"`)
+		if i < standing {
+			call("POST", "/api/v1/clusters/"+id+"/jobs", job, http.StatusCreated)
+		}
+	}
+	call("POST", "/api/v1/fleets", `{"name":"standing","members":20,"cluster":"littlefe","nodes":3}`, http.StatusAccepted)
+	await("/api/v1/fleets/f1", `"settled":true`)
+	call("POST", "/api/v1/fleets/f1/scenarios", `{"name":"rolling-update"}`, http.StatusAccepted)
+	await("/api/v1/fleets/f1/scenarios/s1?limit=1", `"state":"passed"`)
+	// Every build has journaled its settlement once a reopened server lists
+	// all 64 ready.
+	if err := srv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	// The last submit, at one record per snapshot: the snapshot it triggers
+	// holds the whole population and leaves no log tail.
+	srv, call = open(api.Config{SnapshotEvery: 1})
+	if ready := bytes.Count(call("GET", "/api/v1/deployments?limit=1000", "", http.StatusOK), []byte(`"state":"ready"`)); ready != standing {
+		b.Fatalf("%d of %d standing deployments reopened ready", ready, standing)
+	}
+	call("POST", fmt.Sprintf("/api/v1/clusters/d%d/jobs", standing), job, http.StatusCreated)
+	var store struct {
+		SnapshotBytes float64 `json:"snapshot_bytes"`
+	}
+	if err := json.Unmarshal(call("GET", "/api/v1/store", "", http.StatusOK), &store); err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, rep, err := api.Open(api.Config{DataDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Rebuilt != standing || rep.OpsReplayed != standing || rep.Fleets != 1 || rep.Runs != 1 || rep.Records != 0 {
+			b.Fatalf("recovery report = %+v, want %d rebuilt with a job each, 1 fleet with 1 run, no log tail", rep, standing)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(store.SnapshotBytes, "snapshot-bytes")
+}
+
 // BenchmarkAPIFleetScenarioOp replays one operation of bench/'s
 // fleet_scenario workload through the durable control plane's handler, in
 // process: create a 100-member fleet, poll it ready, run campus-100, page
@@ -985,25 +1082,8 @@ func BenchmarkAPIFleetScenarioOpVolatile(b *testing.B) {
 
 func benchmarkAPIFleetScenarioOp(b *testing.B, srv *api.Server) {
 	defer srv.Close()
-	h := srv.Handler()
-	call := func(method, path, body string, want int) []byte {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader([]byte(body))))
-		if rec.Code != want {
-			b.Fatalf("%s %s = %d, want %d: %s", method, path, rec.Code, want, rec.Body.Bytes())
-		}
-		return rec.Body.Bytes()
-	}
-	await := func(path, settled string) []byte {
-		for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
-			if body := call("GET", path, "", http.StatusOK); bytes.Contains(body, []byte(settled)) {
-				return body
-			}
-			if time.Now().After(deadline) {
-				b.Fatalf("%s never reported %s", path, settled)
-			}
-		}
-	}
+	call := handlerCall(b, srv.Handler())
+	await := func(path, settled string) []byte { return awaitBody(b, call, path, settled) }
 	nextSeq := func() float64 {
 		var store struct {
 			NextSeq float64 `json:"next_seq"`

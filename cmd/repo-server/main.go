@@ -10,7 +10,10 @@
 // With -data-dir the control plane becomes durable: every resource
 // mutation is journalled to a write-ahead log under the directory and a
 // restarted server recovers its deployments, fleets, and scenario runs
-// before listening (see GET /api/v1/store for live durability status).
+// before it answers (see GET /api/v1/store for live durability status). The
+// port is bound before recovery starts: a second server started by mistake
+// on a live one's -addr exits before it touches the DataDir, and a client
+// that connects during recovery is held in the accept backlog, not refused.
 //
 // With -tenants the control plane becomes multi-tenant: the flag names a
 // JSON file holding an array of tenant declarations —
@@ -53,8 +56,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -71,14 +76,33 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	quiet := flag.Bool("quiet", false, "disable request logging")
-	dataDir := flag.String("data-dir", "", "durable state directory (empty = in-memory only)")
-	snapEvery := flag.Int("snapshot-every", 0, "WAL records between snapshots (0 = default)")
-	resume := flag.Bool("resume", false, "resume deployments interrupted mid-build instead of failing them")
-	tenantsPath := flag.String("tenants", "", "JSON tenant config file (empty = open mode, no auth)")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address, separate from -addr (empty = off)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program but the exit: it parses args, binds, recovers and
+// serves until ctx is cancelled, and returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("repo-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	quiet := fs.Bool("quiet", false, "disable request logging")
+	dataDir := fs.String("data-dir", "", "durable state directory (empty = in-memory only)")
+	snapEvery := fs.Int("snapshot-every", 0, "WAL records between snapshots (0 = default)")
+	resume := fs.Bool("resume", false, "resume deployments interrupted mid-build instead of failing them")
+	tenantsPath := fs.String("tenants", "", "JSON tenant config file (empty = open mode, no auth)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address, separate from -addr (empty = off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(v ...any) int {
+		fmt.Fprintln(stderr, append([]any{"repo-server:"}, v...)...)
+		return 1
+	}
 	if *debugAddr == "" {
 		// Linking net/http/pprof switches the runtime's heap-profile
 		// sampling on for the whole process (~0.9 MB resident for its
@@ -89,66 +113,69 @@ func main() {
 		// touched, and recovery itself can be profiled.
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "repo-server: debug listener:", err)
-			os.Exit(1)
+			return fail("debug listener:", err)
 		}
 		dbg := &http.Server{Handler: debugMux(), ReadHeaderTimeout: 10 * time.Second}
 		go dbg.Serve(ln) // returns when dbg.Close below shuts the listener
 		defer dbg.Close()
-		fmt.Printf("serving pprof on http://%s/debug/pprof/\n", ln.Addr())
+		fmt.Fprintf(stdout, "serving pprof on http://%s/debug/pprof/\n", ln.Addr())
 	}
+	// Bound before api.Open too. An address already taken — above all by a
+	// live server on the same -data-dir — fails here, before recovery can
+	// journal into, snapshot or truncate a log that process is appending to;
+	// and a client that connects while recovery runs waits in the accept
+	// backlog and is answered the moment it ends: a port that is bound but
+	// not yet accepting means "recovering".
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
+	}
+	defer ln.Close() // for the failures below; Serve closes it itself
 
 	xnit, err := xcbc.NewXNITRepository()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "repo-server:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	var logger *log.Logger
 	if !*quiet {
-		logger = log.New(os.Stderr, "repo-server: ", log.LstdFlags)
+		logger = log.New(stderr, "repo-server: ", log.LstdFlags)
 	}
 	cfg := api.Config{Repos: []*repo.Repository{xnit}, Logger: logger,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery, ResumeInterrupted: *resume}
 	if *tenantsPath != "" {
 		raw, err := os.ReadFile(*tenantsPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "repo-server:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := json.Unmarshal(raw, &cfg.Tenants); err != nil {
-			fmt.Fprintf(os.Stderr, "repo-server: parsing %s: %v\n", *tenantsPath, err)
-			os.Exit(1)
+			return fail(fmt.Sprintf("parsing %s: %v", *tenantsPath, err))
 		}
 	}
 	srv, rec, err := api.Open(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "repo-server:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer srv.Close()
 	if rec != nil {
-		fmt.Printf("recovered %s in %v: %d deployments (%d rebuilt, %d archived, %d interrupted, %d resumed, %d ops replayed), %d fleets, %d runs (%d replayed, %d diverged), %d campaigns (%d interrupted)\n",
+		fmt.Fprintf(stdout, "recovered %s in %v: %d deployments (%d rebuilt, %d archived, %d interrupted, %d resumed, %d ops replayed), %d fleets, %d runs (%d replayed, %d diverged), %d campaigns (%d interrupted)\n",
 			rec.DataDir, rec.Elapsed.Round(time.Millisecond),
 			rec.Deployments, rec.Rebuilt, rec.Archived, rec.Interrupted, rec.Resumed, rec.OpsReplayed,
 			rec.Fleets, rec.Runs, rec.Replayed, rec.ReplayMismatches,
 			rec.Campaigns, rec.CampaignsInterrupted)
 		if rec.Repaired {
-			fmt.Printf("repaired torn WAL tail (%d bytes dropped)\n", rec.DroppedBytes)
+			fmt.Fprintf(stdout, "repaired torn WAL tail (%d bytes dropped)\n", rec.DroppedBytes)
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Printf("serving XSEDE repository (%d packages) and API %s on %s\n",
-		xnit.Len(), api.Version, *addr)
-	fmt.Println("routes: /api/v1/{healthz,repos,depsolve,deployments,clusters}  /  /xsede/repodata/repomd.json")
-	fmt.Println("discover the full route table at GET /api/" + api.Version)
-	if err := srv.ListenAndServe(ctx, *addr); err != nil {
-		fmt.Fprintln(os.Stderr, "repo-server:", err)
-		os.Exit(1)
+	fmt.Fprintf(stdout, "serving XSEDE repository (%d packages) and API %s on %s\n",
+		xnit.Len(), api.Version, ln.Addr())
+	fmt.Fprintln(stdout, "routes: /api/v1/{healthz,repos,depsolve,deployments,clusters}  /  /xsede/repodata/repomd.json")
+	fmt.Fprintln(stdout, "discover the full route table at GET /api/"+api.Version)
+	if err := srv.Serve(ctx, ln); err != nil {
+		return fail(err)
 	}
-	fmt.Println("repo-server: shut down cleanly")
+	fmt.Fprintln(stdout, "repo-server: shut down cleanly")
+	return 0
 }
 
 // debugMux serves the pprof handlers and nothing else. Importing

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
@@ -52,6 +54,37 @@ func loggedMirror(t *testing.T, dir string) *mirror {
 		typed.apply(m)
 	}
 	return m
+}
+
+// loggedRecords returns the records dir's log holds past its snapshot.
+func loggedRecords(t *testing.T, dir string) []wal.Record {
+	t.Helper()
+	l, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return rec.Records
+}
+
+// waitJournaled returns once the store has applied — and therefore logged —
+// a deployment's settled record; a build reports its state before its
+// watcher journals it.
+func waitJournaled(t *testing.T, s *Server, id string) {
+	t.Helper()
+	st := s.openTenant.store
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		d := st.m.Deployments[id]
+		settled := d != nil && d.State != ""
+		st.mu.Unlock()
+		if settled {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: no settled record journaled", id)
+		}
+	}
 }
 
 // crashImages drives one durable campus-100 run on a fleet created from
@@ -185,9 +218,74 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 	}
 }
 
-// TestRecordsPerOperationPinned spells out what one fleet-and-scenario
-// operation journals and requires exactly that on every repetition.
+// TestRecordsPerOperationPinned spells out what one deployment lifecycle,
+// one failed build and one fleet-and-scenario operation journal, and
+// requires exactly that on every repetition.
 func TestRecordsPerOperationPinned(t *testing.T) {
+	t.Run("deployment", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir)
+		defer s.Close()
+		lifecycle := []string{recDeploymentCreated, recDeploymentSettled, recClusterOp, recClusterOp, recDeploymentDeleted}
+		var want []string
+		for op := 0; op < 3; op++ {
+			id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+			waitJournaled(t, s, id)
+			for _, call := range []struct {
+				method, path, body string
+				want               int
+			}{
+				{"POST", "/api/v1/clusters/" + id + "/jobs", `{"cores":1,"walltime":"1h"}`, http.StatusCreated},
+				{"GET", "/api/v1/clusters/" + id + "/metrics", "", http.StatusOK},
+				{"DELETE", "/api/v1/deployments/" + id, "", http.StatusNoContent},
+			} {
+				if rec := do(t, s, call.method, call.path, call.body, nil); rec.Code != call.want {
+					t.Fatalf("%s %s = %d, want %d: %s", call.method, call.path, rec.Code, call.want, rec.Body.String())
+				}
+			}
+			want = append(want, lifecycle...)
+		}
+		s.Close()
+		var got []string
+		for _, r := range loggedRecords(t, dir) {
+			got = append(got, r.Type)
+			// A ready build's settled record carries no journal.
+			if r.Type == recDeploymentSettled && bytes.Contains(r.Data, []byte(`"events"`)) {
+				t.Errorf("record %d: ready settlement carries a journal: %s", r.Seq, r.Data)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("3 lifecycles journaled\n  %v\nwant\n  %v", got, want)
+		}
+	})
+	t.Run("failed build", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir, func(c *Config) {
+			c.DeployOptions = []xcbc.Option{xcbc.WithInstallHook(func(string, int) error {
+				return errors.New("injected PXE fault")
+			})}
+		})
+		defer s.Close()
+		do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, nil)
+		final, live := pollDeployment(t, s, "d1")
+		if final.State != "failed" || len(live) == 0 {
+			t.Fatalf("settled %q with %d events, want failed with a journal", final.State, len(live))
+		}
+		waitJournaled(t, s, "d1")
+		s.Close()
+		records := loggedRecords(t, dir)
+		if len(records) != 2 || records[0].Type != recDeploymentCreated || records[1].Type != recDeploymentSettled {
+			t.Fatalf("a failed build journaled %d records, want %s then %s", len(records), recDeploymentCreated, recDeploymentSettled)
+		}
+		var settled depSettledRec
+		if err := json.Unmarshal(records[1].Data, &settled); err != nil {
+			t.Fatal(err)
+		}
+		if settled.State != "failed" || settled.Error != final.Error || !slices.Equal(settled.Events, live) {
+			t.Fatalf("settled record = %q (%s) with %d events\nwant the live journal: failed (%s), %d events",
+				settled.State, settled.Error, len(settled.Events), final.Error, len(live))
+		}
+	})
 	const smallFleet = `{"name":"small","members":4,"nodes":2,"workers":2,` + unprovisioned + `}`
 	const smallRun = `{"scenario":{"name":"small","seed":7,"fleet":{"members":4,"nodes":2,"workers":2},"phases":[
 		{"kind":"provision"},

@@ -62,6 +62,7 @@ import (
 	"log"
 	"maps"
 	"math"
+	"net"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -133,8 +134,8 @@ type routeInfo struct {
 }
 
 // Server is the HTTP control plane. Create with New, serve via Handler
-// (for tests and embedding) or ListenAndServe (timeouts + graceful
-// shutdown included).
+// (for tests and embedding) or Serve (timeouts + graceful shutdown
+// included).
 type Server struct {
 	set        *repo.Set
 	clock      func() time.Time
@@ -150,7 +151,7 @@ type Server struct {
 	tenants    []*tenant
 	openTenant *tenant
 
-	// closing is closed when ListenAndServe begins graceful shutdown so
+	// closing is closed when Serve begins graceful shutdown so
 	// long-lived streams (SSE) end promptly instead of pinning Shutdown
 	// against its drain deadline.
 	closing     chan struct{}
@@ -215,13 +216,18 @@ func (d *deployment) cluster() (*xcbc.Cluster, error) {
 // events returns journal events with Seq >= pg.cursor plus the next
 // cursor. A positive limit caps how many events one response carries; the
 // next cursor then points at the first event not returned, so clients page
-// through with repeated requests. Archived journals are complete
-// (recovered from the log, not the capped ring), so their seqs index the
-// slice directly.
+// through with repeated requests. An archived journal is a run of
+// consecutive seqs — from 0 unless the build outgrew the handle's ring
+// before it settled — so a cursor indexes the slice after its first seq.
 func (d *deployment) events(pg page) ([]eventInfo, int) {
-	if d.arch != nil {
-		start, end := pg.window(len(d.arch.Events))
-		return d.arch.Events[start:end], end
+	if a := d.arch; a != nil {
+		first := 0
+		if len(a.Events) > 0 {
+			first = a.Events[0].Seq
+		}
+		pg.cursor = max(pg.cursor-first, 0)
+		start, end := pg.window(len(a.Events))
+		return a.Events[start:end], first + end
 	}
 	evs, next := d.Handle.Events(pg.cursor)
 	if pg.limit > 0 && len(evs) > pg.limit {
@@ -287,8 +293,8 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 
 // Close stops the server's background work (store watchers, streams) and
 // flushes and closes every tenant's write-ahead log. A memory-only
-// server's Close is a cheap no-op. ListenAndServe does not call Close;
-// the caller owns it.
+// server's Close is a cheap no-op. Serve does not call Close; the caller
+// owns it.
 func (s *Server) Close() error {
 	s.closingOnce.Do(func() { close(s.closing) })
 	var errs []error
@@ -392,13 +398,15 @@ func (s *Server) Repos() *repo.Set { return s.set }
 // Handler returns the fully wired HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// ListenAndServe serves until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests for up to five seconds. The
-// server carries read/write/idle timeouts so a slow or stalled client
-// cannot pin a connection open indefinitely.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+// Serve answers connections on ln until ctx is cancelled, then shuts down
+// gracefully, draining in-flight requests for up to five seconds; it closes
+// ln either way. The caller binds the listener — before Open, so that a
+// port already taken fails before the DataDir is touched and clients that
+// connect during recovery wait in the accept backlog instead of being
+// refused. The server carries read/write/idle timeouts so a slow or stalled
+// client cannot pin a connection open indefinitely.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           s.handler,
 		ReadTimeout:       10 * time.Second,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -406,7 +414,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err

@@ -580,8 +580,12 @@ func TestConcurrentSetMutation(t *testing.T) {
 func TestGracefulShutdown(t *testing.T) {
 	s := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0") }()
+	go func() { done <- s.Serve(ctx, ln) }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
@@ -611,27 +615,14 @@ func TestGracefulShutdownWithSSEWatcher(t *testing.T) {
 			return nil
 		})},
 	})
-	lc := net.ListenConfig{}
-	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := ln.Addr().String() // bound: requests queue until Serve accepts
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.ListenAndServe(ctx, addr) }()
-	waitUp := time.Now().Add(5 * time.Second)
-	for {
-		if resp, err := http.Get("http://" + addr + "/api/v1/healthz"); err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(waitUp) {
-			t.Fatal("server never came up")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	go func() { done <- s.Serve(ctx, ln) }()
 	resp, err := http.Post("http://"+addr+"/api/v1/deployments", "application/json",
 		strings.NewReader(`{"cluster":"littlefe"}`))
 	if err != nil {

@@ -94,15 +94,22 @@ type depCreatedRec struct {
 	Nodes   int                     `json:"nodes"`
 }
 
+// depEventRec is no longer written — a build's journal rides in its
+// settled record — but the ones an older DataDir holds still apply: they
+// are a failed, cancelled or in-flight build's journal there.
 type depEventRec struct {
 	ID    string    `json:"id"`
 	Event eventInfo `json:"event"`
 }
 
+// depSettledRec ends a build. Events is the build's journal, carried only
+// when the build did not end ready: the archived view serves it, while a
+// ready deployment is rebuilt from its request and regenerates its own.
 type depSettledRec struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
+	ID     string      `json:"id"`
+	State  string      `json:"state"`
+	Error  string      `json:"error,omitempty"`
+	Events []eventInfo `json:"events,omitempty"`
 }
 
 // idRec is the payload of the records that only name their resource.
@@ -376,7 +383,6 @@ func openStore(s *Server, tn *tenant, dir string, cfg Config) (*RecoveryReport, 
 	// its observer (and journals replay progress) through the tenant's store.
 	tn.store = st
 	if err := st.materialize(report); err != nil {
-		st.cancel()
 		tn.store = nil
 		return nil, errors.Join(err, l.Close())
 	}
@@ -537,6 +543,13 @@ func (r depEventRec) apply(m *mirror) {
 func (r depSettledRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
 		d.State, d.Error = r.State, r.Error
+		// Nothing reads a ready deployment's journal; any other settlement
+		// brings its own, unless an older binary mirrored it event by event.
+		if r.State == string(xcbc.StateReady) {
+			d.Events = nil
+		} else if r.Events != nil {
+			d.Events = r.Events
+		}
 	}
 }
 
@@ -682,22 +695,27 @@ func numSuffix(id string) int {
 	return n
 }
 
-// watchDeployment streams a live deployment's journal into the WAL until
-// the build settles, then records the terminal state. It is the live
-// counterpart of the journal the archived path reloads.
+// watchDeployment waits for a live deployment's build to settle and
+// records the terminal state — with the journal the handle then serves when
+// the build did not end ready, which is what the archived path reloads.
 func (st *store) watchDeployment(dep *deployment) {
 	st.wg.Add(1)
 	go func() {
 		defer st.wg.Done()
-		final := dep.Handle.Watch(st.ctx, func(ev xcbc.Event) {
-			st.emit(recDeploymentEvent, depEventRec{ID: dep.ID, Event: eventInfoOf(ev)})
-		})
+		select {
+		case <-dep.Handle.Done():
+		case <-st.ctx.Done():
+		}
+		final := dep.Handle.Status()
 		if !final.Terminal() {
 			return // store shutting down; the next recovery reconciles
 		}
 		rec := depSettledRec{ID: dep.ID, State: string(final)}
 		if err := dep.Handle.Err(); err != nil {
 			rec.Error = err.Error()
+		}
+		if final != xcbc.StateReady {
+			rec.Events, _ = dep.events(page{})
 		}
 		st.emit(recDeploymentSettled, rec)
 	}()
@@ -744,9 +762,21 @@ func byNum[M any](m map[string]*M) []*M {
 	return out
 }
 
+// rebuildAhead is how many builds per SDK pool worker recovery keeps
+// started ahead of the deployment it is waiting on: enough that no worker
+// idles while the recovering goroutine replays ops, few enough that a large
+// DataDir does not park a goroutine per deployment on the pool.
+const rebuildAhead = 4
+
+// rebuild is a build recovery started ahead of its deployment's turn.
+type rebuild struct {
+	h   *xcbc.Handle
+	err error
+}
+
 // materialize turns the recovered mirror into the tenant's live
 // resources. It runs with the server constructed but not yet serving.
-func (st *store) materialize(report *RecoveryReport) error {
+func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn := st.tn
 
 	// Copy what is needed out of the mirror before spawning watchers that
@@ -781,10 +811,38 @@ func (st *store) materialize(report *RecoveryReport) error {
 	tn.campaigns.advance(st.m.NextCampaignID)
 	st.mu.Unlock()
 
-	// Deployments first (fleets do not depend on them).
+	// Deployments first (fleets do not depend on them). The builds recovery
+	// needs — a ready deployment's rebuild, an interrupted one's resume —
+	// start on the SDK pool a window ahead of the deployment being recovered;
+	// everything with an order (waiting, replaying ops, restoring, counting,
+	// journaling a reconciliation) stays on this goroutine, in ID order.
 	report.Deployments = len(deps)
-	for _, m := range deps {
-		dep, err := st.recoverDeployment(m, report)
+	builds := make([]rebuild, len(deps))
+	started := 0
+	defer func() {
+		if err == nil {
+			return
+		}
+		// A failed Open leaves nothing it started running. Watchers go first,
+		// so none of them journals the cancellation of a resumed build.
+		st.cancel()
+		st.wg.Wait()
+		for _, b := range builds[:started] {
+			if b.h != nil {
+				b.h.Cancel()
+			}
+		}
+	}()
+	window := rebuildAhead * xcbc.PoolWorkers()
+	for i, m := range deps {
+		for ; started < min(i+1+window, len(deps)); started++ {
+			next := &deps[started]
+			if next.State == string(xcbc.StateReady) || next.State == "" && st.resume {
+				b := &builds[started]
+				b.h, _, b.err = st.srv.startBuild(next.Created.Req)
+			}
+		}
+		dep, err := st.recoverDeployment(m, builds[i], report)
 		if err != nil {
 			return err
 		}
@@ -805,9 +863,9 @@ func (st *store) materialize(report *RecoveryReport) error {
 	return nil
 }
 
-// recoverDeployment materializes one deployment from its mirror entry.
-func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deployment, error) {
-	s := st.srv
+// recoverDeployment materializes one deployment from its mirror entry and
+// the build materialize started for it, if its state called for one.
+func (st *store) recoverDeployment(m depMirror, b rebuild, report *RecoveryReport) (*deployment, error) {
 	dep := &deployment{depCreatedRec: m.Created}
 	archive := func(state, errMsg string) {
 		m.State, m.Error = state, errMsg
@@ -821,11 +879,11 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 		// not land ready again (it should: the simulated substrate is
 		// deterministic for a request that already succeeded once) archives
 		// as failed rather than presenting a half-true cluster.
-		h, _, err := s.startBuild(m.Created.Req)
-		if err != nil {
-			archive(string(xcbc.StateFailed), "recovery rebuild: "+err.Error())
+		if b.err != nil {
+			archive(string(xcbc.StateFailed), "recovery rebuild: "+b.err.Error())
 			return dep, nil
 		}
+		h := b.h
 		if _, err := h.Wait(st.ctx); err != nil {
 			h.Cancel()
 			archive(string(xcbc.StateFailed), "recovery rebuild settled "+string(h.Status())+": "+err.Error())
@@ -849,12 +907,11 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 	default:
 		// No settled record: the server died with this build in flight.
 		if st.resume {
-			h, _, err := s.startBuild(m.Created.Req)
-			if err != nil {
-				archive(string(xcbc.StateFailed), "recovery resume: "+err.Error())
+			if b.err != nil {
+				archive(string(xcbc.StateFailed), "recovery resume: "+b.err.Error())
 				break
 			}
-			dep.Handle = h
+			dep.Handle = b.h
 			st.watchDeployment(dep)
 			report.Resumed++
 			break

@@ -540,6 +540,23 @@ func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 		{recCampaignSettled, campaignSettledRec{ID: "c3", State: "failed"}},
 		{recFleetDeleted, fleetDeletedRec{ID: "f2"}},
 		{recDeploymentDeleted, depDeletedRec{ID: "d7"}},
+		// A build that does not end ready brings its journal in its settled
+		// record (d8); deployment.event is no longer written, but the ones an
+		// older DataDir holds still apply: they stay a cancelled build's
+		// journal (d9) and are dropped when the build settles ready (d10).
+		{recDeploymentCreated, depCreatedRec{ID: "d8", Path: "xcbc", Created: now, Req: createDeploymentRequest{Cluster: "littlefe"}}},
+		{recDeploymentSettled, depSettledRec{ID: "d8", State: "failed", Error: "all computes quarantined", Events: []eventInfo{
+			{Seq: 0, Stage: "frontend", Packages: 3, Elapsed: "1s"},
+			{Seq: 1, Stage: "quarantine", Node: "compute-0-0", Message: `<PXE> & "retries"`},
+			{Seq: 2, Stage: "failed"},
+		}}},
+		{recDeploymentCreated, depCreatedRec{ID: "d9", Path: "xcbc", Created: now, Req: createDeploymentRequest{Cluster: "littlefe"}}},
+		{recDeploymentEvent, depEventRec{ID: "d9", Event: eventInfo{Seq: 0, Stage: "frontend", Packages: 3, Elapsed: "1s"}}},
+		{recDeploymentSettled, depSettledRec{ID: "d9", State: "cancelled", Error: "context canceled"}},
+		{recDeploymentCreated, depCreatedRec{ID: "d10", Path: "xcbc", Created: now, Req: createDeploymentRequest{Cluster: "littlefe"}}},
+		{recDeploymentEvent, depEventRec{ID: "d10", Event: eventInfo{Seq: 0, Stage: "frontend", Packages: 3, Elapsed: "1s"}}},
+		{recDeploymentEvent, depEventRec{ID: "d10", Event: eventInfo{Seq: 1, Stage: "compute", Node: "compute-0-0", Elapsed: "2s"}}},
+		{recDeploymentSettled, depSettledRec{ID: "d10", State: "ready"}},
 	}
 	live, recovered := newMirror(), newMirror()
 	covered := map[string]bool{}
@@ -571,5 +588,10 @@ func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 	}
 	if len(covered) != 15 {
 		t.Errorf("script covers %d record types, want all 15", len(covered))
+	}
+	for id, want := range map[string]int{"d8": 3, "d9": 1, "d10": 0} {
+		if got := len(recovered.Deployments[id].Events); got != want {
+			t.Errorf("the mirror holds %d journal events for %s, want %d", got, id, want)
+		}
 	}
 }

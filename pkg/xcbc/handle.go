@@ -69,6 +69,10 @@ func defaultPool() *orchestrator.Orchestrator {
 	return pool
 }
 
+// PoolWorkers returns how many builds the pool every Start shares runs at
+// once; a caller starting many sizes its backlog by it.
+func PoolWorkers() int { return defaultPool().Workers() }
+
 // Handle tracks one asynchronous deployment started with Builder.Start. All
 // methods are safe for concurrent use.
 type Handle struct {

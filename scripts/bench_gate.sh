@@ -48,6 +48,7 @@ run .                    'BenchmarkFleetNew100$'            500x
 run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
 run .                    'BenchmarkAPIFleetScenarioOp$'     20x
+run .                    'BenchmarkRecoverStanding64$'      100x
 run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
 run ./internal/wal/      'BenchmarkWALAppend'               2000000x
 run ./internal/campaign/ 'BenchmarkCampaignSweep32$'        3x
