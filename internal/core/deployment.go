@@ -265,3 +265,10 @@ func (d *Deployment) CompatReport() (*xsede.Report, error) {
 	}
 	return xsede.CheckNode(ref, d.Cluster.Frontend), nil
 }
+
+// CompatCounts returns CompatReport's Passed() and Total() without
+// building the report: what a status row needs, read from the frontend's
+// current packages and attributes like the report itself.
+func (d *Deployment) CompatCounts() (passed, total int, err error) {
+	return xsede.CountNode(d.Scheduler, d.Cluster.Frontend)
+}

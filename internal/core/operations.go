@@ -149,14 +149,21 @@ func (o *Operations) Jobs() []JobView {
 	return out
 }
 
-// JobCount returns len(Jobs()) without snapshotting any job.
-func (o *Operations) JobCount() int {
+// JobCounts returns how many of Jobs() are queued, running and finished,
+// without snapshotting any job.
+func (o *Operations) JobCounts() (queued, running, done int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.d.Batch == nil {
-		return 0
+		return 0, 0, 0
 	}
-	return o.d.Batch.JobCount()
+	return o.d.Batch.JobCounts()
+}
+
+// JobCount returns len(Jobs()) without snapshotting any job.
+func (o *Operations) JobCount() int {
+	queued, running, done := o.JobCounts()
+	return queued + running + done
 }
 
 // FailNode marks a compute node failed — powered off, its running jobs

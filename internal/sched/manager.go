@@ -214,12 +214,12 @@ func (m *Manager) History() []*Job {
 	return append([]*Job(nil), m.done...)
 }
 
-// JobCount returns how many jobs the manager knows: queued, running and
-// finished — len(Queued)+len(Running)+len(History) without the copies.
-func (m *Manager) JobCount() int {
+// JobCounts returns how many jobs the manager knows in each state —
+// len(Queued), len(Running), len(History) without the copies.
+func (m *Manager) JobCounts() (queued, running, done int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue) + len(m.running) + len(m.done)
+	return len(m.queue), len(m.running), len(m.done)
 }
 
 // Usage returns consumed core-seconds by user (fair-share accounting).

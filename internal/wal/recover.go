@@ -12,10 +12,12 @@ import (
 	"strings"
 )
 
-// recovered is Recovery plus the internal cursor Open needs.
+// recovered is Recovery plus what Open needs to carry on: the append
+// cursor and the footprint of the files the scan saw.
 type recovered struct {
 	Recovery
 	nextSeq uint64
+	disk    footprint
 }
 
 func isSegmentName(name string) bool {
@@ -52,10 +54,15 @@ func recoverDir(dir string) (*recovered, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("wal: %w", err)
 	}
+	rec := &recovered{}
 	var segSeqs, snapSeqs []uint64
 	for _, e := range entries {
 		if seq, ok := segmentSeqOf(e.Name()); ok {
 			segSeqs = append(segSeqs, seq)
+			if info, err := e.Info(); err == nil {
+				rec.disk.segments++
+				rec.disk.walBytes += info.Size()
+			}
 		}
 		if seq, ok := snapshotSeqOf(e.Name()); ok {
 			snapSeqs = append(snapSeqs, seq)
@@ -64,16 +71,19 @@ func recoverDir(dir string) (*recovered, string, error) {
 	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
 	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] > snapSeqs[j] }) // newest first
 
-	rec := &recovered{}
 	// Newest snapshot that passes its CRC wins; an unreadable newest one
 	// (crash between rename and old-snapshot delete cannot cause this, but
 	// a torn disk can) falls back to the predecessor rather than failing
 	// the whole recovery.
 	for _, seq := range snapSeqs {
-		state, err := readSnapshot(filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq)), seq)
+		path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
+		state, err := readSnapshot(path, seq)
 		if err == nil {
 			rec.Snapshot = state
 			rec.SnapshotSeq = seq
+			if info, err := os.Stat(path); err == nil {
+				rec.disk.snapBytes, rec.disk.snapTime = info.Size(), info.ModTime()
+			}
 			break
 		}
 	}
@@ -197,12 +207,14 @@ func repairTail(path string, data []byte, off int, rec *recovered) error {
 		if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
 			return fmt.Errorf("wal: repairing torn tail: %w", err)
 		}
+		off = len(segMagic)
 	} else if err := f.Truncate(int64(off)); err != nil {
 		return fmt.Errorf("wal: repairing torn tail: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: repairing torn tail: %w", err)
 	}
+	rec.disk.walBytes += int64(off - len(data))
 	return nil
 }
 
@@ -230,13 +242,14 @@ func readSnapshot(path string, wantSeq uint64) ([]byte, error) {
 }
 
 // writeSnapshot writes a snapshot file atomically (tmp + rename + dir
-// sync) and returns its final path.
-func writeSnapshot(dir string, seq uint64, state []byte, noSync bool) (string, error) {
+// sync) and returns its size and modification time as written — a rename
+// changes neither.
+func writeSnapshot(dir string, seq uint64, state []byte, noSync bool) (os.FileInfo, error) {
 	final := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	hdr := make([]byte, len(snapMagic)+16)
 	copy(hdr, snapMagic)
@@ -249,6 +262,10 @@ func writeSnapshot(dir string, seq uint64, state []byte, noSync bool) (string, e
 	if err == nil && !noSync {
 		err = f.Sync()
 	}
+	var info os.FileInfo
+	if err == nil {
+		info, err = f.Stat()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -257,12 +274,12 @@ func writeSnapshot(dir string, seq uint64, state []byte, noSync bool) (string, e
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return "", err
+		return nil, err
 	}
 	if !noSync {
 		syncDir(dir)
 	}
-	return final, nil
+	return info, nil
 }
 
 // syncDir fsyncs a directory so renames and unlinks inside it are

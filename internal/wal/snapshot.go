@@ -28,10 +28,12 @@ func (l *Log) Snapshot(state []byte) error {
 		return err
 	}
 	seq := l.nextSeq
-	if _, err := writeSnapshot(l.dir, seq, state, l.opts.NoSync); err != nil {
+	info, err := writeSnapshot(l.dir, seq, state, l.opts.NoSync)
+	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	l.snapSeq = seq
+	l.disk.snapBytes, l.disk.snapTime = info.Size(), info.ModTime()
 	// Rotate, unless the open segment already starts exactly at the
 	// snapshot point (a re-snapshot with no appends in between — the
 	// segment is empty and stays current).
@@ -62,7 +64,11 @@ func (l *Log) cleanupLocked() {
 	}
 	for _, e := range entries {
 		if seq, ok := segmentSeqOf(e.Name()); ok && seq != l.segStart {
-			os.Remove(filepath.Join(l.dir, e.Name()))
+			info, ierr := e.Info()
+			if os.Remove(filepath.Join(l.dir, e.Name())) == nil && ierr == nil {
+				l.disk.segments--
+				l.disk.walBytes -= info.Size()
+			}
 		}
 		if seq, ok := snapshotSeqOf(e.Name()); ok && seq != l.snapSeq {
 			os.Remove(filepath.Join(l.dir, e.Name()))

@@ -133,6 +133,21 @@ type Log struct {
 	segStart uint64 // first sequence of the segment open for append
 	pending  int    // appended records not yet fsynced
 	closed   bool
+
+	// disk is the footprint Stats reports, kept current by everything that
+	// writes, creates or removes a file, so that reading it touches no
+	// disk: Open takes it from the recovery scan, appends add what they
+	// wrote, Snapshot what it rotated, replaced and cleaned up.
+	disk footprint
+}
+
+// footprint is the log's size on disk: its segment files, and the snapshot
+// recovery would load.
+type footprint struct {
+	segments  int
+	walBytes  int64
+	snapBytes int64
+	snapTime  time.Time // the snapshot file's modification time
 }
 
 // Open opens (creating if needed) the log in dir, repairs any torn tail
@@ -152,6 +167,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		buf:     &bytes.Buffer{},
 		nextSeq: rec.nextSeq,
 		snapSeq: rec.SnapshotSeq,
+		disk:    rec.disk,
 	}
 	if lastSeg != "" {
 		l.f, err = os.OpenFile(lastSeg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -191,6 +207,8 @@ func (l *Log) newSegment() error {
 	}
 	l.f = f
 	l.segStart = l.nextSeq
+	l.disk.segments++
+	l.disk.walBytes += int64(len(segMagic))
 	return nil
 }
 
@@ -224,7 +242,9 @@ func (l *Log) Append(typ string, data []byte) (uint64, error) {
 	l.buf.Write(data)
 	frame := l.buf.Bytes()
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
-	if _, err := l.f.Write(frame); err != nil {
+	n, err := l.f.Write(frame)
+	l.disk.walBytes += int64(n)
+	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	l.nextSeq++
@@ -288,7 +308,9 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
 		l.nextSeq++
 	}
-	if _, err := l.f.Write(l.buf.Bytes()); err != nil {
+	n, err := l.f.Write(l.buf.Bytes())
+	l.disk.walBytes += int64(n)
+	if err != nil {
 		// The write may have landed partially; recovery's torn-tail repair
 		// handles that exactly as it does for a torn single-record append.
 		l.nextSeq = first
@@ -342,32 +364,18 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// Stats reports the log's on-disk footprint.
+// Stats reports the log's on-disk footprint from the figures the log keeps
+// as it writes; it reads no file and no directory, so a status poll never
+// holds the append lock across disk I/O. A file some other process adds to
+// or removes from the directory is seen at the next Open.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{Dir: l.dir, NextSeq: l.nextSeq, SnapshotSeq: l.snapSeq}
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return st
+	return Stats{
+		Dir: l.dir, NextSeq: l.nextSeq, SnapshotSeq: l.snapSeq,
+		Segments: l.disk.segments, WALBytes: l.disk.walBytes,
+		SnapshotBytes: l.disk.snapBytes, SnapshotTime: l.disk.snapTime,
 	}
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		switch {
-		case isSegmentName(e.Name()):
-			st.Segments++
-			st.WALBytes += info.Size()
-		case isSnapshotName(e.Name()):
-			if seq, ok := snapshotSeqOf(e.Name()); ok && seq == l.snapSeq {
-				st.SnapshotBytes = info.Size()
-				st.SnapshotTime = info.ModTime()
-			}
-		}
-	}
-	return st
 }
 
 // Close flushes, syncs, and closes the log. The log cannot be used

@@ -7,8 +7,10 @@ package xsede
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
+	"sync"
 
 	"xcbc/internal/rpm"
 )
@@ -176,54 +178,122 @@ type NodeState interface {
 // provisioning), and command availability via the owning packages.
 func CheckNode(ref *Reference, node NodeState) *Report {
 	rep := &Report{Reference: ref.Name}
-	db := node.Packages()
-
-	names := make([]string, 0, len(ref.Packages))
-	for name := range ref.Packages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		minVer := ref.Packages[name]
-		p := db.Newest(name)
-		if p == nil {
-			rep.Checks = append(rep.Checks, Check{Kind: "package", Detail: name + " not installed", OK: false})
-			continue
-		}
-		rep.Checks = append(rep.Checks, Check{Kind: "package", Detail: name + " installed", OK: true})
-		if minVer == "" {
-			continue
-		}
-		ok := p.EVR.Compare(rpm.EVR{Version: minVer}) >= 0
-		detail := fmt.Sprintf("%s %s >= %s", name, p.EVR, minVer)
-		if !ok {
-			detail = fmt.Sprintf("%s %s is older than required %s", name, p.EVR, minVer)
-		}
-		rep.Checks = append(rep.Checks, Check{Kind: "version", Detail: detail, OK: ok})
-	}
-
-	for _, dir := range ref.Dirs {
-		_, ok := node.Attr("dir:" + dir)
-		detail := dir + " present"
-		if !ok {
-			detail = dir + " missing"
-		}
-		rep.Checks = append(rep.Checks, Check{Kind: "dir", Detail: detail, OK: ok})
-	}
-
-	cmds := make([]string, 0, len(ref.Commands))
-	for c := range ref.Commands {
-		cmds = append(cmds, c)
-	}
-	sort.Strings(cmds)
-	for _, cmd := range cmds {
-		owner := ref.Commands[cmd]
-		ok := db.Has(owner)
-		detail := fmt.Sprintf("command %q (from %s) available", cmd, owner)
-		if !ok {
-			detail = fmt.Sprintf("command %q missing (package %s not installed)", cmd, owner)
-		}
-		rep.Checks = append(rep.Checks, Check{Kind: "command", Detail: detail, OK: ok})
-	}
+	flatten(ref).walk(node, func(f finding) {
+		rep.Checks = append(rep.Checks, Check{Kind: f.kind, Detail: f.detail(), OK: f.ok})
+	})
 	return rep
+}
+
+// CountNode returns what CheckNode's report would count for a node checked
+// against the Stampede reference adjusted for sched ("" leaves it as it
+// is) — Passed() and Total() — without building the report. A scheduler
+// WithScheduler rejects fails with the same error.
+func CountNode(sched string, node NodeState) (passed, total int, err error) {
+	ref, ok := flatRefs()[sched]
+	if !ok {
+		_, err := StampedeReference().WithScheduler(sched)
+		return 0, 0, err
+	}
+	ref.walk(node, func(f finding) {
+		total++
+		if f.ok {
+			passed++
+		}
+	})
+	return passed, total, nil
+}
+
+// flatRef is a Reference laid out for walking: sorted slices instead of
+// maps, attribute keys joined.
+type flatRef struct {
+	pkgs []flatPkg
+	dirs []flatDir
+	cmds []flatCmd
+}
+
+type flatPkg struct{ name, min string }  // min "": any installed build passes
+type flatDir struct{ path, attr string } // attr is "dir:<path>", as provisioning records it
+type flatCmd struct{ name, owner string }
+
+func flatten(ref *Reference) *flatRef {
+	f := &flatRef{}
+	for _, name := range slices.Sorted(maps.Keys(ref.Packages)) {
+		f.pkgs = append(f.pkgs, flatPkg{name, ref.Packages[name]})
+	}
+	for _, dir := range ref.Dirs {
+		f.dirs = append(f.dirs, flatDir{dir, "dir:" + dir})
+	}
+	for _, cmd := range slices.Sorted(maps.Keys(ref.Commands)) {
+		f.cmds = append(f.cmds, flatCmd{cmd, ref.Commands[cmd]})
+	}
+	return f
+}
+
+// flatRefs holds the Stampede reference under each scheduler choice ("" is
+// the unadjusted reference), derived from StampedeReference and
+// WithScheduler on first use and never written again. The references are
+// constant; what they are checked against is read live on every call.
+var flatRefs = sync.OnceValue(func() map[string]*flatRef {
+	refs := map[string]*flatRef{"": flatten(StampedeReference())}
+	for _, sched := range []string{"torque", "slurm", "sge"} {
+		ref, err := StampedeReference().WithScheduler(sched)
+		if err != nil {
+			panic(err)
+		}
+		refs[sched] = flatten(ref)
+	}
+	return refs
+})
+
+// finding is one check's outcome, its report text not yet rendered.
+type finding struct {
+	kind string // "package", "version", "dir", "command"
+	ok   bool
+	name string  // the package, directory or command checked
+	have rpm.EVR // "version": the installed build
+	want string  // "version": the minimum; "command": the owning package
+}
+
+// walk runs every check of the reference against node, in report order,
+// and hands each outcome to visit. It is the only statement of the rules:
+// the report and the counts are two visitors.
+func (ref *flatRef) walk(node NodeState, visit func(finding)) {
+	db := node.Packages()
+	for _, pkg := range ref.pkgs {
+		p := db.Newest(pkg.name)
+		visit(finding{kind: "package", ok: p != nil, name: pkg.name})
+		if p == nil || pkg.min == "" {
+			continue
+		}
+		ok := p.EVR.Compare(rpm.EVR{Version: pkg.min}) >= 0
+		visit(finding{kind: "version", ok: ok, name: pkg.name, have: p.EVR, want: pkg.min})
+	}
+	for _, dir := range ref.dirs {
+		_, ok := node.Attr(dir.attr)
+		visit(finding{kind: "dir", ok: ok, name: dir.path})
+	}
+	for _, cmd := range ref.cmds {
+		visit(finding{kind: "command", ok: db.Has(cmd.owner), name: cmd.name, want: cmd.owner})
+	}
+}
+
+// detail renders the outcome as the report prints it.
+func (f finding) detail() string {
+	switch {
+	case f.kind == "package" && f.ok:
+		return f.name + " installed"
+	case f.kind == "package":
+		return f.name + " not installed"
+	case f.kind == "version" && f.ok:
+		return fmt.Sprintf("%s %s >= %s", f.name, f.have, f.want)
+	case f.kind == "version":
+		return fmt.Sprintf("%s %s is older than required %s", f.name, f.have, f.want)
+	case f.kind == "dir" && f.ok:
+		return f.name + " present"
+	case f.kind == "dir":
+		return f.name + " missing"
+	case f.ok:
+		return fmt.Sprintf("command %q (from %s) available", f.name, f.want)
+	}
+	return fmt.Sprintf("command %q missing (package %s not installed)", f.name, f.want)
 }

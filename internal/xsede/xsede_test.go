@@ -1,6 +1,8 @@
 package xsede
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,5 +149,92 @@ func TestWithScheduler(t *testing.T) {
 	}
 	if _, err := ref.WithScheduler("cron"); err == nil {
 		t.Fatal("unknown scheduler should fail")
+	}
+}
+
+// referenceFor is the reference the report path checks a scheduler choice
+// against, built the way core.CompatReport builds it.
+func referenceFor(t *testing.T, sched string) *Reference {
+	t.Helper()
+	ref := StampedeReference()
+	if sched == "" {
+		return ref
+	}
+	ref, err := ref.WithScheduler(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestFlatReferencesMatchTheReference pins the tables CountNode walks
+// against the Reference CheckNode is handed, entry by entry, so an edit to
+// StampedeReference or WithScheduler cannot move one path without the
+// other. The rules themselves cannot differ: both paths are visitors of
+// one walk.
+func TestFlatReferencesMatchTheReference(t *testing.T) {
+	for _, sched := range []string{"", "torque", "slurm", "sge"} {
+		ref, flat := referenceFor(t, sched), flatRefs()[sched]
+		if flat == nil {
+			t.Fatalf("no flat reference for scheduler %q", sched)
+		}
+		pkgs := map[string]string{}
+		for _, p := range flat.pkgs {
+			pkgs[p.name] = p.min
+		}
+		if len(flat.pkgs) != len(ref.Packages) || !maps.Equal(pkgs, ref.Packages) {
+			t.Errorf("%q: flat packages %v, reference %v", sched, pkgs, ref.Packages)
+		}
+		var dirs []string
+		for _, d := range flat.dirs {
+			if d.attr != "dir:"+d.path {
+				t.Errorf("%q: directory %s is looked up as %q", sched, d.path, d.attr)
+			}
+			dirs = append(dirs, d.path)
+		}
+		if !slices.Equal(dirs, ref.Dirs) {
+			t.Errorf("%q: flat dirs %v, reference %v", sched, dirs, ref.Dirs)
+		}
+		cmds := map[string]string{}
+		for _, c := range flat.cmds {
+			cmds[c.name] = c.owner
+		}
+		if len(flat.cmds) != len(ref.Commands) || !maps.Equal(cmds, ref.Commands) {
+			t.Errorf("%q: flat commands %v, reference %v", sched, cmds, ref.Commands)
+		}
+	}
+	if n := len(flatRefs()); n != 4 {
+		t.Errorf("%d flat references, want the 4 checked above", n)
+	}
+}
+
+// TestCountNodeAgreesWithCheckNode compares the counts with the report's
+// Passed and Total under each scheduler on a node that passes some checks,
+// fails some version minimums and lacks the rest.
+func TestCountNodeAgreesWithCheckNode(t *testing.T) {
+	n := newFakeNode()
+	n.install(t, "gcc", "4.4.7-4.el6")
+	n.install(t, "openmpi", "1.5-1.el6") // older than required
+	n.install(t, "lammps", "1.0-1.el6")  // no minimum
+	n.install(t, "slurm", "14.03.1-1.el6")
+	n.attrs["dir:/opt/apps"] = "present"
+	for _, sched := range []string{"", "torque", "slurm", "sge"} {
+		rep := CheckNode(referenceFor(t, sched), n)
+		passed, total, err := CountNode(sched, n)
+		if err != nil || passed != rep.Passed() || total != rep.Total() {
+			t.Fatalf("scheduler %q: CountNode = %d/%d (%v), report %d/%d",
+				sched, passed, total, err, rep.Passed(), rep.Total())
+		}
+		if passed == 0 || passed == total {
+			t.Fatalf("scheduler %q: %d/%d checks pass; the node should pass some and fail some", sched, passed, total)
+		}
+	}
+}
+
+func TestCountNodeUnknownScheduler(t *testing.T) {
+	_, want := StampedeReference().WithScheduler("cron")
+	passed, total, err := CountNode("cron", newFakeNode())
+	if err == nil || err.Error() != want.Error() || passed != 0 || total != 0 {
+		t.Fatalf("CountNode(cron) = %d/%d, %v; want 0/0 and %v", passed, total, err, want)
 	}
 }

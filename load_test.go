@@ -11,6 +11,8 @@ package xcbc
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"xcbc/internal/core"
@@ -20,9 +22,9 @@ import (
 )
 
 // newLoadServer builds an in-process control plane with n named tenants
-// (or open mode when n == 0), each holding a few fleets so list
-// endpoints page over real data. Returns the server and the per-tenant
-// bearer keys.
+// (or open mode when n == 0), each holding a few fleets and two ready
+// deployments so list endpoints page over real data. Returns the server
+// and the per-tenant bearer keys.
 func newLoadServer(tb testing.TB, n int, rate float64, burst int) (*api.Server, []string) {
 	tb.Helper()
 	xnit, err := core.NewXNITRepository()
@@ -42,25 +44,27 @@ func newLoadServer(tb testing.TB, n int, rate float64, burst int) (*api.Server, 
 	srv := api.New(cfg)
 	tb.Cleanup(func() { srv.Close() })
 
-	// Seed each tenant with unprovisioned fleets: real registry entries
-	// without background builds, so the measured path is the API itself.
+	// Seed each tenant as bench/'s read_mix does: unprovisioned fleets —
+	// real registry entries without background builds — and two ready
+	// deployments, so a /deployments page carries rows and the allocation
+	// gate sees what a row costs.
 	for i, key := range keys {
+		call := func(method, path, body string, want int) []byte {
+			req := httptest.NewRequest(method, path, strings.NewReader(body))
+			req.Header.Set("Authorization", "Bearer "+key)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != want {
+				tb.Fatalf("seeding: %s %s = %d, want %d: %s", method, path, rec.Code, want, rec.Body.Bytes())
+			}
+			return rec.Body.Bytes()
+		}
 		for j := 0; j < 3; j++ {
-			body := fmt.Sprintf(`{"name":"seed-%d-%d","members":4,"cluster":"littlefe","provision":false}`, i, j)
-			res, err := loadgen.Run(loadgen.Spec{
-				Handler:  srv.Handler(),
-				Header:   http.Header{"Authorization": {"Bearer " + key}},
-				Mix:      []loadgen.Request{{Method: "POST", Path: "/api/v1/fleets", Body: body}},
-				Workers:  1,
-				Requests: 1,
-				Seed:     1,
-			})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if res.Status[http.StatusCreated]+res.Status[http.StatusAccepted]+res.Status[http.StatusOK] != 1 {
-				tb.Fatalf("seeding fleet: %+v", res.Status)
-			}
+			call("POST", "/api/v1/fleets", fmt.Sprintf(`{"name":"seed-%d-%d","members":4,"cluster":"littlefe","provision":false}`, i, j), http.StatusAccepted)
+		}
+		for j := 1; j <= 2; j++ {
+			call("POST", "/api/v1/deployments", `{"cluster":"littlefe","scheduler":"torque"}`, http.StatusAccepted)
+			awaitBody(tb, call, fmt.Sprintf("/api/v1/deployments/d%d?limit=1", j), `"state":"ready"`)
 		}
 	}
 	return srv, keys

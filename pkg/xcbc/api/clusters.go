@@ -48,16 +48,7 @@ func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
 	info.Scheduler = cl.Scheduler()
 	info.VirtualNow = cl.Now().String()
 	info.Quarantined = cl.Deployment().Quarantined()
-	for _, j := range cl.Jobs() {
-		switch j.State {
-		case xcbc.JobQueued:
-			info.JobsQueued++
-		case xcbc.JobRunning:
-			info.JobsRunning++
-		default:
-			info.JobsDone++
-		}
-	}
+	info.JobsQueued, info.JobsRunning, info.JobsDone = cl.JobCounts()
 	return info
 }
 

@@ -454,6 +454,15 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// builtinInfo is one row of GET /api/v1/scenarios; the built-ins are fixed
+// for the life of the process, so newServer renders the rows once.
+type builtinInfo struct {
+	Name        string `json:"name"`
+	Description string `json:"description"`
+	Members     int    `json:"members"`
+	Seed        int64  `json:"seed"`
+}
+
 // handleScenarios lists the built-in scenarios a client can POST by name.
 // The list is immutable, so the cursor is a plain offset into it.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
@@ -461,24 +470,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	type builtinInfo struct {
-		Name        string `json:"name"`
-		Description string `json:"description"`
-		Members     int    `json:"members"`
-		Seed        int64  `json:"seed"`
-	}
-	names := xcbc.BuiltinScenarios()
-	start, end := pg.window(len(names))
-	out := make([]builtinInfo, 0, end-start)
-	for _, name := range names[start:end] {
-		sc, err := xcbc.BuiltinScenario(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, builtinInfo{
-			Name: sc.Name(), Description: sc.Description(),
-			Members: sc.Members(), Seed: sc.Seed(),
-		})
-	}
-	writeList(w, "scenarios", out, end)
+	start, end := pg.window(len(s.builtins))
+	writeList(w, "scenarios", s.builtins[start:end], end)
 }

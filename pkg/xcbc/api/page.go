@@ -10,10 +10,14 @@ package api
 // caps how many events ride along per response.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"sync"
 )
 
 const (
@@ -82,11 +86,44 @@ func (pg page) window(n int) (start, end int) {
 	return start, end
 }
 
-// writeList answers 200 with the paginated list envelope. It stays a map
-// because that pins the wire's key order: encoding/json sorts map keys, so
-// "campaigns" and "clusters" precede "count" and every other key follows.
+// listBufs holds the buffers list envelopes are assembled in.
+var listBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeList answers 200 with the paginated list envelope, assembled in a
+// pooled buffer and written once. Its three fields go out in sorted key
+// order — the order encoding/json gave the map this envelope used to be,
+// and the wire's pinned order — so "campaigns" and "clusters" precede
+// "count" and every other key follows.
 func writeList[I any](w http.ResponseWriter, key string, items []I, next int) {
-	writeJSON(w, http.StatusOK, map[string]any{key: items, "count": len(items), "next_cursor": next})
+	buf := listBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	fields := [3]string{"count", key, "next_cursor"}
+	slices.Sort(fields[:])
+	for i, name := range fields {
+		buf.WriteByte("{,,"[i])
+		buf.WriteByte('"')
+		buf.WriteString(name)
+		buf.WriteString(`":`)
+		switch name {
+		case "count":
+			buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(items)), 10))
+		case "next_cursor":
+			buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(next), 10))
+		default:
+			if err := json.NewEncoder(buf).Encode(items); err != nil {
+				writeError(w, http.StatusInternalServerError, "encoding "+key+": "+err.Error())
+				return
+			}
+			buf.Truncate(buf.Len() - 1) // Encode's newline
+		}
+	}
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
+	// A ?limit=1000 page is not what the next request should find pooled.
+	if buf.Cap() <= 64<<10 {
+		listBufs.Put(buf)
+	}
 }
 
 // servePage answers one page of a registry listing, rendering each item

@@ -144,6 +144,11 @@ type Server struct {
 	deployOpts []xcbc.Option
 	routes     []routeInfo
 
+	// Bodies fixed once the server is constructed: the discovery document,
+	// encoded, and the rows of GET /api/v1/scenarios.
+	discovery []byte
+	builtins  []builtinInfo
+
 	// tenants are the server's shards, sorted by name. openTenant is the
 	// single anonymous shard when Config.Tenants is empty (open mode), nil
 	// in multi-tenant mode; every resource registry and store lives on a
@@ -388,6 +393,35 @@ func newServer(cfg Config) (*Server, error) {
 	// so runtime mutations through Repos() reach both route families.
 	mux.Handle("/", repo.NewSetServer(clock, s.set))
 	s.handler = s.logged(s.admit(mux))
+	doc := discoveryDoc{
+		Version: Version,
+		Auth:    discoveryAuth{Mode: "open"},
+		Pagination: discoveryPagination{
+			Params:       "?cursor=&limit=",
+			DefaultLimit: defaultPageLimit,
+			MaxLimit:     maxPageLimit,
+			NextCursor:   "every list envelope carries next_cursor; pass it back as ?cursor= to continue where the page ended",
+		},
+		Routes: s.routes,
+	}
+	if open == nil {
+		doc.Auth = discoveryAuth{
+			Mode:   "api-key",
+			Header: "Authorization: Bearer <key> (or X-API-Key: <key>)",
+			Exempt: admitExempt,
+		}
+	}
+	if s.discovery, err = json.Marshal(doc); err != nil {
+		return nil, err
+	}
+	s.discovery = append(s.discovery, '\n')
+	for _, name := range xcbc.BuiltinScenarios() {
+		sc, err := xcbc.BuiltinScenario(name)
+		if err != nil {
+			return nil, err
+		}
+		s.builtins = append(s.builtins, builtinInfo{sc.Name(), sc.Description(), sc.Members(), sc.Seed()})
+	}
 	return s, nil
 }
 
@@ -553,34 +587,13 @@ type discoveryPagination struct {
 	NextCursor   string `json:"next_cursor"`
 }
 
-func (s *Server) discovery() discoveryDoc {
-	auth := discoveryAuth{Mode: "open"}
-	if s.openTenant == nil {
-		auth = discoveryAuth{
-			Mode:   "api-key",
-			Header: "Authorization: Bearer <key> (or X-API-Key: <key>)",
-			Exempt: admitExempt,
-		}
-	}
-	return discoveryDoc{
-		Version: Version,
-		Auth:    auth,
-		Pagination: discoveryPagination{
-			Params:       "?cursor=&limit=",
-			DefaultLimit: defaultPageLimit,
-			MaxLimit:     maxPageLimit,
-			NextCursor:   "every list envelope carries next_cursor; pass it back as ?cursor= to continue where the page ended",
-		},
-		Routes: s.routes,
-	}
-}
-
 // handleIndex serves the discovery document: the API version, the auth
 // and pagination contracts, and the full route listing, so clients can
 // feature-detect capabilities (the cluster day-2 routes in particular)
 // instead of probing with requests.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.discovery())
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(s.discovery)
 }
 
 // repoInfo is the JSON shape of one repository.
@@ -783,9 +796,8 @@ func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) dep
 			info.PackagesInstalled = d.PackagesInstalled()
 			info.InstallDuration = d.InstallDuration().String()
 			info.Quarantined = d.Quarantined()
-			if compat, err := d.Compat(); err == nil {
-				info.CompatPassed = compat.Passed
-				info.CompatTotal = compat.Total
+			if passed, total, err := d.CompatCounts(); err == nil {
+				info.CompatPassed, info.CompatTotal = passed, total
 			}
 		}
 	}

@@ -128,6 +128,12 @@ func (c *Cluster) Jobs() []JobInfo {
 	return out
 }
 
+// JobCounts returns how many of Jobs() are queued, running and finished
+// (completed, cancelled or timed out), without copying any job.
+func (c *Cluster) JobCounts() (queued, running, done int) {
+	return c.ops.JobCounts()
+}
+
 // Exec runs one scheduler-native command line (qsub/qstat/qdel,
 // sbatch/squeue/scancel, module avail), serialized with every other
 // cluster operation.

@@ -43,6 +43,28 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Fatalf("cluster = %s/%s", cl.Name(), cl.Scheduler())
 	}
 
+	// JobCounts is what a cluster status row reads instead of copying
+	// Jobs(); the two must tally in every mix of states.
+	countsAgree := func(what string, wantQueued, wantRunning, wantDone int) {
+		t.Helper()
+		var tally [3]int
+		for _, j := range cl.Jobs() {
+			switch j.State {
+			case JobQueued:
+				tally[0]++
+			case JobRunning:
+				tally[1]++
+			default:
+				tally[2]++
+			}
+		}
+		queued, running, done := cl.JobCounts()
+		if got := [3]int{queued, running, done}; got != tally || got != [3]int{wantQueued, wantRunning, wantDone} {
+			t.Fatalf("%s: JobCounts = %v, Jobs() tallies %v, want %d/%d/%d", what, got, tally, wantQueued, wantRunning, wantDone)
+		}
+	}
+	countsAgree("no jobs", 0, 0, 0)
+
 	// Submit: a job that fits starts immediately; a cluster-sized one
 	// queues behind it.
 	small, err := cl.SubmitJob(JobSpec{Name: "relax", User: "alice", Cores: 2,
@@ -61,6 +83,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if big.State != JobQueued {
 		t.Fatalf("big job state = %s, want queued", big.State)
 	}
+	countsAgree("one running, one queued", 1, 1, 0)
 	if _, err := cl.SubmitJob(JobSpec{Cores: 0}); !errors.Is(err, ErrBadJob) {
 		t.Fatalf("zero-core submit = %v, want ErrBadJob", err)
 	}
@@ -90,10 +113,13 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Fatalf("big job after advance = %+v", bigNow)
 	}
 
+	countsAgree("one completed, one running", 0, 1, 1)
+
 	// Cancel the running job; cancelling it again is unknown.
 	if err := cl.CancelJob(big.ID); err != nil {
 		t.Fatal(err)
 	}
+	countsAgree("one completed, one cancelled", 0, 0, 2)
 	if err := cl.CancelJob(big.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("double cancel = %v, want ErrUnknownJob", err)
 	}
@@ -186,6 +212,9 @@ func TestVendorClusterNoScheduler(t *testing.T) {
 	}
 	if jobs := cl.Jobs(); len(jobs) != 0 {
 		t.Fatalf("jobs without scheduler = %v", jobs)
+	}
+	if q, r, d := cl.JobCounts(); q+r+d != 0 {
+		t.Fatalf("job counts without scheduler = %d/%d/%d", q, r, d)
 	}
 	// Monitoring and validation still work: they need no batch system.
 	if m := cl.Metrics(); len(m.Nodes) == 0 {

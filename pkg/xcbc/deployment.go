@@ -163,6 +163,13 @@ func (d *Deployment) Compat() (Compat, error) {
 		Text: rep.Summary()}, nil
 }
 
+// CompatCounts returns Compat's Passed and Total without rendering the
+// report; the two always agree.
+func (d *Deployment) CompatCounts() (passed, total int, err error) {
+	passed, total, err = d.core.CompatCounts()
+	return passed, total, translate(err)
+}
+
 // UpdatePolicy selects how an update check treats available updates.
 type UpdatePolicy int
 

@@ -47,6 +47,7 @@ run .                    'BenchmarkFleetProvision100$'      50x
 run .                    'BenchmarkFleetNew100$'            500x
 run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
+run .                    'BenchmarkAPIReadRows'             5000x
 run .                    'BenchmarkAPIFleetScenarioOp$'     20x
 run .                    'BenchmarkRecoverStanding64$'      100x
 run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
