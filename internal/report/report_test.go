@@ -2,6 +2,7 @@ package report
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -120,5 +121,20 @@ func TestAllIncludesEverything(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("All() missing %q", want)
 		}
+	}
+}
+
+// TestAllMatchesGolden pins what cmd/tables prints with no flags: Tables
+// 1-5 and the three figure substitutes, byte for byte. The golden was
+// captured at commit 4af5118; regenerate it with
+// `go run ./cmd/tables > internal/report/testdata/all.golden` only when
+// a paper table is meant to change.
+func TestAllMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := All(); got != string(want) {
+		t.Errorf("All() drifted from testdata/all.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
