@@ -124,8 +124,7 @@ func main() {
 	model := hpl.Model(limulus, n, hpl.ModelParams{})
 	fmt.Printf("full-machine model: %v\n", model)
 
-	// Storage management: results land on scratch, which purges after 30
-	// days — the researcher's reminder to move data home.
+	// Storage management: results land on scratch, under a per-user quota.
 	scratch := storage.NewFilesystem("scratch", "/scratch", storage.Scratch, 8000)
 	scratch.SetQuota("researcher", 2000e9)
 	if err := scratch.Write("/scratch/researcher/variants.vcf", "researcher", 40e9, eng.Now()); err != nil {

@@ -34,7 +34,7 @@ func main() {
 
 	// The campus mirror syncs incrementally.
 	mirror := repo.NewMirror(upstream, "xsede-campus")
-	added, removed, err := mirror.Sync(time.Now())
+	added, removed, err := mirror.Sync()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	added, removed, err = mirror.Sync(time.Now())
+	added, removed, err = mirror.Sync()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -187,20 +186,4 @@ func (p *Pass) PkgNameOf(id *ast.Ident) *types.Package {
 		}
 	}
 	return nil
-}
-
-// SortedDiagnostics orders diagnostics by position for stable output.
-func SortedDiagnostics(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
-	out := append([]Diagnostic(nil), diags...)
-	sort.SliceStable(out, func(i, j int) bool {
-		pi, pj := fset.Position(out[i].Pos), fset.Position(out[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		return pi.Column < pj.Column
-	})
-	return out
 }

@@ -134,8 +134,14 @@ func runFixture(t *testing.T, a *Analyzer, importPath string) {
 		t.Fatalf("%s on %s: %v", a.Name, importPath, err)
 	}
 
-	wants := collectWants(t, fset, pkg)
-	for _, d := range SortedDiagnostics(fset, diags) {
+	matchWants(t, fset, collectWants(t, fset, pkg), diags)
+}
+
+// matchWants fails on every diagnostic no want expects and every want no
+// diagnostic matched.
+func matchWants(t *testing.T, fset *token.FileSet, wants []*want, diags []Diagnostic) {
+	t.Helper()
+	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		matched := false
 		for _, w := range wants {

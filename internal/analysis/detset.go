@@ -49,6 +49,8 @@ var Deterministic = []string{
 // Exemption is narrow: maporder, errdrop, and lockcopy still apply to
 // everything detlint analyzes; only the clock/randomness contract is
 // waived.
+//
+//detlint:reached support: TestDeterministicSetClosure holds every sim-importing package to Deterministic or a reason written here
 var Exempt = map[string]string{
 	"xcbc/cmd/clusterctl":             "operator CLI; wall-clock timestamps and ticker output are UX, never trace input",
 	"xcbc/examples/campus-bridging":   "runnable documentation; demonstrates the SDK against real time",

@@ -11,11 +11,11 @@ import (
 // 8-worker pool. One op = one whole campaign.
 func BenchmarkCampaignSweep32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), Spec{Seeds: 32, Workers: 8})
+		res, err := RunObserved(context.Background(), Spec{Seeds: 32, Workers: 8}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Clean() {
+		if res.Completed != res.Seeds || res.Failed != 0 || res.Errors != 0 {
 			b.Fatalf("campaign not clean: %+v", res)
 		}
 	}

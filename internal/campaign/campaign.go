@@ -116,21 +116,11 @@ type Result struct {
 	Failures  []Failure `json:"failures,omitempty"`
 }
 
-// Clean reports a campaign that completed every seed without failures.
-func (r *Result) Clean() bool {
-	return r.Completed == r.Seeds && r.Failed == 0 && r.Errors == 0
-}
-
-// Run sweeps the campaign and returns its result. Mechanical problems
-// (bad spec, cancellation) surface as the error; invariant violations are
-// campaign *data*, reported per seed in the Result.
-func Run(ctx context.Context, spec Spec) (*Result, error) {
-	return RunObserved(ctx, spec, nil)
-}
-
-// RunObserved is Run with a per-seed progress observer, invoked in seed
-// order on the campaign's goroutine (nil behaves like Run) — the seam the
-// control plane taps to journal campaign progress.
+// RunObserved sweeps the campaign and returns its result. Mechanical
+// problems (bad spec, cancellation) surface as the error; invariant
+// violations are campaign *data*, reported per seed in the Result. onSeed,
+// if not nil, is invoked in seed order on the campaign's goroutine — the
+// seam the control plane taps to journal campaign progress.
 func RunObserved(ctx context.Context, spec Spec, onSeed func(SeedOutcome)) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -142,7 +132,7 @@ func RunObserved(ctx context.Context, spec Spec, onSeed func(SeedOutcome)) (*Res
 	jobs := make([]*orchestrator.Job, spec.Seeds)
 	for i := 0; i < spec.Seeds; i++ {
 		seed := spec.StartSeed + int64(i)
-		jobs[i] = pool.Submit(ctx, fmt.Sprintf("seed-%d", seed), 1,
+		jobs[i] = pool.Submit(ctx, "", 1,
 			func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
 				return sweepSeed(jctx, spec, seed), nil
 			})

@@ -17,11 +17,11 @@ func TestCampaignSweepClean(t *testing.T) {
 	if testing.Short() {
 		seeds = 32
 	}
-	res, err := Run(context.Background(), Spec{Seeds: seeds, Workers: 8})
+	res, err := RunObserved(context.Background(), Spec{Seeds: seeds, Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Clean() {
+	if res.Completed != res.Seeds || res.Failed != 0 || res.Errors != 0 {
 		t.Fatalf("campaign not clean: %+v (failures: %v)", res, res.Failures)
 	}
 	if res.Passed != seeds || res.Completed != seeds {
@@ -59,9 +59,9 @@ func floodSeedRange(t *testing.T) (start int64, n int) {
 // to a minimal repro, and the repro re-fails deterministically standalone.
 func TestCampaignDetectsPlantedBug(t *testing.T) {
 	start, n := floodSeedRange(t)
-	res, err := Run(context.Background(), Spec{
+	res, err := RunObserved(context.Background(), Spec{
 		Seeds: n, StartSeed: start, Workers: 4, CheckHook: plantedHook,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestCampaignSpecValidate(t *testing.T) {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", spec)
 		}
-		if _, err := Run(context.Background(), spec); err == nil {
-			t.Errorf("Run(%+v) = nil error, want error", spec)
+		if _, err := RunObserved(context.Background(), spec, nil); err == nil {
+			t.Errorf("RunObserved(%+v) = nil error, want error", spec)
 		}
 	}
 	if err := (Spec{Seeds: 1}).Validate(); err != nil {
@@ -150,7 +150,7 @@ func TestCampaignSpecValidate(t *testing.T) {
 func TestCampaignCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, Spec{Seeds: 8, Workers: 2})
+	res, err := RunObserved(ctx, Spec{Seeds: 8, Workers: 2}, nil)
 	if err == nil {
 		t.Fatal("cancelled campaign returned nil error")
 	}

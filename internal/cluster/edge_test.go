@@ -66,15 +66,6 @@ func TestTable3AdoptionKinds(t *testing.T) {
 	}
 }
 
-func TestPriceGFLOPSZeroRpeak(t *testing.T) {
-	fe := NewNode("fe", RoleFrontend, CPUModel{Name: "null"}, 1, 1).AddNIC(NIC{Name: "eth0"})
-	c := New("null", "x", fe, GigabitEthernet)
-	c.CostUSD = 100
-	if c.PriceGFLOPSRpeak() != 0 {
-		t.Fatal("zero Rpeak should not divide")
-	}
-}
-
 func TestClusterEnergyStartsZero(t *testing.T) {
 	c := NewLittleFe()
 	if c.EnergyWh() != 0 {

@@ -22,7 +22,6 @@ const (
 	CategoryMisc      = "Miscellaneous Tools"
 	CategoryXSEDE     = "XSEDE Tools"
 	CategoryRollPkg   = "Rocks optional rolls"
-	CategorySecurity  = "security update"
 )
 
 // entry is one row of the static catalog.
@@ -277,25 +276,6 @@ func CatalogByName(pkgs []*rpm.Package) map[string]*rpm.Package {
 	out := make(map[string]*rpm.Package, len(pkgs))
 	for _, p := range pkgs {
 		out[p.Name] = p
-	}
-	return out
-}
-
-// CategoryNames lists the catalog categories in table order.
-func CategoryNames() []string {
-	return []string{
-		CategoryBasics, CategoryJobMgmt, CategoryCompilers,
-		CategorySciApps, CategoryMisc, CategoryXSEDE, CategoryRollPkg,
-	}
-}
-
-// PackagesInCategory filters a catalog by category, preserving order.
-func PackagesInCategory(pkgs []*rpm.Package, category string) []*rpm.Package {
-	var out []*rpm.Package
-	for _, p := range pkgs {
-		if p.Category == category {
-			out = append(out, p)
-		}
 	}
 	return out
 }

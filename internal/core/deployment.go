@@ -122,6 +122,8 @@ func PreflightXCBC(c *cluster.Cluster) error {
 // BuildXCBC performs the complete "all at once, from scratch" XCBC build on
 // a bare cluster: distribution assembly, frontend install, compute
 // kickstarts, module generation, and subsystem startup.
+//
+//detlint:reached benchmark: BenchmarkUpdateCheck (BENCH_baseline.json), BenchmarkXCBCFromScratch, BenchmarkSchedulerPortability and BenchmarkClusterVerify build through it
 func BuildXCBC(eng *sim.Engine, c *cluster.Cluster, opts Options) (*Deployment, error) {
 	return BuildXCBCContext(context.Background(), eng, c, opts)
 }

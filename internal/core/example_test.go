@@ -24,7 +24,7 @@ func ExampleBuildXCBC() {
 	}
 	fmt.Println(out)
 	rep, _ := d.CompatReport()
-	fmt.Printf("compatible: %v\n", rep.Compatible())
+	fmt.Printf("compatible: %v\n", rep.Passed() == rep.Total())
 	// Output:
 	// 1.littlefe-head
 	// compatible: true

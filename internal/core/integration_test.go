@@ -28,7 +28,7 @@ func TestXCBCOnMarshall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Compatible() {
+	if rep.Passed() != rep.Total() {
 		t.Fatalf("Marshall rebuild not compatible:\n%s", rep.Summary())
 	}
 	// The GPU nodes kept their accelerators through provisioning.
@@ -65,7 +65,7 @@ func TestXCBCOnHoward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Compatible() {
+	if rep.Passed() != rep.Total() {
 		t.Fatalf("Howard build:\n%s", rep.Summary())
 	}
 	// Chemistry workload through the PBS-compatible SGE commands.
@@ -101,7 +101,7 @@ func TestXNITOnPBARC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Compatible() {
+	if rep.Passed() == rep.Total() {
 		t.Fatal("partial adoption should not be fully compatible")
 	}
 	if rep.Score() == 0 {
@@ -130,8 +130,7 @@ func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 	}
 	// Drive 10 minutes of monitoring during the burn.
 	deadline := eng.Now() + sim.Time(10*time.Minute)
-	for eng.Now() < deadline && eng.Pending() > 0 {
-		eng.Step()
+	for eng.Now() < deadline && eng.Step() {
 		am.Evaluate(eng.Now(), sim.Time(time.Minute))
 	}
 	if len(am.Active()) == 0 {
@@ -141,8 +140,7 @@ func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 	eng.RunUntil(eng.Now() + sim.Time(time.Hour))
 	am.Evaluate(eng.Now(), sim.Time(time.Minute))
 	// Stop periodic polling by draining the engine completely.
-	for eng.Pending() > 0 && eng.Now() < sim.Time(24*time.Hour) {
-		eng.Step()
+	for eng.Now() < sim.Time(24*time.Hour) && eng.Step() {
 	}
 	am.Evaluate(eng.Now(), sim.Time(time.Minute))
 	for _, a := range am.Active() {

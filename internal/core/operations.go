@@ -44,10 +44,6 @@ func NewOperations(d *Deployment) *Operations {
 	return &Operations{d: d, alerts: monitor.NewAlertManager(d.Monitor, DefaultAlertRules...)}
 }
 
-// Deployment returns the adapted deployment. Mutating it while other
-// goroutines use the adapter is the caller's responsibility.
-func (o *Operations) Deployment() *Deployment { return o.d }
-
 // interval returns the monitor poll period for alert freshness math.
 func (o *Operations) interval() sim.Time {
 	if o.d.MonitorInterval > 0 {
@@ -176,16 +172,6 @@ func (o *Operations) FailNode(name string) error {
 		return ErrNoScheduler
 	}
 	return o.d.Batch.NodeFail(name)
-}
-
-// RepairNode returns a failed node to service and reruns placement.
-func (o *Operations) RepairNode(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.d.Batch == nil {
-		return ErrNoScheduler
-	}
-	return o.d.Batch.NodeRepair(name)
 }
 
 // Exec runs one scheduler-native command line, serialized with every other

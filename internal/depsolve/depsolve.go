@@ -151,53 +151,6 @@ func (r *Resolver) Install(names ...string) (*rpm.Transaction, error) {
 	return tx, nil
 }
 
-// Remove resolves an erase of the named packages, refusing if other installed
-// packages still require them (unless those are also being removed).
-func (r *Resolver) Remove(names ...string) (*rpm.Transaction, error) {
-	tx := &rpm.Transaction{}
-	removing := make(map[string]bool, len(names))
-	for _, name := range names {
-		removing[name] = true
-	}
-	// The newest build of each removed name, resolved once up front rather
-	// than re-queried inside the survivor scan below.
-	removed := make([]*rpm.Package, 0, len(names))
-	for _, name := range names {
-		p := r.DB.Newest(name)
-		if p == nil {
-			return nil, fmt.Errorf("depsolve: %s is not installed", name)
-		}
-		tx.Erase(p)
-		removed = append(removed, p)
-	}
-	// Reject if a survivor depends on a removed package.
-	for _, survivor := range r.DB.Installed() {
-		if removing[survivor.Name] {
-			continue
-		}
-		for _, req := range survivor.Requires {
-			for _, p := range removed {
-				if !p.ProvidesCap(req) {
-					continue
-				}
-				// Is the requirement still met by someone staying?
-				met := false
-				for _, prov := range r.DB.WhoProvides(req) {
-					if !removing[prov.Name] {
-						met = true
-						break
-					}
-				}
-				if !met {
-					return nil, fmt.Errorf("depsolve: cannot remove %s: required by %s",
-						p.Name, survivor.NEVRA())
-				}
-			}
-		}
-	}
-	return tx, nil
-}
-
 // Update is one available update for an installed package.
 type Update struct {
 	Installed *rpm.Package
@@ -227,18 +180,4 @@ func (r *Resolver) CheckUpdates() []Update {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Installed.Name < out[j].Installed.Name })
 	return out
-}
-
-// UpdateAll resolves a transaction upgrading every installed package with an
-// available update ("yum update" with no arguments).
-func (r *Resolver) UpdateAll() (*rpm.Transaction, error) {
-	updates := r.CheckUpdates()
-	if len(updates) == 0 {
-		return &rpm.Transaction{}, nil
-	}
-	names := make([]string, len(updates))
-	for i, u := range updates {
-		names[i] = u.Installed.Name
-	}
-	return r.Install(names...)
 }

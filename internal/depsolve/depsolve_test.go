@@ -153,40 +153,6 @@ func TestInstallUpgradesInstalledOlder(t *testing.T) {
 	}
 }
 
-func TestRemoveRefusedWhenRequired(t *testing.T) {
-	set, db := fixture()
-	r := New(set, db)
-	tx, _ := r.Install("gromacs")
-	if err := tx.Run(db); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Remove("openmpi"); err == nil {
-		t.Fatal("removing openmpi should be refused (fftw/gromacs need mpi)")
-	}
-	// Removing the whole stack together is fine.
-	rm, err := r.Remove("gromacs", "fftw", "openmpi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rm.Run(db); err != nil {
-		t.Fatal(err)
-	}
-	if db.Has("openmpi") {
-		t.Fatal("openmpi should be erased")
-	}
-	if !db.Has("gcc") {
-		t.Fatal("gcc should survive")
-	}
-}
-
-func TestRemoveNotInstalled(t *testing.T) {
-	set, db := fixture()
-	r := New(set, db)
-	if _, err := r.Remove("gcc"); err == nil {
-		t.Fatal("removing a non-installed package should fail")
-	}
-}
-
 func TestCheckUpdates(t *testing.T) {
 	set, db := fixture()
 	r := New(set, db)
@@ -222,26 +188,20 @@ func TestUpdateAll(t *testing.T) {
 			rpm.NewPackage("fftw", "3.3.4-1.el6", rpm.ArchX86_64).Requires(rpm.Cap("mpi")).Build(),
 		)
 	}
-	utx, err := r.UpdateAll()
-	if err != nil {
-		t.Fatal(err)
+	// "yum update" with no arguments is the update check under auto-apply.
+	n := r.RunUpdateCheck(PolicyAutoApply, time.Time{})
+	if n.ApplyErr != nil {
+		t.Fatal(n.ApplyErr)
 	}
-	if utx.Len() != 2 {
-		t.Fatalf("UpdateAll tx = %s, want 2 upgrades", utx)
-	}
-	if err := utx.Run(db); err != nil {
-		t.Fatal(err)
+	if len(n.Applied) != 2 {
+		t.Fatalf("applied %v, want 2 upgrades", n.Applied)
 	}
 	if db.Newest("fftw").EVR.String() != "3.3.4-1.el6" {
 		t.Fatal("fftw not upgraded")
 	}
 	// Second run is a no-op.
-	utx2, err := r.UpdateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if utx2.Len() != 0 {
-		t.Fatalf("second UpdateAll should be empty, got %s", utx2)
+	if n := r.RunUpdateCheck(PolicyAutoApply, time.Time{}); n.ApplyErr != nil || len(n.Applied) != 0 {
+		t.Fatalf("second update should be empty, got %v (%v)", n.Applied, n.ApplyErr)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"xcbc/internal/repo"
 	"xcbc/internal/rpm"
@@ -65,20 +66,7 @@ func TestInstallAlwaysValidOrUnresolvableProperty(t *testing.T) {
 		if err := tx.Run(db); err != nil {
 			return false
 		}
-		if len(db.UnmetRequires()) != 0 {
-			return false
-		}
-		// The ordered variant resolves to the same element set.
-		db2 := rpm.NewDB()
-		res2 := New(set, db2)
-		tx2, err := res2.InstallOrdered(req...)
-		if err != nil {
-			return false
-		}
-		if tx2.Len() != tx.Len() {
-			return false
-		}
-		return tx2.Run(db2) == nil
+		return len(db.UnmetRequires()) == 0
 	}
 	cfg := &quick.Config{MaxCount: 250, Rand: rand.New(rand.NewSource(41))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -87,7 +75,8 @@ func TestInstallAlwaysValidOrUnresolvableProperty(t *testing.T) {
 }
 
 func TestUpdateAllIdempotentProperty(t *testing.T) {
-	// After UpdateAll succeeds, a second CheckUpdates is always empty.
+	// After an auto-applied update check succeeds, a second CheckUpdates is
+	// always empty.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		set, names := randomRepoUniverse(rng)
@@ -111,14 +100,8 @@ func TestUpdateAllIdempotentProperty(t *testing.T) {
 				_ = c.Repo.Publish(newer)
 			}
 		}
-		utx, err := res.UpdateAll()
-		if err != nil {
+		if n := res.RunUpdateCheck(PolicyAutoApply, time.Time{}); n.ApplyErr != nil {
 			return false
-		}
-		if utx.Len() > 0 {
-			if err := utx.Run(db); err != nil {
-				return false
-			}
 		}
 		return len(res.CheckUpdates()) == 0
 	}

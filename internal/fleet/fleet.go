@@ -13,9 +13,7 @@
 // Determinism contract: every member simulates on a private engine, so
 // concurrent builds never share a clock, and per-member results (install
 // duration, package counts, quarantine sets) are reproducible regardless
-// of how the worker pool interleaves builds. Anything order-dependent in
-// the fleet itself (the aggregate journal) is observability only and must
-// not feed a scenario trace.
+// of how the worker pool interleaves builds.
 package fleet
 
 import (
@@ -119,7 +117,6 @@ func (s Spec) Validate() error {
 // XNIT repository. All methods are safe for concurrent use.
 type Fleet struct {
 	spec    Spec
-	journal *orchestrator.Journal
 	members []*Member
 	next    atomic.Int64 // index of the next member a build worker takes
 
@@ -161,14 +158,7 @@ func New(spec Spec) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	f := &Fleet{
-		spec: s,
-		// One lifecycle entry per member plus slack for fleet-level notes,
-		// bounded so a 10k-member fleet retains a fixed-size ring: a recent
-		// window with cursor-safe eviction via Since. Nothing keeps the
-		// evicted history; per-member state is the durable record.
-		journal: orchestrator.NewJournal(aggregateJournalCap(s.Members)),
-	}
+	f := &Fleet{spec: s}
 	slab := make([]Member, s.Members)
 	f.members = make([]*Member, s.Members)
 	for i := range slab {
@@ -188,19 +178,6 @@ func memberID(name string, i int) string {
 	return string(strconv.AppendInt(id, int64(i), 10))
 }
 
-// maxAggregateJournalCap bounds the aggregate journal ring regardless of
-// fleet size: retained history stays O(1) per fleet while sequence numbers
-// keep counting, so readers detect the evicted gap through Journal.Since.
-const maxAggregateJournalCap = 4096
-
-func aggregateJournalCap(members int) int {
-	c := 2*members + 16
-	if c > maxAggregateJournalCap {
-		c = maxAggregateJournalCap
-	}
-	return c
-}
-
 // Spec returns the fleet's effective (defaulted) specification.
 func (f *Fleet) Spec() Spec { return f.spec }
 
@@ -210,14 +187,6 @@ func (f *Fleet) Len() int { return len(f.members) }
 // Members returns the fleet's members in index order.
 func (f *Fleet) Members() []*Member { return append([]*Member(nil), f.members...) }
 
-// Member returns one member by index.
-func (f *Fleet) Member(i int) (*Member, bool) {
-	if i < 0 || i >= len(f.members) {
-		return nil, false
-	}
-	return f.members[i], true
-}
-
 // Provisioned reports whether Provision has been called (builds may still
 // be in flight).
 func (f *Fleet) Provisioned() bool {
@@ -225,11 +194,6 @@ func (f *Fleet) Provisioned() bool {
 	defer f.mu.Unlock()
 	return f.provisioned
 }
-
-// Journal returns the fleet's aggregate lifecycle journal: one entry as
-// each member's build settles. Entry order follows wall-clock completion
-// and is NOT deterministic — use per-member state for reproducible output.
-func (f *Fleet) Journal() *orchestrator.Journal { return f.journal }
 
 // Provision creates every member's build job and returns immediately while
 // min(Spec.Workers, members) goroutines run them: each takes the next
@@ -262,19 +226,11 @@ func (f *Fleet) Provision(ctx context.Context) error {
 	return nil
 }
 
-// settle folds a member whose build just ended into the lock-free rollup
-// and appends its aggregate journal entry.
+// settle folds a member whose build just ended into the lock-free rollup.
 func (f *Fleet) settle(m *Member) {
-	st, result, err := m.job.Outcome()
-	msg := st.String()
+	st, result, _ := m.job.Outcome()
 	if d, ok := result.(*core.Deployment); ok {
-		msg = fmt.Sprintf("%s: %d packages in %v (simulated)", st, d.PackagesInstalled, d.InstallDuration)
-		if len(d.Quarantined) > 0 {
-			msg += fmt.Sprintf(", %d quarantined", len(d.Quarantined))
-		}
 		f.quarantinedCount.Add(int64(len(d.Quarantined)))
-	} else if err != nil {
-		msg = fmt.Sprintf("%s: %v", st, err)
 	}
 	switch st {
 	case orchestrator.StateReady:
@@ -284,7 +240,6 @@ func (f *Fleet) settle(m *Member) {
 	case orchestrator.StateCancelled:
 		f.cancelledCount.Add(1)
 	}
-	f.journal.Append(orchestrator.Event{Stage: "member", Node: m.ID, Message: msg})
 }
 
 // Wait blocks until every member's build settles or ctx expires. It
@@ -326,11 +281,6 @@ type Status struct {
 	Failed      int
 	Cancelled   int
 	Quarantined int // quarantined compute nodes across ready members
-}
-
-// Settled reports whether every member reached a terminal state.
-func (s Status) Settled() bool {
-	return s.Pending == 0 && s.Building == 0 && s.Members > 0
 }
 
 // Status counts members by state. Members not yet provisioned count as
@@ -428,7 +378,7 @@ func (m *Member) runHook(node string, attempt int) error {
 // starts, on the worker.
 func (m *Member) newJob(ctx context.Context) {
 	spec := &m.fleet.spec
-	job := orchestrator.NewJob(ctx, m.ID, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
+	job := orchestrator.NewJob(ctx, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
 		return core.BuildXCBCContext(jctx, sim.NewEngine(), m.hw, core.Options{
 			Scheduler:   spec.Scheduler,
 			Parallelism: spec.Parallelism,

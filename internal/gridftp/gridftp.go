@@ -74,16 +74,9 @@ func (e *Endpoint) List(prefix string) []FileInfo {
 	return out
 }
 
-// Remove deletes a file.
-func (e *Endpoint) Remove(path string) bool {
-	if _, ok := e.files[path]; !ok {
-		return false
-	}
-	delete(e.files, path)
-	return true
-}
-
 // InjectFaults makes every nth chunk fail, exercising the retry path.
+//
+//detlint:reached support: TestTransferRetriesOnFault and TestTransferExhaustsRetries fail chunks to reach the retry and give-up paths
 func (e *Endpoint) InjectFaults(everyN int) { e.faultEvery = everyN }
 
 // TransferState tracks a transfer's lifecycle.
@@ -136,8 +129,7 @@ type Service struct {
 	// WANLatency is the per-request setup cost.
 	WANLatency time.Duration
 
-	nextID    int
-	transfers []*Transfer
+	nextID int
 }
 
 // NewService creates a transfer service on the engine.
@@ -157,7 +149,6 @@ func (s *Service) Submit(src *Endpoint, srcPath string, dst *Endpoint, dstPath s
 		State: TransferQueued, Bytes: fi.Size,
 	}
 	s.nextID++
-	s.transfers = append(s.transfers, t)
 	s.Engine.After(0, fmt.Sprintf("xfer-%d-start", t.ID), func(e *sim.Engine) {
 		s.run(t, fi)
 	})
@@ -212,9 +203,6 @@ func (s *Service) run(t *Transfer, fi FileInfo) {
 	tryOnce(s.Engine)
 }
 
-// Transfers returns all submitted transfers.
-func (s *Service) Transfers() []*Transfer { return append([]*Transfer(nil), s.transfers...) }
-
 // Namespace is the GFFS global directory tree: grid paths mapping to
 // endpoint mounts.
 type Namespace struct {
@@ -261,15 +249,6 @@ func (ns *Namespace) Resolve(gridPath string) (*Endpoint, string, error) {
 	return ns.mounts[best], local, nil
 }
 
-// List lists files under a grid path.
-func (ns *Namespace) List(gridPath string) ([]FileInfo, error) {
-	ep, local, err := ns.Resolve(gridPath)
-	if err != nil {
-		return nil, err
-	}
-	return ep.List(local), nil
-}
-
 // Copy submits a transfer between two grid paths through the service.
 func (ns *Namespace) Copy(s *Service, srcGrid, dstGrid string) (*Transfer, error) {
 	srcEp, srcLocal, err := ns.Resolve(srcGrid)
@@ -281,14 +260,4 @@ func (ns *Namespace) Copy(s *Service, srcGrid, dstGrid string) (*Transfer, error
 		return nil, err
 	}
 	return s.Submit(srcEp, srcLocal, dstEp, dstLocal)
-}
-
-// Mounts lists mount prefixes, sorted.
-func (ns *Namespace) Mounts() []string {
-	out := make([]string, 0, len(ns.mounts))
-	for p := range ns.mounts {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

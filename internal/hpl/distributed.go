@@ -45,6 +45,8 @@ func (r DistributedResult) String() string {
 // generated deterministically from seed on every rank (each rank keeps only
 // its own rows); the solution is assembled on rank 0 and validated against
 // a locally generated copy.
+//
+//detlint:reached benchmark: BenchmarkDistributedHPL in the root bench_test.go runs the distributed-memory LU over internal/mpi
 func DistributedSolve(w *mpi.World, n, nb int, seed int64) (DistributedResult, error) {
 	if nb <= 0 {
 		nb = 8

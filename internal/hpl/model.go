@@ -101,6 +101,8 @@ func Model(c *cluster.Cluster, n int, p ModelParams) Result {
 // CalibrateCommCoeff solves for the CommCoeff that makes the model hit a
 // target Rmax on a given cluster at problem size N (used to anchor the model
 // to the Limulus vendor measurement).
+//
+//detlint:reached reference: TestCalibrateCommCoeff holds DefaultCommCoeff within 5% of what this solves for the Limulus vendor measurement
 func CalibrateCommCoeff(c *cluster.Cluster, n int, gamma, targetRmaxGF float64) (float64, error) {
 	rpeak := c.RpeakGFLOPS()
 	if targetRmaxGF <= 0 || targetRmaxGF >= rpeak*gamma {

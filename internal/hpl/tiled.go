@@ -10,6 +10,8 @@ import (
 // stays hot in cache across the rows of a chunk. Same numerics, same
 // pivoting, different loop order — an ablation on the repository's own
 // compute kernel (BenchmarkTiledUpdate compares the two).
+//
+//detlint:reached benchmark: BenchmarkTiledUpdate in the root bench_test.go compares it with Factor
 func FactorTiled(a *Matrix, nb, tile, workers int) ([]int, error) {
 	if a.Rows != a.Cols {
 		return nil, errNotSquare(a)

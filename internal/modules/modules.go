@@ -194,88 +194,6 @@ func (sess *Session) Load(spec string) error {
 	return nil
 }
 
-// Unload removes a loaded module by name, rebuilding the environment from
-// the remaining modules (the robust way real module systems behave under
-// "module purge"-style recomputation).
-func (sess *Session) Unload(name string) error {
-	idx := -1
-	for i, l := range sess.loaded {
-		if l.Name == name || l.Key() == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("modules: %s is not loaded", name)
-	}
-	// A module other loaded modules depend on cannot be unloaded.
-	for i, l := range sess.loaded {
-		if i == idx {
-			continue
-		}
-		for _, pre := range l.Prereqs {
-			if pre == sess.loaded[idx].Name {
-				return fmt.Errorf("modules: cannot unload %s: %s depends on it", name, l.Key())
-			}
-		}
-	}
-	remaining := append(append([]*Modulefile(nil), sess.loaded[:idx]...), sess.loaded[idx+1:]...)
-	return sess.reload(remaining)
-}
-
-// Purge unloads everything.
-func (sess *Session) Purge() {
-	_ = sess.reload(nil)
-}
-
-// reload rebuilds env from the base (non-module) variables plus the given
-// module list in order.
-func (sess *Session) reload(mods []*Modulefile) error {
-	// Strip all module-applied state: recompute from scratch by removing the
-	// current modules' contributions. Simplest correct approach: rebuild env
-	// from scratch is impossible without the base copy, so maintain one.
-	base := make(map[string]string)
-	for k, v := range sess.env {
-		base[k] = v
-	}
-	// Remove current module contributions in reverse order.
-	for i := len(sess.loaded) - 1; i >= 0; i-- {
-		m := sess.loaded[i]
-		for k := range m.SetEnv {
-			delete(base, k)
-		}
-		for k, paths := range m.PrependPath { //detlint:ordered each iteration reads and writes only its own env key
-			cur := strings.Split(base[k], ":")
-			var kept []string
-			for _, c := range cur {
-				skip := false
-				for _, p := range paths {
-					if c == p {
-						skip = true
-						break
-					}
-				}
-				if !skip && c != "" {
-					kept = append(kept, c)
-				}
-			}
-			if len(kept) == 0 {
-				delete(base, k)
-			} else {
-				base[k] = strings.Join(kept, ":")
-			}
-		}
-	}
-	sess.env = base
-	sess.loaded = nil
-	for _, m := range mods {
-		if err := sess.Load(m.Key()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // List returns loaded module keys in load order ("module list").
 func (sess *Session) List() []string {
 	out := make([]string, len(sess.loaded))
@@ -370,7 +288,7 @@ func buildSystem(pkgs []*rpm.Package, categories []string) *System {
 // immutable once published and fleet members share catalog pointers, so
 // every member generating modules for the same frontend package set reuses
 // one Modulefile instead of allocating the maps and env keys afresh.
-// Generated modulefiles are read-only by contract (Load/Unload only read
+// Generated modulefiles are read-only by contract (Load only reads
 // them; Add replaces rather than mutates).
 var generated sync.Map // *rpm.Package -> *Modulefile
 

@@ -132,56 +132,9 @@ func TestPrereqs(t *testing.T) {
 	if err := sess.Load("fftw"); err != nil {
 		t.Fatal(err)
 	}
-	// Cannot unload a prereq while the dependent is loaded.
-	if err := sess.Unload("openmpi"); err == nil {
-		t.Fatal("unloading a needed prereq should fail")
-	}
-	if err := sess.Unload("fftw"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Unload("openmpi"); err != nil {
-		t.Fatal(err)
-	}
 }
 
-func TestUnloadRestoresEnvironment(t *testing.T) {
-	s := sysWith(mod("gcc", "4.4.7", true), mod("openmpi", "1.6.4", true))
-	sess := s.NewSession(map[string]string{"PATH": "/usr/bin"})
-	sess.Load("gcc")
-	sess.Load("openmpi")
-	if err := sess.Unload("gcc"); err != nil {
-		t.Fatal(err)
-	}
-	want := "/opt/apps/openmpi/1.6.4/bin:/usr/bin"
-	if got := sess.Env("PATH"); got != want {
-		t.Fatalf("PATH after unload = %q, want %q", got, want)
-	}
-	if got := sess.List(); len(got) != 1 || got[0] != "openmpi/1.6.4" {
-		t.Fatalf("List = %v", got)
-	}
-	if err := sess.Unload("ghost"); err == nil {
-		t.Fatal("unloading unloaded module should fail")
-	}
-}
-
-func TestPurge(t *testing.T) {
-	s := sysWith(mod("gcc", "4.4.7", true), mod("openmpi", "1.6.4", true))
-	sess := s.NewSession(map[string]string{"PATH": "/usr/bin", "HOME": "/home/u"})
-	sess.Load("gcc")
-	sess.Load("openmpi")
-	sess.Purge()
-	if got := sess.Env("PATH"); got != "/usr/bin" {
-		t.Fatalf("PATH after purge = %q", got)
-	}
-	if sess.Env("HOME") != "/home/u" {
-		t.Fatal("purge must not disturb base env")
-	}
-	if len(sess.List()) != 0 {
-		t.Fatal("modules still loaded after purge")
-	}
-}
-
-func TestSetEnvAndUnload(t *testing.T) {
+func TestSetEnv(t *testing.T) {
 	m := mod("R", "3.0.1", true)
 	m.SetEnv = map[string]string{"R_HOME": "/opt/apps/R/3.0.1"}
 	s := sysWith(m)
@@ -189,10 +142,6 @@ func TestSetEnvAndUnload(t *testing.T) {
 	sess.Load("R")
 	if sess.Env("R_HOME") != "/opt/apps/R/3.0.1" {
 		t.Fatal("SetEnv not applied")
-	}
-	sess.Unload("R")
-	if sess.Env("R_HOME") != "" {
-		t.Fatal("SetEnv not removed on unload")
 	}
 }
 

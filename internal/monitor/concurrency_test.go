@@ -50,10 +50,8 @@ func TestConcurrentPollAndRead(t *testing.T) {
 				s = agg.Series("compute-0-1", "load_one")
 				continue
 			}
-			s.Len()
 			s.All()
 			s.Latest()
-			s.Mean()
 		}
 	}()
 	// Readers over the aggregator surface, including the HTTP export.

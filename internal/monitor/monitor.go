@@ -50,12 +50,6 @@ type Series struct {
 	oldest            int     // index of the oldest point once full
 }
 
-// NewSeries creates a series retaining the last capacity samples
-// (minimum 1).
-func NewSeries(capacity int) *Series {
-	return &Series{capacity: max(capacity, 1)}
-}
-
 // Add appends a sample, overwriting the oldest when full. A series'
 // host, name and units are fixed by its first Add; later samples
 // contribute only their time and value (the aggregator never mixes
@@ -83,13 +77,6 @@ func (s *Series) Add(m Metric) {
 	s.points = append(s.points, p)
 }
 
-// Len returns the number of stored samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.points)
-}
-
 // at returns the i-th oldest stored point. s.mu held.
 func (s *Series) at(i int) point {
 	return s.points[(s.oldest+i)%len(s.points)]
@@ -101,6 +88,8 @@ func (s *Series) metric(p point) Metric {
 }
 
 // All returns a defensive copy of the samples, oldest-first.
+//
+//detlint:reached support: monitor_test.go and pkg/xcbc/api's TestMonitoringPinnedToParent read the ring back through it to check what Add keeps
 func (s *Series) All() []Metric {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,22 +109,6 @@ func (s *Series) Latest() (Metric, bool) {
 		return Metric{}, false
 	}
 	return s.metric(s.at(n - 1)), true
-}
-
-// Mean returns the average value over stored samples.
-func (s *Series) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.points) == 0 {
-		return 0
-	}
-	// Oldest-first, the order All returns: float addition is not
-	// associative, so the order is part of the result.
-	sum := 0.0
-	for i := range s.points {
-		sum += s.at(i).Value
-	}
-	return sum / float64(len(s.points))
 }
 
 // LoadFunc reports a node's current load fraction [0,1]; the scheduler

@@ -12,15 +12,15 @@ import (
 )
 
 func TestSeriesRing(t *testing.T) {
-	s := NewSeries(3)
+	s := &Series{capacity: 3}
 	if _, ok := s.Latest(); ok {
 		t.Fatal("empty series should have no latest")
 	}
 	for i := 1; i <= 5; i++ {
 		s.Add(Metric{Name: "x", Value: float64(i)})
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.All()) != 3 {
+		t.Fatalf("Len = %d", len(s.All()))
 	}
 	all := s.All()
 	if all[0].Value != 3 || all[2].Value != 5 {
@@ -29,26 +29,14 @@ func TestSeriesRing(t *testing.T) {
 	if m, _ := s.Latest(); m.Value != 5 {
 		t.Fatalf("Latest = %v", m)
 	}
-	if got := s.Mean(); got != 4 {
-		t.Fatalf("Mean = %v", got)
-	}
-	// Capacity below 1 clamps.
-	tiny := NewSeries(0)
-	tiny.Add(Metric{Value: 7})
-	if tiny.Len() != 1 {
-		t.Fatal("clamped capacity failed")
-	}
 }
 
 func TestSeriesPartial(t *testing.T) {
-	s := NewSeries(10)
+	s := &Series{capacity: 10}
 	s.Add(Metric{Value: 1})
 	s.Add(Metric{Value: 2})
-	if s.Len() != 2 || len(s.All()) != 2 {
-		t.Fatalf("partial ring: len=%d", s.Len())
-	}
-	if s.Mean() != 1.5 {
-		t.Fatalf("Mean = %v", s.Mean())
+	if got := s.All(); len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
+		t.Fatalf("partial ring: %v", got)
 	}
 }
 
@@ -90,7 +78,7 @@ func TestAggregatorPeriodicPolling(t *testing.T) {
 		t.Fatalf("Polls = %d, want 4", agg.Polls())
 	}
 	s := agg.Series("littlefe-head", "power_watts")
-	if s == nil || s.Len() != 4 {
+	if s == nil || len(s.All()) != 4 {
 		t.Fatalf("head power series missing or wrong length")
 	}
 	if m, _ := s.Latest(); m.At != sim.Time(60*time.Second) {
@@ -152,29 +140,16 @@ func TestClusterLoadEmpty(t *testing.T) {
 // past the retention capacity.
 func TestSeriesMatchesKeepLastModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 1024} {
-		s := NewSeries(capacity)
+		s := &Series{capacity: capacity}
 		var model []Metric
 		check := func(adds int) {
 			t.Helper()
-			if s.Len() != len(model) {
-				t.Fatalf("cap %d after %d adds: Len = %d, model %d", capacity, adds, s.Len(), len(model))
-			}
 			if all := s.All(); !slices.Equal(all, model) {
 				t.Fatalf("cap %d after %d adds: All = %v, model %v", capacity, adds, all, model)
 			}
 			latest, ok := s.Latest()
 			if ok != (len(model) > 0) || (ok && latest != model[len(model)-1]) {
 				t.Fatalf("cap %d after %d adds: Latest = %v, %v", capacity, adds, latest, ok)
-			}
-			mean := 0.0
-			for _, m := range model {
-				mean += m.Value
-			}
-			if len(model) > 0 {
-				mean /= float64(len(model))
-			}
-			if got := s.Mean(); got != mean {
-				t.Fatalf("cap %d after %d adds: Mean = %v, model %v", capacity, adds, got, mean)
 			}
 			if cap(s.points) > capacity {
 				t.Fatalf("cap %d after %d adds: backing array holds %d", capacity, adds, cap(s.points))
@@ -197,7 +172,7 @@ func TestSeriesMatchesKeepLastModel(t *testing.T) {
 // TestSeriesIdentityFixedByFirstAdd states the contract the per-series
 // identity relies on: host, name and units come from the first sample.
 func TestSeriesIdentityFixedByFirstAdd(t *testing.T) {
-	s := NewSeries(2)
+	s := &Series{capacity: 2}
 	s.Add(Metric{Host: "n1", Name: "load_one", Units: "u", Value: 1, At: 1})
 	s.Add(Metric{Host: "other", Name: "other", Units: "other", Value: 2, At: 2})
 	s.Add(Metric{Value: 3, At: 3})
@@ -229,7 +204,7 @@ func TestAggregatorHostsSortedAsTheyJoin(t *testing.T) {
 	if len(hosts) != len(c.Nodes()) || !slices.IsSorted(hosts) {
 		t.Fatalf("Hosts = %v", hosts)
 	}
-	if s := agg.Series(late.Name, "cpu_num"); s == nil || s.Len() != 1 {
+	if s := agg.Series(late.Name, "cpu_num"); s == nil || len(s.All()) != 1 {
 		t.Fatalf("%s should hold one sample", late.Name)
 	}
 	if agg.Series(late.Name, "no_such_metric") != nil {
@@ -284,18 +259,23 @@ func TestSeriesPointersSurviveLateHosts(t *testing.T) {
 	for now := sim.Time(2); now < 6; now++ {
 		agg.Poll(now)
 	}
-	if got := agg.Series("compute-0-5", "cpu_num"); got != held || held.Len() != 5 {
-		t.Errorf("series moved or stopped: %p len %d, held %p len %d", got, got.Len(), held, held.Len())
+	if got := agg.Series("compute-0-5", "cpu_num"); got != held || len(held.All()) != 5 {
+		t.Errorf("series moved or stopped: %p len %d, held %p len %d", got, len(got.All()), held, len(held.All()))
 	}
-	if head.Len() != 5 {
-		t.Errorf("head series holds %d samples, want 5", head.Len())
+	if len(head.All()) != 5 {
+		t.Errorf("head series holds %d samples, want 5", len(head.All()))
 	}
 	for _, host := range []string{late.Name, extra.Name} {
-		if s := agg.Series(host, "load_one"); s == nil || s.Len() != 4 {
+		if s := agg.Series(host, "load_one"); s == nil || len(s.All()) != 4 {
 			t.Errorf("%s: late host has no series or the wrong length", host)
 		}
 	}
-	if got, want := agg.Hosts(), c.SortedNodeNames(); !slices.Equal(got, want) {
+	var want []string
+	for n := range c.All() {
+		want = append(want, n.Name)
+	}
+	slices.Sort(want)
+	if got := agg.Hosts(); !slices.Equal(got, want) {
 		t.Errorf("hosts = %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package mpi implements a small message-passing runtime in the spirit of
 // MPI: a fixed set of ranks executing the same function, point-to-point
-// sends/receives with tag matching, and the collectives (barrier, broadcast,
+// sends/receives with tag matching, and the collectives (broadcast,
 // reduce, allreduce, gather) the XCBC software stack exists to support.
 // Ranks run as goroutines and exchange data over channels.
 //
@@ -34,15 +34,6 @@ type World struct {
 
 	mu       sync.Mutex
 	commSecs []float64 // modelled communication seconds per rank
-
-	barrier *barrierState
-}
-
-type barrierState struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	gen   int
 }
 
 // NewWorld creates a world of n ranks over the given interconnect.
@@ -60,9 +51,6 @@ func NewWorld(n int, net cluster.Network) (*World, error) {
 	for i := range w.boxes {
 		w.boxes[i] = make(chan message, 64*n)
 	}
-	b := &barrierState{}
-	b.cond = sync.NewCond(&b.mu)
-	w.barrier = b
 	return w, nil
 }
 
@@ -93,13 +81,6 @@ func (w *World) Run(fn func(c *Comm) error) error {
 		}
 	}
 	return nil
-}
-
-// CommSeconds returns the modelled communication time of each rank.
-func (w *World) CommSeconds() []float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]float64(nil), w.commSecs...)
 }
 
 // MaxCommSeconds returns the modelled communication time of the slowest rank
@@ -188,26 +169,6 @@ func matches(m message, src, tag int) bool {
 	return (src == AnySource || m.from == src) && (tag == AnyTag || m.tag == tag)
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	b := c.world.barrier
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == c.world.size {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
-	// Model: a barrier costs one small-message round over log2(P) steps.
-	c.world.charge(8, c.rank)
-}
-
 const bcastTag = -1000
 
 // Bcast distributes root's buffer to all ranks using a binomial tree (the
@@ -272,18 +233,6 @@ type ReduceOp func(a, b float64) float64
 // Builtin reduction operators.
 var (
 	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
 )
 
 const reduceTag = -1001

@@ -56,10 +56,11 @@ func TestSendCopiesBuffer(t *testing.T) {
 				return err
 			}
 			buf[0] = -1 // mutate after send; receiver must see 42
-			c.Barrier()
-			return nil
+			return c.Send(1, 1, nil)
 		}
-		c.Barrier()
+		if _, _, err := c.Recv(0, 1); err != nil { // rank 0 has mutated by now
+			return err
+		}
 		data, _, err := c.Recv(0, 0)
 		if err != nil {
 			return err
@@ -111,23 +112,6 @@ func TestInvalidSends(t *testing.T) {
 			if err := c.Send(0, 0, nil); err == nil {
 				return fmt.Errorf("self-send should fail")
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	w := world(t, 8)
-	counter := make(chan int, 64)
-	err := w.Run(func(c *Comm) error {
-		counter <- 1
-		c.Barrier()
-		// After the barrier, all 8 pre-barrier marks must be present.
-		if len(counter) < 8 {
-			return fmt.Errorf("rank %d passed barrier with %d marks", c.Rank(), len(counter))
 		}
 		return nil
 	})
@@ -203,14 +187,14 @@ func TestAllreduceMaxMin(t *testing.T) {
 	w := world(t, 6)
 	err := w.Run(func(c *Comm) error {
 		buf := []float64{float64(c.Rank()), -float64(c.Rank())}
-		if err := c.Allreduce(buf, OpMax); err != nil {
+		if err := c.Allreduce(buf, math.Max); err != nil {
 			return err
 		}
 		if buf[0] != 5 || buf[1] != 0 {
 			return fmt.Errorf("rank %d allreduce max = %v", c.Rank(), buf)
 		}
 		buf2 := []float64{float64(c.Rank())}
-		if err := c.Allreduce(buf2, OpMin); err != nil {
+		if err := c.Allreduce(buf2, math.Min); err != nil {
 			return err
 		}
 		if buf2[0] != 0 {
@@ -292,16 +276,11 @@ func TestCommTimeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs := w.CommSeconds()
-	// 1 MB over GigE: 1e6/1.25e8 = 8 ms, plus 50 us latency.
+	// 1 MB over GigE: 1e6/1.25e8 = 8 ms, plus 50 us latency, charged to
+	// both ends.
 	want := 0.008 + 50e-6
-	for r, s := range secs {
-		if math.Abs(s-want) > 1e-9 {
-			t.Errorf("rank %d comm time = %v, want %v", r, s, want)
-		}
-	}
-	if w.MaxCommSeconds() <= 0 {
-		t.Error("MaxCommSeconds should be positive")
+	if got := w.MaxCommSeconds(); math.Abs(got-want) > 1e-9 {
+		t.Errorf("comm time = %v, want %v", got, want)
 	}
 }
 

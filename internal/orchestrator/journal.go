@@ -32,7 +32,6 @@ type Journal struct {
 	buf  []Event // ring storage, len(buf) <= capacity
 	next int     // sequence number of the next Append
 	cap  int
-	sink func(Event)
 }
 
 // NewJournal returns a journal holding at most capacity events; capacity
@@ -46,17 +45,6 @@ func journalCapOf(capacity int) int {
 		return DefaultJournalCap
 	}
 	return capacity
-}
-
-// SetSink registers a function invoked with every subsequently appended
-// event, in append order — the storage seam a write-ahead log taps to
-// persist journal entries as they happen, with none of the ring's
-// eviction. The sink runs under the journal's lock: it must be fast and
-// must not call back into the journal. A nil fn removes the sink.
-func (j *Journal) SetSink(fn func(Event)) {
-	j.mu.Lock()
-	j.sink = fn
-	j.mu.Unlock()
 }
 
 // Reserve sizes the ring's storage for n further events (clipped to the
@@ -100,9 +88,6 @@ func (j *Journal) Append(ev Event) int {
 		j.buf[ev.Seq%j.cap] = ev
 	}
 	j.next++
-	if j.sink != nil {
-		j.sink(ev)
-	}
 	return ev.Seq
 }
 
@@ -125,18 +110,4 @@ func (j *Journal) Since(cursor int) ([]Event, int) {
 		out = append(out, j.buf[s%j.cap])
 	}
 	return out, j.next
-}
-
-// Total returns how many events have ever been appended (retained or not).
-func (j *Journal) Total() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
-}
-
-// Dropped returns how many events have been evicted from the ring.
-func (j *Journal) Dropped() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next - len(j.buf)
 }

@@ -78,8 +78,11 @@ func (o *Orchestrator) Workers() int { return cap(o.sem) }
 // handle in StatePending. The job's context derives from ctx, so cancelling
 // ctx — or calling Job.Cancel — moves the job toward StateCancelled.
 // journalCap bounds the job's event journal (<= 0 selects the default).
-func (o *Orchestrator) Submit(ctx context.Context, name string, journalCap int, fn BuildFunc) *Job {
-	j := NewJob(ctx, name, journalCap, fn)
+// The second argument is ignored: it was a label nothing read, and it stays
+// in the signature only because bench/layerprobe, which BENCHMARK.json
+// freezes, passes one.
+func (o *Orchestrator) Submit(ctx context.Context, _ string, journalCap int, fn BuildFunc) *Job {
+	j := NewJob(ctx, journalCap, fn)
 	go func() {
 		// Wait for a worker slot; a cancellation that lands first ends the
 		// job without it ever running.
@@ -97,8 +100,8 @@ func (o *Orchestrator) Submit(ctx context.Context, name string, journalCap int, 
 // on a goroutine the owner already has, which is how a fleet builds
 // thousands of members on a handful of workers. Submit is NewJob plus a
 // goroutine that takes a pool slot and calls Run.
-func NewJob(ctx context.Context, name string, journalCap int, fn BuildFunc) *Job {
-	j := &Job{name: name, fn: fn, journal: Journal{cap: journalCapOf(journalCap)}, done: make(chan struct{})}
+func NewJob(ctx context.Context, journalCap int, fn BuildFunc) *Job {
+	j := &Job{fn: fn, journal: Journal{cap: journalCapOf(journalCap)}, done: make(chan struct{})}
 	j.ctx, j.cancel = context.WithCancel(ctx)
 	return j
 }
@@ -131,7 +134,6 @@ func runBuild(ctx context.Context, fn BuildFunc, emit func(Event) int) (result a
 
 // Job is one submitted build. All methods are safe for concurrent use.
 type Job struct {
-	name    string
 	fn      BuildFunc
 	journal Journal
 	ctx     context.Context
@@ -145,9 +147,6 @@ type Job struct {
 	subs    map[int]chan struct{} // nil until the first Subscribe
 	nextSub int
 }
-
-// Name returns the label the job was submitted under.
-func (j *Job) Name() string { return j.name }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {

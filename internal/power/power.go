@@ -26,8 +26,8 @@ const (
 	// OnDemand powers idle nodes down after IdleGrace and wakes them when
 	// the queue needs cores (the Limulus behaviour).
 	OnDemand
-	// Scheduled powers everything down during configured off-hours windows
-	// and back up afterwards, in addition to OnDemand behaviour.
+	// Scheduled is the SDK's "scheduled" policy. It behaves as OnDemand:
+	// nothing configures off-hours windows.
 	Scheduled
 )
 
@@ -53,13 +53,10 @@ type Manager struct {
 	IdleGrace time.Duration // how long a node must stay idle before power-off
 	BootDelay time.Duration // how long a node takes to come up
 
-	offWindows []window
 	pending    map[string]sim.Handle // node -> scheduled power-off
 	lastSample sim.Time
 	events     []string
 }
-
-type window struct{ start, end time.Duration } // offsets within a 24h day
 
 // NewManager wires a power manager to a cluster and its batch system.
 // Passing a nil batch is allowed for clusters without a scheduler.
@@ -99,33 +96,6 @@ func (m *Manager) armAllIdle() {
 		}
 		m.nodeIdle(n.Name)
 	}
-}
-
-// AddOffWindow registers a daily power-down window for the Scheduled policy,
-// e.g. AddOffWindow(22*time.Hour, 6*time.Hour) for 22:00-06:00.
-func (m *Manager) AddOffWindow(start, end time.Duration) {
-	m.offWindows = append(m.offWindows, window{start, end})
-}
-
-// inOffWindow reports whether the given simulation time falls in an
-// off-hours window (times interpreted as offsets within a repeating day).
-func (m *Manager) inOffWindow(t sim.Time) bool {
-	if m.Policy != Scheduled || len(m.offWindows) == 0 {
-		return false
-	}
-	day := time.Duration(t.Duration() % (24 * time.Hour))
-	for _, w := range m.offWindows {
-		if w.start <= w.end {
-			if day >= w.start && day < w.end {
-				return true
-			}
-		} else { // wraps midnight
-			if day >= w.start || day < w.end {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // nodeIdle is the batch system's drain notification: schedule a power-off
@@ -211,34 +181,6 @@ func (m *Manager) accrue() {
 func (m *Manager) Finalize() float64 {
 	m.accrue()
 	return m.Cluster.EnergyWh()
-}
-
-// RunScheduledSweeps installs a periodic check (every interval) that powers
-// nodes down inside off-windows and up outside them. Only meaningful under
-// the Scheduled policy.
-func (m *Manager) RunScheduledSweeps(interval time.Duration, horizon time.Duration) {
-	if m.Policy != Scheduled {
-		return
-	}
-	var sweep func(*sim.Engine)
-	sweep = func(e *sim.Engine) {
-		m.accrue()
-		off := m.inOffWindow(e.Now())
-		for _, n := range m.Cluster.Computes {
-			if off && n.Power() == cluster.PowerOn && (m.Batch == nil || !m.Batch.NodeBusy(n.Name)) {
-				n.SetPower(cluster.PowerOff)
-				m.logf("scheduled power-off %s at %v", n.Name, e.Now())
-			}
-			if !off && n.Power() == cluster.PowerOff {
-				n.SetPower(cluster.PowerOn)
-				m.logf("scheduled power-on %s at %v", n.Name, e.Now())
-			}
-		}
-		if e.Now()+sim.Time(interval) <= sim.Time(horizon) {
-			e.After(interval, "power-sweep", sweep)
-		}
-	}
-	m.Engine.After(interval, "power-sweep", sweep)
 }
 
 // Events returns the power manager's log.

@@ -122,68 +122,6 @@ func TestGraceCancelledWhenWorkArrives(t *testing.T) {
 	eng.Run()
 }
 
-func TestScheduledWindows(t *testing.T) {
-	eng, c, batch, pm := limulus(Scheduled)
-	pm.AddOffWindow(22*time.Hour, 6*time.Hour) // overnight
-	_ = batch
-	pm.RunScheduledSweeps(time.Hour, 33*time.Hour)
-	eng.RunUntil(sim.Time(23 * time.Hour))
-	for _, n := range c.Computes {
-		if n.Power() != cluster.PowerOff {
-			t.Fatalf("%s should be off at 23:00", n.Name)
-		}
-	}
-	if c.Frontend.Power() != cluster.PowerOn {
-		t.Fatal("frontend stays on")
-	}
-	eng.RunUntil(sim.Time(31 * time.Hour)) // 07:00 next day, past the 06:00 window end
-	for _, n := range c.Computes {
-		if n.Power() != cluster.PowerOn {
-			t.Fatalf("%s should be back on after the window", n.Name)
-		}
-	}
-	eng.Run()
-}
-
-func TestInOffWindowWrapsMidnight(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.NewLimulusHPC200()
-	pm := NewManager(eng, c, nil, Scheduled)
-	pm.AddOffWindow(22*time.Hour, 6*time.Hour)
-	cases := []struct {
-		at   time.Duration
-		want bool
-	}{
-		{23 * time.Hour, true},
-		{2 * time.Hour, true},
-		{6 * time.Hour, false},
-		{12 * time.Hour, false},
-		{22 * time.Hour, true},
-		{26 * time.Hour, true},  // 02:00 next day
-		{36 * time.Hour, false}, // 12:00 next day
-	}
-	for _, tc := range cases {
-		if got := pm.inOffWindow(sim.Time(tc.at)); got != tc.want {
-			t.Errorf("inOffWindow(%v) = %v, want %v", tc.at, got, tc.want)
-		}
-	}
-	// Non-wrapping window.
-	pm2 := NewManager(eng, c, nil, Scheduled)
-	pm2.AddOffWindow(9*time.Hour, 17*time.Hour)
-	if !pm2.inOffWindow(sim.Time(12 * time.Hour)) {
-		t.Error("12:00 should be inside 09-17 window")
-	}
-	if pm2.inOffWindow(sim.Time(18 * time.Hour)) {
-		t.Error("18:00 should be outside 09-17 window")
-	}
-	// AlwaysOn policy: never in window.
-	pm3 := NewManager(eng, c, nil, AlwaysOn)
-	pm3.AddOffWindow(0, 24*time.Hour)
-	if pm3.inOffWindow(0) {
-		t.Error("always-on should ignore windows")
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	if AlwaysOn.String() != "always-on" || OnDemand.String() != "on-demand" || Scheduled.String() != "scheduled" {
 		t.Fatal("policy strings")

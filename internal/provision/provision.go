@@ -284,29 +284,6 @@ func (ins *Installer) InstallCompute(eng *sim.Engine, name string) (*Result, err
 	return r, nil
 }
 
-// InstallAll provisions the frontend and then every compute node, returning
-// per-node results. This is the complete "all at once, from scratch" XCBC
-// build.
-func (ins *Installer) InstallAll(eng *sim.Engine) ([]*Result, error) {
-	var results []*Result
-	r, err := ins.InstallFrontend(eng)
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, r)
-	if err := ins.DiscoverComputes(); err != nil {
-		return nil, err
-	}
-	for _, n := range ins.Cluster.Computes {
-		r, err := ins.InstallCompute(eng, n.Name)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}
-
 // Reinstall wipes and re-kickstarts a compute node — the Rocks answer to
 // configuration drift ("rocks set host boot action=install; reboot").
 func (ins *Installer) Reinstall(eng *sim.Engine, name string) (*Result, error) {

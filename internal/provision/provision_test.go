@@ -50,14 +50,33 @@ func testInstaller(t *testing.T, c *cluster.Cluster) *Installer {
 	return NewInstaller(c, rocks.NewFrontendDB(testDistro(t)), g, "CentOS 6.5")
 }
 
+// installAll builds the frontend and then every compute node, one
+// kickstart at a time, and returns the per-node results in that order.
+func installAll(t *testing.T, ins *Installer, eng *sim.Engine) []*Result {
+	t.Helper()
+	r, err := ins.InstallFrontend(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := []*Result{r}
+	if err := ins.DiscoverComputes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range ins.Cluster.Computes {
+		r, err := ins.InstallCompute(eng, n.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
+	}
+	return results
+}
+
 func TestInstallAllOnLittleFe(t *testing.T) {
 	c := cluster.NewLittleFe()
 	ins := testInstaller(t, c)
 	eng := sim.NewEngine()
-	results, err := ins.InstallAll(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := installAll(t, ins, eng)
 	if len(results) != 6 {
 		t.Fatalf("results = %d, want 6 (frontend + 5 computes)", len(results))
 	}
@@ -184,9 +203,7 @@ func TestReinstall(t *testing.T) {
 	c := cluster.NewLittleFe()
 	ins := testInstaller(t, c)
 	eng := sim.NewEngine()
-	if _, err := ins.InstallAll(eng); err != nil {
-		t.Fatal(err)
-	}
+	installAll(t, ins, eng)
 	node, _ := c.Lookup("compute-0-2")
 	// Simulate drift: extra service running.
 	node.StartService("rogue-daemon")
@@ -214,10 +231,7 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 	small := cluster.NewLittleFe()
 	insSmall := testInstaller(t, small)
 	engSmall := sim.NewEngine()
-	rSmall, err := insSmall.InstallAll(engSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rSmall := installAll(t, insSmall, engSmall)
 
 	big := cluster.NewLittleFe()
 	d := testDistro(t)
@@ -234,10 +248,7 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 	rocks.AttachXSEDEFragments(g, "torque")
 	insBig := NewInstaller(big, rocks.NewFrontendDB(dBig), g, "CentOS 6.5")
 	engBig := sim.NewEngine()
-	rBig, err := insBig.InstallAll(engBig)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rBig := installAll(t, insBig, engBig)
 	if engBig.Now() <= engSmall.Now() {
 		t.Errorf("bigger distro should take longer: %v vs %v", engBig.Now(), engSmall.Now())
 	}

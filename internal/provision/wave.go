@@ -218,39 +218,3 @@ func (ins *Installer) InstallComputeWaves(ctx context.Context, eng *sim.Engine, 
 	}
 	return waves, nil
 }
-
-// BuildReport aggregates a full wave-parallel build.
-type BuildReport struct {
-	Results     []*Result
-	Waves       []*WaveResult
-	Quarantined []NodeFailure
-	// Duration is the total simulated build time (frontend + all waves).
-	Duration time.Duration
-}
-
-// InstallAllWaves provisions the frontend and then every compute node
-// through InstallComputeWaves: the complete "all at once, from scratch"
-// XCBC build with overlapping kickstarts.
-func (ins *Installer) InstallAllWaves(ctx context.Context, eng *sim.Engine, opts WaveOptions) (*BuildReport, error) {
-	start := eng.Now()
-	rep := &BuildReport{}
-	feRes, err := ins.InstallFrontend(eng)
-	if err != nil {
-		return nil, err
-	}
-	rep.Results = append(rep.Results, feRes)
-	if err := ins.DiscoverComputes(); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ins.Cluster.Computes))
-	for _, n := range ins.Cluster.Computes {
-		names = append(names, n.Name)
-	}
-	_, err = ins.InstallComputeWaves(ctx, eng, names, opts, func(_ int, wr *WaveResult) {
-		rep.Waves = append(rep.Waves, wr)
-		rep.Results = append(rep.Results, wr.Results...)
-		rep.Quarantined = append(rep.Quarantined, wr.Failed...)
-	})
-	rep.Duration = (eng.Now() - start).Duration()
-	return rep, err
-}

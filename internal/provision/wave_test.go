@@ -160,33 +160,38 @@ func TestWavesPartition(t *testing.T) {
 }
 
 func TestInstallAllWavesMatchesInstallAll(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.NewLittleFe()
-	ins := testInstaller(t, c)
-	rep, err := ins.InstallAllWaves(context.Background(), eng, WaveOptions{Width: 2})
+	ins, eng := waveInstaller(t)
+	c := ins.Cluster
+	start := eng.Now()
+	waves, err := ins.InstallComputeWaves(context.Background(), eng, computeNames(c), WaveOptions{Width: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != c.NodeCount() {
-		t.Fatalf("results = %d, want %d", len(rep.Results), c.NodeCount())
+	if len(waves) != 3 { // 5 computes at width 2
+		t.Fatalf("waves = %d, want 3", len(waves))
 	}
-	if len(rep.Waves) != 3 { // 5 computes at width 2
-		t.Fatalf("waves = %d, want 3", len(rep.Waves))
+	var results int
+	var elapsed time.Duration
+	for _, wr := range waves {
+		results += len(wr.Results)
+		elapsed += wr.Duration
+	}
+	if results != len(c.Computes) {
+		t.Fatalf("results = %d, want %d", results, len(c.Computes))
 	}
 	for _, n := range c.Nodes() {
 		if n.OS() == "" {
 			t.Errorf("%s not installed", n.Name)
 		}
 	}
-	if rep.Duration <= 0 || rep.Duration != (eng.Now()).Duration() {
-		t.Errorf("report duration %v, engine now %v", rep.Duration, eng.Now())
+	if elapsed <= 0 || elapsed != (eng.Now()-start).Duration() {
+		t.Errorf("waves took %v, engine advanced %v", elapsed, (eng.Now() - start).Duration())
 	}
 }
 
 func TestInstallAllWavesCancelledBetweenWaves(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.NewLittleFe()
-	ins := testInstaller(t, c)
+	ins, eng := waveInstaller(t)
+	c := ins.Cluster
 	ctx, cancel := context.WithCancel(context.Background())
 	installed := 0
 	ins.Hook = func(node string, attempt int) error {
@@ -196,14 +201,14 @@ func TestInstallAllWavesCancelledBetweenWaves(t *testing.T) {
 		}
 		return nil
 	}
-	rep, err := ins.InstallAllWaves(ctx, eng, WaveOptions{Width: 2})
+	waves, err := ins.InstallComputeWaves(ctx, eng, computeNames(c), WaveOptions{Width: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Waves 1 and 2 committed (cancellation lands between waves), wave 3
 	// never started: 4 computes installed, the 5th untouched.
-	if len(rep.Waves) != 2 || len(rep.Results) != 5 { // frontend + 4 computes
-		t.Fatalf("waves %d results %d", len(rep.Waves), len(rep.Results))
+	if len(waves) != 2 {
+		t.Fatalf("waves %d", len(waves))
 	}
 	for i, n := range c.Computes {
 		if i < 4 && n.OS() == "" {
@@ -216,10 +221,9 @@ func TestInstallAllWavesCancelledBetweenWaves(t *testing.T) {
 }
 
 func TestAllNodesQuarantinedFailsBuild(t *testing.T) {
-	eng := sim.NewEngine()
-	ins := testInstaller(t, cluster.NewLittleFe())
+	ins, eng := waveInstaller(t)
 	ins.Hook = func(node string, attempt int) error { return errors.New("switch down") }
-	if _, err := ins.InstallAllWaves(context.Background(), eng, WaveOptions{Width: 4}); err == nil {
+	if _, err := ins.InstallComputeWaves(context.Background(), eng, computeNames(ins.Cluster), WaveOptions{Width: 4}, nil); err == nil {
 		t.Fatal("build with every compute quarantined must fail")
 	}
 }

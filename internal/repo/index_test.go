@@ -66,8 +66,8 @@ func TestIndexInvalidationPublishRetract(t *testing.T) {
 	if s.Best("openmpi") != nil || s.BestProvider(rpm.Cap("mpi")) != nil {
 		t.Fatal("retracting the last build should resolve nothing")
 	}
-	if got := len(r.Names()); got != 0 {
-		t.Fatalf("Names after full retract = %v, want empty", r.Names())
+	if r.Len() != 0 {
+		t.Fatalf("%d packages after full retract, want none", r.Len())
 	}
 }
 
@@ -103,38 +103,5 @@ func TestSetCachedViewInvalidation(t *testing.T) {
 	s.Enable("vendor", true)
 	if got := s.Best("gcc"); got != vendorGCC {
 		t.Fatalf("after re-enable: Best = %v, want vendor's gcc", got)
-	}
-	// Removing the vendor repo unshadows again.
-	if !s.Remove("vendor") {
-		t.Fatal("Remove(vendor) reported absent")
-	}
-	if got := s.Best("gcc"); got != xsedeGCC {
-		t.Fatalf("after remove: Best = %v, want xsede's gcc", got)
-	}
-	// Adding it back restores shadowing once more.
-	s.Add(Config{Repo: vendor, Priority: 10, Enabled: true})
-	if got := s.Best("gcc"); got != vendorGCC {
-		t.Fatalf("after re-add: Best = %v, want vendor's gcc", got)
-	}
-}
-
-// TestSetCandidatesSharedSliceSafety verifies Candidates hands out a fresh
-// slice the caller may sort or mutate without corrupting the repository's
-// interior index.
-func TestSetCandidatesSharedSliceSafety(t *testing.T) {
-	r := New("xsede", "XSEDE NIT", "")
-	a := rpm.NewPackage("R", "3.0.0-1", rpm.ArchX86_64).Build()
-	b := rpm.NewPackage("R", "3.1.2-1", rpm.ArchX86_64).Build()
-	if err := r.Publish(a, b); err != nil {
-		t.Fatal(err)
-	}
-	s := NewSet(Config{Repo: r, Priority: 50, Enabled: true})
-	got := s.Candidates("R")
-	if len(got) != 2 || got[0] != b {
-		t.Fatalf("Candidates = %v, want newest first", got)
-	}
-	got[0], got[1] = got[1], got[0] // caller-side mutation must be isolated
-	if again := s.Candidates("R"); again[0] != b {
-		t.Fatalf("repository order corrupted by caller mutation: %v", again)
 	}
 }

@@ -110,46 +110,6 @@ func DecodeMetadata(data []byte) (*Metadata, error) {
 	return &m, nil
 }
 
-// ToPackages reconstructs package objects from metadata records, as a client
-// would when building its view of a remote repository. Capabilities that fail
-// to parse are reported rather than dropped.
-func (m *Metadata) ToPackages() ([]*rpm.Package, error) {
-	out := make([]*rpm.Package, 0, len(m.Packages))
-	for _, rec := range m.Packages {
-		evr, err := rpm.ParseEVR(rec.EVR)
-		if err != nil {
-			return nil, fmt.Errorf("repo: record %s: %w", rec.Name, err)
-		}
-		p := &rpm.Package{
-			Name:      rec.Name,
-			EVR:       evr,
-			Arch:      rpm.Arch(rec.Arch),
-			Summary:   rec.Summary,
-			Category:  rec.Category,
-			SizeBytes: rec.SizeBytes,
-		}
-		for _, group := range []struct {
-			src []string
-			dst *[]rpm.Capability
-		}{
-			{rec.Provides, &p.Provides},
-			{rec.Requires, &p.Requires},
-			{rec.Conflicts, &p.Conflicts},
-			{rec.Obsoletes, &p.Obsoletes},
-		} {
-			for _, s := range group.src {
-				c, err := rpm.ParseCapability(s)
-				if err != nil {
-					return nil, fmt.Errorf("repo: record %s: %w", rec.Name, err)
-				}
-				*group.dst = append(*group.dst, c)
-			}
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // Verify checks each record's checksum against a freshly computed one for the
 // corresponding package in the repository; it returns the NEVRAs that fail
 // (missing or corrupted). This models gpgcheck=1.

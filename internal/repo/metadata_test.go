@@ -2,6 +2,7 @@ package repo
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,26 +37,22 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := back.ToPackages()
-	if err != nil {
-		t.Fatal(err)
+	if len(back.Packages) != 2 {
+		t.Fatalf("decoded %d records", len(back.Packages))
 	}
-	if len(pkgs) != 2 {
-		t.Fatalf("ToPackages len = %d", len(pkgs))
-	}
-	var gotMPI *rpm.Package
-	for _, p := range pkgs {
-		if p.Name == "openmpi" {
-			gotMPI = p
+	var gotMPI *PackageRecord
+	for i := range back.Packages {
+		if back.Packages[i].Name == "openmpi" {
+			gotMPI = &back.Packages[i]
 		}
 	}
 	if gotMPI == nil {
 		t.Fatal("openmpi missing after round trip")
 	}
-	if !gotMPI.ProvidesCap(rpm.Cap("mpi")) {
-		t.Error("provides lost in round trip")
+	if !slices.Contains(gotMPI.Provides, "mpi") {
+		t.Errorf("provides lost in round trip: %v", gotMPI.Provides)
 	}
-	if len(gotMPI.Requires) != 1 || gotMPI.Requires[0].String() != "gcc >= 4.4" {
+	if len(gotMPI.Requires) != 1 || gotMPI.Requires[0] != "gcc >= 4.4" {
 		t.Errorf("requires lost: %v", gotMPI.Requires)
 	}
 	if gotMPI.SizeBytes != 12345 {
@@ -106,7 +103,7 @@ func TestMetadataVerify(t *testing.T) {
 
 func TestServerReadme(t *testing.T) {
 	r := New("xsede", "XSEDE NIT", "http://cb-repo.iu.xsede.org/xsederepo")
-	srv := NewServer(fixedClock, r)
+	srv := NewSetServer(fixedClock, NewSet(Config{Repo: r, Enabled: true}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -126,7 +123,7 @@ func TestServerReadme(t *testing.T) {
 func TestServerMetadataAndPackages(t *testing.T) {
 	r := New("xsede", "XSEDE NIT", "")
 	r.Publish(pkg("lammps", "20140801-1"))
-	ts := httptest.NewServer(NewServer(fixedClock, r))
+	ts := httptest.NewServer(NewSetServer(fixedClock, NewSet(Config{Repo: r, Enabled: true})))
 	defer ts.Close()
 
 	res, err := ts.Client().Get(ts.URL + "/xsede/repodata/repomd.json")

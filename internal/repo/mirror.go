@@ -16,8 +16,6 @@ type Mirror struct {
 	Local    *Repository
 
 	lastRevision int
-	lastSync     time.Time
-	syncCount    int
 }
 
 // NewMirror creates a mirror of upstream into a new local repository with
@@ -32,7 +30,7 @@ func (m *Mirror) Stale() bool { return m.Upstream.Revision() != m.lastRevision }
 
 // Sync brings the local copy up to date and returns how many packages were
 // added and removed. A no-op when fresh.
-func (m *Mirror) Sync(now time.Time) (added, removed int, err error) {
+func (m *Mirror) Sync() (added, removed int, err error) {
 	if !m.Stale() {
 		return 0, 0, nil
 	}
@@ -65,8 +63,6 @@ func (m *Mirror) Sync(now time.Time) (added, removed int, err error) {
 		}
 	}
 	m.lastRevision = m.Upstream.Revision()
-	m.lastSync = now
-	m.syncCount++
 	return added, removed, nil
 }
 
@@ -76,9 +72,3 @@ func (m *Mirror) VerifyIntegrity(now time.Time) []string {
 	md := m.Upstream.GenerateMetadata(now)
 	return md.Verify(m.Local)
 }
-
-// SyncCount returns how many syncs performed real work.
-func (m *Mirror) SyncCount() int { return m.syncCount }
-
-// LastSync returns the time of the last effective sync.
-func (m *Mirror) LastSync() time.Time { return m.lastSync }

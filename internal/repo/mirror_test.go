@@ -2,7 +2,6 @@ package repo
 
 import (
 	"testing"
-	"time"
 
 	"xcbc/internal/rpm"
 )
@@ -14,7 +13,7 @@ func TestMirrorInitialSync(t *testing.T) {
 	if !m.Stale() {
 		t.Fatal("new mirror should be stale")
 	}
-	added, removed, err := m.Sync(fixedClock())
+	added, removed, err := m.Sync()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,30 +26,27 @@ func TestMirrorInitialSync(t *testing.T) {
 	if m.Stale() {
 		t.Fatal("mirror should be fresh after sync")
 	}
-	if m.SyncCount() != 1 || m.LastSync() != fixedClock() {
-		t.Fatal("sync bookkeeping")
-	}
 }
 
 func TestMirrorIncrementalSync(t *testing.T) {
 	up := New("xsede", "XSEDE NIT", "")
 	up.Publish(pkg("gcc", "4.4.7-11"))
 	m := NewMirror(up, "local")
-	m.Sync(fixedClock())
+	m.Sync()
 	// No change: no-op.
-	added, removed, _ := m.Sync(fixedClock())
-	if added != 0 || removed != 0 || m.SyncCount() != 1 {
+	added, removed, _ := m.Sync()
+	if added != 0 || removed != 0 {
 		t.Fatal("fresh sync should be a no-op")
 	}
 	// Publish an update and retract nothing.
 	up.Publish(pkg("gcc", "4.4.7-16"))
-	added, removed, _ = m.Sync(fixedClock().Add(time.Hour))
+	added, removed, _ = m.Sync()
 	if added != 1 || removed != 0 {
 		t.Fatalf("incremental = +%d -%d", added, removed)
 	}
 	// Retract upstream: mirror follows.
 	up.Retract("gcc-4.4.7-11.x86_64")
-	added, removed, _ = m.Sync(fixedClock().Add(2 * time.Hour))
+	added, removed, _ = m.Sync()
 	if added != 0 || removed != 1 {
 		t.Fatalf("retraction sync = +%d -%d", added, removed)
 	}
@@ -63,7 +59,7 @@ func TestMirrorIntegrity(t *testing.T) {
 	up := New("xsede", "XSEDE NIT", "")
 	up.Publish(rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Size(100).Build())
 	m := NewMirror(up, "local")
-	m.Sync(fixedClock())
+	m.Sync()
 	if bad := m.VerifyIntegrity(fixedClock()); len(bad) != 0 {
 		t.Fatalf("fresh mirror should verify: %v", bad)
 	}
@@ -81,7 +77,7 @@ func TestMirrorServesClients(t *testing.T) {
 	up := New("xsede", "XSEDE NIT", "")
 	up.Publish(pkg("R", "3.0.1-1"), pkg("R", "3.1.2-1"))
 	m := NewMirror(up, "campus-mirror")
-	m.Sync(fixedClock())
+	m.Sync()
 	set := NewSet(Config{Repo: m.Local, Priority: 50, Enabled: true})
 	if got := set.Best("R").EVR.String(); got != "3.1.2-1" {
 		t.Fatalf("Best via mirror = %s", got)

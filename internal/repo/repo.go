@@ -46,7 +46,6 @@ type Repository struct {
 	count    int                       // total published packages
 	revision atomic.Int64              // bumped on every publish/retract; read lock-free
 	all      []*rpm.Package            // lazy cache of every package, sorted; nil when stale
-	names    []string                  // lazy cache of sorted names; nil when stale
 }
 
 // New creates an empty repository.
@@ -116,7 +115,6 @@ func (r *Repository) Retract(nevra string) error {
 func (r *Repository) invalidateLocked() {
 	r.revision.Add(1)
 	r.all = nil
-	r.names = nil
 }
 
 // insertCopy inserts p into a list kept in rpm.PackageLess order,
@@ -187,6 +185,8 @@ func (r *Repository) All() []*rpm.Package {
 
 // WhoProvides returns published packages satisfying the capability, newest
 // first. The returned slice is shared and must not be modified.
+//
+//detlint:reached benchmark: BenchmarkWhoProvidesIndexed (BENCH_baseline.json) measures the capability index through it
 func (r *Repository) WhoProvides(req rpm.Capability) []*rpm.Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -220,28 +220,6 @@ func (r *Repository) FirstProvider(req rpm.Capability) *rpm.Package {
 		}
 	}
 	return nil
-}
-
-// Names returns the sorted set of package names in the repository. The
-// returned slice is shared and must not be modified.
-func (r *Repository) Names() []string {
-	r.mu.RLock()
-	names := r.names
-	r.mu.RUnlock()
-	if names != nil {
-		return names
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.names == nil {
-		names := make([]string, 0, len(r.packages))
-		for n := range r.packages {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		r.names = names
-	}
-	return r.names
 }
 
 // Config is a client-side repository configuration entry, the in-memory
@@ -304,21 +282,6 @@ func (s *Set) Add(c Config) {
 	defer s.mu.Unlock()
 	s.configs = append(s.configs, c)
 	s.invalidateLocked()
-}
-
-// Remove drops the configuration for a repository ID, reporting whether it
-// was present.
-func (s *Set) Remove(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, c := range s.configs {
-		if c.Repo.ID == id {
-			s.configs = append(s.configs[:i:i], s.configs[i+1:]...)
-			s.invalidateLocked()
-			return true
-		}
-	}
-	return false
 }
 
 // Enable toggles a repository by ID, reporting whether it was found.
@@ -426,36 +389,6 @@ func (s *Set) Configs() []Config {
 	return append([]Config(nil), s.configs...)
 }
 
-// Candidates returns the available builds of a named package after priority
-// shadowing: if any higher-priority (lower number) enabled repository carries
-// the name, lower-priority repositories' builds of that name are hidden.
-// This is exactly yum-plugin-priorities semantics and is what lets XNIT
-// coexist with a vendor repository without hijacking base packages.
-func (s *Set) Candidates(name string) []*rpm.Package {
-	best := -1
-	single := true
-	var out []*rpm.Package
-	for _, c := range s.cachedView() {
-		if best != -1 && c.Priority != best {
-			break // sorted by priority; everything further is shadowed
-		}
-		ps := c.Repo.Get(name)
-		if len(ps) == 0 {
-			continue
-		}
-		if best == -1 {
-			best = c.Priority
-		} else {
-			single = false
-		}
-		out = append(out, ps...)
-	}
-	if !single {
-		rpm.SortPackages(out)
-	}
-	return out
-}
-
 // Best returns the single best candidate for a name: newest EVR from the
 // highest-priority repository carrying it, or nil.
 func (s *Set) Best(name string) *rpm.Package {
@@ -548,20 +481,4 @@ func (s *Set) BestProvider(req rpm.Capability) *rpm.Package {
 	}
 	s.prov[req] = out
 	return out
-}
-
-// AllNames returns the union of package names over enabled repositories.
-func (s *Set) AllNames() []string {
-	seen := make(map[string]bool)
-	for _, c := range s.cachedView() {
-		for _, n := range c.Repo.Names() {
-			seen[n] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -21,9 +21,6 @@ func TestPublishAndQuery(t *testing.T) {
 	if r.Newest("openmpi") == nil {
 		t.Fatal("openmpi missing")
 	}
-	if got := r.Names(); len(got) != 2 || got[0] != "gcc" || got[1] != "openmpi" {
-		t.Fatalf("Names = %v", got)
-	}
 }
 
 func TestPublishDuplicateRejected(t *testing.T) {
@@ -133,20 +130,6 @@ func TestSetDisabledRepoInvisible(t *testing.T) {
 	}
 }
 
-func TestSetRemove(t *testing.T) {
-	a := New("a", "A", "")
-	s := NewSet(Config{Repo: a, Enabled: true})
-	if !s.Remove("a") {
-		t.Fatal("Remove failed")
-	}
-	if s.Remove("a") {
-		t.Fatal("second Remove should report false")
-	}
-	if len(s.Configs()) != 0 {
-		t.Fatal("config list should be empty")
-	}
-}
-
 func TestSetDefaultPriority(t *testing.T) {
 	a := New("a", "A", "")
 	s := NewSet(Config{Repo: a, Enabled: true})
@@ -158,7 +141,7 @@ func TestSetDefaultPriority(t *testing.T) {
 func TestBestProviderPrefersNameMatch(t *testing.T) {
 	r := New("x", "x", "")
 	mpi := rpm.NewPackage("openmpi", "1.6.4-3", rpm.ArchX86_64).Provides(rpm.Cap("mpi")).Build()
-	compat := rpm.NewPackage("mpi", "0.1-1", rpm.ArchNoarch).Build()
+	compat := rpm.NewPackage("mpi", "0.1-1", rpm.ArchX86_64).Build()
 	r.Publish(mpi, compat)
 	s := NewSet(Config{Repo: r, Enabled: true})
 	if got := s.BestProvider(rpm.Cap("mpi")); got.Name != "mpi" {
@@ -169,20 +152,5 @@ func TestBestProviderPrefersNameMatch(t *testing.T) {
 	}
 	if s.BestProvider(rpm.Cap("nothing")) != nil {
 		t.Fatal("BestProvider of unknown cap should be nil")
-	}
-}
-
-func TestAllNamesUnion(t *testing.T) {
-	a := New("a", "A", "")
-	b := New("b", "B", "")
-	a.Publish(pkg("x", "1-1"))
-	b.Publish(pkg("x", "2-1"), pkg("y", "1-1"))
-	s := NewSet(
-		Config{Repo: a, Enabled: true},
-		Config{Repo: b, Enabled: true},
-	)
-	names := s.AllNames()
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Fatalf("AllNames = %v", names)
 	}
 }

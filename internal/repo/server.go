@@ -23,36 +23,24 @@ type Server struct {
 	clock  func() time.Time
 }
 
-// NewServer builds a server for a fixed list of repositories. clock is
-// required (tests inject a fixed clock); nil panics rather than falling
-// back to wall time.
-func NewServer(clock func() time.Time, repos ...*Repository) *Server {
-	fixed := append([]*Repository(nil), repos...)
-	return newServer(clock, func() []*Repository { return fixed })
-}
-
 // NewSetServer builds a server over a live Set: repositories added to or
 // removed from the set while serving appear in (or vanish from) the routes
 // on the next request. All configured repositories are served; the set's
 // enabled flags describe clients, not the server.
 func NewSetServer(clock func() time.Time, set *Set) *Server {
-	return newServer(clock, func() []*Repository {
+	if clock == nil {
+		// No wall-clock fallback: served timestamps feed revision metadata
+		// that replay compares, so the clock must always be injected.
+		panic("repo: NewSetServer requires a clock; pass the simulation clock or a fixed test clock")
+	}
+	return &Server{clock: clock, source: func() []*Repository {
 		configs := set.Configs()
 		repos := make([]*Repository, 0, len(configs))
 		for _, c := range configs {
 			repos = append(repos, c.Repo)
 		}
 		return repos
-	})
-}
-
-func newServer(clock func() time.Time, source func() []*Repository) *Server {
-	if clock == nil {
-		// No wall-clock fallback: served timestamps feed revision metadata
-		// that replay compares, so the clock must always be injected.
-		panic("repo: newServer requires a clock; pass the simulation clock or a fixed test clock")
-	}
-	return &Server{source: source, clock: clock}
+	}}
 }
 
 // lookup returns the served repository with the given ID, or nil.

@@ -18,7 +18,6 @@ type HostRecord struct {
 	MAC       string
 	IP        string
 	Installed bool
-	Attrs     map[string]string
 }
 
 // FrontendDB is the Rocks frontend's internal database ("rocks list host",
@@ -49,14 +48,6 @@ func (db *FrontendDB) Distribution() *Distribution {
 	return db.distro
 }
 
-// SetDistribution swaps the active distribution (after adding an update roll
-// and rebuilding, in Rocks terms).
-func (db *FrontendDB) SetDistribution(d *Distribution) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.distro = d
-}
-
 // AddHost registers a node, assigning it a private IP in insertion order
 // (the way Rocks' dhcpd hands out addresses during discovery).
 func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac string) (*HostRecord, error) {
@@ -72,8 +63,6 @@ func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac st
 		Rank:      rank,
 		MAC:       mac,
 		IP:        "10.1.1." + strconv.Itoa(db.nextIP),
-		// Attrs stays nil until the first SetHostAttr; most hosts never
-		// get a per-host attribute and nil-map reads are free.
 	}
 	db.nextIP++
 	db.hosts[name] = rec
@@ -81,6 +70,8 @@ func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac st
 }
 
 // RemoveHost drops a node from the database.
+//
+//detlint:reached support: internal/provision's TestCommitFailureCarriesRealAttempts pulls a host record mid-wave to make the live commit fail
 func (db *FrontendDB) RemoveHost(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -148,45 +139,6 @@ func (db *FrontendDB) SetGlobalAttr(key, value string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.attrs[key] = value
-}
-
-// GlobalAttr reads a cluster-wide attribute.
-func (db *FrontendDB) GlobalAttr(key string) (string, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	v, ok := db.attrs[key]
-	return v, ok
-}
-
-// SetHostAttr sets a per-host attribute ("rocks set host attr").
-func (db *FrontendDB) SetHostAttr(host, key, value string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec, ok := db.hosts[host]
-	if !ok {
-		return fmt.Errorf("rocks: host %s not in database", host)
-	}
-	if rec.Attrs == nil {
-		rec.Attrs = make(map[string]string)
-	}
-	rec.Attrs[key] = value
-	return nil
-}
-
-// HostAttr resolves an attribute for a host: per-host value if set,
-// otherwise the global value — Rocks' attribute inheritance.
-func (db *FrontendDB) HostAttr(host, key string) (string, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec, ok := db.hosts[host]
-	if !ok {
-		return "", false
-	}
-	if v, ok := rec.Attrs[key]; ok {
-		return v, true
-	}
-	v, ok := db.attrs[key]
-	return v, ok
 }
 
 // ListHostReport renders a "rocks list host"-style table.

@@ -3,7 +3,6 @@ package rocks
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -66,12 +65,6 @@ func (g *Graph) resetMemo() {
 	g.mu.Unlock()
 }
 
-// Node returns a fragment by name.
-func (g *Graph) Node(name string) (*GraphNode, bool) {
-	n, ok := g.nodes[name]
-	return n, ok
-}
-
 // Closure returns the fragments reachable from root in deterministic
 // (preorder, edge-insertion) order, erroring on cycles or dangling edges —
 // both of which Rocks treats as roll authoring bugs.
@@ -131,16 +124,6 @@ func (g *Graph) ActionsFor(root string) ([]string, error) {
 	g.actions[root] = actions
 	g.mu.Unlock()
 	return actions, nil
-}
-
-// Names returns all fragment names, sorted.
-func (g *Graph) Names() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DefaultGraph builds the base Rocks graph: frontend and compute roots with

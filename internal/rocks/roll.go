@@ -22,8 +22,6 @@ type Appliance string
 const (
 	ApplianceFrontend Appliance = "frontend"
 	ApplianceCompute  Appliance = "compute"
-	ApplianceLogin    Appliance = "login"
-	ApplianceNAS      Appliance = "nas"
 )
 
 // Roll is an installable collection: packages plus graph edges describing
@@ -144,16 +142,6 @@ func (d *Distribution) RollNames() []string {
 	return names
 }
 
-// HasRoll reports whether a roll is present.
-func (d *Distribution) HasRoll(name string) bool {
-	for _, r := range d.Rolls {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // PackagesFor returns every package the distribution installs on an
 // appliance, across all rolls, newest build winning on name collisions
 // (a roll may update a base package).
@@ -192,49 +180,4 @@ func (d *Distribution) InstallSet(app Appliance) (*rpm.InstallSet, error) {
 	}
 	d.installSets[app] = &installSetEntry{set: set, err: err}
 	return set, err
-}
-
-// AllPackages returns every distinct package across rolls.
-func (d *Distribution) AllPackages() []*rpm.Package {
-	var all []*rpm.Package
-	for _, r := range d.Rolls {
-		all = append(all, r.AllPackages()...)
-	}
-	return dedupe(all)
-}
-
-// CreateUpdateRoll builds a roll from the newest builds in the given package
-// lists that are strictly newer than what the distribution carries — the
-// "preferred method" the paper cites from the Rocks documentation for
-// applying updates. The result can be added to a new distribution.
-func (d *Distribution) CreateUpdateRoll(name, version string, available []*rpm.Package) *Roll {
-	current := make(map[string]*rpm.Package)
-	for _, p := range d.AllPackages() {
-		if cur, ok := current[p.Name]; !ok || p.EVR.Compare(cur.EVR) > 0 {
-			current[p.Name] = p
-		}
-	}
-	newest := make(map[string]*rpm.Package)
-	for _, p := range available {
-		cur, installed := current[p.Name]
-		if !installed {
-			continue // update rolls only refresh what the distro already has
-		}
-		if p.EVR.Compare(cur.EVR) <= 0 {
-			continue
-		}
-		if prev, ok := newest[p.Name]; !ok || p.EVR.Compare(prev.EVR) > 0 {
-			newest[p.Name] = p
-		}
-	}
-	roll := NewRoll(name, version, "update roll generated from repository", false)
-	names := make([]string, 0, len(newest))
-	for n := range newest {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		roll.AddPackages(ApplianceCompute, newest[n])
-	}
-	return roll
 }

@@ -60,38 +60,6 @@ func (s *Service411) AddUser(name, group string) (User, error) {
 	return u, nil
 }
 
-// RemoveUser deletes an account.
-func (s *Service411) RemoveUser(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.users[name]; !exists {
-		return fmt.Errorf("rocks411: no user %s", name)
-	}
-	delete(s.users, name)
-	s.generation++
-	return nil
-}
-
-// Users returns accounts sorted by UID.
-func (s *Service411) Users() []User {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]User, 0, len(s.users))
-	for _, u := range s.users {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UID < out[j].UID })
-	return out
-}
-
-// Lookup finds a user.
-func (s *Service411) Lookup(name string) (User, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[name]
-	return u, ok
-}
-
 // Generation returns the master database generation.
 func (s *Service411) Generation() int {
 	s.mu.Lock()

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-func TestService411AddRemoveUsers(t *testing.T) {
+func TestService411AddUsers(t *testing.T) {
 	s := New411()
 	alice, err := s.AddUser("alice", "research")
 	if err != nil {
@@ -20,20 +20,8 @@ func TestService411AddRemoveUsers(t *testing.T) {
 	if _, err := s.AddUser("alice", "x"); err == nil {
 		t.Fatal("duplicate user should fail")
 	}
-	if got := s.Users(); len(got) != 2 || got[0].Name != "alice" {
-		t.Fatalf("Users = %v", got)
-	}
-	if _, ok := s.Lookup("bob"); !ok {
-		t.Fatal("Lookup bob")
-	}
-	if err := s.RemoveUser("bob"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveUser("bob"); err == nil {
-		t.Fatal("double remove should fail")
-	}
-	if _, ok := s.Lookup("bob"); ok {
-		t.Fatal("bob should be gone")
+	if got := s.Pull("compute-0-0").Users; len(got) != 2 || got[0].Name != "alice" || got[1].Name != "bob" {
+		t.Fatalf("users = %v", got)
 	}
 }
 

@@ -67,11 +67,6 @@ func (db *DB) Installed() []*Package {
 	return db.installed
 }
 
-// Get returns the installed packages with the given name, newest first.
-func (db *DB) Get(name string) []*Package {
-	return append([]*Package(nil), db.byName[name]...)
-}
-
 // Newest returns the newest installed package with the given name, or nil.
 func (db *DB) Newest(name string) *Package {
 	ps := db.byName[name]
@@ -83,17 +78,6 @@ func (db *DB) Newest(name string) *Package {
 
 // Has reports whether any package with the given name is installed.
 func (db *DB) Has(name string) bool { return len(db.byName[name]) > 0 }
-
-// WhoProvides returns installed packages satisfying the capability.
-func (db *DB) WhoProvides(req Capability) []*Package {
-	var out []*Package
-	for _, p := range db.provides[req.Name] {
-		if p.ProvidesCap(req) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // HasProvider reports whether any installed package satisfies the
 // capability, without allocating the provider list.
@@ -110,6 +94,8 @@ func (db *DB) HasProvider(req Capability) bool {
 }
 
 // OwnerOf returns the NEVRA of the package owning a file path, if any.
+//
+//detlint:reached support: db_test.go, installset_test.go and property_test.go read the ownership index back after Install, Erase, Clone and AdoptSet
 func (db *DB) OwnerOf(path string) (string, bool) {
 	owner, ok := db.files[path]
 	return owner, ok

@@ -45,8 +45,8 @@ func TestDBInstallAndQuery(t *testing.T) {
 	if db.Newest("nope") != nil {
 		t.Fatal("Newest(nope) should be nil")
 	}
-	if got := db.WhoProvides(CapVer("gcc", GE, "4.4")); len(got) != 1 {
-		t.Fatalf("WhoProvides = %v", got)
+	if !db.HasProvider(CapVer("gcc", GE, "4.4")) || db.HasProvider(CapVer("gcc", GE, "5")) {
+		t.Fatal("HasProvider must honor the version relation")
 	}
 }
 
@@ -62,9 +62,8 @@ func TestDBMultipleVersionsNewestFirst(t *testing.T) {
 	if got := db.Newest("kernel"); got != newer {
 		t.Fatalf("Newest = %s", got.NEVRA())
 	}
-	got := db.Get("kernel")
-	if got[0] != newer || got[1] != old {
-		t.Fatal("Get should order newest first")
+	if got := db.Installed(); got[0] != newer || got[1] != old {
+		t.Fatal("Installed should order newest first")
 	}
 }
 

@@ -113,9 +113,6 @@ func NewInstallSet(pkgs []*Package) (*InstallSet, error) {
 // shared and must not be modified.
 func (s *InstallSet) Packages() []*Package { return s.pkgs }
 
-// Len returns the number of packages in the set.
-func (s *InstallSet) Len() int { return len(s.pkgs) }
-
 // AdoptSet bulk-installs a pre-validated set into an empty database. The
 // DB aliases the set's index maps outright — adoption allocates nothing
 // per node, which is what lets a 10k-member fleet hold 50k node databases

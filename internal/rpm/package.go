@@ -50,6 +50,8 @@ type Capability struct {
 func Cap(name string) Capability { return Capability{Name: name} }
 
 // CapVer builds a versioned capability such as CapVer("gcc", GE, "4.4").
+//
+//detlint:reached benchmark: BenchmarkWhoProvidesIndexed (BENCH_baseline.json) builds its versioned lookups with it
 func CapVer(name string, rel Relation, evr string) Capability {
 	return Capability{Name: name, Rel: rel, EVR: MustParseEVR(evr)}
 }
@@ -140,12 +142,8 @@ func relAdmitsAbove(provRel Relation, cmp int) bool {
 // Arch is a package architecture.
 type Arch string
 
-// Architectures used by the XCBC/XNIT catalogs.
-const (
-	ArchX86_64 Arch = "x86_64"
-	ArchNoarch Arch = "noarch"
-	ArchSrc    Arch = "src"
-)
+// ArchX86_64 is the one architecture the XCBC/XNIT catalogs carry.
+const ArchX86_64 Arch = "x86_64"
 
 // Package is a single installable software package (an "RPM").
 type Package struct {
@@ -178,25 +176,12 @@ func (p *Package) NEVRA() string {
 	return fmt.Sprintf("%s-%s.%s", p.Name, p.EVR, p.Arch)
 }
 
-// NVR renders name-version-release without the architecture.
-func (p *Package) NVR() string {
-	return fmt.Sprintf("%s-%s", p.Name, p.EVR)
-}
-
 func (p *Package) String() string { return p.NEVRA() }
 
 // SelfProvides returns the implicit capability every package provides:
 // its own name at its exact EVR.
 func (p *Package) SelfProvides() Capability {
 	return Capability{Name: p.Name, Rel: EQ, EVR: p.EVR}
-}
-
-// AllProvides returns the package's explicit provides plus its self-provide.
-func (p *Package) AllProvides() []Capability {
-	out := make([]Capability, 0, len(p.Provides)+1)
-	out = append(out, p.SelfProvides())
-	out = append(out, p.Provides...)
-	return out
 }
 
 // ProvidesCap reports whether the package satisfies the required capability,
@@ -251,19 +236,6 @@ func (p *Package) ConflictsWith(q *Package) bool {
 	return false
 }
 
-// ObsoletesPkg reports whether p obsoletes q (used by upgrade logic: an
-// obsoleting package replaces the obsoleted one).
-func (p *Package) ObsoletesPkg(q *Package) bool {
-	for _, c := range p.Obsoletes {
-		if c.Name == q.Name {
-			if c.Rel == Any || (Capability{Name: q.Name, Rel: EQ, EVR: q.EVR}).Satisfies(c) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Clone returns a deep copy of the package, used when publishing the same
 // logical package into multiple repositories.
 func (p *Package) Clone() *Package {
@@ -294,9 +266,6 @@ func (b *Builder) Category(c string) *Builder { b.p.Category = c; return b }
 // Size sets the package size in bytes.
 func (b *Builder) Size(n int64) *Builder { b.p.SizeBytes = n; return b }
 
-// License sets the license tag.
-func (b *Builder) License(l string) *Builder { b.p.License = l; return b }
-
 // Provides adds provided capabilities.
 func (b *Builder) Provides(caps ...Capability) *Builder {
 	b.p.Provides = append(b.p.Provides, caps...)
@@ -315,13 +284,9 @@ func (b *Builder) Conflicts(caps ...Capability) *Builder {
 	return b
 }
 
-// Obsoletes adds obsoleted capabilities.
-func (b *Builder) Obsoletes(caps ...Capability) *Builder {
-	b.p.Obsoletes = append(b.p.Obsoletes, caps...)
-	return b
-}
-
 // Files adds file paths owned by the package.
+//
+//detlint:reached support: db_test.go, installset_test.go and property_test.go give packages files to reach the file-conflict and ownership code in DB and Transaction
 func (b *Builder) Files(paths ...string) *Builder {
 	b.p.Files = append(b.p.Files, paths...)
 	return b

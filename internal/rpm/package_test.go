@@ -125,9 +125,6 @@ func TestPackageIdentity(t *testing.T) {
 	if p.NEVRA() != "openmpi-1.6.4-3.el6.x86_64" {
 		t.Errorf("NEVRA = %q", p.NEVRA())
 	}
-	if p.NVR() != "openmpi-1.6.4-3.el6" {
-		t.Errorf("NVR = %q", p.NVR())
-	}
 	if !p.ProvidesCap(Cap("openmpi")) {
 		t.Error("package should provide its own name")
 	}
@@ -146,9 +143,6 @@ func TestPackageExplicitProvides(t *testing.T) {
 	if !p.ProvidesCap(Cap("mpi")) {
 		t.Error("explicit provide not honored")
 	}
-	if len(p.AllProvides()) != 3 {
-		t.Errorf("AllProvides len = %d, want 3", len(p.AllProvides()))
-	}
 }
 
 func TestPackageConflicts(t *testing.T) {
@@ -163,23 +157,6 @@ func TestPackageConflicts(t *testing.T) {
 	}
 	if torque.ConflictsWith(other) {
 		t.Error("no conflict declared with ganglia")
-	}
-}
-
-func TestPackageObsoletes(t *testing.T) {
-	newPkg := NewPackage("maui", "3.3.1-1", ArchX86_64).Obsoletes(Cap("moab-community")).Build()
-	oldPkg := NewPackage("moab-community", "1.0-1", ArchX86_64).Build()
-	if !newPkg.ObsoletesPkg(oldPkg) {
-		t.Error("maui should obsolete moab-community")
-	}
-	versioned := NewPackage("a", "2.0-1", ArchX86_64).Obsoletes(CapVer("b", LT, "2.0")).Build()
-	bOld := NewPackage("b", "1.9-1", ArchX86_64).Build()
-	bNew := NewPackage("b", "2.1-1", ArchX86_64).Build()
-	if !versioned.ObsoletesPkg(bOld) {
-		t.Error("a should obsolete b < 2.0")
-	}
-	if versioned.ObsoletesPkg(bNew) {
-		t.Error("a should not obsolete b 2.1")
 	}
 }
 

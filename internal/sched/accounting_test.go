@@ -113,8 +113,8 @@ func TestNodeFailRequeuesJobs(t *testing.T) {
 		t.Fatalf("RequeuedCount = %d", m.RequeuedCount())
 	}
 	// With one node down (8 cores), the 10-core job cannot run.
-	if m.TotalCores() != 8 {
-		t.Fatalf("TotalCores = %d", m.TotalCores())
+	if m.totalFree() != 8 {
+		t.Fatalf("free cores = %d", m.totalFree())
 	}
 	// Repair brings it back and the job reruns to completion.
 	if err := m.NodeRepair(victim); err != nil {

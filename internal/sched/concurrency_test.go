@@ -58,7 +58,6 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 				m.Usage()
 				m.Job(1)
 				m.FreeCores("compute-0-1")
-				m.IdleNodes()
 				m.NodeBusy("compute-0-2")
 				m.Records()
 				m.Utilization()
@@ -75,7 +74,6 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 			if err := m.Drain("compute-0-3"); err != nil {
 				t.Errorf("Drain: %v", err)
 			}
-			m.Drained("compute-0-3")
 			if err := m.Undrain("compute-0-3"); err != nil {
 				t.Errorf("Undrain: %v", err)
 			}

@@ -101,13 +101,6 @@ func (m *Manager) Undrain(name string) error {
 	return nil
 }
 
-// Drained reports whether a node is in maintenance.
-func (m *Manager) Drained(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.drained[name]
-}
-
 // RequeuedCount returns how many currently queued jobs have been requeued
 // by a node failure; used by hardening tests and reports.
 func (m *Manager) RequeuedCount() int {

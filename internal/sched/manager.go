@@ -99,17 +99,6 @@ func (m *Manager) SetPolicy(p Policy) {
 	m.schedule()
 }
 
-// TotalCores returns the compute-core capacity of powered-on nodes.
-func (m *Manager) TotalCores() int {
-	total := 0
-	for _, n := range m.Cluster.Computes {
-		if n.Power() == cluster.PowerOn {
-			total += n.Cores()
-		}
-	}
-	return total
-}
-
 // Submit enqueues a job and runs a scheduling pass. The job's Runtime is how
 // long it will actually execute; Walltime is the requested limit. The job
 // struct becomes manager-owned on success: read it back via Job or the
@@ -223,6 +212,8 @@ func (m *Manager) JobCounts() (queued, running, done int) {
 }
 
 // Usage returns consumed core-seconds by user (fair-share accounting).
+//
+//detlint:reached support: internal/core's TestWeekLongSoak reconciles it with the accounting records, and TestSGEFairShare reads what the SGE policy orders by
 func (m *Manager) Usage() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -242,20 +233,6 @@ func (m *Manager) FreeCores(node string) int {
 		return 0
 	}
 	return m.free[node]
-}
-
-// IdleNodes returns powered-on compute nodes running nothing.
-func (m *Manager) IdleNodes() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for _, n := range m.Cluster.Computes {
-		if n.Power() == cluster.PowerOn && m.free[n.Name] == n.Cores() {
-			out = append(out, n.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NodeBusy reports whether any job occupies the node.

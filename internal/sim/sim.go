@@ -49,12 +49,6 @@ type Handle struct {
 	seq uint64
 }
 
-// Cancelled reports whether the event has been cancelled or has already
-// executed.
-func (h Handle) Cancelled() bool {
-	return h.ev == nil || h.ev.seq != h.seq || h.ev.index == -2
-}
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -89,14 +83,13 @@ func (q *eventQueue) Pop() any {
 // Executed Event structs are recycled through a free list, so steady-state
 // scheduling (the tick pattern: every callback schedules its successor) runs
 // without allocating. Handles stay safe across recycling: each carries the
-// scheduling's sequence number, so Cancel and Cancelled on a stale Handle
-// are no-ops rather than hitting whatever event reuses the struct.
+// scheduling's sequence number, so Cancel on a stale Handle
+// is a no-op rather than hitting whatever event reuses the struct.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	nSteps uint64
-	free   []*Event // executed events awaiting reuse
+	now   Time
+	queue eventQueue
+	seq   uint64
+	free  []*Event // executed events awaiting reuse
 }
 
 // maxFree bounds the free list so a drained queue does not pin every Event
@@ -110,12 +103,6 @@ func NewEngine() *Engine { return &Engine{queue: make(eventQueue, 0, 8)} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.nSteps }
-
-// Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past is an
 // error that is reported by panicking, since it indicates a logic bug in the
@@ -163,7 +150,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.At
-	e.nSteps++
 	ev.index = -2
 	ev.Fn(e)
 	// Recycle only after the callback returns: callbacks may Cancel the
@@ -193,15 +179,4 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// Advance moves the clock forward by d without executing events scheduled in
-// the skipped interval; it panics if any exist, since silently skipping them
-// would corrupt the simulation.
-func (e *Engine) Advance(d time.Duration) {
-	target := e.now + Time(d)
-	if len(e.queue) > 0 && e.queue[0].At < target {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip event %q at %v", d, e.queue[0].Name, e.queue[0].At))
-	}
-	e.now = target
 }

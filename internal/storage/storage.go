@@ -1,15 +1,14 @@
 // Package storage models the shared filesystems the Table 3 deployments
 // advertise (Montana State's 300 TB of Lustre, PBARC's 40 TB storage +
-// 60 TB scratch): mounted filesystems with capacity accounting, per-user
-// quotas, and the scratch purge policy every XSEDE site runs. Storage is
-// part of what makes a cluster usable for research, and quota exhaustion is
-// one of the paper's "clusters aren't maintained" failure modes.
+// 60 TB scratch): mounted filesystems with capacity accounting and per-user
+// quotas. Storage is part of what makes a cluster usable for research, and
+// quota exhaustion is one of the paper's "clusters aren't maintained"
+// failure modes.
 package storage
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"xcbc/internal/sim"
 )
@@ -19,8 +18,9 @@ type Kind int
 
 // Filesystem kinds.
 const (
+	//detlint:reached support: storage_test.go builds persistent mounts to check capacity, quotas and the report
 	Persistent Kind = iota // /home, project storage
-	Scratch                // purged after PurgeAge
+	Scratch                // a center's purged scratch space; only the label differs here
 )
 
 func (k Kind) String() string {
@@ -44,8 +44,6 @@ type Filesystem struct {
 	Mount      string
 	Kind       Kind
 	CapacityGB int
-	// PurgeAge applies to Scratch: files untouched this long are purged.
-	PurgeAge time.Duration
 
 	files  map[string]File
 	quotas map[string]int64 // user -> byte limit (0 = none)
@@ -55,9 +53,8 @@ type Filesystem struct {
 func NewFilesystem(name, mount string, kind Kind, capacityGB int) *Filesystem {
 	return &Filesystem{
 		Name: name, Mount: mount, Kind: kind, CapacityGB: capacityGB,
-		PurgeAge: 30 * 24 * time.Hour,
-		files:    make(map[string]File),
-		quotas:   make(map[string]int64),
+		files:  make(map[string]File),
+		quotas: make(map[string]int64),
 	}
 }
 
@@ -127,78 +124,6 @@ func (fs *Filesystem) Write(path, owner string, bytes int64, now sim.Time) error
 	}
 	fs.files[path] = File{Path: path, Owner: owner, Bytes: bytes, Modified: now}
 	return nil
-}
-
-// Touch refreshes a file's modification time (protects it from purge).
-func (fs *Filesystem) Touch(path string, now sim.Time) bool {
-	f, ok := fs.files[path]
-	if !ok {
-		return false
-	}
-	f.Modified = now
-	fs.files[path] = f
-	return true
-}
-
-// Remove deletes a file.
-func (fs *Filesystem) Remove(path string) bool {
-	if _, ok := fs.files[path]; !ok {
-		return false
-	}
-	delete(fs.files, path)
-	return true
-}
-
-// Stat looks up a file.
-func (fs *Filesystem) Stat(path string) (File, bool) {
-	f, ok := fs.files[path]
-	return f, ok
-}
-
-// List returns files sorted by path.
-func (fs *Filesystem) List() []File {
-	out := make([]File, 0, len(fs.files))
-	for _, f := range fs.files {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Purge removes scratch files older than PurgeAge, returning what was
-// purged. Persistent filesystems never purge.
-func (fs *Filesystem) Purge(now sim.Time) []File {
-	if fs.Kind != Scratch {
-		return nil
-	}
-	var purged []File
-	for path, f := range fs.files {
-		if (now - f.Modified).Duration() >= fs.PurgeAge {
-			purged = append(purged, f)
-			delete(fs.files, path)
-		}
-	}
-	sort.Slice(purged, func(i, j int) bool { return purged[i].Path < purged[j].Path })
-	return purged
-}
-
-// SchedulePurges installs a periodic purge on the engine for scratch
-// filesystems (the nightly cron every center runs), until horizon.
-func (fs *Filesystem) SchedulePurges(eng *sim.Engine, interval time.Duration, horizon sim.Time, onPurge func([]File)) {
-	if fs.Kind != Scratch {
-		return
-	}
-	var sweep func(*sim.Engine)
-	sweep = func(e *sim.Engine) {
-		purged := fs.Purge(e.Now())
-		if onPurge != nil && len(purged) > 0 {
-			onPurge(purged)
-		}
-		if e.Now()+sim.Time(interval) <= horizon {
-			e.After(interval, "scratch-purge", sweep)
-		}
-	}
-	eng.After(interval, "scratch-purge", sweep)
 }
 
 // Report renders a df/quota-style summary.

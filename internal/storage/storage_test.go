@@ -4,19 +4,12 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
-
-	"xcbc/internal/sim"
 )
 
-func TestWriteStatRemove(t *testing.T) {
+func TestWriteAccounting(t *testing.T) {
 	fs := NewFilesystem("lustre", "/lustre", Persistent, 300000) // MSU's 300 TB
 	if err := fs.Write("/lustre/u/data.nc", "alice", 5e9, 0); err != nil {
 		t.Fatal(err)
-	}
-	f, ok := fs.Stat("/lustre/u/data.nc")
-	if !ok || f.Bytes != 5e9 || f.Owner != "alice" {
-		t.Fatalf("Stat = %+v, %v", f, ok)
 	}
 	if fs.UsedBytes() != 5e9 || fs.UsedByUser("alice") != 5e9 {
 		t.Fatal("usage accounting")
@@ -27,12 +20,6 @@ func TestWriteStatRemove(t *testing.T) {
 	}
 	if fs.UsedBytes() != 7e9 {
 		t.Fatalf("after overwrite: %d", fs.UsedBytes())
-	}
-	if !fs.Remove("/lustre/u/data.nc") || fs.Remove("/lustre/u/data.nc") {
-		t.Fatal("Remove semantics")
-	}
-	if len(fs.List()) != 0 {
-		t.Fatal("List after remove")
 	}
 }
 
@@ -75,59 +62,6 @@ func TestQuotaEnforced(t *testing.T) {
 	fs.SetQuota("alice", 0)
 	if err := fs.Write("/home/alice/b", "alice", 3e9, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScratchPurge(t *testing.T) {
-	fs := NewFilesystem("scratch", "/scratch", Scratch, 60000) // PBARC's 60 TB
-	fs.PurgeAge = 30 * 24 * time.Hour
-	day := sim.Time(24 * time.Hour)
-	fs.Write("/scratch/old", "u", 1e9, 0)
-	fs.Write("/scratch/fresh", "u", 1e9, 20*day)
-	purged := fs.Purge(31 * day)
-	if len(purged) != 1 || purged[0].Path != "/scratch/old" {
-		t.Fatalf("purged = %v", purged)
-	}
-	if _, ok := fs.Stat("/scratch/fresh"); !ok {
-		t.Fatal("fresh file purged")
-	}
-	// Touch protects from purge.
-	fs.Touch("/scratch/fresh", 49*day)
-	if got := fs.Purge(51 * day); len(got) != 0 {
-		t.Fatalf("touched file purged: %v", got)
-	}
-	if fs.Touch("/scratch/ghost", 0) {
-		t.Fatal("touching missing file should report false")
-	}
-	// Persistent filesystems never purge.
-	home := NewFilesystem("home", "/home", Persistent, 10)
-	home.Write("/home/x", "u", 1e9, 0)
-	if got := home.Purge(1000 * day); got != nil {
-		t.Fatalf("persistent purge = %v", got)
-	}
-}
-
-func TestScheduledPurges(t *testing.T) {
-	eng := sim.NewEngine()
-	fs := NewFilesystem("scratch", "/scratch", Scratch, 1000)
-	fs.PurgeAge = 10 * 24 * time.Hour
-	fs.Write("/scratch/a", "u", 1e9, 0)
-	var events int
-	fs.SchedulePurges(eng, 24*time.Hour, sim.Time(40*24*time.Hour), func(purged []File) {
-		events += len(purged)
-	})
-	eng.Run()
-	if events != 1 {
-		t.Fatalf("purge events = %d", events)
-	}
-	if fs.UsedBytes() != 0 {
-		t.Fatal("scratch should be empty after purges")
-	}
-	// Persistent: scheduling is a no-op.
-	home := NewFilesystem("home", "/home", Persistent, 10)
-	home.SchedulePurges(eng, time.Hour, sim.Time(time.Hour), nil)
-	if eng.Pending() != 0 {
-		t.Fatal("persistent purge scheduled events")
 	}
 }
 

@@ -64,26 +64,6 @@ func (r *Report) Healthy() bool {
 	return true
 }
 
-// ByNode groups findings by node name.
-func (r *Report) ByNode() map[string][]Finding {
-	out := make(map[string][]Finding)
-	for _, f := range r.Findings {
-		out[f.Node] = append(out[f.Node], f)
-	}
-	return out
-}
-
-// Critical returns only critical findings.
-func (r *Report) Critical() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Severity == Critical {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Summary renders the report.
 func (r *Report) Summary() string {
 	var b strings.Builder

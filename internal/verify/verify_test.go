@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestStoppedServiceDetected(t *testing.T) {
 		t.Fatal("stopped pbs_mom should be detected")
 	}
 	found := false
-	for _, f := range rep.Critical() {
-		if f.Node == "compute-0-2" && strings.Contains(f.Detail, "pbs_mom") {
+	for _, f := range rep.Findings {
+		if f.Severity == Critical && f.Node == "compute-0-2" && strings.Contains(f.Detail, "pbs_mom") {
 			found = true
 		}
 	}
@@ -70,15 +71,15 @@ func TestFrontendPowerAndOS(t *testing.T) {
 	d, chk := healthyDeployment(t)
 	d.Cluster.Frontend.SetPower(cluster.PowerOff)
 	rep := chk.Run()
-	if rep.Healthy() || len(rep.Critical()) == 0 {
+	if !slices.ContainsFunc(rep.Findings, func(f Finding) bool { return f.Severity == Critical }) {
 		t.Fatal("powered-off frontend should be critical")
 	}
 	d.Cluster.Frontend.SetPower(cluster.PowerOn)
 	d.Cluster.Frontend.WipePackages() // clears OS too
 	rep = chk.Run()
 	healthyOS := true
-	for _, f := range rep.Critical() {
-		if strings.Contains(f.Detail, "no operating system") {
+	for _, f := range rep.Findings {
+		if f.Severity == Critical && strings.Contains(f.Detail, "no operating system") {
 			healthyOS = false
 		}
 	}
@@ -160,7 +161,7 @@ func TestPoweredOffInstalledNodeIsInfoOnly(t *testing.T) {
 	if !rep.Healthy() {
 		t.Fatalf("powered-off node should not fail verification:\n%s", rep.Summary())
 	}
-	if len(rep.ByNode()["compute-0-5"]) == 0 {
+	if !slices.ContainsFunc(rep.Findings, func(f Finding) bool { return f.Node == "compute-0-5" }) {
 		t.Fatal("powered-off node should still get an Info finding")
 	}
 }

@@ -55,7 +55,7 @@ func crashOne(t *testing.T, seed uint64) {
 			if err := l.Snapshot(snapState); err != nil {
 				t.Fatalf("snapshot before record %d: %v", i, err)
 			}
-			snapAt, snapSeq = i, l.NextSeq()
+			snapAt, snapSeq = i, l.Stats().NextSeq
 			appended, ends = nil, nil
 			off = len(segMagic)
 		}

@@ -357,13 +357,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// NextSeq returns the sequence number the next Append will use.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
 // Stats reports the log's on-disk footprint from the figures the log keeps
 // as it writes; it reads no file and no directory, so a status poll never
 // holds the append lock across disk I/O. A file some other process adds to

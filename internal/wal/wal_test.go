@@ -40,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("Append(%s) seq = %d, want %d", r.Type, seq, r.Seq)
 		}
 	}
-	if got := l.NextSeq(); got != 3 {
+	if got := l.Stats().NextSeq; got != 3 {
 		t.Fatalf("NextSeq = %d, want 3", got)
 	}
 	if err := l.Close(); err != nil {
@@ -135,7 +135,7 @@ func TestAppendBatch(t *testing.T) {
 	if _, err := l.AppendBatch(bad); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("invalid batch err = %v, want ErrTooLarge", err)
 	}
-	if got := l.NextSeq(); got != 5 {
+	if got := l.Stats().NextSeq; got != 5 {
 		t.Fatalf("NextSeq after rejected batch = %d, want 5", got)
 	}
 	if err := l.Close(); err != nil {

@@ -3,6 +3,8 @@
 // configurable user mixes, arrival processes, and size/runtime
 // distributions — the stand-in for the production traces the paper's
 // deployment sites would have.
+//
+//detlint:reached support: internal/core's TestWeekLongSoak and the root BenchmarkBackfillAblation and BenchmarkSchedulerWorkloadComparison replay these streams against the live batch system
 package workload
 
 import (

@@ -141,9 +141,6 @@ func (r *Report) Score() float64 {
 	return float64(r.Passed()) / float64(len(r.Checks))
 }
 
-// Compatible reports whether every check passed.
-func (r *Report) Compatible() bool { return r.Passed() == r.Total() }
-
 // Failures lists the failed checks.
 func (r *Report) Failures() []Check {
 	var out []Check

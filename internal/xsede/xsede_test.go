@@ -37,7 +37,7 @@ func (f *fakeNode) install(t *testing.T, name, evr string) {
 func TestCheckNodeEmpty(t *testing.T) {
 	ref := StampedeReference()
 	rep := CheckNode(ref, newFakeNode())
-	if rep.Compatible() {
+	if rep.Passed() == rep.Total() {
 		t.Fatal("empty node cannot be compatible")
 	}
 	if rep.Score() != 0 {
@@ -60,7 +60,7 @@ func TestCheckNodeVersionEnforcement(t *testing.T) {
 	n.install(t, "gcc", "4.4.7-11.el6")
 	n.install(t, "openmpi", "1.5.4-1.el6") // too old
 	rep := CheckNode(ref, n)
-	if rep.Compatible() {
+	if rep.Passed() == rep.Total() {
 		t.Fatal("old openmpi should fail")
 	}
 	var sawVersionFail bool
@@ -92,7 +92,7 @@ func TestCheckNodeDirsAndCommands(t *testing.T) {
 	n.attrs["dir:/opt/apps"] = "present"
 	n.install(t, "torque", "4.2.10-1.el6")
 	rep = CheckNode(ref, n)
-	if !rep.Compatible() {
+	if rep.Passed() != rep.Total() {
 		t.Fatalf("should pass now: %s", rep.Summary())
 	}
 }

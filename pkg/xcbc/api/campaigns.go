@@ -157,9 +157,7 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	if tn.store != nil {
-		tn.store.emit(recCampaignStarted, cr.campaignStartedRec)
-	}
+	tn.emit(recCampaignStarted, cr.campaignStartedRec)
 	accepted := campaignInfoOf(cr) // before the sweep starts: always "running"
 	go s.executeCampaign(cr)
 	writeJSON(w, http.StatusAccepted, accepted)

@@ -195,7 +195,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.recordOp(clusterOpRec{ID: dep.ID, Op: "job.submit", Job: &req, JobID: job.ID})
+	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.submit", Job: &req, JobID: job.ID})
 	writeJSON(w, http.StatusCreated, jobInfoOf(job))
 }
 
@@ -222,11 +222,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		jobs = filtered
 	}
-	out := make([]jobInfo, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, jobInfoOf(j))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "jobs": out})
+	writeJSON(w, http.StatusOK, map[string]any{"count": len(jobs), "jobs": mapSlice(jobs, jobInfoOf)})
 }
 
 // parseJobID reads the {jid} path segment.
@@ -269,7 +265,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.recordOp(clusterOpRec{ID: dep.ID, Op: "job.cancel", JobID: id})
+	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.cancel", JobID: id})
 	job, _ := cl.Job(id)
 	writeJSON(w, http.StatusOK, jobInfoOf(job))
 }
@@ -298,7 +294,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// A metrics request polls the nodes (bumping the poll counter), so it
 	// is a recorded, replayed mutation like any other day-2 op.
 	m := cl.Metrics()
-	tn.recordOp(clusterOpRec{ID: dep.ID, Op: "metrics"})
+	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "metrics"})
 	out := metricsInfo{
 		At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
 		Nodes:        make([]nodeMetricsInfo, 0, len(m.Nodes)),
@@ -330,11 +326,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if active == nil {
 		active = []string{}
 	}
-	out := make([]alertInfo, 0, len(log))
-	for _, a := range log {
-		out = append(out, alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule,
-			Firing: a.Firing, Detail: a.Detail})
-	}
+	out := mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
+		return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule,
+			Firing: a.Firing, Detail: a.Detail}
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"active": active, "log": out})
 }
 
@@ -434,7 +429,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// so a recovery replay re-applies the same update window.
 	now := s.clock()
 	check := cl.CheckUpdates(policy, now)
-	tn.recordOp(clusterOpRec{ID: dep.ID, Op: "updates", Policy: p, At: now})
+	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "updates", Policy: p, At: now})
 	out := updatesInfo{
 		Policy:       policy.String(),
 		PendingTotal: check.PendingTotal(),
@@ -478,6 +473,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := cl.Advance(d)
-	tn.recordOp(clusterOpRec{ID: dep.ID, Op: "advance", Duration: req.Duration})
+	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "advance", Duration: req.Duration})
 	writeJSON(w, http.StatusOK, map[string]string{"virtual_now": now.String()})
 }

@@ -109,14 +109,13 @@ func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
 		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
 	}
 	if withMembers {
-		info.Members = make([]fleetMemberInfo, 0, fr.Fleet.Len())
-		for _, m := range fr.Fleet.Members() {
+		info.Members = mapSlice(fr.Fleet.Members(), func(m *xcbc.FleetMember) fleetMemberInfo {
 			mi := fleetMemberInfo{ID: m.ID(), Index: m.Index(), State: string(m.Status())}
 			if err := m.Err(); err != nil {
 				mi.Error = err.Error()
 			}
-			info.Members = append(info.Members, mi)
-		}
+			return mi
+		})
 	}
 	return info
 }
@@ -176,9 +175,7 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	if tn.store != nil {
-		tn.store.emit(recFleetCreated, fr.fleetCreatedRec)
-	}
+	tn.emit(recFleetCreated, fr.fleetCreatedRec)
 	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
 }
 
@@ -224,9 +221,7 @@ func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict,
 			"a scenario is still running on this fleet; wait for it to settle before deleting")
 	case removed:
-		if tn.store != nil {
-			tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
-		}
+		tn.emit(recFleetDeleted, fleetDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		fr.Fleet.Cancel()
@@ -341,16 +336,14 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 
-	if tn.store != nil {
-		doc, err := sc.JSON()
-		if err != nil {
-			doc = req.Scenario // inline doc as submitted; never nil for builtins
-		}
-		tn.store.emit(recScenarioStarted, scenarioStartedRec{
-			FleetID: fr.ID, RunID: run.ID, Name: sc.Name(),
-			Scenario: doc, Created: run.Created,
-		})
+	doc, err := sc.JSON()
+	if err != nil {
+		doc = req.Scenario // inline doc as submitted; never nil for builtins
 	}
+	tn.emit(recScenarioStarted, scenarioStartedRec{
+		FleetID: fr.ID, RunID: run.ID, Name: sc.Name(),
+		Scenario: doc, Created: run.Created,
+	})
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
 	accepted := runInfoOf(run, false, page{})

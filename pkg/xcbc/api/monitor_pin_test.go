@@ -73,8 +73,13 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 	observe()
 
 	series := sdk.Monitor().Series("compute-0-1", "load_one")
-	fmt.Fprintf(&buf, "series compute-0-1/load_one len=%d mean=%v\n", series.Len(), series.Mean())
-	for _, m := range series.All() {
+	samples := series.All()
+	mean := 0.0
+	for _, m := range samples {
+		mean += m.Value
+	}
+	fmt.Fprintf(&buf, "series compute-0-1/load_one len=%d mean=%v\n", len(samples), mean/float64(len(samples)))
+	for _, m := range samples {
 		fmt.Fprintf(&buf, "%+v\n", m)
 	}
 	xml, err := sdk.Monitor().ExportXML()

@@ -239,11 +239,7 @@ func (d *deployment) events(pg page) ([]eventInfo, int) {
 		evs = evs[:pg.limit]
 		next = evs[pg.limit-1].Seq + 1
 	}
-	out := make([]eventInfo, 0, len(evs))
-	for _, ev := range evs {
-		out = append(out, eventInfoOf(ev))
-	}
-	return out, next
+	return mapSlice(evs, eventInfoOf), next
 }
 
 // New builds a memory-only server for the given configuration. It panics
@@ -425,10 +421,6 @@ func newServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Repos returns the server's repository set; it is safe to mutate (add,
-// enable, disable) while the server runs.
-func (s *Server) Repos() *repo.Set { return s.set }
-
 // Handler returns the fully wired HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
@@ -502,6 +494,16 @@ func (r *statusRecorder) Flush() {
 // the logging middleware — without it, the SSE route's write-deadline
 // clear silently fails and the server's WriteTimeout kills long streams.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
+// mapSlice applies f to each element. The result is never nil, so an empty
+// list encodes as [] and not null.
+func mapSlice[T, U any](in []T, f func(T) U) []U {
+	out := make([]U, 0, len(in))
+	for _, v := range in {
+		out = append(out, f(v))
+	}
+	return out
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -620,12 +622,7 @@ func repoInfoOf(c repo.Config) repoInfo {
 }
 
 func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
-	configs := s.set.Configs()
-	out := make([]repoInfo, 0, len(configs))
-	for _, c := range configs {
-		out = append(out, repoInfoOf(c))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"repos": out})
+	writeJSON(w, http.StatusOK, map[string]any{"repos": mapSlice(s.set.Configs(), repoInfoOf)})
 }
 
 // lookupConfig finds the config for a repository ID.
@@ -683,11 +680,7 @@ func (s *Server) handleRepoPackages(w http.ResponseWriter, r *http.Request) {
 	} else {
 		pkgs = rep.All()
 	}
-	out := make([]packageInfo, 0, len(pkgs))
-	for _, p := range pkgs {
-		out = append(out, packageInfoOf(p))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"repo": id, "count": len(out), "packages": out})
+	writeJSON(w, http.StatusOK, map[string]any{"repo": id, "count": len(pkgs), "packages": mapSlice(pkgs, packageInfoOf)})
 }
 
 // depsolveRequest asks for a dependency resolution: which package installs
@@ -1001,59 +994,51 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if dep.arch != nil {
-		// An archived deployment's journal is complete and its state final:
-		// replay the recorded events, send the terminal frame, and close.
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.WriteHeader(http.StatusOK)
-		evs, _ := dep.events(page{cursor: cursor})
+	if dep.arch == nil {
+		// The stream must outlive the server's WriteTimeout (set against
+		// slow-loris clients, not long-lived push streams): clear the write
+		// deadline for this response only.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	// writeEvents sends a data frame for each journal event past cursor and
+	// reports whether there were any; finish sends the terminal state frame.
+	writeEvents := func() bool {
+		var evs []eventInfo
+		evs, cursor = dep.events(page{cursor: cursor})
 		for _, ev := range evs {
 			payload, _ := json.Marshal(ev)
 			fmt.Fprintf(w, "data: %s\n\n", payload)
 		}
-		final := map[string]string{"state": dep.arch.State}
-		if dep.arch.Error != "" {
-			final["error"] = dep.arch.Error
+		return len(evs) > 0
+	}
+	finish := func() {
+		writeEvents() // for a live build, anything emitted between read and check
+		final := map[string]string{"state": dep.state()}
+		if msg := dep.errMsg(); msg != "" {
+			final["error"] = msg
 		}
 		payload, _ := json.Marshal(final)
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
 		flusher.Flush()
+	}
+	if dep.arch != nil {
+		// An archived deployment's journal is complete and its state final:
+		// replay the recorded events, send the terminal frame, and close.
+		finish()
 		return
 	}
 	h := dep.Handle
-	// The stream must outlive the server's WriteTimeout (set against
-	// slow-loris clients, not long-lived push streams): clear the write
-	// deadline for this response only.
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
 	wake, unsubscribe := h.Subscribe()
 	defer unsubscribe()
-	writeEvents := func() {
-		var evs []xcbc.Event
-		evs, cursor = h.Events(cursor)
-		for _, ev := range evs {
-			payload, _ := json.Marshal(eventInfoOf(ev))
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-	}
 	for {
-		writeEvents()
-		if st := h.Status(); st.Terminal() {
-			writeEvents() // drain anything emitted between read and check
-			final := map[string]string{"state": string(st)}
-			if err := h.Err(); err != nil {
-				final["error"] = err.Error()
-			}
-			payload, _ := json.Marshal(final)
-			fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
+		if writeEvents() {
 			flusher.Flush()
+		}
+		if h.Status().Terminal() {
+			finish()
 			return
 		}
 		select {
@@ -1078,9 +1063,7 @@ func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) 
 	case !found:
 		writeError(w, http.StatusNotFound, "unknown deployment")
 	case removed:
-		if tn.store != nil {
-			tn.store.emit(recDeploymentDeleted, depDeletedRec{ID: id})
-		}
+		tn.emit(recDeploymentDeleted, depDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		dep.Handle.Cancel()

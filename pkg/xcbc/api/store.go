@@ -1039,11 +1039,11 @@ func replayOp(cl *xcbc.Cluster, op clusterOpRec) error {
 	return fmt.Errorf("unknown op %q", op.Op)
 }
 
-// recordOp journals one replayable day-2 mutation against the tenant's
-// store; a no-op on a memory-only server.
-func (tn *tenant) recordOp(op clusterOpRec) {
+// emit journals one record against the tenant's store; a no-op on a
+// memory-only server.
+func (tn *tenant) emit(typ string, rec record) {
 	if tn.store != nil {
-		tn.store.emit(recClusterOp, op)
+		tn.store.emit(typ, rec)
 	}
 }
 

@@ -112,7 +112,7 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 		Retries:         cfg.retries,
 		InstallHook:     cfg.installHook,
 	}
-	return start(ctx, "xcbc/"+hw.Name, hw, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
+	return start(ctx, hw, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
 		o := opts
 		o.Progress = func(ev core.BuildEvent) {
 			out := Event{Stage: ev.Stage, Node: ev.Node, Message: ev.Message,
@@ -215,7 +215,7 @@ func (b *vendorBuilder) Start(ctx context.Context) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return start(ctx, "vendor/"+hw.Name, hw, build), nil
+	return start(ctx, hw, build), nil
 }
 
 // Deploy runs the vendor build inline, without occupying a worker slot, so
@@ -262,7 +262,7 @@ func (b *xnitBuilder) Start(ctx context.Context) (*Handle, error) {
 	if err := checkProfiles(cfg.profiles); err != nil {
 		return nil, err
 	}
-	return start(ctx, "xnit/"+d.core.Cluster.Name, d.core.Cluster, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
+	return start(ctx, d.core.Cluster, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
 		record := func(ev Event) {
 			ev.Seq = emit(ev)
 			cfg.emit(ev)

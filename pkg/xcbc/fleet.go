@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"xcbc/internal/fleet"
-	"xcbc/internal/orchestrator"
 )
 
 // Fleet-scale deployment: many clusters stamped from one recipe, built
@@ -142,22 +141,6 @@ func (f *Fleet) Member(i int) (*FleetMember, bool) {
 		return nil, false
 	}
 	return f.members[i], true
-}
-
-// SetJournalSink registers fn to receive every entry of the fleet's
-// aggregate lifecycle journal (one entry as each member's build settles)
-// as it is appended — the seam a durable store taps to persist fleet
-// history past the journal ring's eviction. fn runs under the journal's
-// lock and must be fast; nil detaches.
-func (f *Fleet) SetJournalSink(fn func(Event)) {
-	if fn == nil {
-		f.fl.Journal().SetSink(nil)
-		return
-	}
-	f.fl.Journal().SetSink(func(ev orchestrator.Event) {
-		fn(Event{Seq: ev.Seq, Stage: ev.Stage, Node: ev.Node,
-			Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed})
-	})
 }
 
 // RunScenario drives this fleet through a scenario script (the fleet's

@@ -189,9 +189,9 @@ func (h *Handle) Watch(ctx context.Context, fn func(Event)) DeployState {
 }
 
 // start submits fn on the shared pool and wraps the job in a Handle.
-func start(ctx context.Context, name string, hw *cluster.Cluster,
+func start(ctx context.Context, hw *cluster.Cluster,
 	fn func(ctx context.Context, emit func(Event) int) (*Deployment, error)) *Handle {
-	job := defaultPool().Submit(ctx, name, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
+	job := defaultPool().Submit(ctx, "", 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
 		wrapped := func(ev Event) int {
 			return emit(orchestrator.Event{Stage: ev.Stage, Node: ev.Node,
 				Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed})
