@@ -1,7 +1,7 @@
 // Detlint is the multichecker for this repository's determinism and
 // durability invariants (see DESIGN.md, "Static analysis: the determinism
-// contract"). It runs the five internal/analysis passes — detclock,
-// detrand, maporder, errdrop, lockcopy — in two modes:
+// contract"). It runs the six internal/analysis passes — detclock,
+// detrand, maporder, errdrop, lockcopy, noglobals — in two modes:
 //
 // Standalone, over package patterns (exit 0 clean, 1 findings, 2 unusable):
 //

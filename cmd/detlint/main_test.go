@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// TestExactlyFiveAnalyzers pins the suite: the determinism contract names
-// five invariants, and the registry must carry exactly those five passes.
+// TestExactlySixAnalyzers pins the suite: the determinism contract names
+// six invariants, and the registry must carry exactly those six passes.
 // Growing the suite is fine — do it here, in DESIGN.md, and in the
 // fixtures, as one deliberate change.
-func TestExactlyFiveAnalyzers(t *testing.T) {
-	want := []string{"detclock", "detrand", "maporder", "errdrop", "lockcopy"}
+func TestExactlySixAnalyzers(t *testing.T) {
+	want := []string{"detclock", "detrand", "maporder", "errdrop", "lockcopy", "noglobals"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want exactly %d", len(got), len(want))

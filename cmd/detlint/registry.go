@@ -2,9 +2,9 @@ package main
 
 import "xcbc/internal/analysis"
 
-// Analyzers is the detlint suite: exactly the five passes that prove the
+// Analyzers is the detlint suite: exactly the six passes that prove the
 // determinism and durability invariants. The meta-test pins this list —
-// adding a sixth analyzer is a deliberate act, not a drive-by.
+// adding a seventh analyzer is a deliberate act, not a drive-by.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		analysis.Detclock,
@@ -12,5 +12,6 @@ func Analyzers() []*analysis.Analyzer {
 		analysis.Maporder,
 		analysis.Errdrop,
 		analysis.Lockcopy,
+		analysis.Noglobals,
 	}
 }

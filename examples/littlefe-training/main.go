@@ -44,7 +44,11 @@ func main() {
 	if err := rocks.AttachXSEDEFragments(g0, "torque"); err != nil {
 		log.Fatal(err)
 	}
-	ins0 := provision.NewInstaller(original, rocks.NewFrontendDB(dist0), g0, "CentOS 6.5")
+	plan0, err := provision.NewPlan(dist0, g0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ins0 := provision.NewInstaller(original, rocks.NewFrontendDB(dist0), plan0, "CentOS 6.5")
 	if _, err := ins0.InstallFrontend(eng0); err != nil {
 		log.Fatal(err)
 	}
@@ -65,8 +69,12 @@ func main() {
 	if err := rocks.AttachXSEDEFragments(graph, "torque"); err != nil {
 		log.Fatal(err)
 	}
+	plan, err := provision.NewPlan(dist, graph)
+	if err != nil {
+		log.Fatal(err)
+	}
 	feDB := rocks.NewFrontendDB(dist)
-	ins := provision.NewInstaller(lf, feDB, graph, "CentOS 6.5")
+	ins := provision.NewInstaller(lf, feDB, plan, "CentOS 6.5")
 	feRes, err := ins.InstallFrontend(eng)
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@
 // (see load.go) and dependencies are imported from compiler export data,
 // never re-typechecked from source.
 //
-// The five analyzers and the invariants they enforce are documented in
+// The six analyzers and the invariants they enforce are documented in
 // DESIGN.md ("Static analysis: the determinism contract") and registered
 // in cmd/detlint, which is usable both standalone (`detlint ./...`) and as
 // a `go vet -vettool=` multichecker.
@@ -52,7 +52,7 @@ type Pass struct {
 	ImportPath string
 
 	// Deterministic reports membership in the deterministic package set
-	// (detset.go): detclock and detrand fire only here.
+	// (detset.go): detclock, detrand and noglobals fire only here.
 	Deterministic bool
 
 	// OrderSensitive is Deterministic plus the packages whose outputs

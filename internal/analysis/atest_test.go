@@ -174,8 +174,10 @@ func TestErrdropFixture(t *testing.T) { runFixture(t, Errdrop, "fix/errdropcase"
 
 func TestLockcopyFixture(t *testing.T) { runFixture(t, Lockcopy, "fix/lockcase") }
 
-// TestGatedAnalyzersRespectPackageSets proves detclock, detrand, and
-// maporder are inert outside their package sets: the same violating
+func TestNoglobalsFixture(t *testing.T) { runFixture(t, Noglobals, "fix/globals") }
+
+// TestGatedAnalyzersRespectPackageSets proves detclock, detrand, maporder
+// and noglobals are inert outside their package sets: the same violating
 // fixtures produce zero diagnostics when the gates are closed.
 func TestGatedAnalyzersRespectPackageSets(t *testing.T) {
 	fset, pkgs := loadFixture(t)
@@ -187,6 +189,7 @@ func TestGatedAnalyzersRespectPackageSets(t *testing.T) {
 		{Detrand, "fix/randv1"},
 		{Detrand, "fix/randv2"},
 		{Maporder, "fix/order"},
+		{Noglobals, "fix/globals"},
 	} {
 		pkg := pkgs[tc.importPath]
 		if pkg == nil {

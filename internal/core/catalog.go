@@ -232,6 +232,7 @@ var catalogEntries = []entry{
 // so every caller can share them; each Catalog call still hands out a fresh
 // slice so reordering or appending never aliases across callers.
 var (
+	//detlint:global one-time build of the static catalog; the packages are immutable and Catalog hands out fresh slices
 	catalogOnce sync.Once
 	catalogPkgs []*rpm.Package
 )

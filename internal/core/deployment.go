@@ -143,18 +143,12 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	if err := PreflightXCBC(c); err != nil {
 		return nil, err
 	}
-	dist, err := BuildDistribution(o.Scheduler, o.OptionalRolls...)
+	bp, err := blueprintFor(o.Scheduler, o.OptionalRolls)
 	if err != nil {
 		return nil, err
 	}
-	graph, err := xsedeGraph(o.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	o.emit(BuildEvent{Stage: "distribution",
-		Message: fmt.Sprintf("assembled %s (%d rolls)", dist.Name, len(dist.RollNames()))})
-	feDB := rocks.NewFrontendDB(dist)
-	installer := provision.NewInstaller(c, feDB, graph, "CentOS "+CentOSVersion)
+	o.emit(BuildEvent{Stage: "distribution", Message: bp.message})
+	installer := provision.NewInstaller(c, rocks.NewFrontendDB(bp.dist), bp.plan, "CentOS "+CentOSVersion)
 	installer.Hook = o.InstallHook
 	start := eng.Now()
 	d := &Deployment{
@@ -200,6 +194,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 		return nil, fmt.Errorf("core: XCBC install failed: %w", err)
 	}
 	d.InstallDuration = (eng.Now() - start).Duration()
+	d.Modules = bp.modules
 	d.finishAssembly(o)
 	o.emit(BuildEvent{Stage: "subsystems",
 		Message: "batch, modules, monitoring, and power management started"})
@@ -219,6 +214,7 @@ func NewVendorDeployment(eng *sim.Engine, c *cluster.Cluster, scheduler string, 
 		Repos:     repo.NewSet(),
 		Scheduler: scheduler,
 	}
+	d.RegenerateModules()
 	d.finishAssembly(o)
 	return d, nil
 }
@@ -231,8 +227,6 @@ func (d *Deployment) finishAssembly(o Options) {
 			d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)
 		}
 	}
-	d.Modules = modules.GenerateFromPackages(d.Cluster.Frontend.Packages(),
-		CategoryCompilers, CategorySciApps)
 	loadFn := func(node string) float64 {
 		if d.Batch == nil || node == d.Cluster.Frontend.Name {
 			return 0 // the frontend is not in the batch pool
@@ -250,7 +244,7 @@ func (d *Deployment) finishAssembly(o Options) {
 // RegenerateModules rebuilds the module tree from the frontend's current
 // package set (after XNIT installs add software).
 func (d *Deployment) RegenerateModules() {
-	d.Modules = modules.GenerateFromPackages(d.Cluster.Frontend.Packages(),
+	d.Modules = modules.FromPackages(d.Cluster.Frontend.Packages().Installed(),
 		CategoryCompilers, CategorySciApps)
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"xcbc/internal/rocks"
 	"xcbc/internal/rpm"
@@ -53,8 +51,8 @@ var rollContents = map[string]struct{ compute, frontend []string }{
 	"zfs-linux":   {compute: []string{"spl", "zfs"}},
 }
 
-// BuildBaseRoll assembles the Rocks base roll: OS and Rocks core packages.
-func BuildBaseRoll(byName map[string]*rpm.Package) *rocks.Roll {
+// baseRoll assembles the Rocks base roll: OS and Rocks core packages.
+func baseRoll(byName map[string]*rpm.Package) *rocks.Roll {
 	roll := rocks.NewRoll("base", RocksVersion, "Rocks "+RocksVersion+" base with CentOS "+CentOSVersion, false)
 	roll.AddPackages(rocks.ApplianceCompute,
 		mustPkgs(byName, "kernel", "glibc", "bash", "openssh-server", "centos-release", "rocks",
@@ -63,11 +61,11 @@ func BuildBaseRoll(byName map[string]*rpm.Package) *rocks.Roll {
 	return roll
 }
 
-// BuildXSEDERoll assembles the XSEDE roll (the XCBC itself, release 0.9)
-// for the chosen scheduler. Compute nodes receive the full scientific stack;
-// the frontend additionally receives the scheduler server, Maui, and the
-// XSEDE data/grid tools.
-func BuildXSEDERoll(byName map[string]*rpm.Package, scheduler string) (*rocks.Roll, error) {
+// xsedeRoll assembles the XSEDE roll (the XCBC itself, release 0.9) for
+// one of Schedulers. Compute nodes receive the full scientific stack; the
+// frontend additionally receives the scheduler server, Maui, and the XSEDE
+// data/grid tools.
+func xsedeRoll(byName map[string]*rpm.Package, scheduler string) *rocks.Roll {
 	roll := rocks.NewRoll("xsede", XCBCVersion, "XSEDE-compatible basic cluster roll", false)
 	switch scheduler {
 	case "torque":
@@ -77,8 +75,6 @@ func BuildXSEDERoll(byName map[string]*rpm.Package, scheduler string) (*rocks.Ro
 		roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, "slurm")...)
 	case "sge":
 		roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, "sge")...)
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q (choose one of %v)", scheduler, Schedulers)
 	}
 	var computeNames []string
 	for _, e := range catalogEntries {
@@ -90,15 +86,12 @@ func BuildXSEDERoll(byName map[string]*rpm.Package, scheduler string) (*rocks.Ro
 	roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, computeNames...)...)
 	roll.AddPackages(rocks.ApplianceFrontend,
 		mustPkgs(byName, "globus-connect-server", "genesis2", "gffs")...)
-	return roll, nil
+	return roll
 }
 
-// BuildOptionalRoll assembles one of Table 1's optional rolls.
-func BuildOptionalRoll(byName map[string]*rpm.Package, name string) (*rocks.Roll, error) {
-	contents, ok := rollContents[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown optional roll %q", name)
-	}
+// optionalRoll assembles one of Table 1's optional rolls.
+func optionalRoll(byName map[string]*rpm.Package, name string) *rocks.Roll {
+	contents := rollContents[name]
 	roll := rocks.NewRoll(name, RocksVersion, rollDescriptions[name], true)
 	if len(contents.compute) > 0 {
 		roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, contents.compute...)...)
@@ -106,75 +99,7 @@ func BuildOptionalRoll(byName map[string]*rpm.Package, name string) (*rocks.Roll
 	if len(contents.frontend) > 0 {
 		roll.AddPackages(rocks.ApplianceFrontend, mustPkgs(byName, contents.frontend...)...)
 	}
-	return roll, nil
-}
-
-// distCache memoizes successful BuildDistribution results keyed by the
-// exact (scheduler, optional-roll sequence) request. The catalog is static
-// and distributions are immutable once built, so every fleet member asking
-// for the same recipe shares one distribution — and with it the cached
-// per-appliance install sets — instead of rebuilding ~170 packages and
-// three rolls apiece. Error paths are cheap and stay uncached.
-var distCache sync.Map // string -> *rocks.Distribution
-
-// BuildDistribution assembles the complete XCBC install tree: base roll,
-// XSEDE roll for the chosen scheduler, plus the requested optional rolls.
-// Identical requests return one shared, immutable distribution.
-func BuildDistribution(scheduler string, optionalRolls ...string) (*rocks.Distribution, error) {
-	key := scheduler + "\x00" + strings.Join(optionalRolls, "\x00")
-	if d, ok := distCache.Load(key); ok {
-		return d.(*rocks.Distribution), nil
-	}
-	d, err := buildDistributionUncached(scheduler, optionalRolls...)
-	if err != nil {
-		return nil, err
-	}
-	// A concurrent builder may have won the race; keep the first stored
-	// value so all callers share one instance.
-	actual, _ := distCache.LoadOrStore(key, d)
-	return actual.(*rocks.Distribution), nil
-}
-
-// graphCache memoizes the kickstart graph per scheduler. The graph is
-// fully assembled (DefaultGraph + XSEDE fragments) before it is shared and
-// never mutated afterwards; every deployment of the same scheduler reads
-// one instance, whose ActionsFor results are themselves memoized.
-var graphCache sync.Map // string -> *rocks.Graph
-
-// xsedeGraph returns the shared kickstart graph for a scheduler.
-func xsedeGraph(scheduler string) (*rocks.Graph, error) {
-	if g, ok := graphCache.Load(scheduler); ok {
-		return g.(*rocks.Graph), nil
-	}
-	g := rocks.DefaultGraph()
-	if err := rocks.AttachXSEDEFragments(g, scheduler); err != nil {
-		return nil, err
-	}
-	actual, _ := graphCache.LoadOrStore(scheduler, g)
-	return actual.(*rocks.Graph), nil
-}
-
-func buildDistributionUncached(scheduler string, optionalRolls ...string) (*rocks.Distribution, error) {
-	byName := CatalogByName(Catalog())
-	base := BuildBaseRoll(byName)
-	xsedeRoll, err := BuildXSEDERoll(byName, scheduler)
-	if err != nil {
-		return nil, err
-	}
-	rolls := []*rocks.Roll{base, xsedeRoll}
-	seen := map[string]bool{}
-	for _, name := range optionalRolls {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		r, err := BuildOptionalRoll(byName, name)
-		if err != nil {
-			return nil, err
-		}
-		rolls = append(rolls, r)
-	}
-	return rocks.BuildDistribution("xcbc-"+XCBCVersion+"-"+scheduler, rolls...)
+	return roll
 }
 
 // Table1Row is one row of Table 1 (general cluster setup).

@@ -2,15 +2,15 @@
 // describing environment mutations, a per-session environment, and the
 // avail/load/unload/list commands users run on XSEDE clusters. The paper
 // credits Montana State administrators with working out how to expose XCBC
-// software through environment modules; GenerateFromPackages reproduces that
-// integration by deriving modulefiles from an installed-package database.
+// software through environment modules; FromPackages reproduces that
+// integration by deriving modulefiles from a frontend's installed packages.
 package modules
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"unicode"
 
 	"xcbc/internal/rpm"
 )
@@ -32,48 +32,19 @@ type Modulefile struct {
 // Key returns name/version, the canonical module identifier.
 func (m *Modulefile) Key() string { return m.Name + "/" + m.Version }
 
-// System is a collection of modulefiles (the MODULEPATH contents).
+// System is a collection of modulefiles (the MODULEPATH contents). It is
+// filled only while FromPackages builds it and never written afterwards,
+// so one System may serve every deployment of the same package set.
 type System struct {
 	files map[string][]*Modulefile // name -> versions
-
-	// shared marks files as an alias of a memoized module tree served to
-	// every deployment of the same package set (see GenerateFromPackages).
-	// The first Add detaches onto private copies.
-	shared bool
 }
 
-// NewSystem returns an empty module system.
-func NewSystem() *System {
-	return &System{files: make(map[string][]*Modulefile)}
-}
-
-// detach gives a System aliasing a memoized module tree its own map, so
-// an Add cannot leak into other deployments of the same package set. The
-// per-name slices stay shared but capacity-capped: appends copy on write,
-// and Add's replace path copies before writing.
-func (s *System) detach() {
-	if !s.shared {
-		return
-	}
-	s.shared = false
-	files := make(map[string][]*Modulefile, len(s.files))
-	for name, ms := range s.files {
-		files[name] = ms[:len(ms):len(ms)]
-	}
-	s.files = files
-}
-
-// Add registers a modulefile. Re-adding the same name/version replaces it.
-func (s *System) Add(m *Modulefile) {
-	s.detach()
+// add registers a modulefile. Re-adding the same name/version replaces it.
+func (s *System) add(m *Modulefile) {
 	list := s.files[m.Name]
 	for i, existing := range list {
 		if existing.Version == m.Version {
-			// Copy before writing: the backing array may still be shared
-			// with the memoized tree this System detached from.
-			cp := append([]*Modulefile(nil), list...)
-			cp[i] = m
-			s.files[m.Name] = cp
+			list[i] = m
 			return
 		}
 	}
@@ -206,98 +177,35 @@ func (sess *Session) List() []string {
 // Env returns the current value of an environment variable.
 func (sess *Session) Env(key string) string { return sess.env[key] }
 
-// GenerateFromPackages derives modulefiles from an installed-package
-// database: every package in the given categories gets a module exposing
-// /opt/apps/<name>/<version> paths, laid out the way XSEDE clusters lay out
-// their software trees (the paper: "libraries are in the same place as on
-// XSEDE clusters").
-func GenerateFromPackages(db *rpm.DB, categories ...string) *System {
-	pkgs := db.Installed()
-
-	// Fleet members adopting the same install set hand in the identical
-	// package list, so the whole module tree is memoized: a cache hit
-	// returns a fresh System header aliasing the shared map (Add detaches).
-	// The key is cheap and collision-checked — same first package pointer,
-	// length, and categories, verified element-by-element on hit.
-	key := systemKey{n: len(pkgs), cats: strings.Join(categories, "\x00")}
-	if len(pkgs) > 0 {
-		key.first = pkgs[0]
-	}
-	if e, ok := systems.Load(key); ok {
-		ent := e.(*systemEntry)
-		if samePackages(ent.pkgs, pkgs) {
-			return &System{files: ent.files, shared: true}
-		}
-		// Key collision with different contents: build uncached.
-		return buildSystem(pkgs, categories)
-	}
-	sys := buildSystem(pkgs, categories)
-	ent := &systemEntry{pkgs: pkgs, files: sys.files}
-	if e, loaded := systems.LoadOrStore(key, ent); loaded {
-		if ent2 := e.(*systemEntry); samePackages(ent2.pkgs, pkgs) {
-			return &System{files: ent2.files, shared: true}
-		}
-		return sys
-	}
-	return &System{files: ent.files, shared: true}
-}
-
-type systemKey struct {
-	first *rpm.Package
-	n     int
-	cats  string
-}
-
-type systemEntry struct {
-	pkgs  []*rpm.Package
-	files map[string][]*Modulefile
-}
-
-var systems sync.Map // systemKey -> *systemEntry
-
-// samePackages reports whether two package lists are the identical
-// pointers in the identical order.
-func samePackages(a, b []*rpm.Package) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func buildSystem(pkgs []*rpm.Package, categories []string) *System {
+// FromPackages derives modulefiles from installed packages: every package
+// in the given categories (all of them, when none are given) gets a module
+// exposing /opt/apps/<name>/<version> paths, laid out the way XSEDE
+// clusters lay out their software trees (the paper: "libraries are in the
+// same place as on XSEDE clusters").
+func FromPackages(pkgs []*rpm.Package, categories ...string) *System {
 	wanted := make(map[string]bool, len(categories))
 	for _, c := range categories {
 		wanted[c] = true
 	}
-	sys := NewSystem()
+	sys := &System{files: make(map[string][]*Modulefile)}
 	for _, p := range pkgs {
 		if len(wanted) > 0 && !wanted[p.Category] {
 			continue
 		}
-		sys.Add(moduleForPackage(p))
+		sys.add(moduleForPackage(p))
 	}
 	return sys
 }
 
-// generated caches the modulefile derived from each package. Packages are
-// immutable once published and fleet members share catalog pointers, so
-// every member generating modules for the same frontend package set reuses
-// one Modulefile instead of allocating the maps and env keys afresh.
-// Generated modulefiles are read-only by contract (Load only reads
-// them; Add replaces rather than mutates).
-var generated sync.Map // *rpm.Package -> *Modulefile
-
 func moduleForPackage(p *rpm.Package) *Modulefile {
-	if m, ok := generated.Load(p); ok {
-		return m.(*Modulefile)
-	}
-	root := fmt.Sprintf("/opt/apps/%s/%s", p.Name, p.EVR.Version)
-	m := &Modulefile{
+	root := "/opt/apps/" + p.Name + "/" + p.EVR.Version
+	env := strings.Map(func(r rune) rune {
+		if r == '-' || r == '.' {
+			return '_'
+		}
+		return unicode.ToUpper(r)
+	}, p.Name)
+	return &Modulefile{
 		Name:    p.Name,
 		Version: p.EVR.Version,
 		Default: true,
@@ -307,9 +215,7 @@ func moduleForPackage(p *rpm.Package) *Modulefile {
 			"LD_LIBRARY_PATH": {root + "/lib"},
 		},
 		SetEnv: map[string]string{
-			"XSEDE_" + strings.ToUpper(strings.NewReplacer("-", "_", ".", "_").Replace(p.Name)) + "_DIR": root,
+			"XSEDE_" + env + "_DIR": root,
 		},
 	}
-	actual, _ := generated.LoadOrStore(p, m)
-	return actual.(*Modulefile)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 func sysWith(mods ...*Modulefile) *System {
-	s := NewSystem()
+	s := &System{files: make(map[string][]*Modulefile)}
 	for _, m := range mods {
-		s.Add(m)
+		s.add(m)
 	}
 	return s
 }
@@ -56,11 +56,9 @@ func TestResolve(t *testing.T) {
 }
 
 func TestAddReplacesSameVersion(t *testing.T) {
-	s := NewSystem()
-	s.Add(mod("gcc", "4.4.7", false))
 	replacement := mod("gcc", "4.4.7", false)
 	replacement.Help = "updated"
-	s.Add(replacement)
+	s := sysWith(mod("gcc", "4.4.7", false), replacement)
 	if len(s.Avail()) != 1 {
 		t.Fatalf("Avail = %v", s.Avail())
 	}
@@ -157,7 +155,7 @@ func TestGenerateFromPackages(t *testing.T) {
 	if err := tx.Run(db); err != nil {
 		t.Fatal(err)
 	}
-	sys := GenerateFromPackages(db, "Scientific Applications", "Compilers, libraries, and programming")
+	sys := FromPackages(db.Installed(), "Scientific Applications", "Compilers, libraries, and programming")
 	avail := sys.Avail()
 	if len(avail) != 2 {
 		t.Fatalf("Avail = %v (bash should be excluded)", avail)
@@ -173,48 +171,8 @@ func TestGenerateFromPackages(t *testing.T) {
 		t.Fatalf("XSEDE_GROMACS_DIR = %q", sess.Env("XSEDE_GROMACS_DIR"))
 	}
 	// No category filter: everything gets a module.
-	all := GenerateFromPackages(db)
+	all := FromPackages(db.Installed())
 	if len(all.Avail()) != 3 {
 		t.Fatalf("unfiltered Avail = %v", all.Avail())
-	}
-}
-
-// TestGenerateFromPackagesMemoized pins the sharing contract: two
-// generations over the identical package list alias one module tree, and
-// an Add on one detaches it without leaking into the other.
-func TestGenerateFromPackagesMemoized(t *testing.T) {
-	db := rpm.NewDB()
-	var tx rpm.Transaction
-	tx.Install(rpm.NewPackage("gromacs", "4.6.5-2.el6", rpm.ArchX86_64).
-		Category("Scientific Applications").Build())
-	if err := tx.Run(db); err != nil {
-		t.Fatal(err)
-	}
-	a := GenerateFromPackages(db, "Scientific Applications")
-	b := GenerateFromPackages(db, "Scientific Applications")
-	if len(a.Avail()) != 1 || len(b.Avail()) != 1 {
-		t.Fatalf("Avail = %v / %v", a.Avail(), b.Avail())
-	}
-
-	a.Add(mod("extra", "1.0", true))
-	if len(a.Avail()) != 2 {
-		t.Fatalf("a.Avail after Add = %v", a.Avail())
-	}
-	if len(b.Avail()) != 1 {
-		t.Fatalf("Add leaked into sibling system: %v", b.Avail())
-	}
-	if c := GenerateFromPackages(db, "Scientific Applications"); len(c.Avail()) != 1 {
-		t.Fatalf("Add leaked into memoized tree: %v", c.Avail())
-	}
-
-	// Replacing a module that came from the shared tree must copy, not
-	// write through the shared backing array.
-	replacement := mod("gromacs", "4.6.5", false)
-	b.Add(replacement)
-	if m, err := b.Resolve("gromacs/4.6.5"); err != nil || m != replacement {
-		t.Fatalf("Resolve after replace = (%v, %v)", m, err)
-	}
-	if m, _ := GenerateFromPackages(db, "Scientific Applications").Resolve("gromacs/4.6.5"); m == replacement {
-		t.Fatal("replace leaked into memoized tree")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"xcbc/internal/cluster"
@@ -40,12 +39,55 @@ const (
 	PerAction        = 1 * time.Second
 )
 
+// Plan is what every install from one distribution and kickstart graph
+// repeats, worked out once: a Kickstart per appliance. NewPlan builds it
+// and nothing writes it afterwards, so one plan serves every installer of
+// the same recipe, on any goroutine.
+type Plan struct {
+	Frontend, Compute Kickstart
+}
+
+// Kickstart is one appliance's install: the validated package set every
+// node of the appliance adopts, the graph's post-install actions, and the
+// services and attributes those actions leave on the node. Nodes adopt the
+// maps by reference and copy them on their first divergent write.
+type Kickstart struct {
+	Set      *rpm.InstallSet
+	Actions  []string
+	Services map[string]bool
+	Attrs    map[string]string
+}
+
+// NewPlan validates each appliance's package set from the distribution —
+// the dup/file/requires/conflicts battery a per-node install transaction
+// would apply — and flattens its post-install actions from the graph.
+func NewPlan(dist *rocks.Distribution, g *rocks.Graph) (*Plan, error) {
+	p := new(Plan)
+	for _, a := range []struct {
+		app rocks.Appliance
+		ks  *Kickstart
+	}{{rocks.ApplianceFrontend, &p.Frontend}, {rocks.ApplianceCompute, &p.Compute}} {
+		set, err := rpm.NewInstallSet(dist.PackagesFor(a.app))
+		if err != nil {
+			return nil, fmt.Errorf("provision: %s package install: %w", a.app, err)
+		}
+		actions, err := g.ActionsFor(string(a.app))
+		if err != nil {
+			return nil, err
+		}
+		services, attrs := systemState(actions)
+		*a.ks = Kickstart{Set: set, Actions: actions, Services: services, Attrs: attrs}
+	}
+	return p, nil
+}
+
 // Installer drives provisioning of one cluster from one frontend database.
 type Installer struct {
 	Cluster *cluster.Cluster
 	DB      *rocks.FrontendDB
-	Graph   *rocks.Graph
 	OSName  string
+
+	plan *Plan
 
 	// log accumulates what happened as unrendered entries; Log formats them.
 	log []logEntry
@@ -62,10 +104,10 @@ type Installer struct {
 	Quarantined []string
 }
 
-// NewInstaller binds a cluster, frontend DB, and kickstart graph.
-func NewInstaller(c *cluster.Cluster, db *rocks.FrontendDB, g *rocks.Graph, osName string) *Installer {
+// NewInstaller binds a cluster, frontend DB, and install plan.
+func NewInstaller(c *cluster.Cluster, db *rocks.FrontendDB, plan *Plan, osName string) *Installer {
 	return &Installer{
-		Cluster: c, DB: db, Graph: g, OSName: osName,
+		Cluster: c, DB: db, OSName: osName, plan: plan,
 		// A clean build logs one frontend line and two per compute; sizing
 		// the log to exactly that avoids per-line slice doubling and keeps
 		// no slack on the thousands of installers a fleet retains.
@@ -141,29 +183,19 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 	}
 	fe.SetPower(cluster.PowerOn)
 	start := eng.Now()
-	// The distribution validates each appliance's package set once and every
-	// node adopts the shared result; re-running an identical install
-	// transaction per node dominated heap profiles at fleet scale.
-	set, err := ins.DB.Distribution().InstallSet(rocks.ApplianceFrontend)
-	if err != nil {
-		return nil, fmt.Errorf("provision: frontend package install: %w", err)
-	}
-	pkgs := set.Packages()
+	ks := &ins.plan.Frontend
+	pkgs, actions := len(ks.Set.Packages()), len(ks.Actions)
 	fe.WipePackages()
-	if err := fe.Packages().AdoptSet(set); err != nil {
+	if err := fe.Packages().AdoptSet(ks.Set); err != nil {
 		return nil, fmt.Errorf("provision: frontend package install: %w", err)
-	}
-	actions, err := ins.Graph.ActionsFor(string(rocks.ApplianceFrontend))
-	if err != nil {
-		return nil, err
 	}
 	cost := StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(len(pkgs))*PerPackage + time.Duration(len(actions))*PerAction
+		time.Duration(pkgs)*PerPackage + time.Duration(actions)*PerAction
 	eng.RunUntil(eng.Now() + sim.Time(cost))
-	applyActions(fe, actions)
+	fe.AdoptSystemState(ks.Services, ks.Attrs)
 	fe.SetOS(ins.OSName)
-	ins.log = append(ins.log, logEntry{kind: logFrontend, node: fe.Name, n: len(pkgs), m: len(actions), cost: cost})
-	return &Result{Node: fe.Name, Packages: len(pkgs), Duration: (eng.Now() - start).Duration(), Actions: len(actions)}, nil
+	ins.log = append(ins.log, logEntry{kind: logFrontend, node: fe.Name, n: pkgs, m: actions, cost: cost})
+	return &Result{Node: fe.Name, Packages: pkgs, Duration: (eng.Now() - start).Duration(), Actions: actions}, nil
 }
 
 // DiscoverComputes registers every compute node in the frontend database,
@@ -199,11 +231,10 @@ func computeMAC(rank int) string {
 // Splitting the two phases lets a wave overlap many kickstarts in simulated
 // time and commit them together once the wave's clock advance is done.
 type pendingInstall struct {
-	node    *cluster.Node
-	name    string
-	pkgs    int
-	actions []string
-	cost    time.Duration
+	node          *cluster.Node
+	name          string
+	pkgs, actions int
+	cost          time.Duration
 	// What the wave that started it knows: the attempts the node consumed
 	// and the simulated time its install took, failed attempts included.
 	attempts int
@@ -229,22 +260,15 @@ func (ins *Installer) kickstart(name string) (pendingInstall, error) {
 		return none, fmt.Errorf("%w: node %s", ErrDiskless, name)
 	}
 	node.SetPower(cluster.PowerOn)
-	set, err := ins.DB.Distribution().InstallSet(rocks.ApplianceCompute)
-	if err != nil {
-		return none, fmt.Errorf("provision: %s package install: %w", name, err)
-	}
-	pkgs := set.Packages()
+	ks := &ins.plan.Compute
+	pkgs, actions := len(ks.Set.Packages()), len(ks.Actions)
 	node.WipePackages()
-	if err := node.Packages().AdoptSet(set); err != nil {
+	if err := node.Packages().AdoptSet(ks.Set); err != nil {
 		return none, fmt.Errorf("provision: %s package install: %w", name, err)
-	}
-	actions, err := ins.Graph.ActionsFor(string(rocks.ApplianceCompute))
-	if err != nil {
-		return none, err
 	}
 	cost := StagePXEBoot + StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(len(pkgs))*PerPackage + time.Duration(len(actions))*PerAction
-	return pendingInstall{node: node, name: name, pkgs: len(pkgs), actions: actions,
+		time.Duration(pkgs)*PerPackage + time.Duration(actions)*PerAction
+	return pendingInstall{node: node, name: name, pkgs: pkgs, actions: actions,
 		cost: cost, attempts: 1, took: cost}, nil
 }
 
@@ -253,13 +277,13 @@ func (ins *Installer) kickstart(name string) (pendingInstall, error) {
 // a wave member this includes failed-attempt and backoff time, and the
 // wave as a whole advanced the clock by its slowest member).
 func (ins *Installer) commit(p *pendingInstall, r *Result) error {
-	applyActions(p.node, p.actions)
+	p.node.AdoptSystemState(ins.plan.Compute.Services, ins.plan.Compute.Attrs)
 	p.node.SetOS(ins.OSName)
 	if err := ins.DB.MarkInstalled(p.name, true); err != nil {
 		return err
 	}
 	ins.log = append(ins.log, logEntry{kind: logKickstarted, node: p.name, n: p.pkgs, cost: p.cost})
-	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took, Actions: len(p.actions)}
+	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took, Actions: p.actions}
 	return nil
 }
 
@@ -299,71 +323,9 @@ func (ins *Installer) Reinstall(eng *sim.Engine, name string) (*Result, error) {
 	return ins.InstallCompute(eng, name)
 }
 
-// applyActions executes graph post-install actions against a node. Every
-// node of an appliance receives the identical action list (memoized by
-// Graph.ActionsFor), so the resulting service/attribute maps are built once
-// per list and adopted copy-on-write instead of re-parsed per node.
-func applyActions(n *cluster.Node, actions []string) {
-	services, attrs := systemStateFor(actions)
-	n.AdoptSystemState(services, attrs)
-}
-
-// postInstallState is the node system state one action list produces.
-// actions keeps the exact list both for collision verification and to pin
-// the backing array alive so the pointer key stays unambiguous.
-type postInstallState struct {
-	actions  []string
-	services map[string]bool
-	attrs    map[string]string
-}
-
-type actionsKey struct {
-	first *string
-	n     int
-}
-
-var postStates sync.Map // actionsKey -> *postInstallState
-
-// systemStateFor returns the shared services/attrs maps for an action list,
-// building them on first sight. The key is the list's identity (first
-// element address + length) — stable for the memoized slices ActionsFor
-// hands out — verified element-by-element on every hit.
-func systemStateFor(actions []string) (map[string]bool, map[string]string) {
-	if len(actions) == 0 {
-		return nil, nil
-	}
-	key := actionsKey{first: &actions[0], n: len(actions)}
-	if v, ok := postStates.Load(key); ok {
-		st := v.(*postInstallState)
-		if sameActions(st.actions, actions) {
-			return st.services, st.attrs
-		}
-		services, attrs := buildSystemState(actions)
-		return services, attrs // key collision: serve uncached
-	}
-	services, attrs := buildSystemState(actions)
-	st := &postInstallState{actions: actions, services: services, attrs: attrs}
-	if v, loaded := postStates.LoadOrStore(key, st); loaded {
-		if st2 := v.(*postInstallState); sameActions(st2.actions, actions) {
-			return st2.services, st2.attrs
-		}
-	}
-	return st.services, st.attrs
-}
-
-func sameActions(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func buildSystemState(actions []string) (map[string]bool, map[string]string) {
+// systemState is the node services and attributes an action list leaves
+// behind.
+func systemState(actions []string) (map[string]bool, map[string]string) {
 	var services map[string]bool
 	var attrs map[string]string
 	for _, a := range actions {

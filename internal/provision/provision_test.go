@@ -43,11 +43,21 @@ func testDistro(t *testing.T) *rocks.Distribution {
 
 func testInstaller(t *testing.T, c *cluster.Cluster) *Installer {
 	t.Helper()
+	return installerFor(t, c, testDistro(t))
+}
+
+// installerFor plans installs of d with the torque kickstart graph.
+func installerFor(t *testing.T, c *cluster.Cluster, d *rocks.Distribution) *Installer {
+	t.Helper()
 	g := rocks.DefaultGraph()
 	if err := rocks.AttachXSEDEFragments(g, "torque"); err != nil {
 		t.Fatal(err)
 	}
-	return NewInstaller(c, rocks.NewFrontendDB(testDistro(t)), g, "CentOS 6.5")
+	plan, err := NewPlan(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewInstaller(c, rocks.NewFrontendDB(d), plan, "CentOS 6.5")
 }
 
 // installAll builds the frontend and then every compute node, one
@@ -244,9 +254,7 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rocks.DefaultGraph()
-	rocks.AttachXSEDEFragments(g, "torque")
-	insBig := NewInstaller(big, rocks.NewFrontendDB(dBig), g, "CentOS 6.5")
+	insBig := installerFor(t, big, dBig)
 	engBig := sim.NewEngine()
 	rBig := installAll(t, insBig, engBig)
 	if engBig.Now() <= engSmall.Now() {

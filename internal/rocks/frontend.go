@@ -41,12 +41,10 @@ func NewFrontendDB(d *Distribution) *FrontendDB {
 	}
 }
 
-// Distribution returns the active distribution.
-func (db *FrontendDB) Distribution() *Distribution {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.distro
-}
+// Distribution returns the distribution the database was created with.
+// It is set once and the distribution is never written, so reading it
+// needs no lock.
+func (db *FrontendDB) Distribution() *Distribution { return db.distro }
 
 // AddHost registers a node, assigning it a private IP in insertion order
 // (the way Rocks' dhcpd hands out addresses during discovery).

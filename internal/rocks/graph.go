@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // ErrCycle is wrapped in errors returned when the kickstart include-graph
@@ -29,12 +28,6 @@ type GraphNode struct {
 type Graph struct {
 	nodes map[string]*GraphNode
 	edges map[string][]string // from -> to (from includes to)
-
-	// mu guards actions, the memoized ActionsFor results. Every node of a
-	// fleet asks for the same appliance roots, so the flatten runs once per
-	// root; any AddNode/AddEdge resets the memo.
-	mu      sync.Mutex
-	actions map[string][]string
 }
 
 // NewGraph returns an empty kickstart graph.
@@ -49,20 +42,12 @@ func NewGraph() *Graph {
 // override base fragments).
 func (g *Graph) AddNode(n *GraphNode) {
 	g.nodes[n.Name] = n
-	g.resetMemo()
 }
 
 // AddEdge declares that fragment `from` includes fragment `to`. Both ends
 // must exist by traversal time but may be added in any order.
 func (g *Graph) AddEdge(from, to string) {
 	g.edges[from] = append(g.edges[from], to)
-	g.resetMemo()
-}
-
-func (g *Graph) resetMemo() {
-	g.mu.Lock()
-	g.actions = nil
-	g.mu.Unlock()
 }
 
 // Closure returns the fragments reachable from root in deterministic
@@ -100,15 +85,8 @@ func (g *Graph) Closure(root string) ([]*GraphNode, error) {
 }
 
 // ActionsFor returns the ordered post-install actions for an appliance
-// root. The result is memoized until the graph next changes and shared
-// between callers: treat it as read-only.
+// root, flattened from its closure into a new slice.
 func (g *Graph) ActionsFor(root string) ([]string, error) {
-	g.mu.Lock()
-	if cached, ok := g.actions[root]; ok {
-		g.mu.Unlock()
-		return cached, nil
-	}
-	g.mu.Unlock()
 	nodes, err := g.Closure(root)
 	if err != nil {
 		return nil, err
@@ -117,12 +95,6 @@ func (g *Graph) ActionsFor(root string) ([]string, error) {
 	for _, n := range nodes {
 		actions = append(actions, n.Actions...)
 	}
-	g.mu.Lock()
-	if g.actions == nil {
-		g.actions = make(map[string][]string)
-	}
-	g.actions[root] = actions
-	g.mu.Unlock()
 	return actions, nil
 }
 

@@ -9,7 +9,6 @@ package rocks
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"xcbc/internal/rpm"
 )
@@ -101,22 +100,11 @@ func dedupe(pkgs []*rpm.Package) []*rpm.Package {
 
 // Distribution is the on-disk install tree built from a set of rolls
 // ("rocks create distro"): the package source for kickstarting nodes.
-// A distribution is immutable once built (CreateUpdateRoll returns a new
-// roll without touching the receiver), so one instance is safe to share
-// across every member of a fleet.
+// Nothing writes a distribution once it is built, so one instance is
+// shared read-only across every member of a fleet.
 type Distribution struct {
 	Name  string
 	Rolls []*Roll
-
-	mu          sync.Mutex
-	installSets map[Appliance]*installSetEntry
-}
-
-// installSetEntry memoizes one appliance's validated install set, error
-// included, so repeat callers never recompute either outcome.
-type installSetEntry struct {
-	set *rpm.InstallSet
-	err error
 }
 
 // BuildDistribution assembles a distribution from rolls, rejecting duplicate
@@ -160,24 +148,4 @@ func (d *Distribution) PackagesFor(app Appliance) []*rpm.Package {
 	}
 	rpm.SortPackages(out)
 	return out
-}
-
-// InstallSet returns the distribution's validated bulk install set for an
-// appliance, computed once and cached: the exact PackagesFor list run
-// through the same dup/file/requires/conflicts battery a per-node install
-// transaction would apply, with shared DB indexes prebuilt. Fleet
-// provisioning stamps this set onto every fresh node instead of re-checking
-// an identical transaction per node.
-func (d *Distribution) InstallSet(app Appliance) (*rpm.InstallSet, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.installSets[app]; ok {
-		return e.set, e.err
-	}
-	set, err := rpm.NewInstallSet(d.PackagesFor(app))
-	if d.installSets == nil {
-		d.installSets = make(map[Appliance]*installSetEntry)
-	}
-	d.installSets[app] = &installSetEntry{set: set, err: err}
-	return set, err
 }

@@ -116,6 +116,8 @@ func (r *Result) TraceJSONL() []byte {
 // campaign sweeps thousands of short scenarios; without pooling, every run
 // grows a fresh Events slice just to discard it after the metamorphic
 // checks.
+//
+//detlint:global scratch buffers only: each is handed out at length zero, so no run reads what another appended
 var eventBufPool sync.Pool
 
 // newEventBuf returns an empty event buffer with room for hint events,

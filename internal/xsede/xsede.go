@@ -230,6 +230,8 @@ func flatten(ref *Reference) *flatRef {
 // the unadjusted reference), derived from StampedeReference and
 // WithScheduler on first use and never written again. The references are
 // constant; what they are checked against is read live on every call.
+//
+//detlint:global four constant references built once from static data; bounded and never written after
 var flatRefs = sync.OnceValue(func() map[string]*flatRef {
 	refs := map[string]*flatRef{"": flatten(StampedeReference())}
 	for _, sched := range []string{"torque", "slurm", "sge"} {

@@ -51,6 +51,7 @@ func stateOf(s orchestrator.State) DeployState {
 // so a burst of deployment requests builds at most poolWorkers clusters
 // concurrently while the rest queue in StatePending.
 var (
+	//detlint:global the one worker pool every Start shares by design; it holds no per-build state once a job settles
 	poolOnce sync.Once
 	pool     *orchestrator.Orchestrator
 )
