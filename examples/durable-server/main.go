@@ -51,9 +51,10 @@ func main() {
 	}
 	fmt.Println("\nserver 1 killed")
 
-	// 4. Second life: reopen the same directory. Recovery rebuilds the
-	// cluster from its journaled create request and replays the recorded
-	// day-2 operations in order, then reports what it did.
+	// 4. Second life: reopen the same directory. Open reports what it
+	// recovered and returns; the cluster is rebuilt from its journaled
+	// create request, and the recorded day-2 operations replayed in order,
+	// in the background, and the first request for it waits for that.
 	srv2, rep, err := api.Open(api.Config{DataDir: dir})
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +62,7 @@ func main() {
 	defer srv2.Close()
 	h2 := httptest.NewServer(srv2.Handler())
 	defer h2.Close()
-	fmt.Printf("server 2 recovered %d WAL records in %v: %d deployments (%d rebuilt), %d ops replayed\n",
+	fmt.Printf("server 2 recovered %d WAL records in %v: %d deployments (%d rebuilding), %d ops to replay\n",
 		rep.Records, rep.Elapsed.Round(time.Millisecond), rep.Deployments, rep.Rebuilt, rep.OpsReplayed)
 
 	// 5. The recovered state is the same state: job IDs, completion

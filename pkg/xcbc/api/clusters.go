@@ -140,14 +140,15 @@ func jobInfoOf(j xcbc.JobInfo) jobInfo {
 
 // submitJobRequest is the POST /clusters/{id}/jobs body. Durations are Go
 // duration strings ("30m", "2h"); a zero walltime defaults to one hour and
-// a zero runtime to half the walltime.
+// a zero runtime to half the walltime. The journal keeps it without its
+// zero fields.
 type submitJobRequest struct {
-	Name     string `json:"name"`
-	User     string `json:"user"`
-	Cores    int    `json:"cores"`
-	Walltime string `json:"walltime"`
-	Runtime  string `json:"runtime"`
-	Script   string `json:"script"`
+	Name     string `json:"name,omitzero"`
+	User     string `json:"user,omitzero"`
+	Cores    int    `json:"cores,omitzero"`
+	Walltime string `json:"walltime,omitzero"`
+	Runtime  string `json:"runtime,omitzero"`
+	Script   string `json:"script,omitzero"`
 }
 
 func parseDurationField(field, v string) (time.Duration, error) {

@@ -67,20 +67,22 @@ func (r *scenarioRun) snapshot() (state string, result *xcbc.ScenarioResult, err
 	return r.state, r.result, r.err
 }
 
-// createFleetRequest provisions a new fleet of simulated clusters.
+// createFleetRequest provisions a new fleet of simulated clusters. The
+// journal keeps it without its zero fields: an absent provision, not an
+// explicit false.
 type createFleetRequest struct {
-	Name        string `json:"name"`
-	Members     int    `json:"members"`
-	Cluster     string `json:"cluster"`
-	Nodes       int    `json:"nodes"`
-	Scheduler   string `json:"scheduler"`
-	Parallelism int    `json:"parallelism"`
-	Retries     int    `json:"retries"`
-	Workers     int    `json:"workers"`
+	Name        string `json:"name,omitzero"`
+	Members     int    `json:"members,omitzero"`
+	Cluster     string `json:"cluster,omitzero"`
+	Nodes       int    `json:"nodes,omitzero"`
+	Scheduler   string `json:"scheduler,omitzero"`
+	Parallelism int    `json:"parallelism,omitzero"`
+	Retries     int    `json:"retries,omitzero"`
+	Workers     int    `json:"workers,omitzero"`
 	// Provision defaults to true; set false to create the fleet resource
 	// without starting builds (a scenario's provision phase can start them
 	// later).
-	Provision *bool `json:"provision"`
+	Provision *bool `json:"provision,omitzero"`
 }
 
 // fleetMemberInfo is the JSON shape of one fleet member.

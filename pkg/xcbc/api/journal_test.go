@@ -10,6 +10,7 @@ import (
 	"maps"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -431,6 +432,103 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 		if err := json.Unmarshal(got, &back); err != nil || fmt.Sprint(back) != fmt.Sprint(rec) {
 			t.Errorf("case %d: round trip = %+v (%v)", i, back, err)
 		}
+	}
+}
+
+// TestRecordsRoundTrip decodes what emit would log for each of the 15
+// record types back into the value it was encoded from. The request types
+// drop their zero fields on the way, so the cases pin the distinctions that
+// must survive: "rolls":[] (no optional rolls) against an absent rolls (the
+// defaults), "provision":false against an absent provision (true), and a
+// job submitted with zero cores.
+func TestRecordsRoundTrip(t *testing.T) {
+	no, yes := false, true
+	at := time.Date(2015, 9, 8, 12, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name, typ  string
+		rec        record
+		has, lacks string // a key the payload must, and one it must not, carry
+	}{
+		{"no optional rolls", recDeploymentCreated, depCreatedRec{ID: "d1", Path: "xcbc", Created: at, Cluster: "LittleFe", Site: "IU", Nodes: 6,
+			Req: createDeploymentRequest{Cluster: "littlefe", Rolls: []string{}}}, `"rolls":[]`, `"profiles"`},
+		{"default rolls", recDeploymentCreated, depCreatedRec{ID: "d2", Path: "xnit", Created: at, Cluster: "Limulus", Site: "Tuskegee", Nodes: 4,
+			Req: createDeploymentRequest{Cluster: "limulus", Path: "xnit", Scheduler: "slurm", Profiles: []string{"compilers"}, NodeCount: 3}}, `"profiles"`, `"rolls"`},
+		{"every request field", recDeploymentCreated, depCreatedRec{ID: "d3", Path: "xcbc", Created: at, Cluster: "LittleFe", Site: "IU", Nodes: 6,
+			Req: createDeploymentRequest{Cluster: "littlefe", Path: "xcbc", Scheduler: "torque", Rolls: []string{"hpc"}, NodeCount: 5, Parallelism: 2, Retries: 1}}, `"retries":1`, `"profiles"`},
+		{"event", recDeploymentEvent, depEventRec{ID: "d1", Event: eventInfo{Seq: 1, Stage: "compute", Node: "compute-0-1", Elapsed: "2s"}}, `"event"`, `"packages"`},
+		{"settled failed", recDeploymentSettled, depSettledRec{ID: "d1", State: "failed", Error: "injected PXE fault",
+			Events: []eventInfo{{Seq: 0, Stage: "frontend", Packages: 3, Elapsed: "1s"}}}, `"events"`, `"node"`},
+		{"deleted", recDeploymentDeleted, depDeletedRec{ID: "d1"}, `"id"`, `"state"`},
+		{"zero cores", recClusterOp, clusterOpRec{ID: "d1", Op: "job.submit", Job: &submitJobRequest{Walltime: "1h"}, JobID: 1}, `"job_id"`, `"cores"`},
+		{"every job field", recClusterOp, clusterOpRec{ID: "d1", Op: "job.submit", JobID: 2,
+			Job: &submitJobRequest{Name: "hpl", User: "alice", Cores: 4, Walltime: "2h", Runtime: "20m", Script: "mpirun xhpl"}}, `"cores":4`, `"duration"`},
+		{"updates", recClusterOp, clusterOpRec{ID: "d1", Op: "updates", Policy: "notify", At: at}, `"at"`, `"job"`},
+		{"provision false", recFleetCreated, fleetCreatedRec{ID: "f1", Name: "idle", Created: at,
+			Req: createFleetRequest{Name: "idle", Members: 3, Nodes: 1, Provision: &no}}, `"provision":false`, `"workers"`},
+		{"provision true", recFleetCreated, fleetCreatedRec{ID: "f2", Name: "busy", Created: at, Provisioned: true,
+			Req: createFleetRequest{Name: "busy", Members: 2, Cluster: "littlefe", Nodes: 2, Scheduler: "slurm", Parallelism: 2, Retries: 1, Workers: 2, Provision: &yes}}, `"provision":true`, `"members":0`},
+		{"provision absent", recFleetCreated, fleetCreatedRec{ID: "f3", Name: "tiny", Created: at, Provisioned: true,
+			Req: createFleetRequest{Name: "tiny", Members: 2}}, `"members":2`, `"provision"`},
+		{"member", recFleetMember, fleetMemberRec{}, `{}`, `"id"`},
+		{"provisioned", recFleetProvisioned, fleetProvisionedRec{ID: "f1"}, `"id"`, `"state"`},
+		{"fleet deleted", recFleetDeleted, fleetDeletedRec{ID: "f1"}, `"id"`, `"state"`},
+		{"run started", recScenarioStarted, scenarioStartedRec{FleetID: "f1", RunID: "s1", Name: "tiny",
+			Scenario: json.RawMessage(`{"name":"tiny","seed":7}`), Created: at}, `"scenario"`, `"cursor"`},
+		{"progress", recScenarioProgress, scenarioProgressRec{FleetID: "f1", RunID: "s1", Cursor: 64, Hash: 1<<63 + 5}, `"hash"`, `"state"`},
+		{"run settled", recScenarioSettled, scenarioSettledRec{FleetID: "f1", RunID: "s1", State: "passed",
+			Result: json.RawMessage(`{"passed":true}`)}, `"result"`, `"error"`},
+		{"campaign started", recCampaignStarted, campaignStartedRec{ID: "c1", Created: at,
+			Spec: xcbc.CampaignSpec{Seeds: 2, StartSeed: 9, Workers: 1}}, `"spec"`, `"shrink_budget"`},
+		{"campaign seed", recCampaignSeed, campaignSeedRec{ID: "c1", Outcome: xcbc.CampaignSeedOutcome{Seed: 9, State: xcbc.CampaignSeedFailed,
+			Failure: &xcbc.CampaignFailure{Seed: 9, Violations: []string{"jobs-conserved"}, Repro: json.RawMessage(`{"name":"repro"}`), ReproPhases: 2}}}, `"failure"`, `"error"`},
+		{"campaign settled", recCampaignSettled, campaignSettledRec{ID: "c1", State: "failed", Error: "1 of 2 seeds failed"}, `"error"`, `"spec"`},
+	} {
+		data, err := encodeRecord(tc.rec)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if !bytes.Contains(data, []byte(tc.has)) || bytes.Contains(data, []byte(tc.lacks)) {
+			t.Errorf("%s: payload %s should carry %s and not %s", tc.name, data, tc.has, tc.lacks)
+		}
+		decoded, err := decodeRecord(tc.typ, data)
+		if err != nil {
+			t.Fatalf("%s: decodeRecord(%s, %s): %v", tc.name, tc.typ, data, err)
+		}
+		if got := reflect.ValueOf(decoded).Elem().Interface(); !reflect.DeepEqual(got, tc.rec) {
+			t.Errorf("%s: round trip through %s\n got: %#v\nwant: %#v", tc.name, data, got, tc.rec)
+		}
+	}
+}
+
+// TestEmptyRollsSurviveRestart: a deployment created with "rolls":[] has no
+// optional rolls, and a restart must rebuild it that way rather than with
+// the default rolls an absent field means.
+func TestEmptyRollsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	rolls := func(s *Server) []string {
+		t.Helper()
+		dep, ok := s.openTenant.deployments.get("d1")
+		if !ok || dep.Handle == nil {
+			t.Fatal("d1 is not a live deployment")
+		}
+		d, ok := dep.Handle.Deployment()
+		if !ok {
+			t.Fatalf("d1 is %s, not ready", dep.Handle.Status())
+		}
+		return d.Installer().DB.Distribution().RollNames()
+	}
+	s1, _ := openDurable(t, dir)
+	deployReady(t, s1, `{"cluster":"littlefe","rolls":[]}`)
+	waitJournaled(t, s1, "d1")
+	before := rolls(s1)
+	if slices.Contains(before, "ganglia") {
+		t.Fatalf("built with rolls %v: the default ganglia roll despite \"rolls\":[]", before)
+	}
+	s1.Close()
+	s2, _ := openDurable(t, dir)
+	defer s2.Close()
+	if after := rolls(s2); !slices.Equal(after, before) {
+		t.Errorf("rolls after restart = %v, before = %v", after, before)
 	}
 }
 

@@ -3,9 +3,9 @@ package api
 import (
 	"errors"
 	"fmt"
-	"log"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"slices"
@@ -250,18 +250,166 @@ func TestRecoveryEquivalentUnderLookAhead(t *testing.T) {
 	})
 }
 
-// untilClosed is a log writer that holds each line until its channel closes.
-type untilClosed <-chan struct{}
+// TestRestartServesWhileRebuilding pins the readiness contract: Open returns
+// before the ready deployments it recovered are rebuilt, and a request for
+// one of them waits for that deployment alone. d3's rebuild is parked in
+// its install hook (d3 is the only one of four with a compute-0-3); while
+// it is held, health, d1 and d2 (ahead of it), a create and the store
+// report answer, and GET d3 waits. Released, d3 answers what the server
+// that built it answered. Closed instead, every waiter returns, nothing
+// outlives Close and the DataDir is as it was.
+func TestRestartServesWhileRebuilding(t *testing.T) {
+	image := t.TempDir()
+	s, _ := openDurable(t, image)
+	for _, nodes := range []int{2, 2, 3, 2} {
+		id := deployReady(t, s, fmt.Sprintf(`{"cluster":"littlefe","node_count":%d}`, nodes))
+		if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"name":"hpl","cores":2,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("submit on %s: %d %s", id, rec.Code, rec.Body.String())
+		}
+		waitJournaled(t, s, id)
+	}
+	want := recoveredBodies(t, s)
+	s.Close()
 
-func (c untilClosed) Write(p []byte) (int, error) {
-	<-c
-	return len(p), nil
+	// openHeld opens a copy of the image with d3's rebuild parked, returning
+	// once Open has returned and the rebuild is held, with the copy's bytes
+	// as Open found them.
+	openHeld := func(t *testing.T) (s *Server, dir string, before map[string]string, release func()) {
+		t.Helper()
+		dir = t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(image)); err != nil {
+			t.Fatal(err)
+		}
+		before = dirBytes(t, dir)
+		parked, gate := make(chan struct{}), make(chan struct{})
+		release = sync.OnceFunc(func() { close(gate) })
+		t.Cleanup(release)
+		opened := make(chan *Server, 1)
+		go func() {
+			s, _, err := Open(Config{DataDir: dir, DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(node string, _ int) error {
+				if node == "compute-0-3" {
+					close(parked)
+					<-gate
+				}
+				return nil
+			})}})
+			if err != nil {
+				t.Error(err)
+			}
+			opened <- s
+		}()
+		select {
+		case s = <-opened:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Open waited for the held rebuild")
+		}
+		if s == nil {
+			t.FailNow()
+		}
+		select {
+		case <-parked:
+		case <-time.After(10 * time.Second):
+			t.Fatal("d3's rebuild never reached compute-0-3")
+		}
+		return s, dir, before, release
+	}
+	// async serves one request on its own goroutine.
+	async := func(s *Server, path string) <-chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			out <- rec
+		}()
+		return out
+	}
+	d3 := "/api/v1/deployments/d3?limit=1000"
+
+	t.Run("release", func(t *testing.T) {
+		s, _, _, release := openHeld(t)
+		defer s.Close()
+		pending := async(s, d3)
+		if rec := do(t, s, "GET", "/api/v1/healthz", "", nil); rec.Code != http.StatusOK {
+			t.Errorf("healthz while d3 is held = %d", rec.Code)
+		}
+		for _, id := range []string{"d1", "d2"} {
+			path := "/api/v1/deployments/" + id + "?limit=1000"
+			if rec := do(t, s, "GET", path, "", nil); rec.Code != http.StatusOK || rec.Body.String() != want[path] {
+				t.Errorf("GET %s while d3 is held = %d\n got: %s\nwant: %s", id, rec.Code, rec.Body.String(), want[path])
+			}
+		}
+		var created deploymentInfo
+		if rec := do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe","node_count":2}`, &created); rec.Code != http.StatusAccepted || created.ID != "d5" {
+			t.Errorf("create while d3 is held = %d %q, want 202 d5", rec.Code, created.ID)
+		}
+		var info storeInfo
+		do(t, s, "GET", "/api/v1/store", "", &info)
+		if info.Warming != 2 {
+			t.Errorf("store reports %d warming while d3 (and d4 behind it) are held, want 2", info.Warming)
+		}
+		select {
+		case rec := <-pending:
+			t.Fatalf("GET d3 answered while its rebuild is held: %d %s", rec.Code, rec.Body.String())
+		case <-time.After(50 * time.Millisecond):
+		}
+
+		release()
+		if rec := <-pending; rec.Code != http.StatusOK || rec.Body.String() != want[d3] {
+			t.Errorf("GET d3 after release = %d\n got: %s\nwant: %s", rec.Code, rec.Body.String(), want[d3])
+		}
+		got := recoveredBodies(t, s)
+		delete(got, "order") // d5 joined the listing
+		for path, body := range got {
+			if !strings.Contains(path, "/d5") && body != want[path] {
+				t.Errorf("after release, GET %s\n got: %s\nwant: %s", path, body, want[path])
+			}
+		}
+		if rec := do(t, s, "GET", "/api/v1/store", "", nil); strings.Contains(rec.Body.String(), `"warming"`) {
+			t.Errorf("store still reports warming once every deployment answered: %s", rec.Body.String())
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		goroutines := runtime.NumGoroutine()
+		s, dir, before, release := openHeld(t)
+		var waiters []<-chan *httptest.ResponseRecorder
+		for _, path := range []string{d3, "/api/v1/deployments/d4", "/api/v1/deployments?limit=1000", "/api/v1/clusters/d3/jobs"} {
+			waiters = append(waiters, async(s, path))
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- s.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close waited for the held rebuild")
+		}
+		for i, w := range waiters {
+			select {
+			case <-w:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("waiter %d never returned after Close", i)
+			}
+		}
+		release()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines outlived Close, %d before Open", runtime.NumGoroutine(), goroutines)
+			}
+		}
+		if after := dirBytes(t, dir); !maps.Equal(before, after) {
+			t.Errorf("Open and Close during warming changed the DataDir: %d files before, %d after", len(before), len(after))
+		}
+	})
 }
 
 // TestFailedOpenLeavesNoBuildRunning fails Open on a fleet recovery cannot
-// recreate, after it has rebuilt four ready deployments and resumed a fifth
-// that is by then parked in its third compute's install: the resumed build
-// must be cancelled — it never reaches its fourth compute — and no watcher
+// recreate, after it has registered four ready deployments for the warmer
+// and resumed a fifth that is by then parked in its third compute's
+// install: the resumed build must be cancelled — it never reaches its
+// fourth compute — none of the four may have been rebuilt, and no watcher
 // may have journaled anything about it.
 func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 	dir := t.TempDir()
@@ -282,10 +430,13 @@ func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 		appendRec(recDeploymentSettled, depSettledRec{ID: id, State: "ready"})
 	}
 	// Only d4, in flight, has a third compute node. d5 comes after it and
-	// carries an op that cannot replay, which recovery logs and skips.
+	// carries an op that cannot replay, which a warmer would log and skip.
+	// d6, in flight on the xnit path, holds Open (below).
 	appendRec(recDeploymentCreated, depCreatedRec{ID: "d4", Path: "xcbc", Created: created,
 		Req: createDeploymentRequest{Cluster: "littlefe", Parallelism: 1}})
 	appendRec(recClusterOp, clusterOpRec{ID: "d5", Op: "job.cancel", JobID: 99})
+	appendRec(recDeploymentCreated, depCreatedRec{ID: "d6", Path: "xnit", Created: created,
+		Req: createDeploymentRequest{Cluster: "limulus", Path: "xnit", Profiles: []string{"compilers"}}})
 	appendRec(recFleetCreated, fleetCreatedRec{ID: "f1", Name: "nowhere", Created: created,
 		Req: createFleetRequest{Name: "nowhere", Members: 2, Cluster: "no-such-machine"}})
 	if err := l.Close(); err != nil {
@@ -297,19 +448,30 @@ func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 	var seen []string
 	parked, gate := make(chan struct{}), make(chan struct{})
 	s, _, err := Open(Config{DataDir: dir, ResumeInterrupted: true,
-		// The skipped op's log line holds recovery at d5 until d4 is parked,
-		// so the build is running, not pending, when Open fails.
-		Logger: log.New(untilClosed(parked), "", 0),
-		DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(node string, _ int) error {
-			mu.Lock()
-			seen = append(seen, node)
-			mu.Unlock()
-			if node == "compute-0-3" {
-				close(parked)
-				<-gate
-			}
-			return nil
-		})}})
+		DeployOptions: []xcbc.Option{
+			xcbc.WithInstallHook(func(node string, _ int) error {
+				mu.Lock()
+				seen = append(seen, node)
+				mu.Unlock()
+				if node == "compute-0-3" {
+					close(parked)
+					<-gate
+				}
+				return nil
+			}),
+			// Resuming d6 runs its vendor leg on Open's goroutine: holding it
+			// there until d4 is parked means d4 is running, not pending, when
+			// Open fails. d6's adoption then parks before it can settle, so
+			// its watcher has nothing to journal either.
+			xcbc.WithProgress(func(ev xcbc.Event) {
+				switch ev.Stage {
+				case "vendor":
+					<-parked
+				case "repo":
+					<-gate
+				}
+			}),
+		}})
 	if err == nil {
 		s.Close()
 		t.Fatal("Open recovered a fleet of machines that do not exist")
@@ -323,6 +485,10 @@ func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 	defer mu.Unlock()
 	if slices.Contains(seen, "compute-0-4") || !slices.Contains(seen, "compute-0-3") {
 		t.Errorf("the resumed build ran on after Open failed: installs seen %v", seen)
+	}
+	// Every build here installs compute-0-1; only d4's may have run.
+	if n := len(slices.DeleteFunc(slices.Clone(seen), func(node string) bool { return node != "compute-0-1" })); n != 1 {
+		t.Errorf("%d builds ran, want only the resumed d4: installs seen %v", n, seen)
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
 		t.Errorf("the failed Open changed the DataDir: %d files before, %d after", len(before), len(after))

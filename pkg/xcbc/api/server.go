@@ -813,16 +813,19 @@ func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// createDeploymentRequest provisions a new cluster through the SDK.
+// createDeploymentRequest provisions a new cluster through the SDK. The
+// journal keeps it without its zero fields: omitzero, not omitempty,
+// because "rolls":[] (no optional rolls) and an absent rolls (the
+// defaults) build different clusters.
 type createDeploymentRequest struct {
-	Cluster     string   `json:"cluster"`
-	Path        string   `json:"path"` // "xcbc" (default) or "xnit"
-	Scheduler   string   `json:"scheduler"`
-	Rolls       []string `json:"rolls"`
-	Profiles    []string `json:"profiles"`
-	NodeCount   int      `json:"node_count"`
-	Parallelism int      `json:"parallelism"` // compute-install wave width
-	Retries     int      `json:"retries"`     // per-node retry budget
+	Cluster     string   `json:"cluster,omitzero"`
+	Path        string   `json:"path,omitzero"` // "xcbc" (default) or "xnit"
+	Scheduler   string   `json:"scheduler,omitzero"`
+	Rolls       []string `json:"rolls,omitzero"`
+	Profiles    []string `json:"profiles,omitzero"`
+	NodeCount   int      `json:"node_count,omitzero"`
+	Parallelism int      `json:"parallelism,omitzero"` // compute-install wave width
+	Retries     int      `json:"retries,omitzero"`     // per-node retry budget
 }
 
 // startBuild validates req and starts the build asynchronously, returning

@@ -14,13 +14,15 @@ package api
 //   - deployments that settled ready are rebuilt deterministically from
 //     their recorded request, then their recorded day-2 operations (job
 //     submissions and cancellations, time advances, update checks, metric
-//     polls) are replayed in order against the live cluster;
+//     polls) are replayed in order against the live cluster — after Open
+//     returns, with each request for one of them waiting for it alone;
 //   - deployments that settled failed or cancelled are archived: state,
 //     error, and journal reload as recorded, day-2 routes answer 422;
 //   - deployments mid-build at the crash are reconciled to
 //     failed (interrupted), or restarted from their recorded request when
 //     the store was opened with ResumeInterrupted;
-//   - fleets are recreated and re-provisioned; settled scenario runs
+//   - fleets are recreated and re-provisioned, in the background like
+//     ready deployments unless a run was in flight; settled scenario runs
 //     reload their full recorded result; a run in flight at the crash is
 //     replayed from its seed, and the replayed trace is verified against
 //     the recorded rolling hash at the recorded cursor — a divergence
@@ -124,9 +126,11 @@ type (
 )
 
 // clusterOpRec records one replayable day-2 mutation against a ready
-// cluster. Op selects which optional fields are meaningful.
+// cluster. Op selects which optional fields are meaningful. The mirror
+// keeps it in its deployment's op list without the ID, which that list
+// already says.
 type clusterOpRec struct {
-	ID       string            `json:"id"`
+	ID       string            `json:"id,omitempty"`
 	Op       string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics
 	Job      *submitJobRequest `json:"job,omitempty"`
 	JobID    int               `json:"job_id,omitempty"`
@@ -297,6 +301,11 @@ const groupCommitAt = 64
 func coalesced(typ string) bool { return typ == recCampaignSeed }
 
 // RecoveryReport summarizes what Open recovered from a data directory.
+// Every count is decided when Open returns. Rebuilt and OpsReplayed count
+// what is scheduled: the ready deployments being rebuilt in the background
+// and the day-2 ops their rebuilds will replay. A rebuild that then fails
+// to land ready archives as failed, and an op that no longer applies is
+// logged and skipped, without changing the report.
 type RecoveryReport struct {
 	DataDir          string `json:"data_dir"`
 	SnapshotSeq      uint64 `json:"snapshot_seq"`
@@ -304,11 +313,11 @@ type RecoveryReport struct {
 	Repaired         bool   `json:"repaired"`
 	DroppedBytes     int64  `json:"dropped_bytes"`
 	Deployments      int    `json:"deployments"`
-	Rebuilt          int    `json:"rebuilt"`     // ready deployments rebuilt live
-	Archived         int    `json:"archived"`    // terminal deployments reloaded as records
-	Interrupted      int    `json:"interrupted"` // mid-build at crash, reconciled to failed
-	Resumed          int    `json:"resumed"`     // mid-build at crash, restarted
-	OpsReplayed      int    `json:"ops_replayed"`
+	Rebuilt          int    `json:"rebuilt"`      // ready deployments scheduled for rebuilding
+	Archived         int    `json:"archived"`     // terminal deployments reloaded as records
+	Interrupted      int    `json:"interrupted"`  // mid-build at crash, reconciled to failed
+	Resumed          int    `json:"resumed"`      // mid-build at crash, restarted
+	OpsReplayed      int    `json:"ops_replayed"` // day-2 ops scheduled for replay
 	Fleets           int    `json:"fleets"`
 	Runs             int    `json:"runs"`     // settled scenario runs restored
 	Replayed         int    `json:"replayed"` // in-flight runs replayed from seed
@@ -325,9 +334,10 @@ type RecoveryReport struct {
 
 // openStore opens (or creates) the tenant's WAL under dir, rebuilds the
 // mirror from the newest snapshot plus the log tail, and materializes the
-// tenant's live resources from it. Recovery is synchronous: when openStore
-// returns, every recovered resource is queryable and every in-flight
-// scenario run has been replayed and verified.
+// tenant's live resources from it. When openStore returns, every recovered
+// resource is registered, so IDs, quotas and paging are exact, and every
+// in-flight scenario run has been replayed and verified; ready deployments
+// and provisioned fleets go live in the background (see materialize).
 func openStore(s *Server, tn *tenant, dir string, cfg Config) (*RecoveryReport, error) {
 	start := time.Now()
 	l, rec, err := wal.Open(dir, wal.Options{})
@@ -450,13 +460,7 @@ func (st *store) flushLocked() error {
 // the tail a failed flush loses. A direct append flushes the queue first,
 // so on-disk order equals apply order, and is attempted even if that fails.
 func (st *store) emit(typ string, rec record) {
-	var data []byte
-	var err error
-	if settled, ok := rec.(scenarioSettledRec); ok {
-		data, err = settled.encode() // json.Marshal would scan the result twice
-	} else {
-		data, err = json.Marshal(rec)
-	}
+	data, err := encodeRecord(rec)
 	if err != nil {
 		st.logf("store: marshal %s: %v", typ, err)
 		return
@@ -481,6 +485,14 @@ func (st *store) emit(typ string, rec record) {
 	if st.dirty >= st.snapEvery {
 		st.wrote("snapshot", "", st.snapshotLocked())
 	}
+}
+
+// encodeRecord is the payload emit logs for rec, decodeRecord's inverse.
+func encodeRecord(rec record) ([]byte, error) {
+	if settled, ok := rec.(scenarioSettledRec); ok {
+		return settled.encode() // json.Marshal would scan the result twice
+	}
+	return json.Marshal(rec)
 }
 
 // wrote reports whether a WAL write succeeded, logging the failed operation
@@ -557,6 +569,7 @@ func (r depDeletedRec) apply(m *mirror) { delete(m.Deployments, r.ID) }
 
 func (r clusterOpRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
+		r.ID = ""
 		d.Ops = append(d.Ops, r)
 	}
 }
@@ -762,20 +775,35 @@ func byNum[M any](m map[string]*M) []*M {
 	return out
 }
 
-// rebuildAhead is how many builds per SDK pool worker recovery keeps
+// rebuildAhead is how many builds per SDK pool worker the warmer keeps
 // started ahead of the deployment it is waiting on: enough that no worker
-// idles while the recovering goroutine replays ops, few enough that a large
-// DataDir does not park a goroutine per deployment on the pool.
+// idles while the warmer replays ops, few enough that a large DataDir does
+// not park a goroutine per deployment on the pool.
 const rebuildAhead = 4
 
-// rebuild is a build recovery started ahead of its deployment's turn.
+// rebuild is a build the warmer started ahead of its deployment's turn.
 type rebuild struct {
 	h   *xcbc.Handle
 	err error
 }
 
+// warmStep is an entry materialize registered before it was live: the
+// rest of its recovery, which warm runs, and the function that then makes
+// it live. build is the rebuild warm starts a window ahead for it; nil for
+// a fleet.
+type warmStep struct {
+	build  *createDeploymentRequest
+	finish func(rebuild)
+	live   func()
+}
+
 // materialize turns the recovered mirror into the tenant's live
-// resources. It runs with the server constructed but not yet serving.
+// resources. It runs with the server constructed but not yet serving, and
+// does here whatever can fail Open or journals: archiving terminal builds,
+// reconciling (or resuming) interrupted ones, recreating every fleet and
+// restoring its runs, replaying a run in flight. Ready deployments and
+// provisioned fleets are registered behind readiness instead, and once
+// nothing can fail, warm rebuilds and re-provisions them on st.wg.
 func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn := st.tn
 
@@ -811,48 +839,44 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn.campaigns.advance(st.m.NextCampaignID)
 	st.mu.Unlock()
 
-	// Deployments first (fleets do not depend on them). The builds recovery
-	// needs — a ready deployment's rebuild, an interrupted one's resume —
-	// start on the SDK pool a window ahead of the deployment being recovered;
-	// everything with an order (waiting, replaying ops, restoring, counting,
-	// journaling a reconciliation) stays on this goroutine, in ID order.
+	// Deployments first (fleets do not depend on them), in ID order.
 	report.Deployments = len(deps)
-	builds := make([]rebuild, len(deps))
-	started := 0
+	var steps []warmStep
+	var resumed []*xcbc.Handle
 	defer func() {
 		if err == nil {
+			st.wg.Add(1)
+			go st.warm(steps)
 			return
 		}
 		// A failed Open leaves nothing it started running. Watchers go first,
 		// so none of them journals the cancellation of a resumed build.
 		st.cancel()
 		st.wg.Wait()
-		for _, b := range builds[:started] {
-			if b.h != nil {
-				b.h.Cancel()
-			}
+		for _, h := range resumed {
+			h.Cancel()
 		}
 	}()
-	window := rebuildAhead * xcbc.PoolWorkers()
-	for i, m := range deps {
-		for ; started < min(i+1+window, len(deps)); started++ {
-			next := &deps[started]
-			if next.State == string(xcbc.StateReady) || next.State == "" && st.resume {
-				b := &builds[started]
-				b.h, _, b.err = st.srv.startBuild(next.Created.Req)
-			}
+	for _, m := range deps {
+		dep, finish := st.recoverDeployment(m, report)
+		if finish != nil {
+			steps = append(steps, warmStep{build: &dep.Req, finish: finish, live: tn.deployments.restoreWarming(dep.ID, dep)})
+			continue
 		}
-		dep, err := st.recoverDeployment(m, builds[i], report)
-		if err != nil {
-			return err
+		if dep.Handle != nil {
+			resumed = append(resumed, dep.Handle)
 		}
 		tn.deployments.restore(dep.ID, dep)
 	}
 	report.Fleets = len(fleets)
 	for _, m := range fleets {
-		fr, err := st.recoverFleet(m, report)
+		fr, provision, err := st.recoverFleet(m, report)
 		if err != nil {
 			return err
+		}
+		if provision != nil {
+			steps = append(steps, warmStep{finish: func(rebuild) { provision() }, live: tn.fleets.restoreWarming(fr.ID, fr)})
+			continue
 		}
 		tn.fleets.restore(fr.ID, fr)
 	}
@@ -863,55 +887,84 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	return nil
 }
 
-// recoverDeployment materializes one deployment from its mirror entry and
-// the build materialize started for it, if its state called for one.
-func (st *store) recoverDeployment(m depMirror, b rebuild, report *RecoveryReport) (*deployment, error) {
+// warm finishes, in ID order, the recovery of every entry materialize
+// registered before it was live, and makes each live as soon as it is
+// done. It keeps the rebuilds it will wait on started up to rebuildAhead ×
+// PoolWorkers() entries ahead, so the pool builds while it replays ops.
+// Once the store closes, what is left fails fast — no rebuild is started
+// and a running one is cancelled, archiving its deployment as failed — so
+// every entry still goes live and no request waits forever. Nothing here
+// journals.
+func (st *store) warm(steps []warmStep) {
+	defer st.wg.Done()
+	builds := make([]rebuild, len(steps))
+	started := 0
+	window := rebuildAhead * xcbc.PoolWorkers()
+	for i, step := range steps {
+		for ; started < min(i+1+window, len(steps)); started++ {
+			if req := steps[started].build; req != nil {
+				b := &builds[started]
+				if b.err = st.ctx.Err(); b.err == nil {
+					b.h, _, b.err = st.srv.startBuild(*req)
+				}
+			}
+		}
+		step.finish(builds[i])
+		step.live()
+	}
+}
+
+// recoverDeployment materializes one deployment from its mirror entry. A
+// ready one is counted as scheduled and returned with the rest of its
+// recovery, which warm finishes with the rebuild it started for it;
+// anything else is complete when recoverDeployment returns.
+func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deployment, func(rebuild)) {
 	dep := &deployment{depCreatedRec: m.Created}
 	archive := func(state, errMsg string) {
 		m.State, m.Error = state, errMsg
 		dep.arch = &m
-		report.Archived++
 	}
 	switch m.State {
 	case string(xcbc.StateReady):
-		// Rebuild deterministically from the recorded request, then replay
-		// the recorded day-2 operations in log order. A rebuild that does
-		// not land ready again (it should: the simulated substrate is
-		// deterministic for a request that already succeeded once) archives
-		// as failed rather than presenting a half-true cluster.
-		if b.err != nil {
-			archive(string(xcbc.StateFailed), "recovery rebuild: "+b.err.Error())
-			return dep, nil
-		}
-		h := b.h
-		if _, err := h.Wait(st.ctx); err != nil {
-			h.Cancel()
-			archive(string(xcbc.StateFailed), "recovery rebuild settled "+string(h.Status())+": "+err.Error())
-			return dep, nil
-		}
-		dep.Handle = h
 		report.Rebuilt++
-		cl, err := h.Cluster()
-		if err != nil {
-			return nil, fmt.Errorf("api: recovering %s: %w", dep.ID, err)
-		}
-		for _, op := range m.Ops {
-			if err := replayOp(cl, op); err != nil {
-				st.logf("store: %s: replaying %s: %v", dep.ID, op.Op, err)
-				continue
+		report.OpsReplayed += len(m.Ops)
+		return dep, func(b rebuild) {
+			// Rebuild deterministically from the recorded request, then replay
+			// the recorded day-2 operations in log order. A rebuild that does
+			// not land ready again (it should: the simulated substrate is
+			// deterministic for a request that already succeeded once) archives
+			// as failed rather than presenting a half-true cluster.
+			if b.err != nil {
+				archive(string(xcbc.StateFailed), "recovery rebuild: "+b.err.Error())
+				return
 			}
-			report.OpsReplayed++
+			d, err := b.h.Wait(st.ctx)
+			if err != nil {
+				b.h.Cancel()
+				archive(string(xcbc.StateFailed), "recovery rebuild settled "+string(b.h.Status())+": "+err.Error())
+				return
+			}
+			dep.Handle = b.h
+			cl := d.Open()
+			for _, op := range m.Ops {
+				if err := replayOp(cl, op); err != nil {
+					st.logf("store: %s: replaying %s: %v", dep.ID, op.Op, err)
+				}
+			}
 		}
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
 		archive(m.State, m.Error)
+		report.Archived++
 	default:
 		// No settled record: the server died with this build in flight.
 		if st.resume {
-			if b.err != nil {
-				archive(string(xcbc.StateFailed), "recovery resume: "+b.err.Error())
+			h, _, err := st.srv.startBuild(m.Created.Req)
+			if err != nil {
+				archive(string(xcbc.StateFailed), "recovery resume: "+err.Error())
+				report.Archived++
 				break
 			}
-			dep.Handle = b.h
+			dep.Handle = h
 			st.watchDeployment(dep)
 			report.Resumed++
 			break
@@ -920,18 +973,21 @@ func (st *store) recoverDeployment(m depMirror, b rebuild, report *RecoveryRepor
 		st.emit(recDeploymentSettled, depSettledRec{
 			ID: dep.ID, State: string(xcbc.StateFailed), Error: msg,
 		})
-		m.State, m.Error = string(xcbc.StateFailed), msg
-		dep.arch = &m
+		archive(string(xcbc.StateFailed), msg)
 		report.Interrupted++
 	}
 	return dep, nil
 }
 
-// recoverFleet materializes one fleet and its scenario-run history.
-func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetRecord, error) {
+// recoverFleet materializes one fleet and its scenario-run history. A
+// provisioned fleet with no run in flight is returned with its
+// re-provisioning, which warm runs; otherwise the fleet is complete —
+// re-provisioned and its in-flight run replayed — when recoverFleet
+// returns.
+func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
 	fl, err := xcbc.NewFleet(fleetSpecOf(m.Created.Req))
 	if err != nil {
-		return nil, fmt.Errorf("api: recovering fleet %s: %w", m.Created.ID, err)
+		return nil, nil, fmt.Errorf("api: recovering fleet %s: %w", m.Created.ID, err)
 	}
 	fr := newFleetRecord(m.Created, fl, st.tn)
 
@@ -947,15 +1003,18 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 	var inflightSc *xcbc.Scenario
 	if inflight != nil {
 		if inflightSc, err = xcbc.LoadScenario(inflight.Started.Scenario); err != nil {
-			return nil, fmt.Errorf("api: recovering run %s/%s: %w", fr.ID, inflight.Started.RunID, err)
+			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", fr.ID, inflight.Started.RunID, err)
 		}
 	}
-	if m.Provisioned && (inflightSc == nil || !inflightSc.RequiresFreshFleet()) {
+	provision := func() error {
 		if err := fl.Provision(st.ctx); err != nil {
-			return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
+			return err
 		}
-		if err := fl.Wait(st.ctx); err != nil {
-			return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
+		return fl.Wait(st.ctx)
+	}
+	if inflightSc != nil && m.Provisioned && !inflightSc.RequiresFreshFleet() {
+		if err := provision(); err != nil {
+			return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
 		}
 	}
 
@@ -974,7 +1033,7 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 			}
 			if len(rm.Result) > 0 {
 				if run.result, err = xcbc.RestoreScenarioResult(rm.Result); err != nil {
-					return nil, fmt.Errorf("api: restoring run %s/%s: %w", fr.ID, run.ID, err)
+					return nil, nil, fmt.Errorf("api: restoring run %s/%s: %w", fr.ID, run.ID, err)
 				}
 			}
 			close(run.done)
@@ -994,7 +1053,17 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 			report.ReplayMismatches++
 		}
 	}
-	return fr, nil
+	if inflight != nil || !m.Provisioned {
+		return fr, nil, nil
+	}
+	return fr, func() {
+		if st.ctx.Err() != nil {
+			return // closed before its turn
+		}
+		if err := provision(); err != nil && st.ctx.Err() == nil {
+			st.logf("store: re-provisioning fleet %s: %v", fr.ID, err)
+		}
+	}, nil
 }
 
 // errReplayDiverged marks a recovery replay whose regenerated trace did
@@ -1063,11 +1132,14 @@ type storeInfo struct {
 	WALBytes             int64  `json:"wal_bytes,omitempty"`
 	SnapshotBytes        int64  `json:"snapshot_bytes,omitempty"`
 	SnapshotAge          string `json:"snapshot_age,omitempty"`
+	// Warming counts the deployments and fleets recovery has registered but
+	// not yet made live; a request for one of them waits for it.
+	Warming int `json:"warming,omitempty"`
 }
 
 // handleStore reports durability status: whether the request's tenant has
-// a data directory attached, and if so the WAL's size and the age of the
-// newest snapshot.
+// a data directory attached, and if so the WAL's size, the age of the
+// newest snapshot, and how much of the recovered state is still warming.
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenant(r)
 	if tn.store == nil {
@@ -1084,6 +1156,7 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		Segments:             stats.Segments,
 		WALBytes:             stats.WALBytes,
 		SnapshotBytes:        stats.SnapshotBytes,
+		Warming:              tn.deployments.warmingLen() + tn.fleets.warmingLen(),
 	}
 	if !stats.SnapshotTime.IsZero() {
 		info.SnapshotAge = s.clock().Sub(stats.SnapshotTime).Round(time.Millisecond).String()
