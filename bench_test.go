@@ -600,16 +600,16 @@ func BenchmarkGridFTPStaging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		svc := gridftp.NewService(eng)
-		campus := gridftp.NewEndpoint("littlefe#data", "IU", 1)
-		national := gridftp.NewEndpoint("hyalite#scratch", "MSU", 10)
+		campus := gridftp.NewEndpoint("littlefe#data", 1)
+		national := gridftp.NewEndpoint("hyalite#scratch", 10)
 		campus.Put("/data/traj.trr", 2.5e9)
 		x, err := svc.Submit(campus, "/data/traj.trr", national, "/scratch/traj.trr")
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()
-		if x.State != gridftp.TransferSucceeded || !x.Verified {
-			b.Fatalf("transfer: %v", x.Err)
+		if !x.Verified {
+			b.Fatalf("transfer failed after %d retries", x.Retries)
 		}
 		dur = x.Duration()
 	}

@@ -108,7 +108,6 @@ func analyze(fset *token.FileSet, importPath string, pkg *analysis.Package, w *o
 	for _, a := range Analyzers() {
 		a := a
 		pass := &analysis.Pass{
-			Analyzer:       a,
 			Fset:           fset,
 			Files:          pkg.Files,
 			Pkg:            pkg.Types,

@@ -23,9 +23,6 @@ func TestExactlySixAnalyzers(t *testing.T) {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d is %q, want %q", i, a.Name, want[i])
 		}
-		if a.Doc == "" {
-			t.Errorf("analyzer %q has no Doc", a.Name)
-		}
 		if a.Run == nil {
 			t.Errorf("analyzer %q has no Run", a.Name)
 		}

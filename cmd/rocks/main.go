@@ -14,7 +14,6 @@
 //	list roll                 print the distribution's rolls
 //	add user <name> <group>   create an account in the 411 service
 //	sync 411                  push login info to all computes
-//	set attr <key> <value>    set a global attribute
 //	drain <node>              take a node out of scheduling
 //	undrain <node>            return a node to scheduling
 //	reinstall <node>          wipe and re-kickstart a node
@@ -95,9 +94,6 @@ func execute(d *xcbc.Deployment, users *rocks.Service411, cmd string) error {
 		}
 		fmt.Printf("411 generation %d pushed to %d nodes (stale now: %d)\n",
 			users.Generation(), len(names), len(users.StaleNodes(names)))
-	case len(f) == 4 && f[0] == "set" && f[1] == "attr":
-		d.Installer().DB.SetGlobalAttr(f[2], f[3])
-		fmt.Printf("attr %s = %s\n", f[2], f[3])
 	case len(f) == 2 && f[0] == "drain":
 		if err := d.Batch().Drain(f[1]); err != nil {
 			return err

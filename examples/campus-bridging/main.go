@@ -77,8 +77,8 @@ func main() {
 	// Stage input data to the national machine through GFFS. Both endpoints
 	// exist because both builds installed globus-connect-server + gffs.
 	svc := gridftp.NewService(eng)
-	campusEp := gridftp.NewEndpoint("littlefe#data", campus.Hardware().Site, 1)
-	nationalEp := gridftp.NewEndpoint("hyalite#scratch", national.Hardware().Site, 10)
+	campusEp := gridftp.NewEndpoint("littlefe#data", 1)
+	nationalEp := gridftp.NewEndpoint("hyalite#scratch", 10)
 	ns := gridftp.NewNamespace()
 	ns.Mount("/xsede/iu/littlefe", campusEp)
 	ns.Mount("/xsede/msu/hyalite", nationalEp)

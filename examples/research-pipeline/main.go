@@ -127,7 +127,7 @@ func main() {
 	// Storage management: results land on scratch, under a per-user quota.
 	scratch := storage.NewFilesystem("scratch", "/scratch", storage.Scratch, 8000)
 	scratch.SetQuota("researcher", 2000e9)
-	if err := scratch.Write("/scratch/researcher/variants.vcf", "researcher", 40e9, eng.Now()); err != nil {
+	if err := scratch.Write("/scratch/researcher/variants.vcf", "researcher", 40e9); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%s", scratch.Report())

@@ -25,11 +25,10 @@ import (
 )
 
 // Analyzer is one single-purpose pass. Name appears in diagnostics and in
-// the suppression grammar; Doc is the one-paragraph contract shown by
-// `detlint -flags` consumers and the meta-tests.
+// the suppression grammar; the doc comment on each Analyzer var is its
+// contract.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 
@@ -41,11 +40,10 @@ type Diagnostic struct {
 
 // Pass carries one loaded package through one analyzer.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 
 	// ImportPath is the canonical package path ("xcbc/internal/sim"),
 	// with any test-variant decoration already stripped.
@@ -75,7 +73,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type suppression struct {
 	directive string
 	reason    string
-	pos       token.Pos
 }
 
 // SuppressState classifies a suppression lookup.
@@ -141,11 +138,7 @@ func (p *Pass) collectSuppressions(tf *token.File) map[int]suppression {
 				if !ok {
 					continue
 				}
-				out[tf.Line(c.Pos())] = suppression{
-					directive: directive,
-					reason:    reason,
-					pos:       c.Pos(),
-				}
+				out[tf.Line(c.Pos())] = suppression{directive: directive, reason: reason}
 			}
 		}
 	}

@@ -118,7 +118,6 @@ func runFixture(t *testing.T, a *Analyzer, importPath string) {
 	}
 	var diags []Diagnostic
 	pass := &Pass{
-		Analyzer:   a,
 		Fset:       fset,
 		Files:      pkg.Files,
 		Pkg:        pkg.Types,
@@ -196,7 +195,7 @@ func TestGatedAnalyzersRespectPackageSets(t *testing.T) {
 			t.Fatalf("fixture package %q not loaded", tc.importPath)
 		}
 		pass := &Pass{
-			Analyzer: tc.a, Fset: fset, Files: pkg.Files, Pkg: pkg.Types,
+			Fset: fset, Files: pkg.Files, Pkg: pkg.Types,
 			Info: pkg.Info, ImportPath: tc.importPath,
 			Report: func(d Diagnostic) {
 				t.Errorf("%s on %s fired outside its package set: %s", tc.a.Name, tc.importPath, d.Message)

@@ -30,7 +30,6 @@ var wallClock = map[string]bool{
 // wall-clock seam is `//detlint:wallclock <reason>`.
 var Detclock = &Analyzer{
 	Name: "detclock",
-	Doc:  "forbid wall-clock calls (time.Now, Sleep, tickers, …) in deterministic packages outside injected-clock seams",
 	Run:  runDetclock,
 }
 

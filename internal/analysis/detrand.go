@@ -31,7 +31,6 @@ var randConstructors = map[string]bool{
 // A reviewed exception is `//detlint:rand <reason>`.
 var Detrand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbid math/rand (v1) and global math/rand/v2 sources in deterministic packages; require rand.New(rand.NewPCG(seed, stream))",
 	Run:  runDetrand,
 }
 

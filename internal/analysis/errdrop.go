@@ -27,7 +27,6 @@ var durabilityMethods = map[string]bool{
 // prior failure).
 var Errdrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "forbid discarded errors from internal/wal Append/AppendBatch/Sync/Close/Snapshot call sites",
 	Run:  runErrdrop,
 }
 

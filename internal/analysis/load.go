@@ -19,8 +19,6 @@ import (
 // Package is one loaded, parsed, typechecked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
-	DepOnly    bool // reached only as a dependency of the patterns
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
@@ -98,8 +96,6 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 		tpkg, info, terrs := TypeCheck(fset, lp.ImportPath, files, imp)
 		pkgs = append(pkgs, &Package{
 			ImportPath: lp.ImportPath,
-			Dir:        lp.Dir,
-			DepOnly:    lp.DepOnly,
 			Files:      files,
 			Types:      tpkg,
 			Info:       info,

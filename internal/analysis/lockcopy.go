@@ -21,7 +21,6 @@ import (
 // locked state on purpose can justify it with //detlint:lockcopy <reason>.
 var Lockcopy = &Analyzer{
 	Name: "lockcopy",
-	Doc:  "flag value receivers on mutex-holding types and Lock calls whose early-return paths skip Unlock",
 	Run:  runLockcopy,
 }
 

@@ -26,7 +26,6 @@ import (
 // Anything else needs `//detlint:ordered <reason>` on the range line.
 var Maporder = &Analyzer{
 	Name: "maporder",
-	Doc:  "flag map iteration in order-sensitive packages unless keys are sorted first, the body is order-free, or //detlint:ordered <reason> justifies it",
 	Run:  runMaporder,
 }
 

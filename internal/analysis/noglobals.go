@@ -25,7 +25,6 @@ var onceBuilders = map[string]bool{
 // <reason>`.
 var Noglobals = &Analyzer{
 	Name: "noglobals",
-	Doc:  "forbid package-level vars holding sync or sync/atomic state, or built by sync.OnceValue/OnceValues/OnceFunc, in deterministic packages",
 	Run:  runNoglobals,
 }
 

@@ -12,15 +12,17 @@ import (
 )
 
 // The reachability rule (DESIGN.md, "Static analysis"): an exported
-// function, method, type or value declared under internal/ is reached if
-// some non-test file of the module refers to it outside its own
-// declaration, or if it is a method an interface needs. What is not
-// reached is deleted, or says why it stays on the line above it:
+// function, method, type or value declared under internal/ or pkg/ is
+// reached if some non-test file of the module refers to it outside its own
+// declaration, or if it is a method an interface needs. A struct field
+// declared there, exported or not, is reached if some non-test file reads
+// it (see fieldUses). What is not reached is deleted, or says why it stays
+// on the line above it:
 //
 //	//detlint:reached <kind>: <what reaches it>
 //
 // (above the package clause, for a package that only tests import). It is
-// a test and not a sixth Analyzer because a vet unit sees one package and
+// a test and not a seventh Analyzer because a vet unit sees one package and
 // the question needs every caller in the module.
 
 // reachedKinds are the accepted reasons for keeping what only tests reach.
@@ -30,10 +32,34 @@ var reachedKinds = []string{
 	"support",   // it is test support for a test of live code
 }
 
-// decl is one exported package-level declaration or method under internal/.
+// knownIfaces are interfaces the standard library asserts inside function
+// bodies, where neither a declaration nor a literal the rule can see names
+// them. Signatures are written as sigString renders them.
+var knownIfaces = []map[string]string{
+	{"Unwrap": "()(error,)"},                   // errors.Is, errors.As, errors.Unwrap
+	{"Unwrap": "()([]error,)"},                 // errors.Is, errors.As on a joined error
+	{"Is": "(error,)(bool,)"},                  // errors.Is
+	{"As": "(any,)(bool,)"},                    // errors.As
+	{"Unwrap": "()(net/http.ResponseWriter,)"}, // http.ResponseController
+}
+
+// reflective are the packages that read every field of a value passed to
+// them.
+var reflective = map[string]bool{
+	"fmt": true, "encoding/json": true, "encoding/xml": true,
+	"reflect": true, "log": true, "text/template": true,
+}
+
+// inScope reports whether the rule holds a package's declarations to it.
+func inScope(importPath string) bool {
+	return strings.Contains(importPath, "/internal/") || strings.Contains(importPath, "/pkg/")
+}
+
+// decl is one exported package-level declaration or method, or one struct
+// field, in scope.
 type decl struct {
 	pkg      *Package
-	key      string    // see objKey
+	key      string    // see objKey and fieldKey
 	pos, end token.Pos // the declaration without its doc comment
 	lines    int       // with it
 }
@@ -49,11 +75,7 @@ func objKey(obj types.Object) string {
 	}
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if n, ok := t.(*types.Named); ok {
+			if n := namedOf(recv.Type()); n != nil {
 				return obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
 			}
 			return ""
@@ -63,6 +85,31 @@ func objKey(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// fieldKey names a field of the struct underlying owner the way objKey
+// names a method: package path, owning type, field name.
+func fieldKey(owner *types.Named, field string) string {
+	return owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + field
+}
+
+// namedOf is t, or what t points to, as a defined type; nil otherwise.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
+// structOf is namedOf(t) when a struct underlies it.
+func structOf(t types.Type) *types.Named {
+	if n := namedOf(t); n != nil {
+		if _, ok := n.Underlying().(*types.Struct); ok {
+			return n
+		}
+	}
+	return nil
 }
 
 // methodSigs renders an interface as method name → signature with full
@@ -97,25 +144,164 @@ func sigString(fn *types.Func) string {
 	return b.String()
 }
 
+// fieldUses walks one package's non-test files and records, by fieldKey,
+// every read of a field and how many times each is written. A read is one
+// of four things:
+//
+//   - a selector x.f, unless it is only stored to: the left of an
+//     assignment, x.f[k] = v, x.f++, or the x.f inside x.f = append(x.f, …);
+//   - a tag on the field;
+//   - a conversion between the field's struct type and another struct type;
+//   - a value of the struct's type, or of a type built from it, passed to a
+//     function or method of a reflective package (fmt, encoding/json, ...).
+func fieldUses(pkg *Package, reads map[string]bool, writes map[string]int) {
+	info := pkg.Info
+	readAll := func(n *types.Named) {
+		st := n.Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			reads[fieldKey(n, st.Field(i).Name())] = true
+		}
+	}
+	seen := make(map[*types.Named]bool)
+	var deep func(t types.Type)
+	deep = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			if seen[t] {
+				return
+			}
+			seen[t] = true
+			if structOf(t) != nil {
+				readAll(t)
+			}
+			deep(t.Underlying())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				deep(t.Field(i).Type())
+			}
+		case *types.Pointer:
+			deep(t.Elem())
+		case *types.Slice:
+			deep(t.Elem())
+		case *types.Array:
+			deep(t.Elem())
+		case *types.Map:
+			deep(t.Key())
+			deep(t.Elem())
+		}
+	}
+	stored := make(map[*ast.SelectorExpr]bool)
+	store := func(e ast.Expr) {
+		e = ast.Unparen(e)
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ast.Unparen(ix.X)
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			stored[sel] = true
+		}
+	}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					store(lhs)
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					// x.f = append(x.f, ...) reads x.f only to store it back.
+					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && len(call.Args) > 0 {
+						if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+							if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+								store(call.Args[0])
+							}
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					break
+				}
+				// Walk the embedding path to the struct that declares the field.
+				t, path := sel.Recv(), sel.Index()
+				for _, i := range path[:len(path)-1] {
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					t = t.Underlying().(*types.Struct).Field(i).Type()
+				}
+				if owner := structOf(t); owner != nil {
+					key := fieldKey(owner, sel.Obj().Name())
+					if stored[n] {
+						writes[key]++
+					} else {
+						reads[key] = true
+					}
+				}
+			case *ast.CompositeLit:
+				owner := structOf(info.TypeOf(n))
+				if owner == nil {
+					break
+				}
+				for i, elt := range n.Elts {
+					name := owner.Underlying().(*types.Struct).Field(i).Name() // positional
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						name = kv.Key.(*ast.Ident).Name
+					}
+					writes[fieldKey(owner, name)]++
+				}
+			case *ast.CallExpr:
+				if tv := info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
+					to, from := structOf(tv.Type), structOf(info.TypeOf(n.Args[0]))
+					if to != nil && from != nil {
+						readAll(to)
+						readAll(from)
+					}
+					break
+				}
+				var callee types.Object
+				switch fun := ast.Unparen(n.Fun).(type) {
+				case *ast.Ident:
+					callee = info.Uses[fun]
+				case *ast.SelectorExpr:
+					callee = info.Uses[fun.Sel]
+				}
+				if fn, ok := callee.(*types.Func); ok && fn.Pkg() != nil && reflective[fn.Pkg().Path()] {
+					for _, arg := range n.Args {
+						deep(info.TypeOf(arg))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // lineKey addresses one line of one file.
 type lineKey struct {
 	file string
 	line int
 }
 
-// unreached applies the rule to the packages under internal/ among pkgs
-// (one whole module, non-test files only, as Load returns it) and returns
-// its findings in file and line order.
+// unreached applies the rule to the packages under internal/ and pkg/
+// among pkgs (one whole module, non-test files only, as Load returns it)
+// and returns its findings in file and line order.
 func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
-	var decls []decl
+	var decls, fields []decl
 	declared := make(map[string]decl)
 	imported := make(map[string]bool)
 	reasons := make(map[lineKey]string) // where a //detlint:reached comment sits → its reason
+	reads := make(map[string]bool)
+	writes := make(map[string]int)
 
 	// Every interface the module can name: those its own files declare or
-	// write as literals, and the named ones of every package in its import
-	// graph (error, fmt.Stringer, heap.Interface, http.Flusher, ...).
-	ifaces := []map[string]string{methodSigs(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))}
+	// write as literals, the named ones of every package in its import
+	// graph (error, fmt.Stringer, heap.Interface, http.Flusher, ...), and
+	// knownIfaces.
+	ifaces := append([]map[string]string{methodSigs(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))}, knownIfaces...)
 	var concrete []*types.Named
 	seen := make(map[*types.Package]bool)
 	var visit func(p *types.Package, source bool)
@@ -158,7 +344,8 @@ func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 				}
 			}
 		}
-		if !strings.Contains(pkg.ImportPath, "/internal/") {
+		fieldUses(pkg, reads, writes)
+		if !inScope(pkg.ImportPath) {
 			continue
 		}
 		add := func(name *ast.Ident, doc *ast.CommentGroup, n ast.Node) {
@@ -172,6 +359,27 @@ func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 			}
 			decls = append(decls, decl{pkg, key, n.Pos(), n.End(),
 				fset.Position(n.End()).Line - fset.Position(first).Line + 1})
+		}
+		// addFields adds the named fields of a package-level struct type;
+		// a tagged one is read by whatever reads the tag.
+		addFields := func(spec *ast.TypeSpec) {
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok || spec.Assign.IsValid() {
+				return
+			}
+			owner := pkg.Info.Defs[spec.Name].Type().(*types.Named)
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names { // an embedded field has none: its fields are its type's
+					if name.Name == "_" {
+						continue
+					}
+					key := fieldKey(owner, name.Name)
+					if field.Tag != nil {
+						reads[key] = true
+					}
+					fields = append(fields, decl{pkg, key, name.Pos(), name.End(), 1})
+				}
+			}
 		}
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -198,6 +406,7 @@ func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 								doc = spec.Doc
 							}
 							add(spec.Name, doc, spec)
+							addFields(spec)
 						case *ast.ValueSpec:
 							if spec.Doc != nil {
 								doc = spec.Doc
@@ -294,7 +503,7 @@ func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 
 	whole := make(map[*Package]bool) // importer-less packages a directive keeps
 	for _, pkg := range pkgs {
-		if !strings.Contains(pkg.ImportPath, "/internal/") {
+		if !inScope(pkg.ImportPath) {
 			continue
 		}
 		clause, marked := pkg.Files[0].Package, false
@@ -322,6 +531,18 @@ func unreached(fset *token.FileSet, pkgs []*Package) []Diagnostic {
 			report(d.pos, "%s is marked //detlint:reached but a non-test file reaches it", name)
 		case !marked && !refs[d.key]:
 			report(d.pos, "%s is reached by no non-test file (%d lines)", name, d.lines)
+		}
+	}
+	for _, d := range fields {
+		if whole[d.pkg] {
+			continue
+		}
+		name := strings.TrimPrefix(d.key, d.pkg.ImportPath+".")
+		switch marked := justified(d.pos); {
+		case marked && reads[d.key]:
+			report(d.pos, "field %s is marked //detlint:reached but a non-test file reads it", name)
+		case !marked && !reads[d.key]:
+			report(d.pos, "field %s is read by no non-test file (%d writes)", name, writes[d.key])
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -17,18 +17,16 @@ var mSATA128 = Disk{Model: "Crucial M550 128GB", SizeGB: 128, FormFactor: "mSATA
 func NewLittleFe() *Cluster {
 	head := NewNode("littlefe-head", RoleFrontend, CeleronG1840, 1, 8).
 		AddDisk(mSATA128).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("LittleFe", "Indiana University", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
 		n := NewNode(computeName(i), RoleCompute, CeleronG1840, 1, 8).
 			AddDisk(mSATA128).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
 	c.CostUSD = 3600
-	c.Notes = "LittleFe v4 frame, Gigabyte GA-Q87TN (LGA-1150), per-node PSUs, " +
-		"Rosewill RCX-Z775-LP low-profile coolers"
 	return c
 }
 
@@ -38,16 +36,15 @@ func NewLittleFe() *Cluster {
 func NewLittleFeOriginal() *Cluster {
 	head := NewNode("littlefe-head", RoleFrontend, AtomD510, 1, 2).
 		AddDisk(Disk{Model: "2.5in laptop HDD", SizeGB: 250, FormFactor: "2.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("LittleFe-v4-original", "Earlham College", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
 		n := NewNode(computeName(i), RoleCompute, AtomD510, 1, 2).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
 	c.CostUSD = 3000
-	c.Notes = "Original LittleFe v4: Atom D510, diskless compute nodes, PXE-booted"
 	return c
 }
 
@@ -59,17 +56,15 @@ func NewLimulusHPC200() *Cluster {
 	head := NewNode("limulus", RoleFrontend, CoreI7_4770S, 1, 32).
 		AddDisk(Disk{Model: "WD Red 4TB", SizeGB: 4000, FormFactor: "3.5in"}).
 		AddDisk(Disk{Model: "WD Red 4TB", SizeGB: 4000, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Limulus HPC200", "Indiana University", head, GigabitEthernet)
 	for i := 1; i <= 3; i++ {
 		n := NewNode(fmt.Sprintf("n%d", i), RoleCompute, CoreI7_4770S, 1, 16).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
 	c.CostUSD = 5995
-	c.Notes = "Deskside case, 850W PSU, Scientific Linux, vendor cluster tools, " +
-		"schedulable node power management; diskless compute nodes"
 	return c
 }
 
@@ -77,7 +72,6 @@ func NewLimulusHPC200() *Cluster {
 type SiteCluster struct {
 	Site      string
 	Build     func() *Cluster
-	Adoption  string // "xcbc" (from-scratch Rocks) or "xnit" (repo on existing cluster)
 	OtherInfo string
 }
 
@@ -86,16 +80,15 @@ type SiteCluster struct {
 func NewKansas() *Cluster {
 	head := NewNode("ku-head", RoleFrontend, OpteronKU, 1, 64).
 		AddDisk(Disk{Model: "SAS 600GB", SizeGB: 600, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 10, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 10, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("KU Community Cluster", "University of Kansas", head, TenGigEthernet)
 	for i := 1; i <= 219; i++ {
 		n := NewNode(computeName(i), RoleCompute, OpteronKU, 1, 32).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
-			AddNIC(NIC{Name: "eth0", GBits: 10, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
-	c.Notes = "Will be in production in summer 2015"
 	return c
 }
 
@@ -104,16 +97,15 @@ func NewKansas() *Cluster {
 func NewMontanaState() *Cluster {
 	head := NewNode("hyalite-head", RoleFrontend, XeonE5_2670, 2, 128).
 		AddDisk(Disk{Model: "SAS 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 10, Network: "public"}).
-		AddNIC(NIC{Name: "ib0", GBits: 32, Network: "ib"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "ib0", Network: "ib"})
 	c := New("Hyalite", "Montana State University", head, InfinibandQDR)
 	for i := 1; i <= 35; i++ {
 		n := NewNode(computeName(i), RoleCompute, XeonE5_2670, 2, 64).
 			AddDisk(Disk{Model: "SATA 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
-			AddNIC(NIC{Name: "ib0", GBits: 32, Network: "ib"})
+			AddNIC(NIC{Name: "ib0", Network: "ib"})
 		c.AddCompute(n)
 	}
-	c.Notes = "300 TB of Lustre storage; environment-modules integration contributed upstream"
 	return c
 }
 
@@ -125,21 +117,18 @@ func NewMarshall() *Cluster {
 	gpuPer := (6000.0 - 264*2.66*4) / 8 // fit: published total minus CPU Rpeak
 	head := NewNode("marshall-head", RoleFrontend, XeonX5650, 2, 48).
 		AddDisk(Disk{Model: "SAS 600GB", SizeGB: 600, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Marshall BigGreen", "Marshall University", head, GigabitEthernet)
 	for i := 1; i <= 21; i++ {
 		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 48).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		if i <= 8 {
-			n.AddAccelerator(Accelerator{
-				Name: "NVIDIA Tesla (Fermi)", CUDACores: 448, GFLOPSEach: gpuPer, WattsEach: 225,
-			})
+			n.AddAccelerator(Accelerator{GFLOPSEach: gpuPer, WattsEach: 225})
 		}
 		c.AddCompute(n)
 	}
-	c.Notes = "8 GPU nodes, 3584 CUDA cores; rebuilt from scratch with XCBC (1 week on site)"
 	return c
 }
 
@@ -152,21 +141,18 @@ func NewPBARC() *Cluster {
 	gpuPer := (4300.0 - cpuR) / 4
 	head := NewNode("pbarc-head", RoleFrontend, XeonPBARC, 1, 64).
 		AddDisk(Disk{Model: "SAS 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("PBARC", "Pacific Basin Agricultural Research Center (Univ. of Hawaii - Hilo)", head, GigabitEthernet)
 	for i := 1; i <= 15; i++ {
 		n := NewNode(computeName(i), RoleCompute, XeonPBARC, 1, 32).
 			AddDisk(Disk{Model: "SATA 2TB", SizeGB: 2000, FormFactor: "3.5in"}).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		if i <= 4 {
-			n.AddAccelerator(Accelerator{
-				Name: "NVIDIA Tesla (Kepler, fit)", CUDACores: 2496, GFLOPSEach: gpuPer, WattsEach: 235,
-			})
+			n.AddAccelerator(Accelerator{GFLOPSEach: gpuPer, WattsEach: 235})
 		}
 		c.AddCompute(n)
 	}
-	c.Notes = "40TB storage, 60TB scratch; XNIT repository on existing commercial stack"
 	return c
 }
 
@@ -176,16 +162,15 @@ func NewPBARC() *Cluster {
 func NewHoward() *Cluster {
 	head := NewNode("howard-head", RoleFrontend, XeonX5650, 2, 24).
 		AddDisk(Disk{Model: "SATA 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
-		AddNIC(NIC{Name: "eth0", GBits: 1, Network: "public"}).
-		AddNIC(NIC{Name: "eth1", GBits: 1, Network: "private"})
+		AddNIC(NIC{Name: "eth0", Network: "public"}).
+		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Howard Chemistry", "Howard University", head, GigabitEthernet)
 	for i := 1; i <= 7; i++ {
 		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 24).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
-			AddNIC(NIC{Name: "eth0", GBits: 1, Network: "private"})
+			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
-	c.Notes = "Operated by a professor of chemistry; torn down and rebuilt with XCBC"
 	return c
 }
 
@@ -193,17 +178,17 @@ func NewHoward() *Cluster {
 // paper's row order.
 func Table3Sites() []SiteCluster {
 	return []SiteCluster{
-		{Site: "University of Kansas", Build: NewKansas, Adoption: "xcbc",
+		{Site: "University of Kansas", Build: NewKansas,
 			OtherInfo: "Will be in production in summer 2015"},
-		{Site: "Montana State University", Build: NewMontanaState, Adoption: "xnit",
+		{Site: "Montana State University", Build: NewMontanaState,
 			OtherInfo: "300 TB of Lustre storage"},
-		{Site: "Marshall University", Build: NewMarshall, Adoption: "xcbc",
+		{Site: "Marshall University", Build: NewMarshall,
 			OtherInfo: "8 GPU Nodes, 3584 CUDA Cores"},
 		{Site: "Pacific Basin Agricultural Research Center (Univ. of Hawaii - Hilo)",
-			Build: NewPBARC, Adoption: "xnit", OtherInfo: "40TB storage, 60TB scratch"},
-		{Site: "Indiana University", Build: NewLittleFe, Adoption: "xcbc",
+			Build: NewPBARC, OtherInfo: "40TB storage, 60TB scratch"},
+		{Site: "Indiana University", Build: NewLittleFe,
 			OtherInfo: "LittleFe Teaching Cluster"},
-		{Site: "Indiana University", Build: NewLimulusHPC200, Adoption: "xnit",
+		{Site: "Indiana University", Build: NewLimulusHPC200,
 			OtherInfo: "Limulus HPC 200 Cluster"},
 	}
 }

@@ -115,9 +115,9 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 					n.StartService("pbs_mom")
 					n.SetAttr("rack", "0")
 					n.SetOS("CentOS 6.5")
-					n.AddNIC(NIC{Name: "ib0", GBits: 32, Network: "ib"})
+					n.AddNIC(NIC{Name: "ib0", Network: "ib"})
 					n.AddDisk(Disk{Model: "scratch", SizeGB: 1})
-					n.AddAccelerator(Accelerator{Name: "gpu", GFLOPSEach: 1})
+					n.AddAccelerator(Accelerator{GFLOPSEach: 1})
 					n.AddEnergy(1.5)
 				}
 				if got := stateOf(template); !reflect.DeepEqual(got, before) {

@@ -8,7 +8,6 @@ import (
 // Network is a cluster interconnect with a simple latency/bandwidth cost
 // model, used by the MPI runtime and the HPL efficiency model.
 type Network struct {
-	Name      string
 	Type      string  // "GigE", "10GigE", "IB-QDR"
 	GBits     float64 // per-link bandwidth
 	LatencyUs float64 // one-way small-message latency
@@ -16,9 +15,9 @@ type Network struct {
 
 // Common interconnects. Both luggable clusters use gigabit Ethernet.
 var (
-	GigabitEthernet = Network{Name: "private", Type: "GigE", GBits: 1.0, LatencyUs: 50}
-	TenGigEthernet  = Network{Name: "private", Type: "10GigE", GBits: 10.0, LatencyUs: 20}
-	InfinibandQDR   = Network{Name: "ib", Type: "IB-QDR", GBits: 32.0, LatencyUs: 1.5}
+	GigabitEthernet = Network{Type: "GigE", GBits: 1.0, LatencyUs: 50}
+	TenGigEthernet  = Network{Type: "10GigE", GBits: 10.0, LatencyUs: 20}
+	InfinibandQDR   = Network{Type: "IB-QDR", GBits: 32.0, LatencyUs: 1.5}
 )
 
 // BytesPerSec returns the link bandwidth in bytes/second.
@@ -33,7 +32,6 @@ type Cluster struct {
 	Computes []*Node
 	Network  Network
 	CostUSD  float64
-	Notes    string
 }
 
 // New creates a cluster with the given frontend and network.

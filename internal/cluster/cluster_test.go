@@ -208,13 +208,13 @@ func TestClusterLookupAndValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("nil frontend should fail validation")
 	}
-	fe := NewNode("fe", RoleFrontend, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0", GBits: 1})
+	fe := NewNode("fe", RoleFrontend, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
 	bad2 := New("bad2", "x", fe, GigabitEthernet)
 	if bad2.Validate() == nil {
 		t.Error("no computes should fail validation")
 	}
 	dupe := New("dupe", "x", fe, GigabitEthernet)
-	n2 := NewNode("fe", RoleCompute, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0", GBits: 1})
+	n2 := NewNode("fe", RoleCompute, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
 	dupe.AddCompute(n2)
 	if dupe.Validate() == nil {
 		t.Error("duplicate names should fail validation")

@@ -8,7 +8,7 @@ import (
 func TestAcceleratorContributions(t *testing.T) {
 	n := NewNode("gpu1", RoleCompute, XeonX5650, 2, 48).
 		AddDisk(Disk{Model: "x", SizeGB: 100}).
-		AddAccelerator(Accelerator{Name: "Tesla", CUDACores: 448, GFLOPSEach: 400, WattsEach: 225})
+		AddAccelerator(Accelerator{GFLOPSEach: 400, WattsEach: 225})
 	// GFLOPS includes the accelerator.
 	cpuOnly := XeonX5650.GFLOPS() * 2
 	if got := n.GFLOPS(); got != cpuOnly+400 {
@@ -40,29 +40,6 @@ func TestNodeStringAndOSLifecycle(t *testing.T) {
 	n.SetOS("CentOS 6.5")
 	if n.OS() != "CentOS 6.5" {
 		t.Fatal("SetOS")
-	}
-}
-
-func TestTable3AdoptionKinds(t *testing.T) {
-	// The paper: first three built from scratch (XCBC), Montana State and
-	// Hawaii via the package repository (XNIT).
-	kinds := map[string]string{}
-	for _, s := range Table3Sites() {
-		kinds[s.Site+"/"+s.OtherInfo] = s.Adoption
-	}
-	xcbcCount, xnitCount := 0, 0
-	for _, s := range Table3Sites() {
-		switch s.Adoption {
-		case "xcbc":
-			xcbcCount++
-		case "xnit":
-			xnitCount++
-		default:
-			t.Fatalf("unknown adoption kind %q", s.Adoption)
-		}
-	}
-	if xcbcCount != 3 || xnitCount != 3 {
-		t.Fatalf("adoption split = %d xcbc / %d xnit", xcbcCount, xnitCount)
 	}
 }
 

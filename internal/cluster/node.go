@@ -45,7 +45,6 @@ type Disk struct {
 // NIC is a network interface.
 type NIC struct {
 	Name    string // eth0, eth1
-	GBits   float64
 	Network string // name of the attached network, "" if unwired
 }
 

@@ -39,8 +39,6 @@ type Options struct {
 	OptionalRolls []string
 	// PowerPolicy selects node power management; default AlwaysOn.
 	PowerPolicy power.Policy
-	// MonitorInterval is the gmetad poll period; default 1 minute.
-	MonitorInterval time.Duration
 	// Progress, when non-nil, receives a BuildEvent after each build step.
 	Progress func(BuildEvent)
 	// Parallelism is the compute-install wave width: how many kickstarts
@@ -69,9 +67,6 @@ func (o *Options) withDefaults() Options {
 	if out.OptionalRolls == nil {
 		out.OptionalRolls = []string{"ganglia", "hpc"}
 	}
-	if out.MonitorInterval == 0 {
-		out.MonitorInterval = time.Minute
-	}
 	return out
 }
 
@@ -87,10 +82,6 @@ type Deployment struct {
 	Installer *provision.Installer
 	Repos     *repo.Set
 	Scheduler string
-
-	// MonitorInterval is the gmetad poll period the deployment was built
-	// with; the day-2 Operations adapter uses it for alert freshness math.
-	MonitorInterval time.Duration
 
 	// InstallDuration is the simulated time the initial build consumed.
 	InstallDuration time.Duration
@@ -221,7 +212,6 @@ func NewVendorDeployment(eng *sim.Engine, c *cluster.Cluster, scheduler string, 
 
 // finishAssembly starts the subsystems shared by both build paths.
 func (d *Deployment) finishAssembly(o Options) {
-	d.MonitorInterval = o.MonitorInterval
 	if d.Scheduler != "" {
 		if policy, ok := sched.PolicyByName(d.Scheduler); ok {
 			d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)

@@ -122,8 +122,7 @@ func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Monitor.Start(eng, time.Minute, 0)
-	am := monitor.NewAlertManager(d.Monitor)
-	am.AddRule(monitor.Rule{Name: "hot", Metric: "load_one", Cond: monitor.Above, Threshold: 0.9})
+	am := monitor.NewAlertManager(d.Monitor, monitor.Rule{Name: "hot", Metric: "load_one", Threshold: 0.9})
 
 	if _, err := d.Exec("qsub -N burn -l nodes=5:ppn=2,walltime=01:00:00 -runtime 1800 -u u burn.sh"); err != nil {
 		t.Fatal(err)
@@ -194,7 +193,7 @@ func TestDeploymentUtilizationAndAccounting(t *testing.T) {
 		t.Fatalf("records = %d", got)
 	}
 	sums := d.Batch.UserSummaries()
-	if len(sums) != 1 || sums[0].User != "alice" || sums[0].Completed != 5 {
+	if len(sums) != 1 || sums[0].User != "alice" || sums[0].Jobs != 5 {
 		t.Fatalf("summaries = %+v", sums)
 	}
 	if d.Batch.Utilization() <= 0 {

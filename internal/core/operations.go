@@ -33,8 +33,8 @@ type Operations struct {
 // DefaultAlertRules are installed on every Operations: the two conditions
 // the paper's campus administrators actually page on.
 var DefaultAlertRules = []monitor.Rule{
-	{Name: "high-load", Metric: "load_one", Cond: monitor.Above, Threshold: 0.9},
-	{Name: "power-draw", Metric: "power_watts", Cond: monitor.Above, Threshold: 400},
+	{Name: "high-load", Metric: "load_one", Threshold: 0.9},
+	{Name: "power-draw", Metric: "power_watts", Threshold: 400},
 }
 
 // NewOperations wraps a deployment in its day-2 adapter. Each call creates
@@ -44,13 +44,8 @@ func NewOperations(d *Deployment) *Operations {
 	return &Operations{d: d, alerts: monitor.NewAlertManager(d.Monitor, DefaultAlertRules...)}
 }
 
-// interval returns the monitor poll period for alert freshness math.
-func (o *Operations) interval() sim.Time {
-	if o.d.MonitorInterval > 0 {
-		return sim.Time(o.d.MonitorInterval)
-	}
-	return sim.Time(time.Minute)
-}
+// monitorInterval is the gmetad poll period, for alert freshness math.
+const monitorInterval = sim.Time(time.Minute)
 
 // JobView is an immutable snapshot of one batch job, safe to hold across
 // engine advances (unlike *sched.Job, whose fields the manager mutates).
@@ -174,14 +169,6 @@ func (o *Operations) FailNode(name string) error {
 	return o.d.Batch.NodeFail(name)
 }
 
-// Exec runs one scheduler-native command line, serialized with every other
-// operation (submissions advance simulated install time on some paths).
-func (o *Operations) Exec(line string) (string, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.d.Exec(line)
-}
-
 // Advance runs the deployment forward by dt of simulated time — job
 // completions, power transitions, and any scheduled monitor polls fire —
 // and returns the new virtual now.
@@ -227,7 +214,7 @@ func (o *Operations) SampleMetrics() MetricsSnapshot {
 	defer o.mu.Unlock()
 	now := o.d.Engine.Now()
 	o.d.Monitor.Poll(now)
-	o.alerts.Evaluate(now, o.interval())
+	o.alerts.Evaluate(now, monitorInterval)
 	return o.snapshot(now)
 }
 
@@ -266,20 +253,13 @@ func (o *Operations) snapshot(now sim.Time) MetricsSnapshot {
 	return snap
 }
 
-// AddAlertRule registers an extra threshold rule alongside the defaults.
-func (o *Operations) AddAlertRule(r monitor.Rule) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.alerts.AddRule(r)
-}
-
 // Alerts re-evaluates alert rules at the current virtual time (so host-down
 // fires for hosts silent across recent Advances) and returns the currently
 // firing alert keys plus the full transition log.
 func (o *Operations) Alerts() (active []string, log []monitor.Alert) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.alerts.Evaluate(o.d.Engine.Now(), o.interval())
+	o.alerts.Evaluate(o.d.Engine.Now(), monitorInterval)
 	return o.alerts.Active(), o.alerts.Log()
 }
 

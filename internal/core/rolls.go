@@ -32,9 +32,6 @@ var rollDescriptions = map[string]string{
 	"zfs-linux":   "Zetabyte File System (ZFS) drivers for Linux",
 }
 
-// RollDescription returns Table 1's description for an optional roll.
-func RollDescription(name string) string { return rollDescriptions[name] }
-
 // rollContents maps each optional roll to catalog package names, split by
 // appliance.
 var rollContents = map[string]struct{ compute, frontend []string }{
@@ -53,7 +50,7 @@ var rollContents = map[string]struct{ compute, frontend []string }{
 
 // baseRoll assembles the Rocks base roll: OS and Rocks core packages.
 func baseRoll(byName map[string]*rpm.Package) *rocks.Roll {
-	roll := rocks.NewRoll("base", RocksVersion, "Rocks "+RocksVersion+" base with CentOS "+CentOSVersion, false)
+	roll := rocks.NewRoll("base", RocksVersion)
 	roll.AddPackages(rocks.ApplianceCompute,
 		mustPkgs(byName, "kernel", "glibc", "bash", "openssh-server", "centos-release", "rocks",
 			"environment-modules", "fdepend", "gmake", "gnu-make", "python", "scons")...)
@@ -66,7 +63,7 @@ func baseRoll(byName map[string]*rpm.Package) *rocks.Roll {
 // frontend additionally receives the scheduler server, Maui, and the XSEDE
 // data/grid tools.
 func xsedeRoll(byName map[string]*rpm.Package, scheduler string) *rocks.Roll {
-	roll := rocks.NewRoll("xsede", XCBCVersion, "XSEDE-compatible basic cluster roll", false)
+	roll := rocks.NewRoll("xsede", XCBCVersion)
 	switch scheduler {
 	case "torque":
 		roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, "torque")...)
@@ -92,7 +89,7 @@ func xsedeRoll(byName map[string]*rpm.Package, scheduler string) *rocks.Roll {
 // optionalRoll assembles one of Table 1's optional rolls.
 func optionalRoll(byName map[string]*rpm.Package, name string) *rocks.Roll {
 	contents := rollContents[name]
-	roll := rocks.NewRoll(name, RocksVersion, rollDescriptions[name], true)
+	roll := rocks.NewRoll(name, RocksVersion)
 	if len(contents.compute) > 0 {
 		roll.AddPackages(rocks.ApplianceCompute, mustPkgs(byName, contents.compute...)...)
 	}

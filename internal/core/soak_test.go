@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xcbc/internal/cluster"
-	"xcbc/internal/monitor"
 	"xcbc/internal/power"
 	"xcbc/internal/sched"
 	"xcbc/internal/sim"
@@ -26,8 +25,6 @@ func TestWeekLongSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Monitor.Start(eng, 5*time.Minute, 0)
-	am := monitor.NewAlertManager(d.Monitor)
-	am.AddRule(monitor.Rule{Name: "hot", Metric: "load_one", Cond: monitor.Above, Threshold: 0.95})
 
 	stream := workload.Generate(workload.Spec{
 		Seed: 20150531, Jobs: 150,

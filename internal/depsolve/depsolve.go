@@ -37,7 +37,6 @@ type UnresolvableError struct {
 type MissingDep struct {
 	Req    rpm.Capability
 	Needed string // NEVRA of the package that required it, or "" for direct requests
-	Via    string // human-readable chain
 }
 
 func (e *UnresolvableError) Error() string {

@@ -427,15 +427,6 @@ func (m *Member) Err() error {
 	return nil
 }
 
-// Events returns the member's build journal from cursor, plus the next
-// cursor; empty before Provision.
-func (m *Member) Events(cursor int) ([]orchestrator.Event, int) {
-	if job := m.currentJob(); job != nil {
-		return job.Events(cursor)
-	}
-	return nil, cursor
-}
-
 // Cancel asks the member's build to stop; a no-op before Provision and
 // after a terminal state.
 func (m *Member) Cancel() {

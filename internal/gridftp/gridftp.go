@@ -30,7 +30,6 @@ type FileInfo struct {
 // Endpoint is a Globus Connect Server-style transfer endpoint.
 type Endpoint struct {
 	Name       string
-	Site       string
 	WANGbits   float64 // WAN-facing bandwidth
 	files      map[string]FileInfo
 	faultEvery int // every Nth chunk transfer fails (0 = never); test hook
@@ -38,8 +37,8 @@ type Endpoint struct {
 }
 
 // NewEndpoint creates an endpoint with the given WAN bandwidth.
-func NewEndpoint(name, site string, wanGbits float64) *Endpoint {
-	return &Endpoint{Name: name, Site: site, WANGbits: wanGbits, files: make(map[string]FileInfo)}
+func NewEndpoint(name string, wanGbits float64) *Endpoint {
+	return &Endpoint{Name: name, WANGbits: wanGbits, files: make(map[string]FileInfo)}
 }
 
 // checksum derives a deterministic content checksum from path and size
@@ -79,43 +78,16 @@ func (e *Endpoint) List(prefix string) []FileInfo {
 //detlint:reached support: TestTransferRetriesOnFault and TestTransferExhaustsRetries fail chunks to reach the retry and give-up paths
 func (e *Endpoint) InjectFaults(everyN int) { e.faultEvery = everyN }
 
-// TransferState tracks a transfer's lifecycle.
-type TransferState int
-
-// Transfer states.
-const (
-	TransferQueued TransferState = iota
-	TransferActive
-	TransferSucceeded
-	TransferFailed
-)
-
-func (s TransferState) String() string {
-	switch s {
-	case TransferQueued:
-		return "queued"
-	case TransferActive:
-		return "active"
-	case TransferSucceeded:
-		return "succeeded"
-	case TransferFailed:
-		return "failed"
-	}
-	return "?"
-}
-
-// Transfer is one file movement between endpoints.
+// Transfer is one file movement between endpoints. One that runs out of
+// retries, or finds no bandwidth, finishes unverified.
 type Transfer struct {
 	ID       int
 	Src, Dst *Endpoint
-	SrcPath  string
 	DstPath  string
-	State    TransferState
 	Bytes    int64
 	Retries  int
 	Started  sim.Time
 	Finished sim.Time
-	Err      error
 	Verified bool
 }
 
@@ -145,8 +117,7 @@ func (s *Service) Submit(src *Endpoint, srcPath string, dst *Endpoint, dstPath s
 		return nil, fmt.Errorf("gridftp: %s has no file %s", src.Name, srcPath)
 	}
 	t := &Transfer{
-		ID: s.nextID, Src: src, Dst: dst, SrcPath: srcPath, DstPath: dstPath,
-		State: TransferQueued, Bytes: fi.Size,
+		ID: s.nextID, Src: src, Dst: dst, DstPath: dstPath, Bytes: fi.Size,
 	}
 	s.nextID++
 	s.Engine.After(0, fmt.Sprintf("xfer-%d-start", t.ID), func(e *sim.Engine) {
@@ -158,15 +129,12 @@ func (s *Service) Submit(src *Endpoint, srcPath string, dst *Endpoint, dstPath s
 // run models the transfer: setup latency + size over the bottleneck
 // bandwidth, an integrity check at the destination, and retries on fault.
 func (s *Service) run(t *Transfer, fi FileInfo) {
-	t.State = TransferActive
 	t.Started = s.Engine.Now()
 	gbits := t.Src.WANGbits
 	if t.Dst.WANGbits < gbits {
 		gbits = t.Dst.WANGbits
 	}
 	if gbits <= 0 {
-		t.State = TransferFailed
-		t.Err = fmt.Errorf("gridftp: no WAN bandwidth between %s and %s", t.Src.Name, t.Dst.Name)
 		t.Finished = s.Engine.Now()
 		return
 	}
@@ -186,14 +154,11 @@ func (s *Service) run(t *Transfer, fi FileInfo) {
 				// Integrity: recomputed checksum must match the source's
 				// content checksum modulo path (content identity = size).
 				t.Verified = dst.Size == fi.Size && dst.Checksum == checksum(t.DstPath, fi.Size)
-				t.State = TransferSucceeded
 				t.Finished = e.Now()
 				return
 			}
 			t.Retries++
 			if t.Retries > s.MaxRetries {
-				t.State = TransferFailed
-				t.Err = fmt.Errorf("gridftp: transfer %d exceeded %d retries", t.ID, s.MaxRetries)
 				t.Finished = e.Now()
 				return
 			}

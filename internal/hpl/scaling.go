@@ -37,11 +37,11 @@ func ScalingCurve(cpu cluster.CPUModel, ramGBPerNode, maxNodes int, net cluster.
 // syntheticCluster builds an n-node homogeneous cluster for modelling.
 func syntheticCluster(cpu cluster.CPUModel, ramGB, nodes int, net cluster.Network) *cluster.Cluster {
 	head := cluster.NewNode("head", cluster.RoleFrontend, cpu, 1, ramGB)
-	head.AddNIC(cluster.NIC{Name: "eth0", GBits: net.GBits, Network: "private"})
+	head.AddNIC(cluster.NIC{Name: "eth0", Network: "private"})
 	c := cluster.New("synthetic", "model", head, net)
 	for i := 1; i < nodes; i++ {
 		n := cluster.NewNode(fmt.Sprintf("c%d", i), cluster.RoleCompute, cpu, 1, ramGB)
-		n.AddNIC(cluster.NIC{Name: "eth0", GBits: net.GBits, Network: "private"})
+		n.AddNIC(cluster.NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
 	return c

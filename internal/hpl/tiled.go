@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -14,7 +15,7 @@ import (
 //detlint:reached benchmark: BenchmarkTiledUpdate in the root bench_test.go compares it with Factor
 func FactorTiled(a *Matrix, nb, tile, workers int) ([]int, error) {
 	if a.Rows != a.Cols {
-		return nil, errNotSquare(a)
+		return nil, fmt.Errorf("hpl: Factor needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	if nb <= 0 {
@@ -140,11 +141,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-type notSquareError struct{ rows, cols int }
-
-func (e *notSquareError) Error() string {
-	return "hpl: Factor needs a square matrix"
-}
-
-func errNotSquare(a *Matrix) error { return &notSquareError{a.Rows, a.Cols} }

@@ -21,7 +21,6 @@ type Modulefile struct {
 	Name    string // e.g. "openmpi"
 	Version string // e.g. "1.6.4"
 	Default bool   // loaded when requested without a version
-	Help    string
 
 	PrependPath map[string][]string // var -> paths, e.g. PATH, LD_LIBRARY_PATH
 	SetEnv      map[string]string
@@ -209,7 +208,6 @@ func moduleForPackage(p *rpm.Package) *Modulefile {
 		Name:    p.Name,
 		Version: p.EVR.Version,
 		Default: true,
-		Help:    p.Summary,
 		PrependPath: map[string][]string{
 			"PATH":            {root + "/bin"},
 			"LD_LIBRARY_PATH": {root + "/lib"},

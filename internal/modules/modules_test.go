@@ -57,13 +57,12 @@ func TestResolve(t *testing.T) {
 
 func TestAddReplacesSameVersion(t *testing.T) {
 	replacement := mod("gcc", "4.4.7", false)
-	replacement.Help = "updated"
 	s := sysWith(mod("gcc", "4.4.7", false), replacement)
 	if len(s.Avail()) != 1 {
 		t.Fatalf("Avail = %v", s.Avail())
 	}
 	m, _ := s.Resolve("gcc/4.4.7")
-	if m.Help != "updated" {
+	if m != replacement {
 		t.Fatal("replacement not applied")
 	}
 }

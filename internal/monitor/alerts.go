@@ -13,36 +13,12 @@ import (
 // administrator actually reads: threshold rules on any metric and host-down
 // detection (a host that stops reporting, Ganglia's grey-host state).
 
-// Condition compares a sample value against a rule threshold.
-type Condition int
-
-// Conditions.
-const (
-	Above Condition = iota
-	Below
-)
-
-func (c Condition) String() string {
-	if c == Above {
-		return ">"
-	}
-	return "<"
-}
-
-// Rule is a threshold alert: fire when metric crosses threshold and clear
-// when it comes back.
+// Rule is a threshold alert: fire when metric rises above threshold and
+// clear when it comes back.
 type Rule struct {
 	Name      string
 	Metric    string
-	Cond      Condition
 	Threshold float64
-}
-
-func (r Rule) violated(v float64) bool {
-	if r.Cond == Above {
-		return v > r.Threshold
-	}
-	return v < r.Threshold
 }
 
 // Alert is one alert transition.
@@ -82,16 +58,9 @@ type AlertManager struct {
 type alertKey struct{ host, rule string }
 
 // NewAlertManager creates an alert manager over an aggregator, evaluating
-// the given threshold rules (AddRule adds more).
+// the given threshold rules.
 func NewAlertManager(agg *Aggregator, rules ...Rule) *AlertManager {
 	return &AlertManager{agg: agg, DownAfter: 3, rules: slices.Clone(rules)}
-}
-
-// AddRule registers a threshold rule.
-func (am *AlertManager) AddRule(r Rule) {
-	am.mu.Lock()
-	defer am.mu.Unlock()
-	am.rules = append(am.rules, r)
 }
 
 // Evaluate checks all rules against the latest samples. interval is the
@@ -123,11 +92,11 @@ func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 				continue // stale sample; host-down handles silence
 			}
 			key := alertKey{host, r.Name}
-			firing := r.violated(m.Value)
+			firing := m.Value > r.Threshold
 			if firing && !am.active[key] {
 				am.raise(key)
 				am.log = append(am.log, Alert{At: now, Host: host, Rule: r.Name, Firing: true,
-					Detail: fmt.Sprintf("%s = %.2f %s %.2f", r.Metric, m.Value, r.Cond, r.Threshold)})
+					Detail: fmt.Sprintf("%s = %.2f > %.2f", r.Metric, m.Value, r.Threshold)})
 			}
 			if !firing && am.active[key] {
 				delete(am.active, key)

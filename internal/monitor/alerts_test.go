@@ -21,8 +21,7 @@ func TestThresholdRaiseAndClear(t *testing.T) {
 	c.PowerOnAll()
 	load := 0.2
 	agg := NewAggregator(c, 16, func(string) float64 { return load })
-	am := NewAlertManager(agg)
-	am.AddRule(Rule{Name: "high-load", Metric: "load_one", Cond: Above, Threshold: 0.9})
+	am := NewAlertManager(agg, Rule{Name: "high-load", Metric: "load_one", Threshold: 0.9})
 
 	pollAndEval(agg, am, pollIvl)
 	if len(am.Active()) != 0 {
@@ -62,22 +61,6 @@ func TestThresholdRaiseAndClear(t *testing.T) {
 	}
 	if cleared != 4 {
 		t.Fatalf("cleared = %d", cleared)
-	}
-}
-
-func TestBelowCondition(t *testing.T) {
-	c := cluster.NewLimulusHPC200()
-	c.PowerOnAll()
-	agg := NewAggregator(c, 16, func(string) float64 { return 0.0 })
-	am := NewAlertManager(agg)
-	// Power draw below 10 W means a PSU problem on a powered node.
-	am.AddRule(Rule{Name: "psu", Metric: "power_watts", Cond: Below, Threshold: 10})
-	pollAndEval(agg, am, pollIvl)
-	if len(am.Active()) != 0 {
-		t.Fatalf("powered nodes draw > 10W: %v", am.Active())
-	}
-	if Above.String() != ">" || Below.String() != "<" {
-		t.Error("condition strings")
 	}
 }
 
@@ -125,8 +108,7 @@ func TestRuleOnMissingMetricIgnored(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
 	agg := NewAggregator(c, 4, nil)
-	am := NewAlertManager(agg)
-	am.AddRule(Rule{Name: "ghost", Metric: "nonexistent", Cond: Above, Threshold: 1})
+	am := NewAlertManager(agg, Rule{Name: "ghost", Metric: "nonexistent", Threshold: 1})
 	pollAndEval(agg, am, pollIvl)
 	if len(am.Active()) != 0 {
 		t.Fatal("rule on missing metric must not fire")

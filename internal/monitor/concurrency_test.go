@@ -19,8 +19,7 @@ func TestConcurrentPollAndRead(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
 	agg := NewAggregator(c, 64, func(string) float64 { return 0.5 })
-	am := NewAlertManager(agg)
-	am.AddRule(Rule{Name: "hot", Metric: "load_one", Cond: Above, Threshold: 0.4})
+	am := NewAlertManager(agg, Rule{Name: "hot", Metric: "load_one", Threshold: 0.4})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

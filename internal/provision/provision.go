@@ -98,10 +98,6 @@ type Installer struct {
 	// transient and retry with backoff. It is the seam for fault injection
 	// in tests and chaos runs.
 	Hook func(node string, attempt int) error
-
-	// Quarantined lists compute nodes that exhausted their retries during a
-	// wave build and were set aside instead of aborting the build.
-	Quarantined []string
 }
 
 // NewInstaller binds a cluster, frontend DB, and install plan.
@@ -170,7 +166,6 @@ type Result struct {
 	Node     string
 	Packages int
 	Duration time.Duration
-	Actions  int
 }
 
 // InstallFrontend provisions the frontend from the distribution media,
@@ -195,14 +190,14 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 	fe.AdoptSystemState(ks.Services, ks.Attrs)
 	fe.SetOS(ins.OSName)
 	ins.log = append(ins.log, logEntry{kind: logFrontend, node: fe.Name, n: pkgs, m: actions, cost: cost})
-	return &Result{Node: fe.Name, Packages: pkgs, Duration: (eng.Now() - start).Duration(), Actions: actions}, nil
+	return &Result{Node: fe.Name, Packages: pkgs, Duration: (eng.Now() - start).Duration()}, nil
 }
 
 // DiscoverComputes registers every compute node in the frontend database,
 // the insert-ethers phase of a Rocks build.
 func (ins *Installer) DiscoverComputes() error {
 	for i, n := range ins.Cluster.Computes {
-		if _, err := ins.DB.AddHost(n.Name, rocks.ApplianceCompute, 0, i, computeMAC(i)); err != nil {
+		if _, err := ins.DB.AddHost(n.Name, rocks.ApplianceCompute, 0, i); err != nil {
 			return err
 		}
 		ins.log = append(ins.log, logEntry{kind: logDiscovered, node: n.Name, n: i})
@@ -231,10 +226,10 @@ func computeMAC(rank int) string {
 // Splitting the two phases lets a wave overlap many kickstarts in simulated
 // time and commit them together once the wave's clock advance is done.
 type pendingInstall struct {
-	node          *cluster.Node
-	name          string
-	pkgs, actions int
-	cost          time.Duration
+	node *cluster.Node
+	name string
+	pkgs int
+	cost time.Duration
 	// What the wave that started it knows: the attempts the node consumed
 	// and the simulated time its install took, failed attempts included.
 	attempts int
@@ -268,8 +263,7 @@ func (ins *Installer) kickstart(name string) (pendingInstall, error) {
 	}
 	cost := StagePXEBoot + StagePartition + StageBaseImage + StagePostInstall +
 		time.Duration(pkgs)*PerPackage + time.Duration(actions)*PerAction
-	return pendingInstall{node: node, name: name, pkgs: pkgs, actions: actions,
-		cost: cost, attempts: 1, took: cost}, nil
+	return pendingInstall{node: node, name: name, pkgs: pkgs, cost: cost, attempts: 1, took: cost}, nil
 }
 
 // commit finalizes a pending install and fills in its Result, whose
@@ -283,7 +277,7 @@ func (ins *Installer) commit(p *pendingInstall, r *Result) error {
 		return err
 	}
 	ins.log = append(ins.log, logEntry{kind: logKickstarted, node: p.name, n: p.pkgs, cost: p.cost})
-	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took, Actions: p.actions}
+	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took}
 	return nil
 }
 

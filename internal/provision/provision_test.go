@@ -16,7 +16,7 @@ import (
 
 func testDistro(t *testing.T) *rocks.Distribution {
 	t.Helper()
-	base := rocks.NewRoll("base", "6.1.1", "Rocks base", false)
+	base := rocks.NewRoll("base", "6.1.1")
 	base.AddPackages(rocks.ApplianceCompute,
 		rpm.NewPackage("kernel", "2.6.32-431.el6", rpm.ArchX86_64).Build(),
 		rpm.NewPackage("openssh-server", "5.3p1-94.el6", rpm.ArchX86_64).Build(),
@@ -25,7 +25,7 @@ func testDistro(t *testing.T) *rocks.Distribution {
 		rpm.NewPackage("rocks-db", "6.1.1-1", rpm.ArchX86_64).Build(),
 		rpm.NewPackage("httpd", "2.2.15-39.el6", rpm.ArchX86_64).Build(),
 	)
-	xsede := rocks.NewRoll("xsede", "0.9", "XCBC", false)
+	xsede := rocks.NewRoll("xsede", "0.9")
 	xsede.AddPackages(rocks.ApplianceCompute,
 		rpm.NewPackage("torque-mom", "4.2.10-1", rpm.ArchX86_64).Build(),
 		rpm.NewPackage("gmond", "3.6.0-1", rpm.ArchX86_64).Build(),
@@ -245,7 +245,7 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 
 	big := cluster.NewLittleFe()
 	d := testDistro(t)
-	extra := rocks.NewRoll("bio", "6.1.1", "Bioinformatics utilities", true)
+	extra := rocks.NewRoll("bio", "6.1.1")
 	for i := 0; i < 40; i++ {
 		extra.AddPackages(rocks.ApplianceCompute,
 			rpm.NewPackage(strings.Repeat("x", 1)+"bio-pkg-"+string(rune('a'+i%26))+string(rune('0'+i/26)), "1.0-1", rpm.ArchX86_64).Build())

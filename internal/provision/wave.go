@@ -140,9 +140,6 @@ func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOpti
 		}
 		wr.Results = append(wr.Results, &results[i])
 	}
-	for _, f := range wr.Failed {
-		ins.Quarantined = append(ins.Quarantined, f.Node)
-	}
 	return wr
 }
 

@@ -228,7 +228,10 @@ type Config struct {
 	Repo     *Repository
 	Priority int  // lower wins, as in yum-plugin-priorities
 	Enabled  bool // enabled=1
-	GPGCheck bool // gpgcheck=1 (modelled as metadata checksum verification)
+	// GPGCheck is gpgcheck=1, recorded as configured; nothing enforces it.
+	//
+	//detlint:reached benchmark: bench/layerprobe's xnitSet writes it when it builds repo-server's repository set
+	GPGCheck bool
 }
 
 // Set is an ordered collection of repository configurations — the client's

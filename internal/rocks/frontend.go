@@ -15,18 +15,16 @@ type HostRecord struct {
 	Appliance Appliance
 	Rack      int
 	Rank      int
-	MAC       string
 	IP        string
 	Installed bool
 }
 
 // FrontendDB is the Rocks frontend's internal database ("rocks list host",
-// "rocks set host attr", ...). It is the source of truth for what nodes the
+// ...). It is the source of truth for what nodes the
 // cluster has and how they are configured.
 type FrontendDB struct {
 	mu     sync.Mutex
 	hosts  map[string]*HostRecord
-	attrs  map[string]string // global attributes
 	distro *Distribution
 	nextIP int
 }
@@ -35,7 +33,6 @@ type FrontendDB struct {
 func NewFrontendDB(d *Distribution) *FrontendDB {
 	return &FrontendDB{
 		hosts:  make(map[string]*HostRecord),
-		attrs:  make(map[string]string),
 		distro: d,
 		nextIP: 10,
 	}
@@ -48,7 +45,7 @@ func (db *FrontendDB) Distribution() *Distribution { return db.distro }
 
 // AddHost registers a node, assigning it a private IP in insertion order
 // (the way Rocks' dhcpd hands out addresses during discovery).
-func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac string) (*HostRecord, error) {
+func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int) (*HostRecord, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, exists := db.hosts[name]; exists {
@@ -59,7 +56,6 @@ func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int, mac st
 		Appliance: app,
 		Rack:      rack,
 		Rank:      rank,
-		MAC:       mac,
 		IP:        "10.1.1." + strconv.Itoa(db.nextIP),
 	}
 	db.nextIP++
@@ -130,13 +126,6 @@ func (db *FrontendDB) MarkInstalled(name string, installed bool) error {
 	}
 	rec.Installed = installed
 	return nil
-}
-
-// SetGlobalAttr sets a cluster-wide attribute ("rocks set attr").
-func (db *FrontendDB) SetGlobalAttr(key, value string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.attrs[key] = value
 }
 
 // ListHostReport renders a "rocks list host"-style table.

@@ -12,7 +12,7 @@ func pkg(name, evr string) *rpm.Package {
 }
 
 func TestRollPackagesForAppliance(t *testing.T) {
-	r := NewRoll("xsede", "0.9", "XCBC", false)
+	r := NewRoll("xsede", "0.9")
 	r.AddPackages(ApplianceCompute, pkg("openmpi", "1.6.4-3"), pkg("gcc", "4.4.7-11"))
 	r.AddPackages(ApplianceFrontend, pkg("rocks-db", "6.1.1-1"))
 	fe := r.PackagesFor(ApplianceFrontend)
@@ -33,7 +33,7 @@ func TestRollPackagesForAppliance(t *testing.T) {
 
 func TestRollDeduplicates(t *testing.T) {
 	p := pkg("gcc", "4.4.7-11")
-	r := NewRoll("x", "1", "", false)
+	r := NewRoll("x", "1")
 	r.AddPackages(ApplianceCompute, p)
 	r.AddPackages(ApplianceFrontend, p)
 	if got := len(r.PackagesFor(ApplianceFrontend)); got != 1 {
@@ -42,17 +42,17 @@ func TestRollDeduplicates(t *testing.T) {
 }
 
 func TestDistributionRejectsDuplicateRolls(t *testing.T) {
-	a := NewRoll("base", "6.1.1", "", false)
-	b := NewRoll("base", "6.2", "", false)
+	a := NewRoll("base", "6.1.1")
+	b := NewRoll("base", "6.2")
 	if _, err := BuildDistribution("d", a, b); err == nil {
 		t.Fatal("duplicate roll names should be rejected")
 	}
 }
 
 func TestDistributionNewestWinsAcrossRolls(t *testing.T) {
-	base := NewRoll("base", "6.1.1", "", false)
+	base := NewRoll("base", "6.1.1")
 	base.AddPackages(ApplianceCompute, pkg("python", "2.6.6-52"))
-	update := NewRoll("updates", "1", "", false)
+	update := NewRoll("updates", "1")
 	update.AddPackages(ApplianceCompute, pkg("python", "2.6.6-64"))
 	d, err := BuildDistribution("d", base, update)
 	if err != nil {
@@ -69,15 +69,15 @@ func TestDistributionNewestWinsAcrossRolls(t *testing.T) {
 }
 
 func TestFrontendDBHosts(t *testing.T) {
-	d, _ := BuildDistribution("d", NewRoll("base", "6.1.1", "", false))
+	d, _ := BuildDistribution("d", NewRoll("base", "6.1.1"))
 	db := NewFrontendDB(d)
-	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1, "aa:bb:cc:00:00:01"); err != nil {
+	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddHost("compute-0-0", ApplianceCompute, 0, 0, "aa:bb:cc:00:00:00"); err != nil {
+	if _, err := db.AddHost("compute-0-0", ApplianceCompute, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1, "x"); err == nil {
+	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1); err == nil {
 		t.Fatal("duplicate host should fail")
 	}
 	hosts := db.Hosts()
@@ -88,7 +88,7 @@ func TestFrontendDBHosts(t *testing.T) {
 		t.Fatal("IPs must be distinct")
 	}
 	rec, ok := db.Host("compute-0-1")
-	if !ok || rec.MAC != "aa:bb:cc:00:00:01" {
+	if !ok || rec.Rank != 1 {
 		t.Fatalf("Host lookup = %+v, %v", rec, ok)
 	}
 	if err := db.MarkInstalled("compute-0-1", true); err != nil {

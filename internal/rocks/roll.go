@@ -27,10 +27,8 @@ const (
 // which appliances receive which package groups. The XSEDE roll is one of
 // these; so are the Rocks optional rolls of Table 1 (hpc, ganglia, area51…).
 type Roll struct {
-	Name     string
-	Version  string
-	Optional bool // optional rolls can be deselected at install time
-	Summary  string
+	Name    string
+	Version string
 
 	packages map[Appliance][]*rpm.Package
 	// nodesXML models the roll's graph nodes: named package groups that the
@@ -39,14 +37,8 @@ type Roll struct {
 }
 
 // NewRoll creates an empty roll.
-func NewRoll(name, version, summary string, optional bool) *Roll {
-	return &Roll{
-		Name:     name,
-		Version:  version,
-		Optional: optional,
-		Summary:  summary,
-		packages: make(map[Appliance][]*rpm.Package),
-	}
+func NewRoll(name, version string) *Roll {
+	return &Roll{Name: name, Version: version, packages: make(map[Appliance][]*rpm.Package)}
 }
 
 // AddPackages attaches packages to an appliance type within the roll.

@@ -23,7 +23,6 @@ type AccountingRecord struct {
 	State    JobState
 	Queued   sim.Time
 	Started  sim.Time
-	Ended    sim.Time
 	CoreSecs float64
 }
 
@@ -41,7 +40,7 @@ func (m *Manager) Records() []AccountingRecord {
 		out = append(out, AccountingRecord{
 			JobID: j.ID, Name: j.Name, User: j.User, Cores: j.Cores,
 			State: j.State, Queued: j.SubmitTime, Started: j.StartTime,
-			Ended: j.EndTime, CoreSecs: elapsed * float64(j.Cores),
+			CoreSecs: elapsed * float64(j.Cores),
 		})
 	}
 	return out
@@ -49,12 +48,10 @@ func (m *Manager) Records() []AccountingRecord {
 
 // UserSummary aggregates one user's consumption.
 type UserSummary struct {
-	User      string
-	Jobs      int
-	CoreSecs  float64
-	MeanWait  time.Duration
-	Completed int
-	Failed    int // cancelled or timed out
+	User     string
+	Jobs     int
+	CoreSecs float64
+	MeanWait time.Duration
 }
 
 // UserSummaries aggregates accounting by user, sorted by core-seconds
@@ -71,11 +68,6 @@ func (m *Manager) UserSummaries() []UserSummary {
 			agg[j.User] = s
 		}
 		s.Jobs++
-		if j.State == StateCompleted {
-			s.Completed++
-		} else {
-			s.Failed++
-		}
 		if j.Alloc != nil {
 			elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
 			s.CoreSecs += elapsed * float64(j.Cores)

@@ -50,7 +50,7 @@ func TestUserSummaries(t *testing.T) {
 	}
 	for _, s := range sums {
 		if s.User == "carol" {
-			if s.Failed != 1 || s.Completed != 0 {
+			if s.Jobs != 1 || s.CoreSecs != 0 {
 				t.Fatalf("carol summary = %+v", s)
 			}
 		}

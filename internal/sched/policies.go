@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"time"
-
-	"xcbc/internal/sim"
-)
+import "xcbc/internal/sim"
 
 // TorqueMaui is the XCBC default: Torque resource manager with the Maui
 // scheduler — FIFO order with EASY backfill.
@@ -62,12 +58,9 @@ func (Slurm) Backfill() bool { return true }
 
 // SGE is a Grid Engine-like fair-share scheduler: users with less
 // accumulated usage get priority; no backfill (classic share-tree
-// configuration).
-type SGE struct {
-	// HalfLife would decay usage in a real share tree; the simulation keeps
-	// cumulative usage, which preserves the fairness ordering.
-	HalfLife time.Duration
-}
+// configuration). A real share tree decays usage with a half-life; the
+// simulation keeps cumulative usage, which preserves the fairness ordering.
+type SGE struct{}
 
 // Name implements Policy.
 func (SGE) Name() string { return "sge" }

@@ -34,7 +34,6 @@ func (t Time) String() string { return time.Duration(t).String() }
 // engine recycles executed Event structs through a free list.
 type Event struct {
 	At    Time
-	Name  string
 	Fn    func(*Engine)
 	seq   uint64 // unique per scheduling; tie-break and Handle validity check
 	index int    // heap index; -1 once popped or cancelled
@@ -115,9 +114,9 @@ func (e *Engine) At(t Time, name string, fn func(*Engine)) Handle {
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = Event{At: t, Name: name, Fn: fn, seq: e.seq}
+		*ev = Event{At: t, Fn: fn, seq: e.seq}
 	} else {
-		ev = &Event{At: t, Name: name, Fn: fn, seq: e.seq}
+		ev = &Event{At: t, Fn: fn, seq: e.seq}
 	}
 	e.seq++
 	heap.Push(&e.queue, ev)

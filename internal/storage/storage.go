@@ -9,8 +9,6 @@ package storage
 import (
 	"fmt"
 	"sort"
-
-	"xcbc/internal/sim"
 )
 
 // Kind distinguishes persistent from scratch filesystems.
@@ -32,10 +30,8 @@ func (k Kind) String() string {
 
 // File is one stored object.
 type File struct {
-	Path     string
-	Owner    string
-	Bytes    int64
-	Modified sim.Time
+	Owner string
+	Bytes int64
 }
 
 // Filesystem is one shared mount.
@@ -105,7 +101,7 @@ type FullError struct{ Name string }
 func (e *FullError) Error() string { return fmt.Sprintf("storage: filesystem %s is full", e.Name) }
 
 // Write stores (or overwrites) a file, enforcing capacity and quota.
-func (fs *Filesystem) Write(path, owner string, bytes int64, now sim.Time) error {
+func (fs *Filesystem) Write(path, owner string, bytes int64) error {
 	var replacing int64
 	if old, ok := fs.files[path]; ok {
 		replacing = old.Bytes
@@ -122,7 +118,7 @@ func (fs *Filesystem) Write(path, owner string, bytes int64, now sim.Time) error
 			return &QuotaError{User: owner, Limit: limit}
 		}
 	}
-	fs.files[path] = File{Path: path, Owner: owner, Bytes: bytes, Modified: now}
+	fs.files[path] = File{Owner: owner, Bytes: bytes}
 	return nil
 }
 

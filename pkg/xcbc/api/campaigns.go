@@ -11,7 +11,7 @@ import (
 )
 
 // This file serves the generative-chaos surface: /api/v1/campaigns wraps
-// pkg/xcbc's RunCampaign. A campaign is an asynchronous sweep of generated
+// pkg/xcbc's RunCampaignObserved. A campaign is an asynchronous sweep of generated
 // scenarios — POST validates the spec and answers 202 Accepted; clients
 // poll GET for progress (per-seed counters land in seed order) and, once
 // seeds fail, for the shrunk repro scripts. Every per-seed outcome is

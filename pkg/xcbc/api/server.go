@@ -59,6 +59,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"maps"
 	"math"
@@ -531,12 +532,18 @@ type bodyTooLargeError struct {
 }
 
 // decodeBody decodes the request's JSON body into v, reading at most
-// maxBodyBytes. On failure it answers 413 (oversized) or 400 (malformed)
-// and reports false.
+// maxBodyBytes. On failure it answers 413 (oversized) or 400 (malformed,
+// or followed by anything but whitespace) and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -671,15 +671,27 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if len(posts) != 8 {
 		t.Fatalf("found %d POST routes, want 8: %v", len(posts), posts)
 	}
+	lens := func() [4]int {
+		tn := s.openTenant
+		fr, _ := tn.fleets.get("f1")
+		return [4]int{tn.deployments.len(), tn.fleets.len(), tn.campaigns.len(), fr.runs.len()}
+	}
+	before := lens()
 	for _, path := range posts {
 		var body bodyTooLargeError
 		rec := do(t, s, "POST", path, huge, &body)
 		if rec.Code != http.StatusRequestEntityTooLarge || body.Code != "body_too_large" || body.Limit != maxBodyBytes || body.Err == "" {
 			t.Errorf("POST %s with %d bytes = %d %+v, want typed 413", path, len(huge), rec.Code, body)
 		}
+		if rec := do(t, s, "POST", path, `{"cluster":"littlefe"} {"x":1}`, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s with a second JSON value = %d %s, want 400", path, rec.Code, rec.Body.String())
+		}
 		if rec := do(t, s, "GET", "/api/v1/healthz", "", nil); rec.Code != http.StatusOK {
 			t.Fatalf("server stopped serving after oversized POST %s: %d", path, rec.Code)
 		}
+	}
+	if after := lens(); after != before {
+		t.Errorf("rejected POSTs changed the registries: %v, was %v", after, before)
 	}
 	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", "", nil); rec.Code != http.StatusOK {
 		t.Errorf("validate with no body = %d %s, want 200", rec.Code, rec.Body.String())

@@ -104,13 +104,12 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 	// Always pass a non-nil slice: core treats nil OptionalRolls as "use
 	// defaults", but WithRolls() with no names means "no optional rolls".
 	opts := core.Options{
-		Scheduler:       scheduler,
-		OptionalRolls:   append(make([]string, 0, len(rolls)), rolls...),
-		PowerPolicy:     policy,
-		MonitorInterval: cfg.monitorInterval,
-		Parallelism:     cfg.parallelism,
-		Retries:         cfg.retries,
-		InstallHook:     cfg.installHook,
+		Scheduler:     scheduler,
+		OptionalRolls: append(make([]string, 0, len(rolls)), rolls...),
+		PowerPolicy:   policy,
+		Parallelism:   cfg.parallelism,
+		Retries:       cfg.retries,
+		InstallHook:   cfg.installHook,
 	}
 	return start(ctx, hw, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
 		o := opts
@@ -198,10 +197,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 			ev.Seq = emit(ev)
 			cfg.emit(ev)
 		}
-		d, err := core.NewVendorDeployment(eng, hw, cfg.scheduler, core.Options{
-			PowerPolicy:     policy,
-			MonitorInterval: cfg.monitorInterval,
-		})
+		d, err := core.NewVendorDeployment(eng, hw, cfg.scheduler, core.Options{PowerPolicy: policy})
 		if err != nil {
 			return nil, translate(err)
 		}

@@ -26,7 +26,6 @@ var ErrBadCampaign = errors.New("xcbc: invalid campaign spec")
 const (
 	CampaignSeedPassed = campaign.StatePassed
 	CampaignSeedFailed = campaign.StateFailed
-	CampaignSeedError  = campaign.StateError
 )
 
 // CampaignCheckHook contributes extra violations to every generated run's
@@ -103,40 +102,22 @@ type CampaignResult struct {
 	Failures  []CampaignFailure `json:"failures,omitempty"`
 }
 
-// Clean reports a campaign that completed every seed without failures.
-func (r *CampaignResult) Clean() bool {
-	return r.Completed == r.Seeds && r.Failed == 0 && r.Errors == 0
-}
-
 // GenerateScenario deterministically derives a random valid scenario from
 // a seed: same seed, byte-identical script. Generated scenarios always
 // pass validation and are constructed so their own asserts hold on a
 // correct engine — a violation from one is a finding, not noise.
+//
+//detlint:reached support: the campaign tests of pkg/xcbc/api and cmd/clusterctl build their repro and replay inputs with it
 func GenerateScenario(seed int64) *Scenario {
 	return &Scenario{sc: scenario.Generate(seed)}
 }
 
-// ShrinkScenario minimizes sc while fails keeps returning true for the
-// candidate, evaluating at most maxEvals candidates (0 = default budget).
-// The input is never mutated; every candidate offered to fails is valid.
-func ShrinkScenario(sc *Scenario, fails func(*Scenario) bool, maxEvals int) (*Scenario, int) {
-	res := scenario.Shrink(sc.sc, func(cand *scenario.Scenario) bool {
-		return fails(&Scenario{sc: cand})
-	}, maxEvals)
-	return &Scenario{sc: res.Scenario}, res.Evals
-}
-
-// RunCampaign sweeps spec.Seeds generated scenarios and returns the
-// campaign's result. Mechanical problems (bad spec, cancellation) surface
-// as the error; invariant violations are campaign data, in the result.
-func RunCampaign(ctx context.Context, spec CampaignSpec) (*CampaignResult, error) {
-	return RunCampaignObserved(ctx, spec, nil)
-}
-
-// RunCampaignObserved is RunCampaign with a per-seed progress observer,
-// invoked in seed order (nil behaves like RunCampaign) — the seam the
-// control plane taps to journal campaign progress. On cancellation the
-// partial result is returned alongside the context error.
+// RunCampaignObserved sweeps spec.Seeds generated scenarios and returns
+// the campaign's result. Mechanical problems (bad spec, cancellation)
+// surface as the error; invariant violations are campaign data, in the
+// result. onSeed, when non-nil, sees each seed's outcome in seed order —
+// the seam the control plane taps to journal campaign progress. On
+// cancellation the partial result is returned alongside the context error.
 func RunCampaignObserved(ctx context.Context, spec CampaignSpec, onSeed func(CampaignSeedOutcome)) (*CampaignResult, error) {
 	var obs func(campaign.SeedOutcome)
 	if onSeed != nil {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"xcbc/internal/core"
-	"xcbc/internal/monitor"
 	"xcbc/internal/sched"
 )
 
@@ -134,14 +133,6 @@ func (c *Cluster) JobCounts() (queued, running, done int) {
 	return c.ops.JobCounts()
 }
 
-// Exec runs one scheduler-native command line (qsub/qstat/qdel,
-// sbatch/squeue/scancel, module avail), serialized with every other
-// cluster operation.
-func (c *Cluster) Exec(line string) (string, error) {
-	out, err := c.ops.Exec(line)
-	return out, translate(err)
-}
-
 // Advance runs the cluster forward by dt of simulated time: jobs finish,
 // power policies act, scheduled monitor polls fire. It returns the new
 // virtual now as a duration since simulation start.
@@ -198,8 +189,7 @@ type AlertInfo struct {
 
 // Alerts re-evaluates alert rules (so a host silent across recent
 // Advances trips host-down) and returns the firing alert keys plus the
-// transition log. Default rules watch load and power draw; add more with
-// AddAlertRule.
+// transition log. The rules watch load and power draw.
 func (c *Cluster) Alerts() (active []string, log []AlertInfo) {
 	act, raw := c.ops.Alerts()
 	log = make([]AlertInfo, 0, len(raw))
@@ -208,17 +198,6 @@ func (c *Cluster) Alerts() (active []string, log []AlertInfo) {
 			Rule: a.Rule, Firing: a.Firing, Detail: a.Detail})
 	}
 	return act, log
-}
-
-// AddAlertRule registers a threshold rule: fire when metric (one of
-// "load_one", "power_watts", "cpu_num") crosses threshold in the given
-// direction, clear when it comes back.
-func (c *Cluster) AddAlertRule(name, metric string, above bool, threshold float64) {
-	cond := monitor.Below
-	if above {
-		cond = monitor.Above
-	}
-	c.ops.AddAlertRule(monitor.Rule{Name: name, Metric: metric, Cond: cond, Threshold: threshold})
 }
 
 // Validation reports an HPL acceptance run: the analytic Rmax model at the

@@ -275,7 +275,6 @@ func TestClusterConcurrentOps(t *testing.T) {
 				cl.Metrics()
 				cl.Alerts()
 				cl.Now()
-				_, _ = cl.Exec("qstat")
 			}
 		}(cl)
 	}

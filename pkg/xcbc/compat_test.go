@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"xcbc/internal/core"
 )
 
 // compatAgrees compares the counting path a status row uses with the full
@@ -31,7 +33,7 @@ func compatAgrees(t *testing.T, what string, d *Deployment) {
 func TestCompatCountsAgreeWithReport(t *testing.T) {
 	ctx := context.Background()
 	for _, cl := range Clusters() {
-		for _, sched := range Schedulers() {
+		for _, sched := range core.Schedulers {
 			d, err := NewXCBC(WithCluster(cl), WithScheduler(sched)).Deploy(ctx)
 			if errors.Is(err, ErrDiskless) {
 				continue // Rocks cannot build it; the XNIT path below covers it
@@ -41,7 +43,7 @@ func TestCompatCountsAgreeWithReport(t *testing.T) {
 			}
 			compatAgrees(t, "xcbc "+cl+"/"+sched, d)
 		}
-		for _, sched := range append([]string{""}, Schedulers()...) {
+		for _, sched := range append([]string{""}, core.Schedulers...) {
 			what := "xnit " + cl + "/" + sched
 			vendor, err := NewVendor(WithCluster(cl)).Deploy(ctx)
 			if err != nil {

@@ -102,16 +102,6 @@ func (d *Deployment) Installer() *provision.Installer { return d.core.Installer 
 // hardware, for setups assembled step by step (training walkthroughs).
 func (d *Deployment) AttachInstaller(ins *provision.Installer) { d.core.Installer = ins }
 
-// InstallProfile installs a curated XNIT package profile cluster-wide and
-// returns the number of package installs performed.
-func (d *Deployment) InstallProfile(name string) (int, error) {
-	if err := checkProfiles([]string{name}); err != nil {
-		return 0, err
-	}
-	n, err := d.core.InstallProfile(name)
-	return n, d.translateInstall(err)
-}
-
 // InstallPackages resolves and installs the named packages (with
 // dependencies) on every node, returning the number of installs.
 func (d *Deployment) InstallPackages(names ...string) (int, error) {

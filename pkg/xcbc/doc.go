@@ -62,7 +62,7 @@
 // Deployment, making the combination of scheduler, monitor, and the shared
 // discrete-event engine safe to drive from concurrent goroutines (HTTP
 // handlers in particular). The Deployment type remains the build-time
-// view — install facts, subsystem escape hatches, profile installs,
+// view — install facts, subsystem escape hatches, package installs,
 // scheduler swaps, and compatibility reports.
 //
 // The HTTP control plane in pkg/xcbc/api serves this SDK as a versioned

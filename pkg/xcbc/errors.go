@@ -14,9 +14,9 @@ import (
 var (
 	// ErrUnknownCluster reports a cluster name absent from Clusters().
 	ErrUnknownCluster = errors.New("xcbc: unknown cluster")
-	// ErrUnknownScheduler reports a scheduler name absent from Schedulers().
+	// ErrUnknownScheduler reports a scheduler other than torque, slurm or sge.
 	ErrUnknownScheduler = errors.New("xcbc: unknown scheduler")
-	// ErrUnknownRoll reports an optional roll name absent from Rolls().
+	// ErrUnknownRoll reports a name that is not one of Table 1's optional rolls.
 	ErrUnknownRoll = errors.New("xcbc: unknown optional roll")
 	// ErrUnknownProfile reports an XNIT profile name absent from Profiles().
 	ErrUnknownProfile = errors.New("xcbc: unknown package profile")

@@ -176,21 +176,6 @@ func (fm *FleetMember) Status() DeployState { return stateOf(fm.m.State()) }
 // on success.
 func (fm *FleetMember) Err() error { return fm.m.Err() }
 
-// Cancel asks the member's build to stop.
-func (fm *FleetMember) Cancel() { fm.m.Cancel() }
-
-// Events returns the member's build journal from cursor plus the next
-// cursor, in the same shape as Handle.Events.
-func (fm *FleetMember) Events(cursor int) ([]Event, int) {
-	evs, next := fm.m.Events(cursor)
-	out := make([]Event, len(evs))
-	for i, ev := range evs {
-		out[i] = Event{Seq: ev.Seq, Stage: ev.Stage, Node: ev.Node,
-			Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed}
-	}
-	return out, next
-}
-
 // Cluster returns the member's live day-2 resource once its build is
 // ready, failing with ErrNotReady before that. All Cluster values for one
 // member share the fleet's per-member serialization point, so concurrent

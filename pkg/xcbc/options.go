@@ -51,20 +51,19 @@ func (p PowerPolicy) internal() (power.Policy, error) {
 // config accumulates options for any of the three builders; each Deploy
 // reads the fields relevant to its path.
 type config struct {
-	clusterName     string
-	hardware        *cluster.Cluster
-	engine          *sim.Engine
-	scheduler       string
-	schedulerSet    bool
-	rolls           []string
-	rollsSet        bool
-	powerPolicy     PowerPolicy
-	monitorInterval time.Duration
-	nodeCount       int
-	progress        func(Event)
-	parallelism     int
-	retries         int
-	installHook     func(node string, attempt int) error
+	clusterName  string
+	hardware     *cluster.Cluster
+	engine       *sim.Engine
+	scheduler    string
+	schedulerSet bool
+	rolls        []string
+	rollsSet     bool
+	powerPolicy  PowerPolicy
+	nodeCount    int
+	progress     func(Event)
+	parallelism  int
+	retries      int
+	installHook  func(node string, attempt int) error
 
 	vendorOS       string
 	basePackages   []*rpm.Package
@@ -110,15 +109,15 @@ func WithEngine(eng *sim.Engine) Option {
 	return func(c *config) { c.engine = eng }
 }
 
-// WithScheduler selects the job manager (see Schedulers()). The XCBC
+// WithScheduler selects the job manager: "torque", "slurm" or "sge". The XCBC
 // default is "torque"; on the vendor path an empty default means no batch
 // system; on the XNIT path it requests an in-place scheduler change.
 func WithScheduler(name string) Option {
 	return func(c *config) { c.scheduler = name; c.schedulerSet = true }
 }
 
-// WithRolls selects the optional Rocks rolls to include (see Rolls()).
-// The default is ganglia and hpc. Passing no names builds the bare base +
+// WithRolls selects the optional Rocks rolls of Table 1 to include. The
+// default is ganglia and hpc. Passing no names builds the bare base +
 // XSEDE distribution.
 func WithRolls(names ...string) Option {
 	return func(c *config) { c.rolls = names; c.rollsSet = true }
@@ -127,17 +126,6 @@ func WithRolls(names ...string) Option {
 // WithPowerPolicy selects node power management; default PowerAlwaysOn.
 func WithPowerPolicy(p PowerPolicy) Option {
 	return func(c *config) { c.powerPolicy = p }
-}
-
-// WithMonitorInterval sets the gmetad poll period; default one minute.
-func WithMonitorInterval(d time.Duration) Option {
-	return func(c *config) {
-		if d < 0 {
-			c.fail(fmt.Errorf("xcbc: negative monitor interval %v", d))
-			return
-		}
-		c.monitorInterval = d
-	}
 }
 
 // WithNodeCount resizes the compute side of the selected hardware to n
@@ -193,6 +181,8 @@ func WithRetries(n int) Option {
 // attempt, which wave installs retry per WithRetries. It is the
 // fault-injection seam for tests and chaos drills, and — because it runs on
 // the build goroutine — a way to throttle or gate builds.
+//
+//detlint:reached support: pkg/xcbc/api's recovery, store and journal tests and cmd/repo-server's tests hold or fail builds through it
 func WithInstallHook(fn func(node string, attempt int) error) Option {
 	return func(c *config) { c.installHook = fn }
 }

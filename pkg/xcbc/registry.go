@@ -9,13 +9,9 @@ import (
 	"xcbc/internal/rocks"
 )
 
-// Release versions of the reproduced stack (XCBC 0.9 on Rocks 6.1.1 /
-// CentOS 6.5, as the paper describes).
-const (
-	XCBCVersion   = core.XCBCVersion
-	RocksVersion  = core.RocksVersion
-	CentOSVersion = core.CentOSVersion
-)
+// XCBCVersion is the release of the reproduced stack (XCBC 0.9 on Rocks
+// 6.1.1 / CentOS 6.5, as the paper describes).
+const XCBCVersion = core.XCBCVersion
 
 // Clusters lists the cluster names WithCluster accepts, sorted. The
 // catalog itself lives in internal/cluster so the fleet manager shares it.
@@ -29,16 +25,6 @@ func NewCluster(name string) (*cluster.Cluster, error) {
 	}
 	return hw, nil
 }
-
-// Schedulers lists the job managers the XCBC build supports (Table 1:
-// choose one).
-func Schedulers() []string { return append([]string(nil), core.Schedulers...) }
-
-// Rolls lists the optional Rocks rolls of Table 1.
-func Rolls() []string { return append([]string(nil), core.OptionalRollNames...) }
-
-// RollDescription returns Table 1's description for an optional roll.
-func RollDescription(name string) string { return core.RollDescription(name) }
 
 // Profiles lists the curated XNIT package profiles, sorted.
 func Profiles() []string {

@@ -130,9 +130,6 @@ type ScenarioResult struct {
 // Scenario returns the name of the scenario that ran.
 func (r *ScenarioResult) Scenario() string { return r.r.Scenario }
 
-// Seed returns the seed the run used.
-func (r *ScenarioResult) Seed() int64 { return r.r.Seed }
-
 // Passed reports whether every asserted invariant held.
 func (r *ScenarioResult) Passed() bool { return r.r.Passed }
 

@@ -10,6 +10,10 @@
 #   4. govulncheck       — known-vulnerability scan; skipped with a notice
 #                          when the tool is absent (offline dev boxes),
 #                          installed on demand in CI where there is network.
+#   5. reachability      — TestNoUnreachedExports (no exported name under
+#                          internal/ or pkg/, and no struct field, that only
+#                          tests reach), its fixture, and the pinned SDK
+#                          surface in pkg/xcbc/api.txt.
 #
 # Exit codes follow the repo convention: 0 pass, 1 findings.
 set -euo pipefail
@@ -38,5 +42,8 @@ if command -v govulncheck >/dev/null 2>&1; then
 else
   echo "govulncheck not installed; skipping (CI installs it; locally: go install golang.org/x/vuln/cmd/govulncheck@latest)"
 fi
+
+echo "== reachability + SDK surface =="
+go test -run 'TestNoUnreachedExports|TestUnreachedFixture|TestExportedSurfacePinned' ./internal/analysis/
 
 echo "lint: all gates passed"
