@@ -212,49 +212,12 @@ func (l *Log) newSegment() error {
 	return nil
 }
 
-// Append writes one typed record and returns its sequence number. The
-// record is durable once Sync returns (or after the SyncEvery batching
-// threshold forces a flush).
+// Append writes one typed record and returns its sequence number: a
+// one-entry AppendBatch, so its bytes on disk are exactly the frame a batch
+// writes for the same record. The record is durable once Sync returns (or
+// after the SyncEvery batching threshold forces a flush).
 func (l *Log) Append(typ string, data []byte) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if len(typ) > 0xFFFF {
-		return 0, fmt.Errorf("%w: type tag %d bytes", ErrTooLarge, len(typ))
-	}
-	payloadLen := 8 + 2 + len(typ) + len(data)
-	if payloadLen > maxPayload {
-		return 0, fmt.Errorf("%w: payload %d bytes (max %d)", ErrTooLarge, payloadLen, maxPayload)
-	}
-	seq := l.nextSeq
-	l.buf.Reset()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
-	l.buf.Write(hdr[0:4])
-	l.buf.Write(hdr[4:8]) // CRC placeholder, patched below
-	var p [10]byte
-	binary.LittleEndian.PutUint64(p[0:8], seq)
-	binary.LittleEndian.PutUint16(p[8:10], uint16(len(typ)))
-	l.buf.Write(p[:])
-	l.buf.WriteString(typ)
-	l.buf.Write(data)
-	frame := l.buf.Bytes()
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
-	n, err := l.f.Write(frame)
-	l.disk.walBytes += int64(n)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	l.nextSeq++
-	l.pending++
-	if l.pending >= l.opts.SyncEvery {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	return l.AppendBatch([]BatchEntry{{Type: typ, Data: data}})
 }
 
 // BatchEntry is one record of an AppendBatch group commit.
@@ -263,15 +226,16 @@ type BatchEntry struct {
 	Data []byte
 }
 
-// AppendBatch writes n typed records as one group commit: every record is
-// framed into a single buffer, written with one file write, and counted
-// against the fsync batching threshold together, amortizing frame and
-// syscall cost over the group. Records receive consecutive sequence
-// numbers; the first is returned. The durability contract is unchanged —
+// AppendBatch writes typed records as one group commit, and is the log's
+// only framing path: every record gets its own length/CRC frame in a
+// single buffer, the buffer goes out in one file write, and the records
+// count against the fsync batching threshold together, amortizing frame
+// and syscall cost over the group. Records receive consecutive sequence
+// numbers; the first is returned. The durability contract is Append's —
 // the group is on disk once Sync returns or once SyncEvery forces a flush
-// — and each record keeps its own length/CRC frame, so crash recovery
-// sees exactly the prefix of records whose bytes made it to disk, same as
-// with per-record Append.
+// — and crash recovery sees exactly the prefix of records whose bytes
+// made it to disk. An entry over the framing limits fails the whole batch
+// before anything is written.
 func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -281,41 +245,38 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	if len(entries) == 0 {
 		return l.nextSeq, nil
 	}
-	for _, e := range entries {
+	first := l.nextSeq
+	l.buf.Reset()
+	for i, e := range entries {
 		if len(e.Type) > 0xFFFF {
 			return 0, fmt.Errorf("%w: type tag %d bytes", ErrTooLarge, len(e.Type))
 		}
-		if payloadLen := 8 + 2 + len(e.Type) + len(e.Data); payloadLen > maxPayload {
+		payloadLen := 8 + 2 + len(e.Type) + len(e.Data)
+		if payloadLen > maxPayload {
 			return 0, fmt.Errorf("%w: payload %d bytes (max %d)", ErrTooLarge, payloadLen, maxPayload)
 		}
-	}
-	first := l.nextSeq
-	l.buf.Reset()
-	for _, e := range entries {
-		payloadLen := 8 + 2 + len(e.Type) + len(e.Data)
 		start := l.buf.Len()
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
 		l.buf.Write(hdr[0:4])
 		l.buf.Write(hdr[4:8]) // CRC placeholder, patched below
 		var p [10]byte
-		binary.LittleEndian.PutUint64(p[0:8], l.nextSeq)
+		binary.LittleEndian.PutUint64(p[0:8], first+uint64(i))
 		binary.LittleEndian.PutUint16(p[8:10], uint16(len(e.Type)))
 		l.buf.Write(p[:])
 		l.buf.WriteString(e.Type)
 		l.buf.Write(e.Data)
 		frame := l.buf.Bytes()[start:]
 		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
-		l.nextSeq++
 	}
 	n, err := l.f.Write(l.buf.Bytes())
 	l.disk.walBytes += int64(n)
 	if err != nil {
 		// The write may have landed partially; recovery's torn-tail repair
-		// handles that exactly as it does for a torn single-record append.
-		l.nextSeq = first
+		// handles that exactly as it does for any torn frame.
 		return 0, fmt.Errorf("wal: %w", err)
 	}
+	l.nextSeq += uint64(len(entries))
 	l.pending += len(entries)
 	if l.pending >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {

@@ -30,8 +30,7 @@ const (
 // started (and was journaled) with, plus its live progress.
 type campaignRecord struct {
 	campaignStartedRec
-	tn   *tenant
-	done chan struct{}
+	tn *tenant
 
 	mu        sync.Mutex
 	state     string // "running", "passed", "failed", "error", "interrupted"
@@ -150,7 +149,7 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	cr, quota := tn.campaigns.insert(func(id string) *campaignRecord {
 		return &campaignRecord{
 			campaignStartedRec: campaignStartedRec{ID: id, Spec: spec, Created: s.clock()},
-			tn:                 tn, state: "running", done: make(chan struct{}),
+			tn:                 tn, state: "running",
 		}
 	})
 	if quota != nil {
@@ -166,7 +165,8 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 // executeCampaign drives one campaign to settlement on its own goroutine.
 // The per-seed observer runs on the campaign's goroutine in seed order, so
 // counters (and the journal records they emit) advance deterministically
-// even though the pool interleaves the underlying runs.
+// even though the pool interleaves the underlying runs. Each outcome, and
+// the settled state, is journaled before a client can read it.
 func (s *Server) executeCampaign(cr *campaignRecord) {
 	st := cr.tn.store
 	spec := cr.Spec
@@ -175,10 +175,10 @@ func (s *Server) executeCampaign(cr *campaignRecord) {
 	}
 	res, err := xcbc.RunCampaignObserved(context.Background(), spec,
 		func(out xcbc.CampaignSeedOutcome) {
-			cr.absorb(out)
 			if st != nil {
 				st.emit(recCampaignSeed, campaignSeedRec{ID: cr.ID, Outcome: out})
 			}
+			cr.absorb(out)
 		})
 	var state, errMsg string
 	if res == nil {
@@ -186,13 +186,12 @@ func (s *Server) executeCampaign(cr *campaignRecord) {
 	} else {
 		state, errMsg = settleState(res.Failed, res.Errors, err)
 	}
-	cr.mu.Lock()
-	cr.state, cr.errMsg = state, errMsg
-	cr.mu.Unlock()
 	if st != nil {
 		st.emit(recCampaignSettled, campaignSettledRec{ID: cr.ID, State: state, Error: errMsg})
 	}
-	close(cr.done)
+	cr.mu.Lock()
+	cr.state, cr.errMsg = state, errMsg
+	cr.mu.Unlock()
 }
 
 // handleCampaign reports one campaign's progress — and, once seeds fail,
@@ -213,7 +212,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // (generated seeds are cheap to re-sweep explicitly; silently burning CPU
 // on restart is not this store's call to make).
 func (st *store) recoverCampaign(m campaignMirror, report *RecoveryReport) *campaignRecord {
-	cr := &campaignRecord{campaignStartedRec: m.Started, tn: st.tn, done: make(chan struct{})}
+	cr := &campaignRecord{campaignStartedRec: m.Started, tn: st.tn}
 	for _, out := range m.Outcomes {
 		cr.absorb(out)
 	}
@@ -225,7 +224,6 @@ func (st *store) recoverCampaign(m campaignMirror, report *RecoveryReport) *camp
 	} else {
 		cr.state, cr.errMsg = m.State, m.Error
 	}
-	close(cr.done)
 	report.Campaigns++
 	return cr
 }

@@ -11,23 +11,21 @@ import (
 	"xcbc/pkg/xcbc"
 )
 
-// waitCampaign blocks until the campaign settles and returns its info.
+// waitCampaign polls until the campaign settles and returns its info.
 func waitCampaign(t *testing.T, s *Server, id string) campaignInfo {
 	t.Helper()
-	cr, ok := s.openTenant.campaigns.get(id)
-	if !ok {
-		t.Fatalf("campaign %s not found", id)
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		var info campaignInfo
+		if rec := do(t, s, "GET", "/api/v1/campaigns/"+id, "", &info); rec.Code != http.StatusOK {
+			t.Fatalf("GET campaign: %d %s", rec.Code, rec.Body.String())
+		}
+		if info.State != "running" {
+			return info
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign %s did not settle", id)
+		}
 	}
-	select {
-	case <-cr.done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("campaign %s did not settle", id)
-	}
-	var info campaignInfo
-	if rec := do(t, s, "GET", "/api/v1/campaigns/"+id, "", &info); rec.Code != http.StatusOK {
-		t.Fatalf("GET campaign: %d %s", rec.Code, rec.Body.String())
-	}
-	return info
 }
 
 // TestCampaignLifecycle drives a small clean sweep through the REST

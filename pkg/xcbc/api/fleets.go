@@ -53,7 +53,6 @@ type scenarioRun struct {
 	ID       string
 	Scenario string
 	Created  time.Time
-	done     chan struct{}
 
 	mu     sync.Mutex
 	state  string // "running", "passed", "failed", "error"
@@ -334,7 +333,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	run, _ := fr.runs.insert(func(id string) *scenarioRun {
 		return &scenarioRun{
 			ID: id, Scenario: sc.Name(), Created: s.clock(),
-			state: "running", done: make(chan struct{}),
+			state: "running",
 		}
 	})
 
@@ -372,8 +371,8 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 				got, reached = sum, true
 			}
 			// A checkpoint: recovery keeps only the last (cursor, hash), so
-			// every event is hashed and one in groupCommitAt journaled.
-			if cursor%groupCommitAt == 0 {
+			// every event is hashed and one in checkpointEvery journaled.
+			if cursor%checkpointEvery == 0 {
 				st.emit(recScenarioProgress, scenarioProgressRec{
 					FleetID: fr.ID, RunID: run.ID, Cursor: cursor, Hash: sum,
 				})
@@ -385,30 +384,21 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 		err = fmt.Errorf("%w at recorded cursor %d", errReplayDiverged, target.cursor)
 		result = nil
 	}
-	run.mu.Lock()
+	state := "failed"
 	switch {
 	case err != nil:
-		run.state, run.err = "error", err
+		state = "error"
 	case result.Passed():
-		run.state, run.result = "passed", result
-	default:
-		run.state, run.result = "failed", result
+		state = "passed"
 	}
-	state := run.state
-	var errMsg string
-	if run.err != nil {
-		errMsg = run.err.Error()
-	}
-	run.mu.Unlock()
-	fr.mu.Lock()
-	fr.runLive = false
-	fr.mu.Unlock()
+	// Journal the outcome before publishing it: a client that reads the
+	// settled state must find it in the log after a crash.
 	if st != nil {
-		rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.ID, State: state, Error: errMsg}
-		if result != nil {
-			if data, jerr := result.ResultJSON(); jerr == nil {
-				rec.Result = data
-			}
+		rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.ID, State: state}
+		if err != nil {
+			rec.Error = err.Error()
+		} else if data, jerr := result.ResultJSON(); jerr == nil {
+			rec.Result = data
 		}
 		st.emit(recScenarioSettled, rec)
 		// A provision phase may have built the fleet's members mid-run;
@@ -417,7 +407,14 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 			st.emit(recFleetProvisioned, fleetProvisionedRec{ID: fr.ID})
 		}
 	}
-	close(run.done)
+	// The fleet is free before the run reads settled, so a client that saw
+	// it settle may delete the fleet or start the next run at once.
+	fr.mu.Lock()
+	fr.runLive = false
+	fr.mu.Unlock()
+	run.mu.Lock()
+	run.state, run.result, run.err = state, result, err
+	run.mu.Unlock()
 }
 
 func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {

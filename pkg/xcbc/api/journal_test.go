@@ -22,9 +22,10 @@ import (
 )
 
 // These tests pin what the store journals: a scenario run's progress as a
-// checkpoint every groupCommitAt events that still feeds the replay oracle,
-// an exact and spelled-out record count per operation, and an emit that
-// never applies a record the log refused.
+// checkpoint every checkpointEvery events that still feeds the replay
+// oracle, an exact and spelled-out record count per operation, an emit that
+// is on the log when it returns and never applies a record the log refused,
+// and a settled state no client reads before it is journaled.
 
 const campusFleet = `{"name":"campus","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8}`
 
@@ -121,6 +122,8 @@ func crashImages(t *testing.T, fleetBody string, images map[int]string) []byte {
 		}
 		st.mu.Unlock()
 	}
+	// The run is journaled settled before it reads settled.
+	waitRunSettled(t, s, "f1", "s1")
 	state, result, err := recoveredRun(t, s).snapshot()
 	if state != "passed" {
 		t.Fatalf("campus-100 settled %q: %v", state, err)
@@ -159,7 +162,7 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 			}
 			t.Logf("crash images at journaled cursors %v", cursors)
 			last := cursors[len(cursors)-1]
-			if last < groupCommitAt {
+			if last < checkpointEvery {
 				t.Fatalf("no image holds a checkpoint (cursors %v)", cursors)
 			}
 			if tc.golden && !bytes.Equal(trace, goldenTrace(t, "campus-100")) {
@@ -187,10 +190,10 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 			}
 
 			for _, cursor := range cursors {
-				// The checkpoint reached the file on its own, not in a queue
-				// some later record had to flush.
+				// The checkpoint reached the file on its own, before the run
+				// went on: no later record had to carry it there.
 				got := loggedMirror(t, images[cursor]).findRun("f1", "s1")
-				if got.State != "" || got.Cursor != cursor || cursor%groupCommitAt != 0 {
+				if got.State != "" || got.Cursor != cursor || cursor%checkpointEvery != 0 {
 					t.Fatalf("image %d: log holds cursor %d state %q", cursor, got.Cursor, got.State)
 				}
 				if cursor > 0 && got.Hash != prefixHash(trace, cursor) {
@@ -330,11 +333,10 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 				if rec := do(t, s, "POST", "/api/v1/fleets/"+fl.ID+"/scenarios", tc.run, nil); rec.Code != http.StatusAccepted {
 					t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 				}
-				// The run reports its state before it journals it; done closes
-				// after both.
+				// The run journals its outcome before it reports it.
+				waitRunSettled(t, s, fl.ID, "s1")
 				fr, _ := s.openTenant.fleets.get(fl.ID)
 				run, _ := fr.runs.get("s1")
-				<-run.done
 				if state, result, err := run.snapshot(); state != "passed" || result.TraceLen() != tc.events {
 					t.Fatalf("run settled %q (%v) with %d events, want %d", state, err, result.TraceLen(), tc.events)
 				}
@@ -349,20 +351,25 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 	}
 }
 
-// TestEmitAppliesOnlyWhatItLogged poisons the group-commit queue with an
-// entry AppendBatch refuses, then makes an acked write: the flush failure
-// is reported as a flush failure, the write is still appended, and the
-// mirror holds exactly what a reopened DataDir yields.
+// TestEmitAppliesOnlyWhatItLogged emits every case of recordCases, all 15
+// record types among them: each emit is one record on the log by the time
+// it returns, and the mirror then holds exactly what a reopened DataDir
+// yields. A record the log refuses is not applied.
 func TestEmitAppliesOnlyWhatItLogged(t *testing.T) {
 	dir := t.TempDir()
-	var logged bytes.Buffer
-	s, _ := openDurable(t, dir, func(c *Config) { c.Logger = log.New(&logged, "", 0) })
+	s, _ := openDurable(t, dir)
 	st := s.openTenant.store
-	st.mu.Lock()
-	st.queue = append(st.queue, wal.BatchEntry{Type: strings.Repeat("x", 0x10000), Data: []byte("{}")})
-	st.mu.Unlock()
-	if rec := do(t, s, "POST", "/api/v1/fleets", `{"name":"acked","members":2,"nodes":2,"provision":false}`, nil); rec.Code != http.StatusAccepted {
-		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
+	types := map[string]bool{}
+	for _, tc := range recordCases() {
+		before := st.log.Stats().NextSeq
+		st.emit(tc.typ, tc.rec)
+		if got := st.log.Stats().NextSeq - before; got != 1 {
+			t.Errorf("%s: emitting %s advanced the log by %d records, want 1", tc.name, tc.typ, got)
+		}
+		types[tc.typ] = true
+	}
+	if len(types) != 15 {
+		t.Errorf("emitted %d record types, want all 15", len(types))
 	}
 	st.mu.Lock()
 	live, err := json.Marshal(st.m)
@@ -371,31 +378,108 @@ func TestEmitAppliesOnlyWhatItLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if out := logged.String(); !strings.Contains(out, "store: flush before "+recFleetCreated) || strings.Contains(out, "store: append") {
-		t.Errorf("log does not name the flush as what failed:\n%s", out)
-	}
-	onDisk := loggedMirror(t, dir)
-	reopened, err := json.Marshal(onDisk)
+	reopened, err := json.Marshal(loggedMirror(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(live, reopened) {
 		t.Errorf("mirror and DataDir disagree\n live:     %s\n reopened: %s", live, reopened)
 	}
-	if onDisk.Fleets["f1"] == nil {
-		t.Error("the acked fleet.created did not reach the log")
-	}
 
-	// A record the log refuses outright is not applied either.
-	s2, _ := openDurable(t, dir)
+	// A record the log refuses outright is not applied.
+	var logged bytes.Buffer
+	s2, _ := openDurable(t, dir, func(c *Config) { c.Logger = log.New(&logged, "", 0) })
 	defer s2.Close()
 	st = s2.openTenant.store
-	st.emit(strings.Repeat("x", 0x10000), fleetDeletedRec{ID: "f1"})
+	refused := strings.Repeat("x", 0x10000)
+	st.emit(refused, fleetDeletedRec{ID: "f2"})
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.m.Fleets["f1"] == nil {
+	if st.m.Fleets["f2"] == nil {
 		t.Error("a record the log refused was applied to the mirror")
 	}
+	if !strings.Contains(logged.String(), "store: append "+refused) {
+		t.Errorf("the refused append was not logged:\n%.200s", logged.String())
+	}
+}
+
+// TestSettledOnlyOnceJournaled holds the store's lock while a small
+// scenario run and a one-seed campaign finish: each waits in emit for its
+// record, and until the lock is released a client still reads it running.
+// An attempt in which the record beat the test to the lock is retried.
+func TestSettledOnlyOnceJournaled(t *testing.T) {
+	for _, tc := range []struct {
+		name, fleet, create, body, get, caller string
+	}{
+		{"scenario run", `{"name":"tiny","members":2,"nodes":2,"workers":2,"provision":false}`,
+			"/api/v1/fleets/f1/scenarios", `{"scenario": ` + smallScenario + `}`, // under checkpointEvery events
+			"/api/v1/fleets/f1/scenarios/s1", "executeRun"},
+		{"campaign", "", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1", "executeCampaign"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			caught := func() bool {
+				s, _ := openDurable(t, t.TempDir())
+				defer s.Close()
+				if tc.fleet != "" {
+					do(t, s, "POST", "/api/v1/fleets", tc.fleet, nil)
+				}
+				st := s.openTenant.store
+				started := st.log.Stats().NextSeq + 1 // the POST journals one record
+				if rec := do(t, s, "POST", tc.create, tc.body, nil); rec.Code != http.StatusAccepted {
+					t.Fatalf("POST %s: %d %s", tc.create, rec.Code, rec.Body.String())
+				}
+				st.mu.Lock()
+				if st.log.Stats().NextSeq != started {
+					st.mu.Unlock()
+					return false
+				}
+				for deadline := time.Now().Add(time.Minute); !blockedInEmit(tc.caller); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						st.mu.Unlock()
+						t.Fatalf("%s never reached emit", tc.caller)
+					}
+				}
+				var info struct {
+					State     string `json:"state"`
+					Completed int    `json:"completed"`
+				}
+				do(t, s, "GET", tc.get, "", &info)
+				st.mu.Unlock()
+				if info.State != "running" || info.Completed != 0 {
+					t.Fatalf("with its record unjournaled, GET %s = %+v, want running with nothing completed", tc.get, info)
+				}
+				for deadline := time.Now().Add(time.Minute); info.State == "running"; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s never settled", tc.get)
+					}
+					do(t, s, "GET", tc.get, "", &info)
+				}
+				if info.State != "passed" || st.log.Stats().NextSeq == started {
+					t.Fatalf("settled %q with nothing journaled after it started", info.State)
+				}
+				return true
+			}
+			for attempt := 1; !caught(); attempt++ {
+				if attempt == 20 {
+					t.Fatal("the record reached the lock first on every attempt")
+				}
+			}
+		})
+	}
+}
+
+// blockedInEmit reports whether some goroutine whose stack passes through
+// caller is inside store.emit, which — with the store's lock held — means
+// it waits for that lock with a record in hand.
+func blockedInEmit(caller string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*store).emit")) && bytes.Contains(g, []byte(caller)) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSettledRecordEncodeMatchesMarshal pins encode to json.Marshal's
@@ -442,13 +526,37 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 // defaults), "provision":false against an absent provision (true), and a
 // job submitted with zero cores.
 func TestRecordsRoundTrip(t *testing.T) {
+	for _, tc := range recordCases() {
+		data, err := encodeRecord(tc.rec)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if !bytes.Contains(data, []byte(tc.has)) || bytes.Contains(data, []byte(tc.lacks)) {
+			t.Errorf("%s: payload %s should carry %s and not %s", tc.name, data, tc.has, tc.lacks)
+		}
+		decoded, err := decodeRecord(tc.typ, data)
+		if err != nil {
+			t.Fatalf("%s: decodeRecord(%s, %s): %v", tc.name, tc.typ, data, err)
+		}
+		if got := reflect.ValueOf(decoded).Elem().Interface(); !reflect.DeepEqual(got, tc.rec) {
+			t.Errorf("%s: round trip through %s\n got: %#v\nwant: %#v", tc.name, data, got, tc.rec)
+		}
+	}
+}
+
+// recordCase is one record emit would log, with a key its payload must
+// carry and one it must not.
+type recordCase struct {
+	name, typ  string
+	rec        record
+	has, lacks string
+}
+
+// recordCases covers each of the 15 record types at least once.
+func recordCases() []recordCase {
 	no, yes := false, true
 	at := time.Date(2015, 9, 8, 12, 0, 0, 0, time.UTC)
-	for _, tc := range []struct {
-		name, typ  string
-		rec        record
-		has, lacks string // a key the payload must, and one it must not, carry
-	}{
+	return []recordCase{
 		{"no optional rolls", recDeploymentCreated, depCreatedRec{ID: "d1", Path: "xcbc", Created: at, Cluster: "LittleFe", Site: "IU", Nodes: 6,
 			Req: createDeploymentRequest{Cluster: "littlefe", Rolls: []string{}}}, `"rolls":[]`, `"profiles"`},
 		{"default rolls", recDeploymentCreated, depCreatedRec{ID: "d2", Path: "xnit", Created: at, Cluster: "Limulus", Site: "Tuskegee", Nodes: 4,
@@ -482,21 +590,6 @@ func TestRecordsRoundTrip(t *testing.T) {
 		{"campaign seed", recCampaignSeed, campaignSeedRec{ID: "c1", Outcome: xcbc.CampaignSeedOutcome{Seed: 9, State: xcbc.CampaignSeedFailed,
 			Failure: &xcbc.CampaignFailure{Seed: 9, Violations: []string{"jobs-conserved"}, Repro: json.RawMessage(`{"name":"repro"}`), ReproPhases: 2}}}, `"failure"`, `"error"`},
 		{"campaign settled", recCampaignSettled, campaignSettledRec{ID: "c1", State: "failed", Error: "1 of 2 seeds failed"}, `"error"`, `"spec"`},
-	} {
-		data, err := encodeRecord(tc.rec)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", tc.name, err)
-		}
-		if !bytes.Contains(data, []byte(tc.has)) || bytes.Contains(data, []byte(tc.lacks)) {
-			t.Errorf("%s: payload %s should carry %s and not %s", tc.name, data, tc.has, tc.lacks)
-		}
-		decoded, err := decodeRecord(tc.typ, data)
-		if err != nil {
-			t.Fatalf("%s: decodeRecord(%s, %s): %v", tc.name, tc.typ, data, err)
-		}
-		if got := reflect.ValueOf(decoded).Elem().Interface(); !reflect.DeepEqual(got, tc.rec) {
-			t.Errorf("%s: round trip through %s\n got: %#v\nwant: %#v", tc.name, data, got, tc.rec)
-		}
 	}
 }
 

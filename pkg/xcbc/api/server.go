@@ -83,13 +83,8 @@ const Version = "v1"
 // Config configures a Server.
 type Config struct {
 	// Repos are the repositories to serve, both through /api/v1 and the
-	// legacy Yum routes, all at the XNIT-recommended priority. For
-	// per-repository priorities (vendor below XNIT, as
-	// yum-plugin-priorities intends) use RepoConfigs instead.
+	// legacy Yum routes, all enabled at the XNIT-recommended priority.
 	Repos []*repo.Repository
-	// RepoConfigs are served with their configured priority and enabled
-	// flag, in addition to anything in Repos.
-	RepoConfigs []repo.Config
 	// Clock supplies metadata timestamps; nil means time.Now.
 	Clock func() time.Time
 	// Logger receives one line per request; nil disables request logging.
@@ -274,7 +269,7 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 		return s, &RecoveryReport{}, nil
 	}
 	agg := &RecoveryReport{DataDir: cfg.DataDir}
-	for i, tn := range s.tenants {
+	for _, tn := range s.tenants {
 		dir := cfg.DataDir
 		if tn.name != "" {
 			dir = filepath.Join(cfg.DataDir, "tenants", tn.name)
@@ -283,10 +278,6 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 		if err != nil {
 			s.Close() // release the stores tenants before this one opened
 			return nil, nil, err
-		}
-		if i == 0 && tn.name == "" {
-			// Open mode: the single report, byte-faithful to pre-tenancy.
-			return s, report, nil
 		}
 		agg.merge(report)
 	}
@@ -330,9 +321,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	for _, r := range cfg.Repos {
 		s.set.Add(repo.Config{Repo: r, Priority: xcbc.XNITPriority, Enabled: true, GPGCheck: true})
-	}
-	for _, c := range cfg.RepoConfigs {
-		s.set.Add(c)
 	}
 
 	mux := http.NewServeMux()

@@ -436,32 +436,6 @@ func TestDeploymentStatusRace(t *testing.T) {
 	}
 }
 
-func TestRepoConfigsKeepPriorities(t *testing.T) {
-	vendor := repo.New("sl-base", "Scientific Linux base", "")
-	if err := vendor.Publish(rpm.NewPackage("python", "2.6.6-52.el6.sl", rpm.ArchX86_64).Build()); err != nil {
-		t.Fatal(err)
-	}
-	xnit, err := xcbc.NewXNITRepository()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{RepoConfigs: []repo.Config{
-		{Repo: vendor, Priority: 10, Enabled: true},
-		{Repo: xnit, Priority: xcbc.XNITPriority, Enabled: true},
-	}})
-	var one repoInfo
-	do(t, s, "GET", "/api/v1/repos/sl-base", "", &one)
-	if one.Priority != 10 {
-		t.Errorf("vendor priority = %d, want 10", one.Priority)
-	}
-	// Priority shadowing must hold in depsolve: the vendor python wins.
-	var resp depsolveResponse
-	do(t, s, "POST", "/api/v1/depsolve", `{"install":["python"]}`, &resp)
-	if len(resp.Installs) != 1 || resp.Installs[0].Version != "2.6.6-52.el6.sl" {
-		t.Errorf("depsolve chose %+v, want the vendor python build", resp.Installs)
-	}
-}
-
 func TestYumRoutesFollowLiveSet(t *testing.T) {
 	s := newTestServer(t)
 	mirror := repo.New("campus", "Campus mirror", "")

@@ -277,28 +277,13 @@ type store struct {
 	mu    sync.Mutex
 	m     *mirror
 	dirty int // records appended since the last snapshot
-
-	// queue holds coalesced hot records (campaign seed outcomes) already
-	// applied to the mirror but not yet written to the WAL. One AppendBatch
-	// write flushes it when it reaches groupCommitAt entries, before any
-	// non-coalesced record is appended, before every snapshot, and on close,
-	// so log order always equals mirror order. A hard crash can lose the
-	// queued tail, the durability window fsync batching already allows:
-	// recovery then sees fewer outcomes, never reordered or corrupted ones.
-	queue []wal.BatchEntry
 }
 
-// groupCommitAt is the store's batching grain: how many coalesced hot
-// records may queue before one WAL batch write flushes them, and how many
-// trace events a scenario run hashes between two scenario.progress
-// checkpoints. Either way a hard crash loses at most groupCommitAt-1.
-const groupCommitAt = 64
-
-// coalesced reports whether a record type is high-frequency enough to ride
-// the group-commit queue rather than paying a WAL write per record. A
-// progress checkpoint is not: queued, it would reach the file only when its
-// run settles, and the replay oracle would have nothing to verify.
-func coalesced(typ string) bool { return typ == recCampaignSeed }
+// checkpointEvery is how many trace events a scenario run hashes between
+// two scenario.progress checkpoints: a replay after a crash is verified
+// against a recorded hash at most checkpointEvery-1 events short of where
+// the run had got to.
+const checkpointEvery = 64
 
 // RecoveryReport summarizes what Open recovered from a data directory.
 // Every count is decided when Open returns. Rebuilt and OpsReplayed count
@@ -425,40 +410,20 @@ func (r *RecoveryReport) merge(o *RecoveryReport) {
 	r.Elapsed += o.Elapsed
 }
 
-// close stops the store's watchers, flushes any queued group commit and
-// the WAL, and closes it. Safe to call once; appends arriving afterwards
-// are dropped (ErrClosed).
+// close stops the store's watchers, then syncs and closes the WAL. Safe to
+// call once; appends arriving afterwards are dropped (ErrClosed).
 func (st *store) close() error {
 	st.cancel()
 	st.wg.Wait()
-	st.mu.Lock()
-	st.wrote("flush on close", "", st.flushLocked())
-	st.mu.Unlock()
 	return st.log.Close()
-}
-
-// flushLocked writes every queued hot record to the WAL as one group
-// commit. The queue is consumed whether or not the write succeeds — the
-// records are already in the mirror, and a failed batch is the same lost
-// tail a failed single append always was. Callers hold st.mu.
-func (st *store) flushLocked() error {
-	if len(st.queue) == 0 {
-		return nil
-	}
-	_, err := st.log.AppendBatch(st.queue)
-	st.dirty += len(st.queue)
-	st.queue = st.queue[:0]
-	return err
 }
 
 // emit persists one record and applies it to the mirror, in one critical
 // section so mirror order always matches log order, then takes a snapshot
-// if the cadence says one is due. A record is marshalled, appended, and
-// only then applied: the mirror takes the typed value itself (decoding is
-// recovery's job alone) and holds nothing the log refused — except the hot
-// types that ride the group-commit queue, applied when queued, which are
-// the tail a failed flush loses. A direct append flushes the queue first,
-// so on-disk order equals apply order, and is attempted even if that fails.
+// if the cadence says one is due. Every record type takes the same path:
+// marshalled, appended, and only then applied, so the mirror takes the
+// typed value itself (decoding is recovery's job alone) and holds nothing
+// the log refused.
 func (st *store) emit(typ string, rec record) {
 	data, err := encodeRecord(rec)
 	if err != nil {
@@ -467,21 +432,11 @@ func (st *store) emit(typ string, rec record) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if coalesced(typ) {
-		rec.apply(st.m)
-		// The queued entry must own its bytes: data escapes this call.
-		st.queue = append(st.queue, wal.BatchEntry{Type: typ, Data: data})
-		if len(st.queue) < groupCommitAt || !st.wrote("flush", "", st.flushLocked()) {
-			return
-		}
-	} else {
-		st.wrote("flush before ", typ, st.flushLocked())
-		if _, err := st.log.Append(typ, data); !st.wrote("append ", typ, err) {
-			return
-		}
-		rec.apply(st.m)
-		st.dirty++
+	if _, err := st.log.Append(typ, data); !st.wrote("append ", typ, err) {
+		return
 	}
+	rec.apply(st.m)
+	st.dirty++
 	if st.dirty >= st.snapEvery {
 		st.wrote("snapshot", "", st.snapshotLocked())
 	}
@@ -505,14 +460,8 @@ func (st *store) wrote(op, typ string, err error) bool {
 }
 
 // snapshotLocked writes the mirror as a snapshot, letting the WAL truncate
-// the history it covers. A snapshot must capture only logged records, so
-// the queue is flushed first — otherwise recovery would re-apply the
-// queued tail on top of a mirror image that already contains it. Callers
-// hold st.mu.
+// the history it covers. Callers hold st.mu.
 func (st *store) snapshotLocked() error {
-	if err := st.flushLocked(); err != nil {
-		return err
-	}
 	state, err := json.Marshal(st.m)
 	if err != nil {
 		return fmt.Errorf("marshal mirror: %w", err)
@@ -1023,7 +972,6 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 			ID:       rm.Started.RunID,
 			Scenario: rm.Started.Name,
 			Created:  rm.Started.Created,
-			done:     make(chan struct{}),
 		}
 		if rm.State != "" {
 			// Settled before the crash: reload the full recorded result.
@@ -1036,7 +984,6 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 					return nil, nil, fmt.Errorf("api: restoring run %s/%s: %w", fr.ID, run.ID, err)
 				}
 			}
-			close(run.done)
 			report.Runs++
 			fr.runs.restore(run.ID, run)
 			continue
