@@ -1,10 +1,10 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"xcbc/pkg/xcbc"
@@ -14,8 +14,9 @@ import (
 // pkg/xcbc's RunCampaignObserved. A campaign is an asynchronous sweep of generated
 // scenarios — POST validates the spec and answers 202 Accepted; clients
 // poll GET for progress (per-seed counters land in seed order) and, once
-// seeds fail, for the shrunk repro scripts. Every per-seed outcome is
-// journaled through the durable store, so a campaign interrupted by a
+// seeds fail, for the shrunk repro scripts. A campaign is served from its
+// mirror row, and every per-seed outcome reaches the row through the store
+// — journaled first on a durable server — so a campaign interrupted by a
 // crash reports its partial results after restart instead of vanishing.
 
 // Caps on a single campaign request so one POST cannot commit the control
@@ -25,22 +26,6 @@ const (
 	maxCampaignSeeds   = 4096
 	maxCampaignWorkers = 32
 )
-
-// campaignRecord is one managed campaign sweep: the identity and spec it
-// started (and was journaled) with, plus its live progress.
-type campaignRecord struct {
-	campaignStartedRec
-	tn *tenant
-
-	mu        sync.Mutex
-	state     string // "running", "passed", "failed", "error", "interrupted"
-	errMsg    string
-	completed int
-	passed    int
-	failed    int
-	errs      int
-	failures  []xcbc.CampaignFailure
-}
 
 // campaignInfo is the JSON shape of one campaign. Counters advance in
 // seed order while the sweep runs; Failures carries every failing seed's
@@ -61,35 +46,31 @@ type campaignInfo struct {
 	Failures     []xcbc.CampaignFailure `json:"failures,omitempty"`
 }
 
-func campaignInfoOf(cr *campaignRecord) campaignInfo {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return campaignInfo{
-		ID: cr.ID, Created: cr.Created, State: cr.state, Error: cr.errMsg,
-		Seeds: cr.Spec.Seeds, StartSeed: cr.Spec.StartSeed,
-		Workers: cr.Spec.Workers, ShrinkBudget: cr.Spec.ShrinkBudget,
-		Completed: cr.completed, Passed: cr.passed,
-		Failed: cr.failed, Errors: cr.errs,
-		Failures: append([]xcbc.CampaignFailure(nil), cr.failures...),
+// campaignInfoOf renders a campaign's row; the counters are counted from
+// its outcomes.
+func campaignInfoOf(c *campaignMirror) campaignInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	spec := c.Started.Spec
+	info := campaignInfo{
+		ID: c.Started.ID, Created: c.Started.Created, State: cmp.Or(c.State, "running"), Error: c.Error,
+		Seeds: spec.Seeds, StartSeed: spec.StartSeed, Workers: spec.Workers, ShrinkBudget: spec.ShrinkBudget,
+		Completed: len(c.Outcomes),
 	}
-}
-
-// absorb folds one seed outcome into the record's counters.
-func (cr *campaignRecord) absorb(out xcbc.CampaignSeedOutcome) {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	cr.completed++
-	switch out.State {
-	case xcbc.CampaignSeedPassed:
-		cr.passed++
-	case xcbc.CampaignSeedFailed:
-		cr.failed++
-		if out.Failure != nil {
-			cr.failures = append(cr.failures, *out.Failure)
+	for _, out := range c.Outcomes {
+		switch out.State {
+		case xcbc.CampaignSeedPassed:
+			info.Passed++
+		case xcbc.CampaignSeedFailed:
+			info.Failed++
+			if out.Failure != nil {
+				info.Failures = append(info.Failures, *out.Failure)
+			}
+		default:
+			info.Errors++
 		}
-	default:
-		cr.errs++
 	}
+	return info
 }
 
 // settleState reduces final counters to a campaign state: "passed" only
@@ -146,39 +127,34 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tn := s.tenant(r)
-	cr, quota := tn.campaigns.insert(func(id string) *campaignRecord {
-		return &campaignRecord{
-			campaignStartedRec: campaignStartedRec{ID: id, Spec: spec, Created: s.clock()},
-			tn:                 tn, state: "running",
-		}
+	row, quota := tn.campaigns.insert(func(id string) *campaignMirror {
+		return &campaignMirror{Started: campaignStartedRec{ID: id, Spec: spec, Created: s.clock()}}
 	})
 	if quota != nil {
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.emit(recCampaignStarted, cr.campaignStartedRec)
-	accepted := campaignInfoOf(cr) // before the sweep starts: always "running"
-	go s.executeCampaign(cr)
+	started := row.Started
+	started.row = row
+	tn.store.emit(recCampaignStarted, started)
+	accepted := campaignInfoOf(row) // before the sweep starts: always "running"
+	go s.executeCampaign(tn.store, row)
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // executeCampaign drives one campaign to settlement on its own goroutine.
 // The per-seed observer runs on the campaign's goroutine in seed order, so
-// counters (and the journal records they emit) advance deterministically
-// even though the pool interleaves the underlying runs. Each outcome, and
-// the settled state, is journaled before a client can read it.
-func (s *Server) executeCampaign(cr *campaignRecord) {
-	st := cr.tn.store
-	spec := cr.Spec
+// the outcomes (and the records that carry them) advance deterministically
+// even though the pool interleaves the underlying runs. The row a client
+// reads changes only when apply writes a journaled outcome or state.
+func (s *Server) executeCampaign(st *store, row *campaignMirror) {
+	id, spec := row.Started.ID, row.Started.Spec
 	if spec.CheckHook == nil {
 		spec.CheckHook = s.campaignHook
 	}
 	res, err := xcbc.RunCampaignObserved(context.Background(), spec,
 		func(out xcbc.CampaignSeedOutcome) {
-			if st != nil {
-				st.emit(recCampaignSeed, campaignSeedRec{ID: cr.ID, Outcome: out})
-			}
-			cr.absorb(out)
+			st.emit(recCampaignSeed, campaignSeedRec{ID: id, Outcome: out})
 		})
 	var state, errMsg string
 	if res == nil {
@@ -186,44 +162,30 @@ func (s *Server) executeCampaign(cr *campaignRecord) {
 	} else {
 		state, errMsg = settleState(res.Failed, res.Errors, err)
 	}
-	if st != nil {
-		st.emit(recCampaignSettled, campaignSettledRec{ID: cr.ID, State: state, Error: errMsg})
-	}
-	cr.mu.Lock()
-	cr.state, cr.errMsg = state, errMsg
-	cr.mu.Unlock()
+	st.emit(recCampaignSettled, campaignSettledRec{ID: id, State: state, Error: errMsg})
 }
 
 // handleCampaign reports one campaign's progress — and, once seeds fail,
 // the shrunk repros.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	cr, ok := s.tenant(r).campaigns.get(r.PathValue("id"))
+	row, ok := s.tenant(r).campaigns.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignInfoOf(cr))
+	writeJSON(w, http.StatusOK, campaignInfoOf(row))
 }
 
-// recoverCampaign materializes one campaign from its mirror entry. A
-// campaign that settled before the crash reloads its recorded outcomes; a
-// campaign in flight at the crash settles as "interrupted" — its journaled
-// per-seed outcomes are the partial result, and the sweep is not re-run
-// (generated seeds are cheap to re-sweep explicitly; silently burning CPU
-// on restart is not this store's call to make).
-func (st *store) recoverCampaign(m campaignMirror, report *RecoveryReport) *campaignRecord {
-	cr := &campaignRecord{campaignStartedRec: m.Started, tn: st.tn}
-	for _, out := range m.Outcomes {
-		cr.absorb(out)
-	}
-	if m.State == "" {
-		msg := fmt.Sprintf("interrupted: the server terminated after %d of %d seeds", cr.completed, cr.Spec.Seeds)
-		cr.state, cr.errMsg = "interrupted", msg
-		st.emit(recCampaignSettled, campaignSettledRec{ID: cr.ID, State: cr.state, Error: msg})
-		report.CampaignsInterrupted++
-	} else {
-		cr.state, cr.errMsg = m.State, m.Error
-	}
+// recoverCampaign settles a campaign in flight at the crash as
+// "interrupted": its journaled outcomes are the partial result, and the
+// sweep is not re-run (generated seeds are cheap to re-sweep explicitly;
+// silently burning CPU on restart is not this store's call to make).
+func (st *store) recoverCampaign(c *campaignMirror, report *RecoveryReport) {
 	report.Campaigns++
-	return cr
+	if c.State != "" {
+		return
+	}
+	msg := fmt.Sprintf("interrupted: the server terminated after %d of %d seeds", len(c.Outcomes), c.Started.Spec.Seeds)
+	st.emit(recCampaignSettled, campaignSettledRec{ID: c.Started.ID, State: "interrupted", Error: msg})
+	report.CampaignsInterrupted++
 }

@@ -175,6 +175,34 @@ func TestCampaignDurableSettled(t *testing.T) {
 	waitCampaign(t, s2, next.ID)
 }
 
+// TestCloseWhileCampaignRuns closes a durable server the moment a campaign
+// starts. The sweep goes on journaling through its tenant's store while
+// Close shuts that store down: under -race the two must not touch the
+// same memory unsynchronized, the outcomes that arrive after Close are
+// dropped, and the DataDir reopens with the campaign settled.
+func TestCloseWhileCampaignRuns(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	if rec := do(t, s, "POST", "/api/v1/campaigns", `{"seeds":2,"workers":1}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("create campaign: %d %s", rec.Code, rec.Body.String())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Let the sweep finish inside the test, so the detector sees all of it.
+	for deadline := time.Now().Add(2 * time.Minute); inStack("executeCampaign"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the campaign never finished")
+		}
+	}
+	s2, rep := openDurable(t, dir)
+	defer s2.Close()
+	var info campaignInfo
+	if rec := do(t, s2, "GET", "/api/v1/campaigns/c1", "", &info); rec.Code != http.StatusOK || rep.Campaigns != 1 || info.State == "running" {
+		t.Fatalf("reopened after Close: report %+v, campaign %+v", rep, info)
+	}
+}
+
 // TestCampaignInterruptedRecovery synthesizes the WAL of a server that
 // died mid-campaign — started, two of four seeds journaled, no settled
 // record — and requires recovery to surface the partial results as an

@@ -196,7 +196,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.submit", Job: &req, JobID: job.ID})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.submit", Job: &req, JobID: job.ID})
 	writeJSON(w, http.StatusCreated, jobInfoOf(job))
 }
 
@@ -266,7 +266,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.cancel", JobID: id})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.cancel", JobID: id})
 	job, _ := cl.Job(id)
 	writeJSON(w, http.StatusOK, jobInfoOf(job))
 }
@@ -295,7 +295,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// A metrics request polls the nodes (bumping the poll counter), so it
 	// is a recorded, replayed mutation like any other day-2 op.
 	m := cl.Metrics()
-	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "metrics"})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "metrics"})
 	out := metricsInfo{
 		At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
 		Nodes:        make([]nodeMetricsInfo, 0, len(m.Nodes)),
@@ -430,7 +430,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// so a recovery replay re-applies the same update window.
 	now := s.clock()
 	check := cl.CheckUpdates(policy, now)
-	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "updates", Policy: p, At: now})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "updates", Policy: p, At: now})
 	out := updatesInfo{
 		Policy:       policy.String(),
 		PendingTotal: check.PendingTotal(),
@@ -474,6 +474,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := cl.Advance(d)
-	tn.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "advance", Duration: req.Duration})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "advance", Duration: req.Duration})
 	writeJSON(w, http.StatusOK, map[string]string{"virtual_now": now.String()})
 }

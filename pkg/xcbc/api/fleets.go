@@ -1,6 +1,7 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,14 +29,15 @@ const (
 )
 
 // fleetRecord is one managed fleet — the identity it was created (and
-// journaled) with, plus the live fleet — and its scenario run history. tn
-// is the owning tenant, so the run executor (shared by the live path and
-// recovery) journals through the right shard's store.
+// journaled) with, plus the live fleet — and its scenario runs, served
+// from their mirror rows. tn is the owning tenant, so the run executor
+// (shared by the live path and recovery) journals through the right
+// shard's store.
 type fleetRecord struct {
 	fleetCreatedRec
 	Fleet *xcbc.Fleet
 	tn    *tenant
-	runs  *registry[*scenarioRun]
+	runs  *registry[*runMirror]
 
 	mu      sync.Mutex
 	runLive bool // a scenario is currently executing
@@ -44,26 +46,8 @@ type fleetRecord struct {
 func newFleetRecord(rec fleetCreatedRec, fl *xcbc.Fleet, tn *tenant) *fleetRecord {
 	return &fleetRecord{
 		fleetCreatedRec: rec, Fleet: fl, tn: tn,
-		runs: newRegistry[*scenarioRun]("s", "scenario runs", 0),
+		runs: newRegistry[*runMirror]("s", "scenario runs", 0),
 	}
-}
-
-// scenarioRun is one asynchronous scenario execution.
-type scenarioRun struct {
-	ID       string
-	Scenario string
-	Created  time.Time
-
-	mu     sync.Mutex
-	state  string // "running", "passed", "failed", "error"
-	result *xcbc.ScenarioResult
-	err    error
-}
-
-func (r *scenarioRun) snapshot() (state string, result *xcbc.ScenarioResult, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state, r.result, r.err
 }
 
 // createFleetRequest provisions a new fleet of simulated clusters. The
@@ -176,7 +160,7 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.emit(recFleetCreated, fr.fleetCreatedRec)
+	tn.store.emit(recFleetCreated, fr.fleetCreatedRec)
 	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
 }
 
@@ -222,7 +206,7 @@ func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict,
 			"a scenario is still running on this fleet; wait for it to settle before deleting")
 	case removed:
-		tn.emit(recFleetDeleted, fleetDeletedRec{ID: id})
+		tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		fr.Fleet.Cancel()
@@ -252,14 +236,14 @@ type scenarioRunInfo struct {
 	NextCursor int                 `json:"next_cursor"`
 }
 
-func runInfoOf(run *scenarioRun, withEvents bool, pg page) scenarioRunInfo {
-	state, result, err := run.snapshot()
+func runInfoOf(run *runMirror, withEvents bool, pg page) scenarioRunInfo {
+	run.mu.Lock()
 	info := scenarioRunInfo{
-		ID: run.ID, Scenario: run.Scenario, State: state, Created: run.Created,
+		ID: run.Started.RunID, Scenario: run.Started.Name, State: cmp.Or(run.State, "running"),
+		Created: run.Started.Created, Error: run.Error,
 	}
-	if err != nil {
-		info.Error = err.Error()
-	}
+	result := run.Result
+	run.mu.Unlock()
 	if result != nil {
 		info.Passed = result.Passed()
 		info.Violations = result.Violations()
@@ -330,21 +314,18 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	fr.runLive = true
 	fr.mu.Unlock()
-	run, _ := fr.runs.insert(func(id string) *scenarioRun {
-		return &scenarioRun{
-			ID: id, Scenario: sc.Name(), Created: s.clock(),
-			state: "running",
-		}
-	})
-
 	doc, err := sc.JSON()
 	if err != nil {
 		doc = req.Scenario // inline doc as submitted; never nil for builtins
 	}
-	tn.emit(recScenarioStarted, scenarioStartedRec{
-		FleetID: fr.ID, RunID: run.ID, Name: sc.Name(),
-		Scenario: doc, Created: run.Created,
+	run, _ := fr.runs.insert(func(id string) *runMirror {
+		return &runMirror{Started: scenarioStartedRec{
+			FleetID: fr.ID, RunID: id, Name: sc.Name(), Scenario: doc, Created: s.clock(),
+		}}
 	})
+	started := run.Started
+	started.row = run
+	tn.store.emit(recScenarioStarted, started)
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
 	accepted := runInfoOf(run, false, page{})
@@ -352,18 +333,20 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
-// executeRun drives one scenario run to settlement. The live handler
-// calls it on a fresh goroutine; recovery calls it synchronously, with a
-// replay target, to re-run a scenario that was in flight at a crash — in
-// that case the regenerated trace's rolling hash must reproduce the
-// recorded hash at the recorded cursor, or the run settles as "error"
-// rather than presenting a trace the crashed server never produced.
-func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario, target *replayTarget) {
+// executeRun drives one scenario run to settlement and returns the run's
+// error. The live handler calls it on a fresh goroutine; recovery calls it
+// synchronously, with a replay target, to re-run a scenario that was in
+// flight at a crash — in that case the regenerated trace's rolling hash
+// must reproduce the recorded hash at the recorded cursor, or the run
+// settles as "error" rather than presenting a trace the crashed server
+// never produced.
+func (s *Server) executeRun(fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
 	st := fr.tn.store
 	var obs func(xcbc.TraceEvent)
 	var got uint64
 	var reached bool
-	if st != nil {
+	if st.log != nil {
+		// Checkpoints exist for replay, and only a log replays.
 		th := newTraceHash()
 		obs = func(ev xcbc.TraceEvent) {
 			cursor, sum := th.add(ev)
@@ -374,7 +357,7 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 			// every event is hashed and one in checkpointEvery journaled.
 			if cursor%checkpointEvery == 0 {
 				st.emit(recScenarioProgress, scenarioProgressRec{
-					FleetID: fr.ID, RunID: run.ID, Cursor: cursor, Hash: sum,
+					FleetID: fr.ID, RunID: run.Started.RunID, Cursor: cursor, Hash: sum,
 				})
 			}
 		}
@@ -391,30 +374,23 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 	case result.Passed():
 		state = "passed"
 	}
-	// Journal the outcome before publishing it: a client that reads the
-	// settled state must find it in the log after a crash.
-	if st != nil {
-		rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.ID, State: state}
-		if err != nil {
-			rec.Error = err.Error()
-		} else if data, jerr := result.ResultJSON(); jerr == nil {
-			rec.Result = data
-		}
-		st.emit(recScenarioSettled, rec)
-		// A provision phase may have built the fleet's members mid-run;
-		// record that so recovery re-provisions before restoring results.
-		if fr.Fleet.Provisioned() {
-			st.emit(recFleetProvisioned, fleetProvisionedRec{ID: fr.ID})
-		}
+	rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.Started.RunID, State: state, Result: result}
+	if err != nil {
+		rec.Error = err.Error()
 	}
-	// The fleet is free before the run reads settled, so a client that saw
-	// it settle may delete the fleet or start the next run at once.
+	// The row settles only when apply writes the journaled outcome, and the
+	// fleet is freed under the same fr.mu, so a client that saw the run
+	// settle may delete the fleet or start the next run at once.
 	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	st.emit(recScenarioSettled, rec)
+	// A provision phase may have built the fleet's members mid-run; record
+	// that so recovery re-provisions before restoring results.
+	if fr.Fleet.Provisioned() {
+		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: fr.ID})
+	}
 	fr.runLive = false
-	fr.mu.Unlock()
-	run.mu.Lock()
-	run.state, run.result, run.err = state, result, err
-	run.mu.Unlock()
+	return err
 }
 
 func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
@@ -423,7 +399,7 @@ func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	servePage(w, r, "runs", fr.runs, func(run *scenarioRun) scenarioRunInfo {
+	servePage(w, r, "runs", fr.runs, func(run *runMirror) scenarioRunInfo {
 		return runInfoOf(run, false, page{})
 	})
 }

@@ -344,7 +344,7 @@ func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
 	}
 	fr, _ := s.openTenant.fleets.get("f1")
 	run, _ := fr.runs.get("s1")
-	_, result, _ := run.snapshot()
+	_, result, _ := settled(run)
 	whole := result.Trace()
 	if len(whole) < 400 || result.TraceLen() != len(whole) {
 		t.Fatalf("trace has %d events, TraceLen %d", len(whole), result.TraceLen())

@@ -4,8 +4,9 @@ package api
 // were written at commit c9f0cff — the parent of the registry/typed-store
 // refactor — so these tests fail on any drift in response bytes (envelope
 // key order included: bench/work parses list bodies by first occurrence),
-// record payloads or snapshot JSON. A live server and one recovered from
-// the fixture answer with the same bytes, so one golden serves both.
+// record payloads or snapshot JSON. A live server, memory-only or durable,
+// one reopened on what the durable one wrote, and one recovered from the
+// fixture answer with the same bytes, so one golden serves all four.
 
 import (
 	"bytes"
@@ -161,13 +162,40 @@ func pinCompare(t *testing.T, got []byte) {
 }
 
 // TestWirePinnedToParent replays the fixed population on a memory-only
-// server and compares every pinned body byte for byte.
+// server and on a durable one opened on a fresh DataDir, and compares every
+// pinned body byte for byte — then closes the durable one, reopens it on
+// what it wrote, and compares again.
 func TestWirePinnedToParent(t *testing.T) {
-	var failing atomic.Bool
-	s := New(pinConfig(&failing))
-	defer s.Close()
-	pinPopulate(t, s, &failing)
-	pinCompare(t, pinBodies(t, s))
+	t.Run("memory-only", func(t *testing.T) {
+		var failing atomic.Bool
+		s := New(pinConfig(&failing))
+		defer s.Close()
+		pinPopulate(t, s, &failing)
+		pinCompare(t, pinBodies(t, s))
+	})
+	t.Run("durable then reopened", func(t *testing.T) {
+		var failing atomic.Bool
+		cfg := pinConfig(&failing)
+		cfg.DataDir = t.TempDir()
+		s, _, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinPopulate(t, s, &failing)
+		pinCompare(t, pinBodies(t, s))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, rep, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if rep.Deployments != 3 || rep.Fleets != 2 || rep.Runs != 2 || rep.Campaigns != 2 {
+			t.Fatalf("recovery report = %+v", rep)
+		}
+		pinCompare(t, pinBodies(t, s))
+	})
 }
 
 // TestDiskPinnedToParent opens a copy of the parent-written DataDir and

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -80,7 +81,7 @@ func synthesizeCrash(t *testing.T, dir string, sc *xcbc.Scenario, cursor int, ha
 }
 
 // recoveredRun digs the single scenario run out of a recovered server.
-func recoveredRun(t *testing.T, s *Server) *scenarioRun {
+func recoveredRun(t *testing.T, s *Server) *runMirror {
 	t.Helper()
 	fr, ok := s.openTenant.fleets.get("f1")
 	if !ok {
@@ -91,6 +92,18 @@ func recoveredRun(t *testing.T, s *Server) *scenarioRun {
 		t.Fatalf("recovered %d runs (s1 present: %v), want exactly s1", fr.runs.len(), ok)
 	}
 	return run
+}
+
+// settled reads a run's row as its routes do: its state, its result, and
+// its error as an error (nil when the row has none).
+func settled(run *runMirror) (string, *xcbc.ScenarioResult, error) {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	var err error
+	if run.Error != "" {
+		err = errors.New(run.Error)
+	}
+	return run.State, run.Result, err
 }
 
 // TestReplayOracleGoldenTraces is the durability subsystem's end-to-end
@@ -120,7 +133,7 @@ func TestReplayOracleGoldenTraces(t *testing.T) {
 				t.Fatalf("recovery report = %+v, want 1 replayed run with no mismatch", rep)
 			}
 			run := recoveredRun(t, s)
-			state, result, runErr := run.snapshot()
+			state, result, runErr := settled(run)
 			if state != "passed" || runErr != nil {
 				t.Fatalf("replayed run settled %q (%v), want passed", state, runErr)
 			}
@@ -137,7 +150,7 @@ func TestReplayOracleGoldenTraces(t *testing.T) {
 				t.Fatalf("second recovery = %+v, want restored (not replayed) run", rep2)
 			}
 			run2 := recoveredRun(t, s2)
-			_, result2, _ := run2.snapshot()
+			_, result2, _ := settled(run2)
 			if !bytes.Equal(result2.TraceJSONL(), golden) {
 				t.Fatal("restored trace diverged from golden after second recovery")
 			}
@@ -164,7 +177,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 		t.Fatalf("recovery report = %+v, want 1 replay mismatch", rep)
 	}
 	run := recoveredRun(t, s)
-	state, _, runErr := run.snapshot()
+	state, _, runErr := settled(run)
 	if state != "error" || runErr == nil {
 		t.Fatalf("diverged run settled %q (%v), want error", state, runErr)
 	}

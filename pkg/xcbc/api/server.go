@@ -129,9 +129,10 @@ type routeInfo struct {
 	handler http.HandlerFunc
 }
 
-// Server is the HTTP control plane. Create with New, serve via Handler
-// (for tests and embedding) or Serve (timeouts + graceful shutdown
-// included).
+// Server is the HTTP control plane. Create with Open (durable when
+// Config.DataDir is set) or New (memory-only), serve via Handler (for tests
+// and embedding) or Serve (timeouts + graceful shutdown included), and
+// Close when done.
 type Server struct {
 	set        *repo.Set
 	clock      func() time.Time
@@ -253,9 +254,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Open builds a server like New and, when cfg.DataDir is set, attaches
-// the durable stores: each tenant's state is recovered from its own
-// snapshot and write-ahead log before Open returns (see RecoveryReport
+// Open builds a server like New and, when cfg.DataDir is set, attaches a
+// write-ahead log to each tenant's store: each tenant's state is recovered
+// from its own snapshot and log before Open returns (see RecoveryReport
 // for what that entails; in multi-tenant mode the report aggregates all
 // tenants), and every subsequent mutation is journaled. The open tenant
 // journals at the DataDir root; named tenants under DataDir/tenants/.
@@ -274,7 +275,7 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 		if tn.name != "" {
 			dir = filepath.Join(cfg.DataDir, "tenants", tn.name)
 		}
-		report, err := openStore(s, tn, dir, cfg)
+		report, err := tn.store.open(dir)
 		if err != nil {
 			s.Close() // release the stores tenants before this one opened
 			return nil, nil, err
@@ -285,17 +286,13 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 }
 
 // Close stops the server's background work (store watchers, streams) and
-// flushes and closes every tenant's write-ahead log. A memory-only
-// server's Close is a cheap no-op. Serve does not call Close; the caller
-// owns it.
+// flushes and closes every tenant's write-ahead log. Serve does not call
+// Close; the caller owns it.
 func (s *Server) Close() error {
 	s.closingOnce.Do(func() { close(s.closing) })
 	var errs []error
 	for _, tn := range s.tenants {
-		if tn.store != nil {
-			errs = append(errs, tn.store.close())
-			tn.store = nil
-		}
+		errs = append(errs, tn.store.close())
 	}
 	return errors.Join(errs...)
 }
@@ -318,6 +315,9 @@ func newServer(cfg Config) (*Server, error) {
 		tenants:      tenants,
 		openTenant:   open,
 		campaignHook: cfg.CampaignHook,
+	}
+	for _, tn := range tenants {
+		tn.store = newStore(s, tn, cfg)
 	}
 	for _, r := range cfg.Repos {
 		s.set.Add(repo.Config{Repo: r, Priority: xcbc.XNITPriority, Enabled: true, GPGCheck: true})
@@ -919,10 +919,8 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	if tn.store != nil {
-		tn.store.emit(recDeploymentCreated, dep.depCreatedRec)
-		tn.store.watchDeployment(dep)
-	}
+	tn.store.emit(recDeploymentCreated, dep.depCreatedRec)
+	tn.store.watchDeployment(dep)
 	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
 }
 
@@ -1061,7 +1059,7 @@ func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) 
 	case !found:
 		writeError(w, http.StatusNotFound, "unknown deployment")
 	case removed:
-		tn.emit(recDeploymentDeleted, depDeletedRec{ID: id})
+		tn.store.emit(recDeploymentDeleted, depDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		dep.Handle.Cancel()

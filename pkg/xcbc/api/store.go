@@ -1,15 +1,17 @@
 package api
 
-// Durability: the server journals every resource mutation to a write-ahead
-// log (internal/wal) and periodically snapshots its state, so a restart
-// with the same data directory recovers deployments, fleets, and scenario
-// runs. The store keeps an in-memory mirror — the persistent model — that
-// every WAL record is applied to as it is appended; a snapshot is just the
-// marshalled mirror, and recovery is "load snapshot, re-apply the WAL
-// tail, materialize live resources from the mirror". A record is a typed
-// value with one apply method: the live path applies the value it emitted,
-// recovery applies decodeRecord of the logged bytes, and a record recovery
-// cannot decode fails Open rather than being skipped. Materializing means:
+// Durability: every tenant's store applies each resource mutation, as a
+// typed record, to an in-memory mirror — the persistent model, whose rows
+// serve scenario runs and campaigns. A durable server's store journals the
+// record to a write-ahead log (internal/wal) first and periodically
+// snapshots its state, so a restart with the same data directory recovers
+// deployments, fleets, and scenario runs; a memory-only server's has no
+// log. A snapshot is just the marshalled mirror, and recovery is "load
+// snapshot, re-apply the WAL tail, materialize live resources from the
+// mirror". A record is a typed value with one apply method: the live path
+// applies the value it emitted, recovery applies decodeRecord of the
+// logged bytes, and a record recovery cannot decode fails Open rather than
+// being skipped. Materializing means:
 //
 //   - deployments that settled ready are rebuilt deterministically from
 //     their recorded request, then their recorded day-2 operations (job
@@ -151,12 +153,15 @@ type fleetCreatedRec struct {
 // its journal — so the ones an older DataDir holds are decoded and dropped.
 type fleetMemberRec struct{}
 
+// scenarioStartedRec starts a run. row is the live path's: the row the
+// handler already serves, which apply adopts; a decoded record has none.
 type scenarioStartedRec struct {
 	FleetID  string          `json:"fleet_id"`
 	RunID    string          `json:"run_id"`
 	Name     string          `json:"name"`
 	Scenario json.RawMessage `json:"scenario"`
 	Created  time.Time       `json:"created"`
+	row      *runMirror
 }
 
 type scenarioProgressRec struct {
@@ -167,32 +172,38 @@ type scenarioProgressRec struct {
 }
 
 type scenarioSettledRec struct {
-	FleetID string          `json:"fleet_id"`
-	RunID   string          `json:"run_id"`
-	State   string          `json:"state"` // passed | failed | error
-	Error   string          `json:"error,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
+	FleetID string               `json:"fleet_id"`
+	RunID   string               `json:"run_id"`
+	State   string               `json:"state"` // passed | failed | error
+	Error   string               `json:"error,omitempty"`
+	Result  *xcbc.ScenarioResult `json:"result,omitempty"`
 }
 
-// encode is json.Marshal(r), byte for byte, for a Result that is already
-// compact JSON (ResultJSON's is) without scanning it again: the other
-// fields are marshalled and the result, the last field, copied in behind.
+// encode is json.Marshal(r), byte for byte, without scanning the result
+// again: its MarshalJSON is already compact, so the other fields are
+// marshalled and the result, the last field, copied in behind.
 func (r scenarioSettledRec) encode() ([]byte, error) {
 	result := r.Result
 	r.Result = nil
 	data, err := json.Marshal(r)
-	if err != nil || len(result) == 0 {
+	if err != nil || result == nil {
 		return data, err
 	}
+	body, err := result.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
 	const key = `,"result":`
-	data = append(slices.Grow(data[:len(data)-1], len(key)+len(result)+1), key...)
-	return append(append(data, result...), '}'), nil
+	data = append(slices.Grow(data[:len(data)-1], len(key)+len(body)+1), key...)
+	return append(append(data, body...), '}'), nil
 }
 
+// campaignStartedRec starts a campaign; row is as in scenarioStartedRec.
 type campaignStartedRec struct {
 	ID      string            `json:"id"`
 	Spec    xcbc.CampaignSpec `json:"spec"`
 	Created time.Time         `json:"created"`
+	row     *campaignMirror
 }
 
 type campaignSeedRec struct {
@@ -215,14 +226,16 @@ type depMirror struct {
 	Error   string         `json:"error,omitempty"`
 }
 
-// runMirror is one scenario run's persistent model.
+// runMirror is one scenario run's persistent model, and the row its routes
+// serve. Only apply writes it, under mu; readers take mu alone.
 type runMirror struct {
-	Started scenarioStartedRec `json:"started"`
-	Cursor  int                `json:"cursor"`
-	Hash    uint64             `json:"hash"`
-	State   string             `json:"state,omitempty"` // "" while running
-	Error   string             `json:"error,omitempty"`
-	Result  json.RawMessage    `json:"result,omitempty"`
+	Started scenarioStartedRec   `json:"started"`
+	Cursor  int                  `json:"cursor"`
+	Hash    uint64               `json:"hash"`
+	State   string               `json:"state,omitempty"` // "" while running
+	Error   string               `json:"error,omitempty"`
+	Result  *xcbc.ScenarioResult `json:"result,omitempty"`
+	mu      sync.Mutex
 }
 
 // fleetMirror is one fleet's persistent model.
@@ -232,14 +245,16 @@ type fleetMirror struct {
 	Runs        []*runMirror    `json:"runs,omitempty"`
 }
 
-// campaignMirror is one campaign's persistent model: the spec it started
-// with, every per-seed outcome journaled so far (in seed order), and its
-// terminal state once settled.
+// campaignMirror is one campaign's persistent model, and the row its
+// routes serve: the spec it started with, every per-seed outcome so far
+// (in seed order), and its terminal state once settled. Only apply writes
+// it, under mu; readers take mu alone.
 type campaignMirror struct {
 	Started  campaignStartedRec         `json:"started"`
 	Outcomes []xcbc.CampaignSeedOutcome `json:"outcomes,omitempty"`
 	State    string                     `json:"state,omitempty"` // "" while running
 	Error    string                     `json:"error,omitempty"`
+	mu       sync.Mutex
 }
 
 // mirror is the store's full persistent model; a snapshot is exactly its
@@ -261,8 +276,15 @@ func newMirror() *mirror {
 	}
 }
 
-// store is the server's durability engine: a WAL plus the mirror, and the
-// watcher goroutines that feed journal events into it.
+// store is one tenant's state: the mirror, the watcher goroutines that feed
+// build settlements into it, and on a durable server the WAL; log is nil on
+// a memory-only one. newServer gives every tenant one, and Open attaches
+// the log before the server serves.
+//
+// Lock order: fr.mu (a fleet's), then st.mu, then a row's mu. The fleets
+// registry's lock comes before fr.mu, which handleDeleteFleet takes under
+// it, so nothing takes a registry lock while holding st.mu: materialize
+// reads the Next* IDs under st.mu and advances the registries after.
 type store struct {
 	srv       *Server
 	tn        *tenant
@@ -317,32 +339,29 @@ type RecoveryReport struct {
 	Elapsed time.Duration `json:"elapsed"`
 }
 
-// openStore opens (or creates) the tenant's WAL under dir, rebuilds the
+// newStore is a tenant's memory-only store.
+func newStore(s *Server, tn *tenant, cfg Config) *store {
+	st := &store{srv: s, tn: tn, snapEvery: cfg.SnapshotEvery, resume: cfg.ResumeInterrupted, m: newMirror()}
+	if st.snapEvery <= 0 {
+		st.snapEvery = DefaultSnapshotEvery
+	}
+	st.ctx, st.cancel = context.WithCancel(context.Background())
+	return st
+}
+
+// open attaches the WAL under dir (opening or creating it), rebuilds the
 // mirror from the newest snapshot plus the log tail, and materializes the
-// tenant's live resources from it. When openStore returns, every recovered
+// tenant's live resources from it. When open returns, every recovered
 // resource is registered, so IDs, quotas and paging are exact, and every
 // in-flight scenario run has been replayed and verified; ready deployments
 // and provisioned fleets go live in the background (see materialize).
-func openStore(s *Server, tn *tenant, dir string, cfg Config) (*RecoveryReport, error) {
+func (st *store) open(dir string) (*RecoveryReport, error) {
 	start := time.Now()
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("api: opening store: %w", err)
 	}
-	snapEvery := cfg.SnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = DefaultSnapshotEvery
-	}
-	st := &store{
-		srv:       s,
-		tn:        tn,
-		log:       l,
-		snapEvery: snapEvery,
-		resume:    cfg.ResumeInterrupted,
-		m:         newMirror(),
-		dirty:     len(rec.Records),
-	}
-	st.ctx, st.cancel = context.WithCancel(context.Background())
+	st.dirty = len(rec.Records)
 	report := &RecoveryReport{
 		DataDir:      dir,
 		SnapshotSeq:  rec.SnapshotSeq,
@@ -373,12 +392,11 @@ func openStore(s *Server, tn *tenant, dir string, cfg Config) (*RecoveryReport, 
 		}
 		typed.apply(st.m)
 	}
-	// Attach before materializing: recovery replays in-flight scenario runs
-	// through the same executeRun the live path uses, and that path finds
-	// its observer (and journals replay progress) through the tenant's store.
-	tn.store = st
+	// Attach before materializing: recovery journals, and replays in-flight
+	// scenario runs through the same executeRun the live path uses, which
+	// checkpoints only when there is a log.
+	st.log = l
 	if err := st.materialize(report); err != nil {
-		tn.store = nil
 		return nil, errors.Join(err, l.Close())
 	}
 	report.Elapsed = time.Since(start)
@@ -410,11 +428,14 @@ func (r *RecoveryReport) merge(o *RecoveryReport) {
 	r.Elapsed += o.Elapsed
 }
 
-// close stops the store's watchers, then syncs and closes the WAL. Safe to
-// call once; appends arriving afterwards are dropped (ErrClosed).
+// close stops the store's watchers, then syncs and closes the WAL, if any.
+// Appends arriving afterwards are dropped (ErrClosed).
 func (st *store) close() error {
 	st.cancel()
 	st.wg.Wait()
+	if st.log == nil {
+		return nil
+	}
 	return st.log.Close()
 }
 
@@ -423,8 +444,14 @@ func (st *store) close() error {
 // if the cadence says one is due. Every record type takes the same path:
 // marshalled, appended, and only then applied, so the mirror takes the
 // typed value itself (decoding is recovery's job alone) and holds nothing
-// the log refused.
+// the log refused. Without a log, emit only applies.
 func (st *store) emit(typ string, rec record) {
+	if st.log == nil {
+		st.mu.Lock()
+		rec.apply(st.m)
+		st.mu.Unlock()
+		return
+	}
 	data, err := encodeRecord(rec)
 	if err != nil {
 		st.logf("store: marshal %s: %v", typ, err)
@@ -483,7 +510,8 @@ func (st *store) logf(format string, args ...any) {
 // the live path and recovery, so replaying the log always lands on the
 // mirror the crashed server had. Records for unknown resources (a watcher
 // outliving a DELETE) are dropped. The live path calls them under st.mu;
-// recovery before any watcher exists.
+// recovery before any watcher exists. A run or campaign row is also
+// written under its own mu, the only lock its readers take.
 
 func (r depCreatedRec) apply(m *mirror) {
 	m.Deployments[r.ID] = &depMirror{Created: r}
@@ -540,36 +568,50 @@ func (r fleetDeletedRec) apply(m *mirror) { delete(m.Fleets, r.ID) }
 
 func (r scenarioStartedRec) apply(m *mirror) {
 	if f := m.Fleets[r.FleetID]; f != nil {
-		f.Runs = append(f.Runs, &runMirror{Started: r})
+		if r.row == nil {
+			r.row = &runMirror{Started: r}
+		}
+		f.Runs = append(f.Runs, r.row)
 	}
 }
 
 func (r scenarioProgressRec) apply(m *mirror) {
 	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+		run.mu.Lock()
 		run.Cursor, run.Hash = r.Cursor, r.Hash
+		run.mu.Unlock()
 	}
 }
 
 func (r scenarioSettledRec) apply(m *mirror) {
 	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+		run.mu.Lock()
 		run.State, run.Error, run.Result = r.State, r.Error, r.Result
+		run.mu.Unlock()
 	}
 }
 
 func (r campaignStartedRec) apply(m *mirror) {
-	m.Campaigns[r.ID] = &campaignMirror{Started: r}
+	if r.row == nil {
+		r.row = &campaignMirror{Started: r}
+	}
+	m.Campaigns[r.ID] = r.row
 	m.NextCampaignID = max(m.NextCampaignID, numSuffix(r.ID))
 }
 
 func (r campaignSeedRec) apply(m *mirror) {
 	if c := m.Campaigns[r.ID]; c != nil {
+		c.mu.Lock()
 		c.Outcomes = append(c.Outcomes, r.Outcome)
+		c.mu.Unlock()
 	}
 }
 
 func (r campaignSettledRec) apply(m *mirror) {
 	if c := m.Campaigns[r.ID]; c != nil {
+		c.mu.Lock()
 		c.State, c.Error = r.State, r.Error
+		c.mu.Unlock()
 	}
 }
 
@@ -756,8 +798,9 @@ type warmStep struct {
 func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn := st.tn
 
-	// Copy what is needed out of the mirror before spawning watchers that
-	// mutate it.
+	// Deployments are copied out of the mirror before spawning watchers that
+	// mutate it: recovery archives some without journaling, and an archived
+	// deployment serves its copy. Fleets and campaigns serve their rows.
 	st.mu.Lock()
 	var deps []depMirror
 	for _, d := range byNum(st.m.Deployments) {
@@ -766,27 +809,13 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 		cp.Ops = slices.Clone(d.Ops)
 		deps = append(deps, cp)
 	}
-	var fleets []fleetMirror
-	for _, f := range byNum(st.m.Fleets) {
-		cp := *f
-		cp.Runs = make([]*runMirror, len(f.Runs))
-		for i, r := range f.Runs {
-			rc := *r
-			cp.Runs[i] = &rc
-		}
-		fleets = append(fleets, cp)
-	}
-	var camps []campaignMirror
-	for _, c := range byNum(st.m.Campaigns) {
-		cp := *c
-		cp.Outcomes = slices.Clone(c.Outcomes)
-		camps = append(camps, cp)
-	}
-	// The mirror remembers the highest ID ever issued, deleted or not.
-	tn.deployments.advance(st.m.NextID)
-	tn.fleets.advance(st.m.NextFleetID)
-	tn.campaigns.advance(st.m.NextCampaignID)
+	fleets, camps := byNum(st.m.Fleets), byNum(st.m.Campaigns)
+	nextDep, nextFleet, nextCampaign := st.m.NextID, st.m.NextFleetID, st.m.NextCampaignID
 	st.mu.Unlock()
+	// The mirror remembers the highest ID ever issued, deleted or not.
+	tn.deployments.advance(nextDep)
+	tn.fleets.advance(nextFleet)
+	tn.campaigns.advance(nextCampaign)
 
 	// Deployments first (fleets do not depend on them), in ID order.
 	report.Deployments = len(deps)
@@ -829,9 +858,9 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 		}
 		tn.fleets.restore(fr.ID, fr)
 	}
-	for _, m := range camps {
-		cr := st.recoverCampaign(m, report)
-		tn.campaigns.restore(cr.ID, cr)
+	for _, c := range camps {
+		st.recoverCampaign(c, report)
+		tn.campaigns.restore(c.Started.ID, c)
 	}
 	return nil
 }
@@ -928,31 +957,25 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 	return dep, nil
 }
 
-// recoverFleet materializes one fleet and its scenario-run history. A
+// recoverFleet materializes one fleet and serves its scenario runs from
+// their rows: a settled run's row already holds its recorded result. A
 // provisioned fleet with no run in flight is returned with its
 // re-provisioning, which warm runs; otherwise the fleet is complete —
 // re-provisioned and its in-flight run replayed — when recoverFleet
 // returns.
-func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
+func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
 	fl, err := xcbc.NewFleet(fleetSpecOf(m.Created.Req))
 	if err != nil {
 		return nil, nil, fmt.Errorf("api: recovering fleet %s: %w", m.Created.ID, err)
 	}
 	fr := newFleetRecord(m.Created, fl, st.tn)
-
-	// An in-flight run that arms kickstart faults must replay against a
-	// fleet whose builds have not started; its provision phase will build
-	// the members itself.
 	var inflight *runMirror
 	for _, run := range m.Runs {
+		fr.runs.restore(run.Started.RunID, run)
 		if run.State == "" {
 			inflight = run
-		}
-	}
-	var inflightSc *xcbc.Scenario
-	if inflight != nil {
-		if inflightSc, err = xcbc.LoadScenario(inflight.Started.Scenario); err != nil {
-			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", fr.ID, inflight.Started.RunID, err)
+		} else {
+			report.Runs++
 		}
 	}
 	provision := func() error {
@@ -961,46 +984,29 @@ func (st *store) recoverFleet(m fleetMirror, report *RecoveryReport) (*fleetReco
 		}
 		return fl.Wait(st.ctx)
 	}
-	if inflightSc != nil && m.Provisioned && !inflightSc.RequiresFreshFleet() {
-		if err := provision(); err != nil {
-			return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
+	if inflight != nil {
+		sc, err := xcbc.LoadScenario(inflight.Started.Scenario)
+		if err != nil {
+			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", fr.ID, inflight.Started.RunID, err)
 		}
-	}
-
-	for _, rm := range m.Runs {
-		run := &scenarioRun{
-			ID:       rm.Started.RunID,
-			Scenario: rm.Started.Name,
-			Created:  rm.Started.Created,
-		}
-		if rm.State != "" {
-			// Settled before the crash: reload the full recorded result.
-			run.state = rm.State
-			if rm.Error != "" {
-				run.err = errors.New(rm.Error)
+		// A run that arms kickstart faults must replay against a fleet whose
+		// builds have not started; its provision phase builds the members.
+		if m.Provisioned && !sc.RequiresFreshFleet() {
+			if err := provision(); err != nil {
+				return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
 			}
-			if len(rm.Result) > 0 {
-				if run.result, err = xcbc.RestoreScenarioResult(rm.Result); err != nil {
-					return nil, nil, fmt.Errorf("api: restoring run %s/%s: %w", fr.ID, run.ID, err)
-				}
-			}
-			report.Runs++
-			fr.runs.restore(run.ID, run)
-			continue
 		}
-		// In flight at the crash: replay from the seed and verify the
-		// trace prefix against the recorded cursor and hash.
-		run.state = "running"
-		fr.runs.restore(run.ID, run)
+		// In flight at the crash: replay from the seed and verify the trace
+		// prefix against the recorded cursor and hash.
 		fr.runLive = true
-		target := &replayTarget{cursor: rm.Cursor, hash: rm.Hash}
-		st.srv.executeRun(fr, run, inflightSc, target)
+		err = st.srv.executeRun(fr, inflight, sc, &replayTarget{cursor: inflight.Cursor, hash: inflight.Hash})
 		report.Replayed++
-		if run.state == "error" && run.err != nil && errors.Is(run.err, errReplayDiverged) {
+		if errors.Is(err, errReplayDiverged) {
 			report.ReplayMismatches++
 		}
+		return fr, nil, nil
 	}
-	if inflight != nil || !m.Provisioned {
+	if !m.Provisioned {
 		return fr, nil, nil
 	}
 	return fr, func() {
@@ -1055,14 +1061,6 @@ func replayOp(cl *xcbc.Cluster, op clusterOpRec) error {
 	return fmt.Errorf("unknown op %q", op.Op)
 }
 
-// emit journals one record against the tenant's store; a no-op on a
-// memory-only server.
-func (tn *tenant) emit(typ string, rec record) {
-	if tn.store != nil {
-		tn.store.emit(typ, rec)
-	}
-}
-
 // sortByNum orders resource IDs by their numeric suffix.
 func sortByNum(ids []string) {
 	sort.Slice(ids, func(i, j int) bool { return numSuffix(ids[i]) < numSuffix(ids[j]) })
@@ -1089,7 +1087,7 @@ type storeInfo struct {
 // newest snapshot, and how much of the recovered state is still warming.
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenant(r)
-	if tn.store == nil {
+	if tn.store.log == nil {
 		writeJSON(w, http.StatusOK, storeInfo{Durable: false})
 		return
 	}

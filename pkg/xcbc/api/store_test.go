@@ -533,7 +533,7 @@ func TestLiveAndRecoveryApplyAgree(t *testing.T) {
 		{recScenarioStarted, scenarioStartedRec{FleetID: "f2", RunID: "s1", Name: "tiny", Created: now,
 			Scenario: json.RawMessage("{ \"name\": \"<tiny>\",\n\t\"seed\": 7 }")}},
 		{recScenarioProgress, scenarioProgressRec{FleetID: "f2", RunID: "s1", Cursor: 4, Hash: 1<<63 + 5}},
-		{recScenarioSettled, scenarioSettledRec{FleetID: "f2", RunID: "s1", State: "passed", Result: json.RawMessage(`{"passed": true}`)}},
+		{recScenarioSettled, scenarioSettledRec{FleetID: "f2", RunID: "s1", State: "passed", Result: scenarioResult(`{"passed": true}`)}},
 		{recCampaignStarted, campaignStartedRec{ID: "c3", Created: now, Spec: xcbc.CampaignSpec{Seeds: 2, StartSeed: 9}}},
 		{recCampaignSeed, campaignSeedRec{ID: "c3", Outcome: xcbc.CampaignSeedOutcome{Seed: 9, State: xcbc.CampaignSeedFailed,
 			Failure: &xcbc.CampaignFailure{Seed: 9, Violations: []string{"jobs-conserved"}}}}},

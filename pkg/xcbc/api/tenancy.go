@@ -1,7 +1,7 @@
 package api
 
 // Multi-tenancy: the server's resource registries (deployments, fleets,
-// campaigns) and the durable store seam are sharded per tenant. A tenant
+// campaigns) and its store are sharded per tenant. A tenant
 // is resolved from the request's API key by the admission middleware and
 // carried through the request context; every handler operates on the
 // resolved tenant's shard only, so cross-tenant reads are structurally
@@ -63,17 +63,17 @@ type TenantConfig struct {
 }
 
 // tenant is one shard of the control plane: its own resource registries
-// (each with its ID sequence, quota and lock), admission state, and (on a
-// durable server) its own store.
+// (each with its ID sequence, quota and lock), admission state, and its own
+// store, set once when the server is constructed.
 type tenant struct {
 	name    string
 	keyHash [sha256.Size]byte
 	limiter *tokenBucket // nil = unlimited
-	store   *store       // nil on a memory-only server
+	store   *store
 
 	deployments *registry[*deployment]
 	fleets      *registry[*fleetRecord]
-	campaigns   *registry[*campaignRecord]
+	campaigns   *registry[*campaignMirror]
 }
 
 func newTenant(name string, q Quotas) *tenant {
@@ -81,7 +81,7 @@ func newTenant(name string, q Quotas) *tenant {
 		name:        name,
 		deployments: newRegistry[*deployment]("d", "deployments", q.MaxDeployments),
 		fleets:      newRegistry[*fleetRecord]("f", "fleets", q.MaxFleets),
-		campaigns:   newRegistry[*campaignRecord]("c", "campaigns", q.MaxCampaigns),
+		campaigns:   newRegistry[*campaignMirror]("c", "campaigns", q.MaxCampaigns),
 	}
 }
 

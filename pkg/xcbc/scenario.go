@@ -201,20 +201,21 @@ func runScenarioObserved(ctx context.Context, fl *fleet.Fleet, s *Scenario, obs 
 	return &ScenarioResult{r: res}, nil
 }
 
-// ResultJSON renders the full result — stats, violations, and the
-// complete trace — as JSON that RestoreScenarioResult round-trips. This
+// MarshalJSON renders the full result — stats, violations, and the
+// complete trace — as compact JSON that UnmarshalJSON round-trips. This
 // is the persistence form durable stores write at run settlement.
-func (r *ScenarioResult) ResultJSON() ([]byte, error) { return r.r.JSON() }
+func (r *ScenarioResult) MarshalJSON() ([]byte, error) { return r.r.JSON() }
 
-// RestoreScenarioResult reconstructs a settled scenario result from the
-// JSON that ResultJSON produced — the path a restarted store takes to
-// reload finished runs without replaying them.
-func RestoreScenarioResult(data []byte) (*ScenarioResult, error) {
+// UnmarshalJSON restores a settled scenario result from the JSON that
+// MarshalJSON produced — the path a restarted store takes to reload
+// finished runs without replaying them.
+func (r *ScenarioResult) UnmarshalJSON(data []byte) error {
 	var res scenario.Result
 	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("xcbc: restore scenario result: %w", err)
+		return fmt.Errorf("xcbc: restore scenario result: %w", err)
 	}
-	return &ScenarioResult{r: &res}, nil
+	r.r = &res
+	return nil
 }
 
 func translateScenario(err error) error {
