@@ -15,13 +15,13 @@ var mSATA128 = Disk{Model: "Crucial M550 128GB", SizeGB: 128, FormFactor: "mSATA
 // dual-homed headnode, and gigabit Ethernet. Rpeak = 12 x 2.8 x 16 = 537.6
 // GFLOPS; exemplar cost $3,600.
 func NewLittleFe() *Cluster {
-	head := NewNode("littlefe-head", RoleFrontend, CeleronG1840, 1, 8).
+	head := NewNode("littlefe-head", RoleFrontend, &CeleronG1840, 1, 8).
 		AddDisk(mSATA128).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("LittleFe", "Indiana University", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
-		n := NewNode(computeName(i), RoleCompute, CeleronG1840, 1, 8).
+		n := NewNode(computeName(i), RoleCompute, &CeleronG1840, 1, 8).
 			AddDisk(mSATA128).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
@@ -34,13 +34,13 @@ func NewLittleFe() *Cluster {
 // diskless, single shared power supply. Rocks cannot provision it (no
 // disks), which is exactly why the paper modifies the design.
 func NewLittleFeOriginal() *Cluster {
-	head := NewNode("littlefe-head", RoleFrontend, AtomD510, 1, 2).
+	head := NewNode("littlefe-head", RoleFrontend, &AtomD510, 1, 2).
 		AddDisk(Disk{Model: "2.5in laptop HDD", SizeGB: 250, FormFactor: "2.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("LittleFe-v4-original", "Earlham College", head, GigabitEthernet)
 	for i := 1; i <= 5; i++ {
-		n := NewNode(computeName(i), RoleCompute, AtomD510, 1, 2).
+		n := NewNode(computeName(i), RoleCompute, &AtomD510, 1, 2).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
@@ -53,14 +53,14 @@ func NewLittleFeOriginal() *Cluster {
 // i7-4770S CPUs, vendor power management. Rpeak = 16 x 3.1 x 16 = 793.6
 // GFLOPS; price $5,995.
 func NewLimulusHPC200() *Cluster {
-	head := NewNode("limulus", RoleFrontend, CoreI7_4770S, 1, 32).
+	head := NewNode("limulus", RoleFrontend, &CoreI7_4770S, 1, 32).
 		AddDisk(Disk{Model: "WD Red 4TB", SizeGB: 4000, FormFactor: "3.5in"}).
 		AddDisk(Disk{Model: "WD Red 4TB", SizeGB: 4000, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Limulus HPC200", "Indiana University", head, GigabitEthernet)
 	for i := 1; i <= 3; i++ {
-		n := NewNode(fmt.Sprintf("n%d", i), RoleCompute, CoreI7_4770S, 1, 16).
+		n := NewNode(fmt.Sprintf("n%d", i), RoleCompute, &CoreI7_4770S, 1, 16).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
 	}
@@ -78,13 +78,13 @@ type SiteCluster struct {
 // NewKansas builds the University of Kansas community cluster: 220 nodes,
 // 1760 cores, 26.0 TF ("will be in production in summer 2015").
 func NewKansas() *Cluster {
-	head := NewNode("ku-head", RoleFrontend, OpteronKU, 1, 64).
+	head := NewNode("ku-head", RoleFrontend, &OpteronKU, 1, 64).
 		AddDisk(Disk{Model: "SAS 600GB", SizeGB: 600, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("KU Community Cluster", "University of Kansas", head, TenGigEthernet)
 	for i := 1; i <= 219; i++ {
-		n := NewNode(computeName(i), RoleCompute, OpteronKU, 1, 32).
+		n := NewNode(computeName(i), RoleCompute, &OpteronKU, 1, 32).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)
@@ -95,13 +95,13 @@ func NewKansas() *Cluster {
 // NewMontanaState builds MSU's Hyalite cluster: 36 nodes, 576 cores,
 // 11.98 TF, 300 TB of Lustre storage; adopted XNIT on an existing cluster.
 func NewMontanaState() *Cluster {
-	head := NewNode("hyalite-head", RoleFrontend, XeonE5_2670, 2, 128).
+	head := NewNode("hyalite-head", RoleFrontend, &XeonE5_2670, 2, 128).
 		AddDisk(Disk{Model: "SAS 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "ib0", Network: "ib"})
 	c := New("Hyalite", "Montana State University", head, InfinibandQDR)
 	for i := 1; i <= 35; i++ {
-		n := NewNode(computeName(i), RoleCompute, XeonE5_2670, 2, 64).
+		n := NewNode(computeName(i), RoleCompute, &XeonE5_2670, 2, 64).
 			AddDisk(Disk{Model: "SATA 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "ib0", Network: "ib"})
 		c.AddCompute(n)
@@ -115,13 +115,13 @@ func NewMontanaState() *Cluster {
 // published 6.0 TF.
 func NewMarshall() *Cluster {
 	gpuPer := (6000.0 - 264*2.66*4) / 8 // fit: published total minus CPU Rpeak
-	head := NewNode("marshall-head", RoleFrontend, XeonX5650, 2, 48).
+	head := NewNode("marshall-head", RoleFrontend, &XeonX5650, 2, 48).
 		AddDisk(Disk{Model: "SAS 600GB", SizeGB: 600, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Marshall BigGreen", "Marshall University", head, GigabitEthernet)
 	for i := 1; i <= 21; i++ {
-		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 48).
+		n := NewNode(computeName(i), RoleCompute, &XeonX5650, 2, 48).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		if i <= 8 {
@@ -139,13 +139,13 @@ func NewMarshall() *Cluster {
 func NewPBARC() *Cluster {
 	cpuR := 80 * 2.0 * 8.0
 	gpuPer := (4300.0 - cpuR) / 4
-	head := NewNode("pbarc-head", RoleFrontend, XeonPBARC, 1, 64).
+	head := NewNode("pbarc-head", RoleFrontend, &XeonPBARC, 1, 64).
 		AddDisk(Disk{Model: "SAS 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("PBARC", "Pacific Basin Agricultural Research Center (Univ. of Hawaii - Hilo)", head, GigabitEthernet)
 	for i := 1; i <= 15; i++ {
-		n := NewNode(computeName(i), RoleCompute, XeonPBARC, 1, 32).
+		n := NewNode(computeName(i), RoleCompute, &XeonPBARC, 1, 32).
 			AddDisk(Disk{Model: "SATA 2TB", SizeGB: 2000, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		if i <= 4 {
@@ -160,13 +160,13 @@ func NewPBARC() *Cluster {
 // rebuilt from scratch with XCBC by the professor who operates it. The paper
 // gives no size, so a modest 8-node Westmere configuration stands in.
 func NewHoward() *Cluster {
-	head := NewNode("howard-head", RoleFrontend, XeonX5650, 2, 24).
+	head := NewNode("howard-head", RoleFrontend, &XeonX5650, 2, 24).
 		AddDisk(Disk{Model: "SATA 1TB", SizeGB: 1000, FormFactor: "3.5in"}).
 		AddNIC(NIC{Name: "eth0", Network: "public"}).
 		AddNIC(NIC{Name: "eth1", Network: "private"})
 	c := New("Howard Chemistry", "Howard University", head, GigabitEthernet)
 	for i := 1; i <= 7; i++ {
-		n := NewNode(computeName(i), RoleCompute, XeonX5650, 2, 24).
+		n := NewNode(computeName(i), RoleCompute, &XeonX5650, 2, 24).
 			AddDisk(Disk{Model: "SATA 500GB", SizeGB: 500, FormFactor: "3.5in"}).
 			AddNIC(NIC{Name: "eth0", Network: "private"})
 		c.AddCompute(n)

@@ -135,7 +135,7 @@ func TestTable3RpeakTotals(t *testing.T) {
 }
 
 func TestNodePowerAndEnergy(t *testing.T) {
-	n := NewNode("x", RoleCompute, CeleronG1840, 1, 8).AddDisk(mSATA128)
+	n := NewNode("x", RoleCompute, &CeleronG1840, 1, 8).AddDisk(mSATA128)
 	if n.Power() != PowerOff {
 		t.Fatal("new node should be off")
 	}
@@ -158,7 +158,7 @@ func TestNodePowerAndEnergy(t *testing.T) {
 }
 
 func TestNodeServicesAndAttrs(t *testing.T) {
-	n := NewNode("fe", RoleFrontend, CoreI7_4770S, 1, 32)
+	n := NewNode("fe", RoleFrontend, &CoreI7_4770S, 1, 32)
 	n.StartService("httpd")
 	n.StartService("pbs_server")
 	if !n.ServiceRunning("httpd") {
@@ -186,7 +186,7 @@ func TestNodeServicesAndAttrs(t *testing.T) {
 }
 
 func TestNodeWipe(t *testing.T) {
-	n := NewNode("x", RoleCompute, CeleronG1840, 1, 8)
+	n := NewNode("x", RoleCompute, &CeleronG1840, 1, 8)
 	n.SetOS("CentOS 6.5")
 	n.StartService("gmond")
 	n.WipePackages()
@@ -208,19 +208,19 @@ func TestClusterLookupAndValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("nil frontend should fail validation")
 	}
-	fe := NewNode("fe", RoleFrontend, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
+	fe := NewNode("fe", RoleFrontend, &CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
 	bad2 := New("bad2", "x", fe, GigabitEthernet)
 	if bad2.Validate() == nil {
 		t.Error("no computes should fail validation")
 	}
 	dupe := New("dupe", "x", fe, GigabitEthernet)
-	n2 := NewNode("fe", RoleCompute, CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
+	n2 := NewNode("fe", RoleCompute, &CeleronG1840, 1, 8).AddNIC(NIC{Name: "eth0"})
 	dupe.AddCompute(n2)
 	if dupe.Validate() == nil {
 		t.Error("duplicate names should fail validation")
 	}
 	noNIC := New("nonic", "x", fe, GigabitEthernet)
-	noNIC.AddCompute(NewNode("c1", RoleCompute, CeleronG1840, 1, 8))
+	noNIC.AddCompute(NewNode("c1", RoleCompute, &CeleronG1840, 1, 8))
 	if noNIC.Validate() == nil {
 		t.Error("NIC-less node should fail validation")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAcceleratorContributions(t *testing.T) {
-	n := NewNode("gpu1", RoleCompute, XeonX5650, 2, 48).
+	n := NewNode("gpu1", RoleCompute, &XeonX5650, 2, 48).
 		AddDisk(Disk{Model: "x", SizeGB: 100}).
 		AddAccelerator(Accelerator{GFLOPSEach: 400, WattsEach: 225})
 	// GFLOPS includes the accelerator.
@@ -23,14 +23,14 @@ func TestAcceleratorContributions(t *testing.T) {
 }
 
 func TestSocketsDefaultToOne(t *testing.T) {
-	n := NewNode("x", RoleCompute, CeleronG1840, 0, 4)
+	n := NewNode("x", RoleCompute, &CeleronG1840, 0, 4)
 	if n.Sockets != 1 || n.Cores() != 2 {
 		t.Fatalf("sockets=%d cores=%d", n.Sockets, n.Cores())
 	}
 }
 
 func TestNodeStringAndOSLifecycle(t *testing.T) {
-	n := NewNode("head", RoleFrontend, CoreI7_4770S, 1, 32).AddDisk(Disk{Model: "ssd", SizeGB: 128})
+	n := NewNode("head", RoleFrontend, &CoreI7_4770S, 1, 32).AddDisk(Disk{Model: "ssd", SizeGB: 128})
 	if !strings.Contains(n.String(), "head [frontend]") {
 		t.Fatalf("String = %q", n.String())
 	}

@@ -53,8 +53,8 @@ type NIC struct {
 type Node struct {
 	Name    string
 	Role    Role
-	CPU     CPUModel
-	Sockets int // number of CPU packages
+	CPU     *CPUModel // shared by every node built from one model; never written through
+	Sockets int       // number of CPU packages
 	RAMGB   int
 	Disks   []Disk
 	NICs    []NIC
@@ -78,7 +78,7 @@ type Node struct {
 }
 
 // NewNode creates a powered-off, bare-metal node.
-func NewNode(name string, role Role, cpu CPUModel, sockets, ramGB int) *Node {
+func NewNode(name string, role Role, cpu *CPUModel, sockets, ramGB int) *Node {
 	if sockets < 1 {
 		sockets = 1
 	}

@@ -149,6 +149,24 @@ func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 	}
 }
 
+// TestSampleMetricsAllocations pins the metrics read path: a warm
+// SampleMetrics polls, evaluates the alert rules and builds the snapshot
+// from one locked pass over each host's latest row, so what it allocates
+// is the snapshot's node list and nothing per host or per metric.
+func TestSampleMetricsAllocations(t *testing.T) {
+	d, err := BuildXCBC(sim.NewEngine(), cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := NewOperations(d)
+	if snap := ops.SampleMetrics(); len(snap.Nodes) != d.Cluster.NodeCount() {
+		t.Fatalf("snapshot holds %d nodes, want %d", len(snap.Nodes), d.Cluster.NodeCount())
+	}
+	if n := testing.AllocsPerRun(50, func() { ops.SampleMetrics() }); n > 1 {
+		t.Errorf("a warm SampleMetrics allocates %v times, want at most 1", n)
+	}
+}
+
 func TestPowerManagedXCBCLittleFe(t *testing.T) {
 	// The paper ships LittleFe without power management, but nothing stops
 	// an administrator enabling the policy; the deployment wiring must hold.

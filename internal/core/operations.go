@@ -86,13 +86,27 @@ func viewOf(j *sched.Job) JobView {
 func (o *Operations) SubmitJob(j *sched.Job) (JobView, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.d.Batch == nil {
-		return JobView{}, ErrNoScheduler
-	}
-	if _, err := o.d.Batch.Submit(j); err != nil {
+	if err := o.submit(j); err != nil {
 		return JobView{}, err
 	}
 	return viewOf(j), nil
+}
+
+// Submit is SubmitJob for a caller that only needs to know whether the job
+// was accepted: it builds no JobView.
+func (o *Operations) Submit(j *sched.Job) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.submit(j)
+}
+
+// submit enqueues a batch job. o.mu held.
+func (o *Operations) submit(j *sched.Job) error {
+	if o.d.Batch == nil {
+		return ErrNoScheduler
+	}
+	_, err := o.d.Batch.Submit(j)
+	return err
 }
 
 // CancelJob removes a queued job or kills a running one.
@@ -189,67 +203,28 @@ func (o *Operations) Now() sim.Time {
 	return o.d.Engine.Now()
 }
 
-// NodeMetrics is the latest sample set for one host.
-type NodeMetrics struct {
-	Host       string
-	Load       float64
-	PowerWatts float64
-	Cores      int
-}
-
 // MetricsSnapshot is one observation of the whole cluster.
 type MetricsSnapshot struct {
 	At           sim.Time
 	Polls        int
 	ClusterLoad  float64
-	Nodes        []NodeMetrics
+	Nodes        []monitor.HostSample // each reporting host's latest sample, by name
 	ActiveAlerts []string
 }
 
 // SampleMetrics polls every powered-on node at the current virtual time
 // (an on-demand gmond round, so a fresh cluster reports without waiting
-// for a scheduled poll), evaluates alert rules, and returns the snapshot.
+// for a scheduled poll), evaluates alert rules, and returns the snapshot,
+// read from each host's latest row in one pass under the aggregator's
+// lock.
 func (o *Operations) SampleMetrics() MetricsSnapshot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	now := o.d.Engine.Now()
 	o.d.Monitor.Poll(now)
 	o.alerts.Evaluate(now, monitorInterval)
-	return o.snapshot(now)
-}
-
-// snapshot builds a MetricsSnapshot from stored series. o.mu held.
-func (o *Operations) snapshot(now sim.Time) MetricsSnapshot {
-	agg := o.d.Monitor
-	snap := MetricsSnapshot{
-		At:           now,
-		Polls:        agg.Polls(),
-		ClusterLoad:  agg.ClusterLoad(),
-		ActiveAlerts: o.alerts.Active(),
-	}
-	hosts := agg.Hosts()
-	if len(hosts) > 0 {
-		snap.Nodes = make([]NodeMetrics, 0, len(hosts))
-	}
-	for _, h := range hosts {
-		nm := NodeMetrics{Host: h}
-		if s := agg.Series(h, "load_one"); s != nil {
-			if m, ok := s.Latest(); ok {
-				nm.Load = m.Value
-			}
-		}
-		if s := agg.Series(h, "power_watts"); s != nil {
-			if m, ok := s.Latest(); ok {
-				nm.PowerWatts = m.Value
-			}
-		}
-		if s := agg.Series(h, "cpu_num"); s != nil {
-			if m, ok := s.Latest(); ok {
-				nm.Cores = int(m.Value)
-			}
-		}
-		snap.Nodes = append(snap.Nodes, nm)
-	}
+	snap := MetricsSnapshot{At: now, ActiveAlerts: o.alerts.Active()}
+	snap.Nodes, snap.Polls, snap.ClusterLoad = o.d.Monitor.Latest(make([]monitor.HostSample, 0, o.d.Cluster.NodeCount()))
 	return snap
 }
 

@@ -77,8 +77,8 @@ func TestWeekLongSoak(t *testing.T) {
 		t.Fatalf("accounting mismatch: records %v vs usage %v", recCoreSecs, usageSum)
 	}
 	// Monitoring ran all week.
-	if d.Monitor.Polls() < 100 {
-		t.Fatalf("polls = %d", d.Monitor.Polls())
+	if _, polls, _ := d.Monitor.Latest(nil); polls < 100 {
+		t.Fatalf("polls = %d", polls)
 	}
 }
 

@@ -78,7 +78,7 @@ func Model(c *cluster.Cluster, n int, p ModelParams) Result {
 	rpeak := c.RpeakGFLOPS() * 1e9
 	gamma := p.Gamma
 	if gamma == 0 {
-		gamma = GammaForCPU(c.Frontend.CPU)
+		gamma = GammaForCPU(*c.Frontend.CPU)
 	}
 	coeff := p.CommCoeff
 	if coeff == 0 {

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -42,82 +41,81 @@ func (a Alert) String() string {
 type AlertManager struct {
 	mu    sync.Mutex
 	agg   *Aggregator
-	rules []Rule
-	// DownAfter is how many poll intervals of silence mark a host down;
-	// default 3.
-	DownAfter int
+	rules []rule
 
-	// Both maps are nil until first written: a healthy cluster never raises
-	// an alert, and one nobody polls never records a sighting.
-	active   map[alertKey]bool // firing alerts
-	lastSeen map[string]sim.Time
-	log      []Alert
+	// active is nil until first written: a healthy cluster never raises an
+	// alert.
+	active map[alertKey]bool // firing alerts
+	log    []Alert
 }
+
+// rule is a Rule with its metric resolved to a row index.
+type rule struct {
+	Rule
+	metric int
+}
+
+// downAfter is how many poll intervals of silence mark a host down.
+const downAfter = 3
 
 // alertKey names one firing alert; Active renders it as "host/rule".
 type alertKey struct{ host, rule string }
 
 // NewAlertManager creates an alert manager over an aggregator, evaluating
-// the given threshold rules.
+// the given threshold rules. A rule on a metric no gmond reports never
+// fires.
 func NewAlertManager(agg *Aggregator, rules ...Rule) *AlertManager {
-	return &AlertManager{agg: agg, DownAfter: 3, rules: slices.Clone(rules)}
+	am := &AlertManager{agg: agg, rules: make([]rule, 0, len(rules))}
+	for _, r := range rules {
+		if m := metricIndex(r.Metric); m >= 0 {
+			am.rules = append(am.rules, rule{r, m})
+		}
+	}
+	return am
 }
 
-// Evaluate checks all rules against the latest samples. interval is the
-// polling period (for host-down math). Call after each Poll, or schedule
-// alongside the aggregator.
+// Evaluate checks all rules against each host's latest row, in one pass
+// under the aggregator's lock. interval is the polling period (for
+// host-down math). Call after each Poll, or schedule alongside the
+// aggregator.
 func (am *AlertManager) Evaluate(now sim.Time, interval sim.Time) {
 	am.mu.Lock()
 	defer am.mu.Unlock()
-	hosts := am.agg.Hosts()
-	if am.lastSeen == nil {
-		am.lastSeen = make(map[string]sim.Time, len(hosts))
-	}
-	for _, host := range hosts {
-		// Track freshness using any metric's latest timestamp.
-		if s := am.agg.Series(host, "cpu_num"); s != nil {
-			if m, ok := s.Latest(); ok {
-				if m.At > am.lastSeen[host] {
-					am.lastSeen[host] = m.At
-				}
+	am.agg.mu.Lock()
+	defer am.agg.mu.Unlock()
+	am.agg.latest(func(host string, r row) {
+		for _, rl := range am.rules {
+			if r.At != now {
+				break // a stale row is host-down's business, not a threshold's
 			}
-		}
-		for _, r := range am.rules {
-			s := am.agg.Series(host, r.Metric)
-			if s == nil {
-				continue
-			}
-			m, ok := s.Latest()
-			if !ok || m.At != now {
-				continue // stale sample; host-down handles silence
-			}
-			key := alertKey{host, r.Name}
-			firing := m.Value > r.Threshold
+			key := alertKey{host, rl.Name}
+			value := r.Values[rl.metric]
+			firing := value > rl.Threshold
 			if firing && !am.active[key] {
 				am.raise(key)
-				am.log = append(am.log, Alert{At: now, Host: host, Rule: r.Name, Firing: true,
-					Detail: fmt.Sprintf("%s = %.2f > %.2f", r.Metric, m.Value, r.Threshold)})
+				am.log = append(am.log, Alert{At: now, Host: host, Rule: rl.Name, Firing: true,
+					Detail: fmt.Sprintf("%s = %.2f > %.2f", rl.Metric, value, rl.Threshold)})
 			}
 			if !firing && am.active[key] {
 				delete(am.active, key)
-				am.log = append(am.log, Alert{At: now, Host: host, Rule: r.Name, Firing: false,
-					Detail: fmt.Sprintf("%s = %.2f", r.Metric, m.Value)})
+				am.log = append(am.log, Alert{At: now, Host: host, Rule: rl.Name, Firing: false,
+					Detail: fmt.Sprintf("%s = %.2f", rl.Metric, value)})
 			}
 		}
-		// Host-down rule.
+		// Host-down rule: a host's freshness is its latest row's time.
 		key := alertKey{host, "host-down"}
-		silent := now-am.lastSeen[host] >= sim.Time(am.DownAfter)*interval
+		silent := now-r.At >= downAfter*interval
 		if silent && !am.active[key] {
 			am.raise(key)
 			am.log = append(am.log, Alert{At: now, Host: host, Rule: "host-down", Firing: true,
-				Detail: fmt.Sprintf("no samples for %v", (now - am.lastSeen[host]).Duration())})
+				Detail: fmt.Sprintf("no samples for %v", (now - r.At).Duration())})
 		}
 		if !silent && am.active[key] {
 			delete(am.active, key)
 			am.log = append(am.log, Alert{At: now, Host: host, Rule: "host-down", Firing: false,
 				Detail: "reporting again"})
 		}
-	}
+	})
 }
 
 // raise marks an alert firing. am.mu held.

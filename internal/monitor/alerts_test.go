@@ -114,3 +114,20 @@ func TestRuleOnMissingMetricIgnored(t *testing.T) {
 		t.Fatal("rule on missing metric must not fire")
 	}
 }
+
+// TestEvaluateAllocations: an evaluation that raises and clears nothing
+// reads each host's latest row under the aggregator's lock and allocates
+// nothing — no host list, no per-host lookups, no freshness map.
+func TestEvaluateAllocations(t *testing.T) {
+	c := cluster.NewLittleFe()
+	c.PowerOnAll()
+	agg := NewAggregator(c, 16, func(string) float64 { return 0.5 })
+	am := NewAlertManager(agg, Rule{Name: "high-load", Metric: "load_one", Threshold: 0.9})
+	pollAndEval(agg, am, pollIvl)
+	if n := testing.AllocsPerRun(50, func() { am.Evaluate(pollIvl, pollIvl) }); n != 0 {
+		t.Errorf("an evaluation with no transition allocates %v times, want 0", n)
+	}
+	if len(am.Log()) != 0 {
+		t.Fatalf("a healthy cluster logged %v", am.Log())
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkMonitorFirstPoll is what a cluster pays the first time anything
 // asks it for metrics: a fresh aggregator over a 5-node LittleFe at the
-// deployment's retention (1024 samples per series) takes one poll. Every
+// deployment's retention (1024 rows per host) takes one poll. Every
 // fleet member pays exactly this in a scenario's metrics phase, so B/op
 // here is the monitoring share of retained memory per polled cluster; an
 // eagerly allocated ring shows as ~1 MB/op.
@@ -23,8 +23,8 @@ func BenchmarkMonitorFirstPoll(b *testing.B) {
 }
 
 // BenchmarkMonitorPoll measures one warm gmetad poll round over the
-// largest Table 3 cluster (KU, 220 nodes): every series exists and its
-// ring is full, so the poll's one allocation is cluster.Nodes().
+// largest Table 3 cluster (KU, 220 nodes): every host's slot exists and
+// its ring is full, so the poll allocates nothing.
 func BenchmarkMonitorPoll(b *testing.B) {
 	c := cluster.NewKansas()
 	c.PowerOnAll()

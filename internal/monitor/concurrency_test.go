@@ -10,11 +10,10 @@ import (
 	"xcbc/internal/sim"
 )
 
-// TestConcurrentPollAndRead hammers the aggregator and the live Series
-// pointers it hands out while polls keep writing — the shape HTTP metrics
-// handlers produce now that monitoring is reachable through
-// /api/v1/clusters/{id}/metrics. Run with -race: Series used to be an
-// unguarded ring, mutated under the aggregator's lock but read outside it.
+// TestConcurrentPollAndRead hammers every read of the aggregator while
+// polls keep writing — the shape HTTP metrics handlers produce now that
+// monitoring is reachable through /api/v1/clusters/{id}/metrics. Run with
+// -race: every read goes through the aggregator's one lock.
 func TestConcurrentPollAndRead(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
@@ -34,23 +33,17 @@ func TestConcurrentPollAndRead(t *testing.T) {
 			am.Evaluate(now, sim.Time(time.Minute))
 		}
 	}()
-	// Reader holding a live Series pointer across polls.
+	// Reader of one host's retained samples across polls.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var s *Series
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if s == nil {
-				s = agg.Series("compute-0-1", "load_one")
-				continue
-			}
-			s.All()
-			s.Latest()
+			agg.Samples("compute-0-1", "load_one")
 		}
 	}()
 	// Readers over the aggregator surface, including the HTTP export.
@@ -64,9 +57,7 @@ func TestConcurrentPollAndRead(t *testing.T) {
 					return
 				default:
 				}
-				agg.Hosts()
-				agg.ClusterLoad()
-				agg.Polls()
+				agg.Latest(nil)
 				_ = agg.Report()
 				am.Active()
 				am.Log()
@@ -86,8 +77,8 @@ func TestConcurrentPollAndRead(t *testing.T) {
 		t.Fatal("goroutines did not finish")
 	}
 
-	if agg.Polls() != 500 {
-		t.Fatalf("polls = %d, want 500", agg.Polls())
+	if _, polls, _ := agg.Latest(nil); polls != 500 {
+		t.Fatalf("polls = %d, want 500", polls)
 	}
 	if len(am.Active()) == 0 {
 		t.Fatal("the hot rule should be firing at load 0.5")

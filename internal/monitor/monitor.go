@@ -18,99 +18,6 @@ import (
 	"xcbc/internal/sim"
 )
 
-// Metric is one sample of one named quantity on one host.
-type Metric struct {
-	Host  string
-	Name  string
-	Value float64
-	Units string
-	At    sim.Time
-}
-
-// point is what a Series stores per sample. It holds no pointers, so the
-// garbage collector never scans a series' backing array.
-type point struct {
-	At    sim.Time
-	Value float64
-}
-
-// Series is a bounded time series — the RRD stand-in. Its backing array
-// grows with the samples actually taken, never past the capacity, and
-// only once it is full does a new sample overwrite the oldest. Host, name
-// and units are held once per series, not per sample.
-//
-// It is safe for concurrent use: the aggregator hands out live Series
-// pointers, so readers (HTTP handlers, alert evaluation) overlap with the
-// poller's writes. All returns a defensive copy.
-type Series struct {
-	mu                sync.Mutex
-	host, name, units string
-	capacity          int
-	points            []point // oldest-first until full, then a ring
-	oldest            int     // index of the oldest point once full
-}
-
-// Add appends a sample, overwriting the oldest when full. A series'
-// host, name and units are fixed by its first Add; later samples
-// contribute only their time and value (the aggregator never mixes
-// identities in one series).
-func (s *Series) Add(m Metric) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := point{At: m.At, Value: m.Value}
-	n := len(s.points)
-	if n == s.capacity {
-		s.points[s.oldest] = p
-		s.oldest = (s.oldest + 1) % n
-		return
-	}
-	if n == 0 {
-		s.host, s.name, s.units = m.Host, m.Name, m.Units
-	}
-	if n == cap(s.points) {
-		// Double, clipped: append's own growth would round the
-		// allocation up past the retention cap.
-		grown := make([]point, n, min(max(2*n, 1), s.capacity))
-		copy(grown, s.points)
-		s.points = grown
-	}
-	s.points = append(s.points, p)
-}
-
-// at returns the i-th oldest stored point. s.mu held.
-func (s *Series) at(i int) point {
-	return s.points[(s.oldest+i)%len(s.points)]
-}
-
-// metric re-attaches the series' identity to a stored point. s.mu held.
-func (s *Series) metric(p point) Metric {
-	return Metric{Host: s.host, Name: s.name, Value: p.Value, Units: s.units, At: p.At}
-}
-
-// All returns a defensive copy of the samples, oldest-first.
-//
-//detlint:reached support: monitor_test.go and pkg/xcbc/api's TestMonitoringPinnedToParent read the ring back through it to check what Add keeps
-func (s *Series) All() []Metric {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Metric, len(s.points))
-	for i := range out {
-		out[i] = s.metric(s.at(i))
-	}
-	return out
-}
-
-// Latest returns the most recent sample, or false if empty.
-func (s *Series) Latest() (Metric, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.points)
-	if n == 0 {
-		return Metric{}, false
-	}
-	return s.metric(s.at(n - 1)), true
-}
-
 // LoadFunc reports a node's current load fraction [0,1]; the scheduler
 // integration supplies cores-busy/cores-total.
 type LoadFunc func(node string) float64
@@ -128,29 +35,76 @@ var (
 	metricUnits = [numMetrics]string{"", "W", "CPUs"}
 )
 
-// hostSeries is one reporting host's slot: its name and its standard
-// series, inline.
+// metricIndex returns the position of a standard metric in a row, or -1.
+func metricIndex(name string) int {
+	for m, n := range metricNames {
+		if n == name {
+			return m
+		}
+	}
+	return -1
+}
+
+// row is one poll of one host: every standard metric at one instant. It
+// holds no pointers, so the garbage collector never scans a host's rows.
+type row struct {
+	At     sim.Time
+	Values [numMetrics]float64
+}
+
+// hostSeries is one reporting host's slot: its name and its bounded run of
+// rows — the RRD stand-in. The rows grow with the polls actually taken,
+// never past the aggregator's capacity, and only once they are full does a
+// new row overwrite the oldest.
 type hostSeries struct {
 	name   string
-	series [numMetrics]Series
+	rows   []row // oldest-first until full, then a ring
+	oldest int   // index of the oldest row once full
+}
+
+// add appends a row, overwriting the oldest once capacity rows are held.
+func (h *hostSeries) add(r row, capacity int) {
+	n := len(h.rows)
+	if n == capacity {
+		h.rows[h.oldest] = r
+		h.oldest = (h.oldest + 1) % n
+		return
+	}
+	if n == cap(h.rows) {
+		// Double, clipped: append's own growth would round the allocation
+		// up past the retention cap.
+		grown := make([]row, n, min(max(2*n, 1), capacity))
+		copy(grown, h.rows)
+		h.rows = grown
+	}
+	h.rows = append(h.rows, r)
+}
+
+// at returns the i-th oldest stored row.
+func (h *hostSeries) at(i int) row {
+	return h.rows[(h.oldest+i)%len(h.rows)]
+}
+
+// latest returns the most recent row; a slot always holds at least one.
+func (h *hostSeries) latest() row {
+	return h.at(len(h.rows) - 1)
 }
 
 // Aggregator is the gmetad analogue: it polls agents on a period and stores
-// time series per host/metric. It is safe for concurrent use; the Series
-// pointers it hands out are themselves synchronized, so a reader holding
-// one observes later polls without re-fetching.
+// one row per poll per host. It is safe for concurrent use; its one mutex
+// guards every slot, and no reader holds a slot outside it.
 type Aggregator struct {
 	mu       sync.Mutex
 	cluster  *cluster.Cluster
 	hosts    []*hostSeries // sorted by name; a host joins at its first sample
 	spare    []hostSeries  // slots not yet handed out, see slot
-	first    []point       // first points not yet handed out
+	first    []row         // first rows not yet handed out
 	capacity int
 	load     LoadFunc
 	polls    int
 }
 
-// NewAggregator creates an aggregator with per-series ring capacity.
+// NewAggregator creates an aggregator retaining capacity rows per host.
 func NewAggregator(c *cluster.Cluster, capacity int, load LoadFunc) *Aggregator {
 	return &Aggregator{cluster: c, capacity: max(capacity, 1), load: load}
 }
@@ -166,16 +120,13 @@ func (a *Aggregator) Poll(now sim.Time) {
 		if n.Power() != cluster.PowerOn {
 			continue
 		}
-		var values [numMetrics]float64
+		r := row{At: now}
 		if a.load != nil {
-			values[loadOne] = a.load(n.Name)
+			r.Values[loadOne] = a.load(n.Name)
 		}
-		values[powerWatts] = n.DrawWatts()
-		values[cpuNum] = float64(n.Cores())
-		h := a.slot(n.Name)
-		for i := range h.series {
-			h.series[i].Add(Metric{Host: n.Name, Name: metricNames[i], Value: values[i], Units: metricUnits[i], At: now})
-		}
+		r.Values[powerWatts] = n.DrawWatts()
+		r.Values[cpuNum] = float64(n.Cores())
+		a.slot(n.Name).add(r, a.capacity)
 	}
 }
 
@@ -205,10 +156,10 @@ func (a *Aggregator) find(host string) (int, bool) {
 
 // slot returns host's slot, inserting it in name order on first use. The
 // first host to report sizes everything from the cluster's node count: one
-// slab of slots, and one of first points that each series starts in (and
+// slab of slots, and one of first rows that each slot starts in (and
 // leaves when it grows), so a cluster's first poll is a handful of
-// allocations however many nodes it has. A slot never moves once handed
-// out; hosts beyond the slab (nodes added since) get their own. a.mu held.
+// allocations however many nodes it has. Hosts beyond the slab (nodes
+// added since) get their own slot. a.mu held.
 func (a *Aggregator) slot(host string) *hostSeries {
 	i, ok := a.find(host)
 	if ok {
@@ -218,80 +169,94 @@ func (a *Aggregator) slot(host string) *hostSeries {
 		n := a.cluster.NodeCount()
 		a.hosts = make([]*hostSeries, 0, n)
 		a.spare = make([]hostSeries, n)
-		a.first = make([]point, n*numMetrics)
+		a.first = make([]row, n)
 	}
 	var h *hostSeries
 	if len(a.spare) > 0 {
 		h, a.spare = &a.spare[0], a.spare[1:]
-		for m := range h.series {
-			h.series[m].points, a.first = a.first[:0:1], a.first[1:]
-		}
+		h.rows, a.first = a.first[:0:1], a.first[1:]
 	} else {
 		h = new(hostSeries)
 	}
 	h.name = host
-	for m := range h.series {
-		h.series[m].capacity = a.capacity
-	}
 	a.hosts = slices.Insert(a.hosts, i, h)
 	return h
 }
 
-// Polls returns how many poll rounds have run.
-func (a *Aggregator) Polls() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.polls
+// HostSample is one reporting host's latest poll, as Latest reports it.
+type HostSample struct {
+	Host       string
+	Load       float64
+	PowerWatts float64
+	Cores      int
 }
 
-// Series returns the stored series for one of a reporting host's standard
-// metrics, or nil if the host has not reported or the metric is unknown.
-func (a *Aggregator) Series(host, metric string) *Series {
+// Latest appends each reporting host's latest sample to dst in name order,
+// all read under one lock, and returns them with how many poll rounds have
+// run and the mean latest load_one across reporting hosts — the headline
+// number on a Ganglia front page.
+func (a *Aggregator) Latest(dst []HostSample) (hosts []HostSample, polls int, load float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	i, ok := a.find(host)
-	if !ok {
-		return nil
+	a.latest(func(host string, r row) {
+		dst = append(dst, HostSample{Host: host, Load: r.Values[loadOne], PowerWatts: r.Values[powerWatts], Cores: int(r.Values[cpuNum])})
+	})
+	return dst, a.polls, a.clusterLoad()
+}
+
+// latest calls f with each reporting host's latest row, in name order.
+// a.mu held.
+func (a *Aggregator) latest(f func(host string, r row)) {
+	for _, h := range a.hosts {
+		f(h.name, h.latest())
 	}
-	for m, name := range metricNames {
-		if name == metric {
-			return &a.hosts[i].series[m]
-		}
-	}
-	return nil
 }
 
-// Hosts returns hosts that have reported at least one sample, sorted. The
-// list is maintained as hosts first report, not derived per call.
-func (a *Aggregator) Hosts() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, len(a.hosts))
-	for i, h := range a.hosts {
-		out[i] = h.name
-	}
-	return out
-}
-
-// ClusterLoad returns the mean of the latest load_one across reporting
-// hosts — the headline number on a Ganglia front page.
-func (a *Aggregator) ClusterLoad() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.clusterLoad()
-}
-
-// clusterLoad is ClusterLoad with a.mu held.
+// clusterLoad is the mean latest load_one across reporting hosts. a.mu held.
 func (a *Aggregator) clusterLoad() float64 {
 	if len(a.hosts) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, h := range a.hosts {
-		m, _ := h.series[loadOne].Latest()
-		sum += m.Value
+		sum += h.latest().Values[loadOne]
 	}
 	return sum / float64(len(a.hosts))
+}
+
+// Metric is one retained sample of one standard metric on one host, with
+// its identity re-attached, as Samples returns it.
+type Metric struct {
+	//detlint:reached support: pkg/xcbc/api's TestMonitoringPinnedToParent prints every retained sample with %+v
+	Host, Name string
+	//detlint:reached support: TestMonitoringPinnedToParent prints and averages it
+	Value float64
+	//detlint:reached support: TestMonitoringPinnedToParent prints it
+	Units string
+	//detlint:reached support: TestMonitoringPinnedToParent prints it
+	At sim.Time
+}
+
+// Samples returns host's retained samples of one standard metric,
+// oldest-first, or nil if the host has not reported or the metric is
+// unknown.
+//
+//detlint:reached support: monitor_test.go and pkg/xcbc/api's TestMonitoringPinnedToParent read the retained rows back through it
+func (a *Aggregator) Samples(host, metric string) []Metric {
+	m := metricIndex(metric)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	i, ok := a.find(host)
+	if !ok || m < 0 {
+		return nil
+	}
+	h := a.hosts[i]
+	out := make([]Metric, len(h.rows))
+	for j := range out {
+		r := h.at(j)
+		out[j] = Metric{Host: host, Name: metricNames[m], Value: r.Values[m], Units: metricUnits[m], At: r.At}
+	}
+	return out
 }
 
 // XML export, shaped like gmond's <GANGLIA_XML> document.
@@ -320,15 +285,13 @@ type xmlGanglia struct {
 func (a *Aggregator) ExportXML() ([]byte, error) {
 	doc := xmlGanglia{Source: a.cluster.Name}
 	a.mu.Lock()
-	for _, h := range a.hosts {
-		xh := xmlHost{Name: h.name}
-		for i := range h.series {
-			if m, ok := h.series[i].Latest(); ok {
-				xh.Metrics = append(xh.Metrics, xmlMetric{Name: m.Name, Val: m.Value, Units: m.Units})
-			}
+	a.latest(func(host string, r row) {
+		xh := xmlHost{Name: host, Metrics: make([]xmlMetric, numMetrics)}
+		for m := range xh.Metrics {
+			xh.Metrics[m] = xmlMetric{Name: metricNames[m], Val: r.Values[m], Units: metricUnits[m]}
 		}
 		doc.Hosts = append(doc.Hosts, xh)
-	}
+	})
 	a.mu.Unlock()
 	return xml.MarshalIndent(doc, "", "  ")
 }
@@ -350,10 +313,8 @@ func (a *Aggregator) Report() string {
 	defer a.mu.Unlock()
 	out := fmt.Sprintf("cluster %s: %d hosts reporting, mean load %.2f\n",
 		a.cluster.Name, len(a.hosts), a.clusterLoad())
-	for _, h := range a.hosts {
-		load, _ := h.series[loadOne].Latest()
-		watts, _ := h.series[powerWatts].Latest()
-		out += fmt.Sprintf("  %-16s load %.2f  %6.1f W\n", h.name, load.Value, watts.Value)
-	}
+	a.latest(func(host string, r row) {
+		out += fmt.Sprintf("  %-16s load %.2f  %6.1f W\n", host, r.Values[loadOne], r.Values[powerWatts])
+	})
 	return out
 }

@@ -11,33 +11,60 @@ import (
 	"xcbc/internal/sim"
 )
 
+// hostRows builds one slot the way the aggregator fills it: one row per
+// value, at times 1, 2, ..., with the value as load_one.
+func hostRows(capacity int, values ...float64) *hostSeries {
+	h := &hostSeries{}
+	for i, v := range values {
+		h.add(row{At: sim.Time(i + 1), Values: [numMetrics]float64{v}}, capacity)
+	}
+	return h
+}
+
+// loads reads a slot's load_one column back, oldest-first.
+func loads(h *hostSeries) []float64 {
+	out := make([]float64, len(h.rows))
+	for i := range out {
+		out[i] = h.at(i).Values[loadOne]
+	}
+	return out
+}
+
 func TestSeriesRing(t *testing.T) {
-	s := &Series{capacity: 3}
-	if _, ok := s.Latest(); ok {
-		t.Fatal("empty series should have no latest")
+	h := hostRows(3, 1, 2, 3, 4, 5)
+	if got := loads(h); !slices.Equal(got, []float64{3, 4, 5}) {
+		t.Fatalf("rows = %v", got)
 	}
-	for i := 1; i <= 5; i++ {
-		s.Add(Metric{Name: "x", Value: float64(i)})
-	}
-	if len(s.All()) != 3 {
-		t.Fatalf("Len = %d", len(s.All()))
-	}
-	all := s.All()
-	if all[0].Value != 3 || all[2].Value != 5 {
-		t.Fatalf("All = %v", all)
-	}
-	if m, _ := s.Latest(); m.Value != 5 {
-		t.Fatalf("Latest = %v", m)
+	if r := h.latest(); r.Values[loadOne] != 5 || r.At != 5 {
+		t.Fatalf("latest = %+v", r)
 	}
 }
 
 func TestSeriesPartial(t *testing.T) {
-	s := &Series{capacity: 10}
-	s.Add(Metric{Value: 1})
-	s.Add(Metric{Value: 2})
-	if got := s.All(); len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
+	h := hostRows(10, 1, 2)
+	if got := loads(h); !slices.Equal(got, []float64{1, 2}) {
 		t.Fatalf("partial ring: %v", got)
 	}
+}
+
+// samplesByHost keys what Latest reports by host.
+func samplesByHost(agg *Aggregator) (map[string]HostSample, int, float64) {
+	samples, polls, load := agg.Latest(nil)
+	out := make(map[string]HostSample)
+	for _, s := range samples {
+		out[s.Host] = s
+	}
+	return out, polls, load
+}
+
+// hostNames lists the reporting hosts in the order Latest reports them.
+func hostNames(agg *Aggregator) []string {
+	samples, _, _ := agg.Latest(nil)
+	var out []string
+	for _, s := range samples {
+		out = append(out, s.Host)
+	}
+	return out
 }
 
 func TestAggregatorPollsPoweredNodesOnly(t *testing.T) {
@@ -47,23 +74,21 @@ func TestAggregatorPollsPoweredNodesOnly(t *testing.T) {
 	// n2, n3 stay off.
 	agg := NewAggregator(c, 16, func(string) float64 { return 0.5 })
 	agg.Poll(0)
-	hosts := agg.Hosts()
+	hosts, polls, load := samplesByHost(agg)
 	if len(hosts) != 2 {
-		t.Fatalf("Hosts = %v", hosts)
+		t.Fatalf("hosts = %v", hosts)
 	}
-	if s := agg.Series("n2", "load_one"); s != nil {
+	if _, ok := hosts["n2"]; ok || agg.Samples("n2", "load_one") != nil {
 		t.Fatal("powered-off node should not report")
 	}
-	if s := agg.Series("n1", "load_one"); s == nil {
-		t.Fatal("n1 should report")
-	} else if m, _ := s.Latest(); m.Value != 0.5 {
-		t.Fatalf("load = %v", m.Value)
+	if s, ok := hosts["n1"]; !ok || s.Load != 0.5 || s.Cores != c.Computes[0].Cores() || s.PowerWatts != c.Computes[0].DrawWatts() {
+		t.Fatalf("n1 = %+v, %v", s, ok)
 	}
-	if got := agg.ClusterLoad(); got != 0.5 {
-		t.Fatalf("ClusterLoad = %v", got)
+	if load != 0.5 {
+		t.Fatalf("cluster load = %v", load)
 	}
-	if agg.Polls() != 1 {
-		t.Fatalf("Polls = %d", agg.Polls())
+	if polls != 1 {
+		t.Fatalf("polls = %d", polls)
 	}
 }
 
@@ -74,15 +99,15 @@ func TestAggregatorPeriodicPolling(t *testing.T) {
 	agg := NewAggregator(c, 100, nil)
 	agg.Start(eng, 15*time.Second, 4)
 	eng.Run()
-	if agg.Polls() != 4 {
-		t.Fatalf("Polls = %d, want 4", agg.Polls())
+	if _, polls, _ := agg.Latest(nil); polls != 4 {
+		t.Fatalf("polls = %d, want 4", polls)
 	}
-	s := agg.Series("littlefe-head", "power_watts")
-	if s == nil || len(s.All()) != 4 {
-		t.Fatalf("head power series missing or wrong length")
+	s := agg.Samples("littlefe-head", "power_watts")
+	if len(s) != 4 {
+		t.Fatalf("head power samples missing or wrong length: %v", s)
 	}
-	if m, _ := s.Latest(); m.At != sim.Time(60*time.Second) {
-		t.Fatalf("last sample at %v", m.At)
+	if m := s[3]; m.At != sim.Time(60*time.Second) || m.Units != "W" || m.Value <= 0 {
+		t.Fatalf("last sample %+v", m)
 	}
 }
 
@@ -128,60 +153,48 @@ func TestClusterLoadEmpty(t *testing.T) {
 	c := cluster.NewLittleFe() // all off
 	agg := NewAggregator(c, 4, nil)
 	agg.Poll(0)
-	if agg.ClusterLoad() != 0 {
-		t.Fatal("no hosts -> zero load")
+	if hosts, _, load := samplesByHost(agg); len(hosts) != 0 || load != 0 {
+		t.Fatalf("no hosts -> zero load, got %v over %v", load, hosts)
 	}
 }
 
-// TestSeriesMatchesKeepLastModel checks the grow-then-wrap storage against
-// the plainest possible reference: a slice that keeps the last N samples.
-// After every Add, up to three times around the ring, every accessor must
-// agree with the model, and the backing array must never be allocated
-// past the retention capacity.
+// TestSeriesMatchesKeepLastModel checks the grow-then-wrap row storage
+// against the plainest possible reference: a slice that keeps the last N
+// samples. After every poll, up to three times around the ring, every
+// accessor must agree with the model, and the backing array must never be
+// allocated past the retention capacity.
 func TestSeriesMatchesKeepLastModel(t *testing.T) {
+	c := cluster.NewLittleFe()
+	c.Frontend.SetPower(cluster.PowerOn)
+	host := c.Frontend.Name
 	for _, capacity := range []int{1, 2, 3, 7, 1024} {
-		s := &Series{capacity: capacity}
+		i := 0
+		// Values whose sum depends on the order of addition.
+		agg := NewAggregator(c, capacity, func(string) float64 { return 1 / float64(i) })
 		var model []Metric
-		check := func(adds int) {
+		check := func() {
 			t.Helper()
-			if all := s.All(); !slices.Equal(all, model) {
-				t.Fatalf("cap %d after %d adds: All = %v, model %v", capacity, adds, all, model)
+			if got := agg.Samples(host, "load_one"); !slices.Equal(got, model) {
+				t.Fatalf("cap %d after %d polls: Samples = %v, model %v", capacity, i, got, model)
 			}
-			latest, ok := s.Latest()
-			if ok != (len(model) > 0) || (ok && latest != model[len(model)-1]) {
-				t.Fatalf("cap %d after %d adds: Latest = %v, %v", capacity, adds, latest, ok)
+			hosts, _, load := samplesByHost(agg)
+			latest, ok := hosts[host]
+			if ok != (len(model) > 0) || (ok && (latest.Load != model[len(model)-1].Value || load != latest.Load)) {
+				t.Fatalf("cap %d after %d polls: Latest = %+v, %v, load %v", capacity, i, latest, ok, load)
 			}
-			if cap(s.points) > capacity {
-				t.Fatalf("cap %d after %d adds: backing array holds %d", capacity, adds, cap(s.points))
+			if ok && cap(agg.hosts[0].rows) > capacity {
+				t.Fatalf("cap %d after %d polls: backing array holds %d", capacity, i, cap(agg.hosts[0].rows))
 			}
 		}
-		check(0)
-		for i := 1; i <= 3*capacity; i++ {
-			// Values whose sum depends on the order of addition.
-			m := Metric{Host: "n1", Name: "load_one", Units: "u", Value: 1 / float64(i), At: sim.Time(i)}
-			s.Add(m)
-			model = append(model, m)
+		check()
+		for i = 1; i <= 3*capacity; i++ {
+			agg.Poll(sim.Time(i))
+			model = append(model, Metric{Host: host, Name: "load_one", Value: 1 / float64(i), At: sim.Time(i)})
 			if len(model) > capacity {
 				model = model[1:]
 			}
-			check(i)
+			check()
 		}
-	}
-}
-
-// TestSeriesIdentityFixedByFirstAdd states the contract the per-series
-// identity relies on: host, name and units come from the first sample.
-func TestSeriesIdentityFixedByFirstAdd(t *testing.T) {
-	s := &Series{capacity: 2}
-	s.Add(Metric{Host: "n1", Name: "load_one", Units: "u", Value: 1, At: 1})
-	s.Add(Metric{Host: "other", Name: "other", Units: "other", Value: 2, At: 2})
-	s.Add(Metric{Value: 3, At: 3})
-	want := []Metric{
-		{Host: "n1", Name: "load_one", Units: "u", Value: 2, At: 2},
-		{Host: "n1", Name: "load_one", Units: "u", Value: 3, At: 3},
-	}
-	if got := s.All(); !slices.Equal(got, want) {
-		t.Fatalf("All = %v, want %v", got, want)
 	}
 }
 
@@ -195,26 +208,26 @@ func TestAggregatorHostsSortedAsTheyJoin(t *testing.T) {
 	late.SetPower(cluster.PowerOff)
 	agg := NewAggregator(c, 4, nil)
 	agg.Poll(0)
-	if agg.Series(late.Name, "load_one") != nil || slices.Contains(agg.Hosts(), late.Name) {
-		t.Fatalf("%s reported while powered off: %v", late.Name, agg.Hosts())
+	if agg.Samples(late.Name, "load_one") != nil || slices.Contains(hostNames(agg), late.Name) {
+		t.Fatalf("%s reported while powered off: %v", late.Name, hostNames(agg))
 	}
 	late.SetPower(cluster.PowerOn)
 	agg.Poll(1)
-	hosts := agg.Hosts()
+	hosts := hostNames(agg)
 	if len(hosts) != len(c.Nodes()) || !slices.IsSorted(hosts) {
-		t.Fatalf("Hosts = %v", hosts)
+		t.Fatalf("hosts = %v", hosts)
 	}
-	if s := agg.Series(late.Name, "cpu_num"); s == nil || len(s.All()) != 1 {
+	if s := agg.Samples(late.Name, "cpu_num"); len(s) != 1 {
 		t.Fatalf("%s should hold one sample", late.Name)
 	}
-	if agg.Series(late.Name, "no_such_metric") != nil {
-		t.Fatal("unknown metric should have no series")
+	if agg.Samples(late.Name, "no_such_metric") != nil {
+		t.Fatal("unknown metric should have no samples")
 	}
 }
 
-// TestPollAllocations pins what PR 17 and the fleet diet won: a cluster's
-// first poll sizes every host's slot and first point from the node count
-// (a handful of slabs, not one object per host and per series), and a warm
+// TestPollAllocations pins what PR 17, the fleet diet and the row layout
+// won: a cluster's first poll sizes every host's slot and first row from
+// the node count (a handful of slabs, not one object per host), and a warm
 // poll allocates nothing at all.
 func TestPollAllocations(t *testing.T) {
 	c := cluster.NewLittleFe()
@@ -222,8 +235,8 @@ func TestPollAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PowerOnAll()
-	if n := testing.AllocsPerRun(50, func() { NewAggregator(c, 1024, nil).Poll(0) }); n > 8 {
-		t.Errorf("first poll of a %d-node cluster allocates %v times, want at most 8", c.NodeCount(), n)
+	if n := testing.AllocsPerRun(50, func() { NewAggregator(c, 1024, nil).Poll(0) }); n > 4 {
+		t.Errorf("first poll of a %d-node cluster allocates %v times, want at most 4", c.NodeCount(), n)
 	}
 	agg := NewAggregator(c, 4, func(string) float64 { return 0.5 })
 	for i := 0; i < 4; i++ {
@@ -236,8 +249,8 @@ func TestPollAllocations(t *testing.T) {
 }
 
 // TestSeriesPointersSurviveLateHosts: slots come out of one slab, so a
-// *Series handed out before a powered-off host first reports must still be
-// the live series afterwards, and a node added after the first poll — past
+// slot handed out before a powered-off host first reports must still be
+// the live slot afterwards, and a node added after the first poll — past
 // the slab — must get a slot of its own.
 func TestSeriesPointersSurviveLateHosts(t *testing.T) {
 	c := cluster.NewLittleFe()
@@ -246,28 +259,33 @@ func TestSeriesPointersSurviveLateHosts(t *testing.T) {
 	late.SetPower(cluster.PowerOff)
 	agg := NewAggregator(c, 8, nil)
 	agg.Poll(1)
-	held := agg.Series("compute-0-5", "cpu_num")
-	head := agg.Series("littlefe-head", "power_watts")
-	if held == nil || head == nil || agg.Series(late.Name, "cpu_num") != nil {
-		t.Fatal("unexpected series before the late host reports")
+	slotOf := func(host string) *hostSeries {
+		if i, ok := agg.find(host); ok {
+			return agg.hosts[i]
+		}
+		return nil
+	}
+	held, head := slotOf("compute-0-5"), slotOf("littlefe-head")
+	if held == nil || head == nil || slotOf(late.Name) != nil {
+		t.Fatal("unexpected slots before the late host reports")
 	}
 	late.SetPower(cluster.PowerOn)
-	extra := cluster.NewNode("compute-0-0", cluster.RoleCompute, cluster.CeleronG1840, 1, 8).
+	extra := cluster.NewNode("compute-0-0", cluster.RoleCompute, &cluster.CeleronG1840, 1, 8).
 		AddNIC(cluster.NIC{Name: "eth0", Network: "private"})
 	extra.SetPower(cluster.PowerOn)
 	c.AddCompute(extra)
 	for now := sim.Time(2); now < 6; now++ {
 		agg.Poll(now)
 	}
-	if got := agg.Series("compute-0-5", "cpu_num"); got != held || len(held.All()) != 5 {
-		t.Errorf("series moved or stopped: %p len %d, held %p len %d", got, len(got.All()), held, len(held.All()))
+	if got := slotOf("compute-0-5"); got != held || len(held.rows) != 5 {
+		t.Errorf("slot moved or stopped: %p, held %p with %d rows", got, held, len(held.rows))
 	}
-	if len(head.All()) != 5 {
-		t.Errorf("head series holds %d samples, want 5", len(head.All()))
+	if len(head.rows) != 5 {
+		t.Errorf("head holds %d rows, want 5", len(head.rows))
 	}
 	for _, host := range []string{late.Name, extra.Name} {
-		if s := agg.Series(host, "load_one"); s == nil || len(s.All()) != 4 {
-			t.Errorf("%s: late host has no series or the wrong length", host)
+		if n := len(agg.Samples(host, "load_one")); n != 4 {
+			t.Errorf("%s: late host holds %d samples, want 4", host, n)
 		}
 	}
 	var want []string
@@ -275,7 +293,7 @@ func TestSeriesPointersSurviveLateHosts(t *testing.T) {
 		want = append(want, n.Name)
 	}
 	slices.Sort(want)
-	if got := agg.Hosts(); !slices.Equal(got, want) {
+	if got := hostNames(agg); !slices.Equal(got, want) {
 		t.Errorf("hosts = %v, want %v", got, want)
 	}
 }

@@ -349,7 +349,7 @@ func (r *runner) fault(phase int, p *Phase) error {
 					Runtime:  runtime,
 					Walltime: 2 * runtime,
 				}
-				if _, err := ops.SubmitJob(job); err != nil {
+				if err := ops.Submit(job); err != nil {
 					rejected++
 					continue
 				}
@@ -391,7 +391,7 @@ func (r *runner) jobs(phase int, p *Phase) error {
 				Runtime:  runtime,
 				Walltime: walltime,
 			}
-			if _, err := ops.SubmitJob(job); err != nil {
+			if err := ops.Submit(job); err != nil {
 				r.emit(phase, "jobs.rejected", m.ID, "", err.Error())
 				continue
 			}

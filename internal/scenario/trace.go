@@ -78,24 +78,37 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
-// JSON is json.Marshal(r), byte for byte, with the events — nearly all of
-// a result's bytes — appended by Event.AppendJSON instead of reflected
-// over. Settled runs are journaled in this form.
-func (r *Result) JSON() ([]byte, error) {
+// AppendJSON appends json.Marshal(r) to dst, byte for byte, with the
+// events — nearly all of a result's bytes — appended by Event.AppendJSON
+// instead of reflected over. Settled runs are journaled in this form.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	head := *r
 	head.Events = nil
 	data, err := json.Marshal(&head) // ends `,"events":null}`
-	if err != nil || r.Events == nil {
-		return data, err
+	if err != nil {
+		return dst, err
 	}
-	data = append(slices.Grow(data[:len(data)-len("null}")], eventJSONSize*len(r.Events)+2), '[')
-	for i := range r.Events {
+	if r.Events == nil {
+		return append(dst, data...), nil
+	}
+	data = data[:len(data)-len("null}")]
+	// Room for the head, the events and the closing "]}", so that
+	// AppendEvents finds it and dst grows once.
+	dst = append(slices.Grow(dst, len(data)+eventJSONSize*len(r.Events)+3), data...)
+	return append(AppendEvents(dst, r.Events), '}'), nil
+}
+
+// AppendEvents appends evs to dst as a JSON array: json.Marshal(evs), byte
+// for byte.
+func AppendEvents(dst []byte, evs []Event) []byte {
+	dst = append(slices.Grow(dst, eventJSONSize*len(evs)+2), '[')
+	for i := range evs {
 		if i > 0 {
-			data = append(data, ',')
+			dst = append(dst, ',')
 		}
-		data = r.Events[i].AppendJSON(data)
+		dst = evs[i].AppendJSON(dst)
 	}
-	return append(data, ']', '}'), nil
+	return append(dst, ']')
 }
 
 // eventJSONSize is a little over the 110 bytes a campus-100 trace line

@@ -91,10 +91,12 @@ func TestResultJSONMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := res.JSON()
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s: JSON() = %v\n%.300s\nwant\n%.300s", res.Scenario, err, got, want)
+		prefix := []byte("prefix")
+		got, err := res.AppendJSON(prefix)
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: AppendJSON = %v\n%.300s\nwant\n%.300s", res.Scenario, err, got, want)
 		}
+		got = got[len(prefix):]
 		var back Result
 		if err := json.Unmarshal(got, &back); err != nil || len(back.Events) != len(res.Events) {
 			t.Errorf("%s: does not decode back: %v", res.Scenario, err)

@@ -319,11 +319,14 @@ type alertInfo struct {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	cl, _, _, ok := s.openCluster(w, r)
+	cl, dep, tn, ok := s.openCluster(w, r)
 	if !ok {
 		return
 	}
+	// Reading alerts re-evaluates the rules at the current virtual time (and
+	// can raise host-down), so like a metrics poll it is a replayed mutation.
 	active, log := cl.Alerts()
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "alerts"})
 	if active == nil {
 		active = []string{}
 	}

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -222,7 +223,8 @@ type runScenarioRequest struct {
 }
 
 // scenarioRunInfo is the JSON shape of one scenario run. Events carries
-// the trace slice requested via ?cursor=N once the run settles.
+// the trace slice requested via ?cursor=N once the run settles; the server
+// appends it from trace (see writeRunInfo) rather than copying it in.
 type scenarioRunInfo struct {
 	ID         string              `json:"id"`
 	Scenario   string              `json:"scenario"`
@@ -234,6 +236,9 @@ type scenarioRunInfo struct {
 	Stats      *xcbc.ScenarioStats `json:"stats,omitempty"`
 	Events     []xcbc.TraceEvent   `json:"events,omitempty"`
 	NextCursor int                 `json:"next_cursor"`
+
+	trace *xcbc.ScenarioResult // with events: whose events [start, NextCursor) ride along
+	start int
 }
 
 func runInfoOf(run *runMirror, withEvents bool, pg page) scenarioRunInfo {
@@ -251,11 +256,36 @@ func runInfoOf(run *runMirror, withEvents bool, pg page) scenarioRunInfo {
 		info.Stats = &st
 		info.NextCursor = result.TraceLen()
 		if withEvents {
-			start, end := pg.window(result.TraceLen())
-			info.Events, info.NextCursor = result.TraceWindow(start, end), end
+			info.trace = result
+			info.start, info.NextCursor = pg.window(result.TraceLen())
 		}
 	}
 	return info
+}
+
+// writeRunInfo answers 200 with one run: what writeJSON gives it with
+// Events holding its trace window, but with the window — nearly all of a
+// page's bytes — appended by ScenarioResult.AppendTrace in front of the
+// next_cursor that closes the object, instead of copied out and reflected
+// over.
+func writeRunInfo(w http.ResponseWriter, info scenarioRunInfo) {
+	body, err := json.Marshal(info)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding run: "+err.Error())
+		return
+	}
+	buf := listBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if info.trace != nil && info.start < info.NextCursor {
+		tail := bytes.LastIndex(body, []byte(`,"next_cursor":`))
+		buf.Write(body[:tail])
+		buf.WriteString(`,"events":`)
+		buf.Write(info.trace.AppendTrace(buf.AvailableBuffer(), info.start, info.NextCursor))
+		body = body[tail:]
+	}
+	buf.Write(body)
+	buf.WriteByte('\n')
+	writeBuffered(w, buf)
 }
 
 // handleRunScenario starts one scenario run on a fleet: 202 Accepted with
@@ -418,7 +448,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pg, ok := parsePage(w, r); ok {
-		writeJSON(w, http.StatusOK, runInfoOf(run, true, pg))
+		writeRunInfo(w, runInfoOf(run, true, pg))
 	}
 }
 

@@ -72,8 +72,7 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 	node.SetPower(cluster.PowerOn)
 	observe()
 
-	series := sdk.Monitor().Series("compute-0-1", "load_one")
-	samples := series.All()
+	samples := sdk.Monitor().Samples("compute-0-1", "load_one")
 	mean := 0.0
 	for _, m := range samples {
 		mean += m.Value
@@ -86,8 +85,13 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	latest, _, _ := sdk.Monitor().Latest(nil)
+	var hosts []string
+	for _, s := range latest {
+		hosts = append(hosts, s.Host)
+	}
 	fmt.Fprintf(&buf, "ExportXML\n%s\nReport\n%sHosts %q\nInstallLog\n%s\n",
-		xml, sdk.Monitor().Report(), sdk.Monitor().Hosts(), strings.Join(sdk.InstallLog(), "\n"))
+		xml, sdk.Monitor().Report(), hosts, strings.Join(sdk.InstallLog(), "\n"))
 
 	path := filepath.Join("testdata", "monitor-pin.golden")
 	if *updateGolden {

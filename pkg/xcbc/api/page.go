@@ -86,7 +86,7 @@ func (pg page) window(n int) (start, end int) {
 	return start, end
 }
 
-// listBufs holds the buffers list envelopes are assembled in.
+// listBufs holds the buffers list envelopes and trace pages are built in.
 var listBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeList answers 200 with the paginated list envelope, assembled in a
@@ -118,6 +118,12 @@ func writeList[I any](w http.ResponseWriter, key string, items []I, next int) {
 		}
 	}
 	buf.WriteString("}\n")
+	writeBuffered(w, buf)
+}
+
+// writeBuffered answers 200 with a body assembled in a listBufs buffer,
+// written once, and pools the buffer again.
+func writeBuffered(w http.ResponseWriter, buf *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())
 	// A ?limit=1000 page is not what the next request should find pooled.

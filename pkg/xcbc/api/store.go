@@ -15,9 +15,9 @@ package api
 //
 //   - deployments that settled ready are rebuilt deterministically from
 //     their recorded request, then their recorded day-2 operations (job
-//     submissions and cancellations, time advances, update checks, metric
-//     polls) are replayed in order against the live cluster — after Open
-//     returns, with each request for one of them waiting for it alone;
+//     submissions and cancellations, advances, update checks, metric polls,
+//     alert reads) are replayed in order against the live cluster — after
+//     Open returns, with each request for one of them waiting for it alone;
 //   - deployments that settled failed or cancelled are archived: state,
 //     error, and journal reload as recorded, day-2 routes answer 422;
 //   - deployments mid-build at the crash are reconciled to
@@ -133,7 +133,7 @@ type (
 // already says.
 type clusterOpRec struct {
 	ID       string            `json:"id,omitempty"`
-	Op       string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics
+	Op       string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics | alerts
 	Job      *submitJobRequest `json:"job,omitempty"`
 	JobID    int               `json:"job_id,omitempty"`
 	Duration string            `json:"duration,omitempty"`
@@ -180,8 +180,8 @@ type scenarioSettledRec struct {
 }
 
 // encode is json.Marshal(r), byte for byte, without scanning the result
-// again: its MarshalJSON is already compact, so the other fields are
-// marshalled and the result, the last field, copied in behind.
+// again: the other fields are marshalled, and the result, the last field,
+// appends its compact JSON straight in behind them.
 func (r scenarioSettledRec) encode() ([]byte, error) {
 	result := r.Result
 	r.Result = nil
@@ -189,13 +189,11 @@ func (r scenarioSettledRec) encode() ([]byte, error) {
 	if err != nil || result == nil {
 		return data, err
 	}
-	body, err := result.MarshalJSON()
+	data, err = result.AppendJSON(append(data[:len(data)-1], `,"result":`...))
 	if err != nil {
 		return nil, err
 	}
-	const key = `,"result":`
-	data = append(slices.Grow(data[:len(data)-1], len(key)+len(body)+1), key...)
-	return append(append(data, body...), '}'), nil
+	return append(data, '}'), nil
 }
 
 // campaignStartedRec starts a campaign; row is as in scenarioStartedRec.
@@ -1056,6 +1054,9 @@ func replayOp(cl *xcbc.Cluster, op clusterOpRec) error {
 		return nil
 	case "metrics":
 		cl.Metrics()
+		return nil
+	case "alerts":
+		cl.Alerts()
 		return nil
 	}
 	return fmt.Errorf("unknown op %q", op.Op)

@@ -180,6 +180,43 @@ func TestDurableDeploymentRestart(t *testing.T) {
 	}
 }
 
+// TestAlertsSurviveRestart: reading alerts re-evaluates the rules at the
+// current virtual time, so a GET /alerts after a quiet advance raises
+// host-down on every host. A restart must replay that read, or it serves
+// an alert log the server never had.
+func TestAlertsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, _ := openDurable(t, dir)
+	do(t, s1, "POST", "/api/v1/deployments", `{"cluster":"littlefe","scheduler":"torque"}`, nil)
+	if final, _ := pollDeployment(t, s1, "d1"); final.State != "ready" {
+		t.Fatalf("settled %q: %s", final.State, final.Error)
+	}
+	const d1 = "/api/v1/clusters/d1"
+	for _, op := range []struct{ method, path, body string }{
+		{"GET", d1 + "/metrics", ""},
+		{"POST", d1 + "/advance", `{"duration":"10m"}`},
+		{"GET", d1 + "/alerts", ""},
+		{"POST", d1 + "/advance", `{"duration":"10m"}`},
+		{"GET", d1 + "/metrics", ""},
+	} {
+		if rec := do(t, s1, op.method, op.path, op.body, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", op.method, op.path, rec.Code, rec.Body.String())
+		}
+	}
+	before := do(t, s1, "GET", d1+"/alerts", "", nil).Body.String()
+	if raised := strings.Count(before, `"rule":"host-down","firing":true`); raised != 6 {
+		t.Fatalf("live log raised host-down %d times, want 6: %s", raised, before)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := openDurable(t, dir)
+	defer s2.Close()
+	if after := do(t, s2, "GET", d1+"/alerts", "", nil).Body.String(); after != before {
+		t.Errorf("alerts after restart:\n got %s\nwant %s", after, before)
+	}
+}
+
 // TestDurableArchivedDeploymentRestart covers terminal non-ready builds: a
 // failed deployment reloads as an archived record — state, error, and the
 // complete journal — with day-2 routes answering 422, and its deletion

@@ -165,6 +165,9 @@ func metricsOf(s core.MetricsSnapshot) ClusterMetrics {
 		At: s.At.Duration(), Polls: s.Polls, ClusterLoad: s.ClusterLoad,
 		ActiveAlerts: s.ActiveAlerts,
 	}
+	if len(s.Nodes) > 0 {
+		out.Nodes = make([]NodeMetrics, 0, len(s.Nodes))
+	}
 	for _, n := range s.Nodes {
 		out.Nodes = append(out.Nodes, NodeMetrics(n))
 	}

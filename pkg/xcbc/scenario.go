@@ -158,13 +158,25 @@ func (r *ScenarioResult) TraceLen() int { return len(r.r.Events) }
 // TraceWindow returns a copy of trace events [start, end), clamped to the
 // trace — what a paged reader needs without copying the whole trace.
 func (r *ScenarioResult) TraceWindow(start, end int) []TraceEvent {
-	end = min(max(end, 0), len(r.r.Events))
-	start = min(max(start, 0), end)
-	out := make([]TraceEvent, end-start)
-	for i, ev := range r.r.Events[start:end] {
+	window := r.window(start, end)
+	out := make([]TraceEvent, len(window))
+	for i, ev := range window {
 		out[i] = TraceEvent(ev)
 	}
 	return out
+}
+
+// AppendTrace appends trace events [start, end), clamped to the trace, to
+// dst as a JSON array: json.Marshal(r.TraceWindow(start, end)), byte for
+// byte, without copying the window first.
+func (r *ScenarioResult) AppendTrace(dst []byte, start, end int) []byte {
+	return scenario.AppendEvents(dst, r.window(start, end))
+}
+
+// window is trace events [start, end), clamped to the trace.
+func (r *ScenarioResult) window(start, end int) []scenario.Event {
+	end = min(max(end, 0), len(r.r.Events))
+	return r.r.Events[min(max(start, 0), end):end]
 }
 
 // TraceJSONL renders the trace as JSON lines — the byte-stable artifact
@@ -204,7 +216,11 @@ func runScenarioObserved(ctx context.Context, fl *fleet.Fleet, s *Scenario, obs 
 // MarshalJSON renders the full result — stats, violations, and the
 // complete trace — as compact JSON that UnmarshalJSON round-trips. This
 // is the persistence form durable stores write at run settlement.
-func (r *ScenarioResult) MarshalJSON() ([]byte, error) { return r.r.JSON() }
+func (r *ScenarioResult) MarshalJSON() ([]byte, error) { return r.r.AppendJSON(nil) }
+
+// AppendJSON appends what MarshalJSON returns to dst, so a record that
+// carries the result is built in one buffer.
+func (r *ScenarioResult) AppendJSON(dst []byte) ([]byte, error) { return r.r.AppendJSON(dst) }
 
 // UnmarshalJSON restores a settled scenario result from the JSON that
 // MarshalJSON produced — the path a restarted store takes to reload
