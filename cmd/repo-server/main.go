@@ -156,7 +156,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	defer srv.Close()
-	if rec != nil {
+	if *dataDir != "" {
 		fmt.Fprintf(stdout, "recovered %s in %v: %d deployments (%d rebuilding, %d archived, %d interrupted, %d resumed, %d ops to replay), %d fleets, %d runs (%d replayed, %d diverged), %d campaigns (%d interrupted)\n",
 			rec.DataDir, rec.Elapsed.Round(time.Millisecond),
 			rec.Deployments, rec.Rebuilt, rec.Archived, rec.Interrupted, rec.Resumed, rec.OpsReplayed,

@@ -134,13 +134,33 @@ func TestAddrInUseFailsBeforeDataDirIsTouched(t *testing.T) {
 // kernel picked, the server answers there, and cancelling run's context
 // shuts it down cleanly.
 func TestServesOnTheAddressItPrints(t *testing.T) {
+	serveOnce(t, "-quiet", "-addr", "127.0.0.1:0", "-data-dir", t.TempDir())
+}
+
+// The recovery line reports what -data-dir held; a memory-only server
+// recovers nothing and prints no such line.
+func TestRecoveryLineOnlyWithDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if out := serveOnce(t, "-quiet", "-addr", "127.0.0.1:0", "-data-dir", dir); !strings.Contains(out, "recovered "+dir+" in ") {
+		t.Errorf("a durable server printed no recovery line for its DataDir:\n%s", out)
+	}
+	if out := serveOnce(t, "-quiet", "-addr", "127.0.0.1:0"); strings.Contains(out, "recovered") {
+		t.Errorf("a memory-only server printed a recovery line:\n%s", out)
+	}
+}
+
+// serveOnce runs the server with args until it answers on the address it
+// prints, then cancels it, requires a clean shutdown, and returns what it
+// wrote to stdout.
+func serveOnce(t *testing.T, args ...string) string {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var stdout syncBuffer
 	var stderr bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run(ctx, []string{"-quiet", "-addr", "127.0.0.1:0", "-data-dir", t.TempDir()}, &stdout, &stderr)
+		done <- run(ctx, args, &stdout, &stderr)
 	}()
 	serving := regexp.MustCompile(`and API v1 on (127\.0\.0\.1:[1-9][0-9]*)\n`)
 	var addr string
@@ -168,4 +188,5 @@ func TestServesOnTheAddressItPrints(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after its context was cancelled")
 	}
+	return stdout.String()
 }

@@ -33,11 +33,12 @@ type clusterInfo struct {
 }
 
 func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
+	c := &dep.row.Created
 	info := clusterInfo{
-		ID:      dep.ID,
-		Cluster: dep.Cluster,
-		Site:    dep.Site,
-		Nodes:   dep.Nodes,
+		ID:      c.ID,
+		Cluster: c.Cluster,
+		Site:    c.Site,
+		Nodes:   c.Nodes,
 		State:   dep.state(),
 	}
 	cl, err := dep.cluster()
@@ -67,9 +68,9 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 	}
 	cl, err := dep.cluster()
 	if err != nil {
-		st := dep.state()
+		id, st := dep.row.Created.ID, dep.state()
 		body := map[string]string{
-			"error": fmt.Sprintf("cluster %s is not operable: deployment state is %q", dep.ID, st),
+			"error": fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st),
 			"state": st,
 		}
 		status := http.StatusConflict
@@ -77,12 +78,12 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 			// The build settled without producing a cluster; retrying is
 			// pointless, so this is not the 409 "wait" contract.
 			status = http.StatusUnprocessableEntity
-			body["hint"] = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + dep.ID + ", then DELETE it and create a new deployment"
+			body["hint"] = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
 			if berr := dep.errMsg(); berr != "" {
 				body["build_error"] = berr
 			}
 		} else {
-			body["hint"] = "day-2 operations need state \"ready\"; poll GET /api/" + Version + "/deployments/" + dep.ID + " or stream its /events until the build settles"
+			body["hint"] = "day-2 operations need state \"ready\"; poll GET /api/" + Version + "/deployments/" + id + " or stream its /events until the build settles"
 		}
 		writeJSON(w, status, body)
 		return nil, nil, nil, false
@@ -196,7 +197,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.submit", Job: &req, JobID: job.ID})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "job.submit", Job: &req, JobID: job.ID})
 	writeJSON(w, http.StatusCreated, jobInfoOf(job))
 }
 
@@ -266,7 +267,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "job.cancel", JobID: id})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "job.cancel", JobID: id})
 	job, _ := cl.Job(id)
 	writeJSON(w, http.StatusOK, jobInfoOf(job))
 }
@@ -295,7 +296,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// A metrics request polls the nodes (bumping the poll counter), so it
 	// is a recorded, replayed mutation like any other day-2 op.
 	m := cl.Metrics()
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "metrics"})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "metrics"})
 	out := metricsInfo{
 		At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
 		Nodes:        make([]nodeMetricsInfo, 0, len(m.Nodes)),
@@ -326,7 +327,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	// Reading alerts re-evaluates the rules at the current virtual time (and
 	// can raise host-down), so like a metrics poll it is a replayed mutation.
 	active, log := cl.Alerts()
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "alerts"})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "alerts"})
 	if active == nil {
 		active = []string{}
 	}
@@ -433,7 +434,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// so a recovery replay re-applies the same update window.
 	now := s.clock()
 	check := cl.CheckUpdates(policy, now)
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "updates", Policy: p, At: now})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "updates", Policy: p, At: now})
 	out := updatesInfo{
 		Policy:       policy.String(),
 		PendingTotal: check.PendingTotal(),
@@ -477,6 +478,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := cl.Advance(d)
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.ID, Op: "advance", Duration: req.Duration})
+	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "advance", Duration: req.Duration})
 	writeJSON(w, http.StatusOK, map[string]string{"virtual_now": now.String()})
 }

@@ -29,26 +29,19 @@ const (
 	maxFleetTotalNodes = 16384
 )
 
-// fleetRecord is one managed fleet — the identity it was created (and
-// journaled) with, plus the live fleet — and its scenario runs, served
-// from their mirror rows. tn is the owning tenant, so the run executor
-// (shared by the live path and recovery) journals through the right
-// shard's store.
+// fleetRecord is one managed fleet: its mirror row, the live fleet, and
+// its scenario runs, served from their rows.
 type fleetRecord struct {
-	fleetCreatedRec
+	row   *fleetMirror
 	Fleet *xcbc.Fleet
-	tn    *tenant
 	runs  *registry[*runMirror]
 
 	mu      sync.Mutex
 	runLive bool // a scenario is currently executing
 }
 
-func newFleetRecord(rec fleetCreatedRec, fl *xcbc.Fleet, tn *tenant) *fleetRecord {
-	return &fleetRecord{
-		fleetCreatedRec: rec, Fleet: fl, tn: tn,
-		runs: newRegistry[*runMirror]("s", "scenario runs", 0),
-	}
+func newFleetRecord(row *fleetMirror, fl *xcbc.Fleet) *fleetRecord {
+	return &fleetRecord{row: row, Fleet: fl, runs: newRegistry[*runMirror]("s", "scenario runs", 0)}
 }
 
 // createFleetRequest provisions a new fleet of simulated clusters. The
@@ -89,9 +82,9 @@ type fleetInfo struct {
 }
 
 func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
-	st := fr.Fleet.Status()
+	st, c := fr.Fleet.Status(), &fr.row.Created
 	info := fleetInfo{
-		ID: fr.ID, Name: fr.Name, Created: fr.Created,
+		ID: c.ID, Name: c.Name, Created: c.Created,
 		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
 	}
 	if withMembers {
@@ -152,16 +145,18 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fr, quota := tn.fleets.insert(func(id string) *fleetRecord {
-		return newFleetRecord(fleetCreatedRec{
+		return newFleetRecord(&fleetMirror{Created: fleetCreatedRec{
 			ID: id, Name: req.Name, Req: req, Created: s.clock(), Provisioned: provisioned,
-		}, fl, tn)
+		}, Provisioned: provisioned}, fl)
 	})
 	if quota != nil {
 		fl.Cancel()
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.store.emit(recFleetCreated, fr.fleetCreatedRec)
+	created := fr.row.Created
+	created.row = fr.row
+	tn.store.emit(recFleetCreated, created)
 	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
 }
 
@@ -327,7 +322,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	if sc.Members() != fr.Fleet.Len() {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), fr.ID, fr.Fleet.Len()))
+			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), fr.row.Created.ID, fr.Fleet.Len()))
 		return
 	}
 	if sc.RequiresFreshFleet() && fr.Fleet.Provisioned() {
@@ -350,7 +345,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	run, _ := fr.runs.insert(func(id string) *runMirror {
 		return &runMirror{Started: scenarioStartedRec{
-			FleetID: fr.ID, RunID: id, Name: sc.Name(), Scenario: doc, Created: s.clock(),
+			FleetID: fr.row.Created.ID, RunID: id, Name: sc.Name(), Scenario: doc, Created: s.clock(),
 		}}
 	})
 	started := run.Started
@@ -359,7 +354,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
 	accepted := runInfoOf(run, false, page{})
-	go s.executeRun(fr, run, sc, nil)
+	go s.executeRun(tn.store, fr, run, sc, nil)
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
@@ -370,8 +365,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 // must reproduce the recorded hash at the recorded cursor, or the run
 // settles as "error" rather than presenting a trace the crashed server
 // never produced.
-func (s *Server) executeRun(fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
-	st := fr.tn.store
+func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
 	var obs func(xcbc.TraceEvent)
 	var got uint64
 	var reached bool
@@ -387,7 +381,7 @@ func (s *Server) executeRun(fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, 
 			// every event is hashed and one in checkpointEvery journaled.
 			if cursor%checkpointEvery == 0 {
 				st.emit(recScenarioProgress, scenarioProgressRec{
-					FleetID: fr.ID, RunID: run.Started.RunID, Cursor: cursor, Hash: sum,
+					FleetID: run.Started.FleetID, RunID: run.Started.RunID, Cursor: cursor, Hash: sum,
 				})
 			}
 		}
@@ -404,7 +398,7 @@ func (s *Server) executeRun(fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, 
 	case result.Passed():
 		state = "passed"
 	}
-	rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.Started.RunID, State: state, Result: result}
+	rec := scenarioSettledRec{FleetID: run.Started.FleetID, RunID: run.Started.RunID, State: state, Result: result}
 	if err != nil {
 		rec.Error = err.Error()
 	}
@@ -417,7 +411,7 @@ func (s *Server) executeRun(fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, 
 	// A provision phase may have built the fleet's members mid-run; record
 	// that so recovery re-provisions before restoring results.
 	if fr.Fleet.Provisioned() {
-		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: fr.ID})
+		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: run.Started.FleetID})
 	}
 	fr.runLive = false
 	return err

@@ -8,6 +8,7 @@ import (
 	"log"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"runtime"
@@ -66,26 +67,6 @@ func loggedRecords(t *testing.T, dir string) []wal.Record {
 	}
 	defer l.Close()
 	return rec.Records
-}
-
-// waitJournaled returns once the store has applied — and therefore logged —
-// a deployment's settled record; a build reports its state before its
-// watcher journals it.
-func waitJournaled(t *testing.T, s *Server, id string) {
-	t.Helper()
-	st := s.openTenant.store
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		st.mu.Lock()
-		d := st.m.Deployments[id]
-		settled := d != nil && d.State != ""
-		st.mu.Unlock()
-		if settled {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: no settled record journaled", id)
-		}
-	}
 }
 
 // crashImages drives one durable campus-100 run on a fleet created from
@@ -233,7 +214,6 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 		var want []string
 		for op := 0; op < 3; op++ {
 			id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
-			waitJournaled(t, s, id)
 			for _, call := range []struct {
 				method, path, body string
 				want               int
@@ -274,7 +254,6 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 		if final.State != "failed" || len(live) == 0 {
 			t.Fatalf("settled %q with %d events, want failed with a journal", final.State, len(live))
 		}
-		waitJournaled(t, s, "d1")
 		s.Close()
 		records := loggedRecords(t, dir)
 		if len(records) != 2 || records[0].Type != recDeploymentCreated || records[1].Type != recDeploymentSettled {
@@ -402,18 +381,22 @@ func TestEmitAppliesOnlyWhatItLogged(t *testing.T) {
 	}
 }
 
-// TestSettledOnlyOnceJournaled holds the store's lock while a small
-// scenario run and a one-seed campaign finish: each waits in emit for its
-// record, and until the lock is released a client still reads it running.
-// An attempt in which the record beat the test to the lock is retried.
+// TestSettledOnlyOnceJournaled holds the store's lock while a deployment's
+// build, a small scenario run and a one-seed campaign finish: each waits in
+// emit for its record, and until the lock is released a client still reads
+// it in flight — a deployment building, its cluster 409 and its event
+// stream without a terminal frame. An attempt in which the record beat the
+// test to the lock is retried.
 func TestSettledOnlyOnceJournaled(t *testing.T) {
 	for _, tc := range []struct {
 		name, fleet, create, body, get, caller string
+		inflight, final                        string
 	}{
+		{"deployment", "", "/api/v1/deployments", `{"cluster":"littlefe"}`, "/api/v1/deployments/d1", "watchDeployment", "building", "ready"},
 		{"scenario run", `{"name":"tiny","members":2,"nodes":2,"workers":2,"provision":false}`,
 			"/api/v1/fleets/f1/scenarios", `{"scenario": ` + smallScenario + `}`, // under checkpointEvery events
-			"/api/v1/fleets/f1/scenarios/s1", "executeRun"},
-		{"campaign", "", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1", "executeCampaign"},
+			"/api/v1/fleets/f1/scenarios/s1", "executeRun", "running", "passed"},
+		{"campaign", "", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1", "executeCampaign", "running", "passed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			caught := func() bool {
@@ -443,18 +426,46 @@ func TestSettledOnlyOnceJournaled(t *testing.T) {
 					Completed int    `json:"completed"`
 				}
 				do(t, s, "GET", tc.get, "", &info)
-				st.mu.Unlock()
-				if info.State != "running" || info.Completed != 0 {
-					t.Fatalf("with its record unjournaled, GET %s = %+v, want running with nothing completed", tc.get, info)
+				var clusterCode int
+				var early string
+				streamed := make(chan string, 1)
+				if tc.caller == "watchDeployment" {
+					clusterCode = do(t, s, "GET", "/api/v1/clusters/d1", "", nil).Code
+					go func() {
+						rec := httptest.NewRecorder()
+						s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.get+"/events", nil))
+						streamed <- rec.Body.String()
+					}()
+					select {
+					case early = <-streamed:
+					case <-time.After(50 * time.Millisecond):
+					}
 				}
-				for deadline := time.Now().Add(time.Minute); info.State == "running"; time.Sleep(time.Millisecond) {
+				st.mu.Unlock()
+				if info.State != tc.inflight || info.Completed != 0 {
+					t.Fatalf("with its record unjournaled, GET %s = %+v, want %s with nothing completed", tc.get, info, tc.inflight)
+				}
+				if tc.caller == "watchDeployment" {
+					if clusterCode != http.StatusConflict {
+						t.Errorf("with its record unjournaled, GET /api/v1/clusters/d1 = %d, want 409", clusterCode)
+					}
+					if early != "" {
+						t.Errorf("with its record unjournaled, the event stream ended:\n%s", early)
+					}
+				}
+				for deadline := time.Now().Add(time.Minute); info.State == tc.inflight; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
 						t.Fatalf("%s never settled", tc.get)
 					}
 					do(t, s, "GET", tc.get, "", &info)
 				}
-				if info.State != "passed" || st.log.Stats().NextSeq == started {
+				if info.State != tc.final || st.log.Stats().NextSeq == started {
 					t.Fatalf("settled %q with nothing journaled after it started", info.State)
+				}
+				if tc.caller == "watchDeployment" && early == "" {
+					if body := <-streamed; !strings.HasSuffix(body, "event: state\ndata: {\"state\":\"ready\"}\n\n") {
+						t.Errorf("the event stream did not end on the journaled settlement:\n%s", body)
+					}
 				}
 				return true
 			}
@@ -623,7 +634,6 @@ func TestEmptyRollsSurviveRestart(t *testing.T) {
 	}
 	s1, _ := openDurable(t, dir)
 	deployReady(t, s1, `{"cluster":"littlefe","rolls":[]}`)
-	waitJournaled(t, s1, "d1")
 	before := rolls(s1)
 	if slices.Contains(before, "ganglia") {
 		t.Fatalf("built with rolls %v: the default ganglia roll despite \"rolls\":[]", before)

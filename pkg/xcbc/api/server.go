@@ -164,53 +164,59 @@ type Server struct {
 	campaignHook xcbc.CampaignCheckHook
 }
 
-// deployment is one SDK deployment managed by the server: the identity it
-// was created (and journaled) with, plus its live build. A live
-// deployment's handle owns all mutable build state (lifecycle state,
-// capped event journal, result), so the server never touches a build
-// goroutine's data directly. A deployment recovered in a terminal
-// non-ready state has no live handle; arch is then its recovered mirror
-// entry, whose State, Error and Events are enough to serve status, journal
-// and deletion, with day-2 routes answering 422 as they do for any
-// terminal non-ready build.
+// deployment is one SDK deployment managed by the server: its mirror row,
+// which holds the identity it was created with and, once journaled, its
+// settlement, plus what cannot be persisted — its build handle, which owns
+// all mutable build state (lifecycle state, capped event journal, result),
+// so the server never touches a build goroutine's data directly. A
+// deployment recovery settled without a live build has no handle, and its
+// row's Events are its journal; day-2 routes answer 422 for it as they do
+// for any terminal non-ready build. journaled is closed once the watcher
+// has emitted the settlement; nil when there is no watcher.
 type deployment struct {
-	depCreatedRec
-	Handle *xcbc.Handle // nil when archived
-	arch   *depMirror   // nil when live
+	row       *depMirror
+	Handle    *xcbc.Handle // nil when recovery settled it
+	journaled chan struct{}
 }
 
-// state returns the deployment's lifecycle state.
+// settlement returns the row's state and error: "" until the deployment's
+// settled record is journaled.
+func (d *deployment) settlement() (state, errMsg string) {
+	d.row.mu.Lock()
+	defer d.row.mu.Unlock()
+	return d.row.State, d.row.Error
+}
+
+// state returns the deployment's lifecycle state: the row's once it is
+// settled, the build's before that — except that a build which has ended
+// reads building until its settlement is journaled.
 func (d *deployment) state() string {
-	if d.arch != nil {
-		return d.arch.State
+	if state, _ := d.settlement(); state != "" {
+		return state
 	}
-	return string(d.Handle.Status())
+	if st := d.Handle.Status(); !st.Terminal() {
+		return string(st)
+	}
+	return string(xcbc.StateBuilding)
 }
 
-// terminal reports whether the deployment has settled.
+// terminal reports whether the deployment's settlement is journaled.
 func (d *deployment) terminal() bool {
-	if d.arch != nil {
-		return true
-	}
-	return d.Handle.Status().Terminal()
+	state, _ := d.settlement()
+	return state != ""
 }
 
 // errMsg returns the deployment's terminal error message, "" if none.
 func (d *deployment) errMsg() string {
-	if d.arch != nil {
-		return d.arch.Error
-	}
-	if err := d.Handle.Err(); err != nil {
-		return err.Error()
-	}
-	return ""
+	_, errMsg := d.settlement()
+	return errMsg
 }
 
 // cluster returns the live day-2 surface, or an error for a deployment
 // that is not (or can never again be) operable.
 func (d *deployment) cluster() (*xcbc.Cluster, error) {
-	if d.arch != nil {
-		return nil, fmt.Errorf("deployment is archived %s", d.arch.State)
+	if state, _ := d.settlement(); state != string(xcbc.StateReady) {
+		return nil, xcbc.ErrNotReady
 	}
 	return d.Handle.Cluster()
 }
@@ -218,18 +224,19 @@ func (d *deployment) cluster() (*xcbc.Cluster, error) {
 // events returns journal events with Seq >= pg.cursor plus the next
 // cursor. A positive limit caps how many events one response carries; the
 // next cursor then points at the first event not returned, so clients page
-// through with repeated requests. An archived journal is a run of
-// consecutive seqs — from 0 unless the build outgrew the handle's ring
-// before it settled — so a cursor indexes the slice after its first seq.
+// through with repeated requests. A row's journal is a run of consecutive
+// seqs — from 0 unless the build outgrew the handle's ring before it
+// settled — so a cursor indexes the slice after its first seq.
 func (d *deployment) events(pg page) ([]eventInfo, int) {
-	if a := d.arch; a != nil {
+	if d.Handle == nil {
+		evs := d.row.Events // written before recovery registered it
 		first := 0
-		if len(a.Events) > 0 {
-			first = a.Events[0].Seq
+		if len(evs) > 0 {
+			first = evs[0].Seq
 		}
 		pg.cursor = max(pg.cursor-first, 0)
-		start, end := pg.window(len(a.Events))
-		return a.Events[start:end], first + end
+		start, end := pg.window(len(evs))
+		return evs[start:end], first + end
 	}
 	evs, next := d.Handle.Events(pg.cursor)
 	if pg.limit > 0 && len(evs) > pg.limit {
@@ -266,23 +273,23 @@ func Open(cfg Config) (*Server, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	report := &RecoveryReport{DataDir: cfg.DataDir}
 	if cfg.DataDir == "" {
-		return s, &RecoveryReport{}, nil
+		return s, report, nil
 	}
-	agg := &RecoveryReport{DataDir: cfg.DataDir}
+	start := time.Now()
 	for _, tn := range s.tenants {
 		dir := cfg.DataDir
 		if tn.name != "" {
 			dir = filepath.Join(cfg.DataDir, "tenants", tn.name)
 		}
-		report, err := tn.store.open(dir)
-		if err != nil {
+		if err := tn.store.open(dir, report); err != nil {
 			s.Close() // release the stores tenants before this one opened
 			return nil, nil, err
 		}
-		agg.merge(report)
 	}
-	return s, agg, nil
+	report.Elapsed = time.Since(start)
+	return s, report, nil
 }
 
 // Close stops the server's background work (store watchers, streams) and
@@ -768,17 +775,18 @@ func eventInfoOf(ev xcbc.Event) eventInfo {
 }
 
 func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) deploymentInfo {
+	c := &dep.row.Created
 	info := deploymentInfo{
-		ID:      dep.ID,
-		Path:    dep.Path,
+		ID:      c.ID,
+		Path:    c.Path,
 		State:   dep.state(),
 		Error:   dep.errMsg(),
-		Cluster: dep.Cluster,
-		Site:    dep.Site,
-		Nodes:   dep.Nodes,
-		Created: dep.Created,
+		Cluster: c.Cluster,
+		Site:    c.Site,
+		Nodes:   c.Nodes,
+		Created: c.Created,
 	}
-	if dep.Handle != nil {
+	if info.State == string(xcbc.StateReady) {
 		if d, ok := dep.Handle.Deployment(); ok {
 			info.Scheduler = d.Scheduler()
 			info.PackagesInstalled = d.PackagesInstalled()
@@ -909,17 +917,19 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 	}
 	hw := h.Hardware()
 	dep, quota := tn.deployments.insert(func(id string) *deployment {
-		return &deployment{Handle: h, depCreatedRec: depCreatedRec{
+		return &deployment{Handle: h, journaled: make(chan struct{}), row: &depMirror{Created: depCreatedRec{
 			ID: id, Path: path, Req: req, Created: s.clock(),
 			Cluster: hw.Name, Site: hw.Site, Nodes: hw.NodeCount(),
-		}}
+		}}}
 	})
 	if quota != nil {
 		h.Cancel()
 		writeJSON(w, http.StatusForbidden, quota)
 		return
 	}
-	tn.store.emit(recDeploymentCreated, dep.depCreatedRec)
+	created := dep.row.Created
+	created.row = dep.row
+	tn.store.emit(recDeploymentCreated, created)
 	tn.store.watchDeployment(dep)
 	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
 }
@@ -990,12 +1000,10 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if dep.arch == nil {
-		// The stream must outlive the server's WriteTimeout (set against
-		// slow-loris clients, not long-lived push streams): clear the write
-		// deadline for this response only.
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
-	}
+	// The stream must outlive the server's WriteTimeout (set against
+	// slow-loris clients, not long-lived push streams): clear the write
+	// deadline for this response only.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -1020,26 +1028,25 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
 		flusher.Flush()
 	}
-	if dep.arch != nil {
-		// An archived deployment's journal is complete and its state final:
-		// replay the recorded events, send the terminal frame, and close.
+	if dep.terminal() {
+		// A settled deployment's journal is complete and its state final:
+		// replay the events, send the terminal frame, and close.
 		finish()
 		return
 	}
-	h := dep.Handle
-	wake, unsubscribe := h.Subscribe()
+	wake, unsubscribe := dep.Handle.Subscribe()
 	defer unsubscribe()
 	for {
 		if writeEvents() {
 			flusher.Flush()
 		}
-		if h.Status().Terminal() {
-			finish()
-			return
-		}
 		select {
 		case <-wake:
-		case <-h.Done():
+		case <-dep.journaled:
+			// The terminal frame waits for the settled record, so a client
+			// that read "ready" here can operate the cluster at once.
+			finish()
+			return
 		case <-r.Context().Done():
 			return
 		case <-s.closing:

@@ -2,24 +2,26 @@ package api
 
 // Durability: every tenant's store applies each resource mutation, as a
 // typed record, to an in-memory mirror — the persistent model, whose rows
-// serve scenario runs and campaigns. A durable server's store journals the
-// record to a write-ahead log (internal/wal) first and periodically
-// snapshots its state, so a restart with the same data directory recovers
-// deployments, fleets, and scenario runs; a memory-only server's has no
-// log. A snapshot is just the marshalled mirror, and recovery is "load
-// snapshot, re-apply the WAL tail, materialize live resources from the
-// mirror". A record is a typed value with one apply method: the live path
-// applies the value it emitted, recovery applies decodeRecord of the
-// logged bytes, and a record recovery cannot decode fails Open rather than
-// being skipped. Materializing means:
+// are the resources: a live deployment or fleet adds to its row only its
+// build handle or live fleet, so no client reads a state the log lacks. A
+// durable server's store journals the record to a write-ahead log
+// (internal/wal) first and periodically snapshots its state, so a restart
+// with the same data directory recovers deployments, fleets, and scenario
+// runs; a memory-only server's has no log. A snapshot is just the
+// marshalled mirror, and recovery is "load snapshot, re-apply the WAL
+// tail, materialize live resources from the mirror". A record is a typed
+// value with one apply method: the live path applies the value it emitted,
+// recovery applies decodeRecord of the logged bytes, and a record recovery
+// cannot decode fails Open rather than being skipped. Materializing means:
 //
 //   - deployments that settled ready are rebuilt deterministically from
 //     their recorded request, then their recorded day-2 operations (job
 //     submissions and cancellations, advances, update checks, metric polls,
 //     alert reads) are replayed in order against the live cluster — after
 //     Open returns, with each request for one of them waiting for it alone;
-//   - deployments that settled failed or cancelled are archived: state,
-//     error, and journal reload as recorded, day-2 routes answer 422;
+//   - deployments that settled failed or cancelled are served from their
+//     rows, day-2 routes answering 422, as is a ready one whose rebuild
+//     fails, from a row the mirror never sees: the next Open rebuilds it;
 //   - deployments mid-build at the crash are reconciled to
 //     failed (interrupted), or restarted from their recorded request when
 //     the store was opened with ResumeInterrupted;
@@ -88,6 +90,7 @@ const (
 	recCampaignSettled   = "campaign.settled"
 )
 
+// depCreatedRec starts a deployment; row is as in scenarioStartedRec.
 type depCreatedRec struct {
 	ID      string                  `json:"id"`
 	Path    string                  `json:"path"`
@@ -96,6 +99,7 @@ type depCreatedRec struct {
 	Cluster string                  `json:"cluster"`
 	Site    string                  `json:"site"`
 	Nodes   int                     `json:"nodes"`
+	row     *depMirror
 }
 
 // depEventRec is no longer written — a build's journal rides in its
@@ -107,7 +111,7 @@ type depEventRec struct {
 }
 
 // depSettledRec ends a build. Events is the build's journal, carried only
-// when the build did not end ready: the archived view serves it, while a
+// when the build did not end ready: recovery serves it from the row, while a
 // ready deployment is rebuilt from its request and regenerates its own.
 type depSettledRec struct {
 	ID     string      `json:"id"`
@@ -141,12 +145,14 @@ type clusterOpRec struct {
 	At       time.Time         `json:"at,omitzero"`
 }
 
+// fleetCreatedRec creates a fleet; row is as in scenarioStartedRec.
 type fleetCreatedRec struct {
 	ID          string             `json:"id"`
 	Name        string             `json:"name"`
 	Req         createFleetRequest `json:"req"`
 	Created     time.Time          `json:"created"`
 	Provisioned bool               `json:"provisioned"`
+	row         *fleetMirror
 }
 
 // fleetMemberRec is no longer written — a re-provisioned fleet regenerates
@@ -215,13 +221,15 @@ type campaignSettledRec struct {
 	Error string `json:"error,omitempty"`
 }
 
-// depMirror is one deployment's persistent model.
+// depMirror is one deployment's persistent model, and its routes read its
+// settlement from it. Only apply writes it, under mu; readers take mu alone.
 type depMirror struct {
 	Created depCreatedRec  `json:"created"`
 	Events  []eventInfo    `json:"events,omitempty"`
 	Ops     []clusterOpRec `json:"ops,omitempty"`
 	State   string         `json:"state,omitempty"` // "" while building
 	Error   string         `json:"error,omitempty"`
+	mu      sync.Mutex
 }
 
 // runMirror is one scenario run's persistent model, and the row its routes
@@ -305,12 +313,14 @@ type store struct {
 // the run had got to.
 const checkpointEvery = 64
 
-// RecoveryReport summarizes what Open recovered from a data directory.
-// Every count is decided when Open returns. Rebuilt and OpsReplayed count
-// what is scheduled: the ready deployments being rebuilt in the background
-// and the day-2 ops their rebuilds will replay. A rebuild that then fails
-// to land ready archives as failed, and an op that no longer applies is
-// logged and skipped, without changing the report.
+// RecoveryReport summarizes what Open recovered from a data directory: in
+// multi-tenant mode, counts sum over the tenants' logs, Repaired is any
+// log's and SnapshotSeq the furthest-ahead log's. Every count is decided
+// when Open returns. Rebuilt and OpsReplayed count what is scheduled: the
+// ready deployments being rebuilt in the background and the day-2 ops
+// their rebuilds will replay. A rebuild that then fails to land ready is
+// served as failed, and an op that no longer applies is logged and
+// skipped, without changing the report.
 type RecoveryReport struct {
 	DataDir          string `json:"data_dir"`
 	SnapshotSeq      uint64 `json:"snapshot_seq"`
@@ -349,27 +359,24 @@ func newStore(s *Server, tn *tenant, cfg Config) *store {
 
 // open attaches the WAL under dir (opening or creating it), rebuilds the
 // mirror from the newest snapshot plus the log tail, and materializes the
-// tenant's live resources from it. When open returns, every recovered
-// resource is registered, so IDs, quotas and paging are exact, and every
-// in-flight scenario run has been replayed and verified; ready deployments
-// and provisioned fleets go live in the background (see materialize).
-func (st *store) open(dir string) (*RecoveryReport, error) {
-	start := time.Now()
+// tenant's live resources from it, counting what it recovered into report.
+// When open returns, every recovered resource is registered, so IDs,
+// quotas and paging are exact, and every in-flight scenario run has been
+// replayed and verified; ready deployments and provisioned fleets go live
+// in the background (see materialize).
+func (st *store) open(dir string, report *RecoveryReport) error {
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("api: opening store: %w", err)
+		return fmt.Errorf("api: opening store: %w", err)
 	}
 	st.dirty = len(rec.Records)
-	report := &RecoveryReport{
-		DataDir:      dir,
-		SnapshotSeq:  rec.SnapshotSeq,
-		Records:      len(rec.Records),
-		Repaired:     rec.Repaired,
-		DroppedBytes: rec.DroppedBytes,
-	}
+	report.SnapshotSeq = max(report.SnapshotSeq, rec.SnapshotSeq)
+	report.Records += len(rec.Records)
+	report.Repaired = report.Repaired || rec.Repaired
+	report.DroppedBytes += rec.DroppedBytes
 	if rec.Snapshot != nil {
 		if err := json.Unmarshal(rec.Snapshot, st.m); err != nil {
-			return nil, errors.Join(fmt.Errorf("api: decoding snapshot: %w", err), l.Close())
+			return errors.Join(fmt.Errorf("api: decoding snapshot: %w", err), l.Close())
 		}
 		if st.m.Deployments == nil {
 			st.m.Deployments = make(map[string]*depMirror)
@@ -386,7 +393,7 @@ func (st *store) open(dir string) (*RecoveryReport, error) {
 		if err != nil {
 			// Fail before anything is appended or snapshotted: the directory
 			// stays exactly as found, for an operator (or a newer binary).
-			return nil, errors.Join(&recordError{Seq: r.Seq, Type: r.Type, Err: err}, l.Close())
+			return errors.Join(&recordError{Seq: r.Seq, Type: r.Type, Err: err}, l.Close())
 		}
 		typed.apply(st.m)
 	}
@@ -395,35 +402,9 @@ func (st *store) open(dir string) (*RecoveryReport, error) {
 	// checkpoints only when there is a log.
 	st.log = l
 	if err := st.materialize(report); err != nil {
-		return nil, errors.Join(err, l.Close())
+		return errors.Join(err, l.Close())
 	}
-	report.Elapsed = time.Since(start)
-	return report, nil
-}
-
-// merge folds another tenant's recovery report into this aggregate, for
-// the multi-tenant Open summary: counts sum, repair flags accumulate, and
-// the snapshot sequence reports the furthest-ahead shard.
-func (r *RecoveryReport) merge(o *RecoveryReport) {
-	if o.SnapshotSeq > r.SnapshotSeq {
-		r.SnapshotSeq = o.SnapshotSeq
-	}
-	r.Records += o.Records
-	r.Repaired = r.Repaired || o.Repaired
-	r.DroppedBytes += o.DroppedBytes
-	r.Deployments += o.Deployments
-	r.Rebuilt += o.Rebuilt
-	r.Archived += o.Archived
-	r.Interrupted += o.Interrupted
-	r.Resumed += o.Resumed
-	r.OpsReplayed += o.OpsReplayed
-	r.Fleets += o.Fleets
-	r.Runs += o.Runs
-	r.Replayed += o.Replayed
-	r.ReplayMismatches += o.ReplayMismatches
-	r.Campaigns += o.Campaigns
-	r.CampaignsInterrupted += o.CampaignsInterrupted
-	r.Elapsed += o.Elapsed
+	return nil
 }
 
 // close stops the store's watchers, then syncs and closes the WAL, if any.
@@ -508,11 +489,17 @@ func (st *store) logf(format string, args ...any) {
 // the live path and recovery, so replaying the log always lands on the
 // mirror the crashed server had. Records for unknown resources (a watcher
 // outliving a DELETE) are dropped. The live path calls them under st.mu;
-// recovery before any watcher exists. A run or campaign row is also
-// written under its own mu, the only lock its readers take.
+// recovery before any watcher exists. What routes read of a row — a
+// deployment's settlement, a run, a campaign — the live path also writes
+// under the row's own mu, the only lock its readers take. A created or
+// started record adopts the row its handler already serves; a decoded one
+// builds a new row.
 
 func (r depCreatedRec) apply(m *mirror) {
-	m.Deployments[r.ID] = &depMirror{Created: r}
+	if r.row == nil {
+		r.row = &depMirror{Created: r}
+	}
+	m.Deployments[r.ID] = r.row
 	m.NextID = max(m.NextID, numSuffix(r.ID))
 }
 
@@ -529,6 +516,8 @@ func (r depEventRec) apply(m *mirror) {
 
 func (r depSettledRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		d.State, d.Error = r.State, r.Error
 		// Nothing reads a ready deployment's journal; any other settlement
 		// brings its own, unless an older binary mirrored it event by event.
@@ -550,7 +539,10 @@ func (r clusterOpRec) apply(m *mirror) {
 }
 
 func (r fleetCreatedRec) apply(m *mirror) {
-	m.Fleets[r.ID] = &fleetMirror{Created: r, Provisioned: r.Provisioned}
+	if r.row == nil {
+		r.row = &fleetMirror{Created: r, Provisioned: r.Provisioned}
+	}
+	m.Fleets[r.ID] = r.row
 	m.NextFleetID = max(m.NextFleetID, numSuffix(r.ID))
 }
 
@@ -697,9 +689,10 @@ func numSuffix(id string) int {
 	return n
 }
 
-// watchDeployment waits for a live deployment's build to settle and
-// records the terminal state — with the journal the handle then serves when
-// the build did not end ready, which is what the archived path reloads.
+// watchDeployment waits for a live deployment's build to settle, records
+// the terminal state — with the journal the handle then serves when the
+// build did not end ready, which is what recovery serves — in its row, and
+// then closes dep.journaled.
 func (st *store) watchDeployment(dep *deployment) {
 	st.wg.Add(1)
 	go func() {
@@ -712,7 +705,7 @@ func (st *store) watchDeployment(dep *deployment) {
 		if !final.Terminal() {
 			return // store shutting down; the next recovery reconciles
 		}
-		rec := depSettledRec{ID: dep.ID, State: string(final)}
+		rec := depSettledRec{ID: dep.row.Created.ID, State: string(final)}
 		if err := dep.Handle.Err(); err != nil {
 			rec.Error = err.Error()
 		}
@@ -720,6 +713,7 @@ func (st *store) watchDeployment(dep *deployment) {
 			rec.Events, _ = dep.events(page{})
 		}
 		st.emit(recDeploymentSettled, rec)
+		close(dep.journaled)
 	}()
 }
 
@@ -795,19 +789,8 @@ type warmStep struct {
 // nothing can fail, warm rebuilds and re-provisions them on st.wg.
 func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn := st.tn
-
-	// Deployments are copied out of the mirror before spawning watchers that
-	// mutate it: recovery archives some without journaling, and an archived
-	// deployment serves its copy. Fleets and campaigns serve their rows.
 	st.mu.Lock()
-	var deps []depMirror
-	for _, d := range byNum(st.m.Deployments) {
-		cp := *d
-		cp.Events = slices.Clone(d.Events)
-		cp.Ops = slices.Clone(d.Ops)
-		deps = append(deps, cp)
-	}
-	fleets, camps := byNum(st.m.Fleets), byNum(st.m.Campaigns)
+	deps, fleets, camps := byNum(st.m.Deployments), byNum(st.m.Fleets), byNum(st.m.Campaigns)
 	nextDep, nextFleet, nextCampaign := st.m.NextID, st.m.NextFleetID, st.m.NextCampaignID
 	st.mu.Unlock()
 	// The mirror remembers the highest ID ever issued, deleted or not.
@@ -816,7 +799,7 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn.campaigns.advance(nextCampaign)
 
 	// Deployments first (fleets do not depend on them), in ID order.
-	report.Deployments = len(deps)
+	report.Deployments += len(deps)
 	var steps []warmStep
 	var resumed []*xcbc.Handle
 	defer func() {
@@ -836,25 +819,25 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	for _, m := range deps {
 		dep, finish := st.recoverDeployment(m, report)
 		if finish != nil {
-			steps = append(steps, warmStep{build: &dep.Req, finish: finish, live: tn.deployments.restoreWarming(dep.ID, dep)})
+			steps = append(steps, warmStep{build: &m.Created.Req, finish: finish, live: tn.deployments.restoreWarming(m.Created.ID, dep)})
 			continue
 		}
 		if dep.Handle != nil {
 			resumed = append(resumed, dep.Handle)
 		}
-		tn.deployments.restore(dep.ID, dep)
+		tn.deployments.restore(m.Created.ID, dep)
 	}
-	report.Fleets = len(fleets)
+	report.Fleets += len(fleets)
 	for _, m := range fleets {
 		fr, provision, err := st.recoverFleet(m, report)
 		if err != nil {
 			return err
 		}
 		if provision != nil {
-			steps = append(steps, warmStep{finish: func(rebuild) { provision() }, live: tn.fleets.restoreWarming(fr.ID, fr)})
+			steps = append(steps, warmStep{finish: func(rebuild) { provision() }, live: tn.fleets.restoreWarming(m.Created.ID, fr)})
 			continue
 		}
-		tn.fleets.restore(fr.ID, fr)
+		tn.fleets.restore(m.Created.ID, fr)
 	}
 	for _, c := range camps {
 		st.recoverCampaign(c, report)
@@ -890,15 +873,17 @@ func (st *store) warm(steps []warmStep) {
 	}
 }
 
-// recoverDeployment materializes one deployment from its mirror entry. A
+// recoverDeployment materializes one deployment from its mirror row. A
 // ready one is counted as scheduled and returned with the rest of its
 // recovery, which warm finishes with the rebuild it started for it;
-// anything else is complete when recoverDeployment returns.
-func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deployment, func(rebuild)) {
-	dep := &deployment{depCreatedRec: m.Created}
-	archive := func(state, errMsg string) {
-		m.State, m.Error = state, errMsg
-		dep.arch = &m
+// anything else is complete when recoverDeployment returns. A rebuild or
+// resume that fails is not journaled: its failure is served from a row the
+// mirror never sees, so the next snapshot keeps what the log says and the
+// next restart tries again.
+func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deployment, func(rebuild)) {
+	dep := &deployment{row: m}
+	archive := func(errMsg string) {
+		dep.row = &depMirror{Created: m.Created, Events: m.Events, State: string(xcbc.StateFailed), Error: errMsg}
 	}
 	switch m.State {
 	case string(xcbc.StateReady):
@@ -908,48 +893,49 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 			// Rebuild deterministically from the recorded request, then replay
 			// the recorded day-2 operations in log order. A rebuild that does
 			// not land ready again (it should: the simulated substrate is
-			// deterministic for a request that already succeeded once) archives
-			// as failed rather than presenting a half-true cluster.
+			// deterministic for a request that already succeeded once) is
+			// served as failed rather than presenting a half-true cluster.
 			if b.err != nil {
-				archive(string(xcbc.StateFailed), "recovery rebuild: "+b.err.Error())
+				archive("recovery rebuild: " + b.err.Error())
 				return
 			}
 			d, err := b.h.Wait(st.ctx)
 			if err != nil {
 				b.h.Cancel()
-				archive(string(xcbc.StateFailed), "recovery rebuild settled "+string(b.h.Status())+": "+err.Error())
+				archive("recovery rebuild settled " + string(b.h.Status()) + ": " + err.Error())
 				return
 			}
 			dep.Handle = b.h
 			cl := d.Open()
 			for _, op := range m.Ops {
 				if err := replayOp(cl, op); err != nil {
-					st.logf("store: %s: replaying %s: %v", dep.ID, op.Op, err)
+					st.logf("store: %s: replaying %s: %v", m.Created.ID, op.Op, err)
 				}
 			}
 		}
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
-		archive(m.State, m.Error)
 		report.Archived++
 	default:
 		// No settled record: the server died with this build in flight.
 		if st.resume {
 			h, _, err := st.srv.startBuild(m.Created.Req)
 			if err != nil {
-				archive(string(xcbc.StateFailed), "recovery resume: "+err.Error())
+				archive("recovery resume: " + err.Error())
 				report.Archived++
 				break
 			}
-			dep.Handle = h
+			dep.Handle, dep.journaled = h, make(chan struct{})
 			st.watchDeployment(dep)
 			report.Resumed++
 			break
 		}
 		msg := "interrupted: the server terminated while this deployment was building"
 		st.emit(recDeploymentSettled, depSettledRec{
-			ID: dep.ID, State: string(xcbc.StateFailed), Error: msg,
+			ID: m.Created.ID, State: string(xcbc.StateFailed), Error: msg,
 		})
-		archive(string(xcbc.StateFailed), msg)
+		if !dep.terminal() {
+			archive(msg) // the log refused the record; the next restart reconciles again
+		}
 		report.Interrupted++
 	}
 	return dep, nil
@@ -962,11 +948,12 @@ func (st *store) recoverDeployment(m depMirror, report *RecoveryReport) (*deploy
 // re-provisioned and its in-flight run replayed — when recoverFleet
 // returns.
 func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
+	id := m.Created.ID
 	fl, err := xcbc.NewFleet(fleetSpecOf(m.Created.Req))
 	if err != nil {
-		return nil, nil, fmt.Errorf("api: recovering fleet %s: %w", m.Created.ID, err)
+		return nil, nil, fmt.Errorf("api: recovering fleet %s: %w", id, err)
 	}
-	fr := newFleetRecord(m.Created, fl, st.tn)
+	fr := newFleetRecord(m, fl)
 	var inflight *runMirror
 	for _, run := range m.Runs {
 		fr.runs.restore(run.Started.RunID, run)
@@ -985,19 +972,19 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 	if inflight != nil {
 		sc, err := xcbc.LoadScenario(inflight.Started.Scenario)
 		if err != nil {
-			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", fr.ID, inflight.Started.RunID, err)
+			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", id, inflight.Started.RunID, err)
 		}
 		// A run that arms kickstart faults must replay against a fleet whose
 		// builds have not started; its provision phase builds the members.
 		if m.Provisioned && !sc.RequiresFreshFleet() {
 			if err := provision(); err != nil {
-				return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", fr.ID, err)
+				return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", id, err)
 			}
 		}
 		// In flight at the crash: replay from the seed and verify the trace
 		// prefix against the recorded cursor and hash.
 		fr.runLive = true
-		err = st.srv.executeRun(fr, inflight, sc, &replayTarget{cursor: inflight.Cursor, hash: inflight.Hash})
+		err = st.srv.executeRun(st, fr, inflight, sc, &replayTarget{cursor: inflight.Cursor, hash: inflight.Hash})
 		report.Replayed++
 		if errors.Is(err, errReplayDiverged) {
 			report.ReplayMismatches++
@@ -1012,7 +999,7 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 			return // closed before its turn
 		}
 		if err := provision(); err != nil && st.ctx.Err() == nil {
-			st.logf("store: re-provisioning fleet %s: %v", fr.ID, err)
+			st.logf("store: re-provisioning fleet %s: %v", id, err)
 		}
 	}, nil
 }
