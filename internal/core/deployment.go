@@ -8,6 +8,7 @@ import (
 	"xcbc/internal/cluster"
 	"xcbc/internal/modules"
 	"xcbc/internal/monitor"
+	"xcbc/internal/orchestrator"
 	"xcbc/internal/power"
 	"xcbc/internal/provision"
 	"xcbc/internal/repo"
@@ -16,19 +17,6 @@ import (
 	"xcbc/internal/sim"
 	"xcbc/internal/xsede"
 )
-
-// BuildEvent is one step of a long-running build, reported through
-// Options.Progress. Stage is one of "distribution", "frontend", "compute",
-// "wave", "quarantine", "subsystems"; Node is set for per-node stages;
-// Packages and Elapsed carry the install cost where the stage has one
-// (Elapsed is simulated time).
-type BuildEvent struct {
-	Stage    string
-	Node     string
-	Message  string
-	Packages int
-	Elapsed  time.Duration
-}
 
 // Options configure an XCBC build.
 type Options struct {
@@ -39,8 +27,12 @@ type Options struct {
 	OptionalRolls []string
 	// PowerPolicy selects node power management; default AlwaysOn.
 	PowerPolicy power.Policy
-	// Progress, when non-nil, receives a BuildEvent after each build step.
-	Progress func(BuildEvent)
+	// Progress, when non-nil, receives an event after each build step:
+	// Stage is one of "distribution", "frontend", "compute", "wave",
+	// "quarantine", "subsystems"; Node is set for per-node stages; Packages
+	// and Elapsed carry the install cost where the stage has one (Elapsed is
+	// simulated time). Seq is left for the journal to assign.
+	Progress func(orchestrator.Event)
 	// Parallelism is the compute-install wave width: how many kickstarts
 	// overlap, bounded by frontend serving capacity. <= 1 installs
 	// sequentially (the seed behavior).
@@ -53,7 +45,7 @@ type Options struct {
 	InstallHook func(node string, attempt int) error
 }
 
-func (o Options) emit(ev BuildEvent) {
+func (o Options) emit(ev orchestrator.Event) {
 	if o.Progress != nil {
 		o.Progress(ev)
 	}
@@ -138,7 +130,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	if err != nil {
 		return nil, err
 	}
-	o.emit(BuildEvent{Stage: "distribution", Message: bp.message})
+	o.emit(orchestrator.Event{Stage: "distribution", Message: bp.message})
 	installer := provision.NewInstaller(c, rocks.NewFrontendDB(bp.dist), bp.plan, "CentOS "+CentOSVersion)
 	installer.Hook = o.InstallHook
 	start := eng.Now()
@@ -154,7 +146,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 		return nil, fmt.Errorf("core: XCBC install failed: %w", err)
 	}
 	d.PackagesInstalled += feRes.Packages
-	o.emit(BuildEvent{Stage: "frontend", Node: feRes.Node,
+	o.emit(orchestrator.Event{Stage: "frontend", Node: feRes.Node,
 		Packages: feRes.Packages, Elapsed: feRes.Duration,
 		Message: "frontend installed from distribution media"})
 	if err := installer.DiscoverComputes(); err != nil {
@@ -168,16 +160,16 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	_, err = installer.InstallComputeWaves(ctx, eng, names, wopts, func(i int, wr *provision.WaveResult) {
 		for _, r := range wr.Results {
 			d.PackagesInstalled += r.Packages
-			o.emit(BuildEvent{Stage: "compute", Node: r.Node,
+			o.emit(orchestrator.Event{Stage: "compute", Node: r.Node,
 				Packages: r.Packages, Elapsed: r.Duration, Message: "kickstarted"})
 		}
 		for _, f := range wr.Failed {
 			d.Quarantined = append(d.Quarantined, f.Node)
-			o.emit(BuildEvent{Stage: "quarantine", Node: f.Node,
+			o.emit(orchestrator.Event{Stage: "quarantine", Node: f.Node,
 				Message: fmt.Sprintf("quarantined after %d attempt(s): %v", f.Attempts, f.Err)})
 		}
 		if o.Parallelism > 1 {
-			o.emit(BuildEvent{Stage: "wave", Elapsed: wr.Duration,
+			o.emit(orchestrator.Event{Stage: "wave", Elapsed: wr.Duration,
 				Message: fmt.Sprintf("wave %d: %d node(s) kickstarted in parallel", i+1, len(wr.Results))})
 		}
 	})
@@ -187,7 +179,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	d.InstallDuration = (eng.Now() - start).Duration()
 	d.Modules = bp.modules
 	d.finishAssembly(o)
-	o.emit(BuildEvent{Stage: "subsystems",
+	o.emit(orchestrator.Event{Stage: "subsystems",
 		Message: "batch, modules, monitoring, and power management started"})
 	return d, nil
 }

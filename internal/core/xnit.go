@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"xcbc/internal/depsolve"
+	"xcbc/internal/power"
 	"xcbc/internal/provision"
 	"xcbc/internal/repo"
 	"xcbc/internal/rpm"
@@ -153,6 +154,9 @@ func (d *Deployment) ChangeScheduler(to string) error {
 	policy, _ := sched.PolicyByName(to)
 	if d.Batch == nil {
 		d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)
+		// The power manager was started over no batch system, so it has no
+		// drain or wake hooks: start it again over the new one.
+		d.Power = power.NewManager(d.Engine, d.Cluster, d.Batch, d.Power.Policy)
 	} else {
 		d.Batch.SetPolicy(policy)
 	}

@@ -375,28 +375,18 @@ func (m *Member) runHook(node string, attempt int) error {
 
 // newJob creates the member's build job, pending until a fleet worker runs
 // it; the engine and everything else the build needs are allocated when it
-// starts, on the worker.
+// starts, on the worker. A member's build reports no progress: nothing
+// reads a member's journal, so it stays empty.
 func (m *Member) newJob(ctx context.Context) {
 	spec := &m.fleet.spec
-	job := orchestrator.NewJob(ctx, 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
+	job := orchestrator.NewJob(ctx, 0, func(jctx context.Context, _ func(orchestrator.Event) int) (any, error) {
 		return core.BuildXCBCContext(jctx, sim.NewEngine(), m.hw, core.Options{
 			Scheduler:   spec.Scheduler,
 			Parallelism: spec.Parallelism,
 			Retries:     spec.Retries,
 			InstallHook: m.runHook,
-			Progress: func(ev core.BuildEvent) {
-				emit(orchestrator.Event{Stage: ev.Stage, Node: ev.Node, Message: ev.Message,
-					Packages: ev.Packages, Elapsed: ev.Elapsed})
-			},
 		})
 	})
-	// A clean build journals the distribution, the frontend, each compute,
-	// each wave when kickstarts overlap, and the subsystems.
-	events := 3 + len(m.hw.Computes)
-	if spec.Parallelism > 1 {
-		events += (len(m.hw.Computes) + spec.Parallelism - 1) / spec.Parallelism
-	}
-	job.Journal().Reserve(events)
 	m.mu.Lock()
 	m.job = job
 	m.mu.Unlock()

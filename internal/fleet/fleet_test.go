@@ -68,6 +68,10 @@ func TestProvisionSmallFleet(t *testing.T) {
 		if d.InstallDuration <= 0 {
 			t.Fatalf("%s: non-positive install duration", m.ID)
 		}
+		// Nothing reads a member's journal, so its build keeps none.
+		if evs, next := m.job.Events(0); len(evs) != 0 || next != 0 {
+			t.Fatalf("%s: journal holds %d events (next %d), want none", m.ID, len(evs), next)
+		}
 	}
 }
 

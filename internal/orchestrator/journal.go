@@ -47,17 +47,6 @@ func journalCapOf(capacity int) int {
 	return capacity
 }
 
-// Reserve sizes the ring's storage for n further events (clipped to the
-// capacity), so a writer that knows its event count allocates once instead
-// of doubling up to it.
-func (j *Journal) Reserve(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n = min(len(j.buf)+n, j.cap); n > cap(j.buf) {
-		j.buf = append(make([]Event, 0, n), j.buf...)
-	}
-}
-
 // Append records an event, evicting the oldest entry if the ring is full,
 // and returns the sequence number it was assigned.
 func (j *Journal) Append(ev Event) int {
@@ -69,7 +58,7 @@ func (j *Journal) Append(ev Event) int {
 			// Grow the ring storage ourselves instead of letting append
 			// double past the configured capacity: append's doubling can
 			// strand a backing array up to 2x the ring cap (dead weight on
-			// every journal of every fleet member), while clamping the
+			// every deployment's journal), while clamping the
 			// growth target to j.cap keeps worst-case memory exactly at
 			// the configured bound.
 			newCap := 2 * cap(j.buf)

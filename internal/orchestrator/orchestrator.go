@@ -208,9 +208,6 @@ func (j *Job) Cancel() { j.cancel() }
 // see Journal.Since.
 func (j *Job) Events(cursor int) ([]Event, int) { return j.journal.Since(cursor) }
 
-// Journal exposes the job's event journal.
-func (j *Job) Journal() *Journal { return &j.journal }
-
 // Subscribe registers for wake-ups: the returned channel receives (with a
 // buffer of one, coalescing bursts) after every journal append and state
 // change. The caller must invoke the returned cancel function when done.

@@ -26,9 +26,6 @@ const (
 	// OnDemand powers idle nodes down after IdleGrace and wakes them when
 	// the queue needs cores (the Limulus behaviour).
 	OnDemand
-	// Scheduled is the SDK's "scheduled" policy. It behaves as OnDemand:
-	// nothing configures off-hours windows.
-	Scheduled
 )
 
 func (p Policy) String() string {
@@ -37,8 +34,6 @@ func (p Policy) String() string {
 		return "always-on"
 	case OnDemand:
 		return "on-demand"
-	case Scheduled:
-		return "scheduled"
 	}
 	return "?"
 }

@@ -123,7 +123,7 @@ func TestGraceCancelledWhenWorkArrives(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if AlwaysOn.String() != "always-on" || OnDemand.String() != "on-demand" || Scheduled.String() != "scheduled" {
+	if AlwaysOn.String() != "always-on" || OnDemand.String() != "on-demand" {
 		t.Fatal("policy strings")
 	}
 }

@@ -3,6 +3,9 @@ package xcbc
 import (
 	"context"
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -277,5 +280,55 @@ func TestDeployStaysSynchronous(t *testing.T) {
 	}
 	if d.InstallDuration() <= 0 {
 		t.Error("no install duration")
+	}
+}
+
+// TestProgressEqualsJournal pins what the SDK's event conversions must
+// preserve: on every build path the WithProgress stream and the handle's
+// journal carry the same events, field for field, Seq included.
+func TestProgressEqualsJournal(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		build  func(progress Option) Builder
+		stages []string
+	}{
+		{"xcbc", func(progress Option) Builder {
+			return NewXCBC(WithCluster("littlefe"), WithParallelism(2), progress,
+				WithInstallHook(func(node string, _ int) error {
+					if node == "compute-0-4" {
+						return errors.New("dead DIMM")
+					}
+					return nil
+				}))
+		}, []string{"compute", "distribution", "frontend", "quarantine", "subsystems", "wave"}},
+		{"vendor", func(progress Option) Builder {
+			return NewVendor(WithCluster("limulus"), progress)
+		}, []string{"vendor"}},
+		{"xnit", func(progress Option) Builder {
+			return NewXNIT(mustVendor(t), WithProfiles("compilers"), WithScheduler("slurm"),
+				WithPackages("R"), progress)
+		}, []string{"packages", "profile", "repo", "scheduler"}},
+	}
+	for _, tc := range cases {
+		var progress []Event
+		h, err := tc.build(WithProgress(func(ev Event) { progress = append(progress, ev) })).Start(ctx)
+		if err != nil {
+			t.Fatalf("%s: Start: %v", tc.name, err)
+		}
+		if _, err := h.Wait(ctx); err != nil {
+			t.Fatalf("%s: Wait: %v", tc.name, err)
+		}
+		journal, _ := h.Events(0)
+		if !reflect.DeepEqual(progress, journal) {
+			t.Errorf("%s: progress %+v\njournal %+v", tc.name, progress, journal)
+		}
+		seen := map[string]bool{}
+		for _, ev := range journal {
+			seen[ev.Stage] = true
+		}
+		if stages := slices.Sorted(maps.Keys(seen)); !slices.Equal(stages, tc.stages) {
+			t.Errorf("%s: stages %v, want %v", tc.name, stages, tc.stages)
+		}
 	}
 }

@@ -269,11 +269,5 @@ func (c *Cluster) Validate(opts ...ValidateOption) (Validation, error) {
 // the given policy over the cluster's attached repositories; now stamps
 // the notification reports.
 func (c *Cluster) CheckUpdates(policy UpdatePolicy, now time.Time) UpdateCheck {
-	notes := c.ops.CheckUpdates(policy.internal(), now)
-	out := UpdateCheck{Policy: policy, ByNode: make(map[string]NodeUpdates, len(notes))}
-	for node, n := range notes { //detlint:ordered map-to-map rebuild under distinct keys; Summary is pure
-		out.ByNode[node] = NodeUpdates{Pending: len(n.Pending), Applied: len(n.Applied),
-			Summary: n.Summary()}
-	}
-	return out
+	return updateCheck(policy, c.ops.CheckUpdates(policy.internal(), now))
 }

@@ -231,7 +231,11 @@ func (u UpdateCheck) AppliedTotal() int {
 // UpdateCheck performs the paper's periodic update check on every node
 // under the given policy.
 func (d *Deployment) UpdateCheck(policy UpdatePolicy, now time.Time) UpdateCheck {
-	notes := d.core.RunUpdateCheckEverywhere(policy.internal(), now)
+	return updateCheck(policy, d.core.RunUpdateCheckEverywhere(policy.internal(), now))
+}
+
+// updateCheck summarizes per-node update notifications.
+func updateCheck(policy UpdatePolicy, notes map[string]*depsolve.Notification) UpdateCheck {
 	out := UpdateCheck{Policy: policy, ByNode: make(map[string]NodeUpdates, len(notes))}
 	for node, n := range notes { //detlint:ordered map-to-map rebuild under distinct keys; Summary is pure
 		out.ByNode[node] = NodeUpdates{Pending: len(n.Pending), Applied: len(n.Applied),

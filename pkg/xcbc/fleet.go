@@ -39,19 +39,6 @@ type FleetSpec struct {
 	Workers int
 }
 
-func (s FleetSpec) internal() fleet.Spec {
-	return fleet.Spec{
-		Name:        s.Name,
-		Members:     s.Members,
-		Cluster:     s.Cluster,
-		Nodes:       s.Nodes,
-		Scheduler:   s.Scheduler,
-		Parallelism: s.Parallelism,
-		Retries:     s.Retries,
-		Workers:     s.Workers,
-	}
-}
-
 // FleetStatus is an aggregate lifecycle snapshot.
 type FleetStatus struct {
 	Members     int `json:"members"`
@@ -78,7 +65,7 @@ type Fleet struct {
 // NewFleet assembles a fleet; member hardware is stamped out immediately,
 // builds start at Provision.
 func NewFleet(spec FleetSpec) (*Fleet, error) {
-	fl, err := fleet.New(spec.internal())
+	fl, err := fleet.New(fleet.Spec(spec))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFleetSpec, err)
 	}
@@ -123,14 +110,7 @@ func (f *Fleet) Len() int { return f.fl.Len() }
 func (f *Fleet) Provisioned() bool { return f.fl.Provisioned() }
 
 // Status counts members by lifecycle state.
-func (f *Fleet) Status() FleetStatus {
-	st := f.fl.Status()
-	return FleetStatus{
-		Members: st.Members, Pending: st.Pending, Building: st.Building,
-		Ready: st.Ready, Failed: st.Failed, Cancelled: st.Cancelled,
-		Quarantined: st.Quarantined,
-	}
-}
+func (f *Fleet) Status() FleetStatus { return FleetStatus(f.fl.Status()) }
 
 // Members returns the fleet's members in index order.
 func (f *Fleet) Members() []*FleetMember { return slices.Clone(f.members) }

@@ -147,8 +147,7 @@ func (h *Handle) Events(cursor int) ([]Event, int) {
 	evs, next := h.job.Events(cursor)
 	out := make([]Event, len(evs))
 	for i, ev := range evs {
-		out[i] = Event{Seq: ev.Seq, Stage: ev.Stage, Node: ev.Node,
-			Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed}
+		out[i] = Event(ev)
 	}
 	return out, next
 }
@@ -191,13 +190,9 @@ func (h *Handle) Watch(ctx context.Context, fn func(Event)) DeployState {
 
 // start submits fn on the shared pool and wraps the job in a Handle.
 func start(ctx context.Context, hw *cluster.Cluster,
-	fn func(ctx context.Context, emit func(Event) int) (*Deployment, error)) *Handle {
+	fn func(ctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error)) *Handle {
 	job := defaultPool().Submit(ctx, "", 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
-		wrapped := func(ev Event) int {
-			return emit(orchestrator.Event{Stage: ev.Stage, Node: ev.Node,
-				Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed})
-		}
-		return fn(jctx, wrapped)
+		return fn(jctx, emit)
 	})
 	return &Handle{job: job, hw: hw}
 }

@@ -31,8 +31,12 @@ type PowerPolicy string
 
 // Power policies.
 const (
-	PowerAlwaysOn  PowerPolicy = "always-on"
-	PowerOnDemand  PowerPolicy = "on-demand"
+	PowerAlwaysOn PowerPolicy = "always-on"
+	PowerOnDemand PowerPolicy = "on-demand"
+	// PowerScheduled behaves as PowerOnDemand, since nothing configures
+	// off-hours windows. It is still accepted.
+	//
+	// Deprecated: use PowerOnDemand.
 	PowerScheduled PowerPolicy = "scheduled"
 )
 
@@ -40,10 +44,8 @@ func (p PowerPolicy) internal() (power.Policy, error) {
 	switch p {
 	case "", PowerAlwaysOn:
 		return power.AlwaysOn, nil
-	case PowerOnDemand:
+	case PowerOnDemand, PowerScheduled:
 		return power.OnDemand, nil
-	case PowerScheduled:
-		return power.Scheduled, nil
 	}
 	return power.AlwaysOn, wrapName(ErrUnknownPowerPolicy, string(p))
 }

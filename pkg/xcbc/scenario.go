@@ -86,14 +86,7 @@ func (s *Scenario) RequiresFreshFleet() bool { return s.sc.HasKickstartFault() }
 func (s *Scenario) JSON() ([]byte, error) { return s.sc.Encode() }
 
 // FleetSpec returns the fleet sizing a standalone run would use.
-func (s *Scenario) FleetSpec() FleetSpec {
-	spec := s.sc.FleetSpec()
-	return FleetSpec{
-		Name: spec.Name, Members: spec.Members, Cluster: spec.Cluster,
-		Nodes: spec.Nodes, Scheduler: spec.Scheduler,
-		Parallelism: spec.Parallelism, Retries: spec.Retries, Workers: spec.Workers,
-	}
-}
+func (s *Scenario) FleetSpec() FleetSpec { return FleetSpec(s.sc.FleetSpec()) }
 
 // TraceEvent is one entry of a scenario trace.
 type TraceEvent struct {
@@ -139,15 +132,7 @@ func (r *ScenarioResult) Violations() []string {
 }
 
 // Stats returns the run's aggregate numbers.
-func (r *ScenarioResult) Stats() ScenarioStats {
-	st := r.r.Stats
-	return ScenarioStats{
-		Members: st.Members, Ready: st.Ready, Failed: st.Failed,
-		Cancelled: st.Cancelled, QuarantinedNodes: st.QuarantinedNodes,
-		JobsSubmitted: st.JobsSubmitted, JobsCancelled: st.JobsCancelled,
-		UpdatesApplied: st.UpdatesApplied, SimulatedEnd: st.SimulatedEnd,
-	}
-}
+func (r *ScenarioResult) Stats() ScenarioStats { return ScenarioStats(r.r.Stats) }
 
 // Trace returns the run's event trace in order.
 func (r *ScenarioResult) Trace() []TraceEvent { return r.TraceWindow(0, r.TraceLen()) }

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"xcbc/internal/cluster"
+	"xcbc/internal/sim"
 )
 
 func TestXCBCDeploy(t *testing.T) {
@@ -260,5 +263,44 @@ func TestRegistry(t *testing.T) {
 	}
 	if r.Len() == 0 {
 		t.Error("XNIT repository empty")
+	}
+}
+
+// TestAdoptedSchedulerPowersIdleNodesOff: a vendor machine shipped with no
+// batch system, given one by XNIT, powers idle computes off on demand just
+// as the same machine shipped with that scheduler does.
+func TestAdoptedSchedulerPowersIdleNodesOff(t *testing.T) {
+	ctx := context.Background()
+	idleHourOff := func(d *Deployment) int {
+		eng := d.Engine()
+		eng.RunUntil(eng.Now() + sim.Time(time.Hour))
+		off := 0
+		for _, n := range d.Hardware().Computes {
+			if n.Power() == cluster.PowerOff {
+				off++
+			}
+		}
+		return off
+	}
+	shipped, err := NewVendor(WithCluster("limulus"), WithScheduler("slurm"),
+		WithPowerPolicy(PowerOnDemand)).Deploy(ctx)
+	if err != nil {
+		t.Fatalf("vendor with slurm: %v", err)
+	}
+	bare, err := NewVendor(WithCluster("limulus"), WithPowerPolicy(PowerOnDemand)).Deploy(ctx)
+	if err != nil {
+		t.Fatalf("vendor without a scheduler: %v", err)
+	}
+	adopted, err := NewXNIT(bare, WithScheduler("slurm")).Deploy(ctx)
+	if err != nil {
+		t.Fatalf("XNIT: %v", err)
+	}
+	want := idleHourOff(shipped)
+	if want == 0 {
+		t.Fatal("the shipped machine powered no idle compute off")
+	}
+	if got := idleHourOff(adopted); got != want {
+		t.Errorf("adopted machine powered %d of %d computes off, shipped one %d",
+			got, len(adopted.Hardware().Computes), want)
 	}
 }
