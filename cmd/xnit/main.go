@@ -82,7 +82,7 @@ func main() {
 	fmt.Printf("simulated time consumed: %v\n", d.Engine().Now().Duration())
 
 	// The update-check workflow the paper recommends (notify, not auto).
-	chk := d.UpdateCheck(xcbc.UpdateNotify, time.Now())
+	chk := d.Open().CheckUpdates(xcbc.UpdateNotify, time.Now())
 	fmt.Printf("update check (policy notify) across %d nodes: %d updates pending review\n",
 		len(chk.ByNode), chk.PendingTotal())
 }

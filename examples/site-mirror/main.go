@@ -94,7 +94,7 @@ func main() {
 	fmt.Printf("upstream published updates; mirror sync: +%d -%d\n", added, removed)
 
 	// The paper's guidance: review first (notify), auto-apply only security.
-	chk := d.UpdateCheck(xcbc.UpdateSecurityOnly, time.Now())
+	chk := d.Open().CheckUpdates(xcbc.UpdateSecurityOnly, time.Now())
 	head := d.Hardware().Frontend
 	fmt.Printf("\nfrontend update check under security-only policy:\n%s", chk.ByNode[head.Name].Summary)
 	fmt.Printf("gcc on frontend is now %s (security auto-applied)\n",

@@ -95,6 +95,6 @@ func main() {
 	); err != nil {
 		log.Fatal(err)
 	}
-	chk := d.UpdateCheck(xcbc.UpdateNotify, time.Date(2015, 4, 1, 6, 0, 0, 0, time.UTC))
+	chk := d.Open().CheckUpdates(xcbc.UpdateNotify, time.Date(2015, 4, 1, 6, 0, 0, 0, time.UTC))
 	fmt.Println(chk.ByNode[d.Hardware().Frontend.Name].Summary)
 }

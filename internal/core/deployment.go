@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"xcbc/internal/cluster"
@@ -83,6 +84,9 @@ type Deployment struct {
 	// and were set aside; they remain in the hardware description but carry
 	// no OS.
 	Quarantined []string
+
+	opsOnce sync.Once
+	ops     *Operations // the day-2 adapter; see Operations
 }
 
 // PreflightXCBC validates that Rocks can provision the cluster at all:

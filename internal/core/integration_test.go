@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -158,12 +159,39 @@ func TestSampleMetricsAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := NewOperations(d)
+	ops := d.Operations()
 	if snap := ops.SampleMetrics(); len(snap.Nodes) != d.Cluster.NodeCount() {
 		t.Fatalf("snapshot holds %d nodes, want %d", len(snap.Nodes), d.Cluster.NodeCount())
 	}
 	if n := testing.AllocsPerRun(50, func() { ops.SampleMetrics() }); n > 1 {
 		t.Errorf("a warm SampleMetrics allocates %v times, want at most 1", n)
+	}
+}
+
+// TestOperationsIsCreatedOnce races the first use of a deployment's day-2
+// adapter: every caller gets the same one.
+func TestOperationsIsCreatedOnce(t *testing.T) {
+	d, err := BuildXCBC(sim.NewEngine(), cluster.NewLittleFe(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Operations, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = d.Operations()
+		}()
+	}
+	wg.Wait()
+	for i, ops := range got {
+		if ops == nil || ops != got[0] {
+			t.Fatalf("caller %d got adapter %p, caller 0 got %p", i, ops, got[0])
+		}
+	}
+	if d.Operations() != got[0] {
+		t.Fatal("a later call minted a second adapter")
 	}
 }
 

@@ -37,11 +37,13 @@ var DefaultAlertRules = []monitor.Rule{
 	{Name: "power-draw", Metric: "power_watts", Threshold: 400},
 }
 
-// NewOperations wraps a deployment in its day-2 adapter. Each call creates
-// an independent adapter; callers that need mutual exclusion across several
-// consumers must share one (the SDK caches one per Deployment).
-func NewOperations(d *Deployment) *Operations {
-	return &Operations{d: d, alerts: monitor.NewAlertManager(d.Monitor, DefaultAlertRules...)}
+// Operations returns the deployment's day-2 adapter, created on first use.
+// Every consumer gets this one adapter, so its mutex serializes them all.
+func (d *Deployment) Operations() *Operations {
+	d.opsOnce.Do(func() {
+		d.ops = &Operations{d: d, alerts: monitor.NewAlertManager(d.Monitor, DefaultAlertRules...)}
+	})
+	return d.ops
 }
 
 // monitorInterval is the gmetad poll period, for alert freshness math.
@@ -49,6 +51,7 @@ const monitorInterval = sim.Time(time.Minute)
 
 // JobView is an immutable snapshot of one batch job, safe to hold across
 // engine advances (unlike *sched.Job, whose fields the manager mutates).
+// Times are virtual, as durations since simulation start.
 type JobView struct {
 	ID        int
 	Name      string
@@ -58,9 +61,9 @@ type JobView struct {
 	Script    string
 	Walltime  time.Duration
 	Runtime   time.Duration
-	Submitted sim.Time
-	Started   sim.Time
-	Ended     sim.Time
+	Submitted time.Duration
+	Started   time.Duration
+	Ended     time.Duration
 	Nodes     []string
 	Requeued  bool
 }
@@ -71,8 +74,8 @@ func viewOf(j *sched.Job) JobView {
 		ID: j.ID, Name: j.Name, User: j.User, Cores: j.Cores,
 		State: j.State.String(), Script: j.Script,
 		Walltime: j.Walltime, Runtime: j.Runtime,
-		Submitted: j.SubmitTime, Started: j.StartTime, Ended: j.EndTime,
-		Requeued: j.Requeued(),
+		Submitted: j.SubmitTime.Duration(), Started: j.StartTime.Duration(),
+		Ended: j.EndTime.Duration(), Requeued: j.Requeued(),
 	}
 	for node := range j.Alloc {
 		v.Nodes = append(v.Nodes, node)
@@ -240,15 +243,20 @@ func (o *Operations) Alerts() (active []string, log []monitor.Alert) {
 
 // Validation is the result of an HPL acceptance run against the deployed
 // hardware: the analytic model at the memory-sized problem, plus an
-// optional small measured LU solve on the host proving the numerics.
+// optional small measured LU solve on the host proving the numerics. The
+// Smoke fields stay zero unless SmokeRun.
 type Validation struct {
 	N            int
 	RpeakGF      float64
 	RmaxGF       float64
 	Efficiency   float64
 	ModelElapsed time.Duration
-	Smoke        hpl.MeasuredResult
-	SmokeRun     bool
+
+	SmokeRun      bool
+	SmokeN        int
+	SmokeGFLOPS   float64
+	SmokeResidual float64
+	SmokePass     bool
 }
 
 // Validate models HPL at the largest problem fitting memFraction of
@@ -280,8 +288,8 @@ func (o *Operations) Validate(memFraction float64, smokeN int) (Validation, erro
 		if err != nil {
 			return v, err
 		}
-		v.Smoke = m
-		v.SmokeRun = true
+		v.SmokeRun, v.SmokeN, v.SmokeGFLOPS = true, m.N, m.GFLOPS
+		v.SmokeResidual, v.SmokePass = m.Residual, m.Pass
 	}
 	return v, nil
 }

@@ -346,7 +346,6 @@ type Member struct {
 	mu   sync.Mutex
 	hook func(node string, attempt int) error
 	job  *orchestrator.Job
-	ops  *core.Operations
 }
 
 // Hardware returns the member's hardware description.
@@ -437,20 +436,16 @@ func (m *Member) Deployment() (*core.Deployment, bool) {
 	return nil, false
 }
 
-// Operations returns the member's day-2 adapter, created once per member
-// so every consumer shares one serialization point over the member's
-// engine. It fails with ErrMemberNotReady until the build settles ready.
+// Operations returns the day-2 adapter of the member's deployment: the
+// deployment's own, so every consumer shares one serialization point over
+// the member's engine. It fails with ErrMemberNotReady until the build
+// settles ready.
 func (m *Member) Operations() (*core.Operations, error) {
 	d, ok := m.Deployment()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s is %s", ErrMemberNotReady, m.ID, m.State())
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ops == nil {
-		m.ops = core.NewOperations(d)
-	}
-	return m.ops, nil
+	return d.Operations(), nil
 }
 
 // AdoptXNIT attaches the fleet's shared XSEDE repository to the member's

@@ -49,6 +49,7 @@ type Manager struct {
 	BootDelay time.Duration // how long a node takes to come up
 
 	pending    map[string]sim.Handle // node -> scheduled power-off
+	booting    map[string]bool       // nodes woken whose boot has not fired yet
 	lastSample sim.Time
 	events     []string
 }
@@ -66,6 +67,7 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, batch *sched.Manager, polic
 		pending:   make(map[string]sim.Handle),
 	}
 	if batch != nil && policy != AlwaysOn {
+		m.booting = make(map[string]bool)
 		batch.DrainNotify = m.nodeIdle
 		batch.WakeRequest = m.wake
 		// Nodes idle from the start (never allocated) also deserve grace
@@ -119,33 +121,42 @@ func (m *Manager) nodeIdle(node string) {
 
 // wake is the batch system's shortfall notification: power on enough
 // sleeping nodes to cover the requested cores, with a boot delay before
-// they become schedulable.
+// they become schedulable. A node still booting reads PowerOff until its
+// boot fires; it is not woken again, and its cores count toward the
+// shortfall.
 func (m *Manager) wake(coresNeeded int) {
 	if m.Policy == AlwaysOn {
 		return
 	}
 	woken := 0
 	for _, n := range m.Cluster.Computes {
+		if m.booting[n.Name] {
+			woken += n.Cores()
+		}
+	}
+	for _, n := range m.Cluster.Computes {
 		if woken >= coresNeeded {
 			break
 		}
-		if n.Power() == cluster.PowerOff {
-			node := n
-			if ev, ok := m.pending[node.Name]; ok {
-				m.Engine.Cancel(ev)
-				delete(m.pending, node.Name)
-			}
-			woken += node.Cores()
-			m.accrue()
-			m.logf("waking node %s at %v", node.Name, m.Engine.Now())
-			m.Engine.After(m.BootDelay, "boot-"+node.Name, func(*sim.Engine) {
-				node.SetPower(cluster.PowerOn)
-				if m.Batch != nil {
-					// Rerun placement now that capacity exists.
-					m.Batch.SetPolicy(policyOf(m.Batch))
-				}
-			})
+		if n.Power() != cluster.PowerOff || m.booting[n.Name] {
+			continue
 		}
+		if ev, ok := m.pending[n.Name]; ok {
+			m.Engine.Cancel(ev)
+			delete(m.pending, n.Name)
+		}
+		woken += n.Cores()
+		m.accrue()
+		m.logf("waking node %s at %v", n.Name, m.Engine.Now())
+		m.booting[n.Name] = true
+		m.Engine.After(m.BootDelay, "boot-"+n.Name, func(*sim.Engine) {
+			delete(m.booting, n.Name)
+			n.SetPower(cluster.PowerOn)
+			if m.Batch != nil {
+				// Rerun placement now that capacity exists.
+				m.Batch.SetPolicy(policyOf(m.Batch))
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -81,6 +82,40 @@ func TestWakeOnDemand(t *testing.T) {
 	}
 	if j.WaitTime() < 90*time.Second {
 		t.Fatalf("wait %v should include boot delay", j.WaitTime())
+	}
+}
+
+// TestBootingNodeIsNotWokenTwice covers a second shortfall arriving while
+// the node woken for the first is still booting: the booting node reads
+// PowerOff until its boot fires, but it is already covering the cores, so
+// it is neither woken again nor joined by another node.
+func TestBootingNodeIsNotWokenTwice(t *testing.T) {
+	eng, c, batch, pm := limulus(OnDemand)
+	pm.IdleGrace = time.Minute
+	eng.Run()
+	for _, n := range c.Computes {
+		if n.Power() != cluster.PowerOff {
+			t.Fatalf("%s should be off before demand", n.Name)
+		}
+	}
+	before := len(pm.Events())
+	batch.WakeRequest(4)
+	eng.RunUntil(eng.Now() + sim.Time(pm.BootDelay/2))
+	batch.WakeRequest(4)
+	wakes := map[string]int{}
+	for _, e := range pm.Events()[before:] {
+		var node string
+		if _, err := fmt.Sscanf(e, "waking node %s at", &node); err == nil {
+			wakes[node]++
+		}
+	}
+	if len(wakes) != 1 {
+		t.Errorf("woke %v, want one node for a 4-core shortfall", wakes)
+	}
+	for node, n := range wakes {
+		if n != 1 {
+			t.Errorf("node %s woken %d times within one boot delay", node, n)
+		}
 	}
 }
 

@@ -66,7 +66,10 @@ func pinConfig(failing *atomic.Bool) Config {
 			}
 			return nil
 		})},
-		SnapshotEvery: 48, // one snapshot between the population's halves
+		// pinPopulate's first half writes 16 records and its second 17, so
+		// one snapshot lands after the second half's first record and the
+		// log tail holds the other 16.
+		SnapshotEvery: 17,
 	}
 }
 
@@ -164,7 +167,7 @@ func pinCompare(t *testing.T, got []byte) {
 // TestWirePinnedToParent replays the fixed population on a memory-only
 // server and on a durable one opened on a fresh DataDir, and compares every
 // pinned body byte for byte — then closes the durable one, reopens it on
-// what it wrote, and compares again.
+// what it wrote (a snapshot plus a log tail), and compares again.
 func TestWirePinnedToParent(t *testing.T) {
 	t.Run("memory-only", func(t *testing.T) {
 		var failing atomic.Bool
@@ -191,6 +194,9 @@ func TestWirePinnedToParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		if rep.SnapshotSeq == 0 || rep.Records == 0 {
+			t.Fatalf("reopen should load a snapshot and replay a log tail: %+v", rep)
+		}
 		if rep.Deployments != 3 || rep.Fleets != 2 || rep.Runs != 2 || rep.Campaigns != 2 {
 			t.Fatalf("recovery report = %+v", rep)
 		}

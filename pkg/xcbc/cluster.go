@@ -16,9 +16,9 @@ import (
 // Obtain one from Handle.Cluster once a deployment is ready, from
 // Builder.Open to build and open in one call, or from Deployment.Open.
 // All methods are safe for concurrent use: every operation is serialized
-// through one adapter per Deployment, because the subsystems share an
-// unsynchronized discrete-event engine. Two Cluster values opened from the
-// same Deployment share that adapter and stay mutually safe.
+// through the deployment's own day-2 adapter, because the subsystems share
+// an unsynchronized discrete-event engine. Every Cluster of one deployment
+// holds that one adapter, so they stay mutually safe.
 type Cluster struct {
 	d   *Deployment
 	ops *core.Operations
@@ -57,7 +57,8 @@ const (
 )
 
 // JobInfo is an immutable snapshot of one batch job. Times are virtual
-// (durations since simulation start).
+// (durations since simulation start). Its fields are core.JobView's, so
+// the adapter's snapshot converts to it.
 type JobInfo struct {
 	ID        int
 	Name      string
@@ -74,16 +75,6 @@ type JobInfo struct {
 	Requeued  bool     // a node failure bounced it back to the queue
 }
 
-func jobInfoOf(v core.JobView) JobInfo {
-	return JobInfo{
-		ID: v.ID, Name: v.Name, User: v.User, Cores: v.Cores,
-		State: v.State, Script: v.Script,
-		Walltime: v.Walltime, Runtime: v.Runtime,
-		Submitted: v.Submitted.Duration(), Started: v.Started.Duration(),
-		Ended: v.Ended.Duration(), Nodes: v.Nodes, Requeued: v.Requeued,
-	}
-}
-
 // SubmitJob enqueues a batch job and returns its snapshot with the
 // assigned ID. A job that fits free cores starts immediately ("running");
 // otherwise it waits in policy order. Fails with ErrNoScheduler on a
@@ -97,7 +88,7 @@ func (c *Cluster) SubmitJob(spec JobSpec) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, translate(err)
 	}
-	return jobInfoOf(v), nil
+	return JobInfo(v), nil
 }
 
 // CancelJob removes a queued job or kills a running one; finished or
@@ -113,7 +104,7 @@ func (c *Cluster) Job(id int) (JobInfo, bool) {
 	if !ok {
 		return JobInfo{}, false
 	}
-	return jobInfoOf(v), true
+	return JobInfo(v), true
 }
 
 // Jobs returns snapshots of every known job: queued (policy order), then
@@ -122,7 +113,7 @@ func (c *Cluster) Jobs() []JobInfo {
 	views := c.ops.Jobs()
 	out := make([]JobInfo, 0, len(views))
 	for _, v := range views {
-		out = append(out, jobInfoOf(v))
+		out = append(out, JobInfo(v))
 	}
 	return out
 }
@@ -206,6 +197,7 @@ func (c *Cluster) Alerts() (active []string, log []AlertInfo) {
 // Validation reports an HPL acceptance run: the analytic Rmax model at the
 // largest problem fitting cluster memory, plus (when requested) a small
 // measured LU solve on the host whose residual check proves the numerics.
+// Its fields are core.Validation's, so the adapter's result converts to it.
 type Validation struct {
 	N            int     // modelled problem size
 	RpeakGF      float64 // theoretical peak, GFLOPS
@@ -251,18 +243,7 @@ func (c *Cluster) Validate(opts ...ValidateOption) (Validation, error) {
 	if err != nil {
 		return Validation{}, translate(err)
 	}
-	out := Validation{
-		N: v.N, RpeakGF: v.RpeakGF, RmaxGF: v.RmaxGF,
-		Efficiency: v.Efficiency, ModelElapsed: v.ModelElapsed,
-	}
-	if v.SmokeRun {
-		out.SmokeRun = true
-		out.SmokeN = v.Smoke.N
-		out.SmokeGFLOPS = v.Smoke.GFLOPS
-		out.SmokeResidual = v.Smoke.Residual
-		out.SmokePass = v.Smoke.Pass
-	}
-	return out, nil
+	return Validation(v), nil
 }
 
 // CheckUpdates runs the paper's periodic update check on every node under

@@ -2,7 +2,6 @@ package xcbc
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"xcbc/internal/cluster"
@@ -24,18 +23,15 @@ import (
 // Cluster resource instead of calling these directly.
 type Deployment struct {
 	core *core.Deployment
-
-	opsOnce sync.Once
-	ops     *core.Operations
 }
 
 // Open returns the Cluster resource for this deployment: the
 // concurrency-safe day-2 surface (jobs, metrics, validation, updates).
-// Every Open on the same Deployment shares one serialization point, so
-// clusters opened twice stay mutually safe.
+// The cluster runs through the deployment's own day-2 adapter, so every
+// Open on it, and every Cluster of a fleet member, shares one
+// serialization point and stays mutually safe.
 func (d *Deployment) Open() *Cluster {
-	d.opsOnce.Do(func() { d.ops = core.NewOperations(d.core) })
-	return &Cluster{d: d, ops: d.ops}
+	return &Cluster{d: d, ops: d.core.Operations()}
 }
 
 // Exec runs one scheduler-native command line (qsub/qstat/qdel,
@@ -226,12 +222,6 @@ func (u UpdateCheck) AppliedTotal() int {
 		n += nu.Applied
 	}
 	return n
-}
-
-// UpdateCheck performs the paper's periodic update check on every node
-// under the given policy.
-func (d *Deployment) UpdateCheck(policy UpdatePolicy, now time.Time) UpdateCheck {
-	return updateCheck(policy, d.core.RunUpdateCheckEverywhere(policy.internal(), now))
 }
 
 // updateCheck summarizes per-node update notifications.

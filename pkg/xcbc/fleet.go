@@ -157,18 +157,14 @@ func (fm *FleetMember) Status() DeployState { return stateOf(fm.m.State()) }
 func (fm *FleetMember) Err() error { return fm.m.Err() }
 
 // Cluster returns the member's live day-2 resource once its build is
-// ready, failing with ErrNotReady before that. All Cluster values for one
-// member share the fleet's per-member serialization point, so concurrent
-// use stays safe.
+// ready, failing with ErrNotReady before that. It runs through the
+// deployment's own day-2 adapter, the one the fleet's scenario runner and
+// Cluster().Deployment().Open() use too, so concurrent use stays safe.
 func (fm *FleetMember) Cluster() (*Cluster, error) {
 	ops, err := fm.m.Operations()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotReady, err)
 	}
 	cd, _ := fm.m.Deployment()
-	dep := &Deployment{core: cd}
-	// Share the member's adapter so an escape-hatch Open() on the wrapped
-	// deployment cannot mint a second, non-serializing one.
-	dep.opsOnce.Do(func() { dep.ops = ops })
-	return &Cluster{d: dep, ops: ops}, nil
+	return &Cluster{d: &Deployment{core: cd}, ops: ops}, nil
 }

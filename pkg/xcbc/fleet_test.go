@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"xcbc/internal/core"
 )
 
 func TestNewFleetRejectsBadSpecs(t *testing.T) {
@@ -56,14 +58,50 @@ func TestFleetDeployAndOperate(t *testing.T) {
 	if job.State != JobRunning {
 		t.Fatalf("job state = %s, want running on an idle member", job.State)
 	}
-	// The escape hatch must share the member's serialization point, not
-	// mint a second adapter over the same engine.
-	if again := cl.Deployment().Open(); again.ops != cl.ops {
-		t.Fatal("Deployment().Open() minted a second adapter for a fleet member")
-	}
 	// Second Provision is rejected.
 	if err := f.Provision(context.Background()); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("second Provision = %v, want ErrBadOption", err)
+	}
+}
+
+// TestFleetMemberHasOneAdapter holds a ready member to one day-2 adapter:
+// the scenario runner's, each Cluster's and the escape hatch's are all the
+// member deployment's own, so they serialize on one mutex.
+func TestFleetMemberHasOneAdapter(t *testing.T) {
+	f, err := NewFleet(FleetSpec{Name: "campus", Members: 1, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Deploy(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := f.Member(0)
+	runner, err := m.m.Operations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := m.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, _ := m.m.Deployment()
+	want := cd.Operations()
+	for _, got := range []struct {
+		name string
+		ops  *core.Operations
+	}{
+		{"the scenario runner's Member.Operations", runner},
+		{"the first Cluster", first.ops},
+		{"the second Cluster", second.ops},
+		{"Cluster().Deployment().Open()", first.Deployment().Open().ops},
+	} {
+		if got.ops != want {
+			t.Errorf("%s holds adapter %p, the deployment's is %p", got.name, got.ops, want)
+		}
 	}
 }
 

@@ -233,7 +233,7 @@ func TestUpdateCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("XNIT Deploy: %v", err)
 	}
-	chk := d.UpdateCheck(UpdateNotify, time.Date(2015, 4, 1, 6, 0, 0, 0, time.UTC))
+	chk := d.Open().CheckUpdates(UpdateNotify, time.Date(2015, 4, 1, 6, 0, 0, 0, time.UTC))
 	if len(chk.ByNode) != d.Hardware().NodeCount() {
 		t.Errorf("checked %d nodes, want %d", len(chk.ByNode), d.Hardware().NodeCount())
 	}

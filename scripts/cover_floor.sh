@@ -1,18 +1,43 @@
 #!/usr/bin/env bash
-# Per-package coverage floor: runs the packages' tests with -cover, prints
-# a package/coverage table (also into the CI job summary when there is
+# Coverage floor: runs the packages' tests with -cover, prints a
+# package/coverage table (also into the CI job summary when there is
 # one), and fails if any package is below the floor.
 #
 #   scripts/cover_floor.sh <floor-percent> <pkg>...
+#
+# With -files, the floor applies instead to the statements of the named
+# files taken together (base names without ".go", joined by "|"):
+#
+#   scripts/cover_floor.sh -files 'tenancy|registry|page' 80 ./pkg/xcbc/api/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+files=
+if [ "${1:-}" = "-files" ] && [ $# -ge 2 ]; then
+	files=$2
+	shift 2
+fi
 if [ $# -lt 2 ]; then
-	echo "usage: $0 <floor-percent> <pkg>..." >&2
+	echo "usage: $0 [-files <name>|<name>...] <floor-percent> <pkg>..." >&2
 	exit 2
 fi
 floor=$1
 shift
+
+if [ -n "$files" ]; then
+	profile=$(mktemp)
+	trap 'rm -f "$profile"' EXIT
+	go test -coverprofile="$profile" "$@" >/dev/null
+	awk -F'[ :]' -v re="/($files)[.]go:" -v files="$files" -v floor="$floor" '
+		$0 ~ re { n = $(NF-1); total += n; if ($NF > 0) cov += n }
+		END {
+			if (total == 0) { printf "no statements in files matching %s\n", files; exit 1 }
+			pct = 100 * cov / total
+			printf "coverage of %s: %.1f%% of %d statements (floor %s%%)\n", files, pct, total, floor
+			exit (pct < floor)
+		}' "$profile" | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
+	exit
+fi
 
 out=$(go test -cover "$@")
 echo "$out"
