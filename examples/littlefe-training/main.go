@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ins0 := provision.NewInstaller(original, rocks.NewFrontendDB(dist0), plan0, "CentOS 6.5")
+	ins0 := provision.NewInstaller(original, rocks.NewFrontendDB(dist0, original), plan0, "CentOS 6.5")
 	if _, err := ins0.InstallFrontend(eng0); err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	feDB := rocks.NewFrontendDB(dist)
+	feDB := rocks.NewFrontendDB(dist, lf)
 	ins := provision.NewInstaller(lf, feDB, plan, "CentOS 6.5")
 	feRes, err := ins.InstallFrontend(eng)
 	if err != nil {

@@ -10,12 +10,12 @@ import (
 
 // exportedEqual compares two values of one struct type on every exported
 // field, following *Node and []*Node so that pointer identity — which a
-// clone must not share — does not count as a difference. The one pointer a
-// clone shares on purpose is its *CPUModel: a catalog model is never
-// written through.
+// clone must not share — does not count as a difference. The pointers a
+// clone shares on purpose are its nodes' *Hardware and *CPUModel: neither
+// is ever written through.
 func exportedEqual(t *testing.T, path string, a, b reflect.Value) {
 	t.Helper()
-	if a.Type() == reflect.TypeFor[*CPUModel]() {
+	if a.Type() == reflect.TypeFor[*CPUModel]() || a.Type() == reflect.TypeFor[*Hardware]() {
 		if a.Pointer() != b.Pointer() {
 			t.Errorf("%s: the copy has its own %s", path, a.Type())
 		}
@@ -191,5 +191,43 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Clone() }); n != 3 {
 		t.Errorf("Clone of a %d-node cluster allocates %v times, want 3", c.NodeCount(), n)
+	}
+}
+
+// TestAdoptedPackagesForkOnFirstWrite: nodes that adopt an appliance's
+// database read that one database until one of them writes, and the
+// writer gets a fork; a wipe returns a node to an empty database of its
+// own. A node is found by name only at the edge, by ComputeIndex.
+func TestAdoptedPackagesForkOnFirstWrite(t *testing.T) {
+	set, err := rpm.NewInstallSet([]*rpm.Package{rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Build()})
+	shared := rpm.NewDB()
+	if err == nil {
+		err = shared.AdoptSet(set)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.Freeze()
+	c := NewLittleFe()
+	if c.ComputeIndex("compute-0-3") != 2 || c.ComputeIndex(c.Frontend.Name) != -1 || c.ComputeIndex("ghost") != -1 {
+		t.Fatal("ComputeIndex does not find compute nodes by position")
+	}
+	a, b := c.Computes[0], c.Computes[1]
+	a.AdoptPackages(shared)
+	b.AdoptPackages(shared)
+	var tx rpm.Transaction
+	tx.Install(rpm.NewPackage("make", "3.81-20", rpm.ArchX86_64).Build())
+	if err := tx.Run(a.MutablePackages()); err != nil {
+		t.Fatal(err)
+	}
+	if a.Packages() == shared || a.MutablePackages() != a.Packages() || a.Packages().Len() != 2 {
+		t.Fatalf("the writer did not get a fork of its own: %d packages", a.Packages().Len())
+	}
+	if b.Packages() != shared || shared.Len() != 1 {
+		t.Fatalf("the write reached the shared database: %d packages", shared.Len())
+	}
+	b.WipePackages()
+	if db := b.MutablePackages(); db == shared || db.Len() != 0 || b.Packages() != db {
+		t.Fatal("a wiped node does not get an empty database of its own")
 	}
 }

@@ -45,20 +45,21 @@ func (c *Cluster) AddCompute(nodes ...*Node) *Cluster {
 	return c
 }
 
-// Clone returns an independent copy of c's hardware description — the
-// way a fleet stamps its members from one template. Every node of the copy
-// lives in one slab, powered off and bare metal, so a clone costs three
+// Clone returns an independent copy of c — the way a fleet stamps its
+// members from one template. Every node of the copy lives in one slab,
+// powered off and bare metal, and points at its template node's hardware
+// description instead of copying it (see Hardware), so a clone costs three
 // allocations however many nodes it has.
 func (c *Cluster) Clone() *Cluster {
 	out := *c
 	slab := make([]Node, c.NodeCount())
 	out.Frontend, out.Computes = nil, make([]*Node, len(c.Computes))
 	if c.Frontend != nil {
-		c.Frontend.cloneHardware(&slab[0])
+		slab[0].Hardware = c.Frontend.Hardware
 		out.Frontend, slab = &slab[0], slab[1:]
 	}
 	for i, n := range c.Computes {
-		n.cloneHardware(&slab[i])
+		slab[i].Hardware = n.Hardware
 		out.Computes[i] = &slab[i]
 	}
 	return &out
@@ -106,6 +107,17 @@ func (c *Cluster) Lookup(name string) (*Node, bool) {
 		}
 	}
 	return nil, false
+}
+
+// ComputeIndex returns the named compute node's position in Computes, its
+// identity inside the simulator, or -1 if no compute node has that name.
+func (c *Cluster) ComputeIndex(name string) int {
+	for i, n := range c.Computes {
+		if n.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Cores returns the total core count across all nodes.

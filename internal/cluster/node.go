@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,9 +50,11 @@ type NIC struct {
 	Network string // name of the attached network, "" if unwired
 }
 
-// Node is a single machine: hardware description plus mutable system state
-// (power, installed packages, running services, attributes).
-type Node struct {
+// Hardware is a node's physical description. A node built by NewNode owns
+// its description and adds components to it in place; a clone's nodes
+// borrow their template's, and copy it on their first AddDisk, AddNIC or
+// AddAccelerator. A cluster gains no components once it is cloned.
+type Hardware struct {
 	Name    string
 	Role    Role
 	CPU     *CPUModel // shared by every node built from one model; never written through
@@ -59,6 +63,13 @@ type Node struct {
 	Disks   []Disk
 	NICs    []NIC
 	Accels  []Accelerator
+}
+
+// Node is a single machine: its hardware description, whose fields it
+// promotes, plus mutable system state (power, installed packages, running
+// services, attributes).
+type Node struct {
+	*Hardware
 
 	mu       sync.Mutex
 	power    PowerState
@@ -68,13 +79,14 @@ type Node struct {
 	os       string  // installed operating system, "" if bare metal
 	energyWh float64 // accumulated energy, maintained by internal/power
 
-	// servicesShared/attrsShared mark the corresponding map as an alias of
-	// a post-install state shared by every node of the same appliance (see
-	// AdoptSystemState). A shared map is read-only; the first mutation
-	// copies it into a private map. Maps are also nil until first written —
-	// nil-map reads are free.
+	// servicesShared and attrsShared mark the map as an alias of a
+	// post-install state every node of the appliance shares (see
+	// AdoptSystemState; a shared package database is frozen instead). A
+	// shared part is read-only; the first mutation copies it. Maps are also
+	// nil until first written — nil-map reads are free.
 	servicesShared bool
 	attrsShared    bool
+	ownsHardware   bool // Hardware is this node's alone; see Hardware
 }
 
 // NewNode creates a powered-off, bare-metal node.
@@ -82,30 +94,26 @@ func NewNode(name string, role Role, cpu *CPUModel, sockets, ramGB int) *Node {
 	if sockets < 1 {
 		sockets = 1
 	}
-	return &Node{Name: name, Role: role, CPU: cpu, Sockets: sockets, RAMGB: ramGB}
+	return &Node{Hardware: &Hardware{Name: name, Role: role, CPU: cpu, Sockets: sockets, RAMGB: ramGB}, ownsHardware: true}
 }
 
-// cloneHardware copies n's hardware description into dst, which comes out
-// powered off and bare metal whatever state n is in. The component lists
-// are immutable once attached, so dst shares them at full capacity: an
-// Add* on either side reallocates instead of writing through.
-func (n *Node) cloneHardware(dst *Node) {
-	dst.Name, dst.Role, dst.CPU, dst.Sockets, dst.RAMGB = n.Name, n.Role, n.CPU, n.Sockets, n.RAMGB
-	dst.Disks = n.Disks[:len(n.Disks):len(n.Disks)]
-	dst.NICs = n.NICs[:len(n.NICs):len(n.NICs)]
-	dst.Accels = n.Accels[:len(n.Accels):len(n.Accels)]
+// ownHardware returns n's description ready for an add. A borrowed one is
+// copied first, its lists clipped so that the append reallocates instead
+// of writing into room the lender could use.
+func (n *Node) ownHardware() *Hardware {
+	if !n.ownsHardware {
+		h := *n.Hardware
+		h.Disks, h.NICs, h.Accels = slices.Clip(h.Disks), slices.Clip(h.NICs), slices.Clip(h.Accels)
+		n.Hardware, n.ownsHardware = &h, true
+	}
+	return n.Hardware
 }
 
 // mutableServices returns the services map ready for writing: detached from
 // any shared state and created if nil. Callers must hold n.mu.
 func (n *Node) mutableServices() map[string]bool {
 	if n.servicesShared {
-		n.servicesShared = false
-		cp := make(map[string]bool, len(n.services))
-		for k, v := range n.services {
-			cp[k] = v
-		}
-		n.services = cp
+		n.services, n.servicesShared = maps.Clone(n.services), false
 	} else if n.services == nil {
 		n.services = make(map[string]bool)
 	}
@@ -115,12 +123,7 @@ func (n *Node) mutableServices() map[string]bool {
 // mutableAttrs is mutableServices for the attribute map.
 func (n *Node) mutableAttrs() map[string]string {
 	if n.attrsShared {
-		n.attrsShared = false
-		cp := make(map[string]string, len(n.attrs))
-		for k, v := range n.attrs {
-			cp[k] = v
-		}
-		n.attrs = cp
+		n.attrs, n.attrsShared = maps.Clone(n.attrs), false
 	} else if n.attrs == nil {
 		n.attrs = make(map[string]string)
 	}
@@ -138,10 +141,7 @@ func (n *Node) AdoptSystemState(services map[string]bool, attrs map[string]strin
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.services) == 0 {
-		if services != nil {
-			n.services = services
-			n.servicesShared = true
-		}
+		n.services, n.servicesShared = services, services != nil
 	} else if len(services) > 0 {
 		dst := n.mutableServices()
 		for s, v := range services {
@@ -151,10 +151,7 @@ func (n *Node) AdoptSystemState(services map[string]bool, attrs map[string]strin
 		}
 	}
 	if len(n.attrs) == 0 {
-		if attrs != nil {
-			n.attrs = attrs
-			n.attrsShared = true
-		}
+		n.attrs, n.attrsShared = attrs, attrs != nil
 	} else if len(attrs) > 0 {
 		dst := n.mutableAttrs()
 		for k, v := range attrs {
@@ -165,19 +162,22 @@ func (n *Node) AdoptSystemState(services map[string]bool, attrs map[string]strin
 
 // AddDisk attaches a disk and returns the node for chaining.
 func (n *Node) AddDisk(d Disk) *Node {
-	n.Disks = append(n.Disks, d)
+	h := n.ownHardware()
+	h.Disks = append(h.Disks, d)
 	return n
 }
 
 // AddNIC attaches a network interface and returns the node for chaining.
 func (n *Node) AddNIC(nic NIC) *Node {
-	n.NICs = append(n.NICs, nic)
+	h := n.ownHardware()
+	h.NICs = append(h.NICs, nic)
 	return n
 }
 
 // AddAccelerator attaches an accelerator and returns the node for chaining.
 func (n *Node) AddAccelerator(a Accelerator) *Node {
-	n.Accels = append(n.Accels, a)
+	h := n.ownHardware()
+	h.Accels = append(h.Accels, a)
 	return n
 }
 
@@ -240,9 +240,9 @@ func (n *Node) EnergyWh() float64 {
 	return n.energyWh
 }
 
-// Packages returns the node's installed-package database. A bare-metal
-// node gets its (empty) database the first time someone asks, so creating
-// a node and wiping it for a kickstart cost one database, not two.
+// Packages returns the node's installed-package database for reading: a
+// kickstarted node's may be its appliance's, shared (see AdoptPackages). A
+// bare-metal node gets its (empty) database the first time someone asks.
 func (n *Node) Packages() *rpm.DB {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -250,6 +250,28 @@ func (n *Node) Packages() *rpm.DB {
 		n.packages = rpm.NewDB()
 	}
 	return n.packages
+}
+
+// MutablePackages returns the node's installed-package database ready for
+// a transaction, forked first if it is shared (frozen).
+func (n *Node) MutablePackages() *rpm.DB {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.packages == nil {
+		n.packages = rpm.NewDB()
+	} else if n.packages.Frozen() {
+		n.packages = n.packages.Fork()
+	}
+	return n.packages
+}
+
+// AdoptPackages installs an appliance's post-install database by
+// reference: every node of the appliance reads the one db, which must be
+// frozen (see rpm.DB.Freeze), until MutablePackages forks it.
+func (n *Node) AdoptPackages(db *rpm.DB) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.packages = db
 }
 
 // WipePackages resets the node to bare metal (reinstall from scratch).

@@ -68,18 +68,19 @@ func ResizeComputes(hw *Cluster, n int) error {
 		return nil
 	}
 	tmpl := hw.Computes[len(hw.Computes)-1]
-	for i := len(hw.Computes); i < n; i++ {
-		name := computeName(i + 1)
+	nodes, specs := make([]Node, n-len(hw.Computes)), make([]Hardware, n-len(hw.Computes))
+	for k := range nodes {
+		name := computeName(len(hw.Computes) + 1)
 		for j := 0; ; j++ {
 			if _, taken := hw.Lookup(name); !taken {
 				break
 			}
-			name = computeName(i + 2 + j)
+			name = computeName(len(hw.Computes) + 2 + j)
 		}
-		clone := &Node{}
-		tmpl.cloneHardware(clone)
-		clone.Name, clone.Role = name, RoleCompute
-		hw.AddCompute(clone)
+		specs[k] = *tmpl.Hardware
+		specs[k].Name, specs[k].Role = name, RoleCompute
+		nodes[k].Hardware = &specs[k]
+		hw.AddCompute(&nodes[k])
 	}
 	return nil
 }

@@ -75,7 +75,7 @@ func NewBlueprint(scheduler string, rolls []string) (*Blueprint, error) {
 	return &Blueprint{
 		dist:    dist,
 		plan:    plan,
-		modules: modules.FromPackages(plan.Frontend.Set.Packages(), CategoryCompilers, CategorySciApps),
+		modules: modules.FromPackages(plan.Frontend.DB.Installed(), CategoryCompilers, CategorySciApps),
 		message: fmt.Sprintf("assembled %s (%d rolls)", dist.Name, len(set)),
 	}, nil
 }

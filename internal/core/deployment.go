@@ -135,7 +135,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 		return nil, err
 	}
 	o.emit(orchestrator.Event{Stage: "distribution", Message: bp.message})
-	installer := provision.NewInstaller(c, rocks.NewFrontendDB(bp.dist), bp.plan, "CentOS "+CentOSVersion)
+	installer := provision.NewInstaller(c, rocks.NewFrontendDB(bp.dist, c), bp.plan, "CentOS "+CentOSVersion)
 	installer.Hook = o.InstallHook
 	start := eng.Now()
 	d := &Deployment{
@@ -156,12 +156,8 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	if err := installer.DiscoverComputes(); err != nil {
 		return nil, fmt.Errorf("core: XCBC install failed: %w", err)
 	}
-	names := make([]string, 0, len(c.Computes))
-	for _, n := range c.Computes {
-		names = append(names, n.Name)
-	}
 	wopts := provision.WaveOptions{Width: o.Parallelism, Retries: o.Retries}
-	_, err = installer.InstallComputeWaves(ctx, eng, names, wopts, func(i int, wr *provision.WaveResult) {
+	_, err = installer.InstallComputeWaves(ctx, eng, wopts, func(i int, wr *provision.WaveResult) {
 		for _, r := range wr.Results {
 			d.PackagesInstalled += r.Packages
 			o.emit(orchestrator.Event{Stage: "compute", Node: r.Node,
@@ -213,15 +209,15 @@ func (d *Deployment) finishAssembly(o Options) {
 			d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)
 		}
 	}
-	loadFn := func(node string) float64 {
-		if d.Batch == nil || node == d.Cluster.Frontend.Name {
-			return 0 // the frontend is not in the batch pool
+	loadFn := func(node int) float64 {
+		if d.Batch == nil || node == 0 {
+			return 0 // the frontend, first in Cluster.All, is not in the batch pool
 		}
-		n, ok := d.Cluster.Lookup(node)
-		if !ok || n.Cores() == 0 {
+		n := d.Cluster.Computes[node-1]
+		if n.Cores() == 0 {
 			return 0
 		}
-		return float64(n.Cores()-d.Batch.FreeCores(node)) / float64(n.Cores())
+		return float64(n.Cores()-d.Batch.FreeCores(node-1)) / float64(n.Cores())
 	}
 	d.Monitor = monitor.NewAggregator(d.Cluster, 1024, loadFn)
 	d.Power = power.NewManager(d.Engine, d.Cluster, d.Batch, o.PowerPolicy)

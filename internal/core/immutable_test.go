@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"xcbc/internal/cluster"
 	"xcbc/internal/core"
 	"xcbc/internal/fleet"
 	"xcbc/internal/modules"
@@ -26,7 +28,7 @@ type blueprintView struct {
 type kickstartView struct {
 	Packages []*rpm.Package
 	NEVRAs   []string
-	Indexed  []bool // a DB adopting the set finds each package by name and by its provides
+	Indexed  []bool // the database finds each package by name and by its provides
 	Actions  []string
 	Services map[string]bool
 	Attrs    map[string]string
@@ -36,18 +38,15 @@ func viewOf(t *testing.T, plan *provision.Plan, mods *modules.System) blueprintV
 	t.Helper()
 	v := blueprintView{Modules: map[string]modules.Modulefile{}, ModulePtrs: map[string]*modules.Modulefile{}}
 	for i, ks := range []provision.Kickstart{plan.Frontend, plan.Compute} {
-		db := rpm.NewDB()
-		if err := db.AdoptSet(ks.Set); err != nil {
-			t.Fatal(err)
-		}
+		db := ks.DB // what every node of the appliance reads
 		kv := kickstartView{
-			Packages: slices.Clone(ks.Set.Packages()),
-			Indexed:  []bool{db.Len() == len(ks.Set.Packages())},
+			Packages: slices.Clone(db.Installed()),
+			Indexed:  []bool{db.Len() == len(db.Installed())},
 			Actions:  slices.Clone(ks.Actions),
 			Services: maps.Clone(ks.Services),
 			Attrs:    maps.Clone(ks.Attrs),
 		}
-		for _, p := range ks.Set.Packages() {
+		for _, p := range db.Installed() {
 			kv.NEVRAs = append(kv.NEVRAs, p.NEVRA())
 			ok := db.Newest(p.Name) == p
 			for _, c := range p.Provides {
@@ -74,12 +73,17 @@ func viewOf(t *testing.T, plan *provision.Plan, mods *modules.System) blueprintV
 	return v
 }
 
-// memberView is what a member's deployment shows of its own state.
+// memberView is what a member's deployment shows of its own state: per
+// node its services, attributes, packages and hardware, then its module
+// tree, host table and install log.
 type memberView struct {
 	Services [][]string
 	Attrs    []map[string]string
 	Packages [][]*rpm.Package
+	Hardware []cluster.Hardware
 	Modules  []string
+	Hosts    string
+	Log      []string
 }
 
 func memberViewOf(d *core.Deployment) memberView {
@@ -88,18 +92,25 @@ func memberViewOf(d *core.Deployment) memberView {
 		v.Services = append(v.Services, n.Services())
 		v.Attrs = append(v.Attrs, n.Attrs())
 		v.Packages = append(v.Packages, slices.Clone(n.Packages().Installed()))
+		hw := *n.Hardware
+		hw.Disks, hw.NICs, hw.Accels = slices.Clone(hw.Disks), slices.Clone(hw.NICs), slices.Clone(hw.Accels)
+		v.Hardware = append(v.Hardware, hw)
 	}
 	v.Modules = d.Modules.Avail()
+	v.Hosts = d.Installer.DB.ListHostReport()
+	v.Log = d.Installer.Log()
 	return v
 }
 
 // TestNothingWritesABlueprint: every member of a fleet builds from one
-// shared Blueprint, and what day-2 operations do to a member — a node
-// failure and repair, a Rocks reinstall, XNIT adoption with a profile
-// install, module regeneration — lands on that member's private copies.
-// The Blueprint and a sibling member read the same afterwards; under -race
-// the second fleet building beside the mutations also proves no build
-// reads what another goroutine writes.
+// shared Blueprint and points its nodes at one hardware template, and
+// what happens to a member — a kickstart fault and retry, a node failure
+// and repair, a Rocks reinstall, XNIT adoption with a profile install,
+// module regeneration, an added NIC — lands on that member's private
+// copies. The Blueprint reads the same afterwards, and a sibling member
+// reads exactly what a freshly built member does; under -race the second
+// fleet building beside the mutations also proves no build reads what
+// another goroutine writes.
 func TestNothingWritesABlueprint(t *testing.T) {
 	plan, mods, err := core.BlueprintParts("torque", "ganglia", "hpc")
 	if err != nil {
@@ -108,17 +119,31 @@ func TestNothingWritesABlueprint(t *testing.T) {
 	want := viewOf(t, plan, mods)
 
 	ctx := context.Background()
-	provisioned := func(name string) *fleet.Fleet {
-		f, err := fleet.New(fleet.Spec{Name: name, Members: 20, Nodes: 4, Parallelism: 2, Workers: 4})
+	spec := fleet.Spec{Members: 20, Nodes: 4, Parallelism: 2, Retries: 1, Workers: 4}
+	provisioned := func(name string, hook func(*fleet.Member)) *fleet.Fleet {
+		spec.Name = name
+		f, err := fleet.New(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if hook != nil {
+			hook(f.Members()[0])
 		}
 		if err := f.Provision(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	f := provisioned("a")
+	retried := 0
+	f := provisioned("a", func(m *fleet.Member) {
+		m.SetInstallHook(func(node string, attempt int) error {
+			if node == "compute-0-2" && attempt == 1 && retried == 0 {
+				retried++
+				return errors.New("injected PXE fault")
+			}
+			return nil
+		})
+	})
 	if err := f.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +153,15 @@ func TestNothingWritesABlueprint(t *testing.T) {
 	if d.Modules != mods || sibling.Modules != mods {
 		t.Fatal("a fleet member does not read the shared module tree")
 	}
-	siblingBefore := memberViewOf(sibling)
+	if retried != 1 || d.Cluster.Computes[1].OS() == "" {
+		t.Fatalf("the kickstart fault retried %d times", retried)
+	}
+	if sibling.Cluster.Computes[0].Hardware != d.Cluster.Computes[0].Hardware ||
+		sibling.Cluster.Computes[0].Packages() != plan.Compute.DB {
+		t.Fatal("a clean member does not read its template's hardware and its kickstart's packages")
+	}
 
-	second := provisioned("b")
+	second := provisioned("b", nil)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -152,6 +183,7 @@ func TestNothingWritesABlueprint(t *testing.T) {
 	}
 	node, _ := d.Cluster.Lookup(victim)
 	node.StartService("rogue-miner")
+	node.AddNIC(cluster.NIC{Name: "ib0", Network: "ib"})
 	if _, err := d.Installer.Reinstall(d.Engine, victim); err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +196,14 @@ func TestNothingWritesABlueprint(t *testing.T) {
 	d.RegenerateModules()
 	wg.Wait()
 
-	if d.Modules == mods || !d.Cluster.Computes[0].Packages().Has("gffs") {
+	if d.Modules == mods || !d.Cluster.Computes[0].Packages().Has("gffs") || len(node.NICs) != 2 {
 		t.Fatal("the member's day-2 changes did not happen")
 	}
 	if got := viewOf(t, plan, mods); !reflect.DeepEqual(got, want) {
 		t.Error("day-2 operations on a member wrote into the shared Blueprint")
 	}
-	if got := memberViewOf(sibling); !reflect.DeepEqual(got, siblingBefore) {
-		t.Error("day-2 operations on one member changed its sibling")
+	fresh, _ := second.Members()[1].Deployment()
+	if got, want := memberViewOf(sibling), memberViewOf(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("what happened to one member changed its sibling:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -69,7 +68,7 @@ type JobView struct {
 }
 
 // viewOf snapshots a job. o.mu held (the engine cannot advance mid-copy).
-func viewOf(j *sched.Job) JobView {
+func (o *Operations) viewOf(j *sched.Job) JobView {
 	v := JobView{
 		ID: j.ID, Name: j.Name, User: j.User, Cores: j.Cores,
 		State: j.State.String(), Script: j.Script,
@@ -77,10 +76,12 @@ func viewOf(j *sched.Job) JobView {
 		Submitted: j.SubmitTime.Duration(), Started: j.StartTime.Duration(),
 		Ended: j.EndTime.Duration(), Requeued: j.Requeued(),
 	}
-	for node := range j.Alloc {
-		v.Nodes = append(v.Nodes, node)
+	if len(j.Alloc) > 0 {
+		v.Nodes = make([]string, len(j.Alloc))
+		for i, s := range j.Alloc { // in name order already
+			v.Nodes[i] = o.d.Cluster.Computes[s.Node].Name
+		}
 	}
-	sort.Strings(v.Nodes)
 	return v
 }
 
@@ -92,7 +93,7 @@ func (o *Operations) SubmitJob(j *sched.Job) (JobView, error) {
 	if err := o.submit(j); err != nil {
 		return JobView{}, err
 	}
-	return viewOf(j), nil
+	return o.viewOf(j), nil
 }
 
 // Submit is SubmitJob for a caller that only needs to know whether the job
@@ -133,7 +134,7 @@ func (o *Operations) Job(id int) (JobView, bool) {
 	if !ok {
 		return JobView{}, false
 	}
-	return viewOf(j), true
+	return o.viewOf(j), true
 }
 
 // Jobs returns snapshots of every known job: queued (policy order), then
@@ -146,13 +147,13 @@ func (o *Operations) Jobs() []JobView {
 	}
 	var out []JobView
 	for _, j := range o.d.Batch.Queued() {
-		out = append(out, viewOf(j))
+		out = append(out, o.viewOf(j))
 	}
 	for _, j := range o.d.Batch.Running() {
-		out = append(out, viewOf(j))
+		out = append(out, o.viewOf(j))
 	}
 	for _, j := range o.d.Batch.History() {
-		out = append(out, viewOf(j))
+		out = append(out, o.viewOf(j))
 	}
 	return out
 }

@@ -119,7 +119,7 @@ func TestXCBCOnKansasScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.Installer.DB.HostsByAppliance("compute")); got != 219 {
+	if got := len(d.Installer.DB.Hosts()); got != 219 {
 		t.Fatalf("registered computes = %d", got)
 	}
 	// A 1000-core job spans many nodes.

@@ -67,7 +67,7 @@ func (d *Deployment) InstallEverywhere(names ...string) (int, error) {
 		if tx.Len() == 0 {
 			continue
 		}
-		if err := tx.Run(n.Packages()); err != nil {
+		if err := tx.Run(n.MutablePackages()); err != nil {
 			return totalInstalled, fmt.Errorf("core: installing on %s: %w", n.Name, err)
 		}
 		totalInstalled += tx.InstallCount()
@@ -145,7 +145,7 @@ func (d *Deployment) ChangeScheduler(to string) error {
 		if tx.Len() == 0 {
 			continue
 		}
-		if err := tx.Run(n.Packages()); err != nil {
+		if err := tx.Run(n.MutablePackages()); err != nil {
 			return fmt.Errorf("core: scheduler swap on %s: %w", n.Name, err)
 		}
 		d.Engine.RunUntil(d.Engine.Now() + sim.Time(time.Duration(tx.InstallCount())*provision.PerPackage))
@@ -182,8 +182,11 @@ func schedulerPackages(name string) []string {
 func (d *Deployment) RunUpdateCheckEverywhere(policy depsolve.UpdatePolicy, now time.Time) map[string]*depsolve.Notification {
 	out := make(map[string]*depsolve.Notification, d.Cluster.NodeCount())
 	for _, n := range d.Cluster.Nodes() {
-		res := depsolve.New(d.Repos, n.Packages())
-		out[n.Name] = res.RunUpdateCheck(policy, now)
+		db := n.Packages()
+		if policy != depsolve.PolicyNotify { // the check may apply updates
+			db = n.MutablePackages()
+		}
+		out[n.Name] = depsolve.New(d.Repos, db).RunUpdateCheck(policy, now)
 	}
 	return out
 }

@@ -20,7 +20,7 @@ func TestThresholdRaiseAndClear(t *testing.T) {
 	c := cluster.NewLimulusHPC200()
 	c.PowerOnAll()
 	load := 0.2
-	agg := NewAggregator(c, 16, func(string) float64 { return load })
+	agg := NewAggregator(c, 16, func(int) float64 { return load })
 	am := NewAlertManager(agg, Rule{Name: "high-load", Metric: "load_one", Threshold: 0.9})
 
 	pollAndEval(agg, am, pollIvl)
@@ -121,7 +121,7 @@ func TestRuleOnMissingMetricIgnored(t *testing.T) {
 func TestEvaluateAllocations(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
-	agg := NewAggregator(c, 16, func(string) float64 { return 0.5 })
+	agg := NewAggregator(c, 16, func(int) float64 { return 0.5 })
 	am := NewAlertManager(agg, Rule{Name: "high-load", Metric: "load_one", Threshold: 0.9})
 	pollAndEval(agg, am, pollIvl)
 	if n := testing.AllocsPerRun(50, func() { am.Evaluate(pollIvl, pollIvl) }); n != 0 {

@@ -28,7 +28,7 @@ func BenchmarkMonitorFirstPoll(b *testing.B) {
 func BenchmarkMonitorPoll(b *testing.B) {
 	c := cluster.NewKansas()
 	c.PowerOnAll()
-	agg := NewAggregator(c, 64, func(string) float64 { return 0.5 })
+	agg := NewAggregator(c, 64, func(int) float64 { return 0.5 })
 	for i := 0; i < 64; i++ {
 		agg.Poll(sim.Time(i))
 	}

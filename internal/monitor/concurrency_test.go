@@ -17,7 +17,7 @@ import (
 func TestConcurrentPollAndRead(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
-	agg := NewAggregator(c, 64, func(string) float64 { return 0.5 })
+	agg := NewAggregator(c, 64, func(int) float64 { return 0.5 })
 	am := NewAlertManager(agg, Rule{Name: "hot", Metric: "load_one", Threshold: 0.4})
 
 	stop := make(chan struct{})

@@ -18,9 +18,10 @@ import (
 	"xcbc/internal/sim"
 )
 
-// LoadFunc reports a node's current load fraction [0,1]; the scheduler
-// integration supplies cores-busy/cores-total.
-type LoadFunc func(node string) float64
+// LoadFunc reports a node's current load fraction [0,1], given the node's
+// position in Cluster.All (the frontend first); the scheduler integration
+// supplies cores-busy/cores-total.
+type LoadFunc func(node int) float64
 
 // The standard metrics every gmond reports, in export order.
 const (
@@ -116,13 +117,14 @@ func (a *Aggregator) Poll(now sim.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.polls++
+	i := -1
 	for n := range a.cluster.All() {
-		if n.Power() != cluster.PowerOn {
+		if i++; n.Power() != cluster.PowerOn {
 			continue
 		}
 		r := row{At: now}
 		if a.load != nil {
-			r.Values[loadOne] = a.load(n.Name)
+			r.Values[loadOne] = a.load(i)
 		}
 		r.Values[powerWatts] = n.DrawWatts()
 		r.Values[cpuNum] = float64(n.Cores())

@@ -72,7 +72,7 @@ func TestAggregatorPollsPoweredNodesOnly(t *testing.T) {
 	c.Frontend.SetPower(cluster.PowerOn)
 	c.Computes[0].SetPower(cluster.PowerOn)
 	// n2, n3 stay off.
-	agg := NewAggregator(c, 16, func(string) float64 { return 0.5 })
+	agg := NewAggregator(c, 16, func(int) float64 { return 0.5 })
 	agg.Poll(0)
 	hosts, polls, load := samplesByHost(agg)
 	if len(hosts) != 2 {
@@ -114,7 +114,7 @@ func TestAggregatorPeriodicPolling(t *testing.T) {
 func TestExportXMLAndHTTP(t *testing.T) {
 	c := cluster.NewLittleFe()
 	c.PowerOnAll()
-	agg := NewAggregator(c, 4, func(string) float64 { return 1.0 })
+	agg := NewAggregator(c, 4, func(int) float64 { return 1.0 })
 	agg.Poll(0)
 	data, err := agg.ExportXML()
 	if err != nil {
@@ -141,7 +141,7 @@ func TestExportXMLAndHTTP(t *testing.T) {
 func TestReport(t *testing.T) {
 	c := cluster.NewLimulusHPC200()
 	c.PowerOnAll()
-	agg := NewAggregator(c, 4, func(string) float64 { return 0.25 })
+	agg := NewAggregator(c, 4, func(int) float64 { return 0.25 })
 	agg.Poll(0)
 	rep := agg.Report()
 	if !strings.Contains(rep, "4 hosts reporting") || !strings.Contains(rep, "limulus") {
@@ -170,7 +170,7 @@ func TestSeriesMatchesKeepLastModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 1024} {
 		i := 0
 		// Values whose sum depends on the order of addition.
-		agg := NewAggregator(c, capacity, func(string) float64 { return 1 / float64(i) })
+		agg := NewAggregator(c, capacity, func(int) float64 { return 1 / float64(i) })
 		var model []Metric
 		check := func() {
 			t.Helper()
@@ -238,7 +238,7 @@ func TestPollAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { NewAggregator(c, 1024, nil).Poll(0) }); n > 4 {
 		t.Errorf("first poll of a %d-node cluster allocates %v times, want at most 4", c.NodeCount(), n)
 	}
-	agg := NewAggregator(c, 4, func(string) float64 { return 0.5 })
+	agg := NewAggregator(c, 4, func(int) float64 { return 0.5 })
 	for i := 0; i < 4; i++ {
 		agg.Poll(sim.Time(i)) // fill the rings
 	}

@@ -39,7 +39,8 @@ func (p Policy) String() string {
 }
 
 // Manager drives node power according to a policy, integrating with the
-// batch system's wake/drain hooks.
+// batch system's wake/drain hooks. It knows a compute node by its position
+// in Cluster.Computes.
 type Manager struct {
 	Engine    *sim.Engine
 	Cluster   *cluster.Cluster
@@ -48,8 +49,10 @@ type Manager struct {
 	IdleGrace time.Duration // how long a node must stay idle before power-off
 	BootDelay time.Duration // how long a node takes to come up
 
-	pending    map[string]sim.Handle // node -> scheduled power-off
-	booting    map[string]bool       // nodes woken whose boot has not fired yet
+	// Per compute node, made only for a policy that powers nodes down.
+	pending []sim.Handle // scheduled power-off; zero when none
+	booting []bool       // woken, and the boot has not fired yet
+
 	lastSample sim.Time
 	events     []string
 }
@@ -64,10 +67,9 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, batch *sched.Manager, polic
 		Policy:    policy,
 		IdleGrace: 5 * time.Minute,
 		BootDelay: 90 * time.Second,
-		pending:   make(map[string]sim.Handle),
 	}
 	if batch != nil && policy != AlwaysOn {
-		m.booting = make(map[string]bool)
+		m.pending, m.booting = make([]sim.Handle, len(c.Computes)), make([]bool, len(c.Computes))
 		batch.DrainNotify = m.nodeIdle
 		batch.WakeRequest = m.wake
 		// Nodes idle from the start (never allocated) also deserve grace
@@ -81,41 +83,27 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, batch *sched.Manager, polic
 // armAllIdle starts grace timers for every powered-on, unoccupied compute
 // node that does not already have one pending.
 func (m *Manager) armAllIdle() {
-	for _, n := range m.Cluster.Computes {
-		if n.Power() != cluster.PowerOn {
-			continue
+	for i, n := range m.Cluster.Computes {
+		if n.Power() == cluster.PowerOn && !m.Batch.NodeBusy(i) && m.pending[i] == (sim.Handle{}) {
+			m.nodeIdle(i)
 		}
-		if m.Batch != nil && m.Batch.NodeBusy(n.Name) {
-			continue
-		}
-		if _, armed := m.pending[n.Name]; armed {
-			continue
-		}
-		m.nodeIdle(n.Name)
 	}
 }
 
-// nodeIdle is the batch system's drain notification: schedule a power-off
-// after the grace period if the node is still idle then.
-func (m *Manager) nodeIdle(node string) {
-	if m.Policy == AlwaysOn {
-		return
-	}
-	if ev, ok := m.pending[node]; ok {
-		m.Engine.Cancel(ev)
-	}
-	m.pending[node] = m.Engine.After(m.IdleGrace, "power-off-"+node, func(*sim.Engine) {
-		delete(m.pending, node)
-		n, ok := m.Cluster.Lookup(node)
-		if !ok || n.Role == cluster.RoleFrontend {
-			return
-		}
-		if m.Batch != nil && m.Batch.NodeBusy(node) {
+// nodeIdle is the batch system's drain notification for compute i:
+// schedule a power-off after the grace period if the node is still idle
+// then.
+func (m *Manager) nodeIdle(i int) {
+	m.Engine.Cancel(m.pending[i])
+	n := m.Cluster.Computes[i]
+	m.pending[i] = m.Engine.After(m.IdleGrace, "power-off-"+n.Name, func(*sim.Engine) {
+		m.pending[i] = sim.Handle{}
+		if m.Batch.NodeBusy(i) {
 			return // picked up work during the grace period
 		}
 		m.accrue()
 		n.SetPower(cluster.PowerOff)
-		m.logf("powered off idle node %s at %v", node, m.Engine.Now())
+		m.logf("powered off idle node %s at %v", n.Name, m.Engine.Now())
 	})
 }
 
@@ -123,39 +111,36 @@ func (m *Manager) nodeIdle(node string) {
 // sleeping nodes to cover the requested cores, with a boot delay before
 // they become schedulable. A node still booting reads PowerOff until its
 // boot fires; it is not woken again, and its cores count toward the
-// shortfall.
-func (m *Manager) wake(coresNeeded int) {
-	if m.Policy == AlwaysOn {
-		return
-	}
+// shortfall. A failed node is never woken; one that fails while booting
+// stays off and stops counting, so another is woken in its place.
+func (m *Manager) wake(coresNeeded int, free []int) {
 	woken := 0
-	for _, n := range m.Cluster.Computes {
-		if m.booting[n.Name] {
+	for i, n := range m.Cluster.Computes {
+		if m.booting[i] && free[i] == n.Cores() {
 			woken += n.Cores()
 		}
 	}
-	for _, n := range m.Cluster.Computes {
+	for i, n := range m.Cluster.Computes {
 		if woken >= coresNeeded {
 			break
 		}
-		if n.Power() != cluster.PowerOff || m.booting[n.Name] {
-			continue
+		if n.Power() != cluster.PowerOff || m.booting[i] || free[i] < n.Cores() {
+			continue // on, already booting, or failed
 		}
-		if ev, ok := m.pending[n.Name]; ok {
-			m.Engine.Cancel(ev)
-			delete(m.pending, n.Name)
-		}
+		m.Engine.Cancel(m.pending[i])
+		m.pending[i] = sim.Handle{}
 		woken += n.Cores()
 		m.accrue()
 		m.logf("waking node %s at %v", n.Name, m.Engine.Now())
-		m.booting[n.Name] = true
+		m.booting[i] = true
 		m.Engine.After(m.BootDelay, "boot-"+n.Name, func(*sim.Engine) {
-			delete(m.booting, n.Name)
-			n.SetPower(cluster.PowerOn)
-			if m.Batch != nil {
-				// Rerun placement now that capacity exists.
-				m.Batch.SetPolicy(policyOf(m.Batch))
+			m.booting[i] = false
+			if m.Batch.NodeBusy(i) {
+				return // failed while booting
 			}
+			n.SetPower(cluster.PowerOn)
+			// Rerun placement now that capacity exists.
+			m.Batch.SetPolicy(policyOf(m.Batch))
 		})
 	}
 }
@@ -176,7 +161,7 @@ func (m *Manager) accrue() {
 	if dt <= 0 {
 		return
 	}
-	for _, n := range m.Cluster.Nodes() {
+	for n := range m.Cluster.All() {
 		n.AddEnergy(n.DrawWatts() * dt)
 	}
 	m.lastSample = now

@@ -99,9 +99,10 @@ func TestBootingNodeIsNotWokenTwice(t *testing.T) {
 		}
 	}
 	before := len(pm.Events())
-	batch.WakeRequest(4)
+	idle := []int{4, 4, 4}
+	batch.WakeRequest(4, idle)
 	eng.RunUntil(eng.Now() + sim.Time(pm.BootDelay/2))
-	batch.WakeRequest(4)
+	batch.WakeRequest(4, idle)
 	wakes := map[string]int{}
 	for _, e := range pm.Events()[before:] {
 		var node string
@@ -160,5 +161,51 @@ func TestGraceCancelledWhenWorkArrives(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	if AlwaysOn.String() != "always-on" || OnDemand.String() != "on-demand" {
 		t.Fatal("policy strings")
+	}
+}
+
+// TestNodeFailedWhileBootingStaysOff: a node that fails while the power
+// manager boots it is not powered on when its boot fires. It stays off —
+// drawing nothing, and free to be powered down again once repaired —
+// instead of coming up with none of its cores free. Its cores no longer
+// cover the shortfall, so a healthy sleeping node is woken in its place and
+// the queued work runs without waiting for the repair.
+func TestNodeFailedWhileBootingStaysOff(t *testing.T) {
+	eng, c, batch, pm := limulus(OnDemand)
+	pm.IdleGrace = time.Minute
+	batch.Submit(&sched.Job{Name: "warm", User: "u", Cores: 4, Walltime: time.Hour, Runtime: time.Minute})
+	eng.Run() // every compute idles down
+	id, err := batch.Submit(&sched.Job{Name: "burst", User: "u", Cores: 8, Walltime: time.Hour, Runtime: 5 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := c.Computes[0] // woken first
+	if err := batch.NodeFail(victim.Name); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + sim.Time(pm.BootDelay))
+	if victim.Power() != cluster.PowerOff {
+		t.Fatalf("%s failed while booting but reads %s once its boot fired", victim.Name, victim.Power())
+	}
+	burst, _ := batch.Job(id)
+	if burst.State != sched.StateRunning || len(burst.Alloc) != 2 || burst.Alloc[0].Node == 0 || burst.Alloc[1].Node == 0 {
+		t.Fatalf("burst is %v on %v once the boots fired, want running on the two healthy computes", burst.State, burst.Alloc)
+	}
+	eng.Run()
+	pm.Finalize()
+	before := victim.EnergyWh()
+	eng.RunUntil(eng.Now() + sim.Time(time.Hour))
+	if pm.Finalize(); victim.EnergyWh() != before || victim.Power() != cluster.PowerOff {
+		t.Fatalf("%s draws power while failed: %v Wh -> %v Wh, %s", victim.Name, before, victim.EnergyWh(), victim.Power())
+	}
+	if err := batch.NodeRepair(victim.Name); err != nil {
+		t.Fatal(err)
+	}
+	if victim.Power() != cluster.PowerOn {
+		t.Fatalf("%s reads %s after repair", victim.Name, victim.Power())
+	}
+	eng.Run()
+	if queued, running, _ := batch.JobCounts(); queued+running != 0 || batch.NodeBusy(0) {
+		t.Fatalf("after repair: %d queued, %d running, %s busy %v", queued, running, victim.Name, batch.NodeBusy(0))
 	}
 }

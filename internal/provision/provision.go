@@ -13,6 +13,7 @@ package provision
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,15 +48,23 @@ type Plan struct {
 	Frontend, Compute Kickstart
 }
 
-// Kickstart is one appliance's install: the validated package set every
-// node of the appliance adopts, the graph's post-install actions, and the
-// services and attributes those actions leave on the node. Nodes adopt the
-// maps by reference and copy them on their first divergent write.
+// Kickstart is one appliance's install: the post-install package database
+// every node of the appliance adopts, the graph's post-install actions,
+// and the services and attributes those actions leave on the node. Nodes
+// adopt the database and the maps by reference and copy them on their
+// first divergent write.
 type Kickstart struct {
-	Set      *rpm.InstallSet
+	DB       *rpm.DB
 	Actions  []string
 	Services map[string]bool
 	Attrs    map[string]string
+}
+
+// cost is the simulated time one install of the appliance takes from
+// partitioning on: stages, then per package and per action.
+func (ks *Kickstart) cost() time.Duration {
+	return StagePartition + StageBaseImage + StagePostInstall +
+		time.Duration(len(ks.DB.Installed()))*PerPackage + time.Duration(len(ks.Actions))*PerAction
 }
 
 // NewPlan validates each appliance's package set from the distribution —
@@ -68,6 +77,11 @@ func NewPlan(dist *rocks.Distribution, g *rocks.Graph) (*Plan, error) {
 		ks  *Kickstart
 	}{{rocks.ApplianceFrontend, &p.Frontend}, {rocks.ApplianceCompute, &p.Compute}} {
 		set, err := rpm.NewInstallSet(dist.PackagesFor(a.app))
+		if err == nil {
+			a.ks.DB = rpm.NewDB()
+			err = a.ks.DB.AdoptSet(set)
+			a.ks.DB.Freeze()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("provision: %s package install: %w", a.app, err)
 		}
@@ -75,13 +89,15 @@ func NewPlan(dist *rocks.Distribution, g *rocks.Graph) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		services, attrs := systemState(actions)
-		*a.ks = Kickstart{Set: set, Actions: actions, Services: services, Attrs: attrs}
+		a.ks.Actions = actions
+		a.ks.Services, a.ks.Attrs = systemState(actions)
 	}
 	return p, nil
 }
 
 // Installer drives provisioning of one cluster from one frontend database.
+// A node is its position in Cluster.Computes; names are rendered only in
+// results, errors and the log.
 type Installer struct {
 	Cluster *cluster.Cluster
 	DB      *rocks.FrontendDB
@@ -89,8 +105,11 @@ type Installer struct {
 
 	plan *Plan
 
-	// log accumulates what happened as unrendered entries; Log formats them.
-	log []logEntry
+	// The log: lines of a clean build are only counted, by kind (see
+	// record), and Log renders them from the plan and the cluster; the
+	// first line that departs from one, and every line after it, is kept.
+	clean [logKickstarted + 1]int
+	log   []logEntry
 
 	// Hook, when non-nil, runs at the start of every node install attempt
 	// (attempt numbering starts at 1). Returning an error fails the attempt
@@ -102,61 +121,76 @@ type Installer struct {
 
 // NewInstaller binds a cluster, frontend DB, and install plan.
 func NewInstaller(c *cluster.Cluster, db *rocks.FrontendDB, plan *Plan, osName string) *Installer {
-	return &Installer{
-		Cluster: c, DB: db, OSName: osName, plan: plan,
-		// A clean build logs one frontend line and two per compute; sizing
-		// the log to exactly that avoids per-line slice doubling and keeps
-		// no slack on the thousands of installers a fleet retains.
-		log: make([]logEntry, 0, 2*len(c.Computes)+1),
-	}
+	return &Installer{Cluster: c, DB: db, OSName: osName, plan: plan}
 }
 
 // logEntry is one progress line, kept as the values it names rather than
-// as text or boxed arguments: a fleet build logs thousands of lines that
-// are rarely read, so appending one allocates nothing and rendering waits
-// for a reader. Which of n, m, cost and err a line uses depends on its kind.
+// as text; what an install costs comes from the plan when it is rendered.
 type logEntry struct {
-	kind logKind
-	node string
-	n, m int
-	cost time.Duration
-	err  error
+	kind     logKind
+	node     int   // compute index; unused for the frontend's line
+	attempts int   // logGaveUp
+	err      error // logGaveUp, logRefused
 }
 
 type logKind uint8
 
 const (
-	logFrontend    logKind = iota // n packages, m actions, cost
-	logDiscovered                 // n rank, which fixes the MAC
-	logKickstarted                // n packages, cost
+	logFrontend logKind = iota
+	logDiscovered
+	logKickstarted
 	logReinstall
-	logGaveUp  // n attempts, err from the last one
-	logRefused // err from the kickstart
+	logGaveUp
+	logRefused
 )
 
-func (e logEntry) String() string {
+// record logs e. A clean build logs the frontend's line, then one
+// discovery per compute in order, then one kickstart per compute in order:
+// while the log is still that, e is counted, and from the first line that
+// departs from it on, kept.
+func (ins *Installer) record(e logEntry) {
+	c := &ins.clean
+	if len(ins.log) == 0 && e.kind <= logKickstarted && e.node == c[e.kind] &&
+		!slices.ContainsFunc(c[e.kind+1:], func(n int) bool { return n > 0 }) {
+		c[e.kind]++
+		return
+	}
+	ins.log = append(ins.log, e)
+}
+
+func (ins *Installer) line(e logEntry) string {
+	if e.kind == logFrontend {
+		fe := &ins.plan.Frontend
+		return fmt.Sprintf("frontend %s installed: %d packages, %d actions, %v",
+			ins.Cluster.Frontend.Name, len(fe.DB.Installed()), len(fe.Actions), fe.cost())
+	}
+	name := ins.Cluster.Computes[e.node].Name
 	switch e.kind {
-	case logFrontend:
-		return fmt.Sprintf("frontend %s installed: %d packages, %d actions, %v", e.node, e.n, e.m, e.cost)
 	case logDiscovered:
-		return fmt.Sprintf("insert-ethers: discovered %s (%s)", e.node, computeMAC(e.n))
+		return fmt.Sprintf("insert-ethers: discovered %s (%s)", name, computeMAC(e.node))
 	case logKickstarted:
-		return fmt.Sprintf("compute %s kickstarted: %d packages in %v", e.node, e.n, e.cost)
+		ks := &ins.plan.Compute
+		return fmt.Sprintf("compute %s kickstarted: %d packages in %v", name, len(ks.DB.Installed()), StagePXEBoot+ks.cost())
 	case logReinstall:
-		return "reinstall requested for " + e.node
+		return "reinstall requested for " + name
 	case logGaveUp:
-		return fmt.Sprintf("compute %s quarantined after %d attempt(s): %v", e.node, e.n, e.err)
+		return fmt.Sprintf("compute %s quarantined after %d attempt(s): %v", name, e.attempts, e.err)
 	default:
-		return fmt.Sprintf("compute %s quarantined: %v", e.node, e.err)
+		return fmt.Sprintf("compute %s quarantined: %v", name, e.err)
 	}
 }
 
 // Log renders the human-readable record of what happened; the training
 // examples surface it as curriculum output.
 func (ins *Installer) Log() []string {
-	out := make([]string, len(ins.log))
-	for i, e := range ins.log {
-		out[i] = e.String()
+	var out []string
+	for kind, n := range ins.clean {
+		for i := range n {
+			out = append(out, ins.line(logEntry{kind: logKind(kind), node: i}))
+		}
+	}
+	for _, e := range ins.log {
+		out = append(out, ins.line(e))
 	}
 	return out
 }
@@ -166,6 +200,8 @@ type Result struct {
 	Node     string
 	Packages int
 	Duration time.Duration
+
+	index, attempts int // the compute and the attempts its install took
 }
 
 // InstallFrontend provisions the frontend from the distribution media,
@@ -179,28 +215,24 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 	fe.SetPower(cluster.PowerOn)
 	start := eng.Now()
 	ks := &ins.plan.Frontend
-	pkgs, actions := len(ks.Set.Packages()), len(ks.Actions)
+	pkgs, cost := len(ks.DB.Installed()), ks.cost()
 	fe.WipePackages()
-	if err := fe.Packages().AdoptSet(ks.Set); err != nil {
-		return nil, fmt.Errorf("provision: frontend package install: %w", err)
-	}
-	cost := StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(pkgs)*PerPackage + time.Duration(actions)*PerAction
+	fe.AdoptPackages(ks.DB)
 	eng.RunUntil(eng.Now() + sim.Time(cost))
 	fe.AdoptSystemState(ks.Services, ks.Attrs)
 	fe.SetOS(ins.OSName)
-	ins.log = append(ins.log, logEntry{kind: logFrontend, node: fe.Name, n: pkgs, m: actions, cost: cost})
+	ins.record(logEntry{kind: logFrontend})
 	return &Result{Node: fe.Name, Packages: pkgs, Duration: (eng.Now() - start).Duration()}, nil
 }
 
 // DiscoverComputes registers every compute node in the frontend database,
 // the insert-ethers phase of a Rocks build.
 func (ins *Installer) DiscoverComputes() error {
-	for i, n := range ins.Cluster.Computes {
-		if _, err := ins.DB.AddHost(n.Name, rocks.ApplianceCompute, 0, i); err != nil {
+	for i := range ins.Cluster.Computes {
+		if err := ins.DB.AddHost(i); err != nil {
 			return err
 		}
-		ins.log = append(ins.log, logEntry{kind: logDiscovered, node: n.Name, n: i})
+		ins.record(logEntry{kind: logDiscovered, node: i})
 	}
 	return nil
 }
@@ -220,64 +252,43 @@ func computeMAC(rank int) string {
 	return string(mac)
 }
 
-// pendingInstall is a compute kickstart that has run its package
-// transaction but not yet been committed: post-install actions, the OS
-// marker, and the frontend-database installed flag all wait for commit.
-// Splitting the two phases lets a wave overlap many kickstarts in simulated
-// time and commit them together once the wave's clock advance is done.
-type pendingInstall struct {
-	node *cluster.Node
-	name string
-	pkgs int
-	cost time.Duration
-	// What the wave that started it knows: the attempts the node consumed
-	// and the simulated time its install took, failed attempts included.
-	attempts int
-	took     time.Duration
-}
-
-// kickstart validates and starts one compute install, leaving it pending.
-// The frontend must already be installed; the node must have a disk; the
-// node must be registered.
-func (ins *Installer) kickstart(name string) (pendingInstall, error) {
-	var none pendingInstall
-	if ins.Cluster.Frontend.OS() == "" {
-		return none, fmt.Errorf("provision: frontend not installed; cannot kickstart %s", name)
-	}
-	node, ok := ins.Cluster.Lookup(name)
-	if !ok {
-		return none, fmt.Errorf("provision: no such node %s", name)
-	}
-	if _, registered := ins.DB.Host(name); !registered {
-		return none, fmt.Errorf("provision: node %s not in frontend database (run insert-ethers)", name)
-	}
-	if !node.HasDisk() {
-		return none, fmt.Errorf("%w: node %s", ErrDiskless, name)
+// kickstart validates and starts compute i's install, leaving its commit
+// pending: post-install actions, the OS marker, and the frontend-database
+// installed flag all wait for commit. Splitting the two phases lets a wave
+// overlap many kickstarts in simulated time and commit them together once
+// the wave's clock advance is done. The frontend must already be
+// installed; the node must have a disk and be registered.
+func (ins *Installer) kickstart(i int) (Result, error) {
+	node := ins.Cluster.Computes[i]
+	switch {
+	case ins.Cluster.Frontend.OS() == "":
+		return Result{}, fmt.Errorf("provision: frontend not installed; cannot kickstart %s", node.Name)
+	case !ins.DB.Registered(i):
+		return Result{}, fmt.Errorf("provision: node %s not in frontend database (run insert-ethers)", node.Name)
+	case !node.HasDisk():
+		return Result{}, fmt.Errorf("%w: node %s", ErrDiskless, node.Name)
 	}
 	node.SetPower(cluster.PowerOn)
 	ks := &ins.plan.Compute
-	pkgs, actions := len(ks.Set.Packages()), len(ks.Actions)
 	node.WipePackages()
-	if err := node.Packages().AdoptSet(ks.Set); err != nil {
-		return none, fmt.Errorf("provision: %s package install: %w", name, err)
-	}
-	cost := StagePXEBoot + StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(pkgs)*PerPackage + time.Duration(actions)*PerAction
-	return pendingInstall{node: node, name: name, pkgs: pkgs, cost: cost, attempts: 1, took: cost}, nil
+	node.AdoptPackages(ks.DB)
+	cost := StagePXEBoot + ks.cost()
+	return Result{Node: node.Name, Packages: len(ks.DB.Installed()), Duration: cost, index: i, attempts: 1}, nil
 }
 
-// commit finalizes a pending install and fills in its Result, whose
-// Duration is p.took: the simulated time the node's install consumed (for
-// a wave member this includes failed-attempt and backoff time, and the
-// wave as a whole advanced the clock by its slowest member).
-func (ins *Installer) commit(p *pendingInstall, r *Result) error {
-	p.node.AdoptSystemState(ins.plan.Compute.Services, ins.plan.Compute.Attrs)
-	p.node.SetOS(ins.OSName)
-	if err := ins.DB.MarkInstalled(p.name, true); err != nil {
+// commit finalizes a pending install. r.Duration is the simulated time the
+// node's install consumed: for a wave member this includes failed-attempt
+// and backoff time, and the wave as a whole advanced the clock by its
+// slowest member.
+func (ins *Installer) commit(r *Result) error {
+	ks := &ins.plan.Compute
+	node := ins.Cluster.Computes[r.index]
+	node.AdoptSystemState(ks.Services, ks.Attrs)
+	node.SetOS(ins.OSName)
+	if err := ins.DB.MarkInstalled(r.index, true); err != nil {
 		return err
 	}
-	ins.log = append(ins.log, logEntry{kind: logKickstarted, node: p.name, n: p.pkgs, cost: p.cost})
-	*r = Result{Node: p.name, Packages: p.pkgs, Duration: p.took}
+	ins.record(logEntry{kind: logKickstarted, node: r.index})
 	return nil
 }
 
@@ -285,35 +296,36 @@ func (ins *Installer) commit(p *pendingInstall, r *Result) error {
 // clock advances by the full install cost before the next node can start.
 // Wave installs (InstallWave) overlap these costs instead.
 func (ins *Installer) InstallCompute(eng *sim.Engine, name string) (*Result, error) {
-	if ins.Hook != nil {
-		if err := ins.Hook(name, 1); err != nil {
-			return nil, fmt.Errorf("provision: %s install attempt failed: %w", name, err)
-		}
+	i := ins.Cluster.ComputeIndex(name)
+	if i < 0 {
+		return nil, fmt.Errorf("provision: no such node %s", name)
 	}
-	p, err := ins.kickstart(name)
+	if err := ins.attempt(i, 1); err != nil {
+		return nil, err
+	}
+	r, err := ins.kickstart(i)
 	if err != nil {
 		return nil, err
 	}
-	eng.RunUntil(eng.Now() + sim.Time(p.cost))
-	r := new(Result)
-	if err := ins.commit(&p, r); err != nil {
+	eng.RunUntil(eng.Now() + sim.Time(r.Duration))
+	if err := ins.commit(&r); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &r, nil
 }
 
 // Reinstall wipes and re-kickstarts a compute node — the Rocks answer to
 // configuration drift ("rocks set host boot action=install; reboot").
 func (ins *Installer) Reinstall(eng *sim.Engine, name string) (*Result, error) {
-	node, ok := ins.Cluster.Lookup(name)
-	if !ok {
+	i := ins.Cluster.ComputeIndex(name)
+	if i < 0 {
 		return nil, fmt.Errorf("provision: no such node %s", name)
 	}
-	node.WipePackages()
-	if err := ins.DB.MarkInstalled(name, false); err != nil {
+	ins.Cluster.Computes[i].WipePackages()
+	if err := ins.DB.MarkInstalled(i, false); err != nil {
 		return nil, err
 	}
-	ins.log = append(ins.log, logEntry{kind: logReinstall, node: name})
+	ins.record(logEntry{kind: logReinstall, node: i})
 	return ins.InstallCompute(eng, name)
 }
 
@@ -351,7 +363,7 @@ func VendorProvision(eng *sim.Engine, c *cluster.Cluster, osName string, basePkg
 		for _, p := range basePkgs {
 			tx.Install(p)
 		}
-		if err := tx.Run(n.Packages()); err != nil {
+		if err := tx.Run(n.MutablePackages()); err != nil {
 			return fmt.Errorf("provision: vendor install on %s: %w", n.Name, err)
 		}
 		n.SetOS(osName)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"xcbc/internal/cluster"
 	"xcbc/internal/rocks"
@@ -57,7 +56,7 @@ func installerFor(t *testing.T, c *cluster.Cluster, d *rocks.Distribution) *Inst
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewInstaller(c, rocks.NewFrontendDB(d), plan, "CentOS 6.5")
+	return NewInstaller(c, rocks.NewFrontendDB(d, c), plan, "CentOS 6.5")
 }
 
 // installAll builds the frontend and then every compute node, one
@@ -122,7 +121,7 @@ func TestInstallAllOnLittleFe(t *testing.T) {
 		t.Error("installation should consume simulated time")
 	}
 	// All computes marked installed in the frontend DB.
-	for _, rec := range ins.DB.HostsByAppliance(rocks.ApplianceCompute) {
+	for _, rec := range ins.DB.Hosts() {
 		if !rec.Installed {
 			t.Errorf("%s not marked installed", rec.Name)
 		}
@@ -271,25 +270,24 @@ func TestInstallTimeScalesWithPackageCount(t *testing.T) {
 // and Log still renders exactly the lines the build always printed.
 func TestLogLinesDoNotAllocate(t *testing.T) {
 	ins := testInstaller(t, cluster.NewLittleFe())
-	cost, refused := 6*time.Minute+34*time.Second, errors.New("no disk")
-	node := ins.Cluster.Computes[3].Name
+	refused := errors.New("no disk")
+	ins.log = make([]logEntry, 0, 6)
 	lines := func() {
 		ins.log = append(ins.log[:0],
-			logEntry{kind: logFrontend, node: ins.Cluster.Frontend.Name, n: 151, m: 7, cost: cost},
-			logEntry{kind: logDiscovered, node: node, n: 259},
-			logEntry{kind: logKickstarted, node: node, n: 140, cost: cost},
-			logEntry{kind: logReinstall, node: node},
-			logEntry{kind: logGaveUp, node: node, n: 3, err: refused},
-			logEntry{kind: logRefused, node: node, err: refused})
+			logEntry{kind: logFrontend},
+			logEntry{kind: logDiscovered, node: 3},
+			logEntry{kind: logKickstarted, node: 3},
+			logEntry{kind: logReinstall, node: 3},
+			logEntry{kind: logGaveUp, node: 3, attempts: 3, err: refused},
+			logEntry{kind: logRefused, node: 3, err: refused})
 	}
-	lines() // the slice is sized for a clean build: 11 lines
 	if n := testing.AllocsPerRun(100, lines); n != 0 {
 		t.Errorf("six log lines allocate %v times, want 0", n)
 	}
 	want := []string{
-		"frontend littlefe-head installed: 151 packages, 7 actions, 6m34s",
-		"insert-ethers: discovered compute-0-4 (52:54:00:00:01:03)",
-		"compute compute-0-4 kickstarted: 140 packages in 6m34s",
+		"frontend littlefe-head installed: 8 packages, 14 actions, 6m45s",
+		"insert-ethers: discovered compute-0-4 (52:54:00:00:00:03)",
+		"compute compute-0-4 kickstarted: 4 packages in 7m2s",
 		"reinstall requested for compute-0-4",
 		"compute compute-0-4 quarantined after 3 attempt(s): no disk",
 		"compute compute-0-4 quarantined: no disk",
@@ -301,5 +299,38 @@ func TestLogLinesDoNotAllocate(t *testing.T) {
 		if got, want := computeMAC(rank), fmt.Sprintf("52:54:00:%02x:%02x:%02x", 0, rank/256, rank%256); got != want {
 			t.Errorf("computeMAC(%d) = %s, want %s", rank, got, want)
 		}
+	}
+}
+
+// TestCleanBuildLogIsRendered: a clean build keeps no log entries — Log
+// renders its lines from the plan and the cluster — and they are the lines
+// the build printed when each was stored; a reinstall is kept, with every
+// line after it.
+func TestCleanBuildLogIsRendered(t *testing.T) {
+	c := cluster.NewLittleFe()
+	ins := testInstaller(t, c)
+	eng := sim.NewEngine()
+	results := installAll(t, ins, eng)
+	if len(ins.log) != 0 {
+		t.Fatalf("a clean build stored %d log entries", len(ins.log))
+	}
+	fe, ks := results[0], &ins.plan.Compute
+	want := []string{fmt.Sprintf("frontend littlefe-head installed: %d packages, %d actions, %v",
+		fe.Packages, len(ins.plan.Frontend.Actions), fe.Duration)}
+	for i, n := range c.Computes {
+		want = append(want, fmt.Sprintf("insert-ethers: discovered %s (52:54:00:00:00:%02x)", n.Name, i))
+	}
+	for _, r := range results[1:] {
+		want = append(want, fmt.Sprintf("compute %s kickstarted: %d packages in %v", r.Node, len(ks.DB.Installed()), r.Duration))
+	}
+	if got := ins.Log(); !slices.Equal(got, want) {
+		t.Fatalf("Log() =\n%q\nwant\n%q", got, want)
+	}
+	if _, err := ins.Reinstall(eng, "compute-0-2"); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, "reinstall requested for compute-0-2", want[len(want)-4])
+	if got := ins.Log(); len(ins.log) != 2 || !slices.Equal(got, want) {
+		t.Fatalf("after a reinstall, %d entries and Log() =\n%q\nwant\n%q", len(ins.log), got, want)
 	}
 }

@@ -62,7 +62,7 @@ type NodeFailure struct {
 // WaveResult summarizes one wave.
 type WaveResult struct {
 	// Results holds the successfully installed members.
-	Results []*Result
+	Results []Result
 	// Failed holds members quarantined after exhausting retries.
 	Failed []NodeFailure
 	// Duration is the simulated time the wave consumed: the max over member
@@ -74,18 +74,22 @@ type WaveResult struct {
 // the node gives up: the PXE boot that went nowhere.
 const failedAttemptCost = StagePXEBoot
 
-// InstallWave kickstarts the named compute nodes as one overlapping wave.
+// InstallWave kickstarts computes lo through hi-1 as one overlapping wave.
 // Per member it attempts the install up to 1+Retries times, backing off
 // between attempts; members that exhaust retries land in Failed rather than
 // failing the wave. The engine advances once, by the slowest member's total
 // time, and successful installs commit after that advance — so a wave is
 // atomic with respect to the simulation clock and to cancellation (callers
 // cancel between waves, never inside one).
-func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOptions) *WaveResult {
+func (ins *Installer) InstallWave(eng *sim.Engine, lo, hi int, opts WaveOptions) WaveResult {
 	o := opts.withDefaults()
-	wr := &WaveResult{}
-	started := make([]pendingInstall, 0, len(names))
-	for _, name := range names {
+	var wr WaveResult
+	quarantine := func(e logEntry, spent time.Duration) {
+		ins.record(e)
+		wr.Failed = append(wr.Failed, NodeFailure{Node: ins.Cluster.Computes[e.node].Name, Attempts: e.attempts, Err: e.err})
+		wr.Duration = max(wr.Duration, spent)
+	}
+	for i := lo; i < hi; i++ {
 		var spent time.Duration // failed attempts + backoff, simulated
 		var lastErr error
 		attempts := 0
@@ -94,52 +98,41 @@ func (ins *Installer) InstallWave(eng *sim.Engine, names []string, opts WaveOpti
 			if attempt > 1 {
 				spent += backoffFor(o.Backoff, attempt)
 			}
-			lastErr = ins.attempt(name, attempt)
+			lastErr = ins.attempt(i, attempt)
 			if lastErr == nil {
 				break
 			}
 			spent += failedAttemptCost
 		}
 		if lastErr != nil {
-			ins.log = append(ins.log, logEntry{kind: logGaveUp, node: name, n: attempts, err: lastErr})
-			wr.Failed = append(wr.Failed, NodeFailure{Node: name, Attempts: attempts, Err: lastErr})
-			if spent > wr.Duration {
-				wr.Duration = spent
-			}
+			quarantine(logEntry{kind: logGaveUp, node: i, attempts: attempts, err: lastErr}, spent)
 			continue
 		}
-		p, err := ins.kickstart(name)
+		r, err := ins.kickstart(i)
 		if err != nil {
 			// Structural refusal (diskless, unregistered): quarantine, the
 			// wave and build continue without the node. Time already burned
 			// on failed attempts still counts toward the wave.
-			ins.log = append(ins.log, logEntry{kind: logRefused, node: name, err: err})
-			wr.Failed = append(wr.Failed, NodeFailure{Node: name, Attempts: attempts, Err: err})
-			if spent > wr.Duration {
-				wr.Duration = spent
-			}
+			quarantine(logEntry{kind: logRefused, node: i, attempts: attempts, err: err}, spent)
 			continue
 		}
-		p.attempts, p.took = attempts, spent+p.cost
-		started = append(started, p)
-		if p.took > wr.Duration {
-			wr.Duration = p.took
+		r.attempts, r.Duration = attempts, spent+r.Duration
+		if wr.Results == nil {
+			wr.Results = make([]Result, 0, hi-i)
 		}
+		wr.Results = append(wr.Results, r)
+		wr.Duration = max(wr.Duration, r.Duration)
 	}
 	eng.RunUntil(eng.Now() + sim.Time(wr.Duration))
-	// One slab holds the wave's Results; wr.Results points into it.
-	var results []Result
-	if len(started) > 0 {
-		results = make([]Result, len(started))
-		wr.Results = make([]*Result, 0, len(started))
-	}
-	for i := range started {
-		if err := ins.commit(&started[i], &results[i]); err != nil {
-			wr.Failed = append(wr.Failed, NodeFailure{Node: started[i].name, Attempts: started[i].attempts, Err: err})
+	committed := wr.Results[:0]
+	for _, r := range wr.Results {
+		if err := ins.commit(&r); err != nil {
+			wr.Failed = append(wr.Failed, NodeFailure{Node: r.Node, Attempts: r.attempts, Err: err})
 			continue
 		}
-		wr.Results = append(wr.Results, &results[i])
+		committed = append(committed, r)
 	}
+	wr.Results = committed
 	return wr
 }
 
@@ -151,67 +144,48 @@ func backoffFor(base time.Duration, attempt int) time.Duration {
 	for i := 2; i < attempt && d < MaxRetryBackoff; i++ {
 		d *= 2
 	}
-	if d > MaxRetryBackoff {
-		d = MaxRetryBackoff
-	}
-	return d
+	return min(d, MaxRetryBackoff)
 }
 
-// attempt runs the fault-injection hook for one install attempt.
-func (ins *Installer) attempt(name string, n int) error {
+// attempt runs the fault-injection hook for compute i's nth install
+// attempt.
+func (ins *Installer) attempt(i, n int) error {
 	if ins.Hook == nil {
 		return nil
 	}
+	name := ins.Cluster.Computes[i].Name
 	if err := ins.Hook(name, n); err != nil {
 		return fmt.Errorf("provision: %s install attempt %d failed: %w", name, n, err)
 	}
 	return nil
 }
 
-// Waves partitions names into consecutive waves of the given width.
-func Waves(names []string, width int) [][]string {
-	if width < 1 {
-		width = 1
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	out := make([][]string, 0, (len(names)+width-1)/width)
-	for start := 0; start < len(names); start += width {
-		end := start + width
-		if end > len(names) {
-			end = len(names)
-		}
-		out = append(out, names[start:end])
-	}
-	return out
-}
-
-// InstallComputeWaves partitions names into waves of opts.Width and
-// installs each, checking ctx between waves only (a wave, like a kickstart
-// on real hardware, runs to completion once started) and invoking onWave —
-// when non-nil — after each wave commits. It is the single home of the
-// wave-build invariants: between-wave cancellation, and "all computes
-// quarantined" failing the build. On cancellation the returned slice
-// covers the waves that committed; nodes of later waves are untouched.
-func (ins *Installer) InstallComputeWaves(ctx context.Context, eng *sim.Engine, names []string,
-	opts WaveOptions, onWave func(index int, wr *WaveResult)) ([]*WaveResult, error) {
-	parts := Waves(names, opts.Width)
-	waves := make([]*WaveResult, 0, len(parts))
+// InstallComputeWaves installs every compute node in waves of opts.Width
+// consecutive nodes, checking ctx between waves only (a wave, like a
+// kickstart on real hardware, runs to completion once started) and
+// invoking onWave — when non-nil — after each wave commits. It is the
+// single home of the wave-build invariants: between-wave cancellation, and
+// "all computes quarantined" failing the build. On cancellation the
+// returned slice covers the waves that committed; nodes of later waves are
+// untouched.
+func (ins *Installer) InstallComputeWaves(ctx context.Context, eng *sim.Engine,
+	opts WaveOptions, onWave func(index int, wr *WaveResult)) ([]WaveResult, error) {
+	n, width := len(ins.Cluster.Computes), max(opts.Width, 1)
+	waves := make([]WaveResult, 0, (n+width-1)/width)
 	quarantined := 0
-	for i, wave := range parts {
+	for lo := 0; lo < n; lo += width {
 		if err := ctx.Err(); err != nil {
-			return waves, fmt.Errorf("provision: build cancelled before wave starting at %s: %w", wave[0], err)
+			return waves, fmt.Errorf("provision: build cancelled before wave starting at %s: %w", ins.Cluster.Computes[lo].Name, err)
 		}
-		wr := ins.InstallWave(eng, wave, opts)
-		waves = append(waves, wr)
+		waves = append(waves, ins.InstallWave(eng, lo, min(lo+width, n), opts))
+		wr := &waves[len(waves)-1]
 		quarantined += len(wr.Failed)
 		if onWave != nil {
-			onWave(i, wr)
+			onWave(len(waves)-1, wr)
 		}
 	}
-	if len(names) > 0 && quarantined == len(names) {
-		return waves, fmt.Errorf("provision: all %d compute nodes quarantined; build unusable", len(names))
+	if n > 0 && quarantined == n {
+		return waves, fmt.Errorf("provision: all %d compute nodes quarantined; build unusable", n)
 	}
 	return waves, nil
 }

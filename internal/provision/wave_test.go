@@ -26,22 +26,14 @@ func waveInstaller(t *testing.T) (*Installer, *sim.Engine) {
 	return ins, eng
 }
 
-func computeNames(c *cluster.Cluster) []string {
-	names := make([]string, 0, len(c.Computes))
-	for _, n := range c.Computes {
-		names = append(names, n.Name)
-	}
-	return names
-}
-
 // TestWaveCostIsMaxNotSum is the heart of the model: overlapping kickstarts
 // cost the wave its slowest member, while sequential installs sum.
 func TestWaveCostIsMaxNotSum(t *testing.T) {
 	seqIns, seqEng := waveInstaller(t)
 	seqStart := seqEng.Now()
 	var perNode time.Duration
-	for _, name := range computeNames(seqIns.Cluster) {
-		r, err := seqIns.InstallCompute(seqEng, name)
+	for _, n := range seqIns.Cluster.Computes {
+		r, err := seqIns.InstallCompute(seqEng, n.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,9 +42,9 @@ func TestWaveCostIsMaxNotSum(t *testing.T) {
 	seqTotal := (seqEng.Now() - seqStart).Duration()
 
 	waveIns, waveEng := waveInstaller(t)
-	names := computeNames(waveIns.Cluster)
+	names := waveIns.Cluster.Computes
 	waveStart := waveEng.Now()
-	wr := waveIns.InstallWave(waveEng, names, WaveOptions{Width: len(names)})
+	wr := waveIns.InstallWave(waveEng, 0, len(names), WaveOptions{Width: len(names)})
 	waveTotal := (waveEng.Now() - waveStart).Duration()
 
 	if len(wr.Results) != len(names) || len(wr.Failed) != 0 {
@@ -65,18 +57,17 @@ func TestWaveCostIsMaxNotSum(t *testing.T) {
 		t.Errorf("wave total %v, want the single-node cost %v (max, not sum)", waveTotal, perNode)
 	}
 	// Both paths leave identical node state.
-	for _, name := range names {
-		n, _ := waveIns.Cluster.Lookup(name)
+	for _, n := range names {
 		if n.OS() == "" {
-			t.Errorf("%s not installed after wave", name)
+			t.Errorf("%s not installed after wave", n.Name)
 		}
 	}
 }
 
 func TestWaveRetrySucceedsWithBackoffCost(t *testing.T) {
 	ins, eng := waveInstaller(t)
-	names := computeNames(ins.Cluster)
-	flaky := names[1]
+	names := ins.Cluster.Computes
+	flaky := names[1].Name
 	failures := 0
 	ins.Hook = func(node string, attempt int) error {
 		if node == flaky && attempt == 1 {
@@ -86,7 +77,7 @@ func TestWaveRetrySucceedsWithBackoffCost(t *testing.T) {
 		return nil
 	}
 	start := eng.Now()
-	wr := ins.InstallWave(eng, names, WaveOptions{Width: len(names), Retries: 2, Backoff: time.Minute})
+	wr := ins.InstallWave(eng, 0, len(names), WaveOptions{Width: len(names), Retries: 2, Backoff: time.Minute})
 	if failures != 1 {
 		t.Fatalf("hook saw %d first attempts for %s", failures, flaky)
 	}
@@ -114,15 +105,15 @@ func TestWaveRetrySucceedsWithBackoffCost(t *testing.T) {
 
 func TestWaveQuarantineDoesNotAbort(t *testing.T) {
 	ins, eng := waveInstaller(t)
-	names := computeNames(ins.Cluster)
-	bad := names[2]
+	names := ins.Cluster.Computes
+	bad := names[2].Name
 	ins.Hook = func(node string, attempt int) error {
 		if node == bad {
 			return errors.New("dead NIC")
 		}
 		return nil
 	}
-	wr := ins.InstallWave(eng, names, WaveOptions{Width: len(names), Retries: 1})
+	wr := ins.InstallWave(eng, 0, len(names), WaveOptions{Width: len(names), Retries: 1})
 	if len(wr.Results) != len(names)-1 {
 		t.Fatalf("installed %d, want %d", len(wr.Results), len(names)-1)
 	}
@@ -143,16 +134,16 @@ func TestWaveQuarantineDoesNotAbort(t *testing.T) {
 }
 
 func TestWavesPartition(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	got := Waves(names, 2)
-	if len(got) != 3 || len(got[0]) != 2 || len(got[2]) != 1 {
-		t.Fatalf("Waves(5, 2) = %v", got)
-	}
-	if got := Waves(names, 0); len(got) != 5 {
-		t.Fatalf("Waves(5, 0) = %d waves, want 5 (sequential)", len(got))
-	}
-	if got := Waves(nil, 4); got != nil {
-		t.Fatalf("Waves(nil) = %v", got)
+	for _, tc := range []struct{ width, waves, last int }{{2, 3, 1}, {0, 5, 1}, {4, 2, 1}, {8, 1, 5}} {
+		ins, eng := waveInstaller(t)
+		waves, err := ins.InstallComputeWaves(context.Background(), eng, WaveOptions{Width: tc.width}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(waves) != tc.waves || len(waves[len(waves)-1].Results) != tc.last {
+			t.Errorf("width %d: %d waves, the last of %d; want %d, the last of %d",
+				tc.width, len(waves), len(waves[len(waves)-1].Results), tc.waves, tc.last)
+		}
 	}
 }
 
@@ -160,7 +151,7 @@ func TestInstallAllWavesMatchesInstallAll(t *testing.T) {
 	ins, eng := waveInstaller(t)
 	c := ins.Cluster
 	start := eng.Now()
-	waves, err := ins.InstallComputeWaves(context.Background(), eng, computeNames(c), WaveOptions{Width: 2}, nil)
+	waves, err := ins.InstallComputeWaves(context.Background(), eng, WaveOptions{Width: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +189,7 @@ func TestInstallAllWavesCancelledBetweenWaves(t *testing.T) {
 		}
 		return nil
 	}
-	waves, err := ins.InstallComputeWaves(ctx, eng, computeNames(c), WaveOptions{Width: 2}, nil)
+	waves, err := ins.InstallComputeWaves(ctx, eng, WaveOptions{Width: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -220,7 +211,7 @@ func TestInstallAllWavesCancelledBetweenWaves(t *testing.T) {
 func TestAllNodesQuarantinedFailsBuild(t *testing.T) {
 	ins, eng := waveInstaller(t)
 	ins.Hook = func(node string, attempt int) error { return errors.New("switch down") }
-	if _, err := ins.InstallComputeWaves(context.Background(), eng, computeNames(ins.Cluster), WaveOptions{Width: 4}, nil); err == nil {
+	if _, err := ins.InstallComputeWaves(context.Background(), eng, WaveOptions{Width: 4}, nil); err == nil {
 		t.Fatal("build with every compute quarantined must fail")
 	}
 }
@@ -230,8 +221,7 @@ func TestAllNodesQuarantinedFailsBuild(t *testing.T) {
 // starting other nodes) is reported with the attempts it consumed, not 1.
 func TestCommitFailureCarriesRealAttempts(t *testing.T) {
 	ins, eng := waveInstaller(t)
-	names := computeNames(ins.Cluster)[:2]
-	victim, bystander := names[0], names[1]
+	victim, bystander := ins.Cluster.Computes[0].Name, ins.Cluster.Computes[1].Name
 	ins.Hook = func(node string, attempt int) error {
 		switch {
 		case node == victim && attempt == 1:
@@ -239,13 +229,13 @@ func TestCommitFailureCarriesRealAttempts(t *testing.T) {
 		case node == bystander:
 			// The victim has kickstarted by now; pull its record so its
 			// commit fails.
-			if err := ins.DB.RemoveHost(victim); err != nil {
+			if err := ins.DB.RemoveHost(0); err != nil {
 				t.Error(err)
 			}
 		}
 		return nil
 	}
-	wr := ins.InstallWave(eng, names, WaveOptions{Width: 2, Retries: 2})
+	wr := ins.InstallWave(eng, 0, 2, WaveOptions{Width: 2, Retries: 2})
 	if len(wr.Results) != 1 || wr.Results[0].Node != bystander {
 		t.Fatalf("results = %+v, want only %s", wr.Results, bystander)
 	}

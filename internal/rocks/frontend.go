@@ -2,14 +2,16 @@ package rocks
 
 import (
 	"fmt"
-	"sort"
+	"math/big"
 	"strconv"
 	"strings"
 	"sync"
+
+	"xcbc/internal/cluster"
 )
 
-// HostRecord is one row in the frontend's cluster database: a managed node
-// and its provisioning state.
+// HostRecord is one row of the frontend's cluster database as "rocks list
+// host" shows it: a managed node and its provisioning state.
 type HostRecord struct {
 	Name      string
 	Appliance Appliance
@@ -20,22 +22,21 @@ type HostRecord struct {
 }
 
 // FrontendDB is the Rocks frontend's internal database ("rocks list host",
-// ...). It is the source of truth for what nodes the
-// cluster has and how they are configured.
+// ...): which compute nodes insert-ethers has registered and which of them
+// are installed. Host i is the cluster's compute i, in rack 0 at rank i, so
+// a host is two bits; its name comes from the node and its address from
+// its rank when a row is read.
 type FrontendDB struct {
-	mu     sync.Mutex
-	hosts  map[string]*HostRecord
-	distro *Distribution
-	nextIP int
+	mu      sync.Mutex
+	distro  *Distribution
+	cluster *cluster.Cluster
+	bits    big.Int // host i: registered at bit 2i, installed at bit 2i+1
 }
 
-// NewFrontendDB creates an empty cluster database bound to a distribution.
-func NewFrontendDB(d *Distribution) *FrontendDB {
-	return &FrontendDB{
-		hosts:  make(map[string]*HostRecord),
-		distro: d,
-		nextIP: 10,
-	}
+// NewFrontendDB creates an empty cluster database for c's compute nodes,
+// bound to a distribution.
+func NewFrontendDB(d *Distribution, c *cluster.Cluster) *FrontendDB {
+	return &FrontendDB{distro: d, cluster: c}
 }
 
 // Distribution returns the distribution the database was created with.
@@ -43,89 +44,85 @@ func NewFrontendDB(d *Distribution) *FrontendDB {
 // needs no lock.
 func (db *FrontendDB) Distribution() *Distribution { return db.distro }
 
-// AddHost registers a node, assigning it a private IP in insertion order
-// (the way Rocks' dhcpd hands out addresses during discovery).
-func (db *FrontendDB) AddHost(name string, app Appliance, rack, rank int) (*HostRecord, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.hosts[name]; exists {
-		return nil, fmt.Errorf("rocks: host %s already in database", name)
+// bit reports host i's bit k (0 registered, 1 installed). db.mu held.
+func (db *FrontendDB) bit(i, k int) bool { return db.bits.Bit(2*i+k) == 1 }
+
+// set sets or clears host i's bit k. db.mu held.
+func (db *FrontendDB) set(i, k int, on bool) {
+	var b uint
+	if on {
+		b = 1
 	}
-	rec := &HostRecord{
-		Name:      name,
-		Appliance: app,
-		Rack:      rack,
-		Rank:      rank,
-		IP:        "10.1.1." + strconv.Itoa(db.nextIP),
-	}
-	db.nextIP++
-	db.hosts[name] = rec
-	return rec, nil
+	db.bits.SetBit(&db.bits, 2*i+k, b)
 }
 
-// RemoveHost drops a node from the database.
+// AddHost registers compute i, the insert-ethers discovery of the node.
+func (db *FrontendDB) AddHost(i int) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if i < 0 || i >= len(db.cluster.Computes) {
+		return fmt.Errorf("rocks: cluster %s has no compute %d", db.cluster.Name, i)
+	}
+	if db.bit(i, 0) {
+		return fmt.Errorf("rocks: host %s already in database", db.cluster.Computes[i].Name)
+	}
+	db.set(i, 0, true)
+	return nil
+}
+
+// RemoveHost drops compute i from the database.
 //
 //detlint:reached support: internal/provision's TestCommitFailureCarriesRealAttempts pulls a host record mid-wave to make the live commit fail
-func (db *FrontendDB) RemoveHost(name string) error {
+func (db *FrontendDB) RemoveHost(i int) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, exists := db.hosts[name]; !exists {
-		return fmt.Errorf("rocks: host %s not in database", name)
+	if !db.bit(i, 0) {
+		return fmt.Errorf("rocks: host %s not in database", db.cluster.Computes[i].Name)
 	}
-	delete(db.hosts, name)
+	db.set(i, 0, false)
+	db.set(i, 1, false)
 	return nil
 }
 
-// Host looks up a node record.
-func (db *FrontendDB) Host(name string) (*HostRecord, bool) {
+// Registered reports whether compute i is in the database.
+func (db *FrontendDB) Registered(i int) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rec, ok := db.hosts[name]
-	return rec, ok
+	return db.bit(i, 0)
 }
 
-// Hosts returns all records sorted by rack, then rank, then name — the
-// "rocks list host" ordering.
-func (db *FrontendDB) Hosts() []*HostRecord {
+// MarkInstalled flips compute i's installed flag.
+func (db *FrontendDB) MarkInstalled(i int, installed bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]*HostRecord, 0, len(db.hosts))
-	for _, rec := range db.hosts {
-		out = append(out, rec)
+	if !db.bit(i, 0) {
+		return fmt.Errorf("rocks: host %s not in database", db.cluster.Computes[i].Name)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rack != out[j].Rack {
-			return out[i].Rack < out[j].Rack
-		}
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// HostsByAppliance returns hosts of one appliance type.
-func (db *FrontendDB) HostsByAppliance(app Appliance) []*HostRecord {
-	var out []*HostRecord
-	for _, rec := range db.Hosts() {
-		if rec.Appliance == app {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// MarkInstalled flips a host's installed flag.
-func (db *FrontendDB) MarkInstalled(name string, installed bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec, ok := db.hosts[name]
-	if !ok {
-		return fmt.Errorf("rocks: host %s not in database", name)
-	}
-	rec.Installed = installed
+	db.set(i, 1, installed)
 	return nil
+}
+
+// hostIP is the private address dhcpd hands the host of the given rank:
+// 10.1.1.10 upward, carrying into the third octet past .254, so that every
+// rank gets a valid address of its own.
+func hostIP(rank int) string {
+	k := rank + 9
+	return "10.1." + strconv.Itoa(1+k/254) + "." + strconv.Itoa(1+k%254)
+}
+
+// Hosts returns the registered hosts' rows in "rocks list host" order:
+// by rack, then rank.
+func (db *FrontendDB) Hosts() []HostRecord {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var out []HostRecord
+	for i, n := range db.cluster.Computes {
+		if db.bit(i, 0) {
+			out = append(out, HostRecord{Name: n.Name, Appliance: ApplianceCompute,
+				Rank: i, IP: hostIP(i), Installed: db.bit(i, 1)})
+		}
+	}
+	return out
 }
 
 // ListHostReport renders a "rocks list host"-style table.

@@ -1,9 +1,12 @@
 package rocks
 
 import (
+	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 
+	"xcbc/internal/cluster"
 	"xcbc/internal/rpm"
 )
 
@@ -70,45 +73,85 @@ func TestDistributionNewestWinsAcrossRolls(t *testing.T) {
 
 func TestFrontendDBHosts(t *testing.T) {
 	d, _ := BuildDistribution("d", NewRoll("base", "6.1.1"))
-	db := NewFrontendDB(d)
-	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1); err != nil {
+	c := cluster.NewLittleFe()
+	db := NewFrontendDB(d, c)
+	if err := db.AddHost(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddHost("compute-0-0", ApplianceCompute, 0, 0); err != nil {
+	if err := db.AddHost(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddHost("compute-0-1", ApplianceCompute, 0, 1); err == nil {
+	if err := db.AddHost(1); err == nil {
 		t.Fatal("duplicate host should fail")
 	}
+	if err := db.AddHost(len(c.Computes)); err == nil {
+		t.Fatal("a host past the last compute should fail")
+	}
 	hosts := db.Hosts()
-	if hosts[0].Name != "compute-0-0" || hosts[1].Name != "compute-0-1" {
+	if hosts[0].Name != "compute-0-1" || hosts[1].Name != "compute-0-2" {
 		t.Fatalf("ordering wrong: %v, %v", hosts[0].Name, hosts[1].Name)
 	}
 	if hosts[0].IP == hosts[1].IP {
 		t.Fatal("IPs must be distinct")
 	}
-	rec, ok := db.Host("compute-0-1")
-	if !ok || rec.Rank != 1 {
-		t.Fatalf("Host lookup = %+v, %v", rec, ok)
+	if !db.Registered(1) || hosts[1].Rank != 1 {
+		t.Fatalf("host 1 = %+v, registered %v", hosts[1], db.Registered(1))
 	}
-	if err := db.MarkInstalled("compute-0-1", true); err != nil {
+	if err := db.MarkInstalled(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if rec2, _ := db.Host("compute-0-1"); !rec2.Installed {
+	if !db.Hosts()[1].Installed {
 		t.Fatal("Installed flag lost")
 	}
-	if err := db.MarkInstalled("ghost", true); err == nil {
-		t.Fatal("MarkInstalled on missing host should fail")
+	if err := db.MarkInstalled(2, true); err == nil {
+		t.Fatal("MarkInstalled on a host not in the database should fail")
 	}
-	if err := db.RemoveHost("compute-0-0"); err != nil {
+	if err := db.RemoveHost(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RemoveHost("compute-0-0"); err == nil {
+	if err := db.RemoveHost(0); err == nil {
 		t.Fatal("double remove should fail")
 	}
 	report := db.ListHostReport()
-	if !strings.Contains(report, "compute-0-1") || !strings.Contains(report, "APPLIANCE") {
+	if !strings.Contains(report, "compute-0-2") || strings.Contains(report, "compute-0-1 ") || !strings.Contains(report, "APPLIANCE") {
 		t.Errorf("report:\n%s", report)
+	}
+}
+
+// TestHostAddressesValidToTheMemberCap: every compute of a 256-node
+// cluster (the REST API's per-member cap) gets a valid private address of
+// its own, and the first 245 keep the 10.1.1.10-254 run they always had.
+func TestHostAddressesValidToTheMemberCap(t *testing.T) {
+	d, _ := BuildDistribution("d", NewRoll("base", "6.1.1"))
+	c := cluster.NewLittleFe()
+	if err := cluster.ResizeComputes(c, 256); err != nil {
+		t.Fatal(err)
+	}
+	db := NewFrontendDB(d, c)
+	for i := range c.Computes {
+		if err := db.AddHost(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[netip.Addr]string{}
+	for i, rec := range db.Hosts() {
+		addr, err := netip.ParseAddr(rec.IP)
+		if err != nil || !addr.Is4() {
+			t.Fatalf("%s: address %q: %v", rec.Name, rec.IP, err)
+		}
+		if other, dup := seen[addr]; dup {
+			t.Fatalf("%s and %s share %s", other, rec.Name, addr)
+		}
+		seen[addr] = rec.Name
+		if oct := addr.As4(); oct[3] == 0 || oct[3] == 255 {
+			t.Errorf("%s: %s is a network or broadcast address", rec.Name, addr)
+		}
+		if want := fmt.Sprintf("10.1.1.%d", 10+i); i < 245 && rec.IP != want {
+			t.Errorf("%s: %s, want %s", rec.Name, rec.IP, want)
+		}
+	}
+	if len(seen) != 256 {
+		t.Fatalf("%d hosts, want 256", len(seen))
 	}
 }
 

@@ -8,6 +8,8 @@ package rocks
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"xcbc/internal/rpm"
@@ -31,9 +33,7 @@ type Roll struct {
 	Version string
 
 	packages map[Appliance][]*rpm.Package
-	// nodesXML models the roll's graph nodes: named package groups that the
-	// kickstart graph stitches into appliances.
-	order []Appliance
+	order    []Appliance // appliances in the order packages were first added
 }
 
 // NewRoll creates an empty roll.
@@ -134,10 +134,7 @@ func (d *Distribution) PackagesFor(app Appliance) []*rpm.Package {
 			}
 		}
 	}
-	out := make([]*rpm.Package, 0, len(best))
-	for _, p := range best {
-		out = append(out, p)
-	}
+	out := slices.Collect(maps.Values(best))
 	rpm.SortPackages(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package rpm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -23,7 +24,21 @@ type DB struct {
 	// private maps on the first mutation (detach); until then this DB must
 	// never write to them.
 	shared bool
+	// frozen marks the DB itself as read by many nodes: a transaction
+	// against it fails instead of writing through (see Freeze).
+	frozen bool
 }
+
+// ErrReadOnly reports a transaction against a frozen database.
+var ErrReadOnly = errors.New("rpm: database is shared read-only; fork it to write")
+
+// Freeze makes db read-only for sharing: every node of an appliance reads
+// the one database, and a transaction against it fails with ErrReadOnly;
+// a node that installs or erases works on a Fork.
+func (db *DB) Freeze() { db.frozen = true }
+
+// Frozen reports whether db is shared read-only (see Freeze).
+func (db *DB) Frozen() bool { return db.frozen }
 
 // NewDB returns an empty installed-package database. The index maps are
 // created on first mutation: a fleet node's DB usually adopts an
@@ -195,6 +210,15 @@ func (db *DB) remove(p *Package) error {
 		}
 	}
 	return fmt.Errorf("rpm: %s is not installed", p.NEVRA())
+}
+
+// Fork returns a database with db's contents that copies them on its
+// first mutation, leaving db — which must itself stay unwritten, like a
+// database every node of an appliance adopted — untouched.
+func (db *DB) Fork() *DB {
+	cp := *db
+	cp.shared, cp.frozen = true, false
+	return &cp
 }
 
 // Clone returns a deep copy of the database. Package pointers are shared

@@ -109,10 +109,6 @@ func NewInstallSet(pkgs []*Package) (*InstallSet, error) {
 	return s, nil
 }
 
-// Packages returns the set's packages sorted by PackageLess. The slice is
-// shared and must not be modified.
-func (s *InstallSet) Packages() []*Package { return s.pkgs }
-
 // AdoptSet bulk-installs a pre-validated set into an empty database. The
 // DB aliases the set's index maps outright — adoption allocates nothing
 // per node, which is what lets a 10k-member fleet hold 50k node databases

@@ -1,6 +1,7 @@
 package rpm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -124,7 +125,7 @@ func TestAdoptSetDetachOnMutate(t *testing.T) {
 	extra := mkpkg("make", "3.81-20.el6", files("/usr/bin/make"))
 	install(t, a, extra)
 	var tx Transaction
-	tx.Erase(set.Packages()[0]) // gcc sorts first
+	tx.Erase(b.Installed()[0]) // gcc sorts first
 	if err := tx.Run(a); err != nil {
 		t.Fatalf("erase: %v", err)
 	}
@@ -147,5 +148,34 @@ func TestAdoptSetDetachOnMutate(t *testing.T) {
 	}
 	if b.Len() != 2 || a.Len() != 2 {
 		t.Fatalf("Len: a=%d b=%d, want 2 and 2", a.Len(), b.Len())
+	}
+}
+
+// TestFrozenDBForksInsteadOfWriting: a frozen database is the one every
+// node of an appliance reads. A transaction against it fails instead of
+// writing through, and a fork takes the transaction while the frozen
+// database, and any other fork, reads as before.
+func TestFrozenDBForksInsteadOfWriting(t *testing.T) {
+	shared := NewDB()
+	if err := shared.AdoptSet(mustSet(t, mkpkg("glibc", "2.12-1.el6"), mkpkg("gcc", "4.4.7-11.el6"))); err != nil {
+		t.Fatal(err)
+	}
+	shared.Freeze()
+	var tx Transaction
+	tx.Install(mkpkg("make", "3.81-20.el6"))
+	if err := tx.Run(shared); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("a transaction against a frozen database: %v, want ErrReadOnly", err)
+	}
+	a, b := shared.Fork(), shared.Fork()
+	if err := tx.Run(a); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Has("make") || a.Len() != 3 {
+		t.Fatalf("the fork holds %d packages, make %v", a.Len(), a.Has("make"))
+	}
+	for name, db := range map[string]*DB{"frozen": shared, "sibling fork": b} {
+		if db.Has("make") || db.Len() != 2 || len(db.Installed()) != 2 {
+			t.Errorf("%s database changed: %d packages, make %v", name, db.Len(), db.Has("make"))
+		}
 	}
 }

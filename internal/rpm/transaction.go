@@ -157,6 +157,9 @@ func (t *Transaction) Check(db *DB) []error {
 // Run checks and applies the transaction to db atomically. On error the DB is
 // unchanged.
 func (t *Transaction) Run(db *DB) error {
+	if db.frozen {
+		return ErrReadOnly
+	}
 	if problems := t.Check(db); len(problems) > 0 {
 		return fmt.Errorf("rpm: transaction check failed: %w", errors.Join(problems...))
 	}

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,7 +62,6 @@ func (m *Manager) UserSummaries() []UserSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	agg := make(map[string]*UserSummary)
-	waitTotals := make(map[string]time.Duration)
 	for _, j := range m.done {
 		s, ok := agg[j.User]
 		if !ok {
@@ -71,21 +72,16 @@ func (m *Manager) UserSummaries() []UserSummary {
 		if j.Alloc != nil {
 			elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
 			s.CoreSecs += elapsed * float64(j.Cores)
-			waitTotals[j.User] += j.WaitTime()
+			s.MeanWait += j.WaitTime() // summed here, divided below
 		}
 	}
 	out := make([]UserSummary, 0, len(agg))
-	for user, s := range agg {
-		if s.Jobs > 0 {
-			s.MeanWait = waitTotals[user] / time.Duration(s.Jobs)
-		}
+	for _, s := range agg {
+		s.MeanWait /= time.Duration(s.Jobs)
 		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CoreSecs != out[j].CoreSecs {
-			return out[i].CoreSecs > out[j].CoreSecs
-		}
-		return out[i].User < out[j].User
+	slices.SortFunc(out, func(a, b UserSummary) int {
+		return cmp.Or(cmp.Compare(b.CoreSecs, a.CoreSecs), strings.Compare(a.User, b.User))
 	})
 	return out
 }
@@ -116,12 +112,7 @@ func (m *Manager) Utilization() float64 {
 	}
 	// Sum running jobs in ID order: float addition is not associative, so
 	// summing in map order would make Utilization depend on iteration order.
-	ids := make([]int, 0, len(m.running))
-	for id := range m.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(m.running)) {
 		j := m.running[id]
 		delivered += (now - j.StartTime).Duration().Seconds() * float64(j.Cores)
 	}

@@ -98,11 +98,7 @@ func TestNodeFailRequeuesJobs(t *testing.T) {
 	eng, m := littlefe(t, TorqueMaui{})
 	id, _ := m.Submit(job("spread", "u", 10, time.Hour, 30*time.Minute))
 	j, _ := m.Job(id)
-	var victim string
-	for node := range j.Alloc {
-		victim = node
-		break
-	}
+	victim := m.Cluster.Computes[j.Alloc[0].Node].Name
 	if err := m.NodeFail(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +133,17 @@ func TestNodeFailDoesNotTouchOtherJobs(t *testing.T) {
 	a, _ := m.Job(idA)
 	bJob, _ := m.Job(idB)
 	// Find a node used only by b.
-	var bNode string
-	for node := range bJob.Alloc {
-		if _, shared := a.Alloc[node]; !shared {
-			bNode = node
+	bNode := -1
+	for _, s := range bJob.Alloc {
+		if !uses(a, s.Node) {
+			bNode = s.Node
 			break
 		}
 	}
-	if bNode == "" {
+	if bNode < 0 {
 		t.Skip("packing put both jobs on the same nodes")
 	}
-	if err := m.NodeFail(bNode); err != nil {
+	if err := m.NodeFail(m.Cluster.Computes[bNode].Name); err != nil {
 		t.Fatal(err)
 	}
 	if a.State != StateRunning {
@@ -162,7 +158,7 @@ func TestNodeFailDoesNotTouchOtherJobs(t *testing.T) {
 	if !bJob.Requeued() {
 		t.Fatalf("b should be marked requeued, state %v", bJob.State)
 	}
-	if _, onFailed := bJob.Alloc[bNode]; onFailed {
+	if uses(bJob, bNode) {
 		t.Fatal("b reallocated onto the failed node")
 	}
 	eng.Run()
@@ -194,10 +190,10 @@ func TestNodeFailWithPowerManagerIntegration(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewManager(eng, c, TorqueMaui{})
 	var wakes int
-	m.WakeRequest = func(int) { wakes++ }
+	m.WakeRequest = func(int, []int) { wakes++ }
 	m.Submit(job("big", "u", 10, time.Hour, 30*time.Minute))
 	m.NodeFail("compute-0-1")
-	if m.FreeCores("compute-0-1") != 0 {
+	if m.FreeCores(0) != 0 {
 		t.Fatal("failed node should have no schedulable cores")
 	}
 	if wakes == 0 {

@@ -57,8 +57,8 @@ func TestConcurrentSubmitAndQuery(t *testing.T) {
 				m.History()
 				m.Usage()
 				m.Job(1)
-				m.FreeCores("compute-0-1")
-				m.NodeBusy("compute-0-2")
+				m.FreeCores(0)
+				m.NodeBusy(1)
 				m.Records()
 				m.Utilization()
 				m.RequeuedCount()

@@ -44,8 +44,8 @@ func TestNodeFailRequeueOrderDeterministic(t *testing.T) {
 		}
 		victimNode := ""
 		for _, j := range m.Running() {
-			for node := range j.Alloc {
-				victimNode = node
+			for _, s := range j.Alloc {
+				victimNode = m.Cluster.Computes[s.Node].Name
 			}
 		}
 		if victimNode == "" {

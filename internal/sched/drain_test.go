@@ -16,7 +16,7 @@ func TestDrainExcludesNodeFromPlacement(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("state = %v", j.State)
 	}
-	if _, used := j.Alloc["compute-0-1"]; used {
+	if uses(j, 0) {
 		t.Fatal("drained node received work")
 	}
 	// A 10-core job cannot fit with one node drained.
@@ -39,12 +39,7 @@ func TestDrainRunningJobUnaffected(t *testing.T) {
 	eng, m := littlefe(t, TorqueMaui{})
 	id, _ := m.Submit(job("j", "u", 10, time.Hour, 10*time.Minute))
 	j, _ := m.Job(id)
-	var node string
-	for n := range j.Alloc {
-		node = n
-		break
-	}
-	if err := m.Drain(node); err != nil {
+	if err := m.Drain(m.Cluster.Computes[j.Alloc[0].Node].Name); err != nil {
 		t.Fatal(err)
 	}
 	if j.State != StateRunning {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xcbc/internal/cluster"
@@ -14,18 +15,26 @@ import (
 // Torque "requeueable" behaviour) and the node leaves the schedulable pool
 // until repaired.
 
+// compute resolves a compute node named at the edge. m.mu held.
+func (m *Manager) compute(name string) (int, error) {
+	if i := m.Cluster.ComputeIndex(name); i >= 0 {
+		return i, nil
+	}
+	return 0, fmt.Errorf("sched: no such compute node %s", name)
+}
+
 // NodeFail marks a compute node failed: it is powered off, its running
 // jobs are requeued (fresh submission time, so they do not jump the queue
 // unfairly under FIFO), and a scheduling pass redistributes work.
 func (m *Manager) NodeFail(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, ok := m.Cluster.Lookup(name)
-	if !ok {
-		return fmt.Errorf("sched: no such node %s", name)
-	}
-	if n.Role == cluster.RoleFrontend {
+	if m.Cluster.Frontend != nil && name == m.Cluster.Frontend.Name {
 		return fmt.Errorf("sched: frontend failure takes the whole cluster down; not schedulable")
+	}
+	i, err := m.compute(name)
+	if err != nil {
+		return err
 	}
 	// Identify victims before mutating state. m.running is a map; requeue
 	// in ID order so the queue's insertion order — which a policy without a
@@ -33,17 +42,17 @@ func (m *Manager) NodeFail(name string) error {
 	// depends on map iteration. Seeded scenario traces rely on this.
 	var victims []*Job
 	for _, j := range m.running {
-		if _, usesNode := j.Alloc[name]; usesNode {
+		if slices.ContainsFunc(j.Alloc, func(s Share) bool { return s.Node == i }) {
 			victims = append(victims, j)
 		}
 	}
-	sort.Slice(victims, func(i, k int) bool { return victims[i].ID < victims[k].ID })
+	sort.Slice(victims, func(a, b int) bool { return victims[a].ID < victims[b].ID })
 	for _, j := range victims {
 		// Release all of the job's cores (including on healthy nodes).
 		m.Engine.Cancel(j.finish) // no-op for fired, cancelled, or zero handles
 		delete(m.running, j.ID)
-		for node, c := range j.Alloc {
-			m.free[node] += c
+		for _, s := range j.Alloc {
+			m.free[s.Node] += s.Cores
 		}
 		j.Alloc = nil
 		j.State = StateQueued
@@ -52,8 +61,8 @@ func (m *Manager) NodeFail(name string) error {
 		j.requeued = true
 		m.queue = append(m.queue, j)
 	}
-	n.SetPower(cluster.PowerOff)
-	m.free[name] = 0
+	m.Cluster.Computes[i].SetPower(cluster.PowerOff)
+	m.free[i] = 0
 	m.schedule()
 	return nil
 }
@@ -63,12 +72,13 @@ func (m *Manager) NodeFail(name string) error {
 func (m *Manager) NodeRepair(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, ok := m.Cluster.Lookup(name)
-	if !ok {
-		return fmt.Errorf("sched: no such node %s", name)
+	i, err := m.compute(name)
+	if err != nil {
+		return err
 	}
+	n := m.Cluster.Computes[i]
 	n.SetPower(cluster.PowerOn)
-	m.free[name] = n.Cores()
+	m.free[i] = n.Cores()
 	m.schedule()
 	return nil
 }
@@ -76,28 +86,21 @@ func (m *Manager) NodeRepair(name string) error {
 // Drain puts a node into maintenance: running jobs finish normally but no
 // new work is placed on it ("rocks set host boot action=install" before a
 // reinstall, or pbsnodes -o). Undrain returns it to service.
-func (m *Manager) Drain(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.Cluster.Lookup(name); !ok {
-		return fmt.Errorf("sched: no such node %s", name)
-	}
-	if m.drained == nil {
-		m.drained = make(map[string]bool)
-	}
-	m.drained[name] = true
-	return nil
-}
+func (m *Manager) Drain(name string) error { return m.setDrained(name, true) }
 
 // Undrain returns a drained node to service and reruns placement.
-func (m *Manager) Undrain(name string) error {
+func (m *Manager) Undrain(name string) error { return m.setDrained(name, false) }
+
+func (m *Manager) setDrained(name string, drained bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.Cluster.Lookup(name); !ok {
-		return fmt.Errorf("sched: no such node %s", name)
+	i, err := m.compute(name)
+	if err != nil {
+		return err
 	}
-	delete(m.drained, name)
-	m.schedule()
+	if m.drained[i] = drained; !drained {
+		m.schedule()
+	}
 	return nil
 }
 

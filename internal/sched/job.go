@@ -55,7 +55,7 @@ type Job struct {
 	SubmitTime sim.Time
 	StartTime  sim.Time
 	EndTime    sim.Time
-	Alloc      map[string]int // node name -> cores allocated
+	Alloc      []Share // the cores held per node, in node name order; nil until placed
 
 	// Script is a label for what the job runs; the command layer fills it
 	// from qsub/sbatch arguments.
@@ -63,6 +63,12 @@ type Job struct {
 
 	finish   sim.Handle
 	requeued bool // set when a node failure bounced the job back to the queue
+}
+
+// Share is one node's part of a job's allocation: the node's position in
+// the cluster's Computes and the cores the job holds there.
+type Share struct {
+	Node, Cores int
 }
 
 // Requeued reports whether a node failure has ever requeued this job.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -49,19 +48,24 @@ type Manager struct {
 	queue   []*Job
 	running map[int]*Job
 	done    []*Job
-	free    map[string]int     // node name -> free cores
 	usage   map[string]float64 // user -> core-seconds consumed (fair share)
-	drained map[string]bool    // nodes in maintenance: no new placements
-	slots   []slot             // tryPlace's scratch, reused across passes
+
+	// Per compute node, by position in Cluster.Computes.
+	free    []int  // free cores
+	drained []bool // in maintenance: no new placements
+	slots   []slot // tryPlace's scratch, reused across passes
 
 	// WakeRequest, if set, is called when queued jobs cannot be placed
 	// because too few powered-on cores exist; the power manager uses it to
-	// wake sleeping nodes. It receives the total core shortfall.
-	WakeRequest func(coresNeeded int)
+	// wake sleeping nodes. It receives the core shortfall and the free
+	// cores by compute index, read-only during the call: a powered-off
+	// node short of its full count has failed.
+	WakeRequest func(coresNeeded int, free []int)
 
-	// DrainNotify, if set, is called whenever a node goes fully idle; the
-	// power manager uses it to consider powering the node down.
-	DrainNotify func(node string)
+	// DrainNotify, if set, is called with a compute node's index whenever
+	// the node goes fully idle; the power manager uses it to consider
+	// powering the node down.
+	DrainNotify func(node int)
 }
 
 // NewManager builds a batch system over the cluster's compute nodes.
@@ -72,14 +76,21 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, p Policy) *Manager {
 		policy:  p,
 		nextID:  1,
 		running: make(map[int]*Job),
-		free:    make(map[string]int),
 		usage:   make(map[string]float64),
-		slots:   make([]slot, 0, len(c.Computes)),
+		free:    make([]int, len(c.Computes)),
+		drained: make([]bool, len(c.Computes)),
 	}
-	for _, n := range c.Computes {
-		m.free[n.Name] = n.Cores()
+	for i, n := range c.Computes {
+		m.free[i] = n.Cores()
 	}
 	return m
+}
+
+// byName orders compute nodes i and j by name — the order every tie
+// between nodes breaks in, which is not index order: compute-0-10 sorts
+// before compute-0-2.
+func (m *Manager) byName(i, j int) int {
+	return strings.Compare(m.Cluster.Computes[i].Name, m.Cluster.Computes[j].Name)
 }
 
 // PolicyName returns the active scheduler personality.
@@ -187,11 +198,8 @@ func (m *Manager) Queued() []*Job {
 func (m *Manager) Running() []*Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.running))
-	for _, j := range m.running {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
+	out := slices.Collect(maps.Values(m.running))
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -217,39 +225,29 @@ func (m *Manager) JobCounts() (queued, running, done int) {
 func (m *Manager) Usage() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.usage))
-	for k, v := range m.usage {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(m.usage)
 }
 
-// FreeCores returns currently free cores on a powered-on node.
-func (m *Manager) FreeCores(node string) int {
+// FreeCores returns the free cores on compute node i if it is powered on,
+// else 0.
+func (m *Manager) FreeCores(i int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, ok := m.Cluster.Lookup(node)
-	if !ok || n.Power() == cluster.PowerOff {
+	if m.Cluster.Computes[i].Power() == cluster.PowerOff {
 		return 0
 	}
-	return m.free[node]
+	return m.free[i]
 }
 
-// NodeBusy reports whether any job occupies the node.
-func (m *Manager) NodeBusy(node string) bool {
+// NodeBusy reports whether any job occupies compute node i.
+func (m *Manager) NodeBusy(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.nodeBusy(node)
+	return m.nodeBusy(i)
 }
 
 // nodeBusy is NodeBusy with m.mu held.
-func (m *Manager) nodeBusy(node string) bool {
-	n, ok := m.Cluster.Lookup(node)
-	if !ok {
-		return false
-	}
-	return m.free[node] < n.Cores()
-}
+func (m *Manager) nodeBusy(i int) bool { return m.free[i] < m.Cluster.Computes[i].Cores() }
 
 // sortQueue orders jobs by the active policy. m.mu held.
 func (m *Manager) sortQueue(q []*Job) {
@@ -302,36 +300,36 @@ func (m *Manager) schedule() {
 		m.start(j, alloc)
 	}
 	if blockedHead != nil && m.WakeRequest != nil && shortfall > 0 {
-		m.WakeRequest(shortfall)
+		m.WakeRequest(shortfall, m.free)
 	}
 }
 
 // totalFree sums free cores over powered-on nodes. m.mu held.
 func (m *Manager) totalFree() int {
 	total := 0
-	for _, n := range m.Cluster.Computes {
+	for i, n := range m.Cluster.Computes {
 		if n.Power() == cluster.PowerOn {
-			total += m.free[n.Name]
+			total += m.free[i]
 		}
 	}
 	return total
 }
 
 // slot is one node a job could be placed on.
-type slot struct {
-	name string
-	free int
-}
+type slot struct{ node, free int }
 
 // tryPlace finds an allocation for the requested cores over powered-on
 // nodes (packing onto the fullest nodes first to reduce fragmentation), or
 // nil if it does not fit — decided before anything is sorted or allocated,
 // because a busy cluster asks on every pass. m.mu held.
-func (m *Manager) tryPlace(cores int) map[string]int {
+func (m *Manager) tryPlace(cores int) []Share {
+	if m.slots == nil {
+		m.slots = make([]slot, 0, len(m.free))
+	}
 	slots, placeable := m.slots[:0], 0
-	for _, n := range m.Cluster.Computes {
-		if free := m.free[n.Name]; free > 0 && n.Power() == cluster.PowerOn && !m.drained[n.Name] {
-			slots = append(slots, slot{n.Name, free})
+	for i, n := range m.Cluster.Computes {
+		if free := m.free[i]; free > 0 && n.Power() == cluster.PowerOn && !m.drained[i] {
+			slots = append(slots, slot{i, free})
 			placeable += free
 		}
 	}
@@ -341,17 +339,20 @@ func (m *Manager) tryPlace(cores int) map[string]int {
 	}
 	slices.SortFunc(slots, func(a, b slot) int {
 		// Fullest (least free) first, then by name.
-		return cmp.Or(cmp.Compare(a.free, b.free), strings.Compare(a.name, b.name))
+		return cmp.Or(cmp.Compare(a.free, b.free), m.byName(a.node, b.node))
 	})
-	alloc := make(map[string]int)
+	var alloc []Share
 	for _, s := range slots {
 		if cores == 0 {
 			break
 		}
 		take := min(s.free, cores)
-		alloc[s.name] = take
+		alloc = append(alloc, Share{s.node, take})
 		cores -= take
 	}
+	// Hold the shares in name order: the order finish notifies drains in
+	// and a job view lists its nodes in.
+	slices.SortFunc(alloc, func(a, b Share) int { return m.byName(a.Node, b.Node) })
 	return alloc
 }
 
@@ -366,10 +367,7 @@ func (m *Manager) fitsInShadow(j *Job) bool {
 	}
 	var shadow sim.Time
 	for _, r := range m.running { //detlint:ordered max over values; equal candidates are interchangeable
-		end := r.StartTime + sim.Time(r.Walltime)
-		if end > shadow {
-			shadow = end
-		}
+		shadow = max(shadow, r.StartTime+sim.Time(r.Walltime))
 	}
 	return m.Engine.Now()+sim.Time(j.Walltime) <= shadow
 }
@@ -377,9 +375,9 @@ func (m *Manager) fitsInShadow(j *Job) bool {
 // start allocates and begins a job, scheduling its completion event.
 // m.mu held; the completion callback fires later from an engine advance,
 // outside any Manager call, so it re-acquires the lock itself.
-func (m *Manager) start(j *Job, alloc map[string]int) {
-	for node, c := range alloc {
-		m.free[node] -= c
+func (m *Manager) start(j *Job, alloc []Share) {
+	for _, s := range alloc {
+		m.free[s.Node] -= s.Cores
 	}
 	j.Alloc = alloc
 	j.State = StateRunning
@@ -411,13 +409,13 @@ func (m *Manager) finish(j *Job, state JobState) {
 	j.EndTime = m.Engine.Now()
 	elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
 	m.usage[j.User] += elapsed * float64(j.Cores)
-	for node, c := range j.Alloc {
-		m.free[node] += c
+	for _, s := range j.Alloc {
+		m.free[s.Node] += s.Cores
 	}
 	if m.DrainNotify != nil {
-		for _, node := range slices.Sorted(maps.Keys(j.Alloc)) {
-			if !m.nodeBusy(node) {
-				m.DrainNotify(node)
+		for _, s := range j.Alloc {
+			if !m.nodeBusy(s.Node) {
+				m.DrainNotify(s.Node)
 			}
 		}
 	}

@@ -35,20 +35,20 @@ func TestSchedulingInvariantsProperty(t *testing.T) {
 		// interleaving audit events with the workload.
 		ok := true
 		audit := func(*sim.Engine) {
-			for _, n := range c.Computes {
-				if m.free[n.Name] < 0 || m.free[n.Name] > n.Cores() {
+			for i, n := range c.Computes {
+				if m.free[i] < 0 || m.free[i] > n.Cores() {
 					ok = false
 				}
 			}
 			used := 0
 			for _, j := range m.running {
-				for _, cores := range j.Alloc {
-					used += cores
+				for _, s := range j.Alloc {
+					used += s.Cores
 				}
 			}
 			freeSum := 0
-			for _, n := range c.Computes {
-				freeSum += m.free[n.Name]
+			for i := range c.Computes {
+				freeSum += m.free[i]
 			}
 			if used+freeSum != 10 {
 				ok = false

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -20,6 +21,11 @@ func littlefe(t *testing.T, p Policy) (*sim.Engine, *Manager) {
 
 func job(name, user string, cores int, wall, run time.Duration) *Job {
 	return &Job{Name: name, User: user, Cores: cores, Walltime: wall, Runtime: run}
+}
+
+// uses reports whether j holds cores on compute node i.
+func uses(j *Job, i int) bool {
+	return slices.ContainsFunc(j.Alloc, func(s Share) bool { return s.Node == i })
 }
 
 func TestSubmitRunComplete(t *testing.T) {
@@ -256,8 +262,8 @@ func TestSetPolicyReschedulesQueue(t *testing.T) {
 func TestIdleNodesAndDrainNotify(t *testing.T) {
 	eng, m := littlefe(t, TorqueMaui{})
 	idle := func() (n int) {
-		for _, node := range m.Cluster.Computes {
-			if !m.NodeBusy(node.Name) {
+		for i := range m.Cluster.Computes {
+			if !m.NodeBusy(i) {
 				n++
 			}
 		}
@@ -266,16 +272,16 @@ func TestIdleNodesAndDrainNotify(t *testing.T) {
 	if got := idle(); got != 5 {
 		t.Fatalf("idle nodes = %d, want 5", got)
 	}
-	var drained []string
-	m.DrainNotify = func(node string) { drained = append(drained, node) }
+	var drained []int
+	m.DrainNotify = func(node int) { drained = append(drained, node) }
 	id, _ := m.Submit(job("j", "a", 4, time.Hour, 10*time.Minute))
 	j, _ := m.Job(id)
 	if idle() != 3 {
 		t.Fatalf("idle = %d with alloc %v", idle(), j.Alloc)
 	}
-	for node := range j.Alloc {
-		if !m.NodeBusy(node) {
-			t.Errorf("%s should be busy", node)
+	for _, s := range j.Alloc {
+		if !m.NodeBusy(s.Node) {
+			t.Errorf("compute %d should be busy", s.Node)
 		}
 	}
 	eng.Run()
@@ -292,7 +298,7 @@ func TestWakeRequestOnShortfall(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewManager(eng, c, TorqueMaui{})
 	var asked int
-	m.WakeRequest = func(n int) { asked = n }
+	m.WakeRequest = func(n int, _ []int) { asked = n }
 	id, _ := m.Submit(job("j", "a", 8, time.Hour, 10*time.Minute))
 	j, _ := m.Job(id)
 	if j.State != StateQueued {
@@ -317,15 +323,12 @@ func TestAllocationPacksFullestFirst(t *testing.T) {
 	// Occupy 1 core on one node.
 	id1, _ := m.Submit(job("one", "a", 1, time.Hour, time.Hour))
 	j1, _ := m.Job(id1)
-	var partial string
-	for n := range j1.Alloc {
-		partial = n
-	}
+	partial := j1.Alloc[0].Node
 	// A 1-core job should pack onto the same node (fullest first).
 	id2, _ := m.Submit(job("two", "a", 1, time.Hour, time.Hour))
 	j2, _ := m.Job(id2)
-	if _, ok := j2.Alloc[partial]; !ok {
-		t.Fatalf("expected packing onto %s, got %v", partial, j2.Alloc)
+	if !uses(j2, partial) {
+		t.Fatalf("expected packing onto compute %d, got %v", partial, j2.Alloc)
 	}
 	eng.Run()
 }

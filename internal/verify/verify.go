@@ -135,7 +135,7 @@ func (c *Checker) checkComputePower(rep *Report) {
 	if c.DB == nil {
 		return
 	}
-	for _, rec := range c.DB.HostsByAppliance(rocks.ApplianceCompute) {
+	for _, rec := range c.DB.Hosts() {
 		n, ok := c.Cluster.Lookup(rec.Name)
 		if !ok {
 			rep.Findings = append(rep.Findings, Finding{

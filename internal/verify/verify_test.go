@@ -95,7 +95,7 @@ func TestPackageDriftDetected(t *testing.T) {
 	var tx rpm.Transaction
 	g := node.Packages().Newest("gromacs")
 	tx.Erase(g)
-	if err := tx.Run(node.Packages()); err != nil {
+	if err := tx.Run(node.MutablePackages()); err != nil {
 		// gromacs may be required; erase its dependents too.
 		t.Fatalf("test setup: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestVersionSkewDetected(t *testing.T) {
 	old := node.Packages().Newest("valgrind")
 	var tx rpm.Transaction
 	tx.Upgrade(rpm.NewPackage("valgrind", "3.9.0-1.el6", rpm.ArchX86_64).Category(core.CategorySciApps).Build(), old)
-	if err := tx.Run(node.Packages()); err != nil {
+	if err := tx.Run(node.MutablePackages()); err != nil {
 		t.Fatal(err)
 	}
 	rep := chk.Run()
@@ -136,7 +136,7 @@ func TestVersionSkewDetected(t *testing.T) {
 func TestInventoryMismatchDetected(t *testing.T) {
 	d, chk := healthyDeployment(t)
 	// Frontend DB thinks a node is not installed although it runs an OS.
-	if err := d.Installer.DB.MarkInstalled("compute-0-3", false); err != nil {
+	if err := d.Installer.DB.MarkInstalled(d.Cluster.ComputeIndex("compute-0-3"), false); err != nil {
 		t.Fatal(err)
 	}
 	rep := chk.Run()
@@ -174,7 +174,7 @@ func TestBrokenRPMDBDetected(t *testing.T) {
 	var tx rpm.Transaction
 	tx.Erase(node.Packages().Newest("fftw"))
 	// Transaction.Run would refuse; simulate --nodeps with a fresh DB copy.
-	if err := tx.Run(node.Packages()); err == nil {
+	if err := tx.Run(node.MutablePackages()); err == nil {
 		t.Skip("fftw had no dependents in this build")
 	}
 	// Rebuild the node package DB without fftw, keeping dependents.
