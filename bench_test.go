@@ -998,8 +998,72 @@ func awaitBody(b testing.TB, call func(method, path, body string, want int) []by
 // counts the same work however far the background warmer got. /first is
 // api.Open up to the first /healthz body, the part a restart waits for
 // (Close is not timed). snapshot-bytes is what one recovery reads from disk.
+// /history is /first on the same population with 16 jobs per deployment,
+// the op-log weight crash_recover's deployments reach late in a run, all of
+// which rides in the snapshot recovery decodes.
 func BenchmarkRecoverStanding64(b *testing.B) {
+	const standing, history = 64, 16
 	dir := b.TempDir()
+	snapshotBytes := standingDataDir(b, dir, standing, 1)
+	historyDir, historyBytes := b.TempDir(), 0.0
+	b.Run("listed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, rep, err := api.Open(api.Config{DataDir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			checkStanding(b, rep, standing, 1)
+			call := handlerCall(b, s.Handler())
+			call("GET", "/api/v1/deployments?limit=1000", "", http.StatusOK)
+			call("GET", "/api/v1/fleets", "", http.StatusOK)
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(snapshotBytes, "snapshot-bytes")
+	})
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s, _, err := api.Open(api.Config{DataDir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			handlerCall(b, s.Handler())("GET", "/api/v1/healthz", "", http.StatusOK)
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("history", func(b *testing.B) {
+		if historyBytes == 0 { // b.Run calls this more than once
+			historyBytes = standingDataDir(b, historyDir, standing, history)
+			b.ResetTimer()
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, rep, err := api.Open(api.Config{DataDir: historyDir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			handlerCall(b, s.Handler())("GET", "/api/v1/healthz", "", http.StatusOK)
+			b.StopTimer()
+			checkStanding(b, rep, standing, history)
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(historyBytes, "snapshot-bytes")
+	})
+}
+
+// standingDataDir builds BenchmarkRecoverStanding64's population in dir,
+// with jobs jobs submitted to each deployment, and returns the size of the
+// one snapshot that holds all of it.
+func standingDataDir(b *testing.B, dir string, standing, jobs int) float64 {
 	open := func(cfg api.Config) (*api.Server, func(method, path, body string, want int) []byte) {
 		cfg.DataDir = dir
 		srv, _, err := api.Open(cfg)
@@ -1010,13 +1074,12 @@ func BenchmarkRecoverStanding64(b *testing.B) {
 	}
 	srv, call := open(api.Config{})
 	await := func(path, settled string) { awaitBody(b, call, path, settled) }
-	const standing = 64
 	const job = `{"cores":1,"walltime":"1h"}`
 	for i := 1; i <= standing; i++ {
 		id := fmt.Sprintf("d%d", i)
 		call("POST", "/api/v1/deployments", `{"cluster":"littlefe","scheduler":"torque"}`, http.StatusAccepted)
 		await("/api/v1/deployments/"+id+"?limit=1", `"state":"ready"`)
-		if i < standing {
+		for j := 0; j < jobs && (i < standing || j < jobs-1); j++ {
 			call("POST", "/api/v1/clusters/"+id+"/jobs", job, http.StatusCreated)
 		}
 	}
@@ -1025,7 +1088,7 @@ func BenchmarkRecoverStanding64(b *testing.B) {
 	call("POST", "/api/v1/fleets/f1/scenarios", `{"name":"rolling-update"}`, http.StatusAccepted)
 	await("/api/v1/fleets/f1/scenarios/s1?limit=1", `"state":"passed"`)
 	// Every build has journaled its settlement once a reopened server lists
-	// all 64 ready.
+	// all of them ready.
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -1045,39 +1108,14 @@ func BenchmarkRecoverStanding64(b *testing.B) {
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("listed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s, rep, err := api.Open(api.Config{DataDir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Rebuilt != standing || rep.OpsReplayed != standing || rep.Fleets != 1 || rep.Runs != 1 || rep.Records != 0 {
-				b.Fatalf("recovery report = %+v, want %d rebuilt with a job each, 1 fleet with 1 run, no log tail", rep, standing)
-			}
-			call := handlerCall(b, s.Handler())
-			call("GET", "/api/v1/deployments?limit=1000", "", http.StatusOK)
-			call("GET", "/api/v1/fleets", "", http.StatusOK)
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(store.SnapshotBytes, "snapshot-bytes")
-	})
-	b.Run("first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, _, err := api.Open(api.Config{DataDir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			handlerCall(b, s.Handler())("GET", "/api/v1/healthz", "", http.StatusOK)
-			b.StopTimer()
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
+	return store.SnapshotBytes
+}
+
+// checkStanding fails b unless rep recovered standingDataDir's population.
+func checkStanding(b *testing.B, rep *api.RecoveryReport, standing, jobs int) {
+	if rep.Rebuilt != standing || rep.OpsReplayed != standing*jobs || rep.Fleets != 1 || rep.Runs != 1 || rep.Records != 0 {
+		b.Fatalf("recovery report = %+v, want %d rebuilt with %d jobs each, 1 fleet with 1 run, no log tail", rep, standing, jobs)
+	}
 }
 
 // BenchmarkAPIFleetScenarioOp replays one operation of bench/'s

@@ -182,7 +182,7 @@ func parseFrame(data []byte, off int) (payload []byte, frameEnd int, ok bool) {
 	}
 	crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
 	payload = data[off+8 : off+8+payloadLen]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if crc32.Checksum(payload, castagnoli()) != crc {
 		return nil, 0, false
 	}
 	return payload, off + 8 + payloadLen, true
@@ -235,7 +235,7 @@ func readSnapshot(path string, wantSeq uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: snapshot header mismatch", ErrCorrupt, filepath.Base(path))
 	}
 	payload := data[hdrLen:]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if crc32.Checksum(payload, castagnoli()) != crc {
 		return nil, fmt.Errorf("%w: %s: snapshot checksum mismatch", ErrCorrupt, filepath.Base(path))
 	}
 	return payload, nil
@@ -254,7 +254,7 @@ func writeSnapshot(dir string, seq uint64, state []byte, noSync bool) (os.FileIn
 	hdr := make([]byte, len(snapMagic)+16)
 	copy(hdr, snapMagic)
 	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], seq)
-	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+8:], crc32.Checksum(state, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+8:], crc32.Checksum(state, castagnoli()))
 	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+12:], uint32(len(state)))
 	if _, err := f.Write(hdr); err == nil {
 		_, err = f.Write(state)

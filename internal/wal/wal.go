@@ -61,7 +61,8 @@ const (
 	DefaultSyncEvery = 32
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli is the CRC-32C table, built by hash/crc32 on first use only.
+func castagnoli() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) }
 
 // Options tunes a Log.
 type Options struct {
@@ -267,7 +268,7 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 		l.buf.WriteString(e.Type)
 		l.buf.Write(e.Data)
 		frame := l.buf.Bytes()[start:]
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli()))
 	}
 	n, err := l.f.Write(l.buf.Bytes())
 	l.disk.walBytes += int64(n)

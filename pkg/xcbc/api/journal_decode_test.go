@@ -1,0 +1,146 @@
+package api
+
+import (
+	"encoding/json"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"xcbc/internal/wal"
+)
+
+// journalKinds are what FuzzDecodeJournal decodes: a whole snapshot, as
+// store.open reads it, and each deployment-side record type, as
+// decodeRecord reads it.
+var journalKinds = []string{"snapshot", recDeploymentCreated, recDeploymentEvent, recDeploymentSettled, recDeploymentDeleted, recClusterOp}
+
+// FuzzDecodeJournal holds recovery's deployment-side decoder to its
+// contract, with encoding/json on the same types as the oracle: whenever
+// the decoder returns a value, encoding/json must succeed on the same
+// bytes with a deeply equal one.
+func FuzzDecodeJournal(f *testing.F) {
+	seed := func(data string) {
+		for k := range journalKinds {
+			f.Add(uint8(k), []byte(data))
+		}
+	}
+	for _, tc := range recordCases() {
+		data, err := encodeRecord(tc.rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(string(data))
+	}
+	snap, records := fixtureJournal(f)
+	seed(string(snap))
+	for _, r := range records {
+		seed(string(r.Data))
+	}
+	for _, data := range hostileJournal {
+		seed(data)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		got, want, err := decodeJournalAs(journalKinds[int(kind)%len(journalKinds)], data)
+		if err != nil {
+			return
+		}
+		if err := json.Unmarshal(data, want); err != nil {
+			t.Fatalf("decoded %q, which encoding/json refuses: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoding %q\n got: %#v\nwant: %#v", data, got, want)
+		}
+	})
+}
+
+// decodeJournalAs decodes data as recovery reads a journal entry of kind,
+// returning the value and a zero one of its type for the oracle.
+func decodeJournalAs(kind string, data []byte) (got, zero any, err error) {
+	if kind == "snapshot" {
+		m := newMirror()
+		return m, newMirror(), decodeJSON(data, m)
+	}
+	rec, err := decodeRecord(kind, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rec, reflect.New(reflect.TypeOf(rec).Elem()).Interface(), nil
+}
+
+// fixtureJournal is the parent-written DataDir's snapshot and log tail.
+func fixtureJournal(tb testing.TB) ([]byte, []wal.Record) {
+	dir := tb.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(pinDataDir)); err != nil {
+		tb.Fatal(err)
+	}
+	l, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	return rec.Snapshot, rec.Records
+}
+
+// hostileJournal are inputs on which a hand-written decoder most easily
+// parts from encoding/json.
+var hostileJournal = []string{
+	// null, [] and explicit zeros.
+	`{"id":"d1","req":{"rolls":null,"profiles":[],"node_count":0},"nodes":0,"created":null}`,
+	`{"deployments":{"d1":{"created":{"id":"d1","req":{"rolls":[]}},"events":null,"ops":[]}},"fleets":null,"campaigns":{}}`,
+	`{"deployments":{"d1":null}}`,
+	`{"deployments":null,"next_id":null}`,
+	`null`,
+	`{"op":"job.submit","job":null,"job_id":null}`,
+	`{"id":"d1","events":[null,{"seq":1}]}`,
+	// Case-insensitive keys, folding beyond ASCII, and duplicates.
+	`{"ID":"d1","Id":"d2","STATE":"failed","Error":"x"}`,
+	`{"id":"d1","event":{"pac` + "\u212a" + `ages":3,"` + "\u017f" + `tage":"wave","` + "\u0130" + `d":1,"` + "\u0131" + `d":2}}`,
+	`{"id":"d1","id":"d2"}`,
+	`{"op":"job.submit","job":{"name":"a","cores":2},"job":{"user":"b"},"JOB":{"cores":null}}`,
+	`{"id":"d1","events":[{"seq":1,"stage":"a"},{"seq":2,"node":"n"},{"seq":3}],"events":[{"seq":4}],"events":[{},{}]}`,
+	`{"deployments":{"d1":{"ops":[{"op":"a"}]},"d1":{"state":"ready"}},"deployments":{"d2":{}}}`,
+	`{"created":{"req":{"rolls":["a","b"]}},"created":{"req":{"rolls":["c"]}},"created":{"req":{"rolls":[null,null]}}}`,
+	// Strings: json.Marshal's escapes, surrogates, invalid UTF-8.
+	`{"id":"<d1> &  ","error":"\"\\\/\b\f\n\r\t"}`,
+	`{"id":"😀","state":"\ud800","error":"\udc00x\ud800A\ud83d"}`,
+	"{\"id\":\"\xff\xfe\xed\xa0\x80 \xe2\x82\",\"state\":\"\xef\xbf\xbd\"}",
+	"{\"id\":\"\x01\"}",
+	`{"id":"\'"}`,
+	`{"id":"\u12G4"}`,
+	`{"id":"abc`,
+	`{"id":"\`,
+	// time.Time through its UnmarshalJSON.
+	`{"op":"updates","at":"2015-09-08T12:00:00Z","policy":"notify"}`,
+	`{"op":"updates","at":"2015-09-08T12:00:00.5+02:00"}`,
+	`{"op":"updates","at":"2015-09-08T12:00:00Z"}`,
+	`{"at":"bad"}`, `{"at":1}`, `{"at":{}}`, `{"at":null}`,
+	// Integers only, in range.
+	`{"seq":1.0}`, `{"id":"d1","event":{"seq":1e2}}`, `{"nodes":-0}`, `{"nodes":01}`,
+	`{"nodes":9223372036854775807}`, `{"nodes":9223372036854775808}`, `{"nodes":-}`, `{"nodes":"1"}`,
+	// Unknown keys of every kind, and syntax around them.
+	`{"x":[1,-2.5e+3,true,false,null,"s",{"y":[]}],"id":"d1"}`,
+	`{"x":[1,]}`, `{"x":{"y"}}`, `{"x":tru}`, `{,"id":"d1"}`, `{"id":"d1",}`, `{"id" "d1"}`,
+	// Wrong types, trailing bytes, whitespace.
+	`{"req":"x"}`, `{"events":{}}`, `{"id":1}`, `[]`, `"d1"`, ``,
+	`{"id":"d1"} x`, `{"id":"d1"}}`, " \t\n{ \"id\" : \"d1\" }\r\n ",
+	// Nesting at and past encoding/json's limit.
+	`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+}
+
+// TestDecodeJournalErrs checks the hostile inputs the contract lets the
+// decoder refuse are refused, and that a refusal names where it stopped.
+func TestDecodeJournalErrs(t *testing.T) {
+	for _, tc := range []struct{ kind, data string }{
+		{"snapshot", `{"deployments":{"d1":null}}`},
+		{recClusterOp, `{"at":"bad"}`},
+		{"snapshot", `{"fleets":{"f1":{"created":5}}}`},
+		{recDeploymentDeleted, `{"id":"d1"} x`},
+		{recDeploymentCreated, `{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`},
+	} {
+		if _, _, err := decodeJournalAs(tc.kind, []byte(tc.data)); err == nil || !strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s %.40q: err = %v, want a refusal with its offset", tc.kind, tc.data, err)
+		}
+	}
+}

@@ -44,7 +44,7 @@ func loggedMirror(t *testing.T, dir string) *mirror {
 	defer l.Close()
 	m := newMirror()
 	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, m); err != nil {
+		if err := decodeJSON(rec.Snapshot, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -375,7 +375,7 @@ func (st *store) open(dir string, report *RecoveryReport) error {
 	report.Repaired = report.Repaired || rec.Repaired
 	report.DroppedBytes += rec.DroppedBytes
 	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, st.m); err != nil {
+		if err := decodeJSON(rec.Snapshot, st.m); err != nil {
 			return errors.Join(fmt.Errorf("api: decoding snapshot: %w", err), l.Close())
 		}
 		if st.m.Deployments == nil {
@@ -658,7 +658,7 @@ func decodeRecord(typ string, data []byte) (record, error) {
 	default:
 		return nil, errors.New("unknown record type")
 	}
-	if err := json.Unmarshal(data, rec); err != nil {
+	if err := decodeJSON(data, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
