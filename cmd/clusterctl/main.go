@@ -93,7 +93,7 @@ func main() {
 	}
 	clusterName := flag.String("cluster", "littlefe", "cluster: littlefe, marshall, or howard (XCBC path)")
 	scheduler := flag.String("scheduler", "torque", "torque, slurm, or sge")
-	powerPolicy := flag.String("power", "always-on", "always-on, on-demand, or scheduled")
+	powerPolicy := flag.String("power", "always-on", "always-on or on-demand")
 	flag.Parse()
 
 	d, err := xcbc.NewXCBC(

@@ -152,53 +152,20 @@ type submitJobRequest struct {
 	Script   string `json:"script,omitzero"`
 }
 
+// badRequest is an op's request-shape error; its route answers 400.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
 func parseDurationField(field, v string) (time.Duration, error) {
 	if v == "" {
 		return 0, nil
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil || d < 0 {
-		return 0, fmt.Errorf("%s must be a non-negative Go duration (e.g. \"30m\"): %q", field, v)
+		return 0, badRequest(fmt.Sprintf("%s must be a non-negative Go duration (e.g. \"30m\"): %q", field, v))
 	}
 	return d, nil
-}
-
-// jobSpecOf turns a submit request into an SDK job spec; the live submit
-// handler and recovery's op replay share it so a replayed submission is
-// validated and shaped exactly as the original was.
-func jobSpecOf(req submitJobRequest) (xcbc.JobSpec, error) {
-	spec := xcbc.JobSpec{Name: req.Name, User: req.User, Cores: req.Cores, Script: req.Script}
-	var err error
-	if spec.Walltime, err = parseDurationField("walltime", req.Walltime); err != nil {
-		return spec, err
-	}
-	if spec.Runtime, err = parseDurationField("runtime", req.Runtime); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
-	}
-	var req submitJobRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	spec, err := jobSpecOf(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	job, err := cl.SubmitJob(spec)
-	if err != nil {
-		writeError(w, deployErrorStatus(err), err.Error())
-		return
-	}
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "job.submit", Job: &req, JobID: job.ID})
-	writeJSON(w, http.StatusCreated, jobInfoOf(job))
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -227,23 +194,26 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(jobs), "jobs": mapSlice(jobs, jobInfoOf)})
 }
 
-// parseJobID reads the {jid} path segment.
-func parseJobID(w http.ResponseWriter, r *http.Request) (int, bool) {
+// jobIDOf reads the {jid} path segment; anything but a positive integer
+// reads as 0, which errJobID refuses.
+func jobIDOf(r *http.Request) int {
 	id, err := strconv.Atoi(r.PathValue("jid"))
-	if err != nil || id <= 0 {
-		writeError(w, http.StatusBadRequest, "job id must be a positive integer")
-		return 0, false
+	if err != nil || id < 0 {
+		return 0
 	}
-	return id, true
+	return id
 }
+
+const errJobID = badRequest("job id must be a positive integer")
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	cl, _, _, ok := s.openCluster(w, r)
 	if !ok {
 		return
 	}
-	id, ok := parseJobID(w, r)
-	if !ok {
+	id := jobIDOf(r)
+	if id == 0 {
+		writeError(w, http.StatusBadRequest, errJobID.Error())
 		return
 	}
 	job, ok := cl.Job(id)
@@ -251,24 +221,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, jobInfoOf(job))
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
-	}
-	id, ok := parseJobID(w, r)
-	if !ok {
-		return
-	}
-	if err := cl.CancelJob(id); err != nil {
-		writeError(w, deployErrorStatus(err), err.Error())
-		return
-	}
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "job.cancel", JobID: id})
-	job, _ := cl.Job(id)
 	writeJSON(w, http.StatusOK, jobInfoOf(job))
 }
 
@@ -288,29 +240,6 @@ type metricsInfo struct {
 	ActiveAlerts []string          `json:"active_alerts"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
-	}
-	// A metrics request polls the nodes (bumping the poll counter), so it
-	// is a recorded, replayed mutation like any other day-2 op.
-	m := cl.Metrics()
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "metrics"})
-	out := metricsInfo{
-		At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
-		Nodes:        make([]nodeMetricsInfo, 0, len(m.Nodes)),
-		ActiveAlerts: m.ActiveAlerts,
-	}
-	if out.ActiveAlerts == nil {
-		out.ActiveAlerts = []string{}
-	}
-	for _, n := range m.Nodes {
-		out.Nodes = append(out.Nodes, nodeMetricsInfo(n))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 type alertInfo struct {
 	At     string `json:"at"`
 	Host   string `json:"host"`
@@ -319,23 +248,11 @@ type alertInfo struct {
 	Detail string `json:"detail"`
 }
 
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
-	}
-	// Reading alerts re-evaluates the rules at the current virtual time (and
-	// can raise host-down), so like a metrics poll it is a replayed mutation.
-	active, log := cl.Alerts()
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "alerts"})
-	if active == nil {
-		active = []string{}
-	}
-	out := mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
-		return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule,
-			Firing: a.Firing, Detail: a.Detail}
-	})
-	writeJSON(w, http.StatusOK, map[string]any{"active": active, "log": out})
+// alertsInfo is the GET /alerts body: the firing alerts and the
+// transition log.
+type alertsInfo struct {
+	Active []string    `json:"active"`
+	Log    []alertInfo `json:"log"`
 }
 
 // validateRequest tunes POST /clusters/{id}/validate; the zero value uses
@@ -405,8 +322,7 @@ type updatesInfo struct {
 	Nodes        map[string]nodeUpdatesInfo `json:"nodes"`
 }
 
-// updatePolicyOf parses an update-policy name; the live handler and
-// recovery's op replay share it.
+// updatePolicyOf parses an update-policy name.
 func updatePolicyOf(p string) (xcbc.UpdatePolicy, error) {
 	switch p {
 	case "", "notify":
@@ -416,35 +332,7 @@ func updatePolicyOf(p string) (xcbc.UpdatePolicy, error) {
 	case "security-only":
 		return xcbc.UpdateSecurityOnly, nil
 	}
-	return 0, fmt.Errorf("unknown policy %q (use notify, auto-apply, or security-only)", p)
-}
-
-func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
-	}
-	p := r.URL.Query().Get("policy")
-	policy, err := updatePolicyOf(p)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Auto-apply mutates node package state; record the wall-clock instant
-	// so a recovery replay re-applies the same update window.
-	now := s.clock()
-	check := cl.CheckUpdates(policy, now)
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "updates", Policy: p, At: now})
-	out := updatesInfo{
-		Policy:       policy.String(),
-		PendingTotal: check.PendingTotal(),
-		AppliedTotal: check.AppliedTotal(),
-		Nodes:        make(map[string]nodeUpdatesInfo, len(check.ByNode)),
-	}
-	for node, nu := range check.ByNode {
-		out.Nodes[node] = nodeUpdatesInfo{Pending: nu.Pending, Applied: nu.Applied, Summary: nu.Summary}
-	}
-	writeJSON(w, http.StatusOK, out)
+	return 0, badRequest(fmt.Sprintf("unknown policy %q (use notify, auto-apply, or security-only)", p))
 }
 
 // advanceRequest moves the cluster's virtual clock forward — the simulated
@@ -454,30 +342,135 @@ type advanceRequest struct {
 	Duration string `json:"duration"`
 }
 
-func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	cl, dep, tn, ok := s.openCluster(w, r)
-	if !ok {
-		return
+type advanceInfo struct {
+	VirtualNow string `json:"virtual_now"`
+}
+
+// maxAdvance caps one advance, so that one op cannot spin the event loop
+// for unbounded simulated years.
+const maxAdvance = 90 * 24 * time.Hour
+
+// handleOp serves the route of one day-2 op kind: it decodes the request
+// into the op's journal record, runs it with runOp, and journals it once
+// it ran. A submit answers 201, the rest 200.
+func (s *Server) handleOp(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		cl, dep, tn, ok := s.openCluster(w, r)
+		if !ok {
+			return
+		}
+		op, status := clusterOpRec{Op: kind}, http.StatusOK
+		switch kind {
+		case "job.submit":
+			op.Job, status = new(submitJobRequest), http.StatusCreated
+			ok = decodeBody(w, r, op.Job)
+		case "job.cancel":
+			op.JobID = jobIDOf(r)
+		case "updates":
+			// Auto-apply mutates node package state; the journal keeps the
+			// wall-clock instant so a replay applies the same update window.
+			op.Policy, op.At = r.URL.Query().Get("policy"), s.clock()
+		case "advance":
+			var req advanceRequest
+			ok = decodeBody(w, r, &req)
+			op.Duration = req.Duration
+		}
+		if !ok {
+			return
+		}
+		body, err := runOp(cl, &op)
+		if err != nil {
+			writeError(w, deployErrorStatus(err), err.Error())
+			return
+		}
+		op.ID = dep.row.Created.ID
+		tn.store.emit(recClusterOp, op)
+		writeJSON(w, status, body)
 	}
-	var req advanceRequest
-	if !decodeBody(w, r, &req) {
-		return
+}
+
+// runOp checks one day-2 op, runs it against cl and renders the body its
+// route answers; a submit also records the job ID it got. The routes and
+// recovery's replay both call it, so a replayed op is checked and run
+// exactly as it was live, in its original order: job IDs, poll counts and
+// the virtual clock land where they were. Metrics and alerts reads are
+// ops too: a poll bumps the poll counter, and reading alerts evaluates the
+// rules at the current virtual time, which can raise host-down.
+func runOp(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
+	switch op.Op {
+	case "job.submit":
+		req := op.Job
+		if req == nil {
+			return nil, badRequest("job.submit without a job")
+		}
+		spec := xcbc.JobSpec{Name: req.Name, User: req.User, Cores: req.Cores, Script: req.Script}
+		var err error
+		if spec.Walltime, err = parseDurationField("walltime", req.Walltime); err != nil {
+			return nil, err
+		}
+		if spec.Runtime, err = parseDurationField("runtime", req.Runtime); err != nil {
+			return nil, err
+		}
+		job, err := cl.SubmitJob(spec)
+		if err != nil {
+			return nil, err
+		}
+		op.JobID = job.ID
+		return jobInfoOf(job), nil
+	case "job.cancel":
+		if op.JobID <= 0 {
+			return nil, errJobID
+		}
+		if err := cl.CancelJob(op.JobID); err != nil {
+			return nil, err
+		}
+		job, _ := cl.Job(op.JobID)
+		return jobInfoOf(job), nil
+	case "metrics":
+		m := cl.Metrics()
+		out := metricsInfo{
+			At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
+			Nodes:        mapSlice(m.Nodes, func(n xcbc.NodeMetrics) nodeMetricsInfo { return nodeMetricsInfo(n) }),
+			ActiveAlerts: m.ActiveAlerts,
+		}
+		if out.ActiveAlerts == nil {
+			out.ActiveAlerts = []string{}
+		}
+		return out, nil
+	case "alerts":
+		active, log := cl.Alerts()
+		if active == nil {
+			active = []string{}
+		}
+		return alertsInfo{Active: active, Log: mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
+			return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule,
+				Firing: a.Firing, Detail: a.Detail}
+		})}, nil
+	case "updates":
+		policy, err := updatePolicyOf(op.Policy)
+		if err != nil {
+			return nil, err
+		}
+		check := cl.CheckUpdates(policy, op.At)
+		out := updatesInfo{
+			Policy:       policy.String(),
+			PendingTotal: check.PendingTotal(),
+			AppliedTotal: check.AppliedTotal(),
+			Nodes:        make(map[string]nodeUpdatesInfo, len(check.ByNode)),
+		}
+		for node, nu := range check.ByNode {
+			out.Nodes[node] = nodeUpdatesInfo{Pending: nu.Pending, Applied: nu.Applied, Summary: nu.Summary}
+		}
+		return out, nil
+	case "advance":
+		d, err := time.ParseDuration(op.Duration)
+		if err != nil || d <= 0 {
+			return nil, badRequest(fmt.Sprintf("duration must be a positive Go duration (e.g. \"30m\"): %q", op.Duration))
+		}
+		if d > maxAdvance {
+			return nil, badRequest(fmt.Sprintf("duration exceeds the %v per-request cap", maxAdvance))
+		}
+		return advanceInfo{VirtualNow: cl.Advance(d).String()}, nil
 	}
-	d, err := time.ParseDuration(req.Duration)
-	if err != nil || d <= 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("duration must be a positive Go duration (e.g. \"30m\"): %q", req.Duration))
-		return
-	}
-	// Cap a single advance so one request cannot spin the event loop for
-	// unbounded simulated years.
-	const maxAdvance = 90 * 24 * time.Hour
-	if d > maxAdvance {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("duration exceeds the %v per-request cap", maxAdvance))
-		return
-	}
-	now := cl.Advance(d)
-	tn.store.emit(recClusterOp, clusterOpRec{ID: dep.row.Created.ID, Op: "advance", Duration: req.Duration})
-	writeJSON(w, http.StatusOK, map[string]string{"virtual_now": now.String()})
+	return nil, fmt.Errorf("unknown op %q", op.Op)
 }

@@ -320,6 +320,84 @@ func TestClusterAdvanceValidation(t *testing.T) {
 	}
 }
 
+// TestOpRoutesRefusals pins what the day-2 op routes answer when they
+// refuse: the status and the exact error body, for request-shape errors,
+// SDK refusals, and a cluster that is not ready (in flight: 409; settled
+// failed: 422).
+func TestOpRoutesRefusals(t *testing.T) {
+	ready := newTestServer(t)
+	deployReady(t, ready, `{"cluster":"littlefe","parallelism":4}`)
+	gate, installing := make(chan struct{}), make(chan struct{}, 1)
+	defer close(gate)
+	building := New(Config{DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(string, int) error {
+		select {
+		case installing <- struct{}{}:
+		default:
+		}
+		<-gate
+		return nil
+	})}})
+	do(t, building, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, nil)
+	<-installing
+	failed := New(Config{DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(string, int) error {
+		return fmt.Errorf("injected PXE fault")
+	})}})
+	do(t, failed, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, nil)
+	if final, _ := pollDeployment(t, failed, "d1"); final.State != "failed" {
+		t.Fatalf("deployment settled %q, want failed", final.State)
+	}
+
+	const d1 = "/api/v1/clusters/d1"
+	type refusal struct {
+		method, path, body string
+		status             int
+		want               string
+	}
+	cases := []refusal{
+		{"POST", d1 + "/jobs", `{"cores":`, 400, `{"error":"bad request body: unexpected EOF"}`},
+		{"POST", d1 + "/advance", `{"duration":"1h"} {}`, 400, `{"error":"bad request body: data after the JSON value"}`},
+		{"POST", d1 + "/jobs", `{"cores":1,"walltime":"-1h"}`, 400, `{"error":"walltime must be a non-negative Go duration (e.g. \"30m\"): \"-1h\""}`},
+		{"POST", d1 + "/jobs", `{"cores":1,"runtime":"soon"}`, 400, `{"error":"runtime must be a non-negative Go duration (e.g. \"30m\"): \"soon\""}`},
+		{"POST", d1 + "/jobs", `{"cores":4096}`, 400, `{"error":"xcbc: bad job request\nsched: bad job request: job requests 4096 cores, cluster has 10"}`},
+		{"DELETE", d1 + "/jobs/abc", "", 400, `{"error":"job id must be a positive integer"}`},
+		{"DELETE", d1 + "/jobs/99999999999999999999", "", 400, `{"error":"job id must be a positive integer"}`},
+		{"DELETE", d1 + "/jobs/0", "", 400, `{"error":"job id must be a positive integer"}`},
+		{"DELETE", d1 + "/jobs/42", "", 404, `{"error":"xcbc: unknown job\nsched: unknown job: no active job 42"}`},
+		{"GET", d1 + "/updates?policy=yolo", "", 400, `{"error":"unknown policy \"yolo\" (use notify, auto-apply, or security-only)"}`},
+		{"POST", d1 + "/advance", `{"duration":"0s"}`, 400, `{"error":"duration must be a positive Go duration (e.g. \"30m\"): \"0s\""}`},
+		{"POST", d1 + "/advance", `{"duration":"2161h"}`, 400, `{"error":"duration exceeds the 2160h0m0s per-request cap"}`},
+	}
+	for _, tc := range cases {
+		rec := do(t, ready, tc.method, tc.path, tc.body, nil)
+		if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != tc.status || got != tc.want {
+			t.Errorf("%s %s %s = %d %s\nwant %d %s", tc.method, tc.path, tc.body, rec.Code, got, tc.status, tc.want)
+		}
+	}
+	ops := []struct{ method, path, body string }{
+		{"POST", d1 + "/jobs", `{"cores":1}`},
+		{"DELETE", d1 + "/jobs/1", ""},
+		{"GET", d1 + "/metrics", ""},
+		{"GET", d1 + "/alerts", ""},
+		{"GET", d1 + "/updates", ""},
+		{"POST", d1 + "/advance", `{"duration":"1m"}`},
+	}
+	for _, nr := range []struct {
+		s      *Server
+		status int
+		want   string
+	}{
+		{building, 409, `{"error":"cluster d1 is not operable: deployment state is \"building\"","hint":"day-2 operations need state \"ready\"; poll GET /api/v1/deployments/d1 or stream its /events until the build settles","state":"building"}`},
+		{failed, 422, `{"build_error":"core: XCBC install failed: provision: all 5 compute nodes quarantined; build unusable","error":"cluster d1 is not operable: deployment state is \"failed\"","hint":"the build settled failed and will never be operable; inspect GET /api/v1/deployments/d1, then DELETE it and create a new deployment","state":"failed"}`},
+	} {
+		for _, op := range ops {
+			rec := do(t, nr.s, op.method, op.path, op.body, nil)
+			if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != nr.status || got != nr.want {
+				t.Errorf("%s %s = %d %s\nwant %d %s", op.method, op.path, rec.Code, got, nr.status, nr.want)
+			}
+		}
+	}
+}
+
 // TestClusterJobsConcurrentREST hammers one ready cluster's day-2 routes
 // from many goroutines — the production shape. Run with -race.
 func TestClusterJobsConcurrentREST(t *testing.T) {

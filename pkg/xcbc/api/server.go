@@ -346,15 +346,15 @@ func newServer(cfg Config) (*Server, error) {
 		{"DELETE", "/api/v1/deployments/{id}", "cancel in-flight / remove terminal", s.handleDeleteDeployment},
 		{"GET", "/api/v1/clusters", "list clusters (day-2 view of deployments)", s.handleClusters},
 		{"GET", "/api/v1/clusters/{id}", "cluster summary; 409 until ready", s.handleCluster},
-		{"POST", "/api/v1/clusters/{id}/jobs", "submit a batch job", s.handleSubmitJob},
+		{"POST", "/api/v1/clusters/{id}/jobs", "submit a batch job", s.handleOp("job.submit")},
 		{"GET", "/api/v1/clusters/{id}/jobs", "list jobs, ?state= filters", s.handleJobs},
 		{"GET", "/api/v1/clusters/{id}/jobs/{jid}", "one job's snapshot", s.handleJob},
-		{"DELETE", "/api/v1/clusters/{id}/jobs/{jid}", "cancel a queued or running job", s.handleCancelJob},
-		{"GET", "/api/v1/clusters/{id}/metrics", "poll nodes and return the snapshot", s.handleMetrics},
-		{"GET", "/api/v1/clusters/{id}/alerts", "firing alerts and transition log", s.handleAlerts},
+		{"DELETE", "/api/v1/clusters/{id}/jobs/{jid}", "cancel a queued or running job", s.handleOp("job.cancel")},
+		{"GET", "/api/v1/clusters/{id}/metrics", "poll nodes and return the snapshot", s.handleOp("metrics")},
+		{"GET", "/api/v1/clusters/{id}/alerts", "firing alerts and transition log", s.handleOp("alerts")},
 		{"POST", "/api/v1/clusters/{id}/validate", "HPL model + measured smoke solve", s.handleValidate},
-		{"GET", "/api/v1/clusters/{id}/updates", "update check, ?policy= selects handling", s.handleUpdates},
-		{"POST", "/api/v1/clusters/{id}/advance", "advance virtual time", s.handleAdvance},
+		{"GET", "/api/v1/clusters/{id}/updates", "update check, ?policy= selects handling", s.handleOp("updates")},
+		{"POST", "/api/v1/clusters/{id}/advance", "advance virtual time", s.handleOp("advance")},
 		{"GET", "/api/v1/scenarios", "list built-in scenario scripts", s.handleScenarios},
 		{"GET", "/api/v1/fleets", "list fleets (aggregate view)", s.handleFleets},
 		{"POST", "/api/v1/fleets", "create a fleet, 202 Accepted, builds run async", s.handleCreateFleet},
@@ -934,10 +934,11 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
 }
 
-// deployErrorStatus maps SDK sentinel errors onto HTTP statuses: bad names
-// and malformed requests are the client's fault, impossible operations are
-// unprocessable, unknown resources are 404, a deployment that has not
-// settled yet is a 409 conflict, anything else is a server error.
+// deployErrorStatus maps SDK sentinel errors and badRequest onto HTTP
+// statuses: bad names and malformed requests are the client's fault,
+// impossible operations are unprocessable, unknown resources are 404, a
+// deployment that has not settled yet is a 409 conflict, anything else is
+// a server error.
 func deployErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, xcbc.ErrUnknownCluster),
@@ -947,7 +948,8 @@ func deployErrorStatus(err error) int {
 		errors.Is(err, xcbc.ErrUnknownPowerPolicy),
 		errors.Is(err, xcbc.ErrBadNodeCount),
 		errors.Is(err, xcbc.ErrBadJob),
-		errors.Is(err, xcbc.ErrBadOption):
+		errors.Is(err, xcbc.ErrBadOption),
+		errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
 	case errors.Is(err, xcbc.ErrUnknownJob):
 		return http.StatusNotFound

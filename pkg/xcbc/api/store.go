@@ -908,7 +908,7 @@ func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deplo
 			dep.Handle = b.h
 			cl := d.Open()
 			for _, op := range m.Ops {
-				if err := replayOp(cl, op); err != nil {
+				if _, err := runOp(cl, &op); err != nil {
 					st.logf("store: %s: replaying %s: %v", m.Created.ID, op.Op, err)
 				}
 			}
@@ -1007,47 +1007,6 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 // errReplayDiverged marks a recovery replay whose regenerated trace did
 // not reproduce the recorded prefix hash.
 var errReplayDiverged = errors.New("replay diverged from the recorded trace")
-
-// replayOp re-executes one recorded day-2 operation against a rebuilt
-// cluster. Ops replay in their original order, so sequential effects (job
-// IDs, poll counts, the virtual clock) land where they were.
-func replayOp(cl *xcbc.Cluster, op clusterOpRec) error {
-	switch op.Op {
-	case "job.submit":
-		if op.Job == nil {
-			return errors.New("job.submit record without a job")
-		}
-		spec, err := jobSpecOf(*op.Job)
-		if err != nil {
-			return err
-		}
-		_, err = cl.SubmitJob(spec)
-		return err
-	case "job.cancel":
-		return cl.CancelJob(op.JobID)
-	case "advance":
-		d, err := time.ParseDuration(op.Duration)
-		if err != nil {
-			return err
-		}
-		cl.Advance(d)
-		return nil
-	case "updates":
-		policy, err := updatePolicyOf(op.Policy)
-		if err != nil {
-			return err
-		}
-		cl.CheckUpdates(policy, op.At)
-		return nil
-	case "metrics":
-		cl.Metrics()
-		return nil
-	case "alerts":
-		cl.Alerts()
-		return nil
-	}
-	return fmt.Errorf("unknown op %q", op.Op)
-}
 
 // sortByNum orders resource IDs by their numeric suffix.
 func sortByNum(ids []string) {

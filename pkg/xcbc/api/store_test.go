@@ -147,6 +147,7 @@ func TestDurableDeploymentRestart(t *testing.T) {
 		}
 	}
 	jobsBefore := do(t, s1, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
+	clusterBefore := do(t, s1, "GET", "/api/v1/clusters/d1", "", nil).Body.String()
 	if err := s1.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -170,6 +171,9 @@ func TestDurableDeploymentRestart(t *testing.T) {
 	jobsAfter := do(t, s2, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
 	if jobsAfter != jobsBefore {
 		t.Errorf("replayed job state diverged:\nbefore: %s\nafter:  %s", jobsBefore, jobsAfter)
+	}
+	if clusterAfter := do(t, s2, "GET", "/api/v1/clusters/d1", "", nil).Body.String(); clusterAfter != clusterBefore {
+		t.Errorf("replayed cluster diverged:\nbefore: %s\nafter:  %s", clusterBefore, clusterAfter)
 	}
 
 	// ID allocation continues where it left off.
@@ -214,6 +218,55 @@ func TestAlertsSurviveRestart(t *testing.T) {
 	defer s2.Close()
 	if after := do(t, s2, "GET", d1+"/alerts", "", nil).Body.String(); after != before {
 		t.Errorf("alerts after restart:\n got %s\nwant %s", after, before)
+	}
+}
+
+// TestReplayRefusesWhatTheRouteRefuses: recovery replays a journaled op
+// through the same checks as its live route, so an op the route would
+// refuse (here an advance over the per-request cap) is logged and skipped
+// on replay, not run.
+func TestReplayRefusesWhatTheRouteRefuses(t *testing.T) {
+	live := newTestServer(t)
+	deployReady(t, live, `{"cluster":"littlefe"}`)
+	const over = `{"duration":"2161h"}`
+	if rec := do(t, live, "POST", "/api/v1/clusters/d1/advance", over, nil); rec.Code != http.StatusBadRequest {
+		t.Fatalf("live advance %s = %d, want 400", over, rec.Code)
+	}
+	var want clusterInfo
+	do(t, live, "GET", "/api/v1/clusters/d1", "", &want)
+
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		typ string
+		rec any
+	}{
+		{recDeploymentCreated, depCreatedRec{ID: "d1", Path: "xcbc", Created: time.Date(2015, 9, 8, 12, 0, 0, 0, time.UTC),
+			Req: createDeploymentRequest{Cluster: "littlefe"}}},
+		{recDeploymentSettled, depSettledRec{ID: "d1", State: "ready"}},
+		{recClusterOp, clusterOpRec{ID: "d1", Op: "advance", Duration: "2161h"}},
+	} {
+		if _, err := l.AppendJSON(r.typ, r.rec); err != nil {
+			t.Fatalf("append %s: %v", r.typ, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rep := openDurable(t, dir)
+	defer s.Close()
+	if rep.Rebuilt != 1 || rep.OpsReplayed != 1 {
+		t.Fatalf("recovery report = %+v, want 1 rebuilt with 1 op", rep)
+	}
+	var got clusterInfo
+	if rec := do(t, s, "GET", "/api/v1/clusters/d1", "", &got); rec.Code != http.StatusOK {
+		t.Fatalf("recovered cluster: %d %s", rec.Code, rec.Body.String())
+	}
+	if got.VirtualNow != want.VirtualNow {
+		t.Errorf("recovered virtual_now = %s, want %s (the refused advance must not run)", got.VirtualNow, want.VirtualNow)
 	}
 }
 

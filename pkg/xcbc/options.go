@@ -33,18 +33,13 @@ type PowerPolicy string
 const (
 	PowerAlwaysOn PowerPolicy = "always-on"
 	PowerOnDemand PowerPolicy = "on-demand"
-	// PowerScheduled behaves as PowerOnDemand, since nothing configures
-	// off-hours windows. It is still accepted.
-	//
-	// Deprecated: use PowerOnDemand.
-	PowerScheduled PowerPolicy = "scheduled"
 )
 
 func (p PowerPolicy) internal() (power.Policy, error) {
 	switch p {
 	case "", PowerAlwaysOn:
 		return power.AlwaysOn, nil
-	case PowerOnDemand, PowerScheduled:
+	case PowerOnDemand:
 		return power.OnDemand, nil
 	}
 	return power.AlwaysOn, wrapName(ErrUnknownPowerPolicy, string(p))
