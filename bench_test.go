@@ -320,7 +320,7 @@ func BenchmarkHPLKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
 			var gflops float64
 			for i := 0; i < b.N; i++ {
-				res, err := hpl.Run(n, 64, 4, 42, nil)
+				res, err := hpl.Run(n, 64, 4, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -582,7 +582,7 @@ func BenchmarkHPLBlockSize(b *testing.B) {
 		b.Run(fmt.Sprintf("NB%d", nb), func(b *testing.B) {
 			var gflops float64
 			for i := 0; i < b.N; i++ {
-				res, err := hpl.Run(384, nb, 4, 42, nil)
+				res, err := hpl.Run(384, nb, 4, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -712,30 +712,6 @@ func BenchmarkSimEngine(b *testing.B) {
 		}
 		eng.After(time.Second, "tick", tick)
 		eng.Run()
-	}
-}
-
-// BenchmarkTiledUpdate compares the naive and cache-tiled trailing-update
-// LU kernels at N=512 (kernel ablation).
-func BenchmarkTiledUpdate(b *testing.B) {
-	variants := []struct {
-		name string
-		run  func(a *hpl.Matrix) error
-	}{
-		{"naive", func(a *hpl.Matrix) error { _, err := hpl.Factor(a, 64, 4); return err }},
-		{"tiled", func(a *hpl.Matrix) error { _, err := hpl.FactorTiled(a, 64, 128, 4); return err }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a, _ := hpl.RandomSystem(512, 42)
-				b.StartTimer()
-				if err := v.run(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

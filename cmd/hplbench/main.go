@@ -14,13 +14,14 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"xcbc/internal/cluster"
 	"xcbc/internal/hpl"
 )
 
 func main() {
-	clusterName := flag.String("cluster", "littlefe", "cluster to model: littlefe, littlefe-original, limulus, marshall, montana, kansas, pbarc")
+	clusterName := flag.String("cluster", "littlefe", "cluster to model: "+strings.Join(cluster.CatalogNames(), ", "))
 	run := flag.Bool("run", false, "run a real LU solve on this host instead of modelling")
 	n := flag.Int("n", 1000, "problem size for -run")
 	nb := flag.Int("nb", 64, "block size for -run")
@@ -29,7 +30,7 @@ func main() {
 	flag.Parse()
 
 	if *run {
-		res, err := hpl.Run(*n, *nb, *workers, 42, nil)
+		res, err := hpl.Run(*n, *nb, *workers, 42)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hplbench:", err)
 			os.Exit(1)
@@ -41,21 +42,11 @@ func main() {
 		return
 	}
 
-	builders := map[string]func() *cluster.Cluster{
-		"littlefe":          cluster.NewLittleFe,
-		"littlefe-original": cluster.NewLittleFeOriginal,
-		"limulus":           cluster.NewLimulusHPC200,
-		"marshall":          cluster.NewMarshall,
-		"montana":           cluster.NewMontanaState,
-		"kansas":            cluster.NewKansas,
-		"pbarc":             cluster.NewPBARC,
-	}
-	build, ok := builders[*clusterName]
-	if !ok {
+	c, err := cluster.FromCatalog(*clusterName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hplbench: unknown cluster %q\n", *clusterName)
 		os.Exit(2)
 	}
-	c := build()
 	size := hpl.ProblemSize(c, *memFrac)
 	res := hpl.Model(c, size, hpl.ModelParams{})
 	fmt.Printf("%s (%s interconnect, %d nodes, %d cores)\n", c.Name, c.Network.Type, c.NodeCount(), c.Cores())

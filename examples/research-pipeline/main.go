@@ -113,7 +113,7 @@ func main() {
 	}
 
 	// ...and a real Linpack solve with the HPL residual check.
-	res, err := hpl.Run(600, 48, 4, 7, nil)
+	res, err := hpl.Run(600, 48, 4, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

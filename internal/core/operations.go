@@ -285,7 +285,7 @@ func (o *Operations) Validate(memFraction float64, smokeN int) (Validation, erro
 		if workers > 8 {
 			workers = 8
 		}
-		m, err := hpl.Run(smokeN, 32, workers, 42, nil)
+		m, err := hpl.Run(smokeN, 32, workers, 42)
 		if err != nil {
 			return v, err
 		}

@@ -70,14 +70,11 @@ func DistributedSolve(w *mpi.World, n, nb int, seed int64) (DistributedResult, e
 		const (
 			tagPivRow  = 100
 			tagSwapped = 101
-			tagPanel   = 102
-			tagRHS     = 103
 		)
 		bvec := append([]float64(nil), b...)
 
 		for k := 0; k < n; k += nb {
-			kb := minInt(nb, n-k)
-			panelOwnerCols := make([][]float64, 0, kb)
+			kb := min(nb, n-k)
 			for j := k; j < k+kb; j++ {
 				// --- distributed partial pivoting on column j ---
 				// Each rank proposes its best local candidate (|v|, row).
@@ -155,7 +152,6 @@ func DistributedSolve(w *mpi.World, n, nb int, seed int64) (DistributedResult, e
 					return err
 				}
 				pivot := pivSeg[0]
-				panelOwnerCols = append(panelOwnerCols, pivSeg)
 
 				// Eliminate column j from owned rows below j, and update the
 				// replicated RHS contribution for row j immediately (forward
@@ -171,7 +167,6 @@ func DistributedSolve(w *mpi.World, n, nb int, seed int64) (DistributedResult, e
 						row[cIdx] -= l * pivSeg[cIdx-j]
 					}
 				}
-				_ = panelOwnerCols
 			}
 		}
 
@@ -228,11 +223,4 @@ func DistributedSolve(w *mpi.World, n, nb int, seed int64) (DistributedResult, e
 		Pass:        resid < ResidualThreshold,
 		CommSeconds: w.MaxCommSeconds(),
 	}, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

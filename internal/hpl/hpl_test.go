@@ -86,8 +86,8 @@ func TestBlockSizeAndWorkersDoNotChangeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	refX := Solve(refLU, refPiv, refB)
-	for _, nb := range []int{2, 7, 16, 48, 100} {
-		for _, workers := range []int{1, 3, 8} {
+	for _, nb := range []int{0, 2, 7, 16, 48, 100} {
+		for _, workers := range []int{0, 1, 3, 8} {
 			a, b := RandomSystem(n, 99)
 			lu := a.Clone()
 			piv, err := Factor(lu, nb, workers)
@@ -125,7 +125,7 @@ func TestFactorPropertyRandomSystemsSolve(t *testing.T) {
 }
 
 func TestRunMeasuresAndValidates(t *testing.T) {
-	r, err := Run(120, 32, 4, 1, nil)
+	r, err := Run(120, 32, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

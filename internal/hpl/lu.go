@@ -268,10 +268,3 @@ func FlopCount(n int) float64 {
 	fn := float64(n)
 	return 2.0/3.0*fn*fn*fn + 1.5*fn*fn
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

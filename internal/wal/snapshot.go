@@ -21,8 +21,8 @@ import (
 func (l *Log) Snapshot(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usable(); err != nil {
+		return err
 	}
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -30,7 +30,7 @@ func (l *Log) Snapshot(state []byte) error {
 	seq := l.nextSeq
 	info, err := writeSnapshot(l.dir, seq, state, l.opts.NoSync)
 	if err != nil {
-		return fmt.Errorf("wal: snapshot: %w", err)
+		return l.fail(fmt.Errorf("snapshot: %w", err))
 	}
 	l.snapSeq = seq
 	l.disk.snapBytes, l.disk.snapTime = info.Size(), info.ModTime()
@@ -39,12 +39,12 @@ func (l *Log) Snapshot(state []byte) error {
 	// segment is empty and stays current).
 	if l.segStart != seq {
 		if err := l.f.Close(); err != nil {
-			return fmt.Errorf("wal: snapshot: %w", err)
+			return l.fail(fmt.Errorf("snapshot: %w", err))
 		}
 		if err := l.newSegment(); err != nil {
 			// Snapshot state is consistent on disk but the log has no open
-			// segment; surface the error so the caller can retry or close.
-			return fmt.Errorf("wal: snapshot: rotating segment: %w", err)
+			// segment to append to.
+			return l.fail(fmt.Errorf("snapshot: rotating segment: %w", err))
 		}
 	}
 	l.cleanupLocked()

@@ -23,6 +23,13 @@
 // corrupt bytes are never handed back as data. Corruption in the middle
 // of the log (disk rot rather than a crash) fails Open loudly with
 // ErrCorrupt instead of silently dropping committed records.
+//
+// Failure contract: a log that failed a write, an fsync or a segment
+// rotation stops. It keeps that first error, and every later Append,
+// AppendBatch, Sync and Snapshot returns ErrFailed wrapping it; nothing
+// is retried, since a failed fsync may have dropped the very pages a
+// retry would report clean. Close still releases the file and returns
+// the error. Recovery then sees every record whose append succeeded.
 package wal
 
 import (
@@ -48,6 +55,9 @@ var (
 	ErrClosed = errors.New("wal: log is closed")
 	// ErrTooLarge reports a record payload over the framing limit.
 	ErrTooLarge = errors.New("wal: record too large")
+	// ErrFailed reports use of a log that failed a write, fsync or
+	// segment rotation; it wraps that first error.
+	ErrFailed = errors.New("wal: log failed")
 )
 
 const (
@@ -134,6 +144,7 @@ type Log struct {
 	segStart uint64 // first sequence of the segment open for append
 	pending  int    // appended records not yet fsynced
 	closed   bool
+	failed   error // ErrFailed wrapping the first failed write, fsync or rotation
 
 	// disk is the footprint Stats reports, kept current by everything that
 	// writes, creates or removes a file, so that reading it touches no
@@ -240,8 +251,8 @@ type BatchEntry struct {
 func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.usable(); err != nil {
+		return 0, err
 	}
 	if len(entries) == 0 {
 		return l.nextSeq, nil
@@ -273,9 +284,10 @@ func (l *Log) AppendBatch(entries []BatchEntry) (uint64, error) {
 	n, err := l.f.Write(l.buf.Bytes())
 	l.disk.walBytes += int64(n)
 	if err != nil {
-		// The write may have landed partially; recovery's torn-tail repair
-		// handles that exactly as it does for any torn frame.
-		return 0, fmt.Errorf("wal: %w", err)
+		// The write may have landed partially. The log stops here, so the
+		// torn frame stays the segment's tail and recovery's repair cuts
+		// nothing an append acknowledged.
+		return 0, l.fail(err)
 	}
 	l.nextSeq += uint64(len(entries))
 	l.pending += len(entries)
@@ -300,10 +312,26 @@ func (l *Log) AppendJSON(typ string, v any) (uint64, error) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.usable(); err != nil {
+		return err
+	}
+	return l.syncLocked()
+}
+
+// usable reports why the log takes no more calls: ErrClosed, or the
+// error it failed with. Caller holds l.mu.
+func (l *Log) usable() error {
 	if l.closed {
 		return ErrClosed
 	}
-	return l.syncLocked()
+	return l.failed
+}
+
+// fail stops the log on err, the first failed write, fsync or rotation,
+// and returns what every later call will. Caller holds l.mu.
+func (l *Log) fail(err error) error {
+	l.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+	return l.failed
 }
 
 func (l *Log) syncLocked() error {
@@ -312,7 +340,7 @@ func (l *Log) syncLocked() error {
 	}
 	if !l.opts.NoSync {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return l.fail(err)
 		}
 	}
 	l.pending = 0
@@ -341,7 +369,10 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	err := l.syncLocked()
+	err := l.failed
+	if err == nil {
+		err = l.syncLocked()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -518,6 +518,44 @@ func TestFsyncBatching(t *testing.T) {
 	}
 }
 
+// TestRecordRefusedAfterFailure holds the failure contract on each way a
+// log can fail: a write, an fsync, and a snapshot's segment rotation. The
+// segment file is closed underneath the log, so the next disk call on it
+// errors. From then on every call returns ErrFailed wrapping that first
+// error, and Close returns it too.
+func TestRecordRefusedAfterFailure(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		syncEvery int // 1 leaves nothing pending, so Snapshot's sync succeeds
+		fail      func(l *Log) error
+	}{
+		{"write", 8, func(l *Log) error { _, err := l.Append("r", []byte("x")); return err }},
+		{"fsync", 8, func(l *Log) error { return l.Sync() }},
+		{"rotation", 1, func(l *Log) error { return l.Snapshot([]byte("{}")) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l, _ := openT(t, t.TempDir(), Options{SyncEvery: c.syncEvery})
+			if _, err := l.Append("r", []byte("acked")); err != nil {
+				t.Fatal(err)
+			}
+			l.f.Close()
+			if err := c.fail(l); !errors.Is(err, ErrFailed) || !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("failing call = %v, want ErrFailed wrapping os.ErrClosed", err)
+			}
+			_, aerr := l.Append("r", nil)
+			_, berr := l.AppendBatch([]BatchEntry{{Type: "r"}})
+			for i, err := range []error{aerr, berr, l.Sync(), l.Snapshot(nil), l.Close()} {
+				if !errors.Is(err, ErrFailed) || !errors.Is(err, os.ErrClosed) {
+					t.Errorf("call %d after the failure = %v, want ErrFailed wrapping os.ErrClosed", i, err)
+				}
+			}
+			if _, err := l.Append("r", nil); !errors.Is(err, ErrClosed) {
+				t.Errorf("Append after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
 // onlySegment returns the path of the single wal segment in dir.
 func onlySegment(t *testing.T, dir string) string {
 	t.Helper()

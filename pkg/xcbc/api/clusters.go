@@ -34,14 +34,15 @@ type clusterInfo struct {
 
 func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
 	c := &dep.row.Created
+	state, _, _ := dep.status()
 	info := clusterInfo{
 		ID:      c.ID,
 		Cluster: c.Cluster,
 		Site:    c.Site,
 		Nodes:   c.Nodes,
-		State:   dep.state(),
+		State:   state,
 	}
-	cl, err := dep.cluster()
+	cl, err := dep.cluster(state)
 	if err != nil {
 		return info
 	}
@@ -66,20 +67,21 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
 	}
-	cl, err := dep.cluster()
+	st, berr, settled := dep.status()
+	cl, err := dep.cluster(st)
 	if err != nil {
-		id, st := dep.row.Created.ID, dep.state()
+		id := dep.row.Created.ID
 		body := map[string]string{
 			"error": fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st),
 			"state": st,
 		}
 		status := http.StatusConflict
-		if dep.terminal() {
+		if settled {
 			// The build settled without producing a cluster; retrying is
 			// pointless, so this is not the 409 "wait" contract.
 			status = http.StatusUnprocessableEntity
 			body["hint"] = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
-			if berr := dep.errMsg(); berr != "" {
+			if berr != "" {
 				body["build_error"] = berr
 			}
 		} else {

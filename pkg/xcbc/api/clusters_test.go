@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -171,6 +172,84 @@ func TestClusterFailedBuildUnprocessable(t *testing.T) {
 	}
 	if body.State != "failed" || body.Hint == "" || body.BuildError == "" {
 		t.Fatalf("422 body = %+v", body)
+	}
+}
+
+// TestResponsesReadOneSettlement polls builds while they settle: 32 of
+// them, half failed by their install hook, each read through the cluster
+// and deployment routes by 4 goroutines at once. Each response renders
+// from one read of the deployment's status, so no 422 names a state the
+// build can still leave (or is operable in), and no deployment body pairs
+// building with an error.
+func TestResponsesReadOneSettlement(t *testing.T) {
+	// Every first install attempt fails: a build with no retry budget
+	// quarantines every compute and fails, one with a retry lands ready.
+	s := New(Config{DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(_ string, attempt int) error {
+		if attempt == 1 {
+			return fmt.Errorf("injected PXE fault")
+		}
+		return nil
+	})}})
+	const builds = 32
+	ids := make([]string, builds)
+	for i := range ids {
+		var created deploymentInfo
+		body := `{"cluster":"littlefe","parallelism":4,"retries":1}`
+		if i%2 == 1 {
+			body = `{"cluster":"littlefe","parallelism":4}`
+		}
+		if rec := do(t, s, "POST", "/api/v1/deployments", body, &created); rec.Code != http.StatusAccepted {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+		}
+		ids[i] = created.ID
+	}
+	get := func(path string, out any) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Errorf("GET %s: bad JSON %q: %v", path, rec.Body.String(), err)
+		}
+		return rec.Code
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for settled := 0; settled < builds && time.Now().Before(deadline); {
+				settled = 0
+				for _, id := range ids {
+					var refused struct{ State, Hint string }
+					if code := get("/api/v1/clusters/"+id, &refused); code == http.StatusUnprocessableEntity {
+						for _, live := range []string{"ready", "pending", "building"} {
+							if refused.State == live || strings.Contains(refused.Hint, "settled "+live) {
+								t.Errorf("%s: 422 for a deployment reading %q: %+v", id, live, refused)
+							}
+						}
+					}
+					var dep deploymentInfo
+					get("/api/v1/deployments/"+id, &dep)
+					if dep.State == "building" && dep.Error != "" {
+						t.Errorf("%s: deployment body pairs building with error %q", id, dep.Error)
+					}
+					if dep.State == "ready" || dep.State == "failed" {
+						settled++
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	failed := 0
+	for _, id := range ids {
+		final, _ := pollDeployment(t, s, id)
+		if final.State == "failed" {
+			failed++
+		}
+	}
+	if failed != builds/2 {
+		t.Fatalf("%d of %d builds failed, want half", failed, builds)
 	}
 }
 

@@ -179,43 +179,30 @@ type deployment struct {
 	journaled chan struct{}
 }
 
-// settlement returns the row's state and error: "" until the deployment's
-// settled record is journaled.
-func (d *deployment) settlement() (state, errMsg string) {
+// status reads the deployment's row once. settled reports whether its
+// settled record is journaled, and errMsg is then the build's terminal
+// error, "" if none. state is the row's once it is settled, the build's
+// before that — except that a build which has ended reads building until
+// its settlement is journaled. A response renders from one status, so a
+// settlement landing mid-response cannot mix two states into its body.
+func (d *deployment) status() (state, errMsg string, settled bool) {
 	d.row.mu.Lock()
-	defer d.row.mu.Unlock()
-	return d.row.State, d.row.Error
-}
-
-// state returns the deployment's lifecycle state: the row's once it is
-// settled, the build's before that — except that a build which has ended
-// reads building until its settlement is journaled.
-func (d *deployment) state() string {
-	if state, _ := d.settlement(); state != "" {
-		return state
+	state, errMsg = d.row.State, d.row.Error
+	d.row.mu.Unlock()
+	if state != "" {
+		return state, errMsg, true
 	}
 	if st := d.Handle.Status(); !st.Terminal() {
-		return string(st)
+		return string(st), "", false
 	}
-	return string(xcbc.StateBuilding)
+	return string(xcbc.StateBuilding), "", false
 }
 
-// terminal reports whether the deployment's settlement is journaled.
-func (d *deployment) terminal() bool {
-	state, _ := d.settlement()
-	return state != ""
-}
-
-// errMsg returns the deployment's terminal error message, "" if none.
-func (d *deployment) errMsg() string {
-	_, errMsg := d.settlement()
-	return errMsg
-}
-
-// cluster returns the live day-2 surface, or an error for a deployment
-// that is not (or can never again be) operable.
-func (d *deployment) cluster() (*xcbc.Cluster, error) {
-	if state, _ := d.settlement(); state != string(xcbc.StateReady) {
+// cluster returns the live day-2 surface of a deployment whose status
+// reads state, or an error for one that is not (or can never again be)
+// operable.
+func (d *deployment) cluster(state string) (*xcbc.Cluster, error) {
+	if state != string(xcbc.StateReady) {
 		return nil, xcbc.ErrNotReady
 	}
 	return d.Handle.Cluster()
@@ -776,11 +763,12 @@ func eventInfoOf(ev xcbc.Event) eventInfo {
 
 func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) deploymentInfo {
 	c := &dep.row.Created
+	state, errMsg, _ := dep.status()
 	info := deploymentInfo{
 		ID:      c.ID,
 		Path:    c.Path,
-		State:   dep.state(),
-		Error:   dep.errMsg(),
+		State:   state,
+		Error:   errMsg,
 		Cluster: c.Cluster,
 		Site:    c.Site,
 		Nodes:   c.Nodes,
@@ -1022,15 +1010,16 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 	}
 	finish := func() {
 		writeEvents() // for a live build, anything emitted between read and check
-		final := map[string]string{"state": dep.state()}
-		if msg := dep.errMsg(); msg != "" {
+		state, msg, _ := dep.status()
+		final := map[string]string{"state": state}
+		if msg != "" {
 			final["error"] = msg
 		}
 		payload, _ := json.Marshal(final)
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
 		flusher.Flush()
 	}
-	if dep.terminal() {
+	if _, _, settled := dep.status(); settled {
 		// A settled deployment's journal is complete and its state final:
 		// replay the events, send the terminal frame, and close.
 		finish()
@@ -1063,7 +1052,10 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tn := s.tenant(r)
-	dep, found, removed := tn.deployments.removeIf(id, (*deployment).terminal)
+	dep, found, removed := tn.deployments.removeIf(id, func(d *deployment) bool {
+		_, _, settled := d.status()
+		return settled
+	})
 	switch {
 	case !found:
 		writeError(w, http.StatusNotFound, "unknown deployment")

@@ -933,7 +933,7 @@ func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deplo
 		st.emit(recDeploymentSettled, depSettledRec{
 			ID: m.Created.ID, State: string(xcbc.StateFailed), Error: msg,
 		})
-		if !dep.terminal() {
+		if _, _, settled := dep.status(); !settled {
 			archive(msg) // the log refused the record; the next restart reconciles again
 		}
 		report.Interrupted++
