@@ -141,7 +141,7 @@ func BenchmarkXCBCFromScratch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		var err error
-		d, err = core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
+		d, err = core.BuildXCBCContext(b.Context(), eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkXNITAdoption(b *testing.B) {
 // converted cluster after the repository publishes updates.
 func BenchmarkUpdateCheck(b *testing.B) {
 	eng := sim.NewEngine()
-	d, err := core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
+	d, err := core.BuildXCBCContext(b.Context(), eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func BenchmarkSchedulerPortability(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
-				d, err := core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: schName})
+				d, err := core.BuildXCBCContext(b.Context(), eng, cluster.NewLittleFe(), core.Options{Scheduler: schName})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -620,7 +620,7 @@ func BenchmarkGridFTPStaging(b *testing.B) {
 // LittleFe (the maintenance workflow of §3/§4).
 func BenchmarkClusterVerify(b *testing.B) {
 	eng := sim.NewEngine()
-	d, err := core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
+	d, err := core.BuildXCBCContext(b.Context(), eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -665,27 +665,6 @@ func BenchmarkNodeFailureRecovery(b *testing.B) {
 			b.Fatalf("job state = %v", j.State)
 		}
 	}
-}
-
-// BenchmarkDistributedHPL runs the true distributed-memory LU over the MPI
-// runtime at Limulus scale (4 ranks, one per node) and reports the modelled
-// communication time on its GigE fabric.
-func BenchmarkDistributedHPL(b *testing.B) {
-	var res hpl.DistributedResult
-	for i := 0; i < b.N; i++ {
-		w, err := mpi.NewWorld(4, cluster.GigabitEthernet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err = hpl.DistributedSolve(w, 64, 8, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Pass {
-			b.Fatalf("residual: %v", res.Residual)
-		}
-	}
-	b.ReportMetric(1000*res.CommSeconds, "sim_comm_ms")
 }
 
 // BenchmarkScalingCurveModel computes the extension scaling curve: a

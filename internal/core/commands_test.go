@@ -13,7 +13,7 @@ import (
 func torqueDeployment(t *testing.T) (*sim.Engine, *Deployment) {
 	t.Helper()
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestQdelAcceptsFullJobID(t *testing.T) {
 
 func TestSbatchFlagErrors(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "slurm"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "slurm"})
 	if err != nil {
 		t.Fatal(err)
 	}

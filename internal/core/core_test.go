@@ -183,7 +183,7 @@ func TestDistributionTransactionsResolve(t *testing.T) {
 func TestBuildXCBCEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.NewLittleFe()
-	d, err := BuildXCBC(eng, c, Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, c, Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestBuildXCBCEndToEnd(t *testing.T) {
 func TestBuildXCBCSlurmVariant(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.NewLittleFe()
-	d, err := BuildXCBC(eng, c, Options{Scheduler: "slurm"})
+	d, err := BuildXCBCContext(t.Context(), eng, c, Options{Scheduler: "slurm"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestBuildXCBCSlurmVariant(t *testing.T) {
 func TestBuildXCBCRejectsDiskless(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.NewLimulusHPC200() // diskless computes
-	if _, err := BuildXCBC(eng, c, Options{}); err == nil {
+	if _, err := BuildXCBCContext(t.Context(), eng, c, Options{}); err == nil {
 		t.Fatal("XCBC on diskless Limulus should fail (Rocks constraint)")
 	}
 }
 
 func TestCommandsOnTorque(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCommandsOnTorque(t *testing.T) {
 
 func TestCommandsOnSlurm(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "slurm"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "slurm"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestCommandsPortabilityAcrossSGE(t *testing.T) {
 	// The paper's claim: a user's qsub knowledge transfers to any
 	// PBS-family XCBC cluster. SGE accepts the same command.
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "sge"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "sge"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCommandsPortabilityAcrossSGE(t *testing.T) {
 
 func TestExecErrors(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestXNITAdoptionOnLimulus(t *testing.T) {
 
 func TestChangeSchedulerSwapsAtomically(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestChangeSchedulerSwapsAtomically(t *testing.T) {
 
 func TestChangeSchedulerRefusesWithRunningJobs(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestInstallProfiles(t *testing.T) {
 
 func TestUpdateWorkflowAcrossCluster(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,16 +106,9 @@ func PreflightXCBC(c *cluster.Cluster) error {
 	return nil
 }
 
-// BuildXCBC performs the complete "all at once, from scratch" XCBC build on
-// a bare cluster: distribution assembly, frontend install, compute
-// kickstarts, module generation, and subsystem startup.
-//
-//detlint:reached benchmark: BenchmarkUpdateCheck (BENCH_baseline.json), BenchmarkXCBCFromScratch, BenchmarkSchedulerPortability and BenchmarkClusterVerify build through it
-func BuildXCBC(eng *sim.Engine, c *cluster.Cluster, opts Options) (*Deployment, error) {
-	return BuildXCBCContext(context.Background(), eng, c, opts)
-}
-
-// BuildXCBCContext is BuildXCBC with cancellation: the context is checked
+// BuildXCBCContext performs the complete "all at once, from scratch" XCBC
+// build on a bare cluster: distribution assembly, frontend install, compute
+// kickstarts, module generation, and subsystem startup. The context is checked
 // between provisioning waves (a wave, once started, runs to completion, as
 // kickstarts do on real hardware — so cancellation never leaves a
 // half-kickstarted node). Compute nodes install in waves of

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"xcbc/internal/cluster"
@@ -8,11 +9,11 @@ import (
 	"xcbc/internal/sim"
 )
 
-// ExampleBuildXCBC builds the paper's modified LittleFe from scratch and
+// ExampleBuildXCBCContext builds the paper's modified LittleFe from scratch and
 // submits a job with the standard XSEDE commands.
-func ExampleBuildXCBC() {
+func ExampleBuildXCBCContext() {
 	eng := sim.NewEngine()
-	d, err := core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
+	d, err := core.BuildXCBCContext(context.Background(), eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -21,7 +21,7 @@ func TestXCBCOnMarshall(t *testing.T) {
 	// all). 22 nodes, so this is the largest full build in the suite.
 	eng := sim.NewEngine()
 	c := cluster.NewMarshall()
-	d, err := BuildXCBC(eng, c, Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, c, Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestXCBCOnMarshall(t *testing.T) {
 func TestXCBCOnHoward(t *testing.T) {
 	// Howard: the chemistry professor's cluster, rebuilt from scratch.
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewHoward(), Options{Scheduler: "sge"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewHoward(), Options{Scheduler: "sge"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestXNITOnPBARC(t *testing.T) {
 
 func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestMonitoringIntegratedWithWorkload(t *testing.T) {
 // from one locked pass over each host's latest row, so what it allocates
 // is the snapshot's node list and nothing per host or per metric.
 func TestSampleMetricsAllocations(t *testing.T) {
-	d, err := BuildXCBC(sim.NewEngine(), cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), sim.NewEngine(), cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSampleMetricsAllocations(t *testing.T) {
 // TestOperationsIsCreatedOnce races the first use of a deployment's day-2
 // adapter: every caller gets the same one.
 func TestOperationsIsCreatedOnce(t *testing.T) {
-	d, err := BuildXCBC(sim.NewEngine(), cluster.NewLittleFe(), Options{})
+	d, err := BuildXCBCContext(t.Context(), sim.NewEngine(), cluster.NewLittleFe(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestPowerManagedXCBCLittleFe(t *testing.T) {
 	// The paper ships LittleFe without power management, but nothing stops
 	// an administrator enabling the policy; the deployment wiring must hold.
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{
 		Scheduler: "torque", PowerPolicy: power.OnDemand,
 	})
 	if err != nil {
@@ -225,7 +225,7 @@ func TestPowerManagedXCBCLittleFe(t *testing.T) {
 
 func TestDeploymentUtilizationAndAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}

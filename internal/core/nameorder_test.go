@@ -21,7 +21,7 @@ func TestNodeTiesBreakInNameOrder(t *testing.T) {
 	if err := cluster.ResizeComputes(c, 12); err != nil {
 		t.Fatal(err)
 	}
-	d, err := BuildXCBC(sim.NewEngine(), c, Options{Parallelism: 4})
+	d, err := BuildXCBCContext(t.Context(), sim.NewEngine(), c, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

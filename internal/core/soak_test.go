@@ -17,7 +17,7 @@ import (
 // system hold together" test.
 func TestWeekLongSoak(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{
 		Scheduler:   "torque",
 		PowerPolicy: power.OnDemand,
 	})
@@ -85,7 +85,7 @@ func TestWeekLongSoak(t *testing.T) {
 // TestXCBCWithAllOptionalRolls builds with every Table 1 roll enabled.
 func TestXCBCWithAllOptionalRolls(t *testing.T) {
 	eng := sim.NewEngine()
-	d, err := BuildXCBC(eng, cluster.NewLittleFe(), Options{
+	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{
 		Scheduler:     "torque",
 		OptionalRolls: OptionalRollNames,
 	})
@@ -115,7 +115,7 @@ func TestXCBCOnKansasScale(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	c := cluster.NewKansas()
-	d, err := BuildXCBC(eng, c, Options{Scheduler: "slurm"})
+	d, err := BuildXCBCContext(t.Context(), eng, c, Options{Scheduler: "slurm"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package mpi implements a small message-passing runtime in the spirit of
 // MPI: a fixed set of ranks executing the same function, point-to-point
 // sends/receives with tag matching, and the collectives (broadcast,
-// reduce, allreduce, gather) the XCBC software stack exists to support.
+// reduce, allreduce) the XCBC software stack exists to support.
 // Ranks run as goroutines and exchange data over channels.
 //
 // Each communicator also carries an analytic network cost model: every
@@ -53,9 +53,6 @@ func NewWorld(n int, net cluster.Network) (*World, error) {
 	}
 	return w, nil
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // Run executes fn on every rank concurrently and waits for all to return.
 // Any rank panicking is recovered and returned as an error naming the rank.
@@ -138,36 +135,28 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 }
 
 // Recv blocks until a message from rank src with the given tag arrives and
-// returns its payload. Pass AnySource or AnyTag to match any.
-func (c *Comm) Recv(src, tag int) ([]float64, int, error) {
+// returns its payload.
+func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	// First scan the unexpected-message queue.
 	for i, m := range c.pending {
 		if matches(m, src, tag) {
 			c.pending = append(c.pending[:i:i], c.pending[i+1:]...)
-			return m.data, m.from, nil
+			return m.data, nil
 		}
 	}
 	for {
 		m, ok := <-c.world.boxes[c.rank]
 		if !ok {
-			return nil, -1, fmt.Errorf("mpi: rank %d inbox closed", c.rank)
+			return nil, fmt.Errorf("mpi: rank %d inbox closed", c.rank)
 		}
 		if matches(m, src, tag) {
-			return m.data, m.from, nil
+			return m.data, nil
 		}
 		c.pending = append(c.pending, m)
 	}
 }
 
-// Wildcards for Recv.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
-func matches(m message, src, tag int) bool {
-	return (src == AnySource || m.from == src) && (tag == AnyTag || m.tag == tag)
-}
+func matches(m message, src, tag int) bool { return m.from == src && m.tag == tag }
 
 const bcastTag = -1000
 
@@ -187,7 +176,7 @@ func (c *Comm) Bcast(root int, buf []float64) error {
 	// Receive from parent (except virtual root).
 	if vrank != 0 {
 		parent := (parentOf(vrank) + root) % size
-		data, _, err := c.Recv(parent, bcastTag)
+		data, err := c.Recv(parent, bcastTag)
 		if err != nil {
 			return err
 		}
@@ -247,9 +236,11 @@ func (c *Comm) Reduce(root int, buf []float64, op ReduceOp) error {
 	vrank := (c.rank - root + size) % size
 	children := childrenOf(vrank, size)
 	acc := append([]float64(nil), buf...)
-	// Children arrive in any order; tag disambiguates the collective.
-	for range children {
-		data, _, err := c.Recv(AnySource, reduceTag)
+	// Fold the children in ascending rank, never in arrival order:
+	// floating-point addition is not associative, so a fixed order is what
+	// makes the result the same bits on every run.
+	for _, vchild := range children {
+		data, err := c.Recv((vchild+root)%size, reduceTag)
 		if err != nil {
 			return err
 		}
@@ -275,24 +266,4 @@ func (c *Comm) Allreduce(buf []float64, op ReduceOp) error {
 		return err
 	}
 	return c.Bcast(0, buf)
-}
-
-const gatherTag = -1002
-
-// Gather concatenates every rank's buffer at root, ordered by rank. Only
-// root's return value is non-nil.
-func (c *Comm) Gather(root int, buf []float64) ([][]float64, error) {
-	if c.rank != root {
-		return nil, c.Send(root, gatherTag, buf)
-	}
-	out := make([][]float64, c.world.size)
-	out[root] = append([]float64(nil), buf...)
-	for i := 0; i < c.world.size-1; i++ {
-		data, from, err := c.Recv(AnySource, gatherTag)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = data
-	}
-	return out, nil
 }

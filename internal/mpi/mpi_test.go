@@ -22,8 +22,8 @@ func TestWorldSizeValidation(t *testing.T) {
 		t.Fatal("size 0 should fail")
 	}
 	w := world(t, 3)
-	if w.Size() != 3 {
-		t.Fatalf("Size = %d", w.Size())
+	if w.size != 3 {
+		t.Fatalf("size = %d", w.size)
 	}
 }
 
@@ -33,12 +33,12 @@ func TestSendRecv(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, []float64{1, 2, 3})
 		}
-		data, from, err := c.Recv(0, 7)
+		data, err := c.Recv(0, 7)
 		if err != nil {
 			return err
 		}
-		if from != 0 || len(data) != 3 || data[2] != 3 {
-			return fmt.Errorf("got %v from %d", data, from)
+		if len(data) != 3 || data[2] != 3 {
+			return fmt.Errorf("got %v", data)
 		}
 		return nil
 	})
@@ -58,10 +58,10 @@ func TestSendCopiesBuffer(t *testing.T) {
 			buf[0] = -1 // mutate after send; receiver must see 42
 			return c.Send(1, 1, nil)
 		}
-		if _, _, err := c.Recv(0, 1); err != nil { // rank 0 has mutated by now
+		if _, err := c.Recv(0, 1); err != nil { // rank 0 has mutated by now
 			return err
 		}
-		data, _, err := c.Recv(0, 0)
+		data, err := c.Recv(0, 0)
 		if err != nil {
 			return err
 		}
@@ -84,11 +84,11 @@ func TestRecvTagMatchingOutOfOrder(t *testing.T) {
 			return nil
 		}
 		// Receive tag 2 first even though tag 1 arrives first.
-		d2, _, err := c.Recv(0, 2)
+		d2, err := c.Recv(0, 2)
 		if err != nil {
 			return err
 		}
-		d1, _, err := c.Recv(0, 1)
+		d1, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
@@ -207,29 +207,41 @@ func TestAllreduceMaxMin(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w := world(t, 5)
-	err := w.Run(func(c *Comm) error {
-		buf := []float64{float64(c.Rank() * 100)}
-		got, err := c.Gather(2, buf)
-		if err != nil {
-			return err
+// TestAllreduceIsDeterministic holds a floating-point sum to one result:
+// with these magnitudes the order of the additions decides the answer, so a
+// reduce that folded its children in arrival order returned 6.2 or 6.0
+// depending on goroutine scheduling.
+func TestAllreduceIsDeterministic(t *testing.T) {
+	vals := []float64{0.1, 1e16, 3, -1e16, 0.7, 1, 0.2, 0.3}
+	// The serial fold the binomial tree performs: each rank adds its
+	// children's subtree sums to its own value, lowest child first.
+	var fold func(v int) float64
+	fold = func(v int) float64 {
+		acc := vals[v]
+		for _, child := range childrenOf(v, len(vals)) {
+			acc = OpSum(acc, fold(child))
 		}
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root should get nil")
+		return acc
+	}
+	want := fold(0)
+	if math.Abs(want-6.2) > 1e-9 {
+		t.Fatalf("serial tree fold = %v, want 6.2", want)
+	}
+	for run := 0; run < 2000; run++ {
+		w := world(t, len(vals))
+		err := w.Run(func(c *Comm) error {
+			buf := []float64{vals[c.Rank()]}
+			if err := c.Allreduce(buf, OpSum); err != nil {
+				return err
+			}
+			if math.Float64bits(buf[0]) != math.Float64bits(want) {
+				return fmt.Errorf("rank %d allreduce = %v, want %v", c.Rank(), buf[0], want)
 			}
 			return nil
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
-		for r := 0; r < 5; r++ {
-			if len(got[r]) != 1 || got[r][0] != float64(r*100) {
-				return fmt.Errorf("gather[%d] = %v", r, got[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -244,7 +256,7 @@ func TestRingPass(t *testing.T) {
 			if err := c.Send(next, 0, []float64{0}); err != nil {
 				return err
 			}
-			data, _, err := c.Recv(prev, 0)
+			data, err := c.Recv(prev, 0)
 			if err != nil {
 				return err
 			}
@@ -253,7 +265,7 @@ func TestRingPass(t *testing.T) {
 			}
 			return nil
 		}
-		data, _, err := c.Recv(prev, 0)
+		data, err := c.Recv(prev, 0)
 		if err != nil {
 			return err
 		}
@@ -270,7 +282,7 @@ func TestCommTimeModel(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 0, make([]float64, 125000)) // 1 MB
 		}
-		_, _, err := c.Recv(0, 0)
+		_, err := c.Recv(0, 0)
 		return err
 	})
 	if err != nil {
@@ -291,7 +303,7 @@ func TestFasterNetworkChargesLess(t *testing.T) {
 			if c.Rank() == 0 {
 				return c.Send(1, 0, make([]float64, 1<<16))
 			}
-			_, _, err := c.Recv(0, 0)
+			_, err := c.Recv(0, 0)
 			return err
 		})
 		return w.MaxCommSeconds()

@@ -37,6 +37,11 @@ func ParseEVR(s string) (EVR, error) {
 	if i := strings.LastIndexByte(rest, '-'); i >= 0 {
 		evr.Version = rest[:i]
 		evr.Release = rest[i+1:]
+		// String omits an empty release, so "1-2-" would print as "1-2"
+		// and parse back as a different EVR.
+		if evr.Release == "" {
+			return EVR{}, fmt.Errorf("rpm: empty release in %q", s)
+		}
 	} else {
 		evr.Version = rest
 	}

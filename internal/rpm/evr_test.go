@@ -1,9 +1,8 @@
 package rpm
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestVercmpTable(t *testing.T) {
@@ -80,53 +79,66 @@ func TestVercmpTable(t *testing.T) {
 	}
 }
 
+// propertyRuns is how many generated cases each Vercmp and Compare property
+// checks.
+const propertyRuns = 2000
+
 func TestVercmpPropertyAntisymmetric(t *testing.T) {
-	f := func(a, b versionString) bool {
-		return Vercmp(string(a), string(b)) == -Vercmp(string(b), string(a))
-	}
-	if err := quick.Check(f, quickConfig()); err != nil {
-		t.Error(err)
+	rng := rand.New(rand.NewPCG(42, 0))
+	for range propertyRuns {
+		a, b := genVersion(rng), genVersion(rng)
+		if Vercmp(a, b) != -Vercmp(b, a) {
+			t.Fatalf("Vercmp(%q, %q) = %d but Vercmp(%q, %q) = %d", a, b, Vercmp(a, b), b, a, Vercmp(b, a))
+		}
+		x, y := genEVR(rng), genEVR(rng)
+		if x.Compare(y) != -y.Compare(x) {
+			t.Fatalf("%+v.Compare(%+v) = %d but the reverse is %d", x, y, x.Compare(y), y.Compare(x))
+		}
 	}
 }
 
 func TestVercmpPropertyReflexive(t *testing.T) {
-	f := func(a versionString) bool { return Vercmp(string(a), string(a)) == 0 }
-	if err := quick.Check(f, quickConfig()); err != nil {
-		t.Error(err)
+	rng := rand.New(rand.NewPCG(42, 0))
+	for range propertyRuns {
+		if a := genVersion(rng); Vercmp(a, a) != 0 {
+			t.Fatalf("Vercmp(%q, %q) = %d, want 0", a, a, Vercmp(a, a))
+		}
 	}
 }
 
 func TestVercmpPropertyTransitiveOnTriples(t *testing.T) {
-	f := func(a, b, c versionString) bool {
-		x, y, z := string(a), string(b), string(c)
-		if Vercmp(x, y) <= 0 && Vercmp(y, z) <= 0 {
-			return Vercmp(x, z) <= 0
+	rng := rand.New(rand.NewPCG(42, 0))
+	for range propertyRuns {
+		a, b, c := genVersion(rng), genVersion(rng), genVersion(rng)
+		if Vercmp(a, b) <= 0 && Vercmp(b, c) <= 0 && Vercmp(a, c) > 0 {
+			t.Fatalf("%q <= %q <= %q but Vercmp(%q, %q) = %d", a, b, c, a, c, Vercmp(a, c))
 		}
-		return true
-	}
-	if err := quick.Check(f, quickConfig()); err != nil {
-		t.Error(err)
+		x, y, z := genEVR(rng), genEVR(rng), genEVR(rng)
+		if x.Compare(y) <= 0 && y.Compare(z) <= 0 && x.Compare(z) > 0 {
+			t.Fatalf("%+v <= %+v <= %+v but Compare of the ends = %d", x, y, z, x.Compare(z))
+		}
 	}
 }
 
-// versionString generates realistic version strings for property tests.
-type versionString string
-
-func (versionString) Generate(r *rand.Rand, _ int) interface{} {
+// genVersion generates realistic version strings for property tests.
+func genVersion(r *rand.Rand) string {
 	pieces := []string{"0", "1", "2", "10", "04", "a", "b", "rc", "git", "el6", "p", "~", "^", ".", "-", "_"}
-	n := 1 + r.Intn(6)
 	s := ""
-	for i := 0; i < n; i++ {
-		s += pieces[r.Intn(len(pieces))]
+	for range 1 + r.IntN(6) {
+		s += pieces[r.IntN(len(pieces))]
 	}
-	if s == "" {
-		s = "1"
-	}
-	return versionString(s)
+	return s
 }
 
-func quickConfig() *quick.Config {
-	return &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(42))}
+// genEVR generates an (epoch, version, release) triple. Half the versions
+// are "1.0", so that pairs often tie on epoch and version and the release
+// decides.
+func genEVR(r *rand.Rand) EVR {
+	v := genVersion(r)
+	if r.IntN(2) == 0 {
+		v = "1.0"
+	}
+	return EVR{Epoch: r.IntN(3), Version: v, Release: genVersion(r)}
 }
 
 func TestParseEVR(t *testing.T) {
@@ -144,6 +156,8 @@ func TestParseEVR(t *testing.T) {
 		{":1.0", EVR{}, true},
 		{"x:1.0", EVR{}, true},
 		{"-1", EVR{}, true},
+		{"1-2-", EVR{}, true},
+		{"1.0-", EVR{}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseEVR(c.in)

@@ -2,9 +2,8 @@ package rpm
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 // Property tests on the transaction machinery: whatever random operation
@@ -27,18 +26,18 @@ func dbFingerprint(db *DB) string {
 
 // randomUniverse builds a pool of interdependent packages.
 func randomUniverse(rng *rand.Rand) []*Package {
-	n := 6 + rng.Intn(10)
+	n := 6 + rng.IntN(10)
 	pkgs := make([]*Package, 0, n)
 	for i := 0; i < n; i++ {
-		b := NewPackage(fmt.Sprintf("pkg%c", 'a'+i%26), fmt.Sprintf("%d.%d-%d", 1+rng.Intn(3), rng.Intn(10), 1+rng.Intn(5)), ArchX86_64)
+		b := NewPackage(fmt.Sprintf("pkg%c", 'a'+i%26), fmt.Sprintf("%d.%d-%d", 1+rng.IntN(3), rng.IntN(10), 1+rng.IntN(5)), ArchX86_64)
 		// Depend on up to two earlier packages (guarantees resolvability
 		// when installing prefix-closed sets).
-		for d := 0; d < rng.Intn(3) && i > 0; d++ {
-			dep := pkgs[rng.Intn(len(pkgs))]
+		for d := 0; d < rng.IntN(3) && i > 0; d++ {
+			dep := pkgs[rng.IntN(len(pkgs))]
 			b.Requires(Cap(dep.Name))
 		}
-		if rng.Intn(4) == 0 {
-			b.Files(fmt.Sprintf("/usr/lib/lib%d.so", rng.Intn(5)))
+		if rng.IntN(4) == 0 {
+			b.Files(fmt.Sprintf("/usr/lib/lib%d.so", rng.IntN(5)))
 		}
 		p := b.Build()
 		pkgs = append(pkgs, p)
@@ -47,13 +46,12 @@ func randomUniverse(rng *rand.Rand) []*Package {
 }
 
 func TestTransactionAtomicityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f := func(rng *rand.Rand) bool {
 		pkgs := randomUniverse(rng)
 		db := NewDB()
 		// Seed with a valid prefix (install in order so deps exist).
 		var seedTx Transaction
-		cut := rng.Intn(len(pkgs))
+		cut := rng.IntN(len(pkgs))
 		seen := map[string]bool{}
 		for _, p := range pkgs[:cut] {
 			if !seen[p.Name] {
@@ -74,12 +72,12 @@ func TestTransactionAtomicityProperty(t *testing.T) {
 		before := dbFingerprint(db)
 		// Random follow-up transaction: mix of installs/erases.
 		var tx Transaction
-		for i := 0; i < 1+rng.Intn(4); i++ {
-			if rng.Intn(2) == 0 && db.Len() > 0 {
+		for i := 0; i < 1+rng.IntN(4); i++ {
+			if rng.IntN(2) == 0 && db.Len() > 0 {
 				installed := db.Installed()
-				tx.Erase(installed[rng.Intn(len(installed))])
+				tx.Erase(installed[rng.IntN(len(installed))])
 			} else {
-				tx.Install(pkgs[rng.Intn(len(pkgs))])
+				tx.Install(pkgs[rng.IntN(len(pkgs))])
 			}
 		}
 		err := tx.Run(db)
@@ -91,15 +89,11 @@ func TestTransactionAtomicityProperty(t *testing.T) {
 		// Success: dependency closure must hold.
 		return len(db.UnmetRequires()) == 0
 	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(17))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	checkSeeds(t, 17, 300, f)
 }
 
 func TestDBCloneFingerprintProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f := func(rng *rand.Rand) bool {
 		pkgs := randomUniverse(rng)
 		db := NewDB()
 		for _, p := range pkgs {
@@ -115,8 +109,18 @@ func TestDBCloneFingerprintProperty(t *testing.T) {
 		}
 		return db.Len() != clone.Len() || db.Len() == 0
 	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(23))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	checkSeeds(t, 23, 200, f)
+}
+
+// checkSeeds runs prop on n generators, each seeded from one PCG seeded
+// with seed, and fails on the first seed that breaks it.
+func checkSeeds(t *testing.T, seed uint64, n int, prop func(*rand.Rand) bool) {
+	t.Helper()
+	seeds := rand.New(rand.NewPCG(seed, 0))
+	for range n {
+		s := seeds.Uint64()
+		if !prop(rand.New(rand.NewPCG(s, 0))) {
+			t.Fatalf("property fails for seed %d", s)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 func healthyDeployment(t *testing.T) (*core.Deployment, *Checker) {
 	t.Helper()
 	eng := sim.NewEngine()
-	d, err := core.BuildXCBC(eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
+	d, err := core.BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), core.Options{Scheduler: "torque"})
 	if err != nil {
 		t.Fatal(err)
 	}
