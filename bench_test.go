@@ -390,31 +390,6 @@ func BenchmarkDepsolveCold(b *testing.B) {
 	b.ReportMetric(float64(txLen), "tx_elements")
 }
 
-// BenchmarkDepsolveWarm measures steady-state resolution against warm
-// repository indexes and set caches — the per-request cost an API server
-// pays after the first depsolve.
-func BenchmarkDepsolveWarm(b *testing.B) {
-	xnit, err := core.NewXNITRepository()
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := repo.NewSet(repo.Config{Repo: xnit, Priority: core.XNITPriority, Enabled: true})
-	// Warm the caches so the loop measures only steady-state work.
-	if _, err := depsolve.New(set, rpm.NewDB()).Install("gromacs", "trinity", "octave", "R-devel"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var txLen int
-	for i := 0; i < b.N; i++ {
-		tx, err := depsolve.New(set, rpm.NewDB()).Install("gromacs", "trinity", "octave", "R-devel")
-		if err != nil {
-			b.Fatal(err)
-		}
-		txLen = tx.Len()
-	}
-	b.ReportMetric(float64(txLen), "tx_elements")
-}
-
 // BenchmarkWhoProvidesIndexed measures capability lookups against the
 // repository's provider index: the virtual capability ("mpi") and the
 // self-provide paths.

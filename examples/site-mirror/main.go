@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.Repos().Add(repo.Config{Repo: mirror.Local, Priority: xcbc.XNITPriority, Enabled: true, GPGCheck: true})
+	d.Repos().Add(repo.Config{Repo: mirror.Local, Priority: xcbc.XNITPriority, Enabled: true})
 
 	// Upstream publishes a security gcc and a feature R; the mirror follows.
 	err = upstream.Publish(

@@ -38,7 +38,7 @@ func NewXNITRepository() (*repo.Repository, error) {
 // recommended priority, and create the XSEDE directory layout. It does not
 // install any scientific software yet — that is the administrator's choice.
 func ConfigureXNIT(d *Deployment, xnitRepo *repo.Repository) {
-	d.Repos.Add(repo.Config{Repo: xnitRepo, Priority: XNITPriority, Enabled: true, GPGCheck: true})
+	d.Repos.Add(repo.Config{Repo: xnitRepo, Priority: XNITPriority, Enabled: true})
 	for _, n := range d.Cluster.Nodes() {
 		// The XSEDE path conventions arrive with the repo configuration
 		// package (they are %post scriptlets in the real repo RPM).

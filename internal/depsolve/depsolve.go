@@ -169,8 +169,8 @@ func (r *Resolver) CheckUpdates() []Update {
 		if inst != r.DB.Newest(inst.Name) {
 			continue // only report against the newest installed build
 		}
-		// The offering repository comes straight from the set's cached
-		// resolution view instead of a per-package scan over Enabled().
+		// The offering repository comes straight from the set's shadowing
+		// winner instead of a per-package scan over Enabled().
 		best, repoID := r.Repos.BestWithRepo(inst.Name)
 		if best == nil || best.EVR.Compare(inst.EVR) <= 0 {
 			continue

@@ -319,7 +319,7 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 // TestResolveAcrossEnableDisable flips repository availability between
-// resolutions against one long-lived resolver: the set's cached views must
+// resolutions against one long-lived resolver: the set's enabled view must
 // track every toggle, and a mid-sequence publish must surface immediately.
 func TestResolveAcrossEnableDisable(t *testing.T) {
 	set, db := fixture()

@@ -1,6 +1,8 @@
 package repo
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"xcbc/internal/rpm"
@@ -9,7 +11,7 @@ import (
 // TestIndexInvalidationPublishRetract walks the full invalidation cycle:
 // publish -> resolve -> retract -> resolve -> republish -> resolve. Every
 // query must reflect the repository content at the time of the call, not a
-// stale index or cached view.
+// stale index.
 func TestIndexInvalidationPublishRetract(t *testing.T) {
 	r := New("xsede", "XSEDE NIT", "")
 	s := NewSet(Config{Repo: r, Priority: 50, Enabled: true})
@@ -71,9 +73,9 @@ func TestIndexInvalidationPublishRetract(t *testing.T) {
 	}
 }
 
-// TestSetCachedViewInvalidation exercises the Set-level caches across
-// configuration changes: enable/disable and add/remove must be visible to
-// the next resolution.
+// TestSetCachedViewInvalidation exercises the Set's enabled view across
+// configuration changes: enable/disable must be visible to the next
+// resolution.
 func TestSetCachedViewInvalidation(t *testing.T) {
 	vendor := New("vendor", "Vendor", "")
 	xsede := New("xsede", "XSEDE NIT", "")
@@ -103,5 +105,55 @@ func TestSetCachedViewInvalidation(t *testing.T) {
 	s.Enable("vendor", true)
 	if got := s.Best("gcc"); got != vendorGCC {
 		t.Fatalf("after re-enable: Best = %v, want vendor's gcc", got)
+	}
+}
+
+// TestSetRetainsNothingPerLookup pins that resolution keeps no per-lookup
+// state. Lookup names arrive from untrusted /api/v1/depsolve bodies, so a
+// long-lived server answering distinct misses must not grow: 4,000 missed
+// Best calls and 4,000 missed versioned BestProvider calls may leave at most
+// 64 KB more live heap behind.
+func TestSetRetainsNothingPerLookup(t *testing.T) {
+	vendor := New("vendor", "Vendor", "")
+	xsede := New("xsede", "XSEDE NIT", "")
+	if err := vendor.Publish(rpm.NewPackage("gcc", "4.4.7-4.el6", rpm.ArchX86_64).Build()); err != nil {
+		t.Fatal(err)
+	}
+	if err := xsede.Publish(rpm.NewPackage("openmpi", "1.6.4-3.el6", rpm.ArchX86_64).
+		Provides(rpm.Cap("mpi")).Build()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSet(
+		Config{Repo: vendor, Priority: 10, Enabled: true},
+		Config{Repo: xsede, Priority: 50, Enabled: true},
+	)
+
+	const lookups = 4000
+	names := make([]string, lookups)
+	caps := make([]rpm.Capability, lookups)
+	for i := range names {
+		names[i] = fmt.Sprintf("missing-%d", i)
+		caps[i] = rpm.CapVer("gcc", rpm.GE, fmt.Sprintf("9.%d-1", i))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range names {
+		if p := s.Best(names[i]); p != nil {
+			t.Fatalf("Best(%s) = %v, want a miss", names[i], p)
+		}
+		if p := s.BestProvider(caps[i]); p != nil {
+			t.Fatalf("BestProvider(%s) = %v, want a miss", caps[i], p)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(names)
+	runtime.KeepAlive(caps)
+
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Errorf("retained heap grew %d KB over %d missed lookups of each kind, want < 64 KB", grew>>10, lookups)
 	}
 }

@@ -7,9 +7,9 @@
 //
 // Resolution queries are indexed: repositories keep per-name build lists
 // pre-sorted and maintain a capability-name -> providers index at
-// Publish/Retract time, and Set caches its priority-sorted enabled view plus
-// per-name/per-capability resolution results, invalidated by the member
-// repositories' revision counters. See DESIGN.md, "Performance & indexing".
+// Publish/Retract time, and Set resolves straight from those indexes over an
+// immutable priority-sorted enabled view that Add and Enable republish. See
+// DESIGN.md, "Performance & indexing".
 package repo
 
 import (
@@ -129,8 +129,8 @@ func insertCopy(ps []*rpm.Package, p *rpm.Package) []*rpm.Package {
 }
 
 // Revision returns a counter that changes whenever repository content
-// changes; clients use it to detect staleness. It reads lock-free: revision
-// validation sits on the resolution fast path.
+// changes; clients use it to detect staleness (the repomd metadata, the
+// API's repository listing and mirror sync). It reads lock-free.
 func (r *Repository) Revision() int {
 	return int(r.revision.Load())
 }
@@ -153,8 +153,8 @@ func (r *Repository) Get(name string) []*rpm.Package {
 // Newest returns the newest build of a named package, or nil.
 func (r *Repository) Newest(name string) *rpm.Package {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ps := r.packages[name]
+	r.mu.RUnlock()
 	if len(ps) == 0 {
 		return nil
 	}
@@ -237,34 +237,16 @@ type Config struct {
 // Set is an ordered collection of repository configurations — the client's
 // complete yum.repos.d. Priority shadowing is applied across repositories.
 // It is safe for concurrent use: the control API mutates it (enable/disable,
-// add, remove) while depsolve requests read it.
+// add) while depsolve requests read it.
 //
-// The priority-sorted enabled view and per-name/per-capability resolution
-// results are cached. The view is invalidated by Add/Remove/Enable; the
-// resolution caches additionally by member-repository revision bumps,
-// detected through the aggregate revision counter.
+// Add and Enable rebuild the priority-sorted enabled view under the lock and
+// publish it as an immutable snapshot, so resolution takes no Set lock and
+// reads member repositories through their own indexes.
 type Set struct {
 	mu      sync.RWMutex
 	configs []Config
-
-	view     []Config                        // priority-sorted enabled view; nil when stale
-	cacheRev uint64                          // aggregate member revision the caches were built at
-	best     map[string]bestEntry            // name -> shadowing winner (including misses)
-	prov     map[rpm.Capability]*rpm.Package // capability -> best provider (including misses)
+	view    atomic.Pointer[[]Config] // priority-sorted enabled view; never mutated once stored
 }
-
-// bestEntry is one cached Best result: the winning package and the ID of the
-// repository offering it. A nil pkg caches a miss.
-type bestEntry struct {
-	pkg    *rpm.Package
-	repoID string
-}
-
-// maxCacheEntries bounds each resolution cache. Misses are cached too, and
-// lookup names arrive from untrusted API requests, so an unbounded map would
-// grow forever on a long-lived server with static repositories; at the
-// bound the cache is flushed and rebuilds from the repository indexes.
-const maxCacheEntries = 4096
 
 // NewSet builds a set from configs.
 func NewSet(configs ...Config) *Set {
@@ -284,7 +266,7 @@ func (s *Set) Add(c Config) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.configs = append(s.configs, c)
-	s.invalidateLocked()
+	s.publishLocked()
 }
 
 // Enable toggles a repository by ID, reporting whether it was found.
@@ -295,7 +277,7 @@ func (s *Set) Enable(id string, enabled bool) bool {
 		if c.Repo.ID == id {
 			if s.configs[i].Enabled != enabled {
 				s.configs[i].Enabled = enabled
-				s.invalidateLocked()
+				s.publishLocked()
 			}
 			return true
 		}
@@ -303,64 +285,25 @@ func (s *Set) Enable(id string, enabled bool) bool {
 	return false
 }
 
-// invalidateLocked drops the cached view and resolution results after a
-// configuration change. Callers hold the write lock.
-func (s *Set) invalidateLocked() {
-	s.view = nil
-	s.best = nil
-	s.prov = nil
-}
-
-// memberRev sums the member repositories' revision counters. Revisions only
-// grow, so the sum changes whenever any member's content changes. Callers
-// hold either lock.
-func (s *Set) memberRev() uint64 {
-	var rev uint64
+// publishLocked rebuilds the enabled view: enabled configurations sorted by
+// priority, ties broken by configuration order. Callers hold the write lock.
+func (s *Set) publishLocked() {
+	v := make([]Config, 0, len(s.configs))
 	for _, c := range s.configs {
-		rev += uint64(c.Repo.Revision())
-	}
-	return rev
-}
-
-// viewLocked returns the priority-sorted enabled view, rebuilding it if
-// stale. Callers hold the write lock. The view is immutable once built.
-func (s *Set) viewLocked() []Config {
-	if s.view == nil {
-		v := make([]Config, 0, len(s.configs))
-		for _, c := range s.configs {
-			if c.Enabled {
-				v = append(v, c)
-			}
+		if c.Enabled {
+			v = append(v, c)
 		}
-		sort.SliceStable(v, func(i, j int) bool { return v[i].Priority < v[j].Priority })
-		s.view = v
 	}
-	return s.view
+	sort.SliceStable(v, func(i, j int) bool { return v[i].Priority < v[j].Priority })
+	s.view.Store(&v)
 }
 
-// cachedView returns the enabled view, taking the write lock only on a
-// cache miss. The returned slice must not be modified.
-func (s *Set) cachedView() []Config {
-	s.mu.RLock()
-	v := s.view
-	s.mu.RUnlock()
-	if v != nil {
-		return v
+// enabled returns the current enabled view. The slice must not be modified.
+func (s *Set) enabled() []Config {
+	if v := s.view.Load(); v != nil {
+		return *v
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewLocked()
-}
-
-// revalidateLocked flushes the resolution caches if any member repository
-// has changed since they were built. Callers hold the write lock.
-func (s *Set) revalidateLocked() {
-	rev := s.memberRev()
-	if s.best == nil || s.prov == nil || rev != s.cacheRev {
-		s.best = make(map[string]bestEntry)
-		s.prov = make(map[rpm.Capability]*rpm.Package)
-		s.cacheRev = rev
-	}
+	return nil
 }
 
 // Lookup returns the configured repository with the given ID, or nil.
@@ -378,7 +321,7 @@ func (s *Set) Lookup(id string) *Repository {
 // Enabled returns the enabled configurations sorted by priority (best first),
 // ties broken by configuration order.
 func (s *Set) Enabled() []Config {
-	v := s.cachedView()
+	v := s.enabled()
 	if len(v) == 0 {
 		return nil
 	}
@@ -400,88 +343,45 @@ func (s *Set) Best(name string) *rpm.Package {
 }
 
 // BestWithRepo returns the best candidate for a name together with the ID of
-// the repository offering it ("" when not found). Results are cached until a
-// configuration change or a member-repository revision bump.
+// the repository offering it ("" when not found).
 func (s *Set) BestWithRepo(name string) (*rpm.Package, string) {
-	s.mu.RLock()
-	if s.best != nil && s.memberRev() == s.cacheRev {
-		if e, ok := s.best[name]; ok {
-			s.mu.RUnlock()
-			return e.pkg, e.repoID
-		}
-	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.revalidateLocked()
-	e := s.bestLocked(name)
-	return e.pkg, e.repoID
+	return bestIn(s.enabled(), name)
 }
 
-// bestLocked computes (or returns the cached) shadowing winner for a name.
-// Callers hold the write lock with the caches revalidated.
-func (s *Set) bestLocked(name string) bestEntry {
-	if e, ok := s.best[name]; ok {
-		return e
-	}
-	var e bestEntry
+// bestIn applies priority shadowing over an enabled view: only the
+// repositories at the best priority carrying the name compete, and the
+// newest build among them wins.
+func bestIn(view []Config, name string) (best *rpm.Package, repoID string) {
 	bestPrio := -1
-	for _, c := range s.viewLocked() {
+	for _, c := range view {
 		if bestPrio != -1 && c.Priority != bestPrio {
 			break
 		}
-		ps := c.Repo.Get(name)
-		if len(ps) == 0 {
+		p := c.Repo.Newest(name)
+		if p == nil {
 			continue
 		}
 		bestPrio = c.Priority
-		if head := ps[0]; e.pkg == nil || rpm.PackageLess(head, e.pkg) {
-			e.pkg, e.repoID = head, c.Repo.ID
+		if best == nil || rpm.PackageLess(p, best) {
+			best, repoID = p, c.Repo.ID
 		}
 	}
-	if len(s.best) >= maxCacheEntries {
-		s.best = make(map[string]bestEntry)
-	}
-	s.best[name] = e
-	return e
+	return best, repoID
 }
 
 // BestProvider returns the best package satisfying a capability. Named
 // lookups go through priority shadowing; pure capability lookups scan all
-// enabled repositories in priority order. Results are cached like
-// BestWithRepo's.
+// enabled repositories in priority order.
 func (s *Set) BestProvider(req rpm.Capability) *rpm.Package {
-	s.mu.RLock()
-	if s.prov != nil && s.memberRev() == s.cacheRev {
-		if p, ok := s.prov[req]; ok {
-			s.mu.RUnlock()
+	view := s.enabled()
+	// Prefer a package whose own name matches, like Yum.
+	if p, _ := bestIn(view, req.Name); p != nil && p.ProvidesCap(req) {
+		return p
+	}
+	for _, c := range view {
+		if p := c.Repo.FirstProvider(req); p != nil {
 			return p
 		}
 	}
-	s.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.revalidateLocked()
-	if p, ok := s.prov[req]; ok {
-		return p
-	}
-	var out *rpm.Package
-	// Prefer a package whose own name matches, like Yum.
-	if e := s.bestLocked(req.Name); e.pkg != nil && e.pkg.ProvidesCap(req) {
-		out = e.pkg
-	} else {
-		for _, c := range s.viewLocked() {
-			if p := c.Repo.FirstProvider(req); p != nil {
-				out = p
-				break
-			}
-		}
-	}
-	if len(s.prov) >= maxCacheEntries {
-		s.prov = make(map[rpm.Capability]*rpm.Package)
-	}
-	s.prov[req] = out
-	return out
+	return nil
 }

@@ -58,10 +58,10 @@ func TestSetConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestSetConcurrentPublishResolve hammers the cached resolution paths
+// TestSetConcurrentPublishResolve hammers the resolution paths
 // (Best/BestWithRepo/BestProvider) while member repositories
-// publish and retract and configurations toggle — the index-invalidation
-// race surface. Run with -race.
+// publish and retract and configurations toggle, so lookups race the
+// repository indexes and the Set's view swap. Run with -race.
 func TestSetConcurrentPublishResolve(t *testing.T) {
 	base := New("base", "Base", "")
 	if err := base.Publish(

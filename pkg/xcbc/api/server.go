@@ -314,7 +314,7 @@ func newServer(cfg Config) (*Server, error) {
 		tn.store = newStore(s, tn, cfg)
 	}
 	for _, r := range cfg.Repos {
-		s.set.Add(repo.Config{Repo: r, Priority: xcbc.XNITPriority, Enabled: true, GPGCheck: true})
+		s.set.Add(repo.Config{Repo: r, Priority: xcbc.XNITPriority, Enabled: true})
 	}
 
 	mux := http.NewServeMux()

@@ -37,7 +37,7 @@ run() { # package bench-regex benchtime
 	go test -run '^$' -bench "$2" -benchtime "$3" -count=2 -benchmem "$1" | tee -a "$OUT"
 }
 
-run .                    'BenchmarkDepsolveWarm$|BenchmarkDepsolveGromacsClosure$' 20000x
+run .                    'BenchmarkDepsolveGromacsClosure$' 20000x
 run .                    'BenchmarkUpdateCheck$'            5000x
 run .                    'BenchmarkSimEngine$'              2000x
 run .                    'BenchmarkWhoProvidesIndexed$'     200000x
