@@ -923,14 +923,17 @@ func awaitBody(b testing.TB, call func(method, path, body string, want int) []by
 // settled 20-member fleet with one rolling-update run, built once and
 // snapshotted whole. An iteration of /listed is api.Open, a list of every
 // deployment and fleet through the handler, and Close — snapshot decode,
-// 64 rebuilds with their ops replayed, the fleet re-provisioned and its run
-// restored, all finished because the lists wait for them, so allocs/op
-// counts the same work however far the background warmer got. /first is
-// api.Open up to the first /healthz body, the part a restart waits for
-// (Close is not timed). snapshot-bytes is what one recovery reads from disk.
-// /history is /first on the same population with 16 jobs per deployment,
-// the op-log weight crash_recover's deployments reach late in a run, all of
-// which rides in the snapshot recovery decodes.
+// 64 rows rendered from their journaled summaries with no deployment
+// built, the fleet re-provisioned and its run restored, finished because
+// the fleet list waits for it, so allocs/op counts the same work however
+// far the background warmer got. /touched is /listed plus GET
+// /api/v1/clusters/d1/jobs before Close: one deployment built on demand
+// and its op replayed. /first is api.Open up to the first /healthz body,
+// the part a restart waits for (Close is not timed). snapshot-bytes is what
+// one recovery reads from disk. /history is /first on the same population
+// with 16 jobs per deployment, the op-log weight crash_recover's
+// deployments reach late in a run, all of which rides in the snapshot
+// recovery decodes.
 func BenchmarkRecoverStanding64(b *testing.B) {
 	const standing, history = 64, 16
 	dir := b.TempDir()
@@ -952,6 +955,25 @@ func BenchmarkRecoverStanding64(b *testing.B) {
 			}
 		}
 		b.ReportMetric(snapshotBytes, "snapshot-bytes")
+	})
+	b.Run("touched", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, rep, err := api.Open(api.Config{DataDir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			checkStanding(b, rep, standing, 1)
+			call := handlerCall(b, s.Handler())
+			call("GET", "/api/v1/deployments?limit=1000", "", http.StatusOK)
+			call("GET", "/api/v1/fleets", "", http.StatusOK)
+			if jobs := call("GET", "/api/v1/clusters/d1/jobs", "", http.StatusOK); !bytes.Contains(jobs, []byte(`"count":1`)) {
+				b.Fatalf("d1 rebuilt without its job: %s", jobs)
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -157,7 +157,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	defer srv.Close()
 	if *dataDir != "" {
-		fmt.Fprintf(stdout, "recovered %s in %v: %d deployments (%d rebuilding, %d archived, %d interrupted, %d resumed, %d ops to replay), %d fleets, %d runs (%d replayed, %d diverged), %d campaigns (%d interrupted)\n",
+		fmt.Fprintf(stdout, "recovered %s in %v: %d deployments (%d ready, built on first use, %d archived, %d interrupted, %d resumed, %d ops to replay), %d fleets, %d runs (%d replayed, %d diverged), %d campaigns (%d interrupted)\n",
 			rec.DataDir, rec.Elapsed.Round(time.Millisecond),
 			rec.Deployments, rec.Rebuilt, rec.Archived, rec.Interrupted, rec.Resumed, rec.OpsReplayed,
 			rec.Fleets, rec.Runs, rec.Replayed, rec.ReplayMismatches,

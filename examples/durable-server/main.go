@@ -52,9 +52,10 @@ func main() {
 	fmt.Println("\nserver 1 killed")
 
 	// 4. Second life: reopen the same directory. Open reports what it
-	// recovered and returns; the cluster is rebuilt from its journaled
-	// create request, and the recorded day-2 operations replayed in order,
-	// in the background, and the first request for it waits for that.
+	// recovered and returns; the ready cluster is restored from its
+	// journaled row, and the first request that needs it live rebuilds it
+	// from its journaled create request and replays the recorded day-2
+	// operations in order.
 	srv2, rep, err := api.Open(api.Config{DataDir: dir})
 	if err != nil {
 		log.Fatal(err)
@@ -62,7 +63,7 @@ func main() {
 	defer srv2.Close()
 	h2 := httptest.NewServer(srv2.Handler())
 	defer h2.Close()
-	fmt.Printf("server 2 recovered %d WAL records in %v: %d deployments (%d rebuilding), %d ops to replay\n",
+	fmt.Printf("server 2 recovered %d WAL records in %v: %d deployments (%d ready, built on first use), %d ops to replay\n",
 		rep.Records, rep.Elapsed.Round(time.Millisecond), rep.Deployments, rep.Rebuilt, rep.OpsReplayed)
 
 	// 5. The recovered state is the same state: job IDs, completion

@@ -34,16 +34,9 @@ type clusterInfo struct {
 
 func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
 	c := &dep.row.Created
-	state, _, _ := dep.status()
-	info := clusterInfo{
-		ID:      c.ID,
-		Cluster: c.Cluster,
-		Site:    c.Site,
-		Nodes:   c.Nodes,
-		State:   state,
-	}
-	cl, err := dep.cluster(state)
-	if err != nil {
+	cl, state, _, _ := dep.cluster()
+	info := clusterInfo{ID: c.ID, Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, State: state}
+	if cl == nil {
 		return info
 	}
 	info.Operable = true
@@ -54,12 +47,19 @@ func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
 	return info
 }
 
-// openCluster resolves {id} to an operable cluster. An unknown ID answers
-// 404. A deployment still pending or building answers 409 Conflict with
-// the current state and a wait hint (clusterctl turns that into exit 2,
-// retryable); one that settled failed or cancelled answers 422, because
-// waiting will never make it operable — the record exists only for
-// inspection and deletion.
+// stateBody is the state a day-2 route refuses (409, 422) or a stream ends on.
+type stateBody struct {
+	BuildError string `json:"build_error,omitempty"`
+	Error      string `json:"error,omitempty"`
+	Hint       string `json:"hint,omitempty"`
+	State      string `json:"state"`
+}
+
+// openCluster resolves {id} to an operable cluster (see deployment.cluster).
+// An unknown ID answers 404. One still pending or building answers 409 with
+// the current state and a wait hint (clusterctl's retryable exit 2); one
+// that settled failed or cancelled answers 422, because waiting will never
+// make it operable — the record exists only for inspection and deletion.
 func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *deployment, *tenant, bool) {
 	tn := s.tenant(r)
 	dep, ok := tn.deployments.get(r.PathValue("id"))
@@ -67,25 +67,19 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
 	}
-	st, berr, settled := dep.status()
-	cl, err := dep.cluster(st)
-	if err != nil {
+	cl, st, berr, settled := dep.cluster()
+	if cl == nil {
 		id := dep.row.Created.ID
-		body := map[string]string{
-			"error": fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st),
-			"state": st,
-		}
+		body := stateBody{Error: fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st), State: st}
 		status := http.StatusConflict
 		if settled {
 			// The build settled without producing a cluster; retrying is
 			// pointless, so this is not the 409 "wait" contract.
 			status = http.StatusUnprocessableEntity
-			body["hint"] = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
-			if berr != "" {
-				body["build_error"] = berr
-			}
+			body.Hint = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
+			body.BuildError = berr
 		} else {
-			body["hint"] = "day-2 operations need state \"ready\"; poll GET /api/" + Version + "/deployments/" + id + " or stream its /events until the build settles"
+			body.Hint = "day-2 operations need state \"ready\"; poll GET /api/" + Version + "/deployments/" + id + " or stream its /events until the build settles"
 		}
 		writeJSON(w, status, body)
 		return nil, nil, nil, false
@@ -193,7 +187,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		jobs = filtered
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(jobs), "jobs": mapSlice(jobs, jobInfoOf)})
+	writeJSON(w, http.StatusOK, struct {
+		Count int       `json:"count"`
+		Jobs  []jobInfo `json:"jobs"`
+	}{len(jobs), mapSlice(jobs, jobInfoOf)})
 }
 
 // jobIDOf reads the {jid} path segment; anything but a positive integer
@@ -392,7 +389,8 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 }
 
 // runOp checks one day-2 op, runs it against cl and renders the body its
-// route answers; a submit also records the job ID it got. The routes and
+// route answers; a submit also records the job ID it got, and an update
+// that applies packages the compat counts it left. The routes and
 // recovery's replay both call it, so a replayed op is checked and run
 // exactly as it was live, in its original order: job IDs, poll counts and
 // the virtual clock land where they were. Metrics and alerts reads are
@@ -454,6 +452,9 @@ func runOp(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
 			return nil, err
 		}
 		check := cl.CheckUpdates(policy, op.At)
+		if policy != xcbc.UpdateNotify { // it applies packages: the row's compat counts follow
+			op.CompatPassed, op.CompatTotal, _ = cl.Deployment().CompatCounts()
+		}
 		out := updatesInfo{
 			Policy:       policy.String(),
 			PendingTotal: check.PendingTotal(),

@@ -120,12 +120,9 @@ func (r *reader) fields(names []string, ptrs ...any) {
 		case *[]clusterOpRec:
 			list(r, p, func(o *clusterOpRec, r *reader) { r.into(o) })
 		case **submitJobRequest:
-			if r.literal("null") {
-				*p = nil
-			} else {
-				*p = cmp.Or(*p, new(submitJobRequest))
-				r.into(*p)
-			}
+			ptr(r, p)
+		case **depSummary:
+			ptr(r, p)
 		case *map[string]*depMirror:
 			if r.literal("null") {
 				*p = nil
@@ -165,6 +162,16 @@ func list[T any](r *reader, p *[]T, elem func(*T, *reader)) {
 		s = []T{}
 	}
 	*p = s
+}
+
+// ptr decodes an object into **p, reusing *p as encoding/json does; null is nil.
+func ptr[T any](r *reader, p **T) {
+	if r.literal("null") {
+		*p = nil
+		return
+	}
+	*p = cmp.Or(*p, new(T))
+	r.into(*p)
 }
 
 // quoted reads a string: the input's own bytes if there is nothing to
@@ -263,7 +270,7 @@ func (r *reader) into(v any) bool {
 		r.fields([]string{"deployments", "fleets", "campaigns", "next_id", "next_fleet_id", "next_campaign_id"},
 			&v.Deployments, &v.Fleets, &v.Campaigns, &v.NextID, &v.NextFleetID, &v.NextCampaignID)
 	case *depMirror:
-		r.fields([]string{"created", "events", "ops", "state", "error"}, &v.Created, &v.Events, &v.Ops, &v.State, &v.Error)
+		r.fields([]string{"created", "events", "ops", "state", "error", "summary"}, &v.Created, &v.Events, &v.Ops, &v.State, &v.Error, &v.Summary)
 	case *depCreatedRec:
 		r.fields([]string{"id", "path", "req", "created", "cluster", "site", "nodes"},
 			&v.ID, &v.Path, &v.Req, &v.Created, &v.Cluster, &v.Site, &v.Nodes)
@@ -276,12 +283,15 @@ func (r *reader) into(v any) bool {
 	case *depEventRec:
 		r.fields([]string{"id", "event"}, &v.ID, &v.Event)
 	case *depSettledRec:
-		r.fields([]string{"id", "state", "error", "events"}, &v.ID, &v.State, &v.Error, &v.Events)
+		r.fields([]string{"id", "state", "error", "events", "summary"}, &v.ID, &v.State, &v.Error, &v.Events, &v.Summary)
+	case *depSummary:
+		r.fields([]string{"scheduler", "packages_installed", "install_duration", "quarantined", "compat_passed", "compat_total", "next_cursor"},
+			&v.Scheduler, &v.PackagesInstalled, &v.InstallDuration, &v.Quarantined, &v.CompatPassed, &v.CompatTotal, &v.NextCursor)
 	case *depDeletedRec:
 		r.fields([]string{"id"}, &v.ID)
 	case *clusterOpRec:
-		r.fields([]string{"id", "op", "job", "job_id", "duration", "policy", "at"},
-			&v.ID, &v.Op, &v.Job, &v.JobID, &v.Duration, &v.Policy, &v.At)
+		r.fields([]string{"id", "op", "job", "job_id", "duration", "policy", "at", "compat_passed", "compat_total"},
+			&v.ID, &v.Op, &v.Job, &v.JobID, &v.Duration, &v.Policy, &v.At, &v.CompatPassed, &v.CompatTotal)
 	case *submitJobRequest:
 		r.fields([]string{"name", "user", "cores", "walltime", "runtime", "script"},
 			&v.Name, &v.User, &v.Cores, &v.Walltime, &v.Runtime, &v.Script)

@@ -40,6 +40,22 @@ func FuzzDecodeJournal(f *testing.F) {
 	for _, data := range hostileJournal {
 		seed(data)
 	}
+	// A ready settlement with its summary, an update with compat counts, and
+	// a snapshot whose ready row carries both.
+	row := &depMirror{Created: depCreatedRec{ID: "d1", Path: "xcbc", Req: createDeploymentRequest{Cluster: "littlefe"}}, State: "ready"}
+	for _, tc := range summaryCases() {
+		data, err := encodeRecord(tc.rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(string(data))
+		tc.rec.apply(&mirror{Deployments: map[string]*depMirror{"d1": row, "d3": row}})
+	}
+	snap, err := json.Marshal(&mirror{Deployments: map[string]*depMirror{"d1": row}, Fleets: map[string]*fleetMirror{}, NextID: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(string(snap))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		got, want, err := decodeJournalAs(journalKinds[int(kind)%len(journalKinds)], data)
 		if err != nil {

@@ -548,7 +548,7 @@ func scenarioResult(doc string) *xcbc.ScenarioResult {
 // defaults), "provision":false against an absent provision (true), and a
 // job submitted with zero cores.
 func TestRecordsRoundTrip(t *testing.T) {
-	for _, tc := range recordCases() {
+	for _, tc := range append(recordCases(), summaryCases()...) {
 		data, err := encodeRecord(tc.rec)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
@@ -572,6 +572,19 @@ type recordCase struct {
 	name, typ  string
 	rec        record
 	has, lacks string
+}
+
+// summaryCases are the records that carry a ready deployment's summary and
+// the compat counts an update that applied packages left.
+func summaryCases() []recordCase {
+	at := time.Date(2015, 9, 8, 12, 0, 0, 0, time.UTC)
+	return []recordCase{
+		{"settled ready", recDeploymentSettled, depSettledRec{ID: "d1", State: "ready", Summary: &depSummary{Scheduler: "torque",
+			PackagesInstalled: 769, InstallDuration: "1h6m37s", Quarantined: []string{"compute-0-3"}, CompatPassed: 44, CompatTotal: 45, NextCursor: 8}},
+			`"summary":{"scheduler":"torque"`, `"events"`},
+		{"applied updates", recClusterOp, clusterOpRec{ID: "d3", Op: "updates", Policy: "auto-apply", At: at, CompatPassed: 19, CompatTotal: 34},
+			`"compat_passed":19,"compat_total":34`, `"job"`},
+	}
 }
 
 // recordCases covers each of the 15 record types at least once.
@@ -623,12 +636,13 @@ func TestEmptyRollsSurviveRestart(t *testing.T) {
 	rolls := func(s *Server) []string {
 		t.Helper()
 		dep, ok := s.openTenant.deployments.get("d1")
-		if !ok || dep.Handle == nil {
+		h := dep.handle()
+		if !ok || h == nil {
 			t.Fatal("d1 is not a live deployment")
 		}
-		d, ok := dep.Handle.Deployment()
+		d, ok := h.Deployment()
 		if !ok {
-			t.Fatalf("d1 is %s, not ready", dep.Handle.Status())
+			t.Fatalf("d1 is %s, not ready", h.Status())
 		}
 		return d.Installer().DB.Distribution().RollNames()
 	}

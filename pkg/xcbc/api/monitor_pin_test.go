@@ -48,7 +48,7 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 		t.Fatalf("d1 settled %q", final.State)
 	}
 	dep, _ := s.openTenant.deployments.get("d1")
-	cl, err := dep.Handle.Cluster()
+	cl, err := dep.handle().Cluster()
 	if err != nil {
 		t.Fatal(err)
 	}

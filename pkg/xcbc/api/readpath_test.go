@@ -95,11 +95,12 @@ func TestReadRouteAllocations(t *testing.T) {
 }
 
 // TestRowCompatFollowsLiveState: the compat_passed/compat_total a row
-// carries are counted from the frontend as it is when the row is rendered.
-// They equal the full report's figures as adopted, after an auto-applied
-// update has replaced a frontend package, and after a package is erased
-// behind the server's back — with nothing between the requests telling the
-// server that anything changed.
+// carries are counted from the frontend when the build settles and when an
+// update that applies packages runs, the two ways the API changes it. They
+// equal the full report's figures as adopted and after an auto-applied
+// update has replaced a frontend package. A package erased behind the
+// server's back is not a journaled change: the row keeps what it said,
+// while the report moves.
 func TestRowCompatFollowsLiveState(t *testing.T) {
 	s := newTestServer(t)
 	if rec := do(t, s, "POST", "/api/v1/deployments", `{"cluster":"limulus","path":"xnit","scheduler":"torque","profiles":["compilers"]}`, nil); rec.Code != http.StatusAccepted {
@@ -109,7 +110,7 @@ func TestRowCompatFollowsLiveState(t *testing.T) {
 		t.Fatalf("d1 settled %s", info.State)
 	}
 	dep, _ := s.openTenant.deployments.get("d1")
-	d, _ := dep.Handle.Deployment()
+	d, _ := dep.handle().Deployment()
 	frontend := d.Hardware().Frontend.Packages()
 
 	rowsAgree := func(what string) int {
@@ -142,7 +143,7 @@ func TestRowCompatFollowsLiveState(t *testing.T) {
 	if got := frontend.Newest("openmpi"); u.AppliedTotal == 0 || got == nil || got.EVR.Compare(update.EVR) != 0 {
 		t.Fatalf("auto-apply applied %d updates and left the frontend on %v, want %s", u.AppliedTotal, got, update.NEVRA())
 	}
-	rowsAgree("after auto-apply")
+	updated := rowsAgree("after auto-apply")
 
 	// The newest openmpi is what the reference's version check and its
 	// mpirun command check read; nothing requires this build.
@@ -155,7 +156,12 @@ func TestRowCompatFollowsLiveState(t *testing.T) {
 	if err := tx.Run(frontend); err != nil {
 		t.Fatal(err)
 	}
-	if erased := rowsAgree("after erasing openmpi"); erased >= adopted {
-		t.Fatalf("%d checks pass with openmpi erased, %d before", erased, adopted)
+	if erased, _ := d.Compat(); erased.Passed >= adopted {
+		t.Fatalf("%d checks pass with openmpi erased, %d before", erased.Passed, adopted)
+	}
+	var row deploymentInfo
+	do(t, s, "GET", "/api/v1/deployments/d1", "", &row)
+	if row.CompatPassed != updated {
+		t.Errorf("with openmpi erased behind the server's back the row says %d checks pass, want the %d it journaled", row.CompatPassed, updated)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,14 +16,16 @@ import (
 	"testing"
 	"time"
 
+	"xcbc/internal/rpm"
 	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
 )
 
-// Recovery starts the builds it needs ahead of the deployment it is
-// recovering. These tests hold it to what recovering one deployment at a
-// time gave: the same registry, the same answers, the same report, twice
-// over — and nothing left running when Open fails.
+// Recovery serves a ready deployment from its row and builds it only when
+// a request first needs it live. These tests hold it to what rebuilding
+// every one at Open gave: the same registry, the same answers, the same
+// report, twice over — and nothing built that no request used, and nothing
+// left running when Open fails.
 
 // recoveredBodies renders the deployment listing's ID order and then every
 // listed deployment's read-only views: its status with the whole journal
@@ -83,8 +86,8 @@ func (r RecoveryReport) comparable() RecoveryReport {
 	return r
 }
 
-func TestRecoveryEquivalentUnderLookAhead(t *testing.T) {
-	const ready = 36 // more than one look-ahead window, whatever the pool's size
+func TestRecoveryEquivalentOnFirstUse(t *testing.T) {
+	const ready = 36
 	var failing atomic.Bool
 	var gate atomic.Pointer[chan struct{}]
 	entered := make(chan struct{}, 64) // a gated wave enters once per member
@@ -207,31 +210,28 @@ func TestRecoveryEquivalentUnderLookAhead(t *testing.T) {
 		}
 		return dir, s, rep
 	}
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			dir, s, rep := reopen(t)
-			defer s.Close()
-			if rep.Deployments != ready+3 || rep.Rebuilt != ready || rep.Archived != 2 || rep.Interrupted != 1 || rep.OpsReplayed != ops {
-				t.Fatalf("recovery report = %+v\nwant %d deployments: %d rebuilt, 2 archived, 1 interrupted, %d ops replayed", rep, ready+3, ready, ops)
-			}
-			first := recoveredBodies(t, s)
-			diffBodies(t, "recovered", first, want, inflight)
-			var got deploymentInfo
-			do(t, s, "GET", "/api/v1/deployments/"+inflight, "", &got)
-			if got.State != "failed" || !strings.Contains(got.Error, "interrupted") || len(got.Events) != 0 || got.NextCursor != 0 {
-				t.Errorf("the in-flight build recovered %q (%s) with %d events, want failed (interrupted) and no journal", got.State, got.Error, len(got.Events))
-			}
-			s.Close()
+	t.Run("reopened", func(t *testing.T) {
+		dir, s, rep := reopen(t)
+		defer s.Close()
+		if rep.Deployments != ready+3 || rep.Rebuilt != ready || rep.Archived != 2 || rep.Interrupted != 1 || rep.OpsReplayed != ops {
+			t.Fatalf("recovery report = %+v\nwant %d deployments: %d rebuilt, 2 archived, 1 interrupted, %d ops replayed", rep, ready+3, ready, ops)
+		}
+		first := recoveredBodies(t, s)
+		diffBodies(t, "recovered", first, want, inflight)
+		var got deploymentInfo
+		do(t, s, "GET", "/api/v1/deployments/"+inflight, "", &got)
+		if got.State != "failed" || !strings.Contains(got.Error, "interrupted") || len(got.Events) != 0 || got.NextCursor != 0 {
+			t.Errorf("the in-flight build recovered %q (%s) with %d events, want failed (interrupted) and no journal", got.State, got.Error, len(got.Events))
+		}
+		s.Close()
 
-			s2, rep2 := openDurable(t, dir)
-			defer s2.Close()
-			if rep2.comparable() != rep.comparable() {
-				t.Errorf("second recovery report = %+v\nfirst = %+v", rep2, rep)
-			}
-			diffBodies(t, "second recovery", recoveredBodies(t, s2), first)
-		})
-	}
+		s2, rep2 := openDurable(t, dir)
+		defer s2.Close()
+		if rep2.comparable() != rep.comparable() {
+			t.Errorf("second recovery report = %+v\nfirst = %+v", rep2, rep)
+		}
+		diffBodies(t, "second recovery", recoveredBodies(t, s2), first)
+	})
 	t.Run("resume", func(t *testing.T) {
 		_, s, rep := reopen(t, func(c *Config) { c.ResumeInterrupted = true })
 		defer s.Close()
@@ -245,14 +245,15 @@ func TestRecoveryEquivalentUnderLookAhead(t *testing.T) {
 	})
 }
 
-// TestRestartServesWhileRebuilding pins the readiness contract: Open returns
-// before the ready deployments it recovered are rebuilt, and a request for
-// one of them waits for that deployment alone. d3's rebuild is parked in
-// its install hook (d3 is the only one of four with a compute-0-3); while
-// it is held, health, d1 and d2 (ahead of it), a create and the store
-// report answer, and GET d3 waits. Released, d3 answers what the server
-// that built it answered. Closed instead, every waiter returns, nothing
-// outlives Close and the DataDir is as it was.
+// TestRestartServesWhileRebuilding pins the readiness contract: Open
+// returns without building the ready deployments it recovered, and a
+// request that needs one live waits for that deployment's build alone.
+// d3's build, started by a GET of its journal, is parked in its install
+// hook (d3 is the only one of four with a compute-0-3); while it is held,
+// health, d1 and d2, a create and the store report answer, and GET d3
+// waits. Released, d3 answers what the server that built it answered.
+// Closed instead, every waiter returns, nothing outlives Close and the
+// DataDir is as it was.
 func TestRestartServesWhileRebuilding(t *testing.T) {
 	image := t.TempDir()
 	s, _ := openDurable(t, image)
@@ -265,48 +266,6 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 	want := recoveredBodies(t, s)
 	s.Close()
 
-	// openHeld opens a copy of the image with d3's rebuild parked, returning
-	// once Open has returned and the rebuild is held, with the copy's bytes
-	// as Open found them.
-	openHeld := func(t *testing.T) (s *Server, dir string, before map[string]string, release func()) {
-		t.Helper()
-		dir = t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(image)); err != nil {
-			t.Fatal(err)
-		}
-		before = dirBytes(t, dir)
-		parked, gate := make(chan struct{}), make(chan struct{})
-		release = sync.OnceFunc(func() { close(gate) })
-		t.Cleanup(release)
-		opened := make(chan *Server, 1)
-		go func() {
-			s, _, err := Open(Config{DataDir: dir, DeployOptions: []xcbc.Option{xcbc.WithInstallHook(func(node string, _ int) error {
-				if node == "compute-0-3" {
-					close(parked)
-					<-gate
-				}
-				return nil
-			})}})
-			if err != nil {
-				t.Error(err)
-			}
-			opened <- s
-		}()
-		select {
-		case s = <-opened:
-		case <-time.After(10 * time.Second):
-			t.Fatal("Open waited for the held rebuild")
-		}
-		if s == nil {
-			t.FailNow()
-		}
-		select {
-		case <-parked:
-		case <-time.After(10 * time.Second):
-			t.Fatal("d3's rebuild never reached compute-0-3")
-		}
-		return s, dir, before, release
-	}
 	// async serves one request on its own goroutine.
 	async := func(s *Server, path string) <-chan *httptest.ResponseRecorder {
 		out := make(chan *httptest.ResponseRecorder, 1)
@@ -318,15 +277,44 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 		return out
 	}
 	d3 := "/api/v1/deployments/d3?limit=1000"
+	// openHeld opens a copy of the image and GETs d3, returning once d3's
+	// build is parked, with the copy's bytes as Open found them and the
+	// pending GET.
+	openHeld := func(t *testing.T) (s *Server, dir string, before map[string]string, pending <-chan *httptest.ResponseRecorder, release func()) {
+		t.Helper()
+		dir = t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(image)); err != nil {
+			t.Fatal(err)
+		}
+		before = dirBytes(t, dir)
+		parked, gate := make(chan struct{}), make(chan struct{})
+		release = sync.OnceFunc(func() { close(gate) })
+		t.Cleanup(release)
+		s, _ = openDurable(t, dir, func(c *Config) {
+			c.DeployOptions = []xcbc.Option{xcbc.WithInstallHook(func(node string, _ int) error {
+				if node == "compute-0-3" {
+					close(parked)
+					<-gate
+				}
+				return nil
+			})}
+		})
+		pending = async(s, d3)
+		select {
+		case <-parked:
+		case <-time.After(10 * time.Second):
+			t.Fatal("d3's build never reached compute-0-3")
+		}
+		return s, dir, before, pending, release
+	}
 
 	t.Run("release", func(t *testing.T) {
-		s, _, _, release := openHeld(t)
+		s, _, _, pending, release := openHeld(t)
 		defer s.Close()
-		pending := async(s, d3)
 		if rec := do(t, s, "GET", "/api/v1/healthz", "", nil); rec.Code != http.StatusOK {
 			t.Errorf("healthz while d3 is held = %d", rec.Code)
 		}
-		for _, id := range []string{"d1", "d2"} {
+		for _, id := range []string{"d1", "d2", "d4"} {
 			path := "/api/v1/deployments/" + id + "?limit=1000"
 			if rec := do(t, s, "GET", path, "", nil); rec.Code != http.StatusOK || rec.Body.String() != want[path] {
 				t.Errorf("GET %s while d3 is held = %d\n got: %s\nwant: %s", id, rec.Code, rec.Body.String(), want[path])
@@ -336,14 +324,12 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 		if rec := do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe","node_count":2}`, &created); rec.Code != http.StatusAccepted || created.ID != "d5" {
 			t.Errorf("create while d3 is held = %d %q, want 202 d5", rec.Code, created.ID)
 		}
-		var info storeInfo
-		do(t, s, "GET", "/api/v1/store", "", &info)
-		if info.Warming != 2 {
-			t.Errorf("store reports %d warming while d3 (and d4 behind it) are held, want 2", info.Warming)
+		if rec := do(t, s, "GET", "/api/v1/store", "", nil); strings.Contains(rec.Body.String(), `"warming"`) {
+			t.Errorf("store reports a deployment warming: %s", rec.Body.String())
 		}
 		select {
 		case rec := <-pending:
-			t.Fatalf("GET d3 answered while its rebuild is held: %d %s", rec.Code, rec.Body.String())
+			t.Fatalf("GET d3 answered while its build is held: %d %s", rec.Code, rec.Body.String())
 		case <-time.After(50 * time.Millisecond):
 		}
 
@@ -358,16 +344,13 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 				t.Errorf("after release, GET %s\n got: %s\nwant: %s", path, body, want[path])
 			}
 		}
-		if rec := do(t, s, "GET", "/api/v1/store", "", nil); strings.Contains(rec.Body.String(), `"warming"`) {
-			t.Errorf("store still reports warming once every deployment answered: %s", rec.Body.String())
-		}
 	})
 
 	t.Run("close", func(t *testing.T) {
 		goroutines := runtime.NumGoroutine()
-		s, dir, before, release := openHeld(t)
-		var waiters []<-chan *httptest.ResponseRecorder
-		for _, path := range []string{d3, "/api/v1/deployments/d4", "/api/v1/deployments?limit=1000", "/api/v1/clusters/d3/jobs"} {
+		s, dir, before, pending, release := openHeld(t)
+		waiters := []<-chan *httptest.ResponseRecorder{pending}
+		for _, path := range []string{"/api/v1/deployments/d4", "/api/v1/deployments?limit=1000", "/api/v1/clusters/d3/jobs"} {
 			waiters = append(waiters, async(s, path))
 		}
 		closed := make(chan error, 1)
@@ -378,7 +361,7 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("Close waited for the held rebuild")
+			t.Fatal("Close waited for the held build")
 		}
 		for i, w := range waiters {
 			select {
@@ -394,7 +377,7 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 			}
 		}
 		if after := dirBytes(t, dir); !maps.Equal(before, after) {
-			t.Errorf("Open and Close during warming changed the DataDir: %d files before, %d after", len(before), len(after))
+			t.Errorf("Open, a held build and Close changed the DataDir: %d files before, %d after", len(before), len(after))
 		}
 	})
 }
@@ -437,11 +420,11 @@ func TestFailedRecoveryRebuildIsNotJournaled(t *testing.T) {
 }
 
 // TestFailedOpenLeavesNoBuildRunning fails Open on a fleet recovery cannot
-// recreate, after it has registered four ready deployments for the warmer
-// and resumed a fifth that is by then parked in its third compute's
-// install: the resumed build must be cancelled — it never reaches its
-// fourth compute — none of the four may have been rebuilt, and no watcher
-// may have journaled anything about it.
+// recreate, after it has registered four ready deployments and resumed a
+// fifth that is by then parked in its third compute's install: the resumed
+// build must be cancelled — it never reaches its fourth compute — none of
+// the four may have been rebuilt, and no watcher may have journaled
+// anything about it.
 func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := wal.Open(dir, wal.Options{})
@@ -461,7 +444,7 @@ func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 		appendRec(recDeploymentSettled, depSettledRec{ID: id, State: "ready"})
 	}
 	// Only d4, in flight, has a third compute node. d5 comes after it and
-	// carries an op that cannot replay, which a warmer would log and skip.
+	// carries an op that cannot replay, which its build would log and skip.
 	// d6, in flight on the xnit path, holds Open (below).
 	appendRec(recDeploymentCreated, depCreatedRec{ID: "d4", Path: "xcbc", Created: created,
 		Req: createDeploymentRequest{Cluster: "littlefe", Parallelism: 1}})
@@ -523,5 +506,187 @@ func TestFailedOpenLeavesNoBuildRunning(t *testing.T) {
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
 		t.Errorf("the failed Open changed the DataDir: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestRestartBuildsOnlyWhatIsUsed counts deployment builds through the
+// install hook (every build installs compute-0-1 exactly once) across a
+// restart on 64 ready deployments and a fleet: Open, both lists, a page
+// from a journal's tip and a DELETE build nothing; one day-2 request
+// builds that deployment alone, with its ops replayed; two concurrent
+// first requests build once. Every body read before the restart reads the
+// same after it and after the builds.
+func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
+	const standing = 64
+	var builds atomic.Int32
+	var gate atomic.Pointer[chan struct{}]
+	entered := make(chan struct{}, 2) // one per build the gate holds; a second would fail the count below
+	hook := func(c *Config) {
+		c.DeployOptions = []xcbc.Option{xcbc.WithInstallHook(func(node string, attempt int) error {
+			if node == "compute-0-1" && attempt == 1 {
+				builds.Add(1)
+				if g := gate.Load(); g != nil {
+					entered <- struct{}{}
+					<-*g
+				}
+			}
+			return nil
+		})}
+	}
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir, hook)
+	for i := 1; i <= standing; i++ {
+		deployReady(t, s, `{"cluster":"littlefe","node_count":2}`)
+	}
+	for _, id := range []string{"d1", "d1", "d2"} {
+		if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("submit on %s: %d %s", id, rec.Code, rec.Body.String())
+		}
+	}
+	postJSON(t, s.Handler(), "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2}`)
+	waitFleetSettled(t, s.Handler(), "f1")
+	var tip deploymentInfo
+	do(t, s, "GET", "/api/v1/deployments/d3?limit=1000", "", &tip)
+	paths := []string{"/api/v1/deployments?limit=1000", "/api/v1/fleets", fmt.Sprintf("/api/v1/deployments/d3?cursor=%d", tip.NextCursor),
+		"/api/v1/deployments/d1?limit=1000", "/api/v1/clusters/d1/jobs", "/api/v1/clusters/d2/jobs"}
+	bodies := func(s *Server, paths ...string) []string {
+		t.Helper()
+		var out []string
+		for _, path := range paths {
+			rec := do(t, s, "GET", path, "", nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+			}
+			out = append(out, rec.Body.String())
+		}
+		return out
+	}
+	want := bodies(s, paths...)
+	s.Close()
+
+	builds.Store(0)
+	s, rep := openDurable(t, dir, hook)
+	defer s.Close()
+	if rep.Rebuilt != standing || rep.OpsReplayed != 3 {
+		t.Fatalf("recovery report = %+v, want %d ready deployments and 3 ops restored", rep, standing)
+	}
+	expect := func(what string, n int32) {
+		t.Helper()
+		if got := builds.Load(); got != n {
+			t.Fatalf("%s: %d deployment builds, want %d", what, got, n)
+		}
+	}
+	if got := bodies(s, paths[:3]...); !slices.Equal(got, want[:3]) {
+		t.Errorf("lists after the restart\n got: %q\nwant: %q", got, want[:3])
+	}
+	if rec := do(t, s, "DELETE", "/api/v1/deployments/d64", "", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE d64 = %d: %s", rec.Code, rec.Body.String())
+	}
+	expect("Open, the lists, a page at the tip and a DELETE", 0)
+	want[0] = bodies(s, paths[0])[0] // without d64
+
+	if got := bodies(s, "/api/v1/clusters/d1/jobs"); got[0] != want[4] {
+		t.Errorf("d1's jobs after the restart\n got: %s\nwant: %s", got[0], want[4])
+	}
+	expect("one day-2 request", 1)
+
+	// The first request's build is held in the hook while the second
+	// arrives; the second has no event to wait on, so it gets a moment to
+	// reach the build before the hold lifts.
+	g := make(chan struct{})
+	gate.Store(&g)
+	var first []<-chan *httptest.ResponseRecorder
+	for i := range 2 {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		go func() { out <- do(t, s, "GET", "/api/v1/clusters/d2/jobs", "", nil) }()
+		first = append(first, out)
+		if i == 0 {
+			<-entered
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(g)
+	for _, out := range first {
+		if rec := <-out; rec.Code != http.StatusOK || rec.Body.String() != want[5] {
+			t.Errorf("d2's jobs on a concurrent first request = %d\n got: %s\nwant: %s", rec.Code, rec.Body.String(), want[5])
+		}
+	}
+	expect("two concurrent first requests", 2)
+
+	if got := bodies(s, paths...); !slices.Equal(got, want) {
+		t.Errorf("bodies after the builds\n got: %q\nwant: %q", got, want)
+	}
+	expect("reading what the builds left", 2)
+}
+
+// TestRestartKeepsCompatOfAppliedUpdates: an update that applies packages
+// moves a row's compat counts, and the row keeps them across a restart —
+// before the deployment is built, and after its first use rebuilds it and
+// replays the update, when they equal the live frontend's count. Its
+// vendor image ships an openmpi older than the reference requires, which
+// the auto-applied update replaces; builds are counted by their vendor
+// stage.
+func TestRestartKeepsCompatOfAppliedUpdates(t *testing.T) {
+	var builds atomic.Int32
+	old := func(c *Config) {
+		c.DeployOptions = []xcbc.Option{xcbc.WithBasePackages(
+			rpm.NewPackage("environment-modules", "3.2.10-2.el6", rpm.ArchX86_64).Build(),
+			rpm.NewPackage("openmpi", "1.5.4-1.el6", rpm.ArchX86_64).Build()),
+			xcbc.WithProgress(func(ev xcbc.Event) {
+				if ev.Stage == "vendor" {
+					builds.Add(1)
+				}
+			})}
+	}
+	row := func(s *Server) deploymentInfo {
+		t.Helper()
+		var list struct {
+			Deployments []deploymentInfo `json:"deployments"`
+		}
+		do(t, s, "GET", "/api/v1/deployments", "", &list)
+		if len(list.Deployments) != 1 {
+			t.Fatalf("listed %d deployments, want 1", len(list.Deployments))
+		}
+		return list.Deployments[0]
+	}
+	live := func(s *Server) (passed, total int) {
+		t.Helper()
+		dep, _ := s.openTenant.deployments.get("d1")
+		d, _ := dep.handle().Deployment()
+		passed, total, err := d.CompatCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return passed, total
+	}
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir, old)
+	deployReady(t, s, `{"cluster":"limulus","path":"xnit","scheduler":"torque","profiles":[]}`)
+	adopted := row(s)
+	var u updatesInfo
+	if rec := do(t, s, "GET", "/api/v1/clusters/d1/updates?policy=auto-apply", "", &u); rec.Code != http.StatusOK || u.AppliedTotal == 0 {
+		t.Fatalf("auto-apply = %d, %d applied: %s", rec.Code, u.AppliedTotal, rec.Body.String())
+	}
+	updated := row(s)
+	if passed, total := live(s); updated.CompatPassed != passed || updated.CompatTotal != total || passed <= adopted.CompatPassed {
+		t.Fatalf("after the update the row says %d/%d and the frontend %d/%d; adopted %d/%d",
+			updated.CompatPassed, updated.CompatTotal, passed, total, adopted.CompatPassed, adopted.CompatTotal)
+	}
+	s.Close()
+
+	builds.Store(0)
+	s, _ = openDurable(t, dir, old)
+	defer s.Close()
+	if got := row(s); !reflect.DeepEqual(got, updated) || builds.Load() != 0 {
+		t.Errorf("restored row = %+v after %d builds, want %+v after none", got, builds.Load(), updated)
+	}
+	if rec := do(t, s, "GET", "/api/v1/clusters/d1", "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("GET /clusters/d1 = %d: %s", rec.Code, rec.Body.String())
+	}
+	if passed, total := live(s); updated.CompatPassed != passed || updated.CompatTotal != total {
+		t.Errorf("after the rebuild replayed the update the frontend counts %d/%d, the row %d/%d", passed, total, updated.CompatPassed, updated.CompatTotal)
+	}
+	if got := row(s); !reflect.DeepEqual(got, updated) || builds.Load() != 1 {
+		t.Errorf("row after %d builds = %+v, want %+v after one", builds.Load(), got, updated)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // critical section, lookup, conditional removal, recovery restore, and
 // numeric-suffix paging — under its own lock, so kinds never contend.
 //
-// Recovery may register an item before it is live (restoreWarming): it
+// Recovery may register a fleet before it is live (restoreWarming): it
 // counts toward IDs, quotas and paging at once, while the reads that hand
 // it out — get, page, removeIf — wait, outside the lock, for that item
 // alone. The close of its ready channel publishes what recovery filled in.

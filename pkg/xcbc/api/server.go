@@ -55,6 +55,7 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -164,19 +165,29 @@ type Server struct {
 	campaignHook xcbc.CampaignCheckHook
 }
 
-// deployment is one SDK deployment managed by the server: its mirror row,
-// which holds the identity it was created with and, once journaled, its
-// settlement, plus what cannot be persisted — its build handle, which owns
-// all mutable build state (lifecycle state, capped event journal, result),
-// so the server never touches a build goroutine's data directly. A
-// deployment recovery settled without a live build has no handle, and its
-// row's Events are its journal; day-2 routes answer 422 for it as they do
-// for any terminal non-ready build. journaled is closed once the watcher
+// deployment is one SDK deployment managed by the server: its mirror row
+// (identity, then settlement and, if ready, summary) and its build handle,
+// which owns all mutable build state, so the server never touches a build
+// goroutine's data. One recovery settled has no handle: a failed one's row
+// Events are its journal and day-2 routes answer 422; a ready one gets its
+// handle from rebuild (see handle). journaled is closed once the watcher
 // has emitted the settlement; nil when there is no watcher.
 type deployment struct {
 	row       *depMirror
-	Handle    *xcbc.Handle // nil when recovery settled it
+	h         *xcbc.Handle
 	journaled chan struct{}
+	rebuild   func() *xcbc.Handle // runs once; nil unless recovered ready
+	lost      string              // why recovery could not build it, under row.mu; it then reads failed
+}
+
+// handle returns the deployment's build handle, nil if it has none. The
+// first call builds a recovered ready deployment, and concurrent first
+// calls wait for that one build; if it fails there is none, for good.
+func (d *deployment) handle() *xcbc.Handle {
+	if d.rebuild != nil {
+		return d.rebuild()
+	}
+	return d.h
 }
 
 // status reads the deployment's row once. settled reports whether its
@@ -188,34 +199,65 @@ type deployment struct {
 func (d *deployment) status() (state, errMsg string, settled bool) {
 	d.row.mu.Lock()
 	state, errMsg = d.row.State, d.row.Error
+	if d.lost != "" {
+		state, errMsg = string(xcbc.StateFailed), d.lost
+	}
 	d.row.mu.Unlock()
 	if state != "" {
 		return state, errMsg, true
 	}
-	if st := d.Handle.Status(); !st.Terminal() {
+	if st := d.h.Status(); !st.Terminal() {
 		return string(st), "", false
 	}
 	return string(xcbc.StateBuilding), "", false
 }
 
-// cluster returns the live day-2 surface of a deployment whose status
-// reads state, or an error for one that is not (or can never again be)
-// operable.
-func (d *deployment) cluster(state string) (*xcbc.Cluster, error) {
-	if state != string(xcbc.StateReady) {
-		return nil, xcbc.ErrNotReady
+// view reads what one response renders: the status and, once ready, the
+// row's summary. Only a journal page below the tip, or a row an older binary
+// wrote without a summary, needs the live build, and renders what it left.
+func (d *deployment) view(cursor int) (state, errMsg string, sum *depSummary) {
+	if state, errMsg, _ = d.status(); state == string(xcbc.StateReady) {
+		d.row.mu.Lock()
+		sum = d.row.Summary
+		d.row.mu.Unlock()
+		if sum == nil || cursor < sum.NextCursor {
+			if h := d.handle(); h == nil {
+				state, errMsg, _ = d.status()
+				sum = nil
+			} else if sum == nil {
+				sum = summaryOf(h)
+			}
+		}
 	}
-	return d.Handle.Cluster()
+	return state, errMsg, sum
+}
+
+// cluster returns the live day-2 surface of a ready deployment, building a
+// recovered one on first use, and the status the response renders; cl is
+// nil for one that is not (or can never again be) operable.
+func (d *deployment) cluster() (cl *xcbc.Cluster, state, errMsg string, settled bool) {
+	if state, errMsg, settled = d.status(); state == string(xcbc.StateReady) {
+		if h := d.handle(); h != nil {
+			cl, _ = h.Cluster()
+		} else {
+			state, errMsg, settled = d.status()
+		}
+	}
+	return cl, state, errMsg, settled
 }
 
 // events returns journal events with Seq >= pg.cursor plus the next
-// cursor. A positive limit caps how many events one response carries; the
-// next cursor then points at the first event not returned, so clients page
-// through with repeated requests. A row's journal is a run of consecutive
-// seqs — from 0 unless the build outgrew the handle's ring before it
-// settled — so a cursor indexes the slice after its first seq.
-func (d *deployment) events(pg page) ([]eventInfo, int) {
-	if d.Handle == nil {
+// cursor; a positive limit caps how many events one response carries, the
+// next cursor then pointing at the first one not returned. A page from the
+// tip a ready summary sum holds needs no live build. A row's journal is a
+// run of consecutive seqs — from 0 unless the build outgrew the handle's
+// ring before it settled — so a cursor indexes the slice after its first.
+func (d *deployment) events(pg page, sum *depSummary) ([]eventInfo, int) {
+	if sum != nil && pg.cursor >= sum.NextCursor {
+		return nil, sum.NextCursor
+	}
+	h := d.handle()
+	if h == nil {
 		evs := d.row.Events // written before recovery registered it
 		first := 0
 		if len(evs) > 0 {
@@ -225,7 +267,7 @@ func (d *deployment) events(pg page) ([]eventInfo, int) {
 		start, end := pg.window(len(evs))
 		return evs[start:end], first + end
 	}
-	evs, next := d.Handle.Events(pg.cursor)
+	evs, next := h.Events(pg.cursor)
 	if pg.limit > 0 && len(evs) > pg.limit {
 		evs = evs[:pg.limit]
 		next = evs[pg.limit-1].Seq + 1
@@ -548,7 +590,10 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "version": Version})
+	writeJSON(w, http.StatusOK, struct {
+		Status  string `json:"status"`
+		Version string `json:"version"`
+	}{"ok", Version})
 }
 
 // discoveryDoc is the GET /api/v1 document: the API version, the
@@ -611,7 +656,9 @@ func repoInfoOf(c repo.Config) repoInfo {
 }
 
 func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"repos": mapSlice(s.set.Configs(), repoInfoOf)})
+	writeJSON(w, http.StatusOK, struct {
+		Repos []repoInfo `json:"repos"`
+	}{mapSlice(s.set.Configs(), repoInfoOf)})
 }
 
 // lookupConfig finds the config for a repository ID.
@@ -669,7 +716,11 @@ func (s *Server) handleRepoPackages(w http.ResponseWriter, r *http.Request) {
 	} else {
 		pkgs = rep.All()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"repo": id, "count": len(pkgs), "packages": mapSlice(pkgs, packageInfoOf)})
+	writeJSON(w, http.StatusOK, struct {
+		Count    int           `json:"count"`
+		Packages []packageInfo `json:"packages"`
+		Repo     string        `json:"repo"`
+	}{len(pkgs), mapSlice(pkgs, packageInfoOf), id})
 }
 
 // depsolveRequest asks for a dependency resolution: which package installs
@@ -724,27 +775,23 @@ func (s *Server) handleDepsolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // deploymentInfo is the JSON shape of one managed deployment. State is
-// always present; the build-result fields (scheduler, packages, compat,
-// install duration) are filled in once the deployment reaches "ready", and
-// Error once it is "failed" or "cancelled". Events carries the journal
-// slice requested via ?cursor=N, NextCursor the value to pass next time.
+// always present; the build-result fields, the row's summary, are filled
+// in once the deployment reaches "ready" (its next_cursor is shadowed by
+// the body's own), and Error once it is "failed" or "cancelled". Events
+// carries the journal slice requested via ?cursor=N, NextCursor the value
+// to pass next time.
 type deploymentInfo struct {
-	ID                string      `json:"id"`
-	Path              string      `json:"path"`
-	State             string      `json:"state"`
-	Error             string      `json:"error,omitempty"`
-	Cluster           string      `json:"cluster"`
-	Site              string      `json:"site"`
-	Nodes             int         `json:"nodes"`
-	Scheduler         string      `json:"scheduler,omitempty"`
-	PackagesInstalled int         `json:"packages_installed,omitempty"`
-	InstallDuration   string      `json:"install_duration,omitempty"`
-	Quarantined       []string    `json:"quarantined,omitempty"`
-	CompatPassed      int         `json:"compat_passed,omitempty"`
-	CompatTotal       int         `json:"compat_total,omitempty"`
-	Created           time.Time   `json:"created"`
-	Events            []eventInfo `json:"events,omitempty"`
-	NextCursor        int         `json:"next_cursor"`
+	ID      string `json:"id"`
+	Path    string `json:"path"`
+	State   string `json:"state"`
+	Error   string `json:"error,omitempty"`
+	Cluster string `json:"cluster"`
+	Site    string `json:"site"`
+	Nodes   int    `json:"nodes"`
+	depSummary
+	Created    time.Time   `json:"created"`
+	Events     []eventInfo `json:"events,omitempty"`
+	NextCursor int         `json:"next_cursor"`
 }
 
 type eventInfo struct {
@@ -762,38 +809,21 @@ func eventInfoOf(ev xcbc.Event) eventInfo {
 }
 
 func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) deploymentInfo {
-	c := &dep.row.Created
-	state, errMsg, _ := dep.status()
-	info := deploymentInfo{
-		ID:      c.ID,
-		Path:    c.Path,
-		State:   state,
-		Error:   errMsg,
-		Cluster: c.Cluster,
-		Site:    c.Site,
-		Nodes:   c.Nodes,
-		Created: c.Created,
-	}
-	if info.State == string(xcbc.StateReady) {
-		if d, ok := dep.Handle.Deployment(); ok {
-			info.Scheduler = d.Scheduler()
-			info.PackagesInstalled = d.PackagesInstalled()
-			info.InstallDuration = d.InstallDuration().String()
-			info.Quarantined = d.Quarantined()
-			if passed, total, err := d.CompatCounts(); err == nil {
-				info.CompatPassed, info.CompatTotal = passed, total
-			}
-		}
-	}
-	if withEvents {
-		info.Events, info.NextCursor = dep.events(pg)
-		if info.Events == nil {
-			info.Events = []eventInfo{}
-		}
-	} else {
+	if !withEvents {
 		// Event-less bodies (list, DELETE-cancel) still report the journal
 		// tip so "pass next_cursor back" holds on every response.
-		_, info.NextCursor = dep.events(page{cursor: math.MaxInt})
+		pg = page{cursor: math.MaxInt}
+	}
+	c := &dep.row.Created
+	state, errMsg, sum := dep.view(pg.cursor)
+	info := deploymentInfo{ID: c.ID, Path: c.Path, State: state, Error: errMsg,
+		Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, Created: c.Created}
+	if sum != nil {
+		info.depSummary = *sum
+	}
+	info.Events, info.NextCursor = dep.events(pg, sum)
+	if withEvents && info.Events == nil {
+		info.Events = []eventInfo{}
 	}
 	return info
 }
@@ -831,13 +861,9 @@ func (s *Server) startBuild(req createDeploymentRequest) (*xcbc.Handle, string, 
 	if req.NodeCount != 0 {
 		hwOpts = append(hwOpts, xcbc.WithNodeCount(req.NodeCount))
 	}
-
 	var h *xcbc.Handle
 	var err error
-	path := req.Path
-	if path == "" {
-		path = "xcbc"
-	}
+	path := cmp.Or(req.Path, "xcbc")
 	// The build must outlive the creating request: it is detached from the
 	// request context and cancelled only through DELETE (or server policy).
 	switch path {
@@ -881,10 +907,7 @@ func (s *Server) startBuild(req createDeploymentRequest) (*xcbc.Handle, string, 
 	default:
 		return nil, "", fmt.Errorf("%w: unknown path %q (use xcbc or xnit)", xcbc.ErrBadOption, path)
 	}
-	if err != nil {
-		return nil, "", err
-	}
-	return h, path, nil
+	return h, path, err
 }
 
 // handleCreateDeployment validates the request synchronously (bad names,
@@ -905,7 +928,7 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 	}
 	hw := h.Hardware()
 	dep, quota := tn.deployments.insert(func(id string) *deployment {
-		return &deployment{Handle: h, journaled: make(chan struct{}), row: &depMirror{Created: depCreatedRec{
+		return &deployment{h: h, journaled: make(chan struct{}), row: &depMirror{Created: depCreatedRec{
 			ID: id, Path: path, Req: req, Created: s.clock(),
 			Cluster: hw.Name, Site: hw.Site, Nodes: hw.NodeCount(),
 		}}}
@@ -999,9 +1022,9 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 	w.WriteHeader(http.StatusOK)
 	// writeEvents sends a data frame for each journal event past cursor and
 	// reports whether there were any; finish sends the terminal state frame.
-	writeEvents := func() bool {
+	writeEvents := func(sum *depSummary) bool {
 		var evs []eventInfo
-		evs, cursor = dep.events(page{cursor: cursor})
+		evs, cursor = dep.events(page{cursor: cursor}, sum)
 		for _, ev := range evs {
 			payload, _ := json.Marshal(ev)
 			fmt.Fprintf(w, "data: %s\n\n", payload)
@@ -1009,13 +1032,9 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		return len(evs) > 0
 	}
 	finish := func() {
-		writeEvents() // for a live build, anything emitted between read and check
-		state, msg, _ := dep.status()
-		final := map[string]string{"state": state}
-		if msg != "" {
-			final["error"] = msg
-		}
-		payload, _ := json.Marshal(final)
+		state, msg, sum := dep.view(cursor)
+		writeEvents(sum) // for a live build, anything emitted between read and check
+		payload, _ := json.Marshal(stateBody{Error: msg, State: state})
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
 		flusher.Flush()
 	}
@@ -1025,10 +1044,10 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		finish()
 		return
 	}
-	wake, unsubscribe := dep.Handle.Subscribe()
+	wake, unsubscribe := dep.h.Subscribe()
 	defer unsubscribe()
 	for {
-		if writeEvents() {
+		if writeEvents(nil) {
 			flusher.Flush()
 		}
 		select {
@@ -1063,7 +1082,7 @@ func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) 
 		tn.store.emit(recDeploymentDeleted, depDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		dep.Handle.Cancel()
+		dep.h.Cancel()
 		writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, false, page{}))
 	}
 }

@@ -3,35 +3,21 @@ package api
 // Durability: every tenant's store applies each resource mutation, as a
 // typed record, to an in-memory mirror — the persistent model, whose rows
 // are the resources: a live deployment or fleet adds to its row only its
-// build handle or live fleet, so no client reads a state the log lacks. A
+// build handle or live fleet, so no client reads a state the log lacks,
+// and a ready deployment's row carries the summary its listings render. A
 // durable server's store journals the record to a write-ahead log
 // (internal/wal) first and periodically snapshots its state, so a restart
 // with the same data directory recovers deployments, fleets, and scenario
 // runs; a memory-only server's has no log. A snapshot is just the
 // marshalled mirror, and recovery is "load snapshot, re-apply the WAL
-// tail, materialize live resources from the mirror". A record is a typed
-// value with one apply method: the live path applies the value it emitted,
-// recovery applies decodeRecord of the logged bytes, and a record recovery
-// cannot decode fails Open rather than being skipped. Materializing means:
-//
-//   - deployments that settled ready are rebuilt deterministically from
-//     their recorded request, then their recorded day-2 operations (job
-//     submissions and cancellations, advances, update checks, metric polls,
-//     alert reads) are replayed in order against the live cluster — after
-//     Open returns, with each request for one of them waiting for it alone;
-//   - deployments that settled failed or cancelled are served from their
-//     rows, day-2 routes answering 422, as is a ready one whose rebuild
-//     fails, from a row the mirror never sees: the next Open rebuilds it;
-//   - deployments mid-build at the crash are reconciled to
-//     failed (interrupted), or restarted from their recorded request when
-//     the store was opened with ResumeInterrupted;
-//   - fleets are recreated and re-provisioned, in the background like
-//     ready deployments unless a run was in flight; settled scenario runs
-//     reload their full recorded result; a run in flight at the crash is
-//     replayed from its seed, and the replayed trace is verified against
-//     the recorded rolling hash at the recorded cursor — a divergence
-//     settles the run as "error" rather than presenting a trace that is
-//     not the one the crashed server was producing.
+// tail, materialize live resources from the mirror". Materializing (see
+// materialize) serves every deployment from its row — a ready one is
+// rebuilt from its recorded request, its recorded day-2 ops replayed, only
+// when a request first needs it live — reconciles builds in flight at the
+// crash, re-provisions fleets, and replays a scenario run in flight from
+// its seed, verified against the recorded rolling hash at the recorded
+// cursor: a divergence settles the run as "error" rather than presenting a
+// trace that is not the one the crashed server was producing.
 //
 // Replay correctness leans on the scenario engine's determinism contract:
 // a scenario's trace is a pure function of (script, seed, fresh fleet).
@@ -47,6 +33,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"maps"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -110,14 +97,41 @@ type depEventRec struct {
 	Event eventInfo `json:"event"`
 }
 
-// depSettledRec ends a build. Events is the build's journal, carried only
-// when the build did not end ready: recovery serves it from the row, while a
+// depSettledRec ends a build. A ready one carries its Summary; any other its
+// Events, the build's journal, which recovery serves from the row, while a
 // ready deployment is rebuilt from its request and regenerates its own.
 type depSettledRec struct {
-	ID     string      `json:"id"`
-	State  string      `json:"state"`
-	Error  string      `json:"error,omitempty"`
-	Events []eventInfo `json:"events,omitempty"`
+	ID      string      `json:"id"`
+	State   string      `json:"state"`
+	Error   string      `json:"error,omitempty"`
+	Events  []eventInfo `json:"events,omitempty"`
+	Summary *depSummary `json:"summary,omitempty"`
+}
+
+// depSummary is what a ready deployment's row renders without its live
+// build: the build's results, its journal tip, and its frontend's compat
+// counts as of settling or the last update that applied packages.
+type depSummary struct {
+	Scheduler         string   `json:"scheduler,omitempty"`
+	PackagesInstalled int      `json:"packages_installed,omitempty"`
+	InstallDuration   string   `json:"install_duration,omitempty"`
+	Quarantined       []string `json:"quarantined,omitempty"`
+	CompatPassed      int      `json:"compat_passed,omitempty"`
+	CompatTotal       int      `json:"compat_total,omitempty"`
+	NextCursor        int      `json:"next_cursor,omitempty"`
+}
+
+// summaryOf reads a ready build's summary off its handle; nil if not ready.
+func summaryOf(h *xcbc.Handle) *depSummary {
+	d, ok := h.Deployment()
+	if !ok {
+		return nil
+	}
+	sum := &depSummary{Scheduler: d.Scheduler(), PackagesInstalled: d.PackagesInstalled(),
+		InstallDuration: d.InstallDuration().String(), Quarantined: d.Quarantined()}
+	sum.CompatPassed, sum.CompatTotal, _ = d.CompatCounts() // 0, 0 on error
+	_, sum.NextCursor = h.Events(math.MaxInt)
+	return sum
 }
 
 // idRec is the payload of the records that only name their resource.
@@ -132,17 +146,19 @@ type (
 )
 
 // clusterOpRec records one replayable day-2 mutation against a ready
-// cluster. Op selects which optional fields are meaningful. The mirror
-// keeps it in its deployment's op list without the ID, which that list
-// already says.
+// cluster. Op selects which optional fields are meaningful; an update that
+// applies packages carries the compat counts it left, for the row. The
+// mirror lists it under its deployment without the ID.
 type clusterOpRec struct {
-	ID       string            `json:"id,omitempty"`
-	Op       string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics | alerts
-	Job      *submitJobRequest `json:"job,omitempty"`
-	JobID    int               `json:"job_id,omitempty"`
-	Duration string            `json:"duration,omitempty"`
-	Policy   string            `json:"policy,omitempty"`
-	At       time.Time         `json:"at,omitzero"`
+	ID           string            `json:"id,omitempty"`
+	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics | alerts
+	Job          *submitJobRequest `json:"job,omitempty"`
+	JobID        int               `json:"job_id,omitempty"`
+	Duration     string            `json:"duration,omitempty"`
+	Policy       string            `json:"policy,omitempty"`
+	At           time.Time         `json:"at,omitzero"`
+	CompatPassed int               `json:"compat_passed,omitempty"`
+	CompatTotal  int               `json:"compat_total,omitempty"`
 }
 
 // fleetCreatedRec creates a fleet; row is as in scenarioStartedRec.
@@ -222,13 +238,15 @@ type campaignSettledRec struct {
 }
 
 // depMirror is one deployment's persistent model, and its routes read its
-// settlement from it. Only apply writes it, under mu; readers take mu alone.
+// settlement and summary from it. Only apply writes it, under mu; readers
+// take mu alone. Summary is replaced, never written through.
 type depMirror struct {
 	Created depCreatedRec  `json:"created"`
 	Events  []eventInfo    `json:"events,omitempty"`
 	Ops     []clusterOpRec `json:"ops,omitempty"`
 	State   string         `json:"state,omitempty"` // "" while building
 	Error   string         `json:"error,omitempty"`
+	Summary *depSummary    `json:"summary,omitempty"` // once ready
 	mu      sync.Mutex
 }
 
@@ -316,11 +334,8 @@ const checkpointEvery = 64
 // RecoveryReport summarizes what Open recovered from a data directory: in
 // multi-tenant mode, counts sum over the tenants' logs, Repaired is any
 // log's and SnapshotSeq the furthest-ahead log's. Every count is decided
-// when Open returns. Rebuilt and OpsReplayed count what is scheduled: the
-// ready deployments being rebuilt in the background and the day-2 ops
-// their rebuilds will replay. A rebuild that then fails to land ready is
-// served as failed, and an op that no longer applies is logged and
-// skipped, without changing the report.
+// when Open returns: a ready deployment whose build, on first use, fails to
+// land ready or skips an op that no longer applies changes none of them.
 type RecoveryReport struct {
 	DataDir          string `json:"data_dir"`
 	SnapshotSeq      uint64 `json:"snapshot_seq"`
@@ -328,19 +343,17 @@ type RecoveryReport struct {
 	Repaired         bool   `json:"repaired"`
 	DroppedBytes     int64  `json:"dropped_bytes"`
 	Deployments      int    `json:"deployments"`
-	Rebuilt          int    `json:"rebuilt"`      // ready deployments scheduled for rebuilding
+	Rebuilt          int    `json:"rebuilt"`      // ready deployments restored, built on first use
 	Archived         int    `json:"archived"`     // terminal deployments reloaded as records
 	Interrupted      int    `json:"interrupted"`  // mid-build at crash, reconciled to failed
 	Resumed          int    `json:"resumed"`      // mid-build at crash, restarted
-	OpsReplayed      int    `json:"ops_replayed"` // day-2 ops scheduled for replay
+	OpsReplayed      int    `json:"ops_replayed"` // day-2 ops their first use replays
 	Fleets           int    `json:"fleets"`
 	Runs             int    `json:"runs"`     // settled scenario runs restored
 	Replayed         int    `json:"replayed"` // in-flight runs replayed from seed
 	ReplayMismatches int    `json:"replay_mismatches"`
-
-	// Campaigns counts campaigns restored from the journal;
-	// CampaignsInterrupted is how many of them were in flight at the crash
-	// and now report their partial per-seed results as "interrupted".
+	// Campaigns restored, and of them those in flight at the crash, which
+	// now report their partial per-seed results as "interrupted".
 	Campaigns            int `json:"campaigns"`
 	CampaignsInterrupted int `json:"campaigns_interrupted"`
 
@@ -362,8 +375,8 @@ func newStore(s *Server, tn *tenant, cfg Config) *store {
 // tenant's live resources from it, counting what it recovered into report.
 // When open returns, every recovered resource is registered, so IDs,
 // quotas and paging are exact, and every in-flight scenario run has been
-// replayed and verified; ready deployments and provisioned fleets go live
-// in the background (see materialize).
+// replayed and verified; provisioned fleets go live in the background and
+// ready deployments on first use (see materialize).
 func (st *store) open(dir string, report *RecoveryReport) error {
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -522,7 +535,7 @@ func (r depSettledRec) apply(m *mirror) {
 		// Nothing reads a ready deployment's journal; any other settlement
 		// brings its own, unless an older binary mirrored it event by event.
 		if r.State == string(xcbc.StateReady) {
-			d.Events = nil
+			d.Events, d.Summary = nil, r.Summary
 		} else if r.Events != nil {
 			d.Events = r.Events
 		}
@@ -535,6 +548,13 @@ func (r clusterOpRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
 		r.ID = ""
 		d.Ops = append(d.Ops, r)
+		if r.CompatTotal > 0 && d.Summary != nil {
+			sum := *d.Summary
+			sum.CompatPassed, sum.CompatTotal = r.CompatPassed, r.CompatTotal
+			d.mu.Lock()
+			d.Summary = &sum
+			d.mu.Unlock()
+		}
 	}
 }
 
@@ -623,45 +643,34 @@ func (m *mirror) findRun(fleetID, runID string) *runMirror {
 // payload is an error, never a skipped record — skipping would let the
 // next snapshot truncate the log and make the loss permanent.
 func decodeRecord(typ string, data []byte) (record, error) {
-	var rec record
-	switch typ {
-	case recDeploymentCreated:
-		rec = new(depCreatedRec)
-	case recDeploymentEvent:
-		rec = new(depEventRec)
-	case recDeploymentSettled:
-		rec = new(depSettledRec)
-	case recDeploymentDeleted:
-		rec = new(depDeletedRec)
-	case recClusterOp:
-		rec = new(clusterOpRec)
-	case recFleetCreated:
-		rec = new(fleetCreatedRec)
-	case recFleetMember:
-		rec = new(fleetMemberRec)
-	case recFleetProvisioned:
-		rec = new(fleetProvisionedRec)
-	case recFleetDeleted:
-		rec = new(fleetDeletedRec)
-	case recScenarioStarted:
-		rec = new(scenarioStartedRec)
-	case recScenarioProgress:
-		rec = new(scenarioProgressRec)
-	case recScenarioSettled:
-		rec = new(scenarioSettledRec)
-	case recCampaignStarted:
-		rec = new(campaignStartedRec)
-	case recCampaignSeed:
-		rec = new(campaignSeedRec)
-	case recCampaignSettled:
-		rec = new(campaignSettledRec)
-	default:
+	mk, ok := recordTypes[typ]
+	if !ok {
 		return nil, errors.New("unknown record type")
 	}
+	rec := mk()
 	if err := decodeJSON(data, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// recordTypes makes the value each WAL record type decodes into.
+var recordTypes = map[string]func() record{
+	recDeploymentCreated: func() record { return new(depCreatedRec) },
+	recDeploymentEvent:   func() record { return new(depEventRec) },
+	recDeploymentSettled: func() record { return new(depSettledRec) },
+	recDeploymentDeleted: func() record { return new(depDeletedRec) },
+	recClusterOp:         func() record { return new(clusterOpRec) },
+	recFleetCreated:      func() record { return new(fleetCreatedRec) },
+	recFleetMember:       func() record { return new(fleetMemberRec) },
+	recFleetProvisioned:  func() record { return new(fleetProvisionedRec) },
+	recFleetDeleted:      func() record { return new(fleetDeletedRec) },
+	recScenarioStarted:   func() record { return new(scenarioStartedRec) },
+	recScenarioProgress:  func() record { return new(scenarioProgressRec) },
+	recScenarioSettled:   func() record { return new(scenarioSettledRec) },
+	recCampaignStarted:   func() record { return new(campaignStartedRec) },
+	recCampaignSeed:      func() record { return new(campaignSeedRec) },
+	recCampaignSettled:   func() record { return new(campaignSettledRec) },
 }
 
 // recordError is Open's failure for a log record recovery cannot read.
@@ -690,27 +699,29 @@ func numSuffix(id string) int {
 }
 
 // watchDeployment waits for a live deployment's build to settle, records
-// the terminal state — with the journal the handle then serves when the
-// build did not end ready, which is what recovery serves — in its row, and
-// then closes dep.journaled.
+// the terminal state — with the summary a ready row renders, or else the
+// journal the handle then serves, which is what recovery serves — in its
+// row, and then closes dep.journaled.
 func (st *store) watchDeployment(dep *deployment) {
 	st.wg.Add(1)
 	go func() {
 		defer st.wg.Done()
 		select {
-		case <-dep.Handle.Done():
+		case <-dep.h.Done():
 		case <-st.ctx.Done():
 		}
-		final := dep.Handle.Status()
+		final := dep.h.Status()
 		if !final.Terminal() {
 			return // store shutting down; the next recovery reconciles
 		}
 		rec := depSettledRec{ID: dep.row.Created.ID, State: string(final)}
-		if err := dep.Handle.Err(); err != nil {
+		if err := dep.h.Err(); err != nil {
 			rec.Error = err.Error()
 		}
-		if final != xcbc.StateReady {
-			rec.Events, _ = dep.events(page{})
+		if final == xcbc.StateReady {
+			rec.Summary = summaryOf(dep.h)
+		} else {
+			rec.Events, _ = dep.events(page{}, nil)
 		}
 		st.emit(recDeploymentSettled, rec)
 		close(dep.journaled)
@@ -758,35 +769,14 @@ func byNum[M any](m map[string]*M) []*M {
 	return out
 }
 
-// rebuildAhead is how many builds per SDK pool worker the warmer keeps
-// started ahead of the deployment it is waiting on: enough that no worker
-// idles while the warmer replays ops, few enough that a large DataDir does
-// not park a goroutine per deployment on the pool.
-const rebuildAhead = 4
-
-// rebuild is a build the warmer started ahead of its deployment's turn.
-type rebuild struct {
-	h   *xcbc.Handle
-	err error
-}
-
-// warmStep is an entry materialize registered before it was live: the
-// rest of its recovery, which warm runs, and the function that then makes
-// it live. build is the rebuild warm starts a window ahead for it; nil for
-// a fleet.
-type warmStep struct {
-	build  *createDeploymentRequest
-	finish func(rebuild)
-	live   func()
-}
-
 // materialize turns the recovered mirror into the tenant's live
-// resources. It runs with the server constructed but not yet serving, and
-// does here whatever can fail Open or journals: archiving terminal builds,
+// resources, with the server constructed but not yet serving. It does here
+// whatever can fail Open or journals: archiving terminal builds,
 // reconciling (or resuming) interrupted ones, recreating every fleet and
-// restoring its runs, replaying a run in flight. Ready deployments and
-// provisioned fleets are registered behind readiness instead, and once
-// nothing can fail, warm rebuilds and re-provisions them on st.wg.
+// restoring its runs, replaying a run in flight. Provisioned fleets are
+// registered behind readiness, and once nothing can fail, one goroutine on
+// st.wg re-provisions them in ID order, skipping what is left once the
+// store closes, so that every fleet still goes live.
 func (st *store) materialize(report *RecoveryReport) (err error) {
 	tn := st.tn
 	st.mu.Lock()
@@ -800,12 +790,17 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 
 	// Deployments first (fleets do not depend on them), in ID order.
 	report.Deployments += len(deps)
-	var steps []warmStep
+	var warm []func()
 	var resumed []*xcbc.Handle
 	defer func() {
 		if err == nil {
 			st.wg.Add(1)
-			go st.warm(steps)
+			go func() {
+				defer st.wg.Done()
+				for _, step := range warm {
+					step()
+				}
+			}()
 			return
 		}
 		// A failed Open leaves nothing it started running. Watchers go first,
@@ -817,13 +812,9 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 		}
 	}()
 	for _, m := range deps {
-		dep, finish := st.recoverDeployment(m, report)
-		if finish != nil {
-			steps = append(steps, warmStep{build: &m.Created.Req, finish: finish, live: tn.deployments.restoreWarming(m.Created.ID, dep)})
-			continue
-		}
-		if dep.Handle != nil {
-			resumed = append(resumed, dep.Handle)
+		dep := st.recoverDeployment(m, report)
+		if dep.h != nil {
+			resumed = append(resumed, dep.h)
 		}
 		tn.deployments.restore(m.Created.ID, dep)
 	}
@@ -834,7 +825,8 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 			return err
 		}
 		if provision != nil {
-			steps = append(steps, warmStep{finish: func(rebuild) { provision() }, live: tn.fleets.restoreWarming(m.Created.ID, fr)})
+			live := tn.fleets.restoreWarming(m.Created.ID, fr)
+			warm = append(warm, func() { provision(); live() })
 			continue
 		}
 		tn.fleets.restore(m.Created.ID, fr)
@@ -846,73 +838,18 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	return nil
 }
 
-// warm finishes, in ID order, the recovery of every entry materialize
-// registered before it was live, and makes each live as soon as it is
-// done. It keeps the rebuilds it will wait on started up to rebuildAhead ×
-// PoolWorkers() entries ahead, so the pool builds while it replays ops.
-// Once the store closes, what is left fails fast — no rebuild is started
-// and a running one is cancelled, archiving its deployment as failed — so
-// every entry still goes live and no request waits forever. Nothing here
-// journals.
-func (st *store) warm(steps []warmStep) {
-	defer st.wg.Done()
-	builds := make([]rebuild, len(steps))
-	started := 0
-	window := rebuildAhead * xcbc.PoolWorkers()
-	for i, step := range steps {
-		for ; started < min(i+1+window, len(steps)); started++ {
-			if req := steps[started].build; req != nil {
-				b := &builds[started]
-				if b.err = st.ctx.Err(); b.err == nil {
-					b.h, _, b.err = st.srv.startBuild(*req)
-				}
-			}
-		}
-		step.finish(builds[i])
-		step.live()
-	}
-}
-
-// recoverDeployment materializes one deployment from its mirror row. A
-// ready one is counted as scheduled and returned with the rest of its
-// recovery, which warm finishes with the rebuild it started for it;
-// anything else is complete when recoverDeployment returns. A rebuild or
-// resume that fails is not journaled: its failure is served from a row the
-// mirror never sees, so the next snapshot keeps what the log says and the
-// next restart tries again.
-func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deployment, func(rebuild)) {
+// recoverDeployment materializes one deployment from its mirror row; a
+// ready one gets rebuild, its build on first use. A resume that fails is
+// not journaled: the deployment reads failed (lost) while its row keeps
+// what the log says, and the next restart tries again.
+func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) *deployment {
 	dep := &deployment{row: m}
-	archive := func(errMsg string) {
-		dep.row = &depMirror{Created: m.Created, Events: m.Events, State: string(xcbc.StateFailed), Error: errMsg}
-	}
 	switch m.State {
 	case string(xcbc.StateReady):
 		report.Rebuilt++
 		report.OpsReplayed += len(m.Ops)
-		return dep, func(b rebuild) {
-			// Rebuild deterministically from the recorded request, then replay
-			// the recorded day-2 operations in log order. A rebuild that does
-			// not land ready again (it should: the simulated substrate is
-			// deterministic for a request that already succeeded once) is
-			// served as failed rather than presenting a half-true cluster.
-			if b.err != nil {
-				archive("recovery rebuild: " + b.err.Error())
-				return
-			}
-			d, err := b.h.Wait(st.ctx)
-			if err != nil {
-				b.h.Cancel()
-				archive("recovery rebuild settled " + string(b.h.Status()) + ": " + err.Error())
-				return
-			}
-			dep.Handle = b.h
-			cl := d.Open()
-			for _, op := range m.Ops {
-				if _, err := runOp(cl, &op); err != nil {
-					st.logf("store: %s: replaying %s: %v", m.Created.ID, op.Op, err)
-				}
-			}
-		}
+		ops := m.Ops
+		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep, ops) })
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
 		report.Archived++
 	default:
@@ -920,11 +857,11 @@ func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deplo
 		if st.resume {
 			h, _, err := st.srv.startBuild(m.Created.Req)
 			if err != nil {
-				archive("recovery resume: " + err.Error())
+				dep.lost = "recovery resume: " + err.Error()
 				report.Archived++
 				break
 			}
-			dep.Handle, dep.journaled = h, make(chan struct{})
+			dep.h, dep.journaled = h, make(chan struct{})
 			st.watchDeployment(dep)
 			report.Resumed++
 			break
@@ -934,17 +871,49 @@ func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) (*deplo
 			ID: m.Created.ID, State: string(xcbc.StateFailed), Error: msg,
 		})
 		if _, _, settled := dep.status(); !settled {
-			archive(msg) // the log refused the record; the next restart reconciles again
+			dep.lost = msg // the log refused the record; the next restart reconciles again
 		}
 		report.Interrupted++
 	}
-	return dep, nil
+	return dep
+}
+
+// rebuild builds a recovered ready deployment from its recorded request,
+// replays its recorded day-2 ops in log order, and returns its handle. A
+// build that does not land ready again (deterministic, it should) returns
+// nil, and the deployment reads failed, not half-true. Nothing journals.
+func (st *store) rebuild(dep *deployment, ops []clusterOpRec) *xcbc.Handle {
+	fail := func(msg string) *xcbc.Handle {
+		dep.row.mu.Lock()
+		dep.lost = msg
+		dep.row.mu.Unlock()
+		return nil
+	}
+	if err := st.ctx.Err(); err != nil {
+		return fail("recovery rebuild: " + err.Error())
+	}
+	h, _, err := st.srv.startBuild(dep.row.Created.Req)
+	if err != nil {
+		return fail("recovery rebuild: " + err.Error())
+	}
+	d, err := h.Wait(st.ctx)
+	if err != nil {
+		h.Cancel()
+		return fail("recovery rebuild settled " + string(h.Status()) + ": " + err.Error())
+	}
+	cl := d.Open()
+	for _, op := range ops {
+		if _, err := runOp(cl, &op); err != nil {
+			st.logf("store: %s: replaying %s: %v", dep.row.Created.ID, op.Op, err)
+		}
+	}
+	return h
 }
 
 // recoverFleet materializes one fleet and serves its scenario runs from
 // their rows: a settled run's row already holds its recorded result. A
 // provisioned fleet with no run in flight is returned with its
-// re-provisioning, which warm runs; otherwise the fleet is complete —
+// re-provisioning, which materialize leaves to the background; otherwise the fleet is complete —
 // re-provisioned and its in-flight run replayed — when recoverFleet
 // returns.
 func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
@@ -1024,8 +993,9 @@ type storeInfo struct {
 	WALBytes             int64  `json:"wal_bytes,omitempty"`
 	SnapshotBytes        int64  `json:"snapshot_bytes,omitempty"`
 	SnapshotAge          string `json:"snapshot_age,omitempty"`
-	// Warming counts the deployments and fleets recovery has registered but
-	// not yet made live; a request for one of them waits for it.
+	// Warming counts the fleets recovery has registered but not yet
+	// re-provisioned; a request for one of them waits for it. Recovered
+	// deployments never warm: their rows answer until one is used.
 	Warming int `json:"warming,omitempty"`
 }
 
@@ -1048,7 +1018,7 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		Segments:             stats.Segments,
 		WALBytes:             stats.WALBytes,
 		SnapshotBytes:        stats.SnapshotBytes,
-		Warming:              tn.deployments.warmingLen() + tn.fleets.warmingLen(),
+		Warming:              tn.fleets.warmingLen(),
 	}
 	if !stats.SnapshotTime.IsZero() {
 		info.SnapshotAge = s.clock().Sub(stats.SnapshotTime).Round(time.Millisecond).String()

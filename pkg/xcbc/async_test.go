@@ -332,3 +332,50 @@ func TestProgressEqualsJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolQueuesBeyondPoolWorkers: the pool every Start shares builds
+// PoolWorkers() clusters at once, and one more started while they are all
+// busy waits in StatePending until a worker frees up.
+func TestPoolQueuesBeyondPoolWorkers(t *testing.T) {
+	workers := PoolWorkers()
+	entered, gate := make(chan struct{}, workers+1), make(chan struct{})
+	handles := make([]*Handle, workers+1)
+	for i := range handles {
+		var once sync.Once
+		h, err := NewXCBC(WithCluster("littlefe"), WithNodeCount(2), WithInstallHook(func(string, int) error {
+			once.Do(func() {
+				entered <- struct{}{}
+				<-gate
+			})
+			return nil
+		})).Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
+	for range workers {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(gate)
+			t.Fatalf("fewer than %d builds started", workers)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // a build past the pool's width would start now
+	pending := 0
+	for _, h := range handles {
+		if h.Status() == StatePending {
+			pending++
+		}
+	}
+	close(gate)
+	if len(entered) != 0 || pending != 1 {
+		t.Errorf("%d builds past the pool's %d started and %d pending, want none started and 1 pending", len(entered), workers, pending)
+	}
+	for _, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

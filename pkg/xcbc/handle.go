@@ -72,6 +72,8 @@ func defaultPool() *orchestrator.Orchestrator {
 
 // PoolWorkers returns how many builds the pool every Start shares runs at
 // once; a caller starting many sizes its backlog by it.
+//
+//detlint:reached reference: TestPoolQueuesBeyondPoolWorkers holds the pool's width to it
 func PoolWorkers() int { return defaultPool().Workers() }
 
 // Handle tracks one asynchronous deployment started with Builder.Start. All

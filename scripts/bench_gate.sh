@@ -49,7 +49,7 @@ run .                    'BenchmarkScenarioChaosKickstart$' 20x
 run .                    'BenchmarkAPIUnderLoad'            2000x
 run .                    'BenchmarkAPIReadRows'             5000x
 run .                    'BenchmarkAPIFleetScenarioOp$'     20x
-run .                    'BenchmarkRecoverStanding64$/(listed|history)$' 100x
+run .                    'BenchmarkRecoverStanding64$/(listed|touched|history)$' 100x
 run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
 run ./internal/wal/      'BenchmarkWALAppend'               2000000x
 run ./internal/campaign/ 'BenchmarkCampaignSweep32$'        3x
