@@ -814,8 +814,8 @@ func BenchmarkScenarioChaosKickstart(b *testing.B) {
 // BenchmarkRecoverFleet100 measures cold recovery of a durable control
 // plane whose WAL holds a provisioned 100-member fleet (the campus-100
 // shape). Setup journals the fleet once; each iteration is a full
-// api.Open — WAL read, mirror rebuild — then a fleet list, which waits for
-// the background re-provision of all 100 clusters, and Close.
+// api.Open — WAL read, mirror rebuild — then a fleet list, which
+// re-provisions the fleet, all 100 clusters, on this first use, and Close.
 func BenchmarkRecoverFleet100(b *testing.B) {
 	dir := b.TempDir()
 	seedSrv, _, err := api.Open(api.Config{DataDir: dir})
@@ -924,9 +924,9 @@ func awaitBody(b testing.TB, call func(method, path, body string, want int) []by
 // snapshotted whole. An iteration of /listed is api.Open, a list of every
 // deployment and fleet through the handler, and Close — snapshot decode,
 // 64 rows rendered from their journaled summaries with no deployment
-// built, the fleet re-provisioned and its run restored, finished because
-// the fleet list waits for it, so allocs/op counts the same work however
-// far the background warmer got. /touched is /listed plus GET
+// built, the fleet's run restored, and the fleet re-provisioned on first
+// use by the fleet list, which waits for it, so allocs/op counts the same
+// work every iteration. /touched is /listed plus GET
 // /api/v1/clusters/d1/jobs before Close: one deployment built on demand
 // and its op replayed. /first is api.Open up to the first /healthz body,
 // the part a restart waits for (Close is not timed). snapshot-bytes is what

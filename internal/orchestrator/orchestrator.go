@@ -71,9 +71,6 @@ func New(workers int) *Orchestrator {
 	return &Orchestrator{sem: make(chan struct{}, workers)}
 }
 
-// Workers returns the pool's concurrency bound.
-func (o *Orchestrator) Workers() int { return cap(o.sem) }
-
 // Submit queues fn for execution and returns immediately with the job's
 // handle in StatePending. The job's context derives from ctx, so cancelling
 // ctx — or calling Job.Cancel — moves the job toward StateCancelled.

@@ -29,19 +29,30 @@ const (
 	maxFleetTotalNodes = 16384
 )
 
-// fleetRecord is one managed fleet: its mirror row, the live fleet, and
-// its scenario runs, served from their rows.
+// fleetRecord is one managed fleet: its mirror row, its live fleet (see
+// fleet), and its scenario runs, served from their rows.
 type fleetRecord struct {
-	row   *fleetMirror
-	Fleet *xcbc.Fleet
-	runs  *registry[*runMirror]
+	row       *fleetMirror
+	fl        *xcbc.Fleet
+	provision func() // runs once; nil unless recovered provisioned with no run in flight
+	runs      *registry[*runMirror]
 
 	mu      sync.Mutex
 	runLive bool // a scenario is currently executing
 }
 
 func newFleetRecord(row *fleetMirror, fl *xcbc.Fleet) *fleetRecord {
-	return &fleetRecord{row: row, Fleet: fl, runs: newRegistry[*runMirror]("s", "scenario runs", 0)}
+	return &fleetRecord{row: row, fl: fl, runs: newRegistry[*runMirror]("s", "scenario runs", 0)}
+}
+
+// fleet returns the live fleet. The first call re-provisions a recovered
+// provisioned fleet, and concurrent first calls wait for that one
+// provisioning, so callers hold no registry lock, fr.mu or st.mu.
+func (fr *fleetRecord) fleet() *xcbc.Fleet {
+	if fr.provision != nil {
+		fr.provision()
+	}
+	return fr.fl
 }
 
 // createFleetRequest provisions a new fleet of simulated clusters. The
@@ -82,13 +93,14 @@ type fleetInfo struct {
 }
 
 func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
-	st, c := fr.Fleet.Status(), &fr.row.Created
+	fl := fr.fleet()
+	st, c := fl.Status(), &fr.row.Created
 	info := fleetInfo{
 		ID: c.ID, Name: c.Name, Created: c.Created,
 		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
 	}
 	if withMembers {
-		info.Members = mapSlice(fr.Fleet.Members(), func(m *xcbc.FleetMember) fleetMemberInfo {
+		info.Members = mapSlice(fl.Members(), func(m *xcbc.FleetMember) fleetMemberInfo {
 			mi := fleetMemberInfo{ID: m.ID(), Index: m.Index(), State: string(m.Status())}
 			if err := m.Err(); err != nil {
 				mi.Error = err.Error()
@@ -188,12 +200,18 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tn := s.tenant(r)
+	fr, found := tn.fleets.get(id)
+	if !found {
+		writeError(w, http.StatusNotFound, "unknown fleet")
+		return
+	}
+	fl := fr.fleet() // a first use provisions, so not under removeIf's lock
 	var live bool
-	fr, found, removed := tn.fleets.removeIf(id, func(fr *fleetRecord) bool {
+	_, found, removed := tn.fleets.removeIf(id, func(fr *fleetRecord) bool {
 		fr.mu.Lock()
 		live = fr.runLive
 		fr.mu.Unlock()
-		return !live && fr.Fleet.Status().Settled()
+		return !live && fl.Status().Settled()
 	})
 	switch {
 	case !found:
@@ -205,7 +223,7 @@ func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 		tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		fr.Fleet.Cancel()
+		fl.Cancel()
 		writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, false))
 	}
 }
@@ -320,12 +338,13 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if sc.Members() != fr.Fleet.Len() {
+	fl := fr.fleet()
+	if sc.Members() != fl.Len() {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), fr.row.Created.ID, fr.Fleet.Len()))
+			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), fr.row.Created.ID, fl.Len()))
 		return
 	}
-	if sc.RequiresFreshFleet() && fr.Fleet.Provisioned() {
+	if sc.RequiresFreshFleet() && fl.Provisioned() {
 		writeError(w, http.StatusBadRequest,
 			"scenario arms kickstart faults; run it on a fleet created with \"provision\": false whose builds have not started")
 		return
@@ -366,6 +385,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 // settles as "error" rather than presenting a trace the crashed server
 // never produced.
 func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
+	fl := fr.fleet()
 	var obs func(xcbc.TraceEvent)
 	var got uint64
 	var reached bool
@@ -386,7 +406,7 @@ func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc
 			}
 		}
 	}
-	result, err := fr.Fleet.RunScenarioObserved(context.Background(), sc, obs)
+	result, err := fl.RunScenarioObserved(context.Background(), sc, obs)
 	if err == nil && target != nil && target.cursor > 0 && (!reached || got != target.hash) {
 		err = fmt.Errorf("%w at recorded cursor %d", errReplayDiverged, target.cursor)
 		result = nil
@@ -410,7 +430,7 @@ func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc
 	st.emit(recScenarioSettled, rec)
 	// A provision phase may have built the fleet's members mid-run; record
 	// that so recovery re-provisions before restoring results.
-	if fr.Fleet.Provisioned() {
+	if fl.Provisioned() {
 		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: run.Started.FleetID})
 	}
 	fr.runLive = false

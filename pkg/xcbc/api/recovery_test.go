@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -26,6 +27,20 @@ import (
 // every one at Open gave: the same registry, the same answers, the same
 // report, twice over — and nothing built that no request used, and nothing
 // left running when Open fails.
+
+// bodies GETs each path and returns the 200 bodies in order.
+func bodies(t *testing.T, s *Server, paths ...string) []string {
+	t.Helper()
+	var out []string
+	for _, path := range paths {
+		rec := do(t, s, "GET", path, "", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
+		}
+		out = append(out, rec.Body.String())
+	}
+	return out
+}
 
 // recoveredBodies renders the deployment listing's ID order and then every
 // listed deployment's read-only views: its status with the whole journal
@@ -324,9 +339,6 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 		if rec := do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe","node_count":2}`, &created); rec.Code != http.StatusAccepted || created.ID != "d5" {
 			t.Errorf("create while d3 is held = %d %q, want 202 d5", rec.Code, created.ID)
 		}
-		if rec := do(t, s, "GET", "/api/v1/store", "", nil); strings.Contains(rec.Body.String(), `"warming"`) {
-			t.Errorf("store reports a deployment warming: %s", rec.Body.String())
-		}
 		select {
 		case rec := <-pending:
 			t.Fatalf("GET d3 answered while its build is held: %d %s", rec.Code, rec.Body.String())
@@ -549,19 +561,7 @@ func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
 	do(t, s, "GET", "/api/v1/deployments/d3?limit=1000", "", &tip)
 	paths := []string{"/api/v1/deployments?limit=1000", "/api/v1/fleets", fmt.Sprintf("/api/v1/deployments/d3?cursor=%d", tip.NextCursor),
 		"/api/v1/deployments/d1?limit=1000", "/api/v1/clusters/d1/jobs", "/api/v1/clusters/d2/jobs"}
-	bodies := func(s *Server, paths ...string) []string {
-		t.Helper()
-		var out []string
-		for _, path := range paths {
-			rec := do(t, s, "GET", path, "", nil)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
-			}
-			out = append(out, rec.Body.String())
-		}
-		return out
-	}
-	want := bodies(s, paths...)
+	want := bodies(t, s, paths...)
 	s.Close()
 
 	builds.Store(0)
@@ -576,16 +576,16 @@ func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
 			t.Fatalf("%s: %d deployment builds, want %d", what, got, n)
 		}
 	}
-	if got := bodies(s, paths[:3]...); !slices.Equal(got, want[:3]) {
+	if got := bodies(t, s, paths[:3]...); !slices.Equal(got, want[:3]) {
 		t.Errorf("lists after the restart\n got: %q\nwant: %q", got, want[:3])
 	}
 	if rec := do(t, s, "DELETE", "/api/v1/deployments/d64", "", nil); rec.Code != http.StatusNoContent {
 		t.Fatalf("DELETE d64 = %d: %s", rec.Code, rec.Body.String())
 	}
 	expect("Open, the lists, a page at the tip and a DELETE", 0)
-	want[0] = bodies(s, paths[0])[0] // without d64
+	want[0] = bodies(t, s, paths[0])[0] // without d64
 
-	if got := bodies(s, "/api/v1/clusters/d1/jobs"); got[0] != want[4] {
+	if got := bodies(t, s, "/api/v1/clusters/d1/jobs"); got[0] != want[4] {
 		t.Errorf("d1's jobs after the restart\n got: %s\nwant: %s", got[0], want[4])
 	}
 	expect("one day-2 request", 1)
@@ -613,10 +613,84 @@ func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
 	}
 	expect("two concurrent first requests", 2)
 
-	if got := bodies(s, paths...); !slices.Equal(got, want) {
+	if got := bodies(t, s, paths...); !slices.Equal(got, want) {
 		t.Errorf("bodies after the builds\n got: %q\nwant: %q", got, want)
 	}
 	expect("reading what the builds left", 2)
+}
+
+// TestRestartProvisionsFleetsOnFirstUse restarts on two provisioned
+// fleets, f1 with one settled run: listing f1's runs and paging s1's trace
+// provision neither fleet, two concurrent GETs of f2 provision f2 alone,
+// and GET f1 then answers what it did before the restart. After Close, a
+// first use provisions nothing.
+func TestRestartProvisionsFleetsOnFirstUse(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	for _, id := range []string{"f1", "f2"} {
+		postJSON(t, s.Handler(), "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`)
+		waitFleetSettled(t, s.Handler(), id)
+	}
+	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
+	}
+	waitRunSettled(t, s, "f1", "s1")
+	paths := []string{"/api/v1/fleets/f1/scenarios", "/api/v1/fleets/f1/scenarios/s1?cursor=0&limit=50",
+		"/api/v1/fleets/f1/scenarios/s1?cursor=50&limit=50", "/api/v1/fleets/f1"}
+	want := bodies(t, s, paths...)
+	s.Close()
+
+	provisioned := func(s *Server) (got [2]bool) {
+		t.Helper()
+		for i, id := range []string{"f1", "f2"} {
+			fr, ok := s.openTenant.fleets.get(id)
+			if !ok {
+				t.Fatalf("fleet %s not recovered", id)
+			}
+			got[i] = fr.fl.Provisioned()
+		}
+		return got
+	}
+	s, rep := openDurable(t, dir)
+	defer s.Close()
+	if rep.Fleets != 2 || rep.Runs != 1 || rep.Replayed != 0 {
+		t.Fatalf("recovery report = %+v, want 2 fleets and 1 settled run", rep)
+	}
+	if got := bodies(t, s, paths[:3]...); !slices.Equal(got, want[:3]) {
+		t.Errorf("f1's runs after the restart\n got: %q\nwant: %q", got, want[:3])
+	}
+	if got := provisioned(s); got != [2]bool{} {
+		t.Fatalf("after Open and reading f1's runs, provisioned (f1, f2) = %v, want neither", got)
+	}
+	// Two first requests at once share f2's one provisioning.
+	f2s := make(chan *httptest.ResponseRecorder, 2)
+	for range 2 {
+		go func() { f2s <- do(t, s, "GET", "/api/v1/fleets/f2", "", nil) }()
+	}
+	for range 2 {
+		var f2 fleetInfo
+		rec := <-f2s
+		if err := json.Unmarshal(rec.Body.Bytes(), &f2); err != nil || rec.Code != http.StatusOK || f2.Status.Ready != 2 {
+			t.Fatalf("GET f2 = %d %+v (%v), want 200 with 2 members ready", rec.Code, f2.Status, err)
+		}
+	}
+	if got := provisioned(s); got != [2]bool{false, true} {
+		t.Fatalf("after GET f2, provisioned (f1, f2) = %v, want f2 alone", got)
+	}
+	if got := bodies(t, s, paths...); !slices.Equal(got, want) {
+		t.Errorf("bodies after f1's first use\n got: %q\nwant: %q", got, want)
+	}
+	if got := provisioned(s); got != [2]bool{true, true} {
+		t.Fatalf("after GET f1, provisioned (f1, f2) = %v, want both", got)
+	}
+
+	s.Close()
+	s, _ = openDurable(t, dir)
+	s.Close()
+	fr, _ := s.openTenant.fleets.get("f1")
+	if fr.fleet().Provisioned() {
+		t.Error("a first use after Close provisioned f1")
+	}
 }
 
 // TestRestartKeepsCompatOfAppliedUpdates: an update that applies packages

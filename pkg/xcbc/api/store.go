@@ -11,13 +11,15 @@ package api
 // runs; a memory-only server's has no log. A snapshot is just the
 // marshalled mirror, and recovery is "load snapshot, re-apply the WAL
 // tail, materialize live resources from the mirror". Materializing (see
-// materialize) serves every deployment from its row — a ready one is
-// rebuilt from its recorded request, its recorded day-2 ops replayed, only
-// when a request first needs it live — reconciles builds in flight at the
-// crash, re-provisions fleets, and replays a scenario run in flight from
-// its seed, verified against the recorded rolling hash at the recorded
-// cursor: a divergence settles the run as "error" rather than presenting a
-// trace that is not the one the crashed server was producing.
+// materialize) serves every resource from its row, and one rule covers
+// both kinds that hold live state: a ready deployment is rebuilt from its
+// recorded request, its recorded day-2 ops replayed, and a provisioned
+// fleet re-provisioned, only when a request first needs it live. It also
+// reconciles builds in flight at the crash, and re-provisions a fleet with
+// a scenario run in flight and replays that run from its seed, verified
+// against the recorded rolling hash at the recorded cursor: a divergence
+// settles the run as "error" rather than presenting a trace that is not the
+// one the crashed server was producing.
 //
 // Replay correctness leans on the scenario engine's determinism contract:
 // a scenario's trace is a pure function of (script, seed, fresh fleet).
@@ -308,7 +310,8 @@ func newMirror() *mirror {
 // Lock order: fr.mu (a fleet's), then st.mu, then a row's mu. The fleets
 // registry's lock comes before fr.mu, which handleDeleteFleet takes under
 // it, so nothing takes a registry lock while holding st.mu: materialize
-// reads the Next* IDs under st.mu and advances the registries after.
+// reads the Next* IDs under st.mu and advances the registries after. A
+// first use that builds or provisions holds none of them.
 type store struct {
 	srv       *Server
 	tn        *tenant
@@ -375,8 +378,8 @@ func newStore(s *Server, tn *tenant, cfg Config) *store {
 // tenant's live resources from it, counting what it recovered into report.
 // When open returns, every recovered resource is registered, so IDs,
 // quotas and paging are exact, and every in-flight scenario run has been
-// replayed and verified; provisioned fleets go live in the background and
-// ready deployments on first use (see materialize).
+// replayed and verified; ready deployments and provisioned fleets go live
+// on first use (see materialize).
 func (st *store) open(dir string, report *RecoveryReport) error {
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -773,11 +776,9 @@ func byNum[M any](m map[string]*M) []*M {
 // resources, with the server constructed but not yet serving. It does here
 // whatever can fail Open or journals: archiving terminal builds,
 // reconciling (or resuming) interrupted ones, recreating every fleet and
-// restoring its runs, replaying a run in flight. Provisioned fleets are
-// registered behind readiness, and once nothing can fail, one goroutine on
-// st.wg re-provisions them in ID order, skipping what is left once the
-// store closes, so that every fleet still goes live.
-func (st *store) materialize(report *RecoveryReport) (err error) {
+// restoring its runs, replaying a run in flight. What it leaves to first
+// use, a build or a provisioning, starts none once the store has closed.
+func (st *store) materialize(report *RecoveryReport) error {
 	tn := st.tn
 	st.mu.Lock()
 	deps, fleets, camps := byNum(st.m.Deployments), byNum(st.m.Fleets), byNum(st.m.Campaigns)
@@ -790,27 +791,7 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 
 	// Deployments first (fleets do not depend on them), in ID order.
 	report.Deployments += len(deps)
-	var warm []func()
 	var resumed []*xcbc.Handle
-	defer func() {
-		if err == nil {
-			st.wg.Add(1)
-			go func() {
-				defer st.wg.Done()
-				for _, step := range warm {
-					step()
-				}
-			}()
-			return
-		}
-		// A failed Open leaves nothing it started running. Watchers go first,
-		// so none of them journals the cancellation of a resumed build.
-		st.cancel()
-		st.wg.Wait()
-		for _, h := range resumed {
-			h.Cancel()
-		}
-	}()
 	for _, m := range deps {
 		dep := st.recoverDeployment(m, report)
 		if dep.h != nil {
@@ -820,14 +801,17 @@ func (st *store) materialize(report *RecoveryReport) (err error) {
 	}
 	report.Fleets += len(fleets)
 	for _, m := range fleets {
-		fr, provision, err := st.recoverFleet(m, report)
+		fr, err := st.recoverFleet(m, report)
 		if err != nil {
+			// A failed Open leaves nothing it started running. Watchers go
+			// first, so none of them journals the cancellation of a resumed
+			// build.
+			st.cancel()
+			st.wg.Wait()
+			for _, h := range resumed {
+				h.Cancel()
+			}
 			return err
-		}
-		if provision != nil {
-			live := tn.fleets.restoreWarming(m.Created.ID, fr)
-			warm = append(warm, func() { provision(); live() })
-			continue
 		}
 		tn.fleets.restore(m.Created.ID, fr)
 	}
@@ -912,15 +896,14 @@ func (st *store) rebuild(dep *deployment, ops []clusterOpRec) *xcbc.Handle {
 
 // recoverFleet materializes one fleet and serves its scenario runs from
 // their rows: a settled run's row already holds its recorded result. A
-// provisioned fleet with no run in flight is returned with its
-// re-provisioning, which materialize leaves to the background; otherwise the fleet is complete —
-// re-provisioned and its in-flight run replayed — when recoverFleet
-// returns.
-func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, func(), error) {
+// provisioned fleet with no run in flight gets provision, its
+// re-provisioning on first use; one with a run in flight is re-provisioned
+// and the run replayed before recoverFleet returns.
+func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, error) {
 	id := m.Created.ID
 	fl, err := xcbc.NewFleet(fleetSpecOf(m.Created.Req))
 	if err != nil {
-		return nil, nil, fmt.Errorf("api: recovering fleet %s: %w", id, err)
+		return nil, fmt.Errorf("api: recovering fleet %s: %w", id, err)
 	}
 	fr := newFleetRecord(m, fl)
 	var inflight *runMirror
@@ -941,13 +924,13 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 	if inflight != nil {
 		sc, err := xcbc.LoadScenario(inflight.Started.Scenario)
 		if err != nil {
-			return nil, nil, fmt.Errorf("api: recovering run %s/%s: %w", id, inflight.Started.RunID, err)
+			return nil, fmt.Errorf("api: recovering run %s/%s: %w", id, inflight.Started.RunID, err)
 		}
 		// A run that arms kickstart faults must replay against a fleet whose
 		// builds have not started; its provision phase builds the members.
 		if m.Provisioned && !sc.RequiresFreshFleet() {
 			if err := provision(); err != nil {
-				return nil, nil, fmt.Errorf("api: re-provisioning fleet %s: %w", id, err)
+				return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", id, err)
 			}
 		}
 		// In flight at the crash: replay from the seed and verify the trace
@@ -958,19 +941,19 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 		if errors.Is(err, errReplayDiverged) {
 			report.ReplayMismatches++
 		}
-		return fr, nil, nil
+		return fr, nil
 	}
-	if !m.Provisioned {
-		return fr, nil, nil
+	if m.Provisioned {
+		fr.provision = sync.OnceFunc(func() {
+			if st.ctx.Err() != nil {
+				return // closed before first use
+			}
+			if err := provision(); err != nil && st.ctx.Err() == nil {
+				st.logf("store: re-provisioning fleet %s: %v", id, err)
+			}
+		})
 	}
-	return fr, func() {
-		if st.ctx.Err() != nil {
-			return // closed before its turn
-		}
-		if err := provision(); err != nil && st.ctx.Err() == nil {
-			st.logf("store: re-provisioning fleet %s: %v", id, err)
-		}
-	}, nil
+	return fr, nil
 }
 
 // errReplayDiverged marks a recovery replay whose regenerated trace did
@@ -993,15 +976,11 @@ type storeInfo struct {
 	WALBytes             int64  `json:"wal_bytes,omitempty"`
 	SnapshotBytes        int64  `json:"snapshot_bytes,omitempty"`
 	SnapshotAge          string `json:"snapshot_age,omitempty"`
-	// Warming counts the fleets recovery has registered but not yet
-	// re-provisioned; a request for one of them waits for it. Recovered
-	// deployments never warm: their rows answer until one is used.
-	Warming int `json:"warming,omitempty"`
 }
 
 // handleStore reports durability status: whether the request's tenant has
-// a data directory attached, and if so the WAL's size, the age of the
-// newest snapshot, and how much of the recovered state is still warming.
+// a data directory attached, and if so the WAL's size and the age of the
+// newest snapshot.
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenant(r)
 	if tn.store.log == nil {
@@ -1018,7 +997,6 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 		Segments:             stats.Segments,
 		WALBytes:             stats.WALBytes,
 		SnapshotBytes:        stats.SnapshotBytes,
-		Warming:              tn.fleets.warmingLen(),
 	}
 	if !stats.SnapshotTime.IsZero() {
 		info.SnapshotAge = s.clock().Sub(stats.SnapshotTime).Round(time.Millisecond).String()

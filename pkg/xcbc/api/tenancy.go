@@ -130,6 +130,9 @@ func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 		if c.RateLimit < 0 || c.Burst < 0 {
 			return nil, nil, fmt.Errorf("api: tenant %q has a negative rate limit or burst", c.Name)
 		}
+		if q := c.Quotas; q.MaxDeployments < 0 || q.MaxFleets < 0 || q.MaxCampaigns < 0 {
+			return nil, nil, fmt.Errorf("api: tenant %q has a negative quota", c.Name)
+		}
 		tn := newTenant(c.Name, c.Quotas)
 		tn.keyHash = sum
 		if c.RateLimit > 0 {

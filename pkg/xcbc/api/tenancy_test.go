@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -494,4 +495,88 @@ func TestDiscoveryAdvertisesContracts(t *testing.T) {
 	if doc.Auth.Mode != "open" {
 		t.Errorf("open-mode auth mode = %q", doc.Auth.Mode)
 	}
+}
+
+// tenantRefusals are the tenant configs buildTenants refuses, one row per
+// rule, with what its error says.
+var tenantRefusals = []struct {
+	name string
+	cfgs []TenantConfig
+	want string
+}{
+	{"bad name", []TenantConfig{{Name: "Alpha", Key: "k"}}, "bad tenant name"},
+	{"long name", []TenantConfig{{Name: strings.Repeat("a", 65), Key: "k"}}, "bad tenant name"},
+	{"duplicate name", []TenantConfig{{Name: "a", Key: "k1"}, {Name: "a", Key: "k2"}}, "duplicate tenant name"},
+	{"empty key", []TenantConfig{{Name: "a"}}, "empty API key"},
+	{"reused key", []TenantConfig{{Name: "a", Key: "k"}, {Name: "b", Key: "k"}}, "reuses another tenant's API key"},
+	{"negative rate", []TenantConfig{{Name: "a", Key: "k", RateLimit: -1}}, "negative rate limit or burst"},
+	{"negative burst", []TenantConfig{{Name: "a", Key: "k", RateLimit: 1, Burst: -1}}, "negative rate limit or burst"},
+	{"negative quota", []TenantConfig{{Name: "a", Key: "k", Quotas: Quotas{MaxFleets: -1}}}, "negative quota"},
+}
+
+// TestTenantConfigRefused holds buildTenants to each refusal: a config
+// that breaks one rule builds no tenants and says which rule.
+func TestTenantConfigRefused(t *testing.T) {
+	for _, tc := range tenantRefusals {
+		tenants, open, err := buildTenants(tc.cfgs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || tenants != nil || open != nil {
+			t.Errorf("%s: buildTenants = %d tenants, open %v, err %v; want refused with %q", tc.name, len(tenants), open != nil, err, tc.want)
+		}
+	}
+}
+
+// FuzzTenantConfig feeds arbitrary bytes through what repo-server -tenants
+// does with its file — json.Unmarshal into []TenantConfig, then
+// buildTenants — which must never panic, and whatever config it accepts
+// has valid, distinct names, distinct non-empty keys and no negative
+// field. The seeds are a valid two-tenant file and every refusal.
+func FuzzTenantConfig(f *testing.F) {
+	valid, err := json.Marshal([]TenantConfig{
+		{Name: "alpha", Key: "alpha-key", Quotas: Quotas{MaxDeployments: 4, MaxFleets: 1}, RateLimit: 2.5, Burst: 3},
+		{Name: "beta_2", Key: "beta-key"},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, tc := range tenantRefusals {
+		data, err := json.Marshal(tc.cfgs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	name := regexp.MustCompile(`^[a-z0-9_-]{1,64}$`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfgs []TenantConfig
+		if json.Unmarshal(data, &cfgs) != nil {
+			return
+		}
+		tenants, open, err := buildTenants(cfgs)
+		if err != nil {
+			return
+		}
+		if len(cfgs) == 0 {
+			if len(tenants) != 1 || open == nil {
+				t.Fatalf("an empty config built %d tenants, open %v; want the open tenant alone", len(tenants), open != nil)
+			}
+			return
+		}
+		if len(tenants) != len(cfgs) || open != nil {
+			t.Fatalf("%d configs built %d tenants, open %v", len(cfgs), len(tenants), open != nil)
+		}
+		names, keys := map[string]bool{}, map[string]bool{}
+		for _, c := range cfgs {
+			q := c.Quotas
+			switch {
+			case !name.MatchString(c.Name) || names[c.Name]:
+				t.Fatalf("accepted a bad or repeated name %q", c.Name)
+			case c.Key == "" || keys[c.Key]:
+				t.Fatalf("tenant %q: accepted an empty or repeated key", c.Name)
+			case c.RateLimit < 0 || c.Burst < 0 || q.MaxDeployments < 0 || q.MaxFleets < 0 || q.MaxCampaigns < 0:
+				t.Fatalf("tenant %q: accepted a negative field: %+v", c.Name, c)
+			}
+			names[c.Name], keys[c.Key] = true, true
+		}
+	})
 }

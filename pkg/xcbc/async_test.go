@@ -334,10 +334,10 @@ func TestProgressEqualsJournal(t *testing.T) {
 }
 
 // TestPoolQueuesBeyondPoolWorkers: the pool every Start shares builds
-// PoolWorkers() clusters at once, and one more started while they are all
+// poolWorkers() clusters at once, and one more started while they are all
 // busy waits in StatePending until a worker frees up.
 func TestPoolQueuesBeyondPoolWorkers(t *testing.T) {
-	workers := PoolWorkers()
+	workers := poolWorkers()
 	entered, gate := make(chan struct{}, workers+1), make(chan struct{})
 	handles := make([]*Handle, workers+1)
 	for i := range handles {

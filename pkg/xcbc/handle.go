@@ -57,24 +57,13 @@ var (
 )
 
 func defaultPool() *orchestrator.Orchestrator {
-	poolOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-		if workers > 8 {
-			workers = 8
-		}
-		pool = orchestrator.New(workers)
-	})
+	poolOnce.Do(func() { pool = orchestrator.New(poolWorkers()) })
 	return pool
 }
 
-// PoolWorkers returns how many builds the pool every Start shares runs at
-// once; a caller starting many sizes its backlog by it.
-//
-//detlint:reached reference: TestPoolQueuesBeyondPoolWorkers holds the pool's width to it
-func PoolWorkers() int { return defaultPool().Workers() }
+// poolWorkers is how many builds the shared pool runs at once: one per
+// processor, at least 2 and at most 8.
+func poolWorkers() int { return min(max(runtime.GOMAXPROCS(0), 2), 8) }
 
 // Handle tracks one asynchronous deployment started with Builder.Start. All
 // methods are safe for concurrent use.
