@@ -11,7 +11,7 @@
 // never re-typechecked from source.
 //
 // The six analyzers and the invariants they enforce are documented in
-// DESIGN.md ("Static analysis: the determinism contract") and registered
+// DESIGN.md, "Static analysis: the determinism contract", and registered
 // in cmd/detlint, which is usable both standalone (`detlint ./...`) and as
 // a `go vet -vettool=` multichecker.
 package analysis

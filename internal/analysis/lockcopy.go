@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Lockcopy guards the two lock bugs the sharded-rollup and
+// Lockcopy guards the two lock bugs the per-member-mutex and
 // serializing-adapter patterns (internal/fleet, core.Operations) make
 // easy to write:
 //

@@ -32,7 +32,7 @@ func (c CPUModel) String() string {
 // paper's arithmetic: the published LittleFe and Limulus Rpeak figures imply
 // 16 DP flops/cycle (Haswell AVX2+FMA); pre-Haswell parts use their
 // generation's values. Site-cluster clocks are fit so the catalog reproduces
-// Table 3's published Rpeak (see DESIGN.md §5).
+// Table 3's published Rpeak (see EXPERIMENTS.md, "Tables").
 var (
 	// AtomD510 is the CPU of the original LittleFe v4 design.
 	AtomD510 = CPUModel{

@@ -8,8 +8,8 @@ import (
 // The paper's Figures 1-3 are photographs of physical hardware. A simulation
 // cannot reproduce photographs, so these renderers produce structural ASCII
 // diagrams carrying the same information: which nodes exist, how they are
-// arranged in the chassis, and what components each carries. DESIGN.md
-// records this substitution.
+// arranged in the chassis, and what components each carries.
+// EXPERIMENTS.md, "Figures", records this substitution.
 
 // RenderLittleFeRear renders the Figure 1 substitute: the LittleFe v4 frame,
 // rear view, six vertically stacked mini-ITX boards with their PSUs and

@@ -120,18 +120,6 @@ type Fleet struct {
 	members []*Member
 	next    atomic.Int64 // index of the next member a build worker takes
 
-	// Lock-free settle rollup: the worker that ran a member's build bumps
-	// exactly one of ready/failed/cancelled (plus quarantined for ready
-	// members) as the build settles. Once the three sum to len(members),
-	// Status can answer from these counters alone instead of scanning every
-	// member's job mutex — the scan is what 8+ builder workers and pollers
-	// contended on at 10k members. Until then Status falls back to the
-	// scan, so the counters only ever serve a fully settled fleet.
-	readyCount       atomic.Int64
-	failedCount      atomic.Int64
-	cancelledCount   atomic.Int64
-	quarantinedCount atomic.Int64
-
 	mu          sync.Mutex
 	provisioned bool
 
@@ -219,27 +207,10 @@ func (f *Fleet) Provision(ctx context.Context) error {
 					return
 				}
 				f.members[i].job.Run()
-				f.settle(f.members[i])
 			}
 		}()
 	}
 	return nil
-}
-
-// settle folds a member whose build just ended into the lock-free rollup.
-func (f *Fleet) settle(m *Member) {
-	st, result, _ := m.job.Outcome()
-	if d, ok := result.(*core.Deployment); ok {
-		f.quarantinedCount.Add(int64(len(d.Quarantined)))
-	}
-	switch st {
-	case orchestrator.StateReady:
-		f.readyCount.Add(1)
-	case orchestrator.StateFailed:
-		f.failedCount.Add(1)
-	case orchestrator.StateCancelled:
-		f.cancelledCount.Add(1)
-	}
 }
 
 // Wait blocks until every member's build settles or ctx expires. It
@@ -284,21 +255,8 @@ type Status struct {
 }
 
 // Status counts members by state. Members not yet provisioned count as
-// pending. Once every member has settled, the answer comes from the
-// workers' atomic rollup without touching any per-member lock.
+// pending.
 func (f *Fleet) Status() Status {
-	ready := f.readyCount.Load()
-	failed := f.failedCount.Load()
-	cancelled := f.cancelledCount.Load()
-	if int(ready+failed+cancelled) == len(f.members) {
-		return Status{
-			Members:     len(f.members),
-			Ready:       int(ready),
-			Failed:      int(failed),
-			Cancelled:   int(cancelled),
-			Quarantined: int(f.quarantinedCount.Load()),
-		}
-	}
 	st := Status{Members: len(f.members)}
 	for _, m := range f.members {
 		state, result := orchestrator.StatePending, any(nil)

@@ -5,7 +5,7 @@
 // rollouts in waves), and assert invariants — emitting a machine-readable
 // trace that is byte-identical for a given scenario and seed.
 //
-// Determinism contract (see DESIGN.md "Fleet & scenario engine"):
+// Determinism contract (see DESIGN.md, "Fleet & scenario engine"):
 //
 //   - No wall-clock anywhere: time in a trace is simulated time from each
 //     member's private engine, and update checks are stamped with the Unix

@@ -294,6 +294,26 @@ type mirror struct {
 	NextCampaignID int                        `json:"next_campaign_id,omitempty"`
 }
 
+// refuseNullRows refuses a snapshot fleet, run or campaign row that
+// decoded to nil (encoding/json accepts null for each), which materialize
+// and the tail records would dereference.
+func (m *mirror) refuseNullRows() error {
+	for _, id := range slices.Sorted(maps.Keys(m.Fleets)) {
+		if m.Fleets[id] == nil {
+			return fmt.Errorf("null fleet row %s", id)
+		}
+		if i := slices.Index(m.Fleets[id].Runs, nil); i >= 0 {
+			return fmt.Errorf("null run row %d of fleet %s", i, id)
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(m.Campaigns)) {
+		if m.Campaigns[id] == nil {
+			return fmt.Errorf("null campaign row %s", id)
+		}
+	}
+	return nil
+}
+
 func newMirror() *mirror {
 	return &mirror{
 		Deployments: make(map[string]*depMirror),
@@ -391,7 +411,11 @@ func (st *store) open(dir string, report *RecoveryReport) error {
 	report.Repaired = report.Repaired || rec.Repaired
 	report.DroppedBytes += rec.DroppedBytes
 	if rec.Snapshot != nil {
-		if err := decodeJSON(rec.Snapshot, st.m); err != nil {
+		err := decodeJSON(rec.Snapshot, st.m)
+		if err == nil {
+			err = st.m.refuseNullRows()
+		}
+		if err != nil {
 			return errors.Join(fmt.Errorf("api: decoding snapshot: %w", err), l.Close())
 		}
 		if st.m.Deployments == nil {

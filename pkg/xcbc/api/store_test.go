@@ -598,6 +598,47 @@ func TestOpenFailsStopOnUnreadableRecord(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesNullRows writes CRC-valid snapshots whose fleet, run or
+// campaign row is null and requires Open to refuse each with an error
+// naming the row, before anything is materialized, leaving the DataDir as
+// it found it.
+func TestOpenRefusesNullRows(t *testing.T) {
+	for _, tc := range []struct{ snapshot, want string }{
+		{`{"deployments":{},"fleets":{"f1":null}}`, "null fleet row f1"},
+		{`{"deployments":{},"fleets":{},"campaigns":{"c1":null}}`, "null campaign row c1"},
+		{`{"deployments":{},"fleets":{"f1":{"created":{"id":"f1","name":"f1","req":{"members":1}},"provisioned":false,"runs":[null]}}}`,
+			"null run row 0 of fleet f1"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Snapshot([]byte(tc.snapshot)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
+
+			s, _, err := Open(Config{DataDir: dir, SnapshotEvery: 1})
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a snapshot with a null row")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open error = %v, want one naming %q", err, tc.want)
+			}
+			if after := dirBytes(t, dir); !maps.Equal(before, after) {
+				t.Errorf("refused Open changed the DataDir: before %v, after %v",
+					slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+			}
+		})
+	}
+}
+
 // TestLiveAndRecoveryApplyAgree walks one script covering all 15 record
 // types through two mirrors — one applying each typed value as emit does,
 // one applying decodeRecord of its marshalled bytes as recovery does — and
