@@ -2,7 +2,6 @@ package api
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -73,16 +72,16 @@ func campaignInfoOf(c *campaignMirror) campaignInfo {
 	return info
 }
 
-// settleState reduces final counters to a campaign state: "passed" only
+// settleState reduces a finished sweep to a campaign state: "passed" only
 // when every seed passed; any violation makes it "failed"; mechanical
-// trouble (cancellation, seeds that errored) makes it "error".
-func settleState(failed, errs int, err error) (string, string) {
+// trouble (a refused spec, seeds that errored) makes it "error".
+func settleState(res *xcbc.CampaignResult, err error) (string, string) {
 	switch {
-	case err != nil:
+	case res == nil:
 		return "error", err.Error()
-	case failed > 0:
+	case res.Failed > 0:
 		return "failed", ""
-	case errs > 0:
+	case res.Errors > 0:
 		return "error", "some seeds did not complete"
 	}
 	return "passed", ""
@@ -138,30 +137,31 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	started.row = row
 	tn.store.emit(recCampaignStarted, started)
 	accepted := campaignInfoOf(row) // before the sweep starts: always "running"
-	go s.executeCampaign(tn.store, row)
+	tn.store.spawn(func() { s.executeCampaign(tn.store, row) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
-// executeCampaign drives one campaign to settlement on its own goroutine.
-// The per-seed observer runs on the campaign's goroutine in seed order, so
+// executeCampaign drives one campaign to settlement as a store task. The
+// per-seed observer runs on the campaign's goroutine in seed order, so
 // the outcomes (and the records that carry them) advance deterministically
 // even though the pool interleaves the underlying runs. The row a client
-// reads changes only when apply writes a journaled outcome or state.
+// reads changes only when apply writes a journaled outcome or state. A
+// sweep the store's close cancels journals nothing more, as after a crash.
 func (s *Server) executeCampaign(st *store, row *campaignMirror) {
 	id, spec := row.Started.ID, row.Started.Spec
 	if spec.CheckHook == nil {
 		spec.CheckHook = s.campaignHook
 	}
-	res, err := xcbc.RunCampaignObserved(context.Background(), spec,
+	res, err := xcbc.RunCampaignObserved(st.ctx, spec,
 		func(out xcbc.CampaignSeedOutcome) {
-			st.emit(recCampaignSeed, campaignSeedRec{ID: id, Outcome: out})
+			if st.ctx.Err() == nil { // else a cancelled seed's error, not an outcome
+				st.emit(recCampaignSeed, campaignSeedRec{ID: id, Outcome: out})
+			}
 		})
-	var state, errMsg string
-	if res == nil {
-		state, errMsg = "error", err.Error()
-	} else {
-		state, errMsg = settleState(res.Failed, res.Errors, err)
+	if st.ctx.Err() != nil {
+		return
 	}
+	state, errMsg := settleState(res, err)
 	st.emit(recCampaignSettled, campaignSettledRec{ID: id, State: state, Error: errMsg})
 }
 

@@ -4,29 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
 )
-
-// waitCampaign polls until the campaign settles and returns its info.
-func waitCampaign(t *testing.T, s *Server, id string) campaignInfo {
-	t.Helper()
-	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
-		var info campaignInfo
-		if rec := do(t, s, "GET", "/api/v1/campaigns/"+id, "", &info); rec.Code != http.StatusOK {
-			t.Fatalf("GET campaign: %d %s", rec.Code, rec.Body.String())
-		}
-		if info.State != "running" {
-			return info
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s did not settle", id)
-		}
-	}
-}
 
 // TestCampaignLifecycle drives a small clean sweep through the REST
 // surface: 202 on create, progress visible by id and in the list, and a
@@ -42,7 +26,7 @@ func TestCampaignLifecycle(t *testing.T) {
 		t.Fatalf("created campaign = %+v", created)
 	}
 
-	info := waitCampaign(t, s, created.ID)
+	info := awaitSettled[campaignInfo](t, s, "", "/api/v1/campaigns/"+created.ID)
 	if info.State != "passed" || info.Completed != 3 || info.Passed != 3 || info.Failed != 0 {
 		t.Fatalf("settled campaign = %+v, want 3/3 passed", info)
 	}
@@ -118,7 +102,7 @@ func TestCampaignFailureCarriesShrunkRepro(t *testing.T) {
 		t.Fatalf("create campaign: %d %s", rec.Code, rec.Body.String())
 	}
 
-	info := waitCampaign(t, s, created.ID)
+	info := awaitSettled[campaignInfo](t, s, "", "/api/v1/campaigns/"+created.ID)
 	if info.State != "failed" || info.Failed == 0 || len(info.Failures) == 0 {
 		t.Fatalf("campaign missed the planted bug: %+v", info)
 	}
@@ -148,7 +132,7 @@ func TestCampaignDurableSettled(t *testing.T) {
 	if rec := do(t, s1, "POST", "/api/v1/campaigns", `{"seeds":2,"workers":2}`, &created); rec.Code != http.StatusAccepted {
 		t.Fatalf("create campaign: %d %s", rec.Code, rec.Body.String())
 	}
-	before := waitCampaign(t, s1, created.ID)
+	before := awaitSettled[campaignInfo](t, s1, "", "/api/v1/campaigns/"+created.ID)
 	s1.Close()
 
 	s2, rep := openDurable(t, dir)
@@ -172,14 +156,14 @@ func TestCampaignDurableSettled(t *testing.T) {
 	if next.ID == created.ID {
 		t.Fatalf("recovered server reused campaign ID %s", next.ID)
 	}
-	waitCampaign(t, s2, next.ID)
+	awaitSettled[campaignInfo](t, s2, "", "/api/v1/campaigns/"+next.ID)
 }
 
 // TestCloseWhileCampaignRuns closes a durable server the moment a campaign
-// starts. The sweep goes on journaling through its tenant's store while
-// Close shuts that store down: under -race the two must not touch the
-// same memory unsynchronized, the outcomes that arrive after Close are
-// dropped, and the DataDir reopens with the campaign settled.
+// starts. The sweep journals through its tenant's store while Close shuts
+// that store down: under -race the two must not touch the same memory
+// unsynchronized, Close waits for the sweep, and the DataDir reopens with
+// the campaign settled.
 func TestCloseWhileCampaignRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openDurable(t, dir)
@@ -189,17 +173,84 @@ func TestCloseWhileCampaignRuns(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Let the sweep finish inside the test, so the detector sees all of it.
-	for deadline := time.Now().Add(2 * time.Minute); inStack("executeCampaign"); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the campaign never finished")
-		}
-	}
 	s2, rep := openDurable(t, dir)
 	defer s2.Close()
 	var info campaignInfo
 	if rec := do(t, s2, "GET", "/api/v1/campaigns/c1", "", &info); rec.Code != http.StatusOK || rep.Campaigns != 1 || info.State == "running" {
 		t.Fatalf("reopened after Close: report %+v, campaign %+v", rep, info)
+	}
+}
+
+// TestCloseStopsWhatTheStoreStarted closes a durable server while a 64-seed
+// campaign and a scenario run are in flight, the campaign held in its check
+// hook and the run parked at its first checkpoint. Close cancels both and
+// waits for them: once it returns the hook is never entered again and
+// nothing more is logged, and the DataDir holds what a crash would have
+// left — the run replays, and the campaign settles "interrupted" with the
+// outcomes it journaled.
+func TestCloseStopsWhatTheStoreStarted(t *testing.T) {
+	dir := t.TempDir()
+	var entries atomic.Int32
+	var closed atomic.Bool
+	held, release, late := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+	hook := func(*xcbc.Scenario, *xcbc.ScenarioResult) []string {
+		switch n := entries.Add(1); {
+		case closed.Load():
+			select {
+			case late <- struct{}{}:
+			default:
+			}
+		case n == 4: // the outcomes of the seeds before it may be journaled
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	s, _ := openDurable(t, dir, func(c *Config) { c.CampaignHook = hook })
+	fleet := `{"name":"campus-100","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8,` + unprovisioned + `}`
+	st := s.openTenant.store
+	parked, releaseRun := parkAt(st, recScenarioProgress)
+	for _, post := range [][2]string{
+		{"/api/v1/fleets", fleet},
+		{"/api/v1/campaigns", `{"seeds":64,"workers":1}`},
+		{"/api/v1/fleets/f1/scenarios", `{"name":"campus-100"}`},
+	} {
+		if rec := do(t, s, "POST", post[0], post[1], nil); rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s: %d %s", post[0], rec.Code, rec.Body.String())
+		}
+	}
+	<-held
+	<-parked
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- s.Close() }()
+	<-st.ctx.Done() // Close has cancelled both; it waits for them next
+	close(release)
+	releaseRun()
+	if err := <-closeErr; err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	logged := len(loggedMirror(t, dir).Campaigns["c1"].Outcomes)
+	// A sweep that outlived Close would enter the hook again within a
+	// seed's run, a few milliseconds.
+	select {
+	case <-late:
+		t.Fatal("the campaign's hook was entered after Close returned")
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	s2, rep := openDurable(t, dir)
+	defer s2.Close()
+	if rep.Replayed != 1 || rep.ReplayMismatches != 0 || rep.CampaignsInterrupted != 1 {
+		t.Fatalf("reopened after Close: %+v, want the run replayed and the campaign interrupted", rep)
+	}
+	if run := awaitSettled[scenarioRunInfo](t, s2, "", "/api/v1/fleets/f1/scenarios/s1"); run.State != "passed" {
+		t.Fatalf("replayed run settled %q: %s", run.State, run.Error)
+	}
+	var info campaignInfo
+	do(t, s2, "GET", "/api/v1/campaigns/c1", "", &info)
+	if info.State != "interrupted" || info.Completed != logged {
+		t.Fatalf("reopened campaign = %+v, want interrupted with the %d outcomes logged when Close returned", info, logged)
 	}
 }
 

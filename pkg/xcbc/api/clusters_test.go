@@ -505,23 +505,11 @@ func TestClusterJobsConcurrentREST(t *testing.T) {
 		}
 	}()
 	for _, path := range []string{base, base + "/jobs", base + "/metrics", base + "/alerts"} {
-		wg.Add(1)
-		go func(path string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				req := httptest.NewRequest("GET", path, nil)
-				s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-			}
-		}(path)
+		hammer(s, &wg, stop, "GET", path, "")
 	}
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // a fixed window of concurrent reads for the race detector
 	close(stop)
 	select {
 	case <-finished:

@@ -373,17 +373,17 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
 	accepted := runInfoOf(run, false, page{})
-	go s.executeRun(tn.store, fr, run, sc, nil)
+	tn.store.spawn(func() { s.executeRun(tn.store, fr, run, sc, nil) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // executeRun drives one scenario run to settlement and returns the run's
-// error. The live handler calls it on a fresh goroutine; recovery calls it
+// error. The live handler spawns it as a store task; recovery calls it
 // synchronously, with a replay target, to re-run a scenario that was in
 // flight at a crash — in that case the regenerated trace's rolling hash
 // must reproduce the recorded hash at the recorded cursor, or the run
 // settles as "error" rather than presenting a trace the crashed server
-// never produced.
+// never produced. A run the store's close cancels journals no settlement.
 func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
 	fl := fr.fleet()
 	var obs func(xcbc.TraceEvent)
@@ -406,7 +406,10 @@ func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc
 			}
 		}
 	}
-	result, err := fl.RunScenarioObserved(context.Background(), sc, obs)
+	result, err := fl.RunScenarioObserved(st.ctx, sc, obs)
+	if err != nil && st.ctx.Err() != nil {
+		return err // the next Open replays it, as after a crash
+	}
 	if err == nil && target != nil && target.cursor > 0 && (!reached || got != target.hash) {
 		err = fmt.Errorf("%w at recorded cursor %d", errReplayDiverged, target.cursor)
 		result = nil

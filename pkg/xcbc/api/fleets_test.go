@@ -5,56 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
-
-func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	req := httptest.NewRequest("POST", path, strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
-}
-
-func getJSON(t *testing.T, h http.Handler, path string, out any) *httptest.ResponseRecorder {
-	t.Helper()
-	req := httptest.NewRequest("GET", path, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if out != nil && rec.Code < 300 {
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v\n%s", path, err, rec.Body.String())
-		}
-	}
-	return rec
-}
-
-// waitFleetSettled polls until the fleet reports settled.
-func waitFleetSettled(t *testing.T, h http.Handler, id string) fleetInfo {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		var info fleetInfo
-		rec := getJSON(t, h, "/api/v1/fleets/"+id, &info)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET fleet: %d %s", rec.Code, rec.Body.String())
-		}
-		if info.Settled {
-			return info
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("fleet never settled")
-	return fleetInfo{}
-}
 
 func TestFleetLifecycleOverREST(t *testing.T) {
 	s := New(Config{})
-	h := s.Handler()
 
 	// Validation failures are synchronous 400s, including the resource
 	// caps that keep one POST from exhausting the control plane.
@@ -67,13 +23,13 @@ func TestFleetLifecycleOverREST(t *testing.T) {
 		`{"members": 2, "nodes": 100000}`,
 		`{"members": 2000, "nodes": 100}`,
 	} {
-		if rec := postJSON(t, h, "/api/v1/fleets", body); rec.Code != http.StatusBadRequest {
+		if rec := do(t, s, "POST", "/api/v1/fleets", body, nil); rec.Code != http.StatusBadRequest {
 			t.Fatalf("POST %s = %d, want 400", body, rec.Code)
 		}
 	}
 
 	var created fleetInfo
-	rec := postJSON(t, h, "/api/v1/fleets", `{"name":"campus","members":3,"nodes":2,"parallelism":2,"workers":3}`)
+	rec := do(t, s, "POST", "/api/v1/fleets", `{"name":"campus","members":3,"nodes":2,"parallelism":2,"workers":3}`, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST fleets = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -84,7 +40,7 @@ func TestFleetLifecycleOverREST(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 
-	info := waitFleetSettled(t, h, created.ID)
+	info := awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/"+created.ID)
 	if info.Status.Ready != 3 {
 		t.Fatalf("settled fleet = %+v, want 3 ready", info.Status)
 	}
@@ -98,31 +54,27 @@ func TestFleetLifecycleOverREST(t *testing.T) {
 	var list struct {
 		Fleets []fleetInfo `json:"fleets"`
 	}
-	getJSON(t, h, "/api/v1/fleets", &list)
+	do(t, s, "GET", "/api/v1/fleets", "", &list)
 	if len(list.Fleets) != 1 || list.Fleets[0].ID != created.ID {
 		t.Fatalf("list = %+v", list)
 	}
 
 	// Unknown fleet is 404.
-	if rec := getJSON(t, h, "/api/v1/fleets/f999", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, s, "GET", "/api/v1/fleets/f999", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET unknown fleet = %d", rec.Code)
 	}
 
 	// Settled fleet deletes with 204 and disappears.
-	req := httptest.NewRequest("DELETE", "/api/v1/fleets/"+created.ID, nil)
-	del := httptest.NewRecorder()
-	h.ServeHTTP(del, req)
-	if del.Code != http.StatusNoContent {
+	if del := do(t, s, "DELETE", "/api/v1/fleets/"+created.ID, "", nil); del.Code != http.StatusNoContent {
 		t.Fatalf("DELETE settled fleet = %d", del.Code)
 	}
-	if rec := getJSON(t, h, "/api/v1/fleets/"+created.ID, nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, s, "GET", "/api/v1/fleets/"+created.ID, "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET deleted fleet = %d", rec.Code)
 	}
 }
 
 func TestScenarioRunOverREST(t *testing.T) {
 	s := New(Config{})
-	h := s.Handler()
 
 	// The built-in listing names campus-100 and friends.
 	var builtins struct {
@@ -131,14 +83,14 @@ func TestScenarioRunOverREST(t *testing.T) {
 			Members int    `json:"members"`
 		} `json:"scenarios"`
 	}
-	getJSON(t, h, "/api/v1/scenarios", &builtins)
+	do(t, s, "GET", "/api/v1/scenarios", "", &builtins)
 	if len(builtins.Scenarios) < 3 {
 		t.Fatalf("builtins = %+v", builtins)
 	}
 
 	// Create an unprovisioned fleet; the scenario's provision phase builds it.
 	var created fleetInfo
-	rec := postJSON(t, h, "/api/v1/fleets", `{"name":"chaos","members":2,"nodes":2,"workers":2,"provision":false}`)
+	rec := do(t, s, "POST", "/api/v1/fleets", `{"name":"chaos","members":2,"nodes":2,"workers":2,"provision":false}`, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST fleets = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -156,7 +108,7 @@ func TestScenarioRunOverREST(t *testing.T) {
 		`{"name":"a","scenario":{}}`: http.StatusBadRequest,
 		`{"scenario":{"name":"x","fleet":{"members":2},"phases":[{"kind":"warp"}]}}`: http.StatusBadRequest,
 	} {
-		if rec := postJSON(t, h, base, body); rec.Code != want {
+		if rec := do(t, s, "POST", base, body, nil); rec.Code != want {
 			t.Fatalf("POST %s = %d, want %d: %s", body, rec.Code, want, rec.Body.String())
 		}
 	}
@@ -171,7 +123,7 @@ func TestScenarioRunOverREST(t *testing.T) {
 			{"kind": "assert", "invariants": [{"name": "all-ready"}, {"name": "jobs-conserved"}]}
 		]
 	}}`
-	rec = postJSON(t, h, base, inline)
+	rec = do(t, s, "POST", base, inline, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST scenario = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -183,45 +135,33 @@ func TestScenarioRunOverREST(t *testing.T) {
 		t.Fatalf("run = %+v", run)
 	}
 
-	// Poll the run until it settles and fetch the trace.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var got scenarioRunInfo
-		if rec := getJSON(t, h, base+"/"+run.ID, &got); rec.Code != http.StatusOK {
-			t.Fatalf("GET run = %d: %s", rec.Code, rec.Body.String())
-		} else if got.State != "running" {
-			if got.State != "passed" {
-				t.Fatalf("run settled %s: %+v", got.State, got)
-			}
-			if got.Stats == nil || got.Stats.Ready != 2 || got.Stats.JobsSubmitted != 2 {
-				t.Fatalf("stats = %+v", got.Stats)
-			}
-			if len(got.Events) == 0 || got.NextCursor != len(got.Events) {
-				t.Fatalf("trace paging: %d events, next %d", len(got.Events), got.NextCursor)
-			}
-			// Cursor paging returns the tail.
-			var page scenarioRunInfo
-			getJSON(t, h, fmt.Sprintf("%s/%s?cursor=%d", base, run.ID, got.NextCursor-1), &page)
-			if len(page.Events) != 1 {
-				t.Fatalf("cursor page = %d events, want 1", len(page.Events))
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("scenario run never settled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait for the run to settle and fetch the trace.
+	got := awaitSettled[scenarioRunInfo](t, s, "", base+"/"+run.ID)
+	if got.State != "passed" {
+		t.Fatalf("run settled %s: %+v", got.State, got)
+	}
+	if got.Stats == nil || got.Stats.Ready != 2 || got.Stats.JobsSubmitted != 2 {
+		t.Fatalf("stats = %+v", got.Stats)
+	}
+	if len(got.Events) == 0 || got.NextCursor != len(got.Events) {
+		t.Fatalf("trace paging: %d events, next %d", len(got.Events), got.NextCursor)
+	}
+	// Cursor paging returns the tail.
+	var page scenarioRunInfo
+	do(t, s, "GET", fmt.Sprintf("%s/%s?cursor=%d", base, run.ID, got.NextCursor-1), "", &page)
+	if len(page.Events) != 1 {
+		t.Fatalf("cursor page = %d events, want 1", len(page.Events))
 	}
 
 	// The run list reports it, and unknown run IDs 404.
 	var runs struct {
 		Runs []scenarioRunInfo `json:"runs"`
 	}
-	getJSON(t, h, base, &runs)
+	do(t, s, "GET", base, "", &runs)
 	if len(runs.Runs) != 1 || runs.Runs[0].State != "passed" {
 		t.Fatalf("runs = %+v", runs)
 	}
-	if rec := getJSON(t, h, base+"/s999", nil); rec.Code != http.StatusNotFound {
+	if rec := do(t, s, "GET", base+"/s999", "", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET unknown run = %d", rec.Code)
 	}
 
@@ -231,7 +171,7 @@ func TestScenarioRunOverREST(t *testing.T) {
 			Path string `json:"path"`
 		} `json:"routes"`
 	}
-	getJSON(t, h, "/api/v1", &index)
+	do(t, s, "GET", "/api/v1", "", &index)
 	found := false
 	for _, r := range index.Routes {
 		if r.Path == "/api/v1/fleets/{id}/scenarios/{sid}" {
@@ -245,10 +185,9 @@ func TestScenarioRunOverREST(t *testing.T) {
 
 func TestKickstartScenarioNeedsUnprovisionedFleet(t *testing.T) {
 	s := New(Config{})
-	h := s.Handler()
 	// Default provision:true — builds start immediately, so a scenario
 	// arming kickstart faults must be refused with a clear 400.
-	rec := postJSON(t, h, "/api/v1/fleets", `{"members":1,"nodes":1,"workers":1}`)
+	rec := do(t, s, "POST", "/api/v1/fleets", `{"members":1,"nodes":1,"workers":1}`, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST fleets = %d", rec.Code)
 	}
@@ -264,7 +203,7 @@ func TestKickstartScenarioNeedsUnprovisionedFleet(t *testing.T) {
 			{"kind": "provision"}
 		]
 	}}`
-	rec = postJSON(t, h, "/api/v1/fleets/"+created.ID+"/scenarios", body)
+	rec = do(t, s, "POST", "/api/v1/fleets/"+created.ID+"/scenarios", body, nil)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kickstart") {
 		t.Fatalf("kickstart on provisioned fleet = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -272,8 +211,7 @@ func TestKickstartScenarioNeedsUnprovisionedFleet(t *testing.T) {
 
 func TestConcurrentScenarioRunsRejected(t *testing.T) {
 	s := New(Config{})
-	h := s.Handler()
-	rec := postJSON(t, h, "/api/v1/fleets", `{"members":2,"nodes":1,"workers":2,"provision":false}`)
+	rec := do(t, s, "POST", "/api/v1/fleets", `{"members":2,"nodes":1,"workers":2,"provision":false}`, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST fleets = %d", rec.Code)
 	}
@@ -287,36 +225,23 @@ func TestConcurrentScenarioRunsRejected(t *testing.T) {
 		"fleet": {"members": 2, "nodes": 1, "workers": 2},
 		"phases": [{"kind": "provision"}, {"kind": "assert", "invariants": [{"name": "all-ready"}]}]
 	}}`
-	if rec := postJSON(t, h, base, inline); rec.Code != http.StatusAccepted {
+	if rec := do(t, s, "POST", base, inline, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("first run = %d: %s", rec.Code, rec.Body.String())
 	}
 	// While the first run is live a second is a 409; after it settles the
 	// fleet accepts another.
-	second := postJSON(t, h, base, inline)
+	second := do(t, s, "POST", base, inline, nil)
 	if second.Code != http.StatusConflict && second.Code != http.StatusAccepted {
 		t.Fatalf("second run = %d: %s", second.Code, second.Body.String())
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var runs struct {
-			Runs []scenarioRunInfo `json:"runs"`
-		}
-		getJSON(t, h, base, &runs)
-		live := false
-		for _, r := range runs.Runs {
-			if r.State == "running" {
-				live = true
-			}
-		}
-		if !live {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("runs never settled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var runs struct {
+		Runs []scenarioRunInfo `json:"runs"`
 	}
-	if rec := postJSON(t, h, base, inline); rec.Code != http.StatusAccepted {
+	do(t, s, "GET", base, "", &runs)
+	for _, r := range runs.Runs {
+		awaitSettled[scenarioRunInfo](t, s, "", base+"/"+r.ID)
+	}
+	if rec := do(t, s, "POST", base, inline, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("run after settle = %d: %s", rec.Code, rec.Body.String())
 	}
 }
@@ -333,13 +258,13 @@ func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
 		`{"name":"campus","members":100,"cluster":"littlefe","nodes":4,"parallelism":4,"workers":8}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
 	}
-	if info := waitFleetSettled(t, s.Handler(), "f1"); info.Status.Ready != 100 {
+	if info := awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1"); info.Status.Ready != 100 {
 		t.Fatalf("ready = %d, want 100", info.Status.Ready)
 	}
 	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"name":"campus-100"}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 	}
-	if info := waitRunSettled(t, s, "f1", "s1"); info.State != "passed" {
+	if info := awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1"); info.State != "passed" {
 		t.Fatalf("campus-100 settled %q: %v", info.State, info.Violations)
 	}
 	fr, _ := s.openTenant.fleets.get("f1")

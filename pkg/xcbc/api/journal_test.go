@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
-	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,13 +72,10 @@ func loggedRecords(t *testing.T, dir string) []wal.Record {
 }
 
 // crashImages drives one durable campus-100 run on a fleet created from
-// fleetBody and copies the DataDir every time the run's journaled cursor
-// has moved, for as long as the log holds no settled record: each copy is
-// what a crash at that moment leaves on disk. Holding st.mu makes a copy
-// consistent, and because the run needs the same lock for each checkpoint
-// it cannot get more than one checkpoint past an observation. It returns
-// the trace the live run produced.
-func crashImages(t *testing.T, fleetBody string, images map[int]string) []byte {
+// fleetBody, imaging the DataDir at every record, and returns the images
+// taken right after the run's started record and each of its checkpoints,
+// by the cursor the log then holds, and the trace the live run produced.
+func crashImages(t *testing.T, fleetBody string) (map[int]string, []byte) {
 	dir := t.TempDir()
 	s, _ := openDurable(t, dir)
 	defer s.Close()
@@ -84,44 +83,36 @@ func crashImages(t *testing.T, fleetBody string, images map[int]string) []byte {
 		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
 	}
 	if !strings.Contains(fleetBody, unprovisioned) {
-		waitFleetSettled(t, s.Handler(), "f1")
+		awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	}
-	st := s.openTenant.store
+	logged := logCrashes(t, s.openTenant.store, dir)
 	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"name":"campus-100"}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 	}
-	for settled := false; !settled; {
-		st.mu.Lock()
-		run := st.m.findRun("f1", "s1")
-		if settled = run.State != ""; !settled && images[run.Cursor] == "" {
-			image := t.TempDir()
-			if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
-				t.Error(err)
-			}
-			images[run.Cursor] = image
-		}
-		st.mu.Unlock()
-	}
-	// The run is journaled settled before it reads settled.
-	waitRunSettled(t, s, "f1", "s1")
+	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
 	state, result, err := settled(recoveredRun(t, s))
 	if state != "passed" {
 		t.Fatalf("campus-100 settled %q: %v", state, err)
 	}
-	return result.TraceJSONL()
+	atRecord(s.openTenant.store, nil) // orders the copies before these reads
+	images, cursor := map[int]string{}, 0
+	for i, typ := range logged.types {
+		if typ == recScenarioProgress {
+			cursor += checkpointEvery
+		} else if typ != recScenarioStarted {
+			continue
+		}
+		images[cursor] = logged.images[i]
+	}
+	return images, result.TraceJSONL()
 }
 
 // TestReplayOracleAtCheckpoints crashes a live campus-100 run at every
-// checkpoint it can catch and recovers each image: the run is replayed and
+// checkpoint, in one run, and recovers each image: the run is replayed and
 // verified against the checkpoint the file holds, reproduces the trace the
 // live run produced (the golden one, on a fleet the scenario provisions
 // itself), and a checkpoint whose hash has one bit flipped is caught.
 func TestReplayOracleAtCheckpoints(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// The run emits its events in bursts that never yield the processor;
-		// catching it between checkpoints takes a second one.
-		t.Skip("observing a run in flight needs two processors")
-	}
 	for _, tc := range []struct {
 		name, fleet string
 		golden      bool
@@ -131,16 +122,16 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 		{"provisioned fleet", campusFleet, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			images := map[int]string{} // journaled cursor -> DataDir copy
-			var trace []byte
-			var cursors []int
-			// One run normally yields every checkpoint; retry while a starved
-			// test goroutine has caught fewer than three points of it.
-			for attempt := 0; attempt < 20 && len(cursors) < 3; attempt++ {
-				trace = crashImages(t, tc.fleet, images)
-				cursors = slices.Sorted(maps.Keys(images))
-			}
+			images, trace := crashImages(t, tc.fleet) // journaled cursor -> DataDir copy
+			cursors := slices.Sorted(maps.Keys(images))
 			t.Logf("crash images at journaled cursors %v", cursors)
+			var want []int
+			for c := 0; c <= bytes.Count(trace, []byte("\n")); c += checkpointEvery {
+				want = append(want, c)
+			}
+			if !slices.Equal(cursors, want) {
+				t.Fatalf("imaged cursors %v, want every checkpoint %v", cursors, want)
+			}
 			last := cursors[len(cursors)-1]
 			if last < checkpointEvery {
 				t.Fatalf("no image holds a checkpoint (cursors %v)", cursors)
@@ -306,13 +297,13 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 					t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
 				}
 				if !strings.Contains(tc.fleet, unprovisioned) {
-					waitFleetSettled(t, s.Handler(), fl.ID)
+					awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/"+fl.ID)
 				}
 				if rec := do(t, s, "POST", "/api/v1/fleets/"+fl.ID+"/scenarios", tc.run, nil); rec.Code != http.StatusAccepted {
 					t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 				}
 				// The run journals its outcome before it reports it.
-				waitRunSettled(t, s, fl.ID, "s1")
+				awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/"+fl.ID+"/scenarios/s1")
 				fr, _ := s.openTenant.fleets.get(fl.ID)
 				run, _ := fr.runs.get("s1")
 				if state, result, err := settled(run); state != "passed" || result.TraceLen() != tc.events {
@@ -381,119 +372,130 @@ func TestEmitAppliesOnlyWhatItLogged(t *testing.T) {
 	}
 }
 
-// TestSettledOnlyOnceJournaled holds the store's lock while a deployment's
-// build, a small scenario run and a one-seed campaign finish: each waits in
-// emit for its record, and until the lock is released a client still reads
-// it in flight — a deployment building, its cluster 409 and its event
-// stream without a terminal frame. An attempt in which the record beat the
-// test to the lock is retried.
+// TestSettledOnlyOnceJournaled parks a deployment's build watcher, a small
+// scenario run and a one-seed campaign at the stop point, each with a
+// record logged but not yet applied — the build's and the run's settlement,
+// the campaign's one outcome. Until it is applied a client still reads each
+// in flight: a deployment building, its cluster 409 and its event stream
+// without a terminal frame.
 func TestSettledOnlyOnceJournaled(t *testing.T) {
 	for _, tc := range []struct {
-		name, fleet, create, body, get, caller string
-		inflight, final                        string
+		name, fleet, create, body, get, park string
+		inflight, final                      string
 	}{
-		{"deployment", "", "/api/v1/deployments", `{"cluster":"littlefe"}`, "/api/v1/deployments/d1", "watchDeployment", "building", "ready"},
+		{"deployment", "", "/api/v1/deployments", `{"cluster":"littlefe"}`, "/api/v1/deployments/d1", recDeploymentSettled, "building", "ready"},
 		{"scenario run", `{"name":"tiny","members":2,"nodes":2,"workers":2,"provision":false}`,
 			"/api/v1/fleets/f1/scenarios", `{"scenario": ` + smallScenario + `}`, // under checkpointEvery events
-			"/api/v1/fleets/f1/scenarios/s1", "executeRun", "running", "passed"},
-		{"campaign", "", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1", "executeCampaign", "running", "passed"},
+			"/api/v1/fleets/f1/scenarios/s1", recScenarioSettled, "running", "passed"},
+		{"campaign", "", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1", recCampaignSeed, "running", "passed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			caught := func() bool {
-				s, _ := openDurable(t, t.TempDir())
-				defer s.Close()
-				if tc.fleet != "" {
-					do(t, s, "POST", "/api/v1/fleets", tc.fleet, nil)
-				}
-				st := s.openTenant.store
-				started := st.log.Stats().NextSeq + 1 // the POST journals one record
-				if rec := do(t, s, "POST", tc.create, tc.body, nil); rec.Code != http.StatusAccepted {
-					t.Fatalf("POST %s: %d %s", tc.create, rec.Code, rec.Body.String())
-				}
-				st.mu.Lock()
-				if st.log.Stats().NextSeq != started {
-					st.mu.Unlock()
-					return false
-				}
-				for deadline := time.Now().Add(time.Minute); !blockedInEmit(tc.caller); time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						st.mu.Unlock()
-						t.Fatalf("%s never reached emit", tc.caller)
-					}
-				}
-				var info struct {
-					State     string `json:"state"`
-					Completed int    `json:"completed"`
-				}
-				do(t, s, "GET", tc.get, "", &info)
-				var clusterCode int
-				var early string
-				streamed := make(chan string, 1)
-				if tc.caller == "watchDeployment" {
-					clusterCode = do(t, s, "GET", "/api/v1/clusters/d1", "", nil).Code
-					go func() {
-						rec := httptest.NewRecorder()
-						s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.get+"/events", nil))
-						streamed <- rec.Body.String()
-					}()
-					select {
-					case early = <-streamed:
-					case <-time.After(50 * time.Millisecond):
-					}
-				}
-				st.mu.Unlock()
-				if info.State != tc.inflight || info.Completed != 0 {
-					t.Fatalf("with its record unjournaled, GET %s = %+v, want %s with nothing completed", tc.get, info, tc.inflight)
-				}
-				if tc.caller == "watchDeployment" {
-					if clusterCode != http.StatusConflict {
-						t.Errorf("with its record unjournaled, GET /api/v1/clusters/d1 = %d, want 409", clusterCode)
-					}
-					if early != "" {
-						t.Errorf("with its record unjournaled, the event stream ended:\n%s", early)
-					}
-				}
-				for deadline := time.Now().Add(time.Minute); info.State == tc.inflight; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("%s never settled", tc.get)
-					}
-					do(t, s, "GET", tc.get, "", &info)
-				}
-				if info.State != tc.final || st.log.Stats().NextSeq == started {
-					t.Fatalf("settled %q with nothing journaled after it started", info.State)
-				}
-				if tc.caller == "watchDeployment" && early == "" {
-					if body := <-streamed; !strings.HasSuffix(body, "event: state\ndata: {\"state\":\"ready\"}\n\n") {
-						t.Errorf("the event stream did not end on the journaled settlement:\n%s", body)
-					}
-				}
-				return true
+			s, _ := openDurable(t, t.TempDir())
+			defer s.Close()
+			if tc.fleet != "" {
+				do(t, s, "POST", "/api/v1/fleets", tc.fleet, nil)
 			}
-			for attempt := 1; !caught(); attempt++ {
-				if attempt == 20 {
-					t.Fatal("the record reached the lock first on every attempt")
+			st := s.openTenant.store
+			parked, release := parkAt(st, tc.park)
+			defer release() // before Close, which waits for the parked task
+			if rec := do(t, s, "POST", tc.create, tc.body, nil); rec.Code != http.StatusAccepted {
+				t.Fatalf("POST %s: %d %s", tc.create, rec.Code, rec.Body.String())
+			}
+			var seq uint64
+			select {
+			case seq = <-parked:
+			case <-time.After(time.Minute):
+				t.Fatalf("no %s record was logged", tc.park)
+			}
+			type settledInfo struct {
+				State     string `json:"state"`
+				Completed int    `json:"completed"`
+			}
+			var info settledInfo
+			do(t, s, "GET", tc.get, "", &info)
+			var clusterCode int
+			var early string
+			streamed := make(chan string, 1)
+			if tc.park == recDeploymentSettled {
+				clusterCode = do(t, s, "GET", "/api/v1/clusters/d1", "", nil).Code
+				go func() {
+					rec := httptest.NewRecorder()
+					s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", tc.get+"/events", nil))
+					streamed <- rec.Body.String()
+				}()
+				select {
+				case early = <-streamed:
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			release()
+			if info.State != tc.inflight || info.Completed != 0 {
+				t.Fatalf("with its %s record unapplied, GET %s = %+v, want %s with nothing completed", tc.park, tc.get, info, tc.inflight)
+			}
+			if tc.park == recDeploymentSettled {
+				if clusterCode != http.StatusConflict {
+					t.Errorf("with its record unapplied, GET /api/v1/clusters/d1 = %d, want 409", clusterCode)
+				}
+				if early != "" {
+					t.Errorf("with its record unapplied, the event stream ended:\n%s", early)
+				}
+			}
+			info = awaitSettled[settledInfo](t, s, "", tc.get)
+			if info.State != tc.final || st.log.Stats().NextSeq <= seq {
+				t.Fatalf("settled %q; the log ends before the parked record %d", info.State, seq)
+			}
+			if tc.park == recDeploymentSettled && early == "" {
+				if body := <-streamed; !strings.HasSuffix(body, "event: state\ndata: {\"state\":\"ready\"}\n\n") {
+					t.Errorf("the event stream did not end on the journaled settlement:\n%s", body)
 				}
 			}
 		})
 	}
 }
 
-// blockedInEmit reports whether some goroutine whose stack passes through
-// caller is inside store.emit, which — with the store's lock held — means
-// it waits for that lock with a record in hand.
-func blockedInEmit(caller string) bool { return inStack("(*store).emit", caller) }
+// atRecord sets st's stop point: fn runs under st.mu each time a record is
+// logged, before the mirror applies it.
+func atRecord(st *store, fn func(seq uint64, typ string)) {
+	st.mu.Lock()
+	st.appended = fn
+	st.mu.Unlock()
+}
 
-// inStack reports whether some goroutine's stack passes through every one
-// of fns.
-func inStack(fns ...string) bool {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if !slices.ContainsFunc(fns, func(fn string) bool { return !bytes.Contains(g, []byte(fn)) }) {
-			return true
+// parkAt parks the first task to log a record of type typ at st's stop
+// point, holding st.mu. The returned channel yields the record's seq once it
+// is parked; release lets it go on, and may be called more than once.
+func parkAt(st *store, typ string) (<-chan uint64, func()) {
+	parked, release := make(chan uint64, 1), make(chan struct{})
+	done := false
+	atRecord(st, func(seq uint64, got string) {
+		if got == typ && !done {
+			done = true
+			parked <- seq
+			<-release
 		}
-	}
-	return false
+	})
+	return parked, sync.OnceFunc(func() { close(release) })
+}
+
+// crashLog is what one store logged while it ran: each record's type, and
+// a copy of the store's directory taken at the stop point right after the
+// record was appended — what a crash at that record leaves on disk.
+type crashLog struct {
+	types, images []string
+}
+
+// logCrashes records st's log, whose directory is dir, into a crashLog:
+// read it once atRecord or Close has taken st.mu after the last record.
+func logCrashes(t *testing.T, st *store, dir string) *crashLog {
+	cl, root := &crashLog{}, t.TempDir()
+	atRecord(st, func(_ uint64, typ string) {
+		image := filepath.Join(root, strconv.Itoa(len(cl.images)))
+		if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+			t.Error(err) // on the emitting goroutine, not the test's
+		}
+		cl.types, cl.images = append(cl.types, typ), append(cl.images, image)
+	})
+	return cl
 }
 
 // TestSettledRecordEncodeMatchesMarshal pins encode to json.Marshal's
@@ -502,9 +504,9 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	do(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`, nil)
-	waitFleetSettled(t, s.Handler(), "f1")
+	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil)
-	waitRunSettled(t, s, "f1", "s1")
+	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
 	fr, _ := s.openTenant.fleets.get("f1")
 	run, _ := fr.runs.get("s1")
 	_, real, _ := settled(run)

@@ -97,12 +97,12 @@ func pinPopulate(t *testing.T, s *Server, failing *atomic.Bool) {
 	scenario := func(run string) {
 		t.Helper()
 		call("POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, http.StatusAccepted)
-		waitRunSettled(t, s, "f1", run)
+		awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/"+run)
 	}
 	campaign := func(id, body string) {
 		t.Helper()
 		call("POST", "/api/v1/campaigns", body, http.StatusAccepted)
-		waitCampaign(t, s, id)
+		awaitSettled[campaignInfo](t, s, "", "/api/v1/campaigns/"+id)
 	}
 
 	deploy("d1", `{"cluster":"littlefe","scheduler":"torque"}`, "ready")
@@ -114,7 +114,7 @@ func pinPopulate(t *testing.T, s *Server, failing *atomic.Bool) {
 	deploy("d2", `{"cluster":"littlefe"}`, "failed")
 	failing.Store(false)
 	call("POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`, http.StatusAccepted)
-	waitFleetSettled(t, s.Handler(), "f1")
+	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	scenario("s1")
 	campaign("c1", `{"seeds":2,"start_seed":1}`)
 
@@ -127,7 +127,7 @@ func pinPopulate(t *testing.T, s *Server, failing *atomic.Bool) {
 	scenario("s2")
 	call("POST", "/api/v1/fleets", `{"name":"idle","members":3,"nodes":1,"provision":false}`, http.StatusAccepted)
 	call("POST", "/api/v1/fleets", `{"name":"gone","members":1,"nodes":1}`, http.StatusAccepted)
-	waitFleetSettled(t, s.Handler(), "f3")
+	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f3")
 	call("DELETE", "/api/v1/fleets/f3", "", http.StatusNoContent)
 	campaign("c2", `{"seeds":1,"start_seed":7,"workers":1}`)
 }

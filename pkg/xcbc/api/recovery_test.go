@@ -383,6 +383,7 @@ func TestRestartServesWhileRebuilding(t *testing.T) {
 			}
 		}
 		release()
+		// A released build's goroutines exit with nothing left to wait on.
 		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines outlived Close, %d before Open", runtime.NumGoroutine(), goroutines)
@@ -555,8 +556,8 @@ func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
 			t.Fatalf("submit on %s: %d %s", id, rec.Code, rec.Body.String())
 		}
 	}
-	postJSON(t, s.Handler(), "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2}`)
-	waitFleetSettled(t, s.Handler(), "f1")
+	do(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2}`, nil)
+	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	var tip deploymentInfo
 	do(t, s, "GET", "/api/v1/deployments/d3?limit=1000", "", &tip)
 	paths := []string{"/api/v1/deployments?limit=1000", "/api/v1/fleets", fmt.Sprintf("/api/v1/deployments/d3?cursor=%d", tip.NextCursor),
@@ -604,7 +605,7 @@ func TestRestartBuildsOnlyWhatIsUsed(t *testing.T) {
 			<-entered
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // the second request has no event to wait on
 	close(g)
 	for _, out := range first {
 		if rec := <-out; rec.Code != http.StatusOK || rec.Body.String() != want[5] {
@@ -628,13 +629,13 @@ func TestRestartProvisionsFleetsOnFirstUse(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openDurable(t, dir)
 	for _, id := range []string{"f1", "f2"} {
-		postJSON(t, s.Handler(), "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`)
-		waitFleetSettled(t, s.Handler(), id)
+		do(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`, nil)
+		awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/"+id)
 	}
 	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 	}
-	waitRunSettled(t, s, "f1", "s1")
+	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
 	paths := []string{"/api/v1/fleets/f1/scenarios", "/api/v1/fleets/f1/scenarios/s1?cursor=0&limit=50",
 		"/api/v1/fleets/f1/scenarios/s1?cursor=50&limit=50", "/api/v1/fleets/f1"}
 	want := bodies(t, s, paths...)

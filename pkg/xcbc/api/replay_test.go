@@ -233,10 +233,31 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	}
 }
 
+// crashAt picks, by seed, a record at or after the last deployment.created,
+// so every deployment is on the log, and returns its image and how many
+// deployment.settled records lie past it.
+func (cl *crashLog) crashAt(seed int) (image string, settledAfter int) {
+	last := 0
+	for i, typ := range cl.types {
+		if typ == recDeploymentCreated {
+			last = i
+		}
+	}
+	at := last + seed/3%(len(cl.types)-last)
+	for _, typ := range cl.types[at+1:] {
+		if typ == recDeploymentSettled {
+			settledAfter++
+		}
+	}
+	return cl.images[at], settledAfter
+}
+
 // TestCrashRestartSeeds drives many seeded create/crash/recover cycles —
 // the API-level companion to internal/wal's frame-level crash injection.
-// Every recovery must succeed with invariants intact: recovered resources
-// match what was journaled, and no WAL read ever surfaces corruption.
+// Each seed crashes at a record it chooses, and every recovery must succeed
+// with invariants intact: every deployment whose settlement the crash cut
+// off is reconciled as interrupted, the rest restored as they settled, and
+// no WAL read ever surfaces corruption.
 func TestCrashRestartSeeds(t *testing.T) {
 	seeds := 8
 	if testing.Short() {
@@ -247,23 +268,25 @@ func TestCrashRestartSeeds(t *testing.T) {
 			dir := t.TempDir()
 			deps := 1 + seed%3
 			s1, _ := openDurable(t, dir, func(c *Config) { c.SnapshotEvery = 2 + seed })
+			logged := logCrashes(t, s1.openTenant.store, dir)
 			for i := 0; i < deps; i++ {
 				body := fmt.Sprintf(`{"cluster":"littlefe","parallelism":%d}`, 1+seed%4)
 				if rec := do(t, s1, "POST", "/api/v1/deployments", body, nil); rec.Code != 202 {
 					t.Fatalf("create %d: %d", i, rec.Code)
 				}
 			}
-			// Let an arbitrary, seed-dependent amount of journal traffic land
-			// before the crash; some builds settle, some do not.
-			time.Sleep(time.Duration(seed) * 2 * time.Millisecond)
+			for i := 1; i <= deps; i++ {
+				awaitSettled[deploymentInfo](t, s1, "", fmt.Sprintf("/api/v1/deployments/d%d", i))
+			}
 			s1.Close()
+			image, cut := logged.crashAt(seed)
 
-			s2, rep := openDurable(t, dir)
+			s2, rep := openDurable(t, image)
 			if rep.Deployments != deps {
 				t.Fatalf("recovered %d deployments, want %d (report %+v)", rep.Deployments, deps, rep)
 			}
-			if rep.Rebuilt+rep.Archived+rep.Interrupted != deps {
-				t.Fatalf("recovery did not reconcile every deployment: %+v", rep)
+			if rep.Interrupted != cut || rep.Rebuilt != deps-cut || rep.Archived != 0 {
+				t.Fatalf("recovery = %+v, want %d interrupted and %d rebuilt", rep, cut, deps-cut)
 			}
 			for i := 1; i <= deps; i++ {
 				var info deploymentInfo
@@ -278,7 +301,7 @@ func TestCrashRestartSeeds(t *testing.T) {
 			s2.Close()
 
 			// And once more: the post-recovery log must itself recover.
-			s3, rep3 := openDurable(t, dir)
+			s3, rep3 := openDurable(t, image)
 			if rep3.Deployments != deps || rep3.Interrupted != 0 {
 				t.Fatalf("third open = %+v, want %d settled deployments", rep3, deps)
 			}

@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,24 +29,39 @@ func newTestServer(t *testing.T) *Server {
 	return New(Config{Repos: []*repo.Repository{xnit}, Clock: clock})
 }
 
-// do runs one request against the handler and decodes a JSON body into out
-// (when out is non-nil).
+// do runs one request against the handler as the open tenant (see doKey).
 func do(t *testing.T, s *Server, method, path, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
-	var req *http.Request
-	if body != "" {
-		req = httptest.NewRequest(method, path, strings.NewReader(body))
-	} else {
-		req = httptest.NewRequest(method, path, nil)
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if out != nil {
-		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
-			t.Fatalf("%s %s: bad JSON %q: %v", method, path, rec.Body.String(), err)
+	return doKey(t, s, "", method, path, body, out)
+}
+
+// awaitSettled polls GET path as key's tenant until the resource there has
+// settled — a deployment terminal, a fleet's builds done, a scenario run or
+// campaign no longer running — and returns that body decoded into a T.
+func awaitSettled[T any](t *testing.T, s *Server, key, path string) T {
+	t.Helper()
+	// A task settles on its own goroutine, and a client learns of it only
+	// by asking again: this is the package's one poll sleep.
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(2 * time.Millisecond) {
+		var probe struct {
+			State   string `json:"state"`
+			Settled bool   `json:"settled"`
+		}
+		rec := doKey(t, s, key, "GET", path, "", &probe)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		if probe.Settled || !slices.Contains([]string{"", "pending", "building", "running"}, probe.State) {
+			var body T
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			return body
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET %s never settled: %s", path, rec.Body.String())
 		}
 	}
-	return rec
 }
 
 func TestRouteStatusCodes(t *testing.T) {
@@ -179,6 +194,23 @@ func TestDepsolve(t *testing.T) {
 	}
 }
 
+// hammer sends one request to s over and over on a goroutine counted in
+// wg, until stop is closed.
+func hammer(s *Server, wg *sync.WaitGroup, stop <-chan struct{}, method, path, body string) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, strings.NewReader(body)))
+		}
+	}()
+}
+
 // pollDeployment polls GET until the deployment reaches a terminal state,
 // following the journal cursor as a real client would, and returns the
 // final info plus every event collected along the way.
@@ -205,7 +237,7 @@ func pollDeployment(t *testing.T, s *Server, id string) (deploymentInfo, []event
 		if time.Now().After(deadline) {
 			t.Fatalf("deployment %s stuck in %q", id, info.State)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond) // the journal grows on the build's goroutine; a client asks again
 	}
 }
 
@@ -413,20 +445,8 @@ func TestDeploymentStatusRace(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				req := httptest.NewRequest("GET", "/api/v1/deployments/"+created.ID, nil)
-				s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-			}
-		}()
+	for range 4 {
+		hammer(s, &wg, stop, "GET", "/api/v1/deployments/"+created.ID, "")
 	}
 	final, _ := pollDeployment(t, s, created.ID)
 	close(stop)
@@ -514,37 +534,12 @@ func TestConcurrentSetMutation(t *testing.T) {
 		"/api/v1/repos/xsede",
 		"/api/v1/repos/xsede/packages?name=gcc",
 	}
-	for _, p := range paths {
-		wg.Add(1)
-		go func(path string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				req := httptest.NewRequest("GET", path, nil)
-				s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-			}
-		}(p)
+	for _, path := range paths {
+		hammer(s, &wg, stop, "GET", path, "")
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			req := httptest.NewRequest("POST", "/api/v1/depsolve",
-				strings.NewReader(`{"install":["gcc"]}`))
-			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-		}
-	}()
+	hammer(s, &wg, stop, "POST", "/api/v1/depsolve", `{"install":["gcc"]}`)
 
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond) // a fixed window of churn for the race detector
 	close(stop)
 	wg.Wait()
 }
@@ -558,7 +553,15 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ctx, ln) }()
-	time.Sleep(50 * time.Millisecond)
+	// A healthz answered through the listener: the server is serving.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/api/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d", resp.StatusCode)
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -611,9 +614,11 @@ func TestGracefulShutdownWithSSEWatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	go io.Copy(io.Discard, stream.Body) // park a watcher on the live stream
-
-	time.Sleep(50 * time.Millisecond)
+	// The stream's first frame: the watcher is parked on the live build.
+	frame, err := bufio.NewReader(stream.Body).ReadString('\n')
+	if err != nil || !strings.HasPrefix(frame, "data: ") {
+		t.Fatalf("first frame %q: %v", frame, err)
+	}
 	cancel()
 	select {
 	case err := <-done:

@@ -322,10 +322,10 @@ func newMirror() *mirror {
 	}
 }
 
-// store is one tenant's state: the mirror, the watcher goroutines that feed
-// build settlements into it, and on a durable server the WAL; log is nil on
-// a memory-only one. newServer gives every tenant one, and Open attaches
-// the log before the server serves.
+// store is one tenant's state: the mirror, the tasks it spawns to feed
+// settlements into it, and on a durable server the WAL; log is nil on a
+// memory-only one. newServer gives every tenant one, and Open attaches the
+// log before the server serves.
 //
 // Lock order: fr.mu (a fleet's), then st.mu, then a row's mu. The fleets
 // registry's lock comes before fr.mu, which handleDeleteFleet takes under
@@ -346,6 +346,9 @@ type store struct {
 	mu    sync.Mutex
 	m     *mirror
 	dirty int // records appended since the last snapshot
+	// appended, if set, runs under mu between a record's append and its
+	// apply: the stop point of this package's tests. Nil in production.
+	appended func(seq uint64, typ string)
 }
 
 // checkpointEvery is how many trace events a scenario run hashes between
@@ -447,10 +450,26 @@ func (st *store) open(dir string, report *RecoveryReport) error {
 	return nil
 }
 
-// close stops the store's watchers, then syncs and closes the WAL, if any.
-// Appends arriving afterwards are dropped (ErrClosed).
+// spawn runs fn as one of the store's tasks, which close cancels (through
+// st.ctx) and waits for; once the store is closing it starts nothing.
+func (st *store) spawn(fn func()) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ctx.Err() == nil {
+		st.wg.Add(1)
+		go func() { defer st.wg.Done(); fn() }()
+	}
+}
+
+// close cancels the store's tasks and waits for them, then syncs and closes
+// the WAL, if any; appends arriving afterwards are dropped (ErrClosed). A
+// task it cancels journals no settlement, leaving its work as a crash does.
+// A spawn checks st.ctx and counts itself under st.mu, so once close has
+// taken that lock after cancelling, Add never races Wait.
 func (st *store) close() error {
 	st.cancel()
+	st.mu.Lock()
+	st.mu.Unlock()
 	st.wg.Wait()
 	if st.log == nil {
 		return nil
@@ -478,8 +497,12 @@ func (st *store) emit(typ string, rec record) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, err := st.log.Append(typ, data); !st.wrote("append ", typ, err) {
+	seq, err := st.log.Append(typ, data)
+	if !st.wrote("append ", typ, err) {
 		return
+	}
+	if st.appended != nil {
+		st.appended(seq, typ)
 	}
 	rec.apply(st.m)
 	st.dirty++
@@ -730,9 +753,7 @@ func numSuffix(id string) int {
 // journal the handle then serves, which is what recovery serves — in its
 // row, and then closes dep.journaled.
 func (st *store) watchDeployment(dep *deployment) {
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
+	st.spawn(func() {
 		select {
 		case <-dep.h.Done():
 		case <-st.ctx.Done():
@@ -752,7 +773,7 @@ func (st *store) watchDeployment(dep *deployment) {
 		}
 		st.emit(recDeploymentSettled, rec)
 		close(dep.journaled)
-	}()
+	})
 }
 
 // traceHash is the rolling FNV-1a digest over a trace's JSONL prefix —

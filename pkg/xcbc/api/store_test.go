@@ -419,25 +419,6 @@ const smallScenario = `{
 	]
 }`
 
-// waitRunSettled polls one scenario run until it leaves "running".
-func waitRunSettled(t *testing.T, s *Server, fleetID, runID string) scenarioRunInfo {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		var info scenarioRunInfo
-		rec := do(t, s, "GET", fmt.Sprintf("/api/v1/fleets/%s/scenarios/%s", fleetID, runID), "", &info)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET run: %d %s", rec.Code, rec.Body.String())
-		}
-		if info.State != "running" {
-			return info
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("scenario run never settled")
-	return scenarioRunInfo{}
-}
-
 // TestDurableFleetScenarioRestart round-trips a fleet with a settled
 // scenario run: the restarted server re-provisions the fleet, restores the
 // run's recorded result (state, stats, full trace) without re-running it,
@@ -450,13 +431,13 @@ func TestDurableFleetScenarioRestart(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
 	}
-	waitFleetSettled(t, s1.Handler(), fl.ID)
+	awaitSettled[fleetInfo](t, s1, "", "/api/v1/fleets/"+fl.ID)
 	rec = do(t, s1, "POST", "/api/v1/fleets/"+fl.ID+"/scenarios",
 		`{"scenario": `+smallScenario+`}`, nil)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 	}
-	before := waitRunSettled(t, s1, fl.ID, "s1")
+	before := awaitSettled[scenarioRunInfo](t, s1, "", "/api/v1/fleets/"+fl.ID+"/scenarios/s1")
 	if before.State != "passed" {
 		t.Fatalf("run settled %q: %s %v", before.State, before.Error, before.Violations)
 	}
@@ -486,7 +467,7 @@ func TestDurableFleetScenarioRestart(t *testing.T) {
 	if err := json.Unmarshal([]byte(rec.Body.String()), &run2); err != nil || run2.ID != "s2" {
 		t.Fatalf("second run ID = %q (%v), want s2", run2.ID, err)
 	}
-	waitRunSettled(t, s2, fl.ID, "s2")
+	awaitSettled[scenarioRunInfo](t, s2, "", "/api/v1/fleets/"+fl.ID+"/scenarios/s2")
 	s2.Close()
 
 	// Fleet deletion persists too.
@@ -515,7 +496,7 @@ func TestScenarioTraceCursorPastEnd(t *testing.T) {
 	if rec := do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("run: %d %s", rec.Code, rec.Body.String())
 	}
-	settled := waitRunSettled(t, s, "f1", "s1")
+	settled := awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
 	if settled.NextCursor == 0 {
 		t.Fatalf("settled run has no trace: %+v", settled)
 	}

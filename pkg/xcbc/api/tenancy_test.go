@@ -35,15 +35,11 @@ func newMTServer(t *testing.T, tenants ...TenantConfig) (*Server, *time.Time) {
 	return s, &now
 }
 
-// doKey is do with a bearer token attached.
+// doKey runs one request against the handler, as key's tenant when key is
+// set, and decodes a JSON body into out (when out is non-nil).
 func doKey(t *testing.T, s *Server, key, method, path, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
-	var req *http.Request
-	if body != "" {
-		req = httptest.NewRequest(method, path, strings.NewReader(body))
-	} else {
-		req = httptest.NewRequest(method, path, nil)
-	}
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	if key != "" {
 		req.Header.Set("Authorization", "Bearer "+key)
 	}
@@ -311,7 +307,7 @@ func TestTenantDurability(t *testing.T) {
 		`{"cluster":"littlefe"}`, nil); rec.Code != http.StatusAccepted {
 		t.Fatalf("beta create: %d", rec.Code)
 	}
-	waitState(t, s1, "beta-key", "/api/v1/deployments/d1")
+	awaitSettled[deploymentInfo](t, s1, "beta-key", "/api/v1/deployments/d1")
 	s1.Close()
 
 	for _, name := range []string{"alpha", "beta"} {
@@ -352,29 +348,11 @@ func TestTenantDurability(t *testing.T) {
 	}
 }
 
-// waitState polls a deployment until it leaves the building states, so
-// Close never races a build mid-journal in this test.
-func waitState(t *testing.T, s *Server, key, path string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		var info struct {
-			State string `json:"state"`
-		}
-		doKey(t, s, key, "GET", path, "", &info)
-		switch info.State {
-		case "ready", "failed", "cancelled":
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("deployment never settled")
-}
-
 // TestCrashRestartSeedsTenants is the tenancy extension of
 // TestCrashRestartSeeds: seeded create/crash/recover cycles where every
-// cycle runs two tenants, and recovery must restore each shard's
-// resources to its own tenant.
+// cycle runs two tenants, each crashed at a record the seed chooses in its
+// own log, and recovery must restore each shard's resources to its own
+// tenant, reconciling exactly the builds the crash cut off.
 func TestCrashRestartSeedsTenants(t *testing.T) {
 	seeds := 4
 	if testing.Short() {
@@ -390,6 +368,10 @@ func TestCrashRestartSeedsTenants(t *testing.T) {
 			}
 			perTenant := 1 + seed%2
 			s1, _ := openDurable(t, dir, cfg)
+			logs := make([]*crashLog, len(s1.tenants))
+			for i, tn := range s1.tenants {
+				logs[i] = logCrashes(t, tn.store, filepath.Join(dir, "tenants", tn.name))
+			}
 			for i := 0; i < perTenant; i++ {
 				for _, key := range keys {
 					body := fmt.Sprintf(`{"cluster":"littlefe","parallelism":%d}`, 1+seed%4)
@@ -398,12 +380,24 @@ func TestCrashRestartSeedsTenants(t *testing.T) {
 					}
 				}
 			}
-			time.Sleep(time.Duration(seed) * 2 * time.Millisecond)
+			for i := 1; i <= perTenant; i++ {
+				for _, key := range keys {
+					awaitSettled[deploymentInfo](t, s1, key, fmt.Sprintf("/api/v1/deployments/d%d", i))
+				}
+			}
 			s1.Close()
+			image, cut := t.TempDir(), 0
+			for i, tn := range s1.tenants {
+				tenantImage, settledAfter := logs[i].crashAt(seed)
+				if err := os.CopyFS(filepath.Join(image, "tenants", tn.name), os.DirFS(tenantImage)); err != nil {
+					t.Fatal(err)
+				}
+				cut += settledAfter
+			}
 
-			s2, rep := openDurable(t, dir, cfg)
-			if rep.Deployments != perTenant*2 {
-				t.Fatalf("recovered %d deployments, want %d (report %+v)", rep.Deployments, perTenant*2, rep)
+			s2, rep := openDurable(t, image, cfg)
+			if rep.Deployments != perTenant*2 || rep.Interrupted != cut || rep.Rebuilt != perTenant*2-cut {
+				t.Fatalf("recovery = %+v, want %d deployments, %d of them interrupted", rep, perTenant*2, cut)
 			}
 			for _, key := range keys {
 				var list struct {
