@@ -96,7 +96,8 @@ type createCampaignRequest struct {
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	servePage(w, r, "campaigns", s.tenant(r).campaigns, campaignInfoOf)
+	st := s.tenant(r).store
+	servePage(w, r, "campaigns", st, st.m.Campaigns, campaignInfoOf)
 }
 
 // handleCreateCampaign validates the spec synchronously, then starts the
@@ -125,19 +126,15 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tn := s.tenant(r)
-	row, quota := tn.campaigns.insert(func(id string) *campaignMirror {
-		return &campaignMirror{Started: campaignStartedRec{ID: id, Spec: spec, Created: s.clock()}}
-	})
-	if quota != nil {
-		writeJSON(w, http.StatusForbidden, quota)
+	st := s.tenant(r).store
+	row := &campaignMirror{Started: campaignStartedRec{Spec: spec, Created: s.clock()}}
+	row.Started.row = row
+	if err := st.emit(recCampaignStarted, &row.Started); err != nil {
+		writeRefused(w, err)
 		return
 	}
-	started := row.Started
-	started.row = row
-	tn.store.emit(recCampaignStarted, started)
 	accepted := campaignInfoOf(row) // before the sweep starts: always "running"
-	tn.store.spawn(func() { s.executeCampaign(tn.store, row) })
+	st.spawn(func() { s.executeCampaign(st, row) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
@@ -168,8 +165,9 @@ func (s *Server) executeCampaign(st *store, row *campaignMirror) {
 // handleCampaign reports one campaign's progress — and, once seeds fail,
 // the shrunk repros.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	row, ok := s.tenant(r).campaigns.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	row := lookup(st, st.m.Campaigns, r.PathValue("id"))
+	if row == nil {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}

@@ -32,8 +32,8 @@ type clusterInfo struct {
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
-func (s *Server) clusterInfoOf(dep *deployment) clusterInfo {
-	c := &dep.row.Created
+func (s *Server) clusterInfoOf(dep *depMirror) clusterInfo {
+	c := &dep.Created
 	cl, state, _, _ := dep.cluster()
 	info := clusterInfo{ID: c.ID, Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, State: state}
 	if cl == nil {
@@ -55,21 +55,21 @@ type stateBody struct {
 	State      string `json:"state"`
 }
 
-// openCluster resolves {id} to an operable cluster (see deployment.cluster).
+// openCluster resolves {id} to an operable cluster (see depMirror.cluster).
 // An unknown ID answers 404. One still pending or building answers 409 with
 // the current state and a wait hint (clusterctl's retryable exit 2); one
 // that settled failed or cancelled answers 422, because waiting will never
 // make it operable — the record exists only for inspection and deletion.
-func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *deployment, *tenant, bool) {
+func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *depMirror, *tenant, bool) {
 	tn := s.tenant(r)
-	dep, ok := tn.deployments.get(r.PathValue("id"))
-	if !ok {
+	dep := lookup(tn.store, tn.store.m.Deployments, r.PathValue("id"))
+	if dep == nil {
 		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
 	}
 	cl, st, berr, settled := dep.cluster()
 	if cl == nil {
-		id := dep.row.Created.ID
+		id := dep.Created.ID
 		body := stateBody{Error: fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st), State: st}
 		status := http.StatusConflict
 		if settled {
@@ -88,7 +88,8 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	servePage(w, r, "clusters", s.tenant(r).deployments, s.clusterInfoOf)
+	st := s.tenant(r).store
+	servePage(w, r, "clusters", st, st.m.Deployments, s.clusterInfoOf)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +383,7 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 			writeError(w, deployErrorStatus(err), err.Error())
 			return
 		}
-		op.ID = dep.row.Created.ID
+		op.ID = dep.Created.ID
 		tn.store.emit(recClusterOp, op)
 		writeJSON(w, status, body)
 	}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"xcbc/pkg/xcbc"
@@ -28,32 +27,6 @@ const (
 	maxNodesPerMember  = 256
 	maxFleetTotalNodes = 16384
 )
-
-// fleetRecord is one managed fleet: its mirror row, its live fleet (see
-// fleet), and its scenario runs, served from their rows.
-type fleetRecord struct {
-	row       *fleetMirror
-	fl        *xcbc.Fleet
-	provision func() // runs once; nil unless recovered provisioned with no run in flight
-	runs      *registry[*runMirror]
-
-	mu      sync.Mutex
-	runLive bool // a scenario is currently executing
-}
-
-func newFleetRecord(row *fleetMirror, fl *xcbc.Fleet) *fleetRecord {
-	return &fleetRecord{row: row, fl: fl, runs: newRegistry[*runMirror]("s", "scenario runs", 0)}
-}
-
-// fleet returns the live fleet. The first call re-provisions a recovered
-// provisioned fleet, and concurrent first calls wait for that one
-// provisioning, so callers hold no registry lock, fr.mu or st.mu.
-func (fr *fleetRecord) fleet() *xcbc.Fleet {
-	if fr.provision != nil {
-		fr.provision()
-	}
-	return fr.fl
-}
 
 // createFleetRequest provisions a new fleet of simulated clusters. The
 // journal keeps it without its zero fields: an absent provision, not an
@@ -92,12 +65,15 @@ type fleetInfo struct {
 	Members   []fleetMemberInfo `json:"members,omitempty"`
 }
 
-func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
-	fl := fr.fleet()
-	st, c := fl.Status(), &fr.row.Created
+func fleetInfoOf(st *store, f *fleetMirror, withMembers bool) fleetInfo {
+	fl := f.fleet()
+	st.idx.RLock()
+	runs := len(f.Runs)
+	st.idx.RUnlock()
+	status, c := fl.Status(), &f.Created
 	info := fleetInfo{
 		ID: c.ID, Name: c.Name, Created: c.Created,
-		Status: st, Settled: st.Settled(), Scenarios: fr.runs.len(),
+		Status: status, Settled: status.Settled(), Scenarios: runs,
 	}
 	if withMembers {
 		info.Members = mapSlice(fl.Members(), func(m *xcbc.FleetMember) fleetMemberInfo {
@@ -112,14 +88,15 @@ func (s *Server) fleetInfoOf(fr *fleetRecord, withMembers bool) fleetInfo {
 }
 
 func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
-	servePage(w, r, "fleets", s.tenant(r).fleets, func(fr *fleetRecord) fleetInfo {
-		return s.fleetInfoOf(fr, false)
+	st := s.tenant(r).store
+	servePage(w, r, "fleets", st, st.m.Fleets, func(f *fleetMirror) fleetInfo {
+		return fleetInfoOf(st, f, false)
 	})
 }
 
 // handleCreateFleet validates the request synchronously, then starts
 // provisioning in the background and answers 202 Accepted with the fleet
-// in its initial state.
+// in its initial state. A create the store refuses cancels the fleet.
 func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 	var req createFleetRequest
 	if !decodeBody(w, r, &req) {
@@ -142,7 +119,7 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("members*nodes exceeds the fleet-wide cap of %d simulated nodes", maxFleetTotalNodes))
 		return
 	}
-	tn := s.tenant(r)
+	st := s.tenant(r).store
 	fl, err := xcbc.NewFleet(fleetSpecOf(req))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -156,20 +133,15 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fr, quota := tn.fleets.insert(func(id string) *fleetRecord {
-		return newFleetRecord(&fleetMirror{Created: fleetCreatedRec{
-			ID: id, Name: req.Name, Req: req, Created: s.clock(), Provisioned: provisioned,
-		}, Provisioned: provisioned}, fl)
-	})
-	if quota != nil {
+	f := &fleetMirror{fl: fl, Provisioned: provisioned, Created: fleetCreatedRec{
+		Name: req.Name, Req: req, Created: s.clock(), Provisioned: provisioned}}
+	f.Created.row = f
+	if err := st.emit(recFleetCreated, &f.Created); err != nil {
 		fl.Cancel()
-		writeJSON(w, http.StatusForbidden, quota)
+		writeRefused(w, err)
 		return
 	}
-	created := fr.row.Created
-	created.row = fr.row
-	tn.store.emit(recFleetCreated, created)
-	writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, true))
+	writeJSON(w, http.StatusAccepted, fleetInfoOf(st, f, true))
 }
 
 // fleetSpecOf turns a create request into an SDK fleet spec; the create
@@ -184,12 +156,13 @@ func fleetSpecOf(req createFleetRequest) xcbc.FleetSpec {
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	if f == nil {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.fleetInfoOf(fr, true))
+	writeJSON(w, http.StatusOK, fleetInfoOf(st, f, true))
 }
 
 // handleDeleteFleet mirrors the deployment contract: an unsettled fleet is
@@ -199,32 +172,24 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // trace — so that answers 409 until the run settles.
 func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	tn := s.tenant(r)
-	fr, found := tn.fleets.get(id)
-	if !found {
+	st := s.tenant(r).store
+	f := lookup(st, st.m.Fleets, id)
+	if f == nil {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	fl := fr.fleet() // a first use provisions, so not under removeIf's lock
-	var live bool
-	_, found, removed := tn.fleets.removeIf(id, func(fr *fleetRecord) bool {
-		fr.mu.Lock()
-		live = fr.runLive
-		fr.mu.Unlock()
-		return !live && fl.Status().Settled()
-	})
+	fl := f.fleet() // a first use provisions, so not under f.mu
+	f.mu.Lock()
+	err := st.emit(recFleetDeleted, &fleetDeletedRec{ID: id})
+	f.mu.Unlock()
 	switch {
-	case !found:
-		writeError(w, http.StatusNotFound, "unknown fleet")
-	case live:
-		writeError(w, http.StatusConflict,
-			"a scenario is still running on this fleet; wait for it to settle before deleting")
-	case removed:
-		tn.store.emit(recFleetDeleted, fleetDeletedRec{ID: id})
+	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
-	default:
+	case errors.Is(err, errUnsettled):
 		fl.Cancel()
-		writeJSON(w, http.StatusAccepted, s.fleetInfoOf(fr, false))
+		writeJSON(w, http.StatusAccepted, fleetInfoOf(st, f, false))
+	default:
+		writeRefused(w, err)
 	}
 }
 
@@ -306,9 +271,9 @@ func writeRunInfo(w http.ResponseWriter, info scenarioRunInfo) {
 // scenarios would interleave day-2 operations and break the seeded trace —
 // so a second request while one is live answers 409 Conflict.
 func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
-	tn := s.tenant(r)
-	fr, ok := tn.fleets.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	if f == nil {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
@@ -338,10 +303,10 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fl := fr.fleet()
+	fl := f.fleet()
 	if sc.Members() != fl.Len() {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), fr.row.Created.ID, fl.Len()))
+			fmt.Sprintf("scenario wants %d members but fleet %s has %d", sc.Members(), f.Created.ID, fl.Len()))
 		return
 	}
 	if sc.RequiresFreshFleet() && fl.Provisioned() {
@@ -349,31 +314,24 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 			"scenario arms kickstart faults; run it on a fleet created with \"provision\": false whose builds have not started")
 		return
 	}
-
-	fr.mu.Lock()
-	if fr.runLive {
-		fr.mu.Unlock()
-		writeError(w, http.StatusConflict, "a scenario is already running on this fleet; wait for it to settle")
-		return
-	}
-	fr.runLive = true
-	fr.mu.Unlock()
 	doc, err := sc.JSON()
 	if err != nil {
 		doc = req.Scenario // inline doc as submitted; never nil for builtins
 	}
-	run, _ := fr.runs.insert(func(id string) *runMirror {
-		return &runMirror{Started: scenarioStartedRec{
-			FleetID: fr.row.Created.ID, RunID: id, Name: sc.Name(), Scenario: doc, Created: s.clock(),
-		}}
-	})
-	started := run.Started
-	started.row = run
-	tn.store.emit(recScenarioStarted, started)
+	run := &runMirror{Started: scenarioStartedRec{
+		FleetID: f.Created.ID, Name: sc.Name(), Scenario: doc, Created: s.clock()}}
+	run.Started.row = run
+	f.mu.Lock()
+	err = st.emit(recScenarioStarted, &run.Started)
+	f.mu.Unlock()
+	if err != nil {
+		writeRefused(w, err)
+		return
+	}
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
 	accepted := runInfoOf(run, false, page{})
-	tn.store.spawn(func() { s.executeRun(tn.store, fr, run, sc, nil) })
+	st.spawn(func() { s.executeRun(st, f, run, sc, nil) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
@@ -384,8 +342,8 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 // must reproduce the recorded hash at the recorded cursor, or the run
 // settles as "error" rather than presenting a trace the crashed server
 // never produced. A run the store's close cancels journals no settlement.
-func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
-	fl := fr.fleet()
+func (s *Server) executeRun(st *store, f *fleetMirror, run *runMirror, sc *xcbc.Scenario, target *replayTarget) error {
+	fl := f.fleet()
 	var obs func(xcbc.TraceEvent)
 	var got uint64
 	var reached bool
@@ -425,42 +383,56 @@ func (s *Server) executeRun(st *store, fr *fleetRecord, run *runMirror, sc *xcbc
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	// The row settles only when apply writes the journaled outcome, and the
-	// fleet is freed under the same fr.mu, so a client that saw the run
-	// settle may delete the fleet or start the next run at once.
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
+	// The row settles, freeing the fleet, only when apply writes the
+	// journaled outcome; f.mu keeps the fleet.provisioned record behind it,
+	// ahead of a delete or the next run's start.
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	st.emit(recScenarioSettled, rec)
 	// A provision phase may have built the fleet's members mid-run; record
 	// that so recovery re-provisions before restoring results.
 	if fl.Provisioned() {
 		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: run.Started.FleetID})
 	}
-	fr.runLive = false
 	return err
 }
 
+// handleScenarioRuns lists a fleet's runs. Run sN is the fleet's Nth, so a
+// page is a window of Runs, the cursor an offset into it, and an empty
+// page's next cursor the cursor, as every listing's.
 func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
-	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	if f == nil {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	servePage(w, r, "runs", fr.runs, func(run *runMirror) scenarioRunInfo {
+	pg, ok := parsePage(w, r)
+	if !ok {
+		return
+	}
+	st.idx.RLock()
+	start, end := pg.window(len(f.Runs))
+	runs := f.Runs[start:end]
+	st.idx.RUnlock()
+	writeList(w, "runs", mapSlice(runs, func(run *runMirror) scenarioRunInfo {
 		return runInfoOf(run, false, page{})
-	})
+	}), max(pg.cursor, end))
 }
 
 // handleScenarioRun reports one run; ?cursor=N selects which trace events
 // ride along once the run settles (pass back next_cursor to page).
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	fr, ok := s.tenant(r).fleets.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	if f == nil {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	run, ok := fr.runs.get(r.PathValue("sid"))
-	if !ok {
+	st.idx.RLock()
+	run := f.run(r.PathValue("sid"))
+	st.idx.RUnlock()
+	if run == nil {
 		writeError(w, http.StatusNotFound, "unknown scenario run")
 		return
 	}

@@ -267,8 +267,7 @@ func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
 	if info := awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1"); info.State != "passed" {
 		t.Fatalf("campus-100 settled %q: %v", info.State, info.Violations)
 	}
-	fr, _ := s.openTenant.fleets.get("f1")
-	run, _ := fr.runs.get("s1")
+	run := runRow(s, "f1", "s1")
 	_, result, _ := settled(run)
 	whole := result.Trace()
 	if len(whole) < 400 || result.TraceLen() != len(whole) {

@@ -1,0 +1,284 @@
+package api
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"xcbc/pkg/xcbc"
+)
+
+// depRow and fleetRow read one row of the open tenant's index, as its
+// routes do.
+func depRow(s *Server, id string) (*depMirror, bool) {
+	st := s.openTenant.store
+	dep := lookup(st, st.m.Deployments, id)
+	return dep, dep != nil
+}
+
+func fleetRow(s *Server, id string) (*fleetMirror, bool) {
+	st := s.openTenant.store
+	f := lookup(st, st.m.Fleets, id)
+	return f, f != nil
+}
+
+// runRow reads one of a fleet's runs as its route does; nil if either the
+// fleet or the run is unknown.
+func runRow(s *Server, fleetID, runID string) *runMirror {
+	f, _ := fleetRow(s, fleetID)
+	st := s.openTenant.store
+	st.idx.RLock()
+	defer st.idx.RUnlock()
+	return f.run(runID)
+}
+
+// indexLen measures st's index under its read lock.
+func indexLen(st *store, n func(m *mirror) int) int {
+	st.idx.RLock()
+	defer st.idx.RUnlock()
+	return n(st.m)
+}
+
+// TestQuotaUnderConcurrentCreate races many creates at a capped tenant:
+// exactly max are indexed, every loser gets the typed quota body, and the
+// winners hold distinct IDs.
+func TestQuotaUnderConcurrentCreate(t *testing.T) {
+	const creators, quota = 64, 10
+	s, _ := newMTServer(t, TenantConfig{Name: "capped", Key: "capped-key", Quotas: Quotas{MaxDeployments: quota}})
+	st := s.tenants[0].store
+	held := func() int { return indexLen(st, func(m *mirror) int { return len(m.Deployments) }) }
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	won := map[int]bool{}
+	for range creators {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := &depCreatedRec{Path: "xcbc"}
+			var qe *quotaError
+			if err := st.emit(recDeploymentCreated, rec); errors.As(err, &qe) {
+				if qe.Code != "quota_exceeded" || qe.Resource != "deployments" || qe.Limit != quota || qe.InUse != quota {
+					t.Errorf("quota body = %+v", qe)
+				}
+				return
+			} else if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			won[numSuffix(rec.ID)] = true
+			mu.Unlock()
+			if n := held(); n > quota {
+				t.Errorf("the index holds %d deployments, quota %d", n, quota)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(won) != quota || held() != quota {
+		t.Fatalf("%d distinct winners, %d deployments, want %d of each", len(won), held(), quota)
+	}
+}
+
+// TestRestartContinuesIDs deletes the highest-numbered deployment, with a
+// snapshot after every record so that no created record survives in the
+// log, and requires the next create after a restart to get a fresh ID
+// rather than reuse the deleted one's.
+func TestRestartContinuesIDs(t *testing.T) {
+	dir := t.TempDir()
+	everyRecord := func(c *Config) { c.SnapshotEvery = 1 }
+	s, _ := openDurable(t, dir, everyRecord)
+	for _, want := range []string{"d1", "d2", "d3"} {
+		if id := deployReady(t, s, `{"cluster":"littlefe"}`); id != want {
+			t.Fatalf("created %s, want %s", id, want)
+		}
+	}
+	if rec := do(t, s, "DELETE", "/api/v1/deployments/d3", "", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE d3: %d %s", rec.Code, rec.Body.String())
+	}
+	s.Close()
+	s, _ = openDurable(t, dir, everyRecord)
+	defer s.Close()
+	var created deploymentInfo
+	do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, &created)
+	if created.ID != "d4" {
+		t.Fatalf("next ID after restart = %q, want d4", created.ID)
+	}
+}
+
+// TestIndexPage pins numeric-suffix ordering and the floor-cursor
+// contract, including the stable tail on an empty page.
+func TestIndexPage(t *testing.T) {
+	st := newTestServer(t).openTenant.store
+	index := map[string]*string{}
+	for i := 1; i <= 12; i++ {
+		if id := fmt.Sprintf("d%d", i); i != 3 {
+			index[id] = &id
+		}
+	}
+	for _, tc := range []struct {
+		pg   page
+		want string
+		next int
+	}{
+		{page{0, 4}, "[d1 d2 d4 d5]", 5},
+		{page{8, 100}, "[d9 d10 d11 d12]", 12},
+		{page{2, 1}, "[d4]", 4},
+		{page{12, 5}, "[]", 12},
+		{page{40, 5}, "[]", 40},
+	} {
+		rows, next := pageOf(st, index, tc.pg)
+		got := mapSlice(rows, func(id *string) string { return *id })
+		if fmt.Sprint(got) != tc.want || next != tc.next {
+			t.Errorf("pageOf(%+v) = %v next %d, want %s next %d", tc.pg, got, next, tc.want, tc.next)
+		}
+	}
+}
+
+// refuseRecords closes s's log under its store, so that the log refuses
+// every later append (wal.ErrClosed) as a failed one does.
+func refuseRecords(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.openTenant.store.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusedRecordIs503 has the log refuse the record of each write that
+// publishes or removes a resource: the write answers 503 in the error
+// envelope, reads see nothing published or removed, and neither does a
+// restart.
+func TestRefusedRecordIs503(t *testing.T) {
+	refused := func(t *testing.T, s *Server, method, path, body string) {
+		t.Helper()
+		var e apiError
+		if rec := do(t, s, method, path, body, &e); rec.Code != http.StatusServiceUnavailable || e.Error == "" {
+			t.Errorf("%s %s with its record refused = %d %s, want 503 with an error", method, path, rec.Code, rec.Body.String())
+		}
+	}
+	reads := func(t *testing.T, s *Server, path string, want int) {
+		t.Helper()
+		if rec := do(t, s, "GET", path, "", nil); rec.Code != want {
+			t.Errorf("GET %s = %d, want %d", path, rec.Code, want)
+		}
+	}
+	t.Run("create", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir)
+		refuseRecords(t, s)
+		refused(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`)
+		reads(t, s, "/api/v1/deployments/d1", http.StatusNotFound)
+		s.Close()
+		s, _ = openDurable(t, dir)
+		defer s.Close()
+		reads(t, s, "/api/v1/deployments/d1", http.StatusNotFound)
+	})
+	t.Run("delete", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir)
+		deployReady(t, s, `{"cluster":"littlefe"}`)
+		refuseRecords(t, s)
+		refused(t, s, "DELETE", "/api/v1/deployments/d1", "")
+		reads(t, s, "/api/v1/deployments/d1", http.StatusOK)
+		s.Close()
+		s, _ = openDurable(t, dir)
+		defer s.Close()
+		reads(t, s, "/api/v1/deployments/d1", http.StatusOK)
+	})
+	t.Run("run and campaign", func(t *testing.T) {
+		s, _ := openDurable(t, t.TempDir())
+		defer s.Close()
+		do(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2,"provision":false}`, nil)
+		refuseRecords(t, s)
+		refused(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`)
+		refused(t, s, "POST", "/api/v1/campaigns", `{"seeds":1,"workers":1}`)
+		refused(t, s, "POST", "/api/v1/fleets", `{"name":"tiny","members":2,"provision":false}`)
+		reads(t, s, "/api/v1/fleets/f1/scenarios/s1", http.StatusNotFound)
+		reads(t, s, "/api/v1/campaigns/c1", http.StatusNotFound)
+		reads(t, s, "/api/v1/fleets/f2", http.StatusNotFound)
+		reads(t, s, "/api/v1/fleets/f1", http.StatusOK)
+	})
+}
+
+// TestRefusedSettlementRecordEndsNoStream has the log refuse a build's
+// deployment.settled: the deployment reads building, as it will after a
+// restart, and its event stream does not end on a terminal frame.
+func TestRefusedSettlementRecordEndsNoStream(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	s, _ := openDurable(t, t.TempDir(), func(c *Config) {
+		c.DeployOptions = []xcbc.Option{xcbc.WithInstallHook(func(string, int) error {
+			<-gate
+			return nil
+		})}
+	})
+	defer s.Close()
+	if rec := do(t, s, "POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	refuseRecords(t, s)
+	release()
+	dep, _ := depRow(s, "d1")
+	<-dep.h.Done()
+	s.openTenant.store.wg.Wait() // the watcher has tried to journal the settlement
+	var info deploymentInfo
+	if do(t, s, "GET", "/api/v1/deployments/d1", "", &info); info.State != "building" {
+		t.Errorf("with its settlement refused, d1 reads %q, want building", info.State)
+	}
+	// A stream that has not ended by the deadline never will: nothing is
+	// left to journal the settlement.
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/deployments/d1/events", nil).WithContext(ctx))
+	if body := rec.Body.String(); strings.Contains(body, "event: state") {
+		t.Errorf("with its settlement refused, the event stream ended:\n%s", body)
+	}
+}
+
+// TestIndexedOnlyOnceJournaled parks a create and then a delete at the
+// stop point, each with its record logged but not yet applied: until it is
+// applied, a client reads the index as it was before the record.
+func TestIndexedOnlyOnceJournaled(t *testing.T) {
+	s, _ := openDurable(t, t.TempDir())
+	defer s.Close()
+	st := s.openTenant.store
+	for _, tc := range []struct {
+		method, body, park  string
+		code, before, after int
+	}{
+		{"POST", `{"cluster":"littlefe"}`, recDeploymentCreated, http.StatusAccepted, http.StatusNotFound, http.StatusOK},
+		{"DELETE", "", recDeploymentDeleted, http.StatusNoContent, http.StatusOK, http.StatusNotFound},
+	} {
+		path := "/api/v1/deployments"
+		if tc.method == "DELETE" {
+			path += "/d1"
+			awaitSettled[deploymentInfo](t, s, "", "/api/v1/deployments/d1")
+		}
+		parked, release := parkAt(st, tc.park)
+		answered := make(chan int, 1)
+		go func() { answered <- do(t, s, tc.method, path, tc.body, nil).Code }()
+		select {
+		case <-parked:
+		case <-time.After(time.Minute):
+			release()
+			t.Fatalf("no %s record was logged", tc.park)
+		}
+		before := do(t, s, "GET", "/api/v1/deployments/d1", "", nil).Code
+		release()
+		if code := <-answered; code != tc.code {
+			t.Fatalf("%s %s = %d, want %d", tc.method, path, code, tc.code)
+		}
+		after := do(t, s, "GET", "/api/v1/deployments/d1", "", nil).Code
+		if before != tc.before || after != tc.after {
+			t.Errorf("GET d1 with its %s record unapplied = %d, once applied = %d; want %d, %d",
+				tc.park, before, after, tc.before, tc.after)
+		}
+	}
+}

@@ -163,7 +163,7 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 			for _, cursor := range cursors {
 				// The checkpoint reached the file on its own, before the run
 				// went on: no later record had to carry it there.
-				got := loggedMirror(t, images[cursor]).findRun("f1", "s1")
+				got := loggedMirror(t, images[cursor]).Fleets["f1"].run("s1")
 				if got.State != "" || got.Cursor != cursor || cursor%checkpointEvery != 0 {
 					t.Fatalf("image %d: log holds cursor %d state %q", cursor, got.Cursor, got.State)
 				}
@@ -304,9 +304,7 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 				}
 				// The run journals its outcome before it reports it.
 				awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/"+fl.ID+"/scenarios/s1")
-				fr, _ := s.openTenant.fleets.get(fl.ID)
-				run, _ := fr.runs.get("s1")
-				if state, result, err := settled(run); state != "passed" || result.TraceLen() != tc.events {
+				if state, result, err := settled(runRow(s, fl.ID, "s1")); state != "passed" || result.TraceLen() != tc.events {
 					t.Fatalf("run settled %q (%v) with %d events, want %d", state, err, result.TraceLen(), tc.events)
 				}
 				if rec := do(t, s, "DELETE", "/api/v1/fleets/"+fl.ID, "", nil); rec.Code != http.StatusNoContent {
@@ -507,9 +505,7 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil)
 	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
-	fr, _ := s.openTenant.fleets.get("f1")
-	run, _ := fr.runs.get("s1")
-	_, real, _ := settled(run)
+	_, real, _ := settled(runRow(s, "f1", "s1"))
 	for i, rec := range []scenarioSettledRec{
 		{FleetID: "f1", RunID: "s1", State: "passed", Result: real},
 		{FleetID: "f1", RunID: "s1", State: "failed", Error: `violated "<all-ready>" & more`, Result: real},
@@ -637,7 +633,7 @@ func TestEmptyRollsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	rolls := func(s *Server) []string {
 		t.Helper()
-		dep, ok := s.openTenant.deployments.get("d1")
+		dep, ok := depRow(s, "d1")
 		h := dep.handle()
 		if !ok || h == nil {
 			t.Fatal("d1 is not a live deployment")

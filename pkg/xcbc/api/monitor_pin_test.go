@@ -47,7 +47,7 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 	if final, _ := pollDeployment(t, s, "d1"); final.State != "ready" {
 		t.Fatalf("d1 settled %q", final.State)
 	}
-	dep, _ := s.openTenant.deployments.get("d1")
+	dep, _ := depRow(s, "d1")
 	cl, err := dep.handle().Cluster()
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ const (
 	// defaultPageLimit is how many items a list response carries when the
 	// client does not say; maxPageLimit is the most it may ask for. Every
 	// list endpoint enforces both, so no request reads an unbounded slice
-	// of a registry.
+	// of an index.
 	defaultPageLimit = 100
 	maxPageLimit     = 1000
 )
@@ -132,14 +132,14 @@ func writeBuffered(w http.ResponseWriter, buf *bytes.Buffer) {
 	}
 }
 
-// servePage answers one page of a registry listing, rendering each item
-// through info after the registry's lock is released.
-func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, g *registry[T], info func(T) I) {
+// servePage answers one page of a mirror index, rendering each row through
+// info after the index lock is released.
+func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, st *store, index map[string]*T, info func(*T) I) {
 	pg, ok := parsePage(w, r)
 	if !ok {
 		return
 	}
-	items, next := g.page(pg)
+	items, next := pageOf(st, index, pg)
 	out := make([]I, len(items))
 	for i, item := range items {
 		out[i] = info(item)

@@ -109,7 +109,7 @@ func TestRowCompatFollowsLiveState(t *testing.T) {
 	if info, _ := pollDeployment(t, s, "d1"); info.State != "ready" {
 		t.Fatalf("d1 settled %s", info.State)
 	}
-	dep, _ := s.openTenant.deployments.get("d1")
+	dep, _ := depRow(s, "d1")
 	d, _ := dep.handle().Deployment()
 	frontend := d.Hardware().Frontend.Packages()
 

@@ -150,14 +150,14 @@ func TestRecoveryEquivalentOnFirstUse(t *testing.T) {
 		case 5:
 			failing.Store(true)
 			call("POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, http.StatusAccepted)
-			failed = fmt.Sprintf("d%d", s.openTenant.deployments.len())
+			failed = fmt.Sprintf("d%d", indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Deployments) }))
 			if final, _ := pollDeployment(t, s, failed); final.State != "failed" {
 				t.Fatalf("%s settled %q, want failed", failed, final.State)
 			}
 			failing.Store(false)
 		case 11:
 			release := gated(`{"cluster":"littlefe","parallelism":1}`)
-			cancelled = fmt.Sprintf("d%d", s.openTenant.deployments.len())
+			cancelled = fmt.Sprintf("d%d", indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Deployments) }))
 			call("DELETE", "/api/v1/deployments/"+cancelled, "", http.StatusAccepted)
 			release()
 			if final, _ := pollDeployment(t, s, cancelled); final.State != "cancelled" {
@@ -166,7 +166,7 @@ func TestRecoveryEquivalentOnFirstUse(t *testing.T) {
 		case 17:
 			releaseInflight = gated(`{"cluster":"littlefe","parallelism":2}`)
 			defer releaseInflight()
-			inflight = fmt.Sprintf("d%d", s.openTenant.deployments.len())
+			inflight = fmt.Sprintf("d%d", indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Deployments) }))
 		}
 		body := fmt.Sprintf(`{"cluster":"littlefe","scheduler":"torque","node_count":%d,"parallelism":%d}`, 2+i%4, 1+i%3)
 		if i%9 == 4 {
@@ -644,7 +644,7 @@ func TestRestartProvisionsFleetsOnFirstUse(t *testing.T) {
 	provisioned := func(s *Server) (got [2]bool) {
 		t.Helper()
 		for i, id := range []string{"f1", "f2"} {
-			fr, ok := s.openTenant.fleets.get(id)
+			fr, ok := fleetRow(s, id)
 			if !ok {
 				t.Fatalf("fleet %s not recovered", id)
 			}
@@ -688,7 +688,7 @@ func TestRestartProvisionsFleetsOnFirstUse(t *testing.T) {
 	s.Close()
 	s, _ = openDurable(t, dir)
 	s.Close()
-	fr, _ := s.openTenant.fleets.get("f1")
+	fr, _ := fleetRow(s, "f1")
 	if fr.fleet().Provisioned() {
 		t.Error("a first use after Close provisioned f1")
 	}
@@ -726,7 +726,7 @@ func TestRestartKeepsCompatOfAppliedUpdates(t *testing.T) {
 	}
 	live := func(s *Server) (passed, total int) {
 		t.Helper()
-		dep, _ := s.openTenant.deployments.get("d1")
+		dep, _ := depRow(s, "d1")
 		d, _ := dep.handle().Deployment()
 		passed, total, err := d.CompatCounts()
 		if err != nil {

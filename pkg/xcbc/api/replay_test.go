@@ -83,13 +83,12 @@ func synthesizeCrash(t *testing.T, dir string, sc *xcbc.Scenario, cursor int, ha
 // recoveredRun digs the single scenario run out of a recovered server.
 func recoveredRun(t *testing.T, s *Server) *runMirror {
 	t.Helper()
-	fr, ok := s.openTenant.fleets.get("f1")
-	if !ok {
+	if _, ok := fleetRow(s, "f1"); !ok {
 		t.Fatal("fleet f1 not recovered")
 	}
-	run, ok := fr.runs.get("s1")
-	if !ok || fr.runs.len() != 1 {
-		t.Fatalf("recovered %d runs (s1 present: %v), want exactly s1", fr.runs.len(), ok)
+	run := runRow(s, "f1", "s1")
+	if n := indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Fleets["f1"].Runs) }); run == nil || n != 1 {
+		t.Fatalf("recovered %d runs (s1 present: %v), want exactly s1", n, run != nil)
 	}
 	return run
 }

@@ -2,36 +2,10 @@
 // plus the legacy Yum-over-HTTP routes the XSEDE Campus Bridging team
 // served at cb-repo.iu.xsede.org.
 //
-// Versioned routes (see DESIGN.md for the versioning policy; GET /api/v1
-// returns this listing as a machine-readable discovery document, so
-// clients can feature-detect the cluster routes):
-//
-//	GET    /api/v1                          — route/version discovery
-//	GET    /api/v1/store                    — durability status (data dir, WAL size, snapshot age)
-//	GET    /api/v1/healthz
-//	GET    /api/v1/repos
-//	GET    /api/v1/repos/{id}
-//	GET    /api/v1/repos/{id}/packages[?name=...]
-//	POST   /api/v1/depsolve
-//	GET    /api/v1/deployments
-//	POST   /api/v1/deployments              — 202 Accepted, build runs async
-//	GET    /api/v1/deployments/{id}[?cursor=N]
-//	GET    /api/v1/deployments/{id}/events  — Server-Sent Events stream
-//	DELETE /api/v1/deployments/{id}         — cancels an in-flight build
-//	GET    /api/v1/clusters                 — day-2 view of the same records
-//	GET    /api/v1/clusters/{id}
-//	POST   /api/v1/clusters/{id}/jobs
-//	GET    /api/v1/clusters/{id}/jobs[?state=...]
-//	GET    /api/v1/clusters/{id}/jobs/{jid}
-//	DELETE /api/v1/clusters/{id}/jobs/{jid}
-//	GET    /api/v1/clusters/{id}/metrics
-//	GET    /api/v1/clusters/{id}/alerts
-//	POST   /api/v1/clusters/{id}/validate
-//	GET    /api/v1/clusters/{id}/updates[?policy=...]
-//	POST   /api/v1/clusters/{id}/advance
-//	GET    /api/v1/campaigns                — list generative chaos campaigns
-//	POST   /api/v1/campaigns                — 202 Accepted, sweep runs async
-//	GET    /api/v1/campaigns/{id}           — progress + failures with shrunk repros
+// The versioned routes are the routes slice newServer builds, each with
+// its method and a line of documentation. GET /api/v1 serves that listing
+// as a machine-readable discovery document, so clients can feature-detect
+// the cluster routes; DESIGN.md states the versioning policy.
 //
 // Deployments are asynchronous jobs: POST validates the request, starts the
 // build on the SDK's worker pool, and returns immediately with the
@@ -114,8 +88,8 @@ type Config struct {
 	CampaignHook xcbc.CampaignCheckHook
 	// Tenants switches the server into multi-tenant mode: every /api/v1
 	// request (except discovery and health) must present one of these
-	// tenants' API keys, and each tenant gets its own resource registries,
-	// rate limit, quotas, and — on a durable server — its own WAL under
+	// tenants' API keys, and each tenant gets its own resources, rate
+	// limit, quotas, and — on a durable server — its own WAL under
 	// DataDir/tenants/<name>. Empty means open mode: one anonymous tenant,
 	// no admission control, the pre-tenancy behavior and disk layout.
 	Tenants []TenantConfig
@@ -149,7 +123,7 @@ type Server struct {
 
 	// tenants are the server's shards, sorted by name. openTenant is the
 	// single anonymous shard when Config.Tenants is empty (open mode), nil
-	// in multi-tenant mode; every resource registry and store lives on a
+	// in multi-tenant mode; every store, and so every resource, lives on a
 	// tenant, never on the Server.
 	tenants    []*tenant
 	openTenant *tenant
@@ -165,25 +139,10 @@ type Server struct {
 	campaignHook xcbc.CampaignCheckHook
 }
 
-// deployment is one SDK deployment managed by the server: its mirror row
-// (identity, then settlement and, if ready, summary) and its build handle,
-// which owns all mutable build state, so the server never touches a build
-// goroutine's data. One recovery settled has no handle: a failed one's row
-// Events are its journal and day-2 routes answer 422; a ready one gets its
-// handle from rebuild (see handle). journaled is closed once the watcher
-// has emitted the settlement; nil when there is no watcher.
-type deployment struct {
-	row       *depMirror
-	h         *xcbc.Handle
-	journaled chan struct{}
-	rebuild   func() *xcbc.Handle // runs once; nil unless recovered ready
-	lost      string              // why recovery could not build it, under row.mu; it then reads failed
-}
-
 // handle returns the deployment's build handle, nil if it has none. The
 // first call builds a recovered ready deployment, and concurrent first
 // calls wait for that one build; if it fails there is none, for good.
-func (d *deployment) handle() *xcbc.Handle {
+func (d *depMirror) handle() *xcbc.Handle {
 	if d.rebuild != nil {
 		return d.rebuild()
 	}
@@ -196,13 +155,13 @@ func (d *deployment) handle() *xcbc.Handle {
 // before that — except that a build which has ended reads building until
 // its settlement is journaled. A response renders from one status, so a
 // settlement landing mid-response cannot mix two states into its body.
-func (d *deployment) status() (state, errMsg string, settled bool) {
-	d.row.mu.Lock()
-	state, errMsg = d.row.State, d.row.Error
+func (d *depMirror) status() (state, errMsg string, settled bool) {
+	d.mu.Lock()
+	state, errMsg = d.State, d.Error
 	if d.lost != "" {
 		state, errMsg = string(xcbc.StateFailed), d.lost
 	}
-	d.row.mu.Unlock()
+	d.mu.Unlock()
 	if state != "" {
 		return state, errMsg, true
 	}
@@ -215,11 +174,11 @@ func (d *deployment) status() (state, errMsg string, settled bool) {
 // view reads what one response renders: the status and, once ready, the
 // row's summary. Only a journal page below the tip, or a row an older binary
 // wrote without a summary, needs the live build, and renders what it left.
-func (d *deployment) view(cursor int) (state, errMsg string, sum *depSummary) {
+func (d *depMirror) view(cursor int) (state, errMsg string, sum *depSummary) {
 	if state, errMsg, _ = d.status(); state == string(xcbc.StateReady) {
-		d.row.mu.Lock()
-		sum = d.row.Summary
-		d.row.mu.Unlock()
+		d.mu.Lock()
+		sum = d.Summary
+		d.mu.Unlock()
 		if sum == nil || cursor < sum.NextCursor {
 			if h := d.handle(); h == nil {
 				state, errMsg, _ = d.status()
@@ -235,7 +194,7 @@ func (d *deployment) view(cursor int) (state, errMsg string, sum *depSummary) {
 // cluster returns the live day-2 surface of a ready deployment, building a
 // recovered one on first use, and the status the response renders; cl is
 // nil for one that is not (or can never again be) operable.
-func (d *deployment) cluster() (cl *xcbc.Cluster, state, errMsg string, settled bool) {
+func (d *depMirror) cluster() (cl *xcbc.Cluster, state, errMsg string, settled bool) {
 	if state, errMsg, settled = d.status(); state == string(xcbc.StateReady) {
 		if h := d.handle(); h != nil {
 			cl, _ = h.Cluster()
@@ -252,13 +211,13 @@ func (d *deployment) cluster() (cl *xcbc.Cluster, state, errMsg string, settled 
 // tip a ready summary sum holds needs no live build. A row's journal is a
 // run of consecutive seqs — from 0 unless the build outgrew the handle's
 // ring before it settled — so a cursor indexes the slice after its first.
-func (d *deployment) events(pg page, sum *depSummary) ([]eventInfo, int) {
+func (d *depMirror) events(pg page, sum *depSummary) ([]eventInfo, int) {
 	if sum != nil && pg.cursor >= sum.NextCursor {
 		return nil, sum.NextCursor
 	}
 	h := d.handle()
 	if h == nil {
-		evs := d.row.Events // written before recovery registered it
+		evs := d.Events // written before recovery served it
 		first := 0
 		if len(evs) > 0 {
 			first = evs[0].Seq
@@ -808,13 +767,13 @@ func eventInfoOf(ev xcbc.Event) eventInfo {
 		Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed.String()}
 }
 
-func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) deploymentInfo {
+func (s *Server) deploymentInfoOf(dep *depMirror, withEvents bool, pg page) deploymentInfo {
 	if !withEvents {
 		// Event-less bodies (list, DELETE-cancel) still report the journal
 		// tip so "pass next_cursor back" holds on every response.
 		pg = page{cursor: math.MaxInt}
 	}
-	c := &dep.row.Created
+	c := &dep.Created
 	state, errMsg, sum := dep.view(pg.cursor)
 	info := deploymentInfo{ID: c.ID, Path: c.Path, State: state, Error: errMsg,
 		Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, Created: c.Created}
@@ -829,7 +788,8 @@ func (s *Server) deploymentInfoOf(dep *deployment, withEvents bool, pg page) dep
 }
 
 func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
-	servePage(w, r, "deployments", s.tenant(r).deployments, func(dep *deployment) deploymentInfo {
+	st := s.tenant(r).store
+	servePage(w, r, "deployments", st, st.m.Deployments, func(dep *depMirror) deploymentInfo {
 		return s.deploymentInfoOf(dep, false, page{})
 	})
 }
@@ -914,34 +874,29 @@ func (s *Server) startBuild(req createDeploymentRequest) (*xcbc.Handle, string, 
 // impossible hardware, and option errors keep their 4xx statuses), then
 // starts the build asynchronously and answers 202 Accepted with the
 // deployment in its initial lifecycle state. Clients follow up via GET
-// polling or the /events stream.
+// polling or the /events stream. A create the store refuses — over quota,
+// or not journaled — cancels the build it started.
 func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) {
 	var req createDeploymentRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	tn := s.tenant(r)
+	st := s.tenant(r).store
 	h, path, err := s.startBuild(req)
 	if err != nil {
 		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
 	hw := h.Hardware()
-	dep, quota := tn.deployments.insert(func(id string) *deployment {
-		return &deployment{h: h, journaled: make(chan struct{}), row: &depMirror{Created: depCreatedRec{
-			ID: id, Path: path, Req: req, Created: s.clock(),
-			Cluster: hw.Name, Site: hw.Site, Nodes: hw.NodeCount(),
-		}}}
-	})
-	if quota != nil {
+	dep := &depMirror{h: h, journaled: make(chan struct{}), Created: depCreatedRec{Path: path, Req: req,
+		Created: s.clock(), Cluster: hw.Name, Site: hw.Site, Nodes: hw.NodeCount()}}
+	dep.Created.row = dep
+	if err := st.emit(recDeploymentCreated, &dep.Created); err != nil {
 		h.Cancel()
-		writeJSON(w, http.StatusForbidden, quota)
+		writeRefused(w, err)
 		return
 	}
-	created := dep.row.Created
-	created.row = dep.row
-	tn.store.emit(recDeploymentCreated, created)
-	tn.store.watchDeployment(dep)
+	st.watchDeployment(dep)
 	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
 }
 
@@ -983,8 +938,9 @@ func deployErrorStatus(err error) int {
 // journal events ride along, ?limit= caps the page; clients poll by
 // passing back next_cursor.
 func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
-	dep, ok := s.tenant(r).deployments.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	dep := lookup(st, st.m.Deployments, r.PathValue("id"))
+	if dep == nil {
 		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
 	}
@@ -998,8 +954,9 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 // `event: state` frame once the deployment settles, after which the stream
 // closes. ?cursor=N resumes mid-journal.
 func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) {
-	dep, ok := s.tenant(r).deployments.get(r.PathValue("id"))
-	if !ok {
+	st := s.tenant(r).store
+	dep := lookup(st, st.m.Deployments, r.PathValue("id"))
+	if dep == nil {
 		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
 	}
@@ -1067,22 +1024,23 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 
 // handleDeleteDeployment cancels or removes. An in-flight build is
 // cancelled — 202 Accepted, the record stays so the cancellation can be
-// observed settling — while a terminal deployment is removed (204).
+// observed settling — while a terminal deployment is removed (204) once
+// its deployment.deleted is journaled.
 func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	tn := s.tenant(r)
-	dep, found, removed := tn.deployments.removeIf(id, func(d *deployment) bool {
-		_, _, settled := d.status()
-		return settled
-	})
-	switch {
-	case !found:
+	st := s.tenant(r).store
+	dep := lookup(st, st.m.Deployments, id)
+	if dep == nil {
 		writeError(w, http.StatusNotFound, "unknown deployment")
-	case removed:
-		tn.store.emit(recDeploymentDeleted, depDeletedRec{ID: id})
+		return
+	}
+	switch err := st.emit(recDeploymentDeleted, &depDeletedRec{ID: id}); {
+	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
-	default:
+	case errors.Is(err, errUnsettled):
 		dep.h.Cancel()
 		writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, false, page{}))
+	default:
+		writeRefused(w, err)
 	}
 }

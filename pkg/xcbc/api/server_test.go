@@ -651,9 +651,12 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatalf("found %d POST routes, want 8: %v", len(posts), posts)
 	}
 	lens := func() [4]int {
-		tn := s.openTenant
-		fr, _ := tn.fleets.get("f1")
-		return [4]int{tn.deployments.len(), tn.fleets.len(), tn.campaigns.len(), fr.runs.len()}
+		return [4]int{
+			indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Deployments) }),
+			indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Fleets) }),
+			indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Campaigns) }),
+			indexLen(s.openTenant.store, func(m *mirror) int { return len(m.Fleets["f1"].Runs) }),
+		}
 	}
 	before := lens()
 	for _, path := range posts {

@@ -177,8 +177,9 @@ type fleetCreatedRec struct {
 // its journal — so the ones an older DataDir holds are decoded and dropped.
 type fleetMemberRec struct{}
 
-// scenarioStartedRec starts a run. row is the live path's: the row the
-// handler already serves, which apply adopts; a decoded record has none.
+// scenarioStartedRec starts a run. row is the live path's: the row its
+// handler built around the record, with the live state, which apply
+// publishes; a decoded record has none, and apply builds the row.
 type scenarioStartedRec struct {
 	FleetID  string          `json:"fleet_id"`
 	RunID    string          `json:"run_id"`
@@ -241,7 +242,10 @@ type campaignSettledRec struct {
 
 // depMirror is one deployment's persistent model, and its routes read its
 // settlement and summary from it. Only apply writes it, under mu; readers
-// take mu alone. Summary is replaced, never written through.
+// take mu alone. Summary is replaced, never written through. Below mu is
+// its live state: the build handle, which owns all mutable build state. One
+// recovery settled has none: a failed one's Events are its journal and
+// day-2 routes answer 422; a ready one gets it from rebuild (see handle).
 type depMirror struct {
 	Created depCreatedRec  `json:"created"`
 	Events  []eventInfo    `json:"events,omitempty"`
@@ -250,6 +254,11 @@ type depMirror struct {
 	Error   string         `json:"error,omitempty"`
 	Summary *depSummary    `json:"summary,omitempty"` // once ready
 	mu      sync.Mutex
+
+	h         *xcbc.Handle
+	journaled chan struct{}       // closed once the watcher's settlement is applied; nil without a watcher
+	rebuild   func() *xcbc.Handle // runs once; nil unless recovered ready
+	lost      string              // why recovery could not build it, under mu; it then reads failed
 }
 
 // runMirror is one scenario run's persistent model, and the row its routes
@@ -264,11 +273,47 @@ type runMirror struct {
 	mu      sync.Mutex
 }
 
-// fleetMirror is one fleet's persistent model.
+// fleetMirror is one fleet's persistent model; Runs indexes its runs in
+// start order. Below Runs is its live state: the fleet (see fleet), and mu,
+// held by a run's start, its settlement and the fleet.provisioned after it,
+// and the fleet's delete, so a client that saw a run settle may delete the
+// fleet or start the next run at once.
 type fleetMirror struct {
 	Created     fleetCreatedRec `json:"created"`
 	Provisioned bool            `json:"provisioned"`
 	Runs        []*runMirror    `json:"runs,omitempty"`
+
+	fl        *xcbc.Fleet
+	provision func() // runs once; nil unless recovered provisioned with no run in flight
+	mu        sync.Mutex
+}
+
+// fleet returns the live fleet. The first call re-provisions a recovered
+// provisioned fleet, and concurrent first calls wait for that one
+// provisioning, so callers hold no lock.
+func (f *fleetMirror) fleet() *xcbc.Fleet {
+	if f.provision != nil {
+		f.provision()
+	}
+	return f.fl
+}
+
+// runLive reports whether the fleet's last run has yet to settle (one runs
+// at a time). Callers hold st.mu, under which apply settles a run.
+func (f *fleetMirror) runLive() bool {
+	return len(f.Runs) > 0 && f.Runs[len(f.Runs)-1].State == ""
+}
+
+// run returns the fleet's run id, nil if there is none or no fleet: run sN
+// is Runs[N-1].
+func (f *fleetMirror) run(id string) *runMirror {
+	if f == nil {
+		return nil
+	}
+	if i := numSuffix(id) - 1; i >= 0 && i < len(f.Runs) && f.Runs[i].Started.RunID == id {
+		return f.Runs[i]
+	}
+	return nil
 }
 
 // campaignMirror is one campaign's persistent model, and the row its
@@ -322,15 +367,13 @@ func newMirror() *mirror {
 	}
 }
 
-// store is one tenant's state: the mirror, the tasks it spawns to feed
-// settlements into it, and on a durable server the WAL; log is nil on a
-// memory-only one. newServer gives every tenant one, and Open attaches the
-// log before the server serves.
+// store is one tenant's state: the mirror, which indexes the tenant's
+// resources (see index.go), the tasks it spawns to feed settlements into
+// it, and on a durable server the WAL; log is nil on a memory-only one.
+// newServer gives every tenant one, and Open attaches the log before the
+// server serves.
 //
-// Lock order: fr.mu (a fleet's), then st.mu, then a row's mu. The fleets
-// registry's lock comes before fr.mu, which handleDeleteFleet takes under
-// it, so nothing takes a registry lock while holding st.mu: materialize
-// reads the Next* IDs under st.mu and advances the registries after. A
+// Lock order: a fleet's mu, then st.mu, then st.idx, then a row's mu. A
 // first use that builds or provisions holds none of them.
 type store struct {
 	srv       *Server
@@ -346,6 +389,10 @@ type store struct {
 	mu    sync.Mutex
 	m     *mirror
 	dirty int // records appended since the last snapshot
+	// idx guards the mirror's maps and each fleet row's Runs: apply, under
+	// mu, takes it to write them, and handlers read them under its read
+	// side, so no read waits on an append.
+	idx sync.RWMutex
 	// appended, if set, runs under mu between a record's append and its
 	// apply: the stop point of this package's tests. Nil in production.
 	appended func(seq uint64, typ string)
@@ -399,10 +446,9 @@ func newStore(s *Server, tn *tenant, cfg Config) *store {
 // open attaches the WAL under dir (opening or creating it), rebuilds the
 // mirror from the newest snapshot plus the log tail, and materializes the
 // tenant's live resources from it, counting what it recovered into report.
-// When open returns, every recovered resource is registered, so IDs,
-// quotas and paging are exact, and every in-flight scenario run has been
-// replayed and verified; ready deployments and provisioned fleets go live
-// on first use (see materialize).
+// When open returns, every in-flight scenario run has been replayed and
+// verified; ready deployments and provisioned fleets go live on first use
+// (see materialize).
 func (st *store) open(dir string, report *RecoveryReport) error {
 	l, rec, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -479,36 +525,43 @@ func (st *store) close() error {
 
 // emit persists one record and applies it to the mirror, in one critical
 // section so mirror order always matches log order, then takes a snapshot
-// if the cadence says one is due. Every record type takes the same path:
-// marshalled, appended, and only then applied, so the mirror takes the
-// typed value itself (decoding is recovery's job alone) and holds nothing
-// the log refused. Without a log, emit only applies.
-func (st *store) emit(typ string, rec record) {
-	if st.log == nil {
-		st.mu.Lock()
-		rec.apply(st.m)
-		st.mu.Unlock()
-		return
-	}
-	data, err := encodeRecord(rec)
-	if err != nil {
-		st.logf("store: marshal %s: %v", typ, err)
-		return
-	}
+// if the cadence says one is due. A record that publishes or removes a
+// resource is admitted first (see index.go). Every record type then takes
+// the same path: marshalled, appended, and only then applied, so the
+// mirror takes the typed value itself (decoding is recovery's job alone)
+// and holds nothing the log refused. Without a log, emit only applies.
+// It returns admit's refusal or the log's, having applied nothing; a log
+// that refused one append refuses every later one (internal/wal).
+func (st *store) emit(typ string, rec record) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	seq, err := st.log.Append(typ, data)
-	if !st.wrote("append ", typ, err) {
-		return
+	if a, ok := rec.(admitter); ok {
+		if err := a.admit(st.m, st.tn.quotas); err != nil {
+			return err
+		}
 	}
-	if st.appended != nil {
-		st.appended(seq, typ)
+	if st.log != nil {
+		data, err := encodeRecord(rec)
+		if !st.wrote("marshal ", typ, err) {
+			return err
+		}
+		seq, err := st.log.Append(typ, data)
+		if !st.wrote("append ", typ, err) {
+			return err
+		}
+		if st.appended != nil {
+			st.appended(seq, typ)
+		}
 	}
+	st.idx.Lock()
 	rec.apply(st.m)
-	st.dirty++
-	if st.dirty >= st.snapEvery {
-		st.wrote("snapshot", "", st.snapshotLocked())
+	st.idx.Unlock()
+	if st.log != nil {
+		if st.dirty++; st.dirty >= st.snapEvery {
+			st.wrote("snapshot", "", st.snapshotLocked())
+		}
 	}
+	return nil
 }
 
 // encodeRecord is the payload emit logs for rec, decodeRecord's inverse.
@@ -550,12 +603,12 @@ func (st *store) logf(format string, args ...any) {
 
 // The apply methods are the mirror's single transition function, shared by
 // the live path and recovery, so replaying the log always lands on the
-// mirror the crashed server had. Records for unknown resources (a watcher
-// outliving a DELETE) are dropped. The live path calls them under st.mu;
-// recovery before any watcher exists. What routes read of a row — a
-// deployment's settlement, a run, a campaign — the live path also writes
-// under the row's own mu, the only lock its readers take. A created or
-// started record adopts the row its handler already serves; a decoded one
+// mirror the crashed server had. Records for unknown resources are
+// dropped. The live path calls them under st.mu and st.idx; recovery
+// before any watcher exists. What routes read of a row — a deployment's
+// settlement, a run, a campaign — the live path also writes under the
+// row's own mu, the only lock its readers take. A created or started
+// record publishes the row its handler built around it; a decoded one
 // builds a new row.
 
 func (r depCreatedRec) apply(m *mirror) {
@@ -636,7 +689,7 @@ func (r scenarioStartedRec) apply(m *mirror) {
 }
 
 func (r scenarioProgressRec) apply(m *mirror) {
-	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+	if run := m.Fleets[r.FleetID].run(r.RunID); run != nil {
 		run.mu.Lock()
 		run.Cursor, run.Hash = r.Cursor, r.Hash
 		run.mu.Unlock()
@@ -644,7 +697,7 @@ func (r scenarioProgressRec) apply(m *mirror) {
 }
 
 func (r scenarioSettledRec) apply(m *mirror) {
-	if run := m.findRun(r.FleetID, r.RunID); run != nil {
+	if run := m.Fleets[r.FleetID].run(r.RunID); run != nil {
 		run.mu.Lock()
 		run.State, run.Error, run.Result = r.State, r.Error, r.Result
 		run.mu.Unlock()
@@ -673,19 +726,6 @@ func (r campaignSettledRec) apply(m *mirror) {
 		c.State, c.Error = r.State, r.Error
 		c.mu.Unlock()
 	}
-}
-
-func (m *mirror) findRun(fleetID, runID string) *runMirror {
-	f := m.Fleets[fleetID]
-	if f == nil {
-		return nil
-	}
-	for _, run := range f.Runs {
-		if run.Started.RunID == runID {
-			return run
-		}
-	}
-	return nil
 }
 
 // decodeRecord rebuilds the typed record a logged payload was marshalled
@@ -751,8 +791,10 @@ func numSuffix(id string) int {
 // watchDeployment waits for a live deployment's build to settle, records
 // the terminal state — with the summary a ready row renders, or else the
 // journal the handle then serves, which is what recovery serves — in its
-// row, and then closes dep.journaled.
-func (st *store) watchDeployment(dep *deployment) {
+// row, and once that settlement is applied closes dep.journaled. A
+// settlement the log refused leaves the row, and the event stream, where
+// they were: the deployment reads building, as it will after a restart.
+func (st *store) watchDeployment(dep *depMirror) {
 	st.spawn(func() {
 		select {
 		case <-dep.h.Done():
@@ -762,7 +804,7 @@ func (st *store) watchDeployment(dep *deployment) {
 		if !final.Terminal() {
 			return // store shutting down; the next recovery reconciles
 		}
-		rec := depSettledRec{ID: dep.row.Created.ID, State: string(final)}
+		rec := depSettledRec{ID: dep.Created.ID, State: string(final)}
 		if err := dep.h.Err(); err != nil {
 			rec.Error = err.Error()
 		}
@@ -771,8 +813,9 @@ func (st *store) watchDeployment(dep *deployment) {
 		} else {
 			rec.Events, _ = dep.events(page{}, nil)
 		}
-		st.emit(recDeploymentSettled, rec)
-		close(dep.journaled)
+		if st.emit(recDeploymentSettled, rec) == nil {
+			close(dep.journaled)
+		}
 	})
 }
 
@@ -805,49 +848,41 @@ type replayTarget struct {
 	hash   uint64
 }
 
-// byNum returns a mirror map's entries ordered by numeric ID suffix, so
-// recovery materializes resources in creation order ("d2" before "d10").
-func byNum[M any](m map[string]*M) []*M {
-	ids := slices.Collect(maps.Keys(m))
-	sortByNum(ids)
-	out := make([]*M, len(ids))
-	for i, id := range ids {
-		out[i] = m[id]
+// byNum returns the IDs in a mirror map numbered after floor, in numeric
+// order ("d2" before "d10"): recovery materializes resources in creation
+// order, and listings page them in it.
+func byNum[T any](m map[string]*T, floor int) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		if numSuffix(id) > floor {
+			ids = append(ids, id)
+		}
 	}
-	return out
+	sort.Slice(ids, func(i, j int) bool { return numSuffix(ids[i]) < numSuffix(ids[j]) })
+	return ids
 }
 
-// materialize turns the recovered mirror into the tenant's live
-// resources, with the server constructed but not yet serving. It does here
-// whatever can fail Open or journals: archiving terminal builds,
-// reconciling (or resuming) interrupted ones, recreating every fleet and
-// restoring its runs, replaying a run in flight. What it leaves to first
-// use, a build or a provisioning, starts none once the store has closed.
+// materialize gives the recovered mirror's rows their live state, with the
+// server constructed but not yet serving. It does here whatever can fail
+// Open or journals: archiving terminal builds, reconciling (or resuming)
+// interrupted ones, recreating every fleet, replaying a run in flight.
+// What it leaves to first use, a build or a provisioning, starts none once
+// the store has closed.
 func (st *store) materialize(report *RecoveryReport) error {
-	tn := st.tn
-	st.mu.Lock()
-	deps, fleets, camps := byNum(st.m.Deployments), byNum(st.m.Fleets), byNum(st.m.Campaigns)
-	nextDep, nextFleet, nextCampaign := st.m.NextID, st.m.NextFleetID, st.m.NextCampaignID
-	st.mu.Unlock()
-	// The mirror remembers the highest ID ever issued, deleted or not.
-	tn.deployments.advance(nextDep)
-	tn.fleets.advance(nextFleet)
-	tn.campaigns.advance(nextCampaign)
-
+	deps, fleets := st.m.Deployments, st.m.Fleets
 	// Deployments first (fleets do not depend on them), in ID order.
 	report.Deployments += len(deps)
 	var resumed []*xcbc.Handle
-	for _, m := range deps {
-		dep := st.recoverDeployment(m, report)
+	for _, id := range byNum(deps, 0) {
+		dep := deps[id]
+		st.recoverDeployment(dep, report)
 		if dep.h != nil {
 			resumed = append(resumed, dep.h)
 		}
-		tn.deployments.restore(m.Created.ID, dep)
 	}
 	report.Fleets += len(fleets)
-	for _, m := range fleets {
-		fr, err := st.recoverFleet(m, report)
-		if err != nil {
+	for _, id := range byNum(fleets, 0) {
+		if err := st.recoverFleet(fleets[id], report); err != nil {
 			// A failed Open leaves nothing it started running. Watchers go
 			// first, so none of them journals the cancellation of a resumed
 			// build.
@@ -858,11 +893,9 @@ func (st *store) materialize(report *RecoveryReport) error {
 			}
 			return err
 		}
-		tn.fleets.restore(m.Created.ID, fr)
 	}
-	for _, c := range camps {
-		st.recoverCampaign(c, report)
-		tn.campaigns.restore(c.Started.ID, c)
+	for _, id := range byNum(st.m.Campaigns, 0) {
+		st.recoverCampaign(st.m.Campaigns[id], report)
 	}
 	return nil
 }
@@ -871,20 +904,19 @@ func (st *store) materialize(report *RecoveryReport) error {
 // ready one gets rebuild, its build on first use. A resume that fails is
 // not journaled: the deployment reads failed (lost) while its row keeps
 // what the log says, and the next restart tries again.
-func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) *deployment {
-	dep := &deployment{row: m}
-	switch m.State {
+func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
+	switch dep.State {
 	case string(xcbc.StateReady):
 		report.Rebuilt++
-		report.OpsReplayed += len(m.Ops)
-		ops := m.Ops
+		report.OpsReplayed += len(dep.Ops)
+		ops := dep.Ops
 		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep, ops) })
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
 		report.Archived++
 	default:
 		// No settled record: the server died with this build in flight.
 		if st.resume {
-			h, _, err := st.srv.startBuild(m.Created.Req)
+			h, _, err := st.srv.startBuild(dep.Created.Req)
 			if err != nil {
 				dep.lost = "recovery resume: " + err.Error()
 				report.Archived++
@@ -896,32 +928,30 @@ func (st *store) recoverDeployment(m *depMirror, report *RecoveryReport) *deploy
 			break
 		}
 		msg := "interrupted: the server terminated while this deployment was building"
-		st.emit(recDeploymentSettled, depSettledRec{
-			ID: m.Created.ID, State: string(xcbc.StateFailed), Error: msg,
-		})
-		if _, _, settled := dep.status(); !settled {
+		if st.emit(recDeploymentSettled, depSettledRec{
+			ID: dep.Created.ID, State: string(xcbc.StateFailed), Error: msg,
+		}) != nil {
 			dep.lost = msg // the log refused the record; the next restart reconciles again
 		}
 		report.Interrupted++
 	}
-	return dep
 }
 
 // rebuild builds a recovered ready deployment from its recorded request,
 // replays its recorded day-2 ops in log order, and returns its handle. A
 // build that does not land ready again (deterministic, it should) returns
 // nil, and the deployment reads failed, not half-true. Nothing journals.
-func (st *store) rebuild(dep *deployment, ops []clusterOpRec) *xcbc.Handle {
+func (st *store) rebuild(dep *depMirror, ops []clusterOpRec) *xcbc.Handle {
 	fail := func(msg string) *xcbc.Handle {
-		dep.row.mu.Lock()
+		dep.mu.Lock()
 		dep.lost = msg
-		dep.row.mu.Unlock()
+		dep.mu.Unlock()
 		return nil
 	}
 	if err := st.ctx.Err(); err != nil {
 		return fail("recovery rebuild: " + err.Error())
 	}
-	h, _, err := st.srv.startBuild(dep.row.Created.Req)
+	h, _, err := st.srv.startBuild(dep.Created.Req)
 	if err != nil {
 		return fail("recovery rebuild: " + err.Error())
 	}
@@ -933,7 +963,7 @@ func (st *store) rebuild(dep *deployment, ops []clusterOpRec) *xcbc.Handle {
 	cl := d.Open()
 	for _, op := range ops {
 		if _, err := runOp(cl, &op); err != nil {
-			st.logf("store: %s: replaying %s: %v", dep.row.Created.ID, op.Op, err)
+			st.logf("store: %s: replaying %s: %v", dep.Created.ID, op.Op, err)
 		}
 	}
 	return h
@@ -944,16 +974,15 @@ func (st *store) rebuild(dep *deployment, ops []clusterOpRec) *xcbc.Handle {
 // provisioned fleet with no run in flight gets provision, its
 // re-provisioning on first use; one with a run in flight is re-provisioned
 // and the run replayed before recoverFleet returns.
-func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRecord, error) {
-	id := m.Created.ID
-	fl, err := xcbc.NewFleet(fleetSpecOf(m.Created.Req))
+func (st *store) recoverFleet(f *fleetMirror, report *RecoveryReport) error {
+	id := f.Created.ID
+	fl, err := xcbc.NewFleet(fleetSpecOf(f.Created.Req))
 	if err != nil {
-		return nil, fmt.Errorf("api: recovering fleet %s: %w", id, err)
+		return fmt.Errorf("api: recovering fleet %s: %w", id, err)
 	}
-	fr := newFleetRecord(m, fl)
+	f.fl = fl
 	var inflight *runMirror
-	for _, run := range m.Runs {
-		fr.runs.restore(run.Started.RunID, run)
+	for _, run := range f.Runs {
 		if run.State == "" {
 			inflight = run
 		} else {
@@ -969,27 +998,26 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 	if inflight != nil {
 		sc, err := xcbc.LoadScenario(inflight.Started.Scenario)
 		if err != nil {
-			return nil, fmt.Errorf("api: recovering run %s/%s: %w", id, inflight.Started.RunID, err)
+			return fmt.Errorf("api: recovering run %s/%s: %w", id, inflight.Started.RunID, err)
 		}
 		// A run that arms kickstart faults must replay against a fleet whose
 		// builds have not started; its provision phase builds the members.
-		if m.Provisioned && !sc.RequiresFreshFleet() {
+		if f.Provisioned && !sc.RequiresFreshFleet() {
 			if err := provision(); err != nil {
-				return nil, fmt.Errorf("api: re-provisioning fleet %s: %w", id, err)
+				return fmt.Errorf("api: re-provisioning fleet %s: %w", id, err)
 			}
 		}
 		// In flight at the crash: replay from the seed and verify the trace
 		// prefix against the recorded cursor and hash.
-		fr.runLive = true
-		err = st.srv.executeRun(st, fr, inflight, sc, &replayTarget{cursor: inflight.Cursor, hash: inflight.Hash})
+		err = st.srv.executeRun(st, f, inflight, sc, &replayTarget{cursor: inflight.Cursor, hash: inflight.Hash})
 		report.Replayed++
 		if errors.Is(err, errReplayDiverged) {
 			report.ReplayMismatches++
 		}
-		return fr, nil
+		return nil
 	}
-	if m.Provisioned {
-		fr.provision = sync.OnceFunc(func() {
+	if f.Provisioned {
+		f.provision = sync.OnceFunc(func() {
 			if st.ctx.Err() != nil {
 				return // closed before first use
 			}
@@ -998,17 +1026,12 @@ func (st *store) recoverFleet(m *fleetMirror, report *RecoveryReport) (*fleetRec
 			}
 		})
 	}
-	return fr, nil
+	return nil
 }
 
 // errReplayDiverged marks a recovery replay whose regenerated trace did
 // not reproduce the recorded prefix hash.
 var errReplayDiverged = errors.New("replay diverged from the recorded trace")
-
-// sortByNum orders resource IDs by their numeric suffix.
-func sortByNum(ids []string) {
-	sort.Slice(ids, func(i, j int) bool { return numSuffix(ids[i]) < numSuffix(ids[j]) })
-}
 
 // storeInfo is the GET /api/v1/store document.
 type storeInfo struct {

@@ -1,15 +1,15 @@
 package api
 
-// Multi-tenancy: the server's resource registries (deployments, fleets,
-// campaigns) and its store are sharded per tenant. A tenant
-// is resolved from the request's API key by the admission middleware and
-// carried through the request context; every handler operates on the
-// resolved tenant's shard only, so cross-tenant reads are structurally
-// impossible rather than filtered.
+// Multi-tenancy: the server's resources (deployments, fleets, campaigns),
+// indexed by the mirror of the store that journals them, are sharded per
+// tenant. A tenant is resolved from the request's API key by the admission
+// middleware and carried through the request context; every handler
+// operates on the resolved tenant's shard only, so cross-tenant reads are
+// structurally impossible rather than filtered.
 //
 // Admission is opt-in. A Config with no Tenants runs in "open mode": a
 // single anonymous tenant, no keys, no rate limits, no quotas — exactly
-// the single-registry behavior the server always had, including the
+// the single-shard behavior the server always had, including the
 // on-disk layout (the open tenant journals at the DataDir root). A Config
 // with Tenants requires a key on every /api/v1 request except the
 // discovery document and the health probe; each named tenant journals
@@ -62,27 +62,15 @@ type TenantConfig struct {
 	Burst int `json:"burst"`
 }
 
-// tenant is one shard of the control plane: its own resource registries
-// (each with its ID sequence, quota and lock), admission state, and its own
-// store, set once when the server is constructed.
+// tenant is one shard of the control plane: its admission state, its
+// quotas, and its own store, whose mirror indexes its resources, set once
+// when the server is constructed.
 type tenant struct {
 	name    string
 	keyHash [sha256.Size]byte
 	limiter *tokenBucket // nil = unlimited
+	quotas  Quotas
 	store   *store
-
-	deployments *registry[*deployment]
-	fleets      *registry[*fleetRecord]
-	campaigns   *registry[*campaignMirror]
-}
-
-func newTenant(name string, q Quotas) *tenant {
-	return &tenant{
-		name:        name,
-		deployments: newRegistry[*deployment]("d", "deployments", q.MaxDeployments),
-		fleets:      newRegistry[*fleetRecord]("f", "fleets", q.MaxFleets),
-		campaigns:   newRegistry[*campaignMirror]("c", "campaigns", q.MaxCampaigns),
-	}
 }
 
 // validTenantName reports whether name is usable as a log label and a
@@ -105,7 +93,7 @@ func validTenantName(name string) bool {
 // sorted by name. An empty config yields the single open tenant.
 func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 	if len(cfgs) == 0 {
-		open := newTenant("", Quotas{})
+		open := &tenant{}
 		return []*tenant{open}, open, nil
 	}
 	names := make(map[string]bool, len(cfgs))
@@ -133,8 +121,7 @@ func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 		if q := c.Quotas; q.MaxDeployments < 0 || q.MaxFleets < 0 || q.MaxCampaigns < 0 {
 			return nil, nil, fmt.Errorf("api: tenant %q has a negative quota", c.Name)
 		}
-		tn := newTenant(c.Name, c.Quotas)
-		tn.keyHash = sum
+		tn := &tenant{name: c.Name, keyHash: sum, quotas: c.Quotas}
 		if c.RateLimit > 0 {
 			burst := c.Burst
 			if burst <= 0 {
@@ -246,8 +233,8 @@ type rateLimitError struct {
 }
 
 // quotaError is the 403 body for an exhausted resource quota (built by
-// registry.insert); Err keeps the standard error envelope, the typed
-// fields let clients react programmatically.
+// nextID); Err keeps the standard error envelope, the typed fields let
+// clients react programmatically.
 type quotaError struct {
 	Err      string `json:"error"`
 	Code     string `json:"code"`
@@ -255,6 +242,8 @@ type quotaError struct {
 	Limit    int    `json:"limit"`
 	InUse    int    `json:"in_use"`
 }
+
+func (e *quotaError) Error() string { return e.Err }
 
 // tokenBucket is a clock-driven token bucket. It is fed the server clock
 // on every take, so tests with a fixed clock see fully deterministic

@@ -8,7 +8,7 @@
 # With -files, the floor applies instead to the statements of the named
 # files taken together (base names without ".go", joined by "|"):
 #
-#   scripts/cover_floor.sh -files 'tenancy|registry|page' 80 ./pkg/xcbc/api/
+#   scripts/cover_floor.sh -files 'tenancy|index|page' 80 ./pkg/xcbc/api/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
