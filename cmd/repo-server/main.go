@@ -169,7 +169,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "serving XSEDE repository (%d packages) and API %s on %s\n",
 		xnit.Len(), api.Version, ln.Addr())
-	fmt.Fprintln(stdout, "routes: /api/v1/{healthz,repos,depsolve,deployments,clusters}  /  /xsede/repodata/repomd.json")
 	fmt.Fprintln(stdout, "discover the full route table at GET /api/"+api.Version)
 	if err := srv.Serve(ctx, ln); err != nil {
 		return fail(err)

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"xcbc/internal/jsonread"
 )
 
 // Event is one entry of a scenario trace. Field order is the wire order;
@@ -96,6 +98,25 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	// AppendEvents finds it and dst grows once.
 	dst = append(slices.Grow(dst, len(data)+eventJSONSize*len(r.Events)+3), data...)
 	return append(AppendEvents(dst, r.Events), '}'), nil
+}
+
+// UnmarshalJSON decodes into r what AppendJSON appends, as encoding/json
+// would decode it, without reflecting over every event of the trace.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	rd := jsonread.New(data)
+	rd.Fields([]string{"scenario", "seed", "passed", "violations", "stats", "events"}, func(p any) {
+		switch p := p.(type) {
+		case *Stats:
+			rd.Fields([]string{"members", "ready", "failed", "cancelled", "quarantined_nodes", "jobs_submitted", "jobs_cancelled", "updates_applied", "simulated_end"}, nil,
+				&p.Members, &p.Ready, &p.Failed, &p.Cancelled, &p.QuarantinedNodes, &p.JobsSubmitted, &p.JobsCancelled, &p.UpdatesApplied, &p.SimulatedEnd)
+		case *[]Event:
+			jsonread.List(&rd, p, func(ev *Event) {
+				rd.Fields([]string{"seq", "phase", "kind", "member", "node", "detail"}, nil,
+					&ev.Seq, &ev.Phase, &ev.Kind, &ev.Member, &ev.Node, &ev.Detail)
+			})
+		}
+	}, &r.Scenario, &r.Seed, &r.Passed, &r.Violations, &r.Stats, &r.Events)
+	return rd.End()
 }
 
 // AppendEvents appends evs to dst as a JSON array: json.Marshal(evs), byte

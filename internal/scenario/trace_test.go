@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -102,6 +103,52 @@ func TestResultJSONMatchesMarshal(t *testing.T) {
 			t.Errorf("%s: does not decode back: %v", res.Scenario, err)
 		}
 	}
+}
+
+// plainResult is Result without its UnmarshalJSON, for encoding/json to
+// decode by reflection.
+type plainResult Result
+
+// FuzzUnmarshalResult holds Result.UnmarshalJSON to encoding/json's
+// decoding by reflection: whenever it accepts bytes, encoding/json must
+// accept them too, into a deeply equal Result.
+func FuzzUnmarshalResult(f *testing.F) {
+	evs := []Event{{Seq: 0, Phase: -1, Kind: "scenario.start"}}
+	for i, s := range nastyStrings {
+		evs = append(evs, Event{Seq: i + 1, Phase: i % 3, Kind: s, Member: s, Node: nastyStrings[len(nastyStrings)-1-i], Detail: s + s})
+	}
+	for _, res := range []*Result{
+		{Scenario: "empty"},
+		{Scenario: `q"<&>`, Seed: -7, Passed: true, Violations: []string{"a <b>", "é"}, Stats: Stats{Members: 2, Ready: 1, SimulatedEnd: 3600e9}, Events: evs},
+	} {
+		data, err := res.AppendJSON(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, data := range []string{
+		`null`, `{}`, `[]`, `{"events":null,"violations":[]}`, `{"events":[null,{}],"stats":null}`,
+		`{"SEED":9223372036854775807,"Passed":true,"passed":null}`, `{"seed":9223372036854775808}`, `{"seed":1.0}`, `{"seed":-0}`,
+		`{"passed":"true"}`, `{"passed":tru}`, `{"passed":1}`, `{"stats":{"simulated_end":-1,"ready":01}}`,
+		`{"events":[{"seq":1,"kind":"a"},{"seq":2}],"events":[{"kind":"b"}]}`, `{"events":[{"seq":1,"phase":2,"kind":"a","member":"m"}],"events":[{},{}]}`,
+		`{"violations":["x",null,"\ud800"]}`, `{"scenario":"\u00e9\n"}`, "{\"scenario\":\"\xff\"}", `{"x":[{"y":null}],"scenario":"s"} `, `{"scenario":"s"}x`,
+	} {
+		f.Add([]byte(data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Result
+		if err := got.UnmarshalJSON(data); err != nil {
+			return
+		}
+		var want Result
+		if err := json.Unmarshal(data, (*plainResult)(&want)); err != nil {
+			t.Fatalf("decoded %q, which encoding/json refuses: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoding %q\n got: %#v\nwant: %#v", data, got, want)
+		}
+	})
 }
 
 func FuzzAppendJSON(f *testing.F) {

@@ -2,8 +2,10 @@ package api
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +13,15 @@ import (
 )
 
 // journalKinds are what FuzzDecodeJournal decodes: a whole snapshot, as
-// store.open reads it, and each deployment-side record type, as
-// decodeRecord reads it.
-var journalKinds = []string{"snapshot", recDeploymentCreated, recDeploymentEvent, recDeploymentSettled, recDeploymentDeleted, recClusterOp}
+// store.open reads it, and each deployment-side and fleet-side record
+// type, as decodeRecord reads it.
+var journalKinds = []string{"snapshot", recDeploymentCreated, recDeploymentEvent, recDeploymentSettled, recDeploymentDeleted, recClusterOp,
+	recFleetCreated, recFleetProvisioned, recFleetDeleted, recScenarioStarted, recScenarioProgress, recScenarioSettled}
 
-// FuzzDecodeJournal holds recovery's deployment-side decoder to its
-// contract, with encoding/json on the same types as the oracle: whenever
-// the decoder returns a value, encoding/json must succeed on the same
-// bytes with a deeply equal one.
+// FuzzDecodeJournal holds recovery's decoder to its contract, with
+// encoding/json on the same types as the oracle: whenever the decoder
+// returns a value, encoding/json must succeed on the same bytes with a
+// deeply equal one.
 func FuzzDecodeJournal(f *testing.F) {
 	seed := func(data string) {
 		for k := range journalKinds {
@@ -56,6 +59,9 @@ func FuzzDecodeJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed(string(snap))
+	for _, data := range fleetJournal(f) {
+		seed(string(data))
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		got, want, err := decodeJournalAs(journalKinds[int(kind)%len(journalKinds)], data)
 		if err != nil {
@@ -68,6 +74,74 @@ func FuzzDecodeJournal(f *testing.F) {
 			t.Fatalf("decoding %q\n got: %#v\nwant: %#v", data, got, want)
 		}
 	})
+}
+
+// settledResult is a settled run's result with violations, stats, and
+// trace strings encoding/json escapes or leaves alone.
+const settledResult = `{"scenario":"rolling-update","seed":7,"passed":false,` +
+	`"violations":["all-ready: ready=1 \u003c2\u003e","jobs \"conserved\""],` +
+	`"stats":{"members":2,"ready":1,"failed":1,"cancelled":0,"quarantined_nodes":3,"jobs_submitted":4,"jobs_cancelled":1,"updates_applied":2,"simulated_end":3600000000000},` +
+	`"events":[{"seq":0,"phase":-1,"kind":"scenario.start"},` +
+	`{"seq":1,"phase":0,"kind":"member.ready","member":"m-0","node":"compute-0-1","detail":"packages=151 duration=1h2m3s"},` +
+	`{"seq":2,"phase":0,"kind":"a\u003cb\u003ec\u0026d","member":"é日本語😀","detail":"tab\there \"q\" back\\slash \u2028 \ufffd"},` +
+	`{"seq":3,"phase":1,"kind":"x","node":"\u0000\u001f"}]}`
+
+// fleetJournal is fleet-side journal entries beyond recordCases': a
+// snapshot holding a settled run, the settlement that carries it, and null
+// fleet and run rows.
+func fleetJournal(tb testing.TB) []string {
+	fleet := `{"created":{"id":"f1","name":"idle","req":{"name":"idle","members":2,"provision":false},"created":"2015-09-08T12:00:00Z","provisioned":false},` +
+		`"provisioned":true,"runs":[{"started":{"fleet_id":"f1","run_id":"s1","name":"rolling-update","scenario":{"name":"rolling-update","seed":7},` +
+		`"created":"2015-09-08T12:00:00Z"},"cursor":64,"hash":18446744073709551615,"state":"failed","result":` + settledResult + `}]}`
+	for _, data := range []string{fleet, settledResult} {
+		if !json.Valid([]byte(data)) {
+			tb.Fatalf("invalid seed %s", data)
+		}
+	}
+	return []string{
+		`{"deployments":{},"fleets":{"f1":` + fleet + `},"next_id":0,"next_fleet_id":1}`,
+		`{"fleet_id":"f1","run_id":"s1","state":"failed","result":` + settledResult + `}`,
+		`{"deployments":{},"fleets":{"f1":null,"f2":{"runs":[null,{"state":"passed","result":null}]}}}`,
+		`{"fleets":{"f1":{"runs":null,"created":{"req":{"provision":null,"PROVISION":true}}}}}`,
+	}
+}
+
+// TestJournalFleetSideSkipsEncodingJSON decodes a snapshot holding fleets
+// and a settled run, and every record type but a campaign's, with
+// decodeJSON's encoding/json fallback failing the test if it runs: the
+// reader takes every type they hold, the result's trace included.
+func TestJournalFleetSideSkipsEncodingJSON(t *testing.T) {
+	unmarshal = func(data []byte, v any) error {
+		t.Errorf("encoding/json decoded %T from %.80s", v, data)
+		return json.Unmarshal(data, v)
+	}
+	t.Cleanup(func() { unmarshal = json.Unmarshal })
+	entries := map[string][]string{"snapshot": fleetJournal(t)[:1], recScenarioSettled: fleetJournal(t)[1:2]}
+	for _, tc := range recordCases() {
+		if !strings.HasPrefix(tc.typ, "campaign.") {
+			data, err := encodeRecord(tc.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries[tc.typ] = append(entries[tc.typ], string(data))
+		}
+	}
+	for _, kind := range slices.Sorted(maps.Keys(entries)) {
+		for _, d := range entries[kind] {
+			got, want, err := decodeJournalAs(kind, []byte(d))
+			if err != nil {
+				t.Fatalf("%s %.80s: %v", kind, d, err)
+			}
+			if err := json.Unmarshal([]byte(d), want); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %.80s: decoded %#v, encoding/json %#v (%v)", kind, d, got, want, err)
+			}
+		}
+	}
+	snap := entries["snapshot"][0]
+	m := newMirror()
+	if err := decodeJSON([]byte(snap), m); err != nil || len(m.Fleets["f1"].Runs[0].Result.Trace()) != 4 {
+		t.Fatalf("snapshot decoded to %+v, %v", m.Fleets["f1"], err)
+	}
 }
 
 // decodeJournalAs decodes data as recovery reads a journal entry of kind,
@@ -134,6 +208,8 @@ var hostileJournal = []string{
 	// Integers only, in range.
 	`{"seq":1.0}`, `{"id":"d1","event":{"seq":1e2}}`, `{"nodes":-0}`, `{"nodes":01}`,
 	`{"nodes":9223372036854775807}`, `{"nodes":9223372036854775808}`, `{"nodes":-}`, `{"nodes":"1"}`,
+	`{"cursor":-9223372036854775808,"hash":18446744073709551615}`, `{"cursor":-9223372036854775809}`,
+	`{"hash":18446744073709551616}`, `{"hash":-0}`, `{"hash":-1}`, `{"hash":+1}`, `{"provisioned":true,"PROVISIONED":null}`,
 	// Unknown keys of every kind, and syntax around them.
 	`{"x":[1,-2.5e+3,true,false,null,"s",{"y":[]}],"id":"d1"}`,
 	`{"x":[1,]}`, `{"x":{"y"}}`, `{"x":tru}`, `{,"id":"d1"}`, `{"id":"d1",}`, `{"id" "d1"}`,

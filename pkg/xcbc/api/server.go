@@ -117,8 +117,8 @@ type Server struct {
 	routes     []routeInfo
 
 	// Bodies fixed once the server is constructed: the discovery document,
-	// encoded, and the rows of GET /api/v1/scenarios.
-	discovery []byte
+	// encoded on first request, and the rows of GET /api/v1/scenarios.
+	discovery func() ([]byte, error)
 	builtins  []builtinInfo
 
 	// tenants are the server's shards, sorted by name. openTenant is the
@@ -355,16 +355,13 @@ func newServer(cfg Config) (*Server, error) {
 		{"POST", "/api/v1/campaigns", "sweep generated scenarios, 202 Accepted", s.handleCreateCampaign},
 		{"GET", "/api/v1/campaigns/{id}", "campaign progress; failures carry shrunk repros", s.handleCampaign},
 	}
-	allow := make(map[string][]string)
+	// One pattern per path, whose handler picks the path's route by method.
+	byPath := make(map[string][]routeInfo)
 	for _, rt := range s.routes {
-		mux.HandleFunc(rt.Method+" "+rt.Path, rt.handler)
-		allow[rt.Path] = append(allow[rt.Path], rt.Method)
+		byPath[rt.Path] = append(byPath[rt.Path], rt)
 	}
-	// Method-less fallbacks: a known path with the wrong verb is 405 (with
-	// Allow), not 404. The method-specific patterns above are more
-	// specific, so they win for their verbs.
-	for _, path := range slices.Sorted(maps.Keys(allow)) {
-		mux.HandleFunc(path, methodNotAllowed(strings.Join(allow[path], ", ")))
+	for _, path := range slices.Sorted(maps.Keys(byPath)) {
+		mux.HandleFunc(path, byMethod(byPath[path]))
 	}
 	mux.HandleFunc("/api/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown API route (current version: "+Version+"; discover routes at GET /api/"+Version+")")
@@ -391,10 +388,10 @@ func newServer(cfg Config) (*Server, error) {
 			Exempt: admitExempt,
 		}
 	}
-	if s.discovery, err = json.Marshal(doc); err != nil {
-		return nil, err
-	}
-	s.discovery = append(s.discovery, '\n')
+	s.discovery = sync.OnceValues(func() ([]byte, error) {
+		data, err := json.Marshal(doc)
+		return append(data, '\n'), err
+	})
 	for _, name := range xcbc.BuiltinScenarios() {
 		sc, err := xcbc.BuiltinScenario(name)
 		if err != nil {
@@ -541,18 +538,29 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-func methodNotAllowed(allow string) http.HandlerFunc {
+// byMethod serves one path's routes by the request's method: HEAD as GET,
+// as a GET pattern does, and a method none of them has 405, with Allow.
+func byMethod(rts []routeInfo) http.HandlerFunc {
+	allow := strings.Join(mapSlice(rts, func(rt routeInfo) string { return rt.Method }), ", ")
 	return func(w http.ResponseWriter, r *http.Request) {
+		method := r.Method
+		if method == http.MethodHead {
+			method = http.MethodGet
+		}
+		for _, rt := range rts {
+			if rt.Method == method {
+				rt.handler(w, r)
+				return
+			}
+		}
 		w.Header().Set("Allow", allow)
 		writeError(w, http.StatusMethodNotAllowed, r.Method+" not allowed (Allow: "+allow+")")
 	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Status  string `json:"status"`
-		Version string `json:"version"`
-	}{"ok", Version})
+	w.Header().Set("Content-Type", "application/json")
+	io.WriteString(w, `{"status":"ok","version":"`+Version+`"}`+"\n")
 }
 
 // discoveryDoc is the GET /api/v1 document: the API version, the
@@ -587,8 +595,13 @@ type discoveryPagination struct {
 // feature-detect capabilities (the cluster day-2 routes in particular)
 // instead of probing with requests.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+	doc, err := s.discovery()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.discovery)
+	w.Write(doc)
 }
 
 // repoInfo is the JSON shape of one repository.

@@ -2,12 +2,15 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -677,5 +680,52 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", "", nil); rec.Code != http.StatusOK {
 		t.Errorf("validate with no body = %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRouteMethodsPinned pins what every versioned path answers to every
+// common verb, against testdata/routes.golden: the status, and for a 405
+// its Allow header and body, and for a 404 its body. The paths are the
+// route table's, with their wildcards naming resources that do not exist,
+// plus the unknown-route envelope and one legacy Yum path (regenerate with
+// go test -run TestRouteMethodsPinned -update ./pkg/xcbc/api/).
+func TestRouteMethodsPinned(t *testing.T) {
+	s := newTestServer(t)
+	fill := strings.NewReplacer("{id}", "x9", "{sid}", "s9", "{jid}", "9")
+	var paths []string
+	for _, rt := range s.routes {
+		if p := fill.Replace(rt.Path); !slices.Contains(paths, p) {
+			paths = append(paths, p)
+		}
+	}
+	paths = append(paths, "/api/v1/", "/api/v1/nosuch", "/api/v1/deployments/", "/xsede/repodata/repomd.json")
+	var out bytes.Buffer
+	for _, path := range paths {
+		for _, method := range []string{"GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "OPTIONS"} {
+			rec := do(t, s, method, path, "", nil)
+			fmt.Fprintf(&out, "%s %s %d", method, path, rec.Code)
+			switch rec.Code {
+			case http.StatusMethodNotAllowed:
+				fmt.Fprintf(&out, " Allow=%q %s", rec.Header().Get("Allow"), rec.Body.Bytes())
+			case http.StatusNotFound:
+				fmt.Fprintf(&out, " %s", rec.Body.Bytes())
+			default:
+				out.WriteByte('\n')
+			}
+		}
+	}
+	golden := filepath.Join("testdata", "routes.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("route answers drifted from %s:\n got:\n%s\nwant:\n%s", golden, out.Bytes(), want)
 	}
 }

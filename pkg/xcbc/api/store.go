@@ -34,10 +34,8 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"maps"
 	"math"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -339,26 +337,6 @@ type mirror struct {
 	NextCampaignID int                        `json:"next_campaign_id,omitempty"`
 }
 
-// refuseNullRows refuses a snapshot fleet, run or campaign row that
-// decoded to nil (encoding/json accepts null for each), which materialize
-// and the tail records would dereference.
-func (m *mirror) refuseNullRows() error {
-	for _, id := range slices.Sorted(maps.Keys(m.Fleets)) {
-		if m.Fleets[id] == nil {
-			return fmt.Errorf("null fleet row %s", id)
-		}
-		if i := slices.Index(m.Fleets[id].Runs, nil); i >= 0 {
-			return fmt.Errorf("null run row %d of fleet %s", i, id)
-		}
-	}
-	for _, id := range slices.Sorted(maps.Keys(m.Campaigns)) {
-		if m.Campaigns[id] == nil {
-			return fmt.Errorf("null campaign row %s", id)
-		}
-	}
-	return nil
-}
-
 func newMirror() *mirror {
 	return &mirror{
 		Deployments: make(map[string]*depMirror),
@@ -460,11 +438,7 @@ func (st *store) open(dir string, report *RecoveryReport) error {
 	report.Repaired = report.Repaired || rec.Repaired
 	report.DroppedBytes += rec.DroppedBytes
 	if rec.Snapshot != nil {
-		err := decodeJSON(rec.Snapshot, st.m)
-		if err == nil {
-			err = st.m.refuseNullRows()
-		}
-		if err != nil {
+		if err := decodeJSON(rec.Snapshot, st.m); err != nil {
 			return errors.Join(fmt.Errorf("api: decoding snapshot: %w", err), l.Close())
 		}
 		if st.m.Deployments == nil {

@@ -246,3 +246,31 @@ func TestFleetMembersAreBuiltOnce(t *testing.T) {
 		t.Error("Member(-1)")
 	}
 }
+
+// TestScenarioResultJSONRoundTrip: for every built-in scenario, what
+// UnmarshalJSON makes of MarshalJSON's bytes marshals to the same bytes —
+// the path a restart takes to reload a settled run.
+func TestScenarioResultJSONRoundTrip(t *testing.T) {
+	for _, name := range BuiltinScenarios() {
+		sc, err := BuiltinScenario(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunScenario(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := res.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ScenarioResult
+		if err := back.UnmarshalJSON(data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := back.MarshalJSON()
+		if err != nil || !bytes.Equal(again, data) || back.TraceLen() != res.TraceLen() {
+			t.Errorf("%s: re-marshalled %d events to %.200s (%v)\nwant %.200s", name, back.TraceLen(), again, err, data)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package xcbc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -212,7 +211,7 @@ func (r *ScenarioResult) AppendJSON(dst []byte) ([]byte, error) { return r.r.App
 // finished runs without replaying them.
 func (r *ScenarioResult) UnmarshalJSON(data []byte) error {
 	var res scenario.Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := res.UnmarshalJSON(data); err != nil {
 		return fmt.Errorf("xcbc: restore scenario result: %w", err)
 	}
 	r.r = &res
