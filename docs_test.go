@@ -193,3 +193,14 @@ func TestExperimentTablesHaveProvenance(t *testing.T) {
 		t.Error("found no measured tables; the scan is broken")
 	}
 }
+
+// TestReferenceDocsStayLegible holds each reference document under a size
+// ceiling, in bytes: past it, a document has stopped being read, and the
+// fix is to cut what no longer describes the system.
+func TestReferenceDocsStayLegible(t *testing.T) {
+	for doc, ceiling := range map[string]int{"EXPERIMENTS.md": 40_000, "DESIGN.md": 50_000} {
+		if n := len(readDoc(t, doc)); n > ceiling {
+			t.Errorf("%s is %d bytes, over its %d-byte ceiling", doc, n, ceiling)
+		}
+	}
+}

@@ -47,7 +47,10 @@ func main() {
 	fmt.Printf("submitted: job %d (%s), job %d (%s, %s)\n",
 		relax.ID, relax.State, assembly.ID, assembly.Name, assembly.State)
 
-	// 3. Metrics: an on-demand poll of every node, with alert evaluation.
+	// 3. Metrics: gmetad polls every node once a virtual minute and
+	// evaluates the alert rules; a read reports the last poll. Let a minute
+	// pass, so a poll sees the workload.
+	cl.Advance(time.Minute)
 	m := cl.Metrics()
 	fmt.Printf("\ncluster load %.2f across %d hosts", m.ClusterLoad, len(m.Nodes))
 	if len(m.ActiveAlerts) > 0 {

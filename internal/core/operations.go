@@ -27,6 +27,8 @@ type Operations struct {
 	mu     sync.Mutex
 	d      *Deployment
 	alerts *monitor.AlertManager
+	polled sim.Time          // when poll last ran
+	gmetad func(*sim.Engine) // the armed poll tick; nil until StartPolling
 }
 
 // DefaultAlertRules are installed on every Operations: the two conditions
@@ -47,6 +49,29 @@ func (d *Deployment) Operations() *Operations {
 
 // monitorInterval is the gmetad poll period, for alert freshness math.
 const monitorInterval = sim.Time(time.Minute)
+
+// StartPolling arms gmetad on the deployment's engine, once: it polls at
+// the current virtual time, so a fresh cluster reports, and then every
+// monitorInterval as Advance (or an update that installs packages) moves
+// the clock. Each poll evaluates the alert rules, as Ganglia's gmetad
+// feeds its alerting. An armed engine never runs out of events, so
+// nothing may call Engine.Run on it afterwards; drive it with RunUntil.
+func (o *Operations) StartPolling() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.gmetad != nil {
+		return
+	}
+	// The tick runs inside the engine, which only this adapter advances,
+	// so o.mu is held whenever it fires.
+	o.gmetad = func(e *sim.Engine) {
+		o.poll(e.Now())
+		e.After(time.Duration(monitorInterval), "gmetad-poll", o.gmetad)
+	}
+	eng := o.d.Engine
+	o.poll(eng.Now())
+	eng.After(time.Duration(monitorInterval), "gmetad-poll", o.gmetad)
+}
 
 // JobView is an immutable snapshot of one batch job, safe to hold across
 // engine advances (unlike *sched.Job, whose fields the manager mutates).
@@ -216,29 +241,44 @@ type MetricsSnapshot struct {
 	ActiveAlerts []string
 }
 
+// poll is one gmetad round at now: every powered-on node is sampled and
+// the alert rules are evaluated against the new rows. o.mu held.
+func (o *Operations) poll(now sim.Time) {
+	o.d.Monitor.Poll(now)
+	o.alerts.Evaluate(now, monitorInterval)
+	o.polled = now
+}
+
 // SampleMetrics polls every powered-on node at the current virtual time
-// (an on-demand gmond round, so a fresh cluster reports without waiting
-// for a scheduled poll), evaluates alert rules, and returns the snapshot,
-// read from each host's latest row in one pass under the aggregator's
-// lock.
+// (an on-demand gmond round, as a scenario's metrics phase takes one) and
+// returns the snapshot.
 func (o *Operations) SampleMetrics() MetricsSnapshot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	now := o.d.Engine.Now()
-	o.d.Monitor.Poll(now)
-	o.alerts.Evaluate(now, monitorInterval)
-	snap := MetricsSnapshot{At: now, ActiveAlerts: o.alerts.Active()}
+	o.poll(o.d.Engine.Now())
+	return o.snapshot()
+}
+
+// Metrics returns the snapshot of the last poll, taking none.
+func (o *Operations) Metrics() MetricsSnapshot {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.snapshot()
+}
+
+// snapshot reads each host's latest row in one pass under the aggregator's
+// lock. o.mu held.
+func (o *Operations) snapshot() MetricsSnapshot {
+	snap := MetricsSnapshot{At: o.polled, ActiveAlerts: o.alerts.Active()}
 	snap.Nodes, snap.Polls, snap.ClusterLoad = o.d.Monitor.Latest(make([]monitor.HostSample, 0, o.d.Cluster.NodeCount()))
 	return snap
 }
 
-// Alerts re-evaluates alert rules at the current virtual time (so host-down
-// fires for hosts silent across recent Advances) and returns the currently
-// firing alert keys plus the full transition log.
+// Alerts returns the alerts firing at the last poll and the full
+// transition log, evaluating nothing.
 func (o *Operations) Alerts() (active []string, log []monitor.Alert) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.alerts.Evaluate(o.d.Engine.Now(), monitorInterval)
 	return o.alerts.Active(), o.alerts.Log()
 }
 

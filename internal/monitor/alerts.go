@@ -126,7 +126,7 @@ func (am *AlertManager) raise(key alertKey) {
 	am.active[key] = true
 }
 
-// Active returns currently firing alert keys, sorted.
+// Active returns currently firing alert keys, sorted; empty, never nil.
 func (am *AlertManager) Active() []string {
 	am.mu.Lock()
 	defer am.mu.Unlock()

@@ -133,7 +133,8 @@ func (a *Aggregator) Poll(now sim.Time) {
 }
 
 // Start schedules periodic polling on the engine every interval, for count
-// polls (count <= 0 polls forever while events remain).
+// polls. With count <= 0 the tick re-arms forever, so the engine never runs
+// out of events and Engine.Run never returns: drive it with RunUntil.
 func (a *Aggregator) Start(eng *sim.Engine, interval time.Duration, count int) {
 	var tick func(*sim.Engine)
 	remaining := count

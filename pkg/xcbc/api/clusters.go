@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -93,11 +94,9 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	_, dep, _, ok := s.openCluster(w, r)
-	if !ok {
-		return
+	if _, dep, _, ok := s.openCluster(w, r); ok {
+		writeJSON(w, http.StatusOK, s.clusterInfoOf(dep))
 	}
-	writeJSON(w, http.StatusOK, s.clusterInfoOf(dep))
 }
 
 // jobInfo is the JSON shape of one batch job snapshot. Times are virtual,
@@ -180,13 +179,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("unknown state %q (use queued, running, completed, cancelled, or timeout)", state))
 			return
 		}
-		filtered := jobs[:0]
-		for _, j := range jobs {
-			if j.State == state {
-				filtered = append(filtered, j)
-			}
-		}
-		jobs = filtered
+		jobs = slices.DeleteFunc(jobs, func(j xcbc.JobInfo) bool { return j.State != state })
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Count int       `json:"count"`
@@ -233,11 +226,21 @@ type nodeMetricsInfo struct {
 }
 
 type metricsInfo struct {
-	At           string            `json:"at"` // virtual time of the sample
+	At           string            `json:"at"` // virtual time of the last poll
 	Polls        int               `json:"polls"`
 	ClusterLoad  float64           `json:"cluster_load"`
 	Nodes        []nodeMetricsInfo `json:"nodes"`
 	ActiveAlerts []string          `json:"active_alerts"`
+}
+
+// handleMetrics renders the last poll: a read, so it takes no store lock
+// and journals nothing. The SDK's alert keys are never nil.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if cl, _, _, ok := s.openCluster(w, r); ok {
+		m := cl.Metrics()
+		writeJSON(w, http.StatusOK, metricsInfo{At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad, ActiveAlerts: m.ActiveAlerts,
+			Nodes: mapSlice(m.Nodes, func(n xcbc.NodeMetrics) nodeMetricsInfo { return nodeMetricsInfo(n) })})
+	}
 }
 
 type alertInfo struct {
@@ -253,6 +256,17 @@ type alertInfo struct {
 type alertsInfo struct {
 	Active []string    `json:"active"`
 	Log    []alertInfo `json:"log"`
+}
+
+// handleAlerts renders the alert log the polls wrote, as handleMetrics
+// renders the last poll.
+func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
+	if cl, _, _, ok := s.openCluster(w, r); ok {
+		active, log := cl.Alerts()
+		writeJSON(w, http.StatusOK, alertsInfo{Active: active, Log: mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
+			return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule, Firing: a.Firing, Detail: a.Detail}
+		})})
+	}
 }
 
 // validateRequest tunes POST /clusters/{id}/validate; the zero value uses
@@ -393,10 +407,8 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 // route answers; a submit also records the job ID it got, and an update
 // that applies packages the compat counts it left. The routes and
 // recovery's replay both call it, so a replayed op is checked and run
-// exactly as it was live, in its original order: job IDs, poll counts and
-// the virtual clock land where they were. Metrics and alerts reads are
-// ops too: a poll bumps the poll counter, and reading alerts evaluates the
-// rules at the current virtual time, which can raise host-down.
+// exactly as it was live, in its original order: job IDs, the virtual
+// clock and the polls it ran land where they were.
 func runOp(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
 	switch op.Op {
 	case "job.submit":
@@ -427,26 +439,6 @@ func runOp(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
 		}
 		job, _ := cl.Job(op.JobID)
 		return jobInfoOf(job), nil
-	case "metrics":
-		m := cl.Metrics()
-		out := metricsInfo{
-			At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad,
-			Nodes:        mapSlice(m.Nodes, func(n xcbc.NodeMetrics) nodeMetricsInfo { return nodeMetricsInfo(n) }),
-			ActiveAlerts: m.ActiveAlerts,
-		}
-		if out.ActiveAlerts == nil {
-			out.ActiveAlerts = []string{}
-		}
-		return out, nil
-	case "alerts":
-		active, log := cl.Alerts()
-		if active == nil {
-			active = []string{}
-		}
-		return alertsInfo{Active: active, Log: mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
-			return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule,
-				Firing: a.Firing, Detail: a.Detail}
-		})}, nil
 	case "updates":
 		policy, err := updatePolicyOf(op.Policy)
 		if err != nil {

@@ -312,10 +312,11 @@ func TestClusterLifecycleREST(t *testing.T) {
 		t.Errorf("typoed state filter = %d, want 400", rec.Code)
 	}
 
-	// Metrics see every node, with load from the running job.
+	// Metrics read the last poll: the one taken when the cluster was first
+	// opened, before any job, sees every node idle.
 	var m metricsInfo
 	do(t, s, "GET", "/api/v1/clusters/"+id+"/metrics", "", &m)
-	if len(m.Nodes) != 6 || m.ClusterLoad <= 0 {
+	if len(m.Nodes) != 6 || m.ClusterLoad != 0 || m.Polls != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 
@@ -327,6 +328,12 @@ func TestClusterLifecycleREST(t *testing.T) {
 	rec = do(t, s, "POST", "/api/v1/clusters/"+id+"/advance", `{"duration":"15m"}`, &adv)
 	if rec.Code != http.StatusOK || adv.VirtualNow == "" {
 		t.Fatalf("advance: %d %+v", rec.Code, adv)
+	}
+	// The advance ran a poll a minute; the last, at its end, sees the big
+	// job's load.
+	do(t, s, "GET", "/api/v1/clusters/"+id+"/metrics", "", &m)
+	if len(m.Nodes) != 6 || m.ClusterLoad <= 0 || m.Polls != 16 || m.At != adv.VirtualNow {
+		t.Fatalf("metrics after advance = %+v, want 16 polls, the last at %s", m, adv.VirtualNow)
 	}
 	var one jobInfo
 	do(t, s, "GET", fmt.Sprintf("/api/v1/clusters/%s/jobs/%d", id, small.ID), "", &one)
@@ -544,5 +551,39 @@ func TestXNITClusterUpdates(t *testing.T) {
 		if nu.Summary == "" {
 			t.Errorf("node %s has an empty update summary", node)
 		}
+	}
+}
+
+// TestReadsAnswerWhileARecordIsParked: metrics and alerts are reads, so
+// they take no store lock. With a submit to the same cluster parked at the
+// store's stop point — logged, not applied, st.mu held — both answer 200.
+func TestReadsAnswerWhileARecordIsParked(t *testing.T) {
+	s, _ := openDurable(t, t.TempDir())
+	defer s.Close()
+	id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+	parked, release := parkAt(s.openTenant.store, recClusterOp)
+	defer release()
+	submitted := make(chan int, 1)
+	go func() { submitted <- do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1}`, nil).Code }()
+	select {
+	case <-parked:
+	case <-time.After(time.Minute):
+		t.Fatal("the submit logged no cluster.op")
+	}
+	for _, route := range []string{"/metrics", "/alerts"} {
+		read := make(chan int, 1)
+		go func() { read <- do(t, s, "GET", "/api/v1/clusters/"+id+route, "", nil).Code }()
+		select {
+		case code := <-read:
+			if code != http.StatusOK {
+				t.Errorf("GET %s with a record parked = %d, want 200", route, code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("GET %s waited on the parked record", route)
+		}
+	}
+	release()
+	if code := <-submitted; code != http.StatusCreated {
+		t.Fatalf("the parked submit answered %d, want 201", code)
 	}
 }

@@ -62,6 +62,13 @@ func FuzzDecodeJournal(f *testing.F) {
 	for _, data := range fleetJournal(f) {
 		seed(string(data))
 	}
+	// The metrics and alerts reads an older binary journaled as ops, and a
+	// snapshot whose ready row holds both: they decode, and recovery drops
+	// them.
+	seed(`{"id":"d1","op":"metrics"}`)
+	seed(`{"id":"d1","op":"alerts"}`)
+	seed(`{"deployments":{"d1":{"created":{"id":"d1","path":"xcbc","req":{"cluster":"littlefe"}},"state":"ready",` +
+		`"ops":[{"op":"job.submit","job":{"cores":1},"job_id":1},{"op":"metrics"},{"op":"alerts"}]}},"next_id":1}`)
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		got, want, err := decodeJournalAs(journalKinds[int(kind)%len(journalKinds)], data)
 		if err != nil {

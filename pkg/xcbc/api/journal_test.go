@@ -201,7 +201,8 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 		dir := t.TempDir()
 		s, _ := openDurable(t, dir)
 		defer s.Close()
-		lifecycle := []string{recDeploymentCreated, recDeploymentSettled, recClusterOp, recClusterOp, recDeploymentDeleted}
+		// The metrics read journals nothing: only the submit is an op.
+		lifecycle := []string{recDeploymentCreated, recDeploymentSettled, recClusterOp, recDeploymentDeleted}
 		var want []string
 		for op := 0; op < 3; op++ {
 			id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)

@@ -1,12 +1,13 @@
 package api
 
-// Monitoring pin. testdata/monitor-pin.golden was written at commit
-// 0caf692 — the parent of the grow-on-demand series, struct alert keys
-// and the install log rendered on read — so this test fails if the new
-// storage changes one byte of what a reader sees: the REST metrics and
-// alerts bodies across threshold and host-down transitions, every
-// retained sample of a series, the Ganglia XML export, the text report
-// and the install log.
+// Monitoring pin. testdata/monitor-pin.golden pins what a reader sees of
+// monitoring: the REST metrics and alerts bodies across threshold and
+// host-down transitions, every retained sample of a series, the Ganglia
+// XML export, the text report and the install log. A read reports the
+// last once-a-minute poll and evaluates nothing, so each advance adds a
+// row per minute to every series, host-down is raised at the third silent
+// poll inside the advance, and it stays firing after power-on until the
+// next poll.
 
 import (
 	"bytes"
@@ -54,14 +55,16 @@ func TestMonitoringPinnedToParent(t *testing.T) {
 	}
 	sdk := cl.Deployment()
 
-	observe() // idle
-	// Fill every compute core: high-load raises on each compute.
+	observe() // idle: the poll taken when the cluster was opened
+	// Fill every compute core. No poll has seen it yet.
 	call("POST", d1+"/jobs", `{"name":"hpl","user":"alice","cores":8,"walltime":"2h","runtime":"20m"}`, http.StatusCreated)
 	observe()
+	// The advance's first poll raises high-load on each busy compute; the
+	// poll at the job's end clears it.
 	call("POST", d1+"/advance", `{"duration":"30m"}`, http.StatusOK)
-	observe() // job done: high-load clears
-	// A node goes dark: after three silent intervals host-down raises,
-	// and clears when it reports again.
+	observe()
+	// A node goes dark: the third silent poll raises host-down. Powering it
+	// back on clears nothing until a poll sees it report.
 	node, ok := sdk.Hardware().Lookup("compute-0-2")
 	if !ok {
 		t.Fatal("no compute-0-2")

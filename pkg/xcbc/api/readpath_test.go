@@ -75,6 +75,10 @@ func TestReadRouteAllocations(t *testing.T) {
 		{"/api/v1/store", 4, 0.5},           // 12: a ReadDir and a stat per file
 		{"/api/v1/scenarios", 5, 0.5},       // 25 and 4.8 KB: every built-in script rebuilt
 		{"/api/v1", 2, 0.5},                 // the discovery document is encoded once
+		// 10 and 2.07 KB, and 8 and 0.45 KB, while each read was journaled;
+		// 8 and 0.84 KB, and 4 and 0.09 KB, now that they render the last poll.
+		{"/api/v1/clusters/d1/metrics", 10, 1.2},
+		{"/api/v1/clusters/d1/alerts", 6, 0.3},
 	} {
 		req := httptest.NewRequest("GET", tc.path, nil)
 		w := &discardWriter{h: http.Header{}}

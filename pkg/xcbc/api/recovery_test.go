@@ -187,8 +187,7 @@ func TestRecoveryEquivalentOnFirstUse(t *testing.T) {
 			ops++
 		}
 		if i%5 == 2 {
-			call("GET", cl+"/metrics", "", http.StatusOK)
-			ops++
+			call("GET", cl+"/metrics", "", http.StatusOK) // a read, not an op
 		}
 		if i%7 == 3 {
 			call("GET", cl+"/updates?policy=notify", "", http.StatusOK)
@@ -763,5 +762,63 @@ func TestRestartKeepsCompatOfAppliedUpdates(t *testing.T) {
 	}
 	if got := row(s); !reflect.DeepEqual(got, updated) || builds.Load() != 1 {
 		t.Errorf("row after %d builds = %+v, want %+v after one", builds.Load(), got, updated)
+	}
+}
+
+// TestRecoveryShedsJournaledReads: an older binary journaled each metrics
+// and alerts read as a cluster.op, and testdata/datadir-parent's log holds
+// one metrics read. Recovery drops it instead of replaying it, so a
+// snapshot taken after recovery carries no read, and the jobs the rebuild
+// replays are the same once that snapshot is all a restart has.
+func TestRecoveryShedsJournaledReads(t *testing.T) {
+	var failing atomic.Bool
+	cfg := pinConfig(&failing)
+	cfg.DataDir = t.TempDir()
+	if err := os.CopyFS(cfg.DataDir, os.DirFS(pinDataDir)); err != nil {
+		t.Fatal(err)
+	}
+	s, rep, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// d1 journaled 7 ops, one of them the metrics read.
+	if rep.Records == 0 || rep.OpsReplayed != 6 {
+		t.Fatalf("recovery report = %+v, want a log tail and 6 ops replayed", rep)
+	}
+	jobs := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
+	st := s.openTenant.store
+	st.mu.Lock()
+	err = st.snapshotLocked()
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, rec, err := wal.Open(cfg.DataDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var m mirror
+	if err := json.Unmarshal(rec.Snapshot, &m); err != nil {
+		t.Fatal(err)
+	}
+	d1 := m.Deployments["d1"]
+	if len(rec.Records) != 0 || d1 == nil || len(d1.Ops) != 6 || slices.ContainsFunc(d1.Ops, clusterOpRec.read) {
+		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v, want 6 ops and no read", len(rec.Records), d1)
+	}
+
+	s, _, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if after := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String(); after != jobs {
+		t.Errorf("jobs rebuilt from the new snapshot:\n got %s\nwant %s", after, jobs)
 	}
 }

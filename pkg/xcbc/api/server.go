@@ -338,8 +338,8 @@ func newServer(cfg Config) (*Server, error) {
 		{"GET", "/api/v1/clusters/{id}/jobs", "list jobs, ?state= filters", s.handleJobs},
 		{"GET", "/api/v1/clusters/{id}/jobs/{jid}", "one job's snapshot", s.handleJob},
 		{"DELETE", "/api/v1/clusters/{id}/jobs/{jid}", "cancel a queued or running job", s.handleOp("job.cancel")},
-		{"GET", "/api/v1/clusters/{id}/metrics", "poll nodes and return the snapshot", s.handleOp("metrics")},
-		{"GET", "/api/v1/clusters/{id}/alerts", "firing alerts and transition log", s.handleOp("alerts")},
+		{"GET", "/api/v1/clusters/{id}/metrics", "snapshot of the last once-a-minute poll", s.handleMetrics},
+		{"GET", "/api/v1/clusters/{id}/alerts", "firing alerts and transition log", s.handleAlerts},
 		{"POST", "/api/v1/clusters/{id}/validate", "HPL model + measured smoke solve", s.handleValidate},
 		{"GET", "/api/v1/clusters/{id}/updates", "update check, ?policy= selects handling", s.handleOp("updates")},
 		{"POST", "/api/v1/clusters/{id}/advance", "advance virtual time", s.handleOp("advance")},

@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -151,7 +152,7 @@ type (
 // mirror lists it under its deployment without the ID.
 type clusterOpRec struct {
 	ID           string            `json:"id,omitempty"`
-	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates | metrics | alerts
+	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates
 	Job          *submitJobRequest `json:"job,omitempty"`
 	JobID        int               `json:"job_id,omitempty"`
 	Duration     string            `json:"duration,omitempty"`
@@ -160,6 +161,11 @@ type clusterOpRec struct {
 	CompatPassed int               `json:"compat_passed,omitempty"`
 	CompatTotal  int               `json:"compat_total,omitempty"`
 }
+
+// read reports whether op is a metrics or alerts read, which an older
+// binary journaled as an op. Reads are no longer written, so recovery
+// drops the ones an older DataDir holds, as it drops fleet.member.
+func (op clusterOpRec) read() bool { return op.Op == "metrics" || op.Op == "alerts" }
 
 // fleetCreatedRec creates a fleet; row is as in scenarioStartedRec.
 type fleetCreatedRec struct {
@@ -882,6 +888,7 @@ func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
 	switch dep.State {
 	case string(xcbc.StateReady):
 		report.Rebuilt++
+		dep.Ops = slices.DeleteFunc(dep.Ops, clusterOpRec.read)
 		report.OpsReplayed += len(dep.Ops)
 		ops := dep.Ops
 		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep, ops) })

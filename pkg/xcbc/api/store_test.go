@@ -133,7 +133,8 @@ func TestDurableDeploymentRestart(t *testing.T) {
 	}
 
 	// Day-2 operations a restart must replay: two submits, one cancel, a
-	// clock advance, a metrics poll, and an update check.
+	// clock advance and an update check. The metrics read among them is
+	// not an op and journals nothing.
 	for _, op := range []struct{ method, path, body string }{
 		{"POST", "/api/v1/clusters/d1/jobs", `{"name":"relax","user":"alice","cores":2,"walltime":"1h","runtime":"20m"}`},
 		{"POST", "/api/v1/clusters/d1/jobs", `{"name":"blast","user":"bob","cores":1,"walltime":"30m","runtime":"10m"}`},
@@ -154,8 +155,8 @@ func TestDurableDeploymentRestart(t *testing.T) {
 
 	s2, rep2 := openDurable(t, dir)
 	defer s2.Close()
-	if rep2.Deployments != 1 || rep2.Rebuilt != 1 || rep2.OpsReplayed != 6 {
-		t.Fatalf("recovery report = %+v, want 1 deployment rebuilt with 6 ops", rep2)
+	if rep2.Deployments != 1 || rep2.Rebuilt != 1 || rep2.OpsReplayed != 5 {
+		t.Fatalf("recovery report = %+v, want 1 deployment rebuilt with 5 ops", rep2)
 	}
 	var after deploymentInfo
 	if rec := do(t, s2, "GET", "/api/v1/deployments/d1", "", &after); rec.Code != http.StatusOK {
@@ -184,10 +185,12 @@ func TestDurableDeploymentRestart(t *testing.T) {
 	}
 }
 
-// TestAlertsSurviveRestart: reading alerts re-evaluates the rules at the
-// current virtual time, so a GET /alerts after a quiet advance raises
-// host-down on every host. A restart must replay that read, or it serves
-// an alert log the server never had.
+// TestAlertsSurviveRestart: alerts come from the polls gmetad takes once a
+// virtual minute, so a quiet advance raises no host-down on healthy hosts,
+// and a full-machine job raises high-load at a poll inside the advance
+// that runs it and clears it at the poll after it ends. Reading alerts
+// evaluates nothing, and a restart replays the journaled submit and
+// advances, so it serves the same log.
 func TestAlertsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := openDurable(t, dir)
@@ -196,20 +199,55 @@ func TestAlertsSurviveRestart(t *testing.T) {
 		t.Fatalf("settled %q: %s", final.State, final.Error)
 	}
 	const d1 = "/api/v1/clusters/d1"
-	for _, op := range []struct{ method, path, body string }{
-		{"GET", d1 + "/metrics", ""},
-		{"POST", d1 + "/advance", `{"duration":"10m"}`},
-		{"GET", d1 + "/alerts", ""},
-		{"POST", d1 + "/advance", `{"duration":"10m"}`},
-		{"GET", d1 + "/metrics", ""},
-	} {
-		if rec := do(t, s1, op.method, op.path, op.body, nil); rec.Code != http.StatusOK {
-			t.Fatalf("%s %s: %d %s", op.method, op.path, rec.Code, rec.Body.String())
+	call := func(method, path, body string, want int) string {
+		t.Helper()
+		rec := do(t, s1, method, path, body, nil)
+		if rec.Code != want {
+			t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	call("GET", d1+"/metrics", "", http.StatusOK)
+	var adv advanceInfo
+	if err := json.Unmarshal([]byte(call("POST", d1+"/advance", `{"duration":"10m"}`, http.StatusOK)), &adv); err != nil {
+		t.Fatal(err)
+	}
+	submitted, err := time.ParseDuration(adv.VirtualNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quiet := call("GET", d1+"/alerts", "", http.StatusOK); quiet != `{"active":[],"log":[]}`+"\n" {
+		t.Fatalf("a quiet 10-minute advance left alerts: %s", quiet)
+	}
+	// Every compute core, for 5 of the next 10 minutes.
+	call("POST", d1+"/jobs", `{"name":"hpl","cores":10,"walltime":"1h","runtime":"5m"}`, http.StatusCreated)
+	call("POST", d1+"/advance", `{"duration":"10m"}`, http.StatusOK)
+	var alerts alertsInfo
+	before := call("GET", d1+"/alerts", "", http.StatusOK)
+	if err := json.Unmarshal([]byte(before), &alerts); err != nil {
+		t.Fatal(err)
+	}
+	raised, cleared := map[string]string{}, map[string]string{}
+	for _, a := range alerts.Log {
+		if a.Rule != "high-load" {
+			t.Fatalf("alert %+v: want only high-load", a)
+		}
+		if a.Firing {
+			raised[a.Host] = a.At
+		} else {
+			cleared[a.Host] = a.At
 		}
 	}
-	before := do(t, s1, "GET", d1+"/alerts", "", nil).Body.String()
-	if raised := strings.Count(before, `"rule":"host-down","firing":true`); raised != 6 {
-		t.Fatalf("live log raised host-down %d times, want 6: %s", raised, before)
+	if len(alerts.Active) != 0 || len(raised) != 5 || len(cleared) != 5 || len(alerts.Log) != 10 {
+		t.Fatalf("alerts after the job = %s, want high-load raised and cleared on each of 5 computes", before)
+	}
+	// The first poll after the submit sees the load; the job's end and the
+	// poll at that instant share it, and the end fires first.
+	raise, clear := (submitted + time.Minute).String(), (submitted + 5*time.Minute).String()
+	for host, at := range raised {
+		if at != raise || cleared[host] != clear {
+			t.Errorf("%s: high-load raised at %s and cleared at %s, want the polls at %s and %s", host, at, cleared[host], raise, clear)
+		}
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)

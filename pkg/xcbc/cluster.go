@@ -14,14 +14,31 @@ import (
 // sites actually run.
 //
 // Obtain one from Handle.Cluster once a deployment is ready, from
-// Builder.Open to build and open in one call, or from Deployment.Open.
-// All methods are safe for concurrent use: every operation is serialized
-// through the deployment's own day-2 adapter, because the subsystems share
-// an unsynchronized discrete-event engine. Every Cluster of one deployment
-// holds that one adapter, so they stay mutually safe.
+// Builder.Open to build and open in one call, from Deployment.Open, or
+// from FleetMember.Cluster. All methods are safe for concurrent use: every
+// operation is serialized through the deployment's own day-2 adapter,
+// because the subsystems share an unsynchronized discrete-event engine.
+// Every Cluster of one deployment holds that one adapter, so they stay
+// mutually safe.
+//
+// Monitoring runs on the virtual clock, as Ganglia's gmetad polls gmond on
+// a fixed period: handing out a deployment's first Cluster polls every
+// node once and arms a poll every minute of virtual time, each followed by
+// an alert evaluation. Metrics and Alerts read what the last poll saw. An
+// armed engine never runs out of events, so once a deployment has handed
+// out a Cluster, drive its engine with Advance (or Engine().RunUntil), never
+// Engine().Run, which would not return.
 type Cluster struct {
 	d   *Deployment
 	ops *core.Operations
+}
+
+// openCluster is the one constructor of a Cluster: it arms the
+// deployment's poll tick, once per deployment, at the current virtual
+// time, before any day-2 op can run.
+func openCluster(d *Deployment, ops *core.Operations) *Cluster {
+	ops.StartPolling()
+	return &Cluster{d: d, ops: ops}
 }
 
 // Deployment returns the underlying deployment for build-time facts
@@ -144,11 +161,11 @@ type NodeMetrics struct {
 
 // ClusterMetrics is one observation of the whole cluster.
 type ClusterMetrics struct {
-	At           time.Duration // virtual sample time
+	At           time.Duration // virtual time of the last poll
 	Polls        int           // total poll rounds so far
 	ClusterLoad  float64       // mean load_one across reporting hosts
 	Nodes        []NodeMetrics
-	ActiveAlerts []string // firing alert keys, "host/rule"
+	ActiveAlerts []string // firing alert keys, "host/rule"; empty, not nil, when none
 }
 
 func metricsOf(s core.MetricsSnapshot) ClusterMetrics {
@@ -165,11 +182,11 @@ func metricsOf(s core.MetricsSnapshot) ClusterMetrics {
 	return out
 }
 
-// Metrics polls every powered-on node at the current virtual time (an
-// on-demand gmond round — no need to wait for a scheduled poll), evaluates
-// alert rules, and returns the snapshot.
+// Metrics returns what the last poll saw: each powered-on node's sample,
+// and the alerts firing after it. It polls nothing; Advance runs the
+// polls.
 func (c *Cluster) Metrics() ClusterMetrics {
-	return metricsOf(c.ops.SampleMetrics())
+	return metricsOf(c.ops.Metrics())
 }
 
 // AlertInfo is one alert transition: raised or cleared.
@@ -181,9 +198,10 @@ type AlertInfo struct {
 	Detail string
 }
 
-// Alerts re-evaluates alert rules (so a host silent across recent
-// Advances trips host-down) and returns the firing alert keys plus the
-// transition log. The rules watch load and power draw.
+// Alerts returns the alert keys firing at the last poll (empty, not nil,
+// when none) plus the transition log, evaluating nothing: the polls that Advance runs raise
+// and clear alerts. The rules watch load and power draw, and a host whose
+// gmond stays silent for three polls trips host-down.
 func (c *Cluster) Alerts() (active []string, log []AlertInfo) {
 	act, raw := c.ops.Alerts()
 	log = make([]AlertInfo, 0, len(raw))

@@ -3,6 +3,7 @@ package xcbc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -91,19 +92,23 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Fatalf("oversized submit = %v, want ErrBadJob", err)
 	}
 
-	// Metrics: an on-demand poll sees every powered-on node, and the busy
-	// nodes carry load.
+	// Metrics read the last poll: opening the cluster took one, before any
+	// job ran.
 	m := cl.Metrics()
 	if len(m.Nodes) != 6 {
 		t.Fatalf("metrics hosts = %d, want 6 (frontend + 5 computes)", len(m.Nodes))
 	}
-	if m.ClusterLoad <= 0 {
-		t.Fatalf("cluster load = %v, want > 0 while a job runs", m.ClusterLoad)
+	if m.ClusterLoad != 0 || m.Polls != 1 {
+		t.Fatalf("metrics = %+v, want the idle poll taken at open", m)
 	}
 
 	// Virtual time: 15 minutes is enough for the small job (10m runtime)
-	// to finish and the big one to start, but not to finish its hour.
+	// to finish and the big one to start, but not to finish its hour. A
+	// poll fires every minute of it, and the last sees the big job's load.
 	cl.Advance(15 * time.Minute)
+	if m := cl.Metrics(); m.ClusterLoad <= 0 || m.Polls != 16 || m.At != cl.Now() {
+		t.Fatalf("metrics after advance = %+v, want load from 16 polls, the last at %v", m, cl.Now())
+	}
 	done, ok := cl.Job(small.ID)
 	if !ok || done.State != JobCompleted {
 		t.Fatalf("small job after advance = %+v", done)
@@ -168,7 +173,11 @@ func TestClusterAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cl.Metrics() // polls at full load: every compute is saturated
+	if m := cl.Metrics(); len(m.ActiveAlerts) != 0 {
+		t.Fatalf("alerts %v before any poll saw the job", m.ActiveAlerts)
+	}
+	cl.Advance(time.Minute)
+	m := cl.Metrics() // the minute's poll ran at full load: every compute is saturated
 	if len(m.ActiveAlerts) == 0 {
 		t.Fatalf("no alerts at cluster load %v", m.ClusterLoad)
 	}
@@ -290,5 +299,29 @@ func TestClusterConcurrentOps(t *testing.T) {
 	// 60 jobs were submitted; all must be accounted for.
 	if got := len(cl1.Jobs()); got != 60 {
 		t.Fatalf("jobs accounted = %d, want 60", got)
+	}
+}
+
+// BenchmarkAdvance90Days measures the longest advance one request may ask
+// for: 90 days of virtual time on an idle cluster, which runs the poll
+// armed when the cluster was opened once a minute — 129,600 polls, each
+// sampling every host and evaluating the alert rules. The cluster is
+// built and opened once; every iteration advances it 90 days further.
+func BenchmarkAdvance90Days(b *testing.B) {
+	for _, computes := range []int{5, 64} {
+		b.Run(fmt.Sprintf("hosts=%d", computes+1), func(b *testing.B) {
+			cl, err := NewXCBC(WithCluster("littlefe"), WithNodeCount(computes)).Open(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			before := cl.Metrics().Polls
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				cl.Advance(90 * 24 * time.Hour)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(cl.Metrics().Polls-before)/float64(b.N), "polls/op")
+		})
 	}
 }

@@ -29,10 +29,9 @@ type Deployment struct {
 // concurrency-safe day-2 surface (jobs, metrics, validation, updates).
 // The cluster runs through the deployment's own day-2 adapter, so every
 // Open on it, and every Cluster of a fleet member, shares one
-// serialization point and stays mutually safe.
-func (d *Deployment) Open() *Cluster {
-	return &Cluster{d: d, ops: d.core.Operations()}
-}
+// serialization point and stays mutually safe. The first Open starts
+// monitoring (see Cluster).
+func (d *Deployment) Open() *Cluster { return openCluster(d, d.core.Operations()) }
 
 // Exec runs one scheduler-native command line (qsub/qstat/qdel,
 // sbatch/squeue/scancel, module avail) against the deployment — the

@@ -54,16 +54,18 @@
 //	job, err := cl.SubmitJob(xcbc.JobSpec{Name: "relax", User: "alice",
 //	        Cores: 4, Walltime: time.Hour, Runtime: 20 * time.Minute})
 //	cl.Advance(30 * time.Minute)  // virtual time: the job completes
-//	m := cl.Metrics()             // on-demand poll + alert evaluation
+//	m := cl.Metrics()             // the last once-a-minute poll, its alerts
 //	v, err := cl.Validate()       // HPL model + measured smoke solve
 //	u := cl.CheckUpdates(xcbc.UpdateNotify, time.Now())
 //
 // Every Cluster operation is serialized through one adapter per
 // Deployment, making the combination of scheduler, monitor, and the shared
 // discrete-event engine safe to drive from concurrent goroutines (HTTP
-// handlers in particular). The Deployment type remains the build-time
-// view — install facts, subsystem escape hatches, package installs,
-// scheduler swaps, and compatibility reports.
+// handlers in particular). Monitoring polls on that engine once a virtual
+// minute from the first Cluster on, so a deployment that has handed one
+// out is driven with Advance, never Engine().Run. The Deployment type
+// remains the build-time view — install facts, subsystem escape hatches,
+// package installs, scheduler swaps, and compatibility reports.
 //
 // The HTTP control plane in pkg/xcbc/api serves this SDK as a versioned
 // JSON REST API: deployments at /api/v1/deployments, the day-2 cluster

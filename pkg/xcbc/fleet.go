@@ -166,5 +166,5 @@ func (fm *FleetMember) Cluster() (*Cluster, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotReady, err)
 	}
 	cd, _ := fm.m.Deployment()
-	return &Cluster{d: &Deployment{core: cd}, ops: ops}, nil
+	return openCluster(&Deployment{core: cd}, ops), nil
 }
