@@ -20,7 +20,7 @@ type shortWriteReport struct {
 	Acked      []Record // every record whose Append returned nil, in order
 	FailErr    string   // the capped append's error, "" if it succeeded
 	LaterAcked int      // appends that returned nil after the failed one
-	LaterOther []string // later errors that do not wrap ErrFailed
+	LaterOther []string // later errors (Err's too) that do not wrap ErrFailed
 	CloseErr   string
 }
 
@@ -116,6 +116,9 @@ func shortWriteChild(dir string) {
 	}
 	if err := l.Sync(); !errors.Is(err, ErrFailed) {
 		r.LaterOther = append(r.LaterOther, fmt.Sprint(err))
+	}
+	if err := l.Err(); !errors.Is(err, ErrFailed) {
+		r.LaterOther = append(r.LaterOther, fmt.Sprint("Err: ", err))
 	}
 	if err := l.Close(); err != nil {
 		r.CloseErr = err.Error()

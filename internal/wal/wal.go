@@ -318,6 +318,14 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// Err reports why the log takes no more records: ErrClosed, or ErrFailed
+// wrapping its first failed write, fsync or rotation; nil while it is open.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.usable()
+}
+
 // usable reports why the log takes no more calls: ErrClosed, or the
 // error it failed with. Caller holds l.mu.
 func (l *Log) usable() error {

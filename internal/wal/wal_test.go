@@ -43,8 +43,14 @@ func TestRoundTrip(t *testing.T) {
 	if got := l.Stats().NextSeq; got != 3 {
 		t.Fatalf("NextSeq = %d, want 3", got)
 	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err on an open log = %v, want nil", err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := l.Err(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Err after Close = %v, want ErrClosed", err)
 	}
 
 	l2, rec2 := openT(t, dir, Options{})
@@ -522,7 +528,8 @@ func TestFsyncBatching(t *testing.T) {
 // log can fail: a write, an fsync, and a snapshot's segment rotation. The
 // segment file is closed underneath the log, so the next disk call on it
 // errors. From then on every call returns ErrFailed wrapping that first
-// error, and Close returns it too.
+// error, and Close returns it too. Err reads nil until the failure,
+// ErrFailed after it, and ErrClosed once the log is closed.
 func TestRecordRefusedAfterFailure(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -538,19 +545,25 @@ func TestRecordRefusedAfterFailure(t *testing.T) {
 			if _, err := l.Append("r", []byte("acked")); err != nil {
 				t.Fatal(err)
 			}
+			if err := l.Err(); err != nil {
+				t.Fatalf("Err on an open log = %v, want nil", err)
+			}
 			l.f.Close()
 			if err := c.fail(l); !errors.Is(err, ErrFailed) || !errors.Is(err, os.ErrClosed) {
 				t.Fatalf("failing call = %v, want ErrFailed wrapping os.ErrClosed", err)
 			}
 			_, aerr := l.Append("r", nil)
 			_, berr := l.AppendBatch([]BatchEntry{{Type: "r"}})
-			for i, err := range []error{aerr, berr, l.Sync(), l.Snapshot(nil), l.Close()} {
+			for i, err := range []error{l.Err(), aerr, berr, l.Sync(), l.Snapshot(nil), l.Close()} {
 				if !errors.Is(err, ErrFailed) || !errors.Is(err, os.ErrClosed) {
 					t.Errorf("call %d after the failure = %v, want ErrFailed wrapping os.ErrClosed", i, err)
 				}
 			}
 			if _, err := l.Append("r", nil); !errors.Is(err, ErrClosed) {
 				t.Errorf("Append after Close = %v, want ErrClosed", err)
+			}
+			if err := l.Err(); !errors.Is(err, ErrClosed) {
+				t.Errorf("Err after Close = %v, want ErrClosed", err)
 			}
 		})
 	}

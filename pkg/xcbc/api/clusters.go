@@ -365,15 +365,15 @@ type advanceInfo struct {
 const maxAdvance = 90 * 24 * time.Hour
 
 // handleOp serves the route of one day-2 op kind: it decodes the request
-// into the op's journal record, runs it with runOp, and journals it once
-// it ran. A submit answers 201, the rest 200.
+// into the op's journal record and emits it, and the record's admit runs
+// the op (see runOp). A submit answers 201, the rest 200.
 func (s *Server) handleOp(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		cl, dep, tn, ok := s.openCluster(w, r)
+		_, dep, tn, ok := s.openCluster(w, r)
 		if !ok {
 			return
 		}
-		op, status := clusterOpRec{Op: kind}, http.StatusOK
+		op, status := clusterOpRec{ID: dep.Created.ID, Op: kind, dep: dep}, http.StatusOK
 		switch kind {
 		case "job.submit":
 			op.Job, status = new(submitJobRequest), http.StatusCreated
@@ -392,20 +392,17 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		body, err := runOp(cl, &op)
-		if err != nil {
-			writeError(w, deployErrorStatus(err), err.Error())
+		if err := tn.store.emit(recClusterOp, &op); err != nil {
+			writeRefused(w, err)
 			return
 		}
-		op.ID = dep.Created.ID
-		tn.store.emit(recClusterOp, op)
-		writeJSON(w, status, body)
+		writeJSON(w, status, op.body)
 	}
 }
 
 // runOp checks one day-2 op, runs it against cl and renders the body its
 // route answers; a submit also records the job ID it got, and an update
-// that applies packages the compat counts it left. The routes and
+// that applies packages the compat counts it left. The op's admit and
 // recovery's replay both call it, so a replayed op is checked and run
 // exactly as it was live, in its original order: job IDs, the virtual
 // clock and the polls it ran land where they were.

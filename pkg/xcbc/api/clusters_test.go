@@ -484,45 +484,48 @@ func TestOpRoutesRefusals(t *testing.T) {
 	}
 }
 
-// TestClusterJobsConcurrentREST hammers one ready cluster's day-2 routes
-// from many goroutines — the production shape. Run with -race.
+// TestClusterJobsConcurrentREST hammers one durable ready cluster's day-2
+// routes from many goroutines — the production shape; run with -race. The
+// reads race the writers for as long as the writers run. Every submit names
+// its job, and a restart must serve the cluster and its jobs byte for byte:
+// ops replay in the order they ran, so each job ID names the same job.
 func TestClusterJobsConcurrentREST(t *testing.T) {
-	s := newTestServer(t)
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	defer func() { s.Close() }()
 	id := deployReady(t, s, `{"cluster":"littlefe","parallelism":4}`)
 	base := "/api/v1/clusters/" + id
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	write := func(path, body string, want int) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Errorf("POST %s %s = %d %s, want %d", path, body, rec.Code, rec.Body.String(), want)
+		}
+	}
 	for w := 0; w < 3; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer writers.Done()
 			for i := 0; i < 20; i++ {
-				req := httptest.NewRequest("POST", base+"/jobs",
-					strings.NewReader(`{"name":"spin","user":"u","cores":1,"walltime":"30m","runtime":"5m"}`))
-				s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+				write(base+"/jobs", fmt.Sprintf(`{"name":"spin-%d-%d","user":"u","cores":1,"walltime":"30m","runtime":"5m"}`, w, i), http.StatusCreated)
 			}
 		}()
 	}
-	wg.Add(1)
+	writers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer writers.Done()
 		for i := 0; i < 20; i++ {
-			req := httptest.NewRequest("POST", base+"/advance", strings.NewReader(`{"duration":"10m"}`))
-			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			write(base+"/advance", `{"duration":"10m"}`, http.StatusOK)
 		}
 	}()
+	stop := make(chan struct{})
 	for _, path := range []string{base, base + "/jobs", base + "/metrics", base + "/alerts"} {
-		hammer(s, &wg, stop, "GET", path, "")
+		hammer(s, &readers, stop, "GET", path, "")
 	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	time.Sleep(100 * time.Millisecond) // a fixed window of concurrent reads for the race detector
+	writers.Wait()
 	close(stop)
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatal("goroutines did not finish")
-	}
+	readers.Wait()
 	// All 60 submissions must be accounted for.
 	var list struct {
 		Count int `json:"count"`
@@ -530,6 +533,14 @@ func TestClusterJobsConcurrentREST(t *testing.T) {
 	do(t, s, "GET", base+"/jobs", "", &list)
 	if list.Count != 60 {
 		t.Fatalf("jobs accounted = %d, want 60", list.Count)
+	}
+	before := bodies(t, s, base, base+"/jobs")
+	s.Close()
+	s, _ = openDurable(t, dir)
+	for i, after := range bodies(t, s, base, base+"/jobs") {
+		if after != before[i] {
+			t.Errorf("across a restart, body %d changed:\n before: %s\n after:  %s", i, before[i], after)
+		}
 	}
 }
 

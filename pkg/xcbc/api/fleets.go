@@ -178,11 +178,8 @@ func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
-	fl := f.fleet() // a first use provisions, so not under f.mu
-	f.mu.Lock()
-	err := st.emit(recFleetDeleted, &fleetDeletedRec{ID: id})
-	f.mu.Unlock()
-	switch {
+	fl := f.fleet() // a first use provisions, so before emit
+	switch err := st.emit(recFleetDeleted, &fleetDeletedRec{ID: id}); {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, errUnsettled):
@@ -321,10 +318,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	run := &runMirror{Started: scenarioStartedRec{
 		FleetID: f.Created.ID, Name: sc.Name(), Scenario: doc, Created: s.clock()}}
 	run.Started.row = run
-	f.mu.Lock()
-	err = st.emit(recScenarioStarted, &run.Started)
-	f.mu.Unlock()
-	if err != nil {
+	if err := st.emit(recScenarioStarted, &run.Started); err != nil {
 		writeRefused(w, err)
 		return
 	}
@@ -383,17 +377,14 @@ func (s *Server) executeRun(st *store, f *fleetMirror, run *runMirror, sc *xcbc.
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	// The row settles, freeing the fleet, only when apply writes the
-	// journaled outcome; f.mu keeps the fleet.provisioned record behind it,
-	// ahead of a delete or the next run's start.
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st.emit(recScenarioSettled, rec)
-	// A provision phase may have built the fleet's members mid-run; record
-	// that so recovery re-provisions before restoring results.
+	// The row settles, freeing the fleet, once apply writes the journaled
+	// outcome; if a provision phase built the members, fleet.provisioned rides
+	// in its batch, so recovery re-provisions before restoring results.
+	batch := []entry{{recScenarioSettled, rec}}
 	if fl.Provisioned() {
-		st.emit(recFleetProvisioned, fleetProvisionedRec{ID: run.Started.FleetID})
+		batch = append(batch, entry{recFleetProvisioned, fleetProvisionedRec{ID: run.Started.FleetID}})
 	}
+	st.emitAll(batch...)
 	return err
 }
 

@@ -6,7 +6,7 @@ package api
 // publishes or removes a resource is admitted in emit's critical section,
 // before it is appended: admit checks the tenant's quota, a build still
 // running or a run in flight, and gives a create its ID from the mirror's
-// counter.
+// counter. A day-2 op's admit runs the op, so ops run in log order.
 
 import (
 	"errors"
@@ -94,6 +94,18 @@ func (r *scenarioStartedRec) admit(m *mirror, _ Quotas) error {
 		return errRunLive
 	}
 	r.RunID = "s" + strconv.Itoa(len(f.Runs)+1)
+	return nil
+}
+
+// admit runs the op on its route's cluster; its error is the route's status.
+func (r *clusterOpRec) admit(m *mirror, _ Quotas) (err error) {
+	if m.Deployments[r.ID] != r.dep {
+		return errNoDeployment
+	}
+	cl, _, _, _ := r.dep.cluster()
+	if r.body, err = runOp(cl, r); err != nil {
+		return refusal{deployErrorStatus(err), err}
+	}
 	return nil
 }
 

@@ -150,9 +150,9 @@ func refuseRecords(t *testing.T, s *Server) {
 }
 
 // TestRefusedRecordIs503 has the log refuse the record of each write that
-// publishes or removes a resource: the write answers 503 in the error
-// envelope, reads see nothing published or removed, and neither does a
-// restart.
+// publishes or removes a resource, or runs a day-2 op: the write answers
+// 503 in the error envelope, reads see nothing published, removed or run,
+// and neither does a restart.
 func TestRefusedRecordIs503(t *testing.T) {
 	refused := func(t *testing.T, s *Server, method, path, body string) {
 		t.Helper()
@@ -203,6 +203,49 @@ func TestRefusedRecordIs503(t *testing.T) {
 		reads(t, s, "/api/v1/fleets/f2", http.StatusNotFound)
 		reads(t, s, "/api/v1/fleets/f1", http.StatusOK)
 	})
+	t.Run("day-2 ops", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := openDurable(t, dir)
+		base := "/api/v1/clusters/" + deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+		if rec := do(t, s, "POST", base+"/jobs", `{"cores":1,"runtime":"2h"}`, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+		}
+		before := bodies(t, s, base, base+"/jobs")
+		refuseRecords(t, s)
+		refused(t, s, "POST", base+"/jobs", `{"cores":1}`)
+		refused(t, s, "DELETE", base+"/jobs/1", "")
+		refused(t, s, "GET", base+"/updates?policy=auto-apply", "")
+		refused(t, s, "POST", base+"/advance", `{"duration":"1h"}`)
+		live := bodies(t, s, base, base+"/jobs")
+		s.Close()
+		s, _ = openDurable(t, dir)
+		defer s.Close()
+		for i, got := range append(live, bodies(t, s, base, base+"/jobs")...) {
+			if want := before[i%len(before)]; got != want {
+				t.Errorf("with the ops refused, body %d = %s\nwant %s", i, got, want)
+			}
+		}
+	})
+}
+
+// TestOpOnADeletedDeploymentIsRefused: a day-2 op whose deployment was
+// deleted after its route opened the cluster is refused as unknown, and
+// its record is not logged.
+func TestOpOnADeletedDeploymentIsRefused(t *testing.T) {
+	s, _ := openDurable(t, t.TempDir())
+	defer s.Close()
+	id := deployReady(t, s, `{"cluster":"littlefe"}`)
+	dep, _ := depRow(s, id)
+	if rec := do(t, s, "DELETE", "/api/v1/deployments/"+id, "", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("delete: %d %s", rec.Code, rec.Body.String())
+	}
+	st := s.openTenant.store
+	next := st.log.Stats().NextSeq
+	err := st.emit(recClusterOp, &clusterOpRec{ID: id, Op: "advance", Duration: "1m", dep: dep})
+	if !errors.Is(err, errNoDeployment) || st.log.Stats().NextSeq != next {
+		t.Errorf("op on a deleted deployment = %v with %d records logged, want %v with none",
+			err, st.log.Stats().NextSeq-next, errNoDeployment)
+	}
 }
 
 // TestRefusedSettlementRecordEndsNoStream has the log refuse a build's

@@ -147,9 +147,9 @@ type (
 )
 
 // clusterOpRec records one replayable day-2 mutation against a ready
-// cluster. Op selects which optional fields are meaningful; an update that
-// applies packages carries the compat counts it left, for the row. The
-// mirror lists it under its deployment without the ID.
+// cluster; Op selects its meaningful fields, and an update that applies
+// packages carries the compat counts it left, for the row. admit runs it on
+// dep's cluster and keeps the body; the mirror keeps neither, nor the ID.
 type clusterOpRec struct {
 	ID           string            `json:"id,omitempty"`
 	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates
@@ -160,6 +160,8 @@ type clusterOpRec struct {
 	At           time.Time         `json:"at,omitzero"`
 	CompatPassed int               `json:"compat_passed,omitempty"`
 	CompatTotal  int               `json:"compat_total,omitempty"`
+	dep          *depMirror
+	body         any
 }
 
 // read reports whether op is a metrics or alerts read, which an older
@@ -278,10 +280,7 @@ type runMirror struct {
 }
 
 // fleetMirror is one fleet's persistent model; Runs indexes its runs in
-// start order. Below Runs is its live state: the fleet (see fleet), and mu,
-// held by a run's start, its settlement and the fleet.provisioned after it,
-// and the fleet's delete, so a client that saw a run settle may delete the
-// fleet or start the next run at once.
+// start order. Below Runs is its live state: the fleet (see fleet).
 type fleetMirror struct {
 	Created     fleetCreatedRec `json:"created"`
 	Provisioned bool            `json:"provisioned"`
@@ -289,7 +288,6 @@ type fleetMirror struct {
 
 	fl        *xcbc.Fleet
 	provision func() // runs once; nil unless recovered provisioned with no run in flight
-	mu        sync.Mutex
 }
 
 // fleet returns the live fleet. The first call re-provisions a recovered
@@ -357,8 +355,8 @@ func newMirror() *mirror {
 // newServer gives every tenant one, and Open attaches the log before the
 // server serves.
 //
-// Lock order: a fleet's mu, then st.mu, then st.idx, then a row's mu. A
-// first use that builds or provisions holds none of them.
+// Lock order: st.mu, then st.idx, then a row's mu; a day-2 op's adapter lock
+// is taken under st.mu (admit). A first use that builds holds none of them.
 type store struct {
 	srv       *Server
 	tn        *tenant
@@ -503,41 +501,63 @@ func (st *store) close() error {
 	return st.log.Close()
 }
 
-// emit persists one record and applies it to the mirror, in one critical
-// section so mirror order always matches log order, then takes a snapshot
-// if the cadence says one is due. A record that publishes or removes a
-// resource is admitted first (see index.go). Every record type then takes
-// the same path: marshalled, appended, and only then applied, so the
-// mirror takes the typed value itself (decoding is recovery's job alone)
-// and holds nothing the log refused. Without a log, emit only applies.
-// It returns admit's refusal or the log's, having applied nothing; a log
-// that refused one append refuses every later one (internal/wal).
-func (st *store) emit(typ string, rec record) error {
+// emit persists one record and applies it: a one-entry emitAll.
+func (st *store) emit(typ string, rec record) error { return st.emitAll(entry{typ, rec}) }
+
+// entry is one record of an emitAll batch, under its WAL record type.
+type entry struct {
+	typ string
+	rec record
+}
+
+// emitAll persists records as one batch and applies them to the mirror in
+// one hold of st.mu, so mirror order is log order, then snapshots if due.
+// A failed or closed log refuses the batch first. Each record is admitted
+// (see index.go) and marshalled, the batch appended, and only then applied:
+// the mirror takes the typed values (decoding is recovery's job alone) and
+// holds nothing the log refused. An error is admit's refusal or the log's,
+// and nothing was applied. Without a log it admits and applies.
+func (st *store) emitAll(entries ...entry) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if a, ok := rec.(admitter); ok {
-		if err := a.admit(st.m, st.tn.quotas); err != nil {
+	if st.log != nil {
+		if err := st.log.Err(); !st.wrote("append ", entries[0].typ, err) {
 			return err
 		}
 	}
+	batch := make([]wal.BatchEntry, 0, 2)
+	for _, e := range entries {
+		if a, ok := e.rec.(admitter); ok {
+			if err := a.admit(st.m, st.tn.quotas); err != nil {
+				return err
+			}
+		}
+		if st.log != nil {
+			data, err := encodeRecord(e.rec)
+			if !st.wrote("marshal ", e.typ, err) {
+				return err
+			}
+			batch = append(batch, wal.BatchEntry{Type: e.typ, Data: data})
+		}
+	}
 	if st.log != nil {
-		data, err := encodeRecord(rec)
-		if !st.wrote("marshal ", typ, err) {
+		seq, err := st.log.AppendBatch(batch)
+		if !st.wrote("append ", entries[0].typ, err) {
 			return err
 		}
-		seq, err := st.log.Append(typ, data)
-		if !st.wrote("append ", typ, err) {
-			return err
-		}
-		if st.appended != nil {
-			st.appended(seq, typ)
+		for i, e := range entries {
+			if st.appended != nil {
+				st.appended(seq+uint64(i), e.typ)
+			}
 		}
 	}
 	st.idx.Lock()
-	rec.apply(st.m)
+	for _, e := range entries {
+		e.rec.apply(st.m)
+	}
 	st.idx.Unlock()
 	if st.log != nil {
-		if st.dirty++; st.dirty >= st.snapEvery {
+		if st.dirty += len(entries); st.dirty >= st.snapEvery {
 			st.wrote("snapshot", "", st.snapshotLocked())
 		}
 	}
@@ -629,7 +649,7 @@ func (r depDeletedRec) apply(m *mirror) { delete(m.Deployments, r.ID) }
 
 func (r clusterOpRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
-		r.ID = ""
+		r.ID, r.dep, r.body = "", nil, nil
 		d.Ops = append(d.Ops, r)
 		if r.CompatTotal > 0 && d.Summary != nil {
 			sum := *d.Summary
