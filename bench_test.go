@@ -932,8 +932,8 @@ func awaitBody(b testing.TB, call func(method, path, body string, want int) []by
 // the part a restart waits for (Close is not timed). snapshot-bytes is what
 // one recovery reads from disk. /history is /first on the same population
 // with 16 jobs per deployment, the op-log weight crash_recover's
-// deployments reach late in a run, all of which rides in the snapshot
-// recovery decodes.
+// deployments reach late in a run: Open only scans each op log, so it
+// allocates what /first does, and a deployment's first use parses its own.
 func BenchmarkRecoverStanding64(b *testing.B) {
 	const standing, history = 64, 16
 	dir := b.TempDir()

@@ -53,18 +53,40 @@ func Convert(a, b int) int {
 	return a + b
 }
 
-// point is printed, envelope is encoded: fmt and encoding/json read every
-// field of what they are given, and of the types inside it.
-type point struct{ X, Y int }
+// point is printed, envelope is encoded: fmt reads every field of what it
+// is given, and of the types inside it; encoding/json reads the exported
+// ones, and those of an embedded struct.
+type point struct {
+	X, Y int
+	tag  label
+}
 
-type envelope struct{ Body body }
+type label struct{ text string }
+
+type envelope struct {
+	meta
+	Body  body
+	cache *cached // want "field envelope.cache is read by no non-test file \\(1 writes\\)"
+}
+
+type meta struct{ Version int }
 
 type body struct{ N int }
 
+type cached struct{ Hits int } // want "field cached.Hits is read by no non-test file \\(1 writes\\)"
+
+// shared is encoded, then printed: fmt reads the field encoding/json passed
+// over.
+type shared struct{ note string }
+
 // Print is reached from cmd/app.
 func Print() ([]byte, error) {
-	fmt.Println(point{X: 1, Y: 2})
-	return json.Marshal(&envelope{Body: body{N: 3}})
+	out, err := json.Marshal(&envelope{Body: body{N: 3}, cache: &cached{Hits: 1}})
+	if _, err := json.Marshal(shared{note: "n"}); err != nil {
+		return nil, err
+	}
+	fmt.Println(point{X: 1, Y: 2, tag: label{"t"}}, shared{note: "n"})
+	return out, err
 }
 
 // base's field is read through Derived, which embeds it.

@@ -43,10 +43,11 @@ var knownIfaces = []map[string]string{
 	{"Unwrap": "()(net/http.ResponseWriter,)"}, // http.ResponseController
 }
 
-// reflective are the packages that read every field of a value passed to
-// them.
+// reflective are the packages that read the fields of a value passed to
+// them: every field (true), or the exported ones only (false), as
+// encoding/json and encoding/xml do.
 var reflective = map[string]bool{
-	"fmt": true, "encoding/json": true, "encoding/xml": true,
+	"fmt": true, "encoding/json": false, "encoding/xml": false,
 	"reflect": true, "log": true, "text/template": true,
 }
 
@@ -153,7 +154,9 @@ func sigString(fn *types.Func) string {
 //   - a tag on the field;
 //   - a conversion between the field's struct type and another struct type;
 //   - a value of the struct's type, or of a type built from it, passed to a
-//     function or method of a reflective package (fmt, encoding/json, ...).
+//     function or method of a reflective package (fmt, encoding/json, ...);
+//     encoding/json and encoding/xml read only its exported fields, and
+//     what they hold or embed.
 func fieldUses(pkg *Package, reads map[string]bool, writes map[string]int) {
 	info := pkg.Info
 	readAll := func(n *types.Named) {
@@ -162,34 +165,47 @@ func fieldUses(pkg *Package, reads map[string]bool, writes map[string]int) {
 			reads[fieldKey(n, st.Field(i).Name())] = true
 		}
 	}
-	seen := make(map[*types.Named]bool)
-	var deep func(t types.Type)
-	deep = func(t types.Type) {
-		switch t := types.Unalias(t).(type) {
-		case *types.Named:
-			if seen[t] {
-				return
+	// walker returns a walk that reads the fields of a type, and of the
+	// types inside them: all of them, or the exported and embedded ones.
+	walker := func(all bool) func(types.Type) {
+		walked := func(f *types.Var) bool { return all || f.Exported() || f.Embedded() }
+		seen := make(map[*types.Named]bool)
+		var deep func(t types.Type)
+		deep = func(t types.Type) {
+			switch t := types.Unalias(t).(type) {
+			case *types.Named:
+				if seen[t] {
+					return
+				}
+				seen[t] = true
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						if walked(st.Field(i)) {
+							reads[fieldKey(t, st.Field(i).Name())] = true
+						}
+					}
+				}
+				deep(t.Underlying())
+			case *types.Struct:
+				for i := 0; i < t.NumFields(); i++ {
+					if walked(t.Field(i)) {
+						deep(t.Field(i).Type())
+					}
+				}
+			case *types.Pointer:
+				deep(t.Elem())
+			case *types.Slice:
+				deep(t.Elem())
+			case *types.Array:
+				deep(t.Elem())
+			case *types.Map:
+				deep(t.Key())
+				deep(t.Elem())
 			}
-			seen[t] = true
-			if structOf(t) != nil {
-				readAll(t)
-			}
-			deep(t.Underlying())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				deep(t.Field(i).Type())
-			}
-		case *types.Pointer:
-			deep(t.Elem())
-		case *types.Slice:
-			deep(t.Elem())
-		case *types.Array:
-			deep(t.Elem())
-		case *types.Map:
-			deep(t.Key())
-			deep(t.Elem())
 		}
+		return deep
 	}
+	deep := map[bool]func(types.Type){true: walker(true), false: walker(false)}
 	stored := make(map[*ast.SelectorExpr]bool)
 	store := func(e ast.Expr) {
 		e = ast.Unparen(e)
@@ -269,9 +285,11 @@ func fieldUses(pkg *Package, reads map[string]bool, writes map[string]int) {
 				case *ast.SelectorExpr:
 					callee = info.Uses[fun.Sel]
 				}
-				if fn, ok := callee.(*types.Func); ok && fn.Pkg() != nil && reflective[fn.Pkg().Path()] {
-					for _, arg := range n.Args {
-						deep(info.TypeOf(arg))
+				if fn, ok := callee.(*types.Func); ok && fn.Pkg() != nil {
+					if all, ok := reflective[fn.Pkg().Path()]; ok {
+						for _, arg := range n.Args {
+							deep[all](info.TypeOf(arg))
+						}
 					}
 				}
 			}

@@ -271,20 +271,224 @@ func integer[T ~int | ~int64 | ~uint64](r *Reader, p *T) {
 	*p = v
 }
 
-// skip checks and consumes one value of any kind.
-func (r *Reader) skip() {
-	switch r.peek() {
-	case '{':
-		r.Object(func([]byte) { r.skip() })
-	case '[':
-		List(r, new([]struct{}), func(*struct{}) { r.skip() })
-	case '"':
-		r.quoted()
-	default:
-		if !json.Valid(r.token()) {
-			r.Fail("want a value")
+// skip checks and consumes one value of any kind, as json.Valid checks it.
+func (r *Reader) skip() { r.walk("", nil) }
+
+// Elems checks and consumes the next value as skip does, and returns its
+// bytes, capped so that an append copies them, and its length if it is an
+// array, else -1. val, if not nil, gets the unquoted value of each member
+// named key (as Fields matches names) whose value is a string, of each
+// object in the array.
+func (r *Reader) Elems(key string, val func([]byte)) (raw []byte, n int) {
+	r.peek()
+	start := r.i
+	if n = r.walk(key, val); r.err != nil {
+		return nil, 0
+	}
+	return r.b[start:r.i:r.i], n
+}
+
+// walk checks and consumes one value in a single pass, one bit per open
+// object or array standing in for recursion. It returns the value's length
+// if it is an array, else -1; key and val are as in Elems.
+func (r *Reader) walk(key string, val func([]byte)) int {
+	b, i := r.b, r.i
+	var small [2]uint64
+	objs := small[:0] // bit d is set if the container d+1 levels in is an object
+	n, open, obj := -1, 0, false
+	fail := func(at int, what string) int {
+		r.i = at
+		r.Fail(what)
+		return n
+	}
+	// Each turn reads a member's start (after an opening bracket or a
+	// comma), a value, or what follows one: a comma or a closing bracket.
+	for start, value := false, true; ; {
+		if !start && !value && open == 0 {
+			r.i = i
+			return n
+		}
+		i = space(b, i)
+		switch {
+		case start:
+			start, value = false, true
+			if open == 1 && n >= 0 {
+				n++
+			}
+			if !obj {
+				continue
+			}
+			if i == len(b) || b[i] != '"' {
+				return fail(i, "want a string")
+			}
+			end, bad := stringEnd(b, i)
+			if bad != "" {
+				return fail(end, bad)
+			}
+			named := val != nil && open == 2 && n >= 0 && r.named(key, i)
+			if i = space(b, end); i == len(b) || b[i] != ':' {
+				return fail(i, "want :")
+			}
+			if i = space(b, i+1); named && i < len(b) && b[i] == '"' {
+				r.i = i
+				val(r.quoted())
+				i, value = r.i, false
+			}
+		case value:
+			value = false
+			if i == len(b) {
+				return fail(i, "want a value")
+			}
+			switch c := b[i]; c {
+			case '{', '[':
+				if r.depth+open == 10000 {
+					return fail(i, "want "+string(c)+" at depth at most 10000")
+				}
+				w, bit := uint(open)/64, uint64(1)<<(uint(open)%64)
+				if w == uint(len(objs)) {
+					objs = append(objs, 0)
+				}
+				if obj = c == '{'; obj {
+					objs[w] |= bit
+				} else {
+					objs[w] &^= bit
+				}
+				if open++; open == 1 && c == '[' {
+					n = 0
+				}
+				// ] is [+2 and } is {+2: an empty container is a value read.
+				if i = space(b, i+1); i == len(b) || b[i] != c+2 {
+					start = true
+				}
+			case '"':
+				end, bad := stringEnd(b, i)
+				if bad != "" {
+					return fail(end, bad)
+				}
+				i = end
+			case 't', 'f', 'n':
+				lit := "null"
+				if c == 't' {
+					lit = "true"
+				} else if c == 'f' {
+					lit = "false"
+				}
+				if string(b[i:min(i+len(lit), len(b))]) != lit {
+					return fail(i, "want "+lit)
+				}
+				i += len(lit)
+			default:
+				end := numberEnd(b, i)
+				if end < 0 {
+					return fail(i, "want a value")
+				}
+				i = end
+			}
+		case i < len(b) && b[i] == ',':
+			i, start = i+1, true
+		case i < len(b) && (b[i] == '}' && obj || b[i] == ']' && !obj):
+			i, open = i+1, open-1
+			if open > 0 {
+				obj = objs[uint(open-1)/64]&(1<<(uint(open-1)%64)) != 0
+			}
+		case obj:
+			return fail(i, "want , or }")
+		default:
+			return fail(i, "want , or ]")
 		}
 	}
+}
+
+// named reports whether the string at b[start:] names key, as Fields
+// matches a key to a name.
+func (r *Reader) named(key string, start int) bool {
+	q := *r
+	q.i = start
+	return strings.EqualFold(key, string(q.quoted()))
+}
+
+// space returns where the first byte at or after i that is not JSON
+// whitespace is.
+func space(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// numberEnd returns where the JSON number at b[i],
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, ends; -1 if there is none.
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if i = digits(b, i); i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); i < 0 {
+			return -1
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		return digits(b, i)
+	}
+	return i
+}
+
+// digits returns where the run of digits at b[i] ends; -1 if there is none.
+func digits(b []byte, i int) int {
+	start := i
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	if i == start {
+		return -1
+	}
+	return i
+}
+
+// stringEnd returns where the string opening at b[i] ends, checked as
+// json.Valid checks one: no raw control byte, and only the escapes JSON
+// has; invalid UTF-8 stands. If it is malformed, bad says why and end is
+// where.
+func stringEnd(b []byte, i int) (end int, bad string) {
+	for i++; i < len(b); i++ {
+		c := b[i]
+		if c >= ' ' && c != '"' && c != '\\' {
+			continue
+		}
+		switch {
+		case c == '"':
+			return i + 1, ""
+		case c < ' ':
+			return i, "control byte in a string"
+		}
+		if i++; i < len(b) && strings.IndexByte(`"\\/bfnrt`, b[i]) >= 0 {
+			continue
+		}
+		if i+4 < len(b) && b[i] == 'u' && hex(b[i+1:i+5]) {
+			i += 4
+			continue
+		}
+		return i, "bad escape in a string"
+	}
+	return len(b), "unterminated string"
+}
+
+// hex reports whether b is all hexadecimal digits.
+func hex(b []byte) bool {
+	for _, c := range b {
+		if !('0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Raw checks the next value and hands its bytes, undecoded, to use.

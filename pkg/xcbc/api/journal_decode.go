@@ -66,6 +66,8 @@ func into(r *jsonread.Reader, v any) bool {
 		jsonread.List(r, v, func(e *eventInfo) { into(r, e) })
 	case *[]clusterOpRec:
 		jsonread.List(r, v, func(op *clusterOpRec) { into(r, op) })
+	case *opLog:
+		v.scan(r)
 	case **submitJobRequest:
 		jsonread.Ptr(r, v, func(job *submitJobRequest) { into(r, job) })
 	case **depSummary:

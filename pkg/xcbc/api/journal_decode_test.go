@@ -69,6 +69,10 @@ func FuzzDecodeJournal(f *testing.F) {
 	seed(`{"id":"d1","op":"alerts"}`)
 	seed(`{"deployments":{"d1":{"created":{"id":"d1","path":"xcbc","req":{"cluster":"littlefe"}},"state":"ready",` +
 		`"ops":[{"op":"job.submit","job":{"cores":1},"job_id":1},{"op":"metrics"},{"op":"alerts"}]}},"next_id":1}`)
+	// Op logs Open only scans: a read found by a folded key or an escape,
+	// and logs that are valid JSON but no list of ops.
+	seed(`{"deployments":{"d1":{"state":"ready","ops":[{"OP":"metrics","op":"job.submit"},{"op":"\u0061lerts"}]},` +
+		`"d2":{"ops":5},"d3":{"ops":[1,{"op":5}]},"d4":{"ops":[ ]},"d5":{"ops":null,"OPS":{"op":"metrics"}}}}`)
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		got, want, err := decodeJournalAs(journalKinds[int(kind)%len(journalKinds)], data)
 		if err != nil {

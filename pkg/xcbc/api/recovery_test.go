@@ -809,8 +809,12 @@ func TestRecoveryShedsJournaledReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := m.Deployments["d1"]
-	if len(rec.Records) != 0 || d1 == nil || len(d1.Ops) != 6 || slices.ContainsFunc(d1.Ops, clusterOpRec.read) {
-		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v, want 6 ops and no read", len(rec.Records), d1)
+	var ops []clusterOpRec
+	if d1 != nil {
+		ops, err = parseOps(d1.Ops)
+	}
+	if len(rec.Records) != 0 || err != nil || len(ops) != 6 || slices.ContainsFunc(ops, clusterOpRec.read) {
+		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v (%v), want 6 ops and no read", len(rec.Records), ops, err)
 	}
 
 	s, _, err = Open(cfg)
@@ -821,4 +825,208 @@ func TestRecoveryShedsJournaledReads(t *testing.T) {
 	if after := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String(); after != jobs {
 		t.Errorf("jobs rebuilt from the new snapshot:\n got %s\nwant %s", after, jobs)
 	}
+}
+
+// countParses counts op-log parses, and the logs parsed, until the test ends.
+func countParses(t *testing.T) func() []string {
+	var mu sync.Mutex
+	var parsed []string
+	parse := parseOps
+	parseOps = func(l opLog) ([]clusterOpRec, error) {
+		mu.Lock()
+		parsed = append(parsed, string(l.raw))
+		mu.Unlock()
+		return parse(l)
+	}
+	t.Cleanup(func() { parseOps = parse })
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(parsed)
+	}
+}
+
+// TestOpLogParsedOnFirstUse restarts on 64 ready deployments with 16 jobs
+// each, all of them in the snapshot: Open parses no op log, yet counts
+// every op; the first GET of d1's jobs parses d1's log alone and answers
+// what it did before the restart; concurrent first uses of d2 parse d2's
+// log once.
+func TestOpLogParsedOnFirstUse(t *testing.T) {
+	const standing, jobs = 64, 16
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	for i := 1; i <= standing; i++ {
+		id := deployReady(t, s, `{"cluster":"littlefe","node_count":2}`)
+		for range jobs {
+			if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
+				t.Fatalf("submit on %s: %d %s", id, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	want := bodies(t, s, "/api/v1/clusters/d1/jobs", "/api/v1/clusters/d2/jobs")
+	st := s.openTenant.store
+	st.mu.Lock()
+	err := st.snapshotLocked()
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	parsed := countParses(t)
+	s, rep := openDurable(t, dir)
+	defer s.Close()
+	if rep.Records != 0 || rep.Rebuilt != standing || rep.OpsReplayed != standing*jobs || len(parsed()) != 0 {
+		t.Fatalf("recovery report = %+v after %d op-log parses, want no log tail, %d ready and %d ops, none parsed",
+			rep, len(parsed()), standing, standing*jobs)
+	}
+	logOf := func(id string) string {
+		return string(lookup(s.openTenant.store, s.openTenant.store.m.Deployments, id).Ops.raw)
+	}
+	if got := bodies(t, s, "/api/v1/clusters/d1/jobs")[0]; got != want[0] || !slices.Equal(parsed(), []string{logOf("d1")}) {
+		t.Fatalf("d1's first use parsed %d logs (d1's: %v) and answered\n%s\nwant\n%s",
+			len(parsed()), slices.Contains(parsed(), logOf("d1")), got, want[0])
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if rec := do(t, s, "GET", "/api/v1/clusters/d2/jobs", "", nil); rec.Body.String() != want[1] {
+				t.Errorf("d2's jobs on a concurrent first use = %d %s", rec.Code, rec.Body.String())
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := parsed(); len(got) != 2 || got[1] != logOf("d2") {
+		t.Errorf("after concurrent first uses of d2, %d op-log parses, want d1's and then d2's once", len(got))
+	}
+}
+
+// TestOpLogNotAListFailsOnFirstUse: a ready row whose op log is valid JSON
+// but no list of ops passes Open's scan, which only validates it, so the
+// deployment reads failed once its first use parses the log, with where
+// the decoder stopped in its reason. It is the one refusal Open no longer
+// makes.
+func TestOpLogNotAListFailsOnFirstUse(t *testing.T) {
+	for _, ops := range []string{`{"op":"job.submit"}`, `5`, `[1]`, `[{"op":5}]`, `[{"op":"updates","at":"bad"}]`} {
+		t.Run(ops, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := `{"deployments":{"d1":{"created":{"id":"d1","path":"xcbc","req":{"cluster":"littlefe"}},"ops":` + ops +
+				`,"state":"ready"}},"fleets":{},"next_id":1,"next_fleet_id":0}`
+			if err := errors.Join(l.Snapshot([]byte(snap)), l.Close()); err != nil {
+				t.Fatal(err)
+			}
+			s, rep := openDurable(t, dir)
+			defer s.Close()
+			if rep.Rebuilt != 1 {
+				t.Fatalf("recovery report = %+v, want d1 ready", rep)
+			}
+			if rec := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil); rec.Code != http.StatusUnprocessableEntity {
+				t.Errorf("GET d1's jobs = %d %s, want 422", rec.Code, rec.Body.String())
+			}
+			var d deploymentInfo
+			do(t, s, "GET", "/api/v1/deployments/d1", "", &d)
+			if d.State != "failed" || !strings.Contains(d.Error, "decoding its ops") || !strings.Contains(d.Error, "offset") {
+				t.Errorf("d1 reads %q: %s, want failed with the decoder's offset", d.State, d.Error)
+			}
+		})
+	}
+}
+
+// TestSnapshotOpLogIsWhatMarshalWrote holds a snapshot's op logs to the
+// bytes json.Marshal writes for rows whose ops are structs, as they were
+// before the logs stayed bytes: after live ops whose strings json.Marshal
+// escapes, after a restart appended to a recovered log, and after a
+// restart replayed ops from the log tail.
+func TestSnapshotOpLogIsWhatMarshalWrote(t *testing.T) {
+	type parentRow struct {
+		Created depCreatedRec  `json:"created"`
+		Events  []eventInfo    `json:"events,omitempty"`
+		Ops     []clusterOpRec `json:"ops,omitempty"`
+		State   string         `json:"state,omitempty"`
+		Error   string         `json:"error,omitempty"`
+		Summary *depSummary    `json:"summary,omitempty"`
+	}
+	type parentMirror struct {
+		Deployments    map[string]*parentRow      `json:"deployments"`
+		Fleets         map[string]*fleetMirror    `json:"fleets"`
+		Campaigns      map[string]*campaignMirror `json:"campaigns,omitempty"`
+		NextID         int                        `json:"next_id"`
+		NextFleetID    int                        `json:"next_fleet_id"`
+		NextCampaignID int                        `json:"next_campaign_id,omitempty"`
+	}
+	dir := t.TempDir()
+	check := func(s *Server, what string) {
+		t.Helper()
+		st := s.openTenant.store
+		st.mu.Lock()
+		err := st.snapshotLocked()
+		m := st.m
+		parent := parentMirror{Deployments: map[string]*parentRow{}, Fleets: m.Fleets, Campaigns: m.Campaigns,
+			NextID: m.NextID, NextFleetID: m.NextFleetID, NextCampaignID: m.NextCampaignID}
+		for id, d := range m.Deployments {
+			ops, perr := parseOps(d.Ops)
+			err = errors.Join(err, perr)
+			parent.Deployments[id] = &parentRow{d.Created, d.Events, ops, d.State, d.Error, d.Summary}
+		}
+		st.mu.Unlock()
+		want, merr := json.Marshal(parent)
+		if err = errors.Join(err, merr, s.Close()); err != nil {
+			t.Fatal(err)
+		}
+		l, rec, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Records) != 0 || string(rec.Snapshot) != string(want) {
+			t.Fatalf("%s: snapshot with %d records after it\n got: %s\nwant: %s", what, len(rec.Records), rec.Snapshot, want)
+		}
+	}
+	s, _ := openDurable(t, dir)
+	deployReady(t, s, `{"cluster":"littlefe","node_count":2}`)
+	deployReady(t, s, `{"cluster":"littlefe","node_count":2}`)
+	for _, op := range []struct{ method, path, body string }{
+		{"POST", "/api/v1/clusters/d1/jobs", `{"name":"<hpl> & \"co\"","user":"é日本","cores":1,"walltime":"1h","script":"a b\tc"}`},
+		{"POST", "/api/v1/clusters/d1/jobs", `{"cores":2,"walltime":"2h","runtime":"30m"}`},
+		{"POST", "/api/v1/clusters/d1/advance", `{"duration":"10m"}`},
+		{"DELETE", "/api/v1/clusters/d1/jobs/2", ``},
+		{"GET", "/api/v1/clusters/d1/updates?policy=auto-apply", ``},
+		{"GET", "/api/v1/clusters/d2/updates", ``},
+	} {
+		if rec := do(t, s, op.method, op.path, op.body, nil); rec.Code/100 != 2 {
+			t.Fatalf("%s %s = %d %s", op.method, op.path, rec.Code, rec.Body.String())
+		}
+	}
+	check(s, "live ops")
+	s, _ = openDurable(t, dir)
+	if rec := do(t, s, "POST", "/api/v1/clusters/d1/jobs", `{"cores":1,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("submit after the restart = %d %s", rec.Code, rec.Body.String())
+	}
+	check(s, "an op appended to a recovered log")
+	// Ops in the log tail: a restart copies each from its payload.
+	s, _ = openDurable(t, dir)
+	for _, path := range []string{"/api/v1/clusters/d1/jobs", "/api/v1/clusters/d2/jobs"} {
+		if rec := do(t, s, "POST", path, `{"name":"<tail> & é","cores":1,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("submit to the tail = %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rep := openDurable(t, dir)
+	if rep.Records != 2 {
+		t.Fatalf("recovery report = %+v, want the two submits in the log tail", rep)
+	}
+	check(s, "ops recovered from the log tail")
 }

@@ -991,7 +991,8 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	// writeEvents sends a data frame for each journal event past cursor and
-	// reports whether there were any; finish sends the terminal state frame.
+	// reports whether there were any; finish sends the terminal state frame,
+	// which the handler's return flushes with the end of the body.
 	writeEvents := func(sum *depSummary) bool {
 		var evs []eventInfo
 		evs, cursor = dep.events(page{cursor: cursor}, sum)
@@ -1006,7 +1007,6 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		writeEvents(sum) // for a live build, anything emitted between read and check
 		payload, _ := json.Marshal(stateBody{Error: msg, State: state})
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
-		flusher.Flush()
 	}
 	if _, _, settled := dep.status(); settled {
 		// A settled deployment's journal is complete and its state final:

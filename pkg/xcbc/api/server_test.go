@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -431,6 +433,57 @@ func TestDeploymentEventsSSE(t *testing.T) {
 	}
 	if dataFrames < 7 { // distribution, frontend, 5 computes at least
 		t.Errorf("streamed %d events", dataFrames)
+	}
+}
+
+// writeCounter is a listener whose connections count their writes.
+type writeCounter struct {
+	net.Listener
+	writes, bytes atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return countedConn{c, l}, err
+}
+
+type countedConn struct {
+	net.Conn
+	l *writeCounter
+}
+
+func (c countedConn) Write(b []byte) (int, error) {
+	c.l.writes.Add(1)
+	c.l.bytes.Add(int64(len(b)))
+	return c.Conn.Write(b)
+}
+
+// TestSettledEventStreamIsOneWrite serves a settled deployment's /events
+// through a listener that counts conn.Write calls: the headers, the
+// journal and the terminal frame go out in one write.
+func TestSettledEventStreamIsOneWrite(t *testing.T) {
+	s := newTestServer(t)
+	id := deployReady(t, s, `{"cluster":"littlefe"}`)
+	srv := httptest.NewUnstartedServer(s.Handler())
+	ln := &writeCounter{Listener: srv.Listener}
+	srv.Listener = ln
+	srv.Start()
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /api/v1/deployments/%s/events HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", id)
+	resp, err := io.ReadAll(conn) // to EOF: the server has written all it will
+	conn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(resp, []byte("\n\nevent: state\ndata: {\"state\":\"ready\"}\n\n")) {
+		t.Errorf("the stream does not end in the terminal frame: %q", resp)
+	}
+	if ln.writes.Load() != 1 || ln.bytes.Load() != int64(len(resp)) {
+		t.Errorf("the stream took %d writes of %d bytes (%d read), want one", ln.writes.Load(), ln.bytes.Load(), len(resp))
 	}
 }
 

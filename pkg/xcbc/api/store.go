@@ -28,6 +28,7 @@ package api
 // day-2 state (poll counters, virtual clocks) is not part of the replay.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"xcbc/internal/jsonread"
 	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
 )
@@ -149,7 +151,8 @@ type (
 // clusterOpRec records one replayable day-2 mutation against a ready
 // cluster; Op selects its meaningful fields, and an update that applies
 // packages carries the compat counts it left, for the row. admit runs it on
-// dep's cluster and keeps the body; the mirror keeps neither, nor the ID.
+// dep's cluster and keeps the body; a record recovery reads from the log
+// tail keeps its payload, enc. The mirror keeps none of them, nor the ID.
 type clusterOpRec struct {
 	ID           string            `json:"id,omitempty"`
 	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates
@@ -162,12 +165,98 @@ type clusterOpRec struct {
 	CompatTotal  int               `json:"compat_total,omitempty"`
 	dep          *depMirror
 	body         any
+	enc          []byte
 }
 
 // read reports whether op is a metrics or alerts read, which an older
 // binary journaled as an op. Reads are no longer written, so recovery
 // drops the ones an older DataDir holds, as it drops fleet.member.
 func (op clusterOpRec) read() bool { return op.Op == "metrics" || op.Op == "alerts" }
+
+// opLog is a ready deployment's day-2 ops in log order, kept as the JSON
+// array a snapshot holds them in: apply appends each op as json.Marshal
+// writes it, Open only scans a recovered log (scan), and rebuild parses it
+// (parseOps) on first use. n counts its ops, -1 if raw is no array; reads
+// reports that it may hold a read, which recovery sheds.
+type opLog struct {
+	raw   []byte
+	n     int
+	reads bool
+}
+
+func (l opLog) MarshalJSON() ([]byte, error) { return l.raw, nil }
+
+// UnmarshalJSON decodes a log as the journal decoder does (see scan).
+func (l *opLog) UnmarshalJSON(data []byte) error {
+	r := jsonread.New(bytes.Clone(data))
+	l.scan(&r)
+	return r.End()
+}
+
+// scan reads a log in one validating pass that counts its ops and finds a
+// read by each op's op value. null or [] is the empty log, which the row
+// omits.
+func (l *opLog) scan(r *jsonread.Reader) {
+	*l = opLog{}
+	if r.Null() {
+		return
+	}
+	if l.raw, l.n = r.Elems("op", func(op []byte) { l.reads = l.reads || clusterOpRec{Op: string(op)}.read() }); l.n == 0 {
+		*l = opLog{}
+	}
+}
+
+// add appends op, without its ID, as json.Marshal writes it. A log that is
+// no array stays as it is, for rebuild to refuse.
+func (l *opLog) add(op clusterOpRec) {
+	data, err := op.elem()
+	if err != nil || l.n < 0 {
+		return // a durable store's emit logged these fields, so err is nil
+	}
+	raw, sep := l.raw[:max(len(l.raw)-1, 0)], byte(',') // the log less its ]
+	if l.n == 0 {
+		sep = '['
+	}
+	// A recovered log is the snapshot's bytes, capped: growing copies it.
+	raw = append(slices.Grow(raw, len(data)+2), sep)
+	l.raw, l.n = append(append(raw, data...), ']'), l.n+1
+	l.reads = l.reads || op.read()
+}
+
+// elem is op as an element of its log: the payload it was logged as less
+// its leading id, when recovery kept one (so a restart marshals no op), or
+// else json.Marshal of op without its ID.
+func (op clusterOpRec) elem() ([]byte, error) {
+	if id := `{"id":"` + op.ID + `",`; len(op.enc) > len(id) && string(op.enc[:len(id)]) == id {
+		return append([]byte{'{'}, op.enc[len(id):]...), nil
+	}
+	op.ID = ""
+	return json.Marshal(op)
+}
+
+// parseOps parses an op log, for rebuild or for shed; this package's tests
+// count parses through it.
+var parseOps = func(l opLog) ([]clusterOpRec, error) {
+	var ops []clusterOpRec
+	if l.raw == nil {
+		return nil, nil
+	}
+	return ops, decodeJSON(l.raw, &ops)
+}
+
+// shed drops the reads from the log; one it cannot parse stays as it is.
+func (l *opLog) shed() {
+	ops, err := parseOps(*l)
+	if err != nil {
+		return
+	}
+	*l = opLog{}
+	for _, op := range ops {
+		if !op.read() {
+			l.add(op)
+		}
+	}
+}
 
 // fleetCreatedRec creates a fleet; row is as in scenarioStartedRec.
 type fleetCreatedRec struct {
@@ -253,12 +342,12 @@ type campaignSettledRec struct {
 // recovery settled has none: a failed one's Events are its journal and
 // day-2 routes answer 422; a ready one gets it from rebuild (see handle).
 type depMirror struct {
-	Created depCreatedRec  `json:"created"`
-	Events  []eventInfo    `json:"events,omitempty"`
-	Ops     []clusterOpRec `json:"ops,omitempty"`
-	State   string         `json:"state,omitempty"` // "" while building
-	Error   string         `json:"error,omitempty"`
-	Summary *depSummary    `json:"summary,omitempty"` // once ready
+	Created depCreatedRec `json:"created"`
+	Events  []eventInfo   `json:"events,omitempty"`
+	Ops     opLog         `json:"ops,omitzero"`
+	State   string        `json:"state,omitempty"` // "" while building
+	Error   string        `json:"error,omitempty"`
+	Summary *depSummary   `json:"summary,omitempty"` // once ready
 	mu      sync.Mutex
 
 	h         *xcbc.Handle
@@ -462,6 +551,9 @@ func (st *store) open(dir string, report *RecoveryReport) error {
 			// stays exactly as found, for an operator (or a newer binary).
 			return errors.Join(&recordError{Seq: r.Seq, Type: r.Type, Err: err}, l.Close())
 		}
+		if op, ok := typed.(*clusterOpRec); ok {
+			op.enc = r.Data
+		}
 		typed.apply(st.m)
 	}
 	// Attach before materializing: recovery journals, and replays in-flight
@@ -649,8 +741,7 @@ func (r depDeletedRec) apply(m *mirror) { delete(m.Deployments, r.ID) }
 
 func (r clusterOpRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
-		r.ID, r.dep, r.body = "", nil, nil
-		d.Ops = append(d.Ops, r)
+		d.Ops.add(r)
 		if r.CompatTotal > 0 && d.Summary != nil {
 			sum := *d.Summary
 			sum.CompatPassed, sum.CompatTotal = r.CompatPassed, r.CompatTotal
@@ -908,10 +999,11 @@ func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
 	switch dep.State {
 	case string(xcbc.StateReady):
 		report.Rebuilt++
-		dep.Ops = slices.DeleteFunc(dep.Ops, clusterOpRec.read)
-		report.OpsReplayed += len(dep.Ops)
-		ops := dep.Ops
-		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep, ops) })
+		if dep.Ops.reads {
+			dep.Ops.shed()
+		}
+		report.OpsReplayed += max(dep.Ops.n, 0)
+		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep) })
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
 		report.Archived++
 	default:
@@ -938,11 +1030,13 @@ func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
 	}
 }
 
-// rebuild builds a recovered ready deployment from its recorded request,
-// replays its recorded day-2 ops in log order, and returns its handle. A
-// build that does not land ready again (deterministic, it should) returns
-// nil, and the deployment reads failed, not half-true. Nothing journals.
-func (st *store) rebuild(dep *depMirror, ops []clusterOpRec) *xcbc.Handle {
+// rebuild parses a recovered ready deployment's op log, builds it from its
+// recorded request, replays the ops in log order, and returns its handle.
+// A log that is no list of ops, or a build that does not land ready again
+// (deterministic, it should), returns nil, and the deployment reads
+// failed, not half-true. Nothing journals. No op is applied to the row
+// before rebuild returns: a day-2 route waits for it.
+func (st *store) rebuild(dep *depMirror) *xcbc.Handle {
 	fail := func(msg string) *xcbc.Handle {
 		dep.mu.Lock()
 		dep.lost = msg
@@ -951,6 +1045,10 @@ func (st *store) rebuild(dep *depMirror, ops []clusterOpRec) *xcbc.Handle {
 	}
 	if err := st.ctx.Err(); err != nil {
 		return fail("recovery rebuild: " + err.Error())
+	}
+	ops, err := parseOps(dep.Ops)
+	if err != nil {
+		return fail("recovery rebuild: decoding its ops: " + err.Error())
 	}
 	h, _, err := st.srv.startBuild(dep.Created.Req)
 	if err != nil {
