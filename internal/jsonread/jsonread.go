@@ -102,15 +102,15 @@ func (r *Reader) Object(field func(key []byte)) {
 // Fields decodes an object into ptrs, the fields named names, as
 // encoding/json does: a key takes the field it names exactly, else one it
 // names case-folded, else it is skipped. Value decodes the pointers it
-// takes; other, which must consume one value, decodes the rest.
-func (r *Reader) Fields(names []string, other func(p any), ptrs ...any) {
+// takes; other decodes the rest, one value each, reporting whether it took
+// the pointer's type. A pointer neither takes fails the decode.
+func (r *Reader) Fields(names []string, other func(p any) bool, ptrs ...any) {
 	r.Object(func(key []byte) {
 		switch i := match(names, key); {
 		case i < 0:
 			r.skip()
 		case r.Value(ptrs[i]):
-		case other != nil:
-			other(ptrs[i])
+		case other != nil && other(ptrs[i]):
 		default:
 			r.Fail(fmt.Sprintf("no decoder for %T", ptrs[i]))
 		}

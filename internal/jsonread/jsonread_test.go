@@ -7,15 +7,37 @@ import (
 	"testing"
 )
 
-// FuzzSkip holds skip to json.Valid: the reader's End error is nil exactly
-// when json.Valid accepts the same bytes, and a refusal names where it
-// stopped. The seeds sit on either side of each rule: nesting at and past
-// encoding/json's limit, numbers, escapes, and raw control bytes and
-// invalid UTF-8 in strings.
-func FuzzSkip(f *testing.F) {
+// checkSkip holds skip to json.Valid: the reader's End error is nil exactly
+// when json.Valid accepts data, and a refusal names where it stopped.
+func checkSkip(t *testing.T, data []byte) {
+	r := New(data)
+	r.skip()
+	err := r.End()
+	if (err == nil) != json.Valid(data) {
+		t.Fatalf("%.80q: End() = %v, json.Valid = %v", data, err, json.Valid(data))
+	}
+	if err != nil && !strings.Contains(err.Error(), "offset") {
+		t.Fatalf("%.80q: refusal %v names no offset", data, err)
+	}
+}
+
+// TestSkipDepth checks skip at and past encoding/json's nesting limit, on
+// its own and inside an object. These inputs stay out of FuzzSkip's seeds:
+// minimizing one derived from a 20 KB seed stalls the fuzzer for seconds.
+func TestSkipDepth(t *testing.T) {
 	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for _, in := range []string{deep(10000), deep(10001), `{"a":` + deep(9999) + `}`, `{"a":` + deep(10000) + `}`} {
+		checkSkip(t, []byte(in))
+	}
+}
+
+// FuzzSkip holds skip to json.Valid (see checkSkip). The seeds, each under
+// 1 KB, sit on either side of each rule: shallow nesting, numbers, escapes,
+// and raw control bytes and invalid UTF-8 in strings; TestSkipDepth covers
+// nesting at encoding/json's limit.
+func FuzzSkip(f *testing.F) {
 	for _, in := range []string{
-		deep(10000), deep(10001), `{"a":` + deep(9999) + `}`, `{"a":` + deep(10000) + `}`,
+		`[[[]]]`, `[[[]]`, `{"a":{"b":[{}]}}`, `{"a":[{"b":[]}]]}`,
 		`-0`, `01`, `1.`, `1e+`, `0`, `-`, `-01`, `1.5e-3`, `1E9`, `2.0e`, `.5`, `+1`, `1x`, `00`, `-0.0e+0`,
 		`"\u12G4"`, `"\u12a4"`, `"\uABCD"`, `"\u12"`, `"\x"`, `"\"\\\/\b\f\n\r\t"`, `"\`, `"abc`,
 		"\"\x01\"", "\"a\x1fb\"", "\"\x7f\"", "\"\xff\xfe\"", "\"\xed\xa0\x80\"", "{\"\xc3\":1}", "\"\t\"",
@@ -26,17 +48,7 @@ func FuzzSkip(f *testing.F) {
 	} {
 		f.Add([]byte(in))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := New(data)
-		r.skip()
-		err := r.End()
-		if (err == nil) != json.Valid(data) {
-			t.Fatalf("%.80q: End() = %v, json.Valid = %v", data, err, json.Valid(data))
-		}
-		if err != nil && !strings.Contains(err.Error(), "offset") {
-			t.Fatalf("%.80q: refusal %v names no offset", data, err)
-		}
-	})
+	f.Fuzz(checkSkip)
 }
 
 // TestElems checks that Elems hands back an array's bytes and length, any

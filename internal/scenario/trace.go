@@ -104,7 +104,7 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 // would decode it, without reflecting over every event of the trace.
 func (r *Result) UnmarshalJSON(data []byte) error {
 	rd := jsonread.New(data)
-	rd.Fields([]string{"scenario", "seed", "passed", "violations", "stats", "events"}, func(p any) {
+	rd.Fields([]string{"scenario", "seed", "passed", "violations", "stats", "events"}, func(p any) bool {
 		switch p := p.(type) {
 		case *Stats:
 			rd.Fields([]string{"members", "ready", "failed", "cancelled", "quarantined_nodes", "jobs_submitted", "jobs_cancelled", "updates_applied", "simulated_end"}, nil,
@@ -114,7 +114,10 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 				rd.Fields([]string{"seq", "phase", "kind", "member", "node", "detail"}, nil,
 					&ev.Seq, &ev.Phase, &ev.Kind, &ev.Member, &ev.Node, &ev.Detail)
 			})
+		default:
+			return false
 		}
+		return true
 	}, &r.Scenario, &r.Seed, &r.Passed, &r.Violations, &r.Stats, &r.Events)
 	return rd.End()
 }

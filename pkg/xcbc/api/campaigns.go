@@ -47,9 +47,9 @@ type campaignInfo struct {
 
 // campaignInfoOf renders a campaign's row; the counters are counted from
 // its outcomes.
-func campaignInfoOf(c *campaignMirror) campaignInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func campaignInfoOf(st *store, c *campaignMirror) campaignInfo {
+	st.idx.RLock()
+	defer st.idx.RUnlock()
 	spec := c.Started.Spec
 	info := campaignInfo{
 		ID: c.Started.ID, Created: c.Started.Created, State: cmp.Or(c.State, "running"), Error: c.Error,
@@ -133,7 +133,7 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		writeRefused(w, err)
 		return
 	}
-	accepted := campaignInfoOf(row) // before the sweep starts: always "running"
+	accepted := campaignInfoOf(st, row) // before the sweep starts: always "running"
 	st.spawn(func() { s.executeCampaign(st, row) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
@@ -171,7 +171,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignInfoOf(row))
+	writeJSON(w, http.StatusOK, campaignInfoOf(st, row))
 }
 
 // recoverCampaign settles a campaign in flight at the crash as

@@ -33,9 +33,9 @@ type clusterInfo struct {
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
-func (s *Server) clusterInfoOf(dep *depMirror) clusterInfo {
+func clusterInfoOf(st *store, dep *depMirror) clusterInfo {
 	c := &dep.Created
-	cl, state, _, _ := dep.cluster()
+	cl, state, _, _ := st.cluster(dep)
 	info := clusterInfo{ID: c.ID, Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, State: state}
 	if cl == nil {
 		return info
@@ -68,7 +68,7 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
 	}
-	cl, st, berr, settled := dep.cluster()
+	cl, st, berr, settled := tn.store.cluster(dep)
 	if cl == nil {
 		id := dep.Created.ID
 		body := stateBody{Error: fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st), State: st}
@@ -90,12 +90,12 @@ func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Clus
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	servePage(w, r, "clusters", st, st.m.Deployments, s.clusterInfoOf)
+	servePage(w, r, "clusters", st, st.m.Deployments, clusterInfoOf)
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if _, dep, _, ok := s.openCluster(w, r); ok {
-		writeJSON(w, http.StatusOK, s.clusterInfoOf(dep))
+	if _, dep, tn, ok := s.openCluster(w, r); ok {
+		writeJSON(w, http.StatusOK, clusterInfoOf(tn.store, dep))
 	}
 }
 
@@ -300,6 +300,10 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := []xcbc.ValidateOption{}
 	if req.MemFraction != 0 {
+		if req.MemFraction < 0 || req.MemFraction > 1 {
+			writeError(w, http.StatusBadRequest, "mem_fraction must be in (0, 1]")
+			return
+		}
 		opts = append(opts, xcbc.WithMemFraction(req.MemFraction))
 	}
 	if req.SmokeN != nil {

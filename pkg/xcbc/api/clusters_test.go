@@ -366,8 +366,14 @@ func TestClusterLifecycleREST(t *testing.T) {
 	if v.N <= 0 || v.RmaxGF <= 0 || !v.SmokeRun || !v.SmokePass || v.SmokeN != 96 {
 		t.Fatalf("validate = %+v", v)
 	}
-	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", `{"smoke_n":9999}`, nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("oversized smoke_n = %d, want 400", rec.Code)
+	for _, body := range []string{`{"smoke_n":9999}`, `{"mem_fraction":1.5}`, `{"mem_fraction":-0.1}`} {
+		if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", body, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("validate %s = %d, want 400", body, rec.Code)
+		}
+	}
+	var half validateResponse
+	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/validate", `{"mem_fraction":0.5,"smoke_n":0}`, &half); rec.Code != http.StatusOK || half.N <= 0 || half.N >= v.N {
+		t.Errorf("validate at half the memory: %d, n = %d, want 0 < n < %d", rec.Code, half.N, v.N)
 	}
 
 	// Updates: a report per node; bad policies are rejected.

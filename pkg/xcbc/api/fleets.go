@@ -89,7 +89,7 @@ func fleetInfoOf(st *store, f *fleetMirror, withMembers bool) fleetInfo {
 
 func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	servePage(w, r, "fleets", st, st.m.Fleets, func(f *fleetMirror) fleetInfo {
+	servePage(w, r, "fleets", st, st.m.Fleets, func(st *store, f *fleetMirror) fleetInfo {
 		return fleetInfoOf(st, f, false)
 	})
 }
@@ -216,14 +216,14 @@ type scenarioRunInfo struct {
 	start int
 }
 
-func runInfoOf(run *runMirror, withEvents bool, pg page) scenarioRunInfo {
-	run.mu.Lock()
+func runInfoOf(st *store, run *runMirror, withEvents bool, pg page) scenarioRunInfo {
+	st.idx.RLock()
 	info := scenarioRunInfo{
 		ID: run.Started.RunID, Scenario: run.Started.Name, State: cmp.Or(run.State, "running"),
 		Created: run.Started.Created, Error: run.Error,
 	}
 	result := run.Result
-	run.mu.Unlock()
+	st.idx.RUnlock()
 	if result != nil {
 		info.Passed = result.Passed()
 		info.Violations = result.Violations()
@@ -324,7 +324,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	// Render the 202 before the run starts, so it always says "running"
 	// however quickly a small scenario settles.
-	accepted := runInfoOf(run, false, page{})
+	accepted := runInfoOf(st, run, false, page{})
 	st.spawn(func() { s.executeRun(st, f, run, sc, nil) })
 	writeJSON(w, http.StatusAccepted, accepted)
 }
@@ -407,7 +407,7 @@ func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
 	runs := f.Runs[start:end]
 	st.idx.RUnlock()
 	writeList(w, "runs", mapSlice(runs, func(run *runMirror) scenarioRunInfo {
-		return runInfoOf(run, false, page{})
+		return runInfoOf(st, run, false, page{})
 	}), max(pg.cursor, end))
 }
 
@@ -428,7 +428,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pg, ok := parsePage(w, r); ok {
-		writeRunInfo(w, runInfoOf(run, true, pg))
+		writeRunInfo(w, runInfoOf(st, run, true, pg))
 	}
 }
 

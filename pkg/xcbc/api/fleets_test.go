@@ -268,14 +268,14 @@ func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
 		t.Fatalf("campus-100 settled %q: %v", info.State, info.Violations)
 	}
 	run := runRow(s, "f1", "s1")
-	_, result, _ := settled(run)
+	_, result, _ := settled(s, run)
 	whole := result.Trace()
 	if len(whole) < 400 || result.TraceLen() != len(whole) {
 		t.Fatalf("trace has %d events, TraceLen %d", len(whole), result.TraceLen())
 	}
 
 	reference := func(pg page) []byte {
-		info := runInfoOf(run, false, page{})
+		info := runInfoOf(s.openTenant.store, run, false, page{})
 		start, end := pg.window(len(whole))
 		info.Events, info.NextCursor = whole[start:end], end
 		body, err := json.Marshal(info)

@@ -1,12 +1,13 @@
 package api
 
 // The index: the mirror's three maps and each fleet row's Runs are the one
-// index of what a tenant holds. apply is their only writer, under st.mu and
-// st.idx; handlers read them under st.idx's read side. A record that
-// publishes or removes a resource is admitted in emit's critical section,
-// before it is appended: admit checks the tenant's quota, a build still
-// running or a run in flight, and gives a create its ID from the mirror's
-// counter. A day-2 op's admit runs the op, so ops run in log order.
+// index of what a tenant holds. apply is their only writer, and its rows',
+// under st.mu and st.idx; handlers read them under st.idx's read side. A
+// record that publishes or removes a resource is admitted in emit's
+// critical section, before it is appended: admit checks the tenant's quota,
+// a build still running or a run in flight, and gives a create its ID from
+// the mirror's counter. A day-2 op's admit runs the op, so ops run in log
+// order.
 
 import (
 	"errors"
@@ -18,7 +19,7 @@ import (
 // admitter is a record emit admits before appending it. Handlers emit
 // these records by pointer, so that a create's admit can set its ID.
 type admitter interface {
-	admit(m *mirror, q Quotas) error
+	admit(st *store) error
 }
 
 // refusal is an admit error that is the client's to fix: the status its
@@ -69,24 +70,24 @@ func nextID(prefix, kind string, held, next, max int) (string, error) {
 	return prefix + strconv.Itoa(next+1), nil
 }
 
-func (r *depCreatedRec) admit(m *mirror, q Quotas) (err error) {
-	r.ID, err = nextID("d", "deployments", len(m.Deployments), m.NextID, q.MaxDeployments)
+func (r *depCreatedRec) admit(st *store) (err error) {
+	r.ID, err = nextID("d", "deployments", len(st.m.Deployments), st.m.NextID, st.tn.quotas.MaxDeployments)
 	return err
 }
 
-func (r *fleetCreatedRec) admit(m *mirror, q Quotas) (err error) {
-	r.ID, err = nextID("f", "fleets", len(m.Fleets), m.NextFleetID, q.MaxFleets)
+func (r *fleetCreatedRec) admit(st *store) (err error) {
+	r.ID, err = nextID("f", "fleets", len(st.m.Fleets), st.m.NextFleetID, st.tn.quotas.MaxFleets)
 	return err
 }
 
-func (r *campaignStartedRec) admit(m *mirror, q Quotas) (err error) {
-	r.ID, err = nextID("c", "campaigns", len(m.Campaigns), m.NextCampaignID, q.MaxCampaigns)
+func (r *campaignStartedRec) admit(st *store) (err error) {
+	r.ID, err = nextID("c", "campaigns", len(st.m.Campaigns), st.m.NextCampaignID, st.tn.quotas.MaxCampaigns)
 	return err
 }
 
 // admit numbers a run by its place in the fleet's Runs, from s1.
-func (r *scenarioStartedRec) admit(m *mirror, _ Quotas) error {
-	f := m.Fleets[r.FleetID]
+func (r *scenarioStartedRec) admit(st *store) error {
+	f := st.m.Fleets[r.FleetID]
 	switch {
 	case f == nil:
 		return errNoFleet
@@ -98,30 +99,30 @@ func (r *scenarioStartedRec) admit(m *mirror, _ Quotas) error {
 }
 
 // admit runs the op on its route's cluster; its error is the route's status.
-func (r *clusterOpRec) admit(m *mirror, _ Quotas) (err error) {
-	if m.Deployments[r.ID] != r.dep {
+func (r *clusterOpRec) admit(st *store) (err error) {
+	if st.m.Deployments[r.ID] != r.dep {
 		return errNoDeployment
 	}
-	cl, _, _, _ := r.dep.cluster()
+	cl, _, _, _ := st.cluster(r.dep)
 	if r.body, err = runOp(cl, r); err != nil {
 		return refusal{deployErrorStatus(err), err}
 	}
 	return nil
 }
 
-func (r *depDeletedRec) admit(m *mirror, _ Quotas) error {
-	d := m.Deployments[r.ID]
+func (r *depDeletedRec) admit(st *store) error {
+	d := st.m.Deployments[r.ID]
 	if d == nil {
 		return errNoDeployment
 	}
-	if _, _, settled := d.status(); !settled {
+	if _, _, _, settled := st.status(d); !settled {
 		return errUnsettled
 	}
 	return nil
 }
 
-func (r *fleetDeletedRec) admit(m *mirror, _ Quotas) error {
-	f := m.Fleets[r.ID]
+func (r *fleetDeletedRec) admit(st *store) error {
+	f := st.m.Fleets[r.ID]
 	switch {
 	case f == nil:
 		return errNoFleet

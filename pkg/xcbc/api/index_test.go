@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -324,4 +325,83 @@ func TestIndexedOnlyOnceJournaled(t *testing.T) {
 				tc.park, before, after, tc.before, tc.after)
 		}
 	}
+}
+
+// TestRowReadsWhileRecordsApply reads rows of every kind while records that
+// write them apply: deployments created, settled and deleted, updates that
+// rewrite a ready row's summary, scenario runs' checkpoints and
+// settlements, and a campaign's outcomes, with a snapshot every eight
+// records. Under -race a
+// row read outside st.idx fails it; a reader that took st.idx's read side
+// while holding it would hang it once apply waited for the write side.
+func TestRowReadsWhileRecordsApply(t *testing.T) {
+	s, _ := openDurable(t, t.TempDir(), func(c *Config) { c.SnapshotEvery = 8 })
+	defer s.Close()
+	id := deployReady(t, s, `{"cluster":"littlefe"}`)
+	var fl fleetInfo
+	if rec := do(t, s, "POST", "/api/v1/fleets", `{"name":"rows","members":2,"nodes":2,"workers":2,"provision":false}`, &fl); rec.Code != http.StatusAccepted {
+		t.Fatalf("create fleet: %d %s", rec.Code, rec.Body.String())
+	}
+	run := `{"scenario":{"name":"rows","seed":3,"fleet":{"members":2,"nodes":2,"workers":2},` +
+		`"phases":[{"kind":"provision"},{"kind":"jobs","count":40,"cores":1,"runtime":"10m"},{"kind":"metrics"}]}}`
+	post := func(path, body string, want int) *httptest.ResponseRecorder {
+		rec := do(t, s, "POST", path, body, nil)
+		if rec.Code != want {
+			t.Errorf("POST %s: %d %s, want %d", path, rec.Code, rec.Body.String(), want)
+		}
+		return rec
+	}
+	var writers, readers sync.WaitGroup
+	writer := func(fn func()) {
+		writers.Add(1)
+		go func() { defer writers.Done(); fn() }()
+	}
+	writer(func() { // deployments: create, stream to settled, delete
+		for range 3 {
+			var dep deploymentInfo
+			if err := json.Unmarshal(post("/api/v1/deployments", `{"cluster":"littlefe"}`, http.StatusAccepted).Body.Bytes(), &dep); err != nil {
+				t.Error(err)
+				return
+			}
+			do(t, s, "GET", "/api/v1/deployments/"+dep.ID+"/events", "", nil)
+			if rec := do(t, s, "DELETE", "/api/v1/deployments/"+dep.ID, "", nil); rec.Code != http.StatusNoContent {
+				t.Errorf("delete %s: %d %s", dep.ID, rec.Code, rec.Body.String())
+			}
+		}
+	})
+	writer(func() { // a ready row's ops and summary
+		for range 4 {
+			post("/api/v1/clusters/"+id+"/advance", `{"duration":"240h"}`, http.StatusOK)
+			do(t, s, "GET", "/api/v1/clusters/"+id+"/updates?policy=auto-apply", "", nil)
+		}
+	})
+	writer(func() { post("/api/v1/campaigns", `{"seeds":2,"workers":1}`, http.StatusAccepted) })
+	done := make(chan struct{})
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				for _, path := range []string{"/deployments", "/deployments/" + id, "/deployments/" + id + "/events", "/clusters",
+					"/fleets/" + fl.ID + "/scenarios", "/fleets/" + fl.ID + "/scenarios/s2", "/campaigns", "/campaigns/c1"} {
+					if rec := do(t, s, "GET", "/api/v1"+path, "", nil); rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+						t.Errorf("GET %s: %d %s", path, rec.Code, rec.Body.String())
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 3; i++ { // a fleet's runs, one at a time
+		post("/api/v1/fleets/"+fl.ID+"/scenarios", run, http.StatusAccepted)
+		awaitSettled[scenarioRunInfo](t, s, "", fmt.Sprintf("/api/v1/fleets/%s/scenarios/s%d", fl.ID, i))
+	}
+	writers.Wait()
+	awaitSettled[campaignInfo](t, s, "", "/api/v1/campaigns/c1")
+	close(done)
+	readers.Wait()
 }

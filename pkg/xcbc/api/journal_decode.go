@@ -1,7 +1,7 @@
 package api
 
-// Recovery's decoder for the journal's deployment and fleet sides: the
-// types internal/jsonread walks them into (DESIGN.md).
+// Recovery's decoder for the journal: the types internal/jsonread walks a
+// snapshot and every record into (DESIGN.md).
 
 import (
 	"encoding/json"
@@ -12,25 +12,13 @@ import (
 	"xcbc/pkg/xcbc"
 )
 
-// unmarshal is encoding/json's decoder, which decodeJSON falls back to for
-// the types the reader does not take: a campaign's row and records.
-var unmarshal = json.Unmarshal
-
-// decodeJSON decodes data into v, with the reader if it takes v's type.
+// decodeJSON decodes data into v, whose type into must take.
 func decodeJSON(data []byte, v any) error {
 	r := jsonread.New(data)
 	if !into(&r, v) {
-		return unmarshal(data, v)
+		return fmt.Errorf("no decoder for %T", v)
 	}
 	return r.End()
-}
-
-// value decodes one value into p: with the reader if into takes p's type,
-// else with encoding/json (a campaign row).
-func value(r *jsonread.Reader, p any) {
-	if !into(r, p) {
-		r.Raw(func(data []byte) error { return unmarshal(data, p) })
-	}
 }
 
 // rows decodes a snapshot's map of rows as encoding/json does (into the map
@@ -49,17 +37,18 @@ func rows[T any](r *jsonread.Reader, p *map[string]*T, kind string) {
 		if (*p)[string(id)] = v; r.Null() {
 			r.Fail("null " + kind + " row " + string(id))
 		}
-		value(r, v)
+		into(r, v)
 	})
 }
 
-// fields decodes an object into ptrs, the fields named names.
+// fields decodes an object into ptrs, the fields named names; one of a type
+// into does not take fails the decode.
 func fields(r *jsonread.Reader, names []string, ptrs ...any) {
-	r.Fields(names, func(p any) { value(r, p) }, ptrs...)
+	r.Fields(names, func(p any) bool { return into(r, p) }, ptrs...)
 }
 
-// into decodes into v if it points to a type of the journal's deployment
-// or fleet side, or to a field of one, reporting whether.
+// into decodes into v if it points to a type of the journal, or to a field
+// of one, reporting whether.
 func into(r *jsonread.Reader, v any) bool {
 	switch v := v.(type) {
 	case *[]eventInfo:
@@ -139,6 +128,24 @@ func into(r *jsonread.Reader, v any) bool {
 		fields(r, []string{"fleet_id", "run_id", "cursor", "hash"}, &v.FleetID, &v.RunID, &v.Cursor, &v.Hash)
 	case *scenarioSettledRec:
 		fields(r, []string{"fleet_id", "run_id", "state", "error", "result"}, &v.FleetID, &v.RunID, &v.State, &v.Error, &v.Result)
+	case *campaignMirror:
+		fields(r, []string{"started", "outcomes", "state", "error"}, &v.Started, &v.Outcomes, &v.State, &v.Error)
+	case *campaignStartedRec:
+		fields(r, []string{"id", "spec", "created"}, &v.ID, &v.Spec, &v.Created)
+	case *campaignSeedRec:
+		fields(r, []string{"id", "outcome"}, &v.ID, &v.Outcome)
+	case *campaignSettledRec:
+		fields(r, []string{"id", "state", "error"}, &v.ID, &v.State, &v.Error)
+	case *xcbc.CampaignSpec:
+		fields(r, []string{"seeds", "start_seed", "workers", "shrink_budget"}, &v.Seeds, &v.StartSeed, &v.Workers, &v.ShrinkBudget)
+	case *[]xcbc.CampaignSeedOutcome:
+		jsonread.List(r, v, func(out *xcbc.CampaignSeedOutcome) { into(r, out) })
+	case *xcbc.CampaignSeedOutcome:
+		fields(r, []string{"seed", "state", "violations", "error", "failure"}, &v.Seed, &v.State, &v.Violations, &v.Error, &v.Failure)
+	case **xcbc.CampaignFailure:
+		jsonread.Ptr(r, v, func(f *xcbc.CampaignFailure) {
+			fields(r, []string{"seed", "violations", "repro", "repro_phases", "shrink_evals"}, &f.Seed, &f.Violations, &f.Repro, &f.ReproPhases, &f.ShrinkEvals)
+		})
 	default:
 		return false
 	}

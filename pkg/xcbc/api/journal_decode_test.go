@@ -13,10 +13,10 @@ import (
 )
 
 // journalKinds are what FuzzDecodeJournal decodes: a whole snapshot, as
-// store.open reads it, and each deployment-side and fleet-side record
-// type, as decodeRecord reads it.
+// store.open reads it, and each record type, as decodeRecord reads it.
 var journalKinds = []string{"snapshot", recDeploymentCreated, recDeploymentEvent, recDeploymentSettled, recDeploymentDeleted, recClusterOp,
-	recFleetCreated, recFleetProvisioned, recFleetDeleted, recScenarioStarted, recScenarioProgress, recScenarioSettled}
+	recFleetCreated, recFleetProvisioned, recFleetDeleted, recScenarioStarted, recScenarioProgress, recScenarioSettled,
+	recCampaignStarted, recCampaignSeed, recCampaignSettled}
 
 // FuzzDecodeJournal holds recovery's decoder to its contract, with
 // encoding/json on the same types as the oracle: whenever the decoder
@@ -59,8 +59,8 @@ func FuzzDecodeJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	seed(string(snap))
-	for _, data := range fleetJournal(f) {
-		seed(string(data))
+	for _, data := range append(fleetJournal(f), campaignJournal(f)...) {
+		seed(data)
 	}
 	// The metrics and alerts reads an older binary journaled as ops, and a
 	// snapshot whose ready row holds both: they decode, and recovery drops
@@ -117,25 +117,43 @@ func fleetJournal(tb testing.TB) []string {
 	}
 }
 
-// TestJournalFleetSideSkipsEncodingJSON decodes a snapshot holding fleets
-// and a settled run, and every record type but a campaign's, with
-// decodeJSON's encoding/json fallback failing the test if it runs: the
-// reader takes every type they hold, the result's trace included.
-func TestJournalFleetSideSkipsEncodingJSON(t *testing.T) {
-	unmarshal = func(data []byte, v any) error {
-		t.Errorf("encoding/json decoded %T from %.80s", v, data)
-		return json.Unmarshal(data, v)
+// campaignJournal is campaign-side journal entries beyond recordCases': a
+// snapshot holding a campaign whose failed outcome carries its repro, a
+// seed record with a null failure, one with a null outcome, and a null
+// outcome in a row.
+func campaignJournal(tb testing.TB) []string {
+	failed := `{"seed":9,"state":"failed","violations":["jobs-conserved"],"failure":{"seed":9,"violations":["jobs-conserved"],` +
+		`"repro":{"name":"repro","seed":9,"phases":[{"name":"p0"}]},"repro_phases":2,"shrink_evals":5}}`
+	if !json.Valid([]byte(failed)) {
+		tb.Fatalf("invalid seed %s", failed)
 	}
-	t.Cleanup(func() { unmarshal = json.Unmarshal })
-	entries := map[string][]string{"snapshot": fleetJournal(t)[:1], recScenarioSettled: fleetJournal(t)[1:2]}
+	return []string{
+		`{"deployments":{},"fleets":{},"campaigns":{"c1":{"started":{"id":"c1","spec":{"seeds":2,"start_seed":9,"workers":1},` +
+			`"created":"2015-09-08T12:00:00Z"},"outcomes":[` + failed + `,{"seed":10,"state":"error","error":"boom","failure":null}],` +
+			`"state":"failed","error":"1 of 2 seeds failed"}},"next_campaign_id":1}`,
+		`{"id":"c1","outcome":{"seed":10,"state":"passed","failure":null}}`,
+		`{"id":"c1","outcome":null}`,
+		`{"campaigns":{"c1":{"outcomes":[null,{"seed":1,"FAILURE":{"repro":null}}],"started":{"spec":{"CheckHook":1,"seeds":3}}}}}`,
+	}
+}
+
+// TestJournalReaderDecodesEveryRecord decodes a snapshot holding fleets, a
+// settled run and a campaign, and every record type, with the reader, the
+// decoder's only path: each decodes to what encoding/json makes of the
+// same bytes, the result's trace and the campaign's repro included.
+func TestJournalReaderDecodesEveryRecord(t *testing.T) {
+	fleets, campaigns := fleetJournal(t), campaignJournal(t)
+	entries := map[string][]string{
+		"snapshot":         {fleets[0], campaigns[0], campaigns[3]},
+		recScenarioSettled: fleets[1:2],
+		recCampaignSeed:    campaigns[1:3],
+	}
 	for _, tc := range recordCases() {
-		if !strings.HasPrefix(tc.typ, "campaign.") {
-			data, err := encodeRecord(tc.rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entries[tc.typ] = append(entries[tc.typ], string(data))
+		data, err := encodeRecord(tc.rec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		entries[tc.typ] = append(entries[tc.typ], string(data))
 	}
 	for _, kind := range slices.Sorted(maps.Keys(entries)) {
 		for _, d := range entries[kind] {
@@ -148,10 +166,18 @@ func TestJournalFleetSideSkipsEncodingJSON(t *testing.T) {
 			}
 		}
 	}
-	snap := entries["snapshot"][0]
 	m := newMirror()
-	if err := decodeJSON([]byte(snap), m); err != nil || len(m.Fleets["f1"].Runs[0].Result.Trace()) != 4 {
+	if err := decodeJSON([]byte(fleets[0]), m); err != nil || len(m.Fleets["f1"].Runs[0].Result.Trace()) != 4 {
 		t.Fatalf("snapshot decoded to %+v, %v", m.Fleets["f1"], err)
+	}
+	if err := decodeJSON([]byte(campaigns[0]), m); err != nil || string(m.Campaigns["c1"].Outcomes[0].Failure.Repro) != `{"name":"repro","seed":9,"phases":[{"name":"p0"}]}` {
+		t.Fatalf("snapshot decoded to %+v, %v", m.Campaigns["c1"], err)
+	}
+	if err := decodeJSON([]byte(`{}`), new(int)); err == nil || !strings.Contains(err.Error(), "no decoder for *int") {
+		t.Errorf("decoding into a type the reader lacks: %v", err)
+	}
+	if _, err := decodeRecord(recCampaignSeed, []byte(`{"outcome":{"failure":{"repro_phases":"2"}}}`)); err == nil || !strings.Contains(err.Error(), "offset") {
+		t.Errorf("a campaign seed with a string count: %v, want a refusal with its offset", err)
 	}
 }
 

@@ -90,7 +90,7 @@ func crashImages(t *testing.T, fleetBody string) (map[int]string, []byte) {
 		t.Fatalf("run scenario: %d %s", rec.Code, rec.Body.String())
 	}
 	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
-	state, result, err := settled(recoveredRun(t, s))
+	state, result, err := settled(s, recoveredRun(t, s))
 	if state != "passed" {
 		t.Fatalf("campus-100 settled %q: %v", state, err)
 	}
@@ -174,7 +174,7 @@ func TestReplayOracleAtCheckpoints(t *testing.T) {
 				if rep.Fleets != 1 || rep.Replayed != 1 || rep.ReplayMismatches != 0 {
 					t.Fatalf("image %d: recovery report = %+v, want 1 replayed run with no mismatch", cursor, rep)
 				}
-				state, result, runErr := settled(recoveredRun(t, s))
+				state, result, runErr := settled(s, recoveredRun(t, s))
 				if state != "passed" || runErr != nil {
 					t.Fatalf("image %d: replayed run settled %q (%v)", cursor, state, runErr)
 				}
@@ -305,7 +305,7 @@ func TestRecordsPerOperationPinned(t *testing.T) {
 				}
 				// The run journals its outcome before it reports it.
 				awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/"+fl.ID+"/scenarios/s1")
-				if state, result, err := settled(runRow(s, fl.ID, "s1")); state != "passed" || result.TraceLen() != tc.events {
+				if state, result, err := settled(s, runRow(s, fl.ID, "s1")); state != "passed" || result.TraceLen() != tc.events {
 					t.Fatalf("run settled %q (%v) with %d events, want %d", state, err, result.TraceLen(), tc.events)
 				}
 				if rec := do(t, s, "DELETE", "/api/v1/fleets/"+fl.ID, "", nil); rec.Code != http.StatusNoContent {
@@ -506,7 +506,7 @@ func TestSettledRecordEncodeMatchesMarshal(t *testing.T) {
 	awaitSettled[fleetInfo](t, s, "", "/api/v1/fleets/f1")
 	do(t, s, "POST", "/api/v1/fleets/f1/scenarios", `{"scenario": `+smallScenario+`}`, nil)
 	awaitSettled[scenarioRunInfo](t, s, "", "/api/v1/fleets/f1/scenarios/s1")
-	_, real, _ := settled(runRow(s, "f1", "s1"))
+	_, real, _ := settled(s, runRow(s, "f1", "s1"))
 	for i, rec := range []scenarioSettledRec{
 		{FleetID: "f1", RunID: "s1", State: "passed", Result: real},
 		{FleetID: "f1", RunID: "s1", State: "failed", Error: `violated "<all-ready>" & more`, Result: real},

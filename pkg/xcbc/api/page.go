@@ -134,7 +134,7 @@ func writeBuffered(w http.ResponseWriter, buf *bytes.Buffer) {
 
 // servePage answers one page of a mirror index, rendering each row through
 // info after the index lock is released.
-func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, st *store, index map[string]*T, info func(*T) I) {
+func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, st *store, index map[string]*T, info func(*store, *T) I) {
 	pg, ok := parsePage(w, r)
 	if !ok {
 		return
@@ -142,7 +142,7 @@ func servePage[T, I any](w http.ResponseWriter, r *http.Request, key string, st 
 	items, next := pageOf(st, index, pg)
 	out := make([]I, len(items))
 	for i, item := range items {
-		out[i] = info(item)
+		out[i] = info(st, item)
 	}
 	writeList(w, key, out, next)
 }

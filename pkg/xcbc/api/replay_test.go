@@ -93,11 +93,12 @@ func recoveredRun(t *testing.T, s *Server) *runMirror {
 	return run
 }
 
-// settled reads a run's row as its routes do: its state, its result, and
-// its error as an error (nil when the row has none).
-func settled(run *runMirror) (string, *xcbc.ScenarioResult, error) {
-	run.mu.Lock()
-	defer run.mu.Unlock()
+// settled reads a run's row of s's open tenant as its routes do: its
+// state, its result, and its error as an error (nil when the row has none).
+func settled(s *Server, run *runMirror) (string, *xcbc.ScenarioResult, error) {
+	st := s.openTenant.store
+	st.idx.RLock()
+	defer st.idx.RUnlock()
 	var err error
 	if run.Error != "" {
 		err = errors.New(run.Error)
@@ -132,7 +133,7 @@ func TestReplayOracleGoldenTraces(t *testing.T) {
 				t.Fatalf("recovery report = %+v, want 1 replayed run with no mismatch", rep)
 			}
 			run := recoveredRun(t, s)
-			state, result, runErr := settled(run)
+			state, result, runErr := settled(s, run)
 			if state != "passed" || runErr != nil {
 				t.Fatalf("replayed run settled %q (%v), want passed", state, runErr)
 			}
@@ -149,7 +150,7 @@ func TestReplayOracleGoldenTraces(t *testing.T) {
 				t.Fatalf("second recovery = %+v, want restored (not replayed) run", rep2)
 			}
 			run2 := recoveredRun(t, s2)
-			_, result2, _ := settled(run2)
+			_, result2, _ := settled(s2, run2)
 			if !bytes.Equal(result2.TraceJSONL(), golden) {
 				t.Fatal("restored trace diverged from golden after second recovery")
 			}
@@ -176,7 +177,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 		t.Fatalf("recovery report = %+v, want 1 replay mismatch", rep)
 	}
 	run := recoveredRun(t, s)
-	state, _, runErr := settled(run)
+	state, _, runErr := settled(s, run)
 	if state != "error" || runErr == nil {
 		t.Fatalf("diverged run settled %q (%v), want error", state, runErr)
 	}

@@ -149,43 +149,39 @@ func (d *depMirror) handle() *xcbc.Handle {
 	return d.h
 }
 
-// status reads the deployment's row once. settled reports whether its
-// settled record is journaled, and errMsg is then the build's terminal
-// error, "" if none. state is the row's once it is settled, the build's
+// status reads the deployment's row in one hold of st.idx's read side.
+// settled reports whether its settled record is journaled, and errMsg is
+// then the build's terminal error, "" if none; sum is the row's summary
+// once it is ready. state is the row's once it is settled, the build's
 // before that — except that a build which has ended reads building until
 // its settlement is journaled. A response renders from one status, so a
 // settlement landing mid-response cannot mix two states into its body.
-func (d *depMirror) status() (state, errMsg string, settled bool) {
-	d.mu.Lock()
-	state, errMsg = d.State, d.Error
+func (st *store) status(d *depMirror) (state, errMsg string, sum *depSummary, settled bool) {
+	st.idx.RLock()
+	state, errMsg, sum = d.State, d.Error, d.Summary
 	if d.lost != "" {
-		state, errMsg = string(xcbc.StateFailed), d.lost
+		state, errMsg, sum = string(xcbc.StateFailed), d.lost, nil
 	}
-	d.mu.Unlock()
+	st.idx.RUnlock()
 	if state != "" {
-		return state, errMsg, true
+		return state, errMsg, sum, true
 	}
-	if st := d.h.Status(); !st.Terminal() {
-		return string(st), "", false
+	if s := d.h.Status(); !s.Terminal() {
+		return string(s), "", nil, false
 	}
-	return string(xcbc.StateBuilding), "", false
+	return string(xcbc.StateBuilding), "", nil, false
 }
 
 // view reads what one response renders: the status and, once ready, the
 // row's summary. Only a journal page below the tip, or a row an older binary
 // wrote without a summary, needs the live build, and renders what it left.
-func (d *depMirror) view(cursor int) (state, errMsg string, sum *depSummary) {
-	if state, errMsg, _ = d.status(); state == string(xcbc.StateReady) {
-		d.mu.Lock()
-		sum = d.Summary
-		d.mu.Unlock()
-		if sum == nil || cursor < sum.NextCursor {
-			if h := d.handle(); h == nil {
-				state, errMsg, _ = d.status()
-				sum = nil
-			} else if sum == nil {
-				sum = summaryOf(h)
-			}
+func (st *store) view(d *depMirror, cursor int) (state, errMsg string, sum *depSummary) {
+	state, errMsg, sum, _ = st.status(d)
+	if state == string(xcbc.StateReady) && (sum == nil || cursor < sum.NextCursor) {
+		if h := d.handle(); h == nil {
+			state, errMsg, sum, _ = st.status(d)
+		} else if sum == nil {
+			sum = summaryOf(h)
 		}
 	}
 	return state, errMsg, sum
@@ -194,12 +190,12 @@ func (d *depMirror) view(cursor int) (state, errMsg string, sum *depSummary) {
 // cluster returns the live day-2 surface of a ready deployment, building a
 // recovered one on first use, and the status the response renders; cl is
 // nil for one that is not (or can never again be) operable.
-func (d *depMirror) cluster() (cl *xcbc.Cluster, state, errMsg string, settled bool) {
-	if state, errMsg, settled = d.status(); state == string(xcbc.StateReady) {
+func (st *store) cluster(d *depMirror) (cl *xcbc.Cluster, state, errMsg string, settled bool) {
+	if state, errMsg, _, settled = st.status(d); state == string(xcbc.StateReady) {
 		if h := d.handle(); h != nil {
 			cl, _ = h.Cluster()
 		} else {
-			state, errMsg, settled = d.status()
+			state, errMsg, _, settled = st.status(d)
 		}
 	}
 	return cl, state, errMsg, settled
@@ -780,14 +776,14 @@ func eventInfoOf(ev xcbc.Event) eventInfo {
 		Message: ev.Message, Packages: ev.Packages, Elapsed: ev.Elapsed.String()}
 }
 
-func (s *Server) deploymentInfoOf(dep *depMirror, withEvents bool, pg page) deploymentInfo {
+func deploymentInfoOf(st *store, dep *depMirror, withEvents bool, pg page) deploymentInfo {
 	if !withEvents {
 		// Event-less bodies (list, DELETE-cancel) still report the journal
 		// tip so "pass next_cursor back" holds on every response.
 		pg = page{cursor: math.MaxInt}
 	}
 	c := &dep.Created
-	state, errMsg, sum := dep.view(pg.cursor)
+	state, errMsg, sum := st.view(dep, pg.cursor)
 	info := deploymentInfo{ID: c.ID, Path: c.Path, State: state, Error: errMsg,
 		Cluster: c.Cluster, Site: c.Site, Nodes: c.Nodes, Created: c.Created}
 	if sum != nil {
@@ -802,8 +798,8 @@ func (s *Server) deploymentInfoOf(dep *depMirror, withEvents bool, pg page) depl
 
 func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	servePage(w, r, "deployments", st, st.m.Deployments, func(dep *depMirror) deploymentInfo {
-		return s.deploymentInfoOf(dep, false, page{})
+	servePage(w, r, "deployments", st, st.m.Deployments, func(st *store, dep *depMirror) deploymentInfo {
+		return deploymentInfoOf(st, dep, false, page{})
 	})
 }
 
@@ -910,7 +906,7 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	st.watchDeployment(dep)
-	writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, true, page{limit: defaultPageLimit}))
+	writeJSON(w, http.StatusAccepted, deploymentInfoOf(st, dep, true, page{limit: defaultPageLimit}))
 }
 
 // deployErrorStatus maps SDK sentinel errors and badRequest onto HTTP
@@ -958,7 +954,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if pg, ok := parsePage(w, r); ok {
-		writeJSON(w, http.StatusOK, s.deploymentInfoOf(dep, true, pg))
+		writeJSON(w, http.StatusOK, deploymentInfoOf(st, dep, true, pg))
 	}
 }
 
@@ -1003,12 +999,12 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 		return len(evs) > 0
 	}
 	finish := func() {
-		state, msg, sum := dep.view(cursor)
+		state, msg, sum := st.view(dep, cursor)
 		writeEvents(sum) // for a live build, anything emitted between read and check
 		payload, _ := json.Marshal(stateBody{Error: msg, State: state})
 		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
 	}
-	if _, _, settled := dep.status(); settled {
+	if _, _, _, settled := st.status(dep); settled {
 		// A settled deployment's journal is complete and its state final:
 		// replay the events, send the terminal frame, and close.
 		finish()
@@ -1052,7 +1048,7 @@ func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) 
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, errUnsettled):
 		dep.h.Cancel()
-		writeJSON(w, http.StatusAccepted, s.deploymentInfoOf(dep, false, page{}))
+		writeJSON(w, http.StatusAccepted, deploymentInfoOf(st, dep, false, page{}))
 	default:
 		writeRefused(w, err)
 	}

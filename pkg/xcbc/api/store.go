@@ -336,11 +336,12 @@ type campaignSettledRec struct {
 }
 
 // depMirror is one deployment's persistent model, and its routes read its
-// settlement and summary from it. Only apply writes it, under mu; readers
-// take mu alone. Summary is replaced, never written through. Below mu is
-// its live state: the build handle, which owns all mutable build state. One
-// recovery settled has none: a failed one's Events are its journal and
-// day-2 routes answer 422; a ready one gets it from rebuild (see handle).
+// settlement and summary from it (see store.status). Like every row, it is
+// written only by apply and read under st.idx (see store). Summary is
+// replaced, never written through. Below Summary is its live state: the
+// build handle, which owns all mutable build state. One recovery settled
+// has none: a failed one's Events are its journal and day-2 routes answer
+// 422; a ready one gets it from rebuild (see handle).
 type depMirror struct {
 	Created depCreatedRec `json:"created"`
 	Events  []eventInfo   `json:"events,omitempty"`
@@ -348,16 +349,15 @@ type depMirror struct {
 	State   string        `json:"state,omitempty"` // "" while building
 	Error   string        `json:"error,omitempty"`
 	Summary *depSummary   `json:"summary,omitempty"` // once ready
-	mu      sync.Mutex
 
 	h         *xcbc.Handle
 	journaled chan struct{}       // closed once the watcher's settlement is applied; nil without a watcher
 	rebuild   func() *xcbc.Handle // runs once; nil unless recovered ready
-	lost      string              // why recovery could not build it, under mu; it then reads failed
+	lost      string              // why recovery could not build it, under st.idx; it then reads failed
 }
 
 // runMirror is one scenario run's persistent model, and the row its routes
-// serve. Only apply writes it, under mu; readers take mu alone.
+// serve (see runInfoOf).
 type runMirror struct {
 	Started scenarioStartedRec   `json:"started"`
 	Cursor  int                  `json:"cursor"`
@@ -365,7 +365,6 @@ type runMirror struct {
 	State   string               `json:"state,omitempty"` // "" while running
 	Error   string               `json:"error,omitempty"`
 	Result  *xcbc.ScenarioResult `json:"result,omitempty"`
-	mu      sync.Mutex
 }
 
 // fleetMirror is one fleet's persistent model; Runs indexes its runs in
@@ -409,14 +408,12 @@ func (f *fleetMirror) run(id string) *runMirror {
 
 // campaignMirror is one campaign's persistent model, and the row its
 // routes serve: the spec it started with, every per-seed outcome so far
-// (in seed order), and its terminal state once settled. Only apply writes
-// it, under mu; readers take mu alone.
+// (in seed order), and its terminal state once settled.
 type campaignMirror struct {
 	Started  campaignStartedRec         `json:"started"`
 	Outcomes []xcbc.CampaignSeedOutcome `json:"outcomes,omitempty"`
 	State    string                     `json:"state,omitempty"` // "" while running
 	Error    string                     `json:"error,omitempty"`
-	mu       sync.Mutex
 }
 
 // mirror is the store's full persistent model; a snapshot is exactly its
@@ -444,8 +441,8 @@ func newMirror() *mirror {
 // newServer gives every tenant one, and Open attaches the log before the
 // server serves.
 //
-// Lock order: st.mu, then st.idx, then a row's mu; a day-2 op's adapter lock
-// is taken under st.mu (admit). A first use that builds holds none of them.
+// Lock order: st.mu, then st.idx; a day-2 op's adapter lock is taken under
+// st.mu (admit). A first use that builds holds neither.
 type store struct {
 	srv       *Server
 	tn        *tenant
@@ -460,9 +457,10 @@ type store struct {
 	mu    sync.Mutex
 	m     *mirror
 	dirty int // records appended since the last snapshot
-	// idx guards the mirror's maps and each fleet row's Runs: apply, under
-	// mu, takes it to write them, and handlers read them under its read
-	// side, so no read waits on an append.
+	// idx guards the mirror's maps and rows: apply, under mu, takes it to
+	// write them, and handlers read them under its read side, so no read
+	// waits on an append. A reader copies what it renders in one hold of
+	// the read side, and never takes it again while holding it.
 	idx sync.RWMutex
 	// appended, if set, runs under mu between a record's append and its
 	// apply: the stop point of this package's tests. Nil in production.
@@ -620,7 +618,7 @@ func (st *store) emitAll(entries ...entry) error {
 	batch := make([]wal.BatchEntry, 0, 2)
 	for _, e := range entries {
 		if a, ok := e.rec.(admitter); ok {
-			if err := a.admit(st.m, st.tn.quotas); err != nil {
+			if err := a.admit(st); err != nil {
 				return err
 			}
 		}
@@ -696,10 +694,8 @@ func (st *store) logf(format string, args ...any) {
 // The apply methods are the mirror's single transition function, shared by
 // the live path and recovery, so replaying the log always lands on the
 // mirror the crashed server had. Records for unknown resources are
-// dropped. The live path calls them under st.mu and st.idx; recovery
-// before any watcher exists. What routes read of a row — a deployment's
-// settlement, a run, a campaign — the live path also writes under the
-// row's own mu, the only lock its readers take. A created or started
+// dropped. The live path calls them under st.mu and st.idx, which its
+// readers take; recovery before any watcher exists. A created or started
 // record publishes the row its handler built around it; a decoded one
 // builds a new row.
 
@@ -724,8 +720,6 @@ func (r depEventRec) apply(m *mirror) {
 
 func (r depSettledRec) apply(m *mirror) {
 	if d := m.Deployments[r.ID]; d != nil {
-		d.mu.Lock()
-		defer d.mu.Unlock()
 		d.State, d.Error = r.State, r.Error
 		// Nothing reads a ready deployment's journal; any other settlement
 		// brings its own, unless an older binary mirrored it event by event.
@@ -745,9 +739,7 @@ func (r clusterOpRec) apply(m *mirror) {
 		if r.CompatTotal > 0 && d.Summary != nil {
 			sum := *d.Summary
 			sum.CompatPassed, sum.CompatTotal = r.CompatPassed, r.CompatTotal
-			d.mu.Lock()
 			d.Summary = &sum
-			d.mu.Unlock()
 		}
 	}
 }
@@ -781,17 +773,13 @@ func (r scenarioStartedRec) apply(m *mirror) {
 
 func (r scenarioProgressRec) apply(m *mirror) {
 	if run := m.Fleets[r.FleetID].run(r.RunID); run != nil {
-		run.mu.Lock()
 		run.Cursor, run.Hash = r.Cursor, r.Hash
-		run.mu.Unlock()
 	}
 }
 
 func (r scenarioSettledRec) apply(m *mirror) {
 	if run := m.Fleets[r.FleetID].run(r.RunID); run != nil {
-		run.mu.Lock()
 		run.State, run.Error, run.Result = r.State, r.Error, r.Result
-		run.mu.Unlock()
 	}
 }
 
@@ -805,17 +793,13 @@ func (r campaignStartedRec) apply(m *mirror) {
 
 func (r campaignSeedRec) apply(m *mirror) {
 	if c := m.Campaigns[r.ID]; c != nil {
-		c.mu.Lock()
 		c.Outcomes = append(c.Outcomes, r.Outcome)
-		c.mu.Unlock()
 	}
 }
 
 func (r campaignSettledRec) apply(m *mirror) {
 	if c := m.Campaigns[r.ID]; c != nil {
-		c.mu.Lock()
 		c.State, c.Error = r.State, r.Error
-		c.mu.Unlock()
 	}
 }
 
@@ -1034,19 +1018,22 @@ func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
 // recorded request, replays the ops in log order, and returns its handle.
 // A log that is no list of ops, or a build that does not land ready again
 // (deterministic, it should), returns nil, and the deployment reads
-// failed, not half-true. Nothing journals. No op is applied to the row
-// before rebuild returns: a day-2 route waits for it.
+// failed, not half-true. Nothing journals. It reads the log and writes lost
+// under st.idx; a day-2 route waits for it, so no op joins the log first.
 func (st *store) rebuild(dep *depMirror) *xcbc.Handle {
 	fail := func(msg string) *xcbc.Handle {
-		dep.mu.Lock()
+		st.idx.Lock()
 		dep.lost = msg
-		dep.mu.Unlock()
+		st.idx.Unlock()
 		return nil
 	}
 	if err := st.ctx.Err(); err != nil {
 		return fail("recovery rebuild: " + err.Error())
 	}
-	ops, err := parseOps(dep.Ops)
+	st.idx.RLock()
+	l := dep.Ops
+	st.idx.RUnlock()
+	ops, err := parseOps(l)
 	if err != nil {
 		return fail("recovery rebuild: decoding its ops: " + err.Error())
 	}
