@@ -16,7 +16,8 @@
 // that connects during recovery is held in the accept backlog, not refused.
 //
 // With -tenants the control plane becomes multi-tenant: the flag names a
-// JSON file holding an array of tenant declarations —
+// JSON file holding a non-empty array of tenant declarations, with no
+// field but these —
 //
 //	[{"name": "physics", "key": "s3cret",
 //	  "quotas": {"max_deployments": 8, "max_fleets": 4, "max_campaigns": 2},
@@ -143,12 +144,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg := api.Config{Repos: []*repo.Repository{xnit}, Logger: logger,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery, ResumeInterrupted: *resume}
 	if *tenantsPath != "" {
-		raw, err := os.ReadFile(*tenantsPath)
-		if err != nil {
+		if cfg.Tenants, err = readTenants(*tenantsPath); err != nil {
 			return fail(err)
-		}
-		if err := json.Unmarshal(raw, &cfg.Tenants); err != nil {
-			return fail(fmt.Sprintf("parsing %s: %v", *tenantsPath, err))
 		}
 	}
 	srv, rec, err := api.Open(cfg)
@@ -175,6 +172,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "repo-server: shut down cleanly")
 	return 0
+}
+
+// readTenants decodes a -tenants file. It refuses a field no TenantConfig
+// has, a typo that would leave its tenant without the limit it meant, and a
+// file that names no tenant, which would serve in open mode: every key
+// accepted and no quota applied.
+func readTenants(path string) ([]api.TenantConfig, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var tenants []api.TenantConfig
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&tenants); err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the tenant list")
+		}
+	}
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("parsing %s: %v", path, err)
+	case len(tenants) == 0:
+		return nil, fmt.Errorf("%s names no tenant (leave -tenants unset to serve in open mode)", path)
+	}
+	return tenants, nil
 }
 
 // debugMux serves the pprof handlers and nothing else. Importing

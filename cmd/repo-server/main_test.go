@@ -190,3 +190,36 @@ func serveOnce(t *testing.T, args ...string) string {
 	}
 	return stdout.String()
 }
+
+// A -tenants file must name at least one tenant, each with only the fields
+// a TenantConfig has: an empty list would serve in open mode, and a
+// misspelled limit would leave its tenant unlimited. run refuses both
+// before it serves, naming the file; a valid file serves, here until the
+// already-cancelled context shuts it down.
+func TestTenantsFileThatLimitsNothingIsRefused(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name, file string
+		status     int
+	}{
+		{"empty list", `[]`, 1},
+		{"null", `null`, 1},
+		{"misspelled rate limit", `[{"name":"physics","key":"k1","rate_limt":5}]`, 1},
+		{"quota for quotas", `[{"name":"physics","key":"k1","quota":{"max_deployments":2}}]`, 1},
+		{"a second value", `[{"name":"physics","key":"k1"}] []`, 1},
+		{"valid", `[{"name":"physics","key":"k1","quotas":{"max_deployments":2},"rate_limit":5,"burst":10}]`, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tenants.json")
+			if err := os.WriteFile(path, []byte(tc.file), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			status := run(ctx, []string{"-quiet", "-addr", "127.0.0.1:0", "-tenants", path}, &stdout, &stderr)
+			if status != tc.status || tc.status != 0 && !strings.Contains(stderr.String(), path) {
+				t.Errorf("-tenants %s: exit %d, want %d\nstderr: %s", tc.file, status, tc.status, stderr.String())
+			}
+		})
+	}
+}

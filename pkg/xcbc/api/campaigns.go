@@ -87,40 +87,28 @@ func settleState(res *xcbc.CampaignResult, err error) (string, string) {
 	return "passed", ""
 }
 
-// createCampaignRequest starts a sweep of generated scenarios.
-type createCampaignRequest struct {
-	Seeds        int   `json:"seeds"`
-	StartSeed    int64 `json:"start_seed"`
-	Workers      int   `json:"workers"`
-	ShrinkBudget int   `json:"shrink_budget"`
-}
-
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
 	servePage(w, r, "campaigns", st, st.m.Campaigns, campaignInfoOf)
 }
 
-// handleCreateCampaign validates the spec synchronously, then starts the
-// sweep in the background and answers 202 Accepted with the campaign in
-// state "running". Clients poll GET /api/v1/campaigns/{id}.
+// handleCreateCampaign decodes and validates the spec synchronously, then
+// starts the sweep in the background and answers 202 Accepted with the
+// campaign in state "running". Clients poll GET /api/v1/campaigns/{id}.
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	var req createCampaignRequest
-	if !decodeBody(w, r, &req) {
+	var spec xcbc.CampaignSpec
+	if !decodeBody(w, r, &spec) {
 		return
 	}
-	if req.Seeds > maxCampaignSeeds {
+	if spec.Seeds > maxCampaignSeeds {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("seeds exceeds the per-campaign cap of %d", maxCampaignSeeds))
 		return
 	}
-	if req.Workers > maxCampaignWorkers {
+	if spec.Workers > maxCampaignWorkers {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("workers exceeds the cap of %d", maxCampaignWorkers))
 		return
-	}
-	spec := xcbc.CampaignSpec{
-		Seeds: req.Seeds, StartSeed: req.StartSeed,
-		Workers: req.Workers, ShrinkBudget: req.ShrinkBudget,
 	}
 	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -166,12 +154,9 @@ func (s *Server) executeCampaign(st *store, row *campaignMirror) {
 // the shrunk repros.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	row := lookup(st, st.m.Campaigns, r.PathValue("id"))
-	if row == nil {
-		writeError(w, http.StatusNotFound, "unknown campaign")
-		return
+	if row := found(w, r, st, st.m.Campaigns, "campaign"); row != nil {
+		writeJSON(w, http.StatusOK, campaignInfoOf(st, row))
 	}
-	writeJSON(w, http.StatusOK, campaignInfoOf(st, row))
 }
 
 // recoverCampaign settles a campaign in flight at the crash as

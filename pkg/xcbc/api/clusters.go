@@ -63,9 +63,8 @@ type stateBody struct {
 // make it operable — the record exists only for inspection and deletion.
 func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *depMirror, *tenant, bool) {
 	tn := s.tenant(r)
-	dep := lookup(tn.store, tn.store.m.Deployments, r.PathValue("id"))
+	dep := found(w, r, tn.store, tn.store.m.Deployments, "cluster")
 	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown cluster")
 		return nil, nil, nil, false
 	}
 	cl, st, berr, settled := tn.store.cluster(dep)
@@ -369,11 +368,11 @@ type advanceInfo struct {
 const maxAdvance = 90 * 24 * time.Hour
 
 // handleOp serves the route of one day-2 op kind: it decodes the request
-// into the op's journal record and emits it, and the record's admit runs
-// the op (see runOp). A submit answers 201, the rest 200.
+// into the op's journal record, and operate runs it. A submit answers 201,
+// the rest 200.
 func (s *Server) handleOp(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		_, dep, tn, ok := s.openCluster(w, r)
+		cl, dep, tn, ok := s.openCluster(w, r)
 		if !ok {
 			return
 		}
@@ -396,21 +395,45 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		if err := tn.store.emit(recClusterOp, &op); err != nil {
+		body, err := tn.store.operate(cl, &op)
+		if err != nil {
 			writeRefused(w, err)
 			return
 		}
-		writeJSON(w, status, op.body)
+		writeJSON(w, status, body)
 	}
+}
+
+// operate runs op on cl, its deployment's cluster. A read ends there. Any
+// other op holds its deployment's op lock from the check that the log takes
+// writes until its record is applied, so one deployment's ops, which replay
+// alone (rebuild), reach the log in the order they ran. One whose append
+// fails after it ran stays live behind the 503 until a restart.
+func (st *store) operate(cl *xcbc.Cluster, op *clusterOpRec) (body any, err error) {
+	if !op.read() {
+		op.dep.opMu.Lock()
+		defer op.dep.opMu.Unlock()
+		if err := st.refusing(recClusterOp); err != nil {
+			return nil, err
+		}
+	}
+	if body, err = runOp(cl, op); err != nil {
+		return nil, refusal{deployErrorStatus(err), err}
+	}
+	if !op.read() {
+		err = st.emit(recClusterOp, op)
+	}
+	return body, err
 }
 
 // runOp checks one day-2 op, runs it against cl and renders the body its
 // route answers; a submit also records the job ID it got, and an update
-// that applies packages the compat counts it left. The op's admit and
+// that applies packages the compat counts it left. The op's route and
 // recovery's replay both call it, so a replayed op is checked and run
-// exactly as it was live, in its original order: job IDs, the virtual
-// clock and the polls it ran land where they were.
-func runOp(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
+// exactly as it was live, in its deployment's original order: job IDs, the
+// virtual clock and the polls it ran land where they were. This package's
+// tests hold an op mid-run through it.
+var runOp = func(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
 	switch op.Op {
 	case "job.submit":
 		req := op.Job

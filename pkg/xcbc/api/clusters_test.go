@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xcbc/internal/repo"
 	"xcbc/pkg/xcbc"
 )
 
@@ -571,13 +572,44 @@ func TestXNITClusterUpdates(t *testing.T) {
 	}
 }
 
-// TestReadsAnswerWhileARecordIsParked: metrics and alerts are reads, so
-// they take no store lock. With a submit to the same cluster parked at the
-// store's stop point — logged, not applied, st.mu held — both answer 200.
+// TestReadsAnswerWhileARecordIsParked: every GET route is a read, the
+// default update check, which only notifies, among them. With a submit to
+// the cluster parked at the store's stop point — logged, not applied, st.mu
+// and the deployment's op lock held — each GET of the route table, its ids
+// naming real resources, answers 200 and journals nothing. An update check
+// with an applying policy is an op, and is left out.
 func TestReadsAnswerWhileARecordIsParked(t *testing.T) {
-	s, _ := openDurable(t, t.TempDir())
+	xnit, err := xcbc.NewXNITRepository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := openDurable(t, t.TempDir(), func(c *Config) { c.Repos = []*repo.Repository{xnit} })
 	defer s.Close()
 	id := deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+	for _, w := range []struct{ path, body, settled string }{
+		{"/api/v1/clusters/" + id + "/jobs", `{"cores":1}`, ""},
+		{"/api/v1/fleets", `{"name":"tiny","members":2,"nodes":2,"workers":2}`, "/api/v1/fleets/f1"},
+		{"/api/v1/fleets/f1/scenarios", `{"scenario": ` + smallScenario + `}`, "/api/v1/fleets/f1/scenarios/s1"},
+		{"/api/v1/campaigns", `{"seeds":1,"workers":1}`, "/api/v1/campaigns/c1"},
+	} {
+		if rec := do(t, s, "POST", w.path, w.body, nil); rec.Code >= 300 {
+			t.Fatalf("POST %s: %d %s", w.path, rec.Code, rec.Body.String())
+		}
+		if w.settled != "" {
+			awaitSettled[struct{ State string }](t, s, "", w.settled)
+		}
+	}
+	ids := map[string]string{"repos": xnit.ID, "deployments": id, "clusters": id, "fleets": "f1", "campaigns": "c1"}
+	var paths []string
+	for _, rt := range s.routes {
+		if rt.Method == "GET" {
+			seg := strings.Split(rt.Path, "/") // "", "api", "v1", kind, "{id}", …
+			if len(seg) > 4 {
+				seg[4] = ids[seg[3]]
+			}
+			paths = append(paths, strings.NewReplacer("{sid}", "s1", "{jid}", "1").Replace(strings.Join(seg, "/")))
+		}
+	}
 	parked, release := parkAt(s.openTenant.store, recClusterOp)
 	defer release()
 	submitted := make(chan int, 1)
@@ -587,17 +619,21 @@ func TestReadsAnswerWhileARecordIsParked(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("the submit logged no cluster.op")
 	}
-	for _, route := range []string{"/metrics", "/alerts"} {
-		read := make(chan int, 1)
-		go func() { read <- do(t, s, "GET", "/api/v1/clusters/"+id+route, "", nil).Code }()
+	seq := s.openTenant.store.log.Stats().NextSeq
+	for _, path := range paths {
+		read := make(chan *httptest.ResponseRecorder, 1)
+		go func() { read <- do(t, s, "GET", path, "", nil) }()
 		select {
-		case code := <-read:
-			if code != http.StatusOK {
-				t.Errorf("GET %s with a record parked = %d, want 200", route, code)
+		case rec := <-read:
+			if rec.Code != http.StatusOK {
+				t.Errorf("GET %s with a record parked = %d %s, want 200", path, rec.Code, rec.Body.String())
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("GET %s waited on the parked record", route)
+			t.Fatalf("GET %s waited on the parked record", path)
 		}
+	}
+	if got := s.openTenant.store.log.Stats().NextSeq; got != seq {
+		t.Errorf("%d GETs journaled %d records, want none", len(paths), got-seq)
 	}
 	release()
 	if code := <-submitted; code != http.StatusCreated {

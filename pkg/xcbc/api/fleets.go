@@ -157,12 +157,9 @@ func fleetSpecOf(req createFleetRequest) xcbc.FleetSpec {
 
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	f := lookup(st, st.m.Fleets, r.PathValue("id"))
-	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet")
-		return
+	if f := found(w, r, st, st.m.Fleets, "fleet"); f != nil {
+		writeJSON(w, http.StatusOK, fleetInfoOf(st, f, true))
 	}
-	writeJSON(w, http.StatusOK, fleetInfoOf(st, f, true))
 }
 
 // handleDeleteFleet mirrors the deployment contract: an unsettled fleet is
@@ -171,15 +168,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // executing cannot be removed — deleting it would orphan the run and its
 // trace — so that answers 409 until the run settles.
 func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	st := s.tenant(r).store
-	f := lookup(st, st.m.Fleets, id)
+	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
 	fl := f.fleet() // a first use provisions, so before emit
-	switch err := st.emit(recFleetDeleted, &fleetDeletedRec{ID: id}); {
+	switch err := st.emit(recFleetDeleted, &fleetDeletedRec{ID: f.Created.ID}); {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, errUnsettled):
@@ -269,9 +264,8 @@ func writeRunInfo(w http.ResponseWriter, info scenarioRunInfo) {
 // so a second request while one is live answers 409 Conflict.
 func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
 	var req runScenarioRequest
@@ -393,9 +387,8 @@ func (s *Server) executeRun(st *store, f *fleetMirror, run *runMirror, sc *xcbc.
 // page's next cursor the cursor, as every listing's.
 func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
 	pg, ok := parsePage(w, r)
@@ -415,9 +408,8 @@ func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
 // ride along once the run settles (pass back next_cursor to page).
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	f := lookup(st, st.m.Fleets, r.PathValue("id"))
+	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet")
 		return
 	}
 	st.idx.RLock()

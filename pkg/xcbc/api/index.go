@@ -6,8 +6,7 @@ package api
 // record that publishes or removes a resource is admitted in emit's
 // critical section, before it is appended: admit checks the tenant's quota,
 // a build still running or a run in flight, and gives a create its ID from
-// the mirror's counter. A day-2 op's admit runs the op, so ops run in log
-// order.
+// the mirror's counter.
 
 import (
 	"errors"
@@ -98,14 +97,10 @@ func (r *scenarioStartedRec) admit(st *store) error {
 	return nil
 }
 
-// admit runs the op on its route's cluster; its error is the route's status.
-func (r *clusterOpRec) admit(st *store) (err error) {
+// admit refuses an op whose deployment was deleted while its route ran it.
+func (r *clusterOpRec) admit(st *store) error {
 	if st.m.Deployments[r.ID] != r.dep {
 		return errNoDeployment
-	}
-	cl, _, _, _ := st.cluster(r.dep)
-	if r.body, err = runOp(cl, r); err != nil {
-		return refusal{deployErrorStatus(err), err}
 	}
 	return nil
 }
@@ -139,6 +134,16 @@ func lookup[T any](st *store, index map[string]*T, id string) *T {
 	st.idx.RLock()
 	defer st.idx.RUnlock()
 	return index[id]
+}
+
+// found is lookup of the route's {id}: nil, answered 404 "unknown kind",
+// if the tenant holds none.
+func found[T any](w http.ResponseWriter, r *http.Request, st *store, index map[string]*T, kind string) *T {
+	row := lookup(st, index, r.PathValue("id"))
+	if row == nil {
+		writeError(w, http.StatusNotFound, "unknown "+kind)
+	}
+	return row
 }
 
 // pageOf selects one page of a mirror index under the store's read lock:

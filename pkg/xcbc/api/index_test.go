@@ -249,6 +249,68 @@ func TestOpOnADeletedDeploymentIsRefused(t *testing.T) {
 	}
 }
 
+// TestOneDeploymentsOpHoldsNoTenantWriteRecord holds d1's advance mid-run,
+// in runOp, with a gate the test controls. The op holds its deployment's op
+// lock and nothing of the tenant's, so meanwhile the tenant creates a
+// deployment, deletes d2, submits to d3 and checks d1's updates, a read that
+// journals nothing. Then d1 is deleted under the op: let go, it answers 404
+// and logs nothing, as TestOpOnADeletedDeploymentIsRefused's emit does.
+func TestOneDeploymentsOpHoldsNoTenantWriteRecord(t *testing.T) {
+	s, _ := openDurable(t, t.TempDir())
+	defer s.Close()
+	for range 3 {
+		deployReady(t, s, `{"cluster":"littlefe","scheduler":"torque"}`)
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	run := runOp
+	runOp = func(cl *xcbc.Cluster, op *clusterOpRec) (any, error) {
+		if op.Op == "advance" {
+			close(entered)
+			<-gate
+		}
+		return run(cl, op)
+	}
+	defer func() { runOp = run }()
+	advanced := make(chan int, 1)
+	go func() { advanced <- do(t, s, "POST", "/api/v1/clusters/d1/advance", `{"duration":"24h"}`, nil).Code }()
+	select {
+	case <-entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the advance never ran")
+	}
+	st := s.openTenant.store
+	answers := func(method, path, body string, want int) {
+		t.Helper()
+		got := make(chan int, 1)
+		go func() { got <- do(t, s, method, path, body, nil).Code }()
+		select {
+		case code := <-got:
+			if code != want {
+				t.Errorf("%s %s with d1's op held = %d, want %d", method, path, code, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s %s waited on d1's op", method, path)
+		}
+	}
+	answers("POST", "/api/v1/deployments", `{"cluster":"littlefe"}`, http.StatusAccepted)
+	pollDeployment(t, s, "d4") // settled, so no record of its build lands below
+	answers("DELETE", "/api/v1/deployments/d2", "", http.StatusNoContent)
+	answers("POST", "/api/v1/clusters/d3/jobs", `{"cores":1}`, http.StatusCreated)
+	seq := st.log.Stats().NextSeq
+	answers("GET", "/api/v1/clusters/d1/updates", "", http.StatusOK)
+	if got := st.log.Stats().NextSeq; got != seq {
+		t.Errorf("d1's update check journaled %d records, want none", got-seq)
+	}
+	answers("DELETE", "/api/v1/deployments/d1", "", http.StatusNoContent)
+	seq = st.log.Stats().NextSeq
+	release()
+	if code := <-advanced; code != http.StatusNotFound || st.log.Stats().NextSeq != seq {
+		t.Errorf("the advance on deleted d1 = %d with %d records logged, want 404 with none", code, st.log.Stats().NextSeq-seq)
+	}
+}
+
 // TestRefusedSettlementRecordEndsNoStream has the log refuse a build's
 // deployment.settled: the deployment reads building, as it will after a
 // restart, and its event stream does not end on a terminal frame.

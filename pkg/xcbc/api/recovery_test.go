@@ -190,9 +190,9 @@ func TestRecoveryEquivalentOnFirstUse(t *testing.T) {
 			call("GET", cl+"/metrics", "", http.StatusOK) // a read, not an op
 		}
 		if i%7 == 3 {
-			call("GET", cl+"/updates?policy=notify", "", http.StatusOK)
+			call("GET", cl+"/updates?policy=notify", "", http.StatusOK) // a read too
 			call("POST", cl+"/jobs", `{"name":"after-updates","cores":1}`, http.StatusCreated)
-			ops += 2
+			ops++
 		}
 	}
 	want := recoveredBodies(t, s)
@@ -766,10 +766,11 @@ func TestRestartKeepsCompatOfAppliedUpdates(t *testing.T) {
 }
 
 // TestRecoveryShedsJournaledReads: an older binary journaled each metrics
-// and alerts read as a cluster.op, and testdata/datadir-parent's log holds
-// one metrics read. Recovery drops it instead of replaying it, so a
-// snapshot taken after recovery carries no read, and the jobs the rebuild
-// replays are the same once that snapshot is all a restart has.
+// and alerts read and each notify update check as a cluster.op, and
+// testdata/datadir-parent's log holds a metrics read and a notify check.
+// Recovery drops them instead of replaying them, so a snapshot taken after
+// recovery carries no read, and the jobs the rebuild replays are the same
+// once that snapshot is all a restart has.
 func TestRecoveryShedsJournaledReads(t *testing.T) {
 	var failing atomic.Bool
 	cfg := pinConfig(&failing)
@@ -781,9 +782,9 @@ func TestRecoveryShedsJournaledReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// d1 journaled 7 ops, one of them the metrics read.
-	if rep.Records == 0 || rep.OpsReplayed != 6 {
-		t.Fatalf("recovery report = %+v, want a log tail and 6 ops replayed", rep)
+	// d1 journaled 7 ops, two of them reads.
+	if rep.Records == 0 || rep.OpsReplayed != 5 {
+		t.Fatalf("recovery report = %+v, want a log tail and 5 ops replayed", rep)
 	}
 	jobs := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
 	st := s.openTenant.store
@@ -813,8 +814,8 @@ func TestRecoveryShedsJournaledReads(t *testing.T) {
 	if d1 != nil {
 		ops, err = parseOps(d1.Ops)
 	}
-	if len(rec.Records) != 0 || err != nil || len(ops) != 6 || slices.ContainsFunc(ops, clusterOpRec.read) {
-		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v (%v), want 6 ops and no read", len(rec.Records), ops, err)
+	if len(rec.Records) != 0 || err != nil || len(ops) != 5 || slices.ContainsFunc(ops, clusterOpRec.read) {
+		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v (%v), want 5 ops and no read", len(rec.Records), ops, err)
 	}
 
 	s, _, err = Open(cfg)

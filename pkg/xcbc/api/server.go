@@ -629,23 +629,13 @@ func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
 	}{mapSlice(s.set.Configs(), repoInfoOf)})
 }
 
-// lookupConfig finds the config for a repository ID.
-func (s *Server) lookupConfig(id string) (repo.Config, bool) {
-	for _, c := range s.set.Configs() {
-		if c.Repo.ID == id {
-			return c, true
-		}
-	}
-	return repo.Config{}, false
-}
-
 func (s *Server) handleRepo(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookupConfig(r.PathValue("id"))
-	if !ok {
+	configs, id := s.set.Configs(), r.PathValue("id")
+	if i := slices.IndexFunc(configs, func(c repo.Config) bool { return c.Repo.ID == id }); i >= 0 {
+		writeJSON(w, http.StatusOK, repoInfoOf(configs[i]))
+	} else {
 		writeError(w, http.StatusNotFound, "unknown repository")
-		return
 	}
-	writeJSON(w, http.StatusOK, repoInfoOf(c))
 }
 
 // packageInfo is the JSON shape of one package record.
@@ -948,13 +938,10 @@ func deployErrorStatus(err error) int {
 // passing back next_cursor.
 func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	dep := lookup(st, st.m.Deployments, r.PathValue("id"))
-	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown deployment")
-		return
-	}
-	if pg, ok := parsePage(w, r); ok {
-		writeJSON(w, http.StatusOK, deploymentInfoOf(st, dep, true, pg))
+	if dep := found(w, r, st, st.m.Deployments, "deployment"); dep != nil {
+		if pg, ok := parsePage(w, r); ok {
+			writeJSON(w, http.StatusOK, deploymentInfoOf(st, dep, true, pg))
+		}
 	}
 }
 
@@ -964,9 +951,8 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 // closes. ?cursor=N resumes mid-journal.
 func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) {
 	st := s.tenant(r).store
-	dep := lookup(st, st.m.Deployments, r.PathValue("id"))
+	dep := found(w, r, st, st.m.Deployments, "deployment")
 	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -1036,14 +1022,12 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 // observed settling — while a terminal deployment is removed (204) once
 // its deployment.deleted is journaled.
 func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	st := s.tenant(r).store
-	dep := lookup(st, st.m.Deployments, id)
+	dep := found(w, r, st, st.m.Deployments, "deployment")
 	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown deployment")
 		return
 	}
-	switch err := st.emit(recDeploymentDeleted, &depDeletedRec{ID: id}); {
+	switch err := st.emit(recDeploymentDeleted, &depDeletedRec{ID: dep.Created.ID}); {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, errUnsettled):

@@ -150,9 +150,9 @@ type (
 
 // clusterOpRec records one replayable day-2 mutation against a ready
 // cluster; Op selects its meaningful fields, and an update that applies
-// packages carries the compat counts it left, for the row. admit runs it on
-// dep's cluster and keeps the body; a record recovery reads from the log
-// tail keeps its payload, enc. The mirror keeps none of them, nor the ID.
+// packages carries the compat counts it left, for the row. dep is the row
+// its route ran it on; a record recovery reads from the log tail keeps its
+// payload, enc. The mirror keeps neither, nor the ID.
 type clusterOpRec struct {
 	ID           string            `json:"id,omitempty"`
 	Op           string            `json:"op"` // job.submit | job.cancel | advance | updates
@@ -164,14 +164,16 @@ type clusterOpRec struct {
 	CompatPassed int               `json:"compat_passed,omitempty"`
 	CompatTotal  int               `json:"compat_total,omitempty"`
 	dep          *depMirror
-	body         any
 	enc          []byte
 }
 
-// read reports whether op is a metrics or alerts read, which an older
-// binary journaled as an op. Reads are no longer written, so recovery
-// drops the ones an older DataDir holds, as it drops fleet.member.
-func (op clusterOpRec) read() bool { return op.Op == "metrics" || op.Op == "alerts" }
+// read reports whether op changes nothing: a metrics or alerts read, or an
+// update check that only notifies, which an older binary journaled as ops.
+// Reads are not written, so recovery drops the ones an older DataDir holds,
+// as it drops fleet.member.
+func (op clusterOpRec) read() bool {
+	return op.Op == "metrics" || op.Op == "alerts" || op.Op == "updates" && (op.Policy == "" || op.Policy == "notify")
+}
 
 // opLog is a ready deployment's day-2 ops in log order, kept as the JSON
 // array a snapshot holds them in: apply appends each op as json.Marshal
@@ -194,8 +196,8 @@ func (l *opLog) UnmarshalJSON(data []byte) error {
 }
 
 // scan reads a log in one validating pass that counts its ops and finds a
-// read by each op's op value. null or [] is the empty log, which the row
-// omits.
+// read by each op's op value alone, so any update check may be one. null
+// or [] is the empty log, which the row omits.
 func (l *opLog) scan(r *jsonread.Reader) {
 	*l = opLog{}
 	if r.Null() {
@@ -354,6 +356,7 @@ type depMirror struct {
 	journaled chan struct{}       // closed once the watcher's settlement is applied; nil without a watcher
 	rebuild   func() *xcbc.Handle // runs once; nil unless recovered ready
 	lost      string              // why recovery could not build it, under st.idx; it then reads failed
+	opMu      sync.Mutex          // orders its day-2 ops (see store.operate); guards no field
 }
 
 // runMirror is one scenario run's persistent model, and the row its routes
@@ -441,8 +444,9 @@ func newMirror() *mirror {
 // newServer gives every tenant one, and Open attaches the log before the
 // server serves.
 //
-// Lock order: st.mu, then st.idx; a day-2 op's adapter lock is taken under
-// st.mu (admit). A first use that builds holds neither.
+// Lock order: a deployment's op lock (depMirror.opMu), then st.mu, then
+// st.idx; a day-2 op's adapter lock is taken under its op lock, never under
+// st.mu. A first use that builds holds none of them.
 type store struct {
 	srv       *Server
 	tn        *tenant
@@ -610,10 +614,8 @@ type entry struct {
 func (st *store) emitAll(entries ...entry) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.log != nil {
-		if err := st.log.Err(); !st.wrote("append ", entries[0].typ, err) {
-			return err
-		}
+	if err := st.refusing(entries[0].typ); err != nil {
+		return err
 	}
 	batch := make([]wal.BatchEntry, 0, 2)
 	for _, e := range entries {
@@ -652,6 +654,15 @@ func (st *store) emitAll(entries ...entry) error {
 		}
 	}
 	return nil
+}
+
+// refusing is a failed or closed log's refusal of a record of type typ.
+func (st *store) refusing(typ string) (err error) {
+	if st.log != nil {
+		err = st.log.Err()
+		st.wrote("append ", typ, err)
+	}
+	return err
 }
 
 // encodeRecord is the payload emit logs for rec, decodeRecord's inverse.

@@ -132,9 +132,9 @@ func TestDurableDeploymentRestart(t *testing.T) {
 		t.Fatalf("settled %q: %s", final.State, final.Error)
 	}
 
-	// Day-2 operations a restart must replay: two submits, one cancel, a
-	// clock advance and an update check. The metrics read among them is
-	// not an op and journals nothing.
+	// Day-2 operations a restart must replay: two submits, one cancel and a
+	// clock advance. The metrics read and the default update check, which
+	// only notifies, are reads among them: they journal nothing.
 	for _, op := range []struct{ method, path, body string }{
 		{"POST", "/api/v1/clusters/d1/jobs", `{"name":"relax","user":"alice","cores":2,"walltime":"1h","runtime":"20m"}`},
 		{"POST", "/api/v1/clusters/d1/jobs", `{"name":"blast","user":"bob","cores":1,"walltime":"30m","runtime":"10m"}`},
@@ -155,8 +155,8 @@ func TestDurableDeploymentRestart(t *testing.T) {
 
 	s2, rep2 := openDurable(t, dir)
 	defer s2.Close()
-	if rep2.Deployments != 1 || rep2.Rebuilt != 1 || rep2.OpsReplayed != 5 {
-		t.Fatalf("recovery report = %+v, want 1 deployment rebuilt with 5 ops", rep2)
+	if rep2.Deployments != 1 || rep2.Rebuilt != 1 || rep2.OpsReplayed != 4 {
+		t.Fatalf("recovery report = %+v, want 1 deployment rebuilt with 4 ops", rep2)
 	}
 	var after deploymentInfo
 	if rec := do(t, s2, "GET", "/api/v1/deployments/d1", "", &after); rec.Code != http.StatusOK {

@@ -519,11 +519,12 @@ func TestTenantConfigRefused(t *testing.T) {
 	}
 }
 
-// FuzzTenantConfig feeds arbitrary bytes through what repo-server -tenants
-// does with its file — json.Unmarshal into []TenantConfig, then
-// buildTenants — which must never panic, and whatever config it accepts
-// has valid, distinct names, distinct non-empty keys and no negative
-// field. The seeds are a valid two-tenant file and every refusal.
+// FuzzTenantConfig feeds arbitrary bytes through json.Unmarshal into
+// []TenantConfig, then buildTenants — the checks under repo-server -tenants,
+// which also refuses an unknown field or a file naming no tenant — which
+// must never panic, and whatever config it accepts has valid, distinct
+// names, distinct non-empty keys and no negative field. The seeds are a
+// valid two-tenant file and every refusal.
 func FuzzTenantConfig(f *testing.F) {
 	valid, err := json.Marshal([]TenantConfig{
 		{Name: "alpha", Key: "alpha-key", Quotas: Quotas{MaxDeployments: 4, MaxFleets: 1}, RateLimit: 2.5, Burst: 3},
