@@ -1,10 +1,12 @@
 package main
 
-// clusterctl load — drive a control-plane server with internal/loadgen's
-// deterministic seeded request mix and print wrk-style results. The mix
-// is read-mostly (paginated lists, discovery, durability status) plus a
-// depsolve POST, so it is safe to point at a server holding real state:
-// it creates and deletes nothing.
+// clusterctl load — replay internal/loadgen's deterministic seeded request
+// mix against a control-plane server on bench/work's closed-loop runner
+// and print wrk-style results, with exact nearest-rank latency quantiles.
+// The mix is read-mostly (paginated lists, discovery, durability status)
+// plus a depsolve POST, so it is safe to point at a server holding real
+// state: it creates and deletes nothing. A run keeps 16 B per request, so
+// -n is capped at 10,000,000.
 
 import (
 	"flag"
@@ -12,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"xcbc/internal/loadgen"
 )
@@ -20,29 +23,19 @@ func loadCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	server := fs.String("server", "http://localhost:8080", "control-plane base URL")
-	n := fs.Int("n", 1000, "total requests to issue")
+	n := fs.Int("n", 1000, "total requests to issue (at most 10,000,000)")
 	workers := fs.Int("workers", 8, "concurrent workers")
 	seed := fs.Uint64("seed", 1, "seed for the deterministic request mix")
 	keyFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	var hdr http.Header
-	if apiKey != "" {
-		hdr = http.Header{"Authorization": {"Bearer " + apiKey}}
-	}
 	res, err := loadgen.Run(loadgen.Spec{
-		BaseURL: strings.TrimRight(*server, "/"),
-		Header:  hdr,
-		Mix: []loadgen.Request{
-			{Method: "GET", Path: "/api/v1/fleets", Weight: 5},
-			{Method: "GET", Path: "/api/v1/deployments", Weight: 4},
-			{Method: "GET", Path: "/api/v1/fleets?limit=10", Weight: 2},
-			{Method: "GET", Path: "/api/v1/scenarios", Weight: 2},
-			{Method: "GET", Path: "/api/v1/store", Weight: 1},
-			{Method: "GET", Path: "/api/v1", Weight: 1},
-			{Method: "POST", Path: "/api/v1/depsolve", Body: `{"install":["gromacs"]}`, Weight: 1},
+		Doer: loadgen.URL{
+			Base:   strings.TrimRight(*server, "/"),
+			Client: &http.Client{Timeout: 10 * time.Second},
 		},
+		Mix:      loadgen.Mix(apiKey),
 		Workers:  *workers,
 		Requests: *n,
 		Seed:     *seed,

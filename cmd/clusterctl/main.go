@@ -38,10 +38,10 @@
 //
 // Servers running with tenants configured require an API key on every
 // request; pass it with -api-key (or $CLUSTERCTL_API_KEY). The load
-// subcommand replays a deterministic seeded read-mostly request mix
-// through a bounded worker pool (internal/loadgen) and prints wrk-style
-// throughput and latency quantiles; it exits 1 if any response falls
-// outside 2xx/429.
+// subcommand replays internal/loadgen's deterministic seeded read-mostly
+// request mix on bench/work's closed-loop runner, one client per worker,
+// and prints wrk-style throughput and exact latency quantiles; it exits 1
+// if any response falls outside 2xx/429, or if -n is over 10,000,000.
 //
 // When the target deployment is still pending or building the server
 // answers 409 Conflict; clusterctl prints the state with a wait hint and

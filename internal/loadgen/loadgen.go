@@ -1,224 +1,149 @@
-// Package loadgen is a wrk-style HTTP load driver with no dependencies
-// outside the standard library. It exists so the control plane's
-// admission and pagination behavior can be proven under concurrency by
-// in-repo benchmarks and smoke tests rather than asserted: a bounded
-// worker pool replays a deterministic seeded request mix against an
-// http.Handler (in process, no sockets) or a base URL (over the wire),
-// and reports throughput plus a latency histogram (p50/p90/p99).
-//
-// Determinism contract: the request *sequence* is a pure function of
-// (Spec.Seed, Spec.Workers, Spec.Requests, Spec.Mix) — each worker draws
-// from its own rand/v2 PCG stream, so which requests are issued (and per
-// worker, in what order) never varies run to run. Latencies and the
-// interleaving across workers are wall-clock facts and do vary; status
-// counts vary only if the server itself is load-sensitive (rate limits),
-// which is exactly what the driver is for measuring.
+// Package loadgen is the control plane's load mix, run on bench/work's
+// closed-loop runner by `clusterctl load` and the root package's load
+// tests: one work.Conn per worker, one work.Sample per request, quantiles
+// by work.Percentile. Request i of a run is a pure function of (Spec.Seed,
+// i, Spec.Mix); which worker issues it, and the latencies, are not.
 package loadgen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand/v2"
 	"net/http"
-	"net/http/httptest"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
+
+	"xcbc/bench/work"
 )
 
-// Request is one entry in the weighted request mix.
-type Request struct {
-	Method string
-	Path   string // absolute path, may carry a query string
-	Body   string // request body; empty means none
-	Header http.Header
-	Weight int // relative frequency in the mix; <=0 counts as 1
+// Mix returns the read-mostly control-plane mix once per key, each copy
+// sending that key. It creates and deletes nothing, so it is safe against a
+// server holding real state. Its fleets page is bench/'s read_mix page.
+func Mix(keys ...string) []work.Request {
+	routes := []struct {
+		weight int
+		work.Request
+	}{
+		{5, work.Request{Method: "GET", Path: "/api/v1/fleets"}},
+		{4, work.Request{Method: "GET", Path: "/api/v1/deployments"}},
+		{2, work.Request{Method: "GET", Path: "/api/v1/fleets?limit=2"}},
+		{2, work.Request{Method: "GET", Path: "/api/v1/scenarios"}},
+		{1, work.Request{Method: "GET", Path: "/api/v1/store"}},
+		{1, work.Request{Method: "GET", Path: "/api/v1"}},
+		{1, work.Request{Method: "POST", Path: "/api/v1/depsolve", Body: `{"install":["gromacs"]}`}},
+	}
+	var mix []work.Request
+	for _, key := range keys {
+		for _, r := range routes {
+			r.Key = key
+			for range r.weight {
+				mix = append(mix, r.Request)
+			}
+		}
+	}
+	return mix
 }
 
-// Spec configures one load run. Exactly one of Handler and BaseURL must
-// be set.
+// Spec configures one load run.
 type Spec struct {
-	Handler http.Handler // in-process target (no sockets, no syscalls)
-	BaseURL string       // network target, e.g. "http://127.0.0.1:8080"
-	Client  *http.Client // for BaseURL mode; nil uses a 10s-timeout client
-
-	Mix      []Request   // weighted request mix; at least one entry
-	Header   http.Header // applied to every request (e.g. Authorization)
-	Workers  int         // pool size; <=0 means 8
-	Requests int         // total requests across all workers; <=0 means 1000
-	Seed     uint64      // base seed for the deterministic request sequence
+	Doer     work.Doer      // where requests go, shared by every worker
+	Mix      []work.Request // drawn uniformly: list an entry k times to weight it k
+	Workers  int            // closed-loop clients; <=0 means 8
+	Requests int            // total requests; <=0 means 1000, at most 10,000,000
+	Seed     uint64
 }
 
 // Result is what one load run measured.
 type Result struct {
-	Requests  int
-	Elapsed   time.Duration
-	ReqPerSec float64
-	Status    map[int]int // status code -> responses
-	Errors    int         // transport failures (BaseURL mode only)
-
+	Requests           int
+	Elapsed            time.Duration
+	Status             map[int]int // status code -> responses
+	Errors             int         // transport failures
 	P50, P90, P99, Max time.Duration
-
-	hist *histogram
 }
 
-// Run drives Spec.Requests requests through a pool of Spec.Workers
-// workers and blocks until every response has been read.
+// Run issues Spec.Requests requests through Spec.Workers closed-loop
+// clients and returns once every response has been read. A transport error
+// or a status outside 2xx and 429 fails its request; none is retried.
 func Run(spec Spec) (*Result, error) {
-	if (spec.Handler == nil) == (spec.BaseURL == "") {
-		return nil, errors.New("loadgen: exactly one of Handler and BaseURL must be set")
+	n := cmp.Or(max(spec.Requests, 0), 1000)
+	switch {
+	case spec.Doer == nil || len(spec.Mix) == 0:
+		return nil, errors.New("loadgen: a run needs a Doer and a non-empty mix")
+	case n > 10_000_000:
+		return nil, fmt.Errorf("loadgen: %d requests is over the cap of 10,000,000 (a run keeps a 16 B sample per request)", n)
 	}
-	if len(spec.Mix) == 0 {
-		return nil, errors.New("loadgen: empty request mix")
+	runner := &work.Runner{W: &workload{mix: spec.Mix, seed: spec.Seed}}
+	tallies := make([]tally, min(cmp.Or(max(spec.Workers, 0), 8), n))
+	for k := range tallies {
+		tallies[k] = tally{doer: spec.Doer, status: map[int]int{}}
+		runner.Conns = append(runner.Conns, work.NewConn(&tallies[k], nil, nil))
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	total := spec.Requests
-	if total <= 0 {
-		total = 1000
-	}
-	if workers > total {
-		workers = total
-	}
-	client := spec.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-
-	// Cumulative weights for O(log n) weighted choice.
-	cum := make([]int, len(spec.Mix))
-	sum := 0
-	for i, req := range spec.Mix {
-		w := req.Weight
-		if w <= 0 {
-			w = 1
-		}
-		sum += w
-		cum[i] = sum
-	}
-
-	// Static request split: worker w issues its share of the total, so
-	// the issued set is independent of scheduling.
-	per := total / workers
-	extra := total % workers
-
-	type shard struct {
-		hist   *histogram
-		status map[int]int
-		errs   int
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			sh := &shards[w]
-			sh.hist = newHistogram()
-			sh.status = make(map[int]int)
-			rng := rand.New(rand.NewPCG(spec.Seed, uint64(w)))
-			for i := 0; i < n; i++ {
-				req := &spec.Mix[pick(cum, rng.IntN(sum))]
-				t0 := time.Now()
-				code, err := issue(spec, client, req)
-				sh.hist.add(time.Since(t0))
-				if err != nil {
-					sh.errs++
-					continue
-				}
-				sh.status[code]++
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := &Result{
-		Requests: total,
-		Elapsed:  elapsed,
-		Status:   make(map[int]int),
-		hist:     newHistogram(),
-	}
-	for i := range shards {
-		res.hist.merge(shards[i].hist)
-		res.Errors += shards[i].errs
-		for code, n := range shards[i].status {
-			res.Status[code] += n
+	samples := runner.Run(0, n)
+	res := &Result{Requests: n, Elapsed: time.Since(start), Status: map[int]int{}}
+	lat := work.Latencies(samples)
+	res.P50, res.P90, res.P99, res.Max = work.Percentile(lat, 0.50), work.Percentile(lat, 0.90), work.Percentile(lat, 0.99), lat[n-1]
+	for _, t := range tallies {
+		res.Errors += t.errors
+		for code, c := range t.status {
+			res.Status[code] += c
 		}
 	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		res.ReqPerSec = float64(total) / secs
-	}
-	res.P50 = res.hist.quantile(0.50)
-	res.P90 = res.hist.quantile(0.90)
-	res.P99 = res.hist.quantile(0.99)
-	res.Max = res.hist.max
 	return res, nil
 }
 
-// pick returns the index of the first cumulative weight exceeding x.
-func pick(cum []int, x int) int {
-	return sort.SearchInts(cum, x+1)
+// workload issues request i of the mix, drawn by a PCG seeded with (seed, i).
+type workload struct {
+	mix  []work.Request
+	seed uint64
 }
 
-// issue performs one request and returns the response status.
-func issue(spec Spec, client *http.Client, req *Request) (int, error) {
-	var body io.Reader
-	if req.Body != "" {
-		body = strings.NewReader(req.Body)
-	}
-	if spec.Handler != nil {
-		r := httptest.NewRequest(req.Method, req.Path, body)
-		decorate(r, spec.Header, req.Header)
-		w := httptest.NewRecorder()
-		spec.Handler.ServeHTTP(w, r)
-		return w.Code, nil
-	}
-	r, err := http.NewRequest(req.Method, spec.BaseURL+req.Path, body)
+func (w *workload) Populate(*work.Conn) error { return nil }
+
+func (w *workload) Op(c *work.Conn, i int) (time.Duration, error) {
+	var p rand.PCG
+	p.Seed(w.seed, uint64(i))
+	_, err := c.Call(w.mix[p.Uint64()%uint64(len(w.mix))], "")
+	return 0, err
+}
+
+// tally counts one worker's outcomes, so counting takes no lock, and hands
+// a 2xx or a 429 back to work.Conn as the status the request wanted.
+type tally struct {
+	doer   work.Doer
+	status map[int]int
+	errors int
+}
+
+func (t *tally) Do(r *work.Request) (int, []byte, error) {
+	code, body, err := t.doer.Do(r)
 	if err != nil {
-		return 0, err
+		t.errors++
+		return code, body, err
 	}
-	decorate(r, spec.Header, req.Header)
-	resp, err := client.Do(r)
-	if err != nil {
-		return 0, err
+	t.status[code]++
+	if !unexpected(code) {
+		r.Want = code
 	}
-	// Drain so the connection is reusable; the body content is not the
-	// driver's business.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return code, body, nil
 }
 
-func decorate(r *http.Request, global, per http.Header) {
-	if r.Body != nil {
-		r.Header.Set("Content-Type", "application/json")
-	}
-	for k, vs := range global {
-		r.Header[k] = vs
-	}
-	for k, vs := range per {
-		r.Header[k] = vs
-	}
+// unexpected reports a status a healthy admission-controlled server must
+// not produce under load: 429 is back-pressure, the rest is a bug.
+func unexpected(code int) bool {
+	return (code < 200 || code > 299) && code != http.StatusTooManyRequests
 }
 
-// Unexpected counts outcomes a healthy admission-controlled server must
-// not produce under pure load: transport errors plus any status outside
-// 2xx and 429 (back-pressure is expected; anything else is a bug in the
-// mix or the server).
+// Unexpected counts transport errors plus responses outside 2xx and 429.
 func (r *Result) Unexpected() int {
 	n := r.Errors
 	for code, c := range r.Status {
-		if (code < 200 || code > 299) && code != http.StatusTooManyRequests {
+		if unexpected(code) {
 			n += c
 		}
 	}
@@ -227,26 +152,47 @@ func (r *Result) Unexpected() int {
 
 // String renders the run wrk-style.
 func (r *Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d requests in %v, %.1f req/s\n",
-		r.Requests, r.Elapsed.Round(time.Millisecond), r.ReqPerSec)
-	fmt.Fprintf(&b, "latency p50=%v p90=%v p99=%v max=%v\n",
+	s := fmt.Sprintf("%d requests in %v, %.1f req/s\nlatency p50=%v p90=%v p99=%v max=%v\nstatus",
+		r.Requests, r.Elapsed.Round(time.Millisecond), float64(r.Requests)/r.Elapsed.Seconds(),
 		r.P50, r.P90, r.P99, r.Max)
-	codes := make([]int, 0, len(r.Status))
-	for code := range r.Status {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	b.WriteString("status ")
-	for i, code := range codes {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d×%d", code, r.Status[code])
+	for _, code := range slices.Sorted(maps.Keys(r.Status)) {
+		s += fmt.Sprintf(" %d×%d", code, r.Status[code])
 	}
 	if r.Errors > 0 {
-		fmt.Fprintf(&b, " errors×%d", r.Errors)
+		s += fmt.Sprintf(" errors×%d", r.Errors)
 	}
-	b.WriteByte('\n')
-	return b.String()
+	return s + "\n"
+}
+
+// URL is a work.Doer that sends each request to Base over Client and
+// drains the response, so the connection is reused.
+type URL struct {
+	Base   string // e.g. "http://127.0.0.1:8080", no trailing slash
+	Client *http.Client
+}
+
+func (u URL) Do(r *work.Request) (int, []byte, error) {
+	req, err := http.NewRequest(r.Method, u.Base+r.Path, strings.NewReader(r.Body))
+	if err != nil {
+		return 0, nil, err
+	}
+	Decorate(req.Header, r)
+	resp, err := u.Client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, nil, err
+}
+
+// Decorate sets the headers r implies: a JSON Content-Type when it has a
+// body, and Authorization: Bearer when it carries a key.
+func Decorate(h http.Header, r *work.Request) {
+	if r.Body != "" {
+		h.Set("Content-Type", "application/json")
+	}
+	if r.Key != "" {
+		h.Set("Authorization", "Bearer "+r.Key)
+	}
 }

@@ -1,37 +1,68 @@
 package loadgen
 
 import (
-	"math/rand/v2"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xcbc/bench/work"
 )
 
+// handlerDoer serves each request from h in process.
+type handlerDoer struct{ h http.Handler }
+
+func (d handlerDoer) Do(r *work.Request) (int, []byte, error) {
+	req := httptest.NewRequest(r.Method, r.Path, strings.NewReader(r.Body))
+	Decorate(req.Header, r)
+	rec := httptest.NewRecorder()
+	d.h.ServeHTTP(rec, req)
+	return rec.Code, nil, nil
+}
+
+// paths records the path of every request, in order.
+type paths []string
+
+func (p *paths) Do(r *work.Request) (int, []byte, error) {
+	*p = append(*p, r.Method+" "+r.Path+" "+r.Key)
+	return r.Want, nil, nil
+}
+
+// sequence returns the first n requests of a run of mix under seed.
+func sequence(seed uint64, n int, mix []work.Request) []string {
+	var p paths
+	w, c := &workload{mix: mix, seed: seed}, work.NewConn(&p, nil, nil)
+	for i := range n {
+		w.Op(c, i)
+	}
+	return p
+}
+
 func TestRunAgainstHandler(t *testing.T) {
-	var hits atomic.Int64
-	var posts atomic.Int64
+	var hits, posts atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		if r.Method == http.MethodPost {
 			posts.Add(1)
-			if string(readAll(t, r)) != `{"n":1}` {
-				t.Error("body not delivered")
+			if b, _ := io.ReadAll(r.Body); string(b) != `{"n":1}` || r.Header.Get("Content-Type") != "application/json" {
+				t.Errorf("body %q, Content-Type %q not delivered", b, r.Header.Get("Content-Type"))
 			}
 			w.WriteHeader(http.StatusCreated)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
 	})
+	get := work.Request{Method: "GET", Path: "/x"}
 	res, err := Run(Spec{
-		Handler: h,
-		Mix: []Request{
-			{Method: "GET", Path: "/x", Weight: 3},
-			{Method: "POST", Path: "/y", Body: `{"n":1}`, Weight: 1},
-		},
+		Doer:     handlerDoer{h},
+		Mix:      []work.Request{get, get, get, {Method: "POST", Path: "/y", Body: `{"n":1}`}},
 		Workers:  4,
 		Requests: 400,
 		Seed:     1,
@@ -53,44 +84,75 @@ func TestRunAgainstHandler(t *testing.T) {
 	if p := res.Status[201]; p < 50 || p > 150 {
 		t.Fatalf("weighted mix skewed: %d POSTs of 400", p)
 	}
-	if res.ReqPerSec <= 0 || res.Elapsed <= 0 {
-		t.Fatalf("throughput not measured: %+v", res)
+	if res.Elapsed <= 0 || res.Max <= 0 || res.P50 > res.P90 || res.P90 > res.P99 || res.P99 > res.Max {
+		t.Fatalf("latency not measured: %+v", res)
 	}
 	if res.Unexpected() != 0 {
 		t.Fatalf("unexpected outcomes: %+v", res.Status)
 	}
 }
 
-// TestDeterministicSequence pins the determinism contract: the multiset
-// of issued requests is a pure function of (seed, workers, total, mix).
+// TestDeterministicSequence pins the determinism contract: request i is a
+// pure function of (seed, i, mix), so a run issues the same requests every
+// time whatever the worker count, and a longer run extends a shorter one.
 func TestDeterministicSequence(t *testing.T) {
-	issued := func(seed uint64) map[string]int {
+	mix := Mix("k1", "k2")
+	a := sequence(7, 500, mix)
+	if b := sequence(7, 500, mix); !slices.Equal(a, b) {
+		t.Fatal("same seed, different sequence")
+	}
+	if c := sequence(7, 800, mix); !slices.Equal(a, c[:500]) {
+		t.Fatal("a longer run does not extend a shorter one")
+	}
+	if c := sequence(8, 500, mix); slices.Equal(a, c) {
+		t.Fatal("seeds 7 and 8 issued the same 500 requests")
+	}
+	issued := func(workers int) []string {
 		var mu sync.Mutex
-		got := map[string]int{}
+		var got []string
 		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
-			got[r.URL.Path]++
-			mu.Unlock()
+			defer mu.Unlock()
+			got = append(got, r.Method+" "+r.URL.RequestURI()+" "+strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer "))
 		})
-		_, err := Run(Spec{
-			Handler:  h,
-			Mix:      []Request{{Method: "GET", Path: "/a", Weight: 2}, {Method: "GET", Path: "/b"}},
-			Workers:  3,
-			Requests: 301,
-			Seed:     seed,
-		})
-		if err != nil {
+		if _, err := Run(Spec{Doer: handlerDoer{h}, Mix: mix, Workers: workers, Requests: 500, Seed: 7}); err != nil {
 			t.Fatal(err)
 		}
+		slices.Sort(got)
 		return got
 	}
-	a, b := issued(7), issued(7)
-	if a["/a"] != b["/a"] || a["/b"] != b["/b"] {
-		t.Fatalf("same seed, different mix: %v vs %v", a, b)
+	want := slices.Sorted(slices.Values(a))
+	for _, workers := range []int{1, 3} {
+		if got := issued(workers); !slices.Equal(got, want) {
+			t.Fatalf("%d workers issued a different multiset of requests", workers)
+		}
 	}
-	c := issued(8)
-	if a["/a"] == c["/a"] && a["/b"] == c["/b"] {
-		t.Logf("different seeds coincided (%v); legal but unlikely", c)
+}
+
+// TestWeightsRespected draws a long sequence of the control-plane mix and
+// checks that each request's share is its weight over the total, 16.
+func TestWeightsRespected(t *testing.T) {
+	mix := Mix("")
+	if len(mix) != 16 {
+		t.Fatalf("Mix() lists %d entries, want 16 (weights 5+4+2+2+1+1+1)", len(mix))
+	}
+	const n = 32000
+	count := map[string]int{}
+	for _, r := range sequence(3, n, mix) {
+		count[r]++
+	}
+	for r, weight := range map[string]int{
+		"GET /api/v1/fleets ": 5, "GET /api/v1/deployments ": 4, "GET /api/v1/fleets?limit=2 ": 2,
+		"GET /api/v1/scenarios ": 2, "GET /api/v1/store ": 1, "GET /api/v1 ": 1, "POST /api/v1/depsolve ": 1,
+	} {
+		want := n * weight / 16
+		if got := count[r]; got < want*9/10 || got > want*11/10 {
+			t.Errorf("%q drawn %d times of %d, want %d ± 10%%", r, got, n, want)
+		}
+	}
+	keyed := Mix("k1", "k2")
+	if len(keyed) != 32 || keyed[0].Key != "k1" || keyed[31].Key != "k2" {
+		t.Fatalf("Mix(k1, k2) = %d entries, first key %q, last %q", len(keyed), keyed[0].Key, keyed[31].Key)
 	}
 }
 
@@ -100,13 +162,12 @@ func TestRunAgainstURL(t *testing.T) {
 			w.WriteHeader(http.StatusUnauthorized)
 			return
 		}
-		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(strings.Repeat("x", 64<<10))) // drained, not returned
 	}))
 	defer srv.Close()
 	res, err := Run(Spec{
-		BaseURL:  srv.URL,
-		Header:   http.Header{"Authorization": {"Bearer k"}},
-		Mix:      []Request{{Method: "GET", Path: "/"}},
+		Doer:     URL{Base: srv.URL, Client: srv.Client()},
+		Mix:      Mix("k"),
 		Workers:  2,
 		Requests: 50,
 		Seed:     1,
@@ -117,13 +178,37 @@ func TestRunAgainstURL(t *testing.T) {
 	if res.Status[200] != 50 || res.Errors != 0 {
 		t.Fatalf("want 50×200 over the wire, got %+v errors=%d", res.Status, res.Errors)
 	}
+	res, err = Run(Spec{Doer: URL{Base: srv.URL, Client: srv.Client()}, Mix: Mix(""), Requests: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status[401] != 10 || res.Unexpected() != 10 {
+		t.Fatalf("without a key: want 10×401, all unexpected, got %+v", res.Status)
+	}
+	if _, _, err := (URL{Base: "http://[::1", Client: srv.Client()}).Do(&work.Request{Method: "GET", Path: "/"}); err == nil {
+		t.Fatal("a malformed base URL was sent")
+	}
 }
 
 func TestRunTransportErrors(t *testing.T) {
+	// A listener that accepts and closes every connection at once.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
 	res, err := Run(Spec{
-		BaseURL:  "http://127.0.0.1:1", // nothing listens on port 1
-		Client:   &http.Client{Timeout: 200 * time.Millisecond},
-		Mix:      []Request{{Method: "GET", Path: "/"}},
+		Doer:     URL{Base: "http://" + ln.Addr().String(), Client: &http.Client{Timeout: 2 * time.Second}},
+		Mix:      []work.Request{{Method: "GET", Path: "/"}},
 		Workers:  2,
 		Requests: 4,
 		Seed:     1,
@@ -131,30 +216,34 @@ func TestRunTransportErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 4 || res.Unexpected() != 4 {
-		t.Fatalf("want 4 transport errors, got %+v", res)
+	if res.Errors != 4 || res.Unexpected() != 4 || !strings.Contains(res.String(), "status errors×4\n") {
+		t.Fatalf("want 4 transport errors, got %+v\n%s", res, res)
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	d := handlerDoer{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})}
+	var calls paths
 	cases := []Spec{
-		{},                                // no target
-		{Handler: h, BaseURL: "http://x"}, // two targets
-		{Handler: h},                      // no mix
-		{BaseURL: "http://127.0.0.1:1", Mix: nil}, // no mix, URL mode
+		{},             // no Doer, no mix
+		{Doer: d},      // no mix
+		{Mix: Mix("")}, // no Doer
+		{Doer: &calls, Mix: Mix(""), Requests: 10_000_001}, // over the cap
 	}
 	for i, spec := range cases {
 		if _, err := Run(spec); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
 		}
 	}
+	if len(calls) != 0 {
+		t.Errorf("a refused run sent %d requests", len(calls))
+	}
 }
 
 func TestDefaultsApplied(t *testing.T) {
 	var hits atomic.Int64
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) })
-	res, err := Run(Spec{Handler: h, Mix: []Request{{Method: "GET", Path: "/"}}})
+	res, err := Run(Spec{Doer: handlerDoer{h}, Mix: []work.Request{{Method: "GET", Path: "/"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +261,8 @@ func TestUnexpected(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	res, err := Run(Spec{
-		Handler:  http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}),
-		Mix:      []Request{{Method: "GET", Path: "/"}},
+		Doer:     handlerDoer{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})},
+		Mix:      []work.Request{{Method: "GET", Path: "/"}},
 		Workers:  2,
 		Requests: 20,
 		Seed:     3,
@@ -182,114 +271,9 @@ func TestResultString(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.String()
-	for _, want := range []string{"20 requests", "req/s", "p50=", "p99=", "200×20"} {
+	for _, want := range []string{"20 requests in ", "req/s\n", "latency p50=", " p99=", fmt.Sprintf(" max=%v\n", res.Max), "\nstatus 200×20\n"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram()
-	// 1..1000 µs, uniformly.
-	for i := 1; i <= 1000; i++ {
-		h.add(time.Duration(i) * time.Microsecond)
-	}
-	checks := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 500 * time.Microsecond},
-		{0.90, 900 * time.Microsecond},
-		{0.99, 990 * time.Microsecond},
-	}
-	for _, c := range checks {
-		got := h.quantile(c.q)
-		// Log-linear bucketing under-reports by at most one sub-bucket
-		// (~1/32 relative).
-		lo := c.want - c.want/16
-		if got < lo || got > c.want {
-			t.Errorf("quantile(%v) = %v, want within [%v, %v]", c.q, got, lo, c.want)
-		}
-	}
-	if h.quantile(1.0) < h.quantile(0.99) {
-		t.Error("quantiles not monotone")
-	}
-	if h.max != 1000*time.Microsecond {
-		t.Errorf("max = %v", h.max)
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	h := newHistogram()
-	if h.quantile(0.5) != 0 {
-		t.Error("empty histogram quantile not 0")
-	}
-	h.add(-time.Second) // clamped to 0
-	h.add(0)
-	h.add(time.Nanosecond)
-	if got := h.quantile(0); got != 0 {
-		t.Errorf("quantile(0) = %v", got)
-	}
-	if got := h.quantile(2); got != time.Nanosecond { // q clamped to 1
-		t.Errorf("quantile(>1) = %v", got)
-	}
-
-	// Every representable duration must land in a bucket whose lower
-	// bound does not exceed it and is within one sub-bucket below.
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < 10000; i++ {
-		d := time.Duration(rng.Int64N(int64(10 * time.Minute)))
-		b := bucketOf(d)
-		low := lowOf(b)
-		if low > d {
-			t.Fatalf("lowOf(bucketOf(%d)) = %d > sample", d, low)
-		}
-		if d >= 64 && float64(d-low)/float64(d) > 1.0/16 {
-			t.Fatalf("bucket error for %v: low %v off by %.1f%%", d, low, 100*float64(d-low)/float64(d))
-		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, whole := newHistogram(), newHistogram(), newHistogram()
-	for i := 1; i <= 500; i++ {
-		a.add(time.Duration(i) * time.Microsecond)
-		whole.add(time.Duration(i) * time.Microsecond)
-	}
-	for i := 501; i <= 1000; i++ {
-		b.add(time.Duration(i) * time.Microsecond)
-		whole.add(time.Duration(i) * time.Microsecond)
-	}
-	a.merge(b)
-	if a.total != whole.total || a.max != whole.max {
-		t.Fatalf("merge totals: %d/%v vs %d/%v", a.total, a.max, whole.total, whole.max)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.quantile(q) != whole.quantile(q) {
-			t.Fatalf("merge quantile(%v): %v vs %v", q, a.quantile(q), whole.quantile(q))
-		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	cum := []int{3, 4} // weights 3,1
-	for x, want := range map[int]int{0: 0, 1: 0, 2: 0, 3: 1} {
-		if got := pick(cum, x); got != want {
-			t.Errorf("pick(%d) = %d, want %d", x, got, want)
-		}
-	}
-}
-
-func readAll(t *testing.T, r *http.Request) []byte {
-	t.Helper()
-	b := make([]byte, 0, 64)
-	buf := make([]byte, 64)
-	for {
-		n, err := r.Body.Read(buf)
-		b = append(b, buf[:n]...)
-		if err != nil {
-			return b
 		}
 	}
 }

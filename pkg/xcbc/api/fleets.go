@@ -19,12 +19,13 @@ import (
 // asynchronous jobs of their own, one at a time per fleet so the seeded
 // trace stays deterministic.
 
-// Caps on a single fleet creation request so one POST cannot commit the
-// control plane to unbounded memory or CPU: member count, per-member
-// compute nodes, and the product (total simulated nodes) are all bounded.
+// Caps on a single creation request so one POST cannot commit the control
+// plane to unbounded memory or CPU: a fleet's member count, the compute
+// nodes of one cluster (a fleet member or a deployment), and a fleet's
+// product of the two (total simulated nodes) are all bounded.
 const (
 	maxFleetMembers    = 2048
-	maxNodesPerMember  = 256
+	maxNodesPerCluster = 256
 	maxFleetTotalNodes = 16384
 )
 
@@ -107,9 +108,9 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("members exceeds the per-fleet cap of %d", maxFleetMembers))
 		return
 	}
-	if req.Nodes > maxNodesPerMember {
+	if req.Nodes > maxNodesPerCluster {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("nodes exceeds the per-member cap of %d", maxNodesPerMember))
+			fmt.Sprintf("nodes exceeds the per-member cap of %d", maxNodesPerCluster))
 		return
 	}
 	// Catalog machines top out below 256 computes, so nodes==0 (as

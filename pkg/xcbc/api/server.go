@@ -880,6 +880,13 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	// Resizing runs here, before any quota, and costs the square of the
+	// count; replayed creates skip the cap, since they were admitted.
+	if req.NodeCount > maxNodesPerCluster {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("node_count exceeds the per-deployment cap of %d", maxNodesPerCluster))
+		return
+	}
 	st := s.tenant(r).store
 	h, path, err := s.startBuild(req)
 	if err != nil {

@@ -325,6 +325,55 @@ func TestDeploymentLifecycle(t *testing.T) {
 	}
 }
 
+// TestDeploymentNodeCountCapped: node_count resizes the cluster inside the
+// create request, before any quota, at a cost that grows with its square,
+// so it is capped as a fleet member's nodes are. Over the cap, on either
+// install path, the create answers 400, starts no build and journals
+// nothing; at the cap it is accepted.
+func TestDeploymentNodeCountCapped(t *testing.T) {
+	xnit, err := xcbc.NewXNITRepository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := openDurable(t, t.TempDir(), func(c *Config) { c.Repos = []*repo.Repository{xnit} })
+	defer s.Close()
+	nextSeq := func() uint64 {
+		var info storeInfo
+		do(t, s, "GET", "/api/v1/store", "", &info)
+		return info.NextSeq
+	}
+	const want = `{"error":"node_count exceeds the per-deployment cap of 256"}`
+	before := nextSeq()
+	for _, body := range []string{
+		`{"cluster":"littlefe","node_count":257}`,
+		`{"cluster":"limulus","path":"xnit","profiles":["compilers"],"node_count":257}`,
+	} {
+		rec := do(t, s, "POST", "/api/v1/deployments", body, nil)
+		if rec.Code != http.StatusBadRequest || strings.TrimSpace(rec.Body.String()) != want {
+			t.Fatalf("%s: %d %s, want 400 %s", body, rec.Code, rec.Body.String(), want)
+		}
+	}
+	var list struct {
+		Count int `json:"count"`
+	}
+	do(t, s, "GET", "/api/v1/deployments", "", &list)
+	if got := nextSeq() - before; got != 0 || list.Count != 0 {
+		t.Fatalf("refused creates journaled %d records and listed %d deployments", got, list.Count)
+	}
+	for _, body := range []string{
+		`{"cluster":"littlefe","node_count":256}`,
+		`{"cluster":"limulus","path":"xnit","profiles":["compilers"],"node_count":256}`,
+	} {
+		var created deploymentInfo
+		if rec := do(t, s, "POST", "/api/v1/deployments", body, &created); rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: %d %s, want 202", body, rec.Code, rec.Body.String())
+		}
+		if final := awaitSettled[deploymentInfo](t, s, "", "/api/v1/deployments/"+created.ID+"?limit=1"); final.State != "ready" {
+			t.Fatalf("%s settled %q", body, final.State)
+		}
+	}
+}
+
 // TestDeploymentCancel exercises the in-flight DELETE contract: the build
 // is gated via the install hook, cancelled while building, and observed
 // settling into "cancelled"; a second DELETE then removes the record.
