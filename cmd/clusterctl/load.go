@@ -9,6 +9,7 @@ package main
 // -n is capped at 10,000,000.
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -30,10 +31,18 @@ func loadCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	// One connection per worker (8 when -workers is not positive, as loadgen
+	// runs), kept idle between its requests: the default transport keeps 2
+	// idle a host, so workers re-dialed, and it races a dial against a
+	// connection coming free, so more than one per worker were opened.
+	// MaxIdleConns 0 lifts its cap of 100 idle in all.
+	conns := cmp.Or(max(*workers, 0), 8)
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns, transport.MaxIdleConnsPerHost, transport.MaxConnsPerHost = 0, conns, conns
 	res, err := loadgen.Run(loadgen.Spec{
 		Doer: loadgen.URL{
 			Base:   strings.TrimRight(*server, "/"),
-			Client: &http.Client{Timeout: 10 * time.Second},
+			Client: &http.Client{Timeout: 10 * time.Second, Transport: transport},
 		},
 		Mix:      loadgen.Mix(apiKey),
 		Workers:  *workers,

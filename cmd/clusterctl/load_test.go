@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,13 +12,14 @@ import (
 
 // TestLoadCmd pins `clusterctl load`'s output lines and exit codes: 0 when
 // every response is 2xx or 429, 1 when one is not or a connection fails,
-// and 1 with nothing sent when -n is over the cap.
+// and 1 with nothing sent when -n is over the cap. A run opens one
+// connection per worker at most.
 func TestLoadCmd(t *testing.T) {
 	t.Setenv("CLUSTERCTL_API_KEY", "")
 	t.Cleanup(func() { apiKey = "" })
-	var hits atomic.Int64
+	var hits, dials atomic.Int64
 	var auth atomic.Value
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		auth.Store(r.Header.Get("Authorization"))
 		switch r.URL.Query().Get("limit") {
@@ -37,6 +39,12 @@ func TestLoadCmd(t *testing.T) {
 			w.WriteHeader(http.StatusTooManyRequests) // back-pressure is not a failure
 		}
 	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
 	defer srv.Close()
 	load := func(args ...string) (int, string, string) {
 		var stdout, stderr bytes.Buffer
@@ -57,6 +65,15 @@ func TestLoadCmd(t *testing.T) {
 		t.Fatalf("-api-key reached the server as Authorization %q", got)
 	}
 
+	// Each worker keeps its connection: no re-dialing.
+	before := dials.Load()
+	if code, _, errOut = load("-n", "2000", "-workers", "8"); code != 0 {
+		t.Fatalf("-workers 8: exit %d, stderr %q", code, errOut)
+	}
+	if n := dials.Load() - before; n > 8 {
+		t.Fatalf("-workers 8 -n 2000 opened %d connections, want at most 8", n)
+	}
+
 	for _, key := range []string{"fail", "hangup"} {
 		code, out, errOut = load("-n", "400", "-api-key", key)
 		if code != 1 || !strings.Contains(errOut, "responses outside 2xx/429") {
@@ -67,7 +84,7 @@ func TestLoadCmd(t *testing.T) {
 		}
 	}
 
-	before := hits.Load()
+	before = hits.Load()
 	if code, out, errOut = load("-n", "10000001"); code != 1 || out != "" || !strings.Contains(errOut, "10,000,000") {
 		t.Fatalf("-n 10000001: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}

@@ -15,7 +15,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"xcbc/bench/work"
@@ -76,20 +78,42 @@ func newLoadServer(tb testing.TB, n int, rate float64, burst int) (*api.Server, 
 
 // handlerDoer is the in-process work.Doer: it serves each request straight
 // from h into a discardResponse, which keeps only the status and headers.
-// A handler that writes without WriteHeader (a list, the discovery
-// document) answered 200; a 429 without Retry-After fails like a transport
-// error.
-type handlerDoer struct{ h http.Handler }
+// Each mix entry's request is built once; a call hands h a shallow copy
+// (with a fresh body reader for a POST) and a pooled writer, so the client
+// costs a request about two allocations. A handler that writes without
+// WriteHeader (a list, the discovery document) answered 200; a 429 without
+// Retry-After fails like a transport error.
+type handlerDoer struct {
+	h    http.Handler
+	reqs map[work.Request]*http.Request
+	resp sync.Pool // *discardResponse
+}
 
-func (d handlerDoer) Do(r *work.Request) (int, []byte, error) {
-	var body io.Reader
-	if r.Body != "" {
-		body = strings.NewReader(r.Body)
+func newHandlerDoer(h http.Handler, mix []work.Request) *handlerDoer {
+	d := &handlerDoer{h: h, reqs: map[work.Request]*http.Request{}}
+	for _, r := range mix {
+		req := httptest.NewRequest(r.Method, r.Path, strings.NewReader(r.Body))
+		loadgen.Decorate(req.Header, &r)
+		d.reqs[r] = req
 	}
-	req := httptest.NewRequest(r.Method, r.Path, body)
-	loadgen.Decorate(req.Header, r)
-	w := &discardResponse{header: http.Header{}}
-	d.h.ServeHTTP(w, req)
+	d.resp.New = func() any { return &discardResponse{header: http.Header{}} }
+	return d
+}
+
+func (d *handlerDoer) Do(r *work.Request) (int, []byte, error) {
+	base := d.reqs[*r]
+	if base == nil {
+		return 0, nil, fmt.Errorf("%s %s is not in the mix", r.Method, r.Path)
+	}
+	req := *base
+	if r.Body != "" {
+		req.Body = io.NopCloser(strings.NewReader(r.Body))
+	}
+	w := d.resp.Get().(*discardResponse)
+	defer d.resp.Put(w)
+	clear(w.header)
+	w.code = 0
+	d.h.ServeHTTP(w, &req)
 	if w.code == http.StatusTooManyRequests && w.header.Get("Retry-After") == "" {
 		return w.code, nil, errors.New("429 without Retry-After")
 	}
@@ -104,9 +128,10 @@ func BenchmarkAPIUnderLoad(b *testing.B) {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
 			srv, keys := newLoadServer(b, tenants, 0, 0)
 			mix := loadgen.Mix(keys...)
+			doer := newHandlerDoer(srv.Handler(), mix)
 			b.ResetTimer()
 			res, err := loadgen.Run(loadgen.Spec{
-				Doer:     handlerDoer{srv.Handler()},
+				Doer:     doer,
 				Mix:      mix,
 				Workers:  8,
 				Requests: b.N,
@@ -129,9 +154,10 @@ func BenchmarkAPIUnderLoad(b *testing.B) {
 // errors, zero other statuses.
 func TestAPILoadSmoke(t *testing.T) {
 	srv, keys := newLoadServer(t, 4, 200, 50)
+	mix := loadgen.Mix(keys...)
 	res, err := loadgen.Run(loadgen.Spec{
-		Doer:     handlerDoer{srv.Handler()},
-		Mix:      loadgen.Mix(keys...),
+		Doer:     newHandlerDoer(srv.Handler(), mix),
+		Mix:      mix,
 		Workers:  8,
 		Requests: 4000,
 		Seed:     7,
@@ -154,5 +180,31 @@ func TestAPILoadSmoke(t *testing.T) {
 	}
 	if res.Status[http.StatusTooManyRequests] == 0 {
 		t.Log("smoke: rate limiter never engaged (fast machine?); throughput below 4×200 req/s")
+	}
+}
+
+// TestHandlerDoerCost pins the in-process client's share of a
+// BenchmarkAPIUnderLoad request, so that benchmark's allocs/op and B/op
+// weigh the server: the same run over a handler that only answers 200
+// allocates at most 3 times and 1 KB a request.
+func TestHandlerDoerCost(t *testing.T) {
+	mix := loadgen.Mix("key-a", "key-b")
+	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
+	const n = 4000
+	spec := loadgen.Spec{Doer: newHandlerDoer(ok, mix), Mix: mix, Workers: 8, Requests: n, Seed: 42}
+	var before, after runtime.MemStats
+	for i := range 2 { // the first run warms the pool
+		runtime.ReadMemStats(&before)
+		res, err := loadgen.Run(spec)
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Unexpected() != 0 {
+			t.Fatalf("run %d: %v %+v", i, err, res)
+		}
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+	t.Logf("client: %.2f allocs and %.2f KB a request", allocs, kb)
+	if allocs > 3 || kb > 1 {
+		t.Errorf("the in-process client costs %.2f allocs and %.2f KB a request, want at most 3 and 1 KB", allocs, kb)
 	}
 }

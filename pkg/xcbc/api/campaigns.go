@@ -87,15 +87,14 @@ func settleState(res *xcbc.CampaignResult, err error) (string, string) {
 	return "passed", ""
 }
 
-func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request, st *store) {
 	servePage(w, r, "campaigns", st, st.m.Campaigns, campaignInfoOf)
 }
 
 // handleCreateCampaign decodes and validates the spec synchronously, then
 // starts the sweep in the background and answers 202 Accepted with the
 // campaign in state "running". Clients poll GET /api/v1/campaigns/{id}.
-func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request, st *store) {
 	var spec xcbc.CampaignSpec
 	if !decodeBody(w, r, &spec) {
 		return
@@ -114,7 +113,6 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	st := s.tenant(r).store
 	row := &campaignMirror{Started: campaignStartedRec{Spec: spec, Created: s.clock()}}
 	row.Started.row = row
 	if err := st.emit(recCampaignStarted, &row.Started); err != nil {
@@ -152,8 +150,7 @@ func (s *Server) executeCampaign(st *store, row *campaignMirror) {
 
 // handleCampaign reports one campaign's progress — and, once seeds fail,
 // the shrunk repros.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request, st *store) {
 	if row := found(w, r, st, st.m.Campaigns, "campaign"); row != nil {
 		writeJSON(w, http.StatusOK, campaignInfoOf(st, row))
 	}

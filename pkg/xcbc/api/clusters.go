@@ -61,40 +61,38 @@ type stateBody struct {
 // the current state and a wait hint (clusterctl's retryable exit 2); one
 // that settled failed or cancelled answers 422, because waiting will never
 // make it operable — the record exists only for inspection and deletion.
-func (s *Server) openCluster(w http.ResponseWriter, r *http.Request) (*xcbc.Cluster, *depMirror, *tenant, bool) {
-	tn := s.tenant(r)
-	dep := found(w, r, tn.store, tn.store.m.Deployments, "cluster")
+func openCluster(w http.ResponseWriter, r *http.Request, st *store) (*xcbc.Cluster, *depMirror, bool) {
+	dep := found(w, r, st, st.m.Deployments, "cluster")
 	if dep == nil {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	cl, st, berr, settled := tn.store.cluster(dep)
+	cl, state, berr, settled := st.cluster(dep)
 	if cl == nil {
 		id := dep.Created.ID
-		body := stateBody{Error: fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, st), State: st}
+		body := stateBody{Error: fmt.Sprintf("cluster %s is not operable: deployment state is %q", id, state), State: state}
 		status := http.StatusConflict
 		if settled {
 			// The build settled without producing a cluster; retrying is
 			// pointless, so this is not the 409 "wait" contract.
 			status = http.StatusUnprocessableEntity
-			body.Hint = "the build settled " + st + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
+			body.Hint = "the build settled " + state + " and will never be operable; inspect GET /api/" + Version + "/deployments/" + id + ", then DELETE it and create a new deployment"
 			body.BuildError = berr
 		} else {
 			body.Hint = "day-2 operations need state \"ready\"; poll GET /api/" + Version + "/deployments/" + id + " or stream its /events until the build settles"
 		}
 		writeJSON(w, status, body)
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	return cl, dep, tn, true
+	return cl, dep, true
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, st *store) {
 	servePage(w, r, "clusters", st, st.m.Deployments, clusterInfoOf)
 }
 
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if _, dep, tn, ok := s.openCluster(w, r); ok {
-		writeJSON(w, http.StatusOK, clusterInfoOf(tn.store, dep))
+func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request, st *store) {
+	if _, dep, ok := openCluster(w, r, st); ok {
+		writeJSON(w, http.StatusOK, clusterInfoOf(st, dep))
 	}
 }
 
@@ -163,8 +161,8 @@ func parseDurationField(field, v string) (time.Duration, error) {
 	return d, nil
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	cl, _, _, ok := s.openCluster(w, r)
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request, st *store) {
+	cl, _, ok := openCluster(w, r, st)
 	if !ok {
 		return
 	}
@@ -198,8 +196,8 @@ func jobIDOf(r *http.Request) int {
 
 const errJobID = badRequest("job id must be a positive integer")
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	cl, _, _, ok := s.openCluster(w, r)
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, st *store) {
+	cl, _, ok := openCluster(w, r, st)
 	if !ok {
 		return
 	}
@@ -234,8 +232,8 @@ type metricsInfo struct {
 
 // handleMetrics renders the last poll: a read, so it takes no store lock
 // and journals nothing. The SDK's alert keys are never nil.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if cl, _, _, ok := s.openCluster(w, r); ok {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, st *store) {
+	if cl, _, ok := openCluster(w, r, st); ok {
 		m := cl.Metrics()
 		writeJSON(w, http.StatusOK, metricsInfo{At: m.At.String(), Polls: m.Polls, ClusterLoad: m.ClusterLoad, ActiveAlerts: m.ActiveAlerts,
 			Nodes: mapSlice(m.Nodes, func(n xcbc.NodeMetrics) nodeMetricsInfo { return nodeMetricsInfo(n) })})
@@ -259,8 +257,8 @@ type alertsInfo struct {
 
 // handleAlerts renders the alert log the polls wrote, as handleMetrics
 // renders the last poll.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if cl, _, _, ok := s.openCluster(w, r); ok {
+func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request, st *store) {
+	if cl, _, ok := openCluster(w, r, st); ok {
 		active, log := cl.Alerts()
 		writeJSON(w, http.StatusOK, alertsInfo{Active: active, Log: mapSlice(log, func(a xcbc.AlertInfo) alertInfo {
 			return alertInfo{At: a.At.String(), Host: a.Host, Rule: a.Rule, Firing: a.Firing, Detail: a.Detail}
@@ -288,8 +286,8 @@ type validateResponse struct {
 	SmokePass     bool    `json:"smoke_pass"`
 }
 
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	cl, _, _, ok := s.openCluster(w, r)
+func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, st *store) {
+	cl, _, ok := openCluster(w, r, st)
 	if !ok {
 		return
 	}
@@ -370,9 +368,9 @@ const maxAdvance = 90 * 24 * time.Hour
 // handleOp serves the route of one day-2 op kind: it decodes the request
 // into the op's journal record, and operate runs it. A submit answers 201,
 // the rest 200.
-func (s *Server) handleOp(kind string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		cl, dep, tn, ok := s.openCluster(w, r)
+func (s *Server) handleOp(kind string) func(http.ResponseWriter, *http.Request, *store) {
+	return func(w http.ResponseWriter, r *http.Request, st *store) {
+		cl, dep, ok := openCluster(w, r, st)
 		if !ok {
 			return
 		}
@@ -395,7 +393,7 @@ func (s *Server) handleOp(kind string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		body, err := tn.store.operate(cl, &op)
+		body, err := st.operate(cl, &op)
 		if err != nil {
 			writeRefused(w, err)
 			return

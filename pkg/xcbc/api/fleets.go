@@ -88,8 +88,7 @@ func fleetInfoOf(st *store, f *fleetMirror, withMembers bool) fleetInfo {
 	return info
 }
 
-func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request, st *store) {
 	servePage(w, r, "fleets", st, st.m.Fleets, func(st *store, f *fleetMirror) fleetInfo {
 		return fleetInfoOf(st, f, false)
 	})
@@ -98,7 +97,7 @@ func (s *Server) handleFleets(w http.ResponseWriter, r *http.Request) {
 // handleCreateFleet validates the request synchronously, then starts
 // provisioning in the background and answers 202 Accepted with the fleet
 // in its initial state. A create the store refuses cancels the fleet.
-func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request, st *store) {
 	var req createFleetRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -120,7 +119,6 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("members*nodes exceeds the fleet-wide cap of %d simulated nodes", maxFleetTotalNodes))
 		return
 	}
-	st := s.tenant(r).store
 	fl, err := xcbc.NewFleet(fleetSpecOf(req))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -156,8 +154,7 @@ func fleetSpecOf(req createFleetRequest) xcbc.FleetSpec {
 	}
 }
 
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request, st *store) {
 	if f := found(w, r, st, st.m.Fleets, "fleet"); f != nil {
 		writeJSON(w, http.StatusOK, fleetInfoOf(st, f, true))
 	}
@@ -165,11 +162,10 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 // handleDeleteFleet mirrors the deployment contract: an unsettled fleet is
 // cancelled (202, record kept so the cancellation can be observed); a
-// settled one is removed (204). A fleet with a scenario run still
+// settled one, or one never provisioned, is removed (204). A fleet with a scenario run still
 // executing cannot be removed — deleting it would orphan the run and its
 // trace — so that answers 409 until the run settles.
-func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleDeleteFleet(w http.ResponseWriter, r *http.Request, st *store) {
 	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
 		return
@@ -263,8 +259,7 @@ func writeRunInfo(w http.ResponseWriter, info scenarioRunInfo) {
 // the run in state "running". One run at a time per fleet — concurrent
 // scenarios would interleave day-2 operations and break the seeded trace —
 // so a second request while one is live answers 409 Conflict.
-func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request, st *store) {
 	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
 		return
@@ -386,8 +381,7 @@ func (s *Server) executeRun(st *store, f *fleetMirror, run *runMirror, sc *xcbc.
 // handleScenarioRuns lists a fleet's runs. Run sN is the fleet's Nth, so a
 // page is a window of Runs, the cursor an offset into it, and an empty
 // page's next cursor the cursor, as every listing's.
-func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request, st *store) {
 	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
 		return
@@ -407,8 +401,7 @@ func (s *Server) handleScenarioRuns(w http.ResponseWriter, r *http.Request) {
 
 // handleScenarioRun reports one run; ?cursor=N selects which trace events
 // ride along once the run settles (pass back next_cursor to page).
-func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, st *store) {
 	f := found(w, r, st, st.m.Fleets, "fleet")
 	if f == nil {
 		return
@@ -436,7 +429,7 @@ type builtinInfo struct {
 
 // handleScenarios lists the built-in scenarios a client can POST by name.
 // The list is immutable, so the cursor is a plain offset into it.
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request, _ *store) {
 	pg, ok := parsePage(w, r)
 	if !ok {
 		return

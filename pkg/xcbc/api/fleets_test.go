@@ -309,3 +309,63 @@ func TestTracePagesMatchWholeTraceCopy(t *testing.T) {
 		t.Fatalf("run list = %+v", list.Runs)
 	}
 }
+
+// TestUnprovisionedFleetDeletes: a fleet created with "provision": false
+// has no builds to cancel, so DELETE removes it (204) and journals
+// fleet.deleted, and it stays gone after a restart. A fleet with a run
+// still live answers 409 until the run settles.
+func TestUnprovisionedFleetDeletes(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	for _, name := range []string{"idle", "busy"} {
+		body := fmt.Sprintf(`{"name":%q,"members":2,"nodes":1,"provision":false}`, name)
+		if rec := do(t, s, "POST", "/api/v1/fleets", body, nil); rec.Code != http.StatusAccepted {
+			t.Fatalf("create %s: %d %s", name, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, s, "DELETE", "/api/v1/fleets/f1", "", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE unprovisioned fleet = %d %s, want 204", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s, "GET", "/api/v1/fleets/f1", "", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET deleted fleet = %d, want 404", rec.Code)
+	}
+
+	// A run the store has started and not settled holds f2.
+	st := s.openTenant.store
+	run := &runMirror{Started: scenarioStartedRec{FleetID: "f2", Name: "held"}}
+	run.Started.row = run
+	if err := st.emit(recScenarioStarted, &run.Started); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "DELETE", "/api/v1/fleets/f2", "", nil); rec.Code != http.StatusConflict {
+		t.Fatalf("DELETE fleet with a live run = %d %s, want 409", rec.Code, rec.Body.String())
+	}
+	if err := st.emit(recScenarioSettled, scenarioSettledRec{FleetID: "f2", RunID: run.Started.RunID, State: "error", Error: "held"}); err != nil {
+		t.Fatal(err)
+	}
+
+	listed := func(s *Server) []string {
+		var list struct {
+			Fleets []fleetInfo `json:"fleets"`
+		}
+		do(t, s, "GET", "/api/v1/fleets", "", &list)
+		return mapSlice(list.Fleets, func(f fleetInfo) string { return f.ID })
+	}
+	if got := listed(s); len(got) != 1 || got[0] != "f2" {
+		t.Fatalf("fleet list = %v, want [f2]", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := openDurable(t, dir)
+	defer s2.Close()
+	if rec := do(t, s2, "GET", "/api/v1/fleets/f1", "", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET deleted fleet after restart = %d, want 404", rec.Code)
+	}
+	if got := listed(s2); len(got) != 1 || got[0] != "f2" {
+		t.Fatalf("fleet list after restart = %v, want [f2]", got)
+	}
+	if rec := do(t, s2, "DELETE", "/api/v1/fleets/f2", "", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE settled-run fleet after restart = %d %s, want 204", rec.Code, rec.Body.String())
+	}
+}

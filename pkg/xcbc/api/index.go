@@ -123,7 +123,7 @@ func (r *fleetDeletedRec) admit(st *store) error {
 		return errNoFleet
 	case f.runLive():
 		return errDeleteLive
-	case !f.fl.Status().Settled():
+	case f.fl.Provisioned() && !f.fl.Status().Settled(): // never provisioned: nothing to cancel
 		return errUnsettled
 	}
 	return nil

@@ -101,7 +101,7 @@ type routeInfo struct {
 	Method  string `json:"method"`
 	Path    string `json:"path"`
 	Doc     string `json:"doc"`
-	handler http.HandlerFunc
+	handler func(w http.ResponseWriter, r *http.Request, st *store)
 }
 
 // Server is the HTTP control plane. Create with Open (durable when
@@ -357,15 +357,17 @@ func newServer(cfg Config) (*Server, error) {
 		byPath[rt.Path] = append(byPath[rt.Path], rt)
 	}
 	for _, path := range slices.Sorted(maps.Keys(byPath)) {
-		mux.HandleFunc(path, byMethod(byPath[path]))
+		mux.HandleFunc(path, s.byMethod(byPath[path]))
 	}
 	mux.HandleFunc("/api/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "unknown API route (current version: "+Version+"; discover routes at GET /api/"+Version+")")
+		if _, ok := s.admit(w, r); ok {
+			writeError(w, http.StatusNotFound, "unknown API route (current version: "+Version+"; discover routes at GET /api/"+Version+")")
+		}
 	})
 	// Everything else is the legacy Yum surface, served over the live set
 	// so runtime mutations through Repos() reach both route families.
 	mux.Handle("/", repo.NewSetServer(clock, s.set))
-	s.handler = s.logged(s.admit(mux))
+	s.handler = s.logged(mux)
 	doc := discoveryDoc{
 		Version: Version,
 		Auth:    discoveryAuth{Mode: "open"},
@@ -534,18 +536,28 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// byMethod serves one path's routes by the request's method: HEAD as GET,
-// as a GET pattern does, and a method none of them has 405, with Allow.
-func byMethod(rts []routeInfo) http.HandlerFunc {
+// byMethod serves one path's routes: it admits the request, then picks the
+// route by the request's method — HEAD as GET, as a GET pattern does, and a
+// method none of them has 405, with Allow — and hands it the tenant's store,
+// nil only for an exempt route asked without a key.
+func (s *Server) byMethod(rts []routeInfo) http.HandlerFunc {
 	allow := strings.Join(mapSlice(rts, func(rt routeInfo) string { return rt.Method }), ", ")
 	return func(w http.ResponseWriter, r *http.Request) {
+		tn, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
 		method := r.Method
 		if method == http.MethodHead {
 			method = http.MethodGet
 		}
 		for _, rt := range rts {
 			if rt.Method == method {
-				rt.handler(w, r)
+				var st *store
+				if tn != nil {
+					st = tn.store
+				}
+				rt.handler(w, r, st)
 				return
 			}
 		}
@@ -554,7 +566,7 @@ func byMethod(rts []routeInfo) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request, _ *store) {
 	w.Header().Set("Content-Type", "application/json")
 	io.WriteString(w, `{"status":"ok","version":"`+Version+`"}`+"\n")
 }
@@ -590,7 +602,7 @@ type discoveryPagination struct {
 // and pagination contracts, and the full route listing, so clients can
 // feature-detect capabilities (the cluster day-2 routes in particular)
 // instead of probing with requests.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, _ *store) {
 	doc, err := s.discovery()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -623,13 +635,13 @@ func repoInfoOf(c repo.Config) repoInfo {
 	}
 }
 
-func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request, _ *store) {
 	writeJSON(w, http.StatusOK, struct {
 		Repos []repoInfo `json:"repos"`
 	}{mapSlice(s.set.Configs(), repoInfoOf)})
 }
 
-func (s *Server) handleRepo(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRepo(w http.ResponseWriter, r *http.Request, _ *store) {
 	configs, id := s.set.Configs(), r.PathValue("id")
 	if i := slices.IndexFunc(configs, func(c repo.Config) bool { return c.Repo.ID == id }); i >= 0 {
 		writeJSON(w, http.StatusOK, repoInfoOf(configs[i]))
@@ -661,7 +673,7 @@ func packageInfoOf(p *rpm.Package) packageInfo {
 	}
 }
 
-func (s *Server) handleRepoPackages(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRepoPackages(w http.ResponseWriter, r *http.Request, _ *store) {
 	id := r.PathValue("id")
 	rep := s.set.Lookup(id)
 	if rep == nil {
@@ -694,7 +706,7 @@ type depsolveResponse struct {
 	DownloadBytes int64         `json:"download_bytes"`
 }
 
-func (s *Server) handleDepsolve(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDepsolve(w http.ResponseWriter, r *http.Request, _ *store) {
 	var req depsolveRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -786,8 +798,7 @@ func deploymentInfoOf(st *store, dep *depMirror, withEvents bool, pg page) deplo
 	return info
 }
 
-func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request, st *store) {
 	servePage(w, r, "deployments", st, st.m.Deployments, func(st *store, dep *depMirror) deploymentInfo {
 		return deploymentInfoOf(st, dep, false, page{})
 	})
@@ -875,7 +886,7 @@ func (s *Server) startBuild(req createDeploymentRequest) (*xcbc.Handle, string, 
 // deployment in its initial lifecycle state. Clients follow up via GET
 // polling or the /events stream. A create the store refuses — over quota,
 // or not journaled — cancels the build it started.
-func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request, st *store) {
 	var req createDeploymentRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -887,7 +898,6 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request) 
 			fmt.Sprintf("node_count exceeds the per-deployment cap of %d", maxNodesPerCluster))
 		return
 	}
-	st := s.tenant(r).store
 	h, path, err := s.startBuild(req)
 	if err != nil {
 		writeError(w, deployErrorStatus(err), err.Error())
@@ -943,8 +953,7 @@ func deployErrorStatus(err error) int {
 // handleDeployment reports status. ?cursor=N (default 0) selects which
 // journal events ride along, ?limit= caps the page; clients poll by
 // passing back next_cursor.
-func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request, st *store) {
 	if dep := found(w, r, st, st.m.Deployments, "deployment"); dep != nil {
 		if pg, ok := parsePage(w, r); ok {
 			writeJSON(w, http.StatusOK, deploymentInfoOf(st, dep, true, pg))
@@ -956,8 +965,7 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 // `data:` line per event (the eventInfo JSON), then a terminal
 // `event: state` frame once the deployment settles, after which the stream
 // closes. ?cursor=N resumes mid-journal.
-func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request, st *store) {
 	dep := found(w, r, st, st.m.Deployments, "deployment")
 	if dep == nil {
 		return
@@ -1028,8 +1036,7 @@ func (s *Server) handleDeploymentEvents(w http.ResponseWriter, r *http.Request) 
 // cancelled — 202 Accepted, the record stays so the cancellation can be
 // observed settling — while a terminal deployment is removed (204) once
 // its deployment.deleted is journaled.
-func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request) {
-	st := s.tenant(r).store
+func (s *Server) handleDeleteDeployment(w http.ResponseWriter, r *http.Request, st *store) {
 	dep := found(w, r, st, st.m.Deployments, "deployment")
 	if dep == nil {
 		return

@@ -1146,13 +1146,12 @@ type storeInfo struct {
 // handleStore reports durability status: whether the request's tenant has
 // a data directory attached, and if so the WAL's size and the age of the
 // newest snapshot.
-func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	tn := s.tenant(r)
-	if tn.store.log == nil {
+func (s *Server) handleStore(w http.ResponseWriter, r *http.Request, st *store) {
+	if st.log == nil {
 		writeJSON(w, http.StatusOK, storeInfo{Durable: false})
 		return
 	}
-	stats := tn.store.log.Stats()
+	stats := st.log.Stats()
 	info := storeInfo{
 		Durable:              true,
 		DataDir:              stats.Dir,

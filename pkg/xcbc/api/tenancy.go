@@ -2,10 +2,10 @@ package api
 
 // Multi-tenancy: the server's resources (deployments, fleets, campaigns),
 // indexed by the mirror of the store that journals them, are sharded per
-// tenant. A tenant is resolved from the request's API key by the admission
-// middleware and carried through the request context; every handler
-// operates on the resolved tenant's shard only, so cross-tenant reads are
-// structurally impossible rather than filtered.
+// tenant. Each versioned route's dispatcher admits the request, resolving
+// its tenant from the API key, and hands the handler that tenant's store;
+// a handler sees no other shard, so cross-tenant reads are structurally
+// impossible rather than filtered.
 //
 // Admission is opt-in. A Config with no Tenants runs in "open mode": a
 // single anonymous tenant, no keys, no rate limits, no quotas — exactly
@@ -22,7 +22,6 @@ package api
 // depend on where (or whether) the key matches.
 
 import (
-	"context"
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
@@ -35,8 +34,9 @@ import (
 	"time"
 )
 
-// Quotas bounds how many live resources of each kind a tenant may hold.
-// A zero field means unlimited.
+// Quotas bounds how many resources of each kind a tenant may hold: live
+// deployments and fleets, which a delete frees, and campaigns ever started,
+// since no route deletes a campaign. A zero field means unlimited.
 type Quotas struct {
 	MaxDeployments int `json:"max_deployments,omitempty"`
 	MaxFleets      int `json:"max_fleets,omitempty"`
@@ -52,7 +52,7 @@ type TenantConfig struct {
 	// Key is the tenant's API key, presented as "Authorization: Bearer
 	// <key>" or "X-API-Key: <key>". Only its SHA-256 is retained.
 	Key string `json:"key"`
-	// Quotas caps the tenant's live resources; zero fields are unlimited.
+	// Quotas caps the tenant's resources; zero fields are unlimited.
 	Quotas Quotas `json:"quotas"`
 	// RateLimit is the tenant's sustained request budget in requests per
 	// second; 0 means unlimited.
@@ -135,19 +135,6 @@ func buildTenants(cfgs []TenantConfig) ([]*tenant, *tenant, error) {
 	return tenants, nil, nil
 }
 
-// tenantKey carries the resolved tenant through the request context.
-type tenantKey struct{}
-
-// tenant returns the shard the admission middleware resolved for this
-// request. Handlers are only reachable through the middleware, so the
-// open-tenant fallback exists for direct handler invocation in tests.
-func (s *Server) tenant(r *http.Request) *tenant {
-	if tn, ok := r.Context().Value(tenantKey{}).(*tenant); ok {
-		return tn
-	}
-	return s.openTenant
-}
-
 // requestKey extracts the presented API key: "Authorization: Bearer
 // <key>" preferred, "X-API-Key: <key>" accepted.
 func requestKey(r *http.Request) string {
@@ -183,46 +170,42 @@ func (s *Server) resolveTenant(r *http.Request) (*tenant, bool) {
 // contract) and probes can check liveness.
 var admitExempt = []string{"GET /api/" + Version, "GET /api/" + Version + "/healthz"}
 
-// admit is the admission middleware: resolve the tenant (401), charge its
-// token bucket (429 + Retry-After), and stash the tenant in the request
-// context for the handlers. The legacy Yum surface predates API keys and
-// stays anonymous; in open mode every request maps to the open tenant.
-func (s *Server) admit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.openTenant != nil || !strings.HasPrefix(r.URL.Path, "/api/") {
-			next.ServeHTTP(w, r)
-			return
+// admit is the first step of every versioned route (see byMethod): resolve
+// the tenant (401), then charge its token bucket (429 + Retry-After). It
+// reports false once it has answered. In open mode every request is the
+// open tenant's; an exempt route asked without a valid key has no tenant.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
+	if s.openTenant != nil {
+		return s.openTenant, true
+	}
+	tn, ok := s.resolveTenant(r)
+	if !ok {
+		if slices.Contains(admitExempt, r.Method+" "+r.URL.Path) {
+			return nil, true
 		}
-		tn, ok := s.resolveTenant(r)
-		if !ok {
-			if slices.Contains(admitExempt, r.Method+" "+r.URL.Path) {
-				next.ServeHTTP(w, r)
-				return
-			}
-			msg := "unknown API key"
-			if requestKey(r) == "" {
-				msg = "missing API key: send Authorization: Bearer <key> (or X-API-Key)"
-			}
-			writeError(w, http.StatusUnauthorized, msg)
-			return
+		msg := "unknown API key"
+		if requestKey(r) == "" {
+			msg = "missing API key: send Authorization: Bearer <key> (or X-API-Key)"
 		}
-		if tn.limiter != nil {
-			if allowed, wait := tn.limiter.take(s.clock()); !allowed {
-				secs := int(math.Ceil(wait.Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-				writeJSON(w, http.StatusTooManyRequests, rateLimitError{
-					Err:        "rate limit exceeded for tenant " + tn.name,
-					Code:       "rate_limited",
-					RetryAfter: wait.Round(time.Millisecond).String(),
-				})
-				return
+		writeError(w, http.StatusUnauthorized, msg)
+		return nil, false
+	}
+	if tn.limiter != nil {
+		if allowed, wait := tn.limiter.take(s.clock()); !allowed {
+			secs := int(math.Ceil(wait.Seconds()))
+			if secs < 1 {
+				secs = 1
 			}
+			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+			writeJSON(w, http.StatusTooManyRequests, rateLimitError{
+				Err:        "rate limit exceeded for tenant " + tn.name,
+				Code:       "rate_limited",
+				RetryAfter: wait.Round(time.Millisecond).String(),
+			})
+			return nil, false
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tn)))
-	})
+	}
+	return tn, true
 }
 
 // rateLimitError is the 429 body; Err keeps the standard error envelope.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,48 +68,79 @@ func twoTenants() []TenantConfig {
 func TestAdmission4xx(t *testing.T) {
 	t.Run("auth", func(t *testing.T) {
 		s, _ := newMTServer(t, twoTenants()...)
-		routes := []struct{ method, path, body string }{
-			{"GET", "/api/v1/deployments", ""},
-			{"POST", "/api/v1/deployments", `{"cluster":"littlefe"}`},
-			{"GET", "/api/v1/fleets", ""},
-			{"GET", "/api/v1/clusters", ""},
-			{"GET", "/api/v1/campaigns", ""},
-			{"GET", "/api/v1/scenarios", ""},
-			{"GET", "/api/v1/store", ""},
-			{"GET", "/api/v1/repos", ""},
-			{"POST", "/api/v1/depsolve", `{"install":["gromacs"]}`},
-		}
-		for _, r := range routes {
-			for _, key := range []string{"", "wrong-key"} {
-				rec := doKey(t, s, key, r.method, r.path, r.body, nil)
-				if rec.Code != http.StatusUnauthorized {
-					t.Errorf("%s %s key=%q: %d, want 401", r.method, r.path, key, rec.Code)
-					continue
-				}
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
-					t.Errorf("%s %s: 401 body lost the error envelope: %s", r.method, r.path, rec.Body.String())
-				}
-				wantFragment := "unknown API key"
-				if key == "" {
-					wantFragment = "missing API key"
-				}
-				if !strings.Contains(e.Error, wantFragment) {
-					t.Errorf("%s %s key=%q: error %q, want %q", r.method, r.path, key, e.Error, wantFragment)
-				}
+		fill := strings.NewReplacer("{id}", "x9", "{jid}", "9", "{sid}", "s9")
+		wantError := func(rec *httptest.ResponseRecorder, what, fragment string) {
+			t.Helper()
+			var e struct {
+				Error string `json:"error"`
+			}
+			if json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, fragment) {
+				t.Errorf("%s: body %s, want an {\"error\": ...} envelope naming %q", what, rec.Body.String(), fragment)
 			}
 		}
-		// Bootstrap exemptions: discovery and health answer without a key.
-		for _, path := range []string{"/api/v1", "/api/v1/healthz"} {
-			if rec := doKey(t, s, "", "GET", path, "", nil); rec.Code != http.StatusOK {
-				t.Errorf("GET %s without key: %d, want 200 (admission-exempt)", path, rec.Code)
+		// Every route of the table: 401 without a key and with a wrong one,
+		// except the bootstrap exemptions (discovery and health), and never
+		// 401 with a tenant's key.
+		for _, rt := range s.routes {
+			path := fill.Replace(rt.Path)
+			exempt := slices.Contains(admitExempt, rt.Method+" "+rt.Path)
+			for key, fragment := range map[string]string{"": "missing API key", "wrong-key": "unknown API key"} {
+				what := fmt.Sprintf("%s %s key=%q", rt.Method, path, key)
+				rec := doKey(t, s, key, rt.Method, path, "", nil)
+				switch {
+				case exempt && rec.Code != http.StatusOK:
+					t.Errorf("%s: %d, want 200 (admission-exempt)", what, rec.Code)
+				case !exempt && rec.Code != http.StatusUnauthorized:
+					t.Errorf("%s: %d, want 401", what, rec.Code)
+				case !exempt:
+					wantError(rec, what, fragment)
+				}
+			}
+			if rec := doKey(t, s, "alpha-key", rt.Method, path, "", nil); rec.Code == http.StatusUnauthorized {
+				t.Errorf("%s %s with a tenant's key: 401", rt.Method, path)
+			}
+			// A method the path lacks is admitted before it is refused.
+			if rec := doKey(t, s, "", "PUT", path, "", nil); rec.Code != http.StatusUnauthorized {
+				t.Errorf("PUT %s without key: %d, want 401", path, rec.Code)
+			}
+			rec := doKey(t, s, "alpha-key", "PUT", path, "", nil)
+			if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") == "" {
+				t.Errorf("PUT %s with key: %d Allow=%q, want 405 with Allow", path, rec.Code, rec.Header().Get("Allow"))
+			}
+		}
+		// An exemption is a method and a path: HEAD is not GET here.
+		if rec := doKey(t, s, "", "HEAD", "/api/v1", "", nil); rec.Code != http.StatusUnauthorized {
+			t.Errorf("HEAD /api/v1 without key: %d, want 401", rec.Code)
+		}
+		// An unknown versioned path is admitted before it is a 404.
+		rec := doKey(t, s, "", "GET", "/api/v1/nosuch", "", nil)
+		if rec.Code != http.StatusUnauthorized {
+			t.Errorf("GET /api/v1/nosuch without key: %d, want 401", rec.Code)
+		}
+		wantError(rec, "GET /api/v1/nosuch without key", "missing API key")
+		if rec := doKey(t, s, "alpha-key", "GET", "/api/v1/nosuch", "", nil); rec.Code != http.StatusNotFound {
+			t.Errorf("GET /api/v1/nosuch with key: %d, want 404", rec.Code)
+		}
+		// The mux redirects a non-canonical path to its clean form before
+		// any route runs; the clean path still needs the key.
+		for _, path := range []string{"/api/v1//store", "/api/v1/../v1/store", "/api/v1/./store"} {
+			rec := doKey(t, s, "", "GET", path, "", nil)
+			if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/api/v1/store" {
+				t.Errorf("GET %s without key: %d Location=%q, want 301 to /api/v1/store", path, rec.Code, rec.Header().Get("Location"))
 			}
 		}
 		// The legacy Yum surface predates keys and stays anonymous.
 		if rec := doKey(t, s, "", "GET", "/", "", nil); rec.Code != http.StatusOK {
 			t.Errorf("GET / without key: %d, want 200 (legacy surface)", rec.Code)
+		}
+		// Open mode admits every route of the table.
+		open := newTestServer(t)
+		t.Cleanup(func() { open.Close() })
+		for _, rt := range open.routes {
+			path := fill.Replace(rt.Path)
+			if rec := doKey(t, open, "", rt.Method, path, "", nil); rec.Code == http.StatusUnauthorized {
+				t.Errorf("open mode: %s %s answered 401", rt.Method, path)
+			}
 		}
 	})
 
