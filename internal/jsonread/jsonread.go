@@ -272,17 +272,15 @@ func integer[T ~int | ~int64 | ~uint64](r *Reader, p *T) {
 }
 
 // skip checks and consumes one value of any kind, as json.Valid checks it.
-func (r *Reader) skip() { r.walk("", nil) }
+func (r *Reader) skip() { r.walk() }
 
 // Elems checks and consumes the next value as skip does, and returns its
 // bytes, capped so that an append copies them, and its length if it is an
-// array, else -1. val, if not nil, gets the unquoted value of each member
-// named key (as Fields matches names) whose value is a string, of each
-// object in the array.
-func (r *Reader) Elems(key string, val func([]byte)) (raw []byte, n int) {
+// array, else -1.
+func (r *Reader) Elems() (raw []byte, n int) {
 	r.peek()
 	start := r.i
-	if n = r.walk(key, val); r.err != nil {
+	if n = r.walk(); r.err != nil {
 		return nil, 0
 	}
 	return r.b[start:r.i:r.i], n
@@ -290,8 +288,8 @@ func (r *Reader) Elems(key string, val func([]byte)) (raw []byte, n int) {
 
 // walk checks and consumes one value in a single pass, one bit per open
 // object or array standing in for recursion. It returns the value's length
-// if it is an array, else -1; key and val are as in Elems.
-func (r *Reader) walk(key string, val func([]byte)) int {
+// if it is an array, else -1.
+func (r *Reader) walk() int {
 	b, i := r.b, r.i
 	var small [2]uint64
 	objs := small[:0] // bit d is set if the container d+1 levels in is an object
@@ -325,15 +323,10 @@ func (r *Reader) walk(key string, val func([]byte)) int {
 			if bad != "" {
 				return fail(end, bad)
 			}
-			named := val != nil && open == 2 && n >= 0 && r.named(key, i)
 			if i = space(b, end); i == len(b) || b[i] != ':' {
 				return fail(i, "want :")
 			}
-			if i = space(b, i+1); named && i < len(b) && b[i] == '"' {
-				r.i = i
-				val(r.quoted())
-				i, value = r.i, false
-			}
+			i++
 		case value:
 			value = false
 			if i == len(b) {
@@ -397,14 +390,6 @@ func (r *Reader) walk(key string, val func([]byte)) int {
 			return fail(i, "want , or ]")
 		}
 	}
-}
-
-// named reports whether the string at b[start:] names key, as Fields
-// matches a key to a name.
-func (r *Reader) named(key string, start int) bool {
-	q := *r
-	q.i = start
-	return strings.EqualFold(key, string(q.quoted()))
 }
 
 // space returns where the first byte at or after i that is not JSON

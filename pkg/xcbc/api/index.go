@@ -79,8 +79,16 @@ func (r *fleetCreatedRec) admit(st *store) (err error) {
 	return err
 }
 
+// admit counts only running campaigns against the quota, so settling frees
+// a slot, as a delete does for the other kinds; none deletes a campaign.
 func (r *campaignStartedRec) admit(st *store) (err error) {
-	r.ID, err = nextID("c", "campaigns", len(st.m.Campaigns), st.m.NextCampaignID, st.tn.quotas.MaxCampaigns)
+	running := 0
+	for _, c := range st.m.Campaigns {
+		if c.State == "" {
+			running++
+		}
+	}
+	r.ID, err = nextID("c", "campaigns", running, st.m.NextCampaignID, st.tn.quotas.MaxCampaigns)
 	return err
 }
 

@@ -1,9 +1,11 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -765,29 +767,38 @@ func TestRestartKeepsCompatOfAppliedUpdates(t *testing.T) {
 	}
 }
 
-// TestRecoveryShedsJournaledReads: an older binary journaled each metrics
+// TestRecoverySkipsJournaledReads: an older binary journaled each metrics
 // and alerts read and each notify update check as a cluster.op, and
 // testdata/datadir-parent's log holds a metrics read and a notify check.
-// Recovery drops them instead of replaying them, so a snapshot taken after
-// recovery carries no read, and the jobs the rebuild replays are the same
-// once that snapshot is all a restart has.
-func TestRecoveryShedsJournaledReads(t *testing.T) {
+// Open only scans the logs, so it counts the reads and parses nothing; the
+// rebuild skips them instead of replaying them, so nothing logs a failed
+// replay. A snapshot taken after recovery keeps d1's log as recovered, and
+// the jobs the rebuild replays are the same once that snapshot is all a
+// restart has.
+func TestRecoverySkipsJournaledReads(t *testing.T) {
 	var failing atomic.Bool
+	var logged bytes.Buffer
 	cfg := pinConfig(&failing)
 	cfg.DataDir = t.TempDir()
+	cfg.Logger = log.New(&logged, "", 0)
 	if err := os.CopyFS(cfg.DataDir, os.DirFS(pinDataDir)); err != nil {
 		t.Fatal(err)
 	}
+	parsed := countParses(t)
 	s, rep, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// d1 journaled 7 ops, two of them reads.
-	if rep.Records == 0 || rep.OpsReplayed != 5 {
-		t.Fatalf("recovery report = %+v, want a log tail and 5 ops replayed", rep)
+	if rep.Records == 0 || rep.OpsReplayed != 7 || len(parsed()) != 0 {
+		t.Fatalf("recovery report = %+v after %d op-log parses, want a log tail, 7 ops and none parsed", rep, len(parsed()))
 	}
-	jobs := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
 	st := s.openTenant.store
+	recovered := slices.Clone(lookup(st, st.m.Deployments, "d1").Ops.raw)
+	jobs := do(t, s, "GET", "/api/v1/clusters/d1/jobs", "", nil).Body.String()
+	if strings.Contains(logged.String(), "replaying") {
+		t.Errorf("the rebuild replayed a read:\n%s", logged.String())
+	}
 	st.mu.Lock()
 	err = st.snapshotLocked()
 	st.mu.Unlock()
@@ -809,13 +820,12 @@ func TestRecoveryShedsJournaledReads(t *testing.T) {
 	if err := json.Unmarshal(rec.Snapshot, &m); err != nil {
 		t.Fatal(err)
 	}
-	d1 := m.Deployments["d1"]
-	var ops []clusterOpRec
-	if d1 != nil {
-		ops, err = parseOps(d1.Ops)
+	var snapped []byte
+	if d1 := m.Deployments["d1"]; d1 != nil {
+		snapped = d1.Ops.raw
 	}
-	if len(rec.Records) != 0 || err != nil || len(ops) != 5 || slices.ContainsFunc(ops, clusterOpRec.read) {
-		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops %+v (%v), want 5 ops and no read", len(rec.Records), ops, err)
+	if len(rec.Records) != 0 || !bytes.Equal(snapped, recovered) {
+		t.Fatalf("the snapshot after recovery holds %d records after it and d1 ops\n%s\nwant none after it and the recovered\n%s", len(rec.Records), snapped, recovered)
 	}
 
 	s, _, err = Open(cfg)
@@ -848,16 +858,21 @@ func countParses(t *testing.T) func() []string {
 }
 
 // TestOpLogParsedOnFirstUse restarts on 64 ready deployments with 16 jobs
-// each, all of them in the snapshot: Open parses no op log, yet counts
-// every op; the first GET of d1's jobs parses d1's log alone and answers
-// what it did before the restart; concurrent first uses of d2 parse d2's
-// log once.
+// each, and an auto-apply update check on d1 before its jobs, all of them
+// in the snapshot: Open parses no op log, yet counts every op; the first
+// GET of d1's jobs parses d1's log alone and answers what it did before
+// the restart; concurrent first uses of d2 parse d2's log once.
 func TestOpLogParsedOnFirstUse(t *testing.T) {
 	const standing, jobs = 64, 16
 	dir := t.TempDir()
 	s, _ := openDurable(t, dir)
 	for i := 1; i <= standing; i++ {
 		id := deployReady(t, s, `{"cluster":"littlefe","node_count":2}`)
+		if i == 1 {
+			if rec := do(t, s, "GET", "/api/v1/clusters/d1/updates?policy=auto-apply", "", nil); rec.Code != http.StatusOK {
+				t.Fatalf("auto-apply on d1: %d %s", rec.Code, rec.Body.String())
+			}
+		}
 		for range jobs {
 			if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1,"walltime":"1h"}`, nil); rec.Code != http.StatusCreated {
 				t.Fatalf("submit on %s: %d %s", id, rec.Code, rec.Body.String())
@@ -877,9 +892,9 @@ func TestOpLogParsedOnFirstUse(t *testing.T) {
 	parsed := countParses(t)
 	s, rep := openDurable(t, dir)
 	defer s.Close()
-	if rep.Records != 0 || rep.Rebuilt != standing || rep.OpsReplayed != standing*jobs || len(parsed()) != 0 {
+	if rep.Records != 0 || rep.Rebuilt != standing || rep.OpsReplayed != standing*jobs+1 || len(parsed()) != 0 {
 		t.Fatalf("recovery report = %+v after %d op-log parses, want no log tail, %d ready and %d ops, none parsed",
-			rep, len(parsed()), standing, standing*jobs)
+			rep, len(parsed()), standing, standing*jobs+1)
 	}
 	logOf := func(id string) string {
 		return string(lookup(s.openTenant.store, s.openTenant.store.m.Deployments, id).Ops.raw)

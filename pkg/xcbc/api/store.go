@@ -169,8 +169,7 @@ type clusterOpRec struct {
 
 // read reports whether op changes nothing: a metrics or alerts read, or an
 // update check that only notifies, which an older binary journaled as ops.
-// Reads are not written, so recovery drops the ones an older DataDir holds,
-// as it drops fleet.member.
+// Reads are not written, so rebuild skips the ones an older DataDir holds.
 func (op clusterOpRec) read() bool {
 	return op.Op == "metrics" || op.Op == "alerts" || op.Op == "updates" && (op.Policy == "" || op.Policy == "notify")
 }
@@ -178,12 +177,10 @@ func (op clusterOpRec) read() bool {
 // opLog is a ready deployment's day-2 ops in log order, kept as the JSON
 // array a snapshot holds them in: apply appends each op as json.Marshal
 // writes it, Open only scans a recovered log (scan), and rebuild parses it
-// (parseOps) on first use. n counts its ops, -1 if raw is no array; reads
-// reports that it may hold a read, which recovery sheds.
+// (parseOps) on first use. n counts its ops, -1 if raw is no array.
 type opLog struct {
-	raw   []byte
-	n     int
-	reads bool
+	raw []byte
+	n   int
 }
 
 func (l opLog) MarshalJSON() ([]byte, error) { return l.raw, nil }
@@ -195,15 +192,14 @@ func (l *opLog) UnmarshalJSON(data []byte) error {
 	return r.End()
 }
 
-// scan reads a log in one validating pass that counts its ops and finds a
-// read by each op's op value alone, so any update check may be one. null
-// or [] is the empty log, which the row omits.
+// scan reads a log in one validating pass that counts its ops. null or []
+// is the empty log, which the row omits.
 func (l *opLog) scan(r *jsonread.Reader) {
 	*l = opLog{}
 	if r.Null() {
 		return
 	}
-	if l.raw, l.n = r.Elems("op", func(op []byte) { l.reads = l.reads || clusterOpRec{Op: string(op)}.read() }); l.n == 0 {
+	if l.raw, l.n = r.Elems(); l.n == 0 {
 		*l = opLog{}
 	}
 }
@@ -222,7 +218,6 @@ func (l *opLog) add(op clusterOpRec) {
 	// A recovered log is the snapshot's bytes, capped: growing copies it.
 	raw = append(slices.Grow(raw, len(data)+2), sep)
 	l.raw, l.n = append(append(raw, data...), ']'), l.n+1
-	l.reads = l.reads || op.read()
 }
 
 // elem is op as an element of its log: the payload it was logged as less
@@ -236,28 +231,14 @@ func (op clusterOpRec) elem() ([]byte, error) {
 	return json.Marshal(op)
 }
 
-// parseOps parses an op log, for rebuild or for shed; this package's tests
-// count parses through it.
+// parseOps parses an op log for rebuild; this package's tests count parses
+// through it.
 var parseOps = func(l opLog) ([]clusterOpRec, error) {
 	var ops []clusterOpRec
 	if l.raw == nil {
 		return nil, nil
 	}
 	return ops, decodeJSON(l.raw, &ops)
-}
-
-// shed drops the reads from the log; one it cannot parse stays as it is.
-func (l *opLog) shed() {
-	ops, err := parseOps(*l)
-	if err != nil {
-		return
-	}
-	*l = opLog{}
-	for _, op := range ops {
-		if !op.read() {
-			l.add(op)
-		}
-	}
 }
 
 // fleetCreatedRec creates a fleet; row is as in scenarioStartedRec.
@@ -493,7 +474,7 @@ type RecoveryReport struct {
 	Archived         int    `json:"archived"`     // terminal deployments reloaded as records
 	Interrupted      int    `json:"interrupted"`  // mid-build at crash, reconciled to failed
 	Resumed          int    `json:"resumed"`      // mid-build at crash, restarted
-	OpsReplayed      int    `json:"ops_replayed"` // day-2 ops their first use replays
+	OpsReplayed      int    `json:"ops_replayed"` // ops in the recovered logs, an older DataDir's journaled reads included, which first use skips
 	Fleets           int    `json:"fleets"`
 	Runs             int    `json:"runs"`     // settled scenario runs restored
 	Replayed         int    `json:"replayed"` // in-flight runs replayed from seed
@@ -994,9 +975,6 @@ func (st *store) recoverDeployment(dep *depMirror, report *RecoveryReport) {
 	switch dep.State {
 	case string(xcbc.StateReady):
 		report.Rebuilt++
-		if dep.Ops.reads {
-			dep.Ops.shed()
-		}
 		report.OpsReplayed += max(dep.Ops.n, 0)
 		dep.rebuild = sync.OnceValue(func() *xcbc.Handle { return st.rebuild(dep) })
 	case string(xcbc.StateFailed), string(xcbc.StateCancelled):
@@ -1059,6 +1037,9 @@ func (st *store) rebuild(dep *depMirror) *xcbc.Handle {
 	}
 	cl := d.Open()
 	for _, op := range ops {
+		if op.read() {
+			continue
+		}
 		if _, err := runOp(cl, &op); err != nil {
 			st.logf("store: %s: replaying %s: %v", dep.Created.ID, op.Op, err)
 		}

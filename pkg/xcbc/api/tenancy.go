@@ -35,8 +35,8 @@ import (
 )
 
 // Quotas bounds how many resources of each kind a tenant may hold: live
-// deployments and fleets, which a delete frees, and campaigns ever started,
-// since no route deletes a campaign. A zero field means unlimited.
+// deployments and fleets, which a delete frees, and running campaigns, which
+// settling frees. A zero field means unlimited.
 type Quotas struct {
 	MaxDeployments int `json:"max_deployments,omitempty"`
 	MaxFleets      int `json:"max_fleets,omitempty"`

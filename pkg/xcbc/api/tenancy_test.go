@@ -155,7 +155,6 @@ func TestAdmission4xx(t *testing.T) {
 		}{
 			{"deployments", "/api/v1/deployments", `{"cluster":"littlefe"}`},
 			{"fleets", "/api/v1/fleets", `{"name":"q","members":2,"cluster":"littlefe","provision":false}`},
-			{"campaigns", "/api/v1/campaigns", `{"seeds":1,"workers":1}`},
 		}
 		for _, c := range creates {
 			if rec := doKey(t, s, "small-key", "POST", c.path, c.body, nil); rec.Code/100 != 2 {
@@ -243,6 +242,59 @@ func TestAdmission4xx(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCampaignQuotaCountsRunning: with max_campaigns 1, a second campaign
+// is refused with the typed 403 while c1 runs, a sibling tenant's is not,
+// and one is admitted once c1 has settled, the 403 then counting the one
+// running. A check hook holds each campaign's runs while the test holds
+// hold.
+func TestCampaignQuotaCountsRunning(t *testing.T) {
+	var hold sync.RWMutex
+	hook := func(*xcbc.Scenario, *xcbc.ScenarioResult) []string {
+		hold.RLock()
+		defer hold.RUnlock()
+		return nil
+	}
+	s := New(Config{CampaignHook: hook, Tenants: []TenantConfig{
+		{Name: "small", Key: "small-key", Quotas: Quotas{MaxCampaigns: 1}},
+		{Name: "big", Key: "big-key"},
+	}})
+	t.Cleanup(func() { s.Close() })
+	held := true
+	hold.Lock()
+	t.Cleanup(func() { // before Close, which waits for the campaigns
+		if held {
+			hold.Unlock()
+		}
+	})
+	post := func(key string, want int) {
+		t.Helper()
+		var qe quotaError
+		rec := doKey(t, s, key, "POST", "/api/v1/campaigns", `{"seeds":1,"workers":1}`, &qe)
+		if rec.Code != want {
+			t.Fatalf("POST /api/v1/campaigns as %s: %d %s, want %d", key, rec.Code, rec.Body.String(), want)
+		}
+		if want == http.StatusForbidden && (qe.Code != "quota_exceeded" || qe.Resource != "campaigns" || qe.Limit != 1 || qe.InUse != 1 || qe.Err == "") {
+			t.Errorf("campaigns quota body: %+v", qe)
+		}
+	}
+	post("small-key", http.StatusAccepted)
+	post("small-key", http.StatusForbidden)
+	post("big-key", http.StatusAccepted)
+	post("big-key", http.StatusAccepted)
+
+	hold.Unlock()
+	held = false
+	for _, key := range []string{"small-key", "big-key"} {
+		if c := awaitSettled[campaignInfo](t, s, key, "/api/v1/campaigns/c1"); c.State != "passed" {
+			t.Fatalf("%s's c1 settled %q: %s", key, c.State, c.Error)
+		}
+	}
+	hold.Lock()
+	held = true
+	post("small-key", http.StatusAccepted)
+	post("small-key", http.StatusForbidden)
 }
 
 // TestCrossTenantIsolation hammers two tenants concurrently (create,

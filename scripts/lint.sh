@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
 # Static-analysis gate: everything that must hold before a commit merges.
 #
-#   1. gofmt             — the whole tree, fixtures included (testdata is
-#                          invisible to go tooling but not to gofmt -l).
+#   1. gofmt             — the whole tree, fixtures included: `gofmt -l .`
+#                          walks testdata/, which go tooling otherwise
+#                          ignores. The detlint fixture modules under
+#                          internal/analysis/testdata are real, buildable
+#                          Go and are kept gofmt-clean on purpose — do not
+#                          exclude testdata here.
 #   2. go vet            — the standard passes.
-#   3. detlint           — the determinism/durability suite (cmd/detlint),
-#                          run through the real `go vet -vettool=` driver
-#                          so CI exercises the same protocol developers do.
+#   3. detlint           — the six-analyzer determinism/durability suite
+#                          (cmd/detlint), run through the real
+#                          `go vet -vettool=` driver so CI exercises the
+#                          same protocol developers do. Findings are build
+#                          errors; reviewed exceptions live in the code as
+#                          //detlint:<directive> comments with mandatory
+#                          justifications (DESIGN.md, "Static analysis").
 #   4. govulncheck       — known-vulnerability scan; skipped with a notice
 #                          when the tool is absent (offline dev boxes),
 #                          installed on demand in CI where there is network.
