@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -424,10 +425,26 @@ func TestChangeSchedulerSwapsAtomically(t *testing.T) {
 	if err := d.ChangeScheduler("slurm"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChangeScheduler("cron"); err == nil {
-		t.Fatal("unknown scheduler should fail")
-	}
+	// A name the batch system knows as an alias has no packages to swap
+	// in: it is refused like an unknown one, and changes nothing, also with
+	// no job left running to refuse it.
 	eng.Run()
+	installed := func() (out []string) {
+		for _, n := range d.Cluster.Nodes() {
+			out = append(out, n.Name+": "+fmt.Sprint(n.Packages().Installed()))
+		}
+		return out
+	}
+	before := installed()
+	for _, name := range []string{"cron", "maui", "torque+maui", "gridengine", "torque-nomau"} {
+		if err := d.ChangeScheduler(name); err == nil {
+			t.Errorf("ChangeScheduler(%q) should fail", name)
+		}
+		if d.Scheduler != "slurm" || d.Batch.PolicyName() != "slurm" || !slices.Equal(installed(), before) {
+			t.Fatalf("refused ChangeScheduler(%q) left scheduler %q, policy %q, packages changed %v",
+				name, d.Scheduler, d.Batch.PolicyName(), !slices.Equal(installed(), before))
+		}
+	}
 }
 
 func TestChangeSchedulerRefusesWithRunningJobs(t *testing.T) {

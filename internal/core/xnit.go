@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,9 +115,10 @@ func (d *Deployment) InstallProfile(profile string) (int, error) {
 // schedulers"). Old scheduler packages are erased and the new ones installed
 // in one atomic transaction per node; running jobs are drained first.
 func (d *Deployment) ChangeScheduler(to string) error {
-	if _, ok := sched.PolicyByName(to); !ok {
-		return fmt.Errorf("core: unknown scheduler %q", to)
+	if !slices.Contains(Schedulers, to) {
+		return fmt.Errorf("core: unknown scheduler %q (choose one of %v)", to, Schedulers)
 	}
+	policy, _ := sched.PolicyByName(to)
 	if to == d.Scheduler {
 		return nil
 	}
@@ -151,7 +153,6 @@ func (d *Deployment) ChangeScheduler(to string) error {
 		d.Engine.RunUntil(d.Engine.Now() + sim.Time(time.Duration(tx.InstallCount())*provision.PerPackage))
 	}
 	d.Scheduler = to
-	policy, _ := sched.PolicyByName(to)
 	if d.Batch == nil {
 		d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)
 		// The power manager was started over no batch system, so it has no

@@ -138,18 +138,11 @@ func (m *Manager) wake(coresNeeded int, free []int) {
 			if m.Batch.NodeBusy(i) {
 				return // failed while booting
 			}
-			n.SetPower(cluster.PowerOn)
-			// Rerun placement now that capacity exists.
-			m.Batch.SetPolicy(policyOf(m.Batch))
+			// Power it on and rerun placement; n is a compute, so this
+			// cannot fail.
+			m.Batch.NodeRepair(n.Name)
 		})
 	}
-}
-
-// policyOf round-trips the batch manager's current policy (SetPolicy
-// triggers a scheduling pass).
-func policyOf(b *sched.Manager) sched.Policy {
-	p, _ := sched.PolicyByName(b.PolicyName())
-	return p
 }
 
 // accrue charges energy for the interval since the last sample at current

@@ -85,6 +85,45 @@ func TestWakeOnDemand(t *testing.T) {
 	}
 }
 
+// sitePolicy is a policy sched.PolicyByName does not know: Policy is an
+// interface, so a site can bring its own.
+type sitePolicy struct{ sched.TorqueMaui }
+
+func (sitePolicy) Name() string { return "site-fifo" }
+
+// TestUnknownPolicyKeepsSchedulingAcrossAWake: a woken node's boot reruns
+// placement under the batch system's own policy, whatever its name.
+func TestUnknownPolicyKeepsSchedulingAcrossAWake(t *testing.T) {
+	c := cluster.NewLimulusHPC200()
+	c.PowerOnAll()
+	eng := sim.NewEngine()
+	batch := sched.NewManager(eng, c, sitePolicy{})
+	pm := NewManager(eng, c, batch, OnDemand)
+	pm.IdleGrace = time.Minute
+	eng.Run() // every compute idles down
+	burst, err := batch.Submit(&sched.Job{Name: "burst", User: "u", Cores: 8, Walltime: time.Hour, Runtime: 5 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + sim.Time(pm.BootDelay))
+	late, err := batch.Submit(&sched.Job{Name: "late", User: "u", Cores: 2, Walltime: time.Hour, Runtime: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for _, id := range []int{burst, late} {
+		if j, _ := batch.Job(id); j.State != sched.StateCompleted {
+			t.Errorf("%s is %v, want completed", j.Name, j.State)
+		}
+	}
+	if j, _ := batch.Job(burst); j.WaitTime() < pm.BootDelay {
+		t.Errorf("burst waited %v, want at least the %v boot", j.WaitTime(), pm.BootDelay)
+	}
+	if got := batch.PolicyName(); got != "site-fifo" {
+		t.Errorf("PolicyName = %q after the wake, want site-fifo", got)
+	}
+}
+
 // TestBootingNodeIsNotWokenTwice covers a second shortfall arriving while
 // the node woken for the first is still booting: the booting node reads
 // PowerOff until its boot fires, but it is already covering the cores, so

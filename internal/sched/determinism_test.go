@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 type sloppyFIFO struct{}
 
 func (sloppyFIFO) Name() string { return "sloppy" }
-func (sloppyFIFO) Less(a, b *Job, _ sim.Time, _ map[string]float64) bool {
-	return a.SubmitTime < b.SubmitTime
+func (sloppyFIFO) Compare(a, b *Job, _ sim.Time, _ map[string]float64) int {
+	return cmp.Compare(a.SubmitTime, b.SubmitTime)
 }
 func (sloppyFIFO) Backfill() bool { return false }
 

@@ -67,8 +67,8 @@ func (m *Manager) NodeFail(name string) error {
 	return nil
 }
 
-// NodeRepair returns a failed node to service with its full core count and
-// reruns placement.
+// NodeRepair returns a node to service — a failed node repaired, or a
+// sleeping one booted — with its full core count, and reruns placement.
 func (m *Manager) NodeRepair(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

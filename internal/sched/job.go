@@ -98,10 +98,11 @@ type Policy interface {
 	// Name is the scheduler's name as a user would know it ("torque",
 	// "slurm", "sge").
 	Name() string
-	// Less reports whether job a should be considered before job b in a
-	// scheduling pass. now is the current time (for age-based priority);
-	// usage maps user -> consumed core-seconds (for fair share).
-	Less(a, b *Job, now sim.Time, usage map[string]float64) bool
+	// Compare orders job a against job b in a scheduling pass: negative
+	// if a goes first, positive if b does, zero to keep their queue order.
+	// now is the current time (for age-based priority); usage maps user ->
+	// consumed core-seconds (for fair share).
+	Compare(a, b *Job, now sim.Time, usage map[string]float64) int
 	// Backfill reports whether lower-priority jobs may run ahead when they
 	// fit into idle resources without delaying the head of the queue.
 	Backfill() bool

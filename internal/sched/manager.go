@@ -148,7 +148,7 @@ func (m *Manager) Cancel(id int) error {
 	defer m.mu.Unlock()
 	for i, j := range m.queue {
 		if j.ID == id {
-			m.queue = append(m.queue[:i:i], m.queue[i+1:]...)
+			m.queue = slices.Delete(m.queue, i, i+1)
 			j.State = StateCancelled
 			j.EndTime = m.Engine.Now()
 			m.done = append(m.done, j)
@@ -252,29 +252,20 @@ func (m *Manager) nodeBusy(i int) bool { return m.free[i] < m.Cluster.Computes[i
 // sortQueue orders jobs by the active policy. m.mu held.
 func (m *Manager) sortQueue(q []*Job) {
 	now := m.Engine.Now()
-	slices.SortStableFunc(q, func(a, b *Job) int {
-		switch {
-		case m.policy.Less(a, b, now, m.usage):
-			return -1
-		case m.policy.Less(b, a, now, m.usage):
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(q, func(a, b *Job) int { return m.policy.Compare(a, b, now, m.usage) })
 }
 
 // schedule runs one scheduling pass: start jobs in policy order; if backfill
 // is enabled, lower-priority jobs that fit without delaying the blocked head
-// job may start too. m.mu held; WakeRequest is invoked under it, so the
-// hook must not call back into the Manager synchronously (the power manager
-// defers its reaction through the engine).
+// job may start too. The jobs that started leave the queue in one
+// compaction after the loop. m.mu held; WakeRequest is invoked under it, so
+// the hook must not call back into the Manager synchronously (the power
+// manager defers its reaction through the engine).
 func (m *Manager) schedule() {
 	m.sortQueue(m.queue)
 	var blockedHead *Job
 	shortfall := 0
-	i := 0
-	for i < len(m.queue) {
-		j := m.queue[i]
+	for _, j := range m.queue {
 		alloc := m.tryPlace(j.Cores)
 		if alloc == nil {
 			if blockedHead == nil {
@@ -284,21 +275,16 @@ func (m *Manager) schedule() {
 			if !m.policy.Backfill() {
 				break
 			}
-			i++
 			continue
 		}
-		if blockedHead != nil {
-			// Backfill candidate: only start if it finishes before the
-			// blocked head could plausibly start (shadow time = earliest
-			// completion among running jobs that frees enough cores).
-			if !m.fitsInShadow(j) {
-				i++
-				continue
-			}
+		// A backfill candidate starts only if it finishes before the
+		// blocked head could plausibly start (shadow time = earliest
+		// completion among running jobs that frees enough cores).
+		if blockedHead == nil || m.fitsInShadow(j) {
+			m.start(j, alloc)
 		}
-		m.queue = append(m.queue[:i:i], m.queue[i+1:]...)
-		m.start(j, alloc)
 	}
+	m.queue = slices.DeleteFunc(m.queue, func(j *Job) bool { return j.State != StateQueued })
 	if blockedHead != nil && m.WakeRequest != nil && shortfall > 0 {
 		m.WakeRequest(shortfall, m.free)
 	}

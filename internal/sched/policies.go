@@ -1,6 +1,10 @@
 package sched
 
-import "xcbc/internal/sim"
+import (
+	"cmp"
+
+	"xcbc/internal/sim"
+)
 
 // TorqueMaui is the XCBC default: Torque resource manager with the Maui
 // scheduler — FIFO order with EASY backfill.
@@ -9,9 +13,9 @@ type TorqueMaui struct{}
 // Name implements Policy.
 func (TorqueMaui) Name() string { return "torque" }
 
-// Less implements Policy: strict submission order.
-func (TorqueMaui) Less(a, b *Job, _ sim.Time, _ map[string]float64) bool {
-	return a.SubmitTime < b.SubmitTime || (a.SubmitTime == b.SubmitTime && a.ID < b.ID)
+// Compare implements Policy: strict submission order.
+func (TorqueMaui) Compare(a, b *Job, _ sim.Time, _ map[string]float64) int {
+	return cmp.Or(cmp.Compare(a.SubmitTime, b.SubmitTime), cmp.Compare(a.ID, b.ID))
 }
 
 // Backfill implements Policy: Maui backfills.
@@ -20,37 +24,27 @@ func (TorqueMaui) Backfill() bool { return true }
 // Slurm is a SLURM-like multifactor scheduler: priority is a weighted sum of
 // queue age and job size (small jobs slightly favored, as in the
 // "job_size" factor with SMALL_RELATIVE_TO_TIME), with backfill.
-type Slurm struct {
-	// AgeWeight scales queue-age seconds into priority; defaults to 1.
-	AgeWeight float64
-	// SizeWeight scales the inverse core count; defaults to 1000.
-	SizeWeight float64
-}
+type Slurm struct{}
+
+// Slurm's priority weights: queue-age seconds count once, and the inverse
+// core count a thousand times.
+const (
+	slurmAgeWeight  = 1
+	slurmSizeWeight = 1000
+)
 
 // Name implements Policy.
 func (Slurm) Name() string { return "slurm" }
 
 // priority computes the multifactor priority of a job at time now.
-func (s Slurm) priority(j *Job, now sim.Time) float64 {
-	aw := s.AgeWeight
-	if aw == 0 {
-		aw = 1
-	}
-	sw := s.SizeWeight
-	if sw == 0 {
-		sw = 1000
-	}
+func (Slurm) priority(j *Job, now sim.Time) float64 {
 	age := (now - j.SubmitTime).Duration().Seconds()
-	return aw*age + sw/float64(j.Cores)
+	return slurmAgeWeight*age + slurmSizeWeight/float64(j.Cores)
 }
 
-// Less implements Policy: higher priority first, ID as tiebreak.
-func (s Slurm) Less(a, b *Job, now sim.Time, _ map[string]float64) bool {
-	pa, pb := s.priority(a, now), s.priority(b, now)
-	if pa != pb {
-		return pa > pb
-	}
-	return a.ID < b.ID
+// Compare implements Policy: higher priority first, ID as tiebreak.
+func (s Slurm) Compare(a, b *Job, now sim.Time, _ map[string]float64) int {
+	return cmp.Or(cmp.Compare(s.priority(b, now), s.priority(a, now)), cmp.Compare(a.ID, b.ID))
 }
 
 // Backfill implements Policy.
@@ -65,16 +59,9 @@ type SGE struct{}
 // Name implements Policy.
 func (SGE) Name() string { return "sge" }
 
-// Less implements Policy: least-usage user first, then FIFO.
-func (SGE) Less(a, b *Job, _ sim.Time, usage map[string]float64) bool {
-	ua, ub := usage[a.User], usage[b.User]
-	if ua != ub {
-		return ua < ub
-	}
-	if a.SubmitTime != b.SubmitTime {
-		return a.SubmitTime < b.SubmitTime
-	}
-	return a.ID < b.ID
+// Compare implements Policy: least-usage user first, then FIFO.
+func (SGE) Compare(a, b *Job, now sim.Time, usage map[string]float64) int {
+	return cmp.Or(cmp.Compare(usage[a.User], usage[b.User]), TorqueMaui{}.Compare(a, b, now, usage))
 }
 
 // Backfill implements Policy.
@@ -88,9 +75,9 @@ type PlainFIFO struct{}
 // Name implements Policy.
 func (PlainFIFO) Name() string { return "torque-nomau" }
 
-// Less implements Policy: strict submission order.
-func (PlainFIFO) Less(a, b *Job, now sim.Time, usage map[string]float64) bool {
-	return TorqueMaui{}.Less(a, b, now, usage)
+// Compare implements Policy: strict submission order.
+func (PlainFIFO) Compare(a, b *Job, now sim.Time, usage map[string]float64) int {
+	return TorqueMaui{}.Compare(a, b, now, usage)
 }
 
 // Backfill implements Policy: plain pbs_sched does not backfill.

@@ -219,7 +219,7 @@ func TestSlurmAgeDominatesEventually(t *testing.T) {
 	now := sim.Time(2 * time.Hour)
 	oldBig := &Job{ID: 1, Cores: 10, SubmitTime: 0}
 	freshSmall := &Job{ID: 2, Cores: 1, SubmitTime: now - sim.Time(time.Second)}
-	if !s.Less(oldBig, freshSmall, now, nil) {
+	if s.Compare(oldBig, freshSmall, now, nil) >= 0 {
 		t.Fatal("aged job should outrank fresh small job")
 	}
 }

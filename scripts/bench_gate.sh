@@ -53,6 +53,7 @@ run .                    'BenchmarkRecoverStanding64$/(listed|touched|history)$'
 run ./internal/monitor/  'BenchmarkMonitorFirstPoll$|BenchmarkMonitorPoll$' 2000x
 run ./internal/wal/      'BenchmarkWALAppend'               2000000x
 run ./internal/campaign/ 'BenchmarkCampaignSweep32$'        3x
+run ./internal/sched/    'BenchmarkSubmitQueued$'           200x
 
 fail=0
 checked=0
