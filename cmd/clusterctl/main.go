@@ -145,8 +145,9 @@ func main() {
 
 	eng.Run()
 	total := d.PowerManager().Finalize()
+	_, _, finished := d.Batch().JobCounts()
 	fmt.Printf("\nworkload complete at %v; %d jobs finished; energy %.1f Wh (policy %s)\n",
-		eng.Now(), len(d.Batch().History()), total, *powerPolicy)
+		eng.Now(), finished, total, *powerPolicy)
 }
 
 // deployCmd runs `clusterctl deploy`: start an asynchronous build, watch

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -51,15 +52,17 @@ func familyOf(scheduler string) string {
 //	qdel <id> / scancel <id>
 //	module avail
 //
-// The actual runtime of the simulated job defaults to half its walltime; for
-// deterministic scenarios append -runtime <seconds>.
+// Every flag takes the next argument as its value. The actual runtime of
+// the simulated job defaults to half its walltime; for deterministic
+// scenarios append -runtime <seconds>. Job commands go through Operations,
+// the adapter REST, the SDK and scenarios use, so they are serialized with
+// every other day-2 caller.
 func (d *Deployment) Exec(line string) (string, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "", fmt.Errorf("core: empty command")
 	}
-	cmd := fields[0]
-	args := fields[1:]
+	cmd, args := fields[0], fields[1:]
 	if fam, isSched := commandFamilies[cmd]; isSched {
 		if d.Batch == nil {
 			return "", fmt.Errorf("core: no batch system installed; %w", &CommandError{cmd})
@@ -85,57 +88,18 @@ func (d *Deployment) Exec(line string) (string, error) {
 func (d *Deployment) execSubmit(cmd string, args []string) (string, error) {
 	job := &sched.Job{User: "user", Cores: 1}
 	var script string
-	i := 0
-	for i < len(args) {
-		a := args[i]
-		switch {
-		case a == "-N" || a == "-J":
-			i++
-			if i >= len(args) {
-				return "", fmt.Errorf("core: %s: missing name", cmd)
-			}
-			job.Name = args[i]
-		case a == "-u":
-			i++
-			if i >= len(args) {
-				return "", fmt.Errorf("core: %s: missing user", cmd)
-			}
-			job.User = args[i]
-		case a == "-n" && cmd == "sbatch":
-			i++
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return "", fmt.Errorf("core: sbatch -n: %v", err)
-			}
-			job.Cores = n
-		case a == "-t" && cmd == "sbatch":
-			i++
-			mins, err := strconv.Atoi(args[i])
-			if err != nil {
-				return "", fmt.Errorf("core: sbatch -t: %v", err)
-			}
-			job.Walltime = time.Duration(mins) * time.Minute
-		case a == "-l" && cmd == "qsub":
-			i++
-			if i >= len(args) {
-				return "", fmt.Errorf("core: qsub -l: missing resource list")
-			}
-			if err := parsePBSResources(args[i], job); err != nil {
-				return "", err
-			}
-		case a == "-runtime":
-			i++
-			secs, err := strconv.Atoi(args[i])
-			if err != nil {
-				return "", fmt.Errorf("core: -runtime: %v", err)
-			}
-			job.Runtime = time.Duration(secs) * time.Second
-		case strings.HasPrefix(a, "-"):
-			return "", fmt.Errorf("core: %s: unknown flag %s", cmd, a)
-		default:
-			script = a
+	for i := 0; i < len(args); i++ {
+		flag := args[i]
+		if !strings.HasPrefix(flag, "-") {
+			script = flag
+			continue
 		}
-		i++
+		if i++; i == len(args) {
+			return "", fmt.Errorf("core: %s %s: missing value", cmd, flag)
+		}
+		if err := setSubmitFlag(job, cmd, flag, args[i]); err != nil {
+			return "", err
+		}
 	}
 	if script == "" {
 		return "", fmt.Errorf("core: %s: no script given", cmd)
@@ -144,37 +108,63 @@ func (d *Deployment) execSubmit(cmd string, args []string) (string, error) {
 	if job.Name == "" {
 		job.Name = script
 	}
-	id, err := d.Batch.Submit(job)
-	if err != nil {
+	if err := d.Operations().Submit(job); err != nil {
 		return "", err
 	}
 	if cmd == "sbatch" {
-		return fmt.Sprintf("Submitted batch job %d", id), nil
+		return fmt.Sprintf("Submitted batch job %d", job.ID), nil
 	}
-	return fmt.Sprintf("%d.%s", id, d.Cluster.Frontend.Name), nil
+	return fmt.Sprintf("%d.%s", job.ID, d.Cluster.Frontend.Name), nil
 }
 
-// parsePBSResources handles "-l nodes=2:ppn=2,walltime=01:00:00".
+// setSubmitFlag applies one qsub or sbatch flag and its value to job.
+func setSubmitFlag(job *sched.Job, cmd, flag, val string) error {
+	var n int // the value of -t and -runtime, before its unit
+	var err error
+	switch {
+	case flag == "-N" || flag == "-J":
+		job.Name = val
+	case flag == "-u":
+		job.User = val
+	case flag == "-l" && cmd == "qsub":
+		return parsePBSResources(val, job)
+	case flag == "-n" && cmd == "sbatch":
+		job.Cores, err = strconv.Atoi(val)
+	case flag == "-t" && cmd == "sbatch":
+		n, err = strconv.Atoi(val)
+		job.Walltime = time.Duration(n) * time.Minute
+	case flag == "-runtime":
+		n, err = strconv.Atoi(val)
+		job.Runtime = time.Duration(n) * time.Second
+	default:
+		return fmt.Errorf("core: %s: unknown flag %s", cmd, flag)
+	}
+	if err != nil {
+		return fmt.Errorf("core: %s %s: %v", cmd, flag, err)
+	}
+	return nil
+}
+
+// parsePBSResources handles "-l nodes=2:ppn=2,walltime=01:00:00"; each -l
+// sets only the resources it names.
 func parsePBSResources(spec string, job *sched.Job) error {
-	nodes, ppn := 1, 1
 	for _, part := range strings.Split(spec, ",") {
 		switch {
 		case strings.HasPrefix(part, "nodes="):
 			sub := strings.Split(strings.TrimPrefix(part, "nodes="), ":")
-			n, err := strconv.Atoi(sub[0])
+			nodes, err := strconv.Atoi(sub[0])
 			if err != nil {
 				return fmt.Errorf("core: qsub -l nodes: %v", err)
 			}
-			nodes = n
+			ppn := 1
 			for _, s := range sub[1:] {
-				if strings.HasPrefix(s, "ppn=") {
-					p, err := strconv.Atoi(strings.TrimPrefix(s, "ppn="))
-					if err != nil {
+				if p, ok := strings.CutPrefix(s, "ppn="); ok {
+					if ppn, err = strconv.Atoi(p); err != nil {
 						return fmt.Errorf("core: qsub -l ppn: %v", err)
 					}
-					ppn = p
 				}
 			}
+			job.Cores = nodes * ppn
 		case strings.HasPrefix(part, "walltime="):
 			hms := strings.Split(strings.TrimPrefix(part, "walltime="), ":")
 			if len(hms) != 3 {
@@ -191,18 +181,17 @@ func parsePBSResources(spec string, job *sched.Job) error {
 			return fmt.Errorf("core: qsub -l: unknown resource %q", part)
 		}
 	}
-	job.Cores = nodes * ppn
 	return nil
 }
 
 func (d *Deployment) execStatus() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-16s %-10s %-6s %-10s\n", "ID", "NAME", "USER", "CORES", "STATE")
-	var all []*sched.Job
-	all = append(all, d.Batch.Running()...)
-	all = append(all, d.Batch.Queued()...)
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	for _, j := range all {
+	active := slices.DeleteFunc(d.Operations().Jobs(), func(j JobView) bool {
+		return j.State != "queued" && j.State != "running"
+	})
+	slices.SortFunc(active, func(a, b JobView) int { return cmp.Compare(a.ID, b.ID) })
+	for _, j := range active {
 		fmt.Fprintf(&b, "%-6d %-16s %-10s %-6d %-10s\n", j.ID, j.Name, j.User, j.Cores, j.State)
 	}
 	return b.String()
@@ -213,12 +202,12 @@ func (d *Deployment) execDelete(args []string) (string, error) {
 		return "", fmt.Errorf("core: delete needs exactly one job id")
 	}
 	// Torque ids look like "3.frontend"; accept both forms.
-	idStr := strings.SplitN(args[0], ".", 2)[0]
+	idStr, _, _ := strings.Cut(args[0], ".")
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
 		return "", fmt.Errorf("core: bad job id %q", args[0])
 	}
-	if err := d.Batch.Cancel(id); err != nil {
+	if err := d.Operations().CancelJob(id); err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("job %d deleted", id), nil

@@ -325,16 +325,20 @@ func TestCommandsPortabilityAcrossSGE(t *testing.T) {
 	eng.Run()
 }
 
+// execErrorLines are command lines Exec refuses on a torque LittleFe.
+var execErrorLines = []string{
+	"", "frobnicate", "qsub", "qsub -l cpus=4 x.sh", "qsub -l walltime=10:00 x.sh",
+	"qdel", "qdel abc", "module", "module load gcc", "qsub -N",
+	"qsub -runtime", "qsub -l",
+}
+
 func TestExecErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	d, err := BuildXCBCContext(t.Context(), eng, cluster.NewLittleFe(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{
-		"", "frobnicate", "qsub", "qsub -l cpus=4 x.sh", "qsub -l walltime=10:00 x.sh",
-		"qdel", "qdel abc", "module", "module load gcc", "qsub -N",
-	} {
+	for _, bad := range execErrorLines {
 		if _, err := d.Exec(bad); err == nil {
 			t.Errorf("Exec(%q) should fail", bad)
 		}

@@ -122,9 +122,10 @@ func (d *Deployment) ChangeScheduler(to string) error {
 	if to == d.Scheduler {
 		return nil
 	}
-	if d.Batch != nil && len(d.Batch.Running()) > 0 {
-		return fmt.Errorf("core: %d jobs still running; drain the queue before changing schedulers",
-			len(d.Batch.Running()))
+	if d.Batch != nil {
+		if _, running, _ := d.Batch.JobCounts(); running > 0 {
+			return fmt.Errorf("core: %d jobs still running; drain the queue before changing schedulers", running)
+		}
 	}
 	byName := CatalogByName(Catalog())
 	oldPkgs := schedulerPackages(d.Scheduler)

@@ -113,10 +113,10 @@ func (m *Manager) nodeIdle(i int) {
 // boot fires; it is not woken again, and its cores count toward the
 // shortfall. A failed node is never woken; one that fails while booting
 // stays off and stops counting, so another is woken in its place.
-func (m *Manager) wake(coresNeeded int, free []int) {
+func (m *Manager) wake(coresNeeded int, failed []bool) {
 	woken := 0
 	for i, n := range m.Cluster.Computes {
-		if m.booting[i] && free[i] == n.Cores() {
+		if m.booting[i] && !failed[i] {
 			woken += n.Cores()
 		}
 	}
@@ -124,7 +124,7 @@ func (m *Manager) wake(coresNeeded int, free []int) {
 		if woken >= coresNeeded {
 			break
 		}
-		if n.Power() != cluster.PowerOff || m.booting[i] || free[i] < n.Cores() {
+		if n.Power() != cluster.PowerOff || m.booting[i] || failed[i] {
 			continue // on, already booting, or failed
 		}
 		m.Engine.Cancel(m.pending[i])

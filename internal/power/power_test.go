@@ -138,10 +138,10 @@ func TestBootingNodeIsNotWokenTwice(t *testing.T) {
 		}
 	}
 	before := len(pm.Events())
-	idle := []int{4, 4, 4}
-	batch.WakeRequest(4, idle)
+	healthy := make([]bool, len(c.Computes))
+	batch.WakeRequest(4, healthy)
 	eng.RunUntil(eng.Now() + sim.Time(pm.BootDelay/2))
-	batch.WakeRequest(4, idle)
+	batch.WakeRequest(4, healthy)
 	wakes := map[string]int{}
 	for _, e := range pm.Events()[before:] {
 		var node string

@@ -3,8 +3,9 @@ package power
 // Schedule pin. testdata/schedule-pin.golden pins what each of the four
 // scheduling policies makes of one seeded script, with the power manager
 // always on and on demand: every job's final state, its submit, start and
-// end times and the nodes it last held, the power log, and each user's
-// consumed core-seconds. The script mixes core counts and users, kills jobs
+// end times and the nodes it last held, the power log, each user's
+// consumed core-seconds, and the accounting: every record's core-seconds
+// in completion order, every per-user summary row, and the utilization. The script mixes core counts and users, kills jobs
 // at their walltime, cancels queued and running jobs, fails and repairs a
 // node, drains and undrains another, and advances past the boots of woken
 // nodes. The cluster is a LittleFe grown to 11 computes, so compute-0-10
@@ -149,4 +150,11 @@ func pinSchedule(t *testing.T, w io.Writer, policy sched.Policy, pp Policy) {
 	for _, u := range slices.Sorted(maps.Keys(usage)) {
 		fmt.Fprintf(w, "usage %s %g\n", u, usage[u])
 	}
+	for _, r := range batch.Records() {
+		fmt.Fprintf(w, "record %d %s core-secs=%g\n", r.JobID, r.State, r.CoreSecs)
+	}
+	for _, s := range batch.UserSummaries() {
+		fmt.Fprintf(w, "summary %s jobs=%d core-secs=%g mean-wait=%v\n", s.User, s.Jobs, s.CoreSecs, s.MeanWait)
+	}
+	fmt.Fprintf(w, "utilization %g\n", batch.Utilization())
 }

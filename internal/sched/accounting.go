@@ -35,14 +35,10 @@ func (m *Manager) Records() []AccountingRecord {
 	defer m.mu.Unlock()
 	out := make([]AccountingRecord, 0, len(m.done))
 	for _, j := range m.done {
-		elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
-		if j.State == StateCancelled && j.StartTime == 0 && j.Alloc == nil {
-			elapsed = 0 // cancelled while queued
-		}
 		out = append(out, AccountingRecord{
 			JobID: j.ID, Name: j.Name, User: j.User, Cores: j.Cores,
 			State: j.State, Queued: j.SubmitTime, Started: j.StartTime,
-			CoreSecs: elapsed * float64(j.Cores),
+			CoreSecs: j.coreSecs,
 		})
 	}
 	return out
@@ -69,9 +65,8 @@ func (m *Manager) UserSummaries() []UserSummary {
 			agg[j.User] = s
 		}
 		s.Jobs++
+		s.CoreSecs += j.coreSecs
 		if j.Alloc != nil {
-			elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
-			s.CoreSecs += elapsed * float64(j.Cores)
 			s.MeanWait += j.WaitTime() // summed here, divided below
 		}
 	}
@@ -93,22 +88,13 @@ func (m *Manager) Utilization() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.Engine.Now()
-	if now == 0 {
-		return 0
-	}
-	capacity := 0
-	for _, n := range m.Cluster.Computes {
-		capacity += n.Cores()
-	}
-	available := now.Seconds() * float64(capacity)
+	available := now.Seconds() * float64(m.capacity)
 	if available == 0 {
 		return 0
 	}
 	delivered := 0.0
 	for _, j := range m.done {
-		if j.Alloc != nil {
-			delivered += (j.EndTime - j.StartTime).Duration().Seconds() * float64(j.Cores)
-		}
+		delivered += j.coreSecs
 	}
 	// Sum running jobs in ID order: float addition is not associative, so
 	// summing in map order would make Utilization depend on iteration order.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,35 @@ func TestNodeFailRequeuesJobs(t *testing.T) {
 	}
 }
 
+// TestRepairOfBusyNodeKeepsItsJobsCores repairs a node that never failed
+// while a job holds its cores: the cores stay taken, so the next pass
+// places no second job there and the 10-core LittleFe runs five 2-core
+// jobs, not six.
+func TestRepairOfBusyNodeKeepsItsJobsCores(t *testing.T) {
+	eng, m := littlefe(t, TorqueMaui{})
+	id, _ := m.Submit(job("first", "u", 2, time.Hour, 30*time.Minute))
+	if j, _ := m.Job(id); j.State != StateRunning || !uses(j, 0) || m.Cluster.Computes[0].Name != "compute-0-1" {
+		t.Fatalf("first job should run on compute-0-1: %v, alloc %v", j.State, j.Alloc)
+	}
+	if err := m.NodeRepair("compute-0-1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if _, err := m.Submit(job(fmt.Sprintf("j%d", i), "u", 2, time.Hour, 10*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if queued, running, _ := m.JobCounts(); queued != 1 || running != 5 {
+		t.Fatalf("%d running and %d queued, want 5 and 1: four of the five start", running, queued)
+	}
+	eng.Run()
+	for i, n := range m.Cluster.Computes {
+		if m.free[i] != n.Cores() {
+			t.Errorf("%s: %d free cores after the drain, want %d", n.Name, m.free[i], n.Cores())
+		}
+	}
+}
+
 func TestNodeFailDoesNotTouchOtherJobs(t *testing.T) {
 	eng, m := littlefe(t, TorqueMaui{})
 	idA, _ := m.Submit(job("a", "u", 2, time.Hour, 30*time.Minute))
@@ -190,7 +220,7 @@ func TestNodeFailWithPowerManagerIntegration(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewManager(eng, c, TorqueMaui{})
 	var wakes int
-	m.WakeRequest = func(int, []int) { wakes++ }
+	m.WakeRequest = func(int, []bool) { wakes++ }
 	m.Submit(job("big", "u", 10, time.Hour, 30*time.Minute))
 	m.NodeFail("compute-0-1")
 	if m.FreeCores(0) != 0 {

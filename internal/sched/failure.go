@@ -23,9 +23,9 @@ func (m *Manager) compute(name string) (int, error) {
 	return 0, fmt.Errorf("sched: no such compute node %s", name)
 }
 
-// NodeFail marks a compute node failed: it is powered off, its running
-// jobs are requeued (fresh submission time, so they do not jump the queue
-// unfairly under FIFO), and a scheduling pass redistributes work.
+// NodeFail marks a compute node failed until NodeRepair: it is powered off,
+// its running jobs are requeued (fresh submission time, so they do not jump
+// the queue unfairly under FIFO), and a scheduling pass redistributes work.
 func (m *Manager) NodeFail(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -48,12 +48,7 @@ func (m *Manager) NodeFail(name string) error {
 	}
 	sort.Slice(victims, func(a, b int) bool { return victims[a].ID < victims[b].ID })
 	for _, j := range victims {
-		// Release all of the job's cores (including on healthy nodes).
-		m.Engine.Cancel(j.finish) // no-op for fired, cancelled, or zero handles
-		delete(m.running, j.ID)
-		for _, s := range j.Alloc {
-			m.free[s.Node] += s.Cores
-		}
+		m.release(j) // all of its cores, on healthy nodes too
 		j.Alloc = nil
 		j.State = StateQueued
 		j.SubmitTime = m.Engine.Now()
@@ -62,13 +57,13 @@ func (m *Manager) NodeFail(name string) error {
 		m.queue = append(m.queue, j)
 	}
 	m.Cluster.Computes[i].SetPower(cluster.PowerOff)
-	m.free[i] = 0
+	m.failed[i] = true
 	m.schedule()
 	return nil
 }
 
 // NodeRepair returns a node to service — a failed node repaired, or a
-// sleeping one booted — with its full core count, and reruns placement.
+// sleeping one booted — and reruns placement; jobs on it keep their cores.
 func (m *Manager) NodeRepair(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -76,9 +71,8 @@ func (m *Manager) NodeRepair(name string) error {
 	if err != nil {
 		return err
 	}
-	n := m.Cluster.Computes[i]
-	n.SetPower(cluster.PowerOn)
-	m.free[i] = n.Cores()
+	m.Cluster.Computes[i].SetPower(cluster.PowerOn)
+	m.failed[i] = false
 	m.schedule()
 	return nil
 }

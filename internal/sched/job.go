@@ -62,7 +62,8 @@ type Job struct {
 	Script string
 
 	finish   sim.Handle
-	requeued bool // set when a node failure bounced the job back to the queue
+	requeued bool    // set when a node failure bounced the job back to the queue
+	coreSecs float64 // charged once, when the job finishes; 0 if it never ran
 }
 
 // Share is one node's part of a job's allocation: the node's position in

@@ -19,9 +19,13 @@ var (
 	// ErrUnknownJob reports a job ID that is neither queued nor running.
 	ErrUnknownJob = errors.New("sched: unknown job")
 	// ErrBadJob reports a submission that can never run (no cores requested,
-	// or more cores than the cluster has).
+	// more cores than the cluster has, or a walltime over maxWalltime).
 	ErrBadJob = errors.New("sched: bad job request")
 )
+
+// maxWalltime bounds a job's walltime, and so how long it runs, to a year:
+// its end must stay on the virtual clock, which ends 292 years in.
+const maxWalltime = 365 * 24 * time.Hour
 
 // Manager is the batch system: a queue, a set of running jobs, and an
 // allocation map over a cluster's compute nodes, driven by a discrete-event
@@ -50,17 +54,19 @@ type Manager struct {
 	done    []*Job
 	usage   map[string]float64 // user -> core-seconds consumed (fair share)
 
+	capacity int // the compute nodes' cores, summed
+
 	// Per compute node, by position in Cluster.Computes.
-	free    []int  // free cores
+	free    []int  // free cores: written only by start and release
+	failed  []bool // failed and not yet repaired: never placed on
 	drained []bool // in maintenance: no new placements
 	slots   []slot // tryPlace's scratch, reused across passes
 
 	// WakeRequest, if set, is called when queued jobs cannot be placed
 	// because too few powered-on cores exist; the power manager uses it to
-	// wake sleeping nodes. It receives the core shortfall and the free
-	// cores by compute index, read-only during the call: a powered-off
-	// node short of its full count has failed.
-	WakeRequest func(coresNeeded int, free []int)
+	// wake sleeping nodes. It receives the core shortfall and which
+	// computes have failed, by index, read-only during the call.
+	WakeRequest func(coresNeeded int, failed []bool)
 
 	// DrainNotify, if set, is called with a compute node's index whenever
 	// the node goes fully idle; the power manager uses it to consider
@@ -78,10 +84,12 @@ func NewManager(eng *sim.Engine, c *cluster.Cluster, p Policy) *Manager {
 		running: make(map[int]*Job),
 		usage:   make(map[string]float64),
 		free:    make([]int, len(c.Computes)),
+		failed:  make([]bool, len(c.Computes)),
 		drained: make([]bool, len(c.Computes)),
 	}
 	for i, n := range c.Computes {
 		m.free[i] = n.Cores()
+		m.capacity += n.Cores()
 	}
 	return m
 }
@@ -120,15 +128,14 @@ func (m *Manager) Submit(j *Job) (int, error) {
 	if j.Cores <= 0 {
 		return 0, fmt.Errorf("%w: job must request at least 1 core", ErrBadJob)
 	}
-	capacity := 0
-	for _, n := range m.Cluster.Computes {
-		capacity += n.Cores()
-	}
-	if j.Cores > capacity {
-		return 0, fmt.Errorf("%w: job requests %d cores, cluster has %d", ErrBadJob, j.Cores, capacity)
+	if j.Cores > m.capacity {
+		return 0, fmt.Errorf("%w: job requests %d cores, cluster has %d", ErrBadJob, j.Cores, m.capacity)
 	}
 	if j.Walltime <= 0 {
 		j.Walltime = time.Hour
+	}
+	if j.Walltime > maxWalltime {
+		return 0, fmt.Errorf("%w: walltime %v exceeds the %v limit", ErrBadJob, j.Walltime, maxWalltime)
 	}
 	if j.Runtime <= 0 {
 		j.Runtime = j.Walltime / 2
@@ -228,18 +235,19 @@ func (m *Manager) Usage() map[string]float64 {
 	return maps.Clone(m.usage)
 }
 
-// FreeCores returns the free cores on compute node i if it is powered on,
-// else 0.
+// FreeCores returns the free cores on compute node i if it is powered on
+// and has not failed, else 0.
 func (m *Manager) FreeCores(i int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.Cluster.Computes[i].Power() == cluster.PowerOff {
+	if !m.up(i) {
 		return 0
 	}
 	return m.free[i]
 }
 
-// NodeBusy reports whether any job occupies compute node i.
+// NodeBusy reports whether any job occupies compute node i, or it has
+// failed: either way the power manager leaves it alone.
 func (m *Manager) NodeBusy(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -247,7 +255,15 @@ func (m *Manager) NodeBusy(i int) bool {
 }
 
 // nodeBusy is NodeBusy with m.mu held.
-func (m *Manager) nodeBusy(i int) bool { return m.free[i] < m.Cluster.Computes[i].Cores() }
+func (m *Manager) nodeBusy(i int) bool {
+	return m.failed[i] || m.free[i] < m.Cluster.Computes[i].Cores()
+}
+
+// up reports whether compute node i is powered on and has not failed: the
+// nodes whose free cores count. m.mu held.
+func (m *Manager) up(i int) bool {
+	return !m.failed[i] && m.Cluster.Computes[i].Power() == cluster.PowerOn
+}
 
 // sortQueue orders jobs by the active policy. m.mu held.
 func (m *Manager) sortQueue(q []*Job) {
@@ -286,15 +302,15 @@ func (m *Manager) schedule() {
 	}
 	m.queue = slices.DeleteFunc(m.queue, func(j *Job) bool { return j.State != StateQueued })
 	if blockedHead != nil && m.WakeRequest != nil && shortfall > 0 {
-		m.WakeRequest(shortfall, m.free)
+		m.WakeRequest(shortfall, m.failed)
 	}
 }
 
-// totalFree sums free cores over powered-on nodes. m.mu held.
+// totalFree sums free cores over the nodes that are up. m.mu held.
 func (m *Manager) totalFree() int {
 	total := 0
-	for i, n := range m.Cluster.Computes {
-		if n.Power() == cluster.PowerOn {
+	for i := range m.free {
+		if m.up(i) {
 			total += m.free[i]
 		}
 	}
@@ -304,7 +320,7 @@ func (m *Manager) totalFree() int {
 // slot is one node a job could be placed on.
 type slot struct{ node, free int }
 
-// tryPlace finds an allocation for the requested cores over powered-on
+// tryPlace finds an allocation for the requested cores over undrained up
 // nodes (packing onto the fullest nodes first to reduce fragmentation), or
 // nil if it does not fit — decided before anything is sorted or allocated,
 // because a busy cluster asks on every pass. m.mu held.
@@ -313,8 +329,8 @@ func (m *Manager) tryPlace(cores int) []Share {
 		m.slots = make([]slot, 0, len(m.free))
 	}
 	slots, placeable := m.slots[:0], 0
-	for i, n := range m.Cluster.Computes {
-		if free := m.free[i]; free > 0 && n.Power() == cluster.PowerOn && !m.drained[i] {
+	for i, free := range m.free {
+		if free > 0 && m.up(i) && !m.drained[i] {
 			slots = append(slots, slot{i, free})
 			placeable += free
 		}
@@ -383,21 +399,18 @@ func (m *Manager) start(j *Job, alloc []Share) {
 	})
 }
 
-// finish releases a job's resources and records accounting. m.mu held;
-// DrainNotify is invoked under it (see schedule's WakeRequest note).
+// finish releases a job's resources and charges its core-seconds, once, on
+// the job: accounting reads them there. m.mu held; DrainNotify is invoked
+// under it (see schedule's WakeRequest note).
 func (m *Manager) finish(j *Job, state JobState) {
 	if j.terminal() {
 		return
 	}
-	m.Engine.Cancel(j.finish) // no-op for fired, cancelled, or zero handles
-	delete(m.running, j.ID)
+	m.release(j)
 	j.State = state
 	j.EndTime = m.Engine.Now()
-	elapsed := (j.EndTime - j.StartTime).Duration().Seconds()
-	m.usage[j.User] += elapsed * float64(j.Cores)
-	for _, s := range j.Alloc {
-		m.free[s.Node] += s.Cores
-	}
+	j.coreSecs = (j.EndTime - j.StartTime).Duration().Seconds() * float64(j.Cores)
+	m.usage[j.User] += j.coreSecs
 	if m.DrainNotify != nil {
 		for _, s := range j.Alloc {
 			if !m.nodeBusy(s.Node) {
@@ -406,4 +419,14 @@ func (m *Manager) finish(j *Job, state JobState) {
 		}
 	}
 	m.done = append(m.done, j)
+}
+
+// release stops a running job and returns its cores: with start, the only
+// writer of free. m.mu held.
+func (m *Manager) release(j *Job) {
+	m.Engine.Cancel(j.finish) // no-op for fired, cancelled, or zero handles
+	delete(m.running, j.ID)
+	for _, s := range j.Alloc {
+		m.free[s.Node] += s.Cores
+	}
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -63,6 +65,13 @@ func TestRejectsImpossibleJobs(t *testing.T) {
 	}
 	if _, err := m.Submit(job("zero", "a", 0, time.Hour, time.Minute)); err == nil {
 		t.Fatal("zero-core job should be rejected")
+	}
+	// A job whose end would pass the end of the virtual clock once started.
+	if _, err := m.Submit(job("forever", "a", 1, maxWalltime+1, math.MaxInt64)); !errors.Is(err, ErrBadJob) {
+		t.Fatalf("walltime over %v: err = %v, want ErrBadJob", maxWalltime, err)
+	}
+	if _, err := m.Submit(job("year", "a", 1, maxWalltime, math.MaxInt64)); err != nil {
+		t.Fatalf("walltime of exactly %v: %v", maxWalltime, err)
 	}
 }
 
@@ -298,7 +307,7 @@ func TestWakeRequestOnShortfall(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewManager(eng, c, TorqueMaui{})
 	var asked int
-	m.WakeRequest = func(n int, _ []int) { asked = n }
+	m.WakeRequest = func(n int, _ []bool) { asked = n }
 	id, _ := m.Submit(job("j", "a", 8, time.Hour, 10*time.Minute))
 	j, _ := m.Job(id)
 	if j.State != StateQueued {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"xcbc/internal/sched"
@@ -180,12 +181,7 @@ func Collect(m *sched.Manager) Stats {
 	st.MeanWait = waitSum / time.Duration(len(hist))
 	st.MeanTurnaround = turnSum / time.Duration(len(hist))
 	st.Makespan = makespan.Duration()
-	// P95 by insertion sort (small n).
-	for i := 1; i < len(waits); i++ {
-		for j := i; j > 0 && waits[j] < waits[j-1]; j-- {
-			waits[j], waits[j-1] = waits[j-1], waits[j]
-		}
-	}
+	slices.Sort(waits)
 	st.P95Wait = waits[(len(waits)*95)/100]
 	return st
 }

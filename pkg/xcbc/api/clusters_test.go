@@ -295,6 +295,9 @@ func TestClusterLifecycleREST(t *testing.T) {
 	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1,"walltime":"-5m"}`, nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("negative walltime = %d, want 400", rec.Code)
 	}
+	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `{"cores":1,"walltime":"8761h","runtime":"1h"}`, nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("walltime over a year = %d, want 400", rec.Code)
+	}
 	if rec := do(t, s, "POST", "/api/v1/clusters/"+id+"/jobs", `not json`, nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad body = %d, want 400", rec.Code)
 	}

@@ -121,7 +121,7 @@ func (d *Deployment) ChangeScheduler(to string) error {
 		return err
 	}
 	if d.core.Batch != nil {
-		if running := len(d.core.Batch.Running()); running > 0 {
+		if _, running, _ := d.core.Batch.JobCounts(); running > 0 {
 			return fmt.Errorf("%w: %d job(s); drain the queue before changing schedulers",
 				ErrJobsRunning, running)
 		}

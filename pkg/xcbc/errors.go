@@ -53,8 +53,8 @@ var (
 	ErrNoScheduler = errors.New("xcbc: no batch system installed")
 	// ErrUnknownJob reports a job ID that is neither queued nor running.
 	ErrUnknownJob = errors.New("xcbc: unknown job")
-	// ErrBadJob reports a job submission that can never run (no cores, or
-	// more cores than the cluster has).
+	// ErrBadJob reports a job submission that can never run (no cores, more
+	// cores than the cluster has, or a walltime over a year).
 	ErrBadJob = errors.New("xcbc: bad job request")
 )
 
