@@ -56,14 +56,22 @@ func surface(pkgs []*Package) []string {
 				if !obj.Exported() {
 					continue
 				}
+				// An alias prints its target, then the target's fields and
+				// methods under the alias's name, so a change to an aliased
+				// internal type still shows up here.
+				target := types.Unalias(obj.Type())
+				head := add
 				if obj.IsAlias() {
-					add("type %s = %s", name, typ(obj.Type()))
+					add("type %s = %s", name, typ(target))
+					head = func(string, ...any) {}
+				}
+				named, ok := target.(*types.Named)
+				if !ok {
 					continue
 				}
-				named := obj.Type().(*types.Named)
 				switch u := named.Underlying().(type) {
 				case *types.Struct:
-					add("type %s struct", name)
+					head("type %s struct", name)
 					for i := 0; i < u.NumFields(); i++ {
 						f := u.Field(i)
 						switch {
@@ -75,14 +83,14 @@ func surface(pkgs []*Package) []string {
 						}
 					}
 				case *types.Interface:
-					add("type %s interface", name)
+					head("type %s interface", name)
 					for i := 0; i < u.NumMethods(); i++ {
 						if m := u.Method(i); m.Exported() {
 							add("type %s interface, %s%s", name, m.Name(), signature(m.Type().(*types.Signature), typ))
 						}
 					}
 				default:
-					add("type %s %s", name, typ(u))
+					head("type %s %s", name, typ(u))
 				}
 				for i := 0; i < named.NumMethods(); i++ {
 					m := named.Method(i)
@@ -160,5 +168,31 @@ func TestExportedSurfacePinned(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log("the SDK surface differs from pkg/xcbc/api.txt; rerun with -update if the change is deliberate")
+	}
+}
+
+// TestSurfaceAliasFixture holds surface to testdata/src/surface: an alias
+// prints its target and lists the target's exported fields and methods
+// under its own name, so a change to an aliased type shows in api.txt as
+// it would for a declared one.
+func TestSurfaceAliasFixture(t *testing.T) {
+	_, pkgs, err := Load("testdata/src/surface", "./sdk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := surface(pkgs)
+	want := []string{
+		"pkg surface/sdk, method (*Row) Reset()",
+		"pkg surface/sdk, method (Row) Len() int",
+		"pkg surface/sdk, type Count int",
+		"pkg surface/sdk, type Reader = view.Reader",
+		"pkg surface/sdk, type Reader interface, Read() view.Row",
+		"pkg surface/sdk, type Row = view.Row",
+		"pkg surface/sdk, type Row struct, ID int",
+		"pkg surface/sdk, type Row struct, Tags []view.Tag",
+		"pkg surface/sdk, type Rows = []view.Row",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("surface:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
 	"strings"
@@ -383,7 +382,7 @@ func checkRecoveryEquivalence(first, second *scenario.Result) ([]string, error) 
 			return nil, errors.Join(fmt.Errorf("campaign: wal append: %w", err), log.Close())
 		}
 	}
-	sum := prefixHash(first.TraceJSONL(), cursor)
+	sum := prefixHash(first.Events, cursor)
 	if _, err := log.AppendJSON("campaign.cursor", map[string]any{"cursor": cursor, "hash": sum}); err != nil {
 		return nil, errors.Join(fmt.Errorf("campaign: wal append cursor: %w", err), log.Close())
 	}
@@ -406,19 +405,12 @@ func checkRecoveryEquivalence(first, second *scenario.Result) ([]string, error) 
 	}
 
 	// (a) The journaled prefix survives byte-for-byte.
-	var replayed strings.Builder
-	for _, r := range rec.Records[:cursor] {
-		var ev scenario.Event
-		if err := json.Unmarshal(r.Data, &ev); err != nil {
-			return append(v, fmt.Sprintf("recovery-equivalence: record %d corrupt: %v", r.Seq, err)), nil
+	var line []byte
+	for i, r := range rec.Records[:cursor] {
+		if line = first.Events[i].AppendJSON(line[:0]); !bytes.Equal(r.Data, line) {
+			v = append(v, "recovery-equivalence: recovered events diverge from the journaled trace prefix")
+			break
 		}
-		line, _ := json.Marshal(ev)
-		replayed.Write(line)
-		replayed.WriteByte('\n')
-	}
-	wantPrefix := prefixBytes(first.TraceJSONL(), cursor)
-	if replayed.String() != string(wantPrefix) {
-		v = append(v, "recovery-equivalence: recovered events diverge from the journaled trace prefix")
 	}
 
 	// (b) The replay (an independent run from the same seed) reaches the
@@ -431,30 +423,19 @@ func checkRecoveryEquivalence(first, second *scenario.Result) ([]string, error) 
 	if err := json.Unmarshal(rec.Records[cursor].Data, &marker); err != nil {
 		return append(v, fmt.Sprintf("recovery-equivalence: cursor record corrupt: %v", err)), nil
 	}
-	if got := prefixHash(second.TraceJSONL(), marker.Cursor); got != marker.Hash {
+	if got := prefixHash(second.Events, marker.Cursor); got != marker.Hash {
 		v = append(v, fmt.Sprintf("recovery-equivalence: replay hash %x at cursor %d, recorded %x",
 			got, marker.Cursor, marker.Hash))
 	}
 	return v, nil
 }
 
-// prefixBytes returns the first k lines of a JSONL trace.
-func prefixBytes(trace []byte, k int) []byte {
-	end := 0
-	for i := 0; i < k; i++ {
-		next := bytes.IndexByte(trace[end:], '\n')
-		if next < 0 {
-			return trace
-		}
-		end += next + 1
+// prefixHash is the replay fingerprint after a trace's first k events, or
+// after all of them when the trace is shorter.
+func prefixHash(evs []scenario.Event, k int) uint64 {
+	th := scenario.NewTraceHash()
+	for _, ev := range evs[:min(k, len(evs))] {
+		th.Add(ev)
 	}
-	return trace[:end]
-}
-
-// prefixHash is the rolling FNV-1a digest over the first k JSONL lines —
-// the same digest the API store records per progress entry.
-func prefixHash(trace []byte, k int) uint64 {
-	h := fnv.New64a()
-	h.Write(prefixBytes(trace, k))
-	return h.Sum64()
+	return th.Sum64()
 }

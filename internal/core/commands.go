@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -119,7 +120,6 @@ func (d *Deployment) execSubmit(cmd string, args []string) (string, error) {
 
 // setSubmitFlag applies one qsub or sbatch flag and its value to job.
 func setSubmitFlag(job *sched.Job, cmd, flag, val string) error {
-	var n int // the value of -t and -runtime, before its unit
 	var err error
 	switch {
 	case flag == "-N" || flag == "-J":
@@ -131,11 +131,9 @@ func setSubmitFlag(job *sched.Job, cmd, flag, val string) error {
 	case flag == "-n" && cmd == "sbatch":
 		job.Cores, err = strconv.Atoi(val)
 	case flag == "-t" && cmd == "sbatch":
-		n, err = strconv.Atoi(val)
-		job.Walltime = time.Duration(n) * time.Minute
+		job.Walltime, err = durationOf(val, time.Minute)
 	case flag == "-runtime":
-		n, err = strconv.Atoi(val)
-		job.Runtime = time.Duration(n) * time.Second
+		job.Runtime, err = durationOf(val, time.Second)
 	default:
 		return fmt.Errorf("core: %s: unknown flag %s", cmd, flag)
 	}
@@ -143,6 +141,19 @@ func setSubmitFlag(job *sched.Job, cmd, flag, val string) error {
 		return fmt.Errorf("core: %s %s: %v", cmd, flag, err)
 	}
 	return nil
+}
+
+// durationOf reads val as a count of units, refusing a negative count or
+// one whose duration overflows.
+func durationOf(val string, unit time.Duration) (time.Duration, error) {
+	n, err := strconv.Atoi(val)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 || n > int(math.MaxInt64/unit) {
+		return 0, fmt.Errorf("%d is out of range", n)
+	}
+	return time.Duration(n) * unit, nil
 }
 
 // parsePBSResources handles "-l nodes=2:ppn=2,walltime=01:00:00"; each -l
@@ -164,19 +175,24 @@ func parsePBSResources(spec string, job *sched.Job) error {
 					}
 				}
 			}
+			if nodes < 1 || ppn < 1 || nodes > math.MaxInt/ppn {
+				return fmt.Errorf("core: qsub -l nodes=%d:ppn=%d: out of range", nodes, ppn)
+			}
 			job.Cores = nodes * ppn
 		case strings.HasPrefix(part, "walltime="):
 			hms := strings.Split(strings.TrimPrefix(part, "walltime="), ":")
 			if len(hms) != 3 {
 				return fmt.Errorf("core: qsub walltime must be HH:MM:SS")
 			}
-			h, err1 := strconv.Atoi(hms[0])
-			m, err2 := strconv.Atoi(hms[1])
-			s, err3 := strconv.Atoi(hms[2])
-			if err1 != nil || err2 != nil || err3 != nil {
-				return fmt.Errorf("core: qsub walltime must be HH:MM:SS")
+			var wall time.Duration
+			for i, unit := range [3]time.Duration{time.Hour, time.Minute, time.Second} {
+				d, err := durationOf(hms[i], unit)
+				if err != nil || wall+d < wall {
+					return fmt.Errorf("core: qsub walltime must be HH:MM:SS")
+				}
+				wall += d
 			}
-			job.Walltime = time.Duration(h)*time.Hour + time.Duration(m)*time.Minute + time.Duration(s)*time.Second
+			job.Walltime = wall
 		default:
 			return fmt.Errorf("core: qsub -l: unknown resource %q", part)
 		}

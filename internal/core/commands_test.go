@@ -92,6 +92,7 @@ var sbatchErrorLines = []string{
 	"sbatch -u",
 	"sbatch --exclusive x.sh",
 	"sbatch",
+	"sbatch -t 307445734561825861 x.sh", // minutes whose nanoseconds overflow
 }
 
 func TestSbatchFlagErrors(t *testing.T) {
@@ -166,8 +167,11 @@ func TestVendorDeploymentWithoutBatchRejectsJobCommands(t *testing.T) {
 // FuzzExec sends arbitrary command lines through Exec on a torque and a
 // slurm LittleFe, each built once per fuzz process: Exec never panics,
 // and a qsub or sbatch it accepts leaves a job asking for 1 to 10 cores
-// (the LittleFe's capacity) with a positive walltime. Each accepted job is
-// cancelled, so the queue stays short however long the fuzzer runs.
+// (the LittleFe's capacity), a walltime above zero and at most a year, and
+// a positive runtime. The seeds include the refusal tables, whose negative
+// and overflowing counts and times an earlier Exec defaulted or wrapped.
+// Each accepted job is cancelled, so the queue stays short however long
+// the fuzzer runs.
 func FuzzExec(f *testing.F) {
 	for _, line := range slices.Concat(execErrorLines, sbatchErrorLines, []string{
 		"qsub -N j -l nodes=1:ppn=2,walltime=01:00:00 -runtime 300 j.sh",
@@ -202,7 +206,7 @@ func FuzzExec(f *testing.F) {
 				t.Fatalf("%s: Exec(%q) accepted with output %q", d.Scheduler, line, out)
 			}
 			j, ok := d.Operations().Job(id)
-			if !ok || j.Cores < 1 || j.Cores > 10 || j.Walltime <= 0 {
+			if !ok || j.Cores < 1 || j.Cores > 10 || j.Walltime <= 0 || j.Walltime > 365*24*time.Hour || j.Runtime <= 0 {
 				t.Fatalf("%s: Exec(%q) accepted job %d: %+v", d.Scheduler, line, id, j)
 			}
 			if err := d.Operations().CancelJob(id); err != nil {

@@ -330,6 +330,10 @@ var execErrorLines = []string{
 	"", "frobnicate", "qsub", "qsub -l cpus=4 x.sh", "qsub -l walltime=10:00 x.sh",
 	"qdel", "qdel abc", "module", "module load gcc", "qsub -N",
 	"qsub -runtime", "qsub -l",
+	// Negative or overflowing counts and times, refused, not defaulted or
+	// wrapped.
+	"qsub -l nodes=-2:ppn=-1 j.sh", "qsub -l walltime=-1:00:00 j.sh", "qsub -runtime -5 j.sh",
+	"qsub -l nodes=4611686018427387905:ppn=4 j.sh",
 }
 
 func TestExecErrors(t *testing.T) {

@@ -161,6 +161,10 @@ func TestSampleMetricsAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := d.Operations()
+	// Before the first poll no host reports: Nodes is nil, not empty.
+	if snap := ops.Metrics(); snap.Nodes != nil {
+		t.Fatalf("before any poll Nodes = %v, want nil", snap.Nodes)
+	}
 	if snap := ops.SampleMetrics(); len(snap.Nodes) != d.Cluster.NodeCount() {
 		t.Fatalf("snapshot holds %d nodes, want %d", len(snap.Nodes), d.Cluster.NodeCount())
 	}

@@ -88,8 +88,8 @@ type JobView struct {
 	Submitted time.Duration
 	Started   time.Duration
 	Ended     time.Duration
-	Nodes     []string
-	Requeued  bool
+	Nodes     []string // allocation, sorted; nil while queued
+	Requeued  bool     // a node failure bounced it back to the queue
 }
 
 // viewOf snapshots a job. o.mu held (the engine cannot advance mid-copy).
@@ -163,14 +163,15 @@ func (o *Operations) Job(id int) (JobView, bool) {
 }
 
 // Jobs returns snapshots of every known job: queued (policy order), then
-// running (by ID), then finished (completion order).
+// running (by ID), then finished (completion order). It never returns nil.
 func (o *Operations) Jobs() []JobView {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.d.Batch == nil {
-		return nil
+		return []JobView{}
 	}
-	var out []JobView
+	queued, running, done := o.d.Batch.JobCounts()
+	out := make([]JobView, 0, queued+running+done)
 	for _, j := range o.d.Batch.Queued() {
 		out = append(out, o.viewOf(j))
 	}
@@ -234,11 +235,11 @@ func (o *Operations) Now() sim.Time {
 
 // MetricsSnapshot is one observation of the whole cluster.
 type MetricsSnapshot struct {
-	At           sim.Time
-	Polls        int
-	ClusterLoad  float64
-	Nodes        []monitor.HostSample // each reporting host's latest sample, by name
-	ActiveAlerts []string
+	At           time.Duration        // virtual time of the last poll
+	Polls        int                  // total poll rounds so far
+	ClusterLoad  float64              // mean load_one across reporting hosts
+	Nodes        []monitor.HostSample // each reporting host's latest sample, by name; nil when none reports
+	ActiveAlerts []string             // firing alert keys, "host/rule"; empty, not nil, when none
 }
 
 // poll is one gmetad round at now: every powered-on node is sampled and
@@ -269,8 +270,11 @@ func (o *Operations) Metrics() MetricsSnapshot {
 // snapshot reads each host's latest row in one pass under the aggregator's
 // lock. o.mu held.
 func (o *Operations) snapshot() MetricsSnapshot {
-	snap := MetricsSnapshot{At: o.polled, ActiveAlerts: o.alerts.Active()}
+	snap := MetricsSnapshot{At: o.polled.Duration(), ActiveAlerts: o.alerts.Active()}
 	snap.Nodes, snap.Polls, snap.ClusterLoad = o.d.Monitor.Latest(make([]monitor.HostSample, 0, o.d.Cluster.NodeCount()))
+	if len(snap.Nodes) == 0 {
+		snap.Nodes = nil
+	}
 	return snap
 }
 
@@ -287,13 +291,13 @@ func (o *Operations) Alerts() (active []string, log []monitor.Alert) {
 // optional small measured LU solve on the host proving the numerics. The
 // Smoke fields stay zero unless SmokeRun.
 type Validation struct {
-	N            int
-	RpeakGF      float64
-	RmaxGF       float64
-	Efficiency   float64
+	N            int     // modelled problem size
+	RpeakGF      float64 // theoretical peak, GFLOPS
+	RmaxGF       float64 // modelled sustained, GFLOPS
+	Efficiency   float64 // RmaxGF / RpeakGF
 	ModelElapsed time.Duration
 
-	SmokeRun      bool
+	SmokeRun      bool // a measured solve was performed
 	SmokeN        int
 	SmokeGFLOPS   float64
 	SmokeResidual float64

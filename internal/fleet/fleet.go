@@ -245,13 +245,18 @@ func (f *Fleet) Cancel() {
 
 // Status is an aggregate snapshot of the fleet's lifecycle.
 type Status struct {
-	Members     int
-	Pending     int
-	Building    int
-	Ready       int
-	Failed      int
-	Cancelled   int
-	Quarantined int // quarantined compute nodes across ready members
+	Members     int `json:"members"`
+	Pending     int `json:"pending"`
+	Building    int `json:"building"`
+	Ready       int `json:"ready"`
+	Failed      int `json:"failed"`
+	Cancelled   int `json:"cancelled"`
+	Quarantined int `json:"quarantined"` // quarantined compute nodes across ready members
+}
+
+// Settled reports whether every member reached a terminal state.
+func (s Status) Settled() bool {
+	return s.Members > 0 && s.Pending == 0 && s.Building == 0
 }
 
 // Status counts members by state. Members not yet provisioned count as

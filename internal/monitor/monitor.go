@@ -189,7 +189,7 @@ func (a *Aggregator) slot(host string) *hostSeries {
 // HostSample is one reporting host's latest poll, as Latest reports it.
 type HostSample struct {
 	Host       string
-	Load       float64
+	Load       float64 // fraction of cores busy, [0,1]
 	PowerWatts float64
 	Cores      int
 }

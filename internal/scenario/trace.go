@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"hash"
+	"hash/fnv"
 	"slices"
 	"strconv"
 	"sync"
@@ -64,6 +66,30 @@ func (ev Event) AppendJSON(dst []byte) []byte {
 	}
 	return append(dst, '}')
 }
+
+// TraceHash is the rolling FNV-1a digest over a trace's JSONL prefix — the
+// replay fingerprint. The control plane journals it at checkpoints of a
+// run, and a replay must reach the recorded digest at the recorded cursor;
+// a campaign's recovery check recomputes it the same way. Feeding it the
+// same events in the same order always lands on the same digests, because
+// the trace bytes are themselves part of the determinism contract.
+type TraceHash struct {
+	h    hash.Hash64
+	line []byte // the event being hashed; reused
+}
+
+// NewTraceHash returns the digest of the empty prefix.
+func NewTraceHash() *TraceHash { return &TraceHash{h: fnv.New64a()} }
+
+// Add folds ev's trace line in and returns the cursor after it, ev.Seq+1.
+func (th *TraceHash) Add(ev Event) int {
+	th.line = append(ev.AppendJSON(th.line[:0]), '\n')
+	th.h.Write(th.line)
+	return ev.Seq + 1
+}
+
+// Sum64 returns the digest of the events added so far.
+func (th *TraceHash) Sum64() uint64 { return th.h.Sum64() }
 
 // appendJSONString appends s as a JSON string. Printable ASCII that
 // encoding/json leaves alone — nearly every trace string — is its own

@@ -19,7 +19,8 @@ var (
 	// ErrUnknownJob reports a job ID that is neither queued nor running.
 	ErrUnknownJob = errors.New("sched: unknown job")
 	// ErrBadJob reports a submission that can never run (no cores requested,
-	// more cores than the cluster has, or a walltime over maxWalltime).
+	// more cores than the cluster has, a negative walltime or runtime, or a
+	// walltime over maxWalltime).
 	ErrBadJob = errors.New("sched: bad job request")
 )
 
@@ -119,7 +120,9 @@ func (m *Manager) SetPolicy(p Policy) {
 }
 
 // Submit enqueues a job and runs a scheduling pass. The job's Runtime is how
-// long it will actually execute; Walltime is the requested limit. The job
+// long it will actually execute; Walltime is the requested limit. A zero
+// Walltime defaults to an hour and a zero Runtime to half the walltime; a
+// negative one is refused with ErrBadJob. The job
 // struct becomes manager-owned on success: read it back via Job or the
 // accessors rather than retaining the pointer across engine advances.
 func (m *Manager) Submit(j *Job) (int, error) {
@@ -131,13 +134,16 @@ func (m *Manager) Submit(j *Job) (int, error) {
 	if j.Cores > m.capacity {
 		return 0, fmt.Errorf("%w: job requests %d cores, cluster has %d", ErrBadJob, j.Cores, m.capacity)
 	}
-	if j.Walltime <= 0 {
+	if j.Walltime < 0 || j.Runtime < 0 {
+		return 0, fmt.Errorf("%w: negative walltime %v or runtime %v", ErrBadJob, j.Walltime, j.Runtime)
+	}
+	if j.Walltime == 0 {
 		j.Walltime = time.Hour
 	}
 	if j.Walltime > maxWalltime {
 		return 0, fmt.Errorf("%w: walltime %v exceeds the %v limit", ErrBadJob, j.Walltime, maxWalltime)
 	}
-	if j.Runtime <= 0 {
+	if j.Runtime == 0 {
 		j.Runtime = j.Walltime / 2
 	}
 	j.ID = m.nextID

@@ -73,6 +73,12 @@ func TestRejectsImpossibleJobs(t *testing.T) {
 	if _, err := m.Submit(job("year", "a", 1, maxWalltime, math.MaxInt64)); err != nil {
 		t.Fatalf("walltime of exactly %v: %v", maxWalltime, err)
 	}
+	// A negative time is refused, not defaulted the way a zero one is.
+	for _, j := range []*Job{job("neg-wall", "a", 1, -time.Hour, 0), job("neg-run", "a", 1, 0, -time.Second)} {
+		if _, err := m.Submit(j); !errors.Is(err, ErrBadJob) {
+			t.Errorf("%s: err = %v, want ErrBadJob", j.Name, err)
+		}
+	}
 }
 
 func TestQueueingWhenFull(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"xcbc/internal/scenario"
 	"xcbc/pkg/xcbc"
 )
 
@@ -333,9 +334,9 @@ func (s *Server) executeRun(st *store, f *fleetMirror, run *runMirror, sc *xcbc.
 	var reached bool
 	if st.log != nil {
 		// Checkpoints exist for replay, and only a log replays.
-		th := newTraceHash()
+		th := scenario.NewTraceHash()
 		obs = func(ev xcbc.TraceEvent) {
-			cursor, sum := th.add(ev)
+			cursor, sum := th.Add(ev), th.Sum64()
 			if target != nil && cursor == target.cursor {
 				got, reached = sum, true
 			}

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"xcbc/internal/scenario"
 	"xcbc/internal/wal"
 	"xcbc/pkg/xcbc"
 )
@@ -671,14 +672,14 @@ func TestTraceHashIsOverMarshalledLines(t *testing.T) {
 		{Seq: 2, Phase: 3, Kind: "fault.quarantine", Member: "f-002", Node: "compute-0-3", Detail: "tab\there \xff"},
 		{Seq: 3, Phase: 4, Kind: "assert.ok"},
 	}
-	th, ref := newTraceHash(), fnv.New64a()
+	th, ref := scenario.NewTraceHash(), fnv.New64a()
 	for i, ev := range events {
 		line, err := json.Marshal(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref.Write(append(line, '\n'))
-		cursor, sum := th.add(ev)
+		cursor, sum := th.Add(ev), th.Sum64()
 		if cursor != i+1 || sum != ref.Sum64() {
 			t.Fatalf("after event %d: cursor %d hash %#x, want %d %#x", i, cursor, sum, i+1, ref.Sum64())
 		}

@@ -33,8 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"slices"
@@ -884,28 +882,6 @@ func (st *store) watchDeployment(dep *depMirror) {
 			close(dep.journaled)
 		}
 	})
-}
-
-// traceHash is the rolling FNV-1a digest over a trace's JSONL prefix —
-// the replay oracle's fingerprint. Feeding it the same events in the same
-// order always lands on the same (cursor, sum) pairs, because the trace
-// bytes are themselves part of the scenario determinism contract.
-type traceHash struct {
-	h      hash.Hash64
-	line   []byte // the event being hashed; reused
-	cursor int
-}
-
-func newTraceHash() *traceHash {
-	return &traceHash{h: fnv.New64a()}
-}
-
-// add folds one trace event in and returns the cursor and digest after it.
-func (th *traceHash) add(ev xcbc.TraceEvent) (int, uint64) {
-	th.line = append(ev.AppendJSON(th.line[:0]), '\n')
-	th.h.Write(th.line)
-	th.cursor = ev.Seq + 1
-	return th.cursor, th.h.Sum64()
 }
 
 // replayTarget is the recorded (cursor, hash) a recovery replay must

@@ -6,7 +6,6 @@ import (
 
 	"xcbc/internal/cluster"
 	"xcbc/internal/core"
-	"xcbc/internal/orchestrator"
 	"xcbc/internal/provision"
 	"xcbc/internal/rpm"
 )
@@ -112,11 +111,11 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 		Retries:       cfg.retries,
 		InstallHook:   cfg.installHook,
 	}
-	return start(ctx, hw, func(jctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error) {
+	return start(ctx, hw, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
 		o := opts
-		o.Progress = func(ev orchestrator.Event) {
+		o.Progress = func(ev Event) {
 			ev.Seq = emit(ev)
-			cfg.emit(Event(ev))
+			cfg.emit(ev)
 		}
 		d, err := core.BuildXCBCContext(jctx, eng, hw, o)
 		if err != nil {
@@ -156,7 +155,7 @@ func defaultBasePackages() []*rpm.Package {
 // The vendor "build" is the machine's ship state — one engine advance, no
 // per-node kickstarts — so unlike the XCBC path it is cheap enough to run
 // either inline (Deploy) or as a job (Start).
-func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error), error) {
+func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, emit func(Event) int) (*Deployment, error), error) {
 	cfg := b.cfg
 	if cfg.err != nil {
 		return nil, nil, cfg.err
@@ -179,7 +178,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 	if osName == "" {
 		osName = "Scientific Linux 6.5"
 	}
-	build := func(ctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error) {
+	build := func(ctx context.Context, emit func(Event) int) (*Deployment, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -193,7 +192,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 			}
 			ev := Event{Stage: "vendor", Packages: len(base) * hw.NodeCount(),
 				Message: fmt.Sprintf("vendor tooling installed %s on %d nodes", osName, hw.NodeCount())}
-			ev.Seq = emit(orchestrator.Event(ev))
+			ev.Seq = emit(ev)
 			cfg.emit(ev)
 		}
 		d, err := core.NewVendorDeployment(eng, hw, cfg.scheduler, core.Options{PowerPolicy: policy})
@@ -221,7 +220,7 @@ func (b *vendorBuilder) Deploy(ctx context.Context) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(ctx, func(ev orchestrator.Event) int { return ev.Seq })
+	return build(ctx, func(ev Event) int { return ev.Seq })
 }
 
 func (b *vendorBuilder) Open(ctx context.Context) (*Cluster, error) { return open(ctx, b) }
@@ -257,9 +256,9 @@ func (b *xnitBuilder) Start(ctx context.Context) (*Handle, error) {
 	if err := checkProfiles(cfg.profiles); err != nil {
 		return nil, err
 	}
-	return start(ctx, d.core.Cluster, func(jctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error) {
+	return start(ctx, d.core.Cluster, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
 		record := func(ev Event) {
-			ev.Seq = emit(orchestrator.Event(ev))
+			ev.Seq = emit(ev)
 			cfg.emit(ev)
 		}
 		// Idempotent repo configuration: a retry after a failed or cancelled

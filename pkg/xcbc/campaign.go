@@ -2,7 +2,6 @@ package xcbc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -73,34 +72,14 @@ func (s CampaignSpec) inner() campaign.Spec {
 // CampaignFailure is one failing seed's verdict with its minimized repro:
 // a standalone scenario script (loadable by LoadScenario) that reproduces
 // the violations deterministically, plus what shrinking it cost.
-type CampaignFailure struct {
-	Seed        int64           `json:"seed"`
-	Violations  []string        `json:"violations"`
-	Repro       json.RawMessage `json:"repro"`
-	ReproPhases int             `json:"repro_phases"`
-	ShrinkEvals int             `json:"shrink_evals"`
-}
+type CampaignFailure = campaign.Failure
 
 // CampaignSeedOutcome is one swept seed's result, delivered to the
 // progress observer in seed order.
-type CampaignSeedOutcome struct {
-	Seed       int64            `json:"seed"`
-	State      string           `json:"state"`
-	Violations []string         `json:"violations,omitempty"`
-	Error      string           `json:"error,omitempty"`
-	Failure    *CampaignFailure `json:"failure,omitempty"`
-}
+type CampaignSeedOutcome = campaign.SeedOutcome
 
 // CampaignResult summarizes a finished (or interrupted) campaign.
-type CampaignResult struct {
-	Seeds     int               `json:"seeds"`
-	StartSeed int64             `json:"start_seed"`
-	Completed int               `json:"completed"`
-	Passed    int               `json:"passed"`
-	Failed    int               `json:"failed"`
-	Errors    int               `json:"errors"`
-	Failures  []CampaignFailure `json:"failures,omitempty"`
-}
+type CampaignResult = campaign.Result
 
 // GenerateScenario deterministically derives a random valid scenario from
 // a seed: same seed, byte-identical script. Generated scenarios always
@@ -119,32 +98,9 @@ func GenerateScenario(seed int64) *Scenario {
 // the seam the control plane taps to journal campaign progress. On
 // cancellation the partial result is returned alongside the context error.
 func RunCampaignObserved(ctx context.Context, spec CampaignSpec, onSeed func(CampaignSeedOutcome)) (*CampaignResult, error) {
-	var obs func(campaign.SeedOutcome)
-	if onSeed != nil {
-		obs = func(out campaign.SeedOutcome) { onSeed(campaignOutcomeOf(out)) }
-	}
-	res, err := campaign.RunObserved(ctx, spec.inner(), obs)
+	res, err := campaign.RunObserved(ctx, spec.inner(), onSeed)
 	if res == nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCampaign, err)
 	}
-	out := &CampaignResult{
-		Seeds: res.Seeds, StartSeed: res.StartSeed, Completed: res.Completed,
-		Passed: res.Passed, Failed: res.Failed, Errors: res.Errors,
-	}
-	for _, f := range res.Failures {
-		out.Failures = append(out.Failures, CampaignFailure(f))
-	}
-	return out, err
-}
-
-func campaignOutcomeOf(out campaign.SeedOutcome) CampaignSeedOutcome {
-	o := CampaignSeedOutcome{
-		Seed: out.Seed, State: out.State,
-		Violations: out.Violations, Error: out.Error,
-	}
-	if out.Failure != nil {
-		f := CampaignFailure(*out.Failure)
-		o.Failure = &f
-	}
-	return o
+	return res, err
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"xcbc/internal/core"
+	"xcbc/internal/monitor"
 	"xcbc/internal/sched"
 )
 
@@ -53,7 +54,8 @@ func (c *Cluster) Scheduler() string { return c.d.core.Scheduler }
 
 // JobSpec describes a batch job to submit. Cores is required; a zero
 // Walltime defaults to one hour and a zero Runtime to half the walltime
-// (the simulation's stand-in for "how long the science actually takes").
+// (the simulation's stand-in for "how long the science actually takes");
+// a negative one is an impossible request.
 type JobSpec struct {
 	Name     string
 	User     string
@@ -74,23 +76,8 @@ const (
 )
 
 // JobInfo is an immutable snapshot of one batch job. Times are virtual
-// (durations since simulation start). Its fields are core.JobView's, so
-// the adapter's snapshot converts to it.
-type JobInfo struct {
-	ID        int
-	Name      string
-	User      string
-	Cores     int
-	State     string
-	Script    string
-	Walltime  time.Duration
-	Runtime   time.Duration
-	Submitted time.Duration
-	Started   time.Duration
-	Ended     time.Duration
-	Nodes     []string // allocation, sorted; nil while queued
-	Requeued  bool     // a node failure bounced it back to the queue
-}
+// (durations since simulation start).
+type JobInfo = core.JobView
 
 // SubmitJob enqueues a batch job and returns its snapshot with the
 // assigned ID. A job that fits free cores starts immediately ("running");
@@ -105,7 +92,7 @@ func (c *Cluster) SubmitJob(spec JobSpec) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, translate(err)
 	}
-	return JobInfo(v), nil
+	return v, nil
 }
 
 // CancelJob removes a queued job or kills a running one; finished or
@@ -117,23 +104,12 @@ func (c *Cluster) CancelJob(id int) error {
 // Job returns a snapshot of one job across queue, running set, and
 // history.
 func (c *Cluster) Job(id int) (JobInfo, bool) {
-	v, ok := c.ops.Job(id)
-	if !ok {
-		return JobInfo{}, false
-	}
-	return JobInfo(v), true
+	return c.ops.Job(id)
 }
 
 // Jobs returns snapshots of every known job: queued (policy order), then
 // running (by ID), then finished (completion order).
-func (c *Cluster) Jobs() []JobInfo {
-	views := c.ops.Jobs()
-	out := make([]JobInfo, 0, len(views))
-	for _, v := range views {
-		out = append(out, JobInfo(v))
-	}
-	return out
-}
+func (c *Cluster) Jobs() []JobInfo { return c.ops.Jobs() }
 
 // JobCounts returns how many of Jobs() are queued, running and finished
 // (completed, cancelled or timed out), without copying any job.
@@ -152,41 +128,16 @@ func (c *Cluster) Advance(dt time.Duration) time.Duration {
 func (c *Cluster) Now() time.Duration { return c.ops.Now().Duration() }
 
 // NodeMetrics is the latest monitoring sample set for one host.
-type NodeMetrics struct {
-	Host       string
-	Load       float64 // fraction of cores busy, [0,1]
-	PowerWatts float64
-	Cores      int
-}
+type NodeMetrics = monitor.HostSample
 
 // ClusterMetrics is one observation of the whole cluster.
-type ClusterMetrics struct {
-	At           time.Duration // virtual time of the last poll
-	Polls        int           // total poll rounds so far
-	ClusterLoad  float64       // mean load_one across reporting hosts
-	Nodes        []NodeMetrics
-	ActiveAlerts []string // firing alert keys, "host/rule"; empty, not nil, when none
-}
-
-func metricsOf(s core.MetricsSnapshot) ClusterMetrics {
-	out := ClusterMetrics{
-		At: s.At.Duration(), Polls: s.Polls, ClusterLoad: s.ClusterLoad,
-		ActiveAlerts: s.ActiveAlerts,
-	}
-	if len(s.Nodes) > 0 {
-		out.Nodes = make([]NodeMetrics, 0, len(s.Nodes))
-	}
-	for _, n := range s.Nodes {
-		out.Nodes = append(out.Nodes, NodeMetrics(n))
-	}
-	return out
-}
+type ClusterMetrics = core.MetricsSnapshot
 
 // Metrics returns what the last poll saw: each powered-on node's sample,
 // and the alerts firing after it. It polls nothing; Advance runs the
 // polls.
 func (c *Cluster) Metrics() ClusterMetrics {
-	return metricsOf(c.ops.Metrics())
+	return c.ops.Metrics()
 }
 
 // AlertInfo is one alert transition: raised or cleared.
@@ -215,20 +166,7 @@ func (c *Cluster) Alerts() (active []string, log []AlertInfo) {
 // Validation reports an HPL acceptance run: the analytic Rmax model at the
 // largest problem fitting cluster memory, plus (when requested) a small
 // measured LU solve on the host whose residual check proves the numerics.
-// Its fields are core.Validation's, so the adapter's result converts to it.
-type Validation struct {
-	N            int     // modelled problem size
-	RpeakGF      float64 // theoretical peak, GFLOPS
-	RmaxGF       float64 // modelled sustained, GFLOPS
-	Efficiency   float64 // RmaxGF / RpeakGF
-	ModelElapsed time.Duration
-
-	SmokeRun      bool // a measured solve was performed
-	SmokeN        int
-	SmokeGFLOPS   float64
-	SmokeResidual float64
-	SmokePass     bool
-}
+type Validation = core.Validation
 
 // ValidateOption tunes Validate.
 type ValidateOption func(*validateConfig)
@@ -261,7 +199,7 @@ func (c *Cluster) Validate(opts ...ValidateOption) (Validation, error) {
 	if err != nil {
 		return Validation{}, translate(err)
 	}
-	return Validation(v), nil
+	return v, nil
 }
 
 // CheckUpdates runs the paper's periodic update check on every node under

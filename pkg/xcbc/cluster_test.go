@@ -65,6 +65,9 @@ func TestClusterLifecycle(t *testing.T) {
 		}
 	}
 	countsAgree("no jobs", 0, 0, 0)
+	if cl.Jobs() == nil {
+		t.Fatal("Jobs() on an idle cluster is nil, want empty")
+	}
 
 	// Submit: a job that fits starts immediately; a cluster-sized one
 	// queues behind it.
@@ -219,8 +222,8 @@ func TestVendorClusterNoScheduler(t *testing.T) {
 	if err := cl.CancelJob(1); !errors.Is(err, ErrNoScheduler) {
 		t.Fatalf("cancel without scheduler = %v, want ErrNoScheduler", err)
 	}
-	if jobs := cl.Jobs(); len(jobs) != 0 {
-		t.Fatalf("jobs without scheduler = %v", jobs)
+	if jobs := cl.Jobs(); jobs == nil || len(jobs) != 0 {
+		t.Fatalf("jobs without scheduler = %#v, want empty, not nil", jobs)
 	}
 	if q, r, d := cl.JobCounts(); q+r+d != 0 {
 		t.Fatalf("job counts without scheduler = %d/%d/%d", q, r, d)

@@ -67,6 +67,11 @@
 // remains the build-time view — install facts, subsystem escape hatches,
 // package installs, scheduler swaps, and compatibility reports.
 //
+// The values the SDK hands out (Event, JobInfo, NodeMetrics,
+// ClusterMetrics, Validation, FleetStatus, TraceEvent, ScenarioStats and
+// the campaign results) are aliases of the internal types that produce
+// them, so the facade returns them as made, never copied field by field.
+//
 // The HTTP control plane in pkg/xcbc/api serves this SDK as a versioned
 // JSON REST API: deployments at /api/v1/deployments, the day-2 cluster
 // surface at /api/v1/clusters/{id} (jobs, metrics, alerts, validate,

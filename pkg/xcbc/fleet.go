@@ -39,21 +39,9 @@ type FleetSpec struct {
 	Workers int
 }
 
-// FleetStatus is an aggregate lifecycle snapshot.
-type FleetStatus struct {
-	Members     int `json:"members"`
-	Pending     int `json:"pending"`
-	Building    int `json:"building"`
-	Ready       int `json:"ready"`
-	Failed      int `json:"failed"`
-	Cancelled   int `json:"cancelled"`
-	Quarantined int `json:"quarantined"` // quarantined compute nodes across ready members
-}
-
-// Settled reports whether every member reached a terminal state.
-func (s FleetStatus) Settled() bool {
-	return s.Members > 0 && s.Pending == 0 && s.Building == 0
-}
+// FleetStatus is an aggregate lifecycle snapshot; Settled reports whether
+// every member reached a terminal state.
+type FleetStatus = fleet.Status
 
 // Fleet manages N member clusters as one unit. All methods are safe for
 // concurrent use.
@@ -110,7 +98,7 @@ func (f *Fleet) Len() int { return f.fl.Len() }
 func (f *Fleet) Provisioned() bool { return f.fl.Provisioned() }
 
 // Status counts members by lifecycle state.
-func (f *Fleet) Status() FleetStatus { return FleetStatus(f.fl.Status()) }
+func (f *Fleet) Status() FleetStatus { return f.fl.Status() }
 
 // Members returns the fleet's members in index order.
 func (f *Fleet) Members() []*FleetMember { return slices.Clone(f.members) }

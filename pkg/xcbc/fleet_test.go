@@ -182,8 +182,12 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	if w := first.TraceWindow(-4, len(trace)+9); !slices.Equal(w, trace) {
 		t.Fatalf("an over-wide window should clamp to the whole trace, got %d events", len(w))
 	}
-	if w := first.TraceWindow(3, 1); len(w) != 0 {
-		t.Fatalf("an inverted window should be empty, got %v", w)
+	if w := first.TraceWindow(3, 1); w == nil || len(w) != 0 {
+		t.Fatalf("an inverted window should be empty, not nil, got %#v", w)
+	}
+	first.TraceWindow(0, 1)[0].Kind = "mutated"
+	if first.Trace()[0].Kind == "mutated" {
+		t.Fatal("TraceWindow shares the result's events; want a copy")
 	}
 	second, err := RunScenario(context.Background(), sc)
 	if err != nil {

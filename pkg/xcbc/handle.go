@@ -134,14 +134,7 @@ func (h *Handle) Done() <-chan struct{} { return h.job.Done() }
 // cursor to pass on the next call. The journal is a capped ring: a reader
 // that falls more than the journal capacity behind resumes at the oldest
 // retained event.
-func (h *Handle) Events(cursor int) ([]Event, int) {
-	evs, next := h.job.Events(cursor)
-	out := make([]Event, len(evs))
-	for i, ev := range evs {
-		out[i] = Event(ev)
-	}
-	return out, next
-}
+func (h *Handle) Events(cursor int) ([]Event, int) { return h.job.Events(cursor) }
 
 // Subscribe registers for wake-ups after every journaled event and state
 // change; the channel coalesces bursts. Call the returned function to
@@ -181,8 +174,8 @@ func (h *Handle) Watch(ctx context.Context, fn func(Event)) DeployState {
 
 // start submits fn on the shared pool and wraps the job in a Handle.
 func start(ctx context.Context, hw *cluster.Cluster,
-	fn func(ctx context.Context, emit func(orchestrator.Event) int) (*Deployment, error)) *Handle {
-	job := defaultPool().Submit(ctx, "", 0, func(jctx context.Context, emit func(orchestrator.Event) int) (any, error) {
+	fn func(ctx context.Context, emit func(Event) int) (*Deployment, error)) *Handle {
+	job := defaultPool().Submit(ctx, "", 0, func(jctx context.Context, emit func(Event) int) (any, error) {
 		return fn(jctx, emit)
 	})
 	return &Handle{job: job, hw: hw}

@@ -2,9 +2,9 @@ package xcbc
 
 import (
 	"fmt"
-	"time"
 
 	"xcbc/internal/cluster"
+	"xcbc/internal/orchestrator"
 	"xcbc/internal/power"
 	"xcbc/internal/rpm"
 	"xcbc/internal/sim"
@@ -17,14 +17,7 @@ import (
 // Elapsed is simulated time. Seq is the event's position in the
 // deployment's journal — monotonically increasing, usable as a resume
 // cursor with Handle.Events.
-type Event struct {
-	Seq      int
-	Stage    string
-	Node     string
-	Message  string
-	Packages int
-	Elapsed  time.Duration
-}
+type Event = orchestrator.Event
 
 // PowerPolicy selects node power management by name.
 type PowerPolicy string

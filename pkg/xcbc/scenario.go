@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"xcbc/internal/fleet"
 	"xcbc/internal/scenario"
@@ -87,32 +86,12 @@ func (s *Scenario) JSON() ([]byte, error) { return s.sc.Encode() }
 // FleetSpec returns the fleet sizing a standalone run would use.
 func (s *Scenario) FleetSpec() FleetSpec { return FleetSpec(s.sc.FleetSpec()) }
 
-// TraceEvent is one entry of a scenario trace.
-type TraceEvent struct {
-	Seq    int    `json:"seq"`
-	Phase  int    `json:"phase"` // index into the scenario's phases, -1 for run-level entries
-	Kind   string `json:"kind"`
-	Member string `json:"member,omitempty"`
-	Node   string `json:"node,omitempty"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// AppendJSON appends the event's JSON encoding — exactly json.Marshal's
-// bytes — to dst.
-func (ev TraceEvent) AppendJSON(dst []byte) []byte { return scenario.Event(ev).AppendJSON(dst) }
+// TraceEvent is one entry of a scenario trace; AppendJSON appends its JSON
+// encoding — exactly json.Marshal's bytes — to a buffer.
+type TraceEvent = scenario.Event
 
 // ScenarioStats aggregates a finished run.
-type ScenarioStats struct {
-	Members          int           `json:"members"`
-	Ready            int           `json:"ready"`
-	Failed           int           `json:"failed"`
-	Cancelled        int           `json:"cancelled"`
-	QuarantinedNodes int           `json:"quarantined_nodes"`
-	JobsSubmitted    int           `json:"jobs_submitted"`
-	JobsCancelled    int           `json:"jobs_cancelled"`
-	UpdatesApplied   int           `json:"updates_applied"`
-	SimulatedEnd     time.Duration `json:"simulated_end"`
-}
+type ScenarioStats = scenario.Stats
 
 // ScenarioResult is a finished scenario run.
 type ScenarioResult struct {
@@ -131,7 +110,7 @@ func (r *ScenarioResult) Violations() []string {
 }
 
 // Stats returns the run's aggregate numbers.
-func (r *ScenarioResult) Stats() ScenarioStats { return ScenarioStats(r.r.Stats) }
+func (r *ScenarioResult) Stats() ScenarioStats { return r.r.Stats }
 
 // Trace returns the run's event trace in order.
 func (r *ScenarioResult) Trace() []TraceEvent { return r.TraceWindow(0, r.TraceLen()) }
@@ -143,11 +122,7 @@ func (r *ScenarioResult) TraceLen() int { return len(r.r.Events) }
 // trace — what a paged reader needs without copying the whole trace.
 func (r *ScenarioResult) TraceWindow(start, end int) []TraceEvent {
 	window := r.window(start, end)
-	out := make([]TraceEvent, len(window))
-	for i, ev := range window {
-		out[i] = TraceEvent(ev)
-	}
-	return out
+	return append(make([]TraceEvent, 0, len(window)), window...)
 }
 
 // AppendTrace appends trace events [start, end), clamped to the trace, to
@@ -186,11 +161,7 @@ func runScenarioOn(ctx context.Context, fl *fleet.Fleet, s *Scenario) (*Scenario
 
 // runScenarioObserved is Fleet.RunScenarioObserved's implementation.
 func runScenarioObserved(ctx context.Context, fl *fleet.Fleet, s *Scenario, obs func(TraceEvent)) (*ScenarioResult, error) {
-	var inner scenario.Observer
-	if obs != nil {
-		inner = func(ev scenario.Event) { obs(TraceEvent(ev)) }
-	}
-	res, err := scenario.RunOnObserved(ctx, fl, s.sc, inner)
+	res, err := scenario.RunOnObserved(ctx, fl, s.sc, obs)
 	if err != nil {
 		return nil, translateScenario(err)
 	}

@@ -20,8 +20,9 @@
 #                          installed on demand in CI where there is network.
 #   5. reachability      — TestNoUnreachedExports (no exported name under
 #                          internal/ or pkg/, and no struct field, that only
-#                          tests reach), its fixture, and the pinned SDK
-#                          surface in pkg/xcbc/api.txt.
+#                          tests reach), its fixture, the pinned SDK
+#                          surface in pkg/xcbc/api.txt, and the surface
+#                          printer's alias fixture.
 #
 # Exit codes follow the repo convention: 0 pass, 1 findings.
 set -euo pipefail
@@ -52,6 +53,6 @@ else
 fi
 
 echo "== reachability + SDK surface =="
-go test -run 'TestNoUnreachedExports|TestUnreachedFixture|TestExportedSurfacePinned' ./internal/analysis/
+go test -run 'TestNoUnreachedExports|TestUnreachedFixture|TestExportedSurfacePinned|TestSurfaceAliasFixture' ./internal/analysis/
 
 echo "lint: all gates passed"
