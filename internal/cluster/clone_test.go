@@ -86,10 +86,8 @@ func stateOf(c *Cluster) map[string]nodeState {
 // template or a sibling clone, although all three share their component
 // lists until one of them adds to its own.
 func TestCloneIsFaithfulAndIndependent(t *testing.T) {
-	set, err := rpm.NewInstallSet([]*rpm.Package{rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Build()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var tx rpm.Transaction
+	tx.Install(rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Build())
 	for _, name := range CatalogNames() {
 		for _, resize := range []int{0, 2, 9} { // as cataloged, shrunk or grown
 			t.Run(fmt.Sprintf("%s/nodes=%d", name, resize), func(t *testing.T) {
@@ -116,7 +114,7 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 				for n := range clone.All() {
 					n.SetPower(PowerOn)
 					n.WipePackages()
-					if err := n.Packages().AdoptSet(set); err != nil {
+					if err := tx.Run(n.MutablePackages()); err != nil {
 						t.Fatal(err)
 					}
 					n.AdoptSystemState(map[string]bool{"gmond": true}, map[string]string{"dir:/opt/apps": "present"})
@@ -199,12 +197,10 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 // writer gets a fork; a wipe returns a node to an empty database of its
 // own. A node is found by name only at the edge, by ComputeIndex.
 func TestAdoptedPackagesForkOnFirstWrite(t *testing.T) {
-	set, err := rpm.NewInstallSet([]*rpm.Package{rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Build()})
+	var install rpm.Transaction
+	install.Install(rpm.NewPackage("gcc", "4.4.7-11", rpm.ArchX86_64).Build())
 	shared := rpm.NewDB()
-	if err == nil {
-		err = shared.AdoptSet(set)
-	}
-	if err != nil {
+	if err := install.Run(shared); err != nil {
 		t.Fatal(err)
 	}
 	shared.Freeze()

@@ -111,7 +111,8 @@ func requestOrderBuild(scheduler string, rolls []string) *rocks.Distribution {
 // TestCanonicalOrderChangesNothing: a Blueprint puts its rolls in Table 1's
 // order, and everything a build reads from the distribution is what the
 // request-order assembly gave — the roll names, each appliance's packages
-// and validated install set, the frontend's modules, and the progress line.
+// and installed package database, the frontend's modules, and the
+// progress line.
 func TestCanonicalOrderChangesNothing(t *testing.T) {
 	reversed := slices.Clone(OptionalRollNames)
 	slices.Reverse(reversed)
@@ -142,16 +143,16 @@ func TestCanonicalOrderChangesNothing(t *testing.T) {
 				if got := bp.dist.PackagesFor(a.app); !slices.Equal(got, want) {
 					t.Errorf("%s: PackagesFor(%s) differs from the request-order build", name, a.app)
 				}
-				set, err := rpm.NewInstallSet(want)
-				db := rpm.NewDB()
-				if err == nil {
-					err = db.AdoptSet(set)
+				var tx rpm.Transaction
+				for _, p := range want {
+					tx.Install(p)
 				}
-				if err != nil {
+				db := rpm.NewDB()
+				if err := tx.Run(db); err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(a.ks.DB.Installed(), db.Installed()) {
-					t.Errorf("%s: %s install set differs from the request-order build", name, a.app)
+					t.Errorf("%s: %s package database differs from the request-order build", name, a.app)
 				}
 			}
 			wantMods := modules.FromPackages(ref.PackagesFor(rocks.ApplianceFrontend), CategoryCompilers, CategorySciApps)

@@ -67,24 +67,25 @@ func (ks *Kickstart) cost() time.Duration {
 		time.Duration(len(ks.DB.Installed()))*PerPackage + time.Duration(len(ks.Actions))*PerAction
 }
 
-// NewPlan validates each appliance's package set from the distribution —
-// the dup/file/requires/conflicts battery a per-node install transaction
-// would apply — and flattens its post-install actions from the graph.
+// NewPlan installs each appliance's package set from the distribution in
+// one transaction on an empty database, which it freezes for the
+// appliance's nodes to share, and flattens the appliance's post-install
+// actions from the graph.
 func NewPlan(dist *rocks.Distribution, g *rocks.Graph) (*Plan, error) {
 	p := new(Plan)
 	for _, a := range []struct {
 		app rocks.Appliance
 		ks  *Kickstart
 	}{{rocks.ApplianceFrontend, &p.Frontend}, {rocks.ApplianceCompute, &p.Compute}} {
-		set, err := rpm.NewInstallSet(dist.PackagesFor(a.app))
-		if err == nil {
-			a.ks.DB = rpm.NewDB()
-			err = a.ks.DB.AdoptSet(set)
-			a.ks.DB.Freeze()
+		var tx rpm.Transaction
+		for _, pkg := range dist.PackagesFor(a.app) {
+			tx.Install(pkg)
 		}
-		if err != nil {
+		a.ks.DB = rpm.NewDB()
+		if err := tx.Run(a.ks.DB); err != nil {
 			return nil, fmt.Errorf("provision: %s package install: %w", a.app, err)
 		}
+		a.ks.DB.Freeze()
 		actions, err := g.ActionsFor(string(a.app))
 		if err != nil {
 			return nil, err

@@ -72,9 +72,9 @@ func (r *Repository) Publish(pkgs ...*rpm.Package) error {
 		}
 	}
 	for _, p := range pkgs {
-		r.packages[p.Name] = insertCopy(r.packages[p.Name], p)
+		r.packages[p.Name] = rpm.InsertSorted(r.packages[p.Name], p)
 		for _, cap := range p.ProvideNames() {
-			r.provides[cap] = insertCopy(r.provides[cap], p)
+			r.provides[cap] = rpm.InsertSorted(r.provides[cap], p)
 		}
 		r.count++
 	}
@@ -115,17 +115,6 @@ func (r *Repository) Retract(nevra string) error {
 func (r *Repository) invalidateLocked() {
 	r.revision.Add(1)
 	r.all = nil
-}
-
-// insertCopy inserts p into a list kept in rpm.PackageLess order,
-// copy-on-write: the input slice is never mutated, because readers may hold
-// it outside the repository lock.
-func insertCopy(ps []*rpm.Package, p *rpm.Package) []*rpm.Package {
-	i := sort.Search(len(ps), func(i int) bool { return rpm.PackageLess(p, ps[i]) })
-	out := make([]*rpm.Package, 0, len(ps)+1)
-	out = append(out, ps[:i]...)
-	out = append(out, p)
-	return append(out, ps[i:]...)
 }
 
 // Revision returns a counter that changes whenever repository content

@@ -19,10 +19,9 @@ type DB struct {
 	files     map[string]string     // file path -> owning package NEVRA
 	installed []*Package            // lazy sorted cache for Installed; nil when stale
 
-	// shared marks the maps as aliases of an adopted InstallSet's indexes,
-	// read by every node that adopted the same set. They are copied into
-	// private maps on the first mutation (detach); until then this DB must
-	// never write to them.
+	// shared marks the maps as aliases of the database this one was
+	// forked from. They are copied into private maps on the first mutation
+	// (detach); until then this DB must never write to them.
 	shared bool
 	// frozen marks the DB itself as read by many nodes: a transaction
 	// against it fails instead of writing through (see Freeze).
@@ -34,16 +33,18 @@ var ErrReadOnly = errors.New("rpm: database is shared read-only; fork it to writ
 
 // Freeze makes db read-only for sharing: every node of an appliance reads
 // the one database, and a transaction against it fails with ErrReadOnly;
-// a node that installs or erases works on a Fork.
-func (db *DB) Freeze() { db.frozen = true }
+// a node that installs or erases works on a Fork. It fills the Installed
+// cache first, so concurrent readers never write it.
+func (db *DB) Freeze() {
+	db.Installed()
+	db.frozen = true
+}
 
 // Frozen reports whether db is shared read-only (see Freeze).
 func (db *DB) Frozen() bool { return db.frozen }
 
 // NewDB returns an empty installed-package database. The index maps are
-// created on first mutation: a fleet node's DB usually adopts an
-// InstallSet wholesale (replacing the maps anyway) or stays empty, and
-// reads of nil maps are free.
+// created on first mutation; reads of nil maps are free.
 func NewDB() *DB {
 	return &DB{}
 }
@@ -110,7 +111,7 @@ func (db *DB) HasProvider(req Capability) bool {
 
 // OwnerOf returns the NEVRA of the package owning a file path, if any.
 //
-//detlint:reached support: db_test.go, installset_test.go and property_test.go read the ownership index back after Install, Erase, Clone and AdoptSet
+//detlint:reached support: db_test.go and property_test.go read the ownership index back after Install, Erase, Upgrade and Fork
 func (db *DB) OwnerOf(path string) (string, bool) {
 	owner, ok := db.files[path]
 	return owner, ok
@@ -134,11 +135,10 @@ func (db *DB) UnmetRequires() []Capability {
 	return unmet
 }
 
-// detach gives a DB adopted from a shared InstallSet private index maps,
-// so a mutation cannot corrupt the set every other adopter reads. Only
-// the map headers and entries are copied — the per-name slices stay
-// capacity-capped views of the set's arena, and appends to them
-// copy-on-write as usual.
+// detach gives a forked DB private index maps, so a mutation cannot
+// corrupt the database it was forked from. Only the map headers and
+// entries are copied: every index slice is copy-on-write (InsertSorted,
+// RemovePtr), so the slices stay shared.
 func (db *DB) detach() {
 	if !db.shared {
 		return
@@ -212,31 +212,11 @@ func (db *DB) remove(p *Package) error {
 	return fmt.Errorf("rpm: %s is not installed", p.NEVRA())
 }
 
-// Fork returns a database with db's contents that copies them on its
-// first mutation, leaving db — which must itself stay unwritten, like a
-// database every node of an appliance adopted — untouched.
+// Fork returns a database with db's contents that copies db's index maps
+// on its first mutation, so a transaction against the fork leaves db, and
+// every other fork of it, untouched.
 func (db *DB) Fork() *DB {
 	cp := *db
 	cp.shared, cp.frozen = true, false
 	return &cp
-}
-
-// Clone returns a deep copy of the database. Package pointers are shared
-// (packages are immutable once published).
-func (db *DB) Clone() *DB {
-	out := &DB{
-		byName:   make(map[string][]*Package, len(db.byName)),
-		provides: make(map[string][]*Package, len(db.provides)),
-		files:    make(map[string]string, len(db.files)),
-	}
-	for name, ps := range db.byName {
-		out.byName[name] = append([]*Package(nil), ps...)
-	}
-	for name, ps := range db.provides {
-		out.provides[name] = append([]*Package(nil), ps...)
-	}
-	for f, o := range db.files {
-		out.files[f] = o
-	}
-	return out
 }

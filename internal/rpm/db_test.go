@@ -1,6 +1,11 @@
 package rpm
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+)
 
 func mkpkg(name, evr string, opts ...func(*Builder)) *Package {
 	b := NewPackage(name, evr, ArchX86_64)
@@ -132,19 +137,156 @@ func TestDBUnmetRequires(t *testing.T) {
 	}
 }
 
-func TestDBCloneIndependent(t *testing.T) {
+func TestDBForkIndependent(t *testing.T) {
 	db := NewDB()
 	install(t, db, mkpkg("a", "1-1", files("/a")))
-	c := db.Clone()
+	c := db.Fork()
 	install(t, c, mkpkg("b", "1-1"))
 	if db.Has("b") {
-		t.Fatal("clone mutation leaked into original")
+		t.Fatal("fork mutation leaked into original")
 	}
 	if !c.Has("a") {
-		t.Fatal("clone missing original content")
+		t.Fatal("fork missing original content")
 	}
 	if _, ok := c.OwnerOf("/a"); !ok {
-		t.Fatal("clone missing file index")
+		t.Fatal("fork missing file index")
+	}
+}
+
+// nevras renders an index slice in order.
+func nevras(ps []*Package) string {
+	var b strings.Builder
+	for _, p := range ps {
+		b.WriteString(p.NEVRA() + ";")
+	}
+	return b.String()
+}
+
+// TestFrozenDBForksInsteadOfWriting: a frozen database is the one every
+// node of an appliance reads. A transaction against it fails instead of
+// writing through, and a fork takes installs and erases while the frozen
+// database, and any other fork, reads as before. That holds down to the
+// index slices' spare capacity, which a fork's insert must not write.
+func TestFrozenDBForksInsteadOfWriting(t *testing.T) {
+	mpi := func(b *Builder) { b.Provides(Cap("mpi")) }
+	shared := NewDB()
+	// Three builds of lib and three providers of mpi leave each of their
+	// index slices one element short of its capacity.
+	install(t, shared,
+		mkpkg("glibc", "2.12-1.el6", files("/lib64/libc.so.6")),
+		mkpkg("gcc", "4.4.7-11.el6"),
+		mkpkg("lib", "1.0-1"), mkpkg("lib", "3.0-1"), mkpkg("lib", "5.0-1"),
+		mkpkg("openmpi", "1.6.4-3", mpi), mkpkg("mpich", "3.1-1", mpi), mkpkg("mvapich2", "2.0-1", mpi),
+	)
+	shared.Freeze()
+	want := dbFingerprint(shared)
+
+	var tx Transaction
+	tx.Install(mkpkg("make", "3.81-20.el6", files("/usr/bin/make")))
+	if err := tx.Run(shared); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("a transaction against a frozen database: %v, want ErrReadOnly", err)
+	}
+	a, b := shared.Fork(), shared.Fork()
+	tx.Install(mkpkg("lib", "4.0-1"))
+	tx.Install(mkpkg("impi", "4.1-1", mpi))
+	tx.Erase(shared.Newest("gcc"))
+	if err := tx.Run(a); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Has("make") || a.Has("gcc") || a.Len() != 10 {
+		t.Fatalf("the fork holds %d packages, make %v, gcc %v", a.Len(), a.Has("make"), a.Has("gcc"))
+	}
+	if got := nevras(a.byName["lib"]); got != "lib-5.0-1.x86_64;lib-4.0-1.x86_64;lib-3.0-1.x86_64;lib-1.0-1.x86_64;" {
+		t.Errorf("the fork's lib builds read %s", got)
+	}
+	if got := len(a.provides["mpi"]); got != 4 {
+		t.Errorf("the fork has %d mpi providers, want 4", got)
+	}
+	for name, db := range map[string]*DB{"frozen": shared, "sibling fork": b} {
+		if got := dbFingerprint(db); got != want || db.Len() != 8 {
+			t.Errorf("%s database changed: %d packages\n got %s\nwant %s", name, db.Len(), got, want)
+		}
+		if _, ok := db.OwnerOf("/usr/bin/make"); ok || !db.Has("gcc") {
+			t.Errorf("%s database sees the fork's file index or erase", name)
+		}
+	}
+}
+
+// TestFrozenDBReadsConcurrently: every node of an appliance reads its
+// frozen database, from any goroutine. Freeze fills the Installed cache,
+// so a reader never writes it, even when the last writer left it stale
+// (run under -race).
+func TestFrozenDBReadsConcurrently(t *testing.T) {
+	db := NewDB()
+	for _, p := range []*Package{mkpkg("glibc", "2.12-1.el6"), mkpkg("gcc", "4.4.7-11.el6")} {
+		if err := db.add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Freeze()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := db.Installed(); len(got) != 2 || got[0].Name != "gcc" {
+				t.Errorf("Installed = %v", got)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestInstallSetValidation: an appliance's package set is installed as
+// one transaction on an empty database, and the check refuses it, leaving
+// the database empty, for each problem it finds inside the set.
+func TestInstallSetValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		pkgs []*Package
+		want string
+	}{
+		{
+			"duplicate nevra",
+			[]*Package{mkpkg("gcc", "4.4.7-11.el6"), mkpkg("gcc", "4.4.7-11.el6")},
+			"already installed",
+		},
+		{
+			"file conflict",
+			[]*Package{
+				mkpkg("a", "1-1", files("/usr/bin/tool")),
+				mkpkg("b", "1-1", files("/usr/bin/tool")),
+			},
+			"conflicts with file",
+		},
+		{
+			"unmet requirement",
+			[]*Package{mkpkg("app", "1-1", requires(Cap("libmissing")))},
+			"unmet requirement",
+		},
+		{
+			"conflicting pair",
+			[]*Package{
+				mkpkg("mta-a", "1-1", func(b *Builder) { b.Conflicts(Cap("mta-b")) }),
+				mkpkg("mta-b", "1-1"),
+			},
+			"conflicts with",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := NewDB()
+			var tx Transaction
+			for _, p := range tc.pkgs {
+				tx.Install(p)
+			}
+			if err := tx.Run(db); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+			if db.Len() != 0 || len(db.Installed()) != 0 {
+				t.Fatalf("a refused set left %d packages", db.Len())
+			}
+		})
 	}
 }
 

@@ -76,22 +76,22 @@ func (c Capability) Satisfies(req Capability) bool {
 	cmp := c.EVR.Compare(req.EVR)
 	switch req.Rel {
 	case EQ:
-		return relAdmits(c.Rel, cmp, true)
+		return relAdmits(c.Rel, cmp)
 	case LT:
 		return relAdmitsBelow(c.Rel, cmp)
 	case LE:
-		return relAdmitsBelow(c.Rel, cmp) || relAdmits(c.Rel, cmp, true)
+		return relAdmitsBelow(c.Rel, cmp) || relAdmits(c.Rel, cmp)
 	case GT:
 		return relAdmitsAbove(c.Rel, cmp)
 	case GE:
-		return relAdmitsAbove(c.Rel, cmp) || relAdmits(c.Rel, cmp, true)
+		return relAdmitsAbove(c.Rel, cmp) || relAdmits(c.Rel, cmp)
 	}
 	return false
 }
 
 // relAdmits reports whether the provider relation, whose version compares to
 // the requirement version as cmp, can supply exactly the requirement version.
-func relAdmits(provRel Relation, cmp int, _ bool) bool {
+func relAdmits(provRel Relation, cmp int) bool {
 	switch provRel {
 	case EQ:
 		return cmp == 0
@@ -286,7 +286,7 @@ func (b *Builder) Conflicts(caps ...Capability) *Builder {
 
 // Files adds file paths owned by the package.
 //
-//detlint:reached support: db_test.go, installset_test.go and property_test.go give packages files to reach the file-conflict and ownership code in DB and Transaction
+//detlint:reached support: db_test.go and property_test.go give packages files to reach the file-conflict and ownership code in DB and Transaction
 func (b *Builder) Files(paths ...string) *Builder {
 	b.p.Files = append(b.p.Files, paths...)
 	return b
@@ -318,13 +318,15 @@ func SortPackages(pkgs []*Package) {
 }
 
 // InsertSorted inserts p into a slice maintained in PackageLess order,
-// returning the updated slice. Equal elements keep insertion order.
+// copy-on-write like RemovePtr: it returns a new slice and never writes
+// the input's backing array, so readers holding the input are unaffected.
+// Equal elements keep insertion order.
 func InsertSorted(ps []*Package, p *Package) []*Package {
 	i := sort.Search(len(ps), func(i int) bool { return PackageLess(p, ps[i]) })
-	ps = append(ps, nil)
-	copy(ps[i+1:], ps[i:])
-	ps[i] = p
-	return ps
+	out := make([]*Package, 0, len(ps)+1)
+	out = append(out, ps[:i]...)
+	out = append(out, p)
+	return append(out, ps[i:]...)
 }
 
 // RemovePtr drops the exact package pointer from a list, copy-on-write: the

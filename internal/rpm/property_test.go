@@ -2,7 +2,9 @@ package rpm
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -11,7 +13,9 @@ import (
 // byte-identical, (2) a successful transaction leaves the dependency
 // closure intact and file ownership consistent.
 
-// dbFingerprint captures the observable state of a DB.
+// dbFingerprint captures the observable state of a DB: the Installed
+// view with each file's owner, and the name and provides indexes that
+// Newest and HasProvider read.
 func dbFingerprint(db *DB) string {
 	s := ""
 	for _, p := range db.Installed() {
@@ -19,6 +23,11 @@ func dbFingerprint(db *DB) string {
 		for _, f := range p.Files {
 			owner, _ := db.OwnerOf(f)
 			s += f + "=" + owner + ";"
+		}
+	}
+	for _, index := range []map[string][]*Package{db.byName, db.provides} {
+		for _, name := range slices.Sorted(maps.Keys(index)) {
+			s += name + ":" + nevras(index[name])
 		}
 	}
 	return s
@@ -92,22 +101,35 @@ func TestTransactionAtomicityProperty(t *testing.T) {
 	checkSeeds(t, 17, 300, f)
 }
 
-func TestDBCloneFingerprintProperty(t *testing.T) {
+// TestDBForkFingerprintProperty: a fork reads as its original, and
+// whatever is erased from or added to the fork leaves the original's
+// fingerprint unchanged.
+func TestDBForkFingerprintProperty(t *testing.T) {
 	f := func(rng *rand.Rand) bool {
 		pkgs := randomUniverse(rng)
 		db := NewDB()
 		for _, p := range pkgs {
 			_ = db.add(p) // direct add; duplicates/conflicts skipped by error
+			// Other builds of the name leave spare capacity in its slices.
+			for range rng.IntN(4) {
+				_ = db.add(NewPackage(p.Name, fmt.Sprintf("%d-1", rng.IntN(9)), ArchX86_64).Build())
+			}
 		}
-		clone := db.Clone()
-		if dbFingerprint(db) != dbFingerprint(clone) {
+		before := dbFingerprint(db)
+		fork := db.Fork()
+		if dbFingerprint(fork) != before {
 			return false
 		}
-		// Mutating the clone must not affect the original.
-		if clone.Len() > 0 {
-			_ = clone.remove(clone.Installed()[0])
+		if installed := fork.Installed(); len(installed) > 0 {
+			if fork.remove(installed[rng.IntN(len(installed))]) != nil || dbFingerprint(fork) == before {
+				return false
+			}
 		}
-		return db.Len() != clone.Len() || db.Len() == 0
+		name := pkgs[rng.IntN(len(pkgs))].Name
+		if fork.add(NewPackage(name, fmt.Sprintf("%d-2", rng.IntN(9)), ArchX86_64).Build()) != nil {
+			return false
+		}
+		return dbFingerprint(db) == before
 	}
 	checkSeeds(t, 23, 200, f)
 }

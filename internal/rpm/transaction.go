@@ -98,17 +98,17 @@ func (t *Transaction) String() string {
 	return b.String()
 }
 
-// Check validates the transaction against the DB without applying it:
-// requirements of all post-transaction packages must be met, no conflicts,
-// no file collisions, erased packages must be installed. It returns all
-// problems found rather than stopping at the first one.
-func (t *Transaction) Check(db *DB) []error {
+// check builds the post-transaction database on a fork of db and
+// validates it: requirements of all post-transaction packages must be
+// met, no conflicts, no file collisions, erased packages must be
+// installed. It returns the checked database, or all problems found
+// rather than stopping at the first one.
+func (t *Transaction) check(db *DB) (*DB, []error) {
 	var problems []error
 	if len(t.Ops) == 0 {
-		return []error{ErrEmptyTransaction}
+		return nil, []error{ErrEmptyTransaction}
 	}
-	// Build the hypothetical post-transaction DB.
-	after := db.Clone()
+	after := db.Fork()
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case OpInstall:
@@ -129,7 +129,7 @@ func (t *Transaction) Check(db *DB) []error {
 		}
 	}
 	if len(problems) > 0 {
-		return problems
+		return nil, problems
 	}
 	// Dependency closure must hold afterwards.
 	for _, req := range after.UnmetRequires() {
@@ -151,37 +151,22 @@ func (t *Transaction) Check(db *DB) []error {
 			}
 		}
 	}
-	return problems
+	if len(problems) > 0 {
+		return nil, problems
+	}
+	return after, nil
 }
 
-// Run checks and applies the transaction to db atomically. On error the DB is
-// unchanged.
+// Run checks the transaction and applies it to db atomically: db takes
+// the checked database whole, so on error it is unchanged.
 func (t *Transaction) Run(db *DB) error {
 	if db.frozen {
 		return ErrReadOnly
 	}
-	if problems := t.Check(db); len(problems) > 0 {
+	after, problems := t.check(db)
+	if len(problems) > 0 {
 		return fmt.Errorf("rpm: transaction check failed: %w", errors.Join(problems...))
 	}
-	// Check passed on a clone; apply for real. These cannot fail now, but we
-	// keep the error paths to preserve atomicity if an invariant breaks.
-	snapshot := db.Clone()
-	for _, op := range t.Ops {
-		var err error
-		switch op.Kind {
-		case OpInstall:
-			err = db.add(op.Pkg)
-		case OpErase:
-			err = db.remove(op.Pkg)
-		case OpUpgrade:
-			if err = db.remove(op.Old); err == nil {
-				err = db.add(op.Pkg)
-			}
-		}
-		if err != nil {
-			*db = *snapshot
-			return fmt.Errorf("rpm: transaction apply failed: %w", err)
-		}
-	}
+	*db = *after
 	return nil
 }

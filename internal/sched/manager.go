@@ -299,9 +299,10 @@ func (m *Manager) schedule() {
 			}
 			continue
 		}
-		// A backfill candidate starts only if it finishes before the
-		// blocked head could plausibly start (shadow time = earliest
-		// completion among running jobs that frees enough cores).
+		// A backfill candidate starts only if it finishes by the shadow
+		// time, which fitsInShadow takes as the latest end among running
+		// jobs; a candidate that ends after the head could start may
+		// therefore delay it.
 		if blockedHead == nil || m.fitsInShadow(j) {
 			m.start(j, alloc)
 		}
@@ -364,11 +365,11 @@ func (m *Manager) tryPlace(cores int) []Share {
 	return alloc
 }
 
-// fitsInShadow reports whether a backfill candidate's walltime fits before
-// the earliest time enough resources free up for the blocked head job. The
-// approximation used by real backfill schedulers (EASY backfill) is the
-// earliest completion time among running jobs; we use the latest completion
-// (conservative) to guarantee the head is never delayed.
+// fitsInShadow reports whether a backfill candidate's walltime ends by the
+// latest walltime end among running jobs. That can be later than the
+// earliest time enough cores free up for the blocked head job, the
+// reservation EASY backfill makes, so a candidate it admits can delay the
+// head.
 func (m *Manager) fitsInShadow(j *Job) bool {
 	if len(m.running) == 0 {
 		return true

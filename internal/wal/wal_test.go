@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -496,6 +498,43 @@ func TestBadSegmentHeader(t *testing.T) {
 	}
 	if _, _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open with bad non-final header err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestParseFrameLengthBounds gives parseFrame frames whose declared
+// payload length sits just inside and just outside each of its bounds:
+// the 10-byte minimum (seq and type length), maxPayload, and the end of
+// the data. Every frame carries a valid CRC over the bytes it declares, so
+// only the length bound can refuse it.
+func TestParseFrameLengthBounds(t *testing.T) {
+	off := len(segMagic)
+	big := make([]byte, off+8+maxPayload+1) // one buffer for every row
+	copy(big, segMagic)
+	for _, tc := range []struct {
+		name             string
+		declared, stored int // payload length in the header, payload bytes present
+		ok               bool
+	}{
+		{"below the minimum", 9, 9, false},
+		{"at the minimum", 10, 10, true},
+		{"at maxPayload", maxPayload, maxPayload, true},
+		{"past maxPayload", maxPayload + 1, maxPayload + 1, false},
+		{"ends at the data's end", 20, 20, true},
+		{"runs one byte past the data's end", 21, 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := big[:off+8+tc.stored]
+			binary.LittleEndian.PutUint32(data[off:], uint32(tc.declared))
+			crc := crc32.Checksum(data[off+8:off+8+min(tc.declared, tc.stored)], castagnoli())
+			binary.LittleEndian.PutUint32(data[off+4:], crc)
+			payload, end, ok := parseFrame(data, off)
+			if ok != tc.ok {
+				t.Fatalf("ok = %v, want %v", ok, tc.ok)
+			}
+			if ok && (len(payload) != tc.declared || end != len(data)) {
+				t.Fatalf("payload %d bytes ending at %d, want %d ending at %d", len(payload), end, tc.declared, len(data))
+			}
+		})
 	}
 }
 
