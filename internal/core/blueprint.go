@@ -33,16 +33,23 @@ type recipe struct {
 func recipeOf(scheduler string, rolls []string) (recipe, error) {
 	r := recipe{scheduler: slices.Index(Schedulers, scheduler)}
 	if r.scheduler < 0 {
-		return r, fmt.Errorf("core: unknown scheduler %q (choose one of %v)", scheduler, Schedulers)
+		return r, fmt.Errorf("%w %q (choose one of %v)", ErrUnknownScheduler, scheduler, Schedulers)
 	}
 	for _, name := range rolls {
 		i := slices.Index(OptionalRollNames, name)
 		if i < 0 {
-			return r, fmt.Errorf("core: unknown optional roll %q", name)
+			return r, fmt.Errorf("%w %q", ErrUnknownRoll, name)
 		}
 		r.rolls |= 1 << i
 	}
 	return r, nil
+}
+
+// CheckRecipe reports whether a build of scheduler with rolls can start,
+// failing with ErrUnknownScheduler or ErrUnknownRoll as the build would.
+func CheckRecipe(scheduler string, rolls []string) error {
+	_, err := recipeOf(scheduler, rolls)
+	return err
 }
 
 // NewBlueprint works out the build plan for a scheduler and optional

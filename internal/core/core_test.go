@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -145,11 +146,11 @@ func TestBuildDistributionPerScheduler(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildDistribution("cron"); err == nil {
-		t.Fatal("unknown scheduler should fail")
+	if _, err := BuildDistribution("cron"); !errors.Is(err, ErrUnknownScheduler) {
+		t.Fatalf("unknown scheduler = %v, want ErrUnknownScheduler", err)
 	}
-	if _, err := BuildDistribution("torque", "ghost-roll"); err == nil {
-		t.Fatal("unknown roll should fail")
+	if _, err := BuildDistribution("torque", "ghost-roll"); !errors.Is(err, ErrUnknownRoll) {
+		t.Fatalf("unknown roll = %v, want ErrUnknownRoll", err)
 	}
 	// Duplicate roll names are deduplicated, not an error.
 	if _, err := BuildDistribution("torque", "ganglia", "ganglia"); err != nil {
@@ -445,8 +446,8 @@ func TestChangeSchedulerSwapsAtomically(t *testing.T) {
 	}
 	before := installed()
 	for _, name := range []string{"cron", "maui", "torque+maui", "gridengine", "torque-nomau"} {
-		if err := d.ChangeScheduler(name); err == nil {
-			t.Errorf("ChangeScheduler(%q) should fail", name)
+		if err := d.ChangeScheduler(name); !errors.Is(err, ErrUnknownScheduler) {
+			t.Errorf("ChangeScheduler(%q) = %v, want ErrUnknownScheduler", name, err)
 		}
 		if d.Scheduler != "slurm" || d.Batch.PolicyName() != "slurm" || !slices.Equal(installed(), before) {
 			t.Fatalf("refused ChangeScheduler(%q) left scheduler %q, policy %q, packages changed %v",
@@ -464,8 +465,8 @@ func TestChangeSchedulerRefusesWithRunningJobs(t *testing.T) {
 	if _, err := d.Exec("qsub -l nodes=1:ppn=2,walltime=01:00:00 x.sh"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ChangeScheduler("slurm"); err == nil {
-		t.Fatal("scheduler change with running jobs must be refused")
+	if err := d.ChangeScheduler("slurm"); !errors.Is(err, ErrJobsRunning) {
+		t.Fatalf("scheduler change with running jobs = %v, want ErrJobsRunning", err)
 	}
 	eng.Run()
 }
@@ -490,16 +491,16 @@ func TestInstallProfiles(t *testing.T) {
 	if !c.Frontend.Packages().Has("trinity") || !c.Computes[0].Packages().Has("bwa") {
 		t.Fatal("bio stack missing")
 	}
-	if _, err := d.InstallProfile("ghost"); err == nil {
-		t.Fatal("unknown profile should fail")
+	if _, err := d.InstallProfile("ghost"); !errors.Is(err, ErrUnknownProfile) {
+		t.Fatalf("unknown profile = %v, want ErrUnknownProfile", err)
 	}
 	if len(Profiles()) < 5 {
 		t.Error("profile list too short")
 	}
 	// Without repo configuration, installs fail cleanly.
 	d2, _ := NewVendorDeployment(sim.NewEngine(), cluster.NewLittleFe(), "", Options{})
-	if _, err := d2.InstallEverywhere("gcc"); err == nil {
-		t.Fatal("install without repos should fail")
+	if _, err := d2.InstallEverywhere("gcc"); !errors.Is(err, ErrNoRepos) {
+		t.Fatalf("install without repos = %v, want ErrNoRepos", err)
 	}
 }
 

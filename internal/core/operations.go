@@ -12,9 +12,23 @@ import (
 	"xcbc/internal/sim"
 )
 
-// ErrNoScheduler reports a batch operation on a deployment built without a
-// batch system (the vendor path with no scheduler selected).
-var ErrNoScheduler = errors.New("core: no batch system installed")
+// Core's refusals; the SDK re-exports each under the same name.
+var (
+	// ErrNoScheduler reports a batch operation on a deployment built
+	// without a batch system (the vendor path with no scheduler selected).
+	ErrNoScheduler = errors.New("core: no batch system installed")
+	// ErrUnknownScheduler reports a scheduler that is not one of Schedulers.
+	ErrUnknownScheduler = errors.New("core: unknown scheduler")
+	// ErrUnknownRoll reports a name that is not one of OptionalRollNames.
+	ErrUnknownRoll = errors.New("core: unknown optional roll")
+	// ErrUnknownProfile reports a package profile absent from Profiles.
+	ErrUnknownProfile = errors.New("core: unknown package profile")
+	// ErrJobsRunning reports a scheduler change while jobs still run.
+	ErrJobsRunning = errors.New("core: jobs still running")
+	// ErrNoRepos reports an install on a deployment with no enabled
+	// repository.
+	ErrNoRepos = errors.New("core: no enabled repositories")
+)
 
 // Operations adapts a built Deployment for concurrent day-2 use: one mutex
 // serializes every entry point, because the subsystems share a sim.Engine

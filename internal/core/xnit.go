@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -56,7 +55,7 @@ func ConfigureXNIT(d *Deployment, xnitRepo *repo.Repository) {
 // pdsh or the vendor tooling would fan out).
 func (d *Deployment) InstallEverywhere(names ...string) (int, error) {
 	if len(d.Repos.Enabled()) == 0 {
-		return 0, fmt.Errorf("core: no enabled repositories (run ConfigureXNIT first)")
+		return 0, fmt.Errorf("%w (configure one first, as XNIT adoption does)", ErrNoRepos)
 	}
 	totalInstalled := 0
 	for _, n := range d.Cluster.Nodes() {
@@ -101,13 +100,23 @@ func Profiles() []string {
 	return out
 }
 
+// CheckProfiles fails with ErrUnknownProfile on the first name absent from
+// Profiles.
+func CheckProfiles(names ...string) error {
+	for _, name := range names {
+		if _, ok := profiles[name]; !ok {
+			return fmt.Errorf("%w %q (have %v)", ErrUnknownProfile, name, Profiles())
+		}
+	}
+	return nil
+}
+
 // InstallProfile installs a named profile everywhere.
 func (d *Deployment) InstallProfile(profile string) (int, error) {
-	names, ok := profiles[profile]
-	if !ok {
-		return 0, fmt.Errorf("core: unknown profile %q (have %v)", profile, Profiles())
+	if err := CheckProfiles(profile); err != nil {
+		return 0, err
 	}
-	return d.InstallEverywhere(names...)
+	return d.InstallEverywhere(profiles[profile]...)
 }
 
 // ChangeScheduler swaps the deployment's batch system in place — the
@@ -115,8 +124,8 @@ func (d *Deployment) InstallProfile(profile string) (int, error) {
 // schedulers"). Old scheduler packages are erased and the new ones installed
 // in one atomic transaction per node; running jobs are drained first.
 func (d *Deployment) ChangeScheduler(to string) error {
-	if !slices.Contains(Schedulers, to) {
-		return fmt.Errorf("core: unknown scheduler %q (choose one of %v)", to, Schedulers)
+	if err := CheckRecipe(to, nil); err != nil {
+		return err
 	}
 	policy, _ := sched.PolicyByName(to)
 	if to == d.Scheduler {
@@ -124,7 +133,7 @@ func (d *Deployment) ChangeScheduler(to string) error {
 	}
 	if d.Batch != nil {
 		if _, running, _ := d.Batch.JobCounts(); running > 0 {
-			return fmt.Errorf("core: %d jobs still running; drain the queue before changing schedulers", running)
+			return fmt.Errorf("%w: %d job(s); drain the queue before changing schedulers", ErrJobsRunning, running)
 		}
 	}
 	byName := CatalogByName(Catalog())

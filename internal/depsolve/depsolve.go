@@ -7,6 +7,7 @@
 package depsolve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,11 +28,18 @@ func New(repos *repo.Set, db *rpm.DB) *Resolver {
 	return &Resolver{Repos: repos, DB: db}
 }
 
+// ErrUnresolvable is the sentinel every *UnresolvableError matches with
+// errors.Is.
+var ErrUnresolvable = errors.New("depsolve: unresolvable dependencies")
+
 // UnresolvableError reports requirements that could not be satisfied from
 // the enabled repositories, with the dependency chain that led to each.
 type UnresolvableError struct {
 	Missing []MissingDep
 }
+
+// Is reports whether target is ErrUnresolvable.
+func (e *UnresolvableError) Is(target error) bool { return target == ErrUnresolvable }
 
 // MissingDep is one unsatisfiable requirement.
 type MissingDep struct {

@@ -96,8 +96,8 @@ func TestInstallMissingPackage(t *testing.T) {
 	r := New(set, db)
 	_, err := r.Install("nonexistent")
 	var ue *UnresolvableError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v, want UnresolvableError", err)
+	if !errors.As(err, &ue) || !errors.Is(err, ErrUnresolvable) {
+		t.Fatalf("err = %v, want UnresolvableError matching ErrUnresolvable", err)
 	}
 	if len(ue.Missing) != 1 || ue.Missing[0].Req.Name != "nonexistent" {
 		t.Fatalf("Missing = %v", ue.Missing)

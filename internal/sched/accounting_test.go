@@ -202,8 +202,8 @@ func TestNodeFailErrors(t *testing.T) {
 	if err := m.NodeFail("ghost"); err == nil {
 		t.Fatal("unknown node should fail")
 	}
-	if err := m.NodeFail("littlefe-head"); err == nil {
-		t.Fatal("frontend failure should be rejected")
+	if err := m.NodeFail("littlefe-head"); err == nil || !strings.Contains(err.Error(), "frontend failure") {
+		t.Fatalf("NodeFail(frontend) = %v, want the frontend refusal", err)
 	}
 	if err := m.NodeRepair("ghost"); err == nil {
 		t.Fatal("unknown node repair should fail")

@@ -331,6 +331,30 @@ func TestWakeRequestOnShortfall(t *testing.T) {
 		t.Fatalf("job should start once nodes wake: %v", j.State)
 	}
 	eng.Run()
+
+	// Every compute drained: a head asking for exactly the free cores the
+	// drained nodes hold is short of nothing powered off, so waking nodes
+	// cannot help and no request goes out.
+	_, m = littlefe(t, TorqueMaui{})
+	cores := 0
+	for _, n := range m.Cluster.Computes {
+		if err := m.Drain(n.Name); err != nil {
+			t.Fatal(err)
+		}
+		cores += n.Cores()
+	}
+	woken := false
+	m.WakeRequest = func(n int, _ []bool) { woken = true; asked = n }
+	id, err := m.Submit(job("drained", "a", cores, time.Hour, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _ := m.Job(id); j.State != StateQueued {
+		t.Fatalf("job on a fully drained cluster is %v, want queued", j.State)
+	}
+	if woken {
+		t.Errorf("WakeRequest(%d) with no shortfall, want no call", asked)
+	}
 }
 
 func TestAllocationPacksFullestFirst(t *testing.T) {

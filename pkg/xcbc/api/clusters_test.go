@@ -454,19 +454,24 @@ func TestOpRoutesRefusals(t *testing.T) {
 		{"POST", d1 + "/advance", `{"duration":"1h"} {}`, 400, `{"error":"bad request body: data after the JSON value"}`},
 		{"POST", d1 + "/jobs", `{"cores":1,"walltime":"-1h"}`, 400, `{"error":"walltime must be a non-negative Go duration (e.g. \"30m\"): \"-1h\""}`},
 		{"POST", d1 + "/jobs", `{"cores":1,"runtime":"soon"}`, 400, `{"error":"runtime must be a non-negative Go duration (e.g. \"30m\"): \"soon\""}`},
-		{"POST", d1 + "/jobs", `{"cores":4096}`, 400, `{"error":"xcbc: bad job request\nsched: bad job request: job requests 4096 cores, cluster has 10"}`},
+		{"POST", d1 + "/jobs", `{"cores":4096}`, 400, `{"error":"sched: bad job request: job requests 4096 cores, cluster has 10"}`},
 		{"DELETE", d1 + "/jobs/abc", "", 400, `{"error":"job id must be a positive integer"}`},
 		{"DELETE", d1 + "/jobs/99999999999999999999", "", 400, `{"error":"job id must be a positive integer"}`},
 		{"DELETE", d1 + "/jobs/0", "", 400, `{"error":"job id must be a positive integer"}`},
-		{"DELETE", d1 + "/jobs/42", "", 404, `{"error":"xcbc: unknown job\nsched: unknown job: no active job 42"}`},
+		{"DELETE", d1 + "/jobs/42", "", 404, `{"error":"sched: unknown job: no active job 42"}`},
 		{"GET", d1 + "/updates?policy=yolo", "", 400, `{"error":"unknown policy \"yolo\" (use notify, auto-apply, or security-only)"}`},
 		{"POST", d1 + "/advance", `{"duration":"0s"}`, 400, `{"error":"duration must be a positive Go duration (e.g. \"30m\"): \"0s\""}`},
 		{"POST", d1 + "/advance", `{"duration":"2161h"}`, 400, `{"error":"duration exceeds the 2160h0m0s per-request cap"}`},
 	}
 	for _, tc := range cases {
 		rec := do(t, ready, tc.method, tc.path, tc.body, nil)
-		if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != tc.status || got != tc.want {
+		got := strings.TrimSuffix(rec.Body.String(), "\n")
+		if rec.Code != tc.status || got != tc.want {
 			t.Errorf("%s %s %s = %d %s\nwant %d %s", tc.method, tc.path, tc.body, rec.Code, got, tc.status, tc.want)
+		}
+		// An escaped newline is two messages joined: each refusal has one.
+		if strings.Contains(got, `\n`) {
+			t.Errorf("%s %s %s: error body %s holds more than one message", tc.method, tc.path, tc.body, got)
 		}
 	}
 	ops := []struct{ method, path, body string }{

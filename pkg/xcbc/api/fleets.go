@@ -122,7 +122,7 @@ func (s *Server) handleCreateFleet(w http.ResponseWriter, r *http.Request, st *s
 	}
 	fl, err := xcbc.NewFleet(fleetSpecOf(req))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
 	// Builds must outlive this request; they stop via DELETE.
@@ -277,10 +277,6 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request, st *s
 		return
 	case req.Name != "":
 		sc, err = xcbc.BuiltinScenario(req.Name)
-		if errors.Is(err, xcbc.ErrUnknownScenario) {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
 	case len(req.Scenario) > 0:
 		sc, err = xcbc.LoadScenario(req.Scenario)
 	default:
@@ -288,7 +284,7 @@ func (s *Server) handleRunScenario(w http.ResponseWriter, r *http.Request, st *s
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, deployErrorStatus(err), err.Error())
 		return
 	}
 	fl := f.fleet()

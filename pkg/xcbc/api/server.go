@@ -917,10 +917,11 @@ func (s *Server) handleCreateDeployment(w http.ResponseWriter, r *http.Request, 
 }
 
 // deployErrorStatus maps SDK sentinel errors and badRequest onto HTTP
-// statuses: bad names and malformed requests are the client's fault,
-// impossible operations are unprocessable, unknown resources are 404, a
-// deployment that has not settled yet is a 409 conflict, anything else is
-// a server error.
+// statuses, for every route: bad names and malformed requests are the
+// client's fault, impossible operations are unprocessable, unknown
+// resources are 404, a deployment that has not settled yet is a 409
+// conflict, anything else is a server error. Each sentinel is the deciding
+// package's own error, so the body is the message that package wrote.
 func deployErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, xcbc.ErrUnknownCluster),
@@ -931,9 +932,11 @@ func deployErrorStatus(err error) int {
 		errors.Is(err, xcbc.ErrBadNodeCount),
 		errors.Is(err, xcbc.ErrBadJob),
 		errors.Is(err, xcbc.ErrBadOption),
+		errors.Is(err, xcbc.ErrBadFleetSpec),
+		errors.Is(err, xcbc.ErrBadScenario),
 		errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
-	case errors.Is(err, xcbc.ErrUnknownJob):
+	case errors.Is(err, xcbc.ErrUnknownJob), errors.Is(err, xcbc.ErrUnknownScenario):
 		return http.StatusNotFound
 	case errors.Is(err, xcbc.ErrNotReady):
 		return http.StatusConflict

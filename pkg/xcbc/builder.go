@@ -77,14 +77,11 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 	if scheduler == "" {
 		scheduler = "torque"
 	}
-	if err := checkScheduler(scheduler); err != nil {
-		return nil, err
-	}
 	rolls := cfg.rolls
 	if !cfg.rollsSet {
 		rolls = []string{"ganglia", "hpc"}
 	}
-	if err := checkRolls(rolls); err != nil {
+	if err := core.CheckRecipe(scheduler, rolls); err != nil {
 		return nil, err
 	}
 	policy, err := cfg.powerPolicy.internal()
@@ -98,7 +95,7 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 	// Pre-flight the Rocks diskless constraint synchronously so an
 	// impossible request fails at Start, not minutes into an async build.
 	if err := core.PreflightXCBC(hw); err != nil {
-		return nil, translate(err)
+		return nil, err
 	}
 	eng := cfg.resolveEngine()
 	// Always pass a non-nil slice: core treats nil OptionalRolls as "use
@@ -119,7 +116,7 @@ func (b *xcbcBuilder) Start(ctx context.Context) (*Handle, error) {
 		}
 		d, err := core.BuildXCBCContext(jctx, eng, hw, o)
 		if err != nil {
-			return nil, translate(err)
+			return nil, err
 		}
 		return &Deployment{core: d}, nil
 	}), nil
@@ -161,7 +158,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 		return nil, nil, cfg.err
 	}
 	if cfg.schedulerSet && cfg.scheduler != "" {
-		if err := checkScheduler(cfg.scheduler); err != nil {
+		if err := core.CheckRecipe(cfg.scheduler, nil); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -188,7 +185,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 				base = defaultBasePackages()
 			}
 			if err := provision.VendorProvision(eng, hw, osName, base); err != nil {
-				return nil, translate(err)
+				return nil, err
 			}
 			ev := Event{Stage: "vendor", Packages: len(base) * hw.NodeCount(),
 				Message: fmt.Sprintf("vendor tooling installed %s on %d nodes", osName, hw.NodeCount())}
@@ -197,7 +194,7 @@ func (b *vendorBuilder) prepare() (*cluster.Cluster, func(ctx context.Context, e
 		}
 		d, err := core.NewVendorDeployment(eng, hw, cfg.scheduler, core.Options{PowerPolicy: policy})
 		if err != nil {
-			return nil, translate(err)
+			return nil, err
 		}
 		return &Deployment{core: d}, nil
 	}
@@ -249,11 +246,11 @@ func (b *xnitBuilder) Start(ctx context.Context) (*Handle, error) {
 		return nil, fmt.Errorf("%w: NewXNIT needs the deployment to convert", ErrNilDeployment)
 	}
 	if cfg.schedulerSet && cfg.scheduler != "" {
-		if err := checkScheduler(cfg.scheduler); err != nil {
+		if err := core.CheckRecipe(cfg.scheduler, nil); err != nil {
 			return nil, err
 		}
 	}
-	if err := checkProfiles(cfg.profiles); err != nil {
+	if err := core.CheckProfiles(cfg.profiles...); err != nil {
 		return nil, err
 	}
 	return start(ctx, d.core.Cluster, func(jctx context.Context, emit func(Event) int) (*Deployment, error) {
@@ -268,7 +265,7 @@ func (b *xnitBuilder) Start(ctx context.Context) (*Handle, error) {
 			var err error
 			xnit, err = core.NewXNITRepository()
 			if err != nil {
-				return nil, translate(err)
+				return nil, err
 			}
 			core.ConfigureXNIT(d.core, xnit)
 		}
@@ -280,7 +277,7 @@ func (b *xnitBuilder) Start(ctx context.Context) (*Handle, error) {
 			}
 			n, err := d.core.InstallProfile(profile)
 			if err != nil {
-				return nil, translate(err)
+				return nil, err
 			}
 			record(Event{Stage: "profile", Packages: n,
 				Message: fmt.Sprintf("installed profile %s cluster-wide", profile)})

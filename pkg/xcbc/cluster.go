@@ -88,17 +88,13 @@ func (c *Cluster) SubmitJob(spec JobSpec) (JobInfo, error) {
 		Name: spec.Name, User: spec.User, Cores: spec.Cores,
 		Walltime: spec.Walltime, Runtime: spec.Runtime, Script: spec.Script,
 	}
-	v, err := c.ops.SubmitJob(j)
-	if err != nil {
-		return JobInfo{}, translate(err)
-	}
-	return v, nil
+	return c.ops.SubmitJob(j)
 }
 
 // CancelJob removes a queued job or kills a running one; finished or
 // unknown IDs fail with ErrUnknownJob.
 func (c *Cluster) CancelJob(id int) error {
-	return translate(c.ops.CancelJob(id))
+	return c.ops.CancelJob(id)
 }
 
 // Job returns a snapshot of one job across queue, running set, and
@@ -195,11 +191,7 @@ func (c *Cluster) Validate(opts ...ValidateOption) (Validation, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	v, err := c.ops.Validate(cfg.memFraction, cfg.smokeN)
-	if err != nil {
-		return Validation{}, translate(err)
-	}
-	return v, nil
+	return c.ops.Validate(cfg.memFraction, cfg.smokeN)
 }
 
 // CheckUpdates runs the paper's periodic update check on every node under

@@ -1,7 +1,6 @@
 package xcbc
 
 import (
-	"fmt"
 	"time"
 
 	"xcbc/internal/cluster"
@@ -100,34 +99,13 @@ func (d *Deployment) AttachInstaller(ins *provision.Installer) { d.core.Installe
 // InstallPackages resolves and installs the named packages (with
 // dependencies) on every node, returning the number of installs.
 func (d *Deployment) InstallPackages(names ...string) (int, error) {
-	n, err := d.core.InstallEverywhere(names...)
-	return n, d.translateInstall(err)
-}
-
-func (d *Deployment) translateInstall(err error) error {
-	if err == nil {
-		return nil
-	}
-	if len(d.core.Repos.Enabled()) == 0 {
-		return fmt.Errorf("%w (adopt with NewXNIT or add one to Repos()): %w", ErrNoRepos, err)
-	}
-	return translate(err)
+	return d.core.InstallEverywhere(names...)
 }
 
 // ChangeScheduler swaps the batch system in place — the Limulus workflow
-// the paper highlights. The queue must be drained first.
-func (d *Deployment) ChangeScheduler(to string) error {
-	if err := checkScheduler(to); err != nil {
-		return err
-	}
-	if d.core.Batch != nil {
-		if _, running, _ := d.core.Batch.JobCounts(); running > 0 {
-			return fmt.Errorf("%w: %d job(s); drain the queue before changing schedulers",
-				ErrJobsRunning, running)
-		}
-	}
-	return translate(d.core.ChangeScheduler(to))
-}
+// the paper highlights. The queue must be drained first; naming the
+// scheduler already running changes nothing and succeeds.
+func (d *Deployment) ChangeScheduler(to string) error { return d.core.ChangeScheduler(to) }
 
 // Compat summarizes an XSEDE compatibility check of the frontend against
 // the Stampede reference.
@@ -142,7 +120,7 @@ type Compat struct {
 func (d *Deployment) Compat() (Compat, error) {
 	rep, err := d.core.CompatReport()
 	if err != nil {
-		return Compat{}, translate(err)
+		return Compat{}, err
 	}
 	return Compat{Passed: rep.Passed(), Total: rep.Total(), Score: rep.Score(),
 		Text: rep.Summary()}, nil
@@ -151,8 +129,7 @@ func (d *Deployment) Compat() (Compat, error) {
 // CompatCounts returns Compat's Passed and Total without rendering the
 // report; the two always agree.
 func (d *Deployment) CompatCounts() (passed, total int, err error) {
-	passed, total, err = d.core.CompatCounts()
-	return passed, total, translate(err)
+	return d.core.CompatCounts()
 }
 
 // UpdatePolicy selects how an update check treats available updates.

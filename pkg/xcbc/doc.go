@@ -42,7 +42,8 @@
 // waves, so no node is ever left half-kickstarted. Progress reaches the
 // Handle's journal and any WithProgress callback. Failures wrap the
 // package's sentinel errors (ErrUnknownRoll, ErrDepCycle, ...) so callers
-// can branch with errors.Is.
+// can branch with errors.Is; each is the deciding internal package's own
+// error, re-exported, so a failure carries one message.
 //
 // A ready deployment is operated through the Cluster resource — the
 // concurrency-safe day-2 surface. Handle.Cluster opens it once the build

@@ -3,23 +3,28 @@ package xcbc
 import (
 	"errors"
 
+	"xcbc/internal/cluster"
 	"xcbc/internal/core"
 	"xcbc/internal/depsolve"
+	"xcbc/internal/fleet"
 	"xcbc/internal/provision"
 	"xcbc/internal/rocks"
+	"xcbc/internal/scenario"
 	"xcbc/internal/sched"
 )
 
-// Sentinel errors wrapped by SDK operations; test with errors.Is.
+// Sentinel errors wrapped by SDK operations; test with errors.Is. A refusal
+// decided below the SDK is that package's own sentinel, re-exported here,
+// so the error a caller sees is the one the deciding layer wrote.
 var (
 	// ErrUnknownCluster reports a cluster name absent from Clusters().
-	ErrUnknownCluster = errors.New("xcbc: unknown cluster")
+	ErrUnknownCluster = cluster.ErrUnknownMachine
 	// ErrUnknownScheduler reports a scheduler other than torque, slurm or sge.
-	ErrUnknownScheduler = errors.New("xcbc: unknown scheduler")
+	ErrUnknownScheduler = core.ErrUnknownScheduler
 	// ErrUnknownRoll reports a name that is not one of Table 1's optional rolls.
-	ErrUnknownRoll = errors.New("xcbc: unknown optional roll")
+	ErrUnknownRoll = core.ErrUnknownRoll
 	// ErrUnknownProfile reports an XNIT profile name absent from Profiles().
-	ErrUnknownProfile = errors.New("xcbc: unknown package profile")
+	ErrUnknownProfile = core.ErrUnknownProfile
 	// ErrUnknownPowerPolicy reports a power policy name that is not one of
 	// the PowerPolicy constants.
 	ErrUnknownPowerPolicy = errors.New("xcbc: unknown power policy")
@@ -30,18 +35,18 @@ var (
 	ErrBadOption = errors.New("xcbc: bad option value")
 	// ErrDiskless reports a Rocks provisioning attempt against a diskless
 	// node (the constraint that forces the Limulus onto the XNIT path).
-	ErrDiskless = errors.New("xcbc: Rocks cannot provision diskless nodes")
+	ErrDiskless = provision.ErrDiskless
 	// ErrDepCycle reports a cycle in the kickstart include-graph.
-	ErrDepCycle = errors.New("xcbc: kickstart graph cycle")
+	ErrDepCycle = rocks.ErrCycle
 	// ErrUnresolvable reports package requirements that no enabled
 	// repository satisfies.
-	ErrUnresolvable = errors.New("xcbc: unresolvable dependencies")
+	ErrUnresolvable = depsolve.ErrUnresolvable
 	// ErrNoRepos reports an install attempted before any repository is
 	// configured (run the XNIT builder or add a repository first).
-	ErrNoRepos = errors.New("xcbc: no enabled repositories")
+	ErrNoRepos = core.ErrNoRepos
 	// ErrJobsRunning reports a scheduler change attempted while jobs are
 	// still running; drain the queue first.
-	ErrJobsRunning = errors.New("xcbc: jobs still running")
+	ErrJobsRunning = core.ErrJobsRunning
 	// ErrNilDeployment reports NewXNIT called with a nil existing
 	// deployment.
 	ErrNilDeployment = errors.New("xcbc: nil deployment")
@@ -50,36 +55,18 @@ var (
 	ErrNotReady = errors.New("xcbc: deployment not ready")
 	// ErrNoScheduler reports a batch operation on a cluster deployed
 	// without a batch system (the vendor path with no scheduler).
-	ErrNoScheduler = errors.New("xcbc: no batch system installed")
+	ErrNoScheduler = core.ErrNoScheduler
 	// ErrUnknownJob reports a job ID that is neither queued nor running.
-	ErrUnknownJob = errors.New("xcbc: unknown job")
+	ErrUnknownJob = sched.ErrUnknownJob
 	// ErrBadJob reports a job submission that can never run (no cores, more
 	// cores than the cluster has, or a walltime over a year).
-	ErrBadJob = errors.New("xcbc: bad job request")
+	ErrBadJob = sched.ErrBadJob
+	// ErrBadFleetSpec reports an invalid fleet specification.
+	ErrBadFleetSpec = fleet.ErrBadSpec
+	// ErrBadScenario reports scenario JSON that fails decoding or
+	// validation (unknown phases, negative counts, unknown fault kinds).
+	ErrBadScenario = scenario.ErrBadScenario
+	// ErrUnknownScenario reports a built-in scenario name absent from
+	// BuiltinScenarios().
+	ErrUnknownScenario = errors.New("xcbc: unknown scenario")
 )
-
-// translate maps internal-layer failures onto the SDK's sentinel errors so
-// callers never need to import internal packages to branch on causes. The
-// original error is preserved in the chain.
-func translate(err error) error {
-	if err == nil {
-		return nil
-	}
-	switch {
-	case errors.Is(err, provision.ErrDiskless):
-		return errors.Join(ErrDiskless, err)
-	case errors.Is(err, rocks.ErrCycle):
-		return errors.Join(ErrDepCycle, err)
-	case errors.Is(err, core.ErrNoScheduler):
-		return errors.Join(ErrNoScheduler, err)
-	case errors.Is(err, sched.ErrUnknownJob):
-		return errors.Join(ErrUnknownJob, err)
-	case errors.Is(err, sched.ErrBadJob):
-		return errors.Join(ErrBadJob, err)
-	}
-	var unres *depsolve.UnresolvableError
-	if errors.As(err, &unres) {
-		return errors.Join(ErrUnresolvable, err)
-	}
-	return err
-}

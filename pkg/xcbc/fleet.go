@@ -2,7 +2,6 @@ package xcbc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -14,9 +13,6 @@ import (
 // through the same Cluster resource single deployments use. This is the
 // surface the scenario engine (RunScenario) and the /api/v1/fleets control
 // plane drive.
-
-// ErrBadFleetSpec reports an invalid fleet specification.
-var ErrBadFleetSpec = errors.New("xcbc: bad fleet spec")
 
 // FleetSpec sizes a fleet.
 type FleetSpec struct {
@@ -55,7 +51,7 @@ type Fleet struct {
 func NewFleet(spec FleetSpec) (*Fleet, error) {
 	fl, err := fleet.New(fleet.Spec(spec))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFleetSpec, err)
+		return nil, err
 	}
 	f := &Fleet{fl: fl, members: make([]*FleetMember, fl.Len())}
 	wrappers := make([]FleetMember, fl.Len())

@@ -19,11 +19,7 @@ func Clusters() []string { return cluster.CatalogNames() }
 
 // NewCluster builds a fresh, powered-off instance of a cataloged machine.
 func NewCluster(name string) (*cluster.Cluster, error) {
-	hw, err := cluster.FromCatalog(name)
-	if err != nil {
-		return nil, wrapName(ErrUnknownCluster, name)
-	}
-	return hw, nil
+	return cluster.FromCatalog(name)
 }
 
 // Profiles lists the curated XNIT package profiles, sorted.
@@ -37,12 +33,6 @@ func Profiles() []string {
 // XSEDE roll for the scheduler, plus optional rolls) without deploying it —
 // the artifact a site would burn to install media.
 func BuildDistribution(scheduler string, optionalRolls ...string) (*rocks.Distribution, error) {
-	if err := checkScheduler(scheduler); err != nil {
-		return nil, err
-	}
-	if err := checkRolls(optionalRolls); err != nil {
-		return nil, err
-	}
 	return core.BuildDistribution(scheduler, optionalRolls...)
 }
 
@@ -56,38 +46,3 @@ const XNITRepoID = core.XNITRepoID
 // XNITPriority is the yum-plugin-priorities priority the XNIT README
 // recommends, below vendor/base repositories.
 const XNITPriority = core.XNITPriority
-
-func checkScheduler(name string) error {
-	for _, s := range core.Schedulers {
-		if s == name {
-			return nil
-		}
-	}
-	return wrapName(ErrUnknownScheduler, name)
-}
-
-func checkRolls(names []string) error {
-	known := make(map[string]bool, len(core.OptionalRollNames))
-	for _, r := range core.OptionalRollNames {
-		known[r] = true
-	}
-	for _, n := range names {
-		if !known[n] {
-			return wrapName(ErrUnknownRoll, n)
-		}
-	}
-	return nil
-}
-
-func checkProfiles(names []string) error {
-	known := make(map[string]bool)
-	for _, p := range core.Profiles() {
-		known[p] = true
-	}
-	for _, n := range names {
-		if !known[n] {
-			return wrapName(ErrUnknownProfile, n)
-		}
-	}
-	return nil
-}

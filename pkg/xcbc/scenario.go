@@ -2,7 +2,6 @@ package xcbc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"xcbc/internal/fleet"
@@ -17,16 +16,6 @@ import (
 // for a given scenario and seed — the regression substrate every future
 // scale and performance change is validated against.
 
-// Scenario sentinels; test with errors.Is.
-var (
-	// ErrBadScenario reports scenario JSON that fails decoding or
-	// validation (unknown phases, negative counts, unknown fault kinds).
-	ErrBadScenario = errors.New("xcbc: invalid scenario")
-	// ErrUnknownScenario reports a built-in scenario name absent from
-	// BuiltinScenarios().
-	ErrUnknownScenario = errors.New("xcbc: unknown scenario")
-)
-
 // Scenario is a parsed, validated scenario script.
 type Scenario struct {
 	sc *scenario.Scenario
@@ -37,7 +26,7 @@ type Scenario struct {
 func LoadScenario(data []byte) (*Scenario, error) {
 	sc, err := scenario.Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadScenario, err)
+		return nil, err
 	}
 	return &Scenario{sc: sc}, nil
 }
@@ -149,7 +138,7 @@ func (r *ScenarioResult) TraceJSONL() []byte { return r.r.TraceJSONL() }
 func RunScenario(ctx context.Context, s *Scenario) (*ScenarioResult, error) {
 	res, err := scenario.Run(ctx, s.sc)
 	if err != nil {
-		return nil, translateScenario(err)
+		return nil, err
 	}
 	return &ScenarioResult{r: res}, nil
 }
@@ -163,7 +152,7 @@ func runScenarioOn(ctx context.Context, fl *fleet.Fleet, s *Scenario) (*Scenario
 func runScenarioObserved(ctx context.Context, fl *fleet.Fleet, s *Scenario, obs func(TraceEvent)) (*ScenarioResult, error) {
 	res, err := scenario.RunOnObserved(ctx, fl, s.sc, obs)
 	if err != nil {
-		return nil, translateScenario(err)
+		return nil, err
 	}
 	return &ScenarioResult{r: res}, nil
 }
@@ -187,14 +176,4 @@ func (r *ScenarioResult) UnmarshalJSON(data []byte) error {
 	}
 	r.r = &res
 	return nil
-}
-
-func translateScenario(err error) error {
-	if errors.Is(err, scenario.ErrBadScenario) {
-		return fmt.Errorf("%w: %v", ErrBadScenario, err)
-	}
-	if errors.Is(err, fleet.ErrBadSpec) {
-		return fmt.Errorf("%w: %v", ErrBadFleetSpec, err)
-	}
-	return err
 }

@@ -3,6 +3,7 @@ package xcbc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,25 +111,84 @@ func TestXCBCDeployDiskless(t *testing.T) {
 	}
 }
 
+// TestSentinelErrors walks every SDK entry point that refuses a request.
+// Each refusal matches its SDK sentinel with errors.Is and is the one
+// message the deciding layer wrote: its phrase appears once, on one line
+// (the depsolver's listing of what is missing adds a line per requirement).
+// Naming the scheduler already running is not a change, so it succeeds
+// even with a job running.
 func TestSentinelErrors(t *testing.T) {
 	ctx := context.Background()
+	start := func(b Builder) func() error {
+		return func() error { _, err := b.Start(ctx); return err }
+	}
+	d, err := NewXCBC(WithCluster("littlefe")).Deploy(ctx)
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	cl := d.Open()
+	if _, err := cl.SubmitJob(JobSpec{Name: "busy", User: "bob", Cores: 1, Walltime: time.Hour}); err != nil {
+		t.Fatalf("SubmitJob: %v", err)
+	}
+	adopted, err := NewXNIT(mustVendor(t)).Deploy(ctx)
+	if err != nil {
+		t.Fatalf("XNIT Deploy: %v", err)
+	}
+	pair, err := NewFleet(FleetSpec{Members: 2})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	campus, err := BuiltinScenario("campus-100")
+	if err != nil {
+		t.Fatalf("BuiltinScenario: %v", err)
+	}
 	cases := []struct {
-		name string
-		b    Builder
-		want error
+		name   string
+		run    func() error
+		want   error // nil: the call succeeds
+		phrase string
+		lines  int // 0: one line
 	}{
-		{"unknown cluster", NewXCBC(WithCluster("deep-thought")), ErrUnknownCluster},
-		{"unknown scheduler", NewXCBC(WithScheduler("loadleveler")), ErrUnknownScheduler},
-		{"unknown roll", NewXCBC(WithRolls("cuda")), ErrUnknownRoll},
-		{"unknown power policy", NewXCBC(WithPowerPolicy("solar")), ErrUnknownPowerPolicy},
-		{"bad node count", NewXCBC(WithNodeCount(-2)), ErrBadNodeCount},
-		{"nil deployment", NewXNIT(nil), ErrNilDeployment},
-		{"unknown profile", NewXNIT(mustVendor(t), WithProfiles("quantum")), ErrUnknownProfile},
+		{"unknown cluster", start(NewXCBC(WithCluster("deep-thought"))), ErrUnknownCluster, "unknown catalog machine", 0},
+		{"unknown scheduler", start(NewXCBC(WithScheduler("loadleveler"))), ErrUnknownScheduler, "unknown scheduler", 0},
+		{"unknown roll", start(NewXCBC(WithRolls("cuda"))), ErrUnknownRoll, "unknown optional roll", 0},
+		{"unknown power policy", start(NewXCBC(WithPowerPolicy("solar"))), ErrUnknownPowerPolicy, "unknown power policy", 0},
+		{"bad node count", start(NewXCBC(WithNodeCount(-2))), ErrBadNodeCount, "node count must be positive", 0},
+		{"diskless", start(NewXCBC(WithCluster("littlefe-original"))), ErrDiskless, "diskless", 0},
+		{"nil deployment", start(NewXNIT(nil)), ErrNilDeployment, "nil deployment", 0},
+		{"unknown profile", start(NewXNIT(mustVendor(t), WithProfiles("quantum"))), ErrUnknownProfile, "unknown package profile", 0},
+		{"vendor unknown scheduler", start(NewVendor(WithScheduler("pbspro"))), ErrUnknownScheduler, "unknown scheduler", 0},
+		{"NewCluster", func() error { _, err := NewCluster("deep-thought"); return err }, ErrUnknownCluster, "unknown catalog machine", 0},
+		{"install without repos", func() error { _, err := mustVendor(t).InstallPackages("gcc"); return err }, ErrNoRepos, "no enabled repositories", 0},
+		{"unresolvable install", func() error { _, err := adopted.InstallPackages("libreoffice"); return err }, ErrUnresolvable, "unresolvable dependencies", 2},
+		{"scheduler change, job running", func() error { return d.ChangeScheduler("slurm") }, ErrJobsRunning, "jobs still running", 0},
+		{"same scheduler, job running", func() error { return d.ChangeScheduler("torque") }, nil, "", 0},
+		{"SubmitJob", func() error { _, err := cl.SubmitJob(JobSpec{Cores: 4096}); return err }, ErrBadJob, "bad job request", 0},
+		{"CancelJob", func() error { return cl.CancelJob(42) }, ErrUnknownJob, "unknown job", 0},
+		{"LoadScenario", func() error { _, err := LoadScenario([]byte(`{"name":`)); return err }, ErrBadScenario, "invalid scenario", 0},
+		{"NewFleet", func() error { _, err := NewFleet(FleetSpec{Members: 0}); return err }, ErrBadFleetSpec, "bad spec", 0},
+		{"Fleet.RunScenario, wrong size", func() error { _, err := pair.RunScenario(ctx, campus); return err }, ErrBadScenario, "invalid scenario", 0},
+		{"CampaignSpec.Validate", CampaignSpec{}.Validate, ErrBadCampaign, "invalid campaign spec", 0},
+		{"RunCampaignObserved", func() error { _, err := RunCampaignObserved(ctx, CampaignSpec{Seeds: 1, Workers: -1}, nil); return err }, ErrBadCampaign, "invalid campaign spec", 0},
 	}
 	for _, tc := range cases {
-		if _, err := tc.b.Deploy(ctx); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		err := tc.run()
+		if tc.want == nil || !errors.Is(err, tc.want) {
+			if err != tc.want {
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			}
+			continue
 		}
+		msg := err.Error()
+		if n := strings.Count(msg, tc.phrase); n != 1 {
+			t.Errorf("%s: %q names %q %d times, want once", tc.name, msg, tc.phrase, n)
+		}
+		if lines := strings.Count(msg, "\n") + 1; lines != max(tc.lines, 1) {
+			t.Errorf("%s: %q has %d lines, want %d", tc.name, msg, lines, max(tc.lines, 1))
+		}
+	}
+	if d.Scheduler() != "torque" {
+		t.Errorf("scheduler after the refused and no-op changes = %q, want torque", d.Scheduler())
 	}
 }
 
